@@ -270,8 +270,7 @@ class GriphonController:
         """Line rates for which any node has transponders installed."""
         rates = set()
         for pool in self.inventory.transponders.values():
-            for ot in pool.transponders:
-                rates.add(ot.line_rate_bps)
+            rates |= pool.rates
         return sorted(rates)
 
     # -- signal quality ---------------------------------------------------------

@@ -148,8 +148,12 @@ class LightpathProvisioner:
                 link = inv.plant.dwdm_link(u, v)
                 if link.owner_of(segment.channel) == owner:
                     link.release(segment.channel, owner)
-        # ROADM cross-connects.
-        for node, roadm in inv.roadms.items():
+        # ROADM cross-connects.  Add/drop ports are only ever taken on
+        # the route's own ROADMs (_claim_roadm_crossconnects).
+        for node in lightpath.path:
+            roadm = inv.roadms.get(node)
+            if roadm is None:
+                continue
             for port in roadm.ports:
                 if port.owner == owner:
                     roadm.disconnect_add_drop(port.port_id, owner)
@@ -456,12 +460,11 @@ class LightpathProvisioner:
 
         def connect_port(node: str, degree: str, channel: int) -> None:
             roadm = inv.roadms[node]
-            free = roadm.free_ports(degree=degree, channel=channel)
-            if not free:
+            port = roadm.first_free_port(degree=degree, channel=channel)
+            if port is None:
                 raise TransponderUnavailableError(
                     f"no free add/drop port at {node} for channel {channel}"
                 )
-            port = free[0]
             roadm.connect_add_drop(port.port_id, degree, channel, owner)
             undo.append(
                 lambda: inv.roadms[node].disconnect_add_drop(port.port_id, owner)

@@ -14,7 +14,7 @@ enforces that invariant across add/drop and express connections.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, Iterator, List, Optional, Set, Tuple
 
 from repro.errors import (
     ConfigurationError,
@@ -149,11 +149,10 @@ class Roadm:
         except KeyError:
             raise EquipmentError(f"no port {port_id!r} on ROADM {self.name}") from None
 
-    def free_ports(
-        self, degree: Optional[str] = None, channel: Optional[int] = None
-    ) -> List[AddDropPort]:
-        """Idle ports able to reach ``degree`` and carry ``channel``."""
-        return [
+    def _idle_ports(
+        self, degree: Optional[str], channel: Optional[int]
+    ) -> Iterator[AddDropPort]:
+        return (
             port
             for port in self._ports.values()
             if not port.in_use
@@ -167,7 +166,19 @@ class Roadm:
                 or port.fixed_channel is None
                 or port.fixed_channel == channel
             )
-        ]
+        )
+
+    def free_ports(
+        self, degree: Optional[str] = None, channel: Optional[int] = None
+    ) -> List[AddDropPort]:
+        """Idle ports able to reach ``degree`` and carry ``channel``."""
+        return list(self._idle_ports(degree, channel))
+
+    def first_free_port(
+        self, degree: Optional[str] = None, channel: Optional[int] = None
+    ) -> Optional[AddDropPort]:
+        """The port ``free_ports`` would list first, or None."""
+        return next(self._idle_ports(degree, channel), None)
 
     def channel_owner(self, degree: str, channel: int) -> Optional[str]:
         """Who uses ``channel`` on ``degree``, or None."""

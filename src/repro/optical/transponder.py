@@ -9,7 +9,7 @@ the FXC-based dynamic sharing of transponders worthwhile (paper §2.2).
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, Iterator, List, Optional, Set
 
 from repro.errors import (
     ConfigurationError,
@@ -139,6 +139,7 @@ class TransponderPool:
         self.node = node
         self._grid = grid
         self._transponders: Dict[str, Transponder] = {}
+        self._rates: Set[float] = set()
         self._counter = 0
 
     def install(self, line_rate_bps: float, count: int = 1) -> List[Transponder]:
@@ -152,12 +153,18 @@ class TransponderPool:
             ot = Transponder(ot_id, self.node, line_rate_bps, self._grid)
             self._transponders[ot_id] = ot
             created.append(ot)
+        self._rates.add(line_rate_bps)
         return created
 
     @property
     def transponders(self) -> List[Transponder]:
         """All installed OTs."""
         return list(self._transponders.values())
+
+    @property
+    def rates(self) -> Set[float]:
+        """Line rates with at least one OT installed here."""
+        return set(self._rates)
 
     def get(self, ot_id: str) -> Transponder:
         """Look up an OT by id.
@@ -172,15 +179,18 @@ class TransponderPool:
                 f"no transponder {ot_id!r} at {self.node}"
             ) from None
 
-    def free(self, line_rate_bps: Optional[float] = None) -> List[Transponder]:
-        """Idle, healthy OTs, optionally filtered to one line rate."""
-        return [
+    def _idle(self, line_rate_bps: Optional[float]) -> Iterator[Transponder]:
+        return (
             ot
             for ot in self._transponders.values()
             if not ot.in_use
             and not ot.failed
             and (line_rate_bps is None or ot.line_rate_bps == line_rate_bps)
-        ]
+        )
+
+    def free(self, line_rate_bps: Optional[float] = None) -> List[Transponder]:
+        """Idle, healthy OTs, optionally filtered to one line rate."""
+        return list(self._idle(line_rate_bps))
 
     def allocate(self, line_rate_bps: float, owner: str) -> Transponder:
         """Allocate the first idle OT at the given rate.
@@ -188,12 +198,11 @@ class TransponderPool:
         Raises:
             TransponderUnavailableError: if none is free.
         """
-        candidates = self.free(line_rate_bps)
-        if not candidates:
+        chosen = next(self._idle(line_rate_bps), None)
+        if chosen is None:
             raise TransponderUnavailableError(
                 f"no free {line_rate_bps / GBPS:g}G transponder at {self.node}"
             )
-        chosen = candidates[0]
         chosen.allocate(owner)
         return chosen
 

@@ -88,8 +88,10 @@ class ShardPlanner:
     def __init__(self, hierarchy: Hierarchy) -> None:
         self.hierarchy = hierarchy
         self._express_graph = hierarchy.express_graph()
-        # Hop maps are computed lazily per source node and cached; the
-        # hierarchy is immutable once built, so they never go stale.
+        # Region graphs and hop maps are computed lazily (per region, per
+        # source node) and cached; the hierarchy is immutable once built,
+        # so they never go stale.
+        self._region_graphs: Dict[str, NetworkGraph] = {}
         self._region_hops: Dict[Tuple[str, str], Dict[str, int]] = {}
         self._express_hops: Dict[str, Dict[str, int]] = {}
         # Monolithic-mode exclusion sets, derived once.
@@ -117,7 +119,11 @@ class ShardPlanner:
         key = (region, start)
         cached = self._region_hops.get(key)
         if cached is None:
-            cached = _bfs_hops(self.hierarchy.region_graph(region), start)
+            graph = self._region_graphs.get(region)
+            if graph is None:
+                graph = self.hierarchy.region_graph(region)
+                self._region_graphs[region] = graph
+            cached = _bfs_hops(graph, start)
             self._region_hops[key] = cached
         return cached
 

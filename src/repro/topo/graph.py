@@ -12,8 +12,19 @@ from __future__ import annotations
 
 import heapq
 import itertools
+from collections import deque
 from dataclasses import dataclass
-from typing import Callable, Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
+from typing import (
+    Callable,
+    Collection,
+    Dict,
+    FrozenSet,
+    Iterable,
+    List,
+    Optional,
+    Set,
+    Tuple,
+)
 
 from repro.errors import NoPathError, TopologyError
 
@@ -91,10 +102,12 @@ class NetworkGraph:
         self._nodes: Dict[str, Node] = {}
         self._links: Dict[Tuple[str, str], Link] = {}
         self._adjacency: Dict[str, Set[str]] = {}
-        # Pre-sorted (neighbor, link) lists per node so the Dijkstra inner
-        # loop needs neither sorted() nor link_between(); rebuilt lazily
-        # per node after a mutation touches it.
-        self._sorted_adjacency: Dict[str, List[Tuple[str, Link]]] = {}
+        # Pre-sorted (neighbor, link key, link) lists per node so the path
+        # search inner loops need neither sorted(), link_between() nor
+        # Link.key; rebuilt lazily per node after a mutation touches it.
+        self._sorted_adjacency: Dict[
+            str, List[Tuple[str, Tuple[str, str], Link]]
+        ] = {}
         self._srlg_index: Dict[str, List[Link]] = {}
         self._generation = 0
 
@@ -234,14 +247,17 @@ class NetworkGraph:
         """All links belonging to the given shared-risk group."""
         return list(self._srlg_index.get(srlg, ()))
 
-    def _sorted_neighbors(self, name: str) -> List[Tuple[str, Link]]:
-        """Pre-sorted (neighbor, link) pairs for ``name`` (lazily rebuilt)."""
+    def _sorted_neighbors(
+        self, name: str
+    ) -> List[Tuple[str, Tuple[str, str], Link]]:
+        """Name-sorted (neighbor, link key, link) triples for ``name``
+        (lazily rebuilt)."""
         cached = self._sorted_adjacency.get(name)
         if cached is None:
-            cached = [
-                (neighbor, self._links[(name, neighbor) if name <= neighbor else (neighbor, name)])
-                for neighbor in sorted(self._adjacency[name])
-            ]
+            cached = []
+            for neighbor in sorted(self._adjacency[name]):
+                key = (name, neighbor) if name <= neighbor else (neighbor, name)
+                cached.append((neighbor, key, self._links[key]))
             self._sorted_adjacency[name] = cached
         return cached
 
@@ -255,7 +271,7 @@ class NetworkGraph:
         excluded_links: Iterable[Tuple[str, str]] = (),
         excluded_nodes: Iterable[str] = (),
     ) -> List[str]:
-        """Dijkstra shortest path from ``source`` to ``target``.
+        """Shortest path from ``source`` to ``target``.
 
         Args:
             weight: Link cost function; default is hop count (cost 1/link).
@@ -265,7 +281,8 @@ class NetworkGraph:
 
         Returns:
             The node path, beginning with ``source`` and ending with
-            ``target``.
+            ``target``.  Among equal-cost paths the choice is fixed by
+            the name-sorted adjacency (see :meth:`_search`).
 
         Raises:
             NoPathError: if no path survives the exclusions.
@@ -273,39 +290,9 @@ class NetworkGraph:
         """
         self.node(source)
         self.node(target)
-        if weight is None:
-            weight = lambda link: 1.0  # noqa: E731 - hop count default
         banned_links = {self._canonical(k) for k in excluded_links}
         banned_nodes = set(excluded_nodes) - {source, target}
-
-        distances: Dict[str, float] = {source: 0.0}
-        previous: Dict[str, str] = {}
-        counter = itertools.count()
-        frontier: List[Tuple[float, int, str]] = [(0.0, next(counter), source)]
-        visited: Set[str] = set()
-        while frontier:
-            dist, _, current = heapq.heappop(frontier)
-            if current in visited:
-                continue
-            visited.add(current)
-            if current == target:
-                return self._reconstruct(previous, source, target)
-            for neighbor, link in self._sorted_neighbors(current):
-                if neighbor in banned_nodes or neighbor in visited:
-                    continue
-                if link.key in banned_links:
-                    continue
-                cost = weight(link)
-                if cost < 0:
-                    raise TopologyError(
-                        f"negative link weight {cost} on {link.key}"
-                    )
-                candidate = dist + cost
-                if candidate < distances.get(neighbor, float("inf")):
-                    distances[neighbor] = candidate
-                    previous[neighbor] = current
-                    heapq.heappush(frontier, (candidate, next(counter), neighbor))
-        raise NoPathError(f"no path from {source!r} to {target!r}")
+        return self._search(source, target, weight, banned_links, banned_nodes)
 
     def k_shortest_paths(
         self,
@@ -318,59 +305,73 @@ class NetworkGraph:
     ) -> List[List[str]]:
         """Yen's algorithm: up to ``k`` loop-free shortest paths in cost order.
 
+        Equal-cost paths come out in lexicographic node-path order: the
+        candidate heap orders on ``(cost, node list)`` and candidates
+        are distinct, so which one is popped depends only on the
+        candidate *set*, never on the order spur searches found them.
+
+        Spur searches follow Lawler's rule.  A path accepted from the
+        heap remembers the index at which it left its parent; below that
+        index it shares root *and* next hop with the parent, so the spur
+        search there has the same root and the same removed hops as one
+        already run, and would only rediscover a path in
+        ``seen_candidates``.  Only spur nodes at or after the deviation
+        index are searched.
+
         Returns fewer than ``k`` paths when the graph does not contain that
         many simple paths.  Raises :class:`NoPathError` if there is none.
         """
         if k < 1:
             raise ValueError(f"k must be >= 1, got {k}")
-        if weight is None:
-            weight = lambda link: 1.0  # noqa: E731 - hop count default
-        base_excluded_links = {self._canonical(key) for key in excluded_links}
-        base_excluded_nodes = set(excluded_nodes)
+        self.node(source)
+        self.node(target)
+        banned_links = {self._canonical(key) for key in excluded_links}
+        # Accepted paths hold only the endpoints and non-excluded nodes,
+        # so a spur node past the source is never in this set.
+        base_banned_nodes = set(excluded_nodes) - {source, target}
 
-        first = self.shortest_path(
-            source,
-            target,
-            weight,
-            excluded_links=base_excluded_links,
-            excluded_nodes=base_excluded_nodes,
+        first = self._search(
+            source, target, weight, banned_links, base_banned_nodes
         )
         paths: List[List[str]] = [first]
-        candidates: List[Tuple[float, List[str]]] = []
+        start = 0  # deviation index of the path accepted last
+        candidates: List[Tuple[float, List[str], int]] = []
         seen_candidates: Set[Tuple[str, ...]] = {tuple(first)}
 
         while len(paths) < k:
             prev_path = paths[-1]
-            for i in range(len(prev_path) - 1):
+            banned_nodes = base_banned_nodes.union(prev_path[:start])
+            for i in range(start, len(prev_path) - 1):
                 spur_node = prev_path[i]
                 root = prev_path[: i + 1]
-                removed_links = set(base_excluded_links)
-                for path in paths:
-                    if path[: i + 1] == root and len(path) > i + 1:
-                        removed_links.add(
-                            self._canonical((path[i], path[i + 1]))
-                        )
-                removed_nodes = set(base_excluded_nodes) | set(root[:-1])
+                # Every link Yen removes here leaves the spur node, and
+                # the search never re-enters its own source, so banning
+                # the far ends as first hops is the same exclusion.
+                banned_hops = {
+                    path[i + 1]
+                    for path in paths
+                    if len(path) > i + 1 and path[: i + 1] == root
+                }
                 try:
-                    spur = self.shortest_path(
-                        spur_node,
-                        target,
-                        weight,
-                        excluded_links=removed_links,
-                        excluded_nodes=removed_nodes,
+                    spur = self._search(
+                        spur_node, target, weight,
+                        banned_links, banned_nodes, banned_hops,
                     )
                 except NoPathError:
                     continue
+                finally:
+                    banned_nodes.add(spur_node)
                 total = root[:-1] + spur
                 key = tuple(total)
                 if key in seen_candidates:
                     continue
                 seen_candidates.add(key)
-                cost = sum(weight(link) for link in self.links_on_path(total))
-                heapq.heappush(candidates, (cost, total))
+                heapq.heappush(
+                    candidates, (self._path_cost(total, weight), total, i)
+                )
             if not candidates:
                 break
-            _, best = heapq.heappop(candidates)
+            _, best, start = heapq.heappop(candidates)
             paths.append(best)
         return paths
 
@@ -406,6 +407,117 @@ class NetworkGraph:
         )
 
     # -- internals ------------------------------------------------------------
+
+    def _search(
+        self,
+        source: str,
+        target: str,
+        weight: Optional[Callable[[Link], float]],
+        banned_links: Set[Tuple[str, str]],
+        banned_nodes: Set[str],
+        banned_hops: Collection[str] = (),
+    ) -> List[str]:
+        """One shortest path over canonical exclusions.
+
+        ``banned_hops`` are neighbors of ``source`` that may not be the
+        path's first hop.  Hop count (``weight is None``) is served by
+        :meth:`_bfs_path`, any other metric by :meth:`_dijkstra_path`.
+        Under unit weights the Dijkstra heap pops in ``(distance, push
+        order)``, every node is pushed exactly once (a later discovery
+        is never strictly shorter), and all nodes at distance ``d`` are
+        pushed before any at ``d + 1`` — which is first-in-first-out
+        with first-discoverer predecessors.  So the two agree on every
+        path, not just on its cost.
+        """
+        if weight is None:
+            return self._bfs_path(
+                source, target, banned_links, banned_nodes, banned_hops
+            )
+        if banned_hops:
+            banned_links = banned_links.union(
+                self._canonical((source, hop)) for hop in banned_hops
+            )
+        return self._dijkstra_path(
+            source, target, weight, banned_links, banned_nodes
+        )
+
+    def _bfs_path(
+        self,
+        source: str,
+        target: str,
+        banned_links: Set[Tuple[str, str]],
+        banned_nodes: Set[str],
+        banned_hops: Collection[str],
+    ) -> List[str]:
+        if source == target:
+            return [source]
+        neighbors_of = self._sorted_neighbors
+        previous: Dict[str, str] = {source: source}
+        queue = deque()
+        current = source
+        while True:
+            for neighbor, key, _ in neighbors_of(current):
+                if (
+                    neighbor in previous
+                    or neighbor in banned_nodes
+                    or key in banned_links
+                    or neighbor in banned_hops
+                ):
+                    continue
+                previous[neighbor] = current
+                if neighbor == target:
+                    # The first discovery fixes the predecessor for
+                    # good, so the path is known before target is dequeued.
+                    return self._reconstruct(previous, source, target)
+                queue.append(neighbor)
+            if not queue:
+                raise NoPathError(f"no path from {source!r} to {target!r}")
+            banned_hops = ()  # they bind the source's expansion only
+            current = queue.popleft()
+
+    def _dijkstra_path(
+        self,
+        source: str,
+        target: str,
+        weight: Callable[[Link], float],
+        banned_links: Set[Tuple[str, str]],
+        banned_nodes: Set[str],
+    ) -> List[str]:
+        distances: Dict[str, float] = {source: 0.0}
+        previous: Dict[str, str] = {}
+        counter = itertools.count()
+        frontier: List[Tuple[float, int, str]] = [(0.0, next(counter), source)]
+        visited: Set[str] = set()
+        while frontier:
+            dist, _, current = heapq.heappop(frontier)
+            if current in visited:
+                continue
+            visited.add(current)
+            if current == target:
+                return self._reconstruct(previous, source, target)
+            for neighbor, key, link in self._sorted_neighbors(current):
+                if neighbor in banned_nodes or neighbor in visited:
+                    continue
+                if key in banned_links:
+                    continue
+                cost = weight(link)
+                if cost < 0:
+                    raise TopologyError(
+                        f"negative link weight {cost} on {key}"
+                    )
+                candidate = dist + cost
+                if candidate < distances.get(neighbor, float("inf")):
+                    distances[neighbor] = candidate
+                    previous[neighbor] = current
+                    heapq.heappush(frontier, (candidate, next(counter), neighbor))
+        raise NoPathError(f"no path from {source!r} to {target!r}")
+
+    def _path_cost(
+        self, path: List[str], weight: Optional[Callable[[Link], float]]
+    ) -> float:
+        if weight is None:
+            return len(path) - 1
+        return sum(weight(link) for link in self.links_on_path(path))
 
     @staticmethod
     def _canonical(key: Tuple[str, str]) -> Tuple[str, str]:

@@ -2,12 +2,15 @@
 
 import pytest
 
+from repro import build_griphon_backbone
+from repro.core.connection import ConnectionState
 from repro.core.inventory import InventoryDatabase
 from repro.core.provisioning import LightpathProvisioner
 from repro.core.rwa import RwaEngine
 from repro.ems.latency import LatencyModel
 from repro.ems.roadm_ems import RoadmEms
 from repro.errors import TransponderUnavailableError
+from repro.faults.audit import audit_network
 from repro.optical import LightpathState, WavelengthGrid
 from repro.sim import Process, RandomStreams, Simulator
 from repro.topo import Link, NetworkGraph, Node
@@ -82,6 +85,45 @@ class TestRegenClaim:
         )
         roadm = inventory.roadms["M"]
         assert all(not p.in_use for p in roadm.ports)
+
+    def test_teardown_frees_route_ports_and_nothing_else(self):
+        """Release looks for the lightpath's add/drop ports on its own
+        route only: both ends and every regen site come back, a port
+        someone else holds on a route ROADM stays, and nothing leaks."""
+        net = build_griphon_backbone(seed=7, latency_cv=0.0)
+        squatted = net.inventory.roadms["CHI"]
+        squatter_port = squatted.ports[-1]
+        squatted.connect_add_drop(squatter_port.port_id, "STL", 39, "squatter")
+        svc = net.service_for("csp")
+        conn = svc.request_connection("DC-EAST", "DC-WEST", 10)
+        net.run()
+        assert conn.state is ConnectionState.UP
+        lightpath = net.inventory.lightpaths[conn.lightpath_ids[0]]
+        assert "CHI" in lightpath.regen_sites
+
+        def held(node):
+            return [
+                port.port_id
+                for port in net.inventory.roadms[node].ports
+                if port.owner == lightpath.lightpath_id
+            ]
+
+        ends = [lightpath.source, lightpath.destination]
+        assert [len(held(node)) for node in ends] == [1, 1]
+        assert [len(held(node)) for node in lightpath.regen_sites] == [
+            2 for _ in lightpath.regen_sites
+        ]
+        svc.teardown_connection(conn.connection_id)
+        net.run()
+        assert conn.state is ConnectionState.RELEASED
+        assert [held(node) for node in lightpath.path] == [
+            [] for _ in lightpath.path
+        ]
+        assert squatter_port.owner == "squatter"
+        report = audit_network(net.controller)
+        assert [v.owner for v in report.violations] == ["squatter"]
+        squatted.disconnect_add_drop(squatter_port.port_id, "squatter")
+        assert audit_network(net.controller).ok
 
 
 class TestRegenWorkflow:

@@ -29,6 +29,13 @@ class TestTestbedBuilder:
         rates = net.controller.wavelength_rates()
         assert rates == [gbps(10), gbps(40)]
 
+    def test_transponder_rates_follow_later_installs(self):
+        net = build_griphon_testbed(seed=7, latency_cv=0.0)
+        net.inventory.install_transponders("ROADM-II", gbps(100), 1)
+        assert net.controller.wavelength_rates() == [
+            gbps(10), gbps(40), gbps(100)
+        ]
+
     def test_three_premises_with_ntes(self, net):
         assert sorted(net.inventory.ntes) == [
             "PREMISES-A",

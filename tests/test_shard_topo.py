@@ -6,6 +6,7 @@ import pytest
 
 from repro.errors import ConfigurationError
 from repro.shard import ShardUnit, build_express_unit, build_region_unit
+from repro.shard.planner import ShardPlanner, _bfs_hops
 from repro.topo.hierarchy import (
     EXPRESS,
     build_express_graph,
@@ -106,6 +107,25 @@ class TestStandaloneRebuild:
     def test_gateway_count_validation(self):
         with pytest.raises(ConfigurationError):
             gateway_names("R00", 4, 5)
+
+
+class TestPlannerHopMaps:
+    def test_hop_maps_match_a_fresh_region_graph(self):
+        """The planner keeps one graph per region; every hop map it
+        serves must be what a newly sliced region graph gives."""
+        hierarchy = build_hierarchy(seed=5, regions=3, pops_per_region=6,
+                                    with_premises=True)
+        planner = ShardPlanner(hierarchy)
+        # Interleave regions so a map is never served from the graph
+        # cached for the region asked about just before.
+        starts = [(region, pop)
+                  for index in range(6)
+                  for region, info in hierarchy.regions.items()
+                  for pop in [info.pops[index]]]
+        for region, start in starts + starts:
+            assert planner._hops_in_region(region, start) == _bfs_hops(
+                hierarchy.region_graph(region), start
+            )
 
 
 class TestUnitPicklability:

@@ -32,20 +32,35 @@ subgraph.  Identical candidate routes + identical first-fit channel
 scans + identical claim order mean identical structural outcomes,
 which :func:`outcome_fingerprint` hashes for the differential test.
 
-**The pool backend.**  ``backend="pool"`` moves *planning* into the
+**The placement round.**  :meth:`ShardedNetwork.place_orders` runs
+three phases: *open* every request in order (order id, admission,
+decomposition), *plan* each unit's request list once against that
+unit's round overlay, *finish* each order in order (failure check, plan
+record, claim, setup workflow).  Batching is exact: a unit's plans
+depend only on its plant at round start and the sequence of requests
+*to that unit* — unit link sets are disjoint, a blocked order's shadow
+claims stay for the round, and the overlay already holds whatever a
+claim would light — so the only coupling between orders is admission.
+One rule keeps that exact too: when admission or decomposition refuses
+an order while earlier orders of the round are still unplanned, those
+are planned and finished first and the order is looked at again, so it
+sees the quota an earlier order's block gave back, and ``blocked``
+notifications fire in order.
+
+**The pool backend.**  ``backend="pool"`` moves the plan phase into the
 persistent worker processes of :class:`repro.shard.workers.
 ShardWorkerPool` — one long-lived worker per unit, each holding a warm
 route cache and a delta-synced mirror of its unit's fiber plant — while
 the controllers stay authoritative for everything stateful: admission,
-claims, sagas, teardown.  Each placement round opens with one
-``round_begin`` RPC per worker shipping only the occupancy/liveness
-deltas since the last round; each order's segments then fan out as
-concurrent ``plan_batch`` RPCs (an order's segments live in distinct
-units with disjoint link sets, so concurrent planning is
-order-equivalent to sequential).  Because plans depend only on graph +
-plant + reach — never on the equipment pools consumed at claim time —
-pool outcomes are byte-identical to in-process outcomes, which the
-pool differential test pins fingerprint-for-fingerprint.
+claims, sagas, teardown.  The plan phase is one ``call_many`` with one
+``round`` message per *touched* worker: the round number (a new one
+resets the worker's overlay), the unit's requests and, on first contact
+in the round, the occupancy/liveness delta since the worker last heard
+from us.  An idle worker costs no RPC and no plant scan; its delta
+waits.  Because plans depend only on graph + plant + reach — never on
+the equipment pools consumed at claim time — pool outcomes are
+byte-identical to in-process outcomes, which the pool and round
+differential tests pin fingerprint-for-fingerprint.
 """
 
 from __future__ import annotations
@@ -53,18 +68,15 @@ from __future__ import annotations
 import hashlib
 import itertools
 import json
+from collections import defaultdict
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.admission import AdmissionControl, CustomerProfile
 from repro.core.connection import Connection, ConnectionKind, ConnectionState
 from repro.core.controller import GriphonController
 from repro.core.inventory import InventoryDatabase
-from repro.core.rwa import PlanRequest, RwaPlan, _PlanningRound
-from repro.errors import (
-    AdmissionError,
-    ConfigurationError,
-    GriphonError,
-)
+from repro.core.rwa import BatchPlanItem, PlanRequest, RwaPlan, _PlanningRound
+from repro.errors import ConfigurationError, GriphonError
 from repro.faults.audit import AuditReport, audit_network
 from repro.faults.plan import FaultPlan
 from repro.optical.lightpath import LightpathState
@@ -170,18 +182,21 @@ def outcome_fingerprint(orders: Sequence[ShardOrder]) -> str:
 
 
 class _PlantMirror:
-    """What a worker already knows of its unit's fiber plant.
+    """What a worker has acknowledged of its unit's fiber plant.
 
-    Tracks the occupancy masks and failed-link set last shipped to the
-    worker so each ``round_begin`` carries only the delta.  Cut/repair
-    RPCs forwarded eagerly (:meth:`ShardedNetwork.cut_fiber`) are noted
-    here too, so the next round's delta doesn't re-send them.
+    :meth:`delta` is what the next ``round`` message must carry;
+    :meth:`acknowledged` adopts it once the worker has replied, never
+    before — a worker respawned from its journal holds acknowledged
+    syncs only.  ``round`` is the last round the worker opened.  Cut /
+    repair RPCs forwarded eagerly (:meth:`ShardedNetwork.cut_fiber`) are
+    noted here too, so the next delta doesn't re-send them.
     """
 
-    __slots__ = ("plant", "_masks", "_failed")
+    __slots__ = ("plant", "round", "_masks", "_failed", "_sent")
 
     def __init__(self, plant) -> None:
         self.plant = plant
+        self.round = 0
         self._masks: Dict[Tuple[str, str], int] = {}
         self._failed: frozenset = frozenset()
 
@@ -196,11 +211,16 @@ class _PlantMirror:
         for key in self._masks:
             if key not in current:
                 masks[key] = 0
-        cut = sorted(failed - self._failed)
-        repair = sorted(self._failed - failed)
-        self._masks = current
-        self._failed = failed
-        return {"masks": masks, "cut": cut, "repair": repair}
+        self._sent = (current, failed)
+        return {
+            "masks": masks,
+            "cut": sorted(failed - self._failed),
+            "repair": sorted(self._failed - failed),
+        }
+
+    def acknowledged(self, round_no: int) -> None:
+        self.round = round_no
+        self._masks, self._failed = self._sent
 
     def note_cut(self, key: Tuple[str, str]) -> None:
         self._failed |= {key}
@@ -314,15 +334,20 @@ class ShardedNetwork:
             )
             for name in hierarchy.unit_names():
                 self._unit_controller[name] = controller
-        #: unit name -> worker recipe (pool backend only).
-        self._pool_key: Dict[str, UnitRecipe] = {}
+        #: unit name -> what plans its batches: the unit's worker recipe
+        #: (one recipe for every unit of the monolithic twin), else the unit.
+        self._planner: Dict[str, object] = {
+            unit: unit for unit in self._unit_controller
+        }
         #: recipe -> parent-side plant mirror (pool backend only).
         self._mirrors: Dict[UnitRecipe, _PlantMirror] = {}
+        #: Number of the current placement round (or explicit sync).
+        self._round_no = 0
         self._pool: Optional[ShardWorkerPool] = None
         self._owns_pool = False
         if backend == "pool":
             if mode == "sharded":
-                self._pool_key = {
+                self._planner = {
                     unit: UnitRecipe.for_network_unit(
                         hierarchy, unit, grid_size=grid_size, k_paths=k_paths
                     )
@@ -332,10 +357,8 @@ class ShardedNetwork:
                 mono = UnitRecipe.for_network_unit(
                     hierarchy, MONOLITH, grid_size=grid_size, k_paths=k_paths
                 )
-                self._pool_key = {
-                    unit: mono for unit in self._unit_controller
-                }
-            for unit, recipe in self._pool_key.items():
+                self._planner = dict.fromkeys(self._unit_controller, mono)
+            for unit, recipe in self._planner.items():
                 if recipe not in self._mirrors:
                     self._mirrors[recipe] = _PlantMirror(
                         self._unit_controller[unit].inventory.plant
@@ -365,16 +388,35 @@ class ShardedNetwork:
     def sync_workers(self) -> None:
         """Push plant deltas to every worker and reset their rounds.
 
-        Called automatically at the top of every placement round; also
-        useful before comparing :meth:`worker_fingerprints` against
+        The all-workers, no-request form of a placement round's message.
+        Placement itself syncs only the workers it plans on, so call
+        this before comparing :meth:`worker_fingerprints` against
         :meth:`plant_fingerprints`.
         """
-        self._pool.call_many(
-            [
-                (recipe, "round_begin", mirror.delta())
-                for recipe, mirror in self._mirrors.items()
-            ]
-        )
+        self._round_no += 1
+        self._plan_on_workers({recipe: [] for recipe in self._mirrors})
+
+    def _plan_on_workers(
+        self, batches: Dict[UnitRecipe, List[PlanRequest]]
+    ) -> Dict[UnitRecipe, List[BatchPlanItem]]:
+        """One ``round`` message to each worker in ``batches``.
+
+        A worker not yet contacted in this round also gets its plant
+        delta; its mirror moves on only once the replies are in.
+        """
+        calls, syncing = [], []
+        for recipe, requests in batches.items():
+            mirror = self._mirrors[recipe]
+            sync = None
+            if mirror.round != self._round_no:
+                sync = mirror.delta()
+                syncing.append(mirror)
+            payload = {"round": self._round_no, "sync": sync, "requests": requests}
+            calls.append((recipe, "round", payload))
+        replies = self._pool.call_many(calls)
+        for mirror in syncing:
+            mirror.acknowledged(self._round_no)
+        return dict(zip(batches, replies))
 
     def _build_controller(
         self,
@@ -546,7 +588,7 @@ class ShardedNetwork:
         unit = self._owning_unit(a, b)
         self._unit_controller[unit].cut_link(a, b)
         if self._pool is not None:
-            recipe = self._pool_key[unit]
+            recipe = self._planner[unit]
             self._pool.call(recipe, "cut", {"a": a, "b": b})
             self._mirrors[recipe].note_cut((a, b) if a <= b else (b, a))
 
@@ -555,7 +597,7 @@ class ShardedNetwork:
         unit = self._owning_unit(a, b)
         self._unit_controller[unit].repair_link(a, b)
         if self._pool is not None:
-            recipe = self._pool_key[unit]
+            recipe = self._planner[unit]
             self._pool.call(recipe, "repair", {"a": a, "b": b})
             self._mirrors[recipe].note_repair((a, b) if a <= b else (b, a))
 
@@ -576,30 +618,37 @@ class ShardedNetwork:
     ) -> List[ShardOrder]:
         """Place a batch of orders as one logical planning round.
 
-        All requests are decomposed and planned against per-unit
-        planning rounds whose shadow-claim overlays accumulate across
-        the whole batch — two orders in the same round can never be
-        promised the same gateway/express channel, in either deployment
-        mode.  Claiming is immediate (inventory bookkeeping); the EMS
-        setup workflows run on the shared simulator.
-
-        With the pool backend the round opens with one delta-sync RPC
-        per worker, and each worker's *persistent* round then plays the
-        overlay role — orders still place sequentially (admission and
-        claim ordering are part of the contract), but an order's
-        segments plan concurrently across their workers.
+        Requests are opened in order, each unit's segments planned as
+        one batch against that unit's round overlay — two orders in the
+        same round can never be promised the same gateway/express
+        channel, in either deployment mode — and orders finished in
+        order: claiming is immediate (inventory bookkeeping); the EMS
+        setup workflows run on the shared simulator.  Outcomes equal
+        one-at-a-time placement (module docstring, "the placement round").
         """
-        if self.backend == "pool":
-            self.sync_workers()
-            rounds = None
-        else:
-            rounds = {
-                unit: _PlanningRound() for unit in self._unit_controller
-            }
-        return [
-            self._place(customer, premises_a, premises_b, rate_bps, rounds)
-            for customer, premises_a, premises_b, rate_bps in requests
-        ]
+        self._round_no += 1
+        rounds = defaultdict(_PlanningRound)  # in-process overlays, by unit
+        orders: List[ShardOrder] = []
+        opened: List[Tuple[ShardOrder, List[SegmentSpec]]] = []
+        for request in requests:
+            order = ShardOrder(f"xo-{next(self._order_seq)}", *request)
+            self.orders[order.order_id] = order
+            orders.append(order)
+            while True:
+                try:
+                    opened.append((order, self._open(order)))
+                except GriphonError as exc:
+                    if opened:
+                        # An earlier order may yet block and hand back
+                        # the quota this one needs, and would notify
+                        # first: settle those, then look again.
+                        self._settle(opened, rounds)
+                        continue
+                    self._block(order, exc)
+                break
+        if opened:
+            self._settle(opened, rounds)
+        return orders
 
     def teardown_order(self, order: ShardOrder) -> ShardOrder:
         """Tear an UP order down across every shard it touches."""
@@ -619,39 +668,94 @@ class ShardedNetwork:
 
     # -- order internals ------------------------------------------------------
 
-    def _place(
-        self,
-        customer: str,
-        premises_a: str,
-        premises_b: str,
-        rate_bps: float,
-        rounds: Dict[str, _PlanningRound],
-    ) -> ShardOrder:
-        order = ShardOrder(
-            f"xo-{next(self._order_seq)}",
-            customer,
-            premises_a,
-            premises_b,
-            rate_bps,
+    def _open(self, order: ShardOrder) -> List[SegmentSpec]:
+        """Admit and decompose ``order``; a refusal leaves no quota held."""
+        self.admission.admit(
+            order.customer, order.premises_a, order.premises_b, order.rate_bps
         )
-        self.orders[order.order_id] = order
         try:
-            self.admission.admit(customer, premises_a, premises_b, rate_bps)
-        except AdmissionError as exc:
-            return self._block(order, exc, admitted=False)
-        try:
-            specs = self.planner.decompose(
-                self._pop_of(premises_a),
-                self._pop_of(premises_b),
+            return self.planner.decompose(
+                self._pop_of(order.premises_a),
+                self._pop_of(order.premises_b),
                 monolithic=self.mode == "monolithic",
             )
-            plans = self._plan_segments(order, specs, rate_bps, rounds)
-        except GriphonError as exc:
-            return self._block(order, exc, admitted=True)
+        except GriphonError:
+            self.admission.release(order.customer, order.rate_bps)
+            raise
+
+    def _settle(
+        self,
+        opened: List[Tuple[ShardOrder, List[SegmentSpec]]],
+        rounds: Dict[str, _PlanningRound],
+    ) -> None:
+        """Plan the opened orders' segments, finish each, empty ``opened``.
+
+        Segments are batched per planner in order index, then path
+        order: each planner sees its requests in the order one-at-a-time
+        placement would send them.  Every segment of an order is planned
+        before failure checking: a failed segment blocks the whole order
+        and the channels its siblings shadow-claimed stay claimed for
+        the rest of the round — conservative, but identical across modes
+        *and* backends.
+        """
+        batches: Dict[object, List[PlanRequest]] = {}
+        for order, specs in opened:
+            for spec in specs:
+                batches.setdefault(self._planner[spec.unit], []).append(
+                    PlanRequest(
+                        spec.source,
+                        spec.destination,
+                        order.rate_bps,
+                        excluded_links=tuple(spec.excluded_links),
+                        excluded_nodes=tuple(spec.excluded_nodes),
+                    )
+                )
+        if self._pool is None:
+            planned = {
+                unit: self._unit_controller[unit].rwa.plan_batch(
+                    batch, round_ctx=rounds[unit]
+                )
+                for unit, batch in batches.items()
+            }
+        else:
+            planned = self._plan_on_workers(batches)
+        feeds = {planner: iter(items) for planner, items in planned.items()}
+        for order, specs in opened:
+            self._finish(
+                order,
+                specs,
+                [next(feeds[self._planner[spec.unit]]) for spec in specs],
+            )
+        opened.clear()
+
+    def _finish(
+        self,
+        order: ShardOrder,
+        specs: List[SegmentSpec],
+        items: List[BatchPlanItem],
+    ) -> None:
+        """Record the plans, claim them and start setup — or block."""
+        plans: List[RwaPlan] = []
         try:
+            for spec, item in zip(specs, items):
+                if not item.ok:
+                    raise item.error
+                plans.append(item.plan)
+                order.plan_record.append(
+                    {
+                        "unit": spec.unit,
+                        "path": list(item.plan.path),
+                        "channels": [
+                            segment.channel for segment in item.plan.segments
+                        ],
+                        "regens": list(item.plan.regen_sites),
+                    }
+                )
             self._claim(order, specs, plans)
         except GriphonError as exc:
-            return self._block(order, exc, admitted=True)
+            self.admission.release(order.customer, order.rate_bps)
+            self._block(order, exc)
+            return
         for child in order.children.values():
             child.transition(ConnectionState.SETTING_UP)
         order.state = ConnectionState.SETTING_UP
@@ -660,7 +764,6 @@ class ShardedNetwork:
             self._setup_workflow(order),
             label=f"shard-setup:{order.order_id}",
         )
-        return order
 
     def _pop_of(self, premises: str) -> str:
         """The PoP a premises hangs off (pure naming, mode-independent)."""
@@ -668,92 +771,14 @@ class ShardedNetwork:
             raise ConfigurationError(f"unknown premises {premises!r}")
         return premises[len(self._prefix):]
 
-    def _block(
-        self, order: ShardOrder, exc: Exception, admitted: bool
-    ) -> ShardOrder:
-        if admitted:
-            self.admission.release(order.customer, order.rate_bps)
+    def _block(self, order: ShardOrder, exc: Exception) -> None:
         order.state = ConnectionState.BLOCKED
         order.blocked_reason = str(exc)
         self._notify_order(order, "blocked")
-        return order
 
     def _notify_order(self, order: ShardOrder, event: str) -> None:
         for listener in list(self.order_listeners):
             listener(order, event)
-
-    def _plan_segments(
-        self,
-        order: ShardOrder,
-        specs: List[SegmentSpec],
-        rate_bps: float,
-        rounds: Dict[str, _PlanningRound],
-    ) -> List[RwaPlan]:
-        """Plan every segment against its unit's accumulated round.
-
-        Each segment plans through ``plan_batch`` with the round's
-        shadow-claim overlay, so earlier orders in the batch (and
-        earlier segments of this order) already hold their channels.
-        All of an order's segments plan as one fan-out before failure
-        checking (the pool backend plans them concurrently, so there is
-        no "earlier segment" to stop at).  A failed segment blocks the
-        whole order; the channels its sibling segments shadow-claimed
-        stay claimed for the rest of the round — conservative, but
-        identical across modes *and* backends.
-
-        Pool backend: the segments' ``plan_batch`` RPCs fan out in one
-        :meth:`~repro.shard.workers.ShardWorkerPool.call_many` — an
-        order has at most one segment per unit, and unit link sets are
-        disjoint, so concurrent planning commits the same overlay state
-        sequential planning would.
-        """
-        requests = [
-            PlanRequest(
-                spec.source,
-                spec.destination,
-                rate_bps,
-                excluded_links=tuple(spec.excluded_links),
-                excluded_nodes=tuple(spec.excluded_nodes),
-            )
-            for spec in specs
-        ]
-        if self.backend == "pool":
-            items = [
-                batch[0]
-                for batch in self._pool.call_many(
-                    [
-                        (
-                            self._pool_key[spec.unit],
-                            "plan_batch",
-                            {"requests": [request], "round": True},
-                        )
-                        for spec, request in zip(specs, requests)
-                    ]
-                )
-            ]
-        else:
-            items = [
-                self._unit_controller[spec.unit].rwa.plan_batch(
-                    [request], round_ctx=rounds[spec.unit]
-                )[0]
-                for spec, request in zip(specs, requests)
-            ]
-        plans: List[RwaPlan] = []
-        for spec, item in zip(specs, items):
-            if not item.ok:
-                raise item.error
-            plans.append(item.plan)
-            order.plan_record.append(
-                {
-                    "unit": spec.unit,
-                    "path": list(item.plan.path),
-                    "channels": [
-                        segment.channel for segment in item.plan.segments
-                    ],
-                    "regens": list(item.plan.regen_sites),
-                }
-            )
-        return plans
 
     def _child(self, order: ShardOrder, unit: str, a: str, b: str) -> Connection:
         """Get or create the order's child connection in ``unit``'s shard."""

@@ -13,25 +13,28 @@ resident planning layer:
   warm worker.
 * ``_worker_main`` — the worker process loop.  It builds its unit
   **once**, then serves RPCs over a multiprocessing pipe until told to
-  shut down: ``plan_batch``, ``commit`` (light planned channels),
+  shut down: ``plan_batch`` (stateless), ``round`` (one placement
+  round's message: a round number that resets the worker's persistent
+  shadow-claim overlay when it changes, on first contact in the round
+  the occupancy delta from the parent-side plant mirror, and the
+  unit's request list), ``commit`` (light planned channels),
   ``release``, ``cut``/``repair`` (chaos hooks), ``counters``
   (route-cache stats), ``fingerprint`` (structural digest for
-  determinism gates), ``round_begin`` (occupancy delta-sync from a
-  parent-side plant mirror), ``reset`` (back to pristine occupancy,
-  cache kept warm), and ``trial`` (a whole shard-plan sweep trial
-  in-worker).
+  determinism gates), ``reset`` (back to pristine occupancy, cache
+  kept warm), and ``trial`` (a whole shard-plan sweep trial in-worker).
 * :class:`ShardWorkerPool` — the parent-side pool: spawn, RPC fan-out
-  with per-worker FIFO pipelining, journal-based rebuild-and-replay
-  recovery after a crash (:class:`~repro.errors.WorkerCrashed`),
-  graceful context-manager shutdown, and a drop-in sweep *executor*
-  (:meth:`ShardWorkerPool.run_trials`) for
+  with per-worker FIFO pipelining that always drains every reply,
+  journal-based rebuild-and-replay recovery after a crash
+  (:class:`~repro.errors.WorkerCrashed`) for single calls and fan-outs
+  alike, graceful context-manager shutdown, and a drop-in sweep
+  *executor* (:meth:`ShardWorkerPool.run_trials`) for
   :func:`repro.sweep.engine.run_sweep`.
 
 **Determinism.**  A plan's outcome depends only on the unit's graph,
 its fiber plant (occupancy bitmasks, link liveness), and the reach
 model — never on equipment pools, which are consumed at claim time in
 the parent.  A worker that rebuilds the unit from the same recipe and
-mirrors the plant (via ``commit``/``release`` or ``round_begin``
+mirrors the plant (via ``commit``/``release`` or a ``round`` message's
 delta-sync) therefore plans byte-identically to the in-process engine;
 ``tests/test_shard_pool_differential.py`` pins this.  Warm route caches
 change *counters*, never plan structure: the cache is invalidated
@@ -67,18 +70,11 @@ MONOLITH = "mono"
 MIRROR_OWNER = "~mirror"
 
 #: RPC ops that mutate worker state and therefore enter the replay
-#: journal.  ``plan_batch`` joins them only when planning against the
-#: worker's persistent round (``round=True``), since the round overlay
-#: is state the next plan sees.
+#: journal (``round`` for its sync and for the overlay its plans leave,
+#: which the round's next message plans against).
 _MUTATING_OPS = frozenset(
-    {"commit", "release", "cut", "repair", "round_begin", "reset", "trial"}
+    {"commit", "release", "cut", "repair", "round", "reset", "trial"}
 )
-
-
-def _journaled(op: str, payload: Any) -> bool:
-    if op in _MUTATING_OPS:
-        return True
-    return op == "plan_batch" and bool((payload or {}).get("round"))
 
 
 def plant_fingerprint(plant) -> str:
@@ -259,9 +255,10 @@ class _WorkerState:
         #: owner -> plan, in commit order; what ``reset`` unwinds.
         self.committed: Dict[str, Any] = {}
         self.plans_digest = hashlib.sha256()
-        #: Persistent planning round for ``plan_batch(round=True)``:
-        #: the shadow-claim overlay shared by every in-round plan RPC.
+        #: The shadow-claim overlay every ``round`` message of one
+        #: placement round plans under, and that round's number.
         self.round = _PlanningRound()
+        self.round_no: Optional[int] = None
 
     # -- delta sync -----------------------------------------------------------
 
@@ -320,22 +317,22 @@ class _WorkerState:
             plant.repair_link(a, b)
         self.plans_digest = hashlib.sha256()
         self.round.reset()
+        self.round_no = None
 
     # -- dispatch -------------------------------------------------------------
 
     def dispatch(self, op: str, payload: Any) -> Any:
         unit = self.unit
         if op == "plan_batch":
-            round_ctx = self.round if payload.get("round") else None
-            return unit.plan_batch(payload["requests"], round_ctx=round_ctx)
-        if op == "round_begin":
-            self._apply_sync(
-                payload.get("masks") or {},
-                payload.get("cut") or (),
-                payload.get("repair") or (),
-            )
-            self.round.reset()
-            return None
+            return unit.plan_batch(payload["requests"])
+        if op == "round":
+            if payload["round"] != self.round_no:
+                self.round_no = payload["round"]
+                self.round.reset()
+            sync = payload["sync"]
+            if sync is not None:
+                self._apply_sync(sync["masks"], sync["cut"], sync["repair"])
+            return unit.plan_batch(payload["requests"], round_ctx=self.round)
         if op == "commit":
             plan, owner = payload["plan"], payload["owner"]
             unit.occupy_plan(plan, owner)
@@ -430,12 +427,15 @@ def _worker_main(conn, recipe: UnitRecipe) -> None:
 class _Worker:
     """Parent-side bookkeeping for one worker process."""
 
-    __slots__ = ("recipe", "process", "conn", "journal", "pending")
+    __slots__ = ("recipe", "process", "conn", "journal", "pending", "failed")
 
     def __init__(self, recipe, process, conn, journal) -> None:
         self.recipe = recipe
         self.process = process
         self.conn = conn
+        #: Why this worker is condemned: its pipe may hold a reply no
+        #: request will match, so send and receive re-raise until respawn.
+        self.failed: Optional[WorkerCrashed] = None
         #: Mutating ops acknowledged by the worker, in order — replayed
         #: into a fresh process to rebuild identical state after a crash.
         self.journal: List[Tuple[str, Any]] = journal
@@ -455,9 +455,9 @@ class ShardWorkerPool:
     Args:
         recipes: Recipes to spawn eagerly; more join via :meth:`ensure`.
         recover: When True, a :class:`~repro.errors.WorkerCrashed` on
-            :meth:`call`/:meth:`run_trials` triggers automatic
-            rebuild-and-replay (:meth:`respawn`) and one retry instead
-            of propagating.
+            :meth:`call`/:meth:`call_many`/:meth:`run_trials` triggers
+            automatic rebuild-and-replay (:meth:`respawn`) and one retry
+            instead of propagating.
         build_timeout_s / rpc_timeout_s: Watchdogs on worker startup and
             on each reply.
     """
@@ -586,37 +586,81 @@ class ShardWorkerPool:
         return self._workers[recipe]
 
     def _send(self, worker: _Worker, op: str, payload: Any) -> None:
+        if worker.failed is not None:
+            raise worker.failed
         try:
             worker.conn.send((op, payload))
         except (BrokenPipeError, OSError) as exc:
-            raise WorkerCrashed(
+            worker.failed = WorkerCrashed(
                 f"shard worker {worker.recipe.unit!r} died before "
                 f"{op!r} could be sent: {exc}"
-            ) from None
+            )
+            raise worker.failed from None
         worker.pending.append((op, payload))
 
     def _receive(self, worker: _Worker) -> Any:
-        if not worker.conn.poll(self._rpc_timeout_s):
-            op = worker.pending[0][0] if worker.pending else "?"
-            raise WorkerCrashed(
-                f"shard worker {worker.recipe.unit!r} sent no reply to "
-                f"{op!r} within {self._rpc_timeout_s}s"
-            )
+        if worker.failed is not None:
+            raise worker.failed
+        op = worker.pending[0][0] if worker.pending else "?"
         try:
+            if not worker.conn.poll(self._rpc_timeout_s):
+                raise TimeoutError(f"no reply within {self._rpc_timeout_s}s")
             tag, result = worker.conn.recv()
-        except (EOFError, OSError):
-            op = worker.pending[0][0] if worker.pending else "?"
+        except (EOFError, OSError) as exc:
+            # A late reply must never answer a later request: the worker
+            # is condemned, not just this RPC.
             worker.pending.clear()
-            raise WorkerCrashed(
-                f"shard worker {worker.recipe.unit!r} died mid-RPC "
-                f"(awaiting reply to {op!r})"
-            ) from None
+            worker.failed = WorkerCrashed(
+                f"shard worker {worker.recipe.unit!r} lost awaiting the "
+                f"reply to {op!r}: {exc or 'pipe closed'}"
+            )
+            raise worker.failed from None
         op, payload = worker.pending.popleft()
-        if _journaled(op, payload):
+        if op in _MUTATING_OPS:
             worker.journal.append((op, payload))
         if tag == "error":
             raise _rebuild_error(*result)
         return result
+
+    def _reply(self, calls: Sequence[Tuple[UnitRecipe, str, Any]], index: int):
+        """The reply to ``calls[index]``, recovering its worker once:
+        respawn, replay the journal, resend this and the worker's later
+        calls of the fan-out.  Workers share no state, so the others'
+        replies — read before or after — are unaffected."""
+        recipe = calls[index][0]
+        try:
+            return self._receive(self._workers[recipe])
+        except WorkerCrashed:
+            if not self._recover or self._closed:
+                raise
+        self.respawn(recipe)
+        for again, op, payload in calls[index:]:
+            if again == recipe:
+                self._send(self._workers[recipe], op, payload)
+        return self._receive(self._workers[recipe])
+
+    def _exchange(self, calls: Sequence[Tuple[UnitRecipe, str, Any]]) -> List[Any]:
+        # Shared by call/call_many so neither runs through the other's
+        # public name (callers instrument both and must not count twice).
+        workers = [self._require(recipe) for recipe, _, _ in calls]
+        for worker, (_, op, payload) in zip(workers, calls):
+            try:
+                self._send(worker, op, payload)
+            except WorkerCrashed:
+                pass  # resurfaces, and is recovered, at this call's reply
+        replies: List[Any] = []
+        errors: List[GriphonError] = []
+        for index in range(len(calls)):
+            # Every reply is read even after an error, or the next RPC to
+            # that worker would be answered by this fan-out's leftovers.
+            try:
+                replies.append(self._reply(calls, index))
+            except GriphonError as exc:
+                replies.append(None)
+                errors.append(exc)
+        if errors:
+            raise errors[0]
+        return replies
 
     # -- public RPC surface ---------------------------------------------------
 
@@ -627,17 +671,7 @@ class ShardWorkerPool:
         types.  With ``recover=True`` a crashed worker is respawned,
         its journal replayed, and the RPC retried once.
         """
-        worker = self._require(recipe)
-        try:
-            self._send(worker, op, payload)
-            return self._receive(worker)
-        except WorkerCrashed:
-            if not self._recover or self._closed:
-                raise
-            self.respawn(recipe)
-            fresh = self._workers[recipe]
-            self._send(fresh, op, payload)
-            return self._receive(fresh)
+        return self._exchange([(recipe, op, payload)])[0]
 
     def call_many(
         self, calls: Sequence[Tuple[UnitRecipe, str, Any]]
@@ -646,16 +680,11 @@ class ShardWorkerPool:
 
         All sends happen before any receive, so calls to *different*
         workers execute concurrently; calls to the same worker pipeline
-        FIFO through its pipe.  No automatic crash recovery here — a
-        mid-fan-out respawn could not preserve cross-worker ordering,
-        so :class:`~repro.errors.WorkerCrashed` propagates.
+        FIFO through its pipe.  Every reply is read before the first
+        error (in call order) is raised, and crash recovery works per
+        worker exactly as in :meth:`call`.
         """
-        workers = []
-        for recipe, op, payload in calls:
-            worker = self._require(recipe)
-            self._send(worker, op, payload)
-            workers.append(worker)
-        return [self._receive(worker) for worker in workers]
+        return self._exchange(list(calls))
 
     # -- sweep executor -------------------------------------------------------
 

@@ -188,7 +188,6 @@ def cmd_operator(args: argparse.Namespace) -> int:
 
 def cmd_sweep(args: argparse.Namespace) -> int:
     """Run an experiment sweep, serially or across worker processes."""
-    from repro.shard.bench import shard_plan_spec
     from repro.sweep import (
         SweepSpec,
         frontend_load_spec,
@@ -208,8 +207,6 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         spec = pipeline_load_spec(repeats=args.repeats)
     elif args.study == "frontend":
         spec = frontend_load_spec(repeats=args.repeats)
-    elif args.study == "shard":
-        spec = shard_plan_spec(topology_seed=args.seed)
     elif args.study == "slo":
         spec = slo_chaos_spec(repeats=args.repeats)
     elif args.study == "optimize":
@@ -217,26 +214,10 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     else:
         spec_data = json.loads(Path(args.study).read_text())
         spec = SweepSpec.from_dict(spec_data)
-    pool = None
-    if getattr(args, "pool", False):
-        if args.study != "shard":
-            print("--pool serves shard-plan trials; use it with the "
-                  "'shard' study")
-            return 2
-        from repro.shard.workers import ShardWorkerPool
-
-        pool = ShardWorkerPool(recover=True)
-    try:
-        result = run_sweep(
-            spec, jobs=args.jobs, timeout_s=args.timeout, executor=pool
-        )
-    finally:
-        if pool is not None:
-            pool.close()
-    width = f"pool={pool.size}" if pool is not None else f"jobs={args.jobs}"
+    result = run_sweep(spec, jobs=args.jobs, timeout_s=args.timeout)
     print(
         f"sweep {spec.name}: {len(result.results)} trial(s), "
-        f"{width}, {result.elapsed_s:.2f}s wall-clock, "
+        f"jobs={args.jobs}, {result.elapsed_s:.2f}s wall-clock, "
         f"{len(result.failed)} failed"
     )
     for label, means in result.grouped_values().items():
@@ -695,8 +676,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sweep.add_argument(
         "study",
-        help="built-in study (x9, x10, pipeline, frontend, shard, slo, "
-        "optimize) or path to a JSON sweep spec",
+        help="built-in study (x9, x10, pipeline, frontend, slo, optimize) "
+        "or path to a JSON sweep spec",
     )
     sweep.add_argument(
         "--jobs", type=int, default=1,
@@ -709,11 +690,6 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument(
         "--timeout", type=float, default=900.0,
         help="watchdog: fail if no trial completes for this many seconds",
-    )
-    sweep.add_argument(
-        "--pool", action="store_true",
-        help="serve trials from a persistent shard worker pool (shard "
-        "study only): units build once and stay warm across trials",
     )
     sweep.add_argument(
         "--json", metavar="PATH", default=None,

@@ -41,8 +41,8 @@ from repro.core.reclamation import OtnLineReclaimer
 from repro.core.regrooming import RegroomingEngine
 from repro.core.routecache import RouteCache
 from repro.core.rwa import RwaEngine, RwaPlan
-# ServiceDegraded/SetupFailed moved to repro.api; re-exported here (and
-# shimmed in repro.core.service) so historical imports keep working.
+# ServiceDegraded/SetupFailed moved to repro.api; re-exported here so
+# historical imports keep working.
 from repro.api import ServiceDegraded, SetupFailed
 from repro.core.service import BodService, FaultReport
 

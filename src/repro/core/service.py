@@ -12,15 +12,13 @@ compatible with their old shapes (``str(report)`` is the GUI line,
 ``usage["connections"]`` still indexes).
 
 Order outcomes (``QueueFull``, ``Deferred``, ``SetupFailed``,
-``ServiceDegraded``) now live in :mod:`repro.api` as part of the one
-typed :data:`~repro.api.OrderOutcome` union; importing them from this
-module still works but emits a :class:`DeprecationWarning`.
+``ServiceDegraded``) live in :mod:`repro.api` as part of the one typed
+:data:`~repro.api.OrderOutcome` union.
 """
 
 from __future__ import annotations
 
 import math
-import warnings
 from collections.abc import Mapping
 from dataclasses import dataclass
 from typing import Iterator, List, Optional, Tuple
@@ -31,24 +29,6 @@ from repro.core.controller import GriphonController
 from repro.errors import AdmissionError, ConfigurationError, ResourceError
 from repro.pipeline import OrderTicket, TicketState
 from repro.units import GBPS
-
-#: Names that moved to :mod:`repro.api`; kept importable here (with a
-#: deprecation warning) so historical callers don't break.
-_MOVED_TO_API = ("QueueFull", "Deferred", "SetupFailed", "ServiceDegraded")
-
-
-def __getattr__(name: str):
-    """Deprecation shim for the outcome types that moved to repro.api."""
-    if name in _MOVED_TO_API:
-        warnings.warn(
-            f"repro.core.service.{name} moved to repro.api.{name}; "
-            "update the import (the repro.core.service path will go away)",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return getattr(api, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
 
 @dataclass(frozen=True)
 class FaultReport:

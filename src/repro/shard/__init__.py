@@ -13,18 +13,15 @@ shards over a 3-tier hierarchical topology
   controllers stitched at gateways with saga-unwound cross-region
   orders, plus the equivalent monolithic deployment for differential
   testing;
-* :mod:`repro.shard.bench` — the sweep-engine mapping that plans shard
-  batches process-parallel;
 * :mod:`repro.shard.workers` — :class:`ShardWorkerPool`, long-lived
   plan-RPC worker processes (one per :class:`UnitRecipe`) with warm
   route caches: the ``backend="pool"`` planning layer of
-  :class:`ShardedNetwork` and the warm executor for ``sweep
-  shard-plan``.
+  :class:`ShardedNetwork`.
 
-``ShardedNetwork`` (and everything in ``network``/``bench``) is
-exported lazily: ``unit`` is imported *by* ``repro.core.controller``,
-so eagerly importing the network module here (which needs the facade,
-which needs the controller) would be a cycle.
+``ShardedNetwork`` (and everything in ``network``) is exported lazily:
+``unit`` is imported *by* ``repro.core.controller``, so eagerly
+importing the network module here (which needs the facade, which needs
+the controller) would be a cycle.
 """
 
 from repro.shard.unit import (
@@ -42,11 +39,9 @@ __all__ = [
     "ShardedNetwork",
     "ShardIntake",
     "build_sharded_network",
-    "shard_plan_spec",
     "outcome_fingerprint",
     "ShardWorkerPool",
     "UnitRecipe",
-    "recipe_for_trial",
 ]
 
 _LAZY = {
@@ -56,10 +51,8 @@ _LAZY = {
     "ShardIntake": "repro.shard.intake",
     "build_sharded_network": "repro.shard.network",
     "outcome_fingerprint": "repro.shard.network",
-    "shard_plan_spec": "repro.shard.bench",
     "ShardWorkerPool": "repro.shard.workers",
     "UnitRecipe": "repro.shard.workers",
-    "recipe_for_trial": "repro.shard.workers",
 }
 
 

@@ -385,6 +385,16 @@ class ShardedNetwork:
             self._pool.close()
         self._pool = None
 
+    def _live_pool(self) -> ShardWorkerPool:
+        """The worker pool, or a typed refusal when there is none to ask."""
+        if self.backend != "pool":
+            raise ConfigurationError("this needs backend='pool'")
+        if self._pool is None:
+            raise ConfigurationError(
+                "network is closed: its worker pool is shut down"
+            )
+        return self._pool
+
     def sync_workers(self) -> None:
         """Push plant deltas to every worker and reset their rounds.
 
@@ -393,6 +403,7 @@ class ShardedNetwork:
         this before comparing :meth:`worker_fingerprints` against
         :meth:`plant_fingerprints`.
         """
+        self._live_pool()
         self._round_no += 1
         self._plan_on_workers({recipe: [] for recipe in self._mirrors})
 
@@ -511,7 +522,7 @@ class ShardedNetwork:
                 self._unit_key(recipe): counters
                 for recipe, counters in zip(
                     self._mirrors,
-                    self._pool.call_many(
+                    self._live_pool().call_many(
                         [(r, "counters", None) for r in self._mirrors]
                     ),
                 )
@@ -554,15 +565,11 @@ class ShardedNetwork:
         equals the matching :meth:`plant_fingerprints` entry — the
         mirror-correctness invariant the differential test asserts.
         """
-        if self._pool is None:
-            raise ConfigurationError(
-                "worker_fingerprints needs backend='pool'"
-            )
         return {
             self._unit_key(recipe): fingerprint
             for recipe, fingerprint in zip(
                 self._mirrors,
-                self._pool.call_many(
+                self._live_pool().call_many(
                     [(r, "fingerprint", None) for r in self._mirrors]
                 ),
             )
@@ -585,6 +592,8 @@ class ShardedNetwork:
         eagerly so the worker plans around the break within the same
         round.
         """
+        if self.backend == "pool":
+            self._live_pool()  # refuse before the plant is touched
         unit = self._owning_unit(a, b)
         self._unit_controller[unit].cut_link(a, b)
         if self._pool is not None:
@@ -594,6 +603,8 @@ class ShardedNetwork:
 
     def repair_fiber(self, a: str, b: str) -> None:
         """Repair one fiber (inverse of :meth:`cut_fiber`)."""
+        if self.backend == "pool":
+            self._live_pool()  # refuse before the plant is touched
         unit = self._owning_unit(a, b)
         self._unit_controller[unit].repair_link(a, b)
         if self._pool is not None:
@@ -626,6 +637,8 @@ class ShardedNetwork:
         setup workflows run on the shared simulator.  Outcomes equal
         one-at-a-time placement (module docstring, "the placement round").
         """
+        if self.backend == "pool":
+            self._live_pool()  # refuse before an id or any quota is taken
         self._round_no += 1
         rounds = defaultdict(_PlanningRound)  # in-process overlays, by unit
         orders: List[ShardOrder] = []
@@ -710,7 +723,7 @@ class ShardedNetwork:
                         excluded_nodes=tuple(spec.excluded_nodes),
                     )
                 )
-        if self._pool is None:
+        if self.backend == "inprocess":
             planned = {
                 unit: self._unit_controller[unit].rwa.plan_batch(
                     batch, round_ctx=rounds[unit]

@@ -8,11 +8,10 @@ occupancy, the equipment pools, the :class:`RwaEngine`, and its
 aliases ``controller.rwa`` to the unit's engine, so the monolithic and
 the sharded deployments plan through the same object.
 
-Built standalone (no tracer, no simulator), a unit is **picklable**:
-everything inside is plain data, which is what lets the shard benchmark
-map units onto the :mod:`repro.sweep` ProcessPool machinery — a worker
-either receives a unit or, cheaper, rebuilds it deterministically from
-``(seed, region params)`` via the builders below.
+Built standalone (no tracer, no simulator), a unit is **picklable**
+plain data and rebuilds deterministically from ``(seed, region params)``
+via the builders below — which is how a :mod:`repro.shard.workers`
+process gets its own copy: it is sent the recipe, never the unit.
 """
 
 from __future__ import annotations
@@ -83,10 +82,6 @@ class ShardUnit:
         """The unit's route cache (``None`` when disabled)."""
         return self.rwa.route_cache
 
-    def owns_node(self, node: str) -> bool:
-        """True when ``node`` is in this unit's graph."""
-        return self.inventory.graph.has_node(node)
-
     def plan(self, source: str, destination: str, rate_bps: float) -> RwaPlan:
         """Plan one request against this unit's inventory."""
         return self.rwa.plan(source, destination, rate_bps)
@@ -98,27 +93,6 @@ class ShardUnit:
     ) -> List[BatchPlanItem]:
         """Batch-plan against this unit (see :meth:`RwaEngine.plan_batch`)."""
         return self.rwa.plan_batch(requests, round_ctx=round_ctx)
-
-    def occupy_plan(self, plan: RwaPlan, owner: str) -> None:
-        """Light a plan's channels on this unit's fiber plant.
-
-        The benchmark-weight commit: wavelength occupancy only, no
-        transponder/regen/port claims and no EMS workflows.  Subsequent
-        planning rounds see the occupied channels, which is all
-        plan-throughput measurements need.
-        """
-        plant = self.inventory.plant
-        for segment in plan.segments:
-            for u, v in segment.links:
-                plant.dwdm_link(u, v).occupy(segment.channel, owner)
-
-    def release_plan(self, plan: RwaPlan, owner: str) -> None:
-        """Darken a previously occupied plan's channels (inverse of
-        :meth:`occupy_plan`), verifying ownership per channel."""
-        plant = self.inventory.plant
-        for segment in reversed(plan.segments):
-            for u, v in reversed(segment.links):
-                plant.dwdm_link(u, v).release(segment.channel, owner)
 
     def route_cache_stats(self) -> dict:
         """The route cache's counters (zeros when caching is disabled)."""
@@ -177,7 +151,7 @@ def build_region_unit(
 ) -> ShardUnit:
     """Build one region's planning unit, standalone and picklable.
 
-    Deterministic in ``(seed, region, params)`` — a sweep worker calling
+    Deterministic in ``(seed, region, params)`` — a shard worker calling
     this reproduces exactly the region slice the parent derived from
     :func:`repro.topo.hierarchy.build_hierarchy` with the same seed.
     ``with_premises`` must match the hierarchy's so a worker mirroring a

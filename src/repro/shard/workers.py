@@ -1,11 +1,9 @@
 """Persistent shard workers: long-lived plan-RPC processes.
 
-Per-trial rebuilds were the sharded controller's wall-clock sink: every
-``sweep shard-plan`` trial reconstructed its :class:`~repro.shard.unit.
-ShardUnit` from the topology recipe and planned with a cold route
-cache, so ``BENCH_shard.json`` showed process-"parallel" planning
-*slower* than single-process.  This module replaces that with a
-resident planning layer:
+The resident planning layer behind ``ShardedNetwork(backend="pool")``:
+one worker process per planning unit builds its unit once, keeps the
+route cache and a mirror of the parent's fiber plant warm, and plans
+the requests each placement round sends it.
 
 * :class:`UnitRecipe` — the deterministic ``(topology_seed, unit name,
   params)`` recipe a unit rebuilds from.  It is tiny, hashable, and the
@@ -13,29 +11,25 @@ resident planning layer:
   warm worker.
 * ``_worker_main`` — the worker process loop.  It builds its unit
   **once**, then serves RPCs over a multiprocessing pipe until told to
-  shut down: ``plan_batch`` (stateless), ``round`` (one placement
-  round's message: a round number that resets the worker's persistent
-  shadow-claim overlay when it changes, on first contact in the round
-  the occupancy delta from the parent-side plant mirror, and the
-  unit's request list), ``commit`` (light planned channels),
-  ``release``, ``cut``/``repair`` (chaos hooks), ``counters``
-  (route-cache stats), ``fingerprint`` (structural digest for
-  determinism gates), ``reset`` (back to pristine occupancy, cache
-  kept warm), and ``trial`` (a whole shard-plan sweep trial in-worker).
+  shut down: ``round`` (one placement round's message: a round number
+  that resets the worker's persistent shadow-claim overlay when it
+  changes, on first contact in the round the occupancy delta from the
+  parent-side plant mirror, and the unit's request list),
+  ``cut``/``repair`` (chaos hooks), ``counters`` (route-cache stats),
+  ``fingerprint`` (structural digest for determinism gates) and
+  ``ping``.
 * :class:`ShardWorkerPool` — the parent-side pool: spawn, RPC fan-out
   with per-worker FIFO pipelining that always drains every reply,
   journal-based rebuild-and-replay recovery after a crash
   (:class:`~repro.errors.WorkerCrashed`) for single calls and fan-outs
-  alike, graceful context-manager shutdown, and a drop-in sweep
-  *executor* (:meth:`ShardWorkerPool.run_trials`) for
-  :func:`repro.sweep.engine.run_sweep`.
+  alike, and graceful context-manager shutdown.
 
 **Determinism.**  A plan's outcome depends only on the unit's graph,
 its fiber plant (occupancy bitmasks, link liveness), and the reach
 model — never on equipment pools, which are consumed at claim time in
 the parent.  A worker that rebuilds the unit from the same recipe and
-mirrors the plant (via ``commit``/``release`` or a ``round`` message's
-delta-sync) therefore plans byte-identically to the in-process engine;
+mirrors the plant (a ``round`` message's delta-sync) therefore plans
+byte-identically to the in-process engine;
 ``tests/test_shard_pool_differential.py`` pins this.  Warm route caches
 change *counters*, never plan structure: the cache is invalidated
 exactly on graph generation and failure-epoch changes, so a hit returns
@@ -49,11 +43,10 @@ import json
 from collections import deque
 from dataclasses import dataclass
 from multiprocessing import get_context
-from multiprocessing.connection import wait as connection_wait
 from typing import Any, Deque, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.core.rwa import _PlanningRound
-from repro.errors import ConfigurationError, GriphonError, SweepTimeoutError, WorkerCrashed
+from repro.errors import ConfigurationError, GriphonError, WorkerCrashed
 from repro.shard.unit import (
     ShardUnit,
     _install_planning_equipment,
@@ -65,16 +58,14 @@ from repro.topo.hierarchy import EXPRESS, Hierarchy
 #: The recipe unit name for a full-hierarchy (monolithic-twin) worker.
 MONOLITH = "mono"
 
-#: Channel owner used by delta-sync: occupancy a worker holds only to
-#: mirror the parent plant, as opposed to plans it committed itself.
+#: Channel owner of everything a worker lights: delta-sync occupancy
+#: held only to mirror the parent plant.
 MIRROR_OWNER = "~mirror"
 
 #: RPC ops that mutate worker state and therefore enter the replay
 #: journal (``round`` for its sync and for the overlay its plans leave,
 #: which the round's next message plans against).
-_MUTATING_OPS = frozenset(
-    {"commit", "release", "cut", "repair", "round", "reset", "trial"}
-)
+_MUTATING_OPS = frozenset({"round", "cut", "repair"})
 
 
 def plant_fingerprint(plant) -> str:
@@ -121,23 +112,6 @@ class UnitRecipe:
     premises_prefix: str = "DC-"
     transponders_10g: int = 6
     regens_10g: int = 4
-
-    @classmethod
-    def for_bench(cls, unit: str, params: Dict[str, Any]) -> "UnitRecipe":
-        """The recipe of one ``shard-plan`` sweep trial's unit.
-
-        Only topology-shaping parameters enter the key — workload knobs
-        (rounds, orders_per_round) vary per trial over the same worker.
-        """
-        return cls(
-            unit=unit,
-            topology_seed=int(params["topology_seed"]),
-            regions=int(params["regions"]),
-            pops_per_region=int(params["pops_per_region"]),
-            gateways_per_region=int(params.get("gateways_per_region", 2)),
-            grid_size=int(params.get("grid_size", 80)),
-            k_paths=int(params.get("k_paths", 4)),
-        )
 
     @classmethod
     def for_network_unit(
@@ -225,11 +199,6 @@ class UnitRecipe:
         )
 
 
-def recipe_for_trial(params: Dict[str, Any]) -> UnitRecipe:
-    """The worker recipe a ``shard-plan`` trial's params map onto."""
-    return UnitRecipe.for_bench(str(params["unit"]), params)
-
-
 # -- the worker process -------------------------------------------------------
 
 
@@ -252,9 +221,6 @@ class _WorkerState:
 
     def __init__(self, unit: ShardUnit) -> None:
         self.unit = unit
-        #: owner -> plan, in commit order; what ``reset`` unwinds.
-        self.committed: Dict[str, Any] = {}
-        self.plans_digest = hashlib.sha256()
         #: The shadow-claim overlay every ``round`` message of one
         #: placement round plans under, and that round's number.
         self.round = _PlanningRound()
@@ -302,29 +268,10 @@ class _WorkerState:
         for a, b in cut:
             plant.cut_link(a, b)
 
-    def _reset(self) -> None:
-        """Back to pristine occupancy and liveness; route cache stays warm."""
-        plant = self.unit.inventory.plant
-        for owner in reversed(list(self.committed)):
-            self.unit.release_plan(self.committed[owner], owner)
-        self.committed.clear()
-        for key in list(plant.occupancy_snapshot()):
-            link = plant.dwdm_link(*key)
-            for channel in sorted(link.occupied_channels):
-                if link.owner_of(channel) == MIRROR_OWNER:
-                    link.release(channel, MIRROR_OWNER)
-        for a, b in plant.failed_links():
-            plant.repair_link(a, b)
-        self.plans_digest = hashlib.sha256()
-        self.round.reset()
-        self.round_no = None
-
     # -- dispatch -------------------------------------------------------------
 
     def dispatch(self, op: str, payload: Any) -> Any:
         unit = self.unit
-        if op == "plan_batch":
-            return unit.plan_batch(payload["requests"])
         if op == "round":
             if payload["round"] != self.round_no:
                 self.round_no = payload["round"]
@@ -333,25 +280,6 @@ class _WorkerState:
             if sync is not None:
                 self._apply_sync(sync["masks"], sync["cut"], sync["repair"])
             return unit.plan_batch(payload["requests"], round_ctx=self.round)
-        if op == "commit":
-            plan, owner = payload["plan"], payload["owner"]
-            unit.occupy_plan(plan, owner)
-            self.committed[owner] = plan
-            self.plans_digest.update(
-                repr(
-                    (
-                        tuple(plan.path),
-                        tuple(s.channel for s in plan.segments),
-                        tuple(plan.regen_sites),
-                    )
-                ).encode("utf-8")
-            )
-            return None
-        if op == "release":
-            plan, owner = payload["plan"], payload["owner"]
-            unit.release_plan(plan, owner)
-            self.committed.pop(owner, None)
-            return None
         if op == "cut":
             return sorted(
                 unit.inventory.plant.cut_link(payload["a"], payload["b"])
@@ -365,26 +293,7 @@ class _WorkerState:
             return {
                 "unit": unit.name,
                 "state": plant_fingerprint(unit.inventory.plant),
-                "plans": self.plans_digest.hexdigest(),
-                "committed": len(self.committed),
             }
-        if op == "reset":
-            self._reset()
-            return None
-        if op == "trial":
-            from repro.shard.bench import run_plan_rounds
-
-            if payload.get("fresh", True):
-                self._reset()
-            params = payload["params"]
-            values = run_plan_rounds(
-                unit,
-                int(params["topology_seed"]),
-                int(params.get("rounds", 4)),
-                int(params.get("orders_per_round", 16)),
-                on_commit=self.committed.__setitem__,
-            )
-            return values
         if op == "ping":
             return "pong"
         raise ConfigurationError(f"unknown shard-worker op {op!r}")
@@ -448,16 +357,16 @@ class ShardWorkerPool:
 
     The pool is the resident planning layer: a worker builds its unit
     once and keeps route caches and occupancy bitmasks warm across
-    rounds, trials, and callers.  Use it as a context manager —
-    ``close()`` shuts every worker down gracefully and reaps the
-    processes (no zombies).
+    rounds and callers.  Use it as a context manager — ``close()``
+    shuts every worker down gracefully and reaps the processes (no
+    zombies).
 
     Args:
         recipes: Recipes to spawn eagerly; more join via :meth:`ensure`.
         recover: When True, a :class:`~repro.errors.WorkerCrashed` on
-            :meth:`call`/:meth:`call_many`/:meth:`run_trials` triggers
-            automatic rebuild-and-replay (:meth:`respawn`) and one retry
-            instead of propagating.
+            :meth:`call`/:meth:`call_many` triggers automatic
+            rebuild-and-replay (:meth:`respawn`) and one retry instead
+            of propagating.
         build_timeout_s / rpc_timeout_s: Watchdogs on worker startup and
             on each reply.
     """
@@ -562,22 +471,23 @@ class ShardWorkerPool:
         )
         process.start()
         child_conn.close()
-        worker = _Worker(recipe, process, parent_conn, journal=[])
         if not parent_conn.poll(self._build_timeout_s):
             process.terminate()
-            process.join()
-            raise WorkerCrashed(
-                f"shard worker {recipe.unit!r} did not come up within "
-                f"{self._build_timeout_s}s"
-            )
-        tag, info = parent_conn.recv()
-        if tag != "ready":
-            process.join()
-            raise WorkerCrashed(
-                f"shard worker {recipe.unit!r} failed to build: "
-                f"{info[0]}: {info[1]}"
-            )
-        return worker
+            failure = f"did not come up within {self._build_timeout_s}s"
+        else:
+            try:
+                tag, info = parent_conn.recv()
+            except (EOFError, OSError) as exc:  # died without a word
+                tag, info = "fatal", _encode_error(exc)
+            if tag == "ready":
+                return _Worker(recipe, process, parent_conn, journal=[])
+            failure = f"failed to build: {info[0]}: {info[1]}"
+        # No worker to hand back: reap the process and give up our pipe
+        # end and its sentinel here, or every failed spawn leaks them.
+        process.join()
+        process.close()
+        parent_conn.close()
+        raise WorkerCrashed(f"shard worker {recipe.unit!r} {failure}")
 
     # -- RPC plumbing ---------------------------------------------------------
 
@@ -685,82 +595,3 @@ class ShardWorkerPool:
         worker exactly as in :meth:`call`.
         """
         return self._exchange(list(calls))
-
-    # -- sweep executor -------------------------------------------------------
-
-    def run_trials(self, trials, timeout_s: Optional[float] = None):
-        """Execute ``shard-plan`` trials on warm workers, results in order.
-
-        The executor contract :func:`repro.sweep.engine.run_sweep` uses
-        via its ``executor=`` parameter: trials are grouped by
-        :func:`recipe_for_trial`, each worker runs its queue one trial
-        at a time (every trial starts from a ``reset`` — pristine
-        occupancy, warm route cache), distinct workers run concurrently,
-        and results come back in trial-index order.  A trial raising a
-        library error becomes an error-carrying result, exactly like
-        :func:`~repro.sweep.engine.run_trial`; with ``recover=True`` a
-        crashed worker is rebuilt and its in-flight trial re-run.
-        """
-        from repro.sweep.engine import TrialResult
-
-        slots: List[Optional[TrialResult]] = [None] * len(trials)
-        queues: Dict[UnitRecipe, Deque] = {}
-        for slot, trial in enumerate(trials):
-            recipe = recipe_for_trial(trial.params)
-            self.ensure(recipe)
-            queues.setdefault(recipe, deque()).append((slot, trial))
-        current: Dict[UnitRecipe, Tuple[int, Any]] = {}
-
-        def dispatch(recipe: UnitRecipe) -> None:
-            if queues[recipe]:
-                slot, trial = queues[recipe].popleft()
-                self._send(
-                    self._workers[recipe],
-                    "trial",
-                    {"params": dict(trial.params), "fresh": True},
-                )
-                current[recipe] = (slot, trial)
-
-        def settle(trial, **kwargs) -> TrialResult:
-            return TrialResult(
-                trial_id=trial.trial_id,
-                index=trial.index,
-                seed=trial.seed,
-                params=dict(trial.params),
-                **kwargs,
-            )
-
-        for recipe in queues:
-            dispatch(recipe)
-        while current:
-            conns = {self._workers[r].conn: r for r in current}
-            ready = connection_wait(list(conns), timeout=timeout_s)
-            if not ready:
-                raise SweepTimeoutError(
-                    f"worker pool: no trial completed within {timeout_s}s "
-                    f"({len(current)} in flight)"
-                )
-            for conn in ready:
-                recipe = conns[conn]
-                slot, trial = current[recipe]
-                try:
-                    values = self._receive(self._workers[recipe])
-                except WorkerCrashed:
-                    if not self._recover:
-                        raise
-                    self.respawn(recipe)
-                    self._send(
-                        self._workers[recipe],
-                        "trial",
-                        {"params": dict(trial.params), "fresh": True},
-                    )
-                    continue
-                except GriphonError as exc:
-                    slots[slot] = settle(
-                        trial, error=f"{type(exc).__name__}: {exc}"
-                    )
-                else:
-                    slots[slot] = settle(trial, values=values)
-                del current[recipe]
-                dispatch(recipe)
-        return slots

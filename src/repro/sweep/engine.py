@@ -216,7 +216,6 @@ def run_sweep(
     spec: SweepSpec,
     jobs: int = 1,
     timeout_s: Optional[float] = None,
-    executor: Optional[Any] = None,
 ) -> SweepResult:
     """Run every trial of ``spec`` and merge the results.
 
@@ -227,13 +226,6 @@ def run_sweep(
         timeout_s: Watchdog for the parallel path — if no new trial
             completes for this long, the pool is torn down and
             :class:`~repro.errors.SweepTimeoutError` is raised.
-        executor: Optional persistent executor implementing
-            ``run_trials(trials, timeout_s=None) -> List[TrialResult]``
-            (results in trial-index order) and, optionally, a ``size``
-            attribute — e.g. :class:`repro.shard.workers.ShardWorkerPool`,
-            whose warm workers replace the per-trial rebuild the
-            default paths pay.  When given, ``jobs`` is ignored and the
-            executor's lifecycle stays with the caller.
 
     Returns:
         A :class:`SweepResult` with per-trial results in trial order.
@@ -242,10 +234,6 @@ def run_sweep(
         raise ConfigurationError(f"jobs must be >= 1, got {jobs}")
     trials = spec.trials()
     started = time.perf_counter()
-    if executor is not None:
-        results = list(executor.run_trials(trials, timeout_s=timeout_s))
-        width = int(getattr(executor, "size", 0)) or jobs
-        return SweepResult(spec, results, width, time.perf_counter() - started)
     if jobs == 1 or len(trials) <= 1:
         results = [run_trial(trial) for trial in trials]
         return SweepResult(spec, results, jobs, time.perf_counter() - started)

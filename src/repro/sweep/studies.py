@@ -358,23 +358,11 @@ def frontend_trial(trial: TrialSpec) -> TrialResult:
     )
 
 
-def shard_plan_trial(trial: TrialSpec) -> TrialResult:
-    """One shard planning its batched workload (see :mod:`repro.shard.bench`).
-
-    A module-level proxy so the registry entry pickles by reference:
-    ``repro.shard.bench`` imports this package's engine, so importing it
-    eagerly here would be a cycle.
-    """
-    from repro.shard.bench import shard_plan_trial as run_trial
-
-    return run_trial(trial)
-
-
 def slo_trial(trial: TrialSpec) -> TrialResult:
     """One gray-failure remediation trial (see :mod:`repro.slo.bench`).
 
-    A module-level proxy so the registry entry pickles by reference,
-    mirroring :func:`shard_plan_trial`.
+    A module-level proxy so the registry entry pickles by reference
+    and :mod:`repro.slo.bench` loads only when a trial runs.
     """
     from repro.slo.bench import slo_trial as run_trial
 
@@ -385,7 +373,7 @@ def optimize_trial(trial: TrialSpec) -> TrialResult:
     """One re-optimization trial (see :mod:`repro.optimize.bench`).
 
     A module-level proxy so the registry entry pickles by reference,
-    mirroring :func:`shard_plan_trial`.
+    mirroring :func:`slo_trial`.
     """
     from repro.optimize.bench import optimize_trial as run_trial
 
@@ -399,7 +387,6 @@ STUDIES: Dict[str, Callable[[TrialSpec], TrialResult]] = {
     "scenario": scenario_trial,
     "pipeline": pipeline_trial,
     "frontend": frontend_trial,
-    "shard-plan": shard_plan_trial,
     "slo": slo_trial,
     "optimize": optimize_trial,
 }

@@ -156,9 +156,3 @@ class TestShardCommand:
             payload["monolithic"]["fingerprint"]
         )
         assert payload["sharded"]["audits_ok"]
-
-    def test_sweep_shard_study(self, capsys):
-        assert main(["sweep", "shard", "--jobs", "2"]) == 0
-        out = capsys.readouterr().out
-        assert "sweep shard-plan" in out
-        assert "route_cache_hits" in out

@@ -9,8 +9,8 @@ when the resilient layer gives up mid-rebuild.
 
 import pytest
 
+from repro.api import ServiceDegraded, SetupFailed
 from repro.core.connection import ConnectionState
-from repro.core.service import ServiceDegraded, SetupFailed
 from repro.facade import build_griphon_testbed
 from repro.faults import FaultPlan, FaultSpec, audit_network
 from repro.units import HOUR

@@ -10,9 +10,9 @@ order only.
 
 import pytest
 
+from repro.api import Deferred, QueueFull
 from repro.core.connection import ConnectionKind, ConnectionState
 from repro.core.rwa import PlanRequest
-from repro.core.service import Deferred, QueueFull
 from repro.errors import ConfigurationError
 from repro.facade import build_griphon_testbed
 from repro.faults import audit_network

@@ -7,15 +7,11 @@ structural outcomes — same segment paths, same first-fit channels, same
 regen sites, same blocked reasons.  Sequence-assigned identifiers and
 timings are deliberately outside the fingerprint (they legitimately
 differ between deployments).
-
-Also pins the shard-plan sweep's process-count independence: one worker
-or many, the aggregate JSON is byte-identical.
 """
 
 from repro.core.admission import CustomerProfile
 from repro.core.connection import ConnectionState
 from repro.shard import build_sharded_network, outcome_fingerprint
-from repro.sweep.engine import run_sweep
 from repro.topo.hierarchy import build_hierarchy
 from repro.units import GBPS
 
@@ -82,19 +78,3 @@ class TestShardedVsMonolithic:
         before = outcome_fingerprint(orders)
         orders[0].plan_record[0]["channels"] = [9999]
         assert outcome_fingerprint(orders) != before
-
-
-class TestSweepProcessIndependence:
-    def test_shard_plan_sweep_identical_across_job_counts(self):
-        from repro.shard.bench import shard_plan_spec
-
-        spec = shard_plan_spec(
-            topology_seed=11,
-            regions=2,
-            pops_per_region=6,
-            rounds=2,
-            orders_per_round=8,
-        )
-        serial = run_sweep(spec, jobs=1)
-        parallel = run_sweep(spec, jobs=3)
-        assert serial.to_json() == parallel.to_json()

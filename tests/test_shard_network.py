@@ -1,5 +1,7 @@
 """ShardedNetwork: cross-region lifecycle, saga unwind, shard audits."""
 
+import multiprocessing
+
 import pytest
 
 from repro.core.admission import CustomerProfile
@@ -11,13 +13,17 @@ from repro.topo.hierarchy import EXPRESS
 from repro.units import GBPS
 
 
-def make_net(mode="sharded", seed=7, regions=2, pops=6, fault_plans=None):
+def make_net(
+    mode="sharded", seed=7, regions=2, pops=6, fault_plans=None,
+    backend="inprocess",
+):
     net = build_sharded_network(
         seed=seed,
         regions=regions,
         pops_per_region=pops,
         mode=mode,
         fault_plans=fault_plans,
+        backend=backend,
     )
     net.register_customer(
         CustomerProfile(
@@ -164,3 +170,46 @@ class TestSagaUnwind:
         net.run()
         assert order.state is ConnectionState.BLOCKED
         assert_all_audits_clean(net)
+
+
+class TestClosedNetwork:
+    """A network whose worker pool is gone refuses work, typed and whole."""
+
+    def test_closed_pool_network_refuses_before_touching_anything(self):
+        net = make_net(seed=3, pops=5, backend="pool")
+        order = net.place_order("csp", "DC-R00-P02", "DC-R01-P03")
+        net.run()
+        assert order.state is ConnectionState.UP
+        net.close()
+
+        def held():
+            return (
+                net.admission.usage("csp"),
+                len(net.orders),
+                net.plant_fingerprints(),
+            )
+
+        before = held()
+        for refused in (
+            lambda: net.place_order("csp", "DC-R00-P03", "DC-R01-P04"),
+            net.sync_workers,
+            net.route_cache_stats,
+            net.worker_fingerprints,
+            lambda: net.cut_fiber("R00-P01", "R00-P02"),
+            lambda: net.repair_fiber("R00-P01", "R00-P02"),
+        ):
+            with pytest.raises(ConfigurationError, match="closed"):
+                refused()
+            assert held() == before
+        # No id was drawn for the refused order either.
+        assert list(net.orders) == [order.order_id]
+        assert multiprocessing.active_children() == []
+
+    def test_inprocess_network_has_no_workers_to_sync(self):
+        net = make_net()
+        with pytest.raises(ConfigurationError, match="backend='pool'"):
+            net.sync_workers()
+        with pytest.raises(ConfigurationError, match="backend='pool'"):
+            net.worker_fingerprints()
+        net.close()
+        assert net.place_order("csp", "DC-R00-P02", "DC-R00-P04").order_id

@@ -152,7 +152,11 @@ class TestUnitPicklability:
         unit = build_region_unit(21, "R00", 6)
         nodes = sorted(n.name for n in unit.graph.nodes)
         plan = unit.plan(nodes[0], nodes[-1], 10 * GBPS)
-        unit.occupy_plan(plan, "owner-1")
+        for segment in plan.segments:
+            for u, v in segment.links:
+                unit.inventory.plant.dwdm_link(u, v).occupy(
+                    segment.channel, "owner-1"
+                )
         clone = pickle.loads(pickle.dumps(unit))
         replay = clone.plan(nodes[0], nodes[-1], 10 * GBPS)
         fresh = build_region_unit(21, "R00", 6).plan(

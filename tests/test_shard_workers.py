@@ -3,38 +3,36 @@
 Every RPC a :class:`~repro.shard.workers.ShardWorkerPool` worker serves
 is checked against a local twin built from the same
 :class:`~repro.shard.workers.UnitRecipe` — same plans, same plant
-fingerprints after commit/release — because the worker IS just the unit
-rebuilt from its recipe behind a pipe.  Lifecycle tests pin the
-guarantees the resident layer depends on: context-manager close reaps
-every process (no zombies), a killed worker surfaces as the typed
+fingerprints after a ``round`` message's sync — because the worker IS
+just the unit rebuilt from its recipe behind a pipe.  Lifecycle tests
+pin the guarantees the resident layer depends on: context-manager close
+reaps every process (no zombies), a failed spawn leaks no descriptor, a
+killed worker surfaces as the typed
 :class:`~repro.errors.WorkerCrashed`, and journal replay rebuilds a
-crashed worker into byte-identical state.  The sweep-executor tests pin
-the warm-worker determinism gate: pooled trials match per-trial
-rebuilds on the simulation-determined projection while the route cache
-reports the extra hits that are the whole point.
+crashed worker into byte-identical state.
 """
 
+import dataclasses
 import multiprocessing
 import os
+import random
 import signal
 
 import pytest
 
 from repro.core.admission import CustomerProfile
+from repro.core.rwa import PlanRequest
 from repro.errors import ConfigurationError, WorkerCrashed
-from repro.shard.network import build_sharded_network, outcome_fingerprint
-from repro.shard.bench import (
-    bench_workload,
-    plan_projection,
-    shard_plan_spec,
+from repro.shard.network import (
+    _PlantMirror,
+    build_sharded_network,
+    outcome_fingerprint,
 )
 from repro.shard.workers import (
     ShardWorkerPool,
     UnitRecipe,
     plant_fingerprint,
-    recipe_for_trial,
 )
-from repro.sweep.engine import run_sweep
 from repro.topo.hierarchy import build_hierarchy
 from repro.units import GBPS
 
@@ -54,24 +52,54 @@ def _plan_shape(plan):
     )
 
 
-def _requests(unit, count=6):
-    (requests,) = bench_workload(unit, RECIPE.topology_seed, 1, count)
-    return requests
+def _requests(unit, count=6, salt=0):
+    """``count`` seeded 10G requests between distinct nodes of ``unit``."""
+    nodes = sorted(node.name for node in unit.graph.nodes)
+    rng = random.Random(f"{RECIPE.topology_seed}:{salt}")
+    return [
+        PlanRequest(*rng.sample(nodes, 2), 10 * GBPS) for _ in range(count)
+    ]
+
+
+def _round(number, requests=(), sync=None):
+    """One placement round's message, as ``ShardedNetwork`` sends it."""
+    payload = {"round": number, "sync": sync, "requests": list(requests)}
+    return "round", payload
+
+
+def _channels(unit, plan):
+    """Every (DWDM link, channel) ``plan`` rides on ``unit``'s plant."""
+    plant = unit.inventory.plant
+    return [
+        (plant.dwdm_link(u, v), segment.channel)
+        for segment in plan.segments
+        for u, v in segment.links
+    ]
+
+
+def _open_fds():
+    return len(os.listdir("/proc/self/fd"))
+
+
+def _land(unit, items):
+    """Light every planned item on ``unit``, as the parent's claim would."""
+    for seq, item in enumerate(items):
+        if item.ok:
+            for link, channel in _channels(unit, item.plan):
+                link.occupy(channel, f"t-{seq}")
 
 
 class TestRecipe:
     def test_recipe_is_the_pool_key(self):
-        params = {
-            "topology_seed": 3, "regions": 2, "pops_per_region": 5,
-            "unit": "R00", "rounds": 4, "orders_per_round": 16,
-        }
-        light = dict(params, rounds=1, orders_per_round=2)
-        # Workload knobs don't enter the key: both trials share a worker.
-        assert recipe_for_trial(params) == recipe_for_trial(light)
-        assert hash(recipe_for_trial(params)) == hash(recipe_for_trial(light))
-        assert recipe_for_trial(dict(params, topology_seed=4)) != (
-            recipe_for_trial(params)
+        twin = UnitRecipe(
+            unit="R00", topology_seed=3, regions=2, pops_per_region=5
         )
+        # Equal by value, so two callers asking for it share a worker.
+        assert twin is not RECIPE and twin == RECIPE
+        assert hash(twin) == hash(RECIPE)
+        assert {RECIPE: "worker"}[twin] == "worker"
+        assert dataclasses.replace(RECIPE, topology_seed=4) != RECIPE
+        assert OTHER != RECIPE
 
     def test_build_is_deterministic(self):
         first, second = RECIPE.build(), RECIPE.build()
@@ -86,37 +114,33 @@ class TestRecipe:
 class TestWorkerRpcParity:
     def test_plan_commit_release_match_local_twin(self):
         local = RECIPE.build()
+        mirror = _PlantMirror(local.inventory.plant)
         requests = _requests(local)
         with ShardWorkerPool([RECIPE]) as pool:
-            remote = pool.call(
-                RECIPE, "plan_batch", {"requests": requests, "round": False}
-            )
+            remote = pool.call(RECIPE, *_round(1, requests, mirror.delta()))
+            mirror.acknowledged(1)
             items = local.plan_batch(requests)
             assert [i.ok for i in remote] == [i.ok for i in items]
             assert [
                 _plan_shape(i.plan) for i in remote if i.ok
             ] == [_plan_shape(i.plan) for i in items if i.ok]
-            # Committing the same plans lands both plants on the same
-            # structural fingerprint...
-            for seq, item in enumerate(items):
-                if item.ok:
-                    local.occupy_plan(item.plan, f"t-{seq}")
-                    pool.call(
-                        RECIPE,
-                        "commit",
-                        {"plan": item.plan, "owner": f"t-{seq}"},
-                    )
+            # The parent claims the plans; the next round's sync carries
+            # the delta and lands the worker on the same fingerprint...
+            _land(local, items)
+            delta = mirror.delta()
+            assert delta["masks"]
+            pool.call(RECIPE, *_round(2, sync=delta))
+            mirror.acknowledged(2)
             fp = pool.call(RECIPE, "fingerprint")
-            assert fp["state"] == plant_fingerprint(local.inventory.plant)
-            assert fp["committed"] == sum(1 for i in items if i.ok)
-            # ...and releasing one keeps them in lockstep.
+            assert fp == {
+                "unit": "R00",
+                "state": plant_fingerprint(local.inventory.plant),
+            }
+            # ...and a delta that darkens one plan keeps them in lockstep.
             seq = next(i for i, item in enumerate(items) if item.ok)
-            local.release_plan(items[seq].plan, f"t-{seq}")
-            pool.call(
-                RECIPE,
-                "release",
-                {"plan": items[seq].plan, "owner": f"t-{seq}"},
-            )
+            for link, channel in _channels(local, items[seq].plan):
+                link.release(channel, f"t-{seq}")
+            pool.call(RECIPE, *_round(3, sync=mirror.delta()))
             assert pool.call(RECIPE, "fingerprint")["state"] == (
                 plant_fingerprint(local.inventory.plant)
             )
@@ -143,28 +167,31 @@ class TestWorkerRpcParity:
 
     def test_counters_and_reset(self):
         with ShardWorkerPool([RECIPE]) as pool:
-            local = RECIPE.build()
-            requests = _requests(local)
-            pool.call(
-                RECIPE, "plan_batch", {"requests": requests, "round": False}
-            )
-            counters = pool.call(RECIPE, "counters")
-            assert counters["misses"] > 0
-            pool.call(RECIPE, "reset")
-            # Reset restores pristine occupancy but keeps the cache warm.
-            assert pool.call(RECIPE, "fingerprint")["state"] == (
-                plant_fingerprint(RECIPE.build().inventory.plant)
-            )
-            pool.call(
-                RECIPE, "plan_batch", {"requests": requests, "round": False}
-            )
-            assert pool.call(RECIPE, "counters")["hits"] > counters["hits"]
+            requests = _requests(RECIPE.build())
+            pool.call(RECIPE, *_round(1, requests))
+            cold = pool.call(RECIPE, "counters")
+            assert cold["misses"] > 0
+            # Nothing was claimed, so a new round resets the overlay and
+            # replans the same requests off the warm route cache.
+            pool.call(RECIPE, *_round(2, requests))
+            warm = pool.call(RECIPE, "counters")
+            assert warm["hits"] > cold["hits"]
+            assert warm["misses"] == cold["misses"]
 
     def test_unknown_op_is_typed_and_survivable(self):
         with ShardWorkerPool([RECIPE]) as pool:
             with pytest.raises(ConfigurationError, match="unknown"):
                 pool.call(RECIPE, "frobnicate")
             # The error was a reply, not a crash: the worker still serves.
+            assert pool.call(RECIPE, "ping") == "pong"
+
+    @pytest.mark.parametrize("op", ["commit", "trial"])
+    def test_retired_op_is_as_unknown_as_any_other(self, op):
+        with ShardWorkerPool([RECIPE]) as pool:
+            with pytest.raises(
+                ConfigurationError, match=f"unknown shard-worker op '{op}'"
+            ):
+                pool.call(RECIPE, op, {"params": {}})
             assert pool.call(RECIPE, "ping") == "pong"
 
     def test_fan_out_drains_every_reply_before_raising(self):
@@ -229,17 +256,38 @@ class TestLifecycle:
         with pytest.raises(ConfigurationError, match="closed"):
             pool.call(RECIPE, "ping")
 
+    def test_failed_spawn_leaks_no_descriptor_or_child(self):
+        bad = dataclasses.replace(RECIPE, grid_size=0)  # unit cannot build
+        before = _open_fds()
+        # Kept, tracebacks and all: the frames must not be what closes
+        # the pipe (a caller that logs the error holds them just so).
+        raised = []
+        for _ in range(3):
+            with pytest.raises(WorkerCrashed, match="failed to build") as exc:
+                ShardWorkerPool([bad])
+            raised.append(exc)
+        assert _open_fds() == before
+        with ShardWorkerPool([RECIPE]) as pool:
+            held = _open_fds()
+            with pytest.raises(WorkerCrashed, match="grid size"):
+                pool.ensure(bad)
+            # The pool neither adopted the dead worker nor lost the good one.
+            assert pool.recipes() == [RECIPE] and _open_fds() == held
+            assert pool.call(RECIPE, "ping") == "pong"
+        assert multiprocessing.active_children() == []
+
 
 class TestCrashRecovery:
     def _mutate(self, pool, local):
-        """The same mutating history on a pool worker and its local twin."""
-        items = local.plan_batch(_requests(local))
-        for seq, item in enumerate(items):
-            if item.ok:
-                local.occupy_plan(item.plan, f"t-{seq}")
-                pool.call(
-                    RECIPE, "commit", {"plan": item.plan, "owner": f"t-{seq}"}
-                )
+        """The same mutating history on a pool worker and its local twin:
+        a round that plans, the claims synced by the next, then a cut."""
+        mirror = _PlantMirror(local.inventory.plant)
+        requests = _requests(local)
+        items = local.plan_batch(requests)
+        pool.call(RECIPE, *_round(1, requests, mirror.delta()))
+        mirror.acknowledged(1)
+        _land(local, items)
+        pool.call(RECIPE, *_round(2, sync=mirror.delta()))
         item = next(i for i in items if i.ok)
         a, b = item.plan.path[0], item.plan.path[1]
         pool.call(RECIPE, "cut", {"a": a, "b": b})
@@ -255,25 +303,28 @@ class TestCrashRecovery:
         with ShardWorkerPool([RECIPE]) as pool, ShardWorkerPool(
             [RECIPE]
         ) as control:
-            self._mutate(pool, RECIPE.build())
+            local = RECIPE.build()
+            self._mutate(pool, local)
             self._mutate(control, RECIPE.build())
             pool.process_of(RECIPE).kill()
             pool.process_of(RECIPE).join()
             pool.respawn(RECIPE)
-            # The replayed worker matches the never-crashed control on
-            # plant state AND committed-plan digest...
-            assert pool.call(RECIPE, "fingerprint") == control.call(
-                RECIPE, "fingerprint"
+            # The replayed worker matches the never-crashed control (and
+            # the parent-side twin) on plant state...
+            fingerprint = pool.call(RECIPE, "fingerprint")
+            assert fingerprint == control.call(RECIPE, "fingerprint")
+            assert fingerprint["state"] == plant_fingerprint(
+                local.inventory.plant
             )
-            # ...and plans the next batch identically.
-            requests = _requests(RECIPE.build())
-            payload = {"requests": requests, "round": False}
-            replayed = pool.call(RECIPE, "plan_batch", payload)
-            expected = control.call(RECIPE, "plan_batch", payload)
+            # ...and plans the next round identically.
+            message = _round(3, _requests(local, salt=1))
+            replayed = pool.call(RECIPE, *message)
+            expected = control.call(RECIPE, *message)
             assert [i.ok for i in replayed] == [i.ok for i in expected]
             assert [
                 _plan_shape(i.plan) for i in replayed if i.ok
             ] == [_plan_shape(i.plan) for i in expected if i.ok]
+            assert any(i.ok for i in expected)
 
     def test_auto_recover_is_transparent(self):
         with ShardWorkerPool([RECIPE], recover=True) as pool:
@@ -294,28 +345,23 @@ class TestCrashRecovery:
         round 3 moves occupancy again.
         """
         local = RECIPE.build()
-        first, second, third = bench_workload(
-            local, RECIPE.topology_seed, 3, 4
-        )
+        first, second, third = (_requests(local, 4, salt) for salt in range(3))
         keys = sorted(link.key for link in local.inventory.graph.links)
         a, b = keys[0]
-
-        def message(number, sync, requests):
-            return ("round", {"round": number, "sync": sync, "requests": requests})
 
         def sync(masks, cut=(), repair=()):
             return {"masks": masks, "cut": list(cut), "repair": list(repair)}
 
         history = [
-            message(1, sync({keys[0]: 0b0101, keys[-1]: 0b0011}), first[:2]),
-            message(1, None, first[2:]),
+            _round(1, first[:2], sync({keys[0]: 0b0101, keys[-1]: 0b0011})),
+            _round(1, first[2:]),
             ("cut", {"a": a, "b": b}),
-            message(2, sync({keys[0]: 0b0001}, repair=[keys[0]]), second),
-            message(3, sync({keys[-1]: 0, keys[0]: 0b1001}), third[:2]),
+            _round(2, second, sync({keys[0]: 0b0001}, repair=[keys[0]])),
+            _round(3, third[:2], sync({keys[-1]: 0, keys[0]: 0b1001})),
         ]
         # Same round again: the reply depends on round 3's overlay, so a
         # replay that lost the round number (and reset it) would differ.
-        probes = [message(3, None, third), message(4, sync({}), third)]
+        probes = [_round(3, third), _round(4, third, sync({}))]
         return history, probes
 
     def test_round_op_replays_at_every_journal_index(self):
@@ -464,28 +510,3 @@ class TestRoundRecovery:
                 for unit, fp in net.worker_fingerprints().items()
             } == plants
         assert multiprocessing.active_children() == []
-
-
-class TestSweepExecutor:
-    def test_pooled_sweep_matches_rebuild_and_warms_cache(self):
-        spec = shard_plan_spec(
-            topology_seed=11,
-            regions=2,
-            pops_per_region=6,
-            rounds=2,
-            orders_per_round=8,
-        )
-        single = run_sweep(spec, jobs=1)
-        recipes = {recipe_for_trial(t.params) for t in spec.trials()}
-        with ShardWorkerPool(recipes) as pool:
-            cold = run_sweep(spec, executor=pool)
-            warm = run_sweep(spec, executor=pool)
-        reference = plan_projection(single)
-        assert plan_projection(cold) == reference
-        assert plan_projection(warm) == reference
-        hits = lambda result: sum(  # noqa: E731
-            t.values["route_cache_hits"] for t in result.results
-        )
-        # The warm pass is the point: route caches survive across trials.
-        assert hits(warm) > hits(cold)
-        assert warm.jobs == len(recipes)

@@ -2,8 +2,9 @@
 
 The optimized :meth:`Simulator.run` loop (locals-bound heap/pop, single
 pop per event, inline trace check) versus a faithful replica of the
-seed kernel's peek-then-step loop, plus the two new fast paths: lazy-
-cancellation compaction and ``schedule_many`` batch loading.  The
+seed kernel's peek-then-step loop, plus the fast paths: lazy-
+cancellation compaction, ``schedule_many`` batch loading, and the
+two-tier event list draining a pre-loaded schedule.  The
 measurement helpers live in ``benchmarks/sweep_report.py`` so the
 assertions here and the committed ``BENCH_sweep.json`` share one
 methodology.
@@ -19,6 +20,7 @@ from benchmarks.sweep_report import (
     SeedKernel,
     collect_kernel_measurements,
     load_cancel_heavy,
+    load_preloaded_schedule,
     load_timer_chains,
     measure_run,
 )
@@ -51,6 +53,9 @@ def test_perf_kernel_loops(benchmark):
     assert results["batch_schedule"]["speedup"] > 1.1, (
         results["batch_schedule"]
     )
+    assert results["preloaded_schedule"]["speedup"] >= 1.2, (
+        results["preloaded_schedule"]
+    )
 
 
 def test_perf_kernel_same_event_counts(benchmark):
@@ -58,7 +63,11 @@ def test_perf_kernel_same_event_counts(benchmark):
 
     def compare():
         mismatches = 0
-        for build in (load_timer_chains, load_cancel_heavy):
+        for build in (
+            load_timer_chains,
+            load_cancel_heavy,
+            load_preloaded_schedule,
+        ):
             seed_sim = SeedKernel()
             total = build(seed_sim)
             seed_fired = seed_sim.run()

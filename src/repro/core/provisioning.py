@@ -28,7 +28,7 @@ from repro.ems.latency import LatencyModel
 from repro.ems.roadm_ems import RoadmEms
 from repro.faults.resilient import ResilientExecutor
 from repro.obs.registry import MetricsRegistry
-from repro.obs.trace import Span, Tracer
+from repro.obs.trace import NULL_SPAN, Span, Tracer
 from repro.optical.lightpath import Lightpath, LightpathState
 
 #: A timed EMS/optical step: (stage, label, duration_seconds).  Steps in
@@ -302,10 +302,20 @@ class LightpathProvisioner:
         ) as span:
             lightpath.transition(LightpathState.SETTING_UP)
             steps = self.setup_steps(lightpath, include_fxc)
+            resilience = self._resilience
             total = 0.0
             executed: List[Step] = []
             failure: Optional[EquipmentError] = None
             for stage, label, duration in self._stage_spans(steps):
+                # No span to open and no fault rule that can fire at this
+                # step: the general path below would only yield duration.
+                if span is NULL_SPAN and (
+                    resilience is None or resilience.plan.empty
+                ):
+                    yield duration
+                    executed.append((stage, label, duration))
+                    total += duration
+                    continue
                 with span.child(f"ems.{stage}", label=label) as step_span:
                     if self._resilience is None:
                         yield duration
@@ -389,8 +399,16 @@ class LightpathProvisioner:
         ) as span:
             lightpath.transition(LightpathState.TEARING_DOWN)
             steps = self.teardown_steps(lightpath, include_fxc)
+            resilience = self._resilience
             total = 0.0
             for stage, label, duration in self._stage_spans(steps):
+                # As in setup_workflow: nothing to trace, no live fault rule.
+                if span is NULL_SPAN and (
+                    resilience is None or resilience.plan.empty
+                ):
+                    yield duration
+                    total += duration
+                    continue
                 with span.child(f"ems.{stage}", label=label) as step_span:
                     if self._resilience is None:
                         yield duration

@@ -27,7 +27,7 @@ round cannot be assigned a wavelength an earlier one already won.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.errors import (
     ConfigurationError,
@@ -140,6 +140,8 @@ class _PlanningRound:
     sets) so a round of N requests over few distinct routes does the
     expensive work once, and carries the round's *shadow claims*: the
     channels already promised to earlier plans in the round, per link.
+    Channel sets are kept as bitmasks (bit ``c`` = channel ``c``), the
+    form the fiber plant computes them in.
     Nothing here touches the inventory — the overlay mirrors exactly
     what :meth:`LightpathProvisioner.claim` will occupy when the round's
     plans are executed.
@@ -154,10 +156,10 @@ class _PlanningRound:
         self.live: Dict[Tuple[str, ...], bool] = {}
         #: (path tuple, rate) -> regen sites tuple.
         self.regens: Dict[tuple, Tuple[str, ...]] = {}
-        #: segment node tuple -> base free-channel set (live inventory).
-        self.free: Dict[Tuple[str, ...], Set[int]] = {}
-        #: link key -> channels shadow-claimed by earlier plans this round.
-        self.claimed: Dict[Tuple[str, str], Set[int]] = {}
+        #: segment node tuple -> base free-channel mask (live inventory).
+        self.free: Dict[Tuple[str, ...], int] = {}
+        #: link key -> mask of channels shadow-claimed earlier this round.
+        self.claimed: Dict[Tuple[str, str], int] = {}
         #: Cleared while probing whether a failure was contention-only.
         self.overlay_on = True
 
@@ -176,23 +178,21 @@ class _PlanningRound:
         self.claimed.clear()
         self.overlay_on = True
 
-    def claimed_on(self, nodes: Sequence[str]) -> Set[int]:
-        """Channels the round already promised on any link of a segment."""
-        taken: Set[int] = set()
+    def claimed_on(self, nodes: Sequence[str]) -> int:
+        """Mask of channels already promised on any link of a segment."""
+        taken = 0
         if not self.claimed:
             return taken
         for u, v in zip(nodes, nodes[1:]):
-            channels = self.claimed.get((u, v) if u <= v else (v, u))
-            if channels:
-                taken |= channels
+            taken |= self.claimed.get((u, v) if u <= v else (v, u), 0)
         return taken
 
     def commit(self, plan: RwaPlan) -> None:
         """Record a successful plan's channels as claimed for the round."""
         for segment in plan.segments:
-            channel = segment.channel
+            bit = 1 << segment.channel
             for key in segment.links:
-                self.claimed.setdefault(key, set()).add(channel)
+                self.claimed[key] = self.claimed.get(key, 0) | bit
 
 
 class RwaEngine:
@@ -644,19 +644,16 @@ class RwaEngine:
         nodes: List[str],
         round_ctx: Optional["_PlanningRound"] = None,
     ) -> int:
+        plant = self._inventory.plant
         if round_ctx is None:
-            free = self._inventory.plant.common_free_channels(nodes)
+            free = plant.common_free_mask(nodes)
         else:
             key = tuple(nodes)
-            base = round_ctx.free.get(key)
-            if base is None:
-                base = self._inventory.plant.common_free_channels(nodes)
-                round_ctx.free[key] = base
-            free = base
+            free = round_ctx.free.get(key)
+            if free is None:
+                free = round_ctx.free[key] = plant.common_free_mask(nodes)
             if round_ctx.overlay_on:
-                taken = round_ctx.claimed_on(nodes)
-                if taken:
-                    free = base - taken
+                free &= ~round_ctx.claimed_on(nodes)
         # The end ROADMs must also have the channel free on the relevant
         # degree (a previous segment of this very plan could contend, but
         # plans are executed atomically per segment, so link occupancy is
@@ -666,5 +663,8 @@ class RwaEngine:
                 f"no common free wavelength on segment {' - '.join(nodes)}"
             )
         if self._assignment == "first-fit":
-            return min(free)
-        return self._streams.choice("rwa:random-channel", sorted(free))
+            return (free & -free).bit_length() - 1
+        return self._streams.choice(
+            "rwa:random-channel",
+            [ch for ch in range(free.bit_length()) if free >> ch & 1],
+        )

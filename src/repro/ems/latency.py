@@ -10,7 +10,7 @@ benchmark shows what parallelizing or shrinking the steps would buy.
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Callable, Dict, Optional, Tuple
 
 from repro.errors import ConfigurationError
 from repro.obs.registry import MetricsRegistry
@@ -84,6 +84,8 @@ class LatencyModel:
         self._cv = cv
         self._speedup = speedup
         self._metrics: Optional[MetricsRegistry] = None
+        # Per step: (zero-argument draw, histogram name), built on first use.
+        self._samplers: Dict[str, Tuple[Callable[[], float], str]] = {}
 
     def bind_metrics(self, metrics: Optional[MetricsRegistry]) -> None:
         """Record every sampled step duration into ``metrics``.
@@ -115,11 +117,17 @@ class LatencyModel:
         """
         if extra < 0:
             raise ConfigurationError(f"extra must be >= 0, got {extra}")
-        duration = self._streams.lognormal(
-            f"latency:{step}", self.mean(step), self._cv
-        )
+        sampler = self._samplers.get(step)
+        if sampler is None:
+            sampler = self._samplers[step] = (
+                self._streams.lognormal_sampler(
+                    f"latency:{step}", self.mean(step), self._cv
+                ),
+                f"step.{step}",
+            )
+        duration = sampler[0]()
         if self._metrics is not None:
-            self._metrics.observe(f"step.{step}", duration + extra)
+            self._metrics.observe(sampler[1], duration + extra)
         return duration + extra
 
     def known_steps(self) -> Dict[str, float]:

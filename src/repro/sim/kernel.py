@@ -1,25 +1,40 @@
-"""The discrete-event simulator: a virtual clock plus an event heap.
+"""The discrete-event simulator: a virtual clock plus a two-tier event list.
 
 The kernel is the hot path of every experiment — a month-long
 availability study fires hundreds of thousands of events — so
-:meth:`Simulator.run` keeps its inner loop tight: the heap and
-``heappop`` are bound to locals, fired events bypass the defensive
-re-checks of :meth:`Event.fire`, and canceled events are compacted out
-of the heap wholesale once they dominate it instead of being popped one
-at a time.
+:meth:`Simulator.run` keeps its inner loop tight: the event list is
+bound to locals, fired events bypass the defensive re-checks of
+:meth:`Event.fire`, and canceled events are compacted out wholesale
+once they dominate instead of being popped one at a time.
+
+Pending events live in one of two tiers, and always fire in
+``(time, seq)`` order across both:
+
+* the **heap** holds ``(time, seq, event)`` entries, so ``heapq``
+  orders them with C tuple comparisons (``seq`` is unique: the event
+  itself is never compared);
+* the **run** holds a pre-loaded :meth:`Simulator.schedule_many` batch
+  as a list sorted latest-first.  It never enters the heap, so the
+  timers scheduled while it drains sift through a heap of in-flight
+  events only, and it is consumed with ``list.pop()`` so each fired
+  entry is released at once (a cursor over a kept list would hold the
+  whole schedule until the end of the run).
 """
 
 from __future__ import annotations
 
 import heapq
+from operator import attrgetter
 from typing import Any, Callable, Iterable, List, Optional, Sequence, Tuple
 
 from repro.errors import SimulationError
 from repro.sim.events import Event
 
-#: Canceled events are compacted out of the heap only past this size, so
-#: small simulations never pay the (cheap) rebuild.
+#: Canceled events are compacted out of the event list only past this
+#: size, so small simulations never pay the (cheap) rebuild.
 _COMPACT_MIN_CANCELED = 64
+
+_event_time = attrgetter("time")
 
 
 class Simulator:
@@ -39,9 +54,12 @@ class Simulator:
     def __init__(self, start_time: float = 0.0) -> None:
         self._now = start_time
         self._seq = 0
-        self._heap: List[Event] = []
+        self._heap: List[Tuple[float, int, Event]] = []
+        # Sorted by (time, seq), latest first: the next event is at the end.
+        self._run: List[Event] = []
         self._pending = 0
-        self._canceled_in_heap = 0
+        # Canceled events not yet dropped from either tier.
+        self._canceled_queued = 0
         self._running = False
         self._trace: List[Tuple[float, str]] = []
         self._trace_enabled = False
@@ -94,29 +112,33 @@ class Simulator:
         """Number of not-yet-fired, not-canceled events in the queue.
 
         Maintained as a live counter (decremented on cancel and fire)
-        rather than an O(n) scan of the heap.
+        rather than an O(n) scan of the event list.
         """
         return self._pending
 
     def _event_canceled(self) -> None:
         self._pending -= 1
-        canceled = self._canceled_in_heap + 1
-        self._canceled_in_heap = canceled
-        if canceled >= _COMPACT_MIN_CANCELED and canceled * 2 > len(self._heap):
+        canceled = self._canceled_queued + 1
+        self._canceled_queued = canceled
+        if canceled >= _COMPACT_MIN_CANCELED and canceled * 2 > len(
+            self._heap
+        ) + len(self._run):
             self._compact()
 
     def _compact(self) -> None:
-        """Drop canceled events from the heap and restore heap order.
+        """Drop canceled events from both tiers and restore heap order.
 
         Rebuilds *in place* (slice assignment) so that a ``run`` loop
-        holding a local reference to the heap keeps seeing the live
-        structure even when a callback's cancellations trigger
+        holding local references to the tiers keeps seeing the live
+        structures even when a callback's cancellations trigger
         compaction mid-run.
         """
         heap = self._heap
-        heap[:] = [event for event in heap if not event._canceled]
+        heap[:] = [entry for entry in heap if not entry[2]._canceled]
         heapq.heapify(heap)
-        self._canceled_in_heap = 0
+        run = self._run
+        run[:] = [event for event in run if not event._canceled]
+        self._canceled_queued = 0
 
     # -- scheduling ---------------------------------------------------------
 
@@ -132,9 +154,9 @@ class Simulator:
         Returns the :class:`Event`, which the caller may cancel.
 
         Raises:
-            SimulationError: if ``delay`` is negative.
+            SimulationError: if ``delay`` is negative or NaN.
         """
-        if delay < 0:
+        if not delay >= 0:
             raise SimulationError(f"cannot schedule into the past (delay={delay})")
         return self.schedule_at(self._now + delay, callback, *args, label=label)
 
@@ -148,15 +170,16 @@ class Simulator:
         """Schedule ``callback(*args)`` at absolute simulation ``time``.
 
         Raises:
-            SimulationError: if ``time`` is before the current clock.
+            SimulationError: if ``time`` is before the current clock or NaN.
         """
-        if time < self._now:
+        if not time >= self._now:
             raise SimulationError(
                 f"cannot schedule at t={time} before current time t={self._now}"
             )
-        event = Event(time, self._seq, callback, args, label, self._event_canceled)
-        self._seq += 1
-        heapq.heappush(self._heap, event)
+        seq = self._seq
+        event = Event(time, seq, callback, args, label, self._event_canceled)
+        self._seq = seq + 1
+        heapq.heappush(self._heap, (time, seq, event))
         self._pending += 1
         return event
 
@@ -172,13 +195,14 @@ class Simulator:
         tiebreak among equal timestamps matches an equivalent series of
         :meth:`schedule_at` calls exactly.
 
-        Large batches are merged with one O(n) ``heapify`` instead of
-        n ``heappush`` calls — this is the API the workload generators
-        and the scenario runner use to pre-load entire timelines.
+        A large batch never enters the heap: it is merged into the
+        sorted run (one stable sort on ``time`` of the seq-ordered
+        events) — this is the API the workload generators and the
+        scenario runner use to pre-load entire timelines.
 
         Raises:
-            SimulationError: if any entry's time is before the clock
-                (no events from the batch are scheduled in that case).
+            SimulationError: if any entry's time is before the clock or
+                NaN (no events from the batch are scheduled in that case).
         """
         now = self._now
         seq = self._seq
@@ -186,7 +210,7 @@ class Simulator:
         events: List[Event] = []
         for entry in entries:
             time = entry[0]
-            if time < now:
+            if not time >= now:
                 raise SimulationError(
                     f"cannot schedule at t={time} before current time t={now}"
                 )
@@ -198,12 +222,18 @@ class Simulator:
             return events
         self._seq = seq
         heap = self._heap
-        if len(events) < 8 or len(events) * 4 < len(heap):
+        run = self._run
+        if len(events) < 8 or len(events) * 4 < len(heap) + len(run):
             for event in events:
-                heapq.heappush(heap, event)
+                heapq.heappush(heap, (event.time, event.seq, event))
         else:
-            heap.extend(events)
-            heapq.heapify(heap)
+            # Every queued run entry has a lower seq than the batch, so
+            # a stable sort on time alone yields (time, seq) order.  In
+            # place: a ``run`` loop may hold a reference to the list.
+            run.reverse()
+            run.extend(events)
+            run.sort(key=_event_time)
+            run.reverse()
         self._pending += len(events)
         return events
 
@@ -211,10 +241,15 @@ class Simulator:
 
     def step(self) -> bool:
         """Fire the single next event.  Returns False if the queue is empty."""
-        while self._heap:
-            event = heapq.heappop(self._heap)
+        heap = self._heap
+        run = self._run
+        while heap or run:
+            if run and (not heap or (run[-1].time, run[-1].seq) < heap[0][:2]):
+                event = run.pop()
+            else:
+                event = heapq.heappop(heap)[2]
             if event._canceled:
-                self._canceled_in_heap -= 1
+                self._canceled_queued -= 1
                 continue
             self._now = event.time
             if self._trace_enabled and event.label:
@@ -242,19 +277,40 @@ class Simulator:
         if self._running:
             raise SimulationError("Simulator.run() is not re-entrant")
         self._running = True
-        # The inner loop is the hottest code in the repository: bind the
-        # heap and heappop to locals and fire events inline (the
+        # The inner loop is the hottest code in the repository: bind
+        # both tiers and heappop to locals and fire events inline (the
         # canceled re-check of Event.fire is redundant here — nothing
         # can cancel the head between the pop and the call below).
         heap = self._heap
+        run = self._run
         pop = heapq.heappop
         fired = 0
         try:
-            while heap:
-                head = heap[0]
+            while True:
+                # The next event is the earlier, by (time, seq), of the
+                # heap's head and the run's tail.
+                if run:
+                    head = run[-1]
+                    from_run = True
+                    if heap:
+                        entry = heap[0]
+                        time = entry[0]
+                        if time < head.time or (
+                            time == head.time and entry[1] < head.seq
+                        ):
+                            head = entry[2]
+                            from_run = False
+                elif heap:
+                    head = heap[0][2]
+                    from_run = False
+                else:
+                    break
                 if head._canceled:
-                    pop(heap)
-                    self._canceled_in_heap -= 1
+                    if from_run:
+                        run.pop()
+                    else:
+                        pop(heap)
+                    self._canceled_queued -= 1
                     continue
                 if until is not None and head.time > until:
                     break
@@ -262,7 +318,10 @@ class Simulator:
                     raise SimulationError(
                         f"exceeded max_events={max_events}; runaway event loop?"
                     )
-                pop(heap)
+                if from_run:
+                    run.pop()
+                else:
+                    pop(heap)
                 self._now = head.time
                 self._pending -= 1
                 if self._trace_enabled and head.label:

@@ -99,7 +99,7 @@ class Process:
             if self._on_complete is not None:
                 self._on_complete(stop.value)
             return
-        if not isinstance(delay, (int, float)) or delay < 0:
+        if not isinstance(delay, (int, float)) or not delay >= 0:
             self._generator.close()
             self._done = True
             if self._span is not None:

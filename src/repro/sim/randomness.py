@@ -11,7 +11,8 @@ from __future__ import annotations
 import hashlib
 import math
 import random
-from typing import Dict, Sequence, TypeVar
+from functools import partial
+from typing import Callable, Dict, Sequence, TypeVar
 
 T = TypeVar("T")
 
@@ -78,15 +79,27 @@ class RandomStreams:
         A ``cv`` of 0 returns ``mean`` exactly, which lets latency models be
         made deterministic for calibration tests.
         """
+        return self.lognormal_sampler(name, mean, cv)()
+
+    def lognormal_sampler(
+        self, name: str, mean: float, cv: float
+    ) -> Callable[[], float]:
+        """A zero-argument draw: each call is one :meth:`lognormal` sample.
+
+        Validation and the ``(mu, sigma)`` arithmetic happen once, here;
+        the returned callable only draws from the ``name`` substream, so
+        a caller sampling one distribution many times pays for the
+        draw alone.
+        """
         if mean <= 0:
             raise ValueError(f"lognormal mean must be positive, got {mean}")
         if cv < 0:
             raise ValueError(f"coefficient of variation must be >= 0, got {cv}")
         if cv == 0:
-            return mean
+            return lambda: mean
         sigma2 = math.log(1.0 + cv * cv)
         mu = math.log(mean) - sigma2 / 2.0
-        return self.stream(name).lognormvariate(mu, math.sqrt(sigma2))
+        return partial(self.stream(name).lognormvariate, mu, math.sqrt(sigma2))
 
     def exponential(self, name: str, mean: float) -> float:
         """Draw an exponential sample with the given mean (> 0)."""

@@ -49,6 +49,32 @@ class TestScheduling:
         with pytest.raises(SimulationError):
             sim.schedule_at(5.0, lambda: None)
 
+    def test_nan_time_rejected_and_order_kept(self):
+        # NaN fails both `delay < 0` and `time < now`; as a heap key it
+        # breaks the ordering of every event pushed after it.
+        sim = Simulator()
+        fired = []
+        sim.schedule(1.0, fired.append, "a")
+        with pytest.raises(SimulationError):
+            sim.schedule(float("nan"), fired.append, "nan")
+        with pytest.raises(SimulationError):
+            sim.schedule_at(float("nan"), fired.append, "nan")
+        sim.schedule(2.0, fired.append, "b")
+        sim.schedule(0.5, fired.append, "c")
+        assert sim.pending == 3
+        sim.run()
+        assert fired == ["c", "a", "b"]
+
+    def test_infinite_time_is_legal(self):
+        sim = Simulator()
+        fired = []
+        sim.schedule(float("inf"), fired.append, "never-ish")
+        sim.schedule_many([(float("inf"), fired.append, (i,)) for i in range(10)])
+        sim.schedule(1.0, fired.append, "first")
+        assert sim.run(until=1e12) == 1
+        assert sim.run() == 11
+        assert fired == ["first", "never-ish"] + list(range(10))
+
     def test_events_scheduled_during_run_fire(self):
         sim = Simulator()
         fired = []
@@ -248,6 +274,16 @@ class TestScheduleMany:
         assert sim.pending == 0
         assert sim.run() == 0
 
+    @pytest.mark.parametrize("size", [3, 40])
+    def test_nan_time_rejected_atomically(self, size):
+        sim = Simulator()
+        entries = [(float(i + 1), lambda: None) for i in range(size)]
+        entries[size // 2] = (float("nan"), lambda: None)
+        with pytest.raises(SimulationError):
+            sim.schedule_many(entries)
+        assert sim.pending == 0
+        assert sim.run() == 0
+
     def test_empty_batch(self):
         sim = Simulator()
         assert sim.schedule_many([]) == []
@@ -313,7 +349,7 @@ class TestCompaction:
         for event in events[::4]:
             event.cancel()
         assert sim.run() == 150
-        assert sim._canceled_in_heap == 0
+        assert sim._canceled_queued == 0
 
 
 class TestTimeSource:

@@ -91,6 +91,22 @@ class TestProcessErrors:
         with pytest.raises(SimulationError):
             sim.run()
 
+    def test_nan_yield_rejected(self):
+        sim = Simulator()
+        sim.schedule(3.0, lambda: None)
+
+        def activity():
+            yield 1.0
+            yield float("nan")
+
+        process = Process(sim, activity())
+        with pytest.raises(SimulationError):
+            sim.run()
+        assert process.done
+        assert sim.now == 1.0
+        sim.run()
+        assert sim.now == 3.0
+
     def test_non_numeric_yield_rejected(self):
         sim = Simulator()
 

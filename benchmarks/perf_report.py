@@ -2,7 +2,8 @@
 
 Measures per-call latency of :meth:`RwaEngine.plan` on the Fig. 4
 testbed and on generated 16/32-PoP Waxman backbones, cold (route cache
-disabled, every call pays Yen's k-shortest-paths) versus warm (cache
+disabled, every call pays the route search: one BFS for the shortest
+route, Yen's spurs only if that route fails) versus warm (cache
 enabled and primed).  The JSON file gives future PRs a perf trajectory
 to compare against.
 

@@ -268,10 +268,7 @@ class GriphonController:
 
     def wavelength_rates(self) -> List[float]:
         """Line rates for which any node has transponders installed."""
-        rates = set()
-        for pool in self.inventory.transponders.values():
-            rates |= pool.rates
-        return sorted(rates)
+        return sorted(self.inventory.wavelength_rates)
 
     # -- signal quality ---------------------------------------------------------
 

@@ -15,7 +15,7 @@ baseline, is exactly experiment X3.
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional, Tuple
+from typing import Callable, FrozenSet, List, Optional, Tuple
 
 from repro.core.inventory import InventoryDatabase
 from repro.errors import CapacityExceededError, NoPathError, ResourceError
@@ -42,6 +42,8 @@ class GroomingEngine:
         self._inventory = inventory
         self._protection = protection
         self._line_factory = line_factory
+        #: (graph generation, OTN-switch sites, nodes without a switch).
+        self._switchless: Optional[Tuple[int, FrozenSet[str], Tuple[str, ...]]] = None
 
     # -- routing -----------------------------------------------------------------
 
@@ -57,18 +59,32 @@ class GroomingEngine:
         Raises:
             NoPathError: if the switch mesh does not connect the endpoints.
         """
-        switchless = [
-            node.name
-            for node in self._inventory.graph.nodes
-            if node.name not in self._inventory.otn_switches
-            and node.name not in (source, destination)
-        ]
         return self._inventory.graph.shortest_path(
             source,
             destination,
             excluded_links=excluded_links,
-            excluded_nodes=tuple(switchless) + tuple(excluded_nodes),
+            # shortest_path never bans its own endpoints.
+            excluded_nodes=self._switchless_nodes() + tuple(excluded_nodes),
         )
+
+    def _switchless_nodes(self) -> Tuple[str, ...]:
+        """Nodes hosting no OTN switch, rebuilt only when that can change."""
+        graph = self._inventory.graph
+        sites = self._inventory.otn_switches.keys()
+        cached = self._switchless
+        if (
+            cached is None
+            or cached[0] != graph.generation
+            or cached[1] != sites
+        ):
+            cached = self._switchless = (
+                graph.generation,
+                frozenset(sites),
+                tuple(
+                    node.name for node in graph.nodes if node.name not in sites
+                ),
+            )
+        return cached[2]
 
     def ensure_line(self, a: str, b: str, slots_needed: int) -> OtnLine:
         """A working line a->b with room, creating one if needed and possible.

@@ -11,7 +11,7 @@ always match the topology, FXC ports get labeled, etc.).
 from __future__ import annotations
 
 import itertools
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Set
 
 from repro.errors import ConfigurationError, ResourceError, TopologyError
 from repro.optical.fiber import FiberPlant
@@ -40,6 +40,10 @@ class InventoryDatabase:
         self.plant = FiberPlant(graph, self.grid)
         self.roadms: Dict[str, Roadm] = {}
         self.transponders: Dict[str, TransponderPool] = {}
+        # Line rates with a transponder installed anywhere: the union of
+        # every pool's rates, kept here so an order does not scan all
+        # pools to learn it.
+        self.wavelength_rates: Set[float] = set()
         self.regens: Dict[str, RegenPool] = {}
         self.fxcs: Dict[str, FiberCrossConnect] = {}
         self.ntes: Dict[str, NetworkTerminatingEquipment] = {}
@@ -88,6 +92,7 @@ class InventoryDatabase:
         if pool is None:
             raise ConfigurationError(f"no ROADM installed at {node}")
         pool.install(line_rate_bps, count)
+        self.wavelength_rates.add(line_rate_bps)
 
     def install_regens(self, node: str, line_rate_bps: float, count: int) -> None:
         """Install regenerators at a node's pool."""

@@ -1,9 +1,14 @@
 """Generation-stamped LRU cache for RWA candidate routes.
 
-Yen's k-shortest-paths dominates the cost of :meth:`RwaEngine.plan`;
-on a warm controller most requests repeat (source, destination) pairs
-against an unchanged topology, so the candidate routes can be reused
-wholesale.  Correctness comes from two monotonic counters:
+Route search is the part of :meth:`RwaEngine.plan` that does not depend
+on wavelength occupancy, and on a warm controller most requests repeat
+(source, destination) pairs against an unchanged topology, so the
+searched routes can be reused wholesale.  The engine plans shortest
+first: it looks up the ``k = 1`` entry (one BFS on a miss) and asks for
+the full ``k = k_paths`` entry (Yen's spur searches on a miss) only when
+the shortest route is down or has no free wavelength — ``k`` is part of
+the key, so the two live side by side and a warm plan is one hit.
+Correctness comes from two monotonic counters:
 
 * the topology **generation** (:attr:`NetworkGraph.generation`), bumped
   on every ``add_node``/``add_link``;
@@ -77,29 +82,18 @@ class RouteCache:
         A stale entry (either stamp moved) is evicted and counted as an
         invalidation plus a miss.
         """
-        entry = self._entries.get(key)
-        if entry is None:
-            self.misses += 1
-            return None
-        cached_generation, cached_epoch, routes = entry
-        if cached_generation != generation or cached_epoch != epoch:
-            del self._entries[key]
-            self.invalidations += 1
-            self.misses += 1
-            return None
-        self._entries.move_to_end(key)
-        self.hits += 1
+        routes = self.get_ref(key, generation, epoch)
         # Copy the outer list: callers may filter/reorder candidates.
-        return list(routes)
+        return None if routes is None else list(routes)
 
     def get_ref(
         self, key: RouteKey, generation: int, epoch: int
     ) -> Optional[List[List[str]]]:
         """Like :meth:`get` but returns the cached list itself, uncopied.
 
-        For read-only callers on a hot path (the batched planner serves
-        the same routes to many requests in one round); the caller must
-        not mutate the returned list or its paths.
+        For read-only callers on a hot path (the planner only iterates
+        the routes); the caller must not mutate the returned list or its
+        paths.
         """
         entry = self._entries.get(key)
         if entry is None:

@@ -2,8 +2,10 @@
 
 Given a request between two ROADM nodes at a line rate, the engine:
 
-1. enumerates k shortest candidate routes (hop-count metric by default,
-   matching how the testbed paths are described in Table 2);
+1. walks the k shortest candidate routes (hop-count metric by default,
+   matching how the testbed paths are described in Table 2) shortest
+   first, searching for the other k - 1 only when the shortest is down
+   or cannot be assigned;
 2. segments each route at regenerator sites dictated by the optical
    reach model (a regen resets both the impairment budget *and* the
    wavelength-continuity constraint);
@@ -27,7 +29,8 @@ round cannot be assigned a wavelength an earlier one already won.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from itertools import islice
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from repro.errors import (
     ConfigurationError,
@@ -483,18 +486,14 @@ class RwaEngine:
             for srlg in graph.srlgs_on_path(avoid_srlgs_of):
                 banned_links |= {link.key for link in graph.links_in_srlg(srlg)}
             banned_nodes |= set(avoid_srlgs_of[1:-1])
-        candidates = self._candidate_routes(
-            source, destination, banned_links, banned_nodes, round_ctx
-        )
-        live_candidates = [
-            path for path in candidates if self._path_is_up(path, round_ctx)
-        ]
-        if not live_candidates:
-            raise NoPathError(
-                f"all candidate routes {source} -> {destination} are failed"
-            )
+        live = 0
         failures = []
-        for path in live_candidates:
+        for path in self._routes_shortest_first(
+            source, destination, banned_links, banned_nodes, round_ctx
+        ):
+            if not self._path_is_up(path, round_ctx):
+                continue
+            live += 1
             try:
                 segments, regen_sites = self._assign(path, rate_bps, round_ctx)
             except (WavelengthBlockedError, SignalError) as exc:
@@ -503,35 +502,71 @@ class RwaEngine:
                 failures.append(str(exc))
                 continue
             return RwaPlan(path, segments, regen_sites, rate_bps)
+        if not live:
+            raise NoPathError(
+                f"all candidate routes {source} -> {destination} are failed"
+            )
         raise WavelengthBlockedError(
-            f"no wavelength assignment on any of {len(live_candidates)} routes "
+            f"no wavelength assignment on any of {live} routes "
             f"{source} -> {destination}: " + "; ".join(failures)
         )
 
     # -- internals ------------------------------------------------------------
 
-    def _candidate_routes(
+    def _routes_shortest_first(
         self,
         source: str,
         destination: str,
         banned_links: set,
         banned_nodes: set,
         round_ctx: Optional["_PlanningRound"] = None,
+    ) -> Iterator[List[str]]:
+        """The ``k_paths`` candidate routes, searched only as far as read.
+
+        Nearly every plan takes the shortest route, so that one is
+        fetched alone (``k = 1``: a single search, no Yen spurs); the
+        full ``k_paths`` list is asked for only when the caller comes
+        back for more because the shortest was down or unassignable.
+        Yen's first path does not depend on ``k``, so the sequence
+        yielded equals ``k_shortest_paths(..., k_paths)`` exactly.
+        """
+        yield self._candidate_routes(
+            source, destination, 1, banned_links, banned_nodes, round_ctx
+        )[0]
+        if self._k_paths > 1:
+            yield from islice(
+                self._candidate_routes(
+                    source, destination, self._k_paths,
+                    banned_links, banned_nodes, round_ctx,
+                ),
+                1,
+                None,
+            )
+
+    def _candidate_routes(
+        self,
+        source: str,
+        destination: str,
+        k: int,
+        banned_links: set,
+        banned_nodes: set,
+        round_ctx: Optional["_PlanningRound"] = None,
     ) -> List[List[str]]:
-        """K-shortest candidate routes, served from the cache when fresh.
+        """The ``k`` shortest routes, served from the cache when fresh.
 
         Entries are stamped with the topology generation and fiber-plant
         failure epoch; "no path" outcomes are cached as an empty route
         list so repeated blocked requests stay cheap too.  Within a
         planning round the result (or the NoPathError) is additionally
-        memoized on the round, skipping even the LRU lookup and its
-        defensive copy for repeated routes.
+        memoized on the round, skipping even the LRU lookup for repeated
+        routes.  The returned list is the cached one: read-only.
         """
         memo_key = None
         if round_ctx is not None:
             memo_key = (
                 source,
                 destination,
+                k,
                 frozenset(banned_links),
                 frozenset(banned_nodes),
             )
@@ -542,8 +577,7 @@ class RwaEngine:
                 return memoized  # type: ignore[return-value]
         try:
             routes = self._routes_from_cache(
-                source, destination, banned_links, banned_nodes,
-                copy=round_ctx is None,
+                source, destination, k, banned_links, banned_nodes
             )
         except NoPathError as exc:
             if memo_key is not None:
@@ -557,27 +591,24 @@ class RwaEngine:
         self,
         source: str,
         destination: str,
+        k: int,
         banned_links: set,
         banned_nodes: set,
-        copy: bool = True,
     ) -> List[List[str]]:
         """The LRU-cache-backed route lookup behind :meth:`_candidate_routes`."""
+        graph = self._inventory.graph
         if self._cache is None:
-            return self._inventory.graph.k_shortest_paths(
+            return graph.k_shortest_paths(
                 source,
                 destination,
-                self._k_paths,
+                k,
                 excluded_links=banned_links,
                 excluded_nodes=banned_nodes,
             )
-        graph = self._inventory.graph
         generation = graph.generation
         epoch = self._inventory.plant.failure_epoch
-        key = make_route_key(
-            source, destination, self._k_paths, banned_links, banned_nodes
-        )
-        lookup = self._cache.get if copy else self._cache.get_ref
-        cached = lookup(key, generation, epoch)
+        key = make_route_key(source, destination, k, banned_links, banned_nodes)
+        cached = self._cache.get_ref(key, generation, epoch)
         if cached is not None:
             if not cached:
                 raise NoPathError(f"no path from {source!r} to {destination!r}")
@@ -586,7 +617,7 @@ class RwaEngine:
             routes = graph.k_shortest_paths(
                 source,
                 destination,
-                self._k_paths,
+                k,
                 excluded_links=banned_links,
                 excluded_nodes=banned_nodes,
             )

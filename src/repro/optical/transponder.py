@@ -9,7 +9,7 @@ the FXC-based dynamic sharing of transponders worthwhile (paper §2.2).
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, Optional, Set
+from typing import Dict, Iterator, List, Optional
 
 from repro.errors import (
     ConfigurationError,
@@ -139,7 +139,6 @@ class TransponderPool:
         self.node = node
         self._grid = grid
         self._transponders: Dict[str, Transponder] = {}
-        self._rates: Set[float] = set()
         self._counter = 0
 
     def install(self, line_rate_bps: float, count: int = 1) -> List[Transponder]:
@@ -153,18 +152,12 @@ class TransponderPool:
             ot = Transponder(ot_id, self.node, line_rate_bps, self._grid)
             self._transponders[ot_id] = ot
             created.append(ot)
-        self._rates.add(line_rate_bps)
         return created
 
     @property
     def transponders(self) -> List[Transponder]:
         """All installed OTs."""
         return list(self._transponders.values())
-
-    @property
-    def rates(self) -> Set[float]:
-        """Line rates with at least one OT installed here."""
-        return set(self._rates)
 
     def get(self, ot_id: str) -> Transponder:
         """Look up an OT by id.

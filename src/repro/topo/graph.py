@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import heapq
 import itertools
-from collections import deque
 from dataclasses import dataclass
 from typing import (
     Callable,
@@ -452,17 +451,26 @@ class NetworkGraph:
         if source == target:
             return [source]
         neighbors_of = self._sorted_neighbors
-        previous: Dict[str, str] = {source: source}
-        queue = deque()
-        current = source
-        while True:
+        # One membership test per edge: a banned node looks already
+        # discovered, the link-key test runs only when a link is banned,
+        # and banned_hops bind the source's expansion only.
+        previous: Dict[str, Optional[str]] = dict.fromkeys(banned_nodes)
+        previous[source] = source
+        queue: List[str] = []  # FIFO: read front to back while it grows
+        for neighbor, key, _ in neighbors_of(source):
+            if (
+                neighbor in previous
+                or neighbor in banned_hops
+                or key in banned_links
+            ):
+                continue
+            previous[neighbor] = source
+            if neighbor == target:
+                return [source, target]
+            queue.append(neighbor)
+        for current in queue:
             for neighbor, key, _ in neighbors_of(current):
-                if (
-                    neighbor in previous
-                    or neighbor in banned_nodes
-                    or key in banned_links
-                    or neighbor in banned_hops
-                ):
+                if neighbor in previous or (banned_links and key in banned_links):
                     continue
                 previous[neighbor] = current
                 if neighbor == target:
@@ -470,10 +478,7 @@ class NetworkGraph:
                     # good, so the path is known before target is dequeued.
                     return self._reconstruct(previous, source, target)
                 queue.append(neighbor)
-            if not queue:
-                raise NoPathError(f"no path from {source!r} to {target!r}")
-            banned_hops = ()  # they bind the source's expansion only
-            current = queue.popleft()
+        raise NoPathError(f"no path from {source!r} to {target!r}")
 
     def _dijkstra_path(
         self,

@@ -69,13 +69,14 @@ class ModelKernel:
         return [self._add(time, callback, args) for time, callback, args in entries]
 
     def _next(self, until=None):
-        live = sorted(
+        first = min(
             (e for e in self._events if not e.canceled and not e.fired),
             key=lambda e: (e.time, e.seq),
+            default=None,
         )
-        if not live or (until is not None and live[0].time > until):
+        if first is None or (until is not None and first.time > until):
             return None
-        return live[0]
+        return first
 
     def _fire(self, event):
         self.now = event.time
@@ -202,7 +203,7 @@ PROGRAMS = st.lists(
 )
 
 
-@settings(max_examples=120, deadline=None)
+@settings(max_examples=120, deadline=None, derandomize=True)
 @given(PROGRAMS)
 # A pre-loaded run, mass-canceled into compaction, then drained.
 @example(

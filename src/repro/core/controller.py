@@ -1377,10 +1377,10 @@ class GriphonController:
         fxc = self.inventory.fxcs.get(pop)
         if fxc is None:
             return  # a PoP without an FXC is hard-wired
-        free = fxc.free_ports()
-        if len(free) < 2:
+        pair = fxc.first_free_pair()
+        if pair is None:
             raise ResourceError(f"FXC at {pop} has no free port pair")
-        a, b = free[0], free[1]
+        a, b = pair
         fxc.connect(a, b, owner)
         fxc.label_port(a, label_a)
         fxc.label_port(b, label_b)

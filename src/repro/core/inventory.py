@@ -28,6 +28,13 @@ from repro.otn.switch import OtnSwitch
 from repro.topo.graph import NetworkGraph
 from repro.units import GBPS
 
+#: Kinds of ledger entry (see ``InventoryDatabase.holdings``).
+HELD_OT = "ot"  # (kind, Transponder)
+HELD_REGEN = "regen"  # (kind, Regenerator)
+HELD_PORT = "port"  # (kind, Roadm, AddDropPort)
+HELD_EXPRESS = "express"  # (kind, Roadm, degree_in, degree_out, channel)
+HELD_CHANNEL = "channel"  # (kind, DwdmLink, channel)
+
 
 class InventoryDatabase:
     """All network resources, indexed for the controller."""
@@ -54,6 +61,10 @@ class InventoryDatabase:
         # Live resource records.
         self.lightpaths: Dict[str, Lightpath] = {}
         self.circuits: Dict[str, OduCircuit] = {}
+        # The holdings ledger: per live lightpath id, one flat list of
+        # what its claim took.  Release walks it and drops it; the
+        # auditor checks it against what the elements say they carry.
+        self.holdings: Dict[str, List[tuple]] = {}
         # Provisioned amplifier gain per link key (dB).  The controller
         # records each chain's target at build time; the invariant
         # auditor cross-checks the live EMS setting against this.

@@ -5,9 +5,14 @@ behaves:
 
 1. **Claim** (instantaneous): when the controller accepts an order it
    locks every resource — transponders, regenerators, ROADM ports and
-   cross-connects, wavelength channels — in its inventory.  A partial
-   failure rolls everything back and raises, so a blocked order leaves
-   no residue.
+   cross-connects, wavelength channels — in its inventory, and records
+   each one as it is taken in the lightpath's *holdings ledger*
+   (``InventoryDatabase.holdings``).  The ledger is the rollback list of
+   a claim that fails part-way (a blocked order leaves no residue) and
+   the list :meth:`LightpathProvisioner.release` walks later, so both
+   cost what the lightpath holds, not what the nodes on its path have
+   installed; it is dropped on release, and the auditor checks it
+   against the elements' own state.
 
 2. **Execute** (simulated time): the EMS configuration steps and optical
    tasks run as a generator that yields step durations.  This phase is
@@ -19,9 +24,16 @@ behaves:
 
 from __future__ import annotations
 
-from typing import Callable, Generator, List, Optional, Tuple
+from typing import Callable, Dict, Generator, List, Optional, Sequence, Tuple
 
-from repro.core.inventory import InventoryDatabase
+from repro.core.inventory import (
+    HELD_CHANNEL,
+    HELD_EXPRESS,
+    HELD_OT,
+    HELD_PORT,
+    HELD_REGEN,
+    InventoryDatabase,
+)
 from repro.core.rwa import RwaPlan
 from repro.errors import EquipmentError, GriphonError, TransponderUnavailableError
 from repro.ems.latency import LatencyModel
@@ -117,70 +129,68 @@ class LightpathProvisioner:
             EquipmentError: when a resource is gone; all partial
             allocations are rolled back first.
         """
-        lightpath_id = self._inventory.next_lightpath_id()
+        inv = self._inventory
+        owner = inv.next_lightpath_id()
         lightpath = Lightpath(
-            lightpath_id,
+            owner,
             list(plan.path),
             plan.rate_bps,
-            segments=[seg for seg in plan.segments],
+            segments=list(plan.segments),
             regen_sites=list(plan.regen_sites),
         )
-        undo: List[Callable[[], None]] = []
+        held: List[tuple] = []
         try:
-            self._claim_end_transponders(lightpath, reuse_ots, undo)
-            self._claim_regens(lightpath, undo)
-            self._claim_roadm_crossconnects(lightpath, undo)
-            self._claim_channels(lightpath, undo)
+            self._claim_end_transponders(lightpath, reuse_ots, held)
+            for node in lightpath.regen_sites:
+                regen = inv.regens[node].allocate(lightpath.rate_bps, owner)
+                held.append((HELD_REGEN, regen))
+                lightpath.regen_ids.append(regen.regen_id)
+            self._claim_roadm_crossconnects(lightpath, held)
+            for segment in lightpath.segments:
+                channel = segment.channel
+                for u, v in zip(segment.nodes, segment.nodes[1:]):
+                    link = inv.plant.dwdm_link(u, v)
+                    link.occupy(channel, owner)
+                    held.append((HELD_CHANNEL, link, channel))
         except GriphonError:
-            for action in reversed(undo):
-                action()
+            self._let_go(held, owner)
             raise
-        self._inventory.register_lightpath(lightpath)
+        inv.register_lightpath(lightpath)
+        inv.holdings[owner] = held
         return lightpath
 
     def release(self, lightpath: Lightpath) -> None:
         """Free every resource a lightpath holds (bookkeeping only)."""
         owner = lightpath.lightpath_id
-        inv = self._inventory
-        # Channels.
-        for segment in lightpath.segments:
-            for u, v in zip(segment.nodes, segment.nodes[1:]):
-                link = inv.plant.dwdm_link(u, v)
-                if link.owner_of(segment.channel) == owner:
-                    link.release(segment.channel, owner)
-        # ROADM cross-connects.  Add/drop ports are only ever taken on
-        # the route's own ROADMs (_claim_roadm_crossconnects).
-        for node in lightpath.path:
-            roadm = inv.roadms.get(node)
-            if roadm is None:
-                continue
-            for port in roadm.ports:
-                if port.owner == owner:
-                    roadm.disconnect_add_drop(port.port_id, owner)
-        for segment in lightpath.segments:
-            nodes = segment.nodes
-            for i in range(1, len(nodes) - 1):
-                roadm = inv.roadms.get(nodes[i])
-                if roadm is None:
-                    continue
-                try:
-                    roadm.disconnect_express(
-                        nodes[i - 1], nodes[i + 1], segment.channel, owner
-                    )
-                except GriphonError:
-                    pass  # already removed or was a regen hop
-        # Transponders and regens.
-        for ot_id in lightpath.ot_ids:
-            node = ot_id.split(":")[1]
-            ot = inv.transponders[node].get(ot_id)
-            if ot.owner == owner:
-                ot.release(owner)
-        for regen_id in lightpath.regen_ids:
-            node = regen_id.split(":")[1]
-            for regen in inv.regens[node].regenerators:
-                if regen.regen_id == regen_id and regen.owner == owner:
-                    regen.release(owner)
-        inv.forget_lightpath(lightpath.lightpath_id)
+        self._let_go(self._inventory.holdings.pop(owner, ()), owner)
+        self._inventory.forget_lightpath(owner)
+
+    @staticmethod
+    def _let_go(held: Sequence[tuple], owner: str) -> None:
+        """Give back what a ledger lists, skipping what is no longer ours.
+
+        Shared by :meth:`release` and a failed :meth:`claim`'s rollback.
+        Every entry is guarded by an O(1) "still mine?" read, so an end
+        transponder handed to a restoration path (``reuse_ots``) or a
+        release that follows the saga's compensation frees nothing twice.
+        """
+        for entry in reversed(held):
+            kind, element = entry[0], entry[1]
+            if kind == HELD_CHANNEL:
+                if element.owner_of(entry[2]) == owner:
+                    element.release(entry[2], owner)
+            elif kind == HELD_PORT:
+                if entry[2].owner == owner:
+                    element.disconnect_add_drop(entry[2].port_id, owner)
+            elif kind == HELD_EXPRESS:
+                # A recorded express stops being ours only by having been
+                # removed already, by an EMS command behind the controller's
+                # back (regen hops are never recorded): nothing to undo then.
+                hop = entry[2:]
+                if element.express_owner(*hop) == owner:
+                    element.disconnect_express(*hop, owner)
+            elif element.owner == owner:  # transponder or regenerator
+                element.release(owner)
 
     # -- phase 2: execute ---------------------------------------------------------
 
@@ -261,18 +271,7 @@ class LightpathProvisioner:
         Sequential EMS sums all steps; the parallel-EMS ablation runs
         steps within one stage concurrently (duration = stage max).
         """
-        if not self._parallel_ems:
-            return sum(duration for _, _, duration in steps)
-        total = 0.0
-        current_stage: Optional[str] = None
-        stage_max = 0.0
-        for stage, _, duration in steps:
-            if stage != current_stage:
-                total += stage_max
-                stage_max = 0.0
-                current_stage = stage
-            stage_max = max(stage_max, duration)
-        return total + stage_max
+        return sum(step[2] for step in self._stage_spans(steps))
 
     def setup_workflow(
         self,
@@ -306,16 +305,17 @@ class LightpathProvisioner:
             total = 0.0
             executed: List[Step] = []
             failure: Optional[EquipmentError] = None
-            for stage, label, duration in self._stage_spans(steps):
+            for step in self._stage_spans(steps):
                 # No span to open and no fault rule that can fire at this
                 # step: the general path below would only yield duration.
                 if span is NULL_SPAN and (
                     resilience is None or resilience.plan.empty
                 ):
-                    yield duration
-                    executed.append((stage, label, duration))
-                    total += duration
+                    yield step[2]
+                    executed.append(step)
+                    total += step[2]
                     continue
+                stage, label, duration = step
                 with span.child(f"ems.{stage}", label=label) as step_span:
                     if self._resilience is None:
                         yield duration
@@ -401,14 +401,15 @@ class LightpathProvisioner:
             steps = self.teardown_steps(lightpath, include_fxc)
             resilience = self._resilience
             total = 0.0
-            for stage, label, duration in self._stage_spans(steps):
+            for step in self._stage_spans(steps):
                 # As in setup_workflow: nothing to trace, no live fault rule.
                 if span is NULL_SPAN and (
                     resilience is None or resilience.plan.empty
                 ):
-                    yield duration
-                    total += duration
+                    yield step[2]
+                    total += step[2]
                     continue
+                stage, label, duration = step
                 with span.child(f"ems.{stage}", label=label) as step_span:
                     if self._resilience is None:
                         yield duration
@@ -435,114 +436,76 @@ class LightpathProvisioner:
     # -- claim internals --------------------------------------------------------
 
     def _claim_end_transponders(
-        self,
-        lightpath: Lightpath,
-        reuse_ots: Optional[List[str]],
-        undo: List[Callable[[], None]],
+        self, lightpath: Lightpath, reuse_ots: Optional[List[str]], held: List[tuple]
     ) -> None:
         owner = lightpath.lightpath_id
-        inv = self._inventory
-        if reuse_ots is not None:
-            if len(reuse_ots) != 2:
-                raise TransponderUnavailableError(
-                    f"reuse_ots needs exactly 2 ids, got {len(reuse_ots)}"
-                )
-            ends = (lightpath.source, lightpath.destination)
-            for node, ot_id in zip(ends, reuse_ots):
-                ot = inv.transponders[node].get(ot_id)
+        pools = self._inventory.transponders
+        ends = (lightpath.source, lightpath.destination)
+        if reuse_ots is not None and len(reuse_ots) != 2:
+            raise TransponderUnavailableError(
+                f"reuse_ots needs exactly 2 ids, got {len(reuse_ots)}"
+            )
+        for index, node in enumerate(ends):
+            if reuse_ots is not None:
+                ot = pools[node].get(reuse_ots[index])
                 ot.allocate(owner)
-                undo.append(lambda ot=ot: ot.release(owner))
-                lightpath.ot_ids.append(ot.ot_id)
-            return
-        for node in (lightpath.source, lightpath.destination):
-            ot = inv.transponders[node].allocate(lightpath.rate_bps, owner)
-            undo.append(lambda ot=ot: ot.release(owner))
+            else:
+                ot = pools[node].allocate(lightpath.rate_bps, owner)
+            held.append((HELD_OT, ot))
             lightpath.ot_ids.append(ot.ot_id)
 
-    def _claim_regens(
-        self, lightpath: Lightpath, undo: List[Callable[[], None]]
+    def _claim_add_drop(
+        self, node: str, degree: str, channel: int, owner: str, held: List[tuple]
     ) -> None:
-        owner = lightpath.lightpath_id
-        for node in lightpath.regen_sites:
-            regen = self._inventory.regens[node].allocate(lightpath.rate_bps, owner)
-            undo.append(lambda regen=regen: regen.release(owner))
-            lightpath.regen_ids.append(regen.regen_id)
+        roadm = self._inventory.roadms[node]
+        port = roadm.first_free_port(degree=degree, channel=channel)
+        if port is None:
+            raise TransponderUnavailableError(
+                f"no free add/drop port at {node} for channel {channel}"
+            )
+        roadm.connect_add_drop(port.port_id, degree, channel, owner)
+        held.append((HELD_PORT, roadm, port))
 
     def _claim_roadm_crossconnects(
-        self, lightpath: Lightpath, undo: List[Callable[[], None]]
+        self, lightpath: Lightpath, held: List[tuple]
     ) -> None:
         owner = lightpath.lightpath_id
-        inv = self._inventory
         path = lightpath.path
         regen_sites = set(lightpath.regen_sites)
-
-        def connect_port(node: str, degree: str, channel: int) -> None:
-            roadm = inv.roadms[node]
-            port = roadm.first_free_port(degree=degree, channel=channel)
-            if port is None:
-                raise TransponderUnavailableError(
-                    f"no free add/drop port at {node} for channel {channel}"
-                )
-            roadm.connect_add_drop(port.port_id, degree, channel, owner)
-            undo.append(
-                lambda: inv.roadms[node].disconnect_add_drop(port.port_id, owner)
-            )
-
         # End nodes: one add/drop port each.
-        connect_port(path[0], path[1], lightpath.segments[0].channel)
-        connect_port(path[-1], path[-2], lightpath.segments[-1].channel)
-        # Intermediate nodes, segment by segment.
-        channel_at: dict = {}
+        self._claim_add_drop(
+            path[0], path[1], lightpath.segments[0].channel, owner, held
+        )
+        self._claim_add_drop(
+            path[-1], path[-2], lightpath.segments[-1].channel, owner, held
+        )
+        # Intermediate nodes: the channel of the segment entering each
+        # node and of the one leaving it (they differ at a regen site).
+        into: Dict[str, int] = {}
+        out_of: Dict[str, int] = {}
         for segment in lightpath.segments:
-            for node in segment.nodes:
-                channel_at.setdefault(node, []).append(segment.channel)
+            for node in segment.nodes[1:]:
+                into.setdefault(node, segment.channel)
+            for node in segment.nodes[:-1]:
+                out_of.setdefault(node, segment.channel)
         for i, node in enumerate(path[1:-1], start=1):
             prev_node, next_node = path[i - 1], path[i + 1]
-            if node in regen_sites:
+            regenerated = node in regen_sites
+            channel = into.get(node)
+            outgoing = out_of.get(node) if regenerated else channel
+            if channel is None or outgoing is None:
+                raise TransponderUnavailableError(
+                    f"lightpath {owner} has no segment "
+                    f"{'into' if channel is None else 'out of'} {node}"
+                )
+            if regenerated:
                 # Drop the incoming segment, re-add the outgoing one.
-                incoming = self._segment_channel(lightpath, node, incoming=True)
-                outgoing = self._segment_channel(lightpath, node, incoming=False)
-                connect_port(node, prev_node, incoming)
-                connect_port(node, next_node, outgoing)
+                self._claim_add_drop(node, prev_node, channel, owner, held)
+                self._claim_add_drop(node, next_node, outgoing, owner, held)
             else:
-                channel = self._segment_channel(lightpath, node, incoming=True)
-                roadm = inv.roadms[node]
+                roadm = self._inventory.roadms[node]
                 roadm.connect_express(prev_node, next_node, channel, owner)
-                undo.append(
-                    lambda node=node, a=prev_node, b=next_node, ch=channel: (
-                        inv.roadms[node].disconnect_express(a, b, ch, owner)
-                    )
-                )
-
-    def _claim_channels(
-        self, lightpath: Lightpath, undo: List[Callable[[], None]]
-    ) -> None:
-        owner = lightpath.lightpath_id
-        inv = self._inventory
-        for segment in lightpath.segments:
-            for u, v in zip(segment.nodes, segment.nodes[1:]):
-                link = inv.plant.dwdm_link(u, v)
-                link.occupy(segment.channel, owner)
-                undo.append(
-                    lambda link=link, ch=segment.channel: link.release(ch, owner)
-                )
-
-    def _segment_channel(
-        self, lightpath: Lightpath, node: str, incoming: bool
-    ) -> int:
-        """The channel of the segment entering (or leaving) ``node``."""
-        for segment in lightpath.segments:
-            nodes = segment.nodes
-            if node in nodes:
-                index = nodes.index(node)
-                if incoming and index > 0:
-                    return segment.channel
-                if not incoming and index < len(nodes) - 1:
-                    return segment.channel
-        raise TransponderUnavailableError(
-            f"lightpath {lightpath.lightpath_id} has no segment "
-            f"{'into' if incoming else 'out of'} {node}"
-        )
+                held.append((HELD_EXPRESS, roadm, prev_node, next_node, channel))
 
     def _stage_spans(self, steps: List[Step]) -> List[Step]:
         """The timed intervals a workflow walks through, one per span.
@@ -552,7 +515,7 @@ class LightpathProvisioner:
         (duration = stage max), labeled with the merged step count.
         """
         if not self._parallel_ems:
-            return list(steps)
+            return steps
         merged: List[Step] = []
         current_stage: Optional[str] = None
         stage_max = 0.0
@@ -570,7 +533,3 @@ class LightpathProvisioner:
         if current_stage is not None:
             merged.append((current_stage, f"{count} ops (parallel)", stage_max))
         return merged
-
-    def _stage_durations(self, steps: List[Step]) -> List[float]:
-        """Durations to yield, honoring the sequential/parallel EMS mode."""
-        return [duration for _, _, duration in self._stage_spans(steps)]

@@ -125,10 +125,10 @@ class LatencyModel:
                 ),
                 f"step.{step}",
             )
-        duration = sampler[0]()
+        duration = sampler[0]() + extra
         if self._metrics is not None:
-            self._metrics.observe(sampler[1], duration + extra)
-        return duration + extra
+            self._metrics.observe(sampler[1], duration)
+        return duration
 
     def known_steps(self) -> Dict[str, float]:
         """A copy of the step-mean table (after speedup)."""

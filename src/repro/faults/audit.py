@@ -4,7 +4,8 @@
 lightpaths, circuits, connections) against the hardware state every
 element keeps for itself — wavelength occupancy bitmasks, ROADM port and
 express ownership, transponder/regen allocation, FXC cross-connects, NTE
-interfaces, OTN line slots — and reports every inconsistency as a typed
+interfaces, OTN line slots — and against the holdings ledger that claim
+writes and release walks, and reports every inconsistency as a typed
 :class:`AuditViolation`.  A clean report after any scenario (including
 saga-rolled-back setups and injected element failures) means no resource
 leaked and nothing was double-allocated.
@@ -15,10 +16,16 @@ Run it any time: the audit only reads state, never mutates.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Tuple
+from typing import Dict, List, Mapping, Optional, Set, Tuple
 
 from repro.core.connection import Connection, ConnectionState
-from repro.core.inventory import InventoryDatabase
+from repro.core.inventory import (
+    HELD_CHANNEL,
+    HELD_EXPRESS,
+    HELD_OT,
+    HELD_PORT,
+    InventoryDatabase,
+)
 
 
 @dataclass(frozen=True)
@@ -102,9 +109,13 @@ def audit_inventory(
         An :class:`AuditReport`; ``report.ok`` is the chaos-test oracle.
     """
     report = AuditReport()
-    _audit_dwdm_links(inventory, report)
-    _audit_roadms(inventory, report)
-    _audit_transponders_and_regens(inventory, report)
+    # Lightpath id -> names of what the elements say it holds, filled by
+    # the three hardware passes and compared with the ledger at the end.
+    owned: Dict[str, Set[str]] = {}
+    _audit_dwdm_links(inventory, report, owned)
+    _audit_roadms(inventory, report, owned)
+    _audit_transponders_and_regens(inventory, report, owned)
+    _audit_ledger(inventory, report, owned)
     _audit_otn_lines(inventory, report)
     if connections is not None:
         _audit_connection_resources(inventory, connections, report)
@@ -145,7 +156,9 @@ def _expected_channel_owners(
     return expected
 
 
-def _audit_dwdm_links(inventory: InventoryDatabase, report: AuditReport) -> None:
+def _audit_dwdm_links(
+    inventory: InventoryDatabase, report: AuditReport, owned: Dict[str, Set[str]]
+) -> None:
     expected = _expected_channel_owners(inventory, report)
     all_channels = set(inventory.grid.channels())
     for link in inventory.plant.graph.links:
@@ -169,13 +182,14 @@ def _audit_dwdm_links(inventory: InventoryDatabase, report: AuditReport) -> None
             )
         for channel in sorted(occupied):
             owner = dwdm.owner_of(channel) or ""
-            slot = (link.key, channel)
-            claimant = expected.get(slot)
+            resource = f"channel {channel} on {link.key[0]}={link.key[1]}"
+            owned.setdefault(owner, set()).add(resource)
+            claimant = expected.get((link.key, channel))
             if claimant is None:
                 report.violations.append(
                     AuditViolation(
                         kind="channel-leak",
-                        resource=f"channel {channel} on {link.key[0]}={link.key[1]}",
+                        resource=resource,
                         owner=owner,
                         detail="occupied but no registered lightpath claims it",
                     )
@@ -184,7 +198,7 @@ def _audit_dwdm_links(inventory: InventoryDatabase, report: AuditReport) -> None
                 report.violations.append(
                     AuditViolation(
                         kind="channel-owner-mismatch",
-                        resource=f"channel {channel} on {link.key[0]}={link.key[1]}",
+                        resource=resource,
                         owner=owner,
                         detail=f"registered lightpath {claimant} claims it",
                     )
@@ -207,30 +221,34 @@ def _audit_dwdm_links(inventory: InventoryDatabase, report: AuditReport) -> None
             )
 
 
-def _audit_roadms(inventory: InventoryDatabase, report: AuditReport) -> None:
+def _audit_roadms(
+    inventory: InventoryDatabase, report: AuditReport, owned: Dict[str, Set[str]]
+) -> None:
     live_lightpaths = set(inventory.lightpaths)
     for node, roadm in inventory.roadms.items():
         report.checked += 1
         for port in roadm.ports:
             if port.owner is None:
                 continue
+            resource = f"{node} add/drop port {port.port_id}"
+            owned.setdefault(port.owner, set()).add(resource)
             if port.owner not in live_lightpaths:
                 report.violations.append(
                     AuditViolation(
                         kind="roadm-port-leak",
-                        resource=f"{node} add/drop port {port.port_id}",
-                        owner=port.owner or "",
+                        resource=resource,
+                        owner=port.owner,
                         detail="owned by an unregistered lightpath",
                     )
                 )
         for degree_in, degree_out, channel, owner in roadm.express_connections():
+            resource = f"{node} express {degree_in}->{degree_out} ch{channel}"
+            owned.setdefault(owner, set()).add(resource)
             if owner not in live_lightpaths:
                 report.violations.append(
                     AuditViolation(
                         kind="roadm-express-leak",
-                        resource=(
-                            f"{node} express {degree_in}->{degree_out} ch{channel}"
-                        ),
+                        resource=resource,
                         owner=owner,
                         detail="owned by an unregistered lightpath",
                     )
@@ -238,7 +256,7 @@ def _audit_roadms(inventory: InventoryDatabase, report: AuditReport) -> None:
 
 
 def _audit_transponders_and_regens(
-    inventory: InventoryDatabase, report: AuditReport
+    inventory: InventoryDatabase, report: AuditReport, owned: Dict[str, Set[str]]
 ) -> None:
     lightpaths = inventory.lightpaths
     claimed_ots = {
@@ -268,6 +286,7 @@ def _audit_transponders_and_regens(
                         )
                     )
                 continue
+            owned.setdefault(ot.owner, set()).add(ot.ot_id)
             claimant = claimed_ots.get(ot.ot_id)
             if claimant is None:
                 report.violations.append(
@@ -292,6 +311,7 @@ def _audit_transponders_and_regens(
         for regen in pool.regenerators:
             if regen.owner is None:
                 continue
+            owned.setdefault(regen.owner, set()).add(regen.regen_id)
             claimant = claimed_regens.get(regen.regen_id)
             if claimant is None:
                 report.violations.append(
@@ -311,6 +331,48 @@ def _audit_transponders_and_regens(
                         detail=f"registered lightpath {claimant} lists it",
                     )
                 )
+
+
+# -- holdings ledger ----------------------------------------------------------
+
+
+def _held_name(entry: tuple) -> str:
+    """A ledger entry under the name the hardware passes give the resource."""
+    kind, element = entry[0], entry[1]
+    if kind == HELD_CHANNEL:
+        a, b = element.link.key
+        return f"channel {entry[2]} on {a}={b}"
+    if kind == HELD_PORT:
+        return f"{element.name} add/drop port {entry[2].port_id}"
+    if kind == HELD_EXPRESS:
+        return f"{element.name} express {entry[2]}->{entry[3]} ch{entry[4]}"
+    return element.ot_id if kind == HELD_OT else element.regen_id
+
+
+def _audit_ledger(
+    inventory: InventoryDatabase, report: AuditReport, owned: Dict[str, Set[str]]
+) -> None:
+    """A registered lightpath's ledger lists exactly what the elements
+    say it holds and a released one has no ledger left, so a claim path
+    that takes without recording, or a release that forgets, shows here."""
+    for lightpath_id in sorted(set(inventory.lightpaths) | set(inventory.holdings)):
+        held = {_held_name(e) for e in inventory.holdings.get(lightpath_id, ())}
+        actual = owned.get(lightpath_id, set())
+        if lightpath_id not in inventory.lightpaths:
+            actual = set()  # whatever it still owns is already reported as a leak
+        for resource in sorted(held ^ actual):
+            report.violations.append(
+                AuditViolation(
+                    kind="ledger-mismatch",
+                    resource=resource,
+                    owner=lightpath_id,
+                    detail=(
+                        "held by the lightpath but not in its ledger"
+                        if resource in actual
+                        else "in the ledger but not held by a registered lightpath"
+                    ),
+                )
+            )
 
 
 # -- OTN layer ---------------------------------------------------------------

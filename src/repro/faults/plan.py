@@ -134,6 +134,8 @@ class FaultPlan:
         self._specs: List[FaultSpec] = list(specs)
         self._remaining: List[Optional[int]] = [s.count for s in self._specs]
         self._injected: List[int] = [0 for _ in self._specs]
+        # Rules that can still fire (a spec's count is None or >= 1).
+        self._live = len(self._specs)
         self._streams: Optional[RandomStreams] = None
 
     @property
@@ -144,9 +146,7 @@ class FaultPlan:
     @property
     def empty(self) -> bool:
         """True when no rule can ever fire again."""
-        return not any(
-            remaining is None or remaining > 0 for remaining in self._remaining
-        )
+        return self._live == 0
 
     @property
     def injected_counts(self) -> List[int]:
@@ -158,6 +158,7 @@ class FaultPlan:
         self._specs.append(spec)
         self._remaining.append(spec.count)
         self._injected.append(0)
+        self._live += 1
         return self
 
     def bind(self, streams: RandomStreams) -> "FaultPlan":
@@ -192,6 +193,8 @@ class FaultPlan:
                     continue
             if remaining is not None:
                 self._remaining[index] = remaining - 1
+                if remaining == 1:
+                    self._live -= 1
             self._injected[index] += 1
             return spec
         return None

@@ -46,7 +46,10 @@ class MetricsRegistry:
 
     def observe(self, name: str, value: float) -> None:
         """Append one sample to histogram ``name``."""
-        self._histograms.setdefault(name, []).append(value)
+        try:
+            self._histograms[name].append(value)
+        except KeyError:
+            self._histograms[name] = [value]
 
     def samples(self, name: str) -> List[float]:
         """A copy of a histogram's raw samples (empty if none)."""

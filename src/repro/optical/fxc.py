@@ -106,6 +106,12 @@ class FiberCrossConnect:
         """Ports with no cross-connect."""
         return [p for p in range(self._port_count) if p not in self._peer]
 
+    def first_free_pair(self) -> Optional[Tuple[int, int]]:
+        """``free_ports()[:2]`` without listing the rest; None if under two."""
+        idle = (p for p in range(self._port_count) if p not in self._peer)
+        a, b = next(idle, None), next(idle, None)
+        return None if b is None else (a, b)
+
     def connections(self) -> List[Tuple[int, int, str]]:
         """All cross-connects as ``(low_port, high_port, owner)`` tuples."""
         seen = set()

@@ -10,7 +10,7 @@ let GRIPhoN share regens among connections dynamically (paper §3).
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, Iterator, List, Optional
 
 from repro.errors import ConfigurationError, TransponderUnavailableError
 from repro.units import GBPS
@@ -100,14 +100,17 @@ class RegenPool:
         """All installed regens."""
         return list(self._regens.values())
 
-    def free(self, line_rate_bps: Optional[float] = None) -> List[Regenerator]:
-        """Idle regens, optionally filtered by rate."""
-        return [
+    def _idle(self, line_rate_bps: Optional[float]) -> Iterator[Regenerator]:
+        return (
             regen
             for regen in self._regens.values()
             if not regen.in_use
             and (line_rate_bps is None or regen.line_rate_bps == line_rate_bps)
-        ]
+        )
+
+    def free(self, line_rate_bps: Optional[float] = None) -> List[Regenerator]:
+        """Idle regens, optionally filtered by rate."""
+        return list(self._idle(line_rate_bps))
 
     def allocate(self, line_rate_bps: float, owner: str) -> Regenerator:
         """Allocate the first idle regen at the given rate.
@@ -115,11 +118,10 @@ class RegenPool:
         Raises:
             TransponderUnavailableError: if none is free.
         """
-        candidates = self.free(line_rate_bps)
-        if not candidates:
+        chosen = next(self._idle(line_rate_bps), None)
+        if chosen is None:
             raise TransponderUnavailableError(
                 f"no free {line_rate_bps / GBPS:g}G regenerator at {self.node}"
             )
-        chosen = candidates[0]
         chosen.allocate(owner)
         return chosen

@@ -299,6 +299,12 @@ class Roadm:
         del self._degree_channels[degree_in][channel]
         del self._degree_channels[degree_out][channel]
 
+    def express_owner(
+        self, degree_in: str, degree_out: str, channel: int
+    ) -> Optional[str]:
+        """Who holds that express connection, or None if there is none."""
+        return self._express.get((degree_in, degree_out, channel))
+
     def express_connections(self) -> List[Tuple[str, str, int, str]]:
         """All express cross-connects as (degree_in, degree_out, channel,
         owner), sorted — the audit's view of the switching fabric."""

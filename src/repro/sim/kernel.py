@@ -183,6 +183,21 @@ class Simulator:
         self._pending += 1
         return event
 
+    def timer(self, delay: float, callback: Callable[[], Any], label: str) -> Event:
+        """``schedule(delay, callback, label=label)`` in one frame.
+
+        For :class:`~repro.sim.process.Process`, which arms one timer
+        per workflow step, has already checked ``delay >= 0`` and passes
+        no arguments: same ``(time, seq)``, label and cancel hook.
+        """
+        time = self._now + delay
+        seq = self._seq
+        event = Event(time, seq, callback, (), label, self._event_canceled)
+        self._seq = seq + 1
+        heapq.heappush(self._heap, (time, seq, event))
+        self._pending += 1
+        return event
+
     def schedule_many(
         self,
         entries: Iterable[Sequence[Any]],

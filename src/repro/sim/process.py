@@ -55,7 +55,7 @@ class Process:
         self._interrupted = False
         self._result: Any = None
         self._span = span
-        self._pending_event = sim.schedule(0.0, self._advance, label=self._label)
+        self._pending_event = sim.timer(0.0, self._advance, self._label)
 
     @property
     def done(self) -> bool:
@@ -108,6 +108,6 @@ class Process:
             raise SimulationError(
                 f"process {self._label!r} yielded invalid delay {delay!r}"
             )
-        self._pending_event = self._sim.schedule(
-            float(delay), self._advance, label=self._label
+        self._pending_event = self._sim.timer(
+            float(delay), self._advance, self._label
         )

@@ -10,6 +10,10 @@ fires the ``(time, seq)`` minimum.  Events carry nested actions, so the
 same operations are also issued from inside callbacks, mid-run.  Both
 interpretations must produce the same log: every firing with the clock
 and ``pending`` at that moment, every return value, every rejection.
+
+A second property runs self-re-arming step chains (what a ``Process``
+is to the kernel) on two simulators, one arming through ``schedule``
+and one through ``timer``, the argument-free entry ``Process`` uses.
 """
 
 from hypothesis import example, given, settings
@@ -241,3 +245,87 @@ def test_event_list_matches_sorted_model(program):
     assert actual == expected
     assert sim._run == [] and sim._heap == []
     assert sim._canceled_queued == 0
+
+
+# -- Simulator.timer: schedule() for a Process, minus the frames ---------------
+
+CHAIN_PROGRAMS = st.lists(
+    st.one_of(
+        # A chain of ``steps`` timers, each armed from the one before.
+        st.tuples(st.just("chain"), VALID_OFFSETS, st.integers(1, 4)),
+        st.tuples(st.just("schedule"), VALID_OFFSETS),
+        st.tuples(
+            st.just("schedule_many"),
+            st.builds(big_batch, st.integers(8, 80), st.integers(1, 6)),
+        ),
+        CANCELS,
+        st.just(("step",)),
+        st.tuples(st.just("run"), VALID_OFFSETS),
+    ),
+    max_size=40,
+)
+
+
+def run_chains(program, through_timer):
+    """The log of ``program`` with chains armed one way or the other."""
+    sim = Simulator()
+    sim.enable_trace()
+    log = []
+    handles = []
+
+    def arm(ident, delay, steps_left):
+        def advance():
+            log.append(("fire", ident, sim.now, sim.pending))
+            if steps_left > 1:
+                arm(ident, delay, steps_left - 1)
+
+        label = f"chain-{ident}"
+        if through_timer:
+            event = sim.timer(delay, advance, label)
+        else:
+            event = sim.schedule(delay, advance, label=label)
+        handles[ident] = event  # like Process._pending_event: the live one
+        log.append(("armed", ident, event.time, event.seq, event.label, event.args))
+
+    def plain(ident):
+        log.append(("fire", ident, sim.now, sim.pending))
+
+    for op in program:
+        kind = op[0]
+        if kind == "chain":
+            handles.append(None)
+            arm(len(handles) - 1, op[1], op[2])
+        elif kind == "schedule":
+            handles.append(sim.schedule(op[1], plain, len(handles)))
+        elif kind == "schedule_many":
+            first = len(handles)
+            handles.extend(
+                sim.schedule_many(
+                    (sim.now + offset, plain, (first + index,))
+                    for index, offset in enumerate(op[1])
+                )
+            )
+        elif kind == "cancel":
+            count = len(handles)
+            for handle in handles[int(op[1] * count) : int(op[2] * count) + 1]:
+                handle.cancel()
+        elif kind == "step":
+            log.append(("step", sim.step()))
+        else:
+            log.append(("run", sim.run(until=sim.now + op[1])))
+        # Tier sizes and the canceled backlog show when compaction ran.
+        log.append(
+            (sim.now, sim.pending, len(sim._heap), len(sim._run), sim._canceled_queued)
+        )
+    log.append(("drain", sim.run(), sim.now, sim.pending, sim.trace))
+    return log
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(CHAIN_PROGRAMS)
+# Enough canceled chain timers at once to compact the heap they sit in.
+@example([("chain", 2.0, 3)] * 150 + [("cancel", 0.05, 0.95), ("run", 2.0)])
+def test_timer_arms_the_event_schedule_would(program):
+    assert run_chains(program, through_timer=True) == run_chains(
+        program, through_timer=False
+    )

@@ -56,7 +56,7 @@ DEFAULT_OUTPUT = Path(__file__).resolve().parent.parent / "BENCH_pipeline.json"
 
 
 def build_graph(seed: int = 2026) -> NetworkGraph:
-    """The 32-PoP Waxman backbone (same seed as ``BENCH_rwa``'s)."""
+    """The 32-PoP Waxman backbone."""
     return generate_backbone(
         RandomStreams(seed + 1), node_count=32, plane_km=2000.0
     )
@@ -144,7 +144,7 @@ def collect_measurements(
         PlanRequest(a, b, RATE_BPS) for a, b in order_pairs(graph, orders)
     ]
 
-    # Equivalence first (also primes the route cache for both paths).
+    # Equivalence first.
     serial_outcomes, undo = serial_round(engine, inventory, requests)
     for release in reversed(undo):
         release()

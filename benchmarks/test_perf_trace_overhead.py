@@ -1,11 +1,12 @@
-"""Tracing overhead on the RWA fast path (PR 1 perf harness).
+"""Tracing overhead on the RWA fast path.
 
 The observability layer must be effectively free when disabled (the
 default) and cheap when enabled: a single flag check on the disabled
 path, one span allocation per plan on the enabled path.  This benchmark
-re-runs the PR 1 cold+warm plan sweep three ways — no tracer, disabled
-tracer, enabled tracer — and asserts the enabled run stays within 5%
-of the untraced baseline (the disabled run within noise).
+runs one plan sweep (Fig. 4 testbed plus 16- and 32-PoP Waxman
+backbones, 24 pairs each) three ways — no tracer, disabled tracer,
+enabled tracer — and asserts the enabled run stays within 5% of the
+untraced baseline (the disabled run within noise).
 """
 
 import gc
@@ -13,14 +14,19 @@ import statistics
 import time
 
 from benchmarks.harness import print_rows
-from benchmarks.perf_report import RATE_BPS, build_graphs, demand_pairs
 from repro.core.inventory import InventoryDatabase
 from repro.core.rwa import RwaEngine
 from repro.errors import NoPathError, WavelengthBlockedError
 from repro.obs.trace import Tracer
+from repro.sim.randomness import RandomStreams
+from repro.topo.generator import generate_backbone
+from repro.topo.testbed import build_testbed_graph
+from repro.units import GBPS
 
-#: Sweeps per measurement: the first is cold (fresh cache), the rest
-#: warm — the same cold/warm mix the PR 1 harness exercises.
+#: Line rate every measured plan() call requests.
+RATE_BPS = 10 * GBPS
+
+#: Sweeps over the demand pairs per measurement.
 SWEEP_ROUNDS = 3
 
 #: Paired repetitions.  Within one repetition all three modes run back
@@ -37,8 +43,33 @@ MODES = (
 )
 
 
+def build_graphs(seed: int = 2026):
+    """The three measured topologies, keyed by name."""
+    return {
+        "fig4-testbed": build_testbed_graph(),
+        "waxman-16pop": generate_backbone(
+            RandomStreams(seed), node_count=16, plane_km=2000.0
+        ),
+        "waxman-32pop": generate_backbone(
+            RandomStreams(seed + 1), node_count=32, plane_km=2000.0
+        ),
+    }
+
+
+def demand_pairs(graph, count: int = 24):
+    """A deterministic cycle of ROADM source/destination pairs."""
+    names = sorted(node.name for node in graph.nodes if node.kind == "roadm")
+    pairs = []
+    for index in range(count):
+        a = names[index % len(names)]
+        b = names[(index * 7 + 3) % len(names)]
+        if a != b:
+            pairs.append((a, b))
+    return pairs
+
+
 def _sweep_once(tracer) -> float:
-    """Seconds for one full cold+warm plan sweep over all topologies."""
+    """Seconds for one full plan sweep over all topologies."""
     total = 0.0
     for graph in build_graphs().values():
         inventory = InventoryDatabase(graph)

@@ -266,12 +266,9 @@ def cmd_chaos(args: argparse.Namespace) -> int:
         if outcome is not None:
             line += f"  [{outcome}]"
         print(line)
-    net.controller.export_route_cache_counters()
     counters = net.metrics.counters()
     for name in sorted(counters):
-        if name.startswith(
-            ("ems.retry", "ems.breaker", "faults.", "rwa.route_cache.")
-        ):
+        if name.startswith(("ems.retry", "ems.breaker", "faults.")):
             print(f"  {name} = {counters[name]}")
     mid_report = audit_network(net.controller)
     print(f"  mid-run {mid_report.summary()}")
@@ -612,11 +609,6 @@ def cmd_shard(args: argparse.Namespace) -> int:
             print(line)
         for unit in sorted(audits):
             print(f"  audit {unit}: {audits[unit].summary()}")
-        for unit, stats in sorted(net.route_cache_stats().items()):
-            print(
-                f"  route-cache {unit}: hits={stats['hits']} "
-                f"misses={stats['misses']} evictions={stats['evictions']}"
-            )
         print(f"  fingerprint {fingerprints[mode]}")
         payload[mode] = {
             "orders": {o.order_id: o.state.value for o in orders},

@@ -12,7 +12,6 @@ automated restorations."  (paper §2.2)
 Sub-modules, in dependency order:
 
 * :mod:`repro.core.inventory` — the controller's resource database;
-* :mod:`repro.core.routecache` — generation-stamped LRU route cache;
 * :mod:`repro.core.rwa` — routing and wavelength assignment;
 * :mod:`repro.core.connection` — customer connection records;
 * :mod:`repro.core.provisioning` — resource claiming with rollback plus
@@ -39,7 +38,6 @@ from repro.core.maintenance import MaintenanceScheduler
 from repro.core.planning import DemandForecast, ResourcePlanner
 from repro.core.reclamation import OtnLineReclaimer
 from repro.core.regrooming import RegroomingEngine
-from repro.core.routecache import RouteCache
 from repro.core.rwa import RwaEngine, RwaPlan
 # ServiceDegraded/SetupFailed moved to repro.api; re-exported here so
 # historical imports keep working.
@@ -62,7 +60,6 @@ __all__ = [
     "ResourcePlanner",
     "OtnLineReclaimer",
     "RegroomingEngine",
-    "RouteCache",
     "RwaEngine",
     "RwaPlan",
     "BodService",

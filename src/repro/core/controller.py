@@ -145,8 +145,8 @@ class GriphonController:
             clock=sim.time_source(),
             metrics=self.metrics,
         )
-        #: The controller's planning state — graph, inventory, RWA, and
-        #: route cache — bundled as one :class:`ShardUnit`, the same
+        #: The controller's planning state — graph, inventory and RWA
+        #: engine — bundled as one :class:`ShardUnit`, the same
         #: unit a region shard owns in a sharded deployment.  ``rwa``
         #: stays as an alias because every caller plans through it.
         self.planning = ShardUnit(
@@ -169,35 +169,6 @@ class GriphonController:
             resilience=self.resilience,
         )
         self.protection = SharedMeshProtection(metrics=self.metrics)
-        # The gauges read the engine's cache at sample time (not a
-        # captured reference) and degrade to None/0 when no cache is
-        # attached — e.g. inside a sweep worker built with the cache
-        # disabled — instead of raising at snapshot time.
-        self.metrics.register_gauge(
-            "rwa.route_cache.hit_rate",
-            lambda: (
-                self.rwa.route_cache.stats()["hit_rate"]
-                if self.rwa.route_cache is not None
-                else None
-            ),
-        )
-        self.metrics.register_gauge(
-            "rwa.route_cache.size",
-            lambda: (
-                len(self.rwa.route_cache)
-                if self.rwa.route_cache is not None
-                else 0
-            ),
-        )
-        for stat in ("hits", "misses", "invalidations", "evictions"):
-            self.metrics.register_gauge(
-                f"rwa.route_cache.{stat}",
-                lambda stat=stat: (
-                    self.rwa.route_cache.stats()[stat]
-                    if self.rwa.route_cache is not None
-                    else 0
-                ),
-            )
         self.grooming = GroomingEngine(
             inventory, self.protection, line_factory=self._create_otn_line
         )
@@ -216,6 +187,9 @@ class GriphonController:
         self._evc_conn: Dict[str, str] = {}
         self._line_lightpath: Dict[str, str] = {}
         self._new_line_lightpaths: List[Lightpath] = []
+        #: connection_id -> the dead lightpath a restoration set aside
+        #: before its claim was blocked; the next attempt starts from it.
+        self._unrestored: Dict[str, Lightpath] = {}
         #: Per-connection migration locks: connection_id -> holder tag.
         #: Serializes lock-aware migration drivers (re-grooming, the
         #: global re-optimization executor) on the same connection.
@@ -243,28 +217,6 @@ class GriphonController:
     def register_customer(self, profile: CustomerProfile) -> None:
         """Register a CSP customer with its quotas."""
         self.admission.register_customer(profile)
-
-    def export_route_cache_counters(self) -> None:
-        """Fold the route cache's counters into the metrics registry.
-
-        The cache keeps its own counters (no per-lookup registry
-        writes); this copies them into the registry's *counter* space —
-        ``rwa.route_cache.hits`` etc. — which, unlike the pull gauges,
-        survives :meth:`MetricsRegistry.state` and therefore crosses
-        sweep-worker process boundaries.  Idempotent: only the delta
-        since the last export is added, so calling it repeatedly (or
-        from both a study runner and a CLI exit path) never
-        double-counts.
-        """
-        cache = self.rwa.route_cache
-        if cache is None:
-            return
-        stats = cache.stats()
-        for stat in ("hits", "misses", "invalidations", "evictions"):
-            name = f"rwa.route_cache.{stat}"
-            delta = stats[stat] - self.metrics.counter(name)
-            if delta:
-                self.metrics.inc(name, delta)
 
     def wavelength_rates(self) -> List[float]:
         """Line rates for which any node has transponders installed."""
@@ -1084,6 +1036,7 @@ class GriphonController:
                 connection.nte_interfaces, connection.connection_id
             )
             connection.nte_interfaces = []
+        self._unrestored.pop(connection.connection_id, None)
         self._release_steering(connection)
         connection.transition(ConnectionState.RELEASED)
         connection.released_at = self.sim.now
@@ -1177,7 +1130,7 @@ class GriphonController:
         connection.lightpath_ids = [bridge.lightpath_id]
         self._lightpath_conn.pop(old.lightpath_id, None)
         self._lightpath_conn[bridge.lightpath_id] = connection.connection_id
-        self._relabel_steering(old, bridge)
+        self._relabel_steering(connection, old, bridge)
         # Release the old path in the background.
         yield from self.provisioner.teardown_workflow(
             old, include_fxc=False, parent_span=span
@@ -1386,9 +1339,14 @@ class GriphonController:
         fxc.label_port(b, label_b)
         connection.fxc_ports.append((pop, a))
 
-    def _relabel_steering(self, old_lightpath, new_lightpath) -> None:
+    def _relabel_steering(self, connection, old_lightpath, new_lightpath) -> None:
         """After a roll or restoration, point the FXC labels at the new
-        transponders so the steering record matches reality."""
+        transponders so the steering record matches reality.
+
+        Only the connection's own cross-connects are looked at: after a
+        blocked restoration the old transponders may already serve
+        someone else, whose port then carries the same label.
+        """
         for old_ot, new_ot in zip(old_lightpath.ot_ids, new_lightpath.ot_ids):
             if old_ot == new_ot:
                 continue
@@ -1396,11 +1354,11 @@ class GriphonController:
             fxc = self.inventory.fxcs.get(node)
             if fxc is None:
                 continue
-            try:
-                port = fxc.find_port(old_ot)
-            except GriphonError:
-                continue
-            fxc.label_port(port, new_ot)
+            for site, port in connection.fxc_ports:
+                peer = fxc.peer_of(port) if site == node else None
+                if peer is not None and fxc.port_label(peer) == old_ot:
+                    fxc.label_port(peer, new_ot)
+                    break
 
     def _release_steering(self, connection) -> None:
         """Undo FXC cross-connects and OTN client ports (bookkeeping)."""
@@ -1594,17 +1552,26 @@ class GriphonController:
         return None
 
     def _attempt_restoration(self, connection):
-        """Re-provision a failed wavelength connection on a new route."""
-        if not connection.lightpath_ids:
-            return
-        old_id = connection.lightpath_ids[0]
-        old = self.inventory.lightpaths.get(old_id)
-        if old is None or old.state is not LightpathState.FAILED:
-            return
+        """Re-provision a failed wavelength connection on a new route.
+
+        A blocked attempt — no route, or a route whose claim found a
+        regen site or port bank empty — leaves the connection FAILED and
+        naming only what the inventory still has, so the next repair (or
+        cut) tries again.
+        """
+        conn_id = connection.connection_id
+        # The dead lightpath: registered and still holding its resources,
+        # or set aside by an earlier attempt whose claim was blocked.
+        old = self._unrestored.get(conn_id)
+        set_aside = old is not None
+        if not set_aside:
+            if not connection.lightpath_ids:
+                return
+            old = self.inventory.lightpaths.get(connection.lightpath_ids[0])
+            if old is None or old.state is not LightpathState.FAILED:
+                return
         span = self.tracer.span(
-            "restoration",
-            trace_id=connection.trace_id,
-            connection=connection.connection_id,
+            "restoration", trace_id=connection.trace_id, connection=conn_id
         )
         with span.child("restoration.localize"):
             failed_links = set(self.inventory.plant.failed_links())
@@ -1617,18 +1584,14 @@ class GriphonController:
                     excluded_links=failed_links,
                     parent_span=plan_span,
                 )
-        except GriphonError as exc:
-            span.set_tag("outcome", "blocked").finish()
-            self.metrics.inc("restoration.blocked")
-            self._notify(
-                "restoration-blocked",
-                {"connection": connection, "reason": str(exc)},
-            )
-            return
-        # Release the dead path, then claim and set up the new one.
-        self.provisioner.release(old)
-        self._lightpath_conn.pop(old_id, None)
-        try:
+            if not set_aside:
+                # Release the dead path (the new one may need what it
+                # holds).  Until a claim takes its place the connection
+                # names no lightpath and the record waits here.
+                self.provisioner.release(old)
+                self._lightpath_conn.pop(old.lightpath_id, None)
+                connection.lightpath_ids = []
+                self._unrestored[conn_id] = old
             with span.child("restoration.claim"):
                 replacement = self.provisioner.claim(plan)
         except GriphonError as exc:
@@ -1639,14 +1602,15 @@ class GriphonController:
                 {"connection": connection, "reason": str(exc)},
             )
             return
+        del self._unrestored[conn_id]
         connection.transition(ConnectionState.RESTORING)
         connection.lightpath_ids = [replacement.lightpath_id]
-        self._lightpath_conn[replacement.lightpath_id] = connection.connection_id
-        self._relabel_steering(old, replacement)
+        self._lightpath_conn[replacement.lightpath_id] = conn_id
+        self._relabel_steering(connection, old, replacement)
         Process(
             self.sim,
             self._restoration_workflow(connection, replacement, span),
-            label=f"restore:{connection.connection_id}",
+            label=f"restore:{conn_id}",
         )
 
     def _restoration_workflow(self, connection, replacement, span=None):

@@ -40,7 +40,6 @@ from repro.errors import (
     WavelengthBlockedError,
 )
 from repro.core.inventory import InventoryDatabase
-from repro.core.routecache import RouteCache, make_route_key
 from repro.obs.trace import Span, Tracer
 from repro.optical.impairments import ReachModel
 from repro.optical.lightpath import Segment
@@ -208,8 +207,6 @@ class RwaEngine:
         k_paths: int = 4,
         assignment: str = "first-fit",
         streams: Optional[RandomStreams] = None,
-        route_cache: Optional[RouteCache] = None,
-        route_cache_size: int = 1024,
         tracer: Optional[Tracer] = None,
     ) -> None:
         if assignment not in ("first-fit", "random"):
@@ -225,21 +222,10 @@ class RwaEngine:
         self._k_paths = k_paths
         self._assignment = assignment
         self._streams = streams
-        if route_cache is not None:
-            self._cache: Optional[RouteCache] = route_cache
-        elif route_cache_size > 0:
-            self._cache = RouteCache(route_cache_size)
-        else:
-            self._cache = None
         self._tracer = tracer
         # Reused (reset, not reallocated) by every plan_batch call that
         # does not bring its own round.
         self._round = _PlanningRound()
-
-    @property
-    def route_cache(self) -> Optional[RouteCache]:
-        """The candidate-route cache, or ``None`` when caching is disabled."""
-        return self._cache
 
     @property
     def reach_model(self) -> ReachModel:
@@ -552,14 +538,12 @@ class RwaEngine:
         banned_nodes: set,
         round_ctx: Optional["_PlanningRound"] = None,
     ) -> List[List[str]]:
-        """The ``k`` shortest routes, served from the cache when fresh.
+        """The ``k`` shortest routes: one graph search per distinct request.
 
-        Entries are stamped with the topology generation and fiber-plant
-        failure epoch; "no path" outcomes are cached as an empty route
-        list so repeated blocked requests stay cheap too.  Within a
-        planning round the result (or the NoPathError) is additionally
-        memoized on the round, skipping even the LRU lookup for repeated
-        routes.  The returned list is the cached one: read-only.
+        Within a planning round the result (or the NoPathError) is
+        memoized on the round, so a repeated request does no search at
+        all; nothing is kept between rounds, so there is nothing to
+        invalidate.  A memoized list is shared: read-only.
         """
         memo_key = None
         if round_ctx is not None:
@@ -576,8 +560,12 @@ class RwaEngine:
                     raise memoized
                 return memoized  # type: ignore[return-value]
         try:
-            routes = self._routes_from_cache(
-                source, destination, k, banned_links, banned_nodes
+            routes = self._inventory.graph.k_shortest_paths(
+                source,
+                destination,
+                k,
+                excluded_links=banned_links,
+                excluded_nodes=banned_nodes,
             )
         except NoPathError as exc:
             if memo_key is not None:
@@ -585,46 +573,6 @@ class RwaEngine:
             raise
         if memo_key is not None:
             round_ctx.routes[memo_key] = routes
-        return routes
-
-    def _routes_from_cache(
-        self,
-        source: str,
-        destination: str,
-        k: int,
-        banned_links: set,
-        banned_nodes: set,
-    ) -> List[List[str]]:
-        """The LRU-cache-backed route lookup behind :meth:`_candidate_routes`."""
-        graph = self._inventory.graph
-        if self._cache is None:
-            return graph.k_shortest_paths(
-                source,
-                destination,
-                k,
-                excluded_links=banned_links,
-                excluded_nodes=banned_nodes,
-            )
-        generation = graph.generation
-        epoch = self._inventory.plant.failure_epoch
-        key = make_route_key(source, destination, k, banned_links, banned_nodes)
-        cached = self._cache.get_ref(key, generation, epoch)
-        if cached is not None:
-            if not cached:
-                raise NoPathError(f"no path from {source!r} to {destination!r}")
-            return cached
-        try:
-            routes = graph.k_shortest_paths(
-                source,
-                destination,
-                k,
-                excluded_links=banned_links,
-                excluded_nodes=banned_nodes,
-            )
-        except NoPathError:
-            self._cache.put(key, generation, epoch, [])
-            raise
-        self._cache.put(key, generation, epoch, routes)
         return routes
 
     def _path_is_up(

@@ -7,7 +7,7 @@
 * :mod:`repro.obs.registry` — :class:`~repro.obs.registry.MetricsRegistry`
   aggregating counters, duration histograms (via
   :class:`~repro.metrics.collector.Summary`), and pull-style gauges
-  such as the route cache hit rate.
+  such as the order pipeline's queue depth.
 
 Tracing is **off by default**; a disabled tracer costs one flag check
 per instrumentation point.  Enable it per network::

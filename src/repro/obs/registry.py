@@ -2,15 +2,15 @@
 
 Aggregates what the tracer sees span by span into durable numbers: how
 many orders blocked, the distribution of every EMS step's duration, the
-route cache's hit rate.  Histograms reuse the experiment machinery's
+order pipeline's queue depth.  Histograms reuse the experiment machinery's
 :class:`~repro.metrics.collector.Summary` so benchmark tables and the
 registry speak the same statistics.
 
 Gauges are *pull*-style: a zero-argument callable registered once and
 sampled only when a snapshot is taken.  That keeps hot paths (e.g. the
-route cache consulted on every RWA plan) free of per-operation metric
-writes — the cache keeps its own counters and the registry reads them
-on demand.
+frontend's admission queue, touched on every submit) free of
+per-operation metric writes — the owner keeps its own state and the
+registry reads it on demand.
 """
 
 from __future__ import annotations

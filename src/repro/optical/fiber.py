@@ -171,7 +171,6 @@ class FiberPlant:
         self._links: Dict[Tuple[str, str], DwdmLink] = {
             link.key: DwdmLink(link, self._grid) for link in graph.links
         }
-        self._failure_epoch = 0
         #: Callbacks invoked with (link_key, affected_owners) on each cut.
         self.on_failure: List[Callable[[Tuple[str, str], Set[str]], None]] = []
 
@@ -184,15 +183,6 @@ class FiberPlant:
     def grid(self) -> WavelengthGrid:
         """The shared wavelength grid."""
         return self._grid
-
-    @property
-    def failure_epoch(self) -> int:
-        """Monotonic counter bumped on every fiber cut or repair.
-
-        Route caches stamp entries with this value so failure-state
-        changes invalidate exactly the plans they could affect.
-        """
-        return self._failure_epoch
 
     def dwdm_link(self, a: str, b: str) -> DwdmLink:
         """The DWDM state for the link joining ``a`` and ``b``.
@@ -245,7 +235,6 @@ class FiberPlant:
         """Cut a single fiber link; returns affected owners and notifies."""
         dwdm = self.dwdm_link(a, b)
         affected = dwdm.fail()
-        self._failure_epoch += 1
         for callback in self.on_failure:
             callback(dwdm.link.key, affected)
         return affected
@@ -266,7 +255,6 @@ class FiberPlant:
     def repair_link(self, a: str, b: str) -> None:
         """Repair a single fiber link."""
         self.dwdm_link(a, b).repair()
-        self._failure_epoch += 1
 
     def repair_srlg(self, srlg: str) -> None:
         """Repair every link in a shared-risk group."""

@@ -5,7 +5,7 @@ shards over a 3-tier hierarchical topology
 (:mod:`repro.topo.hierarchy`):
 
 * :mod:`repro.shard.unit` — :class:`ShardUnit`, the picklable
-  graph + inventory + RWA + route-cache bundle one shard owns (the
+  graph + inventory + RWA-engine bundle one shard owns (the
   monolithic controller now embeds one too);
 * :mod:`repro.shard.planner` — gateway selection and the decomposition
   of a cross-region order into per-unit segments;
@@ -14,8 +14,8 @@ shards over a 3-tier hierarchical topology
   orders, plus the equivalent monolithic deployment for differential
   testing;
 * :mod:`repro.shard.workers` — :class:`ShardWorkerPool`, long-lived
-  plan-RPC worker processes (one per :class:`UnitRecipe`) with warm
-  route caches: the ``backend="pool"`` planning layer of
+  plan-RPC worker processes (one per :class:`UnitRecipe`) holding a
+  delta-synced plant mirror: the ``backend="pool"`` planning layer of
   :class:`ShardedNetwork`.
 
 ``ShardedNetwork`` (and everything in ``network``) is exported lazily:

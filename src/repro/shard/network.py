@@ -49,8 +49,8 @@ notifications fire in order.
 
 **The pool backend.**  ``backend="pool"`` moves the plan phase into the
 persistent worker processes of :class:`repro.shard.workers.
-ShardWorkerPool` — one long-lived worker per unit, each holding a warm
-route cache and a delta-synced mirror of its unit's fiber plant — while
+ShardWorkerPool` — one long-lived worker per unit, each holding a
+delta-synced mirror of its unit's fiber plant — while
 the controllers stay authoritative for everything stateful: admission,
 claims, sagas, teardown.  The plan phase is one ``call_many`` with one
 ``round`` message per *touched* worker: the round number (a new one
@@ -69,7 +69,7 @@ import hashlib
 import itertools
 import json
 from collections import defaultdict
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.core.admission import AdmissionControl, CustomerProfile
 from repro.core.connection import Connection, ConnectionKind, ConnectionState
@@ -501,45 +501,31 @@ class ShardedNetwork:
         healthy network.  In monolithic mode the single controller is
         audited once, under the key ``"mono"``.
         """
-        results: Dict[str, "AuditReport"] = {}
-        seen = set()
-        for unit, controller in self._unit_controller.items():
-            if id(controller) in seen:
-                continue
-            seen.add(id(controller))
-            key = unit if self.mode == "sharded" else "mono"
-            results[key] = audit_network(controller)
-        return results
+        return {
+            key: audit_network(controller)
+            for key, controller in self._shard_controllers()
+        }
 
     def route_cache_stats(self) -> Dict[str, dict]:
-        """Per-unit route-cache counters (one entry in monolithic mode).
+        """Per-unit zero records of the route cache that no longer exists.
 
-        With the pool backend, planning happens in the workers, so the
-        counters come from them (one ``counters`` RPC per worker).
+        Kept only because the benchmark driver (``bench/child.py``)
+        reads it on every run; the ROADMAP gate item — the PR allowed
+        to edit ``bench/`` — removes it.
         """
         if self.backend == "pool":
-            return {
-                self._unit_key(recipe): counters
-                for recipe, counters in zip(
-                    self._mirrors,
-                    self._live_pool().call_many(
-                        [(r, "counters", None) for r in self._mirrors]
-                    ),
-                )
-            }
-        stats: Dict[str, dict] = {}
-        seen = set()
-        for unit, controller in self._unit_controller.items():
-            if id(controller) in seen:
-                continue
-            seen.add(id(controller))
-            key = unit if self.mode == "sharded" else "mono"
-            stats[key] = controller.planning.route_cache_stats()
-        return stats
+            self._live_pool()  # still refuses on a closed network
+        return {
+            key: controller.planning.route_cache_stats()
+            for key, controller in self._shard_controllers()
+        }
 
-    def _unit_key(self, recipe: UnitRecipe) -> str:
-        """The reporting key of a pool recipe (its unit; mono as-is)."""
-        return recipe.unit
+    def _shard_controllers(self) -> Iterator[Tuple[str, GriphonController]]:
+        """Each distinct controller once, under its reporting key."""
+        if self.mode != "sharded":
+            yield "mono", next(iter(self._unit_controller.values()))
+            return
+        yield from self._unit_controller.items()
 
     def plant_fingerprints(self) -> Dict[str, str]:
         """Structural digest of each unit's authoritative fiber plant.
@@ -548,15 +534,10 @@ class ShardedNetwork:
         state in both backends, so this is the cross-deployment
         comparison surface.
         """
-        result: Dict[str, str] = {}
-        seen = set()
-        for unit, controller in self._unit_controller.items():
-            if id(controller) in seen:
-                continue
-            seen.add(id(controller))
-            key = unit if self.mode == "sharded" else "mono"
-            result[key] = plant_fingerprint(controller.inventory.plant)
-        return result
+        return {
+            key: plant_fingerprint(controller.inventory.plant)
+            for key, controller in self._shard_controllers()
+        }
 
     def worker_fingerprints(self) -> Dict[str, dict]:
         """Each worker's ``fingerprint`` RPC result (pool backend only).
@@ -566,7 +547,7 @@ class ShardedNetwork:
         mirror-correctness invariant the differential test asserts.
         """
         return {
-            self._unit_key(recipe): fingerprint
+            recipe.unit: fingerprint
             for recipe, fingerprint in zip(
                 self._mirrors,
                 self._live_pool().call_many(

@@ -1,12 +1,12 @@
-"""The shard planning unit: one graph + inventory + RWA + route cache.
+"""The shard planning unit: one graph + inventory + RWA engine.
 
 A :class:`ShardUnit` is the self-contained planning state of one
 controller shard — exactly the slice of :class:`GriphonController`
 state that RWA needs: the topology, the fiber plant with its wavelength
-occupancy, the equipment pools, the :class:`RwaEngine`, and its
-:class:`RouteCache`.  The controller itself now builds one of these and
-aliases ``controller.rwa`` to the unit's engine, so the monolithic and
-the sharded deployments plan through the same object.
+occupancy, the equipment pools and the :class:`RwaEngine`.  The
+controller itself now builds one of these and aliases
+``controller.rwa`` to the unit's engine, so the monolithic and the
+sharded deployments plan through the same object.
 
 Built standalone (no tracer, no simulator), a unit is **picklable**
 plain data and rebuilds deterministically from ``(seed, region params)``
@@ -33,7 +33,7 @@ from repro.units import GBPS
 
 
 class ShardUnit:
-    """One shard's planning state: graph, inventory, RWA, route cache.
+    """One shard's planning state: graph, inventory, RWA engine.
 
     Args:
         name: The unit's label (a region name, ``"express"``, or — for
@@ -43,8 +43,8 @@ class ShardUnit:
             happens at gateway PoPs, which appear in both a region unit
             (metro side) and the express unit (long-haul side) but with
             disjoint equipment.
-        reach / k_paths / assignment / streams / route_cache /
-        route_cache_size / tracer: Forwarded to :class:`RwaEngine`.
+        reach / k_paths / assignment / streams / tracer: Forwarded to
+            :class:`RwaEngine`.
     """
 
     def __init__(
@@ -55,8 +55,6 @@ class ShardUnit:
         k_paths: int = 4,
         assignment: str = "first-fit",
         streams: Optional[RandomStreams] = None,
-        route_cache=None,
-        route_cache_size: int = 1024,
         tracer=None,
     ) -> None:
         self.name = name
@@ -67,8 +65,6 @@ class ShardUnit:
             k_paths=k_paths,
             assignment=assignment,
             streams=streams,
-            route_cache=route_cache,
-            route_cache_size=route_cache_size,
             tracer=tracer,
         )
 
@@ -76,11 +72,6 @@ class ShardUnit:
     def graph(self) -> NetworkGraph:
         """The unit's topology."""
         return self.inventory.graph
-
-    @property
-    def route_cache(self):
-        """The unit's route cache (``None`` when disabled)."""
-        return self.rwa.route_cache
 
     def plan(self, source: str, destination: str, rate_bps: float) -> RwaPlan:
         """Plan one request against this unit's inventory."""
@@ -95,18 +86,21 @@ class ShardUnit:
         return self.rwa.plan_batch(requests, round_ctx=round_ctx)
 
     def route_cache_stats(self) -> dict:
-        """The route cache's counters (zeros when caching is disabled)."""
-        if self.rwa.route_cache is None:
-            return {
-                "size": 0,
-                "capacity": 0,
-                "hits": 0,
-                "misses": 0,
-                "invalidations": 0,
-                "evictions": 0,
-                "hit_rate": 0.0,
-            }
-        return self.rwa.route_cache.stats()
+        """All-zero counters of the route cache that no longer exists.
+
+        Kept only because the benchmark driver (``bench/child.py``)
+        reads it on every run; the ROADMAP gate item — the PR allowed
+        to edit ``bench/`` — removes it.
+        """
+        return {
+            "size": 0,
+            "capacity": 0,
+            "hits": 0,
+            "misses": 0,
+            "invalidations": 0,
+            "evictions": 0,
+            "hit_rate": 0.0,
+        }
 
     def __repr__(self) -> str:
         return (
@@ -143,7 +137,6 @@ def build_region_unit(
     transponders_10g: int = 6,
     regens_10g: int = 4,
     k_paths: int = 4,
-    route_cache_size: int = 1024,
     alpha: float = 0.4,
     beta: float = 0.35,
     with_premises: bool = False,
@@ -170,12 +163,7 @@ def build_region_unit(
     )
     inventory = InventoryDatabase(graph, WavelengthGrid(grid_size))
     _install_planning_equipment(inventory, transponders_10g, regens_10g)
-    return ShardUnit(
-        region,
-        inventory,
-        k_paths=k_paths,
-        route_cache_size=route_cache_size,
-    )
+    return ShardUnit(region, inventory, k_paths=k_paths)
 
 
 def build_express_unit(
@@ -187,7 +175,6 @@ def build_express_unit(
     transponders_10g: int = 6,
     regens_10g: int = 4,
     k_paths: int = 4,
-    route_cache_size: int = 1024,
 ) -> ShardUnit:
     """Build the express tier's planning unit, standalone and picklable.
 
@@ -204,9 +191,4 @@ def build_express_unit(
     )
     inventory = InventoryDatabase(graph, WavelengthGrid(grid_size))
     _install_planning_equipment(inventory, transponders_10g, regens_10g)
-    return ShardUnit(
-        EXPRESS,
-        inventory,
-        k_paths=k_paths,
-        route_cache_size=route_cache_size,
-    )
+    return ShardUnit(EXPRESS, inventory, k_paths=k_paths)

@@ -1,9 +1,9 @@
 """Persistent shard workers: long-lived plan-RPC processes.
 
 The resident planning layer behind ``ShardedNetwork(backend="pool")``:
-one worker process per planning unit builds its unit once, keeps the
-route cache and a mirror of the parent's fiber plant warm, and plans
-the requests each placement round sends it.
+one worker process per planning unit builds its unit once, keeps a
+mirror of the parent's fiber plant warm, and plans the requests each
+placement round sends it.
 
 * :class:`UnitRecipe` — the deterministic ``(topology_seed, unit name,
   params)`` recipe a unit rebuilds from.  It is tiny, hashable, and the
@@ -15,9 +15,8 @@ the requests each placement round sends it.
   that resets the worker's persistent shadow-claim overlay when it
   changes, on first contact in the round the occupancy delta from the
   parent-side plant mirror, and the unit's request list),
-  ``cut``/``repair`` (chaos hooks), ``counters`` (route-cache stats),
-  ``fingerprint`` (structural digest for determinism gates) and
-  ``ping``.
+  ``cut``/``repair`` (chaos hooks), ``fingerprint`` (structural digest
+  for determinism gates) and ``ping``.
 * :class:`ShardWorkerPool` — the parent-side pool: spawn, RPC fan-out
   with per-worker FIFO pipelining that always drains every reply,
   journal-based rebuild-and-replay recovery after a crash
@@ -30,10 +29,10 @@ model — never on equipment pools, which are consumed at claim time in
 the parent.  A worker that rebuilds the unit from the same recipe and
 mirrors the plant (a ``round`` message's delta-sync) therefore plans
 byte-identically to the in-process engine;
-``tests/test_shard_pool_differential.py`` pins this.  Warm route caches
-change *counters*, never plan structure: the cache is invalidated
-exactly on graph generation and failure-epoch changes, so a hit returns
-the same routes a fresh Yen enumeration would.
+``tests/test_shard_pool_differential.py`` pins this.  The only planning
+state a worker carries from one RPC to the next is the round's
+:class:`_PlanningRound` (route memo + shadow claims), reset when the
+round number changes — the same lifetime it has in process.
 """
 
 from __future__ import annotations
@@ -103,7 +102,6 @@ class UnitRecipe:
     gateways_per_region: int = 2
     grid_size: int = 80
     k_paths: int = 4
-    route_cache_size: int = 1024
     region_plane_km: float = 1200.0
     express_length_km: float = 600.0
     alpha: float = 0.4
@@ -151,7 +149,6 @@ class UnitRecipe:
                 transponders_10g=self.transponders_10g,
                 regens_10g=self.regens_10g,
                 k_paths=self.k_paths,
-                route_cache_size=self.route_cache_size,
             )
         if self.unit == MONOLITH:
             from repro.core.inventory import InventoryDatabase
@@ -176,12 +173,7 @@ class UnitRecipe:
             _install_planning_equipment(
                 inventory, self.transponders_10g, self.regens_10g
             )
-            return ShardUnit(
-                MONOLITH,
-                inventory,
-                k_paths=self.k_paths,
-                route_cache_size=self.route_cache_size,
-            )
+            return ShardUnit(MONOLITH, inventory, k_paths=self.k_paths)
         return build_region_unit(
             self.topology_seed,
             self.unit,
@@ -191,7 +183,6 @@ class UnitRecipe:
             transponders_10g=self.transponders_10g,
             regens_10g=self.regens_10g,
             k_paths=self.k_paths,
-            route_cache_size=self.route_cache_size,
             alpha=self.alpha,
             beta=self.beta,
             with_premises=self.with_premises,
@@ -250,8 +241,8 @@ class _WorkerState:
             fresh = target & ~current
             # The parent preserves occupancy across fiber cuts (for
             # restoration), so a delta can touch an already-cut link;
-            # lift the failure flag around the edit without bumping the
-            # failure epoch (liveness isn't changing).
+            # lift the failure flag around the edit (liveness isn't
+            # changing).
             lifted = link.failed and bool(fresh)
             if lifted:
                 link.repair()
@@ -287,8 +278,6 @@ class _WorkerState:
         if op == "repair":
             unit.inventory.plant.repair_link(payload["a"], payload["b"])
             return None
-        if op == "counters":
-            return unit.route_cache_stats()
         if op == "fingerprint":
             return {
                 "unit": unit.name,
@@ -356,8 +345,8 @@ class ShardWorkerPool:
     """Long-lived plan-RPC workers, one per distinct :class:`UnitRecipe`.
 
     The pool is the resident planning layer: a worker builds its unit
-    once and keeps route caches and occupancy bitmasks warm across
-    rounds and callers.  Use it as a context manager — ``close()``
+    once and keeps its occupancy bitmasks warm across rounds and
+    callers.  Use it as a context manager — ``close()``
     shuts every worker down gracefully and reaps the processes (no
     zombies).
 

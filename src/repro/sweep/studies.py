@@ -84,18 +84,6 @@ def _build_topology(trial: TrialSpec) -> GriphonNetwork:
     raise ConfigurationError(f"unknown topology {topology!r}")
 
 
-def _trial_metrics(net: GriphonNetwork) -> Dict[str, Any]:
-    """The network's metrics snapshot with route-cache counters exported.
-
-    Cache hit/miss/eviction totals live as monotonic counters on the
-    engine's :class:`RouteCache`; exporting them into the registry right
-    before the snapshot makes them survive the counter-only
-    cross-process merge, so ``griphon sweep --json`` reports them.
-    """
-    net.controller.export_route_cache_counters()
-    return net.metrics.state()
-
-
 # -- study runners ----------------------------------------------------------
 
 
@@ -146,7 +134,7 @@ def availability_trial(trial: TrialSpec) -> TrialResult:
             "downtime_min_per_year": downtime_minutes_per_year(availability),
         },
         samples={"repair_s": repairs},
-        metrics=_trial_metrics(net),
+        metrics=net.metrics.state(),
     )
 
 
@@ -189,7 +177,7 @@ def scaling_trial(trial: TrialSpec) -> TrialResult:
             "served": len(setups),
         },
         samples={"setup_s": setups, "hops": [float(h) for h in hops]},
-        metrics=_trial_metrics(net),
+        metrics=net.metrics.state(),
     )
 
 
@@ -223,7 +211,7 @@ def scenario_trial(trial: TrialSpec) -> TrialResult:
             "min_availability": min(availabilities) if availabilities else 1.0,
         },
         samples={"availability": availabilities},
-        metrics=_trial_metrics(net),
+        metrics=net.metrics.state(),
     )
 
 
@@ -283,7 +271,7 @@ def pipeline_trial(trial: TrialSpec) -> TrialResult:
             "queue_drained": pipeline.queue_depth() == 0,
         },
         samples={"rounds_deferred": deferred_rounds},
-        metrics=_trial_metrics(net),
+        metrics=net.metrics.state(),
     )
 
 

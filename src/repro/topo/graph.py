@@ -114,8 +114,9 @@ class NetworkGraph:
     def generation(self) -> int:
         """Monotonic counter bumped on every topology mutation.
 
-        Caches keyed on routing results (e.g. the RWA route cache) stamp
-        entries with this value and invalidate when it moves.
+        Structures derived from the topology (the grooming engine's
+        switch-less node list) are stamped with it and rebuilt when it
+        moves.
         """
         return self._generation
 

@@ -150,7 +150,6 @@ class TestShardCommand:
         ) == 0
         out = capsys.readouterr().out
         assert "fingerprints match: True" in out
-        assert "route-cache" in out
         payload = json.loads(out_json.read_text())
         assert payload["sharded"]["fingerprint"] == (
             payload["monolithic"]["fingerprint"]

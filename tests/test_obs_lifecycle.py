@@ -213,24 +213,6 @@ class TestDisabledTracing:
         # Metrics still aggregate (they are cheap and always on).
         assert net.metrics.counter("connection.up") == 1
 
-    def test_gauges_reflect_route_cache(self, net, svc):
-        svc.request_connection("PREMISES-A", "PREMISES-B", 10)
-        net.run()
-        snap = net.metrics.snapshot()
-        assert snap["gauges"]["rwa.route_cache.size"] >= 1
-        assert 0.0 <= snap["gauges"]["rwa.route_cache.hit_rate"] <= 1.0
-
-    def test_gauges_degrade_without_route_cache(self, net):
-        from repro.core.rwa import RwaEngine
-
-        # Swap in an engine built with the cache disabled (as a sweep
-        # worker might); the registered gauges read through the live
-        # controller, so they must degrade instead of raising.
-        net.controller.rwa = RwaEngine(net.inventory, route_cache_size=0)
-        snap = net.metrics.snapshot()
-        assert snap["gauges"]["rwa.route_cache.hit_rate"] is None
-        assert snap["gauges"]["rwa.route_cache.size"] == 0
-
 
 class TestRegistryMerge:
     def test_state_is_lossless_and_gauge_free(self):

@@ -13,6 +13,7 @@ crashed worker into byte-identical state.
 """
 
 import dataclasses
+import gc
 import multiprocessing
 import os
 import random
@@ -165,19 +166,6 @@ class TestWorkerRpcParity:
                 plant_fingerprint(local.inventory.plant)
             )
 
-    def test_counters_and_reset(self):
-        with ShardWorkerPool([RECIPE]) as pool:
-            requests = _requests(RECIPE.build())
-            pool.call(RECIPE, *_round(1, requests))
-            cold = pool.call(RECIPE, "counters")
-            assert cold["misses"] > 0
-            # Nothing was claimed, so a new round resets the overlay and
-            # replans the same requests off the warm route cache.
-            pool.call(RECIPE, *_round(2, requests))
-            warm = pool.call(RECIPE, "counters")
-            assert warm["hits"] > cold["hits"]
-            assert warm["misses"] == cold["misses"]
-
     def test_unknown_op_is_typed_and_survivable(self):
         with ShardWorkerPool([RECIPE]) as pool:
             with pytest.raises(ConfigurationError, match="unknown"):
@@ -201,7 +189,7 @@ class TestWorkerRpcParity:
                     [(RECIPE, "frobnicate", None), (OTHER, "ping", None)]
                 )
             # OTHER's "pong" was read, not left to answer the next RPC.
-            assert "misses" in pool.call(OTHER, "counters")
+            assert "state" in pool.call(OTHER, "fingerprint")
             assert pool.call(OTHER, "ping") == "pong"
             assert pool.call_many(
                 [(OTHER, "ping", None), (RECIPE, "ping", None)]
@@ -224,11 +212,11 @@ class TestWorkerRpcParity:
             # ... and the woken worker now writes its stale "pong".  The
             # next call must respawn (recover) or raise — never read it.
             if recover:
-                assert "misses" in pool.call(RECIPE, "counters")
+                assert "state" in pool.call(RECIPE, "fingerprint")
                 assert pool.process_of(RECIPE) is not stalled
             else:
                 with pytest.raises(WorkerCrashed):
-                    pool.call(RECIPE, "counters")
+                    pool.call(RECIPE, "fingerprint")
         assert not stalled.is_alive()
 
 
@@ -258,6 +246,9 @@ class TestLifecycle:
 
     def test_failed_spawn_leaks_no_descriptor_or_child(self):
         bad = dataclasses.replace(RECIPE, grid_size=0)  # unit cannot build
+        # Earlier tests' raised errors keep dead workers' process handles
+        # in traceback cycles; they are not this test's descriptors.
+        gc.collect()
         before = _open_fds()
         # Kept, tracebacks and all: the frames must not be what closes
         # the pipe (a caller that logs the error holds them just so).

@@ -33,10 +33,10 @@ from pathlib import Path
 from typing import Dict, List
 
 from repro.faults.plan import DegradationPlan
+from repro.fingerprint import network_fingerprint
 from repro.slo.bench import (
     bring_up_workload,
     build_slo_network,
-    network_fingerprint,
     run_slo_trial,
 )
 

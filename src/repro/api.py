@@ -16,7 +16,8 @@ states from ``repro.pipeline``, and the typed refusals
   setup in flight); :data:`OrderStatus` is ``Accepted | OrderOutcome``;
 * :class:`OrderIntake` is the protocol every order backend implements
   (the monolithic :class:`~repro.pipeline.OrderPipeline` and the
-  sharded :class:`~repro.shard.intake.ShardIntake`), so the async
+  sharded :class:`~repro.shard.intake.ShardIntake`, both one
+  :class:`~repro.pipeline.engine.RoundIntake` queue), so the async
   frontend — and any other caller — is backend-agnostic.
 
 ``BodService.order_outcome`` and the frontend's status stream both
@@ -344,8 +345,9 @@ def classify_record(
 ) -> OrderStatus:
     """Map a live connection (or shard order) record onto the union.
 
-    The shared classification used by ``BodService.order_outcome``,
-    ``OrderPipeline.outcome``, and ``ShardIntake.outcome``:
+    The one classification: :meth:`repro.pipeline.engine.RoundIntake.
+    outcome` (both intake backends, and ``BodService.order_outcome``
+    through it) and ``BodService.setup_outcome`` call it:
 
     * UP → :class:`Active`;
     * BLOCKED with a recorded ``setup_error`` → :class:`SetupFailed`

@@ -555,7 +555,8 @@ def cmd_serve(args: argparse.Namespace) -> int:
 def cmd_shard(args: argparse.Namespace) -> int:
     """Place cross-region orders on the sharded continental network."""
     from repro.core.admission import CustomerProfile
-    from repro.shard import build_sharded_network, outcome_fingerprint
+    from repro.fingerprint import outcome_fingerprint
+    from repro.shard import build_sharded_network
     from repro.topo.hierarchy import build_hierarchy
     from repro.units import GBPS
 

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Set, Tuple
 
 from repro.core.admission import AdmissionControl, CustomerProfile
 from repro.core.connection import Connection, ConnectionKind, ConnectionState
@@ -187,9 +187,14 @@ class GriphonController:
         self._evc_conn: Dict[str, str] = {}
         self._line_lightpath: Dict[str, str] = {}
         self._new_line_lightpaths: List[Lightpath] = []
-        #: connection_id -> the dead lightpath a restoration set aside
-        #: before its claim was blocked; the next attempt starts from it.
+        #: connection_id -> the released lightpath record of a connection
+        #: whose restoration did not take: the dead path set aside before
+        #: a blocked claim, or a replacement the setup saga rolled back.
+        #: The next attempt starts from it.
         self._unrestored: Dict[str, Lightpath] = {}
+        #: Connections ordered down while RESTORING; the restoration
+        #: workflow takes the teardown when it settles.
+        self._teardown_after_restore: Set[str] = set()
         #: Per-connection migration locks: connection_id -> holder tag.
         #: Serializes lock-aware migration drivers (re-grooming, the
         #: global re-optimization executor) on the same connection.
@@ -410,8 +415,16 @@ class GriphonController:
         self._notify("blocked", {"connection": connection, "reason": str(exc)})
 
     def teardown_connection(self, connection_id: str) -> Connection:
-        """Order a teardown; completes asynchronously (about ten seconds)."""
+        """Order a teardown; completes asynchronously (about ten seconds).
+
+        A connection that is RESTORING has a replacement lightpath midway
+        through its EMS steps; the teardown is taken when that workflow
+        settles (restored, aborted or cut again) and starts then.
+        """
         connection = self.connection(connection_id)
+        if connection.state is ConnectionState.RESTORING:
+            self._teardown_after_restore.add(connection_id)
+            return connection
         connection.transition(ConnectionState.TEARING_DOWN)
         Process(
             self.sim,
@@ -1618,18 +1631,35 @@ class GriphonController:
             span = self.tracer.span(
                 "restoration", connection=connection.connection_id
             )
+        conn_id = connection.connection_id
         started = self.sim.now
         yield from self.provisioner.setup_workflow(
             replacement, include_fxc=False, parent_span=span
         )
+        # Ordered down while restoring?  Settle without retrying, then
+        # take the teardown that was waiting for this.
+        torn_down = conn_id in self._teardown_after_restore
+        self._teardown_after_restore.discard(conn_id)
+        self._settle_restoration(
+            connection, replacement, span, started, retry=not torn_down
+        )
+        if torn_down:
+            self.teardown_connection(conn_id)
+
+    def _settle_restoration(
+        self, connection, replacement, span, started, retry
+    ) -> None:
+        """Conclude a restoration once the replacement's setup returned."""
         if replacement.state is LightpathState.RELEASED:
             # The resilient layer gave up mid-restore and the saga
-            # rolled the replacement back; the connection stays FAILED
-            # (no auto-retry — the same faults would hit again) until a
-            # repair event or teardown.
+            # rolled the replacement back.  The connection stays FAILED
+            # and names no lightpath (no immediate retry — the same
+            # faults would hit again); the rolled-back record waits in
+            # ``_unrestored`` for the next repair or cut, or a teardown.
             connection.setup_error = replacement.setup_error
             connection.lightpath_ids = []
             self._lightpath_conn.pop(replacement.lightpath_id, None)
+            self._unrestored[connection.connection_id] = replacement
             connection.transition(ConnectionState.FAILED)
             span.set_tag("outcome", "aborted").finish()
             self.metrics.inc("restoration.aborted")
@@ -1639,7 +1669,8 @@ class GriphonController:
             # Another cut landed while we were restoring; try again.
             span.set_tag("outcome", "re-failed").finish()
             connection.transition(ConnectionState.FAILED)
-            self._attempt_restoration(connection)
+            if retry:
+                self._attempt_restoration(connection)
             return
         connection.transition(ConnectionState.UP)
         connection.end_outage(self.sim.now)

@@ -27,7 +27,7 @@ from repro import api
 from repro.core.connection import Connection, ConnectionKind, ConnectionState
 from repro.core.controller import GriphonController
 from repro.errors import AdmissionError, ConfigurationError, ResourceError
-from repro.pipeline import OrderTicket, TicketState
+from repro.pipeline import OrderTicket
 from repro.units import GBPS
 
 @dataclass(frozen=True)
@@ -196,13 +196,7 @@ class BodService:
                 pipeline (``GriphonNetwork.enable_pipeline()``).
         """
         self._validate_rate(rate_gbps)
-        pipeline = self._controller.pipeline
-        if pipeline is None:
-            raise ConfigurationError(
-                "no order pipeline attached - call "
-                "GriphonNetwork.enable_pipeline() (or use request_connection)"
-            )
-        return pipeline.submit(
+        return self._pipeline().submit(
             self.customer, premises_a, premises_b, rate_gbps * GBPS, kind
         )
 
@@ -222,28 +216,12 @@ class BodService:
         :class:`~repro.api.Deferred` when the order was withdrawn after
         losing wavelength contention ``max_defers`` rounds in a row.
         """
-        if ticket.state is TicketState.QUEUED:
-            return None
-        if ticket.state is TicketState.QUEUE_FULL:
-            pipeline = self._controller.pipeline
-            return api.QueueFull(
-                order_id=ticket.order_id,
-                capacity=pipeline.capacity if pipeline is not None else 0,
-                reason=ticket.reason,
-            )
-        if ticket.state is TicketState.DEFERRED:
-            return api.Deferred(
-                order_id=ticket.order_id,
-                rounds_deferred=ticket.rounds_deferred,
-                reason=ticket.reason,
-            )
-        connection = self._own(ticket.connection_id)
-        fault = (
-            self.fault_report(connection.connection_id)
-            if connection.setup_error is not None
-            else None
-        )
-        return api.classify_record(connection, fault=fault)
+        fault = None
+        if ticket.connection_id is not None:
+            connection = self._own(ticket.connection_id)
+            if connection.setup_error is not None:
+                fault = self.fault_report(connection.connection_id)
+        return self._pipeline().outcome(ticket, fault=fault)
 
     def _validate_rate(self, rate_gbps: float) -> None:
         """GUI-unit rate validation shared by request and submit."""
@@ -341,26 +319,12 @@ class BodService:
         connection = self._own(connection_id)
         if connection.setup_error is None:
             return None
-        fault = self.fault_report(connection_id)
-        if connection.state is ConnectionState.DEGRADED:
-            up_components = (
-                len(connection.lightpath_ids)
-                + len(connection.circuit_ids)
-                + len(connection.evc_ids)
-            )
-            return api.ServiceDegraded(
-                connection_id=connection.connection_id,
-                error=connection.setup_error,
-                fault=fault,
-                trace_id=connection.trace_id,
-                up_components=up_components,
-            )
-        return api.SetupFailed(
-            connection_id=connection.connection_id,
-            error=connection.setup_error,
-            fault=fault,
-            trace_id=connection.trace_id,
+        outcome = api.classify_record(
+            connection, fault=self.fault_report(connection_id)
         )
+        if isinstance(outcome, (api.SetupFailed, api.ServiceDegraded)):
+            return outcome
+        return None
 
     def usage(self) -> Usage:
         """Current quota usage (connections and committed rate)."""
@@ -376,6 +340,20 @@ class BodService:
         )
 
     # -- internals ------------------------------------------------------------
+
+    def _pipeline(self):
+        """The controller's order pipeline.
+
+        Raises:
+            ConfigurationError: when the network was built without one.
+        """
+        pipeline = self._controller.pipeline
+        if pipeline is None:
+            raise ConfigurationError(
+                "no order pipeline attached - call "
+                "GriphonNetwork.enable_pipeline() (or use request_connection)"
+            )
+        return pipeline
 
     def _own(self, connection_id: str) -> Connection:
         connection = self._controller.connection(connection_id)

@@ -93,7 +93,6 @@ class GriphonNetwork:
         self.pipeline: Optional[OrderPipeline] = None
         self.frontend = None
         self.slo = None
-        self.optimizer = None
         self._services: Dict[str, BodService] = {}
 
     def finish_build(self) -> "GriphonNetwork":
@@ -273,62 +272,6 @@ class GriphonNetwork:
         monitor.start()
         self.slo = SloRuntime(injector, monitor, engine)
         return self.slo
-
-    def enable_optimize(
-        self,
-        k_paths: int = 4,
-        max_passes: int = 4,
-        min_gain: float = 1e-6,
-        channel_weight: float = 0.005,
-        max_moves: Optional[int] = None,
-        audit_each_move: bool = True,
-        interval_s: Optional[float] = None,
-        slo_coupled: bool = True,
-    ):
-        """Attach the global re-optimization driver.
-
-        Returns a :class:`~repro.optimize.Reoptimizer` (also available
-        as ``net.optimizer``) whose cycles snapshot the network, plan a
-        global migration, and execute it via bridge-and-roll.  When the
-        SLO subsystem is enabled (and ``slo_coupled``), breached and
-        gray-degraded links feed cost penalties into the planner.
-
-        Args:
-            k_paths / max_passes / min_gain / channel_weight / max_moves:
-                Planner knobs; see
-                :func:`~repro.optimize.plan_migrations`.
-            audit_each_move: Run the invariant auditor after every
-                executed move (the migration-safety oracle).
-            interval_s: When set, run a cycle every this many
-                sim-seconds (``Reoptimizer.start``); by default cycles
-                run only on demand.
-            slo_coupled: Feed the SLO breach stream into link costs.
-
-        Raises:
-            ConfigurationError: before :meth:`finish_build`.
-        """
-        from repro.optimize import Reoptimizer
-
-        if self.controller is None:
-            raise ConfigurationError(
-                "finish_build() must run before enable_optimize()"
-            )
-        engine = None
-        if slo_coupled and self.slo is not None:
-            engine = self.slo.engine
-        self.optimizer = Reoptimizer(
-            self.controller,
-            slo_engine=engine,
-            k_paths=k_paths,
-            max_passes=max_passes,
-            min_gain=min_gain,
-            channel_weight=channel_weight,
-            max_moves=max_moves,
-            audit_each_move=audit_each_move,
-        )
-        if interval_s is not None:
-            self.optimizer.start(interval_s)
-        return self.optimizer
 
     def service_for(
         self,

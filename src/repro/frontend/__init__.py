@@ -3,9 +3,8 @@
 ``repro.frontend`` is the always-on service layer between simulated
 clients and the order backends:
 
-* :mod:`repro.frontend.aio` — the deterministic async runtime over the
-  sim kernel (:class:`SimFuture` / :class:`Task` / :func:`sleep` /
-  :func:`gather`);
+* :mod:`repro.frontend.aio` — :class:`SimFuture`, the one-shot result
+  cell whose callbacks fire as kernel events;
 * :mod:`repro.frontend.ratelimit` — lazily materialized per-tenant
   token buckets on the sim clock;
 * :mod:`repro.frontend.service` — :class:`BodFrontend`: the three edge
@@ -17,8 +16,8 @@ clients and the order backends:
   heavy-tailed tenant populations, for the load benchmarks.
 """
 
-from repro.frontend.aio import SimFuture, Task, gather, sleep
-from repro.frontend.clients import ClientFleet, FleetStats, teardown_active
+from repro.frontend.aio import SimFuture
+from repro.frontend.clients import ClientFleet, FleetStats
 from repro.frontend.ratelimit import BucketSet, TokenBucket
 from repro.frontend.service import (
     PRIORITY_CLASSES,
@@ -30,9 +29,6 @@ from repro.frontend.service import (
 
 __all__ = [
     "SimFuture",
-    "Task",
-    "gather",
-    "sleep",
     "BucketSet",
     "TokenBucket",
     "BodFrontend",
@@ -42,5 +38,4 @@ __all__ = [
     "STATE_SHEDDING",
     "ClientFleet",
     "FleetStats",
-    "teardown_active",
 ]

@@ -1,36 +1,26 @@
-"""A deterministic async runtime over the discrete-event kernel.
+"""The frontend's one async primitive, on the discrete-event kernel.
 
 ``asyncio`` cannot drive simulated clients: its event loop reads the
 wall clock, and its ready-queue ordering is an implementation detail —
 both would break the repo-wide rule that the same seed produces
-byte-identical results.  This module provides the minimal awaitable
-surface the service frontend needs, built directly on
-:class:`~repro.sim.kernel.Simulator`:
-
-* :class:`SimFuture` — a one-shot result cell whose callbacks fire as
-  zero-delay kernel events, so resumption order is exactly the kernel's
-  FIFO tiebreak among equal timestamps;
-* :class:`Task` — drives a Python coroutine, resuming it each time the
-  future it awaits resolves;
-* :func:`sleep` — a future resolved after a sim-time delay;
-* :func:`gather` — a future resolved when every child future is.
-
-A coroutine written against this module (``await frontend.submit(...)``;
-``await sleep(sim, 1.0)``) runs interleaved with thousands of siblings
-in a single OS thread, at event-heap speed, with no wall-clock
-dependence anywhere.
+byte-identical results.  :class:`SimFuture` is a one-shot result cell
+whose callbacks fire as zero-delay kernel events, so resumption order is
+exactly the kernel's FIFO tiebreak among equal timestamps.  Client
+fleets follow their orders with ``future.add_done_callback`` — at a
+million submissions one coroutine per client would dominate the profile
+— so there is no coroutine runner here.
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, Coroutine, Generator, List, Optional, Sequence
+from typing import Any, Callable, List
 
 from repro.errors import SimulationError
 from repro.sim.kernel import Simulator
 
 
 class SimFuture:
-    """A one-shot, sim-scheduled result cell (the awaitable primitive).
+    """A one-shot, sim-scheduled result cell.
 
     ``resolve(value)`` stores the value and schedules every registered
     callback as a zero-delay kernel event — never calling them inline —
@@ -89,91 +79,3 @@ class SimFuture:
             )
         else:
             self._callbacks.append(callback)
-
-    def __await__(self) -> Generator["SimFuture", Any, Any]:
-        if not self._done:
-            yield self
-        return self._value
-
-
-class Task:
-    """Drives a coroutine over the kernel, one awaited future at a time.
-
-    The coroutine must only await :class:`SimFuture` values (anything
-    exposing ``add_done_callback``).  The first step is scheduled as a
-    zero-delay event, so two tasks created at the same instant start in
-    creation order.
-
-    Attributes:
-        done: True once the coroutine returned (or raised).
-        result: The coroutine's return value (None until done).
-        error: The exception that escaped the coroutine, if any.
-    """
-
-    __slots__ = ("_sim", "_coro", "done", "result", "error", "_future")
-
-    def __init__(
-        self,
-        sim: Simulator,
-        coro: Coroutine[Any, Any, Any],
-        label: str = "task",
-    ) -> None:
-        self._sim = sim
-        self._coro = coro
-        self.done = False
-        self.result: Any = None
-        self.error: Optional[BaseException] = None
-        self._future = SimFuture(sim)
-        sim.schedule(0.0, self._step, None, label=f"{label}:start")
-
-    def _step(self, value: Any) -> None:
-        """Advance the coroutine until it awaits again or returns."""
-        try:
-            awaited = self._coro.send(value)
-        except StopIteration as stop:
-            self.done = True
-            self.result = stop.value
-            self._future.resolve(stop.value)
-            return
-        except BaseException as exc:  # surface, don't swallow
-            self.done = True
-            self.error = exc
-            raise
-        awaited.add_done_callback(self._step)
-
-    def __await__(self) -> Generator["SimFuture", Any, Any]:
-        return self._future.__await__()
-
-
-def sleep(sim: Simulator, delay: float) -> SimFuture:
-    """A future resolved ``delay`` sim-seconds from now (value ``None``)."""
-    future = SimFuture(sim)
-    sim.schedule(delay, future.resolve, None, label="aio:sleep")
-    return future
-
-
-def gather(sim: Simulator, futures: Sequence[SimFuture]) -> SimFuture:
-    """A future resolving to ``[f.result() for f in futures]`` when all are done.
-
-    An empty sequence resolves at the next zero-delay event.
-    """
-    combined = SimFuture(sim)
-    remaining = len(futures)
-    ordered: List[Any] = [None] * remaining
-    if remaining == 0:
-        sim.schedule(0.0, combined.resolve, [], label="aio:gather")
-        return combined
-    state = {"left": remaining}
-
-    def _one_done(index: int) -> Callable[[Any], None]:
-        def _cb(value: Any) -> None:
-            ordered[index] = value
-            state["left"] -= 1
-            if state["left"] == 0:
-                combined.resolve(ordered)
-
-        return _cb
-
-    for index, future in enumerate(futures):
-        future.add_done_callback(_one_done(index))
-    return combined

@@ -10,9 +10,7 @@ The whole arrival timeline is pre-generated from seeded substreams and
 batch-scheduled with :meth:`~repro.sim.kernel.Simulator.schedule_many`
 (one O(n) heapify), and per-order follow-up uses future callbacks
 rather than one coroutine per client — at a million submissions, task
-objects would dominate the profile.  The coroutine surface
-(:class:`~repro.frontend.aio.Task`) is exercised by the interactive
-tests instead.
+objects would dominate the profile.
 """
 
 from __future__ import annotations
@@ -46,10 +44,6 @@ class FleetStats:
     def resolved(self) -> int:
         """Tickets whose outcome arrived."""
         return sum(self.outcomes.values())
-
-    def count(self, name: str) -> int:
-        """Resolved tickets of one outcome class (e.g. ``"Active"``)."""
-        return self.outcomes.get(name, 0)
 
 
 class ClientFleet:
@@ -179,20 +173,3 @@ class ClientFleet:
             self.stats.order_to_active.append(
                 self._frontend._sim.now - ticket.submitted_at
             )
-
-
-def teardown_active(
-    frontend: BodFrontend, tickets: Sequence[FrontendTicket]
-) -> int:
-    """Tear down every ticket currently holding an ACTIVE connection.
-
-    A convenience for soak loops that cycle capacity: returns how many
-    teardowns were ordered.
-    """
-    count = 0
-    for ticket in tickets:
-        outcome: Optional[object] = ticket.outcome
-        if isinstance(outcome, api.Active) and ticket.order_ticket is not None:
-            frontend._intake.teardown(ticket.order_ticket)
-            count += 1
-    return count

@@ -71,12 +71,11 @@ PRIORITY_CLASSES = ("premium", "standard")
 
 
 class FrontendTicket:
-    """One request's handle: edge decision plus the awaitable outcome.
+    """One request's handle: edge decision plus the pushed outcome.
 
-    Awaitable — ``await ticket`` (inside a :class:`repro.frontend.aio.
-    Task` coroutine) suspends until the order reaches a terminal
-    :data:`repro.api.OrderOutcome` and returns it.  ``outcome`` offers
-    the same value pull-style (None while pending).
+    ``future`` resolves when the order reaches a terminal
+    :data:`repro.api.OrderOutcome` (``future.add_done_callback``);
+    ``outcome`` offers the same value pull-style (None while pending).
 
     Attributes:
         request_id: Frontend-scoped id (``req-N``).
@@ -137,9 +136,6 @@ class FrontendTicket:
         return self.future.done and isinstance(
             self.future.result(), api.Rejected
         )
-
-    def __await__(self):
-        return self.future.__await__()
 
     def __repr__(self) -> str:
         status = "pending"

@@ -16,11 +16,11 @@ connections during migration.
 
 from __future__ import annotations
 
-import hashlib
 from typing import Any, Dict, List, Optional
 
 from repro.core.connection import ConnectionState
 from repro.facade import GriphonNetwork
+from repro.fingerprint import assignment_fingerprint
 from repro.optimize.runtime import Reoptimizer
 from repro.optimize.snapshot import _connection_sort_key
 
@@ -93,40 +93,6 @@ def wavelengths_in_use(controller) -> int:
     for mask in controller.inventory.plant.occupancy_snapshot().values():
         union |= mask
     return bin(union).count("1")
-
-
-def assignment_fingerprint(controller) -> str:
-    """A digest of *what is assigned where*, replay-comparable.
-
-    Unlike :func:`repro.slo.bench.network_fingerprint`, this excludes
-    the sim clock, the kernel event counter, and lightpath/connection
-    ids — a twin network that replays the same final assignment from
-    scratch (different id counters, different timing) must fingerprint
-    equal.  Covered: every link's occupied-channel bitmask and the
-    sorted multiset of live (route, channels) assignments.
-    """
-    plant = controller.inventory.plant
-    parts = []
-    for key in sorted(plant.occupancy_snapshot()):
-        parts.append(f"link:{key[0]}={key[1]}:{plant.occupancy_snapshot()[key]}")
-    assignments = []
-    for connection in controller.connections.values():
-        if connection.state is not ConnectionState.UP:
-            continue
-        for lightpath_id in connection.lightpath_ids:
-            lightpath = controller.inventory.lightpaths.get(lightpath_id)
-            if lightpath is None:
-                continue
-            segments = ";".join(
-                f"{'-'.join(seg.nodes)}@{seg.channel}"
-                for seg in lightpath.segments
-            )
-            assignments.append(
-                f"lp:{'-'.join(lightpath.path)}:{segments}:"
-                f"{lightpath.rate_bps:.0f}"
-            )
-    parts.extend(sorted(assignments))
-    return hashlib.sha256("\n".join(parts).encode()).hexdigest()
 
 
 def replay_assignment(controller, twin: GriphonNetwork) -> List:

@@ -2,14 +2,13 @@
 
 One :class:`Reoptimizer` per network ties the layers together and adds
 the operational glue: SLO-aware link penalties (the PR 9 breach stream
-feeding the planner's objective), metrics, and an optional periodic
-schedule on the simulator — the "nightly re-groom" a real operator runs
-when the backbone is quiet.
+feeding the planner's objective) and metrics.  Cycles run on demand
+(:meth:`Reoptimizer.run_cycle`).
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Optional
+from typing import Callable, Optional
 
 from repro.optimize.executor import MigrationExecutor, MigrationReport
 from repro.optimize.planner import (
@@ -56,8 +55,6 @@ class Reoptimizer:
         self._executor = MigrationExecutor(
             controller, holder=holder, audit_each_move=audit_each_move
         )
-        self._cycles = 0
-        self._stopped = False
 
     # -- one-shot layers ---------------------------------------------------
 
@@ -109,7 +106,6 @@ class Reoptimizer:
         """
         metrics = getattr(self._controller, "metrics", None)
         plan = self.plan()
-        self._cycles += 1
         if metrics is not None:
             metrics.inc("optimize.cycles")
             metrics.inc("optimize.moves.planned", len(plan.moves))
@@ -133,43 +129,3 @@ class Reoptimizer:
         elif on_done is not None:
             on_done(plan, MigrationReport())
         return plan
-
-    # -- periodic operation ------------------------------------------------
-
-    def start(self, interval_s: float) -> None:
-        """Run a cycle every ``interval_s`` sim-seconds until stopped."""
-        self._stopped = False
-
-        def tick() -> None:
-            if self._stopped:
-                return
-            self.run_cycle()
-            self._controller.sim.schedule(
-                interval_s, tick, label="reoptimize.cycle"
-            )
-
-        self._controller.sim.schedule(
-            interval_s, tick, label="reoptimize.cycle"
-        )
-
-    def stop(self) -> None:
-        """Cancel periodic cycles (takes effect at the next tick)."""
-        self._stopped = True
-
-    # -- introspection -----------------------------------------------------
-
-    @property
-    def cycles(self) -> int:
-        """Cycles run so far."""
-        return self._cycles
-
-    def describe(self) -> Dict[str, object]:
-        """Config + progress summary for the CLI."""
-        return {
-            "cycles": self._cycles,
-            "k_paths": self._k_paths,
-            "max_passes": self._max_passes,
-            "channel_weight": self._channel_weight,
-            "slo_coupled": self._slo_engine is not None,
-            "holder": self._executor.holder,
-        }

@@ -1,8 +1,12 @@
-"""The order pipeline: bounded queue, scheduling rounds, defer policy.
+"""Order entry: one bounded queue, scheduling rounds, defer policy.
 
-One :class:`OrderPipeline` fronts one controller.  ``submit()`` returns
-an :class:`OrderTicket` immediately; a kernel process drains the queue
-in rounds of up to ``round_size`` orders.  Each round:
+:class:`RoundIntake` is the queue every order backend shares — tickets,
+backpressure, the round process, the lifecycle event stream and the
+typed outcome — and a backend says only what one round *places*.
+:class:`OrderPipeline` is the backend that fronts one controller
+(:class:`repro.shard.intake.ShardIntake` is the other).  ``submit()``
+returns an :class:`OrderTicket` immediately; a kernel process drains the
+queue in rounds of up to ``round_size`` orders.  Each pipeline round:
 
 1. opens + admits every order (admission failures settle BLOCKED,
    exactly like the serial path);
@@ -37,19 +41,26 @@ import heapq
 import itertools
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Set, Tuple
 
 from repro.core.connection import ConnectionKind
 from repro.core.rwa import PlanRequest
 from repro.errors import ConfigurationError, GriphonError
 from repro.sim.process import Process
 
-#: Controller lifecycle events re-broadcast to intake listeners, mapped
-#: onto the backend-agnostic :class:`repro.api.OrderIntake` event names.
-_CONTROLLER_EVENTS = {
+#: The one table from backend lifecycle edges to the ticket events of
+#: :meth:`repro.api.OrderIntake.add_listener`.  A backend hands
+#: :meth:`RoundIntake._on_backend_event` its own edge names
+#: (``GriphonController.observers`` / ``ShardedNetwork.order_listeners``);
+#: edges not listed are not ticket events.  ``"blocked"`` reaches an
+#: ACCEPTED ticket only when the setup saga rolled the order back.
+_TICKET_EVENTS = {
     "up": "active",
+    "restored": "active",
+    "revived": "active",
     "setup-degraded": "degraded",
     "setup-failed": "failed",
+    "blocked": "failed",
     "released": "released",
 }
 
@@ -166,7 +177,274 @@ class _QueuedOrder:
     defers: int = field(compare=False, default=0)
 
 
-class OrderPipeline:
+class RoundIntake:
+    """The backend-independent half of :class:`repro.api.OrderIntake`.
+
+    Owns everything about how orders *wait*: argument validation, the
+    bounded priority heap, ticket issue with on-the-spot QUEUE_FULL, the
+    ``pipeline.*`` counters, the round-cadence kernel process, the
+    listener stream and the typed :meth:`outcome`.  What a round
+    *places* is the backend's: a subclass supplies
+
+    * ``_place(batch)`` — execute one round of popped
+      :class:`_QueuedOrder` entries, calling :meth:`_settle` per order
+      (or pushing the entry back to retry it next round);
+    * ``_record(ticket)`` — the connection (or shard order) record a
+      processed ticket points at;
+    * ``_release(ticket)`` — start the teardown of an accepted ticket;
+
+    and feeds its lifecycle edges to :meth:`_on_backend_event`.
+
+    Args:
+        sim: The kernel the round process runs on.
+        metrics: Registry for the ``pipeline.*`` counters and gauge.
+        tracer: Tracer for the ``pipeline.queue_full`` event.
+        capacity: Bounded queue size; submissions beyond it settle
+            QUEUE_FULL immediately (backpressure).
+        round_size: Maximum orders handed to one ``_place`` call.
+        round_interval: Sim seconds between successive rounds while the
+            queue is non-empty (0 = drain within one timestamp).
+    """
+
+    def __init__(
+        self,
+        sim,
+        metrics,
+        tracer,
+        capacity: int,
+        round_size: int,
+        round_interval: float,
+    ) -> None:
+        if capacity < 1:
+            raise ConfigurationError(f"capacity must be >= 1, got {capacity}")
+        if round_size < 1:
+            raise ConfigurationError(
+                f"round_size must be >= 1, got {round_size}"
+            )
+        if round_interval < 0:
+            raise ConfigurationError(
+                f"round_interval must be >= 0, got {round_interval}"
+            )
+        self._sim = sim
+        self._metrics = metrics
+        self._tracer = tracer
+        self._capacity = capacity
+        self._round_size = round_size
+        self._round_interval = float(round_interval)
+        self._heap: List[_QueuedOrder] = []
+        self._order_seq = itertools.count(1)
+        self._arrival_seq = itertools.count(1)
+        self._tickets: Dict[str, OrderTicket] = {}
+        self._proc: Optional[Process] = None
+        self._rounds = 0
+        self._listeners: List[Callable[[OrderTicket, str], None]] = []
+        #: record id -> ACCEPTED ticket still owed lifecycle events, and
+        #: the record ids whose one setup conclusion was already sent.
+        self._accepted: Dict[str, OrderTicket] = {}
+        self._concluded: Set[str] = set()
+        metrics.register_gauge("pipeline.queue_depth", self.queue_depth)
+
+    def _tiebreak(self) -> float:
+        """Priority between arrival time and submission sequence."""
+        return 0.0
+
+    # -- intake ----------------------------------------------------------------
+
+    def submit(
+        self,
+        customer: str,
+        premises_a: str,
+        premises_b: str,
+        rate_bps: float,
+        kind: Optional[ConnectionKind] = None,
+    ) -> OrderTicket:
+        """Queue an order; returns its ticket immediately.
+
+        A full queue settles the ticket as QUEUE_FULL on the spot —
+        nothing is recorded against the backend, and the customer is
+        expected to resubmit later (backpressure, not buffering).
+        """
+        now = self._sim.now
+        ticket = OrderTicket(
+            order_id=f"order-{next(self._order_seq)}",
+            customer=customer,
+            premises_a=premises_a,
+            premises_b=premises_b,
+            rate_bps=rate_bps,
+            submitted_at=now,
+        )
+        self._tickets[ticket.order_id] = ticket
+        if len(self._heap) >= self._capacity:
+            ticket.state = TicketState.QUEUE_FULL
+            ticket.reason = (
+                f"order intake queue is full ({self._capacity} waiting)"
+            )
+            ticket.settled_at = now
+            self._metrics.inc("pipeline.queue_full")
+            self._tracer.event("pipeline.queue_full", order=ticket.order_id)
+            self._emit(ticket, "settled")
+            return ticket
+        entry = _QueuedOrder(
+            priority=(now, self._tiebreak(), next(self._arrival_seq)),
+            ticket=ticket,
+            kind=kind,
+        )
+        heapq.heappush(self._heap, entry)
+        self._metrics.inc("pipeline.submitted")
+        if self._proc is None or self._proc.done:
+            self._proc = Process(
+                self._sim, self._drain(), label="pipeline:rounds"
+            )
+        return ticket
+
+    def teardown(self, ticket: OrderTicket) -> None:
+        """Tear down an accepted ticket's connection.
+
+        Raises:
+            ConfigurationError: for a ticket that never claimed a
+                connection (queued, refused, or deferred).
+        """
+        if ticket.state is not TicketState.ACCEPTED or (
+            ticket.connection_id is None
+        ):
+            raise ConfigurationError(
+                f"order {ticket.order_id!r} holds no connection to tear "
+                f"down (state {ticket.state.value})"
+            )
+        self._release(ticket)
+
+    # -- introspection ---------------------------------------------------------
+
+    def ticket(self, order_id: str) -> OrderTicket:
+        """Look up a ticket.
+
+        Raises:
+            ConfigurationError: for an unknown order id.
+        """
+        try:
+            return self._tickets[order_id]
+        except KeyError:
+            raise ConfigurationError(
+                f"unknown order {order_id!r}"
+            ) from None
+
+    def tickets(self) -> List[OrderTicket]:
+        """Every ticket ever issued, in submission order."""
+        return list(self._tickets.values())
+
+    def queue_depth(self) -> int:
+        """Orders currently waiting for a round."""
+        return len(self._heap)
+
+    @property
+    def rounds(self) -> int:
+        """Scheduling rounds run so far."""
+        return self._rounds
+
+    @property
+    def capacity(self) -> int:
+        """The bounded queue size."""
+        return self._capacity
+
+    def outcome(self, ticket: OrderTicket, fault=None):
+        """The ticket's typed status from :data:`repro.api.OrderStatus`.
+
+        ``None`` while the order is still queued.  This is where the
+        intake-level refusals (:class:`~repro.api.QueueFull`,
+        :class:`~repro.api.Deferred`) are built; every processed ticket
+        is classified from its backend record by
+        :func:`repro.api.classify_record`, with ``fault`` attached to a
+        ``SetupFailed`` / ``ServiceDegraded`` outcome.
+        """
+        from repro import api
+
+        if ticket.state is TicketState.QUEUED:
+            return None
+        if ticket.state is TicketState.QUEUE_FULL:
+            return api.QueueFull(
+                order_id=ticket.order_id,
+                capacity=self._capacity,
+                reason=ticket.reason,
+            )
+        if ticket.state is TicketState.DEFERRED:
+            return api.Deferred(
+                order_id=ticket.order_id,
+                rounds_deferred=ticket.rounds_deferred,
+                reason=ticket.reason,
+            )
+        return api.classify_record(self._record(ticket), fault=fault)
+
+    # -- lifecycle listeners ---------------------------------------------------
+
+    def add_listener(
+        self, listener: Callable[[OrderTicket, str], None]
+    ) -> None:
+        """Subscribe to ticket lifecycle events.
+
+        See :meth:`repro.api.OrderIntake.add_listener` for the event
+        vocabulary: ``"settled"`` at every terminal intake state, then
+        ``"active"`` / ``"degraded"`` / ``"failed"`` when an accepted
+        order's setup concludes, and ``"released"`` after teardown.
+        """
+        self._listeners.append(listener)
+
+    def _emit(self, ticket: OrderTicket, event: str) -> None:
+        """Broadcast one ticket lifecycle edge to every listener."""
+        for listener in list(self._listeners):
+            listener(ticket, event)
+
+    def _on_backend_event(self, record_id: str, edge: str) -> None:
+        """Re-broadcast a backend edge on an ACCEPTED ticket's record.
+
+        The first conclusion edge is the ticket's *one* setup
+        conclusion — ``restored`` or ``revived`` when a cut during setup
+        kept ``up`` from ever being sent; an in-service connection that
+        is restored later gets no second ``"active"``.
+        """
+        event = _TICKET_EVENTS.get(edge)
+        if event is None:
+            return
+        ticket = self._accepted.get(record_id)
+        if ticket is None:
+            return
+        if event == "released":
+            del self._accepted[record_id]
+            self._concluded.discard(record_id)
+        elif record_id in self._concluded:
+            return
+        else:
+            self._concluded.add(record_id)
+        self._emit(ticket, event)
+
+    # -- the round loop --------------------------------------------------------
+
+    def _drain(self):
+        """Kernel process: one scheduling round per ``round_interval``."""
+        heap = self._heap
+        while heap:
+            self._rounds += 1
+            self._metrics.inc("pipeline.rounds")
+            take = min(self._round_size, len(heap))
+            self._place([heapq.heappop(heap) for _ in range(take)])
+            if heap:
+                yield self._round_interval
+
+    def _settle(self, ticket: OrderTicket, state: TicketState, record_id: str,
+                reason: str = "") -> None:
+        """Finalize a processed ticket against its backend record."""
+        ticket.state = state
+        ticket.settled_at = self._sim.now
+        ticket.connection_id = record_id
+        if state is TicketState.BLOCKED:
+            ticket.reason = reason
+            self._metrics.inc("pipeline.blocked")
+        else:
+            self._metrics.inc("pipeline.accepted")
+            self._accepted[record_id] = ticket
+        self._emit(ticket, "settled")
+
+
+class OrderPipeline(RoundIntake):
     """Batched, deterministic order intake in front of a controller.
 
     Args:
@@ -194,229 +472,50 @@ class OrderPipeline:
         max_defers: int = 3,
         seeded_tiebreak: bool = False,
     ) -> None:
-        if capacity < 1:
-            raise ConfigurationError(f"capacity must be >= 1, got {capacity}")
-        if round_size < 1:
-            raise ConfigurationError(
-                f"round_size must be >= 1, got {round_size}"
-            )
-        if round_interval < 0:
-            raise ConfigurationError(
-                f"round_interval must be >= 0, got {round_interval}"
-            )
         if max_defers < 0:
             raise ConfigurationError(
                 f"max_defers must be >= 0, got {max_defers}"
             )
+        super().__init__(
+            controller.sim,
+            controller.metrics,
+            controller.tracer,
+            capacity,
+            round_size,
+            round_interval,
+        )
         self._controller = controller
-        self._sim = controller.sim
-        self._tracer = controller.tracer
-        self._metrics = controller.metrics
-        self._capacity = capacity
-        self._round_size = round_size
-        self._round_interval = float(round_interval)
         self._max_defers = max_defers
         self._tiebreak_streams = (
             controller.streams.spawn("pipeline") if seeded_tiebreak else None
         )
-        self._heap: List[_QueuedOrder] = []
-        self._order_seq = itertools.count(1)
-        self._arrival_seq = itertools.count(1)
-        self._tickets: Dict[str, OrderTicket] = {}
-        self._proc: Optional[Process] = None
-        self._rounds = 0
-        self._listeners: List[Callable[[OrderTicket, str], None]] = []
-        self._by_connection: Dict[str, OrderTicket] = {}
         controller.observers.append(self._on_controller_event)
-        self._metrics.register_gauge(
-            "pipeline.queue_depth", lambda: len(self._heap)
-        )
 
-    # -- intake ----------------------------------------------------------------
+    # -- the backend half ------------------------------------------------------
 
-    def submit(
-        self,
-        customer: str,
-        premises_a: str,
-        premises_b: str,
-        rate_bps: float,
-        kind: Optional[ConnectionKind] = None,
-    ) -> OrderTicket:
-        """Queue an order; returns its ticket immediately.
+    def _tiebreak(self) -> float:
+        if self._tiebreak_streams is None:
+            return 0.0
+        return self._tiebreak_streams.uniform("tiebreak", 0.0, 1.0)
 
-        A full queue settles the ticket as QUEUE_FULL on the spot —
-        nothing is recorded against the controller, and the customer is
-        expected to resubmit later (backpressure, not buffering).
-        """
-        ticket = OrderTicket(
-            order_id=f"order-{next(self._order_seq)}",
-            customer=customer,
-            premises_a=premises_a,
-            premises_b=premises_b,
-            rate_bps=rate_bps,
-            submitted_at=self._sim.now,
-        )
-        self._tickets[ticket.order_id] = ticket
-        if len(self._heap) >= self._capacity:
-            ticket.state = TicketState.QUEUE_FULL
-            ticket.reason = (
-                f"order intake queue is full ({self._capacity} waiting)"
-            )
-            ticket.settled_at = self._sim.now
-            self._metrics.inc("pipeline.queue_full")
-            self._tracer.event("pipeline.queue_full", order=ticket.order_id)
-            self._emit(ticket, "settled")
-            return ticket
-        tiebreak = 0.0
-        if self._tiebreak_streams is not None:
-            tiebreak = self._tiebreak_streams.uniform("tiebreak", 0.0, 1.0)
-        entry = _QueuedOrder(
-            priority=(self._sim.now, tiebreak, next(self._arrival_seq)),
-            ticket=ticket,
-            kind=kind,
-        )
-        heapq.heappush(self._heap, entry)
-        self._metrics.inc("pipeline.submitted")
-        self._ensure_draining()
-        return ticket
+    def _record(self, ticket: OrderTicket):
+        return self._controller.connection(ticket.connection_id)
 
-    # -- introspection ---------------------------------------------------------
-
-    def ticket(self, order_id: str) -> OrderTicket:
-        """Look up a ticket.
-
-        Raises:
-            ConfigurationError: for an unknown order id.
-        """
-        try:
-            return self._tickets[order_id]
-        except KeyError:
-            raise ConfigurationError(
-                f"unknown order {order_id!r}"
-            ) from None
-
-    def tickets(self) -> List[OrderTicket]:
-        """Every ticket ever issued, in submission order."""
-        return list(self._tickets.values())
-
-    def queue_depth(self) -> int:
-        """Orders currently waiting for a round."""
-        return len(self._heap)
-
-    def outcome(self, ticket: OrderTicket):
-        """The ticket's typed status from :data:`repro.api.OrderStatus`.
-
-        ``None`` while the order is still queued; otherwise exactly the
-        classification :meth:`repro.core.service.BodService.order_outcome`
-        returns, minus the customer-scoping check — this is the
-        backend-level half of the :class:`repro.api.OrderIntake`
-        contract.
-        """
-        from repro import api
-
-        if ticket.state is TicketState.QUEUED:
-            return None
-        if ticket.state is TicketState.QUEUE_FULL:
-            return api.QueueFull(
-                order_id=ticket.order_id,
-                capacity=self._capacity,
-                reason=ticket.reason,
-            )
-        if ticket.state is TicketState.DEFERRED:
-            return api.Deferred(
-                order_id=ticket.order_id,
-                rounds_deferred=ticket.rounds_deferred,
-                reason=ticket.reason,
-            )
-        connection = self._controller.connection(ticket.connection_id)
-        return api.classify_record(connection)
-
-    # -- lifecycle listeners ---------------------------------------------------
-
-    def add_listener(
-        self, listener: Callable[[OrderTicket, str], None]
-    ) -> None:
-        """Subscribe to ticket lifecycle events.
-
-        See :meth:`repro.api.OrderIntake.add_listener` for the event
-        vocabulary: ``"settled"`` at every terminal intake state, then
-        ``"active"`` / ``"degraded"`` / ``"failed"`` when an accepted
-        order's setup concludes, and ``"released"`` after teardown.
-        """
-        self._listeners.append(listener)
-
-    def teardown(self, ticket: OrderTicket) -> None:
-        """Tear down an accepted ticket's connection.
-
-        Raises:
-            ConfigurationError: for a ticket that never claimed a
-                connection (queued, refused, or deferred).
-        """
-        if ticket.state is not TicketState.ACCEPTED or (
-            ticket.connection_id is None
-        ):
-            raise ConfigurationError(
-                f"order {ticket.order_id!r} holds no connection to tear "
-                f"down (state {ticket.state.value})"
-            )
+    def _release(self, ticket: OrderTicket) -> None:
         self._controller.teardown_connection(ticket.connection_id)
 
-    def _emit(self, ticket: OrderTicket, event: str) -> None:
-        """Broadcast one ticket lifecycle edge to every listener."""
-        for listener in list(self._listeners):
-            listener(ticket, event)
-
     def _on_controller_event(self, event: str, payload: dict) -> None:
-        """Controller observer: re-broadcast setup/teardown conclusions."""
-        if not self._listeners:
-            return
-        name = _CONTROLLER_EVENTS.get(event)
-        if name is None:
-            return
+        """Controller observer: hand connection edges to the intake."""
         connection = payload.get("connection")
-        if connection is None:
-            return
-        ticket = self._by_connection.get(connection.connection_id)
-        if ticket is None:
-            return
-        self._emit(ticket, name)
+        if connection is not None:
+            self._on_backend_event(connection.connection_id, event)
 
-    @property
-    def rounds(self) -> int:
-        """Scheduling rounds run so far."""
-        return self._rounds
-
-    @property
-    def capacity(self) -> int:
-        """The bounded queue size."""
-        return self._capacity
-
-    # -- the round loop --------------------------------------------------------
-
-    def _ensure_draining(self) -> None:
-        """(Re)start the round-loop process when the queue has work."""
-        if self._proc is None or self._proc.done:
-            self._proc = Process(
-                self._sim, self._drain(), label="pipeline:rounds"
-            )
-
-    def _drain(self):
-        """Kernel process: one scheduling round per ``round_interval``."""
-        while self._heap:
-            self._run_round()
-            if self._heap:
-                yield self._round_interval
-
-    def _run_round(self) -> None:
-        """Admit, batch-plan, and claim up to ``round_size`` orders."""
+    def _place(self, batch: List[_QueuedOrder]) -> None:
+        """Admit, batch-plan, and claim one round's orders."""
         ctrl = self._controller
-        self._rounds += 1
-        take = min(self._round_size, len(self._heap))
-        batch = [heapq.heappop(self._heap) for _ in range(take)]
         round_span = self._tracer.span(
             "pipeline.round", round=self._rounds, orders=len(batch)
         )
-        self._metrics.inc("pipeline.rounds")
 
         # Phase 1: open + admit in arrival order; collect plan requests.
         admitted = []  # (entry, connection, span, slice of requests)
@@ -431,7 +530,7 @@ class OrderPipeline:
                 entry.kind,
             )
             if not ctrl.admit_order(connection, span):
-                self._settle(ticket, TicketState.BLOCKED, connection)
+                self._settle_blocked(ticket, connection)
                 continue
             try:
                 # Same call order as the serial claim path, so a bad
@@ -442,7 +541,7 @@ class OrderPipeline:
                 decomposition = ctrl.decompose_order(connection, entry.kind)
             except GriphonError as exc:
                 ctrl.block_admitted_order(connection, span, exc)
-                self._settle(ticket, TicketState.BLOCKED, connection)
+                self._settle_blocked(ticket, connection)
                 continue
             waves = [] if decomposition is None else decomposition[0]
             start = len(requests)
@@ -473,9 +572,7 @@ class OrderPipeline:
                     self._settle_deferred(entry, connection, span, failed.error)
                 else:
                     ctrl.block_admitted_order(connection, span, failed.error)
-                    self._settle(
-                        entry.ticket, TicketState.BLOCKED, connection
-                    )
+                    self._settle_blocked(entry.ticket, connection)
                 continue
             plans = iter([item.plan for item in order_items])
 
@@ -502,31 +599,25 @@ class OrderPipeline:
                     self._defer(entry, connection, span, str(exc))
                 else:
                     ctrl.block_admitted_order(connection, span, exc)
-                    self._settle(
-                        entry.ticket, TicketState.BLOCKED, connection
-                    )
+                    self._settle_blocked(entry.ticket, connection)
                 continue
             claimed_any = True
-            self._settle(entry.ticket, TicketState.ACCEPTED, connection)
+            self._settle(
+                entry.ticket, TicketState.ACCEPTED, connection.connection_id
+            )
 
         round_span.set_tag("queued_after", len(self._heap)).finish()
 
     # -- settlement ------------------------------------------------------------
 
-    def _settle(self, ticket: OrderTicket, state: TicketState, connection) -> None:
-        """Finalize a ticket against its connection record."""
-        ticket.state = state
-        ticket.settled_at = self._sim.now
-        ticket.connection_id = connection.connection_id
-        if state is TicketState.BLOCKED:
-            ticket.reason = connection.blocked_reason
-            self._metrics.inc("pipeline.blocked")
-        else:
-            self._metrics.inc("pipeline.accepted")
-            # Accepted orders keep streaming setup/teardown conclusions
-            # to listeners; index the ticket by its connection record.
-            self._by_connection[connection.connection_id] = ticket
-        self._emit(ticket, "settled")
+    def _settle_blocked(self, ticket: OrderTicket, connection) -> None:
+        """Settle a ticket BLOCKED with its record's reason string."""
+        self._settle(
+            ticket,
+            TicketState.BLOCKED,
+            connection.connection_id,
+            connection.blocked_reason,
+        )
 
     def _defer(self, entry: _QueuedOrder, connection, span, reason: str) -> None:
         """Return a contention loser to the queue with its old priority."""

@@ -39,7 +39,6 @@ __all__ = [
     "ShardedNetwork",
     "ShardIntake",
     "build_sharded_network",
-    "outcome_fingerprint",
     "ShardWorkerPool",
     "UnitRecipe",
 ]
@@ -50,7 +49,6 @@ _LAZY = {
     "ShardedNetwork": "repro.shard.network",
     "ShardIntake": "repro.shard.intake",
     "build_sharded_network": "repro.shard.network",
-    "outcome_fingerprint": "repro.shard.network",
     "ShardWorkerPool": "repro.shard.workers",
     "UnitRecipe": "repro.shard.workers",
 }

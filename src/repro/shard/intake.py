@@ -1,55 +1,50 @@
 """ShardIntake: the sharded network behind the ``OrderIntake`` contract.
 
-PR-6 left ``ShardedNetwork`` with its own batch intake
-(:meth:`~repro.shard.network.ShardedNetwork.place_orders`), so nothing
-built against :class:`~repro.pipeline.OrderPipeline` — the async
-frontend above all — could drive it.  :class:`ShardIntake` closes that
-gap: the same bounded queue, ticket surface, round cadence, and typed
-outcomes as the pipeline, executing rounds through the sharded (or
-monolithic-twin) planner.  Because both backends implement
-:class:`repro.api.OrderIntake`, the frontend is deployment-agnostic,
-and the differential test drives the frontend against both twin modes
-expecting identical outcome streams.
+``ShardedNetwork`` has its own batch entry point
+(:meth:`~repro.shard.network.ShardedNetwork.place_orders`); nothing
+built against :class:`repro.api.OrderIntake` — the async frontend above
+all — could drive it.  :class:`ShardIntake` is that adapter.  The
+bounded queue, ticket surface, round cadence, event stream and typed
+outcomes are not *like* the pipeline's, they are the pipeline's:
+both subclass :class:`repro.pipeline.engine.RoundIntake`, and this
+module says only what a sharded round places.  The frontend is therefore
+deployment-agnostic, and the differential test drives it against both
+twin modes expecting identical outcome streams.
 
 The intake is equally agnostic to the network's *planning* backend: a
 ``ShardedNetwork(backend="pool")`` drives its placement rounds through
 the persistent worker processes of :class:`repro.shard.workers.
-ShardWorkerPool` with byte-identical typed outcomes, so the PR 7
-frontend gets genuinely parallel sharded planning with zero changes
-here — ``tests/test_shard_pool_differential.py`` pins the equivalence
-through this adapter.
+ShardWorkerPool` with byte-identical typed outcomes —
+``tests/test_shard_pool_differential.py`` pins the equivalence through
+this adapter.
 """
 
 from __future__ import annotations
 
-import heapq
-import itertools
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import List
 
-from repro.core.connection import ConnectionKind, ConnectionState
-from repro.errors import ConfigurationError
-from repro.pipeline.engine import OrderTicket, TicketState, _QueuedOrder
+from repro.core.connection import ConnectionState
+from repro.obs.registry import MetricsRegistry
+from repro.obs.trace import Tracer
+from repro.pipeline.engine import (
+    OrderTicket,
+    RoundIntake,
+    TicketState,
+    _QueuedOrder,
+)
 from repro.shard.network import ShardedNetwork, ShardOrder
-from repro.sim.process import Process
-
-#: ShardedNetwork order events re-broadcast to intake listeners.  A
-#: "blocked" edge on an already-accepted ticket means the setup saga
-#: rolled the order back → the protocol's "failed" event.
-_NETWORK_EVENTS = {"up": "active", "released": "released"}
 
 
-class ShardIntake:
+class ShardIntake(RoundIntake):
     """Bounded, round-batched order intake over a :class:`ShardedNetwork`.
 
-    Implements :class:`repro.api.OrderIntake` with the same semantics as
-    :class:`~repro.pipeline.OrderPipeline`: ``submit`` returns a ticket
-    immediately (QUEUE_FULL on the spot when the bounded queue is at
-    capacity — backpressure, not buffering), a kernel process drains the
-    queue in rounds of ``round_size`` through one
-    :meth:`~repro.shard.network.ShardedNetwork.place_orders` call per
-    round (so the round shares planning overlays exactly like a pipeline
-    round shares its batch plan), and ``outcome`` maps tickets onto the
-    :data:`repro.api.OrderStatus` union.
+    Everything about how orders wait is :class:`~repro.pipeline.engine.
+    RoundIntake`; a round here is one
+    :meth:`~repro.shard.network.ShardedNetwork.place_orders` call (so
+    the round shares planning overlays exactly like a pipeline round
+    shares its batch plan).  An order's ``kind`` is accepted for
+    contract compatibility but ignored — the sharded planner realizes
+    every order as wavelengths — and nothing is ever deferred.
 
     Args:
         network: The sharded (or monolithic-twin) network to order on.
@@ -67,186 +62,48 @@ class ShardIntake:
         round_size: int = 8,
         round_interval: float = 0.0,
     ) -> None:
-        if capacity < 1:
-            raise ConfigurationError(f"capacity must be >= 1, got {capacity}")
-        if round_size < 1:
-            raise ConfigurationError(
-                f"round_size must be >= 1, got {round_size}"
-            )
-        if round_interval < 0:
-            raise ConfigurationError(
-                f"round_interval must be >= 0, got {round_interval}"
-            )
+        #: The ``pipeline.*`` counters of this intake (the network keeps
+        #: no registry of its own; each unit controller has one).
+        self.metrics = MetricsRegistry()
+        super().__init__(
+            network.sim,
+            self.metrics,
+            Tracer(network.sim.time_source()),
+            capacity,
+            round_size,
+            round_interval,
+        )
         self.network = network
-        self._sim = network.sim
-        self._capacity = capacity
-        self._round_size = round_size
-        self._round_interval = float(round_interval)
-        self._heap: List[_QueuedOrder] = []
-        self._order_seq = itertools.count(1)
-        self._arrival_seq = itertools.count(1)
-        self._tickets: Dict[str, OrderTicket] = {}
-        self._by_order: Dict[str, OrderTicket] = {}
-        self._listeners: List[Callable[[OrderTicket, str], None]] = []
-        self._proc: Optional[Process] = None
-        self._rounds = 0
-        network.order_listeners.append(self._on_network_event)
+        network.order_listeners.append(self._on_order_event)
 
-    # -- intake ----------------------------------------------------------------
+    def _record(self, ticket: OrderTicket) -> ShardOrder:
+        return self.network.orders[ticket.connection_id]
 
-    def submit(
-        self,
-        customer: str,
-        premises_a: str,
-        premises_b: str,
-        rate_bps: float,
-        kind: Optional[ConnectionKind] = None,
-    ) -> OrderTicket:
-        """Queue an order; returns its ticket immediately.
+    def _release(self, ticket: OrderTicket) -> None:
+        self.network.teardown_order(self._record(ticket))
 
-        ``kind`` is accepted for contract compatibility but ignored —
-        the sharded planner realizes every order as wavelengths.
-        """
-        ticket = OrderTicket(
-            order_id=f"order-{next(self._order_seq)}",
-            customer=customer,
-            premises_a=premises_a,
-            premises_b=premises_b,
-            rate_bps=rate_bps,
-            submitted_at=self._sim.now,
+    def _on_order_event(self, order: ShardOrder, event: str) -> None:
+        """Network listener: hand order edges to the intake."""
+        self._on_backend_event(order.order_id, event)
+
+    def _place(self, batch: List[_QueuedOrder]) -> None:
+        """Place one round's orders as one network round."""
+        orders = self.network.place_orders(
+            [
+                (
+                    entry.ticket.customer,
+                    entry.ticket.premises_a,
+                    entry.ticket.premises_b,
+                    entry.ticket.rate_bps,
+                )
+                for entry in batch
+            ]
         )
-        self._tickets[ticket.order_id] = ticket
-        if len(self._heap) >= self._capacity:
-            ticket.state = TicketState.QUEUE_FULL
-            ticket.reason = (
-                f"order intake queue is full ({self._capacity} waiting)"
-            )
-            ticket.settled_at = self._sim.now
-            self._emit(ticket, "settled")
-            return ticket
-        entry = _QueuedOrder(
-            priority=(self._sim.now, 0.0, next(self._arrival_seq)),
-            ticket=ticket,
-            kind=kind,
-        )
-        heapq.heappush(self._heap, entry)
-        self._ensure_draining()
-        return ticket
-
-    # -- introspection ---------------------------------------------------------
-
-    def queue_depth(self) -> int:
-        """Orders currently waiting for a round."""
-        return len(self._heap)
-
-    @property
-    def capacity(self) -> int:
-        """The bounded queue size."""
-        return self._capacity
-
-    @property
-    def rounds(self) -> int:
-        """Placement rounds run so far."""
-        return self._rounds
-
-    def tickets(self) -> List[OrderTicket]:
-        """Every ticket ever issued, in submission order."""
-        return list(self._tickets.values())
-
-    def outcome(self, ticket: OrderTicket):
-        """The ticket's typed status from :data:`repro.api.OrderStatus`."""
-        from repro import api
-
-        if ticket.state is TicketState.QUEUED:
-            return None
-        if ticket.state is TicketState.QUEUE_FULL:
-            return api.QueueFull(
-                order_id=ticket.order_id,
-                capacity=self._capacity,
-                reason=ticket.reason,
-            )
-        order = self.network.orders[ticket.connection_id]
-        return api.classify_record(order)
-
-    # -- lifecycle listeners ---------------------------------------------------
-
-    def add_listener(
-        self, listener: Callable[[OrderTicket, str], None]
-    ) -> None:
-        """Subscribe to ticket lifecycle events (OrderIntake contract)."""
-        self._listeners.append(listener)
-
-    def teardown(self, ticket: OrderTicket) -> None:
-        """Tear down an accepted ticket's order across its shards.
-
-        Raises:
-            ConfigurationError: for a ticket that never placed an order.
-        """
-        if ticket.state is not TicketState.ACCEPTED or (
-            ticket.connection_id is None
-        ):
-            raise ConfigurationError(
-                f"order {ticket.order_id!r} holds no connection to tear "
-                f"down (state {ticket.state.value})"
-            )
-        self.network.teardown_order(self.network.orders[ticket.connection_id])
-
-    def _emit(self, ticket: OrderTicket, event: str) -> None:
-        for listener in list(self._listeners):
-            listener(ticket, event)
-
-    def _on_network_event(self, order: ShardOrder, event: str) -> None:
-        """Re-broadcast network order edges onto settled tickets."""
-        if not self._listeners:
-            return
-        ticket = self._by_order.get(order.order_id)
-        if ticket is None:
-            return
-        name = _NETWORK_EVENTS.get(event)
-        if name is None and event == "blocked":
-            # A blocked edge after acceptance is the setup saga rolling
-            # the order back — the protocol's "failed" conclusion.
-            name = "failed" if ticket.state is TicketState.ACCEPTED else None
-        if name is not None:
-            self._emit(ticket, name)
-
-    # -- the round loop --------------------------------------------------------
-
-    def _ensure_draining(self) -> None:
-        if self._proc is None or self._proc.done:
-            self._proc = Process(
-                self._sim, self._drain(), label="shard-intake:rounds"
-            )
-
-    def _drain(self):
-        while self._heap:
-            self._run_round()
-            if self._heap:
-                yield self._round_interval
-
-    def _run_round(self) -> None:
-        """Place up to ``round_size`` queued orders as one network round."""
-        self._rounds += 1
-        take = min(self._round_size, len(self._heap))
-        batch = [heapq.heappop(self._heap) for _ in range(take)]
-        requests: List[Tuple[str, str, str, float]] = [
-            (
-                entry.ticket.customer,
-                entry.ticket.premises_a,
-                entry.ticket.premises_b,
-                entry.ticket.rate_bps,
-            )
-            for entry in batch
-        ]
-        orders = self.network.place_orders(requests)
         for entry, order in zip(batch, orders):
-            ticket = entry.ticket
-            ticket.connection_id = order.order_id
-            ticket.settled_at = self._sim.now
-            self._by_order[order.order_id] = ticket
-            if order.state is ConnectionState.BLOCKED:
-                ticket.state = TicketState.BLOCKED
-                ticket.reason = order.blocked_reason
-            else:
-                ticket.state = TicketState.ACCEPTED
-            self._emit(ticket, "settled")
+            blocked = order.state is ConnectionState.BLOCKED
+            self._settle(
+                entry.ticket,
+                TicketState.BLOCKED if blocked else TicketState.ACCEPTED,
+                order.order_id,
+                order.blocked_reason,
+            )

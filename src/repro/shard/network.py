@@ -30,7 +30,7 @@ routes every segment through the *same* decomposition with per-segment
 node/link exclusions confining candidate routes to the owning unit's
 subgraph.  Identical candidate routes + identical first-fit channel
 scans + identical claim order mean identical structural outcomes,
-which :func:`outcome_fingerprint` hashes for the differential test.
+which :func:`repro.fingerprint.outcome_fingerprint` hashes for the differential test.
 
 **The placement round.**  :meth:`ShardedNetwork.place_orders` runs
 three phases: *open* every request in order (order id, admission,
@@ -65,9 +65,7 @@ differential tests pin fingerprint-for-fingerprint.
 
 from __future__ import annotations
 
-import hashlib
 import itertools
-import json
 from collections import defaultdict
 from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
@@ -79,6 +77,9 @@ from repro.core.rwa import BatchPlanItem, PlanRequest, RwaPlan, _PlanningRound
 from repro.errors import ConfigurationError, GriphonError
 from repro.faults.audit import AuditReport, audit_network
 from repro.faults.plan import FaultPlan
+# ``outcome_fingerprint`` is re-exported: the shard differential tests
+# import it from here.
+from repro.fingerprint import outcome_fingerprint, plant_fingerprint  # noqa: F401
 from repro.optical.lightpath import LightpathState
 from repro.optical.wavelength import WavelengthGrid
 from repro.shard.planner import SegmentSpec, ShardPlanner
@@ -86,7 +87,6 @@ from repro.shard.workers import (
     MONOLITH,
     ShardWorkerPool,
     UnitRecipe,
-    plant_fingerprint,
 )
 from repro.sim.kernel import Simulator
 from repro.sim.process import Process
@@ -154,31 +154,6 @@ class ShardOrder:
             f"ShardOrder({self.order_id} [{self.state.value}] "
             f"{self.premises_a} <-> {self.premises_b})"
         )
-
-
-def outcome_fingerprint(orders: Sequence[ShardOrder]) -> str:
-    """A structural digest of a batch of orders' outcomes.
-
-    Hashes, per order: final state, blocked reason, and per segment the
-    owning unit, node path, channel per regen-free hop, and regen sites.
-    Deliberately excludes every sequence-assigned identifier (lightpath,
-    OT, connection ids) and every timing — those differ between the
-    sharded and monolithic deployments even when the outcomes agree.
-    """
-    payload = []
-    for order in orders:
-        payload.append(
-            {
-                "order": order.order_id,
-                "state": order.state.value,
-                "reason": order.blocked_reason,
-                "segments": order.plan_record,
-            }
-        )
-    digest = hashlib.sha256(
-        json.dumps(payload, sort_keys=True).encode("utf-8")
-    )
-    return digest.hexdigest()
 
 
 class _PlantMirror:
@@ -481,10 +456,6 @@ class ShardedNetwork:
     def controllers(self) -> Dict[str, GriphonController]:
         """Unit name -> controller (all the same object in monolithic)."""
         return dict(self._unit_controller)
-
-    def controller_of(self, unit: str) -> GriphonController:
-        """The controller serving planning unit ``unit``."""
-        return self._unit_controller[unit]
 
     def register_customer(self, profile: CustomerProfile) -> None:
         """Register a CSP customer with the network-wide admission."""

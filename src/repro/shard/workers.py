@@ -37,8 +37,6 @@ round number changes — the same lifetime it has in process.
 
 from __future__ import annotations
 
-import hashlib
-import json
 from collections import deque
 from dataclasses import dataclass
 from multiprocessing import get_context
@@ -46,6 +44,7 @@ from typing import Any, Deque, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.core.rwa import _PlanningRound
 from repro.errors import ConfigurationError, GriphonError, WorkerCrashed
+from repro.fingerprint import plant_fingerprint
 from repro.shard.unit import (
     ShardUnit,
     _install_planning_equipment,
@@ -65,25 +64,6 @@ MIRROR_OWNER = "~mirror"
 #: journal (``round`` for its sync and for the overlay its plans leave,
 #: which the round's next message plans against).
 _MUTATING_OPS = frozenset({"round", "cut", "repair"})
-
-
-def plant_fingerprint(plant) -> str:
-    """A structural digest of a fiber plant's occupancy + failure state.
-
-    Owner strings are deliberately excluded: the parent lights channels
-    under lightpath ids while a mirroring worker lights them under
-    :data:`MIRROR_OWNER`, yet both represent the same physical state.
-    """
-    snapshot = plant.occupancy_snapshot()
-    payload = {
-        "occupancy": sorted(
-            (f"{a}={b}", mask) for (a, b), mask in snapshot.items()
-        ),
-        "failed": sorted(f"{a}={b}" for a, b in plant.failed_links()),
-    }
-    return hashlib.sha256(
-        json.dumps(payload, sort_keys=True).encode("utf-8")
-    ).hexdigest()
 
 
 @dataclass(frozen=True)

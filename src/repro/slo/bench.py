@@ -17,11 +17,11 @@ the subsystem at all.
 
 from __future__ import annotations
 
-import hashlib
 from typing import Any, Dict, Optional
 
 from repro.facade import GriphonNetwork, build_griphon_backbone
 from repro.faults.plan import DegradationPlan, DegradationSpec
+from repro.fingerprint import network_fingerprint
 from repro.optical.osnr import OsnrModel
 from repro.slo.monitor import default_policies
 
@@ -80,34 +80,6 @@ def bring_up_workload(net: GriphonNetwork) -> list:
         )
     net.run()
     return connections
-
-
-def network_fingerprint(net: GriphonNetwork) -> str:
-    """A structural digest of the network's end state.
-
-    Covers every connection's state and id, every live lightpath's route
-    and wavelength assignment, the sim clock, and the kernel's event
-    sequence counter — so two runs fingerprint equal only when they
-    scheduled the same number of events and converged on the same
-    optical state.  This is the oracle behind the "an empty plan changes
-    nothing" acceptance check.
-    """
-    controller = net.controller
-    parts = [f"now={net.sim.now:.9f}", f"seq={net.sim._seq}"]
-    for conn_id in sorted(controller.connections):
-        conn = controller.connections[conn_id]
-        parts.append(
-            f"conn:{conn_id}:{conn.state.value}:"
-            f"{','.join(conn.lightpath_ids)}:{','.join(conn.circuit_ids)}"
-        )
-    for lp_id in sorted(controller.inventory.lightpaths):
-        lightpath = controller.inventory.lightpaths[lp_id]
-        segments = ";".join(
-            f"{'-'.join(seg.nodes)}@{seg.channel}"
-            for seg in lightpath.segments
-        )
-        parts.append(f"lp:{lp_id}:{'-'.join(lightpath.path)}:{segments}")
-    return hashlib.sha256("\n".join(parts).encode()).hexdigest()
 
 
 def run_slo_trial(

@@ -2,8 +2,8 @@
 
 Pins the tentpole properties of :mod:`repro.frontend`:
 
-* the deterministic async runtime (futures resolve as kernel events,
-  tasks resume in FIFO order, same seed → same interleaving);
+* futures resolve as kernel events, never inline (same seed → same
+  interleaving);
 * the three edge gates in order — token-bucket rate limit, *non-mutating*
   quota probe, hysteresis load shedding — every refusal a typed
   :class:`repro.api.Rejected`, never an exception or unbounded queue;
@@ -25,10 +25,7 @@ from repro.frontend import (
     STATE_SHEDDING,
     BucketSet,
     SimFuture,
-    Task,
     TokenBucket,
-    gather,
-    sleep,
 )
 from repro.sim.kernel import Simulator
 
@@ -70,46 +67,6 @@ class TestSimFuture:
         future.add_done_callback(fired.append)
         sim.run()
         assert fired == [7]
-
-
-class TestTask:
-    def test_coroutine_sleeps_on_sim_time(self):
-        sim = Simulator()
-        trace = []
-
-        async def worker(name, delay):
-            await sleep(sim, delay)
-            trace.append((name, sim.now))
-
-        Task(sim, worker("fast", 1.0))
-        Task(sim, worker("slow", 3.0))
-        sim.run()
-        assert trace == [("fast", 1.0), ("slow", 3.0)]
-
-    def test_gather_preserves_order(self):
-        sim = Simulator()
-
-        async def waiter():
-            first, second = SimFuture(sim), SimFuture(sim)
-            sim.schedule(2.0, first.resolve, "a")
-            sim.schedule(1.0, second.resolve, "b")
-            return await gather(sim, [first, second])
-
-        task = Task(sim, waiter())
-        sim.run()
-        assert task.done and task.result == ["a", "b"]
-
-    def test_same_instant_tasks_run_in_creation_order(self):
-        sim = Simulator()
-        order = []
-
-        async def tagged(tag):
-            order.append(tag)
-
-        for tag in ("one", "two", "three"):
-            Task(sim, tagged(tag))
-        sim.run()
-        assert order == ["one", "two", "three"]
 
 
 class TestTokenBucket:
@@ -274,18 +231,12 @@ class TestStatusStream:
         frontend = _frontend(net)
         net.service_for("csp", max_connections=8)
         seen = []
-
-        async def place_and_wait():
-            ticket = frontend.submit("csp", "PREMISES-A", "PREMISES-B", 10e9)
-            outcome = await ticket
-            seen.append(outcome)
-            return outcome
-
-        task = Task(net.sim, place_and_wait())
+        ticket = frontend.submit("csp", "PREMISES-A", "PREMISES-B", 10e9)
+        ticket.future.add_done_callback(seen.append)
+        assert ticket.outcome is None
         net.run()
-        assert task.done
-        assert isinstance(task.result, api.Active)
-        assert seen == [task.result]
+        assert isinstance(ticket.outcome, api.Active)
+        assert seen == [ticket.outcome]
         assert net.metrics.counters()["frontend.active"] == 1
 
     def test_event_stream_vocabulary(self, net):

@@ -14,13 +14,13 @@ the moves).
 """
 
 from repro.faults.audit import audit_network
+from repro.fingerprint import assignment_fingerprint
 from repro.optimize import (
     MigrationExecutor,
     NetworkSnapshot,
     plan_migrations,
 )
 from repro.optimize.bench import (
-    assignment_fingerprint,
     build_optimize_network,
     fragment_network,
     place_orders,

@@ -11,8 +11,8 @@ the auditor reported ``dangling-lightpath``.  Found on ``mono-churn
 """
 
 from repro.core.connection import ConnectionState
-from repro.facade import GriphonNetwork
-from repro.faults.audit import audit_network
+from repro.facade import GriphonNetwork, build_griphon_testbed
+from repro.faults import FaultPlan, FaultSpec, audit_network
 from repro.topo import Link, NetworkGraph, Node
 from repro.units import gbps
 
@@ -152,4 +152,47 @@ def test_retry_relabels_its_own_steering_only():
     lightpath = net.inventory.lightpaths[victim.lightpath_ids[0]]
     assert ot_labels(net, victim) == lightpath.ot_ids
     assert ot_labels(net, stranger) == stranger_ots
+    assert audit_network(net.controller).ok
+
+
+def test_aborted_restoration_is_retried_by_the_next_repair():
+    """The other way a restoration leaves FAILED with no lightpath: the
+    replacement's setup saga gave up and rolled it back.  The rolled-back
+    record waits in ``_unrestored`` like a blocked claim's dead path, so
+    the next repair retries instead of returning at "names nothing"."""
+    net = build_griphon_testbed(seed=7, fault_plan=FaultPlan())
+    svc = net.service_for("acme")
+    victim = svc.request_connection("PREMISES-A", "PREMISES-B", 10)
+    net.run()
+    assert victim.state is ConnectionState.UP
+    path = net.inventory.lightpaths[victim.lightpath_ids[0]].path
+    cut = next(
+        (a, b) for a, b in zip(path, path[1:])
+        if not (a.startswith("PREMISES") or b.startswith("PREMISES"))
+    )
+    # Every EMS command fails hard for the next ten minutes.
+    now = net.sim.now
+    net.controller.fault_plan.add(
+        FaultSpec(mode="fail", after_s=now, until_s=now + 600.0)
+    )
+    net.controller.cut_link(*cut)
+    net.run()
+    assert net.metrics.counter("restoration.aborted") == 1
+    assert victim.state is ConnectionState.FAILED
+    assert victim.lightpath_ids == []
+    assert not net.inventory.lightpaths
+    assert audit_network(net.controller).ok
+    # The faults are over by the time the fiber is spliced.
+    net.sim.schedule(700.0, net.controller.repair_link, *cut)
+    net.run()
+    assert victim.state is ConnectionState.UP
+    assert net.metrics.counter("restoration.success") == 1
+    lightpath = net.inventory.lightpaths[victim.lightpath_ids[0]]
+    assert ot_labels(net, victim) == lightpath.ot_ids
+    assert victim.outage_started_at is None
+    assert audit_network(net.controller).ok
+    svc.teardown_connection(victim.connection_id)
+    net.run()
+    assert victim.state is ConnectionState.RELEASED
+    assert svc.usage()["connections"] == 0
     assert audit_network(net.controller).ok

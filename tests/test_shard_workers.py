@@ -24,16 +24,9 @@ import pytest
 from repro.core.admission import CustomerProfile
 from repro.core.rwa import PlanRequest
 from repro.errors import ConfigurationError, WorkerCrashed
-from repro.shard.network import (
-    _PlantMirror,
-    build_sharded_network,
-    outcome_fingerprint,
-)
-from repro.shard.workers import (
-    ShardWorkerPool,
-    UnitRecipe,
-    plant_fingerprint,
-)
+from repro.fingerprint import outcome_fingerprint, plant_fingerprint
+from repro.shard.network import _PlantMirror, build_sharded_network
+from repro.shard.workers import ShardWorkerPool, UnitRecipe
 from repro.topo.hierarchy import build_hierarchy
 from repro.units import GBPS
 

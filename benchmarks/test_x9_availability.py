@@ -10,8 +10,9 @@ regime and measure availability, then cross-check against the analytic
 The study is now a Monte Carlo: four independent seeds per regime,
 declared as a :class:`~repro.sweep.spec.SweepSpec` and driven through
 the scale-out sweep engine (``griphon sweep x9 --jobs N`` regenerates
-it from a shell; ``benchmarks/sweep_report.py`` measures the
-serial-versus-parallel wall-clock on the same spec).
+it from a shell; that ``--jobs 1`` and ``--jobs N`` aggregate
+byte-identically is tier-1:
+``tests/test_sweep_engine.py::test_parallel_matches_serial_byte_identically``).
 """
 
 from benchmarks.harness import print_rows

@@ -37,10 +37,7 @@ from repro.errors import (
 )
 from repro.faults.plan import FaultPlan
 from repro.faults.resilient import ResilientExecutor, RetryPolicy
-from repro.ems.fxc_ctl import FxcController
 from repro.ems.latency import LatencyModel
-from repro.ems.nte_ctl import NteController
-from repro.ems.otn_ems import OtnEms
 from repro.ems.roadm_ems import RoadmEms
 from repro.iplayer.network import IpLayer
 from repro.obs.registry import MetricsRegistry
@@ -124,15 +121,6 @@ class GriphonController:
         # the invariant auditor can cross-check live settings against it.
         for key, chain in self.roadm_ems.amplifier_chains().items():
             inventory.record_amplifier_gain(key, chain.target_gain_db)
-        self.fxc_ctl = FxcController(
-            inventory.fxcs, self.latency, metrics=self.metrics
-        )
-        self.nte_ctl = NteController(
-            inventory.ntes, self.latency, metrics=self.metrics
-        )
-        self.otn_ems = OtnEms(
-            inventory.otn_switches, self.latency, metrics=self.metrics
-        )
         #: Every EMS command runs through the resilient executor: the
         #: fault plan decides what breaks, the policy how hard we retry.
         #: With the default empty plan this is a zero-cost passthrough.
@@ -212,9 +200,6 @@ class GriphonController:
         self.latency = latency
         self.latency.bind_metrics(self.metrics)
         self.roadm_ems._latency = latency
-        self.fxc_ctl._latency = latency
-        self.nte_ctl._latency = latency
-        self.otn_ems._latency = latency
         self.provisioner._latency = latency
 
     # -- customers -------------------------------------------------------------
@@ -495,92 +480,6 @@ class GriphonController:
             connection.transition(ConnectionState.UP)
             connection.end_outage(self.sim.now)
             self._notify("revived", {"connection": connection})
-
-    def fail_transponder(self, ot_id: str) -> None:
-        """Fail a transponder card; the lightpath holding it goes dark.
-
-        The failed card stays allocated to its lightpath (the slot is
-        not reusable until :meth:`repair_transponder`), but restoration
-        re-provisions onto a healthy card when one is free.
-        """
-        node = ot_id.split(":")[1]
-        ot = self.inventory.transponders[node].get(ot_id)
-        owner = ot.fail()
-        self.tracer.event("failure.transponder", ot=ot_id)
-        self.metrics.inc("failure.transponder")
-        self._notify("transponder-failed", {"ot_id": ot_id, "owner": owner})
-        if owner is None:
-            return
-        lightpath = self.inventory.lightpaths.get(owner)
-        if lightpath is None or lightpath.state is not LightpathState.UP:
-            return
-        lightpath.transition(LightpathState.FAILED)
-        conn_id = self._lightpath_conn.get(owner)
-        if conn_id is not None:
-            self._fail_connection_component(self.connection(conn_id))
-        for line_id, lp_id in list(self._line_lightpath.items()):
-            if lp_id == owner:
-                self._fail_otn_line(line_id)
-        if self.auto_restore:
-            for connection in list(self.connections.values()):
-                if connection.state is ConnectionState.FAILED:
-                    self._attempt_restoration(connection)
-
-    def repair_transponder(self, ot_id: str) -> None:
-        """Replace a failed transponder card; it is allocatable again."""
-        node = ot_id.split(":")[1]
-        self.inventory.transponders[node].get(ot_id).repair()
-
-    def fail_amplifier(self, a: str, b: str) -> None:
-        """Fail an amplifier on span a-b: the whole span goes dark.
-
-        Optically equivalent to a fiber cut on that span (every channel
-        through the dead amplifier is lost), so the fiber-cut machinery
-        handles localization and restoration.
-        """
-        self.tracer.event("failure.amplifier", link=f"{a}={b}")
-        self.metrics.inc("failure.amplifier")
-        self._notify("amplifier-failed", {"link": (a, b)})
-        self.cut_link(a, b)
-
-    def repair_amplifier(self, a: str, b: str) -> None:
-        """Replace the failed amplifier; the span carries traffic again."""
-        self.repair_link(a, b)
-
-    def fail_otn_switch(self, node: str) -> None:
-        """Fail the OTN switch fabric at a node.
-
-        Every line terminating there fails; circuits riding those lines
-        mesh-restore around the dead switch where shared capacity allows.
-
-        Raises:
-            EquipmentError: if no OTN switch is installed at ``node``.
-        """
-        switch = self.inventory.otn_switches.get(node)
-        if switch is None:
-            raise EquipmentError(
-                f"no OTN switch at {node!r}", site=node, element=node
-            )
-        self.tracer.event("failure.otn_switch", node=node)
-        self.metrics.inc("failure.otn_switch")
-        self._notify("otn-switch-failed", {"node": node})
-        for line in switch.lines:
-            self._fail_otn_line(line.line_id)
-
-    def repair_otn_switch(self, node: str) -> None:
-        """Repair the switch fabric; its failed lines come back.
-
-        Raises:
-            EquipmentError: if no OTN switch is installed at ``node``.
-        """
-        switch = self.inventory.otn_switches.get(node)
-        if switch is None:
-            raise EquipmentError(
-                f"no OTN switch at {node!r}", site=node, element=node
-            )
-        for line in switch.lines:
-            if line.failed:
-                line.repair()
 
     # -- bridge-and-roll ------------------------------------------------------------
 

@@ -19,7 +19,7 @@ greater".
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Tuple
+from typing import Dict, List
 
 from repro.errors import ConfigurationError
 from repro.topo.graph import NetworkGraph
@@ -105,8 +105,7 @@ class ResourcePlanner:
         """Erlangs of transponder demand each node terminates.
 
         A connection consumes one OT at each *end* node (intermediate
-        nodes pass through optically, unless a regen is needed — regen
-        planning is handled separately via :meth:`regen_load`).
+        nodes pass through optically).
         """
         load: Dict[str, float] = {}
         for forecast in forecasts:
@@ -148,48 +147,3 @@ class ResourcePlanner:
             servers = pools.get(node, 0)
             result[node] = erlang_b(servers, erlangs)
         return result
-
-    def regen_load(
-        self,
-        forecasts: List[DemandForecast],
-        reach_km: float,
-    ) -> Dict[str, float]:
-        """Erlangs of regenerator demand per intermediate node.
-
-        Routes each forecast on its shortest-km path and walks the reach
-        budget to find where regens would land, crediting that node with
-        the pair's offered load.
-        """
-        if reach_km <= 0:
-            raise ConfigurationError("reach must be positive")
-        load: Dict[str, float] = {}
-        for forecast in forecasts:
-            path = self._graph.shortest_path(
-                forecast.pop_a,
-                forecast.pop_b,
-                weight=lambda link: link.length_km,
-            )
-            since = 0.0
-            for u, v in zip(path, path[1:]):
-                hop = self._graph.link_between(u, v).length_km
-                if since + hop > reach_km:
-                    load[u] = load.get(u, 0.0) + forecast.offered_erlangs
-                    since = hop
-                else:
-                    since += hop
-        return load
-
-    def plan_summary(
-        self,
-        forecasts: List[DemandForecast],
-        target_blocking: float = 0.01,
-    ) -> List[Tuple[str, float, int, float]]:
-        """Rows of (node, offered erlangs, OTs, expected blocking)."""
-        pools = self.size_pools(forecasts, target_blocking)
-        blocking = self.expected_blocking(forecasts, pools)
-        rows = []
-        for node, erlangs in sorted(
-            self.offered_load_per_node(forecasts).items()
-        ):
-            rows.append((node, erlangs, pools[node], blocking[node]))
-        return rows

@@ -4,33 +4,26 @@ The paper's headline measurement — 60–70 s wavelength connection
 establishment — decomposes into "(i) ROADM Element Management System
 (EMS) configuration steps, and (ii) optical tasks, such as ROADM
 reconfiguration, laser tuning, power balancing and link equalization"
-(§3).  This package models every vendor-supplied management interface
-the GRIPhoN controller talks to, with each configuration step taking a
-calibrated, lightly-jittered amount of simulated time:
+(§3).  This package times those steps; two modules:
 
 * :mod:`repro.ems.latency` — the step-duration catalog and sampler;
-* :mod:`repro.ems.roadm_ems` — ROADM EMS (add/drop, express, equalize);
-* :mod:`repro.ems.otn_ems` — OTN switch EMS (electrical cross-connects);
-* :mod:`repro.ems.fxc_ctl` — FXC controllers;
-* :mod:`repro.ems.nte_ctl` — NTE controllers on the customer premises.
+* :mod:`repro.ems.roadm_ems` — the ROADM EMS: per-link amplifier chains,
+  link equalization and end-to-end verification.
 
-Every EMS operation applies its network-element mutation immediately
-(the EMS locks the resource when it accepts the command) and returns
-the **duration** the step takes; workflow processes yield that duration
-to the simulator.
+Claim mutates, steps take time: :meth:`repro.core.provisioning.
+LightpathProvisioner.claim` applies every network-element mutation when
+the order is accepted, and the setup / teardown workflows yield one
+:class:`LatencyModel` **duration** per configuration step to the
+simulator.  The other vendor interfaces (``fxc_ctl``, ``otn_ems``) exist
+as the EMS *names* a step is issued under — what a
+:class:`repro.faults.FaultSpec` matches — not as objects.
 """
 
-from repro.ems.fxc_ctl import FxcController
 from repro.ems.latency import DEFAULT_STEP_MEANS, LatencyModel
-from repro.ems.nte_ctl import NteController
-from repro.ems.otn_ems import OtnEms
 from repro.ems.roadm_ems import RoadmEms
 
 __all__ = [
-    "FxcController",
     "DEFAULT_STEP_MEANS",
     "LatencyModel",
-    "NteController",
-    "OtnEms",
     "RoadmEms",
 ]

@@ -1,17 +1,19 @@
-"""The vendor ROADM EMS: the controller's interface to the photonic layer.
+"""The vendor ROADM EMS: the line system's amplifier chains and timed steps.
 
-Each operation mutates the ROADM (or line system) immediately — the EMS
-locks resources when it accepts a command — and returns the seconds the
-step takes, which the calling workflow yields to the simulator.  The
-equalization step's duration includes the amplifier-chain transient
-settle time of the link, so longer links genuinely take longer to light.
+:meth:`LightpathProvisioner.claim <repro.core.provisioning.
+LightpathProvisioner.claim>` programs the ROADMs; this EMS owns the
+per-link amplifier chains and returns the seconds the equalization and
+verification steps take, which the calling workflow yields to the
+simulator.  The equalization step's duration includes the
+amplifier-chain transient settle time of the link, so longer links
+genuinely take longer to light.
 """
 
 from __future__ import annotations
 
 from typing import Dict, Optional
 
-from repro.errors import EquipmentError
+from repro.errors import EquipmentError, TopologyError
 from repro.ems.latency import LatencyModel
 from repro.obs.registry import MetricsRegistry
 from repro.optical.amplifier import AmplifierChain
@@ -20,7 +22,11 @@ from repro.optical.roadm import Roadm
 
 
 class RoadmEms:
-    """Manages the ROADMs and the optical line system."""
+    """Manages the optical line system.
+
+    ``roadms`` names the managed nodes; they are programmed through the
+    inventory at claim time, not through this object.
+    """
 
     def __init__(
         self,
@@ -29,7 +35,6 @@ class RoadmEms:
         latency: LatencyModel,
         metrics: Optional[MetricsRegistry] = None,
     ) -> None:
-        self._roadms = dict(roadms)
         self._plant = plant
         self._latency = latency
         self._metrics = metrics
@@ -60,7 +65,7 @@ class RoadmEms:
         """
         try:
             dwdm = self._plant.dwdm_link(a, b)
-        except Exception as exc:
+        except TopologyError as exc:
             raise EquipmentError(
                 f"EMS manages no line between {a!r} and {b!r}",
                 site=a,
@@ -71,66 +76,6 @@ class RoadmEms:
         if key not in self._chains:
             self._chains[key] = AmplifierChain(dwdm.link.length_km)
         return self._chains[key]
-
-    def roadm(self, name: str) -> Roadm:
-        """Look up a managed ROADM.
-
-        Raises:
-            EquipmentError: for an unknown node.
-        """
-        try:
-            return self._roadms[name]
-        except KeyError:
-            raise EquipmentError(
-                f"EMS manages no ROADM named {name!r}",
-                site=name,
-                element=f"roadm@{name}",
-                command="lookup",
-            ) from None
-
-    # -- add/drop --------------------------------------------------------------
-
-    def configure_add_drop(
-        self, node: str, port_id: str, degree: str, channel: int, owner: str
-    ) -> float:
-        """Connect an add/drop port; returns the EMS step duration."""
-        self.roadm(node).connect_add_drop(port_id, degree, channel, owner)
-        self._count("add_drop")
-        return self._latency.sample("roadm.add_drop")
-
-    def remove_add_drop(self, node: str, port_id: str, owner: str) -> float:
-        """Disconnect an add/drop port; returns the step duration."""
-        self.roadm(node).disconnect_add_drop(port_id, owner)
-        self._count("add_drop.remove")
-        return self._latency.sample("roadm.add_drop.remove")
-
-    # -- express ----------------------------------------------------------------
-
-    def configure_express(
-        self, node: str, degree_in: str, degree_out: str, channel: int, owner: str
-    ) -> float:
-        """Set up an express cross-connect; returns the step duration."""
-        self.roadm(node).connect_express(degree_in, degree_out, channel, owner)
-        self._count("express")
-        return self._latency.sample("roadm.express")
-
-    def remove_express(
-        self, node: str, degree_in: str, degree_out: str, channel: int, owner: str
-    ) -> float:
-        """Tear down an express cross-connect; returns the step duration."""
-        self.roadm(node).disconnect_express(degree_in, degree_out, channel, owner)
-        self._count("express.remove")
-        return self._latency.sample("roadm.express.remove")
-
-    # -- optical line tasks ---------------------------------------------------------
-
-    def occupy_channel(self, a: str, b: str, channel: int, owner: str) -> None:
-        """Record channel occupancy on the fiber link (no EMS delay)."""
-        self._plant.dwdm_link(a, b).occupy(channel, owner)
-
-    def release_channel(self, a: str, b: str, channel: int, owner: str) -> None:
-        """Release channel occupancy on the fiber link (no EMS delay)."""
-        self._plant.dwdm_link(a, b).release(channel, owner)
 
     def equalize_link(self, a: str, b: str) -> float:
         """Power-balance and equalize one link after an add/drop change.

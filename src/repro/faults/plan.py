@@ -2,8 +2,9 @@
 
 A :class:`FaultPlan` is a list of :class:`FaultSpec` rules matched
 against every EMS command the resilient executor runs.  Matching uses
-``fnmatch`` wildcards over the EMS name (``roadm_ems``, ``otn_ems``,
-``fxc_ctl``, ``nte_ctl``), the element label, and the command stage, so
+``fnmatch`` wildcards over the EMS name a step is issued under
+(``roadm_ems``, ``otn_ems``, ``fxc_ctl``, ``controller`` — plan keys,
+not objects), the element label, and the command stage, so
 one spec can express "every ROADM command", "the FXC at ROADM-II is
 stuck between t=100 and t=400", or "the third equalize fails once".
 
@@ -33,7 +34,8 @@ class FaultSpec:
 
     Attributes:
         ems: EMS name pattern (``roadm_ems``, ``otn_ems``, ``fxc_ctl``,
-            ``nte_ctl``, or ``*``).
+            ``controller``, or ``*``); no step is issued under any
+            other name, so e.g. ``nte_ctl`` matches nothing.
         element: Element label pattern (e.g. ``ROADM-II``, ``OT:*``).
         command: Command stage pattern (``tune``, ``roadm``, ``fxc``,
             ``equalize``, ``verify``, ``otn``, ``nte``, or ``*``).

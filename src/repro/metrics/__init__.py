@@ -1,9 +1,10 @@
 """Measurement utilities for experiments.
 
-* :class:`~repro.metrics.collector.MetricsCollector` — counters, gauges,
-  and sample series with summary statistics;
 * :func:`~repro.metrics.collector.summarize` — mean / percentiles of a
-  sample list, used by the benchmark harnesses to print table rows.
+  sample list, used by :class:`repro.obs.MetricsRegistry` histograms and
+  the sweep aggregate;
+* :mod:`repro.metrics.availability` — availability arithmetic;
+* :mod:`repro.metrics.textchart` — text charts for experiment reports.
 """
 
 from repro.metrics.availability import (
@@ -13,7 +14,7 @@ from repro.metrics.availability import (
     measured_availability,
     nines,
 )
-from repro.metrics.collector import MetricsCollector, Summary, summarize
+from repro.metrics.collector import Summary, summarize
 from repro.metrics.textchart import bar_chart, histogram, sparkline
 
 __all__ = [
@@ -22,7 +23,6 @@ __all__ = [
     "fleet_availability",
     "measured_availability",
     "nines",
-    "MetricsCollector",
     "Summary",
     "summarize",
     "bar_chart",

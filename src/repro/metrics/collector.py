@@ -1,10 +1,10 @@
-"""Counters and sample series for experiment measurement."""
+"""Summary statistics of a sample series."""
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, List
+from typing import List
 
 
 @dataclass(frozen=True)
@@ -65,41 +65,3 @@ def summarize(samples: List[float]) -> Summary:
         p95=_percentile(ordered, 0.95),
         p99=_percentile(ordered, 0.99),
     )
-
-
-class MetricsCollector:
-    """Named counters and sample series for one experiment run."""
-
-    def __init__(self) -> None:
-        self._counters: Dict[str, float] = {}
-        self._series: Dict[str, List[float]] = {}
-
-    def count(self, name: str, amount: float = 1.0) -> None:
-        """Increment counter ``name`` by ``amount``."""
-        self._counters[name] = self._counters.get(name, 0.0) + amount
-
-    def counter(self, name: str) -> float:
-        """Current value of a counter (0 if never incremented)."""
-        return self._counters.get(name, 0.0)
-
-    def record(self, name: str, value: float) -> None:
-        """Append ``value`` to sample series ``name``."""
-        self._series.setdefault(name, []).append(value)
-
-    def samples(self, name: str) -> List[float]:
-        """A copy of the sample series (empty if none)."""
-        return list(self._series.get(name, []))
-
-    def summary(self, name: str) -> Summary:
-        """Summary statistics of series ``name``.
-
-        Raises:
-            ValueError: if the series is empty or unknown.
-        """
-        return summarize(self._series.get(name, []))
-
-    def names(self) -> Dict[str, str]:
-        """All metric names, tagged 'counter' or 'series'."""
-        result = {name: "counter" for name in self._counters}
-        result.update({name: "series" for name in self._series})
-        return result

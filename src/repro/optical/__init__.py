@@ -12,7 +12,6 @@ ride on:
 * :mod:`repro.optical.regen` — OEO regenerators;
 * :mod:`repro.optical.roadm` — colorless/non-directional ROADM nodes;
 * :mod:`repro.optical.fxc` — client-side fiber cross-connects;
-* :mod:`repro.optical.muxponder` — 10G/40G muxponders and 1/10G muxes;
 * :mod:`repro.optical.nte` — customer network-terminating equipment;
 * :mod:`repro.optical.lightpath` — end-to-end wavelength connections.
 """
@@ -22,7 +21,6 @@ from repro.optical.fiber import DwdmLink, FiberPlant
 from repro.optical.fxc import FiberCrossConnect
 from repro.optical.impairments import ReachModel
 from repro.optical.lightpath import Lightpath, LightpathState
-from repro.optical.muxponder import LowSpeedMux, Muxponder
 from repro.optical.nte import NetworkTerminatingEquipment
 from repro.optical.osnr import OsnrModel
 from repro.optical.regen import Regenerator, RegenPool
@@ -38,8 +36,6 @@ __all__ = [
     "ReachModel",
     "Lightpath",
     "LightpathState",
-    "LowSpeedMux",
-    "Muxponder",
     "NetworkTerminatingEquipment",
     "OsnrModel",
     "Regenerator",

@@ -42,31 +42,11 @@ class Transponder:
         self._grid = grid
         self._channel: Optional[int] = None
         self._owner: Optional[str] = None
-        self._failed = False
 
     @property
     def in_use(self) -> bool:
         """True while the OT is allocated to a lightpath."""
         return self._owner is not None
-
-    @property
-    def failed(self) -> bool:
-        """True while the OT hardware is failed (awaiting replacement)."""
-        return self._failed
-
-    def fail(self) -> Optional[str]:
-        """Mark the OT failed; returns the owner whose signal just died.
-
-        A failed OT keeps its owner — the lightpath still holds the card
-        until restoration or teardown releases it — but cannot be
-        allocated again until :meth:`repair`.
-        """
-        self._failed = True
-        return self._owner
-
-    def repair(self) -> None:
-        """Replace the failed card; the OT is allocatable again."""
-        self._failed = False
 
     @property
     def channel(self) -> Optional[int]:
@@ -82,13 +62,8 @@ class Transponder:
         """Reserve the OT for a lightpath.
 
         Raises:
-            TransponderUnavailableError: if the OT is already in use or
-                its hardware is failed.
+            TransponderUnavailableError: if the OT is already in use.
         """
-        if self._failed:
-            raise TransponderUnavailableError(
-                f"{self.ot_id} hardware is failed"
-            )
         if self._owner is not None:
             raise TransponderUnavailableError(
                 f"{self.ot_id} is already held by {self._owner!r}"
@@ -177,12 +152,11 @@ class TransponderPool:
             ot
             for ot in self._transponders.values()
             if not ot.in_use
-            and not ot.failed
             and (line_rate_bps is None or ot.line_rate_bps == line_rate_bps)
         )
 
     def free(self, line_rate_bps: Optional[float] = None) -> List[Transponder]:
-        """Idle, healthy OTs, optionally filtered to one line rate."""
+        """Idle OTs, optionally filtered to one line rate."""
         return list(self._idle(line_rate_bps))
 
     def allocate(self, line_rate_bps: float, owner: str) -> Transponder:

@@ -65,6 +65,9 @@ MIRROR_OWNER = "~mirror"
 #: which the round's next message plans against).
 _MUTATING_OPS = frozenset({"round", "cut", "repair"})
 
+#: Seconds a worker gets to exit before :func:`_reap` escalates.
+_REAP_TIMEOUT_S = 10.0
+
 
 @dataclass(frozen=True)
 class UnitRecipe:
@@ -302,6 +305,17 @@ def _worker_main(conn, recipe: UnitRecipe) -> None:
 # -- the parent-side pool -----------------------------------------------------
 
 
+def _reap(process, timeout_s: float) -> None:
+    """Leave ``process`` dead and joined — SIGTERM, wait, SIGKILL — so a
+    worker deaf to SIGTERM cannot hang the parent recovering from it."""
+    if process.is_alive():
+        process.terminate()
+        process.join(timeout=timeout_s)
+    if process.is_alive():
+        process.kill()
+    process.join()
+
+
 class _Worker:
     """Parent-side bookkeeping for one worker process."""
 
@@ -384,7 +398,7 @@ class ShardWorkerPool:
         if recipe not in self._workers:
             self._workers[recipe] = self._spawn(recipe)
 
-    def close(self, timeout_s: float = 10.0) -> None:
+    def close(self, timeout_s: float = _REAP_TIMEOUT_S) -> None:
         """Shut every worker down and reap the processes.  Idempotent."""
         if self._closed:
             return
@@ -397,12 +411,7 @@ class ShardWorkerPool:
                     pass
         for worker in self._workers.values():
             worker.process.join(timeout=timeout_s)
-            if worker.process.is_alive():
-                worker.process.terminate()
-                worker.process.join(timeout=timeout_s)
-            if worker.process.is_alive():
-                worker.process.kill()
-                worker.process.join()
+            _reap(worker.process, timeout_s)
             worker.conn.close()
 
     def respawn(self, recipe: UnitRecipe) -> None:
@@ -415,9 +424,7 @@ class ShardWorkerPool:
         unacknowledged RPCs are not replayed; the caller re-issues them.
         """
         old = self._workers.pop(recipe)
-        if old.process.is_alive():
-            old.process.terminate()
-        old.process.join()
+        _reap(old.process, _REAP_TIMEOUT_S)
         old.conn.close()
         fresh = self._spawn(recipe)
         self._workers[recipe] = fresh
@@ -441,7 +448,6 @@ class ShardWorkerPool:
         process.start()
         child_conn.close()
         if not parent_conn.poll(self._build_timeout_s):
-            process.terminate()
             failure = f"did not come up within {self._build_timeout_s}s"
         else:
             try:
@@ -453,7 +459,7 @@ class ShardWorkerPool:
             failure = f"failed to build: {info[0]}: {info[1]}"
         # No worker to hand back: reap the process and give up our pipe
         # end and its sentinel here, or every failed spawn leaks them.
-        process.join()
+        _reap(process, _REAP_TIMEOUT_S)
         process.close()
         parent_conn.close()
         raise WorkerCrashed(f"shard worker {recipe.unit!r} {failure}")

@@ -8,9 +8,10 @@ from typing import Any, Callable, Optional, Tuple
 class Event:
     """A scheduled callback.
 
-    Events are ordered by ``(time, seq)`` where ``seq`` is a monotonically
-    increasing counter assigned at scheduling time, giving deterministic
-    FIFO ordering among simultaneous events.
+    The kernel fires events in ``(time, seq)`` order, where ``seq`` is a
+    monotonically increasing counter assigned at scheduling time, giving
+    deterministic FIFO ordering among simultaneous events.  Its heap holds
+    ``(time, seq, event)`` tuples; events themselves are never compared.
 
     Attributes:
         time: Simulation time at which the event fires.
@@ -72,9 +73,6 @@ class Event:
         if not self._canceled:
             self._fired = True
             self.callback(*self.args)
-
-    def __lt__(self, other: "Event") -> bool:
-        return (self.time, self.seq) < (other.time, other.seq)
 
     def __repr__(self) -> str:
         state = "canceled" if self._canceled else "pending"

@@ -227,15 +227,6 @@ class NetworkGraph:
         """Total fiber kilometers along a node path."""
         return sum(link.length_km for link in self.links_on_path(path))
 
-    def path_latency_s(self, path: List[str]) -> float:
-        """One-way propagation delay along a node path.
-
-        Light in fiber travels at about c/1.468 ≈ 204 km/ms, i.e. ~4.9 µs
-        per kilometer — the figure a re-grooming pass actually improves
-        for the customer.
-        """
-        return self.path_length_km(path) * 4.9e-6
-
     def srlgs_on_path(self, path: List[str]) -> Set[str]:
         """Union of SRLG identifiers along the path."""
         groups: Set[str] = set()
@@ -374,37 +365,6 @@ class NetworkGraph:
             _, best, start = heapq.heappop(candidates)
             paths.append(best)
         return paths
-
-    def disjoint_path(
-        self,
-        path: List[str],
-        weight: Optional[Callable[[Link], float]] = None,
-        srlg_disjoint: bool = True,
-    ) -> List[str]:
-        """Find a path between the endpoints of ``path`` disjoint from it.
-
-        Disjointness means: no shared links, no shared intermediate nodes,
-        and (when ``srlg_disjoint``) no shared SRLGs — the constraint the
-        bridge-and-roll operation requires of the new wavelength path.
-
-        Raises:
-            NoPathError: if no disjoint path exists.
-        """
-        if len(path) < 2:
-            raise TopologyError("path must contain at least two nodes")
-        source, target = path[0], path[-1]
-        excluded_links = {link.key for link in self.links_on_path(path)}
-        if srlg_disjoint:
-            for srlg in self.srlgs_on_path(path):
-                excluded_links |= {link.key for link in self.links_in_srlg(srlg)}
-        excluded_nodes = set(path[1:-1])
-        return self.shortest_path(
-            source,
-            target,
-            weight,
-            excluded_links=excluded_links,
-            excluded_nodes=excluded_nodes,
-        )
 
     # -- internals ------------------------------------------------------------
 

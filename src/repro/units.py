@@ -3,8 +3,8 @@
 All data rates in the library are expressed in **bits per second** (plain
 ``float``), all times in **seconds**, and all data volumes in **bits**.
 This module provides the named constants and conversion helpers so callers
-never write raw powers of ten, plus the standard SONET ``STS-n`` and OTN
-``ODUk`` rate tables the carrier layers are built on.
+never write raw powers of ten, plus the legacy DS-level rates and the OTN
+``ODUk`` rate table the carrier layers are built on.
 """
 
 from __future__ import annotations
@@ -91,45 +91,6 @@ def format_duration(seconds: float) -> str:
     return f"{seconds * 1e3:.4g} ms"
 
 
-# --------------------------------------------------------------------------
-# SONET rate hierarchy (payload-oriented nominal client rates).
-# --------------------------------------------------------------------------
-
-#: STS-1 is the SONET base signal (51.84 Mbps line rate; the paper rounds
-#: to 52 Mbps).  ``STS_RATES[n]`` is the rate of a concatenated STS-n.
-STS1_RATE = 51.84 * MBPS
-
-#: Standard optical-carrier levels and their STS multiples.
-OC_LEVELS = {
-    "OC-1": 1,
-    "OC-3": 3,
-    "OC-12": 12,
-    "OC-48": 48,
-    "OC-192": 192,
-    "OC-768": 768,
-}
-
-
-def sts_rate(n: int) -> float:
-    """Return the rate in bps of an ``STS-n`` signal.
-
-    Raises:
-        ValueError: if ``n`` is not a positive integer.
-    """
-    if n < 1:
-        raise ValueError(f"STS level must be >= 1, got {n}")
-    return n * STS1_RATE
-
-
-def oc_rate(name: str) -> float:
-    """Return the rate in bps of an optical-carrier level such as ``'OC-48'``.
-
-    Raises:
-        KeyError: for an unknown OC level name.
-    """
-    return sts_rate(OC_LEVELS[name])
-
-
 #: DS-level legacy TDM rates handled by the W-DCS layer.
 DS0_RATE = 64 * KBPS
 DS1_RATE = 1.544 * MBPS
@@ -166,19 +127,3 @@ ODU_LEVELS = {
     "ODU3": OduLevel("ODU3", 40.32 * GBPS, 32),
     "ODU4": OduLevel("ODU4", 104.79 * GBPS, 80),
 }
-
-
-def odu_for_rate(client_rate_bps: float) -> OduLevel:
-    """Return the smallest ODU level that carries ``client_rate_bps``.
-
-    Raises:
-        ValueError: if the rate is not positive or exceeds ODU4.
-    """
-    if client_rate_bps <= 0:
-        raise ValueError(f"client rate must be positive, got {client_rate_bps}")
-    for level in sorted(ODU_LEVELS.values(), key=lambda lv: lv.rate_bps):
-        if level.rate_bps >= client_rate_bps:
-            return level
-    raise ValueError(
-        f"client rate {format_rate(client_rate_bps)} exceeds the ODU4 ceiling"
-    )

@@ -9,43 +9,27 @@ traffic (diurnal, latency-sensitive).  This package generates both:
 * :mod:`repro.workload.bulk` — heavy-tailed bulk replication jobs driven
   through a BoD service;
 * :mod:`repro.workload.interactive` — diurnal bandwidth-demand curves;
-* :mod:`repro.workload.traces` — synthetic inter-DC traffic matrices
-  (gravity-model, bulk-dominated as in Chen et al.'s Yahoo! study);
+* :mod:`repro.workload.failures` — Poisson fiber cuts with hours-long
+  repairs;
 * :mod:`repro.workload.tenants` — heavy-tailed (Zipf) tenant
   populations with lazy profile registration, for the service-frontend
   load benchmarks.
 """
 
 from repro.workload.arrivals import DiurnalProfile, PoissonArrivals
-from repro.workload.failures import (
-    AmplifierFailureInjector,
-    CutRecord,
-    FailureInjector,
-    FailureRecord,
-    FiberCutInjector,
-    OtnSwitchFailureInjector,
-    TransponderFailureInjector,
-)
+from repro.workload.failures import CutRecord, FiberCutInjector
 from repro.workload.bulk import BulkTransferWorkload, TransferRecord
 from repro.workload.interactive import InteractiveDemand
 from repro.workload.tenants import TenantPopulation, zipf_share
-from repro.workload.traces import TrafficMatrix, synthesize_traffic_matrix
 
 __all__ = [
     "DiurnalProfile",
     "PoissonArrivals",
-    "AmplifierFailureInjector",
     "CutRecord",
-    "FailureInjector",
-    "FailureRecord",
     "FiberCutInjector",
-    "OtnSwitchFailureInjector",
-    "TransponderFailureInjector",
     "BulkTransferWorkload",
     "TransferRecord",
     "InteractiveDemand",
     "TenantPopulation",
     "zipf_share",
-    "TrafficMatrix",
-    "synthesize_traffic_matrix",
 ]

@@ -1,16 +1,11 @@
-"""Random element-failure injection: the network's weather.
+"""Random fiber-cut injection: the network's weather.
 
 Long-haul fiber gets cut — backhoes, squirrels, ship anchors — at a
 roughly Poisson rate per route-kilometer, and physical repair takes
-hours.  Transponder cards die, amplifiers fail, OTN switch fabrics
-brick.  The injectors drive those processes against a controller so
-availability studies can measure how much each restoration mechanism
-buys over a long horizon.
-
-All injectors share the :class:`FailureInjector` engine (Poisson
-inter-failure gaps, exponential repairs with a floor, per-kind metrics
-counters); each subclass supplies the target discovery and the
-fail/repair controller calls.
+hours.  :class:`FiberCutInjector` drives that process against a
+controller (Poisson inter-cut gaps, exponential repairs with a floor)
+so availability studies can measure how much restoration buys over a
+long horizon.
 """
 
 from __future__ import annotations
@@ -22,6 +17,9 @@ from repro.core.controller import GriphonController
 from repro.errors import ConfigurationError
 from repro.sim.randomness import RandomStreams
 from repro.units import HOUR
+
+#: Floor on a physical repair: crews need travel time.
+MIN_REPAIR_S = 1 * HOUR
 
 
 @dataclass
@@ -40,22 +38,6 @@ class CutRecord:
         return self.repaired_at - self.cut_at
 
 
-@dataclass
-class FailureRecord:
-    """One injected element failure (non-fiber kinds)."""
-
-    target: object
-    failed_at: float
-    repaired_at: Optional[float] = None
-
-    @property
-    def repair_duration(self) -> Optional[float]:
-        """Seconds until the element was repaired, or None while open."""
-        if self.repaired_at is None:
-            return None
-        return self.repaired_at - self.failed_at
-
-
 def _core_link_keys(controller: GriphonController) -> List[Tuple[str, str]]:
     """Core (ROADM-to-ROADM) link keys — access tails don't get cut."""
     return [
@@ -70,119 +52,7 @@ def _core_link_keys(controller: GriphonController) -> List[Tuple[str, str]]:
     ]
 
 
-class FailureInjector:
-    """Shared Poisson failure/repair engine.
-
-    Args:
-        controller: The controller whose network degrades (its failure
-            handling runs automatically).
-        streams: Random substreams.
-        mean_time_between_failures_s: Network-wide MTBF of this kind.
-        mean_repair_s: Mean repair time (exponential, floored at
-            ``min_repair_s`` — crews and spares need travel time).
-        stop_at: No failures injected after this simulation time.
-        stream_name: Base name of the random substreams drawn from.
-    """
-
-    #: Metric suffix: ``failure.injected.<kind>`` / ``failure.repaired.<kind>``.
-    kind = "generic"
-
-    def __init__(
-        self,
-        controller: GriphonController,
-        streams: RandomStreams,
-        mean_time_between_failures_s: float,
-        mean_repair_s: float,
-        stop_at: Optional[float] = None,
-        stream_name: str = "failures",
-        min_repair_s: float = 1 * HOUR,
-    ) -> None:
-        if mean_time_between_failures_s <= 0 or mean_repair_s <= 0:
-            raise ConfigurationError("MTBF and repair time must be positive")
-        self._controller = controller
-        self._streams = streams
-        self._mtbf = mean_time_between_failures_s
-        self._mean_repair = mean_repair_s
-        self._stop_at = stop_at
-        self._stream_name = stream_name
-        self._min_repair = min_repair_s
-        self.records: List = []
-        targets = self._discover_targets()
-        if not targets:
-            raise ConfigurationError(self._no_targets_message())
-        self._targets = targets
-        self._schedule_next()
-
-    # -- engine ---------------------------------------------------------------
-
-    def _schedule_next(self) -> None:
-        gap = self._streams.exponential(self._stream_name, self._mtbf)
-        when = self._controller.sim.now + gap
-        if self._stop_at is not None and when > self._stop_at:
-            return
-        self._controller.sim.schedule(gap, self._fire, label=self._fire_label())
-
-    def _fire(self) -> None:
-        sim = self._controller.sim
-        healthy = self._healthy_targets()
-        if healthy:
-            target = self._streams.choice(self._choice_stream(), healthy)
-            record = self._make_record(target, sim.now)
-            self.records.append(record)
-            self._fail_target(target)
-            self._controller.metrics.inc(f"failure.injected.{self.kind}")
-            repair_in = max(
-                self._min_repair,
-                self._streams.exponential(
-                    f"{self._stream_name}:repair", self._mean_repair
-                ),
-            )
-            sim.schedule(
-                repair_in, self._repair, record, label=self._repair_label(record)
-            )
-        self._schedule_next()
-
-    def _repair(self, record) -> None:
-        record.repaired_at = self._controller.sim.now
-        self._repair_target(record)
-        self._controller.metrics.inc(f"failure.repaired.{self.kind}")
-
-    @property
-    def open_failures(self) -> List:
-        """Failures not yet repaired."""
-        return [r for r in self.records if r.repaired_at is None]
-
-    # -- subclass hooks -------------------------------------------------------
-
-    def _discover_targets(self) -> List:
-        raise NotImplementedError
-
-    def _no_targets_message(self) -> str:
-        return f"topology has no targets for {self.kind} failures"
-
-    def _healthy_targets(self) -> List:
-        raise NotImplementedError
-
-    def _choice_stream(self) -> str:
-        return f"{self._stream_name}:target"
-
-    def _fire_label(self) -> str:
-        return f"{self.kind}-failure"
-
-    def _repair_label(self, record) -> str:
-        return f"{self.kind}-repair"
-
-    def _make_record(self, target, now: float):
-        return FailureRecord(target, failed_at=now)
-
-    def _fail_target(self, target) -> None:
-        raise NotImplementedError
-
-    def _repair_target(self, record) -> None:
-        raise NotImplementedError
-
-
-class FiberCutInjector(FailureInjector):
+class FiberCutInjector:
     """Injects Poisson fiber cuts with hours-long physical repairs.
 
     Args:
@@ -193,9 +63,8 @@ class FiberCutInjector(FailureInjector):
         mean_repair_s: Mean physical repair time (exponential, floored
             at one hour — crews need travel time).
         stop_at: No cuts injected after this simulation time.
+        stream_name: Base name of the random substreams drawn from.
     """
-
-    kind = "fiber_cut"
 
     def __init__(
         self,
@@ -206,191 +75,57 @@ class FiberCutInjector(FailureInjector):
         stop_at: Optional[float] = None,
         stream_name: str = "fiber-cuts",
     ) -> None:
-        super().__init__(
-            controller,
-            streams,
-            mean_time_between_cuts_s,
-            mean_repair_s,
-            stop_at=stop_at,
-            stream_name=stream_name,
-        )
+        if mean_time_between_cuts_s <= 0 or mean_repair_s <= 0:
+            raise ConfigurationError("MTBF and repair time must be positive")
+        self._controller = controller
+        self._streams = streams
+        self._mtbf = mean_time_between_cuts_s
+        self._mean_repair = mean_repair_s
+        self._stop_at = stop_at
+        self._stream_name = stream_name
+        self.records: List[CutRecord] = []
+        self._targets = _core_link_keys(controller)
+        if not self._targets:
+            raise ConfigurationError("topology has no core links to cut")
+        self._schedule_next()
 
-    def _discover_targets(self) -> List[Tuple[str, str]]:
-        return _core_link_keys(self._controller)
+    def _schedule_next(self) -> None:
+        gap = self._streams.exponential(self._stream_name, self._mtbf)
+        when = self._controller.sim.now + gap
+        if self._stop_at is not None and when > self._stop_at:
+            return
+        self._controller.sim.schedule(gap, self._fire, label="fiber-cut")
 
-    def _no_targets_message(self) -> str:
-        return "topology has no core links to cut"
-
-    def _healthy_targets(self) -> List[Tuple[str, str]]:
+    def _fire(self) -> None:
+        sim = self._controller.sim
         failed = self._controller.inventory.plant.failed_links()
-        return [key for key in self._targets if key not in failed]
+        healthy = [key for key in self._targets if key not in failed]
+        if healthy:
+            link = self._streams.choice(f"{self._stream_name}:link", healthy)
+            record = CutRecord(link, cut_at=sim.now)
+            self.records.append(record)
+            self._controller.cut_link(*link)
+            self._controller.metrics.inc("failure.injected.fiber_cut")
+            repair_in = max(
+                MIN_REPAIR_S,
+                self._streams.exponential(
+                    f"{self._stream_name}:repair", self._mean_repair
+                ),
+            )
+            sim.schedule(
+                repair_in,
+                self._repair,
+                record,
+                label=f"fiber-repair:{link[0]}={link[1]}",
+            )
+        self._schedule_next()
 
-    def _choice_stream(self) -> str:
-        return f"{self._stream_name}:link"
-
-    def _fire_label(self) -> str:
-        return "fiber-cut"
-
-    def _repair_label(self, record) -> str:
-        return f"fiber-repair:{record.link[0]}={record.link[1]}"
-
-    def _make_record(self, target, now: float) -> CutRecord:
-        return CutRecord(target, cut_at=now)
-
-    def _fail_target(self, target) -> None:
-        self._controller.cut_link(*target)
-
-    def _repair_target(self, record) -> None:
+    def _repair(self, record: CutRecord) -> None:
+        record.repaired_at = self._controller.sim.now
         self._controller.repair_link(*record.link)
+        self._controller.metrics.inc("failure.repaired.fiber_cut")
 
     @property
     def open_cuts(self) -> List[CutRecord]:
         """Cuts not yet repaired."""
         return [r for r in self.records if r.repaired_at is None]
-
-
-class TransponderFailureInjector(FailureInjector):
-    """Random transponder-card deaths with card-replacement repairs."""
-
-    kind = "transponder"
-
-    def __init__(
-        self,
-        controller: GriphonController,
-        streams: RandomStreams,
-        mean_time_between_failures_s: float,
-        mean_repair_s: float = 4 * HOUR,
-        stop_at: Optional[float] = None,
-        stream_name: str = "ot-failures",
-    ) -> None:
-        super().__init__(
-            controller,
-            streams,
-            mean_time_between_failures_s,
-            mean_repair_s,
-            stop_at=stop_at,
-            stream_name=stream_name,
-        )
-
-    def _discover_targets(self) -> List[str]:
-        return sorted(
-            ot.ot_id
-            for pool in self._controller.inventory.transponders.values()
-            for ot in pool.transponders
-        )
-
-    def _no_targets_message(self) -> str:
-        return "no transponders installed to fail"
-
-    def _healthy_targets(self) -> List[str]:
-        inv = self._controller.inventory
-        healthy = []
-        for ot_id in self._targets:
-            node = ot_id.split(":")[1]
-            if not inv.transponders[node].get(ot_id).failed:
-                healthy.append(ot_id)
-        return healthy
-
-    def _fire_label(self) -> str:
-        return "ot-failure"
-
-    def _repair_label(self, record) -> str:
-        return f"ot-repair:{record.target}"
-
-    def _fail_target(self, target) -> None:
-        self._controller.fail_transponder(target)
-
-    def _repair_target(self, record) -> None:
-        self._controller.repair_transponder(record.target)
-
-
-class AmplifierFailureInjector(FailureInjector):
-    """Random amplifier deaths; a dead amplifier darkens its span."""
-
-    kind = "amplifier"
-
-    def __init__(
-        self,
-        controller: GriphonController,
-        streams: RandomStreams,
-        mean_time_between_failures_s: float,
-        mean_repair_s: float = 3 * HOUR,
-        stop_at: Optional[float] = None,
-        stream_name: str = "amp-failures",
-    ) -> None:
-        super().__init__(
-            controller,
-            streams,
-            mean_time_between_failures_s,
-            mean_repair_s,
-            stop_at=stop_at,
-            stream_name=stream_name,
-        )
-
-    def _discover_targets(self) -> List[Tuple[str, str]]:
-        return _core_link_keys(self._controller)
-
-    def _no_targets_message(self) -> str:
-        return "topology has no amplified spans to fail"
-
-    def _healthy_targets(self) -> List[Tuple[str, str]]:
-        failed = self._controller.inventory.plant.failed_links()
-        return [key for key in self._targets if key not in failed]
-
-    def _fire_label(self) -> str:
-        return "amp-failure"
-
-    def _repair_label(self, record) -> str:
-        return f"amp-repair:{record.target[0]}={record.target[1]}"
-
-    def _fail_target(self, target) -> None:
-        self._controller.fail_amplifier(*target)
-
-    def _repair_target(self, record) -> None:
-        self._controller.repair_amplifier(*record.target)
-
-
-class OtnSwitchFailureInjector(FailureInjector):
-    """Random OTN switch-fabric failures; mesh restoration earns its keep."""
-
-    kind = "otn_switch"
-
-    def __init__(
-        self,
-        controller: GriphonController,
-        streams: RandomStreams,
-        mean_time_between_failures_s: float,
-        mean_repair_s: float = 2 * HOUR,
-        stop_at: Optional[float] = None,
-        stream_name: str = "otn-failures",
-    ) -> None:
-        super().__init__(
-            controller,
-            streams,
-            mean_time_between_failures_s,
-            mean_repair_s,
-            stop_at=stop_at,
-            stream_name=stream_name,
-        )
-
-    def _discover_targets(self) -> List[str]:
-        return sorted(self._controller.inventory.otn_switches)
-
-    def _no_targets_message(self) -> str:
-        return "no OTN switches installed to fail"
-
-    def _healthy_targets(self) -> List[str]:
-        down = {r.target for r in self.open_failures}
-        return [node for node in self._targets if node not in down]
-
-    def _fire_label(self) -> str:
-        return "otn-failure"
-
-    def _repair_label(self, record) -> str:
-        return f"otn-repair:{record.target}"
-
-    def _fail_target(self, target) -> None:
-        self._controller.fail_otn_switch(target)
-
-    def _repair_target(self, record) -> None:
-        self._controller.repair_otn_switch(record.target)

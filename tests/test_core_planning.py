@@ -127,27 +127,3 @@ class TestResourcePlanner:
                                    restoration_headroom=0)
         assert all(tight[node] >= loose[node] for node in loose)
         assert sum(tight.values()) > sum(loose.values())
-
-    def test_regen_load_on_long_routes(self, planner):
-        # NYC -> LAX by km passes through the middle of the country;
-        # with a 2500 km reach at least one regen site gets load.
-        forecasts = [DemandForecast("NYC", "LAX", 1.0, 1.0)]
-        load = planner.regen_load(forecasts, reach_km=2500.0)
-        assert load, "expected at least one regen site"
-        assert all(erlangs == 1.0 for erlangs in load.values())
-
-    def test_regen_load_short_route_empty(self, planner):
-        forecasts = [DemandForecast("NYC", "DCA", 1.0, 1.0)]
-        assert planner.regen_load(forecasts, reach_km=2500.0) == {}
-
-    def test_regen_load_bad_reach(self, planner, forecasts):
-        with pytest.raises(ConfigurationError):
-            planner.regen_load(forecasts, reach_km=0)
-
-    def test_plan_summary_rows(self, planner, forecasts):
-        rows = planner.plan_summary(forecasts, target_blocking=0.01)
-        nodes = [row[0] for row in rows]
-        assert nodes == sorted(nodes)
-        for _, erlangs, ots, blocking in rows:
-            assert ots >= 1
-            assert blocking <= 0.01 or ots > 0

@@ -1,26 +1,12 @@
-"""Tests for the EMS layer: latency catalog and element managers."""
+"""Tests for the EMS layer: latency catalog and the ROADM EMS."""
 
 import statistics
 
 import pytest
 
 from repro.errors import ConfigurationError, EquipmentError
-from repro.ems import (
-    DEFAULT_STEP_MEANS,
-    FxcController,
-    LatencyModel,
-    NteController,
-    OtnEms,
-    RoadmEms,
-)
-from repro.optical import (
-    FiberCrossConnect,
-    FiberPlant,
-    NetworkTerminatingEquipment,
-    Roadm,
-    WavelengthGrid,
-)
-from repro.otn import OtnLine, OtnSwitch
+from repro.ems import DEFAULT_STEP_MEANS, LatencyModel, RoadmEms
+from repro.optical import FiberPlant, Roadm, WavelengthGrid
 from repro.sim import RandomStreams
 from repro.topo.testbed import build_testbed_graph
 
@@ -100,36 +86,18 @@ class TestRoadmEms:
             roadms[name] = roadm
         return RoadmEms(roadms, plant, deterministic_latency)
 
-    def test_unknown_roadm(self, ems):
-        with pytest.raises(EquipmentError):
-            ems.roadm("ROADM-X")
+    def test_unknown_link_is_a_typed_lookup_error(self, ems):
+        with pytest.raises(EquipmentError) as raised:
+            ems.chain("ROADM-I", "ROADM-X")
+        assert raised.value.command == "lookup"
 
-    def test_add_drop_duration_and_state(self, ems):
-        roadm = ems.roadm("ROADM-I")
-        port = roadm.ports[0]
-        duration = ems.configure_add_drop(
-            "ROADM-I", port.port_id, "ROADM-IV", 0, "lp-1"
-        )
-        assert duration == pytest.approx(9.5)
-        assert port.in_use
+    def test_chain_lets_a_programming_error_through(self, ems, monkeypatch):
+        def broken(a, b):
+            raise AttributeError("a bug inside the plant, not a missing link")
 
-    def test_remove_add_drop(self, ems):
-        roadm = ems.roadm("ROADM-I")
-        port = roadm.ports[0]
-        ems.configure_add_drop("ROADM-I", port.port_id, "ROADM-IV", 0, "lp-1")
-        duration = ems.remove_add_drop("ROADM-I", port.port_id, "lp-1")
-        assert duration == pytest.approx(2.0)
-        assert not port.in_use
-
-    def test_express_roundtrip(self, ems):
-        setup = ems.configure_express("ROADM-III", "ROADM-I", "ROADM-IV", 2, "lp-1")
-        teardown = ems.remove_express("ROADM-III", "ROADM-I", "ROADM-IV", 2, "lp-1")
-        assert setup == pytest.approx(2.0)
-        assert teardown == pytest.approx(0.5)
-
-    def test_channel_occupancy_passthrough(self, ems):
-        ems.occupy_channel("ROADM-I", "ROADM-IV", 3, "lp-1")
-        ems.release_channel("ROADM-I", "ROADM-IV", 3, "lp-1")
+        monkeypatch.setattr(ems._plant, "dwdm_link", broken)
+        with pytest.raises(AttributeError):
+            ems.chain("ROADM-I", "ROADM-IV")
 
     def test_equalize_includes_amplifier_settle(self, ems):
         # Testbed link ROADM-I=ROADM-IV is 80 km -> one amplified span.
@@ -138,75 +106,3 @@ class TestRoadmEms:
 
     def test_verify_duration(self, ems):
         assert ems.verify_lightpath() == pytest.approx(8.0)
-
-
-class TestFxcController:
-    @pytest.fixture
-    def controller(self, deterministic_latency):
-        fxc = FiberCrossConnect("FXC:A", 8)
-        fxc.label_port(0, "NTE")
-        fxc.label_port(1, "OT")
-        return FxcController({"PREMISES-A": fxc}, deterministic_latency)
-
-    def test_unknown_site(self, controller):
-        with pytest.raises(EquipmentError):
-            controller.fxc("PREMISES-Z")
-
-    def test_connect_and_disconnect(self, controller):
-        assert controller.connect("PREMISES-A", 0, 1, "c1") == pytest.approx(1.5)
-        assert controller.fxc("PREMISES-A").peer_of(0) == 1
-        assert controller.disconnect("PREMISES-A", 0, "c1") == pytest.approx(1.5)
-
-    def test_connect_by_label(self, controller):
-        controller.connect_labeled("PREMISES-A", "NTE", "OT", "c1")
-        assert controller.fxc("PREMISES-A").peer_of(0) == 1
-
-
-class TestOtnEms:
-    @pytest.fixture
-    def ems(self, deterministic_latency):
-        switch = OtnSwitch("NYC", client_port_count=4)
-        return OtnEms({"NYC": switch}, deterministic_latency)
-
-    def test_unknown_switch(self, ems):
-        with pytest.raises(EquipmentError):
-            ems.switch("LAX")
-
-    def test_nodes_listing(self, ems):
-        assert ems.nodes() == ["NYC"]
-
-    def test_client_port_claim_release(self, ems):
-        port = ems.claim_client_port("NYC", "ckt-1")
-        ems.release_client_port("NYC", port, "ckt-1")
-
-    def test_crossconnect_roundtrip(self, ems):
-        line = OtnLine("L", "NYC", "CHI")
-        setup = ems.crossconnect_slots(line, 2, "ckt-1")
-        assert setup == pytest.approx(1.2)
-        assert line.free_slot_count() == 6
-        teardown = ems.remove_crossconnect(line, "ckt-1")
-        assert teardown == pytest.approx(0.6)
-        assert line.free_slot_count() == 8
-
-
-class TestNteController:
-    @pytest.fixture
-    def controller(self, deterministic_latency):
-        nte = NetworkTerminatingEquipment("NTE:A", "PREMISES-A")
-        return NteController({"PREMISES-A": nte}, deterministic_latency)
-
-    def test_unknown_premises(self, controller):
-        with pytest.raises(EquipmentError):
-            controller.nte("PREMISES-Z")
-
-    def test_configure_returns_index_and_duration(self, controller):
-        index, duration = controller.configure_interface(
-            "PREMISES-A", "c1", channelized=False
-        )
-        assert index == 0
-        assert duration == pytest.approx(2.0)
-
-    def test_release(self, controller):
-        index, _ = controller.configure_interface("PREMISES-A", "c1", True)
-        duration = controller.release_interface("PREMISES-A", index, "c1")
-        assert duration == pytest.approx(1.0)

@@ -13,12 +13,6 @@ from repro.api import ServiceDegraded, SetupFailed
 from repro.core.connection import ConnectionState
 from repro.facade import build_griphon_testbed
 from repro.faults import FaultPlan, FaultSpec, audit_network
-from repro.units import HOUR
-from repro.workload import (
-    AmplifierFailureInjector,
-    OtnSwitchFailureInjector,
-    TransponderFailureInjector,
-)
 
 PAIR = ("PREMISES-A", "PREMISES-B")
 
@@ -107,6 +101,24 @@ class TestCompositeSettlement:
         assert svc.usage()["connections"] == 0
         assert_clean(net)
 
+    @pytest.mark.parametrize(
+        "ems, rate, state",
+        [
+            ("fxc_ctl", 10, ConnectionState.BLOCKED),
+            ("otn_ems", 12, ConnectionState.DEGRADED),
+        ],
+    )
+    def test_ems_names_are_fault_plan_keys_not_objects(self, ems, rate, state):
+        plan = FaultPlan([FaultSpec(ems=ems, mode="fail")])
+        net, svc = build(plan)
+        for name in ("fxc_ctl", "nte_ctl", "otn_ems"):
+            assert not hasattr(net.controller, name)
+        conn = svc.request_connection(*PAIR, rate)
+        net.run()
+        assert conn.state is state
+        assert net.metrics.counters()[f"ems.command.failed.{ems}"] >= 1
+        assert_clean(net)
+
     def test_total_failure_blocks_and_unwinds_composite(self):
         plan = FaultPlan([FaultSpec(mode="fail")])
         net, svc = build(plan)
@@ -171,62 +183,4 @@ class TestRecoveryPathSagas:
         assert conn.state is ConnectionState.RELEASED
         assert not net.inventory.lightpaths
         assert net.metrics.counters()["ems.command.forced"] >= 1
-        assert_clean(net)
-
-
-class TestElementFailures:
-    def test_failed_transponder_restores_onto_a_healthy_card(self):
-        net, svc = build(None)
-        conn = svc.request_connection(*PAIR, 10)
-        net.run()
-        lp_id = conn.lightpath_ids[0]
-        owned = [
-            ot.ot_id
-            for pool in net.inventory.transponders.values()
-            for ot in pool.transponders
-            if ot.owner == lp_id
-        ]
-        net.controller.fail_transponder(owned[0])
-        net.run()
-        assert net.metrics.counters()["failure.transponder"] == 1
-        assert conn.state is ConnectionState.UP
-        assert conn.lightpath_ids != [lp_id]
-        assert_clean(net)
-        net.controller.repair_transponder(owned[0])
-        node = owned[0].split(":")[1]
-        assert not net.inventory.transponders[node].get(owned[0]).failed
-
-    def test_fail_otn_switch_requires_an_installed_switch(self):
-        from repro.errors import EquipmentError
-
-        net, _ = build(None)
-        with pytest.raises(EquipmentError):
-            net.controller.fail_otn_switch("PREMISES-A")
-
-    def test_element_injectors_fire_and_repair(self):
-        net, svc = build(None)
-        conn = svc.request_connection(*PAIR, 10)
-        net.run()
-        injectors = [
-            TransponderFailureInjector(
-                net.controller, net.streams, 6 * HOUR, stop_at=2 * 24 * HOUR
-            ),
-            AmplifierFailureInjector(
-                net.controller, net.streams, 8 * HOUR, stop_at=2 * 24 * HOUR
-            ),
-            OtnSwitchFailureInjector(
-                net.controller, net.streams, 12 * HOUR, stop_at=2 * 24 * HOUR
-            ),
-        ]
-        net.run(until=3 * 24 * HOUR)
-        net.run()
-        for injector in injectors:
-            assert injector.records, injector.kind
-            assert not injector.open_failures, injector.kind
-        counters = net.metrics.counters()
-        for kind in ("transponder", "amplifier", "otn_switch"):
-            assert counters[f"failure.injected.{kind}"] >= 1
-            assert counters[f"failure.injected.{kind}"] == counters[
-                f"failure.repaired.{kind}"
-            ]
         assert_clean(net)

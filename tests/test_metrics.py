@@ -1,10 +1,10 @@
-"""Tests for the metrics collector and summary statistics."""
+"""Tests for the summary statistics."""
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.metrics import MetricsCollector, summarize
+from repro.metrics import summarize
 
 
 class TestSummarize:
@@ -46,35 +46,3 @@ class TestSummarize:
         assert summary.minimum - tolerance <= summary.mean
         assert summary.mean <= summary.maximum + tolerance
         assert summary.count == len(samples)
-
-
-class TestCollector:
-    def test_counters(self):
-        metrics = MetricsCollector()
-        metrics.count("requests")
-        metrics.count("requests", 2)
-        assert metrics.counter("requests") == 3
-        assert metrics.counter("never") == 0
-
-    def test_series(self):
-        metrics = MetricsCollector()
-        metrics.record("setup", 62.0)
-        metrics.record("setup", 66.0)
-        assert metrics.samples("setup") == [62.0, 66.0]
-        assert metrics.summary("setup").mean == 64.0
-
-    def test_summary_of_empty_series(self):
-        with pytest.raises(ValueError):
-            MetricsCollector().summary("nothing")
-
-    def test_samples_returns_copy(self):
-        metrics = MetricsCollector()
-        metrics.record("x", 1.0)
-        metrics.samples("x").append(99.0)
-        assert metrics.samples("x") == [1.0]
-
-    def test_names(self):
-        metrics = MetricsCollector()
-        metrics.count("a")
-        metrics.record("b", 1.0)
-        assert metrics.names() == {"a": "counter", "b": "series"}

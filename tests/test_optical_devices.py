@@ -1,4 +1,4 @@
-"""Tests for transponders, regens, FXCs, muxponders, and NTEs."""
+"""Tests for transponders, regens, FXCs, and NTEs."""
 
 import pytest
 
@@ -11,8 +11,6 @@ from repro.errors import (
 )
 from repro.optical import (
     FiberCrossConnect,
-    LowSpeedMux,
-    Muxponder,
     NetworkTerminatingEquipment,
     RegenPool,
     TransponderPool,
@@ -187,58 +185,6 @@ class TestFxc:
         fxc.connect(4, 1, "conn-1")
         fxc.connect(0, 5, "conn-2")
         assert fxc.connections() == [(0, 5, "conn-2"), (1, 4, "conn-1")]
-
-
-class TestMuxponder:
-    def test_testbed_shape(self):
-        mxp = Muxponder("MXP:A")
-        assert mxp.client_port_count == 4
-        assert mxp.line_rate_bps == gbps(40)
-
-    def test_oversubscription_rejected(self):
-        with pytest.raises(ConfigurationError):
-            Muxponder("MXP:bad", client_rate_bps=gbps(10), client_ports=5,
-                      line_rate_bps=gbps(40))
-
-    def test_allocate_lowest_free(self):
-        mxp = Muxponder("MXP:A")
-        assert mxp.allocate_client_port("c1") == 0
-        assert mxp.allocate_client_port("c2") == 1
-        mxp.release_client_port(0, "c1")
-        assert mxp.allocate_client_port("c3") == 0
-
-    def test_exhaustion(self):
-        mxp = Muxponder("MXP:A")
-        for i in range(4):
-            mxp.allocate_client_port(f"c{i}")
-        with pytest.raises(CapacityExceededError):
-            mxp.allocate_client_port("c5")
-
-    def test_occupy_specific_port(self):
-        mxp = Muxponder("MXP:A")
-        mxp.occupy_client_port(2, "c1")
-        assert mxp.owner_of(2) == "c1"
-        with pytest.raises(EquipmentError):
-            mxp.occupy_client_port(2, "c2")
-
-    def test_release_validation(self):
-        mxp = Muxponder("MXP:A")
-        with pytest.raises(EquipmentError):
-            mxp.release_client_port(0, "c1")
-        mxp.occupy_client_port(0, "c1")
-        with pytest.raises(EquipmentError):
-            mxp.release_client_port(0, "c2")
-
-    def test_line_fill(self):
-        mxp = Muxponder("MXP:A")
-        mxp.allocate_client_port("c1")
-        assert mxp.line_fill() == pytest.approx(0.25)
-
-    def test_low_speed_mux_shape(self):
-        mux = LowSpeedMux("MUX:A")
-        assert mux.client_port_count == 10
-        assert mux.client_rate_bps == gbps(1)
-        assert mux.line_rate_bps == gbps(10)
 
 
 class TestNte:

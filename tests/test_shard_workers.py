@@ -261,7 +261,42 @@ class TestLifecycle:
         assert multiprocessing.active_children() == []
 
 
+class _DeafProcess:
+    """A stand-in worker process that survives ``terminate()``."""
+
+    def __init__(self):
+        self.calls = []
+        self._alive = True
+
+    def is_alive(self):
+        return self._alive
+
+    def terminate(self):
+        self.calls.append("terminate")
+
+    def join(self, timeout=None):
+        # An unbounded join on a live process is the hang under test.
+        assert timeout is not None or not self._alive, "join() would hang"
+        self.calls.append("join")
+
+    def kill(self):
+        self.calls.append("kill")
+        self._alive = False
+
+
 class TestCrashRecovery:
+    def test_respawn_kills_a_worker_that_ignores_sigterm(self):
+        with ShardWorkerPool([RECIPE]) as pool:
+            real = pool.process_of(RECIPE)
+            deaf = pool._workers[RECIPE].process = _DeafProcess()
+            try:
+                pool.respawn(RECIPE)
+            finally:
+                real.kill()
+                real.join()
+            assert deaf.calls == ["terminate", "join", "kill", "join"]
+            assert pool.call(RECIPE, "ping") == "pong"
+
     def _mutate(self, pool, local):
         """The same mutating history on a pool worker and its local twin:
         a round that plans, the claims synced by the next, then a cut."""

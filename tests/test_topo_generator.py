@@ -79,13 +79,3 @@ class TestGeneration:
         plan = engine.plan(names[0], names[-1], gbps(10))
         assert plan.path[0] == names[0]
         assert plan.path[-1] == names[-1]
-
-
-class TestLatencyHelper:
-    def test_path_latency(self):
-        from repro.topo.testbed import build_testbed_graph
-
-        graph = build_testbed_graph()
-        latency = graph.path_latency_s(["ROADM-I", "ROADM-IV"])
-        # 80 km at ~4.9 us/km.
-        assert latency == pytest.approx(80 * 4.9e-6)

@@ -208,32 +208,3 @@ class TestKShortestPaths:
         graph.add_node(Node("B"))
         with pytest.raises(NoPathError):
             graph.k_shortest_paths("A", "B", k=2)
-
-
-class TestDisjointPath:
-    def test_disjoint_path_in_square(self, square):
-        primary = ["N0", "N1", "N2"]
-        backup = square.disjoint_path(primary)
-        assert backup[0] == "N0" and backup[-1] == "N2"
-        assert not (set(backup[1:-1]) & set(primary[1:-1]))
-        primary_links = {link.key for link in square.links_on_path(primary)}
-        backup_links = {link.key for link in square.links_on_path(backup)}
-        assert not (primary_links & backup_links)
-
-    def test_srlg_disjointness_enforced(self):
-        graph = NetworkGraph()
-        for name in "ABCD":
-            graph.add_node(Node(name))
-        shared = frozenset({"conduit"})
-        graph.add_link(Link("A", "B", srlgs=shared))
-        graph.add_link(Link("B", "D"))
-        graph.add_link(Link("A", "C", srlgs=shared))
-        graph.add_link(Link("C", "D"))
-        with pytest.raises(NoPathError):
-            graph.disjoint_path(["A", "B", "D"])
-        backup = graph.disjoint_path(["A", "B", "D"], srlg_disjoint=False)
-        assert backup == ["A", "C", "D"]
-
-    def test_short_path_rejected(self, square):
-        with pytest.raises(TopologyError):
-            square.disjoint_path(["N0"])

@@ -80,29 +80,6 @@ class TestFormatting:
             units.format_duration(-0.1)
 
 
-class TestSonetHierarchy:
-    def test_sts1_near_52_mbps(self):
-        assert units.sts_rate(1) == pytest.approx(51.84e6)
-
-    def test_oc192_is_about_10g(self):
-        assert units.oc_rate("OC-192") == pytest.approx(9.953e9, rel=1e-3)
-
-    def test_oc48(self):
-        assert units.oc_rate("OC-48") == pytest.approx(48 * 51.84e6)
-
-    def test_sts_rejects_zero(self):
-        with pytest.raises(ValueError):
-            units.sts_rate(0)
-
-    def test_unknown_oc_level(self):
-        with pytest.raises(KeyError):
-            units.oc_rate("OC-99")
-
-    @given(n=st.integers(min_value=1, max_value=768))
-    def test_sts_rate_linear(self, n):
-        assert units.sts_rate(n) == pytest.approx(n * units.STS1_RATE)
-
-
 class TestOduHierarchy:
     def test_odu0_rate_and_slots(self):
         level = units.ODU_LEVELS["ODU0"]
@@ -111,31 +88,6 @@ class TestOduHierarchy:
 
     def test_odu2_holds_eight_slots(self):
         assert units.ODU_LEVELS["ODU2"].tributary_slots == 8
-
-    def test_odu_for_one_gig_client(self):
-        assert units.odu_for_rate(units.gbps(1)).name == "ODU0"
-
-    def test_odu_for_ten_gig_client(self):
-        assert units.odu_for_rate(units.gbps(10)).name == "ODU2"
-
-    def test_odu_for_forty_gig_client(self):
-        assert units.odu_for_rate(units.gbps(40)).name == "ODU3"
-
-    def test_odu_boundary_exactly_odu0(self):
-        assert units.odu_for_rate(1.25e9).name == "ODU0"
-
-    def test_odu_rejects_excessive_rate(self):
-        with pytest.raises(ValueError):
-            units.odu_for_rate(units.gbps(200))
-
-    def test_odu_rejects_nonpositive_rate(self):
-        with pytest.raises(ValueError):
-            units.odu_for_rate(0)
-
-    @given(rate=st.floats(min_value=1e6, max_value=104.79e9))
-    def test_selected_odu_always_fits_client(self, rate):
-        level = units.odu_for_rate(rate)
-        assert level.rate_bps >= rate
 
     def test_slot_counts_track_rates(self):
         ordered = sorted(units.ODU_LEVELS.values(), key=lambda lv: lv.rate_bps)

@@ -1,4 +1,4 @@
-"""Tests for arrival processes, demand curves, matrices, and bulk jobs."""
+"""Tests for arrival processes, demand curves, and bulk jobs."""
 
 import pytest
 
@@ -6,13 +6,12 @@ from repro.core.connection import ConnectionState
 from repro.errors import ConfigurationError
 from repro.facade import build_griphon_testbed
 from repro.sim import RandomStreams, Simulator
-from repro.units import DAY, GBPS, HOUR, TERABYTE
+from repro.units import DAY, HOUR, TERABYTE
 from repro.workload import (
     BulkTransferWorkload,
     DiurnalProfile,
     InteractiveDemand,
     PoissonArrivals,
-    synthesize_traffic_matrix,
 )
 
 
@@ -168,37 +167,6 @@ class TestInteractiveDemand:
             demand.hourly_series(0)
         with pytest.raises(ConfigurationError):
             demand.capacity_hours_tracking(granularity_bps=0)
-
-
-class TestTrafficMatrix:
-    def test_pairs_and_totals(self):
-        matrix = synthesize_traffic_matrix(
-            ["A", "B", "C"], RandomStreams(1), total_gbps=100
-        )
-        assert len(matrix.pairs) == 6
-        total = matrix.total_bulk_bps() + matrix.total_interactive_bps()
-        assert total == pytest.approx(100 * GBPS)
-
-    def test_bulk_dominates(self):
-        matrix = synthesize_traffic_matrix(
-            ["A", "B", "C"], RandomStreams(1), bulk_share=0.8
-        )
-        assert matrix.bulk_fraction() == pytest.approx(0.8)
-
-    def test_skewed_pairs(self):
-        matrix = synthesize_traffic_matrix(
-            ["A", "B", "C", "D", "E"], RandomStreams(5)
-        )
-        demands = sorted(matrix.bulk.values(), reverse=True)
-        assert demands[0] > 3 * demands[-1]  # heavy skew
-
-    def test_validation(self):
-        with pytest.raises(ConfigurationError):
-            synthesize_traffic_matrix(["A"], RandomStreams(0))
-        with pytest.raises(ConfigurationError):
-            synthesize_traffic_matrix(["A", "B"], RandomStreams(0), bulk_share=2)
-        with pytest.raises(ConfigurationError):
-            synthesize_traffic_matrix(["A", "B"], RandomStreams(0), total_gbps=0)
 
 
 class TestBulkTransferWorkload:

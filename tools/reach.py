@@ -1,13 +1,14 @@
 """Which ``src/repro`` functions does a command reach?  Stdlib only.
 
     python tools/reach.py run OUT -- python -m repro sweep x9 --jobs 2
-    python tools/reach.py report OUT [OUT2 ...]
+    python tools/reach.py report OUT [OUT2 ...] [--tests TESTS_OUT ...]
 
 ``run`` links this file as ``sitecustomize`` on PYTHONPATH: every interpreter
 under the command (``bench.child``, pytest, forked workers) dumps ``(file, first
 line)`` of each ``repro`` code object it called to ``OUT/<pid>.txt`` on the way
-out; ``report`` lists this checkout's ``def``s that no dump names.  pytest-benchmark
-turns the profiler off in its fixture: give ``benchmarks/`` ``--benchmark-disable``.
+out; ``report`` sorts this checkout's ``def``s into reached by the OUT dumps (the
+product), only by the ``--tests`` dumps, or by nothing.  pytest-benchmark turns the
+profiler off in its fixture: give ``benchmarks/`` ``--benchmark-disable``.
 """
 import ast
 import atexit
@@ -51,25 +52,35 @@ def run(out_dir, command):
         return subprocess.call(command, env=env)
 
 
-def report(out_dirs):
-    reached = set()
-    for out_dir in out_dirs:
-        for dump in pathlib.Path(out_dir).iterdir():
-            reached.update(dump.read_text().split())
-    total = missed = lines = 0
+def _dumped(out_dirs):
+    return {line for out_dir in out_dirs for dump in pathlib.Path(out_dir).iterdir()
+            for line in dump.read_text().split()}
+
+
+def report(args):
+    """Per module and in total: defs the product reached, only --tests reached, nothing reached."""
+    split = args.index("--tests") if "--tests" in args else len(args)
+    product, tests = _dumped(args[:split]), _dumped(args[split + 1:])
+    totals = [[0, 0], [0, 0], [0, 0]]  # [functions, lines] per class
     for folder, _, files in sorted(os.walk(os.path.join(ROOT, "src", "repro"))):
         for path in sorted(os.path.join(folder, f) for f in files if f.endswith(".py")):
-            defs = [node for node in ast.walk(ast.parse(pathlib.Path(path).read_text()))
-                    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))]
-            # A decorated function's code object starts at its first decorator.
-            unreached = [n for n in defs if "%s:%d" % (path, min(
-                [n.lineno] + [d.lineno for d in n.decorator_list])) not in reached]
-            total, missed = total + len(defs), missed + len(unreached)
-            lines += sum(n.end_lineno - n.lineno + 1 for n in unreached)
-            if unreached:
-                print(f"{os.path.relpath(path, ROOT)}: {len(unreached)} of {len(defs)}")
-                print(*sorted(f"{n.lineno:7}: {n.name}" for n in unreached), sep="\n")
-    print(f"reached {total - missed} of {total} functions; {missed} unreached ({lines} lines)")
+            classes = [[], [], []]
+            for n in ast.walk(ast.parse(pathlib.Path(path).read_text())):
+                if isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    # A decorated function's code object starts at its first decorator.
+                    key = "%s:%d" % (path, min([n.lineno] + [d.lineno for d in n.decorator_list]))
+                    classes[0 if key in product else 1 if key in tests else 2].append(n)
+            for total, nodes in zip(totals, classes):
+                total[0] += len(nodes)
+                total[1] += sum(n.end_lineno - n.lineno + 1 for n in nodes)
+            if classes[1] or classes[2]:
+                print("%s: %d product, %d tests-only, %d nothing"
+                      % (os.path.relpath(path, ROOT), *map(len, classes)))
+                tagged = ((classes[1], ""), (classes[2], "  (nothing)"))
+                print(*sorted(f"{n.lineno:7}: {n.name}{tag}" for nodes, tag in tagged
+                              for n in nodes), sep="\n")
+    print("total %d functions: %d product, %d tests-only (%d lines), %d nothing (%d lines)"
+          % (sum(t[0] for t in totals), totals[0][0], *totals[1], *totals[2]))
 
 
 if __name__ == "sitecustomize" and os.environ.get("REACH_OUT"):

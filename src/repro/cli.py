@@ -321,11 +321,8 @@ def cmd_slo(args: argparse.Namespace) -> int:
         policies = ()
     else:
         policies = default_policies()
-    if args.policy_off and args.policy:
-        print("--policy-off and --policy are mutually exclusive")
-        return 1
     # The trial runner owns the workload; reuse it so the CLI, the
-    # benchmark, and the chaos CI job all exercise the same loop.
+    # sweep study and the tier-1 tests all exercise the same loop.
     result = run_slo_trial(
         seed=args.seed,
         policy_on=bool(policies),
@@ -407,6 +404,7 @@ def cmd_pipeline(args: argparse.Namespace) -> int:
     """Push a burst of concurrent orders through the intake pipeline."""
     from repro.facade import build_griphon_backbone
     from repro.pipeline import TicketState
+    from repro.sweep.studies import burst_orders
 
     if args.topology == "testbed":
         net = build_griphon_testbed(seed=args.seed)
@@ -420,17 +418,12 @@ def cmd_pipeline(args: argparse.Namespace) -> int:
     service = net.service_for(
         "cli-demo", max_connections=4096, max_total_rate_gbps=1000000
     )
-    premises = sorted(net.inventory.ntes)
-    rates = (10, 12, 1)
-    tickets = []
-    for index in range(args.orders):
-        a = premises[index % len(premises)]
-        b = premises[(index * 7 + 3) % len(premises)]
-        if a == b:
-            b = premises[(index * 7 + 4) % len(premises)]
-        tickets.append(
-            service.submit_connection(a, b, rates[index % len(rates)])
+    tickets = [
+        service.submit_connection(a, b, rate)
+        for a, b, rate in burst_orders(
+            sorted(net.inventory.ntes), args.orders, (10, 12, 1)
         )
+    ]
     net.run()
     counts = {state: 0 for state in TicketState}
     for ticket in tickets:
@@ -486,6 +479,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
     """Serve an open-loop tenant fleet through the async frontend."""
     from repro.facade import build_griphon_backbone
     from repro.frontend.clients import ClientFleet
+    from repro.sweep.studies import nearest_rank_p99
     from repro.workload.tenants import TenantPopulation
 
     if args.topology == "testbed":
@@ -526,10 +520,10 @@ def cmd_serve(args: argparse.Namespace) -> int:
     )
     latencies = sorted(fleet.stats.order_to_active)
     if latencies:
-        p99 = latencies[max(0, int(len(latencies) * 0.99) - 1)]
         print(
             f"  order-to-ACTIVE: p50 {format_duration(statistics.median(latencies))}"
-            f"  p99 {format_duration(p99)}  ({len(latencies)} activation(s))"
+            f"  p99 {format_duration(nearest_rank_p99(latencies))}"
+            f"  ({len(latencies)} activation(s))"
         )
     print(f"  edge state: {frontend.state}  queue depth: {frontend.queue_depth()}")
     conserved = submitted == admitted + shed + throttled
@@ -725,12 +719,13 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="JSON file with a DegradationPlan (default: stock scenario)",
     )
-    slo.add_argument(
+    policy = slo.add_mutually_exclusive_group()
+    policy.add_argument(
         "--policy",
         default=None,
         help="JSON file with a list of SloPolicy dicts (default: stock set)",
     )
-    slo.add_argument(
+    policy.add_argument(
         "--policy-off",
         action="store_true",
         help="arm no policies: measure violation minutes, remediate nothing",

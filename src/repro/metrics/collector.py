@@ -9,11 +9,7 @@ from typing import List
 
 @dataclass(frozen=True)
 class Summary:
-    """Summary statistics of a sample series.
-
-    ``p99`` defaults to 0.0 for compatibility with callers constructing
-    summaries positionally; :func:`summarize` always fills it.
-    """
+    """Summary statistics of a sample series."""
 
     count: int
     mean: float
@@ -21,7 +17,7 @@ class Summary:
     maximum: float
     p50: float
     p95: float
-    p99: float = 0.0
+    p99: float
 
     def __str__(self) -> str:
         return (

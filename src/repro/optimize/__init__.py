@@ -9,7 +9,7 @@ and executes it move by move via bridge-and-roll with saga rollback
 (:mod:`~repro.optimize.executor`).  :mod:`~repro.optimize.runtime` ties
 the layers into an operational cycle, with the SLO breach stream feeding
 the planner's link costs; :mod:`~repro.optimize.bench` is the
-``BENCH_optimize.json`` trial.
+``griphon optimize`` / ``sweep optimize`` trial.
 """
 
 from repro.optimize.executor import (

@@ -18,7 +18,7 @@ detect → impact → remediate → monitor → restore loop over them:
   :class:`~repro.api.SlaBreached` otherwise, and auto-revert when the
   SLA recovers;
 * :mod:`repro.slo.bench` — the policy-on/off benchmark trial behind
-  ``BENCH_slo.json`` and the ``sweep slo`` study.
+  ``griphon slo`` and the ``sweep slo`` study.
 
 Attach it all with ``net.enable_slo(plan, policies)``; an empty plan
 with no policies schedules nothing, leaving the event stream

@@ -7,12 +7,12 @@ plan, and replays the plan with the remediation engine either armed
 (``policy_on=True``) or watching silently (policies empty — violation
 minutes still accrue, nothing remediates).
 
-``BENCH_slo.json`` (see ``benchmarks/slo_report.py``) asserts the
-acceptance bar: policy-on cuts SLA-violation minutes at least 3x, every
-reroute landed on a path under the utilization gate, the invariant
-auditor stayed clean after every action, and an empty-plan/no-policy
-run leaves the network fingerprint identical to one that never attached
-the subsystem at all.
+``tests/test_slo_engine.py`` holds the bar: policy-on cuts
+SLA-violation minutes at least 3x, every reroute landed on a path under
+the utilization gate, the invariant auditor stayed clean after every
+action, and an empty-plan/no-policy run leaves the network fingerprint
+identical to one that never attached the subsystem at all.  ``griphon
+slo`` and ``griphon sweep slo`` print the same trial.
 """
 
 from __future__ import annotations

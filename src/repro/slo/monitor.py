@@ -13,7 +13,7 @@ are watched as network-wide streams from the metrics registry.
 
 Independent of any policy, the monitor accrues **SLA violation
 minutes** — sim minutes a connection spends with its margin below the
-violation threshold — which is the currency ``BENCH_slo.json`` compares
+violation threshold — which is the currency ``griphon slo`` compares
 policy-on against policy-off.
 """
 

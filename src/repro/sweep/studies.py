@@ -84,6 +84,23 @@ def _build_topology(trial: TrialSpec) -> GriphonNetwork:
     raise ConfigurationError(f"unknown topology {topology!r}")
 
 
+def burst_orders(premises: Sequence[str], orders: int, rates: Sequence[float]):
+    """``(a, b, rate)`` per order of the burst the pipeline study and CLI share."""
+    for index in range(orders):
+        a = premises[index % len(premises)]
+        b = premises[(index * 7 + 3) % len(premises)]
+        if a == b:
+            b = premises[(index * 7 + 4) % len(premises)]
+        yield a, b, rates[index % len(rates)]
+
+
+def nearest_rank_p99(ordered: Sequence[float]) -> float:
+    """The p99 the frontend study and ``griphon serve`` quote; NaN when empty."""
+    if not ordered:
+        return float("nan")
+    return ordered[max(0, int(len(ordered) * 0.99) - 1)]
+
+
 # -- study runners ----------------------------------------------------------
 
 
@@ -240,16 +257,10 @@ def pipeline_trial(trial: TrialSpec) -> TrialResult:
     service = net.service_for(
         "csp", max_connections=4096, max_total_rate_gbps=1000000
     )
-    premises = sorted(net.inventory.ntes)
-    tickets = []
-    for index in range(orders):
-        a = premises[index % len(premises)]
-        b = premises[(index * 7 + 3) % len(premises)]
-        if a == b:
-            b = premises[(index * 7 + 4) % len(premises)]
-        tickets.append(
-            service.submit_connection(a, b, rates[index % len(rates)])
-        )
+    tickets = [
+        service.submit_connection(a, b, rate)
+        for a, b, rate in burst_orders(sorted(net.inventory.ntes), orders, rates)
+    ]
     net.run()
     by_state = {state: 0 for state in TicketState}
     for ticket in tickets:
@@ -323,7 +334,6 @@ def frontend_trial(trial: TrialSpec) -> TrialResult:
     counters = state["counters"]
     submitted = counters.get("frontend.submitted", 0.0) or 1.0
     latencies = sorted(fleet.stats.order_to_active)
-    p99 = latencies[max(0, int(len(latencies) * 0.99) - 1)] if latencies else float("nan")
     return TrialResult(
         values={
             "submitted": fleet.stats.submitted,
@@ -334,7 +344,7 @@ def frontend_trial(trial: TrialSpec) -> TrialResult:
             "shed_rate": counters.get("frontend.shed", 0.0) / submitted,
             "throttle_rate": counters.get("frontend.throttled", 0.0) / submitted,
             "admitted_per_s": counters.get("frontend.admitted", 0.0) / duration,
-            "p99_order_to_active_s": p99,
+            "p99_order_to_active_s": nearest_rank_p99(latencies),
             "registered_tenants": population.registered_count,
             "conserved": counters.get("frontend.submitted", 0.0)
             == counters.get("frontend.admitted", 0.0)
@@ -506,9 +516,9 @@ def optimize_reclaim_spec(
     """The re-optimization study: repack vs greedy on a fragmented mesh.
 
     Grids the fragmentation benchmark over the ``reoptimize`` axis so
-    one sweep produces the with/without comparison behind
-    ``BENCH_optimize.json``: wavelengths reclaimed and blocking
-    probability under the same post-churn load ramp.
+    one sweep produces the with/without comparison: wavelengths
+    reclaimed and blocking probability under the same post-churn load
+    ramp.
     """
     merged: Dict[str, Any] = {
         "node_count": node_count,
@@ -535,8 +545,7 @@ def slo_chaos_spec(
     """The SLO study: SLA-violation minutes with vs without remediation.
 
     Grids the default gray-failure plan over the ``policy_on`` axis so
-    one sweep produces the policy-on/policy-off comparison behind
-    ``BENCH_slo.json``.
+    one sweep produces the policy-on/policy-off comparison.
     """
     merged: Dict[str, Any] = {"horizon_s": horizon_s}
     merged.update(fixed)

@@ -155,3 +155,16 @@ class TestShardCommand:
             payload["monolithic"]["fingerprint"]
         )
         assert payload["sharded"]["audits_ok"]
+
+
+class TestSloCommand:
+    def test_policy_off_with_a_policy_file_is_refused_by_the_parser(
+        self, capsys, tmp_path
+    ):
+        # The file does not exist: the refusal comes before any read.
+        with pytest.raises(SystemExit) as refusal:
+            build_parser().parse_args(
+                ["slo", "--policy-off", "--policy", str(tmp_path / "p.json")]
+            )
+        assert refusal.value.code == 2
+        assert "not allowed with" in capsys.readouterr().err

@@ -367,3 +367,25 @@ class TestNoStarvation:
         # Every compliant order still completes under the flood.
         assert len(contended) == len(baseline)
         assert _p99(contended) <= 2.0 * _p99(baseline)
+
+
+class TestOverload:
+    def test_admitted_p99_at_10x_stays_within_2x_of_unloaded(self):
+        """Ten times the offered load is refused at the edge, not queued:
+        the orders that are admitted come up as fast as when unloaded."""
+        from repro.sweep.studies import frontend_load_spec
+
+        unloaded, overloaded = (
+            trial.runner(trial).values
+            for trial in frontend_load_spec(
+                arrival_rates=(10.0, 100.0), duration_s=20.0
+            ).trials()
+        )
+        assert unloaded["conserved"] and overloaded["conserved"]
+        assert overloaded["submitted"] > 5 * unloaded["submitted"]
+        assert overloaded["shed"] + overloaded["throttled"] > 0
+        assert unloaded["active"] > 0 and overloaded["active"] > 0
+        assert (
+            overloaded["p99_order_to_active_s"]
+            <= 2.0 * unloaded["p99_order_to_active_s"]
+        )

@@ -13,6 +13,9 @@ order, topology generation, churn pattern) changed behavior.  After an
 
     PYTHONPATH=src python -c \
         "from tests.test_golden_optimize import regenerate; regenerate()"
+
+The last test holds the reclaim bar at the size ``griphon optimize`` and
+``griphon sweep optimize`` run by default (64 PoPs, 160 warm orders).
 """
 
 import json
@@ -23,6 +26,7 @@ from repro.optimize.bench import (
     build_optimize_network,
     fragment_network,
     place_orders,
+    run_optimize_trial,
 )
 
 GOLDEN_PATH = Path(__file__).parent / "golden" / "optimize_plan.json"
@@ -108,3 +112,21 @@ def test_golden_plan_actually_improves_the_network():
     assert golden["moves"], "golden scenario must yield moves"
     assert golden["objective_after"] < golden["objective_before"]
     assert golden["wavelengths_after"] < golden["wavelengths_before"]
+
+
+def test_default_size_trial_reclaims_wavelengths_without_harm():
+    """Seeds 1-3 at the default 64 PoPs: 8->2, 6->2, 8->2 wavelengths,
+    every move landed, nothing dropped, nothing for the auditor."""
+    trials = [run_optimize_trial(seed=seed) for seed in (1, 2, 3)]
+    assert [t["wavelengths_reclaimed"] for t in trials] == [6, 4, 6]
+    for trial in trials:
+        assert trial["moves_completed"] == trial["planned_moves"] > 0
+        assert trial["moves_failed"] == trial["moves_stale"] == 0
+        assert not trial["rollback_triggered"]
+        assert trial["audit_violations"] == 0
+        assert trial["dropped_survivors"] == 0
+    reclaim = [
+        t["wavelengths_reclaimed"] / t["wavelengths_fragmented"] for t in trials
+    ]
+    assert sum(reclaim) / len(reclaim) >= 0.15
+    assert run_optimize_trial(seed=1) == trials[0]

@@ -203,6 +203,11 @@ class TestBenchTrial:
         off = run_slo_trial(seed=0, policy_on=False)
         on = run_slo_trial(seed=0, policy_on=True)
         assert off["violation_minutes"] >= 3.0 * on["violation_minutes"]
+        # The two values `griphon slo [--policy-off]` prints and
+        # EXPERIMENTS.md quotes, not only their ratio.
+        assert (off["violation_minutes"], on["violation_minutes"]) == (297.5, 32.5)
+        assert (on["rerouted"], on["reverted"]) == (11, 11)
+        assert (off["rerouted"], off["reverted"]) == (0, 0)
         assert on["audit_violations"] == 0
         assert off["audit_violations"] == 0
         assert on["injector_finished"] and off["injector_finished"]

@@ -329,6 +329,7 @@ def cmd_slo(args: argparse.Namespace) -> int:
         plan=plan,
         horizon_s=args.horizon,
         audit_each_action=True,
+        policies=policies,
     )
     mode = "armed" if policies else "policy-off"
     print(

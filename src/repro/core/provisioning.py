@@ -15,7 +15,9 @@ behaves:
    against the elements' own state.
 
 2. **Execute** (simulated time): the EMS configuration steps and optical
-   tasks run as a generator that yields step durations.  This phase is
+   tasks run as a generator that yields step durations — or, when no
+   span or fault rule can observe the gaps between them, one
+   :class:`~repro.sim.process.StepRun` for the lot.  This phase is
    what takes 60–70 seconds in the testbed; its structure (two laser
    tunings, two add/drop configurations, one express configuration per
    intermediate ROADM, one equalization per link, one verification)
@@ -24,7 +26,7 @@ behaves:
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Generator, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Generator, List, Optional, Sequence, Tuple, Union
 
 from repro.core.inventory import (
     HELD_CHANNEL,
@@ -42,6 +44,7 @@ from repro.faults.resilient import ResilientExecutor
 from repro.obs.registry import MetricsRegistry
 from repro.obs.trace import NULL_SPAN, Span, Tracer
 from repro.optical.lightpath import Lightpath, LightpathState
+from repro.sim.process import StepRun
 
 #: A timed EMS/optical step: (stage, label, duration_seconds).  Steps in
 #: the same stage touch independent elements and may run concurrently in
@@ -279,7 +282,7 @@ class LightpathProvisioner:
         include_fxc: bool = True,
         on_up: Optional[Callable[[Lightpath], None]] = None,
         parent_span: Optional[Span] = None,
-    ) -> Generator[float, None, Lightpath]:
+    ) -> Generator[Union[float, StepRun], None, Lightpath]:
         """A generator bringing the lightpath up step by timed step.
 
         When tracing is enabled, emits a ``lightpath.setup`` span whose
@@ -300,43 +303,10 @@ class LightpathProvisioner:
             hops=len(lightpath.path) - 1,
         ) as span:
             lightpath.transition(LightpathState.SETTING_UP)
-            steps = self.setup_steps(lightpath, include_fxc)
-            resilience = self._resilience
-            total = 0.0
-            executed: List[Step] = []
-            failure: Optional[EquipmentError] = None
-            for step in self._stage_spans(steps):
-                # No span to open and no fault rule that can fire at this
-                # step: the general path below would only yield duration.
-                if span is NULL_SPAN and (
-                    resilience is None or resilience.plan.empty
-                ):
-                    yield step[2]
-                    executed.append(step)
-                    total += step[2]
-                    continue
-                stage, label, duration = step
-                with span.child(f"ems.{stage}", label=label) as step_span:
-                    if self._resilience is None:
-                        yield duration
-                    else:
-                        try:
-                            duration = yield from self._resilience.execute(
-                                _step_ems(stage),
-                                _step_element(stage, label),
-                                stage,
-                                duration,
-                                parent_span=step_span,
-                            )
-                        except EquipmentError as exc:
-                            failure = exc
-                            step_span.set_tag("outcome", "failed")
-                if failure is not None:
-                    break
-                executed.append((stage, label, duration))
-                total += duration
+            steps = self._stage_spans(self.setup_steps(lightpath, include_fxc))
+            done, total, failure = yield from self._walk(steps, span, False)
             if failure is not None:
-                yield from self._compensate(lightpath, executed, span, failure)
+                yield from self._compensate(lightpath, steps[:done], span, failure)
                 return lightpath
             lightpath.transition(LightpathState.UP)
             # A fiber along the route may have been cut while the EMS
@@ -353,6 +323,58 @@ class LightpathProvisioner:
             if on_up is not None:
                 on_up(lightpath)
             return lightpath
+
+    def _walk(
+        self, steps: List[Step], span: Span, best_effort: bool
+    ) -> Generator[
+        Union[float, StepRun], None, Tuple[int, float, Optional[EquipmentError]]
+    ]:
+        """Wait out ``steps``; returns ``(done, total_s, failure)``.
+
+        With no span to open and no fault rule that can fire, the rest go
+        to the kernel as one ``StepRun``, watched by the fault plan until
+        it resumes (a rule added meanwhile splits it at a step boundary);
+        otherwise one step at a time through the span + resilient
+        executor, which forces rather than fails when ``best_effort``.
+        """
+        resilience = self._resilience
+        total = 0.0
+        done = 0
+        while done < len(steps):
+            if span is NULL_SPAN and (resilience is None or resilience.plan.empty):
+                run = StepRun([step[2] for step in steps[done:]])
+                if resilience is None:
+                    yield run
+                else:
+                    resilience.plan.watch(run)
+                    try:
+                        yield run
+                    finally:
+                        resilience.plan.unwatch(run)
+                for step in steps[done : done + run.completed]:
+                    total += step[2]
+                done += run.completed
+                continue
+            stage, label, duration = steps[done]
+            with span.child(f"ems.{stage}", label=label) as step_span:
+                if resilience is None:
+                    yield duration
+                else:
+                    try:
+                        duration = yield from resilience.execute(
+                            _step_ems(stage),
+                            _step_element(stage, label),
+                            stage,
+                            duration,
+                            parent_span=step_span,
+                            best_effort=best_effort,
+                        )
+                    except EquipmentError as exc:
+                        step_span.set_tag("outcome", "failed")
+                        return done, total, exc
+            done += 1
+            total += duration
+        return done, total, None
 
     def _compensate(
         self,
@@ -389,7 +411,7 @@ class LightpathProvisioner:
         include_fxc: bool = True,
         on_released: Optional[Callable[[Lightpath], None]] = None,
         parent_span: Optional[Span] = None,
-    ) -> Generator[float, None, Lightpath]:
+    ) -> Generator[Union[float, StepRun], None, Lightpath]:
         """A generator tearing the lightpath down, then freeing resources."""
         with self._tracer.span(
             "lightpath.teardown",
@@ -398,33 +420,8 @@ class LightpathProvisioner:
             hops=len(lightpath.path) - 1,
         ) as span:
             lightpath.transition(LightpathState.TEARING_DOWN)
-            steps = self.teardown_steps(lightpath, include_fxc)
-            resilience = self._resilience
-            total = 0.0
-            for step in self._stage_spans(steps):
-                # As in setup_workflow: nothing to trace, no live fault rule.
-                if span is NULL_SPAN and (
-                    resilience is None or resilience.plan.empty
-                ):
-                    yield step[2]
-                    total += step[2]
-                    continue
-                stage, label, duration = step
-                with span.child(f"ems.{stage}", label=label) as step_span:
-                    if self._resilience is None:
-                        yield duration
-                    else:
-                        # Teardown must always complete: exhausted
-                        # retries force the command rather than raise.
-                        duration = yield from self._resilience.execute(
-                            _step_ems(stage),
-                            _step_element(stage, label),
-                            stage,
-                            duration,
-                            parent_span=step_span,
-                            best_effort=True,
-                        )
-                total += duration
+            steps = self._stage_spans(self.teardown_steps(lightpath, include_fxc))
+            _done, total, _failure = yield from self._walk(steps, span, True)
             lightpath.transition(LightpathState.RELEASED)
             self.release(lightpath)
             if self._metrics is not None:

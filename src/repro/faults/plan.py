@@ -22,6 +22,7 @@ from fnmatch import fnmatchcase
 from typing import Any, Dict, List, Optional, Sequence
 
 from repro.errors import ConfigurationError
+from repro.sim.process import StepRun
 from repro.sim.randomness import RandomStreams
 
 #: The injectable failure modes, from most to least benign.
@@ -139,6 +140,8 @@ class FaultPlan:
         # Rules that can still fire (a spec's count is None or >= 1).
         self._live = len(self._specs)
         self._streams: Optional[RandomStreams] = None
+        # In-flight step runs, in start order (a dict as an ordered set).
+        self._runs: Dict[StepRun, None] = {}
 
     @property
     def specs(self) -> List[FaultSpec]:
@@ -156,12 +159,27 @@ class FaultPlan:
         return list(self._injected)
 
     def add(self, spec: FaultSpec) -> "FaultPlan":
-        """Append a rule mid-run (chaos scripting); returns self."""
+        """Append a rule mid-run (chaos scripting); returns self.
+
+        Splits each step run under :meth:`watch` at its next step
+        boundary, so the rule can match from the step starting there.
+        """
         self._specs.append(spec)
         self._remaining.append(spec.count)
         self._injected.append(0)
         self._live += 1
+        runs, self._runs = self._runs, {}
+        for run in runs:
+            run.split()
         return self
+
+    def watch(self, run: StepRun) -> None:
+        """Split ``run`` if a rule is added before it resumes."""
+        self._runs[run] = None
+
+    def unwatch(self, run: StepRun) -> None:
+        """``run`` has resumed (or its workflow was closed)."""
+        self._runs.pop(run, None)
 
     def bind(self, streams: RandomStreams) -> "FaultPlan":
         """Attach the seeded dice; the controller calls this at build."""

@@ -12,12 +12,12 @@ The kernel is deliberately small and deterministic:
   which derives independent named substreams from one master seed;
 * generator-based :class:`~repro.sim.process.Process` objects provide a
   convenient coroutine style for multi-step activities (yield a delay,
-  resume later).
+  resume later; a :class:`~repro.sim.process.StepRun` waits out many).
 """
 
 from repro.sim.events import Event
 from repro.sim.kernel import Simulator
-from repro.sim.process import Process
+from repro.sim.process import Process, StepRun
 from repro.sim.randomness import RandomStreams
 
-__all__ = ["Event", "Simulator", "Process", "RandomStreams"]
+__all__ = ["Event", "Simulator", "Process", "RandomStreams", "StepRun"]

@@ -14,14 +14,61 @@ before its next step::
 
 This style keeps multi-step element configuration sequences readable while
 remaining fully deterministic under the kernel's FIFO tiebreak.
+
+A generator may instead yield a :class:`StepRun` — consecutive steps
+whose boundaries nothing observes — and wait for all of them on **one**
+kernel event, at ``now + d0 + d1 + ...`` added one duration at a time:
+the float additions one event per step would make, so every resume time
+is bit-identical.  :meth:`StepRun.split` (called by
+:meth:`repro.faults.plan.FaultPlan.add`) moves that event back to the
+first boundary at or after the current time; a boundary *on* the
+current time counts as not yet started.  Only equal-time FIFO order
+among processes can differ from one event per step: a run's event takes
+its sequence number when the run starts, not when its last step does.
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, Generator, Optional
+from typing import Any, Callable, Generator, Optional, Sequence
 
 from repro.errors import SimulationError
 from repro.sim.kernel import Simulator
+
+
+class StepRun:
+    """Consecutive steps a :class:`Process` waits out on one event.
+
+    The generator resumes once, with ``completed`` the number of
+    ``durations`` that elapsed: all of them unless :meth:`split` ran.
+    """
+
+    __slots__ = ("durations", "completed", "_start", "_process")
+
+    def __init__(self, durations: Sequence[float]) -> None:
+        self.durations = durations
+        self.completed = 0
+        self._start = 0.0
+        self._process: Optional["Process"] = None
+
+    def split(self) -> None:
+        """Resume at the first step boundary at or after the current time
+        (no-op when only the run's end is left or it is not armed)."""
+        process = self._process
+        if process is None:
+            return
+        sim = process._sim
+        time = self._start
+        for index, duration in enumerate(self.durations):
+            if time >= sim.now:
+                break
+            time += duration
+        else:
+            return
+        process._pending_event.cancel()
+        self.completed = index
+        process._pending_event = sim.schedule_at(
+            time, process._advance, label=process._label
+        )
 
 
 class Process:
@@ -42,7 +89,7 @@ class Process:
     def __init__(
         self,
         sim: Simulator,
-        generator: Generator[float, None, Any],
+        generator: Generator[Any, None, Any],
         on_complete: Optional[Callable[[Any], None]] = None,
         label: str = "",
         span: Optional[Any] = None,
@@ -99,15 +146,30 @@ class Process:
             if self._on_complete is not None:
                 self._on_complete(stop.value)
             return
-        if not isinstance(delay, (int, float)) or not delay >= 0:
-            self._generator.close()
-            self._done = True
-            if self._span is not None:
-                self._span.set_tag("error", "invalid-delay")
-                self._span.finish()
-            raise SimulationError(
-                f"process {self._label!r} yielded invalid delay {delay!r}"
+        if isinstance(delay, StepRun):
+            delay._start = time = self._sim.now
+            for duration in delay.durations:
+                if not isinstance(duration, (int, float)) or not duration >= 0:
+                    self._invalid(duration)
+                time += duration
+            delay.completed = len(delay.durations)
+            delay._process = self
+            self._pending_event = self._sim.schedule_at(
+                time, self._advance, label=self._label
             )
+            return
+        if not isinstance(delay, (int, float)) or not delay >= 0:
+            self._invalid(delay)
         self._pending_event = self._sim.timer(
             float(delay), self._advance, self._label
+        )
+
+    def _invalid(self, delay: Any) -> None:
+        self._generator.close()
+        self._done = True
+        if self._span is not None:
+            self._span.set_tag("error", "invalid-delay")
+            self._span.finish()
+        raise SimulationError(
+            f"process {self._label!r} yielded invalid delay {delay!r}"
         )

@@ -17,13 +17,13 @@ slo`` and ``griphon sweep slo`` print the same trial.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Optional
+from typing import Any, Dict, Optional, Sequence
 
 from repro.facade import GriphonNetwork, build_griphon_backbone
 from repro.faults.plan import DegradationPlan, DegradationSpec
 from repro.fingerprint import network_fingerprint
 from repro.optical.osnr import OsnrModel
-from repro.slo.monitor import default_policies
+from repro.slo.monitor import SloPolicy, default_policies
 
 #: Sim-seconds of degradation replay in the default trial.
 DEFAULT_HORIZON_S = 7200.0
@@ -89,18 +89,20 @@ def run_slo_trial(
     horizon_s: float = DEFAULT_HORIZON_S,
     audit_each_action: bool = True,
     utilization_gate: float = 0.80,
+    policies: Optional[Sequence[SloPolicy]] = None,
 ) -> Dict[str, Any]:
     """One full detect → remediate → restore trial; returns a flat dict.
 
     With ``policy_on=False`` the same plan replays against the same
     workload but no policies are armed: the monitor still accrues
     SLA-violation minutes (the comparison currency), the engine never
-    acts.
+    acts.  ``policies`` overrides both (``griphon slo --policy FILE``).
     """
     net = build_slo_network(seed)
     connections = bring_up_workload(net)
     plan = plan if plan is not None else default_degradation_plan()
-    policies = default_policies() if policy_on else ()
+    if policies is None:
+        policies = default_policies() if policy_on else ()
     runtime = net.enable_slo(
         plan=plan,
         policies=policies,

@@ -1,5 +1,7 @@
 """Tests for the command-line interface."""
 
+import json
+
 import pytest
 
 from repro.cli import build_parser, main
@@ -168,3 +170,23 @@ class TestSloCommand:
             )
         assert refusal.value.code == 2
         assert "not allowed with" in capsys.readouterr().err
+
+    def test_policy_file_arms_the_policies_it_lists(self, tmp_path):
+        from repro.slo import SloPolicy
+        from repro.slo.bench import run_slo_trial
+
+        # One margin policy at half the default threshold, no global
+        # alerts: breaches come later, so more violation minutes accrue.
+        policy = SloPolicy(name="osnr-margin", threshold=1.0)
+        policy_file = tmp_path / "policy.json"
+        policy_file.write_text(json.dumps([policy.to_dict()]))
+        assert main(["slo", "--json", str(tmp_path / "default.json")]) == 0
+        assert main([
+            "slo", "--policy", str(policy_file),
+            "--json", str(tmp_path / "file.json"),
+        ]) == 0
+        default = json.loads((tmp_path / "default.json").read_text())
+        from_file = json.loads((tmp_path / "file.json").read_text())
+        assert from_file["violation_minutes"] != default["violation_minutes"]
+        direct = run_slo_trial(seed=0, policies=(policy,))
+        assert from_file == json.loads(json.dumps(direct))

@@ -59,8 +59,7 @@ def run_planning_validation():
         DemandForecast(pops[a], pops[b], arrivals_per_hour, hold_hours)
         for a, b in pairs
     ]
-    net_for_graph = build_griphon_testbed(seed=0)
-    planner = ResourcePlanner(net_for_graph.inventory.graph)
+    planner = ResourcePlanner()
     pools = planner.size_pools(
         forecasts, target_blocking=0.02, restoration_headroom=0
     )

@@ -17,6 +17,13 @@ from repro.errors import ConnectionStateError
 from repro.units import format_rate
 
 
+#: Kinds of claims-ledger entry (see ``Connection.claims``).
+CLAIM_NTE = "nte"  # (component, kind, premises, interface)
+CLAIM_NTE_SUB = "nte-sub"  # (component, kind, premises, interface, sub)
+CLAIM_FXC = "fxc"  # (component, kind, site, port) -- one port names the pair
+CLAIM_OTN_PORT = "otn-port"  # (component, kind, node, client port)
+
+
 class ConnectionKind(enum.Enum):
     """Which layer(s) realize the connection."""
 
@@ -115,11 +122,12 @@ class Connection:
     outage_started_at: Optional[float] = None
     total_outage_s: float = 0.0
     blocked_reason: str = ""
-    nte_interfaces: List[tuple] = field(default_factory=list)
-    #: FXC cross-connects held: (site, port) — one port identifies the pair.
-    fxc_ports: List[tuple] = field(default_factory=list)
-    #: OTN switch client ports held: (node, port).
-    otn_client_ports: List[tuple] = field(default_factory=list)
+    #: The claims ledger: one ``(component, kind, ...)`` entry per NTE
+    #: interface / sub-channel, FXC pair and OTN client port the
+    #: connection holds, in claim order (layouts beside the ``CLAIM_*``
+    #: kinds).  ``component`` is the lightpath, circuit or EVC id the
+    #: claim serves, or ``""``; the controller gives entries back.
+    claims: List[tuple] = field(default_factory=list)
     #: Trace id of the order's root span (None when tracing is off).
     trace_id: Optional[str] = None
     #: The EquipmentError that aborted (part of) setup; None on the

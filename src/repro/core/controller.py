@@ -22,7 +22,15 @@ import math
 from typing import Callable, Dict, List, Optional, Set, Tuple
 
 from repro.core.admission import AdmissionControl, CustomerProfile
-from repro.core.connection import Connection, ConnectionKind, ConnectionState
+from repro.core.connection import (
+    CLAIM_FXC,
+    CLAIM_NTE,
+    CLAIM_NTE_SUB,
+    CLAIM_OTN_PORT,
+    Connection,
+    ConnectionKind,
+    ConnectionState,
+)
 from repro.core.grooming import GroomingEngine
 from repro.core.inventory import InventoryDatabase
 from repro.core.provisioning import LightpathProvisioner
@@ -113,7 +121,7 @@ class GriphonController:
         self.latency = latency or LatencyModel(streams)
         self.latency.bind_metrics(self.metrics)
         self.roadm_ems = RoadmEms(
-            inventory.roadms, inventory.plant, self.latency, metrics=self.metrics
+            inventory.plant, self.latency, metrics=self.metrics
         )
         #: The link-budget model behind per-connection OSNR margins.
         self.osnr_model = osnr_model if osnr_model is not None else OsnrModel()
@@ -623,10 +631,6 @@ class GriphonController:
                 "connection.request", connection=connection.connection_id
             )
         connection.transition(ConnectionState.SETTING_UP)
-        # Original component positions — needed to map an aborted
-        # component back to the NTE/FXC claims made for it.
-        lp_order = {lp.lightpath_id: i for i, lp in enumerate(lightpaths)}
-        ckt_order = {ckt.circuit_id: i for i, ckt in enumerate(circuits)}
         aborted_lightpaths: List[Lightpath] = []
         failed_circuits: List[Tuple] = []
         with span.child("connection.setup") as setup_span:
@@ -655,12 +659,7 @@ class GriphonController:
                 )
         if aborted_lightpaths or failed_circuits:
             self._settle_partial_setup(
-                connection,
-                aborted_lightpaths,
-                failed_circuits,
-                lp_order,
-                ckt_order,
-                span,
+                connection, aborted_lightpaths, failed_circuits, span
             )
             return
         connection.transition(ConnectionState.UP)
@@ -740,39 +739,24 @@ class GriphonController:
                 circuit.up_at = self.sim.now
 
     def _settle_partial_setup(
-        self,
-        connection,
-        aborted_lightpaths,
-        failed_circuits,
-        lp_order,
-        ckt_order,
-        span,
+        self, connection, aborted_lightpaths, failed_circuits, span
     ) -> None:
         """Decide DEGRADED vs BLOCKED after components aborted mid-setup.
 
-        Aborted components are dropped (their NTE interfaces and FXC
-        steering released) in descending claim position so the
-        positional bookkeeping of the survivors stays valid.  If any
+        Aborted components are dropped, each giving back its own ledger
+        entries (NTE, FXC and OTN client-port claims).  If any
         component made it up the connection enters service DEGRADED;
-        if none did, every remaining claim is unwound and the order is
+        if none did, the ledger is empty by now and the order is
         BLOCKED — zero residue, exactly like a claim-time block.
         """
-        for lightpath in sorted(
-            aborted_lightpaths,
-            key=lambda lp: lp_order[lp.lightpath_id],
-            reverse=True,
-        ):
-            self._drop_aborted_lightpath(
-                connection, lightpath, lp_order[lightpath.lightpath_id]
-            )
-        for circuit, _error in sorted(
-            failed_circuits,
-            key=lambda item: ckt_order[item[0].circuit_id],
-            reverse=True,
-        ):
-            self._drop_aborted_circuit(
-                connection, circuit, ckt_order[circuit.circuit_id]
-            )
+        for lightpath in aborted_lightpaths:
+            lightpath_id = lightpath.lightpath_id
+            connection.lightpath_ids.remove(lightpath_id)
+            self._lightpath_conn.pop(lightpath_id, None)
+            self.release_claims(connection, lightpath_id)
+        for circuit, _error in failed_circuits:
+            connection.circuit_ids.remove(circuit.circuit_id)
+            self.release_claims(connection, circuit.circuit_id)
         if aborted_lightpaths:
             connection.setup_error = aborted_lightpaths[0].setup_error
         else:
@@ -789,111 +773,12 @@ class GriphonController:
             self.metrics.inc("connection.setup_degraded")
             self._notify("setup-degraded", {"connection": connection})
         else:
-            self._release_nte_claims(
-                connection.nte_interfaces, connection.connection_id
-            )
-            connection.nte_interfaces = []
-            self._release_steering(connection)
             self.admission.release(connection.customer, connection.rate_bps)
             connection.blocked_reason = f"setup failed: {connection.setup_error}"
             connection.transition(ConnectionState.BLOCKED)
             span.set_tag("outcome", "setup-failed").finish()
             self.metrics.inc("connection.setup_failed")
             self._notify("setup-failed", {"connection": connection})
-
-    def _drop_aborted_lightpath(self, connection, lightpath, position) -> None:
-        """Remove one rolled-back lightpath from a connection's claims."""
-        owner = connection.connection_id
-        lp_id = lightpath.lightpath_id
-        if lp_id in connection.lightpath_ids:
-            connection.lightpath_ids.remove(lp_id)
-        self._lightpath_conn.pop(lp_id, None)
-        for ot_id in lightpath.ot_ids:
-            site = ot_id.split(":")[1]
-            fxc = self.inventory.fxcs.get(site)
-            if fxc is None:
-                continue
-            try:
-                port = fxc.find_port(ot_id)
-            except GriphonError:
-                continue
-            peer = fxc.peer_of(port)
-            fxc.disconnect(port, owner)
-            fxc.label_port(port, "")
-            if peer is not None:
-                fxc.label_port(peer, "")
-            dropped = {port, peer}
-            connection.fxc_ports = [
-                (s, p)
-                for s, p in connection.fxc_ports
-                if not (s == site and p in dropped)
-            ]
-        self._release_positional_nte(connection, "wave", position)
-
-    def _drop_aborted_circuit(self, connection, circuit, position) -> None:
-        """Remove one aborted ODU circuit from a connection's claims."""
-        owner = connection.connection_id
-        if circuit.circuit_id in connection.circuit_ids:
-            connection.circuit_ids.remove(circuit.circuit_id)
-        # Each circuit claimed one client port per end PoP, in order.
-        ports = connection.otn_client_ports[2 * position : 2 * position + 2]
-        for node, port in ports:
-            switch = self.inventory.otn_switches.get(node)
-            if switch is not None:
-                try:
-                    switch.release_client_port(port, owner)
-                except GriphonError:
-                    pass  # already released
-            fxc = self.inventory.fxcs.get(node)
-            if fxc is None:
-                continue
-            try:
-                fxc_port = fxc.find_port(f"OTN:{node}:client{port}")
-            except GriphonError:
-                continue
-            peer = fxc.peer_of(fxc_port)
-            fxc.disconnect(fxc_port, owner)
-            fxc.label_port(fxc_port, "")
-            if peer is not None:
-                fxc.label_port(peer, "")
-            dropped = {fxc_port, peer}
-            connection.fxc_ports = [
-                (s, p)
-                for s, p in connection.fxc_ports
-                if not (s == node and p in dropped)
-            ]
-        connection.otn_client_ports = (
-            connection.otn_client_ports[: 2 * position]
-            + connection.otn_client_ports[2 * position + 2 :]
-        )
-        self._release_positional_nte(connection, "sub", position)
-
-    def _release_positional_nte(self, connection, kind, position) -> None:
-        """Release the NTE claims of the component at ``position``.
-
-        Claims of one kind were made in component order at each
-        premises, so the component's claim is the one whose per-premises
-        rank equals its position.
-        """
-        owner = connection.connection_id
-        kept = []
-        rank: Dict[str, int] = {}
-        for claim in connection.nte_interfaces:
-            if claim[0] != kind:
-                kept.append(claim)
-                continue
-            premises = claim[1]
-            seen = rank.get(premises, 0)
-            rank[premises] = seen + 1
-            if seen != position:
-                kept.append(claim)
-                continue
-            nte = self.inventory.ntes[premises]
-            if kind == "wave":
-                nte.release_interface(claim[2], owner)
-            else:
-                nte.release_subchannel(claim[2], claim[3], owner)
-        connection.nte_interfaces = kept
 
     def _abort_line_lightpath(self, lightpath) -> None:
         """Handle a rolled-back carrier lightpath for a new OTN line.
@@ -942,14 +827,10 @@ class GriphonController:
                 lightpath, parent_span=span
             )
             self._lightpath_conn.pop(lightpath_id, None)
-        if connection.nte_interfaces:
+        if any(entry[1] in (CLAIM_NTE, CLAIM_NTE_SUB) for entry in connection.claims):
             yield self.latency.sample("nte.release")
-            self._release_nte_claims(
-                connection.nte_interfaces, connection.connection_id
-            )
-            connection.nte_interfaces = []
         self._unrestored.pop(connection.connection_id, None)
-        self._release_steering(connection)
+        self.release_claims(connection)
         connection.transition(ConnectionState.RELEASED)
         connection.released_at = self.sim.now
         self.admission.release(connection.customer, connection.rate_bps)
@@ -990,41 +871,28 @@ class GriphonController:
         # The customer may have torn the connection down (or a failure
         # may have taken it, or another bridge-and-roll already moved
         # the connection off the old path) while the bridge was being
-        # built; in that case the roll is pointless — release the
-        # bridge and stop.
-        if (
-            connection.state is not ConnectionState.UP
-            or old.lightpath_id not in self.inventory.lightpaths
-            or old.lightpath_id not in connection.lightpath_ids
-            or bridge.state is not LightpathState.UP
-        ):
-            if bridge.state is LightpathState.UP:
-                yield from self.provisioner.teardown_workflow(
-                    bridge, include_fxc=False, parent_span=span
-                )
-            elif bridge.lightpath_id in self.inventory.lightpaths:
-                self.provisioner.release(bridge)
-            span.set_tag("outcome", "aborted").finish()
-            self.metrics.inc("bridge_and_roll.aborted")
-            self._notify(
-                "bridge-and-roll-aborted",
-                {"connection_id": connection.connection_id},
+        # built; in that case the roll is pointless.
+        rolled = (
+            connection.state is ConnectionState.UP
+            and old.lightpath_id in self.inventory.lightpaths
+            and old.lightpath_id in connection.lightpath_ids
+            and bridge.state is LightpathState.UP
+        )
+        if rolled:
+            # Roll: steer the FXCs to the new transponders.  Traffic takes
+            # a brief hit while the client signal moves.
+            with span.child("roll.hit"):
+                connection.begin_outage(self.sim.now)
+                yield ROLL_HIT_S
+                connection.end_outage(self.sim.now)
+            # A teardown (or failure, or a competing roll) may land during
+            # the roll hit; the old path then belongs to whoever settled it.
+            rolled = (
+                connection.state is ConnectionState.UP
+                and old.lightpath_id in connection.lightpath_ids
             )
-            settle("aborted")
-            return
-        # Roll: steer the FXCs to the new transponders.  Traffic takes a
-        # brief hit while the client signal moves.
-        with span.child("roll.hit"):
-            connection.begin_outage(self.sim.now)
-            yield ROLL_HIT_S
-            connection.end_outage(self.sim.now)
-        if (
-            connection.state is not ConnectionState.UP
-            or old.lightpath_id not in connection.lightpath_ids
-        ):
-            # A teardown (or failure, or a competing roll) landed
-            # during the roll hit.  The old path now belongs to
-            # whoever settled it — only the bridge is left to release.
+        if not rolled:
+            # Only the bridge is left to release.
             if bridge.state is LightpathState.UP:
                 yield from self.provisioner.teardown_workflow(
                     bridge, include_fxc=False, parent_span=span
@@ -1142,7 +1010,6 @@ class GriphonController:
         lightpaths: List[Lightpath] = []
         circuits = []
         self._new_line_lightpaths = []
-        claimed_nte: List[Tuple[str, int]] = []
         try:
             for rate in waves:
                 plan = plan_wave(pop_a, pop_b, rate, parent_span=parent_span)
@@ -1155,17 +1022,16 @@ class GriphonController:
                 )
                 circuits.append(circuit)
             for premises in (connection.premises_a, connection.premises_b):
-                nte = self.inventory.ntes[premises]
                 # Each wavelength component terminates on its own
                 # un-channelized interface; each 1G circuit takes one
                 # sub-channel of a shared channelized interface (the
                 # 1/10G multiplexer of the testbed).
-                for _ in lightpaths:
-                    index = nte.claim_interface(owner, channelized=False)
-                    claimed_nte.append(("wave", premises, index))
+                for lightpath in lightpaths:
+                    self.claim_nte(connection, premises, lightpath.lightpath_id)
                 for circuit in circuits:
-                    index, sub = nte.claim_subchannel(owner)
-                    claimed_nte.append(("sub", premises, index, sub))
+                    self.claim_nte(
+                        connection, premises, circuit.circuit_id, subchannel=True
+                    )
             self._claim_steering(connection, lightpaths, circuits)
         except GriphonError:
             for lightpath in lightpaths:
@@ -1173,40 +1039,34 @@ class GriphonController:
                 self.provisioner.release(lightpath)
             for circuit in circuits:
                 self.grooming.release_circuit(circuit)
-            self._release_nte_claims(claimed_nte, owner)
-            self._release_steering(connection)
+            self.release_claims(connection)
             # OTN lines created while claiming stay in the inventory:
             # they are carrier infrastructure, immediately reusable by
             # future grooming (and reclaimable if they stay idle).
             raise
         connection.lightpath_ids = [lp.lightpath_id for lp in lightpaths]
         connection.circuit_ids = [ckt.circuit_id for ckt in circuits]
-        connection.nte_interfaces = claimed_nte
         line_lightpaths = self._new_line_lightpaths
         self._new_line_lightpaths = []
         return lightpaths, circuits, line_lightpaths
 
     def _claim_evc(self, connection, pop_a: str, pop_b: str):
         """Claim an IP-layer EVC (plus NTE sub-channels) for an order."""
-        owner = connection.connection_id
         evc = self.ip_layer.provision_evc(pop_a, pop_b, connection.rate_bps)
-        self._evc_conn[evc.evc_id] = owner
-        claimed_nte = []
+        self._evc_conn[evc.evc_id] = connection.connection_id
         try:
             for premises in (connection.premises_a, connection.premises_b):
-                index, sub = self.inventory.ntes[premises].claim_subchannel(
-                    owner
-                )
-                claimed_nte.append(("sub", premises, index, sub))
+                self.claim_nte(connection, premises, evc.evc_id, subchannel=True)
         except GriphonError:
             self.ip_layer.release_evc(evc.evc_id)
             self._evc_conn.pop(evc.evc_id, None)
-            self._release_nte_claims(claimed_nte, owner)
+            self.release_claims(connection)
             raise
         connection.kind = ConnectionKind.PACKET
         connection.evc_ids = [evc.evc_id]
-        connection.nte_interfaces = claimed_nte
         return [], [], []
+
+    # -- the claims ledger ---------------------------------------------------------
 
     def _claim_steering(self, connection, lightpaths, circuits) -> None:
         """Program the FXC steering of Fig. 3 (state, not time).
@@ -1218,27 +1078,48 @@ class GriphonController:
         records the *state* so ports are genuinely consumed and audited.
         """
         owner = connection.connection_id
+        access = f"access:{owner}"
         pops = (
             self.inventory.pop_of(connection.premises_a),
             self.inventory.pop_of(connection.premises_b),
         )
         for lightpath in lightpaths:
             for pop, ot_id in zip(pops, lightpath.ot_ids):
-                self._steer(pop, owner, f"access:{owner}", ot_id, connection)
+                self.steer(connection, pop, access, ot_id, lightpath.lightpath_id)
         for circuit in circuits:
             for pop in pops:
-                switch = self.inventory.otn_switches[pop]
-                port = switch.claim_client_port(owner)
-                connection.otn_client_ports.append((pop, port))
-                self._steer(
-                    pop,
-                    owner,
-                    f"access:{owner}",
-                    f"OTN:{pop}:client{port}",
-                    connection,
+                port = self.inventory.otn_switches[pop].claim_client_port(owner)
+                connection.claims.append(
+                    (circuit.circuit_id, CLAIM_OTN_PORT, pop, port)
+                )
+                self.steer(
+                    connection, pop, access, f"OTN:{pop}:client{port}",
+                    circuit.circuit_id,
                 )
 
-    def _steer(self, pop, owner, label_a, label_b, connection) -> None:
+    def claim_nte(
+        self, connection, premises: str, component: str = "",
+        subchannel: bool = False,
+    ) -> None:
+        """Claim an un-channelized NTE interface at ``premises`` — or one
+        sub-channel of a shared channelized one — into the ledger."""
+        nte = self.inventory.ntes[premises]
+        owner = connection.connection_id
+        if subchannel:
+            index, sub = nte.claim_subchannel(owner)
+            connection.claims.append(
+                (component, CLAIM_NTE_SUB, premises, index, sub)
+            )
+        else:
+            index = nte.claim_interface(owner, channelized=False)
+            connection.claims.append((component, CLAIM_NTE, premises, index))
+
+    def steer(
+        self, connection, pop: str, label_a: str, label_b: str,
+        component: str = "",
+    ) -> None:
+        """Cross-connect the FXC's first free pair at ``pop``, labelled
+        ``label_a`` / ``label_b``, into the ledger."""
         fxc = self.inventory.fxcs.get(pop)
         if fxc is None:
             return  # a PoP without an FXC is hard-wired
@@ -1246,61 +1127,60 @@ class GriphonController:
         if pair is None:
             raise ResourceError(f"FXC at {pop} has no free port pair")
         a, b = pair
-        fxc.connect(a, b, owner)
+        fxc.connect(a, b, connection.connection_id)
         fxc.label_port(a, label_a)
         fxc.label_port(b, label_b)
-        connection.fxc_ports.append((pop, a))
+        connection.claims.append((component, CLAIM_FXC, pop, a))
+
+    def release_claims(self, connection, component: Optional[str] = None) -> None:
+        """Give back the connection's ledger entries, newest first — all
+        of them, or only ``component``'s (the rest stay in the ledger).
+
+        Every allocator behind the ledger hands out its lowest free
+        unit, so the order of release cannot change a later claim.
+        """
+        owner = connection.connection_id
+        inventory = self.inventory
+        kept = []
+        for entry in reversed(connection.claims):
+            if component is not None and entry[0] != component:
+                kept.append(entry)
+                continue
+            kind, site, unit = entry[1], entry[2], entry[3]
+            if kind == CLAIM_NTE:
+                inventory.ntes[site].release_interface(unit, owner)
+            elif kind == CLAIM_NTE_SUB:
+                inventory.ntes[site].release_subchannel(unit, entry[4], owner)
+            elif kind == CLAIM_OTN_PORT:
+                inventory.otn_switches[site].release_client_port(unit, owner)
+            else:
+                fxc = inventory.fxcs[site]
+                peer = fxc.peer_of(unit)
+                fxc.disconnect(unit, owner)
+                fxc.label_port(unit, "")
+                fxc.label_port(peer, "")
+        kept.reverse()
+        connection.claims = kept
 
     def _relabel_steering(self, connection, old_lightpath, new_lightpath) -> None:
-        """After a roll or restoration, point the FXC labels at the new
-        transponders so the steering record matches reality.
+        """After a roll or restoration, hand the old lightpath's ledger
+        entries to the new one and point each of its FXC pairs at the
+        new transponder at that site.
 
-        Only the connection's own cross-connects are looked at: after a
+        Only the component's own cross-connects are touched: after a
         blocked restoration the old transponders may already serve
         someone else, whose port then carries the same label.
         """
-        for old_ot, new_ot in zip(old_lightpath.ot_ids, new_lightpath.ot_ids):
-            if old_ot == new_ot:
+        old_id, new_id = old_lightpath.lightpath_id, new_lightpath.lightpath_id
+        new_ots = {ot_id.split(":")[1]: ot_id for ot_id in new_lightpath.ot_ids}
+        claims = connection.claims
+        for position, entry in enumerate(claims):
+            if entry[0] != old_id:
                 continue
-            node = old_ot.split(":")[1]
-            fxc = self.inventory.fxcs.get(node)
-            if fxc is None:
-                continue
-            for site, port in connection.fxc_ports:
-                peer = fxc.peer_of(port) if site == node else None
-                if peer is not None and fxc.port_label(peer) == old_ot:
-                    fxc.label_port(peer, new_ot)
-                    break
-
-    def _release_steering(self, connection) -> None:
-        """Undo FXC cross-connects and OTN client ports (bookkeeping)."""
-        owner = connection.connection_id
-        for site, port in connection.fxc_ports:
-            fxc = self.inventory.fxcs.get(site)
-            if fxc is not None and fxc.peer_of(port) is not None:
-                peer = fxc.peer_of(port)
-                fxc.disconnect(port, owner)
-                fxc.label_port(port, "")
-                fxc.label_port(peer, "")
-        connection.fxc_ports = []
-        for node, port in connection.otn_client_ports:
-            switch = self.inventory.otn_switches.get(node)
-            if switch is not None:
-                try:
-                    switch.release_client_port(port, owner)
-                except GriphonError:
-                    pass  # already released
-        connection.otn_client_ports = []
-
-    def _release_nte_claims(self, claims, owner: str) -> None:
-        """Release tagged NTE claims (bookkeeping only)."""
-        for claim in claims:
-            premises = claim[1]
-            nte = self.inventory.ntes[premises]
-            if claim[0] == "wave":
-                nte.release_interface(claim[2], owner)
-            else:
-                nte.release_subchannel(claim[2], claim[3], owner)
+            claims[position] = (new_id,) + entry[1:]
+            if entry[1] == CLAIM_FXC:
+                fxc = self.inventory.fxcs[entry[2]]
+                fxc.label_port(fxc.peer_of(entry[3]), new_ots[entry[2]])
 
     @staticmethod
     def _classify(waves: List[float], circuits: int) -> ConnectionKind:

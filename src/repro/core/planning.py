@@ -22,7 +22,6 @@ from dataclasses import dataclass
 from typing import Dict, List
 
 from repro.errors import ConfigurationError
-from repro.topo.graph import NetworkGraph
 
 
 def erlang_b(servers: int, offered_erlangs: float) -> float:
@@ -95,9 +94,6 @@ class DemandForecast:
 
 class ResourcePlanner:
     """Sizes per-node transponder pools from pairwise forecasts."""
-
-    def __init__(self, graph: NetworkGraph) -> None:
-        self._graph = graph
 
     def offered_load_per_node(
         self, forecasts: List[DemandForecast]

@@ -223,8 +223,8 @@ class RwaEngine:
         self._assignment = assignment
         self._streams = streams
         self._tracer = tracer
-        # Reused (reset, not reallocated) by every plan_batch call that
-        # does not bring its own round.
+        # Reused (reset, not reallocated) by every plan call and every
+        # plan_batch call that does not bring its own round.
         self._round = _PlanningRound()
 
     @property
@@ -266,12 +266,15 @@ class RwaEngine:
             WavelengthBlockedError: if routes exist but no wavelength (or
                 regen segmentation) satisfies continuity on any of them.
         """
+        # A one-request round: its memos start empty, nothing is claimed.
+        round_ctx = self._round
+        round_ctx.reset()
         tracer = self._tracer
         if tracer is None or not tracer.enabled:
             # Hot path: one attribute check when tracing is off.
             return self._plan(
                 source, destination, rate_bps, excluded_links,
-                excluded_nodes, avoid_srlgs_of,
+                excluded_nodes, avoid_srlgs_of, round_ctx=round_ctx,
             )
         with tracer.span(
             "rwa.plan", parent=parent_span, source=source,
@@ -279,7 +282,7 @@ class RwaEngine:
         ) as span:
             result = self._plan(
                 source, destination, rate_bps, excluded_links,
-                excluded_nodes, avoid_srlgs_of,
+                excluded_nodes, avoid_srlgs_of, round_ctx=round_ctx,
             )
             span.set_tag("hops", result.hop_count)
             span.set_tag("regens", len(result.regen_sites))
@@ -300,8 +303,7 @@ class RwaEngine:
         cannot be assigned a wavelength an earlier request already won.
         A single-request batch is exactly equivalent to :meth:`plan` —
         same plan, same errors — because both run the same ``_plan``
-        pipeline (the round's memos start empty and its overlay has
-        nothing claimed yet).
+        pipeline under a freshly reset round.
 
         Failures never raise; each request gets a :class:`BatchPlanItem`
         carrying either the plan or the error, with ``contended`` set
@@ -457,9 +459,11 @@ class RwaEngine:
         excluded_links: Iterable[Tuple[str, str]] = (),
         excluded_nodes: Iterable[str] = (),
         avoid_srlgs_of: Optional[List[str]] = None,
-        round_ctx: Optional["_PlanningRound"] = None,
+        *,
+        round_ctx: _PlanningRound,
     ) -> RwaPlan:
-        """The untraced planning pipeline behind :meth:`plan`."""
+        """The untraced planning pipeline behind :meth:`plan` and
+        :meth:`plan_batch`, memoized on (and shadowed by) ``round_ctx``."""
         if source == destination:
             raise ConfigurationError("source and destination must differ")
         graph = self._inventory.graph
@@ -505,7 +509,7 @@ class RwaEngine:
         destination: str,
         banned_links: set,
         banned_nodes: set,
-        round_ctx: Optional["_PlanningRound"] = None,
+        round_ctx: _PlanningRound,
     ) -> Iterator[List[str]]:
         """The ``k_paths`` candidate routes, searched only as far as read.
 
@@ -536,7 +540,7 @@ class RwaEngine:
         k: int,
         banned_links: set,
         banned_nodes: set,
-        round_ctx: Optional["_PlanningRound"] = None,
+        round_ctx: _PlanningRound,
     ) -> List[List[str]]:
         """The ``k`` shortest routes: one graph search per distinct request.
 
@@ -545,20 +549,18 @@ class RwaEngine:
         all; nothing is kept between rounds, so there is nothing to
         invalidate.  A memoized list is shared: read-only.
         """
-        memo_key = None
-        if round_ctx is not None:
-            memo_key = (
-                source,
-                destination,
-                k,
-                frozenset(banned_links),
-                frozenset(banned_nodes),
-            )
-            memoized = round_ctx.routes.get(memo_key)
-            if memoized is not None:
-                if isinstance(memoized, NoPathError):
-                    raise memoized
-                return memoized  # type: ignore[return-value]
+        memo_key = (
+            source,
+            destination,
+            k,
+            frozenset(banned_links),
+            frozenset(banned_nodes),
+        )
+        memoized = round_ctx.routes.get(memo_key)
+        if memoized is not None:
+            if isinstance(memoized, NoPathError):
+                raise memoized
+            return memoized  # type: ignore[return-value]
         try:
             routes = self._inventory.graph.k_shortest_paths(
                 source,
@@ -568,19 +570,13 @@ class RwaEngine:
                 excluded_nodes=banned_nodes,
             )
         except NoPathError as exc:
-            if memo_key is not None:
-                round_ctx.routes[memo_key] = exc
+            round_ctx.routes[memo_key] = exc
             raise
-        if memo_key is not None:
-            round_ctx.routes[memo_key] = routes
+        round_ctx.routes[memo_key] = routes
         return routes
 
-    def _path_is_up(
-        self, path: List[str], round_ctx: Optional["_PlanningRound"]
-    ) -> bool:
+    def _path_is_up(self, path: List[str], round_ctx: _PlanningRound) -> bool:
         """Liveness of a candidate path, memoized across a planning round."""
-        if round_ctx is None:
-            return self._inventory.plant.path_is_up(path)
         key = tuple(path)
         up = round_ctx.live.get(key)
         if up is None:
@@ -592,20 +588,18 @@ class RwaEngine:
         self,
         path: List[str],
         rate_bps: float,
-        round_ctx: Optional["_PlanningRound"] = None,
+        round_ctx: _PlanningRound,
     ) -> Tuple[List[Segment], List[str]]:
         """Segment a route at regen sites and pick a channel per segment."""
-        graph = self._inventory.graph
-        if round_ctx is None:
-            regen_sites = self._reach.regen_sites(graph, path, rate_bps)
+        regen_key = (tuple(path), rate_bps)
+        memoized = round_ctx.regens.get(regen_key)
+        if memoized is None:
+            regen_sites = self._reach.regen_sites(
+                self._inventory.graph, path, rate_bps
+            )
+            round_ctx.regens[regen_key] = tuple(regen_sites)
         else:
-            regen_key = (tuple(path), rate_bps)
-            memoized = round_ctx.regens.get(regen_key)
-            if memoized is None:
-                regen_sites = self._reach.regen_sites(graph, path, rate_bps)
-                round_ctx.regens[regen_key] = tuple(regen_sites)
-            else:
-                regen_sites = list(memoized)
+            regen_sites = list(memoized)
         boundaries = [path[0]] + regen_sites + [path[-1]]
         # Candidate routes are simple paths, so node names are unique and
         # a single node->index map replaces the O(n^2) repeated .index().
@@ -621,18 +615,16 @@ class RwaEngine:
     def _pick_channel(
         self,
         nodes: List[str],
-        round_ctx: Optional["_PlanningRound"] = None,
+        round_ctx: _PlanningRound,
     ) -> int:
-        plant = self._inventory.plant
-        if round_ctx is None:
-            free = plant.common_free_mask(nodes)
-        else:
-            key = tuple(nodes)
-            free = round_ctx.free.get(key)
-            if free is None:
-                free = round_ctx.free[key] = plant.common_free_mask(nodes)
-            if round_ctx.overlay_on:
-                free &= ~round_ctx.claimed_on(nodes)
+        key = tuple(nodes)
+        free = round_ctx.free.get(key)
+        if free is None:
+            free = round_ctx.free[key] = self._inventory.plant.common_free_mask(
+                nodes
+            )
+        if round_ctx.overlay_on:
+            free &= ~round_ctx.claimed_on(nodes)
         # The end ROADMs must also have the channel free on the relevant
         # degree (a previous segment of this very plan could contend, but
         # plans are executed atomically per segment, so link occupancy is

@@ -18,19 +18,17 @@ from repro.ems.latency import LatencyModel
 from repro.obs.registry import MetricsRegistry
 from repro.optical.amplifier import AmplifierChain
 from repro.optical.fiber import FiberPlant
-from repro.optical.roadm import Roadm
 
 
 class RoadmEms:
     """Manages the optical line system.
 
-    ``roadms`` names the managed nodes; they are programmed through the
-    inventory at claim time, not through this object.
+    The ROADMs themselves are programmed through the inventory at claim
+    time, not through this object.
     """
 
     def __init__(
         self,
-        roadms: Dict[str, Roadm],
         plant: FiberPlant,
         latency: LatencyModel,
         metrics: Optional[MetricsRegistry] = None,

@@ -26,6 +26,7 @@ from repro.core.inventory import (
     HELD_PORT,
     InventoryDatabase,
 )
+from repro.errors import TopologyError
 
 
 @dataclass(frozen=True)
@@ -438,9 +439,10 @@ def _audit_amplifier_gains(
         if live == recorded:
             continue
         try:
-            dwdm = inventory.plant.dwdm_link(*key)
-            causes = dwdm.degradation_causes()
-        except Exception:
+            causes = inventory.plant.dwdm_link(*key).degradation_causes()
+        except TopologyError:
+            # A chain keyed by a link the plant's graph lacks: no fiber
+            # there to carry an amp-flap degradation.
             causes = []
         if any(cause.startswith("amp-flap") for cause in causes):
             continue

@@ -46,17 +46,6 @@ class FiberCrossConnect:
         self._validate_port(port)
         return self._labels.get(port, "")
 
-    def find_port(self, label: str) -> int:
-        """Return the port carrying ``label``.
-
-        Raises:
-            EquipmentError: if no port has that label.
-        """
-        for port, port_label in self._labels.items():
-            if port_label == label:
-                return port
-        raise EquipmentError(f"{self.fxc_id} has no port labeled {label!r}")
-
     def peer_of(self, port: int) -> Optional[int]:
         """The port connected to ``port``, or None."""
         self._validate_port(port)

@@ -800,28 +800,16 @@ class ShardedNetwork:
             # region segment is degenerate (the premises' PoP *is* the
             # gateway) they own the premises NTE interface and the
             # access-side FXC steering, which live in region inventory.
-            child_a = self._child(order, region_a, pop_a, pop_a)
-            child_b = self._child(order, region_b, pop_b, pop_b)
-            for child, premises in (
-                (child_a, order.premises_a),
-                (child_b, order.premises_b),
+            for unit, pop, premises in (
+                (region_a, pop_a, order.premises_a),
+                (region_b, pop_b, order.premises_b),
             ):
-                controller = self._unit_controller[self._child_unit(order, child)]
-                nte = controller.inventory.ntes[premises]
-                index = nte.claim_interface(
-                    child.connection_id, channelized=False
-                )
-                child.nte_interfaces.append(("wave", premises, index))
+                child = self._child(order, unit, pop, pop)
+                self._unit_controller[unit].claim_nte(child, premises)
             self._claim_steering(order)
         except GriphonError:
             self._unwind_claims(order, claimed)
             raise
-
-    def _child_unit(self, order: ShardOrder, child: Connection) -> str:
-        for unit, candidate in order.children.items():
-            if candidate is child:
-                return unit
-        raise ConfigurationError(f"orphan child {child.connection_id}")
 
     def _claim_steering(self, order: ShardOrder) -> None:
         """Program the FXC stitching at endpoints and traversed gateways.
@@ -847,20 +835,14 @@ class ShardedNetwork:
                 # Degenerate endpoint region: the PoP is the gateway;
                 # steer access straight into the express handoff.
                 pop = pop_a if unit == region_a else pop_b
-                controller._steer(pop, child.connection_id, access, handoff, child)
+                controller.steer(child, pop, access, handoff)
                 continue
             lightpath = segment.lightpath
             source_ot, dest_ot = lightpath.ot_ids[0], lightpath.ot_ids[1]
             source_label = access if lightpath.source == pop_a and unit == region_a else handoff
             dest_label = access if lightpath.destination == pop_b and unit == region_b else handoff
-            controller._steer(
-                lightpath.source, child.connection_id,
-                source_label, source_ot, child,
-            )
-            controller._steer(
-                lightpath.destination, child.connection_id,
-                dest_ot, dest_label, child,
-            )
+            controller.steer(child, lightpath.source, source_label, source_ot)
+            controller.steer(child, lightpath.destination, dest_ot, dest_label)
 
     def _unwind_claims(
         self, order: ShardOrder, claimed: List[_OrderSegment]
@@ -868,20 +850,14 @@ class ShardedNetwork:
         """Release everything a partially claimed order holds, in reverse."""
         for unit, child in order.children.items():
             controller = self._unit_controller[unit]
-            controller._release_steering(child)
-            controller._release_nte_claims(
-                child.nte_interfaces, child.connection_id
-            )
-            child.nte_interfaces = []
+            controller.release_claims(child)
+            del controller.connections[child.connection_id]
         for segment in reversed(claimed):
             controller = self._unit_controller[segment.spec.unit]
             controller._lightpath_conn.pop(
                 segment.lightpath.lightpath_id, None
             )
             controller.provisioner.release(segment.lightpath)
-        for unit, child in list(order.children.items()):
-            controller = self._unit_controller[unit]
-            del controller.connections[child.connection_id]
         order.children = {}
         order.segments = []
 
@@ -933,11 +909,7 @@ class ShardedNetwork:
             for lightpath_id in child.lightpath_ids:
                 controller._lightpath_conn.pop(lightpath_id, None)
             child.lightpath_ids = []
-            controller._release_nte_claims(
-                child.nte_interfaces, child.connection_id
-            )
-            child.nte_interfaces = []
-            controller._release_steering(child)
+            controller.release_claims(child)
             child.setup_error = error
             child.blocked_reason = f"setup failed: {error}"
             child.transition(ConnectionState.BLOCKED)
@@ -959,12 +931,7 @@ class ShardedNetwork:
                 segment.lightpath.lightpath_id, None
             )
         for unit, child in order.children.items():
-            controller = self._unit_controller[unit]
-            controller._release_nte_claims(
-                child.nte_interfaces, child.connection_id
-            )
-            child.nte_interfaces = []
-            controller._release_steering(child)
+            self._unit_controller[unit].release_claims(child)
             child.lightpath_ids = []
             child.transition(ConnectionState.RELEASED)
             child.released_at = self.sim.now

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Tuple
 
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, TopologyError
 from repro.sim.randomness import RandomStreams
 from repro.topo.generator import generate_backbone
 from repro.topo.graph import Link, NetworkGraph, Node
@@ -166,8 +166,8 @@ class Hierarchy:
                 for b in gateways[i + 1 :]:
                     try:
                         keys.append(self.graph.link_between(a, b).key)
-                    except Exception:
-                        continue
+                    except TopologyError:
+                        continue  # these two gateways are not adjacent
         return keys
 
 

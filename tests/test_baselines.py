@@ -86,7 +86,7 @@ class TestOnePlusOne:
             inventory.install_transponders(node, gbps(10), 4)
         latency = LatencyModel(RandomStreams(0), cv=0.0)
         provisioner = LightpathProvisioner(
-            inventory, RoadmEms(inventory.roadms, inventory.plant, latency), latency
+            inventory, RoadmEms(inventory.plant, latency), latency
         )
         rwa = RwaEngine(inventory)
         return inventory, OnePlusOneProtection(inventory, rwa, provisioner)

@@ -2,7 +2,12 @@
 
 import pytest
 
-from repro.core.connection import ConnectionKind, ConnectionState
+from repro.core.connection import (
+    CLAIM_NTE,
+    CLAIM_NTE_SUB,
+    ConnectionKind,
+    ConnectionState,
+)
 from repro.errors import ResourceError
 from repro.facade import build_griphon_testbed
 from repro.optical import LightpathState
@@ -43,11 +48,17 @@ class TestWavelengthOrders:
 
     def test_nte_interfaces_claimed_both_ends(self, net, svc):
         conn = bring_up(net, svc)
-        assert len(conn.nte_interfaces) == 2
-        for kind, premises, index in conn.nte_interfaces:
-            assert kind == "wave"
+        nte_claims = [
+            entry for entry in conn.claims
+            if entry[1] in (CLAIM_NTE, CLAIM_NTE_SUB)
+        ]
+        assert len(nte_claims) == 2
+        for component, kind, premises, index in nte_claims:
+            assert component == conn.lightpath_ids[0]
+            assert kind == CLAIM_NTE
             nte = net.inventory.ntes[premises]
             assert nte.owner_of(index) == conn.connection_id
+        assert {entry[2] for entry in nte_claims} == {"PREMISES-A", "PREMISES-C"}
 
     def test_teardown_about_ten_seconds(self, net, svc):
         conn = bring_up(net, svc)

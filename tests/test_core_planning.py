@@ -11,7 +11,6 @@ from repro.core.planning import (
     servers_for_blocking,
 )
 from repro.errors import ConfigurationError
-from repro.topo.backbone import build_backbone_graph
 
 
 class TestErlangB:
@@ -88,7 +87,7 @@ class TestForecast:
 class TestResourcePlanner:
     @pytest.fixture
     def planner(self):
-        return ResourcePlanner(build_backbone_graph(with_data_centers=False))
+        return ResourcePlanner()
 
     @pytest.fixture
     def forecasts(self):

@@ -23,7 +23,7 @@ def make_stack(ots_at=None, ports=8, parallel_ems=False):
         if count:
             inventory.install_transponders(node, gbps(10), count)
     latency = LatencyModel(RandomStreams(0), cv=0.0)
-    roadm_ems = RoadmEms(inventory.roadms, inventory.plant, latency)
+    roadm_ems = RoadmEms(inventory.plant, latency)
     provisioner = LightpathProvisioner(
         inventory, roadm_ems, latency, parallel_ems=parallel_ems
     )

@@ -32,7 +32,7 @@ def long_haul_stack(regens_at_m=2):
         inventory.install_regens("M", gbps(10), regens_at_m)
     latency = LatencyModel(RandomStreams(0), cv=0.0)
     provisioner = LightpathProvisioner(
-        inventory, RoadmEms(inventory.roadms, inventory.plant, latency), latency
+        inventory, RoadmEms(inventory.plant, latency), latency
     )
     return inventory, provisioner, RwaEngine(inventory)
 
@@ -157,7 +157,7 @@ class TestRegenWorkflow:
         latency = LatencyModel(RandomStreams(0), cv=0.0)
         short_provisioner = LightpathProvisioner(
             inventory,
-            RoadmEms(inventory.roadms, inventory.plant, latency),
+            RoadmEms(inventory.plant, latency),
             latency,
         )
         short_rwa = RwaEngine(inventory)

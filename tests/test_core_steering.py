@@ -2,8 +2,17 @@
 
 import pytest
 
-from repro.core.connection import ConnectionState
+from repro.core.connection import CLAIM_FXC, CLAIM_OTN_PORT, ConnectionState
 from repro.facade import build_griphon_testbed
+
+
+def held(conn, kind):
+    """``(site, port)`` of each ledger entry of ``kind``, in claim order."""
+    return [entry[2:] for entry in conn.claims if entry[1] == kind]
+
+
+def components(conn, kind):
+    return [entry[0] for entry in conn.claims if entry[1] == kind]
 
 
 @pytest.fixture
@@ -23,8 +32,9 @@ class TestWavelengthSteering:
         lightpath = net.inventory.lightpaths[conn.lightpath_ids[0]]
         # At each end PoP the FXC holds one cross-connect whose far port
         # is labeled with the transponder serving this lightpath.
-        assert len(conn.fxc_ports) == 2
-        for (site, port), ot_id in zip(conn.fxc_ports, lightpath.ot_ids):
+        assert len(held(conn, CLAIM_FXC)) == 2
+        assert components(conn, CLAIM_FXC) == [lightpath.lightpath_id] * 2
+        for (site, port), ot_id in zip(held(conn, CLAIM_FXC), lightpath.ot_ids):
             fxc = net.inventory.fxcs[site]
             peer = fxc.peer_of(port)
             assert peer is not None
@@ -38,15 +48,16 @@ class TestWavelengthSteering:
         net.run()
         for fxc in net.inventory.fxcs.values():
             assert fxc.connections() == []
-        assert conn.fxc_ports == []
+        assert conn.claims == []
 
 
 class TestSubWavelengthSteering:
     def test_fxc_connects_access_to_otn_client_port(self, net, svc):
         conn = svc.request_connection("PREMISES-A", "PREMISES-C", 1)
         net.run()
-        assert len(conn.otn_client_ports) == 2
-        for node, port in conn.otn_client_ports:
+        assert len(held(conn, CLAIM_OTN_PORT)) == 2
+        assert components(conn, CLAIM_OTN_PORT) == conn.circuit_ids * 2
+        for node, port in held(conn, CLAIM_OTN_PORT):
             switch = net.inventory.otn_switches[node]
             assert port not in switch.free_client_ports()
 
@@ -57,6 +68,7 @@ class TestSubWavelengthSteering:
         net.run()
         for switch in net.inventory.otn_switches.values():
             assert len(switch.free_client_ports()) == switch.client_port_count
+        assert conn.claims == []
 
 
 class TestSteeringFollowsMigrations:
@@ -69,7 +81,8 @@ class TestSteeringFollowsMigrations:
         net.run()
         new = net.inventory.lightpaths[conn.lightpath_ids[0]]
         assert new.ot_ids != old_ots
-        for (site, port), new_ot in zip(conn.fxc_ports, new.ot_ids):
+        assert {entry[0] for entry in conn.claims} == {new.lightpath_id}
+        for (site, port), new_ot in zip(held(conn, CLAIM_FXC), new.ot_ids):
             fxc = net.inventory.fxcs[site]
             assert fxc.port_label(fxc.peer_of(port)) == new_ot
 
@@ -81,7 +94,10 @@ class TestSteeringFollowsMigrations:
         net.run()
         assert conn.state is ConnectionState.UP
         replacement = net.inventory.lightpaths[conn.lightpath_ids[0]]
-        for (site, port), ot_id in zip(conn.fxc_ports, replacement.ot_ids):
+        assert {entry[0] for entry in conn.claims} == {replacement.lightpath_id}
+        for (site, port), ot_id in zip(
+            held(conn, CLAIM_FXC), replacement.ot_ids
+        ):
             fxc = net.inventory.fxcs[site]
             assert fxc.port_label(fxc.peer_of(port)) == ot_id
 
@@ -90,5 +106,5 @@ class TestSteeringFollowsMigrations:
         net.run()
         # One wavelength cross-connect pair per end + one OTN pair per
         # end per circuit (2 circuits) = 2 + 4 FXC records.
-        assert len(conn.fxc_ports) == 6
-        assert len(conn.otn_client_ports) == 4
+        assert len(held(conn, CLAIM_FXC)) == 6
+        assert len(held(conn, CLAIM_OTN_PORT)) == 4

@@ -6,7 +6,7 @@ import pytest
 
 from repro.errors import ConfigurationError, EquipmentError
 from repro.ems import DEFAULT_STEP_MEANS, LatencyModel, RoadmEms
-from repro.optical import FiberPlant, Roadm, WavelengthGrid
+from repro.optical import FiberPlant, WavelengthGrid
 from repro.sim import RandomStreams
 from repro.topo.testbed import build_testbed_graph
 
@@ -77,14 +77,7 @@ class TestRoadmEms:
         graph = build_testbed_graph()
         grid = WavelengthGrid(8)
         plant = FiberPlant(graph, grid)
-        roadms = {}
-        for name in ("ROADM-I", "ROADM-III", "ROADM-IV"):
-            roadm = Roadm(name, grid)
-            for neighbor in graph.neighbors(name):
-                roadm.add_degree(neighbor)
-            roadm.add_ports(4)
-            roadms[name] = roadm
-        return RoadmEms(roadms, plant, deterministic_latency)
+        return RoadmEms(plant, deterministic_latency)
 
     def test_unknown_link_is_a_typed_lookup_error(self, ems):
         with pytest.raises(EquipmentError) as raised:

@@ -7,12 +7,22 @@ components abort, and restoration / bridge-and-roll must abort cleanly
 when the resilient layer gives up mid-rebuild.
 """
 
+from collections import Counter
+
 import pytest
 
 from repro.api import ServiceDegraded, SetupFailed
-from repro.core.connection import ConnectionState
+from repro.core.connection import (
+    CLAIM_FXC,
+    CLAIM_NTE,
+    CLAIM_NTE_SUB,
+    CLAIM_OTN_PORT,
+    ConnectionState,
+)
 from repro.facade import build_griphon_testbed
 from repro.faults import FaultPlan, FaultSpec, audit_network
+from repro.optical import LightpathState
+from repro.otn.circuit import OduCircuitState
 
 PAIR = ("PREMISES-A", "PREMISES-B")
 
@@ -25,6 +35,29 @@ def build(plan=None, seed=7):
 def assert_clean(net):
     report = audit_network(net.controller)
     assert report.ok, str(report)
+
+
+def hardware_claims(net, owner):
+    """What the NTEs, FXCs and OTN switches say ``owner`` holds, as
+    ledger entries without their component."""
+    inventory = net.inventory
+    held = set()
+    for premises, nte in inventory.ntes.items():
+        for index in range(nte.interface_count):
+            if nte.owner_of(index) == owner:
+                held.add((CLAIM_NTE, premises, index))
+            for sub in range(nte.subchannels_per_interface):
+                if nte.subchannel_owner(index, sub) == owner:
+                    held.add((CLAIM_NTE_SUB, premises, index, sub))
+    for site, fxc in inventory.fxcs.items():
+        for low, _high, holder in fxc.connections():
+            if holder == owner:
+                held.add((CLAIM_FXC, site, low))
+    for node, switch in inventory.otn_switches.items():
+        for port, holder in switch.client_port_owners().items():
+            if holder == owner:
+                held.add((CLAIM_OTN_PORT, node, port))
+    return held
 
 
 class TestWaveSetupSaga:
@@ -127,6 +160,67 @@ class TestCompositeSettlement:
         assert conn.state is ConnectionState.BLOCKED
         assert isinstance(svc.setup_outcome(conn.connection_id), SetupFailed)
         assert svc.usage()["connections"] == 0
+        assert conn.claims == []
+        assert hardware_claims(net, conn.connection_id) == set()
+        assert_clean(net)
+
+
+class TestOneComponentAborts:
+    """Whichever component of a multi-component order aborts — the first
+    claimed or the last — the survivors keep exactly their own NTE, FXC
+    and OTN claims, and teardown gives every port back."""
+
+    @pytest.mark.parametrize(
+        "rate, ems, first, kept",
+        [
+            (20, "roadm_ems", True, {CLAIM_NTE: 2, CLAIM_FXC: 2}),
+            (20, "roadm_ems", False, {CLAIM_NTE: 2, CLAIM_FXC: 2}),
+            (12, "otn_ems", True,
+             {CLAIM_NTE: 2, CLAIM_NTE_SUB: 2, CLAIM_FXC: 4, CLAIM_OTN_PORT: 2}),
+            (12, "otn_ems", False,
+             {CLAIM_NTE: 2, CLAIM_NTE_SUB: 2, CLAIM_FXC: 4, CLAIM_OTN_PORT: 2}),
+        ],
+        ids=["first-wave", "last-wave", "first-circuit", "last-circuit"],
+    )
+    def test_survivors_keep_exactly_their_own_claims(
+        self, rate, ems, first, kept
+    ):
+        # The first component fails its first command; the last one
+        # fails every command issued once the first is up.
+        specs = [FaultSpec(ems=ems, mode="fail", count=1)] if first else []
+        net, svc = build(FaultPlan(specs))
+        conn = svc.request_connection(*PAIR, rate)
+        waves = rate == 20
+        components = list(conn.lightpath_ids if waves else conn.circuit_ids)
+        assert len(components) == 2
+        aborted = components[0] if first else components[-1]
+        if not first:
+            records = net.inventory.lightpaths if waves else net.inventory.circuits
+            up = LightpathState.UP if waves else OduCircuitState.UP
+            while records[components[0]].state is not up:
+                assert net.sim.step()
+            net.controller.fault_plan.add(
+                FaultSpec(ems=ems, mode="fail", after_s=net.sim.now)
+            )
+        net.run()
+        assert conn.state is ConnectionState.DEGRADED
+        survivors = set(conn.lightpath_ids) | set(conn.circuit_ids)
+        assert aborted not in survivors
+        assert set(components) - {aborted} <= survivors
+        owner = conn.connection_id
+        assert {entry[0] for entry in conn.claims} == survivors
+        assert {entry[1:] for entry in conn.claims} == hardware_claims(net, owner)
+        assert Counter(entry[1] for entry in conn.claims) == kept
+        assert_clean(net)
+        svc.teardown_connection(owner)
+        net.run()
+        assert conn.state is ConnectionState.RELEASED
+        assert conn.claims == []
+        assert hardware_claims(net, owner) == set()
+        for fxc in net.inventory.fxcs.values():
+            assert fxc.connections() == []
+        for switch in net.inventory.otn_switches.values():
+            assert not switch.client_port_owners()
         assert_clean(net)
 
 

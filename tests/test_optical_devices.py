@@ -176,9 +176,9 @@ class TestFxc:
         fxc = FiberCrossConnect("FXC:1", 4)
         fxc.label_port(2, "OT:ROADM-I:0")
         assert fxc.port_label(2) == "OT:ROADM-I:0"
-        assert fxc.find_port("OT:ROADM-I:0") == 2
+        assert fxc.port_label(3) == ""
         with pytest.raises(EquipmentError):
-            fxc.find_port("ghost")
+            fxc.port_label(9)
 
     def test_connections_listing(self):
         fxc = FiberCrossConnect("FXC:1", 6)

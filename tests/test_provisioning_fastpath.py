@@ -74,7 +74,7 @@ class Stack:
             )
         self.provisioner = LightpathProvisioner(
             inventory,
-            RoadmEms(inventory.roadms, inventory.plant, latency),
+            RoadmEms(inventory.plant, latency),
             latency,
             parallel_ems=parallel_ems,
             tracer=self.tracer,

@@ -188,7 +188,7 @@ def build(spec):
         inventory.transponders[name].allocate(RATE, "busy")
     latency = LatencyModel(RandomStreams(0), cv=0.0)
     provisioner = LightpathProvisioner(
-        inventory, RoadmEms(inventory.roadms, inventory.plant, latency), latency
+        inventory, RoadmEms(inventory.plant, latency), latency
     )
     return inventory, provisioner
 

@@ -10,7 +10,7 @@ the auditor reported ``dangling-lightpath``.  Found on ``mono-churn
 --seed 11 --scale 1.0`` (conn-1490, conn-1754).
 """
 
-from repro.core.connection import ConnectionState
+from repro.core.connection import CLAIM_FXC, ConnectionState
 from repro.facade import GriphonNetwork, build_griphon_testbed
 from repro.faults import FaultPlan, FaultSpec, audit_network
 from repro.topo import Link, NetworkGraph, Node
@@ -49,10 +49,15 @@ def detour_network(with_otn=False):
     return net.finish_build()
 
 
+def fxc_claims(connection):
+    """``(site, port)`` of each FXC pair in the connection's ledger."""
+    return [entry[2:] for entry in connection.claims if entry[1] == CLAIM_FXC]
+
+
 def ot_labels(net, connection):
     """The transponder-side FXC labels of a connection's steering."""
     labels = []
-    for site, port in connection.fxc_ports:
+    for site, port in fxc_claims(connection):
         fxc = net.inventory.fxcs[site]
         labels.append(fxc.port_label(fxc.peer_of(port)))
     return labels
@@ -132,7 +137,7 @@ def test_retry_relabels_its_own_steering_only():
     early = svc.request_connection("DC-A", "DC-M", 1)
     net.run()
     regen_holder, victim = block_restoration_at_claim(net, svc)
-    victim_ports = list(victim.fxc_ports)
+    victim_ports = fxc_claims(victim)
     old_labels = ot_labels(net, victim)
     svc.teardown_connection(early.connection_id)
     net.run()
@@ -142,7 +147,7 @@ def test_retry_relabels_its_own_steering_only():
     assert stranger.state is ConnectionState.UP
     stranger_ots = net.inventory.lightpaths[stranger.lightpath_ids[0]].ot_ids
     assert stranger_ots[0] == old_labels[0]
-    assert stranger.fxc_ports[0] < victim_ports[0]
+    assert fxc_claims(stranger)[0] < victim_ports[0]
     assert ot_labels(net, stranger) == stranger_ots
     svc.teardown_connection(regen_holder.connection_id)
     net.run()

@@ -54,7 +54,7 @@ def main() -> None:
     outage_before = wave.total_outage_s
     summary = {}
     net.controller.bridge_and_roll(
-        wave.connection_id, on_done=summary.update
+        wave.connection_id, on_settled=summary.update
     )
     net.run()
     print(f"repair + reversion via bridge-and-roll:")

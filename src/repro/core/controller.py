@@ -34,7 +34,7 @@ from repro.core.connection import (
 from repro.core.grooming import GroomingEngine
 from repro.core.inventory import InventoryDatabase
 from repro.core.provisioning import LightpathProvisioner
-from repro.shard.unit import ShardUnit
+from repro.core.rwa import RwaEngine
 from repro.errors import (
     AdmissionError,
     ConfigurationError,
@@ -141,12 +141,7 @@ class GriphonController:
             clock=sim.time_source(),
             metrics=self.metrics,
         )
-        #: The controller's planning state — graph, inventory and RWA
-        #: engine — bundled as one :class:`ShardUnit`, the same
-        #: unit a region shard owns in a sharded deployment.  ``rwa``
-        #: stays as an alias because every caller plans through it.
-        self.planning = ShardUnit(
-            "controller",
+        self.rwa = RwaEngine(
             inventory,
             reach=reach,
             k_paths=k_paths,
@@ -154,7 +149,11 @@ class GriphonController:
             streams=streams,
             tracer=self.tracer,
         )
-        self.rwa = self.planning.rwa
+        #: Alias of ``rwa`` kept only because the benchmark driver
+        #: (``bench/workloads.py``) reads ``planning.route_cache_stats()``;
+        #: the ROADMAP gate item — the PR allowed to edit ``bench/`` —
+        #: removes it.
+        self.planning = self.rwa
         self.provisioner = LightpathProvisioner(
             inventory,
             self.roadm_ems,
@@ -519,7 +518,6 @@ class GriphonController:
         self,
         connection_id: str,
         exclude_links: Tuple = (),
-        on_done: Optional[Callable[[dict], None]] = None,
         plan=None,
         lock_holder: Optional[str] = None,
         on_settled: Optional[Callable[[dict], None]] = None,
@@ -542,11 +540,10 @@ class GriphonController:
         per-connection migration lock is taken for the whole move and
         released on every exit path.  ``on_settled`` fires exactly once
         when the move settles, with ``{"connection_id", "outcome"}``
-        (outcome ``"completed"`` or ``"aborted"``) — unlike ``on_done``,
-        which only fires on completion.
+        (outcome ``"completed"`` or ``"aborted"``); a completed move's
+        dict also carries ``bridge_s``, ``hit_s``, and the ``new_path``.
 
-        Returns the driving :class:`Process`; ``on_done`` receives a
-        summary dict with ``bridge_s``, ``hit_s``, and the new path.
+        Returns the driving :class:`Process`.
 
         Raises:
             MigrationLockedError: when ``lock_holder`` is given and the
@@ -566,8 +563,7 @@ class GriphonController:
             )
         try:
             return self._start_bridge_and_roll(
-                connection, exclude_links, on_done, plan, lock_holder,
-                on_settled,
+                connection, exclude_links, plan, lock_holder, on_settled
             )
         except BaseException:
             if lock_holder is not None:
@@ -575,7 +571,7 @@ class GriphonController:
             raise
 
     def _start_bridge_and_roll(
-        self, connection, exclude_links, on_done, plan, lock_holder, on_settled
+        self, connection, exclude_links, plan, lock_holder, on_settled
     ) -> Process:
         """Validate, plan/claim, and spawn the roll workflow (lock held)."""
         connection_id = connection.connection_id
@@ -615,7 +611,7 @@ class GriphonController:
         return Process(
             self.sim,
             self._bridge_and_roll_workflow(
-                connection, old, bridge, on_done, span,
+                connection, old, bridge, span,
                 lock_holder=lock_holder, on_settled=on_settled,
             ),
             label=f"bridge-roll:{connection_id}",
@@ -840,7 +836,7 @@ class GriphonController:
         self._notify("released", {"connection": connection})
 
     def _bridge_and_roll_workflow(
-        self, connection, old, bridge, on_done, span=None,
+        self, connection, old, bridge, span=None,
         lock_holder=None, on_settled=None,
     ):
         if span is None:
@@ -925,8 +921,6 @@ class GriphonController:
             "new_path": list(bridge.path),
         }
         self._notify("bridge-and-roll", summary)
-        if on_done is not None:
-            on_done(summary)
         settle("completed", summary)
 
     # -- order decomposition --------------------------------------------------------

@@ -237,6 +237,23 @@ class RwaEngine:
         """
         return self._reach
 
+    def route_cache_stats(self) -> dict:
+        """All-zero counters of the route cache that no longer exists.
+
+        Kept only because the benchmark driver (``bench/child.py``)
+        reads it on every run; the ROADMAP gate item — the PR allowed
+        to edit ``bench/`` — removes it.
+        """
+        return {
+            "size": 0,
+            "capacity": 0,
+            "hits": 0,
+            "misses": 0,
+            "invalidations": 0,
+            "evictions": 0,
+            "hit_rate": 0.0,
+        }
+
     def plan(
         self,
         source: str,

@@ -69,11 +69,6 @@ class MigrationMove:
     depends_on: Tuple[int, ...] = ()
 
     @property
-    def gain(self) -> float:
-        """Objective improvement this move buys."""
-        return self.cost_before - self.cost_after
-
-    @property
     def rewavelength_only(self) -> bool:
         """True when the route is unchanged and only channels move."""
         return self.old_path == self.new_path
@@ -121,11 +116,6 @@ class MigrationPlan:
     wavelengths_after: int = 0
     passes: int = 0
     frozen_demands: List[str] = field(default_factory=list)
-
-    @property
-    def gain(self) -> float:
-        """Total objective improvement of the plan."""
-        return self.objective_before - self.objective_after
 
     def to_dict(self) -> Dict:
         """JSON-serializable form (golden files, CLI output)."""

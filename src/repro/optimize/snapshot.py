@@ -206,19 +206,6 @@ class NetworkSnapshot:
             union |= mask
         return bin(union).count("1")
 
-    def describe(self) -> Dict[str, float]:
-        """Summary numbers for logs and the CLI."""
-        total_slots = sum(
-            bin(mask).count("1") for mask in self.occupied.values()
-        )
-        return {
-            "demands": len(self.demands),
-            "links": len(self.link_costs),
-            "occupied_slots": total_slots,
-            "wavelengths_used": self.wavelengths_used(),
-            "failed_links": len(self.failed_links),
-        }
-
 
 def _connection_sort_key(conn_id: str) -> Tuple:
     """Natural sort for ``conn-<n>`` ids (conn-2 before conn-10)."""

@@ -83,16 +83,16 @@ from repro.fingerprint import outcome_fingerprint, plant_fingerprint  # noqa: F4
 from repro.optical.lightpath import LightpathState
 from repro.optical.wavelength import WavelengthGrid
 from repro.shard.planner import SegmentSpec, ShardPlanner
-from repro.shard.workers import (
-    MONOLITH,
-    ShardWorkerPool,
-    UnitRecipe,
-)
+from repro.shard.workers import ShardWorkerPool, UnitRecipe
 from repro.sim.kernel import Simulator
 from repro.sim.process import Process
 from repro.sim.randomness import RandomStreams
 from repro.topo.hierarchy import EXPRESS, Hierarchy, build_hierarchy
 from repro.units import GBPS
+
+#: The monolithic twin's one controller: its label, its audit /
+#: fingerprint key, and its worker's unit name.
+MONOLITH = "mono"
 
 
 class _OrderSegment:
@@ -226,8 +226,10 @@ class ShardedNetwork:
             (region name or :data:`EXPRESS`).  The monolithic twin merges
             them into its single controller.
         pool: An existing :class:`~repro.shard.workers.ShardWorkerPool`
-            to share (workers for this hierarchy's recipes are ensured);
-            by default pool mode spawns and owns its own.
+            to share (workers for this network's recipes are ensured —
+            a recipe names the unit controller's own graph, so no two
+            networks share a worker); by default pool mode spawns and
+            owns its own.
     """
 
     def __init__(
@@ -298,7 +300,7 @@ class ShardedNetwork:
                 for spec in plan.specs:
                     merged.add(spec)
             controller = self._build_controller(
-                "mono",
+                MONOLITH,
                 hierarchy.graph,
                 transponders_10g,
                 regens_10g,
@@ -321,18 +323,18 @@ class ShardedNetwork:
         self._pool: Optional[ShardWorkerPool] = None
         self._owns_pool = False
         if backend == "pool":
-            if mode == "sharded":
-                self._planner = {
-                    unit: UnitRecipe.for_network_unit(
-                        hierarchy, unit, grid_size=grid_size, k_paths=k_paths
-                    )
-                    for unit in self._unit_controller
-                }
-            else:
-                mono = UnitRecipe.for_network_unit(
-                    hierarchy, MONOLITH, grid_size=grid_size, k_paths=k_paths
+            # Each worker plans over its unit controller's own graph —
+            # the full graph for every unit of the monolithic twin, whose
+            # equal recipes share one worker.
+            self._planner = {
+                unit: UnitRecipe(
+                    unit if mode == "sharded" else MONOLITH,
+                    controller.inventory.graph,
+                    grid_size=grid_size,
+                    k_paths=k_paths,
                 )
-                self._planner = dict.fromkeys(self._unit_controller, mono)
+                for unit, controller in self._unit_controller.items()
+            }
             for unit, recipe in self._planner.items():
                 if recipe not in self._mirrors:
                     self._mirrors[recipe] = _PlantMirror(
@@ -487,14 +489,14 @@ class ShardedNetwork:
         if self.backend == "pool":
             self._live_pool()  # still refuses on a closed network
         return {
-            key: controller.planning.route_cache_stats()
+            key: controller.rwa.route_cache_stats()
             for key, controller in self._shard_controllers()
         }
 
     def _shard_controllers(self) -> Iterator[Tuple[str, GriphonController]]:
         """Each distinct controller once, under its reporting key."""
         if self.mode != "sharded":
-            yield "mono", next(iter(self._unit_controller.values()))
+            yield MONOLITH, next(iter(self._unit_controller.values()))
             return
         yield from self._unit_controller.items()
 

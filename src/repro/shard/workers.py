@@ -1,15 +1,14 @@
 """Persistent shard workers: long-lived plan-RPC processes.
 
 The resident planning layer behind ``ShardedNetwork(backend="pool")``:
-one worker process per planning unit builds its unit once, keeps a
-mirror of the parent's fiber plant warm, and plans the requests each
-placement round sends it.
+one worker process per planning unit stands up an empty fiber plant
+over the unit's graph once, keeps it a warm mirror of the parent's
+plant, and plans the requests each placement round sends it.
 
-* :class:`UnitRecipe` — the deterministic ``(topology_seed, unit name,
-  params)`` recipe a unit rebuilds from.  It is tiny, hashable, and the
-  pool's worker key: two callers asking for the same recipe share one
-  warm worker.
-* ``_worker_main`` — the worker process loop.  It builds its unit
+* :class:`UnitRecipe` — the unit's name, graph and planning knobs.  It
+  is frozen, hashable, and the pool's worker key: two callers handing
+  over the same graph object share one warm worker.
+* ``_worker_main`` — the worker process loop.  It builds its plant
   **once**, then serves RPCs over a multiprocessing pipe until told to
   shut down: ``round`` (one placement round's message: a round number
   that resets the worker's persistent shadow-claim overlay when it
@@ -26,9 +25,9 @@ placement round sends it.
 **Determinism.**  A plan's outcome depends only on the unit's graph,
 its fiber plant (occupancy bitmasks, link liveness), and the reach
 model — never on equipment pools, which are consumed at claim time in
-the parent.  A worker that rebuilds the unit from the same recipe and
-mirrors the plant (a ``round`` message's delta-sync) therefore plans
-byte-identically to the in-process engine;
+the parent.  A worker planning over the parent's graph with a mirrored
+plant (a ``round`` message's delta-sync) therefore plans
+byte-identically to the in-process engine, with no equipment installed;
 ``tests/test_shard_pool_differential.py`` pins this.  The only planning
 state a worker carries from one RPC to the next is the round's
 :class:`_PlanningRound` (route memo + shadow claims), reset when the
@@ -42,19 +41,12 @@ from dataclasses import dataclass
 from multiprocessing import get_context
 from typing import Any, Deque, Dict, Iterable, List, Optional, Sequence, Tuple
 
-from repro.core.rwa import _PlanningRound
+from repro.core.inventory import InventoryDatabase
+from repro.core.rwa import RwaEngine, _PlanningRound
 from repro.errors import ConfigurationError, GriphonError, WorkerCrashed
 from repro.fingerprint import plant_fingerprint
-from repro.shard.unit import (
-    ShardUnit,
-    _install_planning_equipment,
-    build_express_unit,
-    build_region_unit,
-)
-from repro.topo.hierarchy import EXPRESS, Hierarchy
-
-#: The recipe unit name for a full-hierarchy (monolithic-twin) worker.
-MONOLITH = "mono"
+from repro.optical.wavelength import WavelengthGrid
+from repro.topo.graph import NetworkGraph
 
 #: Channel owner of everything a worker lights: delta-sync occupancy
 #: held only to mirror the parent plant.
@@ -68,109 +60,27 @@ _MUTATING_OPS = frozenset({"round", "cut", "repair"})
 #: Seconds a worker gets to exit before :func:`_reap` escalates.
 _REAP_TIMEOUT_S = 10.0
 
+#: Seconds a fresh worker gets to report ready.  It only builds an
+#: empty plant over the graph it was handed — no topology generation,
+#: no equipment — so a worker this slow is stuck, not busy.
+_BUILD_TIMEOUT_S = 60.0
+
 
 @dataclass(frozen=True)
 class UnitRecipe:
-    """Everything needed to rebuild one planning unit deterministically.
+    """What a worker plans over: one unit's graph and planning knobs.
 
     The pool keys workers by this recipe: same recipe, same worker, same
-    warm state.  ``unit`` is a region name, :data:`~repro.topo.hierarchy.
-    EXPRESS`, or :data:`MONOLITH` for a full-hierarchy worker.
+    warm state.  ``graph`` compares and hashes by identity, so a recipe
+    names the parent's own graph object, not a topology equal to it.
+    ``unit`` is the unit's label (a region name, :data:`~repro.topo.
+    hierarchy.EXPRESS`, or the monolithic twin's name).
     """
 
     unit: str
-    topology_seed: int
-    regions: int
-    pops_per_region: int
-    gateways_per_region: int = 2
+    graph: NetworkGraph
     grid_size: int = 80
     k_paths: int = 4
-    region_plane_km: float = 1200.0
-    express_length_km: float = 600.0
-    alpha: float = 0.4
-    beta: float = 0.35
-    with_premises: bool = False
-    premises_prefix: str = "DC-"
-    transponders_10g: int = 6
-    regens_10g: int = 4
-
-    @classmethod
-    def for_network_unit(
-        cls,
-        hierarchy: Hierarchy,
-        unit: str,
-        grid_size: int = 80,
-        k_paths: int = 4,
-    ) -> "UnitRecipe":
-        """The recipe mirroring one :class:`ShardedNetwork` unit."""
-        params = hierarchy.params
-        return cls(
-            unit=unit,
-            topology_seed=hierarchy.seed,
-            regions=int(params["regions"]),
-            pops_per_region=int(params["pops_per_region"]),
-            gateways_per_region=int(params["gateways_per_region"]),
-            grid_size=grid_size,
-            k_paths=k_paths,
-            region_plane_km=float(params["region_plane_km"]),
-            express_length_km=float(params["express_length_km"]),
-            alpha=float(params["alpha"]),
-            beta=float(params["beta"]),
-            with_premises=bool(params["with_premises"]),
-            premises_prefix=str(params["premises_prefix"]),
-        )
-
-    def build(self) -> ShardUnit:
-        """Rebuild the unit — the one-time cost a worker pays at spawn."""
-        if self.unit == EXPRESS:
-            return build_express_unit(
-                self.regions,
-                self.gateways_per_region,
-                self.pops_per_region,
-                express_length_km=self.express_length_km,
-                grid_size=self.grid_size,
-                transponders_10g=self.transponders_10g,
-                regens_10g=self.regens_10g,
-                k_paths=self.k_paths,
-            )
-        if self.unit == MONOLITH:
-            from repro.core.inventory import InventoryDatabase
-            from repro.optical.wavelength import WavelengthGrid
-            from repro.topo.hierarchy import build_hierarchy
-
-            hierarchy = build_hierarchy(
-                self.topology_seed,
-                regions=self.regions,
-                pops_per_region=self.pops_per_region,
-                gateways_per_region=self.gateways_per_region,
-                region_plane_km=self.region_plane_km,
-                express_length_km=self.express_length_km,
-                alpha=self.alpha,
-                beta=self.beta,
-                with_premises=self.with_premises,
-                premises_prefix=self.premises_prefix,
-            )
-            inventory = InventoryDatabase(
-                hierarchy.graph, WavelengthGrid(self.grid_size)
-            )
-            _install_planning_equipment(
-                inventory, self.transponders_10g, self.regens_10g
-            )
-            return ShardUnit(MONOLITH, inventory, k_paths=self.k_paths)
-        return build_region_unit(
-            self.topology_seed,
-            self.unit,
-            self.pops_per_region,
-            region_plane_km=self.region_plane_km,
-            grid_size=self.grid_size,
-            transponders_10g=self.transponders_10g,
-            regens_10g=self.regens_10g,
-            k_paths=self.k_paths,
-            alpha=self.alpha,
-            beta=self.beta,
-            with_premises=self.with_premises,
-            premises_prefix=self.premises_prefix,
-        )
 
 
 # -- the worker process -------------------------------------------------------
@@ -193,8 +103,14 @@ def _rebuild_error(type_name: str, message: str) -> GriphonError:
 class _WorkerState:
     """Everything one worker holds between RPCs."""
 
-    def __init__(self, unit: ShardUnit) -> None:
-        self.unit = unit
+    def __init__(self, recipe: UnitRecipe) -> None:
+        self.unit = recipe.unit
+        #: An empty plant over the parent's graph: no equipment, since
+        #: no plan reads any.  Delta syncs light it as the parent's.
+        self.inventory = InventoryDatabase(
+            recipe.graph, WavelengthGrid(recipe.grid_size)
+        )
+        self.rwa = RwaEngine(self.inventory, k_paths=recipe.k_paths)
         #: The shadow-claim overlay every ``round`` message of one
         #: placement round plans under, and that round's number.
         self.round = _PlanningRound()
@@ -213,7 +129,7 @@ class _WorkerState:
         Repairs first (occupancy can only change on live links), then
         occupancy deltas under :data:`MIRROR_OWNER`, then cuts.
         """
-        plant = self.unit.inventory.plant
+        plant = self.inventory.plant
         for a, b in repair:
             plant.repair_link(a, b)
         for key, target in masks.items():
@@ -245,7 +161,7 @@ class _WorkerState:
     # -- dispatch -------------------------------------------------------------
 
     def dispatch(self, op: str, payload: Any) -> Any:
-        unit = self.unit
+        plant = self.inventory.plant
         if op == "round":
             if payload["round"] != self.round_no:
                 self.round_no = payload["round"]
@@ -253,19 +169,16 @@ class _WorkerState:
             sync = payload["sync"]
             if sync is not None:
                 self._apply_sync(sync["masks"], sync["cut"], sync["repair"])
-            return unit.plan_batch(payload["requests"], round_ctx=self.round)
-        if op == "cut":
-            return sorted(
-                unit.inventory.plant.cut_link(payload["a"], payload["b"])
+            return self.rwa.plan_batch(
+                payload["requests"], round_ctx=self.round
             )
+        if op == "cut":
+            return sorted(plant.cut_link(payload["a"], payload["b"]))
         if op == "repair":
-            unit.inventory.plant.repair_link(payload["a"], payload["b"])
+            plant.repair_link(payload["a"], payload["b"])
             return None
         if op == "fingerprint":
-            return {
-                "unit": unit.name,
-                "state": plant_fingerprint(unit.inventory.plant),
-            }
+            return {"unit": self.unit, "state": plant_fingerprint(plant)}
         if op == "ping":
             return "pong"
         raise ConfigurationError(f"unknown shard-worker op {op!r}")
@@ -274,7 +187,7 @@ class _WorkerState:
 def _worker_main(conn, recipe: UnitRecipe) -> None:
     """The worker process: build once, serve RPCs until shutdown."""
     try:
-        state = _WorkerState(recipe.build())
+        state = _WorkerState(recipe)
     except BaseException as exc:  # noqa: BLE001 - report, then die
         try:
             conn.send(("fatal", _encode_error(exc)))
@@ -338,7 +251,7 @@ class _Worker:
 class ShardWorkerPool:
     """Long-lived plan-RPC workers, one per distinct :class:`UnitRecipe`.
 
-    The pool is the resident planning layer: a worker builds its unit
+    The pool is the resident planning layer: a worker builds its plant
     once and keeps its occupancy bitmasks warm across rounds and
     callers.  Use it as a context manager — ``close()``
     shuts every worker down gracefully and reaps the processes (no
@@ -350,20 +263,17 @@ class ShardWorkerPool:
             :meth:`call`/:meth:`call_many` triggers automatic
             rebuild-and-replay (:meth:`respawn`) and one retry instead
             of propagating.
-        build_timeout_s / rpc_timeout_s: Watchdogs on worker startup and
-            on each reply.
+        rpc_timeout_s: Watchdog on each reply.
     """
 
     def __init__(
         self,
         recipes: Iterable[UnitRecipe] = (),
         recover: bool = False,
-        build_timeout_s: float = 600.0,
         rpc_timeout_s: float = 600.0,
     ) -> None:
         self._workers: Dict[UnitRecipe, _Worker] = {}
         self._recover = recover
-        self._build_timeout_s = build_timeout_s
         self._rpc_timeout_s = rpc_timeout_s
         self._closed = False
         self._ctx = get_context()
@@ -447,8 +357,8 @@ class ShardWorkerPool:
         )
         process.start()
         child_conn.close()
-        if not parent_conn.poll(self._build_timeout_s):
-            failure = f"did not come up within {self._build_timeout_s}s"
+        if not parent_conn.poll(_BUILD_TIMEOUT_S):
+            failure = f"did not come up within {_BUILD_TIMEOUT_S}s"
         else:
             try:
                 tag, info = parent_conn.recv()

@@ -241,8 +241,8 @@ class RemediationEngine:
             controller.bridge_and_roll(
                 conn_id,
                 exclude_links=impacted,
-                on_done=lambda summary, c=conn_id, p=policy.name: (
-                    self._roll_done(c, p, summary)
+                on_settled=lambda summary, c=conn_id, p=policy.name: (
+                    self._roll_settled(c, p, summary)
                 ),
             )
         except GriphonError as exc:
@@ -273,9 +273,23 @@ class RemediationEngine:
             worst = max(worst, after)
         return worst
 
-    def _roll_done(self, conn_id: str, policy_name: str, summary: dict) -> None:
+    def _roll_settled(
+        self, conn_id: str, policy_name: str, summary: dict
+    ) -> None:
         now = self._controller.sim.now
-        if self._phase.get(conn_id) == "rerouting":
+        phase = self._phase.get(conn_id)
+        if summary["outcome"] == "aborted":
+            # A torn-down, cut or rolled-back bridge: a reroute goes back
+            # to watch (its links no longer steer the re-optimizer), a
+            # revert back to rerouted, so the next tick retries it.
+            if phase == "rerouting":
+                self._phase.pop(conn_id, None)
+                self._impacted.pop(conn_id, None)
+                self._record(now, conn_id, policy_name, "reroute-aborted", "")
+            elif phase == "reverting":
+                self._phase[conn_id] = "rerouted"
+                self._record(now, conn_id, policy_name, "revert-aborted", "")
+        elif phase == "rerouting":
             self._phase[conn_id] = "rerouted"
             self._controller.metrics.inc("slo.rerouted")
             self._record(
@@ -285,7 +299,7 @@ class RemediationEngine:
                 "rerouted",
                 f"new path {'-'.join(summary.get('new_path', []))}",
             )
-        elif self._phase.get(conn_id) == "reverting":
+        elif phase == "reverting":
             self._phase.pop(conn_id, None)
             self._impacted.pop(conn_id, None)
             self._controller.metrics.inc("slo.reverted")
@@ -382,8 +396,8 @@ class RemediationEngine:
             try:
                 self._controller.bridge_and_roll(
                     conn_id,
-                    on_done=lambda summary, c=conn_id: (
-                        self._roll_done(c, "auto-revert", summary)
+                    on_settled=lambda summary, c=conn_id: (
+                        self._roll_settled(c, "auto-revert", summary)
                     ),
                 )
             except GriphonError as exc:

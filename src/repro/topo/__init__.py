@@ -17,7 +17,6 @@ from repro.topo.hierarchy import (
     EXPRESS,
     Hierarchy,
     RegionInfo,
-    build_express_graph,
     build_hierarchy,
     build_region_graph,
 )
@@ -42,7 +41,6 @@ __all__ = [
     "EXPRESS",
     "Hierarchy",
     "RegionInfo",
-    "build_express_graph",
     "build_hierarchy",
     "build_region_graph",
 ]

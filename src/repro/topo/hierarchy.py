@@ -185,11 +185,11 @@ def build_region_graph(
     premises_prefix: str = "DC-",
     premises_length_km: float = 20.0,
 ) -> NetworkGraph:
-    """Build one region's tier-3 mesh, standalone.
+    """Build one region's tier-3 mesh.
 
     The mesh derives entirely from ``spawn(shard_stream_key(region))``
-    of the hierarchy seed, so a shard worker can rebuild exactly its
-    slice of a 512-PoP hierarchy without generating the other regions.
+    of the hierarchy seed, so no region's mesh depends on how many
+    others the hierarchy generates, or in what order.
     """
     if pops_per_region < 3:
         raise ConfigurationError(
@@ -238,7 +238,7 @@ def gateway_names(
     """The gateway PoPs of a region: its first N PoPs, by index.
 
     Purely a naming convention — derivable without generating the
-    region mesh, which is what lets the express slice build standalone.
+    region mesh.
     """
     if not (1 <= gateways_per_region <= pops_per_region):
         raise ConfigurationError(
@@ -290,34 +290,6 @@ def express_link_specs(
                 break
             add(gateways[names[index]][1], gateways[names[peer]][1])
     return pairs
-
-
-def build_express_graph(
-    region_count: int,
-    gateways_per_region: int,
-    pops_per_region: int,
-    express_length_km: float = 600.0,
-) -> NetworkGraph:
-    """Build the tier-1 express slice standalone (no region meshes)."""
-    graph = NetworkGraph()
-    for index in range(region_count):
-        name = region_name(index)
-        for gateway in gateway_names(
-            name, pops_per_region, gateways_per_region
-        ):
-            graph.add_node(Node(gateway, kind="roadm", region=name))
-    for a, b in express_link_specs(
-        region_count, gateways_per_region, pops_per_region
-    ):
-        graph.add_link(
-            Link(
-                a,
-                b,
-                length_km=express_length_km,
-                srlgs=frozenset({f"srlg:express:{a}={b}"}),
-            )
-        )
-    return graph
 
 
 def build_hierarchy(

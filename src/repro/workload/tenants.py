@@ -62,11 +62,6 @@ class TenantPopulation:
         )
         self._registered: set = set()
 
-    @property
-    def total_weight(self) -> float:
-        """The Zipf normalization constant (sum of all weights)."""
-        return self._cumulative[-1]
-
     def name_of(self, rank: int) -> str:
         """The tenant name at 0-based Zipf rank ``rank``."""
         if not 0 <= rank < self.size:

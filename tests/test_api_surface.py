@@ -2,6 +2,9 @@
 
 import importlib
 import inspect
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -30,6 +33,7 @@ PUBLIC_MODULES = [
     "repro.optical.osnr",
     "repro.otn",
     "repro.pipeline",
+    "repro.shard",
     "repro.sim",
     "repro.topo",
     "repro.units",
@@ -89,3 +93,22 @@ def test_version_matches_package_metadata():
     import repro
 
     assert repro.__version__.count(".") == 2
+
+
+def test_core_controller_does_not_import_the_shard_layer():
+    """The shard layer is built on the controller, never under it: a
+    fresh interpreter importing the controller loads no ``repro.shard``
+    module."""
+    import repro
+
+    src = os.path.dirname(os.path.dirname(repro.__file__))
+    probe = (
+        "import sys, repro.core.controller; "
+        "print(sorted(m for m in sys.modules if m.startswith('repro.shard')))"
+    )
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run(
+        [sys.executable, "-c", probe],
+        capture_output=True, text=True, check=True, env=env,
+    )
+    assert out.stdout.strip() == "[]"

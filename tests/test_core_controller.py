@@ -230,9 +230,12 @@ class TestBridgeAndRoll:
     def test_hit_is_milliseconds(self, net, svc):
         conn = bring_up(net, svc)
         results = []
-        net.controller.bridge_and_roll(conn.connection_id, on_done=results.append)
+        net.controller.bridge_and_roll(
+            conn.connection_id, on_settled=results.append
+        )
         net.run()
         assert len(results) == 1
+        assert results[0]["outcome"] == "completed"
         assert results[0]["hit_s"] == pytest.approx(0.050)
         assert conn.total_outage_s == pytest.approx(0.050)
         assert conn.state is ConnectionState.UP
@@ -244,7 +247,9 @@ class TestBridgeAndRoll:
             tuple(sorted(pair)) for pair in zip(old.path, old.path[1:])
         )
         results = []
-        net.controller.bridge_and_roll(conn.connection_id, on_done=results.append)
+        net.controller.bridge_and_roll(
+            conn.connection_id, on_settled=results.append
+        )
         net.run()
         new_path = results[0]["new_path"]
         new_links = set(

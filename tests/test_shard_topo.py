@@ -1,22 +1,15 @@
-"""Three-tier hierarchy: determinism, partition, standalone rebuilds."""
-
-import pickle
+"""Three-tier hierarchy: determinism, partition, per-tier builders."""
 
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.shard import ShardUnit, build_express_unit, build_region_unit
 from repro.shard.planner import ShardPlanner, _bfs_hops
 from repro.topo.hierarchy import (
     EXPRESS,
-    build_express_graph,
     build_hierarchy,
-    build_region_graph,
     express_link_specs,
     gateway_names,
-    region_name,
 )
-from repro.units import GBPS
 
 
 def _link_keys(graph):
@@ -78,26 +71,7 @@ class TestSlicePartition:
 
 
 class TestStandaloneRebuild:
-    def test_region_graph_rebuilds_identically(self):
-        hierarchy = build_hierarchy(seed=13, regions=3, pops_per_region=7)
-        for index in range(3):
-            name = region_name(index)
-            standalone = build_region_graph(13, name, 7)
-            sliced = hierarchy.region_graph(name)
-            assert {n.name for n in standalone.nodes} == {
-                n.name for n in sliced.nodes
-            }
-            assert _link_keys(standalone) == _link_keys(sliced)
-
-    def test_express_graph_rebuilds_identically(self):
-        hierarchy = build_hierarchy(seed=13, regions=3, pops_per_region=7,
-                                    gateways_per_region=2)
-        standalone = build_express_graph(3, 2, 7)
-        sliced = hierarchy.express_graph()
-        assert {n.name for n in standalone.nodes} == {
-            n.name for n in sliced.nodes
-        }
-        assert _link_keys(standalone) == _link_keys(sliced)
+    """The per-tier helpers, each callable without a built hierarchy."""
 
     def test_single_region_has_no_express(self):
         assert express_link_specs(1, 2, 8) == []
@@ -126,44 +100,3 @@ class TestPlannerHopMaps:
             assert planner._hops_in_region(region, start) == _bfs_hops(
                 hierarchy.region_graph(region), start
             )
-
-
-class TestUnitPicklability:
-    def test_region_unit_pickle_round_trip(self):
-        unit = build_region_unit(21, "R00", 6)
-        clone = pickle.loads(pickle.dumps(unit))
-        assert isinstance(clone, ShardUnit)
-        nodes = sorted(n.name for n in unit.graph.nodes)
-        a, b = nodes[0], nodes[-1]
-        original = unit.plan(a, b, 10 * GBPS)
-        replayed = clone.plan(a, b, 10 * GBPS)
-        assert original.path == replayed.path
-        assert [s.channel for s in original.segments] == [
-            s.channel for s in replayed.segments
-        ]
-
-    def test_express_unit_pickle_round_trip(self):
-        unit = build_express_unit(3, 2, 6)
-        clone = pickle.loads(pickle.dumps(unit))
-        assert clone.name == EXPRESS
-        assert _link_keys(clone.graph) == _link_keys(unit.graph)
-
-    def test_occupancy_survives_pickling(self):
-        unit = build_region_unit(21, "R00", 6)
-        nodes = sorted(n.name for n in unit.graph.nodes)
-        plan = unit.plan(nodes[0], nodes[-1], 10 * GBPS)
-        for segment in plan.segments:
-            for u, v in segment.links:
-                unit.inventory.plant.dwdm_link(u, v).occupy(
-                    segment.channel, "owner-1"
-                )
-        clone = pickle.loads(pickle.dumps(unit))
-        replay = clone.plan(nodes[0], nodes[-1], 10 * GBPS)
-        fresh = build_region_unit(21, "R00", 6).plan(
-            nodes[0], nodes[-1], 10 * GBPS
-        )
-        # The clone must remember the occupied channel and avoid it
-        # exactly as the original would.
-        assert [s.channel for s in replay.segments] != [
-            s.channel for s in fresh.segments
-        ] or replay.path != fresh.path

@@ -4,7 +4,7 @@ Every RPC a :class:`~repro.shard.workers.ShardWorkerPool` worker serves
 is checked against a local twin built from the same
 :class:`~repro.shard.workers.UnitRecipe` — same plans, same plant
 fingerprints after a ``round`` message's sync — because the worker IS
-just the unit rebuilt from its recipe behind a pipe.  Lifecycle tests
+just an RWA engine over the recipe's graph behind a pipe.  Lifecycle tests
 pin the guarantees the resident layer depends on: context-manager close
 reaps every process (no zombies), a failed spawn leaks no descriptor, a
 killed worker surfaces as the typed
@@ -22,20 +22,30 @@ import signal
 import pytest
 
 from repro.core.admission import CustomerProfile
-from repro.core.rwa import PlanRequest
+from repro.core.inventory import InventoryDatabase
+from repro.core.rwa import PlanRequest, RwaEngine
 from repro.errors import ConfigurationError, WorkerCrashed
 from repro.fingerprint import outcome_fingerprint, plant_fingerprint
+from repro.optical.wavelength import WavelengthGrid
 from repro.shard.network import _PlantMirror, build_sharded_network
 from repro.shard.workers import ShardWorkerPool, UnitRecipe
 from repro.topo.hierarchy import build_hierarchy
 from repro.units import GBPS
 
-RECIPE = UnitRecipe(
-    unit="R00", topology_seed=3, regions=2, pops_per_region=5
-)
-OTHER = UnitRecipe(
-    unit="R01", topology_seed=3, regions=2, pops_per_region=5
-)
+_HIERARCHY = build_hierarchy(seed=3, regions=2, pops_per_region=5)
+RECIPE = UnitRecipe("R00", _HIERARCHY.region_graph("R00"))
+OTHER = UnitRecipe("R01", _HIERARCHY.region_graph("R01"))
+
+
+class _Twin:
+    """The parent-side copy of what a worker builds from ``RECIPE``."""
+
+    def __init__(self):
+        self.graph = RECIPE.graph
+        self.inventory = InventoryDatabase(
+            RECIPE.graph, WavelengthGrid(RECIPE.grid_size)
+        )
+        self.rwa = RwaEngine(self.inventory, k_paths=RECIPE.k_paths)
 
 
 def _plan_shape(plan):
@@ -49,7 +59,7 @@ def _plan_shape(plan):
 def _requests(unit, count=6, salt=0):
     """``count`` seeded 10G requests between distinct nodes of ``unit``."""
     nodes = sorted(node.name for node in unit.graph.nodes)
-    rng = random.Random(f"{RECIPE.topology_seed}:{salt}")
+    rng = random.Random(f"3:{salt}")
     return [
         PlanRequest(*rng.sample(nodes, 2), 10 * GBPS) for _ in range(count)
     ]
@@ -85,35 +95,52 @@ def _land(unit, items):
 
 class TestRecipe:
     def test_recipe_is_the_pool_key(self):
-        twin = UnitRecipe(
-            unit="R00", topology_seed=3, regions=2, pops_per_region=5
-        )
-        # Equal by value, so two callers asking for it share a worker.
+        twin = UnitRecipe("R00", RECIPE.graph)
+        # The same graph object: equal, so two callers share a worker.
         assert twin is not RECIPE and twin == RECIPE
         assert hash(twin) == hash(RECIPE)
         assert {RECIPE: "worker"}[twin] == "worker"
-        assert dataclasses.replace(RECIPE, topology_seed=4) != RECIPE
+        # A fresh slice is an equal topology but another graph object.
+        fresh = UnitRecipe("R00", _HIERARCHY.region_graph("R00"))
+        assert fresh != RECIPE
+        assert dataclasses.replace(RECIPE, k_paths=2) != RECIPE
         assert OTHER != RECIPE
+        with ShardWorkerPool([RECIPE]) as pool:
+            pool.ensure(twin)
+            assert pool.size == 1
+            pool.ensure(fresh)
+            assert pool.size == 2
 
     def test_build_is_deterministic(self):
-        first, second = RECIPE.build(), RECIPE.build()
-        requests = _requests(first)
-        shapes = [
-            [_plan_shape(i.plan) for i in u.plan_batch(requests) if i.ok]
-            for u in (first, second)
+        """Two workers built from one recipe, and the parent-side twin,
+        plan the same round identically."""
+        requests = _requests(RECIPE)
+        with ShardWorkerPool([RECIPE]) as one, ShardWorkerPool([RECIPE]) as two:
+            shapes = [
+                [
+                    _plan_shape(i.plan)
+                    for i in pool.call(RECIPE, *_round(1, requests))
+                    if i.ok
+                ]
+                for pool in (one, two)
+            ]
+        local = [
+            _plan_shape(i.plan)
+            for i in _Twin().rwa.plan_batch(requests)
+            if i.ok
         ]
-        assert shapes[0] == shapes[1] and shapes[0]
+        assert shapes[0] == shapes[1] == local and local
 
 
 class TestWorkerRpcParity:
     def test_plan_commit_release_match_local_twin(self):
-        local = RECIPE.build()
+        local = _Twin()
         mirror = _PlantMirror(local.inventory.plant)
         requests = _requests(local)
         with ShardWorkerPool([RECIPE]) as pool:
             remote = pool.call(RECIPE, *_round(1, requests, mirror.delta()))
             mirror.acknowledged(1)
-            items = local.plan_batch(requests)
+            items = local.rwa.plan_batch(requests)
             assert [i.ok for i in remote] == [i.ok for i in items]
             assert [
                 _plan_shape(i.plan) for i in remote if i.ok
@@ -140,10 +167,10 @@ class TestWorkerRpcParity:
             )
 
     def test_cut_and_repair_track_local_twin(self):
-        local = RECIPE.build()
+        local = _Twin()
         with ShardWorkerPool([RECIPE]) as pool:
             item = next(
-                i for i in local.plan_batch(_requests(local)) if i.ok
+                i for i in local.rwa.plan_batch(_requests(local)) if i.ok
             )
             a, b = item.plan.path[0], item.plan.path[1]
             displaced = pool.call(RECIPE, "cut", {"a": a, "b": b})
@@ -302,7 +329,7 @@ class TestCrashRecovery:
         a round that plans, the claims synced by the next, then a cut."""
         mirror = _PlantMirror(local.inventory.plant)
         requests = _requests(local)
-        items = local.plan_batch(requests)
+        items = local.rwa.plan_batch(requests)
         pool.call(RECIPE, *_round(1, requests, mirror.delta()))
         mirror.acknowledged(1)
         _land(local, items)
@@ -322,9 +349,9 @@ class TestCrashRecovery:
         with ShardWorkerPool([RECIPE]) as pool, ShardWorkerPool(
             [RECIPE]
         ) as control:
-            local = RECIPE.build()
+            local = _Twin()
             self._mutate(pool, local)
-            self._mutate(control, RECIPE.build())
+            self._mutate(control, _Twin())
             pool.process_of(RECIPE).kill()
             pool.process_of(RECIPE).join()
             pool.respawn(RECIPE)
@@ -347,7 +374,7 @@ class TestCrashRecovery:
 
     def test_auto_recover_is_transparent(self):
         with ShardWorkerPool([RECIPE], recover=True) as pool:
-            local = RECIPE.build()
+            local = _Twin()
             self._mutate(pool, local)
             pool.process_of(RECIPE).kill()
             # recover=True: the call respawns, replays, and answers.
@@ -363,9 +390,8 @@ class TestCrashRecovery:
         cut eagerly, round 2's sync repairs it and moves occupancy, and
         round 3 moves occupancy again.
         """
-        local = RECIPE.build()
-        first, second, third = (_requests(local, 4, salt) for salt in range(3))
-        keys = sorted(link.key for link in local.inventory.graph.links)
+        first, second, third = (_requests(RECIPE, 4, salt) for salt in range(3))
+        keys = sorted(link.key for link in RECIPE.graph.links)
         a, b = keys[0]
 
         def sync(masks, cut=(), repair=()):

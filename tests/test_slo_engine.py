@@ -88,6 +88,74 @@ class TestRerouteAndRevert:
         assert plant.dwdm_link("LAX", "SEA").osnr_penalty_db == 0.0
 
 
+def _run_until_phase(net, engine, conn_id, phase, limit_s=3600.0):
+    """Step the simulator until ``conn_id`` reaches ``phase`` (or the
+    limit passes); returns the phase it ended in."""
+    deadline = net.sim.now + limit_s
+    while engine.phase_of(conn_id) != phase and net.sim.now < deadline:
+        net.run(until=net.sim.now + 5.0)
+    return engine.phase_of(conn_id)
+
+
+class TestAbortedRoll:
+    """A bridge-and-roll that aborts must not strand its connection in
+    the engine's ``rerouting`` / ``reverting`` phase."""
+
+    def _rerouting_network(self):
+        net = build_slo_network(0)
+        service = net.service_for("t", max_connections=8,
+                                  max_total_rate_gbps=1000)
+        conn = service.request_connection("DC-CENTRAL", "DC-SOUTH", 10)
+        net.run()
+        runtime = net.enable_slo(
+            plan=_drift_plan(), policies=_margin_policy(),
+            audit_each_action=True,
+        )
+        return net, service, conn, runtime.engine
+
+    def test_reroute_aborted_by_teardown_returns_to_watch(self):
+        net, service, conn, engine = self._rerouting_network()
+        conn_id = conn.connection_id
+        assert _run_until_phase(net, engine, conn_id, "rerouting") == (
+            "rerouting"
+        )
+        assert engine.impacted_link_keys() == {("ATL", "DFW")}
+        # Torn down while the bridge is being built: the roll aborts.
+        service.teardown_connection(conn_id)
+        net.run()
+        assert conn.state is ConnectionState.RELEASED
+        assert engine.phase_of(conn_id) == "watch"
+        # Its links no longer steer the re-optimizer's penalties.
+        assert engine.impacted_link_keys() == set()
+        assert "reroute-aborted" in [r.action for r in engine.records]
+        assert engine.audit_ok
+
+    def test_revert_aborted_by_cut_is_retried(self):
+        net, service, conn, engine = self._rerouting_network()
+        conn_id = conn.connection_id
+        assert _run_until_phase(net, engine, conn_id, "reverting") == (
+            "reverting"
+        )
+        bridge = next(
+            lightpath
+            for lightpath in net.inventory.lightpaths.values()
+            if lightpath.lightpath_id not in conn.lightpath_ids
+        )
+        a, b = bridge.path[0], bridge.path[1]
+        net.controller.cut_link(a, b)
+        # The cut bridge aborts the revert: back to rerouted, not stuck.
+        assert _run_until_phase(net, engine, conn_id, "rerouted") == (
+            "rerouted"
+        )
+        net.controller.repair_link(a, b)
+        net.run()
+        actions = [r.action for r in engine.records]
+        assert actions.index("revert-aborted") < actions.index("reverted")
+        assert engine.phase_of(conn_id) == "watch"
+        assert conn.state is ConnectionState.UP
+        assert engine.audit_ok
+
+
 class TestEscalation:
     def _escalated_network(self):
         """DC-EAST <-> DC-SOUTH rides NYC-DCA-ATL; the northeast conduit

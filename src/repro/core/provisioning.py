@@ -22,10 +22,18 @@ behaves:
    tunings, two add/drop configurations, one express configuration per
    intermediate ROADM, one equalization per link, one verification)
    is what makes Table 2's setup time grow with path length.
+
+   The durations are drawn apart from the steps' ``(stage, label)``
+   names.  An untraced, fault-free lightpath draws its durations into
+   one ``StepRun`` and never names them; the names are built only for
+   a span, a fault rule, a split run or the parallel-EMS ablation.
+   :meth:`LightpathProvisioner.setup_steps` / ``teardown_steps`` zip
+   the two into the public labelled view.
 """
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Callable, Dict, Generator, List, Optional, Sequence, Tuple, Union
 
 from repro.core.inventory import (
@@ -93,6 +101,48 @@ def _compensation_step(stage: str, label: str) -> Optional[str]:
             return "roadm.express.remove"
         return "roadm.add_drop.remove"
     return None
+
+
+def _setup_labels(lightpath: Lightpath, include_fxc: bool) -> List[Tuple[str, str]]:
+    """``(stage, label)`` of each setup step, in the order
+    :meth:`LightpathProvisioner._setup_durations` draws them."""
+    source, destination = lightpath.source, lightpath.destination
+    labels = [("order", "controller.order")]
+    if include_fxc:
+        labels += (("fxc", f"fxc@{source}"), ("fxc", f"fxc@{destination}"))
+    labels += (
+        ("tune", f"ot@{source}"),
+        ("tune", f"ot@{destination}"),
+        ("roadm", f"add-drop@{source}"),
+        ("roadm", f"add-drop@{destination}"),
+    )
+    path, regen_sites = lightpath.path, lightpath.regen_sites
+    for node in path[1:-1]:
+        if node in regen_sites:
+            labels += (("roadm", f"regen-drop@{node}"), ("roadm", f"regen-add@{node}"))
+        else:
+            labels.append(("roadm", f"express@{node}"))
+    labels += [("equalize", f"equalize {u}={v}") for u, v in zip(path, path[1:])]
+    labels.append(("verify", "end-to-end verify"))
+    return labels
+
+
+def _teardown_labels(lightpath: Lightpath, include_fxc: bool) -> List[Tuple[str, str]]:
+    """``(stage, label)`` of each teardown step, in the order
+    :meth:`LightpathProvisioner._teardown_durations` draws them."""
+    source, destination = lightpath.source, lightpath.destination
+    labels = [("order", "controller.release")]
+    if include_fxc:
+        labels += (("fxc", f"fxc@{source}"), ("fxc", f"fxc@{destination}"))
+    labels += (("roadm", f"remove@{source}"), ("roadm", f"remove@{destination}"))
+    labels += [("roadm", f"remove@{node}") for node in lightpath.path[1:-1]]
+    labels += (("release", f"ot@{source}"), ("release", f"ot@{destination}"))
+    return labels
+
+
+def _labelled(labels: List[Tuple[str, str]], durations: List[float]) -> List[Step]:
+    """Zip named steps with their drawn durations."""
+    return [(stage, label, duration) for (stage, label), duration in zip(labels, durations)]
 
 
 class LightpathProvisioner:
@@ -199,74 +249,84 @@ class LightpathProvisioner:
 
     def setup_steps(self, lightpath: Lightpath, include_fxc: bool = True) -> List[Step]:
         """The timed EMS/optical steps to bring a claimed lightpath up."""
-        sample = self._latency.sample
-        steps: List[Step] = [("order", "controller.order", sample("controller.order"))]
-        if include_fxc:
-            steps.append(("fxc", f"fxc@{lightpath.source}", sample("fxc.connect")))
-            steps.append(
-                ("fxc", f"fxc@{lightpath.destination}", sample("fxc.connect"))
-            )
-        steps.append(("tune", f"ot@{lightpath.source}", sample("ot.tune")))
-        steps.append(("tune", f"ot@{lightpath.destination}", sample("ot.tune")))
-        steps.append(
-            ("roadm", f"add-drop@{lightpath.source}", sample("roadm.add_drop"))
+        return _labelled(
+            _setup_labels(lightpath, include_fxc),
+            self._setup_durations(lightpath, include_fxc),
         )
-        steps.append(
-            ("roadm", f"add-drop@{lightpath.destination}", sample("roadm.add_drop"))
-        )
-        regen_sites = set(lightpath.regen_sites)
-        for node in lightpath.path[1:-1]:
-            if node in regen_sites:
-                # A regen hop is a drop + re-add: two add/drop configs.
-                steps.append(
-                    ("roadm", f"regen-drop@{node}", sample("roadm.add_drop"))
-                )
-                steps.append(
-                    ("roadm", f"regen-add@{node}", sample("roadm.add_drop"))
-                )
-            else:
-                steps.append(("roadm", f"express@{node}", sample("roadm.express")))
-        for u, v in zip(lightpath.path, lightpath.path[1:]):
-            steps.append(
-                ("equalize", f"equalize {u}={v}", self._roadm_ems.equalize_link(u, v))
-            )
-        steps.append(
-            ("verify", "end-to-end verify", self._roadm_ems.verify_lightpath())
-        )
-        return steps
 
     def teardown_steps(
         self, lightpath: Lightpath, include_fxc: bool = True
     ) -> List[Step]:
         """The timed steps to tear a lightpath down (about ten seconds)."""
+        return _labelled(
+            _teardown_labels(lightpath, include_fxc),
+            self._teardown_durations(lightpath, include_fxc),
+        )
+
+    def _setup_durations(self, lightpath: Lightpath, include_fxc: bool) -> List[float]:
+        """Draw :meth:`setup_steps`' durations, in its order."""
         sample = self._latency.sample
-        steps: List[Step] = [
-            ("order", "controller.release", sample("controller.release"))
-        ]
+        durations = [sample("controller.order")]
         if include_fxc:
-            steps.append(("fxc", f"fxc@{lightpath.source}", sample("fxc.disconnect")))
-            steps.append(
-                ("fxc", f"fxc@{lightpath.destination}", sample("fxc.disconnect"))
-            )
-        steps.append(
-            ("roadm", f"remove@{lightpath.source}", sample("roadm.add_drop.remove"))
+            durations += (sample("fxc.connect"), sample("fxc.connect"))
+        durations += (
+            sample("ot.tune"),
+            sample("ot.tune"),
+            sample("roadm.add_drop"),
+            sample("roadm.add_drop"),
         )
-        steps.append(
-            (
-                "roadm",
-                f"remove@{lightpath.destination}",
-                sample("roadm.add_drop.remove"),
-            )
+        path, regen_sites = lightpath.path, lightpath.regen_sites
+        for node in path[1:-1]:
+            if node in regen_sites:
+                # A regen hop is a drop + re-add: two add/drop configs.
+                durations += (sample("roadm.add_drop"), sample("roadm.add_drop"))
+            else:
+                durations.append(sample("roadm.express"))
+        equalize = self._roadm_ems.equalize_link
+        for u, v in zip(path, path[1:]):
+            durations.append(equalize(u, v))
+        durations.append(self._roadm_ems.verify_lightpath())
+        return durations
+
+    def _teardown_durations(
+        self, lightpath: Lightpath, include_fxc: bool
+    ) -> List[float]:
+        """Draw :meth:`teardown_steps`' durations, in its order."""
+        sample = self._latency.sample
+        durations = [sample("controller.release")]
+        if include_fxc:
+            durations += (sample("fxc.disconnect"), sample("fxc.disconnect"))
+        durations += (
+            sample("roadm.add_drop.remove"),
+            sample("roadm.add_drop.remove"),
         )
-        regen_sites = set(lightpath.regen_sites)
+        regen_sites = lightpath.regen_sites
         for node in lightpath.path[1:-1]:
             step = (
                 "roadm.add_drop.remove" if node in regen_sites else "roadm.express.remove"
             )
-            steps.append(("roadm", f"remove@{node}", sample(step)))
-        steps.append(("release", f"ot@{lightpath.source}", sample("ot.release")))
-        steps.append(("release", f"ot@{lightpath.destination}", sample("ot.release")))
-        return steps
+            durations.append(sample(step))
+        durations += (sample("ot.release"), sample("ot.release"))
+        return durations
+
+    def _timed(
+        self,
+        draw: Callable[[Lightpath, bool], List[float]],
+        name: Callable[[Lightpath, bool], List[Tuple[str, str]]],
+        lightpath: Lightpath,
+        include_fxc: bool,
+    ) -> Tuple[List[float], Callable[[], List[Tuple[str, str]]]]:
+        """The intervals a workflow waits out, and a thunk naming them.
+
+        Sequential EMS draws the durations alone and names them only if
+        asked; the parallel-EMS ablation merges named steps by stage.
+        """
+        if not self._parallel_ems:
+            return draw(lightpath, include_fxc), partial(name, lightpath, include_fxc)
+        merged = self._stage_spans(
+            _labelled(name(lightpath, include_fxc), draw(lightpath, include_fxc))
+        )
+        return [step[2] for step in merged], lambda: [step[:2] for step in merged]
 
     def total_duration(self, steps: List[Step]) -> float:
         """Wall-clock duration of a step list under the EMS mode.
@@ -303,10 +363,12 @@ class LightpathProvisioner:
             hops=len(lightpath.path) - 1,
         ) as span:
             lightpath.transition(LightpathState.SETTING_UP)
-            steps = self._stage_spans(self.setup_steps(lightpath, include_fxc))
-            done, total, failure = yield from self._walk(steps, span, False)
+            durations, names = self._timed(
+                self._setup_durations, _setup_labels, lightpath, include_fxc
+            )
+            done, total, failure = yield from self._walk(durations, names, span, False)
             if failure is not None:
-                yield from self._compensate(lightpath, steps[:done], span, failure)
+                yield from self._compensate(lightpath, names()[:done], span, failure)
                 return lightpath
             lightpath.transition(LightpathState.UP)
             # A fiber along the route may have been cut while the EMS
@@ -325,24 +387,33 @@ class LightpathProvisioner:
             return lightpath
 
     def _walk(
-        self, steps: List[Step], span: Span, best_effort: bool
+        self,
+        durations: List[float],
+        names: Callable[[], List[Tuple[str, str]]],
+        span: Span,
+        best_effort: bool,
     ) -> Generator[
         Union[float, StepRun], None, Tuple[int, float, Optional[EquipmentError]]
     ]:
-        """Wait out ``steps``; returns ``(done, total_s, failure)``.
+        """Wait out ``durations``; returns ``(done, total_s, failure)``.
 
         With no span to open and no fault rule that can fire, the rest go
         to the kernel as one ``StepRun``, watched by the fault plan until
         it resumes (a rule added meanwhile splits it at a step boundary);
         otherwise one step at a time through the span + resilient
         executor, which forces rather than fails when ``best_effort``.
+        Only that path reads the steps' ``(stage, label)``, so ``names``
+        is called when it is first taken.  ``total_s`` adds the
+        durations one at a time in step order on every path (``sum()``
+        compensates on Python 3.12+, which would move its last bit).
         """
         resilience = self._resilience
         total = 0.0
         done = 0
-        while done < len(steps):
+        named: Optional[List[Tuple[str, str]]] = None
+        while done < len(durations):
             if span is NULL_SPAN and (resilience is None or resilience.plan.empty):
-                run = StepRun([step[2] for step in steps[done:]])
+                run = StepRun(durations[done:] if done else durations)
                 if resilience is None:
                     yield run
                 else:
@@ -351,11 +422,14 @@ class LightpathProvisioner:
                         yield run
                     finally:
                         resilience.plan.unwatch(run)
-                for step in steps[done : done + run.completed]:
-                    total += step[2]
+                for duration in run.durations[: run.completed]:
+                    total += duration
                 done += run.completed
                 continue
-            stage, label, duration = steps[done]
+            if named is None:
+                named = names()
+            stage, label = named[done]
+            duration = durations[done]
             with span.child(f"ems.{stage}", label=label) as step_span:
                 if resilience is None:
                     yield duration
@@ -379,21 +453,21 @@ class LightpathProvisioner:
     def _compensate(
         self,
         lightpath: Lightpath,
-        executed: List[Step],
+        executed: List[Tuple[str, str]],
         span: Span,
         failure: EquipmentError,
     ) -> Generator[float, None, None]:
         """Unwind the executed setup steps and free every claimed resource.
 
         Compensation runs best-effort at teardown speed: each executed
-        step with a hardware side effect gets one undo command (no
-        retries — we are already giving up), then the claim-phase
-        bookkeeping is rolled back via :meth:`release`, leaving zero
-        residue in the inventory.
+        ``(stage, label)`` step with a hardware side effect gets one undo
+        command (no retries — we are already giving up), then the
+        claim-phase bookkeeping is rolled back via :meth:`release`,
+        leaving zero residue in the inventory.
         """
         lightpath.setup_error = failure
         with span.child("ems.rollback", reason=str(failure)) as rollback_span:
-            for stage, label, _duration in reversed(executed):
+            for stage, label in reversed(executed):
                 comp = _compensation_step(stage, label)
                 if comp is None:
                     continue
@@ -420,8 +494,10 @@ class LightpathProvisioner:
             hops=len(lightpath.path) - 1,
         ) as span:
             lightpath.transition(LightpathState.TEARING_DOWN)
-            steps = self._stage_spans(self.teardown_steps(lightpath, include_fxc))
-            _done, total, _failure = yield from self._walk(steps, span, True)
+            durations, names = self._timed(
+                self._teardown_durations, _teardown_labels, lightpath, include_fxc
+            )
+            _done, total, _failure = yield from self._walk(durations, names, span, True)
             lightpath.transition(LightpathState.RELEASED)
             self.release(lightpath)
             if self._metrics is not None:

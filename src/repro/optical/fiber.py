@@ -26,6 +26,15 @@ def _mask_to_set(mask: int) -> Set[int]:
     return result
 
 
+class _CutTally:
+    """How many of one plant's links are cut, shared with those links."""
+
+    __slots__ = ("cut",)
+
+    def __init__(self) -> None:
+        self.cut = 0
+
+
 class DwdmLink:
     """Wavelength occupancy on one bidirectional fiber pair.
 
@@ -42,6 +51,9 @@ class DwdmLink:
         # path-wide intersection is a chain of integer ANDs.
         self._free_mask = (1 << grid.size) - 1
         self._failed = False
+        #: The owning plant's cut count, which fail() / repair() keep;
+        #: None for a link built outside a plant.
+        self._tally: Optional[_CutTally] = None
         # Gray-failure state: OSNR penalties keyed by cause string (one
         # entry per active degradation, e.g. "osnr-drift:2").  Unlike a
         # cut, a degraded fiber still carries traffic — just with less
@@ -123,12 +135,18 @@ class DwdmLink:
         Occupancy is preserved so restoration logic can see what was
         riding the link when it failed.
         """
-        self._failed = True
+        if not self._failed:
+            self._failed = True
+            if self._tally is not None:
+                self._tally.cut += 1
         return set(self._owners.values())
 
     def repair(self) -> None:
         """Repair the fiber."""
-        self._failed = False
+        if self._failed:
+            self._failed = False
+            if self._tally is not None:
+                self._tally.cut -= 1
 
     def utilization(self) -> float:
         """Fraction of channels lit, in [0, 1]."""
@@ -168,8 +186,11 @@ class FiberPlant:
     def __init__(self, graph: NetworkGraph, grid: Optional[WavelengthGrid] = None) -> None:
         self._graph = graph
         self._grid = grid or WavelengthGrid()
+        #: Cut links, counted by their own fail() / repair(): at zero,
+        #: liveness queries need not look at any link.
+        self._tally = _CutTally()
         self._links: Dict[Tuple[str, str], DwdmLink] = {
-            link.key: DwdmLink(link, self._grid) for link in graph.links
+            link.key: self._adopt(link) for link in graph.links
         }
         #: Callbacks invoked with (link_key, affected_owners) on each cut.
         self.on_failure: List[Callable[[Tuple[str, str], Set[str]], None]] = []
@@ -198,16 +219,24 @@ class FiberPlant:
             return self._links[key]
         except KeyError:
             link = self._graph.link_between(a, b)  # raises TopologyError
-            dwdm = DwdmLink(link, self._grid)
+            dwdm = self._adopt(link)
             self._links[key] = dwdm
             return dwdm
+
+    def _adopt(self, link: Link) -> DwdmLink:
+        """A dark DWDM link whose cuts and repairs this plant counts."""
+        dwdm = DwdmLink(link, self._grid)
+        dwdm._tally = self._tally
+        return dwdm
 
     def links_on_path(self, path: List[str]) -> List[DwdmLink]:
         """DWDM link states along a node path."""
         return [self.dwdm_link(u, v) for u, v in zip(path, path[1:])]
 
     def path_is_up(self, path: List[str]) -> bool:
-        """True if no link along the path is failed."""
+        """True if no link along the path is failed (at once when none is)."""
+        if not self._tally.cut:
+            return True
         return all(not link.failed for link in self.links_on_path(path))
 
     def common_free_mask(self, path: List[str]) -> int:
@@ -266,6 +295,8 @@ class FiberPlant:
 
     def failed_links(self) -> List[Tuple[str, str]]:
         """Keys of all currently failed links."""
+        if not self._tally.cut:
+            return []
         return [key for key, dwdm in self._links.items() if dwdm.failed]
 
     def path_penalty_db(self, path: List[str]) -> float:

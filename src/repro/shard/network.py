@@ -390,20 +390,24 @@ class ShardedNetwork:
         """One ``round`` message to each worker in ``batches``.
 
         A worker not yet contacted in this round also gets its plant
-        delta; its mirror moves on only once the replies are in.
+        delta; its mirror moves on once that worker has replied — also
+        when another worker's reply raises, or a mask that changes back
+        before the next round would never be re-sent to it.
         """
         calls, syncing = [], []
         for recipe, requests in batches.items():
             mirror = self._mirrors[recipe]
-            sync = None
+            payload = {"round": self._round_no, "sync": None, "requests": requests}
             if mirror.round != self._round_no:
-                sync = mirror.delta()
-                syncing.append(mirror)
-            payload = {"round": self._round_no, "sync": sync, "requests": requests}
+                payload["sync"] = mirror.delta()
+                syncing.append((recipe, mirror, payload))
             calls.append((recipe, "round", payload))
-        replies = self._pool.call_many(calls)
-        for mirror in syncing:
-            mirror.acknowledged(self._round_no)
+        try:
+            replies = self._pool.call_many(calls)
+        finally:
+            for recipe, mirror, payload in syncing:
+                if self._pool.answered(recipe, payload):
+                    mirror.acknowledged(self._round_no)
         return dict(zip(batches, replies))
 
     def _build_controller(

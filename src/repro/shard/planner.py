@@ -27,7 +27,7 @@ intra-region gateway-to-gateway links.
 from __future__ import annotations
 
 from collections import deque
-from typing import Dict, List, Optional, Tuple
+from typing import AbstractSet, Dict, FrozenSet, List, Optional, Tuple
 
 from repro.errors import NoPathError
 from repro.topo.graph import NetworkGraph
@@ -69,15 +69,24 @@ class SegmentSpec:
         return f"SegmentSpec({self.unit}: {self.source}->{self.destination})"
 
 
-def _bfs_hops(graph: NetworkGraph, start: str) -> Dict[str, int]:
-    """Hop distance from ``start`` to every reachable node."""
+def _bfs_hops(
+    graph: NetworkGraph, start: str, within: Optional[AbstractSet[str]] = None
+) -> Dict[str, int]:
+    """Hop distance from ``start`` to every node it reaches through
+    ``within`` (every node when ``None``).
+
+    Distances do not depend on the order neighbours are visited in, so
+    the walk reads the graph's unsorted adjacency.
+    """
+    adjacent = graph.adjacent
     hops = {start: 0}
     queue = deque([start])
     while queue:
         node = queue.popleft()
-        for neighbor in graph.neighbors(node):
-            if neighbor not in hops:
-                hops[neighbor] = hops[node] + 1
+        next_hop = hops[node] + 1
+        for neighbor in adjacent(node):
+            if neighbor not in hops and (within is None or neighbor in within):
+                hops[neighbor] = next_hop
                 queue.append(neighbor)
     return hops
 
@@ -88,12 +97,14 @@ class ShardPlanner:
     def __init__(self, hierarchy: Hierarchy) -> None:
         self.hierarchy = hierarchy
         self._express_graph = hierarchy.express_graph()
-        # Region graphs and hop maps are computed lazily (per region, per
-        # source node) and cached; the hierarchy is immutable once built,
-        # so they never go stale.
-        self._region_graphs: Dict[str, NetworkGraph] = {}
+        # Hop maps are computed lazily (per region, per source node) and
+        # cached; the hierarchy is immutable once built, so they never go
+        # stale.
         self._region_hops: Dict[Tuple[str, str], Dict[str, int]] = {}
         self._express_hops: Dict[str, Dict[str, int]] = {}
+        # Each region's nodes: a BFS over the full graph kept inside them
+        # crosses exactly the region graph's links.
+        self._members: Dict[str, FrozenSet[str]] = {}
         # Monolithic-mode exclusion sets, derived once.
         self._foreign_nodes: Dict[str, Tuple[str, ...]] = {}
         all_members: List[str] = []
@@ -101,7 +112,7 @@ class ShardPlanner:
             all_members.extend(info.pops)
             all_members.extend(info.premises)
         for name, info in hierarchy.regions.items():
-            members = set(info.pops) | set(info.premises)
+            members = self._members[name] = frozenset(info.pops + info.premises)
             self._foreign_nodes[name] = tuple(
                 sorted(node for node in all_members if node not in members)
             )
@@ -119,11 +130,7 @@ class ShardPlanner:
         key = (region, start)
         cached = self._region_hops.get(key)
         if cached is None:
-            graph = self._region_graphs.get(region)
-            if graph is None:
-                graph = self.hierarchy.region_graph(region)
-                self._region_graphs[region] = graph
-            cached = _bfs_hops(graph, start)
+            cached = _bfs_hops(self.hierarchy.graph, start, self._members[region])
             self._region_hops[key] = cached
         return cached
 

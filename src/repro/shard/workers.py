@@ -65,6 +65,11 @@ _REAP_TIMEOUT_S = 10.0
 #: no equipment — so a worker this slow is stuck, not busy.
 _BUILD_TIMEOUT_S = 60.0
 
+#: Seconds a worker gets to answer one RPC.  The slowest, a ``round``
+#: message, is milliseconds of planning (a batch of segment plans over
+#: one unit's plant), so a worker silent this long is stuck, not busy.
+_RPC_TIMEOUT_S = 60.0
+
 
 @dataclass(frozen=True)
 class UnitRecipe:
@@ -263,18 +268,13 @@ class ShardWorkerPool:
             :meth:`call`/:meth:`call_many` triggers automatic
             rebuild-and-replay (:meth:`respawn`) and one retry instead
             of propagating.
-        rpc_timeout_s: Watchdog on each reply.
     """
 
     def __init__(
-        self,
-        recipes: Iterable[UnitRecipe] = (),
-        recover: bool = False,
-        rpc_timeout_s: float = 600.0,
+        self, recipes: Iterable[UnitRecipe] = (), recover: bool = False
     ) -> None:
         self._workers: Dict[UnitRecipe, _Worker] = {}
         self._recover = recover
-        self._rpc_timeout_s = rpc_timeout_s
         self._closed = False
         self._ctx = get_context()
         for recipe in recipes:
@@ -300,6 +300,20 @@ class ShardWorkerPool:
     def process_of(self, recipe: UnitRecipe):
         """The :class:`multiprocessing.Process` serving ``recipe``."""
         return self._workers[recipe].process
+
+    def answered(self, recipe: UnitRecipe, payload: Any) -> bool:
+        """Whether ``recipe``'s worker replied (an error reply counts) to
+        the mutating RPC carrying ``payload``, so a respawn replays it.
+
+        Only the worker's latest mutating RPC is looked at: ask right
+        after the call, before sending that worker another.
+        """
+        worker = self._workers.get(recipe)
+        return (
+            worker is not None
+            and bool(worker.journal)
+            and worker.journal[-1][1] is payload
+        )
 
     def ensure(self, recipe: UnitRecipe) -> None:
         """Spawn a worker for ``recipe`` unless one is already live."""
@@ -398,8 +412,8 @@ class ShardWorkerPool:
             raise worker.failed
         op = worker.pending[0][0] if worker.pending else "?"
         try:
-            if not worker.conn.poll(self._rpc_timeout_s):
-                raise TimeoutError(f"no reply within {self._rpc_timeout_s}s")
+            if not worker.conn.poll(_RPC_TIMEOUT_S):
+                raise TimeoutError(f"no reply within {_RPC_TIMEOUT_S}s")
             tag, result = worker.conn.recv()
         except (EOFError, OSError) as exc:
             # A late reply must never answer a later request: the worker

@@ -14,6 +14,7 @@ import heapq
 import itertools
 from dataclasses import dataclass
 from typing import (
+    AbstractSet,
     Callable,
     Collection,
     Dict,
@@ -208,6 +209,15 @@ class NetworkGraph:
         if name not in self._adjacency:
             raise TopologyError(f"unknown node {name!r}")
         return sorted(self._adjacency[name])
+
+    def adjacent(self, name: str) -> AbstractSet[str]:
+        """Neighbor names of ``name`` in no set order: the graph's own
+        adjacency, not a copy, for callers whose result does not depend
+        on visiting order (BFS distances).  Read it; never change it."""
+        try:
+            return self._adjacency[name]
+        except KeyError:
+            raise TopologyError(f"unknown node {name!r}") from None
 
     def degree(self, name: str) -> int:
         """Number of distinct inter-node fiber links at ``name``."""

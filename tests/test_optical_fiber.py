@@ -1,6 +1,8 @@
 """Tests for DWDM link occupancy and the fiber plant."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import ResourceError, TopologyError, WavelengthBlockedError
 from repro.optical import DwdmLink, FiberPlant, WavelengthGrid
@@ -137,3 +139,80 @@ class TestFiberPlant:
         plant = FiberPlant(graph, WavelengthGrid(4))
         plant.cut_srlg("conduit")
         assert len(plant.failed_links()) == 2
+
+
+#: Links of the liveness property's graph, with their SRLGs; ``LATE``
+#: joins the graph only when a sequence says so, after the plant exists.
+_LINKS = [
+    ("A", "B", {"s1"}),
+    ("B", "C", {"s1", "s2"}),
+    ("C", "D", {"s2"}),
+    ("D", "E", set()),
+    ("A", "E", {"s3"}),
+]
+_LATE = ("B", "D", {"s2"})
+_PATHS = [
+    ["A", "B", "C", "D", "E"],
+    ["A", "E"],
+    ["E", "D", "C"],
+    ["A"],
+    ["A", "B", "D", "E"],  # rides the late link
+]
+_OPS = st.lists(
+    st.tuples(
+        st.sampled_from(
+            ["cut", "repair", "cut_srlg", "repair_srlg", "fail", "unfail", "add_late"]
+        ),
+        st.integers(min_value=0, max_value=len(_LINKS)),
+    ),
+    max_size=40,
+)
+
+
+class TestLivenessCount:
+    """``path_is_up`` / ``failed_links`` answer at once while nothing is
+    cut; every way a link's cut flag moves must keep that count."""
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(ops=_OPS)
+    def test_liveness_equals_a_brute_force_scan(self, ops):
+        graph = NetworkGraph()
+        for name in "ABCDE":
+            graph.add_node(Node(name))
+        for a, b, srlgs in _LINKS:
+            graph.add_link(Link(a, b, srlgs=frozenset(srlgs)))
+        plant = FiberPlant(graph, WavelengthGrid(4))
+        keys = [(a, b) for a, b, _ in _LINKS]
+        for op, index in ops:
+            if op == "add_late":
+                if _LATE[:2] not in keys:
+                    graph.add_link(Link(*_LATE[:2], srlgs=frozenset(_LATE[2])))
+                    keys.append(_LATE[:2])
+                continue
+            key = keys[index % len(keys)]
+            srlg = f"s{index % 3 + 1}"
+            if op == "cut":
+                plant.cut_link(*key)
+            elif op == "repair":
+                plant.repair_link(*key)  # also on live links
+            elif op == "cut_srlg":
+                plant.cut_srlg(srlg)
+            elif op == "repair_srlg":
+                plant.repair_srlg(srlg)
+            elif op == "fail":
+                plant.dwdm_link(*key).fail()  # behind the plant's back
+            else:
+                plant.dwdm_link(*key).repair()
+            # The scan every query made before the count existed.
+            failed = sorted(
+                link.key for link in graph.links
+                if plant.dwdm_link(link.a, link.b).failed
+            )
+            assert sorted(plant.failed_links()) == failed
+            # Exact, not just safe: an over-count would keep the scans.
+            assert plant._tally.cut == len(failed)
+            for path in _PATHS if _LATE[:2] in keys else _PATHS[:-1]:
+                scan = all(
+                    not link.failed for link in plant.links_on_path(path)
+                )
+                assert plant.path_is_up(path) is scan

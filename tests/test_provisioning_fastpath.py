@@ -333,3 +333,53 @@ def test_latency_sampler_matches_lognormal_draw_for_draw(cv, speedup, with_metri
     assert metrics.histograms() == (
         sorted(f"step.{step}" for step in DEFAULT_STEP_MEANS) if with_metrics else []
     )
+
+
+@pytest.mark.parametrize(
+    "excluded", [(), [("ROADM-I", "ROADM-IV"), ("ROADM-I", "ROADM-III")]]
+)
+def test_coalesced_workflows_draw_what_the_step_lists_list(excluded):
+    """Twin provisioners from one seed: one brings a lightpath up and
+    down as coalesced runs, which never name their steps; the other
+    only calls ``setup_steps()`` / ``teardown_steps()``.  Both draw the
+    same durations in the same order, and the workflow's totals are
+    the listed durations added in step order."""
+    coalesced, listed = Stack("bare"), Stack("bare")
+    lightpaths = [
+        stack.provisioner.claim(
+            stack.rwa.plan("ROADM-I", "ROADM-IV", gbps(10), excluded_links=excluded)
+        )
+        for stack in (coalesced, listed)
+    ]
+    assert len(lightpaths[0].path) == (4 if excluded else 2)
+    setup_waited, teardown_waited = [], []
+
+    def then_tear_down(lightpath):
+        workflow = coalesced.provisioner.teardown_workflow(lightpath)
+        Process(coalesced.sim, coalesced._recorded(workflow, teardown_waited))
+
+    workflow = coalesced.provisioner.setup_workflow(lightpaths[0])
+    Process(
+        coalesced.sim,
+        coalesced._recorded(workflow, setup_waited),
+        on_complete=then_tear_down,
+    )
+    coalesced.sim.run()
+    setup = listed.provisioner.setup_steps(lightpaths[1])
+    teardown = listed.provisioner.teardown_steps(lightpaths[1])
+    assert setup_waited == [step[2] for step in setup]
+    assert teardown_waited == [step[2] for step in teardown]
+    for name, steps in (("setup_s", setup), ("teardown_s", teardown)):
+        total = 0.0
+        for step in steps:
+            total += step[2]
+        assert coalesced.metrics.samples(f"lightpath.{name}") == [total]
+    step_histograms = [
+        {
+            name: stack.metrics.samples(name)
+            for name in stack.metrics.histograms()
+            if name.startswith("step.")
+        }
+        for stack in (coalesced, listed)
+    ]
+    assert step_histograms[0] == step_histograms[1] and step_histograms[0]

@@ -1,9 +1,11 @@
 """Three-tier hierarchy: determinism, partition, per-tier builders."""
 
+from collections import deque
+
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.shard.planner import ShardPlanner, _bfs_hops
+from repro.shard.planner import ShardPlanner
 from repro.topo.hierarchy import (
     EXPRESS,
     build_hierarchy,
@@ -83,20 +85,37 @@ class TestStandaloneRebuild:
             gateway_names("R00", 4, 5)
 
 
+def _sorted_bfs_hops(graph, start):
+    """The reference hop map: BFS over each node's name-sorted neighbours."""
+    hops = {start: 0}
+    queue = deque([start])
+    while queue:
+        node = queue.popleft()
+        for neighbor in graph.neighbors(node):
+            if neighbor not in hops:
+                hops[neighbor] = hops[node] + 1
+                queue.append(neighbor)
+    return hops
+
+
 class TestPlannerHopMaps:
     def test_hop_maps_match_a_fresh_region_graph(self):
-        """The planner keeps one graph per region; every hop map it
-        serves must be what a newly sliced region graph gives."""
-        hierarchy = build_hierarchy(seed=5, regions=3, pops_per_region=6,
+        """Every hop map the planner serves — a BFS over the full graph
+        kept inside one region, in no neighbour order — is the
+        sorted-neighbour BFS over a newly sliced region graph; express
+        maps likewise over the express graph."""
+        hierarchy = build_hierarchy(seed=5, regions=4, pops_per_region=6,
                                     with_premises=True)
         planner = ShardPlanner(hierarchy)
-        # Interleave regions so a map is never served from the graph
-        # cached for the region asked about just before.
         starts = [(region, pop)
-                  for index in range(6)
                   for region, info in hierarchy.regions.items()
-                  for pop in [info.pops[index]]]
-        for region, start in starts + starts:
-            assert planner._hops_in_region(region, start) == _bfs_hops(
+                  for pop in info.pops]
+        for region, start in starts + starts:  # fresh, then cached
+            assert planner._hops_in_region(region, start) == _sorted_bfs_hops(
                 hierarchy.region_graph(region), start
+            )
+        express = hierarchy.express_graph()
+        for gateway in hierarchy.gateways():
+            assert planner._hops_on_express(gateway) == _sorted_bfs_hops(
+                express, gateway
             )

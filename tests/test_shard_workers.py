@@ -27,6 +27,7 @@ from repro.core.rwa import PlanRequest, RwaEngine
 from repro.errors import ConfigurationError, WorkerCrashed
 from repro.fingerprint import outcome_fingerprint, plant_fingerprint
 from repro.optical.wavelength import WavelengthGrid
+from repro.shard import workers as shard_workers
 from repro.shard.network import _PlantMirror, build_sharded_network
 from repro.shard.workers import ShardWorkerPool, UnitRecipe
 from repro.topo.hierarchy import build_hierarchy
@@ -216,18 +217,20 @@ class TestWorkerRpcParity:
             ) == ["pong", "pong"]
 
     @pytest.mark.parametrize("recover", [False, True])
-    def test_late_reply_never_answers_a_later_request(self, recover):
+    def test_late_reply_never_answers_a_later_request(self, recover, monkeypatch):
         with ShardWorkerPool([RECIPE], recover=recover) as pool:
             stalled = pool.process_of(RECIPE)
             # One ping times out on a stopped worker (watchdog shortened
             # and recovery held off for just this call) ...
             os.kill(stalled.pid, signal.SIGSTOP)
-            pool._rpc_timeout_s, pool._recover = 0.2, False
+            pool._recover = False
             try:
-                with pytest.raises(WorkerCrashed, match="no reply"):
-                    pool.call(RECIPE, "ping")
+                with monkeypatch.context() as patch:
+                    patch.setattr(shard_workers, "_RPC_TIMEOUT_S", 0.2)
+                    with pytest.raises(WorkerCrashed, match="no reply"):
+                        pool.call(RECIPE, "ping")
             finally:
-                pool._rpc_timeout_s, pool._recover = 600.0, recover
+                pool._recover = recover
                 os.kill(stalled.pid, signal.SIGCONT)
             # ... and the woken worker now writes its stale "pong".  The
             # next call must respawn (recover) or raise — never read it.
@@ -554,4 +557,29 @@ class TestRoundRecovery:
                 unit: fp["state"]
                 for unit, fp in net.worker_fingerprints().items()
             } == plants
+        assert multiprocessing.active_children() == []
+
+    def test_torn_fan_out_advances_the_mirrors_that_answered(self):
+        # Round 2's fan-out raises for the dead R00 worker, but R01's
+        # worker did take the round's delta: round 1's cross-region
+        # lightpath, lit on R01.  Released before the next round, that
+        # channel is dark again on the parent, so only a mirror that
+        # knows R01 lit it sends R01 the darkening.
+        with ShardWorkerPool() as pool:
+            net = self._network(pool)
+            cross_region = net.place_orders(_ROUNDS[0])[1]
+            net.run()
+            assert "R01" in {r["unit"] for r in cross_region.plan_record}
+            victim = self._victim(pool)
+            self._kill_before_reply(pool, victim)
+            with pytest.raises(WorkerCrashed):
+                net.place_orders(_ROUNDS[1])
+            net.teardown_order(cross_region)
+            net.run()
+            pool.respawn(victim)
+            net.sync_workers()
+            assert {
+                unit: fp["state"]
+                for unit, fp in net.worker_fingerprints().items()
+            } == net.plant_fingerprints()
         assert multiprocessing.active_children() == []

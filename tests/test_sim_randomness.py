@@ -1,8 +1,11 @@
 """Tests for the named random substreams."""
 
+import math
 import statistics
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.sim import RandomStreams
 
@@ -45,6 +48,28 @@ class TestDistributions:
     def test_lognormal_zero_cv_is_deterministic(self):
         streams = RandomStreams(0)
         assert streams.lognormal("x", mean=5.0, cv=0.0) == 5.0
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(
+        seed=st.integers(min_value=0, max_value=2**64 - 1),
+        name=st.text(max_size=12),
+        mean=st.floats(min_value=1e-6, max_value=1e6),
+        cv=st.floats(min_value=1e-6, max_value=10.0),
+    )
+    def test_lognormal_sampler_is_lognormvariate_bit_for_bit(
+        self, seed, name, mean, cv
+    ):
+        """The written-out draw is the stdlib's, float for float, and
+        leaves its stream where the stdlib would."""
+        streams = RandomStreams(seed)
+        sampler = streams.lognormal_sampler(name, mean, cv)
+        reference = RandomStreams(seed).stream(name)
+        sigma2 = math.log(1.0 + cv * cv)
+        mu, sigma = math.log(mean) - sigma2 / 2.0, math.sqrt(sigma2)
+        for _ in range(200):
+            assert sampler().hex() == reference.lognormvariate(mu, sigma).hex()
+        assert streams.stream(name).getstate() == reference.getstate()
+        assert streams.lognormal_sampler(name, mean, 0.0)() == mean
 
     def test_lognormal_mean_converges(self):
         streams = RandomStreams(11)

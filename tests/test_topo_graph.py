@@ -85,6 +85,11 @@ class TestLookup:
     def test_neighbors_sorted(self, square):
         assert square.neighbors("N0") == ["N1", "N2", "N3"]
 
+    def test_adjacent_is_the_unsorted_neighbor_set(self, square):
+        assert sorted(square.adjacent("N0")) == square.neighbors("N0")
+        with pytest.raises(TopologyError):
+            square.adjacent("ghost")
+
     def test_degree(self, square):
         assert square.degree("N0") == 3
         assert square.degree("N1") == 2

@@ -128,8 +128,8 @@ class MetricsRegistry:
 
         Counters verbatim; histograms as summary dicts (count / mean /
         min / p50 / p95 / max); gauges sampled now.  A gauge whose
-        callable raises is reported as ``None`` rather than poisoning
-        the snapshot.
+        callable raises is a bug, and its exception propagates out of
+        the snapshot like any other.
         """
         histograms: Dict[str, Any] = {}
         for name, samples in self._histograms.items():
@@ -143,16 +143,10 @@ class MetricsRegistry:
                 "p99": summary.p99,
                 "max": summary.maximum,
             }
-        gauges: Dict[str, Any] = {}
-        for name, fn in self._gauges.items():
-            try:
-                gauges[name] = fn()
-            except Exception:
-                gauges[name] = None
         return {
             "counters": dict(self._counters),
             "histograms": histograms,
-            "gauges": gauges,
+            "gauges": {name: fn() for name, fn in self._gauges.items()},
         }
 
     def __repr__(self) -> str:

@@ -54,6 +54,9 @@ class DwdmLink:
         #: The owning plant's cut count, which fail() / repair() keep;
         #: None for a link built outside a plant.
         self._tally: Optional[_CutTally] = None
+        #: The owning plant's record of links whose occupancy changed
+        #: (FiberPlant.touched_links); None while nobody reads one.
+        self._touched: Optional[Set[Tuple[str, str]]] = None
         # Gray-failure state: OSNR penalties keyed by cause string (one
         # entry per active degradation, e.g. "osnr-drift:2").  Unlike a
         # cut, a degraded fiber still carries traffic — just with less
@@ -110,6 +113,8 @@ class DwdmLink:
             )
         self._owners[channel] = owner
         self._free_mask &= ~(1 << channel)
+        if self._touched is not None:
+            self._touched.add(self._link.key)
 
     def release(self, channel: int, owner: str) -> None:
         """Darken ``channel``, verifying the caller owns it.
@@ -128,6 +133,8 @@ class DwdmLink:
             )
         del self._owners[channel]
         self._free_mask |= 1 << channel
+        if self._touched is not None:
+            self._touched.add(self._link.key)
 
     def fail(self) -> Set[str]:
         """Cut the fiber; returns the owners whose channels were affected.
@@ -189,6 +196,9 @@ class FiberPlant:
         #: Cut links, counted by their own fail() / repair(): at zero,
         #: liveness queries need not look at any link.
         self._tally = _CutTally()
+        #: Keys of links whose occupancy changed, kept only once
+        #: touched_links() has been asked for.
+        self._touched: Optional[Set[Tuple[str, str]]] = None
         self._links: Dict[Tuple[str, str], DwdmLink] = {
             link.key: self._adopt(link) for link in graph.links
         }
@@ -227,7 +237,23 @@ class FiberPlant:
         """A dark DWDM link whose cuts and repairs this plant counts."""
         dwdm = DwdmLink(link, self._grid)
         dwdm._tally = self._tally
+        dwdm._touched = self._touched
         return dwdm
+
+    def touched_links(self) -> Set[Tuple[str, str]]:
+        """The record of links whose occupancy changed, started on first call.
+
+        From then on every :meth:`DwdmLink.occupy` / ``release`` adds its
+        link's key to the returned set, so it never holds more keys than
+        the plant has links; its reader empties it as it consumes it.
+        There is one record per plant, hence one reader: a shard
+        worker's plant mirror.  Until someone asks, nothing is recorded.
+        """
+        if self._touched is None:
+            self._touched = set()
+            for dwdm in self._links.values():
+                dwdm._touched = self._touched
+        return self._touched
 
     def links_on_path(self, path: List[str]) -> List[DwdmLink]:
         """DWDM link states along a node path."""

@@ -13,10 +13,10 @@ shards over a 3-tier hierarchical topology
 * :mod:`repro.shard.intake` — :class:`ShardIntake`, the placement-round
   queue in front of a :class:`ShardedNetwork`;
 * :mod:`repro.shard.workers` — :class:`ShardWorkerPool`, long-lived
-  plan-RPC worker processes (one per :class:`UnitRecipe`: a unit's
-  graph, handed over by the parent) holding a delta-synced plant
-  mirror: the ``backend="pool"`` planning layer of
-  :class:`ShardedNetwork`.
+  plan-RPC worker processes (one per usable core, each hosting several
+  :class:`UnitRecipe` units: a unit's graph, handed over by the parent)
+  holding delta-synced plant mirrors: the ``backend="pool"`` planning
+  layer of :class:`ShardedNetwork`.
 """
 
 from repro.shard.intake import ShardIntake

@@ -49,25 +49,27 @@ notifications fire in order.
 
 **The pool backend.**  ``backend="pool"`` moves the plan phase into the
 persistent worker processes of :class:`repro.shard.workers.
-ShardWorkerPool` — one long-lived worker per unit, each holding a
-delta-synced mirror of its unit's fiber plant — while
-the controllers stay authoritative for everything stateful: admission,
-claims, sagas, teardown.  The plan phase is one ``call_many`` with one
-``round`` message per *touched* worker: the round number (a new one
-resets the worker's overlay), the unit's requests and, on first contact
-in the round, the occupancy/liveness delta since the worker last heard
-from us.  An idle worker costs no RPC and no plant scan; its delta
-waits.  Because plans depend only on graph + plant + reach — never on
-the equipment pools consumed at claim time — pool outcomes are
-byte-identical to in-process outcomes, which the pool and round
-differential tests pin fingerprint-for-fingerprint.
+ShardWorkerPool` — one long-lived process per usable core, each hosting
+several units, each unit holding a delta-synced mirror of its fiber
+plant — while the controllers stay authoritative for everything
+stateful: admission, claims, sagas, teardown.  The plan phase is one
+``call_many`` with one ``round`` call per *touched* unit, which the pool
+carries as one message per touched process: the round number (a new one
+resets the unit's overlay), the unit's requests as plain tuples and, on
+first contact in the round, the occupancy/liveness delta since the unit
+last heard from us.  The delta looks only at the links the plant
+recorded as touched, not at every link.  An idle unit costs no call and
+no plant work; its delta waits.  Because plans depend only on graph +
+plant + reach — never on the equipment pools consumed at claim time —
+pool outcomes are byte-identical to in-process outcomes, which the pool
+and round differential tests pin fingerprint-for-fingerprint.
 """
 
 from __future__ import annotations
 
 import itertools
 from collections import defaultdict
-from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
 from repro.core.admission import AdmissionControl, CustomerProfile
 from repro.core.connection import Connection, ConnectionKind, ConnectionState
@@ -83,7 +85,12 @@ from repro.fingerprint import outcome_fingerprint, plant_fingerprint  # noqa: F4
 from repro.optical.lightpath import LightpathState
 from repro.optical.wavelength import WavelengthGrid
 from repro.shard.planner import SegmentSpec, ShardPlanner
-from repro.shard.workers import ShardWorkerPool, UnitRecipe
+from repro.shard.workers import (
+    ShardWorkerPool,
+    UnitRecipe,
+    round_items,
+    round_payload,
+)
 from repro.sim.kernel import Simulator
 from repro.sim.process import Process
 from repro.sim.randomness import RandomStreams
@@ -165,28 +172,40 @@ class _PlantMirror:
     syncs only.  ``round`` is the last round the worker opened.  Cut /
     repair RPCs forwarded eagerly (:meth:`ShardedNetwork.cut_fiber`) are
     noted here too, so the next delta doesn't re-send them.
+
+    A link's mask can differ from the acknowledged one only if the plant
+    recorded it as touched (:meth:`~repro.optical.fiber.FiberPlant.
+    touched_links`) since, or if a delta the worker never acknowledged
+    carried it — so those keys are all :meth:`delta` looks at, and its
+    masks equal a scan of every link.
     """
 
-    __slots__ = ("plant", "round", "_masks", "_failed", "_sent")
+    __slots__ = ("plant", "round", "_masks", "_failed", "_touched", "_owed", "_sent")
 
     def __init__(self, plant) -> None:
         self.plant = plant
         self.round = 0
+        #: Acknowledged occupied-channel masks, dark links omitted.
         self._masks: Dict[Tuple[str, str], int] = {}
         self._failed: frozenset = frozenset()
+        self._touched = plant.touched_links()
+        #: Keys an unacknowledged delta looked at — to begin with, the
+        #: links lit before the plant kept a record.
+        self._owed: Set[Tuple[str, str]] = set(plant.occupancy_snapshot())
 
     def delta(self) -> dict:
-        current = self.plant.occupancy_snapshot()
-        failed = frozenset(self.plant.failed_links())
-        masks = {
-            key: mask
-            for key, mask in current.items()
-            if self._masks.get(key, 0) != mask
-        }
-        for key in self._masks:
-            if key not in current:
-                masks[key] = 0
-        self._sent = (current, failed)
+        owed = self._owed
+        owed |= self._touched
+        self._touched.clear()
+        plant = self.plant
+        full = (1 << plant.grid.size) - 1
+        masks = {}
+        for key in owed:
+            mask = full & ~plant.dwdm_link(*key).free_mask()
+            if self._masks.get(key, 0) != mask:
+                masks[key] = mask
+        failed = frozenset(plant.failed_links())
+        self._sent = (masks, failed)
         return {
             "masks": masks,
             "cut": sorted(failed - self._failed),
@@ -195,7 +214,13 @@ class _PlantMirror:
 
     def acknowledged(self, round_no: int) -> None:
         self.round = round_no
-        self._masks, self._failed = self._sent
+        masks, self._failed = self._sent
+        for key, mask in masks.items():
+            if mask:
+                self._masks[key] = mask
+            else:
+                self._masks.pop(key, None)
+        self._owed.clear()
 
     def note_cut(self, key: Tuple[str, str]) -> None:
         self._failed |= {key}
@@ -226,10 +251,9 @@ class ShardedNetwork:
             (region name or :data:`EXPRESS`).  The monolithic twin merges
             them into its single controller.
         pool: An existing :class:`~repro.shard.workers.ShardWorkerPool`
-            to share (workers for this network's recipes are ensured —
-            a recipe names the unit controller's own graph, so no two
-            networks share a worker); by default pool mode spawns and
-            owns its own.
+            to share (this network's recipes are ensured — a recipe
+            names the unit controller's own graph, so no two networks
+            share a unit); by default pool mode spawns and owns its own.
     """
 
     def __init__(
@@ -341,11 +365,10 @@ class ShardedNetwork:
                         self._unit_controller[unit].inventory.plant
                     )
             if pool is None:
-                pool = ShardWorkerPool(recipes=self._mirrors)
+                pool = ShardWorkerPool()
                 self._owns_pool = True
-            else:
-                for recipe in self._mirrors:
-                    pool.ensure(recipe)
+            # One call, so a fresh pool deals every unit before it forks.
+            pool.ensure(*self._mirrors)
             self._pool = pool
 
     # -- pool lifecycle -------------------------------------------------------
@@ -387,19 +410,19 @@ class ShardedNetwork:
     def _plan_on_workers(
         self, batches: Dict[UnitRecipe, List[PlanRequest]]
     ) -> Dict[UnitRecipe, List[BatchPlanItem]]:
-        """One ``round`` message to each worker in ``batches``.
+        """One ``round`` call to each unit in ``batches``.
 
-        A worker not yet contacted in this round also gets its plant
-        delta; its mirror moves on once that worker has replied — also
-        when another worker's reply raises, or a mask that changes back
+        A unit not yet contacted in this round also gets its plant
+        delta; its mirror moves on once that unit has replied — also
+        when another unit's reply raises, or a mask that changes back
         before the next round would never be re-sent to it.
         """
         calls, syncing = [], []
         for recipe, requests in batches.items():
             mirror = self._mirrors[recipe]
-            payload = {"round": self._round_no, "sync": None, "requests": requests}
-            if mirror.round != self._round_no:
-                payload["sync"] = mirror.delta()
+            sync = mirror.delta() if mirror.round != self._round_no else None
+            payload = round_payload(self._round_no, sync, requests)
+            if sync is not None:
                 syncing.append((recipe, mirror, payload))
             calls.append((recipe, "round", payload))
         try:
@@ -408,7 +431,10 @@ class ShardedNetwork:
             for recipe, mirror, payload in syncing:
                 if self._pool.answered(recipe, payload):
                     mirror.acknowledged(self._round_no)
-        return dict(zip(batches, replies))
+        return {
+            recipe: round_items(requests, reply)
+            for (recipe, requests), reply in zip(batches.items(), replies)
+        }
 
     def _build_controller(
         self,

@@ -1,50 +1,66 @@
 """Persistent shard workers: long-lived plan-RPC processes.
 
 The resident planning layer behind ``ShardedNetwork(backend="pool")``:
-one worker process per planning unit stands up an empty fiber plant
-over the unit's graph once, keeps it a warm mirror of the parent's
-plant, and plans the requests each placement round sends it.
+one worker process per usable core hosts several planning units.  Each
+unit stands up an empty fiber plant over its graph once, keeps it a
+warm mirror of the parent's plant, and plans the requests each
+placement round sends it.
 
 * :class:`UnitRecipe` — the unit's name, graph and planning knobs.  It
-  is frozen, hashable, and the pool's worker key: two callers handing
-  over the same graph object share one warm worker.
-* ``_worker_main`` — the worker process loop.  It builds its plant
-  **once**, then serves RPCs over a multiprocessing pipe until told to
-  shut down: ``round`` (one placement round's message: a round number
-  that resets the worker's persistent shadow-claim overlay when it
+  is frozen, hashable, and the pool's unit key: two callers handing
+  over the same graph object share one warm unit.
+* ``_worker_main`` — the worker process loop.  It builds its units
+  **once**, then serves messages over a multiprocessing pipe until told
+  to shut down.  A message is a list of calls, each addressed to one
+  hosted unit, and is answered by one list of ``(tag, result)``:
+  ``round`` (one placement round's message to a unit: a round number
+  that resets the unit's persistent shadow-claim overlay when it
   changes, on first contact in the round the occupancy delta from the
-  parent-side plant mirror, and the unit's request list),
+  parent-side plant mirror, and the unit's requests as plain tuples —
+  see :func:`round_payload` and :func:`round_items`),
   ``cut``/``repair`` (chaos hooks), ``fingerprint`` (structural digest
-  for determinism gates) and ``ping``.
-* :class:`ShardWorkerPool` — the parent-side pool: spawn, RPC fan-out
-  with per-worker FIFO pipelining that always drains every reply,
+  for determinism gates), ``ping``, and ``adopt`` (build one more unit
+  from a recipe that arrived after the fork).
+* :class:`ShardWorkerPool` — the parent-side pool: units dealt onto
+  ``min(units, usable cores)`` processes, a fan-out that costs one
+  message per touched process and always drains every reply,
   journal-based rebuild-and-replay recovery after a crash
-  (:class:`~repro.errors.WorkerCrashed`) for single calls and fan-outs
-  alike, and graceful context-manager shutdown.
+  (:class:`~repro.errors.WorkerCrashed`, which costs every unit of the
+  dead process) for single calls and fan-outs alike, and graceful
+  context-manager shutdown.
 
 **Determinism.**  A plan's outcome depends only on the unit's graph,
 its fiber plant (occupancy bitmasks, link liveness), and the reach
 model — never on equipment pools, which are consumed at claim time in
-the parent.  A worker planning over the parent's graph with a mirrored
+the parent.  A unit planning over the parent's graph with a mirrored
 plant (a ``round`` message's delta-sync) therefore plans
 byte-identically to the in-process engine, with no equipment installed;
 ``tests/test_shard_pool_differential.py`` pins this.  The only planning
-state a worker carries from one RPC to the next is the round's
+state a unit carries from one message to the next is the round's
 :class:`_PlanningRound` (route memo + shadow claims), reset when the
-round number changes — the same lifetime it has in process.
+round number changes — the same lifetime it has in process.  Units
+sharing a process share nothing else, so how they are dealt cannot
+change a plan.
 """
 
 from __future__ import annotations
 
-from collections import deque
+import os
 from dataclasses import dataclass
 from multiprocessing import get_context
-from typing import Any, Deque, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.core.inventory import InventoryDatabase
-from repro.core.rwa import RwaEngine, _PlanningRound
+from repro.core.rwa import (
+    BatchPlanItem,
+    PlanRequest,
+    RwaEngine,
+    RwaPlan,
+    _PlanningRound,
+)
 from repro.errors import ConfigurationError, GriphonError, WorkerCrashed
 from repro.fingerprint import plant_fingerprint
+from repro.optical.lightpath import Segment
 from repro.optical.wavelength import WavelengthGrid
 from repro.topo.graph import NetworkGraph
 
@@ -52,7 +68,7 @@ from repro.topo.graph import NetworkGraph
 #: held only to mirror the parent plant.
 MIRROR_OWNER = "~mirror"
 
-#: RPC ops that mutate worker state and therefore enter the replay
+#: RPC ops that mutate unit state and therefore enter the replay
 #: journal (``round`` for its sync and for the overlay its plans leave,
 #: which the round's next message plans against).
 _MUTATING_OPS = frozenset({"round", "cut", "repair"})
@@ -60,22 +76,31 @@ _MUTATING_OPS = frozenset({"round", "cut", "repair"})
 #: Seconds a worker gets to exit before :func:`_reap` escalates.
 _REAP_TIMEOUT_S = 10.0
 
-#: Seconds a fresh worker gets to report ready.  It only builds an
-#: empty plant over the graph it was handed — no topology generation,
-#: no equipment — so a worker this slow is stuck, not busy.
+#: Seconds a fresh worker gets to report ready.  It only builds empty
+#: plants over the graphs it was handed — no topology generation, no
+#: equipment — so a worker this slow is stuck, not busy.
 _BUILD_TIMEOUT_S = 60.0
 
-#: Seconds a worker gets to answer one RPC.  The slowest, a ``round``
-#: message, is milliseconds of planning (a batch of segment plans over
-#: one unit's plant), so a worker silent this long is stuck, not busy.
+#: Seconds a worker gets to answer one message.  The slowest, a fan-out
+#: of ``round`` calls, is milliseconds of planning (a batch of segment
+#: plans per hosted unit), so a worker silent this long is stuck, not
+#: busy.
 _RPC_TIMEOUT_S = 60.0
+
+
+def _usable_cores() -> int:
+    """The cores this process may run on: the pool's process cap."""
+    affinity = getattr(os, "sched_getaffinity", None)
+    if affinity is None:
+        return os.cpu_count() or 1
+    return len(affinity(0))
 
 
 @dataclass(frozen=True)
 class UnitRecipe:
-    """What a worker plans over: one unit's graph and planning knobs.
+    """What a unit plans over: one graph and the planning knobs.
 
-    The pool keys workers by this recipe: same recipe, same worker, same
+    The pool keys units by this recipe: same recipe, same unit, same
     warm state.  ``graph`` compares and hashes by identity, so a recipe
     names the parent's own graph object, not a topology equal to it.
     ``unit`` is the unit's label (a region name, :data:`~repro.topo.
@@ -86,9 +111,6 @@ class UnitRecipe:
     graph: NetworkGraph
     grid_size: int = 80
     k_paths: int = 4
-
-
-# -- the worker process -------------------------------------------------------
 
 
 def _encode_error(exc: BaseException) -> Tuple[str, str]:
@@ -105,8 +127,83 @@ def _rebuild_error(type_name: str, message: str) -> GriphonError:
     return GriphonError(f"{type_name}: {message}")
 
 
+# -- the round message --------------------------------------------------------
+
+
+def round_payload(
+    round_no: int, sync: Optional[dict], requests: Sequence[PlanRequest]
+) -> dict:
+    """One unit's ``round`` message: its requests travel as plain tuples."""
+    return {
+        "round": round_no,
+        "sync": sync,
+        "requests": [
+            (
+                request.source,
+                request.destination,
+                request.rate_bps,
+                request.excluded_links,
+                request.excluded_nodes,
+            )
+            for request in requests
+        ],
+    }
+
+
+def _compact(items: Sequence[BatchPlanItem]) -> List[tuple]:
+    """A unit's plans as a ``round`` reply carries them."""
+    return [
+        (
+            item.plan.path,
+            [segment.channel for segment in item.plan.segments],
+            item.plan.regen_sites,
+        )
+        if item.plan is not None
+        else (None, _encode_error(item.error), item.contended)
+        for item in items
+    ]
+
+
+def round_items(
+    requests: Sequence[PlanRequest], reply: Sequence[tuple]
+) -> List[BatchPlanItem]:
+    """Rebuild a ``round`` reply around the parent's own requests.
+
+    Segments are cut at the regen sites exactly as ``RwaEngine._assign``
+    cuts them, and errors come back as their original types with their
+    original messages, so each item equals the one the unit planned.
+    """
+    items: List[BatchPlanItem] = []
+    for request, (path, channels, regen_sites) in zip(requests, reply):
+        if path is None:
+            (type_name, message), contended = channels, regen_sites
+            items.append(
+                BatchPlanItem(
+                    request,
+                    error=_rebuild_error(type_name, message),
+                    contended=contended,
+                )
+            )
+            continue
+        cuts = [0, *(path.index(site) for site in regen_sites), len(path) - 1]
+        segments = [
+            Segment(path[start : end + 1], channel)
+            for start, end, channel in zip(cuts, cuts[1:], channels)
+        ]
+        items.append(
+            BatchPlanItem(
+                request,
+                plan=RwaPlan(path, segments, regen_sites, request.rate_bps),
+            )
+        )
+    return items
+
+
+# -- the worker process -------------------------------------------------------
+
+
 class _WorkerState:
-    """Everything one worker holds between RPCs."""
+    """Everything one hosted unit holds between messages."""
 
     def __init__(self, recipe: UnitRecipe) -> None:
         self.unit = recipe.unit
@@ -174,8 +271,11 @@ class _WorkerState:
             sync = payload["sync"]
             if sync is not None:
                 self._apply_sync(sync["masks"], sync["cut"], sync["repair"])
-            return self.rwa.plan_batch(
-                payload["requests"], round_ctx=self.round
+            return _compact(
+                self.rwa.plan_batch(
+                    [PlanRequest(*request) for request in payload["requests"]],
+                    round_ctx=self.round,
+                )
             )
         if op == "cut":
             return sorted(plant.cut_link(payload["a"], payload["b"]))
@@ -189,10 +289,14 @@ class _WorkerState:
         raise ConfigurationError(f"unknown shard-worker op {op!r}")
 
 
-def _worker_main(conn, recipe: UnitRecipe) -> None:
-    """The worker process: build once, serve RPCs until shutdown."""
+def _worker_main(conn, recipes: List[UnitRecipe]) -> None:
+    """The worker process: build its units once, serve until shutdown.
+
+    A message is a list of ``(slot, op, payload)`` calls — ``slot``
+    being the unit's index in this process — or ``None`` to exit.
+    """
     try:
-        state = _WorkerState(recipe)
+        units = [_WorkerState(recipe) for recipe in recipes]
     except BaseException as exc:  # noqa: BLE001 - report, then die
         try:
             conn.send(("fatal", _encode_error(exc)))
@@ -202,21 +306,27 @@ def _worker_main(conn, recipe: UnitRecipe) -> None:
     conn.send(("ready", None))
     while True:
         try:
-            op, payload = conn.recv()
+            message = conn.recv()
         except (EOFError, OSError):
             break
-        if op == "shutdown":
-            conn.send(("ok", None))
+        if message is None:
             break
-        try:
-            result = state.dispatch(op, payload)
-        except Exception as exc:  # noqa: BLE001 - errors are replies
+        replies = []
+        for slot, op, payload in message:
             try:
-                conn.send(("error", _encode_error(exc)))
-            except Exception:  # noqa: BLE001 - parent went away
-                break
-        else:
-            conn.send(("ok", result))
+                if op == "adopt":
+                    units.append(_WorkerState(payload))
+                    result = None
+                else:
+                    result = units[slot].dispatch(op, payload)
+            except Exception as exc:  # noqa: BLE001 - errors are replies
+                replies.append(("error", _encode_error(exc)))
+            else:
+                replies.append(("ok", result))
+        try:
+            conn.send(replies)
+        except OSError:  # the parent went away
+            break
     conn.close()
 
 
@@ -234,36 +344,53 @@ def _reap(process, timeout_s: float) -> None:
     process.join()
 
 
-class _Worker:
+class _Host:
     """Parent-side bookkeeping for one worker process."""
 
-    __slots__ = ("recipe", "process", "conn", "journal", "pending", "failed")
+    __slots__ = ("units", "process", "conn", "failed")
 
-    def __init__(self, recipe, process, conn, journal) -> None:
-        self.recipe = recipe
-        self.process = process
-        self.conn = conn
-        #: Why this worker is condemned: its pipe may hold a reply no
-        #: request will match, so send and receive re-raise until respawn.
+    def __init__(self) -> None:
+        #: The units this process hosts, in slot order.
+        self.units: List[_Unit] = []
+        self.process = None
+        self.conn = None
+        #: Why this process is condemned: its pipe may hold a reply no
+        #: message will match, so send and receive re-raise until respawn.
         self.failed: Optional[WorkerCrashed] = None
-        #: Mutating ops acknowledged by the worker, in order — replayed
-        #: into a fresh process to rebuild identical state after a crash.
-        self.journal: List[Tuple[str, Any]] = journal
-        #: RPCs sent but not yet answered (per-worker FIFO pipeline).
-        self.pending: Deque[Tuple[str, Any]] = deque()
+
+    @property
+    def label(self) -> str:
+        return "+".join(unit.recipe.unit for unit in self.units)
+
+
+class _Unit:
+    """Parent-side bookkeeping for one hosted planning unit."""
+
+    __slots__ = ("recipe", "host", "slot", "journal")
+
+    def __init__(self, recipe: UnitRecipe, host: _Host) -> None:
+        self.recipe = recipe
+        self.host = host
+        #: The unit's index in its process: what a call addresses.
+        self.slot = len(host.units)
+        #: Mutating ops the unit acknowledged, in order — replayed into
+        #: a fresh process to rebuild identical state after a crash.
+        self.journal: List[Tuple[str, Any]] = []
 
 
 class ShardWorkerPool:
-    """Long-lived plan-RPC workers, one per distinct :class:`UnitRecipe`.
+    """Long-lived plan-RPC worker processes hosting :class:`UnitRecipe` units.
 
-    The pool is the resident planning layer: a worker builds its plant
+    The pool is the resident planning layer: a unit builds its plant
     once and keeps its occupancy bitmasks warm across rounds and
-    callers.  Use it as a context manager — ``close()``
-    shuts every worker down gracefully and reaps the processes (no
-    zombies).
+    callers.  The units of the first :meth:`ensure` are dealt onto
+    ``min(units, usable cores)`` processes, so a fan-out costs one pipe
+    round trip per process, however many units it touches.  Use it as a
+    context manager — ``close()`` shuts every process down gracefully
+    and reaps it (no zombies).
 
     Args:
-        recipes: Recipes to spawn eagerly; more join via :meth:`ensure`.
+        recipes: Recipes to host at once; more join via :meth:`ensure`.
         recover: When True, a :class:`~repro.errors.WorkerCrashed` on
             :meth:`call`/:meth:`call_many` triggers automatic
             rebuild-and-replay (:meth:`respawn`) and one retry instead
@@ -273,12 +400,12 @@ class ShardWorkerPool:
     def __init__(
         self, recipes: Iterable[UnitRecipe] = (), recover: bool = False
     ) -> None:
-        self._workers: Dict[UnitRecipe, _Worker] = {}
+        self._units: Dict[UnitRecipe, _Unit] = {}
+        self._hosts: List[_Host] = []
         self._recover = recover
         self._closed = False
         self._ctx = get_context()
-        for recipe in recipes:
-            self.ensure(recipe)
+        self.ensure(*recipes)
 
     # -- lifecycle ------------------------------------------------------------
 
@@ -290,207 +417,269 @@ class ShardWorkerPool:
 
     @property
     def size(self) -> int:
-        """Worker processes currently in the pool."""
-        return len(self._workers)
+        """Planning units the pool hosts (on at most one process per core)."""
+        return len(self._units)
 
     def recipes(self) -> List[UnitRecipe]:
-        """The recipes with a live worker, in spawn order."""
-        return list(self._workers)
+        """The hosted recipes, in the order they were ensured."""
+        return list(self._units)
 
     def process_of(self, recipe: UnitRecipe):
-        """The :class:`multiprocessing.Process` serving ``recipe``."""
-        return self._workers[recipe].process
+        """The :class:`multiprocessing.Process` hosting ``recipe``."""
+        return self._units[recipe].host.process
 
     def answered(self, recipe: UnitRecipe, payload: Any) -> bool:
-        """Whether ``recipe``'s worker replied (an error reply counts) to
+        """Whether ``recipe``'s unit replied (an error reply counts) to
         the mutating RPC carrying ``payload``, so a respawn replays it.
 
-        Only the worker's latest mutating RPC is looked at: ask right
-        after the call, before sending that worker another.
+        Only the unit's latest mutating RPC is looked at: ask right
+        after the call, before sending that unit another.
         """
-        worker = self._workers.get(recipe)
+        unit = self._units.get(recipe)
         return (
-            worker is not None
-            and bool(worker.journal)
-            and worker.journal[-1][1] is payload
+            unit is not None
+            and bool(unit.journal)
+            and unit.journal[-1][1] is payload
         )
 
-    def ensure(self, recipe: UnitRecipe) -> None:
-        """Spawn a worker for ``recipe`` unless one is already live."""
+    def ensure(self, *recipes: UnitRecipe) -> None:
+        """Host every recipe not hosted yet.
+
+        The first call that brings recipes forks the processes and deals
+        the recipes onto them round-robin in argument order, so each
+        process builds its units from memory inherited at the fork.  A
+        recipe that arrives after that is adopted: sent to the process
+        whose turn it is in the same deal.
+        """
         if self._closed:
             raise ConfigurationError("worker pool is closed")
-        if recipe not in self._workers:
-            self._workers[recipe] = self._spawn(recipe)
+        fresh = [
+            recipe for recipe in dict.fromkeys(recipes)
+            if recipe not in self._units
+        ]
+        if not fresh:
+            return
+        if self._hosts:
+            for recipe in fresh:
+                self._adopt(recipe)
+            return
+        hosts = [_Host() for _ in range(min(len(fresh), _usable_cores()))]
+        units = {}
+        for index, recipe in enumerate(fresh):
+            host = hosts[index % len(hosts)]
+            units[recipe] = _Unit(recipe, host)
+            host.units.append(units[recipe])
+        self._spawn(hosts)
+        self._hosts = hosts
+        self._units.update(units)
 
     def close(self, timeout_s: float = _REAP_TIMEOUT_S) -> None:
-        """Shut every worker down and reap the processes.  Idempotent."""
+        """Shut every process down and reap it.  Idempotent."""
         if self._closed:
             return
         self._closed = True
-        for worker in self._workers.values():
-            if worker.process.is_alive():
+        for host in self._hosts:
+            if host.process.is_alive():
                 try:
-                    worker.conn.send(("shutdown", None))
+                    host.conn.send(None)
                 except (BrokenPipeError, OSError):
                     pass
-        for worker in self._workers.values():
-            worker.process.join(timeout=timeout_s)
-            _reap(worker.process, timeout_s)
-            worker.conn.close()
+        for host in self._hosts:
+            host.process.join(timeout=timeout_s)
+            _reap(host.process, timeout_s)
+            host.conn.close()
 
     def respawn(self, recipe: UnitRecipe) -> None:
-        """Replace a (crashed) worker and replay its journal.
+        """Replace the (crashed) process hosting ``recipe`` and replay.
 
-        The journal holds every acknowledged mutating op in order, so
-        the fresh process deterministically reaches the exact state the
-        old one held — including ops that *failed* deterministically
-        (their replay fails identically and is swallowed).  In-flight
-        unacknowledged RPCs are not replayed; the caller re-issues them.
+        The fresh process builds every unit the old one hosted, then
+        replays each unit's journal: every acknowledged mutating op, in
+        order, so each unit deterministically reaches the exact state it
+        held — including ops that *failed* deterministically (their
+        replay fails identically and is dropped).  In-flight
+        unacknowledged calls are not replayed; the caller re-issues them.
         """
-        old = self._workers.pop(recipe)
-        _reap(old.process, _REAP_TIMEOUT_S)
-        old.conn.close()
-        fresh = self._spawn(recipe)
-        self._workers[recipe] = fresh
-        for op, payload in list(old.journal):
-            self._send(fresh, op, payload)
-            try:
-                self._receive(fresh)
-            except WorkerCrashed:
-                raise
-            except GriphonError:
-                pass
+        self._respawn(self._units[recipe].host)
 
-    def _spawn(self, recipe: UnitRecipe) -> _Worker:
-        parent_conn, child_conn = self._ctx.Pipe()
-        process = self._ctx.Process(
-            target=_worker_main,
-            args=(child_conn, recipe),
-            name=f"shard-worker:{recipe.unit}",
-            daemon=True,
-        )
-        process.start()
-        child_conn.close()
-        if not parent_conn.poll(_BUILD_TIMEOUT_S):
-            failure = f"did not come up within {_BUILD_TIMEOUT_S}s"
-        else:
-            try:
-                tag, info = parent_conn.recv()
-            except (EOFError, OSError) as exc:  # died without a word
-                tag, info = "fatal", _encode_error(exc)
-            if tag == "ready":
-                return _Worker(recipe, process, parent_conn, journal=[])
-            failure = f"failed to build: {info[0]}: {info[1]}"
-        # No worker to hand back: reap the process and give up our pipe
-        # end and its sentinel here, or every failed spawn leaks them.
-        _reap(process, _REAP_TIMEOUT_S)
-        process.close()
-        parent_conn.close()
-        raise WorkerCrashed(f"shard worker {recipe.unit!r} {failure}")
+    def _respawn(self, host: _Host) -> None:
+        _reap(host.process, _REAP_TIMEOUT_S)
+        host.conn.close()
+        try:
+            self._spawn([host])
+        except WorkerCrashed:
+            # Nothing is left to host these units: forget them.
+            self._hosts.remove(host)
+            for unit in host.units:
+                del self._units[unit.recipe]
+            raise
+        replay = [
+            (unit.slot, op, payload)
+            for unit in host.units
+            for op, payload in unit.journal
+        ]
+        if replay:
+            self._send(host, replay)
+            self._receive(host)
+
+    def _spawn(self, hosts: List[_Host]) -> None:
+        """Fork a process per host, then wait until each built its units.
+
+        If any does not come up, every one of them is reaped and our pipe
+        end and its sentinel closed here, or a failed spawn leaks them.
+        """
+        for host in hosts:
+            parent_conn, child_conn = self._ctx.Pipe()
+            host.process = self._ctx.Process(
+                target=_worker_main,
+                args=(child_conn, [unit.recipe for unit in host.units]),
+                name=f"shard-worker:{host.label}",
+                daemon=True,
+            )
+            host.process.start()
+            child_conn.close()
+            host.conn = parent_conn
+            host.failed = None
+        for host in hosts:
+            failure = self._ready(host)
+            if failure is not None:
+                for doomed in hosts:
+                    _reap(doomed.process, _REAP_TIMEOUT_S)
+                    doomed.process.close()
+                    doomed.conn.close()
+                raise WorkerCrashed(f"shard worker {host.label!r} {failure}")
+
+    @staticmethod
+    def _ready(host: _Host) -> Optional[str]:
+        """None once ``host`` reports its units built, else why not."""
+        if not host.conn.poll(_BUILD_TIMEOUT_S):
+            return f"did not come up within {_BUILD_TIMEOUT_S}s"
+        try:
+            tag, info = host.conn.recv()
+        except (EOFError, OSError) as exc:  # died without a word
+            tag, info = "fatal", _encode_error(exc)
+        if tag == "ready":
+            return None
+        return f"failed to build: {info[0]}: {info[1]}"
+
+    def _adopt(self, recipe: UnitRecipe) -> None:
+        """Host ``recipe`` in a running process, continuing the deal."""
+        host = self._hosts[len(self._units) % len(self._hosts)]
+        unit = _Unit(recipe, host)
+        self._send(host, [(unit.slot, "adopt", recipe)])
+        [(tag, info)] = self._receive(host)
+        if tag == "error":
+            raise WorkerCrashed(
+                f"shard worker {recipe.unit!r} failed to build: "
+                f"{info[0]}: {info[1]}"
+            )
+        host.units.append(unit)
+        self._units[recipe] = unit
 
     # -- RPC plumbing ---------------------------------------------------------
 
-    def _require(self, recipe: UnitRecipe) -> _Worker:
-        self.ensure(recipe)
-        return self._workers[recipe]
-
-    def _send(self, worker: _Worker, op: str, payload: Any) -> None:
-        if worker.failed is not None:
-            raise worker.failed
+    def _send(self, host: _Host, message: List[Tuple[int, str, Any]]) -> None:
+        if host.failed is not None:
+            raise host.failed
         try:
-            worker.conn.send((op, payload))
+            host.conn.send(message)
         except (BrokenPipeError, OSError) as exc:
-            worker.failed = WorkerCrashed(
-                f"shard worker {worker.recipe.unit!r} died before "
-                f"{op!r} could be sent: {exc}"
+            host.failed = WorkerCrashed(
+                f"shard worker {host.label!r} died before a message could "
+                f"be sent: {exc}"
             )
-            raise worker.failed from None
-        worker.pending.append((op, payload))
+            raise host.failed from None
 
-    def _receive(self, worker: _Worker) -> Any:
-        if worker.failed is not None:
-            raise worker.failed
-        op = worker.pending[0][0] if worker.pending else "?"
+    def _receive(self, host: _Host) -> List[Tuple[str, Any]]:
+        if host.failed is not None:
+            raise host.failed
         try:
-            if not worker.conn.poll(_RPC_TIMEOUT_S):
+            if not host.conn.poll(_RPC_TIMEOUT_S):
                 raise TimeoutError(f"no reply within {_RPC_TIMEOUT_S}s")
-            tag, result = worker.conn.recv()
+            return host.conn.recv()
         except (EOFError, OSError) as exc:
-            # A late reply must never answer a later request: the worker
-            # is condemned, not just this RPC.
-            worker.pending.clear()
-            worker.failed = WorkerCrashed(
-                f"shard worker {worker.recipe.unit!r} lost awaiting the "
-                f"reply to {op!r}: {exc or 'pipe closed'}"
+            # A late reply must never answer a later message: the
+            # process is condemned, not just this message.
+            host.failed = WorkerCrashed(
+                f"shard worker {host.label!r} lost awaiting its reply: "
+                f"{exc or 'pipe closed'}"
             )
-            raise worker.failed from None
-        op, payload = worker.pending.popleft()
-        if op in _MUTATING_OPS:
-            worker.journal.append((op, payload))
-        if tag == "error":
-            raise _rebuild_error(*result)
-        return result
+            raise host.failed from None
 
-    def _reply(self, calls: Sequence[Tuple[UnitRecipe, str, Any]], index: int):
-        """The reply to ``calls[index]``, recovering its worker once:
-        respawn, replay the journal, resend this and the worker's later
-        calls of the fan-out.  Workers share no state, so the others'
-        replies — read before or after — are unaffected."""
-        recipe = calls[index][0]
+    def _answers(
+        self, host: _Host, message: List[Tuple[int, str, Any]]
+    ) -> List[Tuple[str, Any]]:
+        """``host``'s reply to ``message``, recovering the process once:
+        respawn, replay every hosted unit's journal, resend the message.
+        Processes share no state, so the others' replies — read before
+        or after — are unaffected."""
         try:
-            return self._receive(self._workers[recipe])
+            return self._receive(host)
         except WorkerCrashed:
             if not self._recover or self._closed:
                 raise
-        self.respawn(recipe)
-        for again, op, payload in calls[index:]:
-            if again == recipe:
-                self._send(self._workers[recipe], op, payload)
-        return self._receive(self._workers[recipe])
+        self._respawn(host)
+        self._send(host, message)
+        return self._receive(host)
 
     def _exchange(self, calls: Sequence[Tuple[UnitRecipe, str, Any]]) -> List[Any]:
         # Shared by call/call_many so neither runs through the other's
         # public name (callers instrument both and must not count twice).
-        workers = [self._require(recipe) for recipe, _, _ in calls]
-        for worker, (_, op, payload) in zip(workers, calls):
+        self.ensure(*(recipe for recipe, _, _ in calls))
+        messages: Dict[_Host, List[Tuple[int, str, Any]]] = {}
+        indices: Dict[_Host, List[int]] = {}
+        for index, (recipe, op, payload) in enumerate(calls):
+            unit = self._units[recipe]
+            messages.setdefault(unit.host, []).append((unit.slot, op, payload))
+            indices.setdefault(unit.host, []).append(index)
+        for host, message in messages.items():
             try:
-                self._send(worker, op, payload)
+                self._send(host, message)
             except WorkerCrashed:
-                pass  # resurfaces, and is recovered, at this call's reply
-        replies: List[Any] = []
-        errors: List[GriphonError] = []
-        for index in range(len(calls)):
-            # Every reply is read even after an error, or the next RPC to
-            # that worker would be answered by this fan-out's leftovers.
+                pass  # resurfaces, and is recovered, at this host's reply
+        replies: List[Any] = [None] * len(calls)
+        errors: List[Tuple[int, GriphonError]] = []
+        for host, message in messages.items():
+            # Every reply is read even after an error, or the next
+            # message to that process would be answered by this
+            # fan-out's leftovers.
             try:
-                replies.append(self._reply(calls, index))
-            except GriphonError as exc:
-                replies.append(None)
-                errors.append(exc)
+                answers = self._answers(host, message)
+            except WorkerCrashed as exc:
+                errors.append((indices[host][0], exc))
+                continue
+            for index, (slot, op, payload), (tag, result) in zip(
+                indices[host], message, answers
+            ):
+                if op in _MUTATING_OPS:
+                    host.units[slot].journal.append((op, payload))
+                if tag == "error":
+                    errors.append((index, _rebuild_error(*result)))
+                else:
+                    replies[index] = result
         if errors:
-            raise errors[0]
+            raise min(errors, key=lambda error: error[0])[1]
         return replies
 
     # -- public RPC surface ---------------------------------------------------
 
     def call(self, recipe: UnitRecipe, op: str, payload: Any = None) -> Any:
-        """One RPC to one worker; blocks for the reply.
+        """One RPC to one unit; blocks for the reply.
 
         Worker-reported errors are re-raised as their original library
-        types.  With ``recover=True`` a crashed worker is respawned,
-        its journal replayed, and the RPC retried once.
+        types.  With ``recover=True`` a crashed process is respawned,
+        its units' journals replayed, and the RPC retried once.
         """
         return self._exchange([(recipe, op, payload)])[0]
 
     def call_many(
         self, calls: Sequence[Tuple[UnitRecipe, str, Any]]
     ) -> List[Any]:
-        """Fan RPCs out to their workers, then collect replies in order.
+        """Fan RPCs out to their units, then collect replies in order.
 
-        All sends happen before any receive, so calls to *different*
-        workers execute concurrently; calls to the same worker pipeline
-        FIFO through its pipe.  Every reply is read before the first
-        error (in call order) is raised, and crash recovery works per
-        worker exactly as in :meth:`call`.
+        The calls are grouped by process, each unit's in call order, and
+        every touched process gets one message, all sent before any
+        reply is read — so the processes compute concurrently.  Every
+        reply is read before the first error (in call order) is raised,
+        and crash recovery works per process exactly as in :meth:`call`.
         """
         return self._exchange(list(calls))

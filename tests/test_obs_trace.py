@@ -154,13 +154,17 @@ class TestMetricsRegistry:
         reg = MetricsRegistry()
         reg.inc("n")
         reg.observe("h", 1.5)
-        reg.register_gauge("broken", lambda: 1 / 0)
+        reg.register_gauge("depth", lambda: 3)
         snap = reg.snapshot()
         assert snap["counters"] == {"n": 1.0}
         assert snap["histograms"]["h"]["count"] == 1
         assert snap["histograms"]["h"]["mean"] == 1.5
-        assert snap["gauges"]["broken"] is None
+        assert snap["gauges"] == {"depth": 3}
         json.dumps(snap)  # must be JSON-serializable
+        # A gauge that raises is a bug: it surfaces, it is not read as None.
+        reg.register_gauge("broken", lambda: 1 / 0)
+        with pytest.raises(ZeroDivisionError):
+            reg.snapshot()
 
     def test_span_type_exported(self):
         # The public surface used by instrumentation sites.

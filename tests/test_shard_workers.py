@@ -1,52 +1,80 @@
-"""The persistent shard worker pool: RPC parity, lifecycle, recovery.
+"""The persistent shard worker pool: RPC parity, hosting, lifecycle, recovery.
 
-Every RPC a :class:`~repro.shard.workers.ShardWorkerPool` worker serves
+Every RPC a :class:`~repro.shard.workers.ShardWorkerPool` unit serves
 is checked against a local twin built from the same
 :class:`~repro.shard.workers.UnitRecipe` — same plans, same plant
-fingerprints after a ``round`` message's sync — because the worker IS
-just an RWA engine over the recipe's graph behind a pipe.  Lifecycle tests
-pin the guarantees the resident layer depends on: context-manager close
+fingerprints after a ``round`` message's sync — because a unit IS just
+an RWA engine over the recipe's graph behind a pipe.  Hosting tests pin
+how units are dealt onto ``min(units, usable cores)`` processes — the
+core count is patched, so no test depends on the host — and that a
+fan-out costs one pipe write per touched process.  Lifecycle tests pin
+the guarantees the resident layer depends on: context-manager close
 reaps every process (no zombies), a failed spawn leaks no descriptor, a
-killed worker surfaces as the typed
-:class:`~repro.errors.WorkerCrashed`, and journal replay rebuilds a
-crashed worker into byte-identical state.
+killed process surfaces as the typed :class:`~repro.errors.WorkerCrashed`
+for every unit it hosts, and journal replay rebuilds each of them into
+byte-identical state.
 """
 
 import dataclasses
 import gc
 import multiprocessing
 import os
+import pickle
 import random
 import signal
+from multiprocessing.connection import Connection
 
 import pytest
 
 from repro.core.admission import CustomerProfile
 from repro.core.inventory import InventoryDatabase
 from repro.core.rwa import PlanRequest, RwaEngine
-from repro.errors import ConfigurationError, WorkerCrashed
+from repro.errors import (
+    ConfigurationError,
+    NoPathError,
+    TopologyError,
+    WavelengthBlockedError,
+    WorkerCrashed,
+)
 from repro.fingerprint import outcome_fingerprint, plant_fingerprint
 from repro.optical.wavelength import WavelengthGrid
 from repro.shard import workers as shard_workers
 from repro.shard.network import _PlantMirror, build_sharded_network
-from repro.shard.workers import ShardWorkerPool, UnitRecipe
-from repro.topo.hierarchy import build_hierarchy
+from repro.shard.workers import (
+    ShardWorkerPool,
+    UnitRecipe,
+    round_items,
+    round_payload,
+)
+from repro.topo import Link, NetworkGraph, Node
+from repro.topo.hierarchy import EXPRESS, build_hierarchy
 from repro.units import GBPS
 
 _HIERARCHY = build_hierarchy(seed=3, regions=2, pops_per_region=5)
 RECIPE = UnitRecipe("R00", _HIERARCHY.region_graph("R00"))
 OTHER = UnitRecipe("R01", _HIERARCHY.region_graph("R01"))
+EXPRESS_RECIPE = UnitRecipe(EXPRESS, _HIERARCHY.express_graph())
+
+
+def _cores(monkeypatch, count):
+    """Cap the pool at ``count`` processes, whatever the host has."""
+    monkeypatch.setattr(shard_workers, "_usable_cores", lambda: count)
+
+
+@pytest.fixture
+def one_core(monkeypatch):
+    _cores(monkeypatch, 1)
 
 
 class _Twin:
-    """The parent-side copy of what a worker builds from ``RECIPE``."""
+    """The parent-side copy of what a unit builds from ``recipe``."""
 
-    def __init__(self):
-        self.graph = RECIPE.graph
+    def __init__(self, recipe=RECIPE):
+        self.graph = recipe.graph
         self.inventory = InventoryDatabase(
-            RECIPE.graph, WavelengthGrid(RECIPE.grid_size)
+            recipe.graph, WavelengthGrid(recipe.grid_size)
         )
-        self.rwa = RwaEngine(self.inventory, k_paths=RECIPE.k_paths)
+        self.rwa = RwaEngine(self.inventory, k_paths=recipe.k_paths)
 
 
 def _plan_shape(plan):
@@ -68,8 +96,12 @@ def _requests(unit, count=6, salt=0):
 
 def _round(number, requests=(), sync=None):
     """One placement round's message, as ``ShardedNetwork`` sends it."""
-    payload = {"round": number, "sync": sync, "requests": list(requests)}
-    return "round", payload
+    return "round", round_payload(number, sync, requests)
+
+
+def _planned(pool, recipe, number, requests=(), sync=None):
+    """Send ``recipe`` one ``round`` message; its reply as plan items."""
+    return round_items(requests, pool.call(recipe, *_round(number, requests, sync)))
 
 
 def _channels(unit, plan):
@@ -94,10 +126,18 @@ def _land(unit, items):
                 link.occupy(channel, f"t-{seq}")
 
 
+def _hosted(pool):
+    """The pool's processes, each with the recipes it hosts."""
+    hosted = {}
+    for recipe in pool.recipes():
+        hosted.setdefault(pool.process_of(recipe), []).append(recipe)
+    return list(hosted.values())
+
+
 class TestRecipe:
     def test_recipe_is_the_pool_key(self):
         twin = UnitRecipe("R00", RECIPE.graph)
-        # The same graph object: equal, so two callers share a worker.
+        # The same graph object: equal, so two callers share a unit.
         assert twin is not RECIPE and twin == RECIPE
         assert hash(twin) == hash(RECIPE)
         assert {RECIPE: "worker"}[twin] == "worker"
@@ -120,7 +160,7 @@ class TestRecipe:
             shapes = [
                 [
                     _plan_shape(i.plan)
-                    for i in pool.call(RECIPE, *_round(1, requests))
+                    for i in _planned(pool, RECIPE, 1, requests)
                     if i.ok
                 ]
                 for pool in (one, two)
@@ -133,13 +173,146 @@ class TestRecipe:
         assert shapes[0] == shapes[1] == local and local
 
 
+class TestHosting:
+    """Units dealt onto processes: as many as the cores, never more."""
+
+    @pytest.mark.parametrize(
+        "cores, deal",
+        [
+            (1, [[RECIPE, OTHER, EXPRESS_RECIPE]]),
+            (2, [[RECIPE, EXPRESS_RECIPE], [OTHER]]),
+            (8, [[RECIPE], [OTHER], [EXPRESS_RECIPE]]),
+        ],
+    )
+    def test_units_are_dealt_round_robin_up_to_the_core_count(
+        self, cores, deal, monkeypatch
+    ):
+        _cores(monkeypatch, cores)
+        with ShardWorkerPool([RECIPE, OTHER, EXPRESS_RECIPE]) as pool:
+            assert _hosted(pool) == deal
+            assert len(multiprocessing.active_children()) == len(deal)
+            assert pool.size == 3
+            assert pool.call_many(
+                [(recipe, "ping", None) for recipe in pool.recipes()]
+            ) == ["pong"] * 3
+        assert multiprocessing.active_children() == []
+
+    def test_a_late_recipe_is_adopted_without_a_fork(self, monkeypatch):
+        _cores(monkeypatch, 2)
+        late = UnitRecipe("R00", _HIERARCHY.region_graph("R00"))
+        requests = _requests(late)
+        with ShardWorkerPool([RECIPE, OTHER]) as pool:
+            pool.ensure(late)
+            # The deal continues where it stopped: the third unit joins
+            # the first process, and no process is added.
+            assert _hosted(pool) == [[RECIPE, late], [OTHER]]
+            assert len(multiprocessing.active_children()) == 2
+            remote = _planned(pool, late, 1, requests)
+        local = _Twin(late).rwa.plan_batch(requests)
+        assert [i.ok for i in remote] == [i.ok for i in local]
+        assert [_plan_shape(i.plan) for i in remote if i.ok] == [
+            _plan_shape(i.plan) for i in local if i.ok
+        ]
+        assert any(i.ok for i in local)
+
+    def test_one_pipe_write_per_touched_process_per_fan_out(self, monkeypatch):
+        _cores(monkeypatch, 2)
+        fresh = UnitRecipe("R00", _HIERARCHY.region_graph("R00"))
+        recipes = [RECIPE, OTHER, EXPRESS_RECIPE, fresh]
+        writes = []
+        send = Connection.send
+
+        def counted(conn, obj):
+            writes.append(conn)
+            return send(conn, obj)
+
+        with ShardWorkerPool(recipes) as pool:
+            assert _hosted(pool) == [[RECIPE, EXPRESS_RECIPE], [OTHER, fresh]]
+            monkeypatch.setattr(Connection, "send", counted)
+            # Every unit, one of them twice: one write to each process.
+            replies = pool.call_many(
+                [(r, *_round(1, _requests(r, 3))) for r in recipes]
+                + [(OTHER, "ping", None)]
+            )
+            assert len(writes) == 2 and writes[0] is not writes[1]
+            assert replies[-1] == "pong" and all(
+                len(reply) == 3 for reply in replies[:-1]
+            )
+            # Two units of one process: one write.
+            writes.clear()
+            assert pool.call_many(
+                [(EXPRESS_RECIPE, "ping", None), (RECIPE, "ping", None)]
+            ) == ["pong", "pong"]
+            assert len(writes) == 1
+            writes.clear()
+            pool.call(fresh, "ping")
+            assert len(writes) == 1
+
+
+def _chain():
+    """A-B-C-D-E at 1,000 km a hop (A to E regenerates), E-Y at 3,000 km
+    (beyond the 10G reach), X with no link at all; two channels."""
+    graph = NetworkGraph()
+    for name in "ABCDEXY":
+        graph.add_node(Node(name))
+    for a, b, km in (
+        ("A", "B", 1000.0),
+        ("B", "C", 1000.0),
+        ("C", "D", 1000.0),
+        ("D", "E", 1000.0),
+        ("E", "Y", 3000.0),
+    ):
+        graph.add_link(Link(a, b, km))
+    return UnitRecipe("chain", graph, grid_size=2)
+
+
+class TestRoundReply:
+    def test_reply_round_trip_rebuilds_the_units_own_plans(self):
+        recipe = _chain()
+        requests = [
+            PlanRequest(a, b, 10 * GBPS)
+            for a, b in (
+                ("A", "E"), ("A", "E"), ("A", "E"), ("B", "C"),
+                ("A", "A"), ("A", "X"), ("A", "NOPE"), ("D", "Y"),
+            )
+        ]
+        expected = shard_workers._WorkerState(recipe).rwa.plan_batch(requests)
+        reply = shard_workers._WorkerState(recipe).dispatch(
+            "round", round_payload(1, None, requests)
+        )
+        rebuilt = round_items(requests, pickle.loads(pickle.dumps(reply)))
+        assert all(got.request is sent for got, sent in zip(rebuilt, requests))
+        assert len(rebuilt) == len(expected)
+        for got, want in zip(rebuilt, expected):
+            # Path, segment nodes and channels, regen sites and rate.
+            assert got.plan == want.plan
+            assert (type(got.error), str(got.error), got.contended) == (
+                type(want.error), str(want.error), want.contended
+            )
+        plans = [item.plan for item in expected if item.ok]
+        assert [[s.nodes for s in plan.segments] for plan in plans] == [
+            [["A", "B", "C"], ["C", "D", "E"]]
+        ] * 2
+        assert [plan.regen_sites for plan in plans] == [["C"], ["C"]]
+        assert [
+            (type(item.error), item.contended) for item in expected if not item.ok
+        ] == [
+            (WavelengthBlockedError, True),
+            (WavelengthBlockedError, True),
+            (ConfigurationError, False),
+            (NoPathError, False),
+            (TopologyError, False),
+            (WavelengthBlockedError, False),
+        ]
+
+
 class TestWorkerRpcParity:
     def test_plan_commit_release_match_local_twin(self):
         local = _Twin()
         mirror = _PlantMirror(local.inventory.plant)
         requests = _requests(local)
         with ShardWorkerPool([RECIPE]) as pool:
-            remote = pool.call(RECIPE, *_round(1, requests, mirror.delta()))
+            remote = _planned(pool, RECIPE, 1, requests, mirror.delta())
             mirror.acknowledged(1)
             items = local.rwa.plan_batch(requests)
             assert [i.ok for i in remote] == [i.ok for i in items]
@@ -203,18 +376,22 @@ class TestWorkerRpcParity:
                 pool.call(RECIPE, op, {"params": {}})
             assert pool.call(RECIPE, "ping") == "pong"
 
-    def test_fan_out_drains_every_reply_before_raising(self):
-        with ShardWorkerPool([RECIPE, OTHER]) as pool:
-            with pytest.raises(ConfigurationError, match="unknown"):
-                pool.call_many(
-                    [(RECIPE, "frobnicate", None), (OTHER, "ping", None)]
-                )
-            # OTHER's "pong" was read, not left to answer the next RPC.
-            assert "state" in pool.call(OTHER, "fingerprint")
-            assert pool.call(OTHER, "ping") == "pong"
-            assert pool.call_many(
-                [(OTHER, "ping", None), (RECIPE, "ping", None)]
-            ) == ["pong", "pong"]
+    def test_fan_out_drains_every_reply_before_raising(self, monkeypatch):
+        # Co-hosted (one core) and on separate processes (two cores).
+        for cores in (1, 2):
+            _cores(monkeypatch, cores)
+            with ShardWorkerPool([RECIPE, OTHER]) as pool:
+                assert len(_hosted(pool)) == cores
+                with pytest.raises(ConfigurationError, match="unknown"):
+                    pool.call_many(
+                        [(RECIPE, "frobnicate", None), (OTHER, "ping", None)]
+                    )
+                # OTHER's "pong" was read, not left to answer the next RPC.
+                assert "state" in pool.call(OTHER, "fingerprint")
+                assert pool.call(OTHER, "ping") == "pong"
+                assert pool.call_many(
+                    [(OTHER, "ping", None), (RECIPE, "ping", None)]
+                ) == ["pong", "pong"]
 
     @pytest.mark.parametrize("recover", [False, True])
     def test_late_reply_never_answers_a_later_request(self, recover, monkeypatch):
@@ -257,7 +434,7 @@ class TestLifecycle:
         with ShardWorkerPool() as pool:
             pool.ensure(RECIPE)
             process = pool.process_of(RECIPE)
-            pool.ensure(RECIPE)
+            pool.ensure(RECIPE, RECIPE)
             assert pool.size == 1
             assert pool.process_of(RECIPE) is process
 
@@ -267,7 +444,8 @@ class TestLifecycle:
         with pytest.raises(ConfigurationError, match="closed"):
             pool.call(RECIPE, "ping")
 
-    def test_failed_spawn_leaks_no_descriptor_or_child(self):
+    def test_failed_spawn_leaks_no_descriptor_or_child(self, monkeypatch):
+        _cores(monkeypatch, 2)
         bad = dataclasses.replace(RECIPE, grid_size=0)  # unit cannot build
         # Earlier tests' raised errors keep dead workers' process handles
         # in traceback cycles; they are not this test's descriptors.
@@ -275,17 +453,19 @@ class TestLifecycle:
         before = _open_fds()
         # Kept, tracebacks and all: the frames must not be what closes
         # the pipe (a caller that logs the error holds them just so).
+        # With [OTHER, bad] the process that did come up is reaped too.
         raised = []
-        for _ in range(3):
+        for recipes in ([bad], [bad], [OTHER, bad]):
             with pytest.raises(WorkerCrashed, match="failed to build") as exc:
-                ShardWorkerPool([bad])
+                ShardWorkerPool(recipes)
             raised.append(exc)
         assert _open_fds() == before
+        assert multiprocessing.active_children() == []
         with ShardWorkerPool([RECIPE]) as pool:
             held = _open_fds()
             with pytest.raises(WorkerCrashed, match="grid size"):
                 pool.ensure(bad)
-            # The pool neither adopted the dead worker nor lost the good one.
+            # The pool neither adopted the unit nor lost the good one.
             assert pool.recipes() == [RECIPE] and _open_fds() == held
             assert pool.call(RECIPE, "ping") == "pong"
         assert multiprocessing.active_children() == []
@@ -315,10 +495,13 @@ class _DeafProcess:
 
 
 class TestCrashRecovery:
+    """A killed process takes every unit it hosts; all of them come back."""
+
     def test_respawn_kills_a_worker_that_ignores_sigterm(self):
         with ShardWorkerPool([RECIPE]) as pool:
             real = pool.process_of(RECIPE)
-            deaf = pool._workers[RECIPE].process = _DeafProcess()
+            host = pool._units[RECIPE].host
+            deaf = host.process = _DeafProcess()
             try:
                 pool.respawn(RECIPE)
             finally:
@@ -327,63 +510,73 @@ class TestCrashRecovery:
             assert deaf.calls == ["terminate", "join", "kill", "join"]
             assert pool.call(RECIPE, "ping") == "pong"
 
-    def _mutate(self, pool, local):
-        """The same mutating history on a pool worker and its local twin:
+    def _mutate(self, pool, local, recipe=RECIPE):
+        """The same mutating history on a pool unit and its local twin:
         a round that plans, the claims synced by the next, then a cut."""
         mirror = _PlantMirror(local.inventory.plant)
         requests = _requests(local)
         items = local.rwa.plan_batch(requests)
-        pool.call(RECIPE, *_round(1, requests, mirror.delta()))
+        pool.call(recipe, *_round(1, requests, mirror.delta()))
         mirror.acknowledged(1)
         _land(local, items)
-        pool.call(RECIPE, *_round(2, sync=mirror.delta()))
+        pool.call(recipe, *_round(2, sync=mirror.delta()))
         item = next(i for i in items if i.ok)
         a, b = item.plan.path[0], item.plan.path[1]
-        pool.call(RECIPE, "cut", {"a": a, "b": b})
+        pool.call(recipe, "cut", {"a": a, "b": b})
         local.inventory.plant.cut_link(a, b)
 
-    def test_crash_raises_typed_error(self):
-        with ShardWorkerPool([RECIPE]) as pool:
+    def test_crash_raises_typed_error(self, one_core):
+        with ShardWorkerPool([RECIPE, OTHER]) as pool:
+            assert _hosted(pool) == [[RECIPE, OTHER]]
             pool.process_of(RECIPE).kill()
-            with pytest.raises(WorkerCrashed):
-                pool.call(RECIPE, "ping")
+            for recipe in (RECIPE, OTHER):
+                with pytest.raises(WorkerCrashed):
+                    pool.call(recipe, "ping")
 
-    def test_rebuild_and_replay_restores_exact_state(self):
-        with ShardWorkerPool([RECIPE]) as pool, ShardWorkerPool(
-            [RECIPE]
+    def test_rebuild_and_replay_restores_exact_state(self, one_core):
+        recipes = [RECIPE, OTHER]
+        with ShardWorkerPool(recipes) as pool, ShardWorkerPool(
+            recipes
         ) as control:
-            local = _Twin()
-            self._mutate(pool, local)
-            self._mutate(control, _Twin())
-            pool.process_of(RECIPE).kill()
-            pool.process_of(RECIPE).join()
+            twins = {recipe: _Twin(recipe) for recipe in recipes}
+            for recipe in recipes:
+                self._mutate(pool, twins[recipe], recipe)
+                self._mutate(control, _Twin(recipe), recipe)
+            crashed = pool.process_of(RECIPE)
+            crashed.kill()
+            crashed.join()
             pool.respawn(RECIPE)
-            # The replayed worker matches the never-crashed control (and
-            # the parent-side twin) on plant state...
-            fingerprint = pool.call(RECIPE, "fingerprint")
-            assert fingerprint == control.call(RECIPE, "fingerprint")
-            assert fingerprint["state"] == plant_fingerprint(
-                local.inventory.plant
-            )
-            # ...and plans the next round identically.
-            message = _round(3, _requests(local, salt=1))
-            replayed = pool.call(RECIPE, *message)
-            expected = control.call(RECIPE, *message)
-            assert [i.ok for i in replayed] == [i.ok for i in expected]
-            assert [
-                _plan_shape(i.plan) for i in replayed if i.ok
-            ] == [_plan_shape(i.plan) for i in expected if i.ok]
-            assert any(i.ok for i in expected)
+            assert pool.process_of(OTHER) is pool.process_of(RECIPE)
+            assert pool.process_of(RECIPE) is not crashed
+            for recipe in recipes:
+                # Each replayed unit matches the never-crashed control
+                # (and the parent-side twin) on plant state...
+                fingerprint = pool.call(recipe, "fingerprint")
+                assert fingerprint == control.call(recipe, "fingerprint")
+                assert fingerprint["state"] == plant_fingerprint(
+                    twins[recipe].inventory.plant
+                )
+                # ...and plans the next round identically.
+                message = _round(3, _requests(recipe, salt=1))
+                expected = control.call(recipe, *message)
+                assert pool.call(recipe, *message) == expected
+                assert any(path is not None for path, _, _ in expected)
 
-    def test_auto_recover_is_transparent(self):
-        with ShardWorkerPool([RECIPE], recover=True) as pool:
-            local = _Twin()
-            self._mutate(pool, local)
+    def test_auto_recover_is_transparent(self, one_core):
+        recipes = [RECIPE, OTHER]
+        with ShardWorkerPool(recipes, recover=True) as pool:
+            twins = {recipe: _Twin(recipe) for recipe in recipes}
+            for recipe in recipes:
+                self._mutate(pool, twins[recipe], recipe)
             pool.process_of(RECIPE).kill()
-            # recover=True: the call respawns, replays, and answers.
-            fp = pool.call(RECIPE, "fingerprint")
-            assert fp["state"] == plant_fingerprint(local.inventory.plant)
-
+            # recover=True: the fan-out respawns, replays, and answers.
+            fingerprints = pool.call_many(
+                [(recipe, "fingerprint", None) for recipe in recipes]
+            )
+        assert [fp["state"] for fp in fingerprints] == [
+            plant_fingerprint(twins[recipe].inventory.plant)
+            for recipe in recipes
+        ]
 
     def _round_history(self):
         """Three placement rounds' worth of journaled ops on RECIPE.
@@ -412,27 +605,28 @@ class TestCrashRecovery:
         probes = [_round(3, third), _round(4, third, sync({}))]
         return history, probes
 
-    def test_round_op_replays_at_every_journal_index(self):
+    def test_round_op_replays_at_every_journal_index(self, one_core):
         history, probes = self._round_history()
+        neighbour = ("cut", {"a": "R01-P00", "b": "R01-P01"})
 
         def finish(pool, ops):
             for op, payload in ops:
                 pool.call(RECIPE, op, payload)
-            fingerprint = pool.call(RECIPE, "fingerprint")
-            plans = [
-                [
-                    _plan_shape(item.plan) if item.ok else str(item.error)
-                    for item in pool.call(RECIPE, op, payload)
-                ]
-                for op, payload in probes
+            fingerprints = pool.call_many(
+                [(RECIPE, "fingerprint", None), (OTHER, "fingerprint", None)]
+            )
+            return fingerprints, [
+                pool.call(RECIPE, op, payload) for op, payload in probes
             ]
-            return fingerprint, plans
 
-        with ShardWorkerPool([RECIPE]) as control:
+        with ShardWorkerPool([RECIPE, OTHER]) as control:
+            control.call(OTHER, *neighbour)
             expected = finish(control, history)
-        assert any(isinstance(shape, tuple) for shape in expected[1][0])
+        assert any(path is not None for path, _, _ in expected[1][0])
         for index in range(len(history) + 1):
-            with ShardWorkerPool([RECIPE]) as pool:
+            with ShardWorkerPool([RECIPE, OTHER]) as pool:
+                # OTHER shares the process and has a journal of its own.
+                pool.call(OTHER, *neighbour)
                 for op, payload in history[:index]:
                     pool.call(RECIPE, op, payload)
                 pool.process_of(RECIPE).kill()
@@ -454,7 +648,16 @@ _ROUNDS = [
 
 
 class TestRoundRecovery:
-    """A worker lost around a placement round's message costs nothing."""
+    """A process lost around a placement round's message costs nothing.
+
+    Two processes host the network's four units — R00 with R02, R01 with
+    the express tier — so the victim, R00, always takes a neighbour down
+    with it, and R01 answers from the other process.
+    """
+
+    @pytest.fixture(autouse=True)
+    def _two_processes(self, monkeypatch):
+        _cores(monkeypatch, 2)
 
     @staticmethod
     def _network(pool):
@@ -496,24 +699,31 @@ class TestRoundRecovery:
         return outcome, plants, workers
 
     @staticmethod
-    def _victim(pool):
-        return next(r for r in pool.recipes() if r.unit == "R00")
+    def _unit(pool, name):
+        return next(r for r in pool.recipes() if r.unit == name)
+
+    def _victim(self, pool):
+        victim = self._unit(pool, "R00")
+        assert [r.unit for r in pool.recipes()] == ["R00", "R01", "R02", EXPRESS]
+        assert pool.process_of(victim) is pool.process_of(self._unit(pool, "R02"))
+        return victim
 
     @staticmethod
     def _kill_before_reply(pool, victim):
-        """Arm ``pool`` to lose ``victim`` right after its next ``round``
-        message is sent: stopped first, so it never reads the message."""
+        """Arm ``pool`` to lose ``victim``'s process right after its next
+        ``round`` message is sent: stopped first, so it never reads it."""
         send = pool._send
 
-        def sabotaged(worker, op, payload):
-            if worker.recipe == victim and op == "round":
+        def sabotaged(host, message):
+            hosted = [unit.recipe for unit in host.units]
+            if victim in hosted and message[0][1] == "round":
                 pool._send = send
-                os.kill(worker.process.pid, signal.SIGSTOP)
-                send(worker, op, payload)
-                worker.process.kill()
-                worker.process.join()
+                os.kill(host.process.pid, signal.SIGSTOP)
+                send(host, message)
+                host.process.kill()
+                host.process.join()
             else:
-                send(worker, op, payload)
+                send(host, message)
 
         pool._send = sabotaged
 
@@ -541,7 +751,8 @@ class TestRoundRecovery:
 
     def test_mirror_moves_only_on_acknowledgement(self):
         # No auto-recovery: the round's fan-out raises, and the delta
-        # the dead worker never acknowledged must still be owed to it.
+        # the dead process never acknowledged must still be owed to
+        # both of its units.
         with ShardWorkerPool() as pool:
             net = self._network(pool)
             net.place_orders(_ROUNDS[0])
@@ -560,8 +771,8 @@ class TestRoundRecovery:
         assert multiprocessing.active_children() == []
 
     def test_torn_fan_out_advances_the_mirrors_that_answered(self):
-        # Round 2's fan-out raises for the dead R00 worker, but R01's
-        # worker did take the round's delta: round 1's cross-region
+        # Round 2's fan-out raises for the dead R00 process, but R01's
+        # process did take the round's delta: round 1's cross-region
         # lightpath, lit on R01.  Released before the next round, that
         # channel is dark again on the parent, so only a mirror that
         # knows R01 lit it sends R01 the darkening.
@@ -571,6 +782,9 @@ class TestRoundRecovery:
             net.run()
             assert "R01" in {r["unit"] for r in cross_region.plan_record}
             victim = self._victim(pool)
+            assert pool.process_of(victim) is not pool.process_of(
+                self._unit(pool, "R01")
+            )
             self._kill_before_reply(pool, victim)
             with pytest.raises(WorkerCrashed):
                 net.place_orders(_ROUNDS[1])

@@ -13,7 +13,7 @@ million submissions one coroutine per client would dominate the profile
 
 from __future__ import annotations
 
-from typing import Any, Callable, List
+from typing import Any, Callable, Tuple
 
 from repro.errors import SimulationError
 from repro.sim.kernel import Simulator
@@ -27,6 +27,9 @@ class SimFuture:
     so completion ordering is governed by the kernel's deterministic
     FIFO tiebreak, not by who happened to resolve first in Python call
     depth.
+
+    Callbacks are held in a tuple, so a future nobody follows (every
+    edge refusal's) costs no list, neither created nor resolved.
     """
 
     __slots__ = ("_sim", "_done", "_value", "_callbacks")
@@ -35,7 +38,7 @@ class SimFuture:
         self._sim = sim
         self._done = False
         self._value: Any = None
-        self._callbacks: List[Callable[[Any], None]] = []
+        self._callbacks: Tuple[Callable[[Any], None], ...] = ()
 
     @property
     def done(self) -> bool:
@@ -62,7 +65,7 @@ class SimFuture:
             raise SimulationError("SimFuture already resolved")
         self._done = True
         self._value = value
-        callbacks, self._callbacks = self._callbacks, []
+        callbacks, self._callbacks = self._callbacks, ()
         for callback in callbacks:
             self._sim.schedule(0.0, callback, value, label="future:resolve")
 
@@ -78,4 +81,4 @@ class SimFuture:
                 0.0, callback, self._value, label="future:resolve"
             )
         else:
-            self._callbacks.append(callback)
+            self._callbacks += (callback,)

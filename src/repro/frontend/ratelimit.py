@@ -71,17 +71,27 @@ class BucketSet:
         self.burst = burst
         self._buckets: Dict[str, TokenBucket] = {}
 
-    def bucket(self, tenant: str, now: float) -> TokenBucket:
-        """The tenant's bucket, created full on first touch."""
-        existing = self._buckets.get(tenant)
-        if existing is None:
-            existing = TokenBucket(self.rate, self.burst, now)
-            self._buckets[tenant] = existing
-        return existing
-
     def try_take(self, tenant: str, now: float) -> bool:
-        """Take one token from the tenant's bucket."""
-        return self.bucket(tenant, now).try_take(now)
+        """Take one token from the tenant's bucket (created full on
+        first touch).
+
+        :meth:`TokenBucket.try_take`'s refill and take, inlined: this
+        runs once per submission, so the lookup, the lazy create, the
+        refill and the take share one frame.
+        """
+        bucket = self._buckets.get(tenant)
+        if bucket is None:
+            bucket = self._buckets[tenant] = TokenBucket(
+                self.rate, self.burst, now
+            )
+        elapsed = now - bucket.updated_at
+        if elapsed > 0:
+            bucket.tokens = min(bucket.burst, bucket.tokens + elapsed * bucket.rate)
+            bucket.updated_at = now
+        if bucket.tokens >= 1.0:
+            bucket.tokens -= 1.0
+            return True
+        return False
 
     def __len__(self) -> int:
         return len(self._buckets)

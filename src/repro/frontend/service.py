@@ -31,8 +31,13 @@ the order's terminal :data:`repro.api.OrderOutcome`.
 
 Every decision is counted: ``frontend.submitted`` equals
 ``frontend.admitted + frontend.shed + frontend.throttled`` at all times
-(the conservation law the property tests check), and admitted orders
-that reach service record the ``frontend.order_to_active_s`` histogram.
+(the conservation law the property tests check) — by construction, since
+a submission's total, class, outcome and detail counters move together
+in one :meth:`~repro.obs.registry.MetricsRegistry.inc_each` call.
+Admitted orders that reach service record the
+``frontend.order_to_active_s`` histogram.  An unknown tenant is a
+caller bug: :meth:`BodFrontend.submit` raises before it counts anything,
+spends a request id or materializes a token bucket.
 
 Tenants named in ``premium_tenants`` ride the **premium** priority
 class: their orders are pumped before any standard order and are shed
@@ -46,7 +51,7 @@ from __future__ import annotations
 
 import itertools
 from collections import deque
-from typing import Callable, Deque, Dict, Iterable, List, Optional
+from typing import Callable, Deque, Dict, Iterable, NamedTuple, Optional, Tuple
 
 from repro import api
 from repro.core.admission import AdmissionControl
@@ -68,6 +73,34 @@ STATE_SHEDDING = "shedding"
 #: and shed last: hysteresis shedding refuses only standard traffic;
 #: the hard capacity bound still refuses everyone.
 PRIORITY_CLASSES = ("premium", "standard")
+
+
+class _DecisionCounters(NamedTuple):
+    """One priority class's counter names, per edge decision.
+
+    Each tuple is what one :meth:`MetricsRegistry.inc_each` call bumps:
+    the submission total and class, the outcome and its class, then the
+    detail — the order the counters are first created in.
+    """
+
+    admitted: Tuple[str, ...]
+    shed: Tuple[str, ...]
+    rate_limited: Tuple[str, ...]
+    over_quota: Tuple[str, ...]
+
+    @classmethod
+    def of(cls, level: str) -> "_DecisionCounters":
+        submitted = ("frontend.submitted", f"frontend.submitted.{level}")
+        throttled = submitted + (
+            "frontend.throttled", f"frontend.throttled.{level}"
+        )
+        return cls(
+            admitted=submitted
+            + ("frontend.admitted", f"frontend.admitted.{level}"),
+            shed=submitted + ("frontend.shed", f"frontend.shed.{level}"),
+            rate_limited=throttled + ("frontend.throttled.rate_limit",),
+            over_quota=throttled + ("frontend.throttled.quota",),
+        )
 
 
 class FrontendTicket:
@@ -211,11 +244,14 @@ class BodFrontend:
         self._premium = frozenset(premium_tenants)
         #: Two-level submission queue: the pump always drains premium
         #: first; both levels share the single capacity bound.
-        self._queues: Dict[str, Deque[FrontendTicket]] = {
-            level: deque() for level in PRIORITY_CLASSES
-        }
+        self._premium_queue: Deque[FrontendTicket] = deque()
+        self._standard_queue: Deque[FrontendTicket] = deque()
+        self._premium_counters = _DecisionCounters.of("premium")
+        self._standard_counters = _DecisionCounters.of("standard")
         self._by_order: Dict[str, FrontendTicket] = {}
-        self._listeners: List[Callable[[FrontendTicket, str], None]] = []
+        #: Rebuilt by add_listener, so an emit iterates a snapshot
+        #: without copying it.
+        self._listeners: Tuple[Callable[[FrontendTicket, str], None], ...] = ()
         self._state = STATE_OPEN
         self._seq = itertools.count(1)
         self._proc: Optional[Process] = None
@@ -225,7 +261,7 @@ class BodFrontend:
         )
         self._metrics.register_gauge(
             "frontend.queue_depth.premium",
-            lambda: len(self._queues["premium"]),
+            lambda: len(self._premium_queue),
         )
         self._metrics.register_gauge(
             "frontend.shedding", lambda: int(self._state == STATE_SHEDDING)
@@ -243,7 +279,7 @@ class BodFrontend:
 
     def queue_depth(self) -> int:
         """Admitted orders waiting to be forwarded to the intake."""
-        return sum(len(q) for q in self._queues.values())
+        return len(self._premium_queue) + len(self._standard_queue)
 
     def priority_of(self, tenant: str) -> str:
         """The priority class a tenant's submissions ride in."""
@@ -263,9 +299,10 @@ class BodFrontend:
         ``"rejected"`` (edge refusal), ``"admitted"`` (queued),
         ``"settled"`` (backend intake decision), then ``"active"`` /
         ``"degraded"`` / ``"failed"`` and ``"released"`` as the backend
-        streams them.
+        streams them.  A listener added while an event is being emitted
+        first hears the next one.
         """
-        self._listeners.append(listener)
+        self._listeners += (listener,)
 
     # -- submission ------------------------------------------------------------
 
@@ -285,55 +322,61 @@ class BodFrontend:
 
         Raises:
             AdmissionError: only for an unknown tenant — that is a
-                caller bug, not a load outcome.
+                caller bug, not a load outcome, so nothing is counted,
+                no request id is spent and no bucket is created.
         """
+        self._admission.profile(tenant)
         now = self._sim.now
-        priority = self.priority_of(tenant)
+        if tenant in self._premium:
+            priority = "premium"
+            queue = self._premium_queue
+            counters = self._premium_counters
+        else:
+            priority = "standard"
+            queue = self._standard_queue
+            counters = self._standard_counters
         ticket = FrontendTicket(
-            request_id=f"req-{next(self._seq)}",
-            tenant=tenant,
-            premises_a=premises_a,
-            premises_b=premises_b,
-            rate_bps=rate_bps,
-            kind=kind,
-            submitted_at=now,
-            future=SimFuture(self._sim),
-            priority=priority,
+            f"req-{next(self._seq)}",
+            tenant,
+            premises_a,
+            premises_b,
+            rate_bps,
+            kind,
+            now,
+            SimFuture(self._sim),
+            priority,
         )
-        self._metrics.inc("frontend.submitted")
-        self._metrics.inc(f"frontend.submitted.{priority}")
         # Gate 1: the tenant's own request-rate budget.
         if not self._buckets.try_take(tenant, now):
             return self._reject(
                 ticket,
                 api.REJECT_RATE_LIMIT,
                 f"tenant {tenant!r} exceeded its request rate",
-                "frontend.throttled.rate_limit",
+                counters.rate_limited,
             )
         # Gate 2: non-mutating quota probe — the ledger is untouched,
         # so probing (and refusing) can never double-count quota.
         reason = self._admission.check(tenant, premises_a, premises_b, rate_bps)
         if reason is not None:
             return self._reject(
-                ticket, api.REJECT_QUOTA, reason, "frontend.throttled.quota"
+                ticket, api.REJECT_QUOTA, reason, counters.over_quota
             )
         # Gate 3: backpressure.  The hysteresis keeps shedding until the
         # pump drains the backlog to shed_low; the capacity check is the
         # hard bound underneath it.  Premium traffic is shed last: it
         # rides through hysteresis shedding and is refused only at the
         # hard capacity bound.
-        depth = self.queue_depth()
+        depth = len(self._premium_queue) + len(self._standard_queue)
         shedding = self._state == STATE_SHEDDING and priority != "premium"
         if shedding or depth >= self._capacity:
             return self._reject(
                 ticket,
                 api.REJECT_SHED,
                 f"service is shedding load ({depth} queued)",
-                None,
+                counters.shed,
             )
-        self._metrics.inc("frontend.admitted")
-        self._metrics.inc(f"frontend.admitted.{priority}")
-        self._queues[priority].append(ticket)
+        self._metrics.inc_each(counters.admitted)
+        queue.append(ticket)
         self._update_shed_state()
         self._ensure_pumping()
         self._emit(ticket, "admitted")
@@ -344,24 +387,12 @@ class BodFrontend:
         ticket: FrontendTicket,
         code: str,
         reason: str,
-        detail_counter: Optional[str],
+        counters: Tuple[str, ...],
     ) -> FrontendTicket:
         """Resolve a ticket with a typed edge refusal and count it."""
-        if code == api.REJECT_SHED:
-            self._metrics.inc("frontend.shed")
-            self._metrics.inc(f"frontend.shed.{ticket.priority}")
-        else:
-            self._metrics.inc("frontend.throttled")
-            self._metrics.inc(f"frontend.throttled.{ticket.priority}")
-        if detail_counter is not None:
-            self._metrics.inc(detail_counter)
+        self._metrics.inc_each(counters)
         ticket.future.resolve(
-            api.Rejected(
-                request_id=ticket.request_id,
-                code=code,
-                reason=reason,
-                tenant=ticket.tenant,
-            )
+            api.Rejected(ticket.request_id, code, reason, ticket.tenant)
         )
         self._emit(ticket, "rejected")
         return ticket
@@ -370,7 +401,7 @@ class BodFrontend:
 
     def _update_shed_state(self) -> None:
         """Hysteresis: OPEN -> SHEDDING at shed_high, back at shed_low."""
-        depth = self.queue_depth()
+        depth = len(self._premium_queue) + len(self._standard_queue)
         if self._state == STATE_OPEN and depth >= self._shed_high:
             self._state = STATE_SHEDDING
             self._metrics.inc("frontend.shed_transitions")
@@ -392,13 +423,11 @@ class BodFrontend:
     def _pump(self):
         """Kernel process: forward queued orders while the intake has
         room, always draining the premium level first."""
-        while self.queue_depth():
+        premium, standard = self._premium_queue, self._standard_queue
+        while premium or standard:
             room = self._intake.capacity - self._intake.queue_depth()
-            while room > 0 and self.queue_depth():
-                level = next(
-                    q for q in self._queues.values() if q
-                )
-                ticket = level.popleft()
+            while room > 0 and (premium or standard):
+                ticket = (premium or standard).popleft()
                 order = self._intake.submit(
                     ticket.tenant,
                     ticket.premises_a,
@@ -415,7 +444,7 @@ class BodFrontend:
                     self._finish(ticket)
                 room -= 1
             self._update_shed_state()
-            if self.queue_depth():
+            if premium or standard:
                 yield self._pump_interval
 
     # -- outcome streaming -----------------------------------------------------
@@ -451,5 +480,5 @@ class BodFrontend:
         ticket.future.resolve(outcome)
 
     def _emit(self, ticket: FrontendTicket, event: str) -> None:
-        for listener in list(self._listeners):
+        for listener in self._listeners:
             listener(ticket, event)

@@ -11,11 +11,19 @@ sampled only when a snapshot is taken.  That keeps hot paths (e.g. the
 frontend's admission queue, touched on every submit) free of
 per-operation metric writes — the owner keeps its own state and the
 registry reads it on demand.
+
+Where one decision bumps several counters at once — the frontend counts
+each submission under its total, its priority class, its outcome and
+the outcome's detail — :meth:`MetricsRegistry.inc_each` adds 1.0 to
+every name of a tuple the owner built once, in one call.  The names are
+created in tuple order, so :meth:`~MetricsRegistry.counters` reports
+them exactly as the same names passed to :meth:`~MetricsRegistry.inc`
+one by one would.
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, List, Mapping, Union
+from typing import Any, Callable, Dict, List, Mapping, Tuple, Union
 
 from repro.metrics.collector import Summary, summarize
 
@@ -33,6 +41,12 @@ class MetricsRegistry:
     def inc(self, name: str, amount: float = 1.0) -> None:
         """Increment counter ``name`` by ``amount`` (creating it at 0)."""
         self._counters[name] = self._counters.get(name, 0.0) + amount
+
+    def inc_each(self, names: Tuple[str, ...]) -> None:
+        """Increment every counter in ``names`` by 1.0, in order."""
+        counters = self._counters
+        for name in names:
+            counters[name] = counters.get(name, 0.0) + 1.0
 
     def counter(self, name: str) -> float:
         """Current value of a counter (0.0 if never incremented)."""

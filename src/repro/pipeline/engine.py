@@ -237,7 +237,9 @@ class RoundIntake:
         self._tickets: Dict[str, OrderTicket] = {}
         self._proc: Optional[Process] = None
         self._rounds = 0
-        self._listeners: List[Callable[[OrderTicket, str], None]] = []
+        #: Rebuilt by add_listener, so an emit iterates a snapshot
+        #: without copying it.
+        self._listeners: Tuple[Callable[[OrderTicket, str], None], ...] = ()
         #: record id -> ACCEPTED ticket still owed lifecycle events, and
         #: the record ids whose one setup conclusion was already sent.
         self._accepted: Dict[str, OrderTicket] = {}
@@ -385,12 +387,14 @@ class RoundIntake:
         vocabulary: ``"settled"`` at every terminal intake state, then
         ``"active"`` / ``"degraded"`` / ``"failed"`` when an accepted
         order's setup concludes, and ``"released"`` after teardown.
+        A listener added while an event is being emitted first hears
+        the next one.
         """
-        self._listeners.append(listener)
+        self._listeners += (listener,)
 
     def _emit(self, ticket: OrderTicket, event: str) -> None:
         """Broadcast one ticket lifecycle edge to every listener."""
-        for listener in list(self._listeners):
+        for listener in self._listeners:
             listener(ticket, event)
 
     def _on_backend_event(self, record_id: str, edge: str) -> None:

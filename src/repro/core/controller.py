@@ -1010,9 +1010,12 @@ class GriphonController:
                 lightpath = self.provisioner.claim(plan)
                 lightpaths.append(lightpath)
                 self._lightpath_conn[lightpath.lightpath_id] = owner
+            circuit = None
             for _ in range(circuits_needed):
+                # Every circuit after the first rides its sibling's routes.
                 circuit = self.grooming.claim_circuit(
-                    pop_a, pop_b, ODU_LEVELS["ODU0"], protect=True
+                    pop_a, pop_b, ODU_LEVELS["ODU0"], protect=True,
+                    like=circuit,
                 )
                 circuits.append(circuit)
             for premises in (connection.premises_a, connection.premises_b):

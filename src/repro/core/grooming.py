@@ -15,13 +15,19 @@ baseline, is exactly experiment X3.
 
 from __future__ import annotations
 
-from typing import Callable, FrozenSet, List, Optional, Tuple
+from typing import Callable, List, Optional, Tuple
 
 from repro.core.inventory import InventoryDatabase
-from repro.errors import CapacityExceededError, NoPathError, ResourceError
+from repro.errors import (
+    CapacityExceededError,
+    GriphonError,
+    NoPathError,
+    ResourceError,
+)
 from repro.otn.circuit import OduCircuit
 from repro.otn.line import OtnLine
 from repro.otn.mesh_restoration import SharedMeshProtection
+from repro.topo.graph import Adjacency
 from repro.units import OduLevel
 
 #: Creates a new OTN line between two adjacent switch nodes, or raises
@@ -42,8 +48,8 @@ class GroomingEngine:
         self._inventory = inventory
         self._protection = protection
         self._line_factory = line_factory
-        #: (graph generation, OTN-switch sites, nodes without a switch).
-        self._switchless: Optional[Tuple[int, FrozenSet[str], Tuple[str, ...]]] = None
+        #: (graph generation, switch count, switch-only adjacency).
+        self._adjacency: Optional[Tuple[int, int, Adjacency]] = None
 
     # -- routing -----------------------------------------------------------------
 
@@ -56,33 +62,38 @@ class GroomingEngine:
     ) -> List[str]:
         """Shortest path that stays on nodes hosting OTN switches.
 
+        The search walks only the switch sites: its cost is the route's
+        neighbourhood, never the nodes without a switch.
+
         Raises:
-            NoPathError: if the switch mesh does not connect the endpoints.
+            NoPathError: if an endpoint hosts no OTN switch or the switch
+                mesh does not connect the endpoints.
+            TopologyError: for an endpoint the graph does not know.
         """
-        return self._inventory.graph.shortest_path(
-            source,
-            destination,
-            excluded_links=excluded_links,
-            # shortest_path never bans its own endpoints.
-            excluded_nodes=self._switchless_nodes() + tuple(excluded_nodes),
+        graph = self._inventory.graph
+        adjacency = self._switch_adjacency()
+        for endpoint in (source, destination):
+            if endpoint not in adjacency:
+                graph.node(endpoint)  # TopologyError for an unknown node
+                raise NoPathError(f"no OTN switch at {endpoint!r}")
+        return graph.hop_path_within(
+            adjacency, source, destination, excluded_links, excluded_nodes
         )
 
-    def _switchless_nodes(self) -> Tuple[str, ...]:
-        """Nodes hosting no OTN switch, rebuilt only when that can change."""
+    def _switch_adjacency(self) -> Adjacency:
+        """The graph restricted to OTN-switch sites, rebuilt only when
+        that can change.  The inventory installs switches and never
+        removes one, so the switch count names the site set."""
         graph = self._inventory.graph
-        sites = self._inventory.otn_switches.keys()
-        cached = self._switchless
+        sites = self._inventory.otn_switches
+        cached = self._adjacency
         if (
             cached is None
             or cached[0] != graph.generation
-            or cached[1] != sites
+            or cached[1] != len(sites)
         ):
-            cached = self._switchless = (
-                graph.generation,
-                frozenset(sites),
-                tuple(
-                    node.name for node in graph.nodes if node.name not in sites
-                ),
+            cached = self._adjacency = (
+                graph.generation, len(sites), graph.induced_adjacency(sites)
             )
         return cached[2]
 
@@ -116,18 +127,33 @@ class GroomingEngine:
         destination: str,
         level: OduLevel,
         protect: bool = False,
+        like: Optional[OduCircuit] = None,
     ) -> OduCircuit:
         """Route, pack, and allocate an ODU circuit (bookkeeping only).
 
         Args:
             protect: Also plan a link-disjoint backup path and register
                 it with shared-mesh protection.
+            like: A sibling circuit of the same order, between the same
+                endpoints.  Its working and backup paths are copied
+                instead of searched again: both are pure functions of
+                the topology and the switch sites, neither of which an
+                order's claim changes.
 
         Raises:
             NoPathError / CapacityExceededError: when routing or packing
-                fails; partial slot allocations are rolled back.
+                fails; partial slot allocations are rolled back, and a
+                route that fails takes no circuit id.
         """
-        path = self.switch_path(source, destination)
+        if like is None:
+            path = self.switch_path(source, destination)
+        elif (like.source, like.destination) == (source, destination):
+            path = list(like.path)
+        else:
+            raise ValueError(
+                f"circuit {like.circuit_id} runs {like.source}->"
+                f"{like.destination}, not {source}->{destination}"
+            )
         circuit = OduCircuit(
             self._inventory.next_circuit_id(), level, path
         )
@@ -139,8 +165,10 @@ class GroomingEngine:
                 allocated.append(line)
                 circuit.line_ids.append(line.line_id)
             if protect:
-                self._plan_protection(circuit)
-        except (CapacityExceededError, NoPathError):
+                self._plan_protection(
+                    circuit, None if like is None else like.backup_path
+                )
+        except GriphonError:
             for line in allocated:
                 line.release_owner(circuit.circuit_id)
             raise
@@ -177,21 +205,22 @@ class GroomingEngine:
 
     # -- internals ------------------------------------------------------------
 
-    def _plan_protection(self, circuit: OduCircuit) -> None:
+    def _plan_protection(
+        self, circuit: OduCircuit, sibling_backup: Optional[List[str]]
+    ) -> None:
         if self._protection is None:
             raise CapacityExceededError(
                 "protection requested but no shared-mesh manager configured"
             )
-        working_links = [
-            ((u, v) if u <= v else (v, u))
-            for u, v in zip(circuit.path, circuit.path[1:])
-        ]
-        backup = self.switch_path(
-            circuit.source,
-            circuit.destination,
-            excluded_links=tuple(working_links),
-            excluded_nodes=tuple(circuit.path[1:-1]),
-        )
+        if sibling_backup is not None:
+            backup = list(sibling_backup)
+        else:
+            backup = self.switch_path(
+                circuit.source,
+                circuit.destination,
+                excluded_links=tuple(zip(circuit.path, circuit.path[1:])),
+                excluded_nodes=tuple(circuit.path[1:-1]),
+            )
         backup_line_ids = []
         for u, v in zip(backup, backup[1:]):
             line = self.ensure_line(u, v, circuit.slots_needed)

@@ -91,14 +91,12 @@ class OtnLineReclaimer:
         inventory = controller.inventory
         line = inventory.otn_lines.pop(line_id)
         self._idle_since.pop(line_id, None)
-        # Detach from both switches.
+        # Detach from both switches, so grooming stops offering it.
         for node in (line.a, line.b):
-            switch = inventory.otn_switches.get(node)
-            if switch is not None:
-                switch._lines.pop(line_id, None)
-        # Remove from the shared-mesh manager's capacity view.
-        controller.protection._lines.pop(line_id, None)
-        controller.protection._reserved.pop(line_id, None)
+            inventory.otn_switches[node].detach_line(line_id)
+        # Remove from the shared-mesh manager's capacity view (a swept
+        # line carries no reservation, or it would have been kept busy).
+        controller.protection.remove_line(line_id)
         # Tear the underlying wavelength down (timed workflow).
         lightpath_id = controller._line_lightpath.pop(line_id, None)
         if lightpath_id is not None:

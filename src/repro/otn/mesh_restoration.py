@@ -48,6 +48,22 @@ class SharedMeshProtection:
         self._lines[line.line_id] = line
         self._reserved[line.line_id] = {}
 
+    def remove_line(self, line_id: str) -> OtnLine:
+        """Withdraw a line from the backup capacity; returns it.
+
+        Raises:
+            ConfigurationError: for an unknown id.
+            ResourceError: if the line still carries backup reservations:
+                removing it would strip protection from live circuits.
+        """
+        line = self.line(line_id)
+        if self._reserved[line_id]:
+            raise ResourceError(
+                f"line {line_id} still carries backup reservations"
+            )
+        del self._lines[line_id], self._reserved[line_id]
+        return line
+
     def line(self, line_id: str) -> OtnLine:
         """Look up a managed line.
 

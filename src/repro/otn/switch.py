@@ -26,6 +26,9 @@ class OtnSwitch:
         self.client_port_count = client_port_count
         self._client_owner: Dict[int, str] = {}
         self._lines: Dict[str, OtnLine] = {}
+        # far end -> line id -> line, in attach order: a hop reads only
+        # the lines toward its next node.
+        self._toward: Dict[str, Dict[str, OtnLine]] = {}
 
     # -- client ports -----------------------------------------------------------
 
@@ -92,6 +95,23 @@ class OtnSwitch:
         if line.line_id in self._lines:
             raise ConfigurationError(f"line {line.line_id} already attached")
         self._lines[line.line_id] = line
+        far = line.b if line.a == self.node else line.a
+        self._toward.setdefault(far, {})[line.line_id] = line
+
+    def detach_line(self, line_id: str) -> OtnLine:
+        """Detach an attached line; returns it.
+
+        Raises:
+            ConfigurationError: if no line with this id is attached.
+        """
+        line = self._lines.pop(line_id, None)
+        if line is None:
+            raise ConfigurationError(
+                f"line {line_id} is not attached at {self.node}"
+            )
+        far = line.b if line.a == self.node else line.a
+        del self._toward[far][line_id]
+        return line
 
     @property
     def lines(self) -> List[OtnLine]:
@@ -99,14 +119,8 @@ class OtnSwitch:
         return list(self._lines.values())
 
     def lines_toward(self, neighbor: str) -> List[OtnLine]:
-        """Attached lines whose far end is ``neighbor``."""
-        return [
-            line
-            for line in self._lines.values()
-            if neighbor in (line.a, line.b) and line.a != line.b
-            and self.node in (line.a, line.b)
-            and (line.a == neighbor or line.b == neighbor)
-        ]
+        """Attached lines whose far end is ``neighbor``, in attach order."""
+        return list(self._toward.get(neighbor, {}).values())
 
     def best_line_toward(
         self, neighbor: str, slots_needed: int
@@ -115,16 +129,22 @@ class OtnSwitch:
 
         Best-fit packing concentrates circuits on already-used wavelengths,
         which is exactly the packing efficiency the paper credits the OTN
-        layer with (§2.1).  Returns ``None`` if no line fits.
+        layer with (§2.1).  Ties in fill go to the larger line id; the
+        pair is unique, so the pick is independent of attach order.
+        Returns ``None`` if no line fits.
         """
-        candidates = [
-            line
-            for line in self.lines_toward(neighbor)
-            if not line.failed and line.free_slot_count() >= slots_needed
-        ]
-        if not candidates:
+        bucket = self._toward.get(neighbor)
+        if not bucket:
             return None
-        return max(candidates, key=lambda line: (line.utilization(), line.line_id))
+        best: Optional[OtnLine] = None
+        best_key = None
+        for line in bucket.values():
+            if line.failed or line.free_slot_count() < slots_needed:
+                continue
+            key = (line.utilization(), line.line_id)
+            if best is None or key > best_key:
+                best, best_key = line, key
+        return best
 
     def __repr__(self) -> str:
         return (

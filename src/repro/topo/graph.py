@@ -90,6 +90,11 @@ class Link:
         return f"{self.key[0]}={self.key[1]}"
 
 
+#: Name-sorted ``(neighbor, link key, link)`` lists per node: the path
+#: search's view of a graph, or of a restriction of it.
+Adjacency = Dict[str, List[Tuple[str, Tuple[str, str], Link]]]
+
+
 class NetworkGraph:
     """An undirected multigraph of nodes and fiber links.
 
@@ -116,7 +121,7 @@ class NetworkGraph:
         """Monotonic counter bumped on every topology mutation.
 
         Structures derived from the topology (the grooming engine's
-        switch-less node list) are stamped with it and rebuilt when it
+        switch-only adjacency) are stamped with it and rebuilt when it
         moves.
         """
         return self._generation
@@ -262,6 +267,24 @@ class NetworkGraph:
             self._sorted_adjacency[name] = cached
         return cached
 
+    def induced_adjacency(self, members: Collection[str]) -> Adjacency:
+        """Name-sorted ``(neighbor, link key, link)`` lists of the
+        subgraph induced by ``members``, for :meth:`hop_path_within`.
+
+        Nodes are visited in insertion order and tested for membership,
+        so the result never depends on how ``members`` iterates.  A
+        member that is not a node of this graph is left out.
+        """
+        return {
+            name: [
+                entry
+                for entry in self._sorted_neighbors(name)
+                if entry[0] in members
+            ]
+            for name in self._nodes
+            if name in members
+        }
+
     # -- path search -------------------------------------------------------------
 
     def shortest_path(
@@ -294,6 +317,41 @@ class NetworkGraph:
         banned_links = {self._canonical(k) for k in excluded_links}
         banned_nodes = set(excluded_nodes) - {source, target}
         return self._search(source, target, weight, banned_links, banned_nodes)
+
+    def hop_path_within(
+        self,
+        adjacency: Adjacency,
+        source: str,
+        target: str,
+        excluded_links: Iterable[Tuple[str, str]] = (),
+        excluded_nodes: Iterable[str] = (),
+    ) -> List[str]:
+        """Fewest-hop path over ``adjacency``, a restriction of this
+        graph such as :meth:`induced_adjacency` returns.
+
+        The search is :meth:`shortest_path`'s: same exclusions, same
+        tie-breaks among the neighbours ``adjacency`` keeps.  Its cost
+        is the nodes it reaches plus the exclusions, never the nodes
+        the restriction leaves out.
+
+        Raises:
+            NoPathError: if an endpoint is not in ``adjacency`` or no
+                path survives the exclusions.
+        """
+        for endpoint in (source, target):
+            if endpoint not in adjacency:
+                raise NoPathError(
+                    f"no path from {source!r} to {target!r}: "
+                    f"{endpoint!r} is outside the searched adjacency"
+                )
+        return self._bfs_path(
+            adjacency.__getitem__,
+            source,
+            target,
+            {self._canonical(key) for key in excluded_links},
+            set(excluded_nodes) - {source, target},
+            (),
+        )
 
     def k_shortest_paths(
         self,
@@ -401,7 +459,8 @@ class NetworkGraph:
         """
         if weight is None:
             return self._bfs_path(
-                source, target, banned_links, banned_nodes, banned_hops
+                self._sorted_neighbors,
+                source, target, banned_links, banned_nodes, banned_hops,
             )
         if banned_hops:
             banned_links = banned_links.union(
@@ -413,15 +472,18 @@ class NetworkGraph:
 
     def _bfs_path(
         self,
+        neighbors_of: Callable[[str], List[Tuple[str, Tuple[str, str], Link]]],
         source: str,
         target: str,
         banned_links: Set[Tuple[str, str]],
         banned_nodes: Set[str],
         banned_hops: Collection[str],
     ) -> List[str]:
+        """The one hop-count search, over the adjacency ``neighbors_of``
+        reads: the whole graph (:meth:`_sorted_neighbors`) or a
+        restriction of it (:meth:`hop_path_within`)."""
         if source == target:
             return [source]
-        neighbors_of = self._sorted_neighbors
         # One membership test per edge: a banned node looks already
         # discovered, the link-key test runs only when a link is banned,
         # and banned_hops bind the source's expansion only.

@@ -4,7 +4,12 @@ import pytest
 
 from repro.core.grooming import GroomingEngine
 from repro.core.inventory import InventoryDatabase
-from repro.errors import CapacityExceededError, NoPathError, ResourceError
+from repro.errors import (
+    CapacityExceededError,
+    ConfigurationError,
+    NoPathError,
+    ResourceError,
+)
 from repro.optical import WavelengthGrid
 from repro.otn import SharedMeshProtection
 from repro.otn.circuit import OduCircuitState
@@ -198,3 +203,52 @@ class TestProtection:
         # Reservations must be gone on all lines.
         for line_id in inventory.otn_lines:
             assert protection.reserved_slots(line_id) == 0
+
+
+class TestSwitchlessEndpoint:
+    """A circuit to or from a node without an OTN switch fails as a
+    routing error before it takes a circuit id or a slot."""
+
+    @pytest.mark.parametrize(
+        "source, destination, protect",
+        [
+            ("ROADM-IV", "ROADM-I", False),
+            ("ROADM-II", "ROADM-IV", True),
+        ],
+    )
+    def test_fails_cleanly(self, source, destination, protect):
+        inventory = make_inventory(switch_nodes=("ROADM-I", "ROADM-II", "ROADM-III"))
+        protection = SharedMeshProtection()
+        engine = GroomingEngine(
+            inventory,
+            protection,
+            line_factory=line_factory_for(inventory, protection),
+        )
+        # One standing line on the hop the old search would have taken.
+        engine.ensure_line("ROADM-I", "ROADM-II", 1)
+        with pytest.raises(NoPathError, match="no OTN switch at 'ROADM-IV'"):
+            engine.claim_circuit(
+                source, destination, ODU_LEVELS["ODU0"], protect=protect
+            )
+        assert inventory.circuits == {}
+        for line in inventory.otn_lines.values():
+            assert line.owners() == set()
+        assert inventory.next_circuit_id() == "ckt-0"
+
+    def test_rollback_covers_every_griphon_error(self):
+        """A configuration error from the backup registration still
+        gives the working slots back."""
+        inventory = make_inventory()
+        protection = SharedMeshProtection()
+        # Lines the factory makes are never handed to the protection
+        # manager, so registering the backup fails with ConfigurationError.
+        engine = GroomingEngine(
+            inventory, protection, line_factory=line_factory_for(inventory)
+        )
+        with pytest.raises(ConfigurationError):
+            engine.claim_circuit(
+                "ROADM-I", "ROADM-IV", ODU_LEVELS["ODU0"], protect=True
+            )
+        assert inventory.circuits == {}
+        for line in inventory.otn_lines.values():
+            assert line.owners() == set()

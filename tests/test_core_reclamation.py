@@ -111,3 +111,30 @@ class TestPeriodic:
             reclaimer.schedule_periodic(0, stop_at=net.sim.now + 10)
         with pytest.raises(ConfigurationError):
             reclaimer.schedule_periodic(10, stop_at=net.sim.now)
+
+
+class TestReclaimedLineLeavesTheIndex:
+    def test_reclaimed_line_is_never_offered_again(self, net):
+        idle_line_scenario(net)
+        inventory = net.inventory
+        reclaimed = dict(inventory.otn_lines)
+        assert reclaimed
+        report = OtnLineReclaimer(net.controller, holding_time_s=0.0).sweep()
+        assert sorted(report.reclaimed) == sorted(reclaimed)
+        net.run()
+        for line in reclaimed.values():
+            for near, far in ((line.a, line.b), (line.b, line.a)):
+                switch = inventory.otn_switches[near]
+                assert line not in switch.lines_toward(far)
+                assert line not in switch.lines
+                for slots in (1, 8):
+                    assert switch.best_line_toward(far, slots) is not line
+            with pytest.raises(ConfigurationError):
+                net.controller.protection.line(line.line_id)
+        # A new circuit on the same hops stands up fresh lines.
+        svc = net.service_for("csp")
+        conn = svc.request_connection("PREMISES-A", "PREMISES-C", 1)
+        net.run()
+        assert conn.state is ConnectionState.UP
+        assert inventory.otn_lines
+        assert not set(inventory.otn_lines) & set(reclaimed)

@@ -138,6 +138,23 @@ class TestRegistration:
         with pytest.raises(ConfigurationError):
             mesh.add_line(OtnLine("L:A=B", "A", "B"))
 
+    def test_remove_line_refuses_a_reserved_line(self, mesh):
+        ckt = make_circuit("c1", ["A", "B", "C"], ["A", "D", "C"])
+        mesh.register(ckt, ["L:A=D", "L:C=D"])
+        with pytest.raises(ResourceError):
+            mesh.remove_line("L:A=D")
+        assert mesh.reserved_slots("L:A=D") == 1
+        mesh.unregister("c1")
+        line = mesh.remove_line("L:A=D")
+        assert line.line_id == "L:A=D"
+        with pytest.raises(ConfigurationError):
+            mesh.line("L:A=D")
+        assert mesh.reserved_slots("L:A=D") == 0
+
+    def test_remove_unknown_line(self, mesh):
+        with pytest.raises(ConfigurationError):
+            mesh.remove_line("ghost")
+
 
 class TestRestoration:
     def setup_circuit(self, mesh):

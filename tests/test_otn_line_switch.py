@@ -139,6 +139,19 @@ class TestOtnSwitch:
         assert switch.lines_toward("DCA") == [dca]
         assert switch.lines_toward("LAX") == []
 
+    def test_detach_line(self):
+        switch = OtnSwitch("NYC")
+        first = OtnLine("L1", "NYC", "CHI")
+        second = OtnLine("L2", "CHI", "NYC")
+        switch.attach_line(first)
+        switch.attach_line(second)
+        assert switch.detach_line("L1") is first
+        assert switch.lines == [second]
+        assert switch.lines_toward("CHI") == [second]
+        assert switch.best_line_toward("CHI", slots_needed=1) is second
+        with pytest.raises(ConfigurationError):
+            switch.detach_line("L1")
+
     def test_best_fit_packing_prefers_fuller_line(self):
         """Best-fit grooming packs new circuits onto used wavelengths."""
         switch = OtnSwitch("NYC")

@@ -354,18 +354,23 @@ class GriphonController:
         kind: Optional[ConnectionKind],
         span: Span,
         planner: Optional[Callable] = None,
+        decomposition: Optional[Tuple[List[float], int]] = None,
     ) -> None:
         """Claim an admitted order's resources and start its setup.
 
         ``planner`` substitutes for :meth:`RwaEngine.plan` on the
         order's wavelength components (the pipeline serves plans
-        computed by the round's ``plan_batch`` here).  Raises
-        GriphonError when claiming fails — the caller decides between
-        :meth:`block_admitted_order` and a pipeline defer.
+        computed by the round's ``plan_batch`` here).
+        ``decomposition`` is the order's ``(wavelength rates, circuit
+        count)`` when the caller already ran :meth:`prepare_order` on it
+        (the pipeline does, ahead of its batch plan); without one the
+        order is prepared here.  Raises GriphonError when claiming
+        fails — the caller decides between :meth:`block_admitted_order`
+        and a pipeline defer.
         """
         with span.child("order.claim") as claim_span:
             lightpaths, circuits, line_lightpaths = self._claim_components(
-                connection, kind, parent_span=claim_span, planner=planner
+                connection, kind, claim_span, planner, decomposition
             )
         Process(
             self.sim,
@@ -932,14 +937,11 @@ class GriphonController:
 
         Returns ``None`` when the order rides the IP layer as an EVC
         (sub-1G guaranteed bandwidth, Fig. 2, or a forced PACKET kind).
-        Pure: nothing is claimed, so the pipeline calls this ahead of a
-        round's batched planning to learn which wavelengths each order
-        will ask for — the claim path then recomputes it identically.
+        Pure: nothing is claimed.
 
         Raises:
             ResourceError: when no installed layer can realize the rate.
         """
-        rates = self.wavelength_rates()
         # Fig. 2: guaranteed bandwidth below 1 Gbps rides the IP layer
         # as an EVC (when an IP layer exists and no layer was forced).
         if (
@@ -954,6 +956,7 @@ class GriphonController:
                     "packet service requested but no IP layer exists"
                 )
             return None
+        rates = self.wavelength_rates()
         if kind is ConnectionKind.WAVELENGTH:
             fitting = [r for r in rates if r >= connection.rate_bps]
             if not fitting:
@@ -979,26 +982,84 @@ class GriphonController:
                 )
         return waves, circuits_needed
 
+    def prepare_order(
+        self, connection, kind: Optional[ConnectionKind]
+    ) -> Optional[Tuple[List[float], int]]:
+        """Decompose an order and refuse it if its premises cannot
+        terminate it; returns :meth:`decompose_order`'s result.
+
+        A layer-1 order gets its ``connection.kind`` classified and
+        passes :meth:`check_terminations` before anything is planned or
+        claimed, so an order no NTE can take costs only this call.
+
+        Raises:
+            ResourceError: when no installed layer can realize the rate.
+            CapacityExceededError: when a premises NTE is out of
+                interfaces for it (the first failing claim's message).
+        """
+        decomposition = self.decompose_order(connection, kind)
+        if decomposition is not None:
+            waves, circuits = decomposition
+            connection.kind = self._classify(waves, circuits)
+            self.check_terminations(connection, waves, circuits)
+        return decomposition
+
+    def check_terminations(
+        self, connection, waves: List[float], circuits: int
+    ) -> None:
+        """Raise what the claim loop's NTE claims would raise; claim
+        nothing.
+
+        Replays :meth:`_claim_components`' NTE order on each NTE's
+        :meth:`~repro.optical.nte.NetworkTerminatingEquipment.capacity`:
+        premises A, then premises B; an un-channelized interface per
+        wavelength, then one sub-channel per circuit, where a full set
+        of channelized interfaces opens a new interface as
+        ``claim_subchannel`` does.  Two ends at one premises draw on one
+        count.  O(1) per premises.
+
+        Raises:
+            CapacityExceededError: the first failing claim's error.
+        """
+        ntes = self.inventory.ntes
+        left: Dict[str, Tuple[int, int]] = {}
+        for premises in (connection.premises_a, connection.premises_b):
+            nte = ntes[premises]
+            free, free_subs = (
+                left[premises] if premises in left else nte.capacity()
+            )
+            free -= len(waves)
+            if circuits > free_subs:
+                per_interface = nte.subchannels_per_interface
+                opened = -(-(circuits - free_subs) // per_interface)
+                free -= opened
+                free_subs += opened * per_interface
+            if free < 0:
+                raise nte.no_free_interface()
+            left[premises] = (free, free_subs - circuits)
+
     def _claim_components(
         self,
         connection,
         kind,
         parent_span: Optional[Span] = None,
         planner: Optional[Callable] = None,
+        decomposition: Optional[Tuple[List[float], int]] = None,
     ):
         """Claim all resources for an order; returns its components.
 
         ``planner`` (same call shape as :meth:`RwaEngine.plan`) replaces
         the live per-wave planning when the pipeline already planned the
-        round as a batch.
+        round as a batch, and ``decomposition`` the
+        :meth:`prepare_order` call when it already prepared the order.
         """
         pop_a = self.inventory.pop_of(connection.premises_a)
         pop_b = self.inventory.pop_of(connection.premises_b)
-        decomposition = self.decompose_order(connection, kind)
         if decomposition is None:
-            return self._claim_evc(connection, pop_a, pop_b)
+            decomposition = self.prepare_order(connection, kind)
+            if decomposition is None:
+                return self._claim_evc(connection, pop_a, pop_b)
         waves, circuits_needed = decomposition
-        connection.kind = self._classify(waves, circuits_needed)
         plan_wave = self.rwa.plan if planner is None else planner
         owner = connection.connection_id
         lightpaths: List[Lightpath] = []
@@ -1205,6 +1266,12 @@ class GriphonController:
         self._line_lightpath[line.line_id] = lightpath.lightpath_id
         self._new_line_lightpaths.append(lightpath)
         return line
+
+    def detach_otn_line(self, line_id: str) -> Optional[str]:
+        """Forget a retired OTN line's carrier wavelength; returns that
+        lightpath's id (None for a line the controller did not stand
+        up).  The lightpath itself is the caller's to tear down."""
+        return self._line_lightpath.pop(line_id, None)
 
     # -- failure handling ------------------------------------------------------------
 

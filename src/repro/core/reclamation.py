@@ -98,7 +98,7 @@ class OtnLineReclaimer:
         # line carries no reservation, or it would have been kept busy).
         controller.protection.remove_line(line_id)
         # Tear the underlying wavelength down (timed workflow).
-        lightpath_id = controller._line_lightpath.pop(line_id, None)
+        lightpath_id = controller.detach_otn_line(line_id)
         if lightpath_id is not None:
             lightpath = inventory.lightpaths.get(lightpath_id)
             if lightpath is not None:

@@ -9,7 +9,7 @@ customer side and a 40G line toward the carrier's central office.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 from repro.errors import CapacityExceededError, ConfigurationError, EquipmentError
 from repro.units import GBPS, format_rate
@@ -53,6 +53,9 @@ class NetworkTerminatingEquipment:
         self._channelized: Dict[int, bool] = {}
         # (interface, subchannel) -> owner, for channelized interfaces.
         self._subchannel_owner: Dict[tuple, str] = {}
+        # How many claimed interfaces are channelized, so capacity()
+        # needs no scan of ``_channelized``.
+        self._channelized_count = 0
 
     def claim_interface(self, owner: str, channelized: bool) -> int:
         """Claim the lowest free interface; returns its index.
@@ -69,8 +72,13 @@ class NetworkTerminatingEquipment:
             if index not in self._owners:
                 self._owners[index] = owner
                 self._channelized[index] = channelized
+                self._channelized_count += channelized
                 return index
-        raise CapacityExceededError(
+        raise self.no_free_interface()
+
+    def no_free_interface(self) -> CapacityExceededError:
+        """The error a claim raises when every interface is taken."""
+        return CapacityExceededError(
             f"{self.nte_id} at {self.premises} has no free interface"
         )
 
@@ -90,7 +98,7 @@ class NetworkTerminatingEquipment:
                 f"not {owner!r}"
             )
         del self._owners[index]
-        del self._channelized[index]
+        self._channelized_count -= self._channelized.pop(index)
 
     def claim_subchannel(self, owner: str) -> tuple:
         """Claim one sub-channel on a channelized interface.
@@ -137,6 +145,19 @@ class NetworkTerminatingEquipment:
         del self._subchannel_owner[(index, sub)]
         if not any(i == index for i, _ in self._subchannel_owner):
             self.release_interface(index, "shared")
+
+    def capacity(self) -> Tuple[int, int]:
+        """``(free interfaces, free sub-channels on channelized ones)``.
+
+        O(1): what a run of :meth:`claim_interface` and
+        :meth:`claim_subchannel` calls can still take, without walking
+        the interface table.
+        """
+        return (
+            self.interface_count - len(self._owners),
+            self._channelized_count * self.subchannels_per_interface
+            - len(self._subchannel_owner),
+        )
 
     def subchannel_owner(self, index: int, sub: int) -> Optional[str]:
         """Who holds a sub-channel, or None."""

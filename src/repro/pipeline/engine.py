@@ -522,7 +522,8 @@ class OrderPipeline(RoundIntake):
         )
 
         # Phase 1: open + admit in arrival order; collect plan requests.
-        admitted = []  # (entry, connection, span, slice of requests)
+        # (entry, connection, span, decomposition, slice of requests)
+        admitted = []
         requests: List[PlanRequest] = []
         for entry in batch:
             ticket = entry.ticket
@@ -538,11 +539,12 @@ class OrderPipeline(RoundIntake):
                 continue
             try:
                 # Same call order as the serial claim path, so a bad
-                # premises name or unrealizable rate blocks with the
-                # identical reason string.
+                # premises name, an unrealizable rate or a premises NTE
+                # that is already full blocks with the identical reason
+                # string — before the order costs the batch plan a thing.
                 pop_a = ctrl.inventory.pop_of(ticket.premises_a)
                 pop_b = ctrl.inventory.pop_of(ticket.premises_b)
-                decomposition = ctrl.decompose_order(connection, entry.kind)
+                decomposition = ctrl.prepare_order(connection, entry.kind)
             except GriphonError as exc:
                 ctrl.block_admitted_order(connection, span, exc)
                 self._settle_blocked(ticket, connection)
@@ -552,7 +554,8 @@ class OrderPipeline(RoundIntake):
             for rate in waves:
                 requests.append(PlanRequest(pop_a, pop_b, rate))
             admitted.append(
-                (entry, connection, span, slice(start, len(requests)))
+                (entry, connection, span, decomposition,
+                 slice(start, len(requests)))
             )
 
         # Phase 2: one batched RWA pass for the whole round.
@@ -564,7 +567,7 @@ class OrderPipeline(RoundIntake):
 
         # Phase 3: claim + launch in round order.
         claimed_any = False
-        for entry, connection, span, request_slice in admitted:
+        for entry, connection, span, decomposition, request_slice in admitted:
             order_items = items[request_slice]
             failed = next(
                 (item for item in order_items if item.error is not None), None
@@ -592,11 +595,14 @@ class OrderPipeline(RoundIntake):
                 return next(_plans)
 
             try:
-                ctrl.launch_order(connection, entry.kind, span, planner=planner)
+                ctrl.launch_order(
+                    connection, entry.kind, span, planner, decomposition
+                )
             except GriphonError as exc:
-                # Wavelengths were validated by the batch, but claims can
-                # still lose transponders/regens/ports to an earlier order
-                # in this round — worth one replan next round.  Without an
+                # Wavelengths were validated by the batch and terminations
+                # at round start, but claims can still lose transponders,
+                # regens, ports or NTE interfaces to an earlier order in
+                # this round — worth one replan next round.  Without an
                 # earlier claimant the serial path would have failed the
                 # same way: settle BLOCKED with the identical reason.
                 if claimed_any and entry.defers < self._max_defers:

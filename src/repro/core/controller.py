@@ -307,27 +307,34 @@ class GriphonController:
         kind: Optional[ConnectionKind] = None,
     ) -> Tuple[Connection, Span]:
         """Create the connection record and its root tracing span."""
-        connection_id = f"conn-{next(self._conn_seq)}"
-        connection = Connection(
-            connection_id,
-            customer,
-            premises_a,
-            premises_b,
-            rate_bps,
-            kind or ConnectionKind.WAVELENGTH,
-            requested_at=self.sim.now,
+        connection = self.open_connection(
+            f"conn-{next(self._conn_seq)}",
+            customer, premises_a, premises_b, rate_bps, kind,
         )
-        self.connections[connection_id] = connection
         # The root span covers the order end to end: it closes when the
         # setup workflow completes (or immediately, for blocked orders).
         span = self.tracer.span(
             "connection.request",
-            connection=connection_id,
+            connection=connection.connection_id,
             customer=customer,
             rate_bps=rate_bps,
         )
         connection.trace_id = span.trace_id
         return connection, span
+
+    def open_connection(
+        self, connection_id: str, customer: str, premises_a: str,
+        premises_b: str, rate_bps: float, kind: Optional[ConnectionKind] = None,
+    ) -> Connection:
+        """Register a REQUESTED connection record: an order's (see
+        :meth:`open_order`), or one segment's of an order a coordinator
+        decomposed across controllers (``repro.shard``)."""
+        connection = Connection(
+            connection_id, customer, premises_a, premises_b, rate_bps,
+            kind or ConnectionKind.WAVELENGTH, requested_at=self.sim.now,
+        )
+        self.connections[connection_id] = connection
+        return connection
 
     def admit_order(self, connection: Connection, span: Span) -> bool:
         """Run admission control for an opened order.
@@ -409,7 +416,7 @@ class GriphonController:
         connection.blocked_reason = str(exc)
         span.set_tag("outcome", "blocked").finish()
         self.metrics.inc("connection.blocked")
-        self._notify("blocked", {"connection": connection, "reason": str(exc)})
+        self.notify("blocked", {"connection": connection, "reason": str(exc)})
 
     def teardown_connection(self, connection_id: str) -> Connection:
         """Order a teardown; completes asynchronously (about ten seconds).
@@ -491,7 +498,7 @@ class GriphonController:
             lightpath.transition(LightpathState.UP)
             connection.transition(ConnectionState.UP)
             connection.end_outage(self.sim.now)
-            self._notify("revived", {"connection": connection})
+            self.notify("revived", {"connection": connection})
 
     # -- bridge-and-roll ------------------------------------------------------------
 
@@ -663,16 +670,8 @@ class GriphonController:
                 connection, aborted_lightpaths, failed_circuits, span
             )
             return
-        connection.transition(ConnectionState.UP)
-        connection.up_at = self.sim.now
-        failed_setup = any(
-            self.inventory.lightpaths[lp_id].state is LightpathState.FAILED
-            for lp_id in connection.lightpath_ids
-            if lp_id in self.inventory.lightpaths
-        )
-        if failed_setup:
+        if not self.enter_service(connection):
             span.set_tag("outcome", "failed-during-setup").finish()
-            self._fail_connection_component(connection)
             if self.auto_restore:
                 self._attempt_restoration(connection)
             return
@@ -680,7 +679,7 @@ class GriphonController:
         self.metrics.inc("connection.up")
         if connection.setup_duration is not None:
             self.metrics.observe("connection.setup_s", connection.setup_duration)
-        self._notify("up", {"connection": connection})
+        self.notify("up", {"connection": connection})
 
     def _circuit_setup_workflow(self, circuit, setup_span, failed_circuits):
         """Program one ODU circuit's cross-connects, saga-style.
@@ -772,14 +771,14 @@ class GriphonController:
             connection.up_at = self.sim.now
             span.set_tag("outcome", "degraded").finish()
             self.metrics.inc("connection.setup_degraded")
-            self._notify("setup-degraded", {"connection": connection})
+            self.notify("setup-degraded", {"connection": connection})
         else:
             self.admission.release(connection.customer, connection.rate_bps)
             connection.blocked_reason = f"setup failed: {connection.setup_error}"
             connection.transition(ConnectionState.BLOCKED)
             span.set_tag("outcome", "setup-failed").finish()
             self.metrics.inc("connection.setup_failed")
-            self._notify("setup-failed", {"connection": connection})
+            self.notify("setup-failed", {"connection": connection})
 
     def _abort_line_lightpath(self, lightpath) -> None:
         """Handle a rolled-back carrier lightpath for a new OTN line.
@@ -838,7 +837,7 @@ class GriphonController:
         span.finish()
         self.metrics.inc("connection.released")
         self.metrics.observe("connection.teardown_s", self.sim.now - started)
-        self._notify("released", {"connection": connection})
+        self.notify("released", {"connection": connection})
 
     def _bridge_and_roll_workflow(
         self, connection, old, bridge, span=None,
@@ -902,7 +901,7 @@ class GriphonController:
                 self.provisioner.release(bridge)
             span.set_tag("outcome", "aborted").finish()
             self.metrics.inc("bridge_and_roll.aborted")
-            self._notify(
+            self.notify(
                 "bridge-and-roll-aborted",
                 {"connection_id": connection.connection_id},
             )
@@ -925,7 +924,7 @@ class GriphonController:
             "hit_s": ROLL_HIT_S,
             "new_path": list(bridge.path),
         }
-        self._notify("bridge-and-roll", summary)
+        self.notify("bridge-and-roll", summary)
         settle("completed", summary)
 
     # -- order decomposition --------------------------------------------------------
@@ -1061,16 +1060,13 @@ class GriphonController:
                 return self._claim_evc(connection, pop_a, pop_b)
         waves, circuits_needed = decomposition
         plan_wave = self.rwa.plan if planner is None else planner
-        owner = connection.connection_id
         lightpaths: List[Lightpath] = []
         circuits = []
         self._new_line_lightpaths = []
         try:
             for rate in waves:
                 plan = plan_wave(pop_a, pop_b, rate, parent_span=parent_span)
-                lightpath = self.provisioner.claim(plan)
-                lightpaths.append(lightpath)
-                self._lightpath_conn[lightpath.lightpath_id] = owner
+                lightpaths.append(self.claim_lightpath(connection, plan))
             circuit = None
             for _ in range(circuits_needed):
                 # Every circuit after the first rides its sibling's routes.
@@ -1092,9 +1088,7 @@ class GriphonController:
                     )
             self._claim_steering(connection, lightpaths, circuits)
         except GriphonError:
-            for lightpath in lightpaths:
-                self._lightpath_conn.pop(lightpath.lightpath_id, None)
-                self.provisioner.release(lightpath)
+            self.drop_lightpaths(connection)
             for circuit in circuits:
                 self.grooming.release_circuit(circuit)
             self.release_claims(connection)
@@ -1102,7 +1096,6 @@ class GriphonController:
             # they are carrier infrastructure, immediately reusable by
             # future grooming (and reclaimable if they stay idle).
             raise
-        connection.lightpath_ids = [lp.lightpath_id for lp in lightpaths]
         connection.circuit_ids = [ckt.circuit_id for ckt in circuits]
         line_lightpaths = self._new_line_lightpaths
         self._new_line_lightpaths = []
@@ -1123,6 +1116,54 @@ class GriphonController:
         connection.kind = ConnectionKind.PACKET
         connection.evc_ids = [evc.evc_id]
         return [], [], []
+
+    # -- a connection's lightpaths --------------------------------------------------
+
+    def claim_lightpath(self, connection, plan) -> Lightpath:
+        """Claim a planned lightpath into ``connection``: the
+        provisioner's claim, appended to its lightpaths and indexed, so
+        a cut of it fails the connection."""
+        lightpath = self.provisioner.claim(plan)
+        connection.lightpath_ids.append(lightpath.lightpath_id)
+        self._lightpath_conn[lightpath.lightpath_id] = connection.connection_id
+        return lightpath
+
+    def drop_lightpaths(self, connection) -> None:
+        """Detach every lightpath from ``connection`` and release each
+        one still registered, whether claimed, cut, or never started.
+
+        One a saga rolled back or a teardown retired is already gone.
+        """
+        registered = self.inventory.lightpaths
+        for lightpath_id in connection.lightpath_ids:
+            self._lightpath_conn.pop(lightpath_id, None)
+            lightpath = registered.get(lightpath_id)
+            if lightpath is not None:
+                self.provisioner.release(lightpath)
+        connection.lightpath_ids = []
+
+    def connection_of(self, lightpath_id: str) -> Optional[str]:
+        """The id of the connection ``lightpath_id`` serves, if any."""
+        return self._lightpath_conn.get(lightpath_id)
+
+    def enter_service(self, connection) -> bool:
+        """Put a set-up connection into service: UP as of now.
+
+        Returns False when one of its lightpaths was cut while it was
+        setting up; the connection is FAILED then, its outage open, so
+        restoration or the repair takes it from there.
+        """
+        connection.transition(ConnectionState.UP)
+        connection.up_at = self.sim.now
+        registered = self.inventory.lightpaths
+        if any(
+            registered[lightpath_id].state is LightpathState.FAILED
+            for lightpath_id in connection.lightpath_ids
+            if lightpath_id in registered
+        ):
+            self._fail_connection_component(connection)
+            return False
+        return True
 
     # -- the claims ledger ---------------------------------------------------------
 
@@ -1279,7 +1320,7 @@ class GriphonController:
         """Fiber-cut handler: localize, fail, and (optionally) restore."""
         self.tracer.event("failure.fiber_cut", link=f"{link_key[0]}={link_key[1]}")
         self.metrics.inc("failure.fiber_cut")
-        self._notify("fiber-cut", {"link": link_key, "owners": set(affected_owners)})
+        self.notify("fiber-cut", {"link": link_key, "owners": set(affected_owners)})
         # IP layer: the adjacency riding this span fails; the IGP
         # reconverges and EVCs reroute in a couple hundred milliseconds.
         if self.ip_layer is not None:
@@ -1363,7 +1404,7 @@ class GriphonController:
         if connection.state in (ConnectionState.UP, ConnectionState.DEGRADED):
             connection.begin_outage(self.sim.now)
             connection.transition(ConnectionState.FAILED)
-            self._notify("connection-failed", {"connection": connection})
+            self.notify("connection-failed", {"connection": connection})
 
     def _fail_otn_line(self, line_id: str) -> None:
         line = self.inventory.otn_lines.get(line_id)
@@ -1449,19 +1490,17 @@ class GriphonController:
                 connection.lightpath_ids = []
                 self._unrestored[conn_id] = old
             with span.child("restoration.claim"):
-                replacement = self.provisioner.claim(plan)
+                replacement = self.claim_lightpath(connection, plan)
         except GriphonError as exc:
             span.set_tag("outcome", "blocked").finish()
             self.metrics.inc("restoration.blocked")
-            self._notify(
+            self.notify(
                 "restoration-blocked",
                 {"connection": connection, "reason": str(exc)},
             )
             return
         del self._unrestored[conn_id]
         connection.transition(ConnectionState.RESTORING)
-        connection.lightpath_ids = [replacement.lightpath_id]
-        self._lightpath_conn[replacement.lightpath_id] = conn_id
         self._relabel_steering(connection, old, replacement)
         Process(
             self.sim,
@@ -1500,13 +1539,12 @@ class GriphonController:
             # faults would hit again); the rolled-back record waits in
             # ``_unrestored`` for the next repair or cut, or a teardown.
             connection.setup_error = replacement.setup_error
-            connection.lightpath_ids = []
-            self._lightpath_conn.pop(replacement.lightpath_id, None)
+            self.drop_lightpaths(connection)  # the saga released it
             self._unrestored[connection.connection_id] = replacement
             connection.transition(ConnectionState.FAILED)
             span.set_tag("outcome", "aborted").finish()
             self.metrics.inc("restoration.aborted")
-            self._notify("restoration-aborted", {"connection": connection})
+            self.notify("restoration-aborted", {"connection": connection})
             return
         if replacement.state is LightpathState.FAILED:
             # Another cut landed while we were restoring; try again.
@@ -1520,11 +1558,12 @@ class GriphonController:
         span.set_tag("outcome", "restored").finish()
         self.metrics.inc("restoration.success")
         self.metrics.observe("restoration.reprovision_s", self.sim.now - started)
-        self._notify("restored", {"connection": connection})
+        self.notify("restored", {"connection": connection})
 
     # -- misc -----------------------------------------------------------------------
 
-    def _notify(self, event: str, payload: dict) -> None:
+    def notify(self, event: str, payload: dict) -> None:
+        """Count ``event`` and hand it to every observer."""
         self.metrics.inc(f"events.{event}")
         for observer in self.observers:
             observer(event, payload)

@@ -140,7 +140,7 @@ class MaintenanceScheduler:
         controller = self._controller
         a, b = record.link
         for lightpath in controller.inventory.lightpaths_using_link(a, b):
-            conn_id = controller._lightpath_conn.get(lightpath.lightpath_id)
+            conn_id = controller.connection_of(lightpath.lightpath_id)
             if conn_id is None:
                 continue
             try:

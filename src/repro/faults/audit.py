@@ -89,6 +89,28 @@ def audit_network(controller) -> AuditReport:
     )
 
 
+def audit_orphan_lightpaths(
+    inventory: InventoryDatabase,
+    connections: Mapping[str, Connection],
+    report: AuditReport,
+) -> None:
+    """Flag each registered lightpath no live connection holds — not
+    part of :func:`audit_network`, whose in-flight bridges and OTN
+    carrier lightpaths no connection holds by design."""
+    held = {
+        lightpath_id
+        for connection in connections.values()
+        if connection.state in _RESOURCE_HOLDING_STATES
+        for lightpath_id in connection.lightpath_ids
+    }
+    report.violations.extend(
+        AuditViolation("orphan-lightpath", f"lightpath {lightpath_id}",
+                       lightpath_id, "registered, but no live connection holds it")
+        for lightpath_id in inventory.lightpaths
+        if lightpath_id not in held
+    )
+
+
 def audit_inventory(
     inventory: InventoryDatabase,
     connections: Optional[Mapping[str, Connection]] = None,

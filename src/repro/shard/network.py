@@ -4,13 +4,17 @@ A :class:`ShardedNetwork` serves a 3-tier :class:`~repro.topo.hierarchy.
 Hierarchy` with one :class:`GriphonController` per planning unit — one
 per region plus one for the express tier — all sharing a single
 simulator.  A cross-region order is decomposed by the
-:class:`~repro.shard.planner.ShardPlanner` into per-unit segments,
-claimed synchronously unit by unit (with reverse unwind on any claim
-failure), and set up segment by segment through each unit's provisioning
-saga.  A segment whose saga rolls back mid-setup unwinds the whole
-order: already-UP segments are torn down, every claim is released, and
-the order settles BLOCKED with zero residue in *any* shard — the same
-guarantee the monolithic controller gives a single-segment order.
+:class:`~repro.shard.planner.ShardPlanner` into per-unit segments.
+Each segment is one child connection that its unit's controller opens,
+claims into, puts into service and gives back; the coordinator keeps
+the decomposition, the batch plan, the gateway steering and the order
+of the cross-shard saga.  Segments are claimed synchronously unit by
+unit and set up one after another through each unit's provisioning
+saga.  A segment whose saga rolls back, or that a cut fails, mid-setup
+unwinds the whole order: already-UP segments are torn down, every claim
+is released, and the order settles BLOCKED with zero residue in *any*
+shard — the same guarantee the monolithic controller gives a
+single-segment order.
 
 **Ownership partitioning.**  Every resource belongs to exactly one
 unit.  A gateway PoP appears in two inventories — its region's (metro
@@ -72,12 +76,12 @@ from collections import defaultdict
 from typing import Callable, Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
 from repro.core.admission import AdmissionControl, CustomerProfile
-from repro.core.connection import Connection, ConnectionKind, ConnectionState
+from repro.core.connection import Connection, ConnectionState
 from repro.core.controller import GriphonController
 from repro.core.inventory import InventoryDatabase
 from repro.core.rwa import BatchPlanItem, PlanRequest, RwaPlan, _PlanningRound
 from repro.errors import ConfigurationError, GriphonError
-from repro.faults.audit import AuditReport, audit_network
+from repro.faults.audit import AuditReport, audit_network, audit_orphan_lightpaths
 from repro.faults.plan import FaultPlan
 # ``outcome_fingerprint`` is re-exported: the shard differential tests
 # import it from here.
@@ -85,12 +89,7 @@ from repro.fingerprint import outcome_fingerprint, plant_fingerprint  # noqa: F4
 from repro.optical.lightpath import LightpathState
 from repro.optical.wavelength import WavelengthGrid
 from repro.shard.planner import SegmentSpec, ShardPlanner
-from repro.shard.workers import (
-    ShardWorkerPool,
-    UnitRecipe,
-    round_items,
-    round_payload,
-)
+from repro.shard.workers import ShardWorkerPool, UnitRecipe, round_items, round_payload
 from repro.sim.kernel import Simulator
 from repro.sim.process import Process
 from repro.sim.randomness import RandomStreams
@@ -102,17 +101,6 @@ from repro.units import GBPS
 MONOLITH = "mono"
 
 
-class _OrderSegment:
-    """One claimed segment of an order: its spec and its lightpath."""
-
-    __slots__ = ("spec", "lightpath", "include_fxc")
-
-    def __init__(self, spec: SegmentSpec, lightpath, include_fxc: bool) -> None:
-        self.spec = spec
-        self.lightpath = lightpath
-        self.include_fxc = include_fxc
-
-
 class ShardOrder:
     """A cross-shard order: one customer request, many unit segments.
 
@@ -120,10 +108,10 @@ class ShardOrder:
         order_id: Unique id across the sharded network.
         state: Customer-visible state, same enum the monolithic
             controller uses (REQUESTED/SETTING_UP/UP/BLOCKED/...).
-        children: Per-unit child :class:`Connection` records — each
-            registered with its unit's controller so that shard's
-            invariant audit sees a live owner for every claim.
-        segments: The claimed lightpath segments, in path order.
+        children: Per-unit child :class:`Connection` records, each
+            driven by its unit's controller (so that shard's audit sees
+            a live owner for every claim); a child's lightpath is the
+            order's segment there, those children first, in path order.
         plan_record: Structural planning outcome (unit, path, channels,
             regen sites) captured at plan time — what the differential
             fingerprint hashes, stable even for later-blocked orders.
@@ -131,7 +119,7 @@ class ShardOrder:
 
     __slots__ = (
         "order_id", "customer", "premises_a", "premises_b", "rate_bps",
-        "state", "blocked_reason", "children", "segments", "plan_record",
+        "state", "blocked_reason", "children", "plan_record",
         "up_at", "released_at",
     )
 
@@ -151,7 +139,6 @@ class ShardOrder:
         self.state = ConnectionState.REQUESTED
         self.blocked_reason = ""
         self.children: Dict[str, Connection] = {}
-        self.segments: List[_OrderSegment] = []
         self.plan_record: List[dict] = []
         self.up_at: Optional[float] = None
         self.released_at: Optional[float] = None
@@ -502,12 +489,17 @@ class ShardedNetwork:
 
         Returns ``{unit: AuditReport}`` — every report ``ok`` on a
         healthy network.  In monolithic mode the single controller is
-        audited once, under the key ``"mono"``.
+        audited once, under the key ``"mono"``.  A shard runs no OTN
+        lines, bridges or restorations, so a lightpath no live child
+        holds is also flagged (``orphan-lightpath``).
         """
-        return {
-            key: audit_network(controller)
-            for key, controller in self._shard_controllers()
-        }
+        reports = {}
+        for key, controller in self._shard_controllers():
+            reports[key] = report = audit_network(controller)
+            audit_orphan_lightpaths(
+                controller.inventory, controller.connections, report
+            )
+        return reports
 
     def route_cache_stats(self) -> Dict[str, dict]:
         """Per-unit zero records of the route cache that no longer exists.
@@ -656,11 +648,8 @@ class ShardedNetwork:
         order.state = ConnectionState.TEARING_DOWN
         for child in order.children.values():
             child.transition(ConnectionState.TEARING_DOWN)
-        Process(
-            self.sim,
-            self._teardown_workflow(order),
-            label=f"shard-teardown:{order.order_id}",
-        )
+        Process(self.sim, self._teardown_workflow(order),
+                label=f"shard-teardown:{order.order_id}")
         return order
 
     # -- order internals ------------------------------------------------------
@@ -726,10 +715,7 @@ class ShardedNetwork:
         opened.clear()
 
     def _finish(
-        self,
-        order: ShardOrder,
-        specs: List[SegmentSpec],
-        items: List[BatchPlanItem],
+        self, order: ShardOrder, specs: List[SegmentSpec], items: List[BatchPlanItem]
     ) -> None:
         """Record the plans, claim them and start setup — or block."""
         plans: List[RwaPlan] = []
@@ -738,16 +724,12 @@ class ShardedNetwork:
                 if not item.ok:
                     raise item.error
                 plans.append(item.plan)
-                order.plan_record.append(
-                    {
-                        "unit": spec.unit,
-                        "path": list(item.plan.path),
-                        "channels": [
-                            segment.channel for segment in item.plan.segments
-                        ],
-                        "regens": list(item.plan.regen_sites),
-                    }
-                )
+                order.plan_record.append({
+                    "unit": spec.unit,
+                    "path": list(item.plan.path),
+                    "channels": [seg.channel for seg in item.plan.segments],
+                    "regens": list(item.plan.regen_sites),
+                })
             self._claim(order, specs, plans)
         except GriphonError as exc:
             self.admission.release(order.customer, order.rate_bps)
@@ -756,11 +738,8 @@ class ShardedNetwork:
         for child in order.children.values():
             child.transition(ConnectionState.SETTING_UP)
         order.state = ConnectionState.SETTING_UP
-        Process(
-            self.sim,
-            self._setup_workflow(order),
-            label=f"shard-setup:{order.order_id}",
-        )
+        Process(self.sim, self._setup_workflow(order),
+                label=f"shard-setup:{order.order_id}")
 
     def _pop_of(self, premises: str) -> str:
         """The PoP a premises hangs off (pure naming, mode-independent)."""
@@ -778,69 +757,39 @@ class ShardedNetwork:
             listener(order, event)
 
     def _child(self, order: ShardOrder, unit: str, a: str, b: str) -> Connection:
-        """Get or create the order's child connection in ``unit``'s shard."""
-        child = order.children.get(unit)
-        if child is None:
-            controller = self._unit_controller[unit]
-            child = Connection(
-                f"{order.order_id}/{unit}",
-                order.customer,
-                a,
-                b,
-                order.rate_bps,
-                ConnectionKind.WAVELENGTH,
-                requested_at=self.sim.now,
+        """Get or open the order's child connection in ``unit``'s shard."""
+        if unit not in order.children:
+            order.children[unit] = self._unit_controller[unit].open_connection(
+                f"{order.order_id}/{unit}", order.customer, a, b, order.rate_bps
             )
-            controller.connections[child.connection_id] = child
-            order.children[unit] = child
-        return child
+        return order.children[unit]
 
     def _claim(
-        self,
-        order: ShardOrder,
-        specs: List[SegmentSpec],
-        plans: List[RwaPlan],
+        self, order: ShardOrder, specs: List[SegmentSpec], plans: List[RwaPlan]
     ) -> None:
-        """Claim every segment's resources, unwinding in reverse on failure.
+        """Claim every segment into its unit's child, then the NTE ends
+        and the FXC steering; on failure each child gives it all back.
 
         Claim order is deterministic (segments in path order, then NTE
         ends, then FXC steering), so both deployment modes consume
         first-fit resources identically.
         """
-        hierarchy = self.hierarchy
-        region_a = hierarchy.region_of(order.premises_a)
-        region_b = hierarchy.region_of(order.premises_b)
-        pop_a = self._pop_of(order.premises_a)
-        pop_b = self._pop_of(order.premises_b)
-        claimed: List[_OrderSegment] = []
         try:
             for spec, plan in zip(specs, plans):
-                controller = self._unit_controller[spec.unit]
                 child = self._child(order, spec.unit, spec.source, spec.destination)
-                lightpath = controller.provisioner.claim(plan)
-                child.lightpath_ids.append(lightpath.lightpath_id)
-                controller._lightpath_conn[lightpath.lightpath_id] = (
-                    child.connection_id
-                )
-                claimed.append(
-                    _OrderSegment(
-                        spec, lightpath, include_fxc=spec.unit != EXPRESS
-                    )
-                )
-            order.segments = claimed
+                self._unit_controller[spec.unit].claim_lightpath(child, plan)
             # Endpoint region children always exist — even when their
             # region segment is degenerate (the premises' PoP *is* the
             # gateway) they own the premises NTE interface and the
             # access-side FXC steering, which live in region inventory.
-            for unit, pop, premises in (
-                (region_a, pop_a, order.premises_a),
-                (region_b, pop_b, order.premises_b),
-            ):
+            for premises in (order.premises_a, order.premises_b):
+                unit, pop = self.hierarchy.region_of(premises), self._pop_of(premises)
                 child = self._child(order, unit, pop, pop)
                 self._unit_controller[unit].claim_nte(child, premises)
             self._claim_steering(order)
         except GriphonError:
-            self._unwind_claims(order, claimed)
+            self._retire(order)
+            order.children = {}
             raise
 
     def _claim_steering(self, order: ShardOrder) -> None:
@@ -853,120 +802,99 @@ class ShardedNetwork:
         """
         handoff = f"handoff:{order.order_id}"
         access = f"access:{order.order_id}"
-        region_a = self.hierarchy.region_of(order.premises_a)
-        region_b = self.hierarchy.region_of(order.premises_b)
-        pop_a = self._pop_of(order.premises_a)
-        pop_b = self._pop_of(order.premises_b)
-        segments_of: Dict[str, _OrderSegment] = {
-            seg.spec.unit: seg for seg in order.segments
-        }
+        ends = (order.premises_a, order.premises_b)
+        region_a, region_b = (self.hierarchy.region_of(p) for p in ends)
+        pop_a, pop_b = (self._pop_of(p) for p in ends)
         for unit, child in order.children.items():
             controller = self._unit_controller[unit]
-            segment = segments_of.get(unit)
-            if segment is None:
+            if not child.lightpath_ids:
                 # Degenerate endpoint region: the PoP is the gateway;
                 # steer access straight into the express handoff.
                 pop = pop_a if unit == region_a else pop_b
                 controller.steer(child, pop, access, handoff)
                 continue
-            lightpath = segment.lightpath
+            lightpath = controller.inventory.lightpaths[child.lightpath_ids[0]]
             source_ot, dest_ot = lightpath.ot_ids[0], lightpath.ot_ids[1]
             source_label = access if lightpath.source == pop_a and unit == region_a else handoff
             dest_label = access if lightpath.destination == pop_b and unit == region_b else handoff
             controller.steer(child, lightpath.source, source_label, source_ot)
             controller.steer(child, lightpath.destination, dest_ot, dest_label)
 
-    def _unwind_claims(
-        self, order: ShardOrder, claimed: List[_OrderSegment]
-    ) -> None:
-        """Release everything a partially claimed order holds, in reverse."""
+    def _segments(self, order: ShardOrder) -> List[tuple]:
+        """``(controller, lightpath, include_fxc)`` per segment, in order."""
+        segments = []
         for unit, child in order.children.items():
             controller = self._unit_controller[unit]
-            controller.release_claims(child)
-            del controller.connections[child.connection_id]
-        for segment in reversed(claimed):
-            controller = self._unit_controller[segment.spec.unit]
-            controller._lightpath_conn.pop(
-                segment.lightpath.lightpath_id, None
+            segments.extend(
+                (controller, controller.inventory.lightpaths[lp_id], unit != EXPRESS)
+                for lp_id in child.lightpath_ids
             )
-            controller.provisioner.release(segment.lightpath)
-        order.children = {}
-        order.segments = []
+        return segments
+
+    def _retire(
+        self, order: ShardOrder, state: Optional[ConnectionState] = None
+    ) -> None:
+        """Every child gives back its lightpaths and ledger, then settles
+        in ``state`` — or, with none (a failed claim), is unregistered."""
+        for unit, child in order.children.items():
+            controller = self._unit_controller[unit]
+            controller.drop_lightpaths(child)
+            controller.release_claims(child)
+            if state is None:
+                del controller.connections[child.connection_id]
+            else:
+                child.transition(state)
 
     # -- simulated workflows --------------------------------------------------
 
     def _setup_workflow(self, order: ShardOrder):
         """Set up every segment in path order; unwind all on any abort.
 
-        Each segment runs its unit's provisioning saga.  A saga that
-        rolls back (EMS failure with retries exhausted) leaves its
-        lightpath RELEASED; this workflow then tears down the already-UP
-        segments of *other* shards, releases every endpoint claim, and
-        settles the order BLOCKED — the cross-shard extension of the
-        single-controller saga guarantee.
+        A segment whose saga rolled back, or that a cut failed, aborts the
+        order: the UP segments are torn down in reverse, every child gives
+        back what it still holds (aborted and never-started segments too)
+        and the order settles BLOCKED.  On success each unit controller
+        puts its child into service, failing one whose segment was cut.
         """
-        completed: List[_OrderSegment] = []
-        failed: Optional[_OrderSegment] = None
-        for segment in order.segments:
-            controller = self._unit_controller[segment.spec.unit]
+        completed = []
+        for segment in self._segments(order):
+            controller, lightpath, include_fxc = segment
             yield from controller.provisioner.setup_workflow(
-                segment.lightpath, include_fxc=segment.include_fxc
+                lightpath, include_fxc=include_fxc
             )
-            if segment.lightpath.state is not LightpathState.UP:
-                failed = segment
+            if lightpath.state is not LightpathState.UP:
                 break
             completed.append(segment)
-        if failed is None:
-            for child in order.children.values():
-                child.transition(ConnectionState.UP)
-                child.up_at = self.sim.now
+        else:
+            for unit, child in order.children.items():
+                self._unit_controller[unit].enter_service(child)
             order.state = ConnectionState.UP
             order.up_at = self.sim.now
             self._notify_order(order, "up")
             return
-        # Cross-shard unwind.
-        error = failed.lightpath.setup_error
-        for segment in reversed(completed):
-            controller = self._unit_controller[segment.spec.unit]
+        error = lightpath.setup_error
+        for controller, done, include_fxc in reversed(completed):
             yield from controller.provisioner.teardown_workflow(
-                segment.lightpath, include_fxc=segment.include_fxc
+                done, include_fxc=include_fxc
             )
-        failed_controller = self._unit_controller[failed.spec.unit]
-        if failed.lightpath.state is LightpathState.FAILED:
-            # Died to a fiber cut during setup rather than a saga
-            # rollback: the claim bookkeeping is still in place.
-            failed_controller.provisioner.release(failed.lightpath)
-        for unit, child in order.children.items():
-            controller = self._unit_controller[unit]
-            for lightpath_id in child.lightpath_ids:
-                controller._lightpath_conn.pop(lightpath_id, None)
-            child.lightpath_ids = []
-            controller.release_claims(child)
+        for child in order.children.values():
             child.setup_error = error
             child.blocked_reason = f"setup failed: {error}"
-            child.transition(ConnectionState.BLOCKED)
+        self._retire(order, ConnectionState.BLOCKED)
         self.admission.release(order.customer, order.rate_bps)
         order.state = ConnectionState.BLOCKED
         order.blocked_reason = f"setup failed: {error}"
         self._notify_order(order, "blocked")
 
     def _teardown_workflow(self, order: ShardOrder):
-        for segment in reversed(order.segments):
-            controller = self._unit_controller[segment.spec.unit]
-            if segment.lightpath.state in (
-                LightpathState.UP, LightpathState.FAILED
-            ):
+        for controller, lightpath, include_fxc in reversed(self._segments(order)):
+            if lightpath.state in (LightpathState.UP, LightpathState.FAILED):
                 yield from controller.provisioner.teardown_workflow(
-                    segment.lightpath, include_fxc=segment.include_fxc
+                    lightpath, include_fxc=include_fxc
                 )
-            controller._lightpath_conn.pop(
-                segment.lightpath.lightpath_id, None
-            )
-        for unit, child in order.children.items():
-            self._unit_controller[unit].release_claims(child)
-            child.lightpath_ids = []
-            child.transition(ConnectionState.RELEASED)
+        for child in order.children.values():
             child.released_at = self.sim.now
+        self._retire(order, ConnectionState.RELEASED)
         self.admission.release(order.customer, order.rate_bps)
         order.state = ConnectionState.RELEASED
         order.released_at = self.sim.now

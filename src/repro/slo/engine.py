@@ -333,7 +333,7 @@ class RemediationEngine:
             connection
         )
         self._controller.metrics.inc("slo.escalated")
-        self._controller._notify(
+        self._controller.notify(
             "sla-breached",
             {"connection": connection.connection_id, "policy": policy.name},
         )

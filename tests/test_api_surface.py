@@ -1,8 +1,10 @@
 """The public API surface: everything exported exists and is documented."""
 
+import ast
 import importlib
 import inspect
 import os
+import pathlib
 import subprocess
 import sys
 
@@ -112,3 +114,48 @@ def test_core_controller_does_not_import_the_shard_layer():
         capture_output=True, text=True, check=True, env=env,
     )
     assert out.stdout.strip() == "[]"
+
+
+def _controller_private_names(tree):
+    """Underscore methods and ``self._x`` attributes of GriphonController."""
+    cls = next(
+        node for node in tree.body
+        if isinstance(node, ast.ClassDef) and node.name == "GriphonController"
+    )
+    names = set()
+    for node in ast.walk(cls):
+        if isinstance(node, ast.FunctionDef):
+            names.add(node.name)
+        elif (
+            isinstance(node, ast.Attribute)
+            and isinstance(node.value, ast.Name)
+            and node.value.id == "self"
+        ):
+            names.add(node.attr)
+    return {n for n in names if n.startswith("_") and not n.startswith("__")}
+
+
+def test_only_the_controller_names_its_private_attributes():
+    """Every other module drives a controller through its public
+    methods: no ``<controller>._name`` outside ``core/controller.py``,
+    where ``<controller>`` is any expression naming a controller."""
+    import repro
+
+    root = pathlib.Path(repro.__file__).parent
+    home = root / "core" / "controller.py"
+    private = _controller_private_names(ast.parse(home.read_text()))
+    offenders = []
+    for path in sorted(root.rglob("*.py")):
+        if path == home:
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if (
+                isinstance(node, ast.Attribute)
+                and node.attr in private
+                and "controller" in ast.unparse(node.value).lower()
+            ):
+                offenders.append(
+                    f"{path.relative_to(root)}:{node.lineno} "
+                    f"{ast.unparse(node)}"
+                )
+    assert offenders == []

@@ -51,21 +51,19 @@ if TYPE_CHECKING:  # pragma: no cover - typing only, avoids import cycles
 class _ConnectionOutcome:
     """Shared delegation for outcomes that wrap a connection record.
 
-    The wrapped ``connection`` may be a monolithic
-    :class:`~repro.core.connection.Connection` or a sharded
-    :class:`~repro.shard.network.ShardOrder`; both expose the state and
-    reason surface these properties forward to, so callers match on the
-    outcome type without caring which backend produced it.
+    The wrapped ``connection`` is a
+    :class:`~repro.core.connection.Connection` whichever backend
+    produced it (a sharded network's stitched
+    :class:`~repro.shard.network.ShardOrder` is one too), so callers
+    match on the outcome type and read the record's own fields.
     """
 
     connection: Any
 
     @property
     def connection_id(self) -> str:
-        """The underlying record's id (works for shard orders too)."""
-        record = self.connection
-        existing = getattr(record, "connection_id", None)
-        return existing if existing is not None else record.order_id
+        """The underlying record's id."""
+        return self.connection.connection_id
 
     @property
     def customer(self) -> str:
@@ -80,7 +78,7 @@ class _ConnectionOutcome:
     @property
     def trace_id(self) -> Optional[str]:
         """The record's trace id, for span correlation (may be None)."""
-        return getattr(self.connection, "trace_id", None)
+        return self.connection.trace_id
 
 
 @dataclass(frozen=True)
@@ -109,7 +107,7 @@ class Active(_ConnectionOutcome):
     @property
     def up_at(self) -> Optional[float]:
         """Sim time the connection entered service."""
-        return getattr(self.connection, "up_at", None)
+        return self.connection.up_at
 
     def __str__(self) -> str:
         return f"{self.connection_id}: active"
@@ -341,9 +339,9 @@ OrderStatus = Union[Accepted, OrderOutcome]
 
 
 def classify_record(
-    record: Any, fault: Optional["FaultReport"] = None
+    record: "Connection", fault: Optional["FaultReport"] = None
 ) -> OrderStatus:
-    """Map a live connection (or shard order) record onto the union.
+    """Map a live connection record onto the union.
 
     The one classification: :meth:`repro.pipeline.engine.RoundIntake.
     outcome` (both intake backends, and ``BodService.order_outcome``
@@ -359,51 +357,40 @@ def classify_record(
     * anything else → :class:`Accepted` (in flight or post-lifecycle).
     """
     state = record.state
-    setup_error = getattr(record, "setup_error", None)
+    setup_error = record.setup_error
     if state is ConnectionState.UP:
         return Active(record)
     if state is ConnectionState.BLOCKED:
         if setup_error is not None:
             return SetupFailed(
-                connection_id=_record_id(record),
+                connection_id=record.connection_id,
                 error=setup_error,
                 fault=fault,
-                trace_id=getattr(record, "trace_id", None),
+                trace_id=record.trace_id,
             )
         return Blocked(record)
-    if state is ConnectionState.DEGRADED and getattr(
-        record, "degradation_cause", ""
-    ):
-        margin = getattr(record, "degradation_margin_db", None)
+    if state is ConnectionState.DEGRADED and record.degradation_cause:
+        margin = record.degradation_margin_db
         return SlaBreached(
-            connection_id=_record_id(record),
-            policy=getattr(record, "degradation_policy", ""),
+            connection_id=record.connection_id,
+            policy=record.degradation_policy,
             margin_db=margin if margin is not None else 0.0,
             cause=record.degradation_cause,
-            trace_id=getattr(record, "trace_id", None),
+            trace_id=record.trace_id,
         )
     if state is ConnectionState.DEGRADED and setup_error is not None:
         return ServiceDegraded(
-            connection_id=_record_id(record),
+            connection_id=record.connection_id,
             error=setup_error,
             fault=fault,
-            trace_id=getattr(record, "trace_id", None),
-            up_components=_up_components(record),
+            trace_id=record.trace_id,
+            up_components=(
+                len(record.lightpath_ids)
+                + len(record.circuit_ids)
+                + len(record.evc_ids)
+            ),
         )
     return Accepted(record)
-
-
-def _record_id(record: Any) -> str:
-    existing = getattr(record, "connection_id", None)
-    return existing if existing is not None else record.order_id
-
-
-def _up_components(record: Any) -> int:
-    return (
-        len(getattr(record, "lightpath_ids", ()))
-        + len(getattr(record, "circuit_ids", ()))
-        + len(getattr(record, "evc_ids", ()))
-    )
 
 
 @runtime_checkable

@@ -21,6 +21,7 @@ from __future__ import annotations
 import argparse
 import json
 import statistics
+from collections import Counter
 from pathlib import Path
 from typing import Dict, List, Optional
 
@@ -548,7 +549,11 @@ def cmd_serve(args: argparse.Namespace) -> int:
 
 
 def cmd_shard(args: argparse.Namespace) -> int:
-    """Place cross-region orders on the sharded continental network."""
+    """Place cross-region orders on the sharded continental network.
+
+    Exits 2 when the two deployments' fingerprints differ (``--mode
+    both``) or when any unit's audit is not clean.
+    """
     from repro.core.admission import CustomerProfile
     from repro.fingerprint import outcome_fingerprint
     from repro.shard import build_sharded_network
@@ -590,11 +595,12 @@ def cmd_shard(args: argparse.Namespace) -> int:
         net.run()
         fingerprints[mode] = outcome_fingerprint(orders)
         audits = net.audit_shards()
-        up = sum(1 for o in orders if o.state.value == "up")
+        states = Counter(o.state.value for o in orders)
+        tally = [f"{states.pop(state, 0)} {state}" for state in ("up", "blocked")]
+        tally += [f"{count} {state}" for state, count in sorted(states.items())]
         print(
             f"{mode}: {len(orders)} order(s) over {args.regions} region(s) "
-            f"x {args.pops} PoP(s), {up} up, "
-            f"{len(orders) - up} blocked"
+            f"x {args.pops} PoP(s), {', '.join(tally)}"
         )
         for order in orders:
             units = " + ".join(r["unit"] for r in order.plan_record) or "-"
@@ -617,7 +623,8 @@ def cmd_shard(args: argparse.Namespace) -> int:
     if args.json:
         Path(args.json).write_text(json.dumps(payload, indent=2) + "\n")
         print(f"wrote shard report to {args.json}")
-    return 0 if matched else 2
+    clean = all(report["audits_ok"] for report in payload.values())
+    return 0 if matched and clean else 2
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -192,7 +192,11 @@ class SonetRing:
     def repair_span(self, span: int) -> List[SonetCircuit]:
         """Repair a span; revert its protection-switched circuits.
 
-        Returns the circuits that reverted to their working path.
+        A circuit reverts only when every working span of its own still
+        has room: a circuit provisioned during the failure may have taken
+        those timeslots, and the switched circuit then stays on
+        protection.  Returns the circuits that reverted to their working
+        path.
         """
         self._validate_span(span)
         self._failed_spans.discard(span)
@@ -201,6 +205,8 @@ class SonetRing:
             if not circuit.on_protection or span not in circuit.spans:
                 continue
             if any(s in self._failed_spans for s in circuit.spans):
+                continue
+            if any(self.working_free(s) < circuit.sts for s in circuit.spans):
                 continue
             other_way = self._complement_spans(circuit.spans)
             for s in other_way:

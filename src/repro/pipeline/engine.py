@@ -49,18 +49,15 @@ from repro.errors import ConfigurationError, GriphonError
 from repro.sim.process import Process
 
 #: The one table from backend lifecycle edges to the ticket events of
-#: :meth:`repro.api.OrderIntake.add_listener`.  A backend hands
-#: :meth:`RoundIntake._on_backend_event` its own edge names
-#: (``GriphonController.observers`` / ``ShardedNetwork.order_listeners``);
-#: edges not listed are not ticket events.  ``"blocked"`` reaches an
-#: ACCEPTED ticket only when the setup saga rolled the order back.
+#: :meth:`repro.api.OrderIntake.add_listener`.  Both backends speak the
+#: controller's observer vocabulary (``GriphonController.observers`` /
+#: ``ShardedNetwork.observers``); edges not listed are not ticket events.
 _TICKET_EVENTS = {
     "up": "active",
     "restored": "active",
     "revived": "active",
     "setup-degraded": "degraded",
     "setup-failed": "failed",
-    "blocked": "failed",
     "released": "released",
 }
 
@@ -189,11 +186,11 @@ class RoundIntake:
     * ``_place(batch)`` — execute one round of popped
       :class:`_QueuedOrder` entries, calling :meth:`_settle` per order
       (or pushing the entry back to retry it next round);
-    * ``_record(ticket)`` — the connection (or shard order) record a
+    * ``_record(ticket)`` — the connection record (a shard order is one) a
       processed ticket points at;
     * ``_release(ticket)`` — start the teardown of an accepted ticket;
 
-    and feeds its lifecycle edges to :meth:`_on_backend_event`.
+    and subscribes :meth:`_on_backend_event` to its backend's observers.
 
     Args:
         sim: The kernel the round process runs on.
@@ -397,8 +394,9 @@ class RoundIntake:
         for listener in self._listeners:
             listener(ticket, event)
 
-    def _on_backend_event(self, record_id: str, edge: str) -> None:
-        """Re-broadcast a backend edge on an ACCEPTED ticket's record.
+    def _on_backend_event(self, edge: str, payload: dict) -> None:
+        """Backend observer: re-broadcast an edge of an ACCEPTED ticket's
+        record (``payload["connection"]``).
 
         The first conclusion edge is the ticket's *one* setup
         conclusion — ``restored`` or ``revived`` when a cut during setup
@@ -408,6 +406,7 @@ class RoundIntake:
         event = _TICKET_EVENTS.get(edge)
         if event is None:
             return
+        record_id = payload["connection"].connection_id
         ticket = self._accepted.get(record_id)
         if ticket is None:
             return
@@ -493,7 +492,7 @@ class OrderPipeline(RoundIntake):
         self._tiebreak_streams = (
             controller.streams.spawn("pipeline") if seeded_tiebreak else None
         )
-        controller.observers.append(self._on_controller_event)
+        controller.observers.append(self._on_backend_event)
 
     # -- the backend half ------------------------------------------------------
 
@@ -507,12 +506,6 @@ class OrderPipeline(RoundIntake):
 
     def _release(self, ticket: OrderTicket) -> None:
         self._controller.teardown_connection(ticket.connection_id)
-
-    def _on_controller_event(self, event: str, payload: dict) -> None:
-        """Controller observer: hand connection edges to the intake."""
-        connection = payload.get("connection")
-        if connection is not None:
-            self._on_backend_event(connection.connection_id, event)
 
     def _place(self, batch: List[_QueuedOrder]) -> None:
         """Admit, batch-plan, and claim one round's orders."""

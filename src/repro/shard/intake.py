@@ -7,9 +7,15 @@ all — could drive it.  :class:`ShardIntake` is that adapter.  The
 bounded queue, ticket surface, round cadence, event stream and typed
 outcomes are not *like* the pipeline's, they are the pipeline's:
 both subclass :class:`repro.pipeline.engine.RoundIntake`, and this
-module says only what a sharded round places.  The frontend is therefore
-deployment-agnostic, and the differential test drives it against both
-twin modes expecting identical outcome streams.
+module says only what a sharded round places.  A stitched order is a
+:class:`~repro.core.connection.Connection` whose network speaks the
+controller's observer vocabulary, so the intake subscribes the same
+:meth:`~repro.pipeline.engine.RoundIntake._on_backend_event` to
+``ShardedNetwork.observers`` that the pipeline subscribes to
+``GriphonController.observers``, and the same
+:func:`repro.api.classify_record` types its outcomes.  The frontend is
+therefore deployment-agnostic, and the differential test drives it
+against both twin modes expecting identical outcome streams.
 
 The intake is equally agnostic to the network's *planning* backend: a
 ``ShardedNetwork(backend="pool")`` drives its placement rounds through
@@ -74,17 +80,13 @@ class ShardIntake(RoundIntake):
             round_interval,
         )
         self.network = network
-        network.order_listeners.append(self._on_order_event)
+        network.observers.append(self._on_backend_event)
 
     def _record(self, ticket: OrderTicket) -> ShardOrder:
         return self.network.orders[ticket.connection_id]
 
     def _release(self, ticket: OrderTicket) -> None:
         self.network.teardown_order(self._record(ticket))
-
-    def _on_order_event(self, order: ShardOrder, event: str) -> None:
-        """Network listener: hand order edges to the intake."""
-        self._on_backend_event(order.order_id, event)
 
     def _place(self, batch: List[_QueuedOrder]) -> None:
         """Place one round's orders as one network round."""
@@ -104,6 +106,6 @@ class ShardIntake(RoundIntake):
             self._settle(
                 entry.ticket,
                 TicketState.BLOCKED if blocked else TicketState.ACCEPTED,
-                order.order_id,
+                order.connection_id,
                 order.blocked_reason,
             )

@@ -16,6 +16,15 @@ is released, and the order settles BLOCKED with zero residue in *any*
 shard — the same guarantee the monolithic controller gives a
 single-segment order.
 
+**The order is a connection.**  A :class:`ShardOrder` is a
+:class:`~repro.core.connection.Connection` moved only through
+``transition``, and :attr:`ShardedNetwork.observers` hears the
+controller's event names.  The coordinator observes every unit
+controller, so the order follows its segments: a child ``<order>/<unit>``
+reporting ``connection-failed`` fails its UP order, the last dark
+child's ``revived`` brings it back UP, and a rolled-back order carries
+the abort's ``setup_error``.
+
 **Ownership partitioning.**  Every resource belongs to exactly one
 unit.  A gateway PoP appears in two inventories — its region's (metro
 side) and the express tier's (long-haul side) — but with disjoint
@@ -27,14 +36,20 @@ express resource.  The flip side: the partitioned pools can exhaust
 independently where a monolithic shared pool would not, so differential
 workloads must stay below transponder exhaustion.
 
-**The monolithic twin.**  ``mode="monolithic"`` builds one controller
-over the full 3-tier graph with the same total equipment (gateways get
-the doubled complement: region-side plus express-side hardware), and
-routes every segment through the *same* decomposition with per-segment
-node/link exclusions confining candidate routes to the owning unit's
-subgraph.  Identical candidate routes + identical first-fit channel
-scans + identical claim order mean identical structural outcomes,
-which :func:`repro.fingerprint.outcome_fingerprint` hashes for the differential test.
+**The monolithic twin is a grouping.**  The network groups units onto
+controllers: ``mode="sharded"`` gives each unit its own controller over
+its own graph, ``mode="monolithic"`` puts every unit on one controller
+over the full 3-tier graph.  The rest is derived from the grouping: a
+node gets one equipment complement per unit graph it belongs to (a twin
+gateway holds region-side plus express-side hardware), a controller
+merges its units' fault plans, and each unit's route exclusions are the
+nodes and the links between its own nodes that its controller's graph
+has and the unit's graph lacks — empty when a controller plans over the
+unit's own graph.  Every segment runs through the *same* decomposition
+under its unit's exclusions: identical candidate routes + identical
+first-fit channel scans + identical claim order mean identical
+structural outcomes, which :func:`repro.fingerprint.outcome_fingerprint`
+hashes for the differential test.
 
 **The placement round.**  :meth:`ShardedNetwork.place_orders` runs
 three phases: *open* every request in order (order id, admission,
@@ -73,15 +88,18 @@ from __future__ import annotations
 
 import itertools
 from collections import defaultdict
-from typing import Callable, Dict, Iterator, List, Optional, Sequence, Set, Tuple
+from dataclasses import dataclass, field
+from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.core.admission import AdmissionControl, CustomerProfile
-from repro.core.connection import Connection, ConnectionState
+from repro.core.connection import Connection, ConnectionKind, ConnectionState
 from repro.core.controller import GriphonController
 from repro.core.inventory import InventoryDatabase
 from repro.core.rwa import BatchPlanItem, PlanRequest, RwaPlan, _PlanningRound
 from repro.errors import ConfigurationError, GriphonError
-from repro.faults.audit import AuditReport, audit_network, audit_orphan_lightpaths
+from repro.faults.audit import (
+    AuditReport, AuditViolation, audit_network, audit_orphan_lightpaths,
+)
 from repro.faults.plan import FaultPlan
 # ``outcome_fingerprint`` is re-exported: the shard differential tests
 # import it from here.
@@ -101,13 +119,32 @@ from repro.units import GBPS
 MONOLITH = "mono"
 
 
-class ShardOrder:
-    """A cross-shard order: one customer request, many unit segments.
+def _exclusions(graph, unit_graph) -> tuple:
+    """``(excluded_links, excluded_nodes)`` that confine routes planned
+    on ``graph`` to ``unit_graph``: the links between the unit's own
+    nodes that only ``graph`` has, and the nodes the unit lacks.  Both
+    are empty when ``graph`` is the unit's own graph.
+    """
+    inside = unit_graph.has_node
+    return (
+        tuple(sorted(
+            link.key for link in graph.links
+            if inside(link.a) and inside(link.b)
+            and link.b not in unit_graph.adjacent(link.a)
+        )),
+        tuple(sorted(node.name for node in graph.nodes if not inside(node.name))),
+    )
+
+
+@dataclass
+class ShardOrder(Connection):
+    """A cross-shard order: one customer connection, many unit segments.
+
+    The order is a :class:`~repro.core.connection.Connection` that moves
+    through :meth:`~repro.core.connection.Connection.transition` like any
+    other; the coordinator adds only what stitching needs.
 
     Attributes:
-        order_id: Unique id across the sharded network.
-        state: Customer-visible state, same enum the monolithic
-            controller uses (REQUESTED/SETTING_UP/UP/BLOCKED/...).
         children: Per-unit child :class:`Connection` records, each
             driven by its unit's controller (so that shard's audit sees
             a live owner for every claim); a child's lightpath is the
@@ -117,37 +154,28 @@ class ShardOrder:
             fingerprint hashes, stable even for later-blocked orders.
     """
 
-    __slots__ = (
-        "order_id", "customer", "premises_a", "premises_b", "rate_bps",
-        "state", "blocked_reason", "children", "plan_record",
-        "up_at", "released_at",
-    )
+    children: Dict[str, Connection] = field(default_factory=dict)
+    plan_record: List[dict] = field(default_factory=list)
 
-    def __init__(
-        self,
-        order_id: str,
-        customer: str,
-        premises_a: str,
-        premises_b: str,
-        rate_bps: float,
-    ) -> None:
-        self.order_id = order_id
-        self.customer = customer
-        self.premises_a = premises_a
-        self.premises_b = premises_b
-        self.rate_bps = rate_bps
-        self.state = ConnectionState.REQUESTED
-        self.blocked_reason = ""
-        self.children: Dict[str, Connection] = {}
-        self.plan_record: List[dict] = []
-        self.up_at: Optional[float] = None
-        self.released_at: Optional[float] = None
+    @property
+    def order_id(self) -> str:
+        """The order's id across the sharded network (its connection id)."""
+        return self.connection_id
 
-    def __repr__(self) -> str:
-        return (
-            f"ShardOrder({self.order_id} [{self.state.value}] "
-            f"{self.premises_a} <-> {self.premises_b})"
+
+def _disagrees(order: ShardOrder, child: Connection) -> bool:
+    """Whether ``child``'s state contradicts its order's."""
+    state = order.state
+    if state is ConnectionState.UP:
+        return child.state is not ConnectionState.UP
+    if state is ConnectionState.FAILED:
+        return not any(
+            sibling.state is ConnectionState.FAILED
+            for sibling in order.children.values()
         )
+    if state in (ConnectionState.BLOCKED, ConnectionState.RELEASED):
+        return child.state is not state
+    return False
 
 
 class _PlantMirror:
@@ -236,7 +264,7 @@ class ShardedNetwork:
         k_paths: Candidate routes per segment plan.
         fault_plans: Optional per-unit fault plans, keyed by unit name
             (region name or :data:`EXPRESS`).  The monolithic twin merges
-            them into its single controller.
+            them, in unit order, into its single controller.
         pool: An existing :class:`~repro.shard.workers.ShardWorkerPool`
             to share (this network's recipes are ensured — a recipe
             names the unit controller's own graph, so no two networks
@@ -265,68 +293,66 @@ class ShardedNetwork:
                 f"backend must be 'inprocess' or 'pool', got {backend!r}"
             )
         self.hierarchy = hierarchy
-        self.mode = mode
         self.backend = backend
         self.sim = Simulator()
         self.planner = ShardPlanner(hierarchy)
         self.admission = AdmissionControl()
         self.orders: Dict[str, ShardOrder] = {}
-        #: Observers called with ``(order, event)`` on order lifecycle
-        #: edges: ``"blocked"`` (refused at placement or rolled back by
-        #: the setup saga), ``"up"``, and ``"released"``.  This is the
-        #: sharded counterpart of ``GriphonController.observers`` and
-        #: what :class:`repro.shard.intake.ShardIntake` re-broadcasts.
-        self.order_listeners: List[Callable[[ShardOrder, str], None]] = []
+        #: Observers called with ``(event, {"connection": order})`` on
+        #: order lifecycle edges, in ``GriphonController.observers``'
+        #: vocabulary: ``"blocked"`` (refused at placement), ``"up"``,
+        #: ``"setup-failed"`` (rolled back by the setup saga),
+        #: ``"connection-failed"``, ``"revived"`` and ``"released"``.
+        self.observers: List[Callable[[str, dict], None]] = []
         self._order_seq = itertools.count()
         self._streams = RandomStreams(seed)
         self._prefix = hierarchy.params.get("premises_prefix", "DC-")
         fault_plans = fault_plans or {}
-        #: unit name -> the controller planning/claiming for that unit.
-        self._unit_controller: Dict[str, GriphonController] = {}
+        units = {
+            unit: hierarchy.express_graph() if unit == EXPRESS
+            else hierarchy.region_graph(unit)
+            for unit in hierarchy.unit_names()
+        }
+        # The grouping of units onto controllers: controller key -> the
+        # graph it plans over and the units it serves.  Everything below
+        # that differs between the deployments is derived from it.
         if mode == "sharded":
-            for name in hierarchy.region_names:
-                controller = self._build_controller(
-                    name,
-                    hierarchy.region_graph(name),
-                    transponders_10g,
-                    regens_10g,
-                    grid_size,
-                    k_paths,
-                    fault_plans.get(name),
-                )
-                self._unit_controller[name] = controller
-            if hierarchy.express_links:
-                self._unit_controller[EXPRESS] = self._build_controller(
-                    EXPRESS,
-                    hierarchy.express_graph(),
-                    transponders_10g,
-                    regens_10g,
-                    grid_size,
-                    k_paths,
-                    fault_plans.get(EXPRESS),
-                )
+            groups = {unit: (graph, [unit]) for unit, graph in units.items()}
         else:
-            merged = FaultPlan()
-            for plan in fault_plans.values():
-                for spec in plan.specs:
-                    merged.add(spec)
+            groups = {MONOLITH: (hierarchy.graph, list(units))}
+        #: controller key -> controller: what is audited and fingerprinted.
+        self._controllers: Dict[str, GriphonController] = {}
+        #: unit name -> the controller planning/claiming for that unit,
+        #: and that controller's key.
+        self._unit_controller: Dict[str, GriphonController] = {}
+        self._key_of: Dict[str, str] = {}
+        #: unit name -> ``(excluded_links, excluded_nodes)`` confining its
+        #: controller's candidate routes to the unit's own graph.
+        self._exclusions: Dict[str, tuple] = {}
+        for key, (graph, members) in groups.items():
+            # A lone unit's plan is handed over as is, so a rule added to
+            # it mid-run still reaches its controller.
+            plans = [fault_plans[unit] for unit in members if unit in fault_plans]
             controller = self._build_controller(
-                MONOLITH,
-                hierarchy.graph,
+                key,
+                graph,
+                [units[unit] for unit in members],
                 transponders_10g,
                 regens_10g,
                 grid_size,
                 k_paths,
-                merged if merged.specs else None,
-                gateway_scale=2,
+                plans[0] if len(plans) == 1
+                else FaultPlan([spec for plan in plans for spec in plan.specs]),
             )
-            for name in hierarchy.unit_names():
-                self._unit_controller[name] = controller
-        #: unit name -> what plans its batches: the unit's worker recipe
-        #: (one recipe for every unit of the monolithic twin), else the unit.
-        self._planner: Dict[str, object] = {
-            unit: unit for unit in self._unit_controller
-        }
+            controller.observers.append(self._on_unit_event)
+            self._controllers[key] = controller
+            for unit in members:
+                self._unit_controller[unit] = controller
+                self._key_of[unit] = key
+                self._exclusions[unit] = _exclusions(graph, units[unit])
+        #: unit name -> what plans its batches: its controller's key, or
+        #: with the pool backend that controller's worker recipe.
+        self._planner: Dict[str, object] = dict(self._key_of)
         #: recipe -> parent-side plant mirror (pool backend only).
         self._mirrors: Dict[UnitRecipe, _PlantMirror] = {}
         #: Number of the current placement round (or explicit sync).
@@ -334,23 +360,20 @@ class ShardedNetwork:
         self._pool: Optional[ShardWorkerPool] = None
         self._owns_pool = False
         if backend == "pool":
-            # Each worker plans over its unit controller's own graph —
-            # the full graph for every unit of the monolithic twin, whose
-            # equal recipes share one worker.
-            self._planner = {
-                unit: UnitRecipe(
-                    unit if mode == "sharded" else MONOLITH,
-                    controller.inventory.graph,
-                    grid_size=grid_size,
-                    k_paths=k_paths,
+            # Each worker plans over one controller's own graph, for
+            # every unit grouped onto that controller.
+            recipes = {
+                key: UnitRecipe(
+                    key, controller.inventory.graph,
+                    grid_size=grid_size, k_paths=k_paths,
                 )
-                for unit, controller in self._unit_controller.items()
+                for key, controller in self._controllers.items()
             }
-            for unit, recipe in self._planner.items():
-                if recipe not in self._mirrors:
-                    self._mirrors[recipe] = _PlantMirror(
-                        self._unit_controller[unit].inventory.plant
-                    )
+            self._planner = {unit: recipes[key] for unit, key in self._key_of.items()}
+            self._mirrors = {
+                recipe: _PlantMirror(self._controllers[key].inventory.plant)
+                for key, recipe in recipes.items()
+            }
             if pool is None:
                 pool = ShardWorkerPool()
                 self._owns_pool = True
@@ -427,25 +450,25 @@ class ShardedNetwork:
         self,
         label: str,
         graph,
+        unit_graphs: List,
         transponders_10g: int,
         regens_10g: int,
         grid_size: int,
         k_paths: int,
-        fault_plan: Optional[FaultPlan],
-        gateway_scale: int = 1,
+        fault_plan: FaultPlan,
     ) -> GriphonController:
-        """Equip one unit's inventory and stand up its controller.
+        """Equip one controller's inventory and stand it up.
 
-        ``gateway_scale=2`` (the monolithic twin) installs the doubled
-        complement at gateways: the region-side plus express-side
-        hardware that two separate inventories hold in sharded mode.
+        A node gets one complement per unit graph it belongs to: a
+        gateway grouped with its region and the express tier holds the
+        region-side plus the express-side hardware that two separate
+        inventories hold when each unit has its own controller.
         """
         inventory = InventoryDatabase(graph, WavelengthGrid(grid_size))
-        gateways = set(self.hierarchy.gateways())
         for node in graph.nodes:
             if node.kind == "premises":
                 continue
-            scale = gateway_scale if node.name in gateways else 1
+            scale = sum(unit.has_node(node.name) for unit in unit_graphs)
             inventory.install_roadm(node.name, add_drop_ports=16 * scale)
             inventory.install_transponders(
                 node.name, 10 * GBPS, transponders_10g * scale
@@ -473,7 +496,7 @@ class ShardedNetwork:
 
     @property
     def controllers(self) -> Dict[str, GriphonController]:
-        """Unit name -> controller (all the same object in monolithic)."""
+        """Unit name -> controller (one object for grouped units)."""
         return dict(self._unit_controller)
 
     def register_customer(self, profile: CustomerProfile) -> None:
@@ -485,20 +508,32 @@ class ShardedNetwork:
         return self.sim.run(until=until)
 
     def audit_shards(self) -> Dict[str, "AuditReport"]:
-        """Run the invariant auditor on every shard.
+        """Run the invariant auditor on every controller.
 
-        Returns ``{unit: AuditReport}`` — every report ``ok`` on a
-        healthy network.  In monolithic mode the single controller is
-        audited once, under the key ``"mono"``.  A shard runs no OTN
-        lines, bridges or restorations, so a lightpath no live child
-        holds is also flagged (``orphan-lightpath``).
+        Returns ``{key: AuditReport}`` — every report ``ok`` on a
+        healthy network.  A controller serving several units (the
+        monolithic twin's) is audited once, under its key ``"mono"``.
+        A shard runs no OTN lines, bridges or restorations, so a
+        lightpath no live child holds is also flagged
+        (``orphan-lightpath``), and so is a child whose state disagrees
+        with its order's (``order-state``): one not UP under an UP
+        order, none FAILED under a FAILED one, or one not BLOCKED /
+        RELEASED with its order.
         """
         reports = {}
-        for key, controller in self._shard_controllers():
+        for key, controller in self._controllers.items():
             reports[key] = report = audit_network(controller)
             audit_orphan_lightpaths(
                 controller.inventory, controller.connections, report
             )
+        for order in self.orders.values():
+            for unit, child in order.children.items():
+                if _disagrees(order, child):
+                    reports[self._key_of[unit]].violations.append(AuditViolation(
+                        "order-state", f"connection {child.connection_id}",
+                        order.connection_id,
+                        f"order {order.state.value}, child {child.state.value}",
+                    ))
         return reports
 
     def route_cache_stats(self) -> Dict[str, dict]:
@@ -512,18 +547,11 @@ class ShardedNetwork:
             self._live_pool()  # still refuses on a closed network
         return {
             key: controller.rwa.route_cache_stats()
-            for key, controller in self._shard_controllers()
+            for key, controller in self._controllers.items()
         }
 
-    def _shard_controllers(self) -> Iterator[Tuple[str, GriphonController]]:
-        """Each distinct controller once, under its reporting key."""
-        if self.mode != "sharded":
-            yield MONOLITH, next(iter(self._unit_controller.values()))
-            return
-        yield from self._unit_controller.items()
-
     def plant_fingerprints(self) -> Dict[str, str]:
-        """Structural digest of each unit's authoritative fiber plant.
+        """Structural digest of each controller's authoritative fiber plant.
 
         Backend-independent: the controllers own occupancy and failure
         state in both backends, so this is the cross-deployment
@@ -531,7 +559,7 @@ class ShardedNetwork:
         """
         return {
             key: plant_fingerprint(controller.inventory.plant)
-            for key, controller in self._shard_controllers()
+            for key, controller in self._controllers.items()
         }
 
     def worker_fingerprints(self) -> Dict[str, dict]:
@@ -616,12 +644,15 @@ class ShardedNetwork:
         if self.backend == "pool":
             self._live_pool()  # refuse before an id or any quota is taken
         self._round_no += 1
-        rounds = defaultdict(_PlanningRound)  # in-process overlays, by unit
+        rounds = defaultdict(_PlanningRound)  # in-process overlays, by controller
         orders: List[ShardOrder] = []
         opened: List[Tuple[ShardOrder, List[SegmentSpec]]] = []
         for request in requests:
-            order = ShardOrder(f"xo-{next(self._order_seq)}", *request)
-            self.orders[order.order_id] = order
+            order = ShardOrder(
+                f"xo-{next(self._order_seq)}", *request,
+                ConnectionKind.WAVELENGTH, requested_at=self.sim.now,
+            )
+            self.orders[order.connection_id] = order
             orders.append(order)
             while True:
                 try:
@@ -640,16 +671,17 @@ class ShardedNetwork:
         return orders
 
     def teardown_order(self, order: ShardOrder) -> ShardOrder:
-        """Tear an UP order down across every shard it touches."""
-        if order.state is not ConnectionState.UP:
+        """Tear an UP or FAILED order down across every shard it touches."""
+        if order.state not in (ConnectionState.UP, ConnectionState.FAILED):
             raise ConfigurationError(
-                f"{order.order_id} is {order.state.value}; teardown needs UP"
+                f"{order.connection_id} is {order.state.value}; "
+                "teardown needs UP or FAILED"
             )
-        order.state = ConnectionState.TEARING_DOWN
+        order.transition(ConnectionState.TEARING_DOWN)
         for child in order.children.values():
             child.transition(ConnectionState.TEARING_DOWN)
         Process(self.sim, self._teardown_workflow(order),
-                label=f"shard-teardown:{order.order_id}")
+                label=f"shard-teardown:{order.connection_id}")
         return order
 
     # -- order internals ------------------------------------------------------
@@ -661,9 +693,7 @@ class ShardedNetwork:
         )
         try:
             return self.planner.decompose(
-                self._pop_of(order.premises_a),
-                self._pop_of(order.premises_b),
-                monolithic=self.mode == "monolithic",
+                self._pop_of(order.premises_a), self._pop_of(order.premises_b)
             )
         except GriphonError:
             self.admission.release(order.customer, order.rate_bps)
@@ -689,19 +719,16 @@ class ShardedNetwork:
             for spec in specs:
                 batches.setdefault(self._planner[spec.unit], []).append(
                     PlanRequest(
-                        spec.source,
-                        spec.destination,
-                        order.rate_bps,
-                        excluded_links=tuple(spec.excluded_links),
-                        excluded_nodes=tuple(spec.excluded_nodes),
+                        spec.source, spec.destination, order.rate_bps,
+                        *self._exclusions[spec.unit],
                     )
                 )
         if self.backend == "inprocess":
             planned = {
-                unit: self._unit_controller[unit].rwa.plan_batch(
-                    batch, round_ctx=rounds[unit]
+                key: self._controllers[key].rwa.plan_batch(
+                    batch, round_ctx=rounds[key]
                 )
-                for unit, batch in batches.items()
+                for key, batch in batches.items()
             }
         else:
             planned = self._plan_on_workers(batches)
@@ -737,9 +764,9 @@ class ShardedNetwork:
             return
         for child in order.children.values():
             child.transition(ConnectionState.SETTING_UP)
-        order.state = ConnectionState.SETTING_UP
+        order.transition(ConnectionState.SETTING_UP)
         Process(self.sim, self._setup_workflow(order),
-                label=f"shard-setup:{order.order_id}")
+                label=f"shard-setup:{order.connection_id}")
 
     def _pop_of(self, premises: str) -> str:
         """The PoP a premises hangs off (pure naming, mode-independent)."""
@@ -748,19 +775,48 @@ class ShardedNetwork:
         return premises[len(self._prefix):]
 
     def _block(self, order: ShardOrder, exc: Exception) -> None:
-        order.state = ConnectionState.BLOCKED
+        order.transition(ConnectionState.BLOCKED)
         order.blocked_reason = str(exc)
-        self._notify_order(order, "blocked")
+        self._notify("blocked", order)
 
-    def _notify_order(self, order: ShardOrder, event: str) -> None:
-        for listener in list(self.order_listeners):
-            listener(order, event)
+    def _notify(self, event: str, order: ShardOrder) -> None:
+        payload = {"connection": order}
+        for observer in self.observers:
+            observer(event, payload)
+
+    def _on_unit_event(self, event: str, payload: dict) -> None:
+        """Unit controller observer: an order follows its segments.
+
+        A child cut while its order is UP fails the order, its outage
+        opening at the same instant; the last dark child's revival
+        brings the order back UP.
+        """
+        if event not in ("connection-failed", "revived"):
+            return
+        # A child is named ``<order>/<unit>``.
+        order = self.orders[payload["connection"].connection_id.partition("/")[0]]
+        if event == "connection-failed":
+            if order.state is ConnectionState.UP:
+                self._fail(order)
+        elif order.state is ConnectionState.FAILED and not any(
+            child.state is ConnectionState.FAILED
+            for child in order.children.values()
+        ):
+            order.transition(ConnectionState.UP)
+            order.end_outage(self.sim.now)
+            self._notify("revived", order)
+
+    def _fail(self, order: ShardOrder) -> None:
+        order.begin_outage(self.sim.now)
+        order.transition(ConnectionState.FAILED)
+        self._notify("connection-failed", order)
 
     def _child(self, order: ShardOrder, unit: str, a: str, b: str) -> Connection:
         """Get or open the order's child connection in ``unit``'s shard."""
         if unit not in order.children:
             order.children[unit] = self._unit_controller[unit].open_connection(
-                f"{order.order_id}/{unit}", order.customer, a, b, order.rate_bps
+                f"{order.connection_id}/{unit}", order.customer, a, b,
+                order.rate_bps,
             )
         return order.children[unit]
 
@@ -800,8 +856,8 @@ class ShardedNetwork:
         express-OT at each gateway (two cross-connects — one per unit,
         on that unit's gateway FXC), and exits at the destination PoP.
         """
-        handoff = f"handoff:{order.order_id}"
-        access = f"access:{order.order_id}"
+        handoff = f"handoff:{order.connection_id}"
+        access = f"access:{order.connection_id}"
         ends = (order.premises_a, order.premises_b)
         region_a, region_b = (self.hierarchy.region_of(p) for p in ends)
         pop_a, pop_b = (self._pop_of(p) for p in ends)
@@ -853,8 +909,10 @@ class ShardedNetwork:
         A segment whose saga rolled back, or that a cut failed, aborts the
         order: the UP segments are torn down in reverse, every child gives
         back what it still holds (aborted and never-started segments too)
-        and the order settles BLOCKED.  On success each unit controller
-        puts its child into service, failing one whose segment was cut.
+        and the order settles BLOCKED with the abort's ``setup_error``.
+        On success each unit controller puts its child into service,
+        failing one whose segment was cut, and the order enters service
+        FAILED if any child did.
         """
         completed = []
         for segment in self._segments(order):
@@ -866,25 +924,29 @@ class ShardedNetwork:
                 break
             completed.append(segment)
         else:
-            for unit, child in order.children.items():
+            in_service = [
                 self._unit_controller[unit].enter_service(child)
-            order.state = ConnectionState.UP
+                for unit, child in order.children.items()
+            ]
+            order.transition(ConnectionState.UP)
             order.up_at = self.sim.now
-            self._notify_order(order, "up")
+            if all(in_service):
+                self._notify("up", order)
+            else:
+                self._fail(order)
             return
         error = lightpath.setup_error
         for controller, done, include_fxc in reversed(completed):
             yield from controller.provisioner.teardown_workflow(
                 done, include_fxc=include_fxc
             )
-        for child in order.children.values():
-            child.setup_error = error
-            child.blocked_reason = f"setup failed: {error}"
+        for record in (*order.children.values(), order):
+            record.setup_error = error
+            record.blocked_reason = f"setup failed: {error}"
         self._retire(order, ConnectionState.BLOCKED)
         self.admission.release(order.customer, order.rate_bps)
-        order.state = ConnectionState.BLOCKED
-        order.blocked_reason = f"setup failed: {error}"
-        self._notify_order(order, "blocked")
+        order.transition(ConnectionState.BLOCKED)
+        self._notify("setup-failed", order)
 
     def _teardown_workflow(self, order: ShardOrder):
         for controller, lightpath, include_fxc in reversed(self._segments(order)):
@@ -892,13 +954,12 @@ class ShardedNetwork:
                 yield from controller.provisioner.teardown_workflow(
                     lightpath, include_fxc=include_fxc
                 )
-        for child in order.children.values():
-            child.released_at = self.sim.now
+        for record in (*order.children.values(), order):
+            record.released_at = self.sim.now
         self._retire(order, ConnectionState.RELEASED)
         self.admission.release(order.customer, order.rate_bps)
-        order.state = ConnectionState.RELEASED
-        order.released_at = self.sim.now
-        self._notify_order(order, "released")
+        order.transition(ConnectionState.RELEASED)
+        self._notify("released", order)
 
 
 def build_sharded_network(

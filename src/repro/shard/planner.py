@@ -1,4 +1,4 @@
-"""Inter-region order decomposition: gateways, segments, exclusions.
+"""Inter-region order decomposition: gateways and segments.
 
 A cross-region order ``premises_a -> premises_b`` cannot be planned by
 any single shard — region shards only see their own mesh and the
@@ -14,14 +14,12 @@ The gateway pair is chosen deterministically: minimize total BFS hop
 count (region hops to the gateway + express hops between gateways +
 region hops from the far gateway), ties broken by gateway name.  Both
 the sharded and the monolithic deployment run this same decomposition,
-which is what makes their outcomes comparable segment for segment.
-
-For the monolithic deployment — one controller over the full 3-tier
-graph — the planner also derives per-segment *exclusions* that confine
-each segment's candidate routes to exactly the subgraph the owning
-shard would see: intra-region segments exclude every node outside the
-region, and express segments exclude every non-gateway node plus any
-intra-region gateway-to-gateway links.
+which is what makes their outcomes comparable segment for segment.  The
+planner does not know which deployment it serves: confining a segment
+to its unit's subgraph, when the unit's controller plans over a larger
+graph, is the network's job (:class:`~repro.shard.network.ShardedNetwork`
+derives each unit's exclusions from how it groups units onto
+controllers).
 """
 
 from __future__ import annotations
@@ -41,29 +39,14 @@ class SegmentSpec:
         unit: Owning planning unit (a region name or ``"express"``).
         source: Segment source node (a PoP in the unit's graph).
         destination: Segment destination node.
-        excluded_nodes: Monolithic-mode exclusions confining candidate
-            routes to the unit's subgraph (empty for sharded units,
-            whose graphs already *are* the subgraph).
-        excluded_links: Monolithic-mode link exclusions (intra-region
-            gateway-gateway links, for express segments).
     """
 
-    __slots__ = ("unit", "source", "destination", "excluded_nodes",
-                 "excluded_links")
+    __slots__ = ("unit", "source", "destination")
 
-    def __init__(
-        self,
-        unit: str,
-        source: str,
-        destination: str,
-        excluded_nodes: Tuple[str, ...] = (),
-        excluded_links: Tuple[Tuple[str, str], ...] = (),
-    ) -> None:
+    def __init__(self, unit: str, source: str, destination: str) -> None:
         self.unit = unit
         self.source = source
         self.destination = destination
-        self.excluded_nodes = excluded_nodes
-        self.excluded_links = excluded_links
 
     def __repr__(self) -> str:
         return f"SegmentSpec({self.unit}: {self.source}->{self.destination})"
@@ -104,25 +87,10 @@ class ShardPlanner:
         self._express_hops: Dict[str, Dict[str, int]] = {}
         # Each region's nodes: a BFS over the full graph kept inside them
         # crosses exactly the region graph's links.
-        self._members: Dict[str, FrozenSet[str]] = {}
-        # Monolithic-mode exclusion sets, derived once.
-        self._foreign_nodes: Dict[str, Tuple[str, ...]] = {}
-        all_members: List[str] = []
-        for info in hierarchy.regions.values():
-            all_members.extend(info.pops)
-            all_members.extend(info.premises)
-        for name, info in hierarchy.regions.items():
-            members = self._members[name] = frozenset(info.pops + info.premises)
-            self._foreign_nodes[name] = tuple(
-                sorted(node for node in all_members if node not in members)
-            )
-        gateways = set(hierarchy.gateways())
-        self._non_gateway_nodes = tuple(
-            sorted(node for node in all_members if node not in gateways)
-        )
-        self._gateway_internal_links = tuple(
-            sorted(hierarchy.intra_region_gateway_links())
-        )
+        self._members: Dict[str, FrozenSet[str]] = {
+            name: frozenset(info.pops + info.premises)
+            for name, info in hierarchy.regions.items()
+        }
 
     # -- hop maps -------------------------------------------------------------
 
@@ -178,20 +146,13 @@ class ShardPlanner:
 
     # -- decomposition --------------------------------------------------------
 
-    def decompose(
-        self, pop_a: str, pop_b: str, monolithic: bool = False
-    ) -> List[SegmentSpec]:
+    def decompose(self, pop_a: str, pop_b: str) -> List[SegmentSpec]:
         """Split ``pop_a -> pop_b`` into per-unit segments.
 
         An intra-region pair yields a single segment in its region's
         unit.  A cross-region pair yields up to three (region A,
         express, region B), with degenerate region segments — the PoP
         already being the chosen gateway — skipped.
-
-        With ``monolithic=True`` each segment carries the node/link
-        exclusions that confine a full-graph planner to the owning
-        shard's subgraph, so both deployments enumerate identical
-        candidate routes.
 
         Raises:
             NoPathError: when either PoP is outside every region or no
@@ -203,35 +164,12 @@ class ShardPlanner:
             unknown = pop_a if region_a is None else pop_b
             raise NoPathError(f"{unknown!r} is not in any region")
         if region_a == region_b:
-            return [self._region_segment(region_a, pop_a, pop_b, monolithic)]
+            return [SegmentSpec(region_a, pop_a, pop_b)]
         gw_a, gw_b = self.choose_gateways(pop_a, region_a, pop_b, region_b)
         segments: List[SegmentSpec] = []
         if pop_a != gw_a:
-            segments.append(
-                self._region_segment(region_a, pop_a, gw_a, monolithic)
-            )
-        segments.append(self._express_segment(gw_a, gw_b, monolithic))
+            segments.append(SegmentSpec(region_a, pop_a, gw_a))
+        segments.append(SegmentSpec(EXPRESS, gw_a, gw_b))
         if gw_b != pop_b:
-            segments.append(
-                self._region_segment(region_b, gw_b, pop_b, monolithic)
-            )
+            segments.append(SegmentSpec(region_b, gw_b, pop_b))
         return segments
-
-    def _region_segment(
-        self, region: str, source: str, destination: str, monolithic: bool
-    ) -> SegmentSpec:
-        excluded = self._foreign_nodes[region] if monolithic else ()
-        return SegmentSpec(region, source, destination, excluded_nodes=excluded)
-
-    def _express_segment(
-        self, gw_a: str, gw_b: str, monolithic: bool
-    ) -> SegmentSpec:
-        if not monolithic:
-            return SegmentSpec(EXPRESS, gw_a, gw_b)
-        return SegmentSpec(
-            EXPRESS,
-            gw_a,
-            gw_b,
-            excluded_nodes=self._non_gateway_nodes,
-            excluded_links=self._gateway_internal_links,
-        )

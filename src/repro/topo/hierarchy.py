@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Tuple
 
-from repro.errors import ConfigurationError, TopologyError
+from repro.errors import ConfigurationError
 from repro.sim.randomness import RandomStreams
 from repro.topo.generator import generate_backbone
 from repro.topo.graph import Link, NetworkGraph, Node
@@ -151,24 +151,6 @@ class Hierarchy:
         for a, b in self.express_links:
             sub.add_link(self.graph.link_between(a, b))
         return sub
-
-    def intra_region_gateway_links(self) -> List[Tuple[str, str]]:
-        """Link keys joining two gateways of the *same* region.
-
-        A monolithic deployment planning an express segment on the full
-        graph must exclude these, so its candidate routes match what the
-        sharded express slice (where such links do not exist) computes.
-        """
-        keys: List[Tuple[str, str]] = []
-        for info in self.regions.values():
-            gateways = list(info.gateways)
-            for i, a in enumerate(gateways):
-                for b in gateways[i + 1 :]:
-                    try:
-                        keys.append(self.graph.link_between(a, b).key)
-                    except TopologyError:
-                        continue  # these two gateways are not adjacent
-        return keys
 
 
 # -- per-tier builders (each reproducible in isolation) ----------------------

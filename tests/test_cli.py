@@ -158,6 +158,27 @@ class TestShardCommand:
         )
         assert payload["sharded"]["audits_ok"]
 
+    def test_shard_exits_2_on_a_failed_audit(self, capsys, monkeypatch):
+        from repro.faults.audit import AuditViolation
+        from repro.shard.network import ShardedNetwork
+
+        audit_shards = ShardedNetwork.audit_shards
+
+        def failing(net):
+            reports = audit_shards(net)
+            next(iter(reports.values())).violations.append(
+                AuditViolation("planted", "resource", "", "a planted leak")
+            )
+            return reports
+
+        monkeypatch.setattr(ShardedNetwork, "audit_shards", failing)
+        args = ["--seed", "3", "shard", "--regions", "2", "--pops", "6",
+                "--orders", "3"]
+        assert main(args) == 2
+        out = capsys.readouterr().out
+        assert "1 violation(s)" in out
+        assert "3 order(s) over 2 region(s) x 6 PoP(s), 3 up, 0 blocked" in out
+
 
 class TestSloCommand:
     def test_policy_off_with_a_policy_file_is_refused_by_the_parser(

@@ -1,6 +1,6 @@
 """Property-based conservation tests for the IP layer and SONET rings."""
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.errors import GriphonError
@@ -92,6 +92,19 @@ def test_ip_layer_reservations_always_balance(ops):
         ),
         max_size=25,
     )
+)
+# A circuit provisioned during a failure takes the working timeslots a
+# protection-switched circuit would revert onto (span 2 reached 25 of 24).
+@example(
+    ops=[
+        ("provision", ("D", "A"), 1),
+        ("provision", ("D", "A"), 1),
+        ("provision", ("A", "C"), 11),
+        ("fail", 0),
+        ("provision", ("N", "D"), 1),
+        ("provision", ("N", "D"), 12),
+        ("repair", 0),
+    ]
 )
 def test_sonet_ring_timeslots_always_balance(ops):
     """Invariant: used working+protection timeslots on each span equal

@@ -7,7 +7,7 @@ is the loop it replaced, kept verbatim and *only* in this file
 (:class:`PerOrderNetwork`): admit -> decompose -> plan this order's
 segments -> claim, one order at a time.  Every (mode x backend) corner
 of the new round must reproduce the reference's structural outcomes,
-authoritative plant, order-listener event sequence and per-tenant
+authoritative plant, order observer event sequence and per-tenant
 admission usage — over hypothesis-generated rounds and over five pinned
 scenarios, each asserting that the situation it is named for really
 occurs:
@@ -34,7 +34,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.core.admission import CustomerProfile
-from repro.core.connection import ConnectionState
+from repro.core.connection import ConnectionKind, ConnectionState
 from repro.core.rwa import PlanRequest, RwaPlan, _PlanningRound
 from repro.errors import AdmissionError, GriphonError
 from repro.shard.network import (
@@ -77,17 +77,17 @@ class PerOrderNetwork(ShardedNetwork):
             premises_a,
             premises_b,
             rate_bps,
+            ConnectionKind.WAVELENGTH,
+            requested_at=self.sim.now,
         )
-        self.orders[order.order_id] = order
+        self.orders[order.connection_id] = order
         try:
             self.admission.admit(customer, premises_a, premises_b, rate_bps)
         except AdmissionError as exc:
             return self._block(order, exc, admitted=False)
         try:
             specs = self.planner.decompose(
-                self._pop_of(premises_a),
-                self._pop_of(premises_b),
-                monolithic=self.mode == "monolithic",
+                self._pop_of(premises_a), self._pop_of(premises_b)
             )
             plans = self._plan_segments(order, specs, rate_bps, rounds)
         except GriphonError as exc:
@@ -98,7 +98,7 @@ class PerOrderNetwork(ShardedNetwork):
             return self._block(order, exc, admitted=True)
         for child in order.children.values():
             child.transition(ConnectionState.SETTING_UP)
-        order.state = ConnectionState.SETTING_UP
+        order.transition(ConnectionState.SETTING_UP)
         Process(
             self.sim,
             self._setup_workflow(order),
@@ -111,9 +111,9 @@ class PerOrderNetwork(ShardedNetwork):
     ) -> ShardOrder:
         if admitted:
             self.admission.release(order.customer, order.rate_bps)
-        order.state = ConnectionState.BLOCKED
+        order.transition(ConnectionState.BLOCKED)
         order.blocked_reason = str(exc)
-        self._notify_order(order, "blocked")
+        self._notify("blocked", order)
         return order
 
     def _plan_segments(
@@ -123,16 +123,18 @@ class PerOrderNetwork(ShardedNetwork):
         rate_bps: float,
         rounds: Dict[str, _PlanningRound],
     ) -> List[RwaPlan]:
-        requests = [
-            PlanRequest(
-                spec.source,
-                spec.destination,
-                rate_bps,
-                excluded_links=tuple(spec.excluded_links),
-                excluded_nodes=tuple(spec.excluded_nodes),
+        requests = []
+        for spec in specs:
+            excluded_links, excluded_nodes = self._exclusions[spec.unit]
+            requests.append(
+                PlanRequest(
+                    spec.source,
+                    spec.destination,
+                    rate_bps,
+                    excluded_links=excluded_links,
+                    excluded_nodes=excluded_nodes,
+                )
             )
-            for spec in specs
-        ]
         items = [
             self._unit_controller[spec.unit].rwa.plan_batch(
                 [request], round_ctx=rounds[spec.unit]
@@ -226,8 +228,10 @@ def drive(cls, hierarchy, mode, backend, steps, **build):
                     max_total_rate_bps=10000 * GBPS,
                 )
             )
-        net.order_listeners.append(
-            lambda order, event: events.append((order.order_id, event))
+        net.observers.append(
+            lambda event, payload: events.append(
+                (payload["connection"].order_id, event)
+            )
         )
         for step in steps:
             if step[0] == "place":

@@ -5,8 +5,8 @@ controller claims, puts into service and gives back.  An order that
 aborts at any segment, by a fault rule at any step or by a cut during
 that segment's setup, must leave every unit's ledger empty and its plant
 dark; a segment cut between its own UP and the order's UP must enter
-service FAILED, so the repair revives it; and ``audit_shards`` must
-flag a lightpath that no live child holds.
+service FAILED, and its order with it, so the repair revives both; and
+``audit_shards`` must flag a lightpath that no live child holds.
 """
 
 from hypothesis import given, settings
@@ -139,7 +139,10 @@ class TestSegmentCutBeforeOrderUp:
         assert region_a.state is ConnectionState.SETTING_UP
         net.cut_fiber(path[0], path[1])
         net.run()
-        assert order.state is ConnectionState.UP
+        # The order enters service FAILED with its segment, as a
+        # connection cut during setup does on one controller.
+        assert order.state is ConnectionState.FAILED
+        assert order.outage_started_at == order.up_at
         controller = net.controllers["R00"]
         lightpath = controller.inventory.lightpaths[region_a.lightpath_ids[0]]
         assert lightpath.state is LightpathState.FAILED
@@ -151,6 +154,8 @@ class TestSegmentCutBeforeOrderUp:
         assert lightpath.state is LightpathState.UP
         assert region_a.state is ConnectionState.UP
         assert region_a.total_outage_s == 600.0 - order.up_at
+        assert order.state is ConnectionState.UP
+        assert order.total_outage_s == region_a.total_outage_s
         net.teardown_order(order)
         net.run()
         assert order.state is ConnectionState.RELEASED

@@ -402,7 +402,8 @@ class OrderIntake(Protocol):
     ``outcome`` maps a ticket onto the typed union above; listeners see
     every lifecycle edge.  The async frontend targets exactly this
     protocol, which is what makes the monolithic pipeline and the
-    sharded network swappable behind it.
+    sharded network swappable behind it; the frontend admits straight
+    into the intake's heap, the one queue an order waits in.
     """
 
     def submit(
@@ -412,8 +413,10 @@ class OrderIntake(Protocol):
         premises_b: str,
         rate_bps: float,
         kind: Optional["ConnectionKind"] = None,
+        premium: bool = False,
     ) -> "OrderTicket":
-        """Queue an order; return its ticket immediately."""
+        """Queue an order; return its ticket immediately.  A
+        ``premium`` order waits ahead of every standard one."""
         ...
 
     def outcome(self, ticket: "OrderTicket") -> Optional[OrderStatus]:
@@ -422,6 +425,10 @@ class OrderIntake(Protocol):
 
     def queue_depth(self) -> int:
         """Orders currently waiting for processing."""
+        ...
+
+    def premium_depth(self) -> int:
+        """Premium orders currently waiting for processing."""
         ...
 
     @property

@@ -847,7 +847,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve.add_argument(
         "--queue-capacity", type=int, default=256,
-        help="frontend submission-queue bound (default 256)",
+        help="edge bound on orders waiting in the intake, capped at "
+        "the intake's capacity (default 256)",
     )
     serve.add_argument(
         "--bucket-rate", type=float, default=1.0,

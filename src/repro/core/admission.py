@@ -10,6 +10,7 @@ policy, resource blocking is capacity.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
@@ -77,13 +78,16 @@ class AdmissionControl:
 
         Non-mutating: nothing is recorded.  The order pipeline and load
         studies use this to probe admissibility without spending quota;
-        :meth:`admit` is the same checks plus the ledger update.
+        :meth:`admit` is the same checks plus the ledger update.  Both
+        refuse a rate that is not a positive finite number.
 
         Raises:
             AdmissionError: for an unknown customer (that is a caller
                 bug, not a quota outcome).
         """
         profile = self.profile(customer)
+        if not (rate_bps > 0 and math.isfinite(rate_bps)):
+            return f"rate must be a positive finite number, got {rate_bps!r}"
         if profile.premises:
             for premises in (premises_a, premises_b):
                 if premises not in profile.premises:

@@ -148,7 +148,6 @@ class GriphonNetwork:
         shed_low: Optional[int] = None,
         bucket_rate: float = 1.0,
         bucket_burst: float = 8.0,
-        pump_interval: float = 0.05,
         premium_tenants: Iterable[str] = (),
         **pipeline_kwargs,
     ):
@@ -187,7 +186,6 @@ class GriphonNetwork:
             shed_low=shed_low,
             bucket_rate=bucket_rate,
             bucket_burst=bucket_burst,
-            pump_interval=pump_interval,
             premium_tenants=premium_tenants,
         )
         return self.frontend

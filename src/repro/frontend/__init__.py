@@ -9,8 +9,8 @@ clients and the order backends:
   token buckets on the sim clock;
 * :mod:`repro.frontend.service` — :class:`BodFrontend`: the three edge
   gates (rate limit, non-mutating quota probe, hysteresis load
-  shedding), the bounded submission queue with its intake pump, and
-  streaming order-status resolution over any
+  shedding against the intake's one bounded heap), direct admission
+  into that heap, and streaming order-status resolution over any
   :class:`repro.api.OrderIntake` backend;
 * :mod:`repro.frontend.clients` — open-loop Poisson client fleets over
   heavy-tailed tenant populations, for the load benchmarks.

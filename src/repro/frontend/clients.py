@@ -112,7 +112,7 @@ class ClientFleet:
         tenant draws, endpoint pairs, and rates all come from dedicated
         substreams, so the timeline is a pure function of the seed.
         """
-        sim = self._frontend._sim
+        sim = self._frontend.sim
         clock = self._streams.stream("fleet.arrivals")
         tenants = self._streams.stream("fleet.tenants")
         pairs = self._streams.stream("fleet.premises")
@@ -171,5 +171,5 @@ class ClientFleet:
         self.stats.outcomes[name] = self.stats.outcomes.get(name, 0) + 1
         if isinstance(outcome, api.Active):
             self.stats.order_to_active.append(
-                self._frontend._sim.now - ticket.submitted_at
+                self._frontend.sim.now - ticket.submitted_at
             )

@@ -15,19 +15,18 @@ ever sees the order**, in this sequence:
    the *non-mutating* probe: nothing is recorded against the ledger, so
    a refused (or later-deferred) request can never double-count quota.
    Refuses with :data:`~repro.api.REJECT_QUOTA`.
-3. **Load shedding** — a two-state hysteresis machine over the bounded
-   submission queue: OPEN until depth reaches ``shed_high``, then
-   SHEDDING (every new submission refused with
-   :data:`~repro.api.REJECT_SHED`) until the pump drains depth back to
-   ``shed_low``.  The queue itself is a hard bound; nothing ever queues
-   unboundedly.
+3. **Load shedding** — a two-state hysteresis machine over the depth of
+   the intake's heap: OPEN until an admission brings it to
+   ``shed_high``, then SHEDDING (every new submission refused with
+   :data:`~repro.api.REJECT_SHED`) until the rounds drain it back to
+   ``shed_low``.  The hard bound is ``min(queue_capacity,
+   intake.capacity)``, so frontend traffic never trips intake QUEUE_FULL.
 
-Admitted orders wait in the submission queue; a kernel pump process
-forwards them to the intake only while the intake's own bounded queue
-has room, so frontend traffic never triggers intake QUEUE_FULL
-backpressure.  Each submission returns a :class:`FrontendTicket` whose
-future resolves — via the intake's listener stream, no polling — with
-the order's terminal :data:`repro.api.OrderOutcome`.
+The frontend owns no queue: an admitted order goes straight into
+:meth:`repro.api.OrderIntake.submit`.  Each submission returns a
+:class:`FrontendTicket` whose future resolves — via the intake's
+listener stream, no polling — with the order's terminal
+:data:`repro.api.OrderOutcome`.
 
 Every decision is counted: ``frontend.submitted`` equals
 ``frontend.admitted + frontend.shed + frontend.throttled`` at all times
@@ -40,18 +39,17 @@ caller bug: :meth:`BodFrontend.submit` raises before it counts anything,
 spends a request id or materializes a token bucket.
 
 Tenants named in ``premium_tenants`` ride the **premium** priority
-class: their orders are pumped before any standard order and are shed
-last (hysteresis shedding refuses only standard traffic; the hard
-capacity bound refuses everyone).  The conservation law holds per
-class too, over the ``frontend.*.premium`` / ``frontend.*.standard``
-counters.
+class: the intake's heap ranks their orders ahead of every standard
+order, and they are shed last (hysteresis shedding refuses only
+standard traffic; the hard bound refuses everyone).  The conservation
+law holds per class too, over the ``frontend.*.premium`` /
+``frontend.*.standard`` counters.
 """
 
 from __future__ import annotations
 
 import itertools
-from collections import deque
-from typing import Callable, Deque, Dict, Iterable, NamedTuple, Optional, Tuple
+from typing import Callable, Dict, Iterable, NamedTuple, Optional, Tuple
 
 from repro import api
 from repro.core.admission import AdmissionControl
@@ -62,16 +60,15 @@ from repro.frontend.ratelimit import BucketSet
 from repro.obs.registry import MetricsRegistry
 from repro.pipeline.engine import OrderTicket, TicketState
 from repro.sim.kernel import Simulator
-from repro.sim.process import Process
 
 #: Backpressure state: accepting submissions.
 STATE_OPEN = "open"
 #: Backpressure state: shedding every new submission until drained.
 STATE_SHEDDING = "shedding"
 
-#: Priority classes, pump order.  Premium tenants are forwarded first
-#: and shed last: hysteresis shedding refuses only standard traffic;
-#: the hard capacity bound still refuses everyone.
+#: Priority classes, heap order.  Premium tenants wait ahead of standard
+#: ones and are shed last: hysteresis shedding refuses only standard
+#: traffic; the hard bound still refuses everyone.
 PRIORITY_CLASSES = ("premium", "standard")
 
 
@@ -118,8 +115,8 @@ class FrontendTicket:
         rate_bps: Committed rate.
         submitted_at: Sim time of submission.
         future: Resolves with the terminal outcome.
-        order_ticket: The backend ticket, once the pump forwarded the
-            order (None for edge-rejected or still-queued requests).
+        order_ticket: The backend ticket, set when the edge admits the
+            order into the intake (None for edge-rejected requests).
     """
 
     __slots__ = (
@@ -188,15 +185,16 @@ class BodFrontend:
         metrics: Registry for ``frontend.*`` counters/histograms/gauges
             (created fresh when None).
         tracer: Optional tracer for state-transition events.
-        queue_capacity: Bound on the submission queue (hard limit).
-        shed_high: Queue depth entering SHEDDING (default 3/4 capacity).
-        shed_low: Queue depth returning to OPEN (default 1/4 capacity).
+        queue_capacity: The edge's bound on the intake's depth; the hard
+            bound is the smaller of this and ``intake.capacity``.
+        shed_high: Intake depth entering SHEDDING (default 3/4 of the
+            hard bound).
+        shed_low: Intake depth returning to OPEN (default 1/4 of the
+            hard bound).
         bucket_rate: Default per-tenant sustained submissions/sim-second.
         bucket_burst: Default per-tenant burst allowance.
-        pump_interval: Sim seconds between pump passes while the intake
-            is full.
         premium_tenants: Tenants whose submissions ride the premium
-            priority class (pumped first, shed last).
+            priority class (ranked first in the intake, shed last).
     """
 
     def __init__(
@@ -211,41 +209,32 @@ class BodFrontend:
         shed_low: Optional[int] = None,
         bucket_rate: float = 1.0,
         bucket_burst: float = 8.0,
-        pump_interval: float = 0.05,
         premium_tenants: Iterable[str] = (),
     ) -> None:
         if queue_capacity < 1:
             raise ConfigurationError(
                 f"queue_capacity must be >= 1, got {queue_capacity}"
             )
+        bound = min(queue_capacity, intake.capacity)
         if shed_high is None:
-            shed_high = max(1, (queue_capacity * 3) // 4)
+            shed_high = max(1, (bound * 3) // 4)
         if shed_low is None:
-            shed_low = queue_capacity // 4
+            shed_low = bound // 4
         if not 0 <= shed_low < shed_high <= queue_capacity:
             raise ConfigurationError(
                 f"need 0 <= shed_low < shed_high <= capacity, got "
                 f"low={shed_low} high={shed_high} capacity={queue_capacity}"
-            )
-        if pump_interval <= 0:
-            raise ConfigurationError(
-                f"pump_interval must be > 0, got {pump_interval}"
             )
         self._intake = intake
         self._admission = admission
         self._sim = sim
         self._metrics = metrics if metrics is not None else MetricsRegistry()
         self._tracer = tracer
-        self._capacity = queue_capacity
+        self._capacity = bound
         self._shed_high = shed_high
         self._shed_low = shed_low
-        self._pump_interval = float(pump_interval)
         self._buckets = BucketSet(bucket_rate, bucket_burst)
         self._premium = frozenset(premium_tenants)
-        #: Two-level submission queue: the pump always drains premium
-        #: first; both levels share the single capacity bound.
-        self._premium_queue: Deque[FrontendTicket] = deque()
-        self._standard_queue: Deque[FrontendTicket] = deque()
         self._premium_counters = _DecisionCounters.of("premium")
         self._standard_counters = _DecisionCounters.of("standard")
         self._by_order: Dict[str, FrontendTicket] = {}
@@ -254,17 +243,15 @@ class BodFrontend:
         self._listeners: Tuple[Callable[[FrontendTicket, str], None], ...] = ()
         self._state = STATE_OPEN
         self._seq = itertools.count(1)
-        self._proc: Optional[Process] = None
         intake.add_listener(self._on_intake_event)
         self._metrics.register_gauge(
-            "frontend.queue_depth", self.queue_depth
+            "frontend.queue_depth", intake.queue_depth
         )
         self._metrics.register_gauge(
-            "frontend.queue_depth.premium",
-            lambda: len(self._premium_queue),
+            "frontend.queue_depth.premium", intake.premium_depth
         )
         self._metrics.register_gauge(
-            "frontend.shedding", lambda: int(self._state == STATE_SHEDDING)
+            "frontend.shedding", lambda: int(self.state == STATE_SHEDDING)
         )
         self._metrics.register_gauge(
             "frontend.tenants", lambda: len(self._buckets)
@@ -273,13 +260,18 @@ class BodFrontend:
     # -- introspection ---------------------------------------------------------
 
     @property
+    def sim(self) -> Simulator:
+        """The simulator the edge's clock and futures run on."""
+        return self._sim
+
+    @property
     def state(self) -> str:
         """The backpressure state: ``"open"`` or ``"shedding"``."""
-        return self._state
+        return self._reopen()
 
     def queue_depth(self) -> int:
-        """Admitted orders waiting to be forwarded to the intake."""
-        return len(self._premium_queue) + len(self._standard_queue)
+        """Orders waiting for a round in the intake's heap."""
+        return self._intake.queue_depth()
 
     def priority_of(self, tenant: str) -> str:
         """The priority class a tenant's submissions ride in."""
@@ -287,7 +279,7 @@ class BodFrontend:
 
     @property
     def capacity(self) -> int:
-        """The submission queue's hard bound."""
+        """The hard bound on the intake's depth the edge admits to."""
         return self._capacity
 
     def add_listener(
@@ -296,7 +288,7 @@ class BodFrontend:
         """Subscribe to the status stream.
 
         The listener receives ``(ticket, event)`` with events
-        ``"rejected"`` (edge refusal), ``"admitted"`` (queued),
+        ``"rejected"`` (edge refusal), ``"admitted"`` (in the intake),
         ``"settled"`` (backend intake decision), then ``"active"`` /
         ``"degraded"`` / ``"failed"`` and ``"released"`` as the backend
         streams them.  A listener added while an event is being emitted
@@ -314,7 +306,8 @@ class BodFrontend:
         rate_bps: float,
         kind: Optional[ConnectionKind] = None,
     ) -> FrontendTicket:
-        """Run the edge gates and either queue or refuse the request.
+        """Run the edge gates, then admit the request into the intake or
+        refuse it.
 
         Always returns a ticket; an edge refusal resolves the ticket's
         future with a typed :class:`repro.api.Rejected` (never an
@@ -327,14 +320,9 @@ class BodFrontend:
         """
         self._admission.profile(tenant)
         now = self._sim.now
-        if tenant in self._premium:
-            priority = "premium"
-            queue = self._premium_queue
-            counters = self._premium_counters
-        else:
-            priority = "standard"
-            queue = self._standard_queue
-            counters = self._standard_counters
+        premium = tenant in self._premium
+        priority = "premium" if premium else "standard"
+        counters = self._premium_counters if premium else self._standard_counters
         ticket = FrontendTicket(
             f"req-{next(self._seq)}",
             tenant,
@@ -361,13 +349,13 @@ class BodFrontend:
             return self._reject(
                 ticket, api.REJECT_QUOTA, reason, counters.over_quota
             )
-        # Gate 3: backpressure.  The hysteresis keeps shedding until the
-        # pump drains the backlog to shed_low; the capacity check is the
-        # hard bound underneath it.  Premium traffic is shed last: it
-        # rides through hysteresis shedding and is refused only at the
-        # hard capacity bound.
-        depth = len(self._premium_queue) + len(self._standard_queue)
-        shedding = self._state == STATE_SHEDDING and priority != "premium"
+        # Gate 3: backpressure over the intake's depth.  The hysteresis
+        # keeps shedding until the rounds drain the heap to shed_low;
+        # the hard bound sits underneath it.  Premium traffic is shed
+        # last: it rides through hysteresis shedding and is refused only
+        # at the hard bound.
+        shedding = self._reopen() == STATE_SHEDDING and not premium
+        depth = self._intake.queue_depth()
         if shedding or depth >= self._capacity:
             return self._reject(
                 ticket,
@@ -376,9 +364,20 @@ class BodFrontend:
                 counters.shed,
             )
         self._metrics.inc_each(counters.admitted)
-        queue.append(ticket)
-        self._update_shed_state()
-        self._ensure_pumping()
+        order = self._intake.submit(
+            tenant, premises_a, premises_b, rate_bps, kind, premium=premium
+        )
+        ticket.order_ticket = order
+        self._by_order[order.order_id] = ticket
+        # Equals frontend.admitted by construction; kept only for the
+        # bench harness's orders-per-round figure (ROADMAP, bench/ item).
+        self._metrics.inc("frontend.forwarded")
+        depth = self._intake.queue_depth()
+        if self._state == STATE_OPEN and depth >= self._shed_high:
+            self._state = STATE_SHEDDING
+            self._metrics.inc("frontend.shed_transitions")
+            if self._tracer is not None:
+                self._tracer.event("frontend.shedding", queue_depth=depth)
         self._emit(ticket, "admitted")
         return ticket
 
@@ -399,53 +398,20 @@ class BodFrontend:
 
     # -- backpressure state machine --------------------------------------------
 
-    def _update_shed_state(self) -> None:
-        """Hysteresis: OPEN -> SHEDDING at shed_high, back at shed_low."""
-        depth = len(self._premium_queue) + len(self._standard_queue)
-        if self._state == STATE_OPEN and depth >= self._shed_high:
-            self._state = STATE_SHEDDING
-            self._metrics.inc("frontend.shed_transitions")
-            if self._tracer is not None:
-                self._tracer.event("frontend.shedding", queue_depth=depth)
-        elif self._state == STATE_SHEDDING and depth <= self._shed_low:
-            self._state = STATE_OPEN
-            if self._tracer is not None:
-                self._tracer.event("frontend.open", queue_depth=depth)
+    def _reopen(self) -> str:
+        """SHEDDING -> OPEN once the rounds drained depth to shed_low.
 
-    # -- the pump --------------------------------------------------------------
-
-    def _ensure_pumping(self) -> None:
-        if self._proc is None or self._proc.done:
-            self._proc = Process(
-                self._sim, self._pump(), label="frontend:pump"
-            )
-
-    def _pump(self):
-        """Kernel process: forward queued orders while the intake has
-        room, always draining the premium level first."""
-        premium, standard = self._premium_queue, self._standard_queue
-        while premium or standard:
-            room = self._intake.capacity - self._intake.queue_depth()
-            while room > 0 and (premium or standard):
-                ticket = (premium or standard).popleft()
-                order = self._intake.submit(
-                    ticket.tenant,
-                    ticket.premises_a,
-                    ticket.premises_b,
-                    ticket.rate_bps,
-                    ticket.kind,
-                )
-                ticket.order_ticket = order
-                self._by_order[order.order_id] = ticket
-                self._metrics.inc("frontend.forwarded")
-                if order.settled and order.state is TicketState.QUEUE_FULL:
-                    # Only possible when another producer fills the
-                    # intake behind our depth check; surface it typed.
-                    self._finish(ticket)
-                room -= 1
-            self._update_shed_state()
-            if premium or standard:
-                yield self._pump_interval
+        With the edge as the heap's only producer, depth only falls
+        between submissions (rounds pop; a defer pushes back what it
+        popped), so checking at each submission and read is exact.
+        """
+        if self._state == STATE_SHEDDING:
+            depth = self._intake.queue_depth()
+            if depth <= self._shed_low:
+                self._state = STATE_OPEN
+                if self._tracer is not None:
+                    self._tracer.event("frontend.open", queue_depth=depth)
+        return self._state
 
     # -- outcome streaming -----------------------------------------------------
 

@@ -19,7 +19,9 @@ queue in rounds of up to ``round_size`` orders.  Each pipeline round:
    plans into the controller's normal claim path.
 
 Contention resolution is deterministic: orders are processed by
-``(arrival time, tiebreak, submission sequence)``.  The tiebreak is 0
+``(class, arrival time, tiebreak, submission sequence)``.  The class is
+0 for a premium order the service edge admits and 1 for every other
+(every direct caller).  The tiebreak is 0
 by default (pure arrival order — required for the round-size-1
 equivalence with the serial path); with ``seeded_tiebreak=True`` it is
 a per-order uniform draw from a dedicated spawned stream family, giving
@@ -168,7 +170,7 @@ class OrderTicket:
 class _QueuedOrder:
     """Heap entry: priority plus the untouched submission payload."""
 
-    priority: Tuple[float, float, int]
+    priority: Tuple[int, float, float, int]
     ticket: OrderTicket = field(compare=False)
     kind: Optional[ConnectionKind] = field(compare=False, default=None)
     defers: int = field(compare=False, default=0)
@@ -256,12 +258,14 @@ class RoundIntake:
         premises_b: str,
         rate_bps: float,
         kind: Optional[ConnectionKind] = None,
+        premium: bool = False,
     ) -> OrderTicket:
         """Queue an order; returns its ticket immediately.
 
         A full queue settles the ticket as QUEUE_FULL on the spot —
         nothing is recorded against the backend, and the customer is
         expected to resubmit later (backpressure, not buffering).
+        A ``premium`` order waits ahead of every standard one.
         """
         now = self._sim.now
         ticket = OrderTicket(
@@ -284,7 +288,8 @@ class RoundIntake:
             self._emit(ticket, "settled")
             return ticket
         entry = _QueuedOrder(
-            priority=(now, self._tiebreak(), next(self._arrival_seq)),
+            priority=(0 if premium else 1, now, self._tiebreak(),
+                      next(self._arrival_seq)),
             ticket=ticket,
             kind=kind,
         )
@@ -334,6 +339,10 @@ class RoundIntake:
     def queue_depth(self) -> int:
         """Orders currently waiting for a round."""
         return len(self._heap)
+
+    def premium_depth(self) -> int:
+        """Premium orders currently waiting for a round."""
+        return sum(1 for entry in self._heap if not entry.priority[0])
 
     @property
     def rounds(self) -> int:

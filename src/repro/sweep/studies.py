@@ -306,7 +306,6 @@ def frontend_trial(trial: TrialSpec) -> TrialResult:
         queue_capacity=int(params.get("queue_capacity", 256)),
         bucket_rate=float(params.get("bucket_rate", 1.0)),
         bucket_burst=float(params.get("bucket_burst", 8.0)),
-        pump_interval=float(params.get("pump_interval", 0.05)),
         capacity=int(params.get("capacity", 256)),
         round_size=int(params.get("round_size", 8)),
         round_interval=float(params.get("round_interval", 0.01)),

@@ -165,7 +165,6 @@ class TestEdgeGates:
             shed_low=1,
             bucket_rate=1000.0,
             bucket_burst=1000.0,
-            pump_interval=5.0,
         )
         net.service_for("csp", max_connections=256,
                         max_total_rate_gbps=10000.0)
@@ -191,8 +190,7 @@ class TestEdgeGates:
 
     def test_gauges_report_edge_state(self, net):
         frontend = _frontend(net, queue_capacity=8, shed_high=4, shed_low=1,
-                             bucket_rate=1000.0, bucket_burst=1000.0,
-                             pump_interval=5.0)
+                             bucket_rate=1000.0, bucket_burst=1000.0)
         net.service_for("csp", max_connections=256,
                         max_total_rate_gbps=10000.0)
         for _ in range(6):

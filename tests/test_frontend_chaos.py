@@ -3,12 +3,12 @@
 Two simulated hours of an open-loop tenant fleet submitting through the
 async frontend while transient and timeout faults hit 20% of the EMS
 commands underneath.  Connections are torn down as soon as they come
-up, so the run keeps cycling submit → edge gates → pump → setup →
+up, so the run keeps cycling submit → edge gates → round → setup →
 teardown, saga rollbacks included.  Whatever the faults did:
 
 * every submission is admitted, shed or throttled, and every ticket
   resolves to one of :data:`repro.api.TERMINAL_OUTCOMES`;
-* the frontend queue never holds more than its capacity;
+* the intake's heap never holds more than the edge's hard bound;
 * after the survivors are torn down, :func:`repro.faults.audit_network`
   finds nothing leaked and nothing double-allocated.
 """

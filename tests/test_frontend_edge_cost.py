@@ -1,14 +1,15 @@
 """What an edge decision costs, and what it must keep meaning.
 
-The service edge counts each decision in one ``inc_each`` call, keeps
-its queue depth as two deque lengths, takes a token in one frame and
-emits to a listener tuple.  These tests pin the meaning those shortcuts
-must keep:
+The service edge counts each decision in one ``inc_each`` call, reads
+its queue depth from the intake's one heap, takes a token in one frame
+and emits to a listener tuple.  These tests pin the meaning those
+shortcuts must keep:
 
 * across random interleavings of submits (both priority classes),
-  pump passes and teardowns, ``queue_depth()`` equals the tickets
-  actually waiting, and ``submitted == admitted + shed + throttled``
-  holds overall and per class after every step;
+  stretches of simulated time and teardowns, ``queue_depth()`` equals
+  the admitted tickets still waiting for a round, and
+  ``submitted == admitted + shed + throttled`` holds overall and per
+  class after every step;
 * ``MetricsRegistry.inc_each`` is the same names passed to ``inc`` one
   by one — values and first-insertion order;
 * ``BucketSet.try_take`` decides exactly as one ``TokenBucket`` per
@@ -27,6 +28,7 @@ from repro.errors import AdmissionError
 from repro.facade import build_griphon_testbed
 from repro.frontend import PRIORITY_CLASSES, BucketSet, TokenBucket
 from repro.obs.registry import MetricsRegistry
+from repro.pipeline import TicketState
 
 TENANTS = ("vip", "csp-1", "csp-2", "tiny")
 PREMISES = ("PREMISES-A", "PREMISES-B", "PREMISES-C")
@@ -67,7 +69,7 @@ _steps = st.lists(
             st.sampled_from(TENANTS),
             st.integers(min_value=1, max_value=6),
         ),
-        st.tuples(st.just("pump"), st.sampled_from((0.0, 0.01, 0.2, 5.0))),
+        st.tuples(st.just("run"), st.sampled_from((0.0, 0.01, 0.2, 5.0))),
         st.tuples(st.just("teardown"), st.integers(min_value=0, max_value=7)),
     ),
     min_size=1,
@@ -81,7 +83,7 @@ class TestEdgeInterleavings:
     def test_depth_and_conservation_hold_after_every_step(self, steps):
         net, frontend = _edge(
             queue_capacity=6, shed_high=4, shed_low=1, bucket_rate=2.0,
-            bucket_burst=4.0, pump_interval=0.05, capacity=2,
+            bucket_burst=4.0, capacity=2,
         )
         tickets, torn = [], set()
         for step in steps:
@@ -92,7 +94,7 @@ class TestEdgeInterleavings:
                         tenant, PREMISES[index % 3], PREMISES[(index + 1) % 3],
                         1e9,
                     ))
-            elif step[0] == "pump":
+            elif step[0] == "run":
                 net.run(until=net.sim.now + step[1])
             else:
                 active = [
@@ -105,7 +107,8 @@ class TestEdgeInterleavings:
                     net.pipeline.teardown(ticket.order_ticket)
             waiting = {level: 0 for level in PRIORITY_CLASSES}
             for ticket in tickets:
-                if not ticket.future.done and ticket.order_ticket is None:
+                order = ticket.order_ticket
+                if order is not None and order.state is TicketState.QUEUED:
                     waiting[ticket.priority] += 1
             assert frontend.queue_depth() == sum(waiting.values())
             assert frontend.queue_depth() <= frontend.capacity

@@ -1,8 +1,8 @@
 """Per-tenant priority classes at the service edge.
 
-Premium tenants ride a separate queue level: their orders are pumped
-before any standard order, hysteresis shedding never refuses them (only
-the hard capacity bound does), and the conservation law
+Premium tenants ride the premium class of the intake's one heap: their
+orders wait ahead of every standard order, hysteresis shedding never
+refuses them (only the hard bound does), and the conservation law
 ``submitted == admitted + shed + throttled`` holds per class.
 """
 
@@ -47,8 +47,7 @@ class TestPriorityClasses:
         assert std.priority == "standard"
 
     def test_premium_rides_through_hysteresis_shedding(self, net):
-        frontend = _frontend(net, queue_capacity=8, shed_high=4, shed_low=1,
-                             pump_interval=5.0)
+        frontend = _frontend(net, queue_capacity=8, shed_high=4, shed_low=1)
         _register(net, "vip", "csp")
         for _ in range(6):
             frontend.submit("csp", "PREMISES-A", "PREMISES-B", 1e9)
@@ -62,8 +61,7 @@ class TestPriorityClasses:
         assert counters.get("frontend.shed.premium", 0) == 0
 
     def test_hard_capacity_bound_refuses_even_premium(self, net):
-        frontend = _frontend(net, queue_capacity=4, shed_high=3, shed_low=1,
-                             pump_interval=5.0)
+        frontend = _frontend(net, queue_capacity=4, shed_high=3, shed_low=1)
         _register(net, "vip")
         tickets = [
             frontend.submit("vip", "PREMISES-A", "PREMISES-B", 1e9)
@@ -75,8 +73,8 @@ class TestPriorityClasses:
         assert net.metrics.counters()["frontend.shed.premium"] == 2
         assert frontend.queue_depth() <= frontend.capacity
 
-    def test_pump_forwards_premium_before_earlier_standard(self, net):
-        frontend = _frontend(net, pump_interval=5.0)
+    def test_round_places_premium_before_earlier_standard(self, net):
+        frontend = _frontend(net)
         _register(net, "vip", "csp")
         forwarded = []
         frontend.add_listener(
@@ -85,8 +83,8 @@ class TestPriorityClasses:
                 if event == "settled" else None
             )
         )
-        # Standard submissions land first, premium after — yet the pump
-        # must drain the premium level first.
+        # Standard submissions land first, premium after — yet the
+        # round must pop the premium order first.
         std = frontend.submit("csp", "PREMISES-A", "PREMISES-B", 1e9)
         vip = frontend.submit("vip", "PREMISES-A", "PREMISES-C", 1e9)
         net.run()
@@ -95,8 +93,7 @@ class TestPriorityClasses:
 
     def test_conservation_holds_per_class(self, net):
         frontend = _frontend(net, queue_capacity=6, shed_high=3, shed_low=1,
-                             pump_interval=5.0, bucket_rate=1.0,
-                             bucket_burst=4.0)
+                             bucket_rate=1.0, bucket_burst=4.0)
         _register(net, "vip", "csp")
         for _ in range(8):
             frontend.submit("vip", "PREMISES-A", "PREMISES-B", 1e9)
@@ -118,7 +115,7 @@ class TestPriorityClasses:
         )
 
     def test_premium_depth_gauge_reports(self, net):
-        frontend = _frontend(net, pump_interval=5.0)
+        frontend = _frontend(net)
         _register(net, "vip")
         frontend.submit("vip", "PREMISES-A", "PREMISES-B", 1e9)
         gauges = net.metrics.snapshot()["gauges"]

@@ -115,13 +115,13 @@ def test_fig3_fxc_steering_semantics(benchmark):
         svc = net.service_for("csp")
         pool = net.inventory.transponders["ROADM-I"]
         switch = net.inventory.otn_switches["ROADM-I"]
-        free_ots_before = len(pool.free())
+        free_ots_before = pool.free_count()
         wave = svc.request_connection("PREMISES-A", "PREMISES-B", 10)
         net.run()
-        free_ots_after_wave = len(pool.free())
+        free_ots_after_wave = pool.free_count()
         sub = svc.request_connection("PREMISES-A", "PREMISES-B", 1)
         net.run()
-        free_ots_after_sub = len(pool.free())
+        free_ots_after_sub = pool.free_count()
         return (
             wave,
             sub,

@@ -208,12 +208,7 @@ class ReservationBook:
                     for rate, cost in self._ot_demand(other.rate_bps).items():
                         demand[rate] = demand.get(rate, 0.0) + cost
             for rate, needed in demand.items():
-                capacity = (
-                    len([ot for ot in pool.transponders
-                         if ot.line_rate_bps == rate])
-                    if pool
-                    else 0
-                )
+                capacity = pool.installed(rate) if pool else 0
                 if needed > capacity:
                     raise AdmissionError(
                         f"calendar oversubscribed at {pop}: window needs "

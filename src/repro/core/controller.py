@@ -149,10 +149,8 @@ class GriphonController:
             streams=streams,
             tracer=self.tracer,
         )
-        #: Alias of ``rwa`` kept only because the benchmark driver
-        #: (``bench/workloads.py``) reads ``planning.route_cache_stats()``;
-        #: the ROADMAP gate item — the PR allowed to edit ``bench/`` —
-        #: removes it.
+        #: Alias of ``rwa``, kept while ``bench/`` is frozen:
+        #: ``bench/workloads.py`` reads ``planning.route_cache_stats()``.
         self.planning = self.rwa
         self.provisioner = LightpathProvisioner(
             inventory,
@@ -195,7 +193,8 @@ class GriphonController:
         #: global re-optimization executor) on the same connection.
         self._migration_locks: Dict[str, str] = {}
         inventory.plant.on_failure.append(self._handle_link_failure)
-        #: Observers called with (event_name, payload) for metrics.
+        #: Observers called with (event_name, payload) for metrics; the
+        #: benchmark's driver (``bench/driver.py``) appends to this list.
         self.observers: List[Callable[[str, dict], None]] = []
 
     def set_latency_model(self, latency: LatencyModel) -> None:

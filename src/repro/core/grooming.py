@@ -121,6 +121,7 @@ class GroomingEngine:
 
     # -- circuits ----------------------------------------------------------------
 
+    # The traced benchmark run wraps this method by name (``bench/layers.py``).
     def claim_circuit(
         self,
         source: str,

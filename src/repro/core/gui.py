@@ -141,12 +141,10 @@ def render_network_view(controller) -> str:
     for node in sorted(controller.inventory.transponders):
         pool = controller.inventory.transponders[node]
         regens = controller.inventory.regens.get(node)
-        total_ots = len(pool.transponders)
-        used_ots = sum(ot.in_use for ot in pool.transponders)
-        total_regens = len(regens.regenerators) if regens else 0
-        used_regens = (
-            sum(r.in_use for r in regens.regenerators) if regens else 0
-        )
+        total_ots = pool.installed()
+        used_ots = total_ots - pool.free_count()
+        total_regens = regens.installed() if regens else 0
+        used_regens = total_regens - regens.free_count() if regens else 0
         pool_rows.append(
             [node, f"{used_ots}/{total_ots}", f"{used_regens}/{total_regens}"]
         )

@@ -29,8 +29,8 @@ from repro.topo.graph import NetworkGraph
 from repro.units import GBPS
 
 #: Kinds of ledger entry (see ``InventoryDatabase.holdings``).
-HELD_OT = "ot"  # (kind, Transponder)
-HELD_REGEN = "regen"  # (kind, Regenerator)
+HELD_OT = "ot"  # (kind, TransponderPool, index)
+HELD_REGEN = "regen"  # (kind, RegenPool, index)
 HELD_PORT = "port"  # (kind, Roadm, AddDropPort)
 HELD_EXPRESS = "express"  # (kind, Roadm, degree_in, degree_out, channel)
 HELD_CHANNEL = "channel"  # (kind, DwdmLink, channel)
@@ -91,7 +91,7 @@ class InventoryDatabase:
         if non_directional and colorless:
             roadm.add_ports(add_drop_ports)
         self.roadms[node] = roadm
-        self.transponders.setdefault(node, TransponderPool(node, self.grid))
+        self.transponders.setdefault(node, TransponderPool(node))
         self.regens.setdefault(node, RegenPool(node))
         return roadm
 
@@ -237,10 +237,8 @@ class InventoryDatabase:
 
     def roadm_utilization(self) -> Dict[str, float]:
         """Per-node fraction of add/drop ports in use."""
-        result = {}
-        for node, roadm in self.roadms.items():
-            total = len(roadm.ports)
-            if total:
-                used = sum(port.in_use for port in roadm.ports)
-                result[node] = used / total
-        return result
+        return {
+            node: (roadm.port_count - roadm.free_port_count()) / roadm.port_count
+            for node, roadm in self.roadms.items()
+            if roadm.port_count
+        }

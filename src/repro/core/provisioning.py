@@ -195,8 +195,9 @@ class LightpathProvisioner:
         try:
             self._claim_end_transponders(lightpath, reuse_ots, held)
             for node in lightpath.regen_sites:
-                regen = inv.regens[node].allocate(lightpath.rate_bps, owner)
-                held.append((HELD_REGEN, regen))
+                pool = inv.regens[node]
+                regen = pool.allocate(lightpath.rate_bps, owner)
+                held.append((HELD_REGEN, pool, regen.index))
                 lightpath.regen_ids.append(regen.regen_id)
             self._claim_roadm_crossconnects(lightpath, held)
             for segment in lightpath.segments:
@@ -229,10 +230,7 @@ class LightpathProvisioner:
         """
         for entry in reversed(held):
             kind, element = entry[0], entry[1]
-            if kind == HELD_CHANNEL:
-                if element.owner_of(entry[2]) == owner:
-                    element.release(entry[2], owner)
-            elif kind == HELD_PORT:
+            if kind == HELD_PORT:
                 if entry[2].owner == owner:
                     element.disconnect_add_drop(entry[2].port_id, owner)
             elif kind == HELD_EXPRESS:
@@ -242,8 +240,8 @@ class LightpathProvisioner:
                 hop = entry[2:]
                 if element.express_owner(*hop) == owner:
                     element.disconnect_express(*hop, owner)
-            elif element.owner == owner:  # transponder or regenerator
-                element.release(owner)
+            elif element.owner_of(entry[2]) == owner:  # channel, OT or regen
+                element.release(entry[2], owner)
 
     # -- phase 2: execute ---------------------------------------------------------
 
@@ -519,24 +517,23 @@ class LightpathProvisioner:
                 f"reuse_ots needs exactly 2 ids, got {len(reuse_ots)}"
             )
         for index, node in enumerate(ends):
+            pool = pools[node]
             if reuse_ots is not None:
-                ot = pools[node].get(reuse_ots[index])
-                ot.allocate(owner)
+                ot = pool.take(reuse_ots[index], owner)
             else:
-                ot = pools[node].allocate(lightpath.rate_bps, owner)
-            held.append((HELD_OT, ot))
+                ot = pool.allocate(lightpath.rate_bps, owner)
+            held.append((HELD_OT, pool, ot.index))
             lightpath.ot_ids.append(ot.ot_id)
 
     def _claim_add_drop(
         self, node: str, degree: str, channel: int, owner: str, held: List[tuple]
     ) -> None:
         roadm = self._inventory.roadms[node]
-        port = roadm.first_free_port(degree=degree, channel=channel)
+        port = roadm.connect_free_port(degree, channel, owner)
         if port is None:
             raise TransponderUnavailableError(
                 f"no free add/drop port at {node} for channel {channel}"
             )
-        roadm.connect_add_drop(port.port_id, degree, channel, owner)
         held.append((HELD_PORT, roadm, port))
 
     def _claim_roadm_crossconnects(

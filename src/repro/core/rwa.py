@@ -240,9 +240,8 @@ class RwaEngine:
     def route_cache_stats(self) -> dict:
         """All-zero counters of the route cache that no longer exists.
 
-        Kept only because the benchmark driver (``bench/child.py``)
-        reads it on every run; the ROADMAP gate item — the PR allowed
-        to edit ``bench/`` — removes it.
+        Kept while ``bench/`` is frozen: ``bench/workloads.py`` reads it
+        (through ``controller.planning``) on every run.
         """
         return {
             "size": 0,

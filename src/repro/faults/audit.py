@@ -16,17 +16,17 @@ Run it any time: the audit only reads state, never mutates.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Set, Tuple
+from typing import Dict, Iterable, List, Mapping, Optional, Set, Tuple
 
 from repro.core.connection import Connection, ConnectionState
 from repro.core.inventory import (
     HELD_CHANNEL,
     HELD_EXPRESS,
-    HELD_OT,
     HELD_PORT,
     InventoryDatabase,
 )
-from repro.errors import TopologyError
+from repro.errors import TopologyError, TransponderUnavailableError
+from repro.optical.pool import UnitPool
 
 
 @dataclass(frozen=True)
@@ -250,9 +250,7 @@ def _audit_roadms(
     live_lightpaths = set(inventory.lightpaths)
     for node, roadm in inventory.roadms.items():
         report.checked += 1
-        for port in roadm.ports:
-            if port.owner is None:
-                continue
+        for port in roadm.connected_ports():
             resource = f"{node} add/drop port {port.port_id}"
             owned.setdefault(port.owner, set()).add(resource)
             if port.owner not in live_lightpaths:
@@ -281,79 +279,80 @@ def _audit_roadms(
 def _audit_transponders_and_regens(
     inventory: InventoryDatabase, report: AuditReport, owned: Dict[str, Set[str]]
 ) -> None:
-    lightpaths = inventory.lightpaths
-    claimed_ots = {
-        ot_id: lp.lightpath_id
-        for lp in lightpaths.values()
-        for ot_id in lp.ot_ids
-    }
-    claimed_regens = {
-        regen_id: lp.lightpath_id
-        for lp in lightpaths.values()
-        for regen_id in lp.regen_ids
-    }
-    for node, pool in inventory.transponders.items():
-        report.checked += 1
-        for ot in pool.transponders:
-            if ot.owner is None:
-                if ot.ot_id in claimed_ots:
-                    report.violations.append(
-                        AuditViolation(
-                            kind="ot-missing",
-                            resource=ot.ot_id,
-                            owner=claimed_ots[ot.ot_id],
-                            detail=(
-                                "registered lightpath lists the OT but the "
-                                "hardware is idle"
-                            ),
-                        )
-                    )
-                continue
-            owned.setdefault(ot.owner, set()).add(ot.ot_id)
-            claimant = claimed_ots.get(ot.ot_id)
-            if claimant is None:
+    lightpaths = inventory.lightpaths.values()
+    for pools, kind, claimed in (
+        (
+            inventory.transponders,
+            "ot",
+            {ot_id: lp.lightpath_id for lp in lightpaths for ot_id in lp.ot_ids},
+        ),
+        (
+            inventory.regens,
+            "regen",
+            {rid: lp.lightpath_id for lp in lightpaths for rid in lp.regen_ids},
+        ),
+    ):
+        # Listed ids by pool (the id up to its index), so an idle unit a
+        # lightpath lists is checked too, not only the held ones.
+        listed: Dict[str, List[str]] = {}
+        for unit_id in claimed:
+            listed.setdefault(unit_id.rpartition(":")[0], []).append(unit_id)
+        for node, pool in pools.items():
+            report.checked += 1
+            ids = listed.get(f"{pool.prefix}:{node}", ())
+            _audit_pool(pool, claimed, ids, kind, report, owned)
+
+
+def _audit_pool(
+    pool: UnitPool,
+    claimed: Dict[str, str],
+    listed: Iterable[str],
+    kind: str,
+    report: AuditReport,
+    owned: Dict[str, Set[str]],
+) -> None:
+    units = {unit.unit_id: unit for unit in pool.held()}
+    for unit_id in listed:
+        if unit_id not in units:
+            try:
+                units[unit_id] = pool.get(unit_id)
+            except TransponderUnavailableError:
+                pass  # not installed: there is no hardware to compare
+    for unit in sorted(units.values(), key=lambda unit: unit.index):
+        claimant = claimed.get(unit.unit_id)
+        if unit.owner is None:
+            if claimant is not None and kind == "ot":
                 report.violations.append(
                     AuditViolation(
-                        kind="ot-leak",
-                        resource=ot.ot_id,
-                        owner=ot.owner,
-                        detail="allocated but no registered lightpath lists it",
+                        kind="ot-missing",
+                        resource=unit.unit_id,
+                        owner=claimant,
+                        detail=(
+                            "registered lightpath lists the OT but the "
+                            "hardware is idle"
+                        ),
                     )
                 )
-            elif claimant != ot.owner:
-                report.violations.append(
-                    AuditViolation(
-                        kind="ot-owner-mismatch",
-                        resource=ot.ot_id,
-                        owner=ot.owner,
-                        detail=f"registered lightpath {claimant} lists it",
-                    )
+            continue
+        owned.setdefault(unit.owner, set()).add(unit.unit_id)
+        if claimant is None:
+            report.violations.append(
+                AuditViolation(
+                    kind=f"{kind}-leak",
+                    resource=unit.unit_id,
+                    owner=unit.owner,
+                    detail="allocated but no registered lightpath lists it",
                 )
-    for node, pool in inventory.regens.items():
-        report.checked += 1
-        for regen in pool.regenerators:
-            if regen.owner is None:
-                continue
-            owned.setdefault(regen.owner, set()).add(regen.regen_id)
-            claimant = claimed_regens.get(regen.regen_id)
-            if claimant is None:
-                report.violations.append(
-                    AuditViolation(
-                        kind="regen-leak",
-                        resource=regen.regen_id,
-                        owner=regen.owner,
-                        detail="allocated but no registered lightpath lists it",
-                    )
+            )
+        elif claimant != unit.owner:
+            report.violations.append(
+                AuditViolation(
+                    kind=f"{kind}-owner-mismatch",
+                    resource=unit.unit_id,
+                    owner=unit.owner,
+                    detail=f"registered lightpath {claimant} lists it",
                 )
-            elif claimant != regen.owner:
-                report.violations.append(
-                    AuditViolation(
-                        kind="regen-owner-mismatch",
-                        resource=regen.regen_id,
-                        owner=regen.owner,
-                        detail=f"registered lightpath {claimant} lists it",
-                    )
-                )
+            )
 
 
 # -- holdings ledger ----------------------------------------------------------
@@ -369,7 +368,7 @@ def _held_name(entry: tuple) -> str:
         return f"{element.name} add/drop port {entry[2].port_id}"
     if kind == HELD_EXPRESS:
         return f"{element.name} express {entry[2]}->{entry[3]} ch{entry[4]}"
-    return element.ot_id if kind == HELD_OT else element.regen_id
+    return element.unit_id(entry[2])  # an OT or a regen: (pool, index)
 
 
 def _audit_ledger(

@@ -369,8 +369,8 @@ class BodFrontend:
         )
         ticket.order_ticket = order
         self._by_order[order.order_id] = ticket
-        # Equals frontend.admitted by construction; kept only for the
-        # bench harness's orders-per-round figure (ROADMAP, bench/ item).
+        # Equals frontend.admitted by construction; kept while bench/ is
+        # frozen: bench/layers.py reads it for its orders-per-round figure.
         self._metrics.inc("frontend.forwarded")
         depth = self._intake.queue_depth()
         if self._state == STATE_OPEN and depth >= self._shed_high:

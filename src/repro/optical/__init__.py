@@ -8,6 +8,7 @@ ride on:
 * :mod:`repro.optical.amplifier` — amplifier chains and power transients;
 * :mod:`repro.optical.impairments` — optical reach and regen placement;
 * :mod:`repro.optical.osnr` — OSNR margin arithmetic for gray failures;
+* :mod:`repro.optical.pool` — installed units as per-class bitmasks;
 * :mod:`repro.optical.transponder` — tunable OTs and node-local pools;
 * :mod:`repro.optical.regen` — OEO regenerators;
 * :mod:`repro.optical.roadm` — colorless/non-directional ROADM nodes;

@@ -14,19 +14,20 @@ enforces that invariant across add/drop and express connections.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 from repro.errors import (
     ConfigurationError,
     EquipmentError,
     WavelengthBlockedError,
 )
+from repro.optical.pool import lowest_bit, popcount, unit_index
 from repro.optical.wavelength import WavelengthGrid
 
 
 @dataclass
 class AddDropPort:
-    """One add/drop port on a ROADM.
+    """One add/drop port on a ROADM, while it is connected or looked up.
 
     Attributes:
         port_id: Unique id within the node, e.g. ``'AD:ROADM-I:2'``.
@@ -64,8 +65,13 @@ class Roadm:
         self._colorless = colorless
         self._non_directional = non_directional
         self._degrees: Set[str] = set()
-        self._ports: Dict[str, AddDropPort] = {}
-        self._port_counter = 0
+        # Installed add/drop ports: a bitmask of port indices per
+        # (fixed_degree, fixed_channel) class.  A port object exists only
+        # while the port is connected (see repro.optical.pool).
+        self._port_classes: Dict[Tuple[Optional[str], Optional[int]], int] = {}
+        self._connected: Dict[int, AddDropPort] = {}
+        self._connected_mask = 0
+        self._port_count = 0
         # degree -> channel -> owner, covering add/drop and express usage.
         self._degree_channels: Dict[str, Dict[int, str]] = {}
         # (deg_in, deg_out, channel) -> owner for express connections.
@@ -99,7 +105,7 @@ class Roadm:
         count: int,
         fixed_degree: Optional[str] = None,
         fixed_channel: Optional[int] = None,
-    ) -> List[AddDropPort]:
+    ) -> None:
         """Install add/drop ports.
 
         For a colorless, non-directional ROADM leave both ``fixed_*``
@@ -122,63 +128,71 @@ class Roadm:
             )
         if fixed_channel is not None:
             self._grid.validate(fixed_channel)
-        created = []
-        for _ in range(count):
-            port_id = f"AD:{self.name}:{self._port_counter}"
-            self._port_counter += 1
-            port = AddDropPort(port_id, fixed_degree, fixed_channel)
-            self._ports[port_id] = port
-            created.append(port)
-        return created
+        key = (fixed_degree, fixed_channel)
+        bits = ((1 << count) - 1) << self._port_count
+        self._port_classes[key] = self._port_classes.get(key, 0) | bits
+        self._port_count += count
 
     # -- lookup ----------------------------------------------------------------
 
     @property
-    def ports(self) -> List[AddDropPort]:
-        """All add/drop ports."""
-        return list(self._ports.values())
+    def port_count(self) -> int:
+        """How many add/drop ports are installed."""
+        return self._port_count
+
+    def connected_ports(self) -> List[AddDropPort]:
+        """The ports carrying a signal, in port order."""
+        return [self._connected[index] for index in sorted(self._connected)]
 
     def port(self, port_id: str) -> AddDropPort:
-        """Look up a port by id.
+        """Look up a port by id: the connected one, else an idle view.
 
         Raises:
             EquipmentError: for an unknown id.
         """
-        try:
-            return self._ports[port_id]
-        except KeyError:
-            raise EquipmentError(f"no port {port_id!r} on ROADM {self.name}") from None
+        index = self._port_index(port_id)
+        port = self._connected.get(index)
+        return self._idle_port(index) if port is None else port
 
-    def _idle_ports(
-        self, degree: Optional[str], channel: Optional[int]
-    ) -> Iterator[AddDropPort]:
-        return (
-            port
-            for port in self._ports.values()
-            if not port.in_use
-            and (
-                degree is None
-                or port.fixed_degree is None
-                or port.fixed_degree == degree
-            )
-            and (
-                channel is None
-                or port.fixed_channel is None
-                or port.fixed_channel == channel
-            )
-        )
+    def _port_index(self, port_id: str) -> int:
+        index = unit_index(port_id, f"AD:{self.name}", self._port_count)
+        if index is None:
+            raise EquipmentError(f"no port {port_id!r} on ROADM {self.name}")
+        return index
 
-    def free_ports(
+    def _port_class(self, index: int) -> Tuple[Optional[str], Optional[int]]:
+        for key, mask in self._port_classes.items():
+            if mask >> index & 1:
+                return key
+        raise AssertionError(f"port {index} of {self.name} is in no class")
+
+    def _idle_port(self, index: int) -> AddDropPort:
+        return AddDropPort(f"AD:{self.name}:{index}", *self._port_class(index))
+
+    def _free_port_mask(self, degree: Optional[str], channel: Optional[int]) -> int:
+        mask = 0
+        for (fixed_degree, fixed_channel), bits in self._port_classes.items():
+            if (
+                degree is None or fixed_degree is None or fixed_degree == degree
+            ) and (
+                channel is None or fixed_channel is None or fixed_channel == channel
+            ):
+                mask |= bits
+        return mask & ~self._connected_mask
+
+    def free_port_count(
         self, degree: Optional[str] = None, channel: Optional[int] = None
-    ) -> List[AddDropPort]:
-        """Idle ports able to reach ``degree`` and carry ``channel``."""
-        return list(self._idle_ports(degree, channel))
+    ) -> int:
+        """How many idle ports can reach ``degree`` and carry ``channel``."""
+        return popcount(self._free_port_mask(degree, channel))
 
     def first_free_port(
         self, degree: Optional[str] = None, channel: Optional[int] = None
     ) -> Optional[AddDropPort]:
-        """The port ``free_ports`` would list first, or None."""
-        return next(self._idle_ports(degree, channel), None)
+        """The lowest-numbered idle port able to reach ``degree`` and
+        carry ``channel``, or None."""
+        free = self._free_port_mask(degree, channel)
+        return self._idle_port(lowest_bit(free)) if free else None
 
     def channel_owner(self, degree: str, channel: int) -> Optional[str]:
         """Who uses ``channel`` on ``degree``, or None."""
@@ -196,28 +210,45 @@ class Roadm:
 
     def connect_add_drop(
         self, port_id: str, degree: str, channel: int, owner: str
-    ) -> None:
-        """Route an add/drop port's signal onto ``channel`` toward ``degree``.
+    ) -> AddDropPort:
+        """Route an add/drop port's signal onto ``channel`` toward
+        ``degree``; returns the connected port.
 
         Raises:
             EquipmentError: if the port is busy or cannot reach the degree
                 or channel (directional/colored restrictions).
             WavelengthBlockedError: if the channel is taken on the degree.
         """
-        port = self.port(port_id)
+        return self._connect(self._port_index(port_id), degree, channel, owner)
+
+    def connect_free_port(
+        self, degree: str, channel: int, owner: str
+    ) -> Optional[AddDropPort]:
+        """Connect the port :meth:`first_free_port` would pick; returns
+        it, or None when no idle port can reach ``degree`` and carry
+        ``channel``.  Raises as :meth:`connect_add_drop` does."""
+        free = self._free_port_mask(degree, channel)
+        return self._connect(lowest_bit(free), degree, channel, owner) if free else None
+
+    def _connect(
+        self, index: int, degree: str, channel: int, owner: str
+    ) -> AddDropPort:
+        port_id = f"AD:{self.name}:{index}"
         self._require_degree(degree)
         self._grid.validate(channel)
-        if port.in_use:
+        port = self._connected.get(index)
+        if port is not None:
             raise EquipmentError(f"port {port_id} is in use by {port.owner!r}")
-        if port.fixed_degree is not None and port.fixed_degree != degree:
+        fixed_degree, fixed_channel = self._port_class(index)
+        if fixed_degree is not None and fixed_degree != degree:
             raise EquipmentError(
                 f"directional port {port_id} is wired to degree "
-                f"{port.fixed_degree}, not {degree}"
+                f"{fixed_degree}, not {degree}"
             )
-        if port.fixed_channel is not None and port.fixed_channel != channel:
+        if fixed_channel is not None and fixed_channel != channel:
             raise EquipmentError(
                 f"colored port {port_id} carries channel "
-                f"{port.fixed_channel}, not {channel}"
+                f"{fixed_channel}, not {channel}"
             )
         holder = self._degree_channels[degree].get(channel)
         if holder is not None:
@@ -225,9 +256,12 @@ class Roadm:
                 f"channel {channel} on {self.name}->{degree} held by {holder!r}"
             )
         self._degree_channels[degree][channel] = owner
-        port.connected_degree = degree
-        port.connected_channel = channel
-        port.owner = owner
+        port = AddDropPort(
+            port_id, fixed_degree, fixed_channel, degree, channel, owner
+        )
+        self._connected[index] = port
+        self._connected_mask |= 1 << index
+        return port
 
     def disconnect_add_drop(self, port_id: str, owner: str) -> None:
         """Tear down a port's add/drop connection.
@@ -235,19 +269,20 @@ class Roadm:
         Raises:
             EquipmentError: if the port is idle or held by someone else.
         """
-        port = self.port(port_id)
-        if port.owner is None:
+        index = self._port_index(port_id)
+        port = self._connected.get(index)
+        if port is None:
             raise EquipmentError(f"port {port_id} is not connected")
         if port.owner != owner:
             raise EquipmentError(
                 f"port {port_id} is held by {port.owner!r}, not {owner!r}"
             )
-        degree = port.connected_degree
-        channel = port.connected_channel
-        del self._degree_channels[degree][channel]
+        del self._degree_channels[port.connected_degree][port.connected_channel]
         port.connected_degree = None
         port.connected_channel = None
         port.owner = None
+        del self._connected[index]
+        self._connected_mask &= ~(1 << index)
 
     def connect_express(
         self, degree_in: str, degree_out: str, channel: int, owner: str
@@ -325,5 +360,5 @@ class Roadm:
     def __repr__(self) -> str:
         return (
             f"Roadm({self.name}, degree={self.degree_count}, "
-            f"ports={len(self._ports)})"
+            f"ports={self._port_count})"
         )

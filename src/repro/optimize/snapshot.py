@@ -146,12 +146,12 @@ class NetworkSnapshot:
             for link in graph.links
         }
         free_transponders = {
-            (node, rate): len(pool.free(rate))
+            (node, rate): pool.free_count(rate)
             for node, pool in inventory.transponders.items()
             for rate in rates_in_use
         }
         free_regens = {
-            (node, rate): len(pool.free(rate))
+            (node, rate): pool.free_count(rate)
             for node, pool in inventory.regens.items()
             for rate in rates_in_use
         }

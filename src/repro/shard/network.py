@@ -157,6 +157,7 @@ class ShardOrder(Connection):
     children: Dict[str, Connection] = field(default_factory=dict)
     plan_record: List[dict] = field(default_factory=list)
 
+    # Read by the benchmark's per-layer figures (``bench/layers.py``).
     @property
     def order_id(self) -> str:
         """The order's id across the sharded network (its connection id)."""
@@ -288,6 +289,7 @@ class ShardedNetwork:
             raise ConfigurationError(
                 f"mode must be 'sharded' or 'monolithic', got {mode!r}"
             )
+        # ``bench/workloads.py`` builds the sharded-pool workload with "pool".
         if backend not in ("inprocess", "pool"):
             raise ConfigurationError(
                 f"backend must be 'inprocess' or 'pool', got {backend!r}"
@@ -539,9 +541,8 @@ class ShardedNetwork:
     def route_cache_stats(self) -> Dict[str, dict]:
         """Per-unit zero records of the route cache that no longer exists.
 
-        Kept only because the benchmark driver (``bench/child.py``)
-        reads it on every run; the ROADMAP gate item — the PR allowed
-        to edit ``bench/`` — removes it.
+        Kept while ``bench/`` is frozen: ``bench/child.py`` reads it (via
+        ``bench/workloads.py``) on every run.
         """
         if self.backend == "pool":
             self._live_pool()  # still refuses on a closed network

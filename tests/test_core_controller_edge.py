@@ -149,7 +149,7 @@ class TestBridgeRollRaces:
         assert net.inventory.lightpaths == {}
         assert "bridge-and-roll-aborted" in events
         for pool in net.inventory.transponders.values():
-            assert all(not ot.in_use for ot in pool.transponders)
+            assert not pool.held()
 
     def test_teardown_during_roll_hit_aborts_roll(self, net, svc):
         """A teardown landing inside the ~50 ms roll hit must leave the
@@ -178,7 +178,7 @@ class TestBridgeRollRaces:
         assert net.inventory.lightpaths == {}
         assert "bridge-and-roll-aborted" in events
         for pool in net.inventory.transponders.values():
-            assert all(not ot.in_use for ot in pool.transponders)
+            assert not pool.held()
 
     def test_concurrent_bridge_and_roll_single_winner(self, net, svc):
         """Two overlapping bridge-and-rolls: the loser must notice the
@@ -203,7 +203,7 @@ class TestBridgeRollRaces:
         net.run()
         assert net.inventory.lightpaths == {}
         for pool in net.inventory.transponders.values():
-            assert all(not ot.in_use for ot in pool.transponders)
+            assert not pool.held()
 
     def test_cut_during_bridge_aborts_roll(self, net, svc):
         """A failure of the old path mid-bridge hands the connection to

@@ -36,7 +36,7 @@ class TestEquipmentInstallation:
             inventory.install_transponders("ROADM-I", gbps(10), 2)
         inventory.install_roadm("ROADM-I")
         inventory.install_transponders("ROADM-I", gbps(10), 2)
-        assert len(inventory.transponders["ROADM-I"].free(gbps(10))) == 2
+        assert inventory.transponders["ROADM-I"].free_count(gbps(10)) == 2
 
     def test_regens_need_roadm(self, inventory):
         with pytest.raises(ConfigurationError):
@@ -121,5 +121,5 @@ class TestRegistry:
     def test_roadm_utilization(self, inventory):
         inventory.install_roadm("ROADM-I", add_drop_ports=4)
         roadm = inventory.roadms["ROADM-I"]
-        roadm.connect_add_drop(roadm.ports[0].port_id, "ROADM-IV", 0, "lp-0")
+        roadm.connect_add_drop("AD:ROADM-I:0", "ROADM-IV", 0, "lp-0")
         assert inventory.roadm_utilization() == {"ROADM-I": 0.25}

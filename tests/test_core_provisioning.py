@@ -69,16 +69,13 @@ class TestClaim:
         # Nothing must remain allocated.
         assert inventory.lightpaths == {}
         assert inventory.plant.dwdm_link("ROADM-I", "ROADM-IV").occupied_channels == set()
-        assert all(
-            not ot.in_use
-            for ot in inventory.transponders["ROADM-I"].transponders
-        )
+        assert not inventory.transponders["ROADM-I"].held()
 
     def test_claim_rolls_back_on_missing_port(self):
         inventory, provisioner, rwa = make_stack(ports=1)
         plan = rwa.plan("ROADM-I", "ROADM-IV", gbps(10))
         roadm = inventory.roadms["ROADM-IV"]
-        roadm.connect_add_drop(roadm.ports[0].port_id, "ROADM-I", 5, "squatter")
+        roadm.connect_add_drop("AD:ROADM-IV:0", "ROADM-I", 5, "squatter")
         with pytest.raises(TransponderUnavailableError):
             provisioner.claim(plan)
         assert inventory.lightpaths == {}

@@ -44,12 +44,13 @@ class TestRegenClaim:
         assert plan.regen_sites == ["M"]
         lightpath = provisioner.claim(plan)
         assert len(lightpath.regen_ids) == 1
-        regen = inventory.regens["M"].regenerators[0]
+        regen = inventory.regens["M"].get("REGEN:M:0")
         assert regen.in_use
         # The regen site uses two add/drop ports (drop + re-add).
         roadm = inventory.roadms["M"]
-        used_ports = [p for p in roadm.ports if p.in_use]
+        used_ports = roadm.connected_ports()
         assert len(used_ports) == 2
+        assert roadm.free_port_count() == roadm.port_count - 2
 
     def test_no_regen_available_blocks_and_rolls_back(self):
         inventory, provisioner, rwa = long_haul_stack(regens_at_m=0)
@@ -58,9 +59,8 @@ class TestRegenClaim:
             provisioner.claim(plan)
         assert inventory.lightpaths == {}
         assert all(
-            not ot.in_use
+            pool.free_count() == pool.installed()
             for pool in inventory.transponders.values()
-            for ot in pool.transponders
         )
 
     def test_segments_occupy_distinct_links(self):
@@ -80,11 +80,10 @@ class TestRegenClaim:
         inventory, provisioner, rwa = long_haul_stack()
         lightpath = provisioner.claim(rwa.plan("A", "B", gbps(10)))
         provisioner.release(lightpath)
-        assert all(
-            not regen.in_use for regen in inventory.regens["M"].regenerators
-        )
+        regens = inventory.regens["M"]
+        assert regens.free_count() == regens.installed()
         roadm = inventory.roadms["M"]
-        assert all(not p.in_use for p in roadm.ports)
+        assert roadm.free_port_count() == roadm.port_count
 
     def test_teardown_frees_route_ports_and_nothing_else(self):
         """Release looks for the lightpath's add/drop ports on its own
@@ -92,8 +91,9 @@ class TestRegenClaim:
         someone else holds on a route ROADM stays, and nothing leaks."""
         net = build_griphon_backbone(seed=7, latency_cv=0.0)
         squatted = net.inventory.roadms["CHI"]
-        squatter_port = squatted.ports[-1]
-        squatted.connect_add_drop(squatter_port.port_id, "STL", 39, "squatter")
+        squatter_port = squatted.connect_add_drop(
+            f"AD:CHI:{squatted.port_count - 1}", "STL", 39, "squatter"
+        )
         svc = net.service_for("csp")
         conn = svc.request_connection("DC-EAST", "DC-WEST", 10)
         net.run()
@@ -104,7 +104,7 @@ class TestRegenClaim:
         def held(node):
             return [
                 port.port_id
-                for port in net.inventory.roadms[node].ports
+                for port in net.inventory.roadms[node].connected_ports()
                 if port.owner == lightpath.lightpath_id
             ]
 
@@ -119,7 +119,7 @@ class TestRegenClaim:
         assert [held(node) for node in lightpath.path] == [
             [] for _ in lightpath.path
         ]
-        assert squatter_port.owner == "squatter"
+        assert squatted.port(squatter_port.port_id).owner == "squatter"
         report = audit_network(net.controller)
         assert [v.owner for v in report.violations] == ["squatter"]
         squatted.disconnect_add_drop(squatter_port.port_id, "squatter")

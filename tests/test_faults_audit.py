@@ -9,6 +9,7 @@ dangling component reference — must surface as the right violation kind.
 from repro.facade import build_griphon_testbed
 from repro.faults import AuditReport, AuditViolation, audit_network
 from repro.faults.audit import audit_inventory
+from repro.units import gbps
 
 PAIR = ("PREMISES-A", "PREMISES-B")
 
@@ -84,8 +85,7 @@ class TestCorruptionDetection:
     def test_bogus_transponder_allocation_is_a_leak(self):
         net, _, _ = build_up_network()
         pool = net.inventory.transponders["ROADM-I"]
-        free = pool.free()[0]
-        free.allocate("LP:bogus")
+        pool.allocate(gbps(10), "LP:bogus")
         report = audit_network(net.controller)
         assert "ot-leak" in kinds(report)
 
@@ -119,8 +119,7 @@ class TestCorruptionDetection:
     def test_violation_str_names_the_resource(self):
         net, _, _ = build_up_network()
         pool = net.inventory.transponders["ROADM-II"]
-        free = pool.free()[0]
-        free.allocate("LP:bogus")
+        pool.allocate(gbps(10), "LP:bogus")
         report = audit_network(net.controller)
         assert not report.ok
         text = str(report.violations[0])

@@ -6,7 +6,6 @@ from repro.errors import (
     CapacityExceededError,
     ConfigurationError,
     EquipmentError,
-    SignalError,
     TransponderUnavailableError,
 )
 from repro.optical import (
@@ -14,93 +13,79 @@ from repro.optical import (
     NetworkTerminatingEquipment,
     RegenPool,
     TransponderPool,
-    WavelengthGrid,
 )
 from repro.units import gbps
 
 
-@pytest.fixture
-def grid():
-    return WavelengthGrid(8)
-
-
 class TestTransponder:
-    def test_install_and_allocate(self, grid):
-        pool = TransponderPool("ROADM-I", grid)
+    def test_install_and_allocate(self):
+        pool = TransponderPool("ROADM-I")
         pool.install(gbps(10), count=2)
         ot = pool.allocate(gbps(10), "lp-1")
         assert ot.in_use
         assert ot.owner == "lp-1"
-        assert len(pool.free(gbps(10))) == 1
+        assert pool.free_count(gbps(10)) == 1
 
-    def test_tune_requires_allocation(self, grid):
-        pool = TransponderPool("ROADM-I", grid)
-        ot = pool.install(gbps(10))[0]
-        with pytest.raises(SignalError):
-            ot.tune(3)
-
-    def test_tune_and_release_detunes(self, grid):
-        pool = TransponderPool("ROADM-I", grid)
-        ot = pool.install(gbps(10))[0]
-        ot.allocate("lp-1")
-        ot.tune(3)
-        assert ot.channel == 3
-        ot.release("lp-1")
-        assert ot.channel is None
+    def test_release_frees_the_ot(self):
+        pool = TransponderPool("ROADM-I")
+        pool.install(gbps(10))
+        ot = pool.allocate(gbps(10), "lp-1")
+        pool.release(ot.index, "lp-1")
         assert not ot.in_use
+        assert not pool.get(ot.ot_id).in_use
+        assert pool.free_count(gbps(10)) == 1
 
-    def test_tune_rejects_off_grid(self, grid):
-        pool = TransponderPool("ROADM-I", grid)
-        ot = pool.install(gbps(10))[0]
-        ot.allocate("lp-1")
-        with pytest.raises(ConfigurationError):
-            ot.tune(99)
-
-    def test_double_allocate_rejected(self, grid):
-        pool = TransponderPool("ROADM-I", grid)
-        ot = pool.install(gbps(10))[0]
-        ot.allocate("lp-1")
+    def test_double_allocate_rejected(self):
+        pool = TransponderPool("ROADM-I")
+        pool.install(gbps(10))
+        pool.take("OT:ROADM-I:0", "lp-1")
         with pytest.raises(TransponderUnavailableError):
-            ot.allocate("lp-2")
+            pool.take("OT:ROADM-I:0", "lp-2")
 
-    def test_release_owner_mismatch(self, grid):
-        pool = TransponderPool("ROADM-I", grid)
-        ot = pool.install(gbps(10))[0]
-        ot.allocate("lp-1")
+    def test_release_owner_mismatch(self):
+        pool = TransponderPool("ROADM-I")
+        pool.install(gbps(10))
+        ot = pool.allocate(gbps(10), "lp-1")
         with pytest.raises(TransponderUnavailableError):
-            ot.release("lp-2")
+            pool.release(ot.index, "lp-2")
 
-    def test_pool_exhaustion(self, grid):
-        pool = TransponderPool("ROADM-I", grid)
+    def test_pool_exhaustion(self):
+        pool = TransponderPool("ROADM-I")
         pool.install(gbps(10), count=1)
         pool.allocate(gbps(10), "lp-1")
         with pytest.raises(TransponderUnavailableError):
             pool.allocate(gbps(10), "lp-2")
 
-    def test_pool_rate_segregation(self, grid):
-        pool = TransponderPool("ROADM-I", grid)
+    def test_pool_rate_segregation(self):
+        pool = TransponderPool("ROADM-I")
         pool.install(gbps(10), count=1)
         pool.install(gbps(40), count=1)
         with pytest.raises(TransponderUnavailableError):
             pool.allocate(gbps(100), "lp-1")
         assert pool.allocate(gbps(40), "lp-1").line_rate_bps == gbps(40)
 
-    def test_pool_utilization(self, grid):
-        pool = TransponderPool("ROADM-I", grid)
+    def test_pool_utilization(self):
+        pool = TransponderPool("ROADM-I")
         pool.install(gbps(10), count=4)
         pool.allocate(gbps(10), "lp-1")
         assert pool.utilization(gbps(10)) == pytest.approx(0.25)
         assert pool.utilization(gbps(40)) == 0.0
 
-    def test_pool_get_unknown(self, grid):
-        pool = TransponderPool("ROADM-I", grid)
+    def test_pool_get_unknown(self):
+        pool = TransponderPool("ROADM-I")
         with pytest.raises(TransponderUnavailableError):
             pool.get("OT:ghost:0")
 
-    def test_ids_are_unique(self, grid):
-        pool = TransponderPool("ROADM-I", grid)
-        ots = pool.install(gbps(10), count=5)
+    def test_ids_are_unique(self):
+        pool = TransponderPool("ROADM-I")
+        pool.install(gbps(10), count=5)
+        ots = [pool.allocate(gbps(10), f"lp-{index}") for index in range(5)]
         assert len({ot.ot_id for ot in ots}) == 5
+
+    def test_install_rejects_a_non_positive_rate(self):
+        pool = TransponderPool("ROADM-I")
+        with pytest.raises(ConfigurationError):
+            pool.install(0.0)
 
 
 class TestRegen:
@@ -109,8 +94,8 @@ class TestRegen:
         pool.install(gbps(40), count=2)
         regen = pool.allocate(gbps(40), "lp-1")
         assert regen.in_use
-        regen.release("lp-1")
-        assert len(pool.free(gbps(40))) == 2
+        pool.release(regen.index, "lp-1")
+        assert pool.free_count(gbps(40)) == 2
 
     def test_exhaustion(self):
         pool = RegenPool("CHI")
@@ -121,10 +106,10 @@ class TestRegen:
 
     def test_release_owner_mismatch(self):
         pool = RegenPool("CHI")
-        regen = pool.install(gbps(10))[0]
-        regen.allocate("lp-1")
+        pool.install(gbps(10))
+        regen = pool.allocate(gbps(10), "lp-1")
         with pytest.raises(TransponderUnavailableError):
-            regen.release("lp-2")
+            pool.release(regen.index, "lp-2")
 
 
 class TestFxc:

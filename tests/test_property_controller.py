@@ -75,11 +75,11 @@ def assert_no_leaks(net):
             assert dwdm.owner_of(channel) in line_lightpath_ids
     # Transponders and regens.
     for pool in net.inventory.transponders.values():
-        for ot in pool.transponders:
-            assert (not ot.in_use) or ot.owner in line_lightpath_ids
+        for ot in pool.held():
+            assert ot.owner in line_lightpath_ids
     for pool in net.inventory.regens.values():
-        for regen in pool.regenerators:
-            assert (not regen.in_use) or regen.owner in line_lightpath_ids
+        for regen in pool.held():
+            assert regen.owner in line_lightpath_ids
     # OTN tributary slots: no released circuit may hold any.
     for line in net.inventory.otn_lines.values():
         assert line.owners() <= set(net.inventory.circuits)

@@ -1,11 +1,11 @@
-"""Property test: the two-tier event list against a sorted-list model.
+"""Property test: the two-tier event list against a one-heap model.
 
 Random programs of ``schedule`` / ``schedule_at`` / ``schedule_many``
 (batches below and above the sorted-run threshold, equal timestamps,
 invalid entries), ``cancel`` (single events and ranges wide enough to
 trigger compaction; heap tier, run tier, already fired) and ``step`` /
 ``run(until=)`` are interpreted twice: against :class:`Simulator` and
-against :class:`ModelKernel`, which keeps every event in one list and
+against :class:`ModelKernel`, which keeps every event in one heap and
 fires the ``(time, seq)`` minimum.  Events carry nested actions, so the
 same operations are also issued from inside callbacks, mid-run.  Both
 interpretations must produce the same log: every firing with the clock
@@ -15,6 +15,9 @@ A second property runs self-re-arming step chains (what a ``Process``
 is to the kernel) on two simulators, one arming through ``schedule``
 and one through ``timer``, the argument-free entry ``Process`` uses.
 """
+
+import heapq
+from operator import attrgetter
 
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -26,7 +29,8 @@ NAN = float("nan")
 
 
 class ModelEvent:
-    def __init__(self, time, seq, callback, args):
+    def __init__(self, kernel, time, seq, callback, args):
+        self._kernel = kernel
         self.time = time
         self.seq = seq
         self.callback = callback
@@ -35,25 +39,33 @@ class ModelEvent:
         self.fired = False
 
     def cancel(self):
+        if not (self.canceled or self.fired):
+            self._kernel.live -= 1
         self.canceled = True
 
 
 class ModelKernel:
-    """The reference: one list, next event = min by ``(time, seq)``."""
+    """The reference: one heap, next event = min by ``(time, seq)``.
+
+    Canceled events stay in the heap until they reach its head and are
+    dropped there; ``live`` counts the events neither fired nor canceled.
+    """
 
     def __init__(self):
         self.now = 0.0
         self._seq = 0
-        self._events = []
+        self._heap = []
+        self.live = 0
 
     @property
     def pending(self):
-        return sum(1 for e in self._events if not e.canceled and not e.fired)
+        return self.live
 
     def _add(self, time, callback, args):
-        event = ModelEvent(time, self._seq, callback, args)
+        event = ModelEvent(self, time, self._seq, callback, args)
         self._seq += 1
-        self._events.append(event)
+        heapq.heappush(self._heap, (time, event.seq, event))
+        self.live += 1
         return event
 
     def schedule(self, delay, callback, *args):
@@ -73,18 +85,18 @@ class ModelKernel:
         return [self._add(time, callback, args) for time, callback, args in entries]
 
     def _next(self, until=None):
-        first = min(
-            (e for e in self._events if not e.canceled and not e.fired),
-            key=lambda e: (e.time, e.seq),
-            default=None,
-        )
-        if first is None or (until is not None and first.time > until):
+        heap = self._heap
+        while heap and heap[0][2].canceled:
+            heapq.heappop(heap)
+        if not heap or (until is not None and heap[0][0] > until):
             return None
-        return first
+        return heap[0][2]
 
     def _fire(self, event):
+        heapq.heappop(self._heap)  # ``event`` is the head _next returned
         self.now = event.time
         event.fired = True
+        self.live -= 1
         event.callback(*event.args)
 
     def step(self):
@@ -236,9 +248,10 @@ PROGRAMS = st.lists(
 )
 def test_event_list_matches_sorted_model(program):
     sim = Simulator()
+    fired = attrgetter("_fired")
 
     def run_tier_holds_only_unfired():
-        assert not any(event._fired for event in sim._run)
+        assert not any(map(fired, sim._run))
 
     actual = interpret(sim, program, run_tier_holds_only_unfired)
     expected = interpret(ModelKernel(), program)

@@ -3,9 +3,11 @@
 ``LightpathProvisioner.claim`` records every resource it takes in
 ``InventoryDatabase.holdings``; ``release`` walks that record and drops
 it.  ``reference_release`` below is the body ``release`` shipped before
-the ledger (717b6d9), kept verbatim: it finds a lightpath's resources by
-scanning ``roadm.ports``, every regenerator of a site and every segment
-of the route, and tries an express disconnect at every interior node.
+the ledger (717b6d9), kept step for step in today's element API (pools
+and ROADMs hold an object only for a unit in use): it finds a
+lightpath's resources by scanning the ports of every ROADM on the route,
+every regenerator of a site and every segment of the route, and tries an
+express disconnect at every interior node.
 Over generated plants (topology, installed equipment, pre-occupied
 channels / ports / transponders) and generated plans (several segments,
 regen sites, ``reuse_ots`` hand-overs) the two must leave byte-equal
@@ -68,7 +70,7 @@ def reference_release(inv, lightpath):
         roadm = inv.roadms.get(node)
         if roadm is None:
             continue
-        for port in roadm.ports:
+        for port in roadm.connected_ports():
             if port.owner == owner:
                 roadm.disconnect_add_drop(port.port_id, owner)
     for segment in lightpath.segments:
@@ -86,14 +88,16 @@ def reference_release(inv, lightpath):
     # Transponders and regens.
     for ot_id in lightpath.ot_ids:
         node = ot_id.split(":")[1]
-        ot = inv.transponders[node].get(ot_id)
+        pool = inv.transponders[node]
+        ot = pool.get(ot_id)
         if ot.owner == owner:
-            ot.release(owner)
+            pool.release(ot.index, owner)
     for regen_id in lightpath.regen_ids:
         node = regen_id.split(":")[1]
-        for regen in inv.regens[node].regenerators:
+        pool = inv.regens[node]
+        for regen in pool.held():
             if regen.regen_id == regen_id and regen.owner == owner:
-                regen.release(owner)
+                pool.release(regen.index, owner)
     inv.forget_lightpath(lightpath.lightpath_id)
 
 
@@ -167,6 +171,15 @@ def _plan(rng, names, neighbors):
     return RwaPlan(path, segments, regen_sites, RATE)
 
 
+def stick(roadm, port):
+    """Hold an idle ``port`` for "busy" with no cross-connect: a stuck
+    port, which no ROADM method produces, so it is planted directly."""
+    index = int(port.port_id.rpartition(":")[2])
+    port.owner = "busy"
+    roadm._connected[index] = port
+    roadm._connected_mask |= 1 << index
+
+
 def build(spec):
     """One inventory + provisioner from a plant description."""
     graph = NetworkGraph()
@@ -183,7 +196,8 @@ def build(spec):
     for a, b, channel in spec["busy_channels"]:
         inventory.plant.dwdm_link(a, b).occupy(channel, "busy")
     for name in spec["busy_ports"]:
-        inventory.roadms[name].ports[0].owner = "busy"  # a stuck port
+        roadm = inventory.roadms[name]
+        stick(roadm, roadm.port(f"AD:{name}:0"))
     for name in spec["busy_ots"]:
         inventory.transponders[name].allocate(RATE, "busy")
     latency = LatencyModel(RandomStreams(0), cv=0.0)
@@ -208,8 +222,9 @@ def snapshot(inventory):
         "ports": {
             node: [
                 (p.port_id, p.owner, p.connected_degree, p.connected_channel)
-                for p in roadm.ports
+                for p in roadm.connected_ports()
             ]
+            + [roadm.port_count]
             for node, roadm in inventory.roadms.items()
         },
         "degree_channels": {
@@ -224,11 +239,12 @@ def snapshot(inventory):
             for node, roadm in inventory.roadms.items()
         },
         "ots": {
-            node: [(ot.ot_id, ot.owner, ot.channel) for ot in pool.transponders]
+            node: [(ot.ot_id, ot.owner) for ot in pool.held()] + [pool.installed()]
             for node, pool in inventory.transponders.items()
         },
         "regens": {
-            node: [(regen.regen_id, regen.owner) for regen in pool.regenerators]
+            node: [(regen.regen_id, regen.owner) for regen in pool.held()]
+            + [pool.installed()]
             for node, pool in inventory.regens.items()
         },
         "lightpaths": sorted(inventory.lightpaths),
@@ -291,8 +307,8 @@ def test_ledger_release_matches_scan_release(case):
         )
         for inventory, lightpath in ((ours, old), (theirs, old_twin)):
             for ot_id in lightpath.ot_ids:
-                node = ot_id.split(":")[1]
-                inventory.transponders[node].get(ot_id).release(lightpath.lightpath_id)
+                pool = inventory.transponders[ot_id.split(":")[1]]
+                pool.release(pool.get(ot_id).index, lightpath.lightpath_id)
         claimed = outcome(lambda: provisioner.claim(plan, reuse_ots=old.ot_ids))
         mirrored = outcome(lambda: twin.claim(plan, reuse_ots=old_twin.ot_ids))
         assert snapshot(ours) == snapshot(theirs)
@@ -379,8 +395,8 @@ def test_release_skips_an_express_an_operator_already_removed():
 
 def _break_no_ot(inventory, plan):
     pool = inventory.transponders[plan.path[-1]]
-    for ot in pool.free():
-        ot.allocate("busy")
+    while pool.free_count():
+        pool.allocate(RATE, "busy")
     return (
         TransponderUnavailableError,
         f"no free 10G transponder at {plan.path[-1]}",
@@ -389,8 +405,9 @@ def _break_no_ot(inventory, plan):
 
 def _break_no_regen(inventory, plan):
     node = plan.regen_sites[-1]
-    for regen in inventory.regens[node].free():
-        regen.allocate("busy")
+    pool = inventory.regens[node]
+    while pool.free_count():
+        pool.allocate(RATE, "busy")
     return TransponderUnavailableError, f"no free 10G regenerator at {node}"
 
 
@@ -401,8 +418,9 @@ def _break_no_port(inventory, plan):
         channel = next(s.channel for s in plan.segments if s.nodes[-1] == node)
     else:
         node, channel = plan.path[-1], plan.segments[-1].channel
-    for port in inventory.roadms[node].free_ports():
-        port.owner = "busy"  # stuck
+    roadm = inventory.roadms[node]
+    while (port := roadm.first_free_port()) is not None:
+        stick(roadm, port)
     return (
         TransponderUnavailableError,
         f"no free add/drop port at {node} for channel {channel}",

@@ -27,12 +27,12 @@ def connect_n(roadm, degree, count, start_channel=0):
     """Connect ``count`` add/drops toward ``degree``; returns successes."""
     done = 0
     for i in range(count):
-        free = roadm.free_ports(degree=degree, channel=start_channel + i)
-        if not free:
+        free = roadm.first_free_port(degree=degree, channel=start_channel + i)
+        if free is None:
             break
         try:
             roadm.connect_add_drop(
-                free[0].port_id, degree, start_channel + i, f"lp-{degree}-{i}"
+                free.port_id, degree, start_channel + i, f"lp-{degree}-{i}"
             )
         except (TransponderUnavailableError, WavelengthBlockedError):
             break
@@ -57,10 +57,8 @@ class TestDirectionalAblation:
         roadm.add_ports(2, fixed_degree="WEST")
         # Same 4 ports, same all-EAST demand: only 2 usable, 2 stranded.
         assert connect_n(roadm, "EAST", 4) == 2
-        stranded = [
-            p for p in roadm.ports if not p.in_use and p.fixed_degree == "WEST"
-        ]
-        assert len(stranded) == 2
+        stranded = roadm.free_port_count(degree="WEST")
+        assert stranded == 2 == roadm.free_port_count()
 
     def test_same_port_count_different_service(self, grid):
         """Quantify the gap: flexible ports serve 2x the skewed demand."""
@@ -88,9 +86,9 @@ class TestColoredAblation:
         roadm.add_degree("WEST")
         roadm.connect_express("EAST", "WEST", 0, "through-traffic")
         # ...a colorless port simply tunes to channel 1.
-        port = roadm.free_ports()[0]
+        port = roadm.first_free_port()
         roadm.connect_add_drop(port.port_id, "EAST", 1, "lp-1")
-        assert port.in_use
+        assert roadm.port(port.port_id).in_use
 
     def test_colored_port_useless_when_wavelength_taken(self, grid):
         roadm = Roadm("X", grid, colorless=False)
@@ -98,7 +96,7 @@ class TestColoredAblation:
         roadm.add_degree("WEST")
         roadm.add_ports(1, fixed_channel=0)
         roadm.connect_express("EAST", "WEST", 0, "through-traffic")
-        port = roadm.ports[0]
+        port = roadm.port("AD:X:0")
         # The port's one wavelength is taken on both degrees: blocked.
         for degree in ("EAST", "WEST"):
             with pytest.raises(WavelengthBlockedError):
@@ -116,10 +114,9 @@ class TestColoredAblation:
         flexible.add_ports(1)
         # One signal at an arbitrary channel: both serve it, but the
         # colored bank spent 8 ports to the flexible node's 1.
-        assert len(colored.ports) == grid.size
-        assert len(flexible.ports) == 1
-        flexible.connect_add_drop(
-            flexible.ports[0].port_id, "EAST", 5, "lp-1"
-        )
-        target = [p for p in colored.ports if p.fixed_channel == 5][0]
+        assert colored.port_count == grid.size
+        assert flexible.port_count == 1
+        flexible.connect_add_drop("AD:F:0", "EAST", 5, "lp-1")
+        target = colored.first_free_port(channel=5)
+        assert target.fixed_channel == 5
         colored.connect_add_drop(target.port_id, "EAST", 5, "lp-1")

@@ -96,7 +96,7 @@ def test_x2_disjointness_constraint(benchmark):
         net.controller.cut_link("ROADM-I", "ROADM-II")
         failed = None
         try:
-            net.controller.bridge_and_roll(conn.connection_id)
+            net.controller.migrations.move(conn.connection_id, "operator")
         except GriphonError as exc:
             failed = str(exc)
         net.run()

@@ -52,15 +52,12 @@ def main() -> None:
     # bridge-and-roll (the 'reversion' use of §2.2) with a ~50 ms hit.
     net.controller.repair_link(a, b)
     outage_before = wave.total_outage_s
-    summary = {}
-    net.controller.bridge_and_roll(
-        wave.connection_id, on_settled=summary.update
-    )
+    move = net.controller.migrations.move(wave.connection_id, "operator")
     net.run()
     print(f"repair + reversion via bridge-and-roll:")
-    print(f"  bridge built in {format_duration(summary['bridge_s'])} (hitless)")
-    print(f"  roll hit: {format_duration(summary['hit_s'])}")
-    print(f"  now on {' - '.join(summary['new_path'])}")
+    print(f"  bridge built in {format_duration(move.bridge_s)} (hitless)")
+    print(f"  roll hit: {format_duration(move.hit_s)}")
+    print(f"  now on {' - '.join(move.new_path)}")
     print(
         "  total additional outage during reversion: "
         f"{format_duration(wave.total_outage_s - outage_before)}"

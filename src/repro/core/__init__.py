@@ -19,7 +19,9 @@ Sub-modules, in dependency order:
 * :mod:`repro.core.grooming` — the OTN sub-wavelength path engine;
 * :mod:`repro.core.admission` — customers, quotas, isolation;
 * :mod:`repro.core.controller` — the controller facade (orders,
-  failure detection and automated restoration, bridge-and-roll);
+  failure detection and automated restoration);
+* :mod:`repro.core.migration` — bridge-and-roll, the one locked path
+  every migration driver moves a connection through;
 * :mod:`repro.core.maintenance` — planned-maintenance orchestration;
 * :mod:`repro.core.regrooming` — §4's network re-grooming;
 * :mod:`repro.core.planning` — §4's Erlang-B resource planning;

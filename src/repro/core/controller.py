@@ -1,4 +1,4 @@
-"""The GRIPhoN controller: orders, restoration, and bridge-and-roll.
+"""The GRIPhoN controller: orders, restoration, and migrations.
 
 This is the brain of the system.  It owns the inventory database, talks
 to every EMS, and implements the four Table 1 capabilities:
@@ -12,7 +12,8 @@ to every EMS, and implements the four Table 1 capabilities:
   automated wavelength re-provisioning, plus sub-second shared-mesh
   restoration for OTN circuits;
 * **minimal maintenance impact** — automated bridge-and-roll migrates a
-  live connection to a disjoint path with only a tiny roll hit.
+  live connection to a disjoint path with only a tiny roll hit
+  (:mod:`repro.core.migration`, reached as ``controller.migrations``).
 """
 
 from __future__ import annotations
@@ -33,6 +34,7 @@ from repro.core.connection import (
 )
 from repro.core.grooming import GroomingEngine
 from repro.core.inventory import InventoryDatabase
+from repro.core.migration import Migrations
 from repro.core.provisioning import LightpathProvisioner
 from repro.core.rwa import RwaEngine
 from repro.errors import (
@@ -40,7 +42,6 @@ from repro.errors import (
     ConfigurationError,
     EquipmentError,
     GriphonError,
-    MigrationLockedError,
     ResourceError,
 )
 from repro.faults.plan import FaultPlan
@@ -59,9 +60,6 @@ from repro.sim.kernel import Simulator
 from repro.sim.process import Process
 from repro.sim.randomness import RandomStreams
 from repro.units import GBPS, ODU_LEVELS
-
-#: The brief traffic hit while rolling onto a bridge path, in seconds.
-ROLL_HIT_S = 0.050
 
 #: Client granularity of sub-wavelength service: 1 GbE in an ODU0.
 SUBWAVELENGTH_CLIENT_BPS = 1 * GBPS
@@ -188,10 +186,8 @@ class GriphonController:
         #: Connections ordered down while RESTORING; the restoration
         #: workflow takes the teardown when it settles.
         self._teardown_after_restore: Set[str] = set()
-        #: Per-connection migration locks: connection_id -> holder tag.
-        #: Serializes lock-aware migration drivers (re-grooming, the
-        #: global re-optimization executor) on the same connection.
-        self._migration_locks: Dict[str, str] = {}
+        #: Bridge-and-roll: every driver's one way to move a connection.
+        self.migrations = Migrations(self)
         inventory.plant.on_failure.append(self._handle_link_failure)
         #: Observers called with (event_name, payload) for metrics; the
         #: benchmark's driver (``bench/driver.py``) appends to this list.
@@ -499,135 +495,6 @@ class GriphonController:
             connection.end_outage(self.sim.now)
             self.notify("revived", {"connection": connection})
 
-    # -- bridge-and-roll ------------------------------------------------------------
-
-    def lock_migration(self, connection_id: str, holder: str) -> bool:
-        """Try to take the per-connection migration lock for ``holder``.
-
-        Returns True when the lock was free (or already held by the same
-        holder — acquisition is idempotent per holder).  The lock only
-        arbitrates between cooperating migration drivers; it does not
-        block teardown, restoration, or lock-oblivious bridge-and-roll
-        callers, whose races the roll-time abort guards already settle.
-        """
-        current = self._migration_locks.get(connection_id)
-        if current is not None and current != holder:
-            return False
-        self._migration_locks[connection_id] = holder
-        return True
-
-    def unlock_migration(self, connection_id: str, holder: str) -> None:
-        """Release the migration lock if (and only if) ``holder`` owns it."""
-        if self._migration_locks.get(connection_id) == holder:
-            del self._migration_locks[connection_id]
-
-    def migration_lock_holder(self, connection_id: str) -> Optional[str]:
-        """The current migration-lock holder, or None when unlocked."""
-        return self._migration_locks.get(connection_id)
-
-    def bridge_and_roll(
-        self,
-        connection_id: str,
-        exclude_links: Tuple = (),
-        plan=None,
-        lock_holder: Optional[str] = None,
-        on_settled: Optional[Callable[[dict], None]] = None,
-    ) -> Process:
-        """Migrate a live wavelength connection to a new path.
-
-        Sets up a full new wavelength path (the bridge) while the original
-        carries traffic, then rolls traffic across with only a ~50 ms hit,
-        then releases the old path.  By default the controller plans the
-        bridge itself and requires it to be resource-disjoint from the old
-        path (paper §2.2).  A precomputed ``plan`` (an
-        :class:`~repro.core.rwa.RwaPlan`) overrides that: the bridge is
-        claimed exactly as given — the global re-optimizer uses this to
-        steer a connection onto a specific route and wavelength, including
-        a rewavelength move on the *same* route (legal because the target
-        channels are disjoint from every currently occupied channel, the
-        connection's own included, for the bridge-before-release window).
-
-        ``lock_holder`` identifies a cooperating migration driver: the
-        per-connection migration lock is taken for the whole move and
-        released on every exit path.  ``on_settled`` fires exactly once
-        when the move settles, with ``{"connection_id", "outcome"}``
-        (outcome ``"completed"`` or ``"aborted"``); a completed move's
-        dict also carries ``bridge_s``, ``hit_s``, and the ``new_path``.
-
-        Returns the driving :class:`Process`.
-
-        Raises:
-            MigrationLockedError: when ``lock_holder`` is given and the
-                lock is held by another driver.
-            ResourceError: if the connection is not an UP wavelength
-                connection with exactly one lightpath.
-            NoPathError / WavelengthBlockedError: if no disjoint bridge
-                can be planned, or the (given) plan cannot be claimed.
-        """
-        connection = self.connection(connection_id)
-        if lock_holder is not None and not self.lock_migration(
-            connection_id, lock_holder
-        ):
-            raise MigrationLockedError(
-                f"connection {connection_id!r} is mid-migration (lock held "
-                f"by {self._migration_locks[connection_id]!r})"
-            )
-        try:
-            return self._start_bridge_and_roll(
-                connection, exclude_links, plan, lock_holder, on_settled
-            )
-        except BaseException:
-            if lock_holder is not None:
-                self.unlock_migration(connection_id, lock_holder)
-            raise
-
-    def _start_bridge_and_roll(
-        self, connection, exclude_links, plan, lock_holder, on_settled
-    ) -> Process:
-        """Validate, plan/claim, and spawn the roll workflow (lock held)."""
-        connection_id = connection.connection_id
-        if connection.state is not ConnectionState.UP:
-            raise ResourceError(
-                f"{connection_id} is {connection.state.value}; bridge-and-roll "
-                f"needs an UP connection"
-            )
-        if len(connection.lightpath_ids) != 1 or connection.circuit_ids:
-            raise ResourceError(
-                "bridge-and-roll currently supports single-lightpath "
-                "wavelength connections"
-            )
-        old = self.inventory.lightpaths[connection.lightpath_ids[0]]
-        span = self.tracer.span(
-            "bridge_and_roll",
-            trace_id=connection.trace_id,
-            connection=connection_id,
-        )
-        try:
-            if plan is None:
-                with span.child("roll.plan") as plan_span:
-                    plan = self.rwa.plan(
-                        old.source,
-                        old.destination,
-                        old.rate_bps,
-                        excluded_links=exclude_links,
-                        avoid_srlgs_of=old.path,
-                        parent_span=plan_span,
-                    )
-            with span.child("roll.claim"):
-                bridge = self.provisioner.claim(plan)
-        except GriphonError:
-            span.set_tag("outcome", "blocked").finish()
-            self.metrics.inc("bridge_and_roll.blocked")
-            raise
-        return Process(
-            self.sim,
-            self._bridge_and_roll_workflow(
-                connection, old, bridge, span,
-                lock_holder=lock_holder, on_settled=on_settled,
-            ),
-            label=f"bridge-roll:{connection_id}",
-        )
-
     # -- workflows -------------------------------------------------------------------
 
     def _setup_workflow(
@@ -837,94 +704,6 @@ class GriphonController:
         self.metrics.inc("connection.released")
         self.metrics.observe("connection.teardown_s", self.sim.now - started)
         self.notify("released", {"connection": connection})
-
-    def _bridge_and_roll_workflow(
-        self, connection, old, bridge, span=None,
-        lock_holder=None, on_settled=None,
-    ):
-        if span is None:
-            span = self.tracer.span(
-                "bridge_and_roll", connection=connection.connection_id
-            )
-
-        def settle(outcome: str, summary: Optional[dict] = None) -> None:
-            # Release the migration lock before notifying, so a settle
-            # callback can immediately start the connection's next move.
-            if lock_holder is not None:
-                self.unlock_migration(connection.connection_id, lock_holder)
-            if on_settled is not None:
-                payload = {
-                    "connection_id": connection.connection_id,
-                    "outcome": outcome,
-                }
-                if summary:
-                    payload.update(summary)
-                on_settled(payload)
-
-        bridge_started = self.sim.now
-        # Bridge: bring the new path up while the old one carries traffic.
-        yield from self.provisioner.setup_workflow(
-            bridge, include_fxc=False, parent_span=span
-        )
-        bridge_s = self.sim.now - bridge_started
-        # The customer may have torn the connection down (or a failure
-        # may have taken it, or another bridge-and-roll already moved
-        # the connection off the old path) while the bridge was being
-        # built; in that case the roll is pointless.
-        rolled = (
-            connection.state is ConnectionState.UP
-            and old.lightpath_id in self.inventory.lightpaths
-            and old.lightpath_id in connection.lightpath_ids
-            and bridge.state is LightpathState.UP
-        )
-        if rolled:
-            # Roll: steer the FXCs to the new transponders.  Traffic takes
-            # a brief hit while the client signal moves.
-            with span.child("roll.hit"):
-                connection.begin_outage(self.sim.now)
-                yield ROLL_HIT_S
-                connection.end_outage(self.sim.now)
-            # A teardown (or failure, or a competing roll) may land during
-            # the roll hit; the old path then belongs to whoever settled it.
-            rolled = (
-                connection.state is ConnectionState.UP
-                and old.lightpath_id in connection.lightpath_ids
-            )
-        if not rolled:
-            # Only the bridge is left to release.
-            if bridge.state is LightpathState.UP:
-                yield from self.provisioner.teardown_workflow(
-                    bridge, include_fxc=False, parent_span=span
-                )
-            elif bridge.lightpath_id in self.inventory.lightpaths:
-                self.provisioner.release(bridge)
-            span.set_tag("outcome", "aborted").finish()
-            self.metrics.inc("bridge_and_roll.aborted")
-            self.notify(
-                "bridge-and-roll-aborted",
-                {"connection_id": connection.connection_id},
-            )
-            settle("aborted")
-            return
-        connection.lightpath_ids = [bridge.lightpath_id]
-        self._lightpath_conn.pop(old.lightpath_id, None)
-        self._lightpath_conn[bridge.lightpath_id] = connection.connection_id
-        self._relabel_steering(connection, old, bridge)
-        # Release the old path in the background.
-        yield from self.provisioner.teardown_workflow(
-            old, include_fxc=False, parent_span=span
-        )
-        span.set_tag("outcome", "completed").finish()
-        self.metrics.inc("bridge_and_roll.completed")
-        self.metrics.observe("bridge_and_roll.bridge_s", bridge_s)
-        summary = {
-            "connection_id": connection.connection_id,
-            "bridge_s": bridge_s,
-            "hit_s": ROLL_HIT_S,
-            "new_path": list(bridge.path),
-        }
-        self.notify("bridge-and-roll", summary)
-        settle("completed", summary)
 
     # -- order decomposition --------------------------------------------------------
 
@@ -1260,16 +1039,23 @@ class GriphonController:
         kept.reverse()
         connection.claims = kept
 
-    def _relabel_steering(self, connection, old_lightpath, new_lightpath) -> None:
-        """After a roll or restoration, hand the old lightpath's ledger
-        entries to the new one and point each of its FXC pairs at the
-        new transponder at that site.
+    def swap_lightpath(self, connection, old_lightpath, new_lightpath) -> None:
+        """Put ``new_lightpath`` in ``old_lightpath``'s place in
+        ``connection``'s lightpath list, the index a cut reads, and its
+        ledger, each FXC pair then pointing at the new transponder at
+        its site (a roll's bridge, or a restoration's replacement).
 
         Only the component's own cross-connects are touched: after a
         blocked restoration the old transponders may already serve
         someone else, whose port then carries the same label.
         """
         old_id, new_id = old_lightpath.lightpath_id, new_lightpath.lightpath_id
+        connection.lightpath_ids = [
+            new_id if lightpath_id == old_id else lightpath_id
+            for lightpath_id in connection.lightpath_ids
+        ]
+        self._lightpath_conn.pop(old_id, None)
+        self._lightpath_conn[new_id] = connection.connection_id
         new_ots = {ot_id.split(":")[1]: ot_id for ot_id in new_lightpath.ot_ids}
         claims = connection.claims
         for position, entry in enumerate(claims):
@@ -1500,7 +1286,7 @@ class GriphonController:
             return
         del self._unrestored[conn_id]
         connection.transition(ConnectionState.RESTORING)
-        self._relabel_steering(connection, old, replacement)
+        self.swap_lightpath(connection, old, replacement)
         Process(
             self.sim,
             self._restoration_workflow(connection, replacement, span),

@@ -5,8 +5,10 @@ GRIPhoN minimizes the impact during planned maintenance" (paper §1).
 The scheduler models a maintenance window on one fiber link.  With
 bridge-and-roll enabled it migrates every affected wavelength connection
 to a disjoint path *before* the window opens (each migration costs only
-the ~50 ms roll hit); without it, connections ride into the cut and eat
-a full restoration — or the whole window, if restoration is off.
+the ~50 ms roll hit), under the ``"maintenance"`` migration-lock holder;
+a move that aborts before the window opens is retried once.  Without
+it, connections ride into the cut and eat a full restoration — or the
+whole window, if restoration is off.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from repro.core.controller import GriphonController
+from repro.core.migration import Move
 from repro.errors import ConfigurationError, GriphonError
 
 
@@ -25,9 +28,13 @@ class MaintenanceRecord:
     Attributes:
         link: The link that was worked on.
         started_at / ended_at: Window boundaries (simulation time).
-        migrated: Connection ids moved off beforehand via bridge-and-roll.
+        migrated: Connection ids whose bridge-and-roll off the link
+            settled completed.
         migration_failures: Connection id -> reason for ids that could
-            not be migrated (no disjoint path, no resources, ...).
+            not be migrated (no disjoint path, no resources, a move that
+            aborted twice or after the window opened, ...).
+        moves: Every move the window started, in start order; an
+            aborted move retried before the window opens appears twice.
     """
 
     link: Tuple[str, str]
@@ -35,6 +42,7 @@ class MaintenanceRecord:
     ended_at: float
     migrated: List[str] = field(default_factory=list)
     migration_failures: Dict[str, str] = field(default_factory=dict)
+    moves: List[Move] = field(default_factory=list)
     completed: bool = False
 
 
@@ -138,17 +146,32 @@ class MaintenanceScheduler:
 
     def _migrate_affected(self, record: MaintenanceRecord) -> None:
         controller = self._controller
-        a, b = record.link
-        for lightpath in controller.inventory.lightpaths_using_link(a, b):
+        for lightpath in controller.inventory.lightpaths_using_link(*record.link):
             conn_id = controller.connection_of(lightpath.lightpath_id)
-            if conn_id is None:
-                continue
-            try:
-                controller.bridge_and_roll(conn_id, exclude_links=[record.link])
-            except GriphonError as exc:
-                record.migration_failures[conn_id] = str(exc)
-            else:
+            if conn_id is not None:
+                self._migrate(record, conn_id, retry=True)
+
+    def _migrate(
+        self, record: MaintenanceRecord, conn_id: str, retry: bool
+    ) -> None:
+        """Move one connection off the link; an abort before the window
+        opens is retried once, then recorded as a failure."""
+
+        def settled(move: Move) -> None:
+            if move.outcome == "completed":
                 record.migrated.append(conn_id)
+            elif retry and self._controller.sim.now < record.started_at:
+                self._migrate(record, conn_id, retry=False)
+            else:
+                record.migration_failures[conn_id] = move.reason
+
+        try:
+            record.moves.append(self._controller.migrations.move(
+                conn_id, "maintenance", exclude=[record.link],
+                on_settled=settled,
+            ))
+        except GriphonError as exc:
+            record.migration_failures[conn_id] = str(exc)
 
     def _open_window(self, record: MaintenanceRecord) -> None:
         a, b = record.link

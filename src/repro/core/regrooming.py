@@ -21,6 +21,7 @@ from typing import Callable, Dict, List, Optional
 
 from repro.core.connection import ConnectionState
 from repro.core.controller import GriphonController
+from repro.core.migration import Move
 from repro.errors import ConfigurationError, GriphonError
 
 
@@ -90,12 +91,8 @@ class RegroomingEngine:
                 continue
             if len(connection.lightpath_ids) != 1 or connection.circuit_ids:
                 continue
-            if controller.migration_lock_holder(connection.connection_id):
-                # Another migration driver (the global re-optimization
-                # executor, or an earlier pass of this engine) already
-                # owns this connection's move — don't plan against a
-                # route that is about to change under us.
-                continue
+            if controller.migrations.holder(connection.connection_id):
+                continue  # mid-move: its route is about to change
             lightpath = controller.inventory.lightpaths.get(
                 connection.lightpath_ids[0]
             )
@@ -138,10 +135,10 @@ class RegroomingEngine:
         ``migrated`` list is filled in as each migration lands.
 
         Every migration holds the connection's migration lock under the
-        ``"regrooming"`` holder tag, so this engine and the global
-        re-optimization executor cannot roll the same connection
-        concurrently; a connection locked between :meth:`scan` and the
-        roll is recorded as a failure instead of racing.
+        ``"regrooming"`` holder tag, so no other migration driver can
+        roll the same connection concurrently; a connection locked
+        between :meth:`scan` and the roll is recorded as a failure
+        instead of racing.
         """
         report = RegroomReport()
         report.scanned = sum(
@@ -153,27 +150,24 @@ class RegroomingEngine:
         to_migrate = report.candidates
         if max_migrations is not None:
             to_migrate = to_migrate[:max_migrations]
-        pending = {"count": len(to_migrate)}
+        moves: List[Move] = []
 
-        def settled(result: dict) -> None:
-            if result["outcome"] == "completed":
-                report.migrated.append(result["connection_id"])
+        def settled(move: Move) -> None:
+            if move.outcome == "completed":
+                report.migrated.append(move.connection_id)
             else:
-                report.failures[result["connection_id"]] = "aborted"
-            pending["count"] -= 1
-            if pending["count"] == 0 and on_done is not None:
+                report.failures[move.connection_id] = move.reason
+            if on_done is not None and all(m.settled for m in moves):
                 on_done(report)
 
         for candidate in to_migrate:
             try:
-                self._controller.bridge_and_roll(
-                    candidate.connection_id,
-                    lock_holder="regrooming",
-                    on_settled=settled,
-                )
+                moves.append(self._controller.migrations.move(
+                    candidate.connection_id, "regrooming", on_settled=settled
+                ))
             except GriphonError as exc:
                 report.failures[candidate.connection_id] = str(exc)
-                pending["count"] -= 1
-        if pending["count"] == 0 and on_done is not None:
+        # A move settles in a later event, never inside move() itself.
+        if not moves and on_done is not None:
             on_done(report)
         return report

@@ -389,7 +389,7 @@ class RwaEngine:
         :class:`~repro.optimize.planner.MigrationMove` already names the
         exact route and wavelength per regen-free segment, and the
         migration executor realizes it by handing the resulting plan to
-        ``bridge_and_roll(plan=...)``.  The route is segmented with the
+        ``migrations.move(plan=...)``.  The route is segmented with the
         engine's own reach model (so the segmentation matches what
         :meth:`plan` would produce for the same route), and each
         requested channel is validated to be currently free along its

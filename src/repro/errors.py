@@ -35,12 +35,11 @@ class TransponderUnavailableError(ResourceError):
 class MigrationLockedError(ResourceError):
     """The connection is already mid-migration under another holder.
 
-    Raised by :meth:`GriphonController.bridge_and_roll` when a caller
-    that identifies itself with ``lock_holder`` (the re-grooming engine,
-    the global re-optimization executor) finds the per-connection
-    migration lock held by someone else.  Lock-oblivious callers are
-    unaffected — the roll-time abort guards still arbitrate races for
-    them.
+    Raised by :meth:`repro.core.migration.Migrations.move` when the
+    per-connection migration lock is already held: every migration
+    driver (maintenance, re-grooming, SLO remediation, the global
+    re-optimization executor) moves under its own holder tag, and a
+    connection makes one move at a time.
     """
 
 

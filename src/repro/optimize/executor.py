@@ -12,9 +12,11 @@ Safety layers, in order of engagement:
 * **Stale check** — before each move the connection's live assignment
   must still equal ``move.old_*``; anything else (re-groomed, repaired,
   torn down since the snapshot) skips the move as ``stale``.
-* **Migration lock** — every roll holds the per-connection migration
-  lock under this run's holder tag, so the re-grooming engine cannot
-  race the executor on the same connection.
+* **Migration lock** — every roll is a ``controller.migrations.move``
+  under this run's holder tag, so no other migration driver
+  (maintenance, re-grooming, SLO remediation) can race the executor on
+  the same connection; a refusal's own message (the other holder, a
+  blocked plan) becomes the move's ``detail``.
 * **Audit** — after every completed move the invariant auditor sweeps
   the whole network; violations stop the run (and trigger rollback when
   enabled), because continuing to migrate on top of corrupted state
@@ -33,6 +35,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional
 
 from repro.core.connection import ConnectionState
+from repro.core.migration import Move
 from repro.errors import GriphonError
 from repro.faults.audit import audit_network
 from repro.optimize.planner import MigrationMove, MigrationPlan
@@ -56,13 +59,32 @@ class MigrationReport:
     """What happened when a plan executed."""
 
     results: List[MoveResult] = field(default_factory=list)
-    completed: int = 0
-    stale: int = 0
-    failed: int = 0
-    rolled_back: int = 0
     audit_failures: List[str] = field(default_factory=list)
     dropped_connections: List[str] = field(default_factory=list)
     rollback_triggered: bool = False
+
+    def _count(self, outcome: str) -> int:
+        return sum(1 for result in self.results if result.outcome == outcome)
+
+    @property
+    def completed(self) -> int:
+        """Moves that landed forward."""
+        return self._count("completed")
+
+    @property
+    def stale(self) -> int:
+        """Moves skipped because the live assignment had changed."""
+        return self._count("stale")
+
+    @property
+    def failed(self) -> int:
+        """Forward moves refused or aborted."""
+        return self._count("failed")
+
+    @property
+    def rolled_back(self) -> int:
+        """Completed moves the saga undid."""
+        return self._count("rolled-back")
 
     @property
     def clean(self) -> bool:
@@ -124,25 +146,9 @@ class MigrationExecutor:
         settle; ``on_done`` fires once when the run (including any
         rollback) finishes.
         """
-        report = MigrationReport()
-        run = _ExecutionRun(
-            controller=self._controller,
-            holder=self._holder,
-            plan=plan,
-            report=report,
-            audit_each_move=self._audit_each_move,
-            rollback_on_failure=self._rollback_on_failure,
-            on_done=on_done,
-        )
+        run = _ExecutionRun(self, plan, on_done)
         run.step()
-        return report
-
-    # -- convenience -------------------------------------------------------
-
-    @property
-    def holder(self) -> str:
-        """The migration-lock holder tag this executor rolls under."""
-        return self._holder
+        return run.report
 
 
 class _ExecutionRun:
@@ -150,20 +156,16 @@ class _ExecutionRun:
 
     def __init__(
         self,
-        controller,
-        holder: str,
+        executor: MigrationExecutor,
         plan: MigrationPlan,
-        report: MigrationReport,
-        audit_each_move: bool,
-        rollback_on_failure: bool,
         on_done: Optional[Callable[[MigrationReport], None]],
     ) -> None:
-        self.controller = controller
-        self.holder = holder
+        self.controller = executor._controller
+        self.holder = executor._holder
+        self.audit_each_move = executor._audit_each_move
+        self.rollback_on_failure = executor._rollback_on_failure
         self.plan = plan
-        self.report = report
-        self.audit_each_move = audit_each_move
-        self.rollback_on_failure = rollback_on_failure
+        self.report = MigrationReport()
         self.on_done = on_done
         self.cursor = 0
         #: Moves that completed forward, for reverse-order unwinding.
@@ -189,28 +191,28 @@ class _ExecutionRun:
             return None
         return tuple(lightpath.path), tuple(lightpath.channels)
 
-    def _roll(
-        self,
-        move: MigrationMove,
-        path,
-        channels,
-        settled: Callable[[dict], None],
-    ) -> bool:
-        """Start one bridge-and-roll; False on synchronous failure."""
+    def _roll(self, move: MigrationMove, path, channels) -> str:
+        """Start one move onto ``(path, channels)``; returns why it was
+        refused, or ``""`` once it runs (:meth:`_settled` continues)."""
         controller = self.controller
         try:
             explicit = controller.rwa.plan_explicit(
                 list(path), list(channels), move.rate_bps
             )
-            controller.bridge_and_roll(
+            controller.migrations.move(
                 move.connection_id,
+                self.holder,
                 plan=explicit,
-                lock_holder=self.holder,
-                on_settled=settled,
+                on_settled=lambda roll: self._settled(move, roll),
             )
-        except GriphonError:
-            return False
-        return True
+        except GriphonError as exc:
+            return str(exc)
+        return ""
+
+    def _record(
+        self, move: MigrationMove, outcome: str, detail: str = ""
+    ) -> None:
+        self.report.results.append(MoveResult(move, outcome, detail))
 
     def _audit(self) -> bool:
         """Run the invariant auditor; record violations.  True if clean."""
@@ -228,7 +230,7 @@ class _ExecutionRun:
         if self.finished:
             return
         self.finished = True
-        metrics = getattr(self.controller, "metrics", None)
+        report = self.report
         # Touched connections must all still be carrying traffic.
         touched = {m.connection_id for m in self.plan.moves}
         for conn_id in sorted(touched):
@@ -237,63 +239,54 @@ class _ExecutionRun:
                 ConnectionState.UP,
                 ConnectionState.RELEASED,
             ):
-                self.report.dropped_connections.append(conn_id)
-        if metrics is not None:
-            metrics.inc("optimize.moves.completed", self.report.completed)
-            metrics.inc("optimize.moves.stale", self.report.stale)
-            metrics.inc("optimize.moves.failed", self.report.failed)
-            metrics.inc("optimize.moves.rolled_back", self.report.rolled_back)
-            if self.report.rollback_triggered:
-                metrics.inc("optimize.rollbacks")
+                report.dropped_connections.append(conn_id)
+        metrics = self.controller.metrics
+        metrics.inc("optimize.moves.completed", report.completed)
+        metrics.inc("optimize.moves.stale", report.stale)
+        metrics.inc("optimize.moves.failed", report.failed)
+        metrics.inc("optimize.moves.rolled_back", report.rolled_back)
+        if report.rollback_triggered:
+            metrics.inc("optimize.rollbacks")
         if self.on_done is not None:
-            self.on_done(self.report)
+            self.on_done(report)
 
     # -- forward execution -------------------------------------------------
 
     def step(self) -> None:
         """Run the next forward move (or finish / start rollback)."""
-        if self.mode != "forward":
-            self.unwind_step()
-            return
         plan_moves = self.plan.moves
         while self.cursor < len(plan_moves):
             move = plan_moves[self.cursor]
             self.cursor += 1
             live = self._current_assignment(move.connection_id)
             if live != (move.old_path, move.old_channels):
-                self.report.results.append(
-                    MoveResult(move, "stale", f"live assignment {live}")
-                )
-                self.report.stale += 1
+                self._record(move, "stale", f"live assignment {live}")
                 continue
-
-            def settled(result: dict, move=move) -> None:
-                self._forward_settled(move, result)
-
-            if self._roll(move, move.new_path, move.new_channels, settled):
-                return  # settled() continues the run
-            self.report.results.append(
-                MoveResult(move, "failed", "planning or claim failed")
-            )
-            self.report.failed += 1
+            refused = self._roll(move, move.new_path, move.new_channels)
+            if not refused:
+                return
+            self._record(move, "failed", refused)
             self._begin_rollback()
             return
         self._finish()
 
-    def _forward_settled(self, move: MigrationMove, result: dict) -> None:
-        if result["outcome"] == "completed":
-            self.report.results.append(MoveResult(move, "completed"))
-            self.report.completed += 1
-            self.completed_moves.append(move)
-            if not self._audit():
-                self._begin_rollback()
-                return
-            self.step()
+    def _settled(self, planned: MigrationMove, roll: Move) -> None:
+        """A started roll settled: record it, then take the next step."""
+        completed = roll.outcome == "completed"
+        detail = "" if completed else f"roll aborted: {roll.reason}"
+        if self.mode == "rollback":
+            self._record(
+                planned, "rolled-back" if completed else "rollback-failed",
+                detail,
+            )
+            self.unwind_step()
             return
-        self.report.results.append(
-            MoveResult(move, "failed", "roll aborted")
-        )
-        self.report.failed += 1
+        self._record(planned, "completed" if completed else "failed", detail)
+        if completed:
+            self.completed_moves.append(planned)
+            if self._audit():
+                self.step()
+                return
         self._begin_rollback()
 
     # -- rollback ----------------------------------------------------------
@@ -314,29 +307,12 @@ class _ExecutionRun:
             self.unwind_cursor -= 1
             live = self._current_assignment(move.connection_id)
             if live != (move.new_path, move.new_channels):
-                self.report.results.append(
-                    MoveResult(
-                        move, "rollback-failed", f"live assignment {live}"
-                    )
+                self._record(
+                    move, "rollback-failed", f"live assignment {live}"
                 )
                 continue
-
-            def settled(result: dict, move=move) -> None:
-                self._rollback_settled(move, result)
-
-            if self._roll(move, move.old_path, move.old_channels, settled):
+            refused = self._roll(move, move.old_path, move.old_channels)
+            if not refused:
                 return
-            self.report.results.append(
-                MoveResult(move, "rollback-failed", "planning or claim failed")
-            )
+            self._record(move, "rollback-failed", refused)
         self._finish()
-
-    def _rollback_settled(self, move: MigrationMove, result: dict) -> None:
-        if result["outcome"] == "completed":
-            self.report.results.append(MoveResult(move, "rolled-back"))
-            self.report.rolled_back += 1
-        else:
-            self.report.results.append(
-                MoveResult(move, "rollback-failed", "roll aborted")
-            )
-        self.unwind_step()

@@ -119,7 +119,7 @@ class NetworkSnapshot:
                 continue
             if len(connection.lightpath_ids) != 1 or connection.circuit_ids:
                 continue  # bridge-and-roll can't migrate these (yet)
-            if controller.migration_lock_holder(conn_id) is not None:
+            if controller.migrations.holder(conn_id) is not None:
                 continue  # already mid-migration under another driver
             lightpath = inventory.lightpaths.get(connection.lightpath_ids[0])
             if lightpath is None:

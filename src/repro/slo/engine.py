@@ -10,7 +10,9 @@ breach from the :class:`~repro.slo.monitor.SlaMonitor` the engine:
    migration will move the traffic anyway;
 3. **reroutes** via bridge-and-roll around the impacted links, but only
    when *every* link of the alternate path would stay under the
-   utilization gate (<80% by default) after taking the new channel;
+   utilization gate (<80% by default) after taking the new channel; the
+   move claims exactly the path the gate read, under the ``"slo"``
+   migration-lock holder, so it never races another driver's move;
 4. **escalates** otherwise: the connection transitions to DEGRADED with
    a typed :class:`~repro.api.SlaBreached` outcome and a recorded
    degradation cause the GUI renders distinctly from hard faults;
@@ -31,6 +33,7 @@ from typing import Dict, List, Set, Tuple
 
 from repro import api
 from repro.core.connection import ConnectionState
+from repro.core.migration import Move
 from repro.errors import GriphonError
 from repro.faults.audit import AuditReport, audit_network
 from repro.slo.monitor import SlaMonitor, SloPolicy
@@ -238,11 +241,12 @@ class RemediationEngine:
             )
             return False
         try:
-            controller.bridge_and_roll(
+            controller.migrations.move(
                 conn_id,
-                exclude_links=impacted,
-                on_settled=lambda summary, c=conn_id, p=policy.name: (
-                    self._roll_settled(c, p, summary)
+                "slo",
+                plan=plan,
+                on_settled=lambda move, p=policy.name: (
+                    self._roll_settled(p, move)
                 ),
             )
         except GriphonError as exc:
@@ -273,12 +277,11 @@ class RemediationEngine:
             worst = max(worst, after)
         return worst
 
-    def _roll_settled(
-        self, conn_id: str, policy_name: str, summary: dict
-    ) -> None:
+    def _roll_settled(self, policy_name: str, move: Move) -> None:
         now = self._controller.sim.now
+        conn_id = move.connection_id
         phase = self._phase.get(conn_id)
-        if summary["outcome"] == "aborted":
+        if move.outcome == "aborted":
             # A torn-down, cut or rolled-back bridge: a reroute goes back
             # to watch (its links no longer steer the re-optimizer), a
             # revert back to rerouted, so the next tick retries it.
@@ -297,7 +300,7 @@ class RemediationEngine:
                 conn_id,
                 policy_name,
                 "rerouted",
-                f"new path {'-'.join(summary.get('new_path', []))}",
+                f"new path {'-'.join(move.new_path)}",
             )
         elif phase == "reverting":
             self._phase.pop(conn_id, None)
@@ -394,10 +397,11 @@ class RemediationEngine:
             if connection is None or connection.state is not ConnectionState.UP:
                 continue
             try:
-                self._controller.bridge_and_roll(
+                self._controller.migrations.move(
                     conn_id,
-                    on_settled=lambda summary, c=conn_id: (
-                        self._roll_settled(c, "auto-revert", summary)
+                    "slo",
+                    on_settled=lambda move: (
+                        self._roll_settled("auto-revert", move)
                     ),
                 )
             except GriphonError as exc:

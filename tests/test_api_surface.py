@@ -19,6 +19,7 @@ PUBLIC_MODULES = [
     "repro.core.calendar",
     "repro.core.gui",
     "repro.core.maintenance",
+    "repro.core.migration",
     "repro.core.planning",
     "repro.core.provisioning",
     "repro.core.reclamation",

@@ -230,13 +230,13 @@ class TestBridgeAndRoll:
     def test_hit_is_milliseconds(self, net, svc):
         conn = bring_up(net, svc)
         results = []
-        net.controller.bridge_and_roll(
-            conn.connection_id, on_settled=results.append
+        net.controller.migrations.move(
+            conn.connection_id, "operator", on_settled=results.append
         )
         net.run()
         assert len(results) == 1
-        assert results[0]["outcome"] == "completed"
-        assert results[0]["hit_s"] == pytest.approx(0.050)
+        assert results[0].outcome == "completed"
+        assert results[0].hit_s == pytest.approx(0.050)
         assert conn.total_outage_s == pytest.approx(0.050)
         assert conn.state is ConnectionState.UP
 
@@ -247,11 +247,11 @@ class TestBridgeAndRoll:
             tuple(sorted(pair)) for pair in zip(old.path, old.path[1:])
         )
         results = []
-        net.controller.bridge_and_roll(
-            conn.connection_id, on_settled=results.append
+        net.controller.migrations.move(
+            conn.connection_id, "operator", on_settled=results.append
         )
         net.run()
-        new_path = results[0]["new_path"]
+        new_path = results[0].new_path
         new_links = set(
             tuple(sorted(pair)) for pair in zip(new_path, new_path[1:])
         )
@@ -260,7 +260,7 @@ class TestBridgeAndRoll:
     def test_old_lightpath_released(self, net, svc):
         conn = bring_up(net, svc)
         old_id = conn.lightpath_ids[0]
-        net.controller.bridge_and_roll(conn.connection_id)
+        net.controller.migrations.move(conn.connection_id, "operator")
         net.run()
         assert old_id not in net.inventory.lightpaths
         assert conn.lightpath_ids[0] != old_id
@@ -268,12 +268,12 @@ class TestBridgeAndRoll:
     def test_rejects_non_up_connection(self, net, svc):
         conn = svc.request_connection("PREMISES-A", "PREMISES-C", 10)
         with pytest.raises(ResourceError):
-            net.controller.bridge_and_roll(conn.connection_id)
+            net.controller.migrations.move(conn.connection_id, "operator")
 
     def test_rejects_subwavelength(self, net, svc):
         conn = bring_up(net, svc, rate=1)
         with pytest.raises(ResourceError):
-            net.controller.bridge_and_roll(conn.connection_id)
+            net.controller.migrations.move(conn.connection_id, "operator")
 
 
 class TestObservers:

@@ -3,7 +3,11 @@
 import pytest
 
 from repro.core.connection import ConnectionKind, ConnectionState
-from repro.errors import ConnectionStateError, ResourceError
+from repro.errors import (
+    ConnectionStateError,
+    MigrationLockedError,
+    ResourceError,
+)
 from repro.facade import build_griphon_testbed
 
 
@@ -107,7 +111,7 @@ class TestRaceyOperations:
         # Restoration is in flight; the connection is not UP.
         assert conn.state is ConnectionState.RESTORING
         with pytest.raises(ResourceError):
-            net.controller.bridge_and_roll(conn.connection_id)
+            net.controller.migrations.move(conn.connection_id, "operator")
         net.run()
         assert conn.state is ConnectionState.UP
 
@@ -142,7 +146,7 @@ class TestBridgeRollRaces:
         net.controller.observers.append(
             lambda name, payload: events.append(name)
         )
-        net.controller.bridge_and_roll(conn.connection_id)
+        net.controller.migrations.move(conn.connection_id, "operator")
         net.sim.schedule(10.0, svc.teardown_connection, conn.connection_id)
         net.run()
         assert conn.state is ConnectionState.RELEASED
@@ -161,7 +165,7 @@ class TestBridgeRollRaces:
         net.controller.observers.append(
             lambda name, payload: events.append(name)
         )
-        net.controller.bridge_and_roll(conn.connection_id)
+        net.controller.migrations.move(conn.connection_id, "operator")
         fired = []
 
         def probe():
@@ -181,22 +185,22 @@ class TestBridgeRollRaces:
             assert not pool.held()
 
     def test_concurrent_bridge_and_roll_single_winner(self, net, svc):
-        """Two overlapping bridge-and-rolls: the loser must notice the
-        connection already moved off the old path and release its own
-        bridge (regression: used to orphan the winner's bridge and
-        re-tear the old lightpath)."""
+        """Two overlapping bridge-and-rolls: the second is refused at the
+        migration lock and builds no bridge (regression: the loser used
+        to orphan the winner's bridge and re-tear the old lightpath)."""
         conn = svc.request_connection("PREMISES-A", "PREMISES-C", 10)
         net.run()
         events = []
         net.controller.observers.append(
             lambda name, payload: events.append(name)
         )
-        net.controller.bridge_and_roll(conn.connection_id)
-        net.controller.bridge_and_roll(conn.connection_id)
+        net.controller.migrations.move(conn.connection_id, "operator")
+        with pytest.raises(MigrationLockedError):
+            net.controller.migrations.move(conn.connection_id, "operator")
         net.run()
         assert conn.state is ConnectionState.UP
         assert events.count("bridge-and-roll") == 1
-        assert events.count("bridge-and-roll-aborted") == 1
+        assert events.count("bridge-and-roll-aborted") == 0
         # Exactly one lightpath survives, and the connection owns it.
         assert set(net.inventory.lightpaths) == set(conn.lightpath_ids)
         svc.teardown_connection(conn.connection_id)
@@ -211,7 +215,7 @@ class TestBridgeRollRaces:
         conn = svc.request_connection("PREMISES-A", "PREMISES-C", 10)
         net.run()
         old = net.inventory.lightpaths[conn.lightpath_ids[0]]
-        net.controller.bridge_and_roll(conn.connection_id)
+        net.controller.migrations.move(conn.connection_id, "operator")
         net.sim.schedule(
             10.0, net.controller.cut_link, old.path[0], old.path[1]
         )

@@ -77,7 +77,7 @@ class TestSteeringFollowsMigrations:
         net.run()
         old = net.inventory.lightpaths[conn.lightpath_ids[0]]
         old_ots = list(old.ot_ids)
-        net.controller.bridge_and_roll(conn.connection_id)
+        net.controller.migrations.move(conn.connection_id, "operator")
         net.run()
         new = net.inventory.lightpaths[conn.lightpath_ids[0]]
         assert new.ot_ids != old_ots

@@ -416,7 +416,7 @@ PLANTS = st.sampled_from(["leak-ot", "leak-regen", "missing-ot", "mismatch", "no
     st.integers(0, 3),
     st.lists(st.tuples(st.integers(0, 4), st.integers(0, 4)), max_size=4),
     PLANTS,
-    st.randoms(use_true_random=False),
+    st.randoms(use_true_random=True),
 )
 def test_audit_of_units_matches_a_walk_over_every_unit(
     count, ots, regens, pairs, plant, rng

@@ -257,7 +257,7 @@ class TestRecoveryPathSagas:
         net.controller.fault_plan.add(
             FaultSpec(mode="fail", after_s=net.sim.now)
         )
-        net.controller.bridge_and_roll(conn.connection_id)
+        net.controller.migrations.move(conn.connection_id, "operator")
         net.run()
         # The bridge saga rolled back; traffic never left the old path.
         assert conn.state is ConnectionState.UP

@@ -180,7 +180,7 @@ class TestBridgeAndRollTrace:
     def test_bridge_and_roll_completeness(self, net, svc):
         conn = svc.request_connection("PREMISES-A", "PREMISES-C", 10)
         net.run()
-        net.controller.bridge_and_roll(conn.connection_id)
+        net.controller.migrations.move(conn.connection_id, "operator")
         net.run()
         tracer = net.tracer
         assert_tree_invariants(tracer)

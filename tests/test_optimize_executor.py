@@ -76,7 +76,7 @@ def test_execute_releases_every_migration_lock():
     net.run()
     for move in plan.moves:
         assert (
-            net.controller.migration_lock_holder(move.connection_id) is None
+            net.controller.migrations.holder(move.connection_id) is None
         )
 
 
@@ -141,11 +141,12 @@ def test_failed_move_rolls_back_completed_moves():
 def test_lock_blocks_lock_aware_rival_and_releases_on_settle():
     net, _, plan = planned_network()
     conn_id = plan.moves[0].connection_id
-    assert net.controller.lock_migration(conn_id, "optimize")
+    net.controller.migrations.move(conn_id, "optimize")
+    assert net.controller.migrations.holder(conn_id) == "optimize"
     with pytest.raises(MigrationLockedError):
-        net.controller.bridge_and_roll(conn_id, lock_holder="regrooming")
-    net.controller.unlock_migration(conn_id, "optimize")
-    assert net.controller.migration_lock_holder(conn_id) is None
+        net.controller.migrations.move(conn_id, "regrooming")
+    net.run()
+    assert net.controller.migrations.holder(conn_id) is None
 
 
 def test_regrooming_and_executor_cannot_race_one_connection():
@@ -158,7 +159,7 @@ def test_regrooming_and_executor_cannot_race_one_connection():
     executor.execute(plan)
     # The executor's first roll is now in flight (sim not yet run), so
     # the connection is locked under the executor's holder tag.
-    assert net.controller.migration_lock_holder(moving) == "optimize"
+    assert net.controller.migrations.holder(moving) == "optimize"
     engine = RegroomingEngine(net.controller, improvement_threshold=0.0)
     # Its scan skips the locked connection entirely...
     assert moving not in {
@@ -166,10 +167,10 @@ def test_regrooming_and_executor_cannot_race_one_connection():
     }
     # ...and a direct lock-aware roll attempt is refused, not raced.
     with pytest.raises(MigrationLockedError):
-        net.controller.bridge_and_roll(moving, lock_holder="regrooming")
+        net.controller.migrations.move(moving, "regrooming")
     net.run()
     # Once the plan drains, the lock is gone and audits are clean.
-    assert net.controller.migration_lock_holder(moving) is None
+    assert net.controller.migrations.holder(moving) is None
     assert audit_network(net.controller).ok
 
 

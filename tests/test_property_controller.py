@@ -145,8 +145,8 @@ def test_random_operations_never_leak_resources(ops):
             ]
             if live:
                 try:
-                    net.controller.bridge_and_roll(
-                        live[index % len(live)].connection_id
+                    net.controller.migrations.move(
+                        live[index % len(live)].connection_id, "operator"
                     )
                 except GriphonError:
                     pass  # no disjoint path right now: fine

@@ -111,7 +111,7 @@ def plants(draw, spare=False):
     ``spare`` installs enough of everything for any one plan to claim,
     and pre-occupies nothing, so a test can break exactly one stage.
     """
-    rng = draw(st.randoms(use_true_random=False))
+    rng = draw(st.randoms(use_true_random=True))
     count = draw(st.integers(min_value=3, max_value=len(NAMES)))
     names = NAMES[:count]
     rng.shuffle(names)

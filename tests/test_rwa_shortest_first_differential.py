@@ -124,7 +124,7 @@ def _request(rng, names, links):
 @st.composite
 def planning_cases(draw):
     """A plant (topology, cuts, occupancy), an engine config, requests."""
-    rng = draw(st.randoms(use_true_random=False))
+    rng = draw(st.randoms(use_true_random=True))
     count = draw(st.integers(min_value=3, max_value=len(NAMES)))
     density = draw(st.sampled_from((0.15, 0.3, 0.6)))
     cut_share = draw(st.sampled_from((0.0, 0.2, 0.4)))

@@ -152,7 +152,7 @@ def reference_k_shortest_paths(
 @st.composite
 def search_cases(draw):
     """A graph plus one query: endpoints, k, metric and exclusions."""
-    rng = draw(st.randoms(use_true_random=False))
+    rng = draw(st.randoms(use_true_random=True))
     count = draw(st.integers(min_value=2, max_value=14))
     density = draw(st.sampled_from(DENSITIES))
     # Insertion order is a shuffle of the names, so the name-sorted

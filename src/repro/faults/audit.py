@@ -26,6 +26,7 @@ from repro.core.inventory import (
     InventoryDatabase,
 )
 from repro.errors import TopologyError, TransponderUnavailableError
+from repro.optical.lightpath import LightpathState
 from repro.optical.pool import UnitPool
 
 
@@ -550,6 +551,19 @@ def _audit_connection_resources(
         connection = connections[conn_id]
         if connection.state is ConnectionState.REQUESTED:
             continue  # claim not finished yet
+        # In service, yet carried by nothing: a cut fails a lightpath
+        # and its connection in the same instant, so this never holds.
+        lightpaths = [inventory.lightpaths.get(i) for i in connection.lightpath_ids]
+        if (
+            connection.state in (ConnectionState.UP, ConnectionState.DEGRADED)
+            and lightpaths and not connection.circuit_ids and not connection.evc_ids
+            and all(lp is not None and lp.state is LightpathState.FAILED for lp in lightpaths)
+        ):
+            report.violations.append(AuditViolation(
+                "unserved-connection", f"connection {conn_id}", conn_id,
+                f"{connection.state.value} with every lightpath FAILED and "
+                "no circuit or EVC to carry it",
+            ))
         for lightpath_id in connection.lightpath_ids:
             if lightpath_id not in inventory.lightpaths:
                 report.violations.append(

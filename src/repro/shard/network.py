@@ -267,9 +267,8 @@ class ShardedNetwork:
             (region name or :data:`EXPRESS`).  The monolithic twin merges
             them, in unit order, into its single controller.
         pool: An existing :class:`~repro.shard.workers.ShardWorkerPool`
-            to share (this network's recipes are ensured — a recipe
-            names the unit controller's own graph, so no two networks
-            share a unit); by default pool mode spawns and owns its own.
+            hosting no unit of this network yet (its recipes are
+            ensured); by default pool mode spawns and owns its own.
     """
 
     def __init__(
@@ -379,6 +378,13 @@ class ShardedNetwork:
             if pool is None:
                 pool = ShardWorkerPool()
                 self._owns_pool = True
+            elif not set(pool.recipes()).isdisjoint(self._mirrors):
+                # Networks built from one hierarchy name equal recipes;
+                # one pool would plan each on the other's occupancy.
+                raise ConfigurationError(
+                    "the worker pool already hosts a unit of this network's "
+                    "hierarchy; every network needs a pool of its own"
+                )
             # One call, so a fresh pool deals every unit before it forks.
             pool.ensure(*self._mirrors)
             self._pool = pool
@@ -984,7 +990,8 @@ def build_sharded_network(
     orders have NTE endpoints; pass ``hierarchy`` to reuse one already
     built — e.g. to run both modes of the differential test on the
     exact same topology object.  ``backend="pool"`` plans through
-    persistent worker processes (close the network, or use ``with``).
+    persistent worker processes (close the network, or use ``with``);
+    networks built from one hierarchy need a pool each.
     """
     if hierarchy is None:
         hierarchy = build_hierarchy(

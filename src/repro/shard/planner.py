@@ -25,7 +25,7 @@ controllers).
 from __future__ import annotations
 
 from collections import deque
-from typing import AbstractSet, Dict, FrozenSet, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.errors import NoPathError
 from repro.topo.graph import NetworkGraph
@@ -52,11 +52,8 @@ class SegmentSpec:
         return f"SegmentSpec({self.unit}: {self.source}->{self.destination})"
 
 
-def _bfs_hops(
-    graph: NetworkGraph, start: str, within: Optional[AbstractSet[str]] = None
-) -> Dict[str, int]:
-    """Hop distance from ``start`` to every node it reaches through
-    ``within`` (every node when ``None``).
+def _bfs_hops(graph: NetworkGraph, start: str) -> Dict[str, int]:
+    """Hop distance from ``start`` to every node it reaches in ``graph``.
 
     Distances do not depend on the order neighbours are visited in, so
     the walk reads the graph's unsorted adjacency.
@@ -68,7 +65,7 @@ def _bfs_hops(
         node = queue.popleft()
         next_hop = hops[node] + 1
         for neighbor in adjacent(node):
-            if neighbor not in hops and (within is None or neighbor in within):
+            if neighbor not in hops:
                 hops[neighbor] = next_hop
                 queue.append(neighbor)
     return hops
@@ -79,18 +76,11 @@ class ShardPlanner:
 
     def __init__(self, hierarchy: Hierarchy) -> None:
         self.hierarchy = hierarchy
-        self._express_graph = hierarchy.express_graph()
         # Hop maps are computed lazily (per region, per source node) and
         # cached; the hierarchy is immutable once built, so they never go
         # stale.
         self._region_hops: Dict[Tuple[str, str], Dict[str, int]] = {}
         self._express_hops: Dict[str, Dict[str, int]] = {}
-        # Each region's nodes: a BFS over the full graph kept inside them
-        # crosses exactly the region graph's links.
-        self._members: Dict[str, FrozenSet[str]] = {
-            name: frozenset(info.pops + info.premises)
-            for name, info in hierarchy.regions.items()
-        }
 
     # -- hop maps -------------------------------------------------------------
 
@@ -98,14 +88,14 @@ class ShardPlanner:
         key = (region, start)
         cached = self._region_hops.get(key)
         if cached is None:
-            cached = _bfs_hops(self.hierarchy.graph, start, self._members[region])
+            cached = _bfs_hops(self.hierarchy.region_graph(region), start)
             self._region_hops[key] = cached
         return cached
 
     def _hops_on_express(self, start: str) -> Dict[str, int]:
         cached = self._express_hops.get(start)
         if cached is None:
-            cached = _bfs_hops(self._express_graph, start)
+            cached = _bfs_hops(self.hierarchy.express_graph(), start)
             self._express_hops[start] = cached
         return cached
 

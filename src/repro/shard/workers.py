@@ -8,7 +8,8 @@ placement round sends it.
 
 * :class:`UnitRecipe` — the unit's name, graph and planning knobs.  It
   is frozen, hashable, and the pool's unit key: two callers handing
-  over the same graph object share one warm unit.
+  over the same graph object share one warm unit, so two networks
+  never share a pool.
 * ``_worker_main`` — the worker process loop.  It builds its units
   **once**, then serves messages over a multiprocessing pipe until told
   to shut down.  A message is a list of calls, each addressed to one
@@ -104,7 +105,9 @@ class UnitRecipe:
     warm state.  ``graph`` compares and hashes by identity, so a recipe
     names the parent's own graph object, not a topology equal to it.
     ``unit`` is the unit's label (a region name, :data:`~repro.topo.
-    hierarchy.EXPRESS`, or the monolithic twin's name).
+    hierarchy.EXPRESS`, or the monolithic twin's name).  Networks built
+    from one hierarchy plan on its own graphs and so name equal
+    recipes: each needs its own pool, since a unit mirrors one plant.
     """
 
     unit: str

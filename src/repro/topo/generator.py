@@ -11,7 +11,7 @@ minimum degree of 2 so every span is restorable.
 from __future__ import annotations
 
 import math
-from typing import List, Tuple
+from typing import List, Set, Tuple
 
 from repro.errors import ConfigurationError
 from repro.sim.randomness import RandomStreams
@@ -42,6 +42,34 @@ def generate_backbone(
     Raises:
         ConfigurationError: for invalid parameters.
     """
+    links = _waxman_links(streams, node_count, plane_km, alpha, beta, stream_name)
+    return _mesh_graph([f"P{index:02d}" for index in range(node_count)], links)
+
+
+def _mesh_graph(
+    names: List[str], links: List[Tuple[int, int, float]], region: str = ""
+) -> NetworkGraph:
+    """A generated mesh with PoP ``i`` named ``names[i]``, named once."""
+    graph = NetworkGraph()
+    for name in names:
+        graph.add_node(Node(name, kind="roadm", region=region))
+    for i, j, km in links:
+        a, b = names[i], names[j]
+        graph.add_link(
+            Link(a, b, length_km=km, srlgs=frozenset({f"srlg:{a}={b}"}))
+        )
+    return graph
+
+
+def _waxman_links(
+    streams: RandomStreams, node_count: int, plane_km: float, alpha: float,
+    beta: float, stream_name: str = "topo-gen",
+) -> List[Tuple[int, int, float]]:
+    """The mesh as geometry: ``(i, j, length_km)`` per link over PoP
+    indices, in the order the links are added.  Patches walk neighbours
+    in ``P{i:02d}`` name order (``P100`` before ``P11``), so a caller's
+    names must sort the same way.
+    """
     if node_count < 3:
         raise ConfigurationError(f"need >= 3 nodes, got {node_count}")
     if plane_km <= 0:
@@ -49,43 +77,40 @@ def generate_backbone(
     if not (0 < alpha <= 1 and 0 < beta <= 1):
         raise ConfigurationError("alpha and beta must be in (0, 1]")
 
-    positions: List[Tuple[float, float]] = [
-        (
-            streams.uniform(f"{stream_name}:x", 0.0, plane_km),
-            streams.uniform(f"{stream_name}:y", 0.0, plane_km),
-        )
+    # ``Random.uniform(a, b)`` is ``a + (b - a) * random()``: the same
+    # draws, with each stream looked up once.
+    draw_x = streams.stream(f"{stream_name}:x").random
+    draw_y = streams.stream(f"{stream_name}:y").random
+    draw_p = streams.stream(f"{stream_name}:p").random
+    positions = [
+        (0.0 + (plane_km - 0.0) * draw_x(), 0.0 + (plane_km - 0.0) * draw_y())
         for _ in range(node_count)
     ]
-    graph = NetworkGraph()
-    for index in range(node_count):
-        graph.add_node(Node(f"P{index:02d}", kind="roadm"))
-
-    max_distance = plane_km * math.sqrt(2)
 
     def distance(i: int, j: int) -> float:
         (xi, yi), (xj, yj) = positions[i], positions[j]
         return math.hypot(xi - xj, yi - yj)
 
+    links: List[Tuple[int, int, float]] = []
+    adjacency: List[Set[int]] = [set() for _ in range(node_count)]
+
     def add(i: int, j: int) -> None:
-        a, b = f"P{i:02d}", f"P{j:02d}"
-        km = max(25.0, round(distance(i, j), 1))
-        graph.add_link(
-            Link(a, b, length_km=km, srlgs=frozenset({f"srlg:{a}={b}"}))
-        )
+        links.append((i, j, max(25.0, round(distance(i, j), 1))))
+        adjacency[i].add(j)
+        adjacency[j].add(i)
 
     # Waxman pass.
+    decay = alpha * (plane_km * math.sqrt(2))
     for i in range(node_count):
         for j in range(i + 1, node_count):
-            probability = beta * math.exp(
-                -distance(i, j) / (alpha * max_distance)
-            )
-            if streams.uniform(f"{stream_name}:p", 0.0, 1.0) < probability:
+            probability = beta * math.exp(-distance(i, j) / decay)
+            if 0.0 + (1.0 - 0.0) * draw_p() < probability:
                 add(i, j)
 
     # Connectivity patch: chain any disconnected components together
     # through their nearest node pair.
     def components() -> List[List[int]]:
-        seen: set = set()
+        seen: Set[int] = set()
         result = []
         for start in range(node_count):
             if start in seen:
@@ -97,8 +122,7 @@ def generate_backbone(
                     continue
                 seen.add(current)
                 comp.append(current)
-                for neighbor in graph.neighbors(f"P{current:02d}"):
-                    stack.append(int(neighbor[1:]))
+                stack.extend(sorted(adjacency[current], key="P{:02d}".format))
             result.append(comp)
         return result
 
@@ -116,14 +140,11 @@ def generate_backbone(
     # Degree patch: every PoP gets at least two distinct spans, so a
     # single cut never isolates it.
     for i in range(node_count):
-        name = f"P{i:02d}"
-        while graph.degree(name) < 2:
-            candidates = sorted(
-                (
-                    (distance(i, j), j)
-                    for j in range(node_count)
-                    if j != i and f"P{j:02d}" not in graph.neighbors(name)
-                ),
+        while len(adjacency[i]) < 2:
+            _, j = min(
+                (distance(i, j), j)
+                for j in range(node_count)
+                if j != i and j not in adjacency[i]
             )
-            add(i, candidates[0][1])
-    return graph
+            add(i, j)
+    return links

@@ -14,8 +14,8 @@ hierarchical WDM DCN blueprint, the builder here composes three tiers:
   of different regions in two edge-disjoint rings, so no single express
   cut partitions the region graph.
 
-The resulting :class:`Hierarchy` knows how to slice itself into the
-per-shard planning subgraphs used by :mod:`repro.shard`: one region
+The resulting :class:`Hierarchy` keeps the per-shard planning
+subgraphs it was assembled from, for :mod:`repro.shard`: one region
 graph per shard plus one express graph, with every link owned by
 exactly one slice.
 """
@@ -26,7 +26,7 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.errors import ConfigurationError
 from repro.sim.randomness import RandomStreams
-from repro.topo.generator import generate_backbone
+from repro.topo.generator import _mesh_graph, _waxman_links
 from repro.topo.graph import Link, NetworkGraph, Node
 
 #: The reserved unit name for the express (tier-1) planning slice.
@@ -73,7 +73,13 @@ class RegionInfo:
 
 
 class Hierarchy:
-    """A built three-tier topology plus its region/express structure."""
+    """A built three-tier topology plus its region/express structure.
+
+    Its planning slices, one graph per region and one express graph,
+    are built once and share their nodes and links with ``graph``.
+    Every network built from the hierarchy plans on these same objects,
+    so they are read-only once built.
+    """
 
     def __init__(
         self,
@@ -82,12 +88,19 @@ class Hierarchy:
         express_links: Tuple[Tuple[str, str], ...],
         seed: int,
         params: dict,
+        region_graphs: Dict[str, NetworkGraph],
     ) -> None:
         self.graph = graph
         self.regions = regions
         self.express_links = express_links
         self.seed = seed
         self.params = dict(params)
+        self._region_graphs = region_graphs
+        self._express_graph = NetworkGraph()
+        for gateway in self.gateways():
+            self._express_graph.add_node(graph.node(gateway))
+        for a, b in express_links:
+            self._express_graph.add_link(graph.link_between(a, b))
         self._region_of: Dict[str, str] = {}
         for info in regions.values():
             for node in info.pops + info.premises:
@@ -131,26 +144,15 @@ class Hierarchy:
 
         Express links never appear here (their endpoints live in two
         different regions), so region slices and the express slice
-        partition the link set exactly.
+        partition the link set exactly.  The graph is the hierarchy's
+        own, not a copy: never change it.
         """
-        info = self.regions[name]
-        sub = NetworkGraph()
-        members = set(info.pops) | set(info.premises)
-        for node_name in info.pops + info.premises:
-            sub.add_node(self.graph.node(node_name))
-        for link in self.graph.links:
-            if link.a in members and link.b in members:
-                sub.add_link(link)
-        return sub
+        return self._region_graphs[name]
 
     def express_graph(self) -> NetworkGraph:
-        """The tier-1 subgraph: every gateway plus the express links."""
-        sub = NetworkGraph()
-        for gateway in self.gateways():
-            sub.add_node(self.graph.node(gateway))
-        for a, b in self.express_links:
-            sub.add_link(self.graph.link_between(a, b))
-        return sub
+        """The tier-1 subgraph: every gateway plus the express links.
+        The hierarchy's own graph, like :meth:`region_graph`'s."""
+        return self._express_graph
 
 
 # -- per-tier builders (each reproducible in isolation) ----------------------
@@ -178,29 +180,14 @@ def build_region_graph(
             f"pops_per_region must be >= 3, got {pops_per_region}"
         )
     streams = RandomStreams(seed).spawn(shard_stream_key(region))
-    mesh = generate_backbone(
-        streams,
-        node_count=pops_per_region,
-        plane_km=region_plane_km,
-        alpha=alpha,
-        beta=beta,
+    pops = [f"{region}-P{index:02d}" for index in range(pops_per_region)]
+    graph = _mesh_graph(
+        pops,
+        _waxman_links(streams, pops_per_region, region_plane_km, alpha, beta),
+        region,
     )
-
-    def rename(node: str) -> str:
-        return f"{region}-{node}"
-
-    graph = NetworkGraph()
-    for node in mesh.nodes:
-        graph.add_node(Node(rename(node.name), kind="roadm", region=region))
-    for link in mesh.links:
-        a, b = rename(link.a), rename(link.b)
-        graph.add_link(
-            Link(a, b, length_km=link.length_km,
-                 srlgs=frozenset({f"srlg:{a}={b}"}))
-        )
     if with_premises:
-        for node in mesh.nodes:
-            pop = rename(node.name)
+        for pop in pops:
             premises = f"{premises_prefix}{pop}"
             graph.add_node(Node(premises, kind="premises", region=region))
             graph.add_link(
@@ -307,6 +294,7 @@ def build_hierarchy(
         raise ConfigurationError(f"regions must be >= 1, got {regions}")
     graph = NetworkGraph()
     infos: Dict[str, RegionInfo] = {}
+    region_graphs: Dict[str, NetworkGraph] = {}
     for index in range(regions):
         name = region_name(index)
         sub = build_region_graph(
@@ -326,6 +314,7 @@ def build_hierarchy(
             (premises if node.kind == "premises" else pops).append(node.name)
         for link in sub.links:
             graph.add_link(link)
+        region_graphs[name] = sub
         infos[name] = RegionInfo(
             name,
             tuple(pops),
@@ -360,4 +349,5 @@ def build_hierarchy(
             with_premises=with_premises,
             premises_prefix=premises_prefix,
         ),
+        region_graphs=region_graphs,
     )

@@ -1,0 +1,52 @@
+"""The auditor flags a connection in service that nothing carries.
+
+A connection that reads UP or DEGRADED while every lightpath it holds is
+FAILED, and no circuit or EVC carries it, promises the customer a service
+the network is not delivering.  No resource leaks in that state, so the
+hardware passes alone cannot see it; ``unserved-connection`` does.  A
+real fiber cut fails the lightpath and its connection in the same
+instant, so a cut — restored or not — never trips the rule.
+"""
+
+import pytest
+
+from repro.core.connection import ConnectionState
+from repro.facade import build_griphon_testbed
+from repro.faults import audit_network
+from repro.optical.lightpath import LightpathState
+
+
+def _up_connection(auto_restore=True):
+    net = build_griphon_testbed(seed=1, latency_cv=0.0, auto_restore=auto_restore)
+    conn = net.service_for("acme").request_connection(
+        "PREMISES-A", "PREMISES-C", 10
+    )
+    net.run()
+    assert conn.state is ConnectionState.UP
+    return net, conn
+
+
+def _kinds(net):
+    return [violation.kind for violation in audit_network(net.controller).violations]
+
+
+def test_up_connection_on_a_failed_lightpath_is_unserved():
+    net, conn = _up_connection()
+    assert conn.lightpath_ids == ["lp-0"]
+    net.controller.inventory.lightpaths["lp-0"].transition(LightpathState.FAILED)
+    report = audit_network(net.controller)
+    assert [(v.kind, v.owner) for v in report.violations] == [
+        ("unserved-connection", conn.connection_id)
+    ]
+    assert "every lightpath FAILED" in str(report)
+
+
+@pytest.mark.parametrize("auto_restore", [True, False])
+def test_a_cut_fails_the_connection_with_its_lightpath(auto_restore):
+    net, conn = _up_connection(auto_restore)
+    lightpath = net.controller.inventory.lightpaths[conn.lightpath_ids[0]]
+    net.controller.cut_link(*lightpath.path[:2])
+    assert conn.state is not ConnectionState.UP
+    assert _kinds(net) == []
+    net.run()
+    assert _kinds(net) == []

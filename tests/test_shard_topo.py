@@ -100,10 +100,10 @@ def _sorted_bfs_hops(graph, start):
 
 class TestPlannerHopMaps:
     def test_hop_maps_match_a_fresh_region_graph(self):
-        """Every hop map the planner serves — a BFS over the full graph
-        kept inside one region, in no neighbour order — is the
-        sorted-neighbour BFS over a newly sliced region graph; express
-        maps likewise over the express graph."""
+        """Every hop map the planner serves — a BFS over the hierarchy's
+        own region graph, in no neighbour order — is the sorted-neighbour
+        BFS over that region graph; express maps likewise over the
+        express graph."""
         hierarchy = build_hierarchy(seed=5, regions=4, pops_per_region=6,
                                     with_premises=True)
         planner = ShardPlanner(hierarchy)

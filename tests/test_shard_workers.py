@@ -56,6 +56,11 @@ OTHER = UnitRecipe("R01", _HIERARCHY.region_graph("R01"))
 EXPRESS_RECIPE = UnitRecipe(EXPRESS, _HIERARCHY.express_graph())
 
 
+def _second_hierarchy():
+    """``_HIERARCHY`` built again: equal slices, other graph objects."""
+    return build_hierarchy(seed=3, regions=2, pops_per_region=5)
+
+
 def _cores(monkeypatch, count):
     """Cap the pool at ``count`` processes, whatever the host has."""
     monkeypatch.setattr(shard_workers, "_usable_cores", lambda: count)
@@ -141,8 +146,9 @@ class TestRecipe:
         assert twin is not RECIPE and twin == RECIPE
         assert hash(twin) == hash(RECIPE)
         assert {RECIPE: "worker"}[twin] == "worker"
-        # A fresh slice is an equal topology but another graph object.
-        fresh = UnitRecipe("R00", _HIERARCHY.region_graph("R00"))
+        # A second hierarchy's slice is an equal topology but another
+        # graph object.
+        fresh = UnitRecipe("R00", _second_hierarchy().region_graph("R00"))
         assert fresh != RECIPE
         assert dataclasses.replace(RECIPE, k_paths=2) != RECIPE
         assert OTHER != RECIPE
@@ -199,7 +205,7 @@ class TestHosting:
 
     def test_a_late_recipe_is_adopted_without_a_fork(self, monkeypatch):
         _cores(monkeypatch, 2)
-        late = UnitRecipe("R00", _HIERARCHY.region_graph("R00"))
+        late = UnitRecipe("R00", _second_hierarchy().region_graph("R00"))
         requests = _requests(late)
         with ShardWorkerPool([RECIPE, OTHER]) as pool:
             pool.ensure(late)
@@ -217,7 +223,7 @@ class TestHosting:
 
     def test_one_pipe_write_per_touched_process_per_fan_out(self, monkeypatch):
         _cores(monkeypatch, 2)
-        fresh = UnitRecipe("R00", _HIERARCHY.region_graph("R00"))
+        fresh = UnitRecipe("R00", _second_hierarchy().region_graph("R00"))
         recipes = [RECIPE, OTHER, EXPRESS_RECIPE, fresh]
         writes = []
         send = Connection.send

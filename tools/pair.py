@@ -1,6 +1,6 @@
 """Pair a revision against the working tree on the benchmark.  Stdlib only.
 
-    python tools/pair.py REV [--workload W ...] [--seed N] [--pairs 10]
+    python tools/pair.py REV [--workload W ...] [--seed N ...] [--pairs 10]
                              [--scale 0.15] [--out FILE]
 
 Extracts REV's committed files (``git archive``) into a temporary
@@ -14,10 +14,13 @@ and quartiles, the pairs the working tree won (ties count for neither)
 and the verdict: ``better`` or ``worse`` when one side won at least nine
 tenths of the pairs and the medians differ by more than the distance
 between REV's quartiles, else ``no claim``.  It also says whether both
-sides settled the same ``sim_fingerprint``.  The report is written to
-``perf/<short REV>.md`` unless ``--out`` names another file.  Nothing
-here imports ``bench``; the children are the only code of either side
-that runs.
+sides settled the same ``sim_fingerprint``, and where one set-up's wall
+time goes (hierarchy, network, load generation, the rest), timed once
+per side and pair in a process of its own that stops after
+``Driver.load``.  Workloads default to ``sharded-inproc`` and seeds to
+47.  The report is written to ``perf/<short REV>.md`` unless ``--out``
+names another file.  Nothing here imports ``bench``; only the children
+run either side's code.
 """
 import argparse
 import json
@@ -183,25 +186,26 @@ def report(rev, short, head, dirty, args, results):
         f"`{head}`{' with uncommitted edits' if dirty else ''}.",
         f"- Command: `python tools/pair.py {rev} "
         + " ".join(f"--workload {w}" for w in args.workload)
-        + f" --seed {args.seed} --pairs {args.pairs} --scale {args.scale}`",
+        + "".join(f" --seed {seed}" for seed in args.seed)
+        + f" --pairs {args.pairs} --scale {args.scale}`",
         f"- Host: {platform.machine()}, {os.cpu_count()} CPUs, "
         f"Python {platform.python_version()}, {platform.system()} "
         f"{platform.release()}.",
-        f"- Each pair runs `python -m bench.child --workload W --seed "
-        f"{args.seed} --scale {args.scale}` once per side with "
+        f"- Each pair runs `python -m bench.child --workload W --seed N "
+        f"--scale {args.scale}` once per side with "
         "`PYTHONHASHSEED=0`, alternating which side goes first.",
         "- Cells: median [q1, q3]. Won: pairs the change was better in. "
         "Verdict: better/worse when one side won at least 9/10 pairs and "
         "the medians differ by more than the parent's q3 - q1.",
         "",
     ]
-    for workload, (runs, stages) in results.items():
+    for (workload, seed), (runs, stages) in results.items():
         same = [
             p["sim_fingerprint"] == c["sim_fingerprint"]
             for p, c in zip(runs["parent"], runs["change"])
         ]
         lines += [
-            f"## {workload}, seed {args.seed}",
+            f"## {workload}, seed {seed}",
             "",
             f"`sim_fingerprint` equal in {sum(same)}/{len(same)} pairs.",
             "",
@@ -252,12 +256,13 @@ def main(argv=None):
     parser = argparse.ArgumentParser(prog="python tools/pair.py")
     parser.add_argument("rev", help="the revision to pair against")
     parser.add_argument("--workload", action="append", choices=WORKLOADS)
-    parser.add_argument("--seed", type=int, default=47)
+    parser.add_argument("--seed", type=int, action="append")
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--scale", type=float, default=0.15)
     parser.add_argument("--out", default=None)
     args = parser.parse_args(argv)
     args.workload = args.workload or ["sharded-inproc"]
+    args.seed = args.seed or [47]
     if args.pairs < 1:
         parser.error("--pairs must be at least 1")
     rev = git("rev-parse", "--verify", f"{args.rev}^{{commit}}")
@@ -273,10 +278,11 @@ def main(argv=None):
     try:
         rev_tree = extract(rev, scratch)
         results = {
-            workload: measure(
-                rev_tree, workload, args.seed, args.scale, args.pairs, log
+            (workload, seed): measure(
+                rev_tree, workload, seed, args.scale, args.pairs, log
             )
             for workload in args.workload
+            for seed in args.seed
         }
     finally:
         shutil.rmtree(scratch, ignore_errors=True)

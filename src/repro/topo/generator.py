@@ -99,11 +99,13 @@ def _waxman_links(
         adjacency[i].add(j)
         adjacency[j].add(i)
 
-    # Waxman pass.
+    # Waxman pass, the build's hot loop: ``distance`` written out.
     decay = alpha * (plane_km * math.sqrt(2))
-    for i in range(node_count):
+    hypot, exp = math.hypot, math.exp
+    for i, (xi, yi) in enumerate(positions):
         for j in range(i + 1, node_count):
-            probability = beta * math.exp(-distance(i, j) / decay)
+            xj, yj = positions[j]
+            probability = beta * exp(-hypot(xi - xj, yi - yj) / decay)
             if 0.0 + (1.0 - 0.0) * draw_p() < probability:
                 add(i, j)
 

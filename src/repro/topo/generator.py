@@ -112,7 +112,7 @@ def _waxman_links(
     # Connectivity patch: chain any disconnected components together
     # through their nearest node pair.
     def components() -> List[List[int]]:
-        seen: Set[int] = set()
+        seen: set = set()
         result = []
         for start in range(node_count):
             if start in seen:

@@ -61,9 +61,9 @@ def extract(rev, into):
     return tree
 
 
-def run_python(root, args):
+def run_python(root, label, args):
     """``python ARGS`` in ``root`` as ``python -m bench`` runs a child:
-    its stdout's last line."""
+    its stdout's last line.  ``label`` names the run in an error."""
     env = dict(os.environ, PYTHONHASHSEED="0")
     env["PYTHONPATH"] = os.pathsep.join(
         [os.path.join(root, "src"), root]
@@ -74,7 +74,7 @@ def run_python(root, args):
     )
     if done.returncode != 0:
         raise SystemExit(
-            f"{' '.join(args[:2])} failed in {root}:\n"
+            f"{label} failed in {root}:\n"
             f"{done.stdout[-2000:]}{done.stderr[-2000:]}"
         )
     return done.stdout.strip().splitlines()[-1]
@@ -82,7 +82,7 @@ def run_python(root, args):
 
 def child(root, workload, seed, scale):
     """One ``bench.child`` run in ``root``: its JSON result."""
-    return json.loads(run_python(root, [
+    return json.loads(run_python(root, "bench.child", [
         "-m", "bench.child", "--workload", workload,
         "--seed", str(seed), "--scale", str(scale),
     ]))
@@ -128,7 +128,10 @@ STAGES = ["hierarchy", "network", "loadgen", "rest", "total"]
 def breakdown(root, workload, seed, scale):
     """One set-up in ``root``, timed by stage (raw wall seconds)."""
     return json.loads(
-        run_python(root, ["-c", BREAKDOWN, workload, str(seed), str(scale)])
+        run_python(
+            root, "set-up breakdown",
+            ["-c", BREAKDOWN, workload, str(seed), str(scale)],
+        )
     )
 
 

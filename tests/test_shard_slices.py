@@ -136,13 +136,10 @@ class TestOnePoolPerNetwork:
             hosted = pool.recipes()
             calls = []
             for name in ("ensure", "call", "call_many"):
-                original = getattr(pool, name)
-                setattr(
-                    pool, name,
-                    lambda *args, _name=name, _original=original: (
-                        calls.append(_name), _original(*args)
-                    )[1],
-                )
+                def record(*args, _name=name, _call=getattr(pool, name)):
+                    calls.append(_name)
+                    return _call(*args)
+                setattr(pool, name, record)
             with pytest.raises(ConfigurationError, match="pool of its own"):
                 _network(hierarchy, mode, "pool", pool)
             assert calls == []

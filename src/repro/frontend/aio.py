@@ -28,8 +28,10 @@ class SimFuture:
     FIFO tiebreak, not by who happened to resolve first in Python call
     depth.
 
-    Callbacks are held in a tuple, so a future nobody follows (every
-    edge refusal's) costs no list, neither created nor resolved.
+    Callbacks are held in a tuple, so a future resolved before anyone
+    follows it costs no list.  A :class:`~repro.frontend.FrontendTicket`
+    builds its future only when ``ticket.future`` is read, so a ticket
+    nobody follows (most edge refusals under overload) has none.
     """
 
     __slots__ = ("_sim", "_done", "_value", "_callbacks")

@@ -24,7 +24,7 @@ ever sees the order**, in this sequence:
 
 The frontend owns no queue: an admitted order goes straight into
 :meth:`repro.api.OrderIntake.submit`.  Each submission returns a
-:class:`FrontendTicket` whose future resolves — via the intake's
+:class:`FrontendTicket` that resolves — via the intake's
 listener stream, no polling — with the order's terminal
 :data:`repro.api.OrderOutcome`.
 
@@ -107,6 +107,12 @@ class FrontendTicket:
     :data:`repro.api.OrderOutcome` (``future.add_done_callback``);
     ``outcome`` offers the same value pull-style (None while pending).
 
+    The ticket holds its own outcome; its :class:`SimFuture` is built
+    the first time someone reads ``future`` (already resolved when the
+    order has settled, so a callback added then still fires at zero
+    delay).  A ticket nobody follows — most edge refusals under
+    overload — never allocates one.
+
     Attributes:
         request_id: Frontend-scoped id (``req-N``).
         tenant: The submitting tenant.
@@ -114,7 +120,6 @@ class FrontendTicket:
         premises_b: The other end.
         rate_bps: Committed rate.
         submitted_at: Sim time of submission.
-        future: Resolves with the terminal outcome.
         order_ticket: The backend ticket, set when the edge admits the
             order into the intake (None for edge-rejected requests).
     """
@@ -127,9 +132,11 @@ class FrontendTicket:
         "rate_bps",
         "kind",
         "submitted_at",
-        "future",
         "order_ticket",
         "priority",
+        "_sim",
+        "_outcome",
+        "_future",
     )
 
     def __init__(
@@ -141,7 +148,7 @@ class FrontendTicket:
         rate_bps: float,
         kind: Optional[ConnectionKind],
         submitted_at: float,
-        future: SimFuture,
+        sim: Simulator,
         priority: str = "standard",
     ) -> None:
         self.request_id = request_id
@@ -151,26 +158,41 @@ class FrontendTicket:
         self.rate_bps = rate_bps
         self.kind = kind
         self.submitted_at = submitted_at
-        self.future = future
         self.priority = priority
         self.order_ticket: Optional[OrderTicket] = None
+        self._sim = sim
+        self._outcome: Optional[api.OrderOutcome] = None
+        self._future: Optional[SimFuture] = None
+
+    @property
+    def future(self) -> SimFuture:
+        """Resolves with the terminal outcome."""
+        if self._future is None:
+            self._future = SimFuture(self._sim)
+            if self._outcome is not None:
+                self._future.resolve(self._outcome)
+        return self._future
 
     @property
     def outcome(self) -> Optional[api.OrderOutcome]:
         """The terminal outcome, or None while the order is in flight."""
-        return self.future.result() if self.future.done else None
+        return self._outcome
 
     @property
     def rejected(self) -> bool:
         """True when the request was refused at the edge."""
-        return self.future.done and isinstance(
-            self.future.result(), api.Rejected
-        )
+        return isinstance(self._outcome, api.Rejected)
+
+    def _resolve(self, outcome: api.OrderOutcome) -> None:
+        """Store the terminal outcome; resolve the future if one exists."""
+        self._outcome = outcome
+        if self._future is not None:
+            self._future.resolve(outcome)
 
     def __repr__(self) -> str:
         status = "pending"
-        if self.future.done:
-            status = type(self.future.result()).__name__
+        if self._outcome is not None:
+            status = type(self._outcome).__name__
         return f"FrontendTicket({self.request_id}, {self.tenant}, {status})"
 
 
@@ -309,9 +331,9 @@ class BodFrontend:
         """Run the edge gates, then admit the request into the intake or
         refuse it.
 
-        Always returns a ticket; an edge refusal resolves the ticket's
-        future with a typed :class:`repro.api.Rejected` (never an
-        exception, never an unbounded queue).
+        Always returns a ticket; an edge refusal resolves the ticket
+        with a typed :class:`repro.api.Rejected` (never an exception,
+        never an unbounded queue).
 
         Raises:
             AdmissionError: only for an unknown tenant — that is a
@@ -331,7 +353,7 @@ class BodFrontend:
             rate_bps,
             kind,
             now,
-            SimFuture(self._sim),
+            self._sim,
             priority,
         )
         # Gate 1: the tenant's own request-rate budget.
@@ -390,7 +412,7 @@ class BodFrontend:
     ) -> FrontendTicket:
         """Resolve a ticket with a typed edge refusal and count it."""
         self._metrics.inc_each(counters)
-        ticket.future.resolve(
+        ticket._resolve(
             api.Rejected(ticket.request_id, code, reason, ticket.tenant)
         )
         self._emit(ticket, "rejected")
@@ -416,7 +438,7 @@ class BodFrontend:
     # -- outcome streaming -----------------------------------------------------
 
     def _on_intake_event(self, order: OrderTicket, event: str) -> None:
-        """Backend listener: resolve futures, re-broadcast the stream."""
+        """Backend listener: resolve tickets, re-broadcast the stream."""
         ticket = self._by_order.get(order.order_id)
         if ticket is None:
             return
@@ -433,8 +455,8 @@ class BodFrontend:
             self._emit(ticket, "released")
 
     def _finish(self, ticket: FrontendTicket) -> None:
-        """Resolve a ticket's future with its typed terminal outcome."""
-        if ticket.future.done:
+        """Resolve a ticket with its typed terminal outcome."""
+        if ticket._outcome is not None:
             return
         outcome = self._intake.outcome(ticket.order_ticket)
         if isinstance(outcome, api.Active):
@@ -443,7 +465,7 @@ class BodFrontend:
                 "frontend.order_to_active_s",
                 self._sim.now - ticket.submitted_at,
             )
-        ticket.future.resolve(outcome)
+        ticket._resolve(outcome)
 
     def _emit(self, ticket: FrontendTicket, event: str) -> None:
         for listener in self._listeners:

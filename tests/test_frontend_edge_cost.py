@@ -16,8 +16,13 @@ shortcuts must keep:
   tenant;
 * a listener added during an emit first hears the next event, on both
   ``BodFrontend`` and ``RoundIntake``;
-* an unknown tenant's submission raises and leaves nothing behind.
+* an unknown tenant's submission raises and leaves nothing behind;
+* a refusal nobody follows allocates no ``SimFuture``, and following a
+  ticket later or earlier fires its callback once, at the time the
+  order's outcome is known.
 """
+
+import gc
 
 import pytest
 from hypothesis import given, settings
@@ -26,7 +31,7 @@ from hypothesis import strategies as st
 from repro import api
 from repro.errors import AdmissionError
 from repro.facade import build_griphon_testbed
-from repro.frontend import PRIORITY_CLASSES, BucketSet, TokenBucket
+from repro.frontend import PRIORITY_CLASSES, BucketSet, SimFuture, TokenBucket
 from repro.obs.registry import MetricsRegistry
 from repro.pipeline import TicketState
 
@@ -232,3 +237,94 @@ class TestUnknownTenant:
                 frontend.submit("ghost", "PREMISES-A", "PREMISES-B", 1e9)
         assert _frontend_counters(net) == {}
         assert net.metrics.gauge("frontend.tenants") == 0
+
+
+def _live_futures():
+    gc.collect()
+    return sum(1 for obj in gc.get_objects() if type(obj) is SimFuture)
+
+
+def _refusals(frontend):
+    """100 shed, 100 rate-limited and 100 over-quota tickets.
+
+    On an edge from :func:`_shedding_edge`, ``csp-1``'s next 100
+    submissions are shed, and that spends the last of its 104 tokens.
+    """
+    refused = {}
+    for code, tenant in (
+        (api.REJECT_SHED, "csp-1"),
+        (api.REJECT_RATE_LIMIT, "csp-1"),
+        (api.REJECT_QUOTA, "tiny"),
+    ):
+        refused[code] = [
+            frontend.submit(tenant, "PREMISES-A", "PREMISES-B", 1e9)
+            for _ in range(100)
+        ]
+        assert {ticket.outcome.code for ticket in refused[code]} == {code}
+    return refused
+
+
+def _shedding_edge():
+    """An edge whose four admissions from ``csp-1`` brought the heap to
+    ``shed_high``."""
+    net, frontend = _edge(
+        queue_capacity=6, shed_high=4, shed_low=1, bucket_burst=104.0
+    )
+    for _ in range(4):
+        ticket = frontend.submit("csp-1", "PREMISES-A", "PREMISES-B", 1e9)
+        assert not ticket.rejected
+    assert frontend.state == "shedding"
+    return net, frontend
+
+
+class TestUnfollowedTickets:
+    def test_a_refusal_nobody_follows_allocates_no_future(self):
+        net, frontend = _shedding_edge()
+        before = _live_futures()
+        refused = _refusals(frontend)
+        assert _live_futures() == before
+        assert sum(len(tickets) for tickets in refused.values()) == 300
+
+    def test_following_a_refusal_later_fires_once_at_zero_delay(self):
+        net, frontend = _shedding_edge()
+        refused = _refusals(frontend)
+        net.run(until=5.0)
+        for tickets in refused.values():
+            ticket = tickets[-1]
+            outcome, status = ticket.outcome, repr(ticket)
+            assert ticket.rejected and "Rejected" in status
+            fired, followed_at = [], net.sim.now
+            ticket.future.add_done_callback(
+                lambda value: fired.append((net.sim.now, value))
+            )
+            assert fired == []
+            assert ticket.future is ticket.future
+            assert ticket.future.done and ticket.future.result() is outcome
+            net.run(until=net.sim.now)
+            assert fired == [(followed_at, outcome)]
+            net.run(until=net.sim.now + 5.0)
+            assert len(fired) == 1
+            assert ticket.outcome is outcome
+            assert ticket.rejected
+            assert repr(ticket) == status
+
+    def test_following_an_admitted_ticket_fires_once_when_it_settles(self):
+        net, frontend = _edge()
+        settled = {}
+        frontend.add_listener(
+            lambda t, event: settled.setdefault(t.request_id, net.sim.now)
+            if event in ("active", "degraded", "failed") else None
+        )
+        ticket = frontend.submit("csp-2", "PREMISES-A", "PREMISES-B", 1e9)
+        assert repr(ticket) == f"FrontendTicket({ticket.request_id}, csp-2, pending)"
+        fired = []
+        ticket.future.add_done_callback(
+            lambda value: fired.append((net.sim.now, value))
+        )
+        assert ticket.outcome is None and not ticket.rejected
+        assert not ticket.future.done
+        net.run()
+        assert isinstance(ticket.outcome, api.Active)
+        assert fired == [(settled[ticket.request_id], ticket.outcome)]
+        assert not ticket.rejected
+        assert repr(ticket) == f"FrontendTicket({ticket.request_id}, csp-2, Active)"

@@ -3,11 +3,15 @@
     python tools/pair.py REV [--workload W ...] [--seed N ...] [--pairs 10]
                              [--scale 0.15] [--out FILE]
 
-Extracts REV's committed files (``git archive``) into a temporary
-directory, then runs ``python -m bench.child --workload W --seed N
---scale S`` there and in this checkout, one pair at a time, alternating
-which side goes first, with ``PYTHONHASHSEED=0`` and ``PYTHONPATH=src:.``
-as ``python -m bench`` runs its children.  For the four end-to-end
+Extracts REV's committed files (``git archive``) into ``parent/`` of a
+temporary directory and copies this checkout's tracked and untracked,
+not ignored files as they are on disk into ``change/`` beside it, so
+both sides run from paths of one length (a longer path alone moves
+``peak_rss_mb`` by more than its run-to-run spread).  It then runs
+``python -m bench.child --workload W --seed N --scale S`` in both, one
+pair at a time, alternating which side goes first, with
+``PYTHONHASHSEED=0`` and ``PYTHONPATH=src:.`` as ``python -m bench``
+runs its children.  For the four end-to-end
 metrics ``BENCHMARK.json`` names (``setup_s`` is the child's
 ``setup_ref_s``, as the harness reports it) it gives each side's median
 and quartiles, the pairs the working tree won (ties count for neither)
@@ -49,15 +53,28 @@ def git(*args):
     ).stdout.strip()
 
 
-def extract(rev, into):
+def extract(rev, tree):
     """REV's committed files, as a checkout of REV would hold them."""
-    tree = os.path.join(into, "tree")
     os.makedirs(tree)
     archive = subprocess.Popen(["git", "archive", rev], cwd=ROOT, stdout=subprocess.PIPE)
     subprocess.run(["tar", "-x", "-C", tree], stdin=archive.stdout, check=True)
     archive.stdout.close()
     if archive.wait() != 0:
         raise SystemExit(f"git archive {rev} failed")
+    return tree
+
+
+def copy_checkout(tree):
+    """This checkout's files as they are on disk: tracked ones (edited or
+    not) and untracked ones git does not ignore."""
+    listed = git("ls-files", "-z", "--cached", "--others", "--exclude-standard")
+    for name in filter(None, listed.split("\0")):
+        source = os.path.join(ROOT, name)
+        if not os.path.isfile(source):
+            continue  # deleted in the working tree
+        target = os.path.join(tree, name)
+        os.makedirs(os.path.dirname(target), exist_ok=True)
+        shutil.copy2(source, target)
     return tree
 
 
@@ -158,19 +175,18 @@ def verdict(parent, change, higher_is_better):
     return wins, "no claim"
 
 
-def measure(rev_tree, workload, seed, scale, pairs, log):
+def measure(trees, workload, seed, scale, pairs, log):
     """``pairs`` alternating pairs: ``{side: [child result, ...]}``, and
-    as many set-up breakdowns per side, alternating likewise."""
+    as many set-up breakdowns per side, alternating likewise.  ``trees``
+    maps each side to the directory it runs from."""
     runs = {"parent": [], "change": []}
     stages = {"parent": [], "change": []}
     for index in range(pairs):
         order = ["parent", "change"] if index % 2 == 0 else ["change", "parent"]
         for side in order:
-            root = rev_tree if side == "parent" else ROOT
-            runs[side].append(child(root, workload, seed, scale))
+            runs[side].append(child(trees[side], workload, seed, scale))
         for side in order:
-            root = rev_tree if side == "parent" else ROOT
-            stages[side].append(breakdown(root, workload, seed, scale))
+            stages[side].append(breakdown(trees[side], workload, seed, scale))
         log(f"  {workload} seed {seed}: pair {index + 1}/{pairs} done")
     return runs, stages
 
@@ -186,7 +202,8 @@ def report(rev, short, head, dirty, args, results):
         f"# `{short}` against the working tree",
         "",
         f"- Parent: `{rev}` ({short}); change: the working tree at "
-        f"`{head}`{' with uncommitted edits' if dirty else ''}.",
+        f"`{head}`{' with uncommitted edits' if dirty else ''}, copied "
+        "beside the parent's tree so both run from paths of one length.",
         f"- Command: `python tools/pair.py {rev} "
         + " ".join(f"--workload {w}" for w in args.workload)
         + "".join(f" --seed {seed}" for seed in args.seed)
@@ -279,10 +296,13 @@ def main(argv=None):
 
     scratch = tempfile.mkdtemp(prefix="pair-")
     try:
-        rev_tree = extract(rev, scratch)
+        trees = {
+            "parent": extract(rev, os.path.join(scratch, "parent")),
+            "change": copy_checkout(os.path.join(scratch, "change")),
+        }
         results = {
             (workload, seed): measure(
-                rev_tree, workload, seed, args.scale, args.pairs, log
+                trees, workload, seed, args.scale, args.pairs, log
             )
             for workload in args.workload
             for seed in args.seed

@@ -33,6 +33,7 @@ from typing import (
     TYPE_CHECKING,
     Any,
     Callable,
+    NamedTuple,
     Optional,
     Protocol,
     Tuple,
@@ -281,8 +282,7 @@ REJECT_RATE_LIMIT = "rate-limit"
 REJECT_QUOTA = "quota"
 
 
-@dataclass(frozen=True)
-class Rejected:
+class Rejected(NamedTuple):
     """Typed outcome for an order refused at the service edge.
 
     The async frontend refuses work *before* intake ever sees it; a
@@ -290,6 +290,12 @@ class Rejected:
     is one of :data:`REJECT_SHED` (overload backpressure),
     :data:`REJECT_RATE_LIMIT` (the tenant's token bucket was empty), or
     :data:`REJECT_QUOTA` (the non-mutating edge-quota probe refused).
+
+    Most submissions under overload end here, so the record is a tuple:
+    built in one call, where a frozen dataclass sets each field through
+    ``object.__setattr__``.  It keeps the other outcomes' contract: its
+    fields cannot be assigned, and it equals only another ``Rejected``
+    with equal fields (never a plain tuple), hashing by those fields.
 
     Attributes:
         request_id: The frontend request id.
@@ -302,6 +308,14 @@ class Rejected:
     code: str
     reason: str
     tenant: str = ""
+
+    def __eq__(self, other: object) -> bool:
+        return other.__class__ is self.__class__ and tuple.__eq__(self, other)
+
+    def __ne__(self, other: object) -> bool:
+        return not self == other
+
+    __hash__ = tuple.__hash__
 
     def __str__(self) -> str:
         return f"{self.request_id}: rejected ({self.code}) - {self.reason}"

@@ -52,9 +52,10 @@ class StepRun:
 
     def split(self) -> None:
         """Resume at the first step boundary at or after the current time
-        (no-op when only the run's end is left or it is not armed)."""
+        (no-op when only the run's end is left, it is not armed or its
+        process has finished)."""
         process = self._process
-        if process is None:
+        if process is None or process._pending_event is None:
             return
         sim = process._sim
         time = self._start
@@ -78,6 +79,10 @@ class Process:
     current simulation time.  When the generator returns, the process is
     marked done and the optional ``on_complete`` callback fires with the
     generator's return value (``None`` unless it used ``return value``).
+    A process that has ended (finished, interrupted, or stopped by an
+    invalid delay) drops its last kernel event, whose callback is its own
+    bound ``_advance``, so its reference count frees it: no cycle is left
+    for the cyclic collector to find.
 
     A process may carry a tracing ``span`` (see
     :class:`~repro.obs.trace.Span`): the process finishes the span when
@@ -128,6 +133,7 @@ class Process:
         if self._done:
             raise SimulationError(f"process {self._label!r} already finished")
         self._pending_event.cancel()
+        self._pending_event = None
         self._generator.close()
         self._done = True
         self._interrupted = True
@@ -140,6 +146,7 @@ class Process:
             delay = next(self._generator)
         except StopIteration as stop:
             self._done = True
+            self._pending_event = None
             self._result = stop.value
             if self._span is not None:
                 self._span.finish()
@@ -167,6 +174,7 @@ class Process:
     def _invalid(self, delay: Any) -> None:
         self._generator.close()
         self._done = True
+        self._pending_event = None
         if self._span is not None:
             self._span.set_tag("error", "invalid-delay")
             self._span.finish()

@@ -30,7 +30,13 @@ TEARDOWN_STATES = (
 )
 
 
-def test_two_sim_hours_under_ems_faults_leave_no_residue():
+def fleet_run():
+    """Two sim-hours of the fleet under 20% EMS faults, then every
+    survivor torn down.
+
+    Returns the network, the frontend, the fleet, the fault plan and the
+    heap depth at each admission.
+    """
     plan = FaultPlan(
         [FaultSpec(mode=mode, probability=0.2) for mode in ("transient", "timeout")]
     )
@@ -67,6 +73,11 @@ def test_two_sim_hours_under_ems_faults_leave_no_residue():
         if net.controller.connection(order.connection_id).state in TEARDOWN_STATES:
             net.controller.teardown_connection(order.connection_id)
     net.run()
+    return net, frontend, fleet, plan, depths
+
+
+def test_two_sim_hours_under_ems_faults_leave_no_residue():
+    net, frontend, fleet, plan, depths = fleet_run()
 
     # The run did the work it is meant to judge.
     assert fleet.stats.submitted > 3_000

@@ -19,10 +19,15 @@ shortcuts must keep:
 * an unknown tenant's submission raises and leaves nothing behind;
 * a refusal nobody follows allocates no ``SimFuture``, and following a
   ticket later or earlier fires its callback once, at the time the
-  order's outcome is known.
+  order's outcome is known;
+* ``api.Rejected`` is a tuple, yet keeps the other outcomes' record
+  contract: immutable, equal and hashed by its fields, never equal to a
+  plain tuple or to another outcome type, the same ``repr`` and ``str``,
+  and it pickles.
 """
 
 import gc
+import pickle
 
 import pytest
 from hypothesis import given, settings
@@ -328,3 +333,62 @@ class TestUnfollowedTickets:
         assert fired == [(settled[ticket.request_id], ticket.outcome)]
         assert not ticket.rejected
         assert repr(ticket) == f"FrontendTicket({ticket.request_id}, csp-2, Active)"
+
+
+def _rejected(**changes):
+    fields = dict(
+        request_id="req-7", code=api.REJECT_SHED, reason="edge shedding",
+        tenant="csp-1",
+    )
+    fields.update(changes)
+    return api.Rejected(**fields)
+
+
+class TestRejectedRecord:
+    def test_fields_cannot_be_assigned(self):
+        rejected = _rejected()
+        with pytest.raises(AttributeError):
+            rejected.code = api.REJECT_QUOTA
+        with pytest.raises(AttributeError):
+            rejected.extra = 1
+        assert rejected.code == api.REJECT_SHED
+
+    def test_equal_only_to_a_rejected_with_equal_fields(self):
+        rejected = _rejected()
+        assert rejected == _rejected() and not rejected != _rejected()
+        assert rejected != _rejected(tenant="csp-2")
+        plain = ("req-7", api.REJECT_SHED, "edge shedding", "csp-1")
+        assert rejected != plain and plain != rejected
+        assert not rejected == plain and not plain == rejected
+        queue_full = api.QueueFull("req-7", api.REJECT_SHED, "edge shedding")
+        three = _rejected(tenant="")
+        assert three != queue_full and queue_full != three
+        assert not three == queue_full and not queue_full == three
+
+    def test_hashes_by_its_fields(self):
+        assert hash(_rejected()) == hash(_rejected())
+        assert {_rejected(), _rejected()} == {_rejected()}
+        assert _rejected(code=api.REJECT_QUOTA) not in {_rejected()}
+
+    def test_repr_and_str(self):
+        rejected = _rejected()
+        assert repr(rejected) == (
+            "Rejected(request_id='req-7', code='shed', "
+            "reason='edge shedding', tenant='csp-1')"
+        )
+        assert str(rejected) == "req-7: rejected (shed) - edge shedding"
+        assert api.Rejected("req-8", api.REJECT_QUOTA, "over quota").tenant == ""
+
+    def test_pickles(self):
+        rejected = _rejected()
+        copy = pickle.loads(pickle.dumps(rejected))
+        assert type(copy) is api.Rejected and copy == rejected
+
+    def test_is_a_terminal_outcome(self):
+        assert api.Rejected in api.TERMINAL_OUTCOMES
+        assert isinstance(_rejected(), api.TERMINAL_OUTCOMES)
+        net, frontend = _edge()
+        ticket = frontend.submit("tiny", "PREMISES-A", "PREMISES-B", 1e9)
+        assert type(ticket.outcome) is api.Rejected
+        assert ticket.outcome.code == api.REJECT_QUOTA
+        assert ticket.outcome.tenant == "tiny"

@@ -1,9 +1,12 @@
 """Tests for generator-based Process objects."""
 
+import gc
+import weakref
+
 import pytest
 
 from repro.errors import SimulationError
-from repro.sim import Process, Simulator
+from repro.sim import Process, Simulator, StepRun
 
 
 class TestProcessExecution:
@@ -216,3 +219,53 @@ class TestTimerEntry:
         assert sim.pending == 0
         assert sim.run() == 0
         assert sim.trace == [(0.0, "work")]
+
+
+class TestFinishedProcess:
+    """A process that has ended keeps no kernel event: nothing re-arms
+    it, and its reference count frees it."""
+
+    @staticmethod
+    def ended(how):
+        """A process ended by finishing, by an interrupt, or by an
+        invalid delay, and the step run it yielded first."""
+        sim = Simulator()
+        run = StepRun([1.0, 0.0])
+        completions = []
+
+        def activity():
+            yield run
+            yield -1.0 if how == "invalid" else 0.0
+
+        process = Process(sim, activity(), on_complete=completions.append)
+        if how == "interrupt":
+            sim.run(until=0.5)
+            process.interrupt()
+        elif how == "invalid":
+            with pytest.raises(SimulationError):
+                sim.run()
+        sim.run()
+        assert process.done
+        return sim, process, run, completions
+
+    @pytest.mark.parametrize("how", ["finish", "interrupt", "invalid"])
+    def test_split_after_the_end_is_a_no_op(self, how):
+        sim, process, run, completions = self.ended(how)
+        # At t=1.0 the run's zero-length last step starts "now", so a
+        # split that still saw the process would re-arm it here.
+        sim.run(until=1.0)
+        run.split()
+        assert sim.pending == 0
+        sim.run()
+        assert completions == ([None] if how == "finish" else [])
+
+    @pytest.mark.parametrize("how", ["finish", "interrupt", "invalid"])
+    def test_freed_without_the_cyclic_collector(self, how):
+        gc.disable()
+        try:
+            sim, process, run, completions = self.ended(how)
+            ref = weakref.ref(process)
+            del process, run
+            assert ref() is None
+        finally:
+            gc.enable()

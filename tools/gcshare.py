@@ -6,7 +6,9 @@ For each workload (default: all four ``BENCHMARK.json`` names), builds
 it and loads its schedule as ``bench.child`` does, then drains it with
 ``Driver.run()`` while a ``gc.callbacks`` hook times every collection.
 Prints one line per workload: the run's wall milliseconds, then per
-generation the collections and the milliseconds they took, and the
+generation the collections, the milliseconds they took and the
+unreachable objects they found (cyclic garbage: a run whose every
+dropped object is freed by its reference count finds 0), and the
 collector's share of the run.  Each workload runs in a process of its
 own with ``PYTHONHASHSEED=0``, so one workload's garbage never counts
 against the next.  Only this process's collector is seen: a
@@ -30,11 +32,12 @@ WORKLOADS = ["sharded-inproc", "sharded-pool", "edge-overload", "mono-churn"]
 
 def measure(workload, seed, scale):
     """One run of ``workload`` in this process: wall seconds of
-    ``Driver.run()`` and, per generation, collections and seconds."""
+    ``Driver.run()`` and, per generation, collections, seconds and
+    unreachable objects found."""
     from bench.driver import Driver
     from bench.workloads import BUILDERS
 
-    collections, seconds = [0, 0, 0], [0.0, 0.0, 0.0]
+    collections, seconds, found = [0, 0, 0], [0.0, 0.0, 0.0], [0, 0, 0]
     started = []
 
     def hook(phase, info):
@@ -44,6 +47,7 @@ def measure(workload, seed, scale):
             generation = info["generation"]
             collections[generation] += 1
             seconds[generation] += time.perf_counter() - started.pop()
+            found[generation] += info["collected"]
 
     world = BUILDERS[workload](seed, scale, None)
     try:
@@ -58,15 +62,18 @@ def measure(workload, seed, scale):
             gc.callbacks.remove(hook)
     finally:
         world.close()
-    return {"run_s": run_s, "collections": collections, "seconds": seconds}
+    return {
+        "run_s": run_s, "collections": collections, "seconds": seconds,
+        "found": found,
+    }
 
 
 def line(workload, result):
     gc_s = sum(result["seconds"])
     generations = "  ".join(
-        f"gen{generation} {count} / {1e3 * spent:.1f} ms"
-        for generation, (count, spent) in enumerate(
-            zip(result["collections"], result["seconds"])
+        f"gen{generation} {count} / {1e3 * spent:.1f} ms / {found:,} found"
+        for generation, (count, spent, found) in enumerate(
+            zip(result["collections"], result["seconds"], result["found"])
         )
     )
     return (

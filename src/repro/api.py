@@ -413,11 +413,15 @@ class OrderIntake(Protocol):
 
     ``submit`` returns an :class:`~repro.pipeline.OrderTicket`
     immediately (backpressure settles it QUEUE_FULL on the spot);
-    ``outcome`` maps a ticket onto the typed union above; listeners see
-    every lifecycle edge.  The async frontend targets exactly this
-    protocol, which is what makes the monolithic pipeline and the
+    ``outcome`` maps a ticket onto the typed union above, pulled live;
+    listeners see every lifecycle edge.  The ticket is the order's one
+    record: the intake queues it as it is and stores its terminal
+    outcome on it (``ticket.outcome``) right after the listeners hear
+    the edge that concludes it.  The async frontend targets exactly
+    this protocol, which is what makes the monolithic pipeline and the
     sharded network swappable behind it; the frontend admits straight
-    into the intake's heap, the one queue an order waits in.
+    into the intake's heap, the one queue an order waits in, and hands
+    its caller the ticket ``submit`` returned.
     """
 
     def submit(

@@ -29,9 +29,10 @@ class SimFuture:
     depth.
 
     Callbacks are held in a tuple, so a future resolved before anyone
-    follows it costs no list.  A :class:`~repro.frontend.FrontendTicket`
-    builds its future only when ``ticket.future`` is read, so a ticket
-    nobody follows (most edge refusals under overload) has none.
+    follows it costs no list.  An order's record
+    (:class:`~repro.pipeline.OrderTicket`) builds its future only when
+    ``ticket.future`` is read, so a ticket nobody follows (most edge
+    refusals under overload) has none.
     """
 
     __slots__ = ("_sim", "_done", "_value", "_callbacks")

@@ -23,10 +23,12 @@ ever sees the order**, in this sequence:
    intake.capacity)``, so frontend traffic never trips intake QUEUE_FULL.
 
 The frontend owns no queue: an admitted order goes straight into
-:meth:`repro.api.OrderIntake.submit`.  Each submission returns a
-:class:`FrontendTicket` that resolves — via the intake's
-listener stream, no polling — with the order's terminal
-:data:`repro.api.OrderOutcome`.
+:meth:`repro.api.OrderIntake.submit`, and the record that call returns
+is the one the customer holds (:class:`FrontendTicket` is
+:class:`repro.pipeline.OrderTicket`).  The intake stores the order's
+terminal :data:`repro.api.OrderOutcome` on it — no polling; an edge
+refusal builds its own record and resolves it with a typed
+:class:`repro.api.Rejected`.
 
 Every decision is counted: ``frontend.submitted`` equals
 ``frontend.admitted + frontend.shed + frontend.throttled`` at all times
@@ -49,16 +51,15 @@ law holds per class too, over the ``frontend.*.premium`` /
 from __future__ import annotations
 
 import itertools
-from typing import Callable, Dict, Iterable, NamedTuple, Optional, Tuple
+from typing import Callable, Iterable, NamedTuple, Optional, Tuple
 
 from repro import api
 from repro.core.admission import AdmissionControl
 from repro.core.connection import ConnectionKind
 from repro.errors import ConfigurationError
-from repro.frontend.aio import SimFuture
 from repro.frontend.ratelimit import BucketSet
 from repro.obs.registry import MetricsRegistry
-from repro.pipeline.engine import OrderTicket, TicketState
+from repro.pipeline.engine import OrderTicket
 from repro.sim.kernel import Simulator
 
 #: Backpressure state: accepting submissions.
@@ -100,100 +101,8 @@ class _DecisionCounters(NamedTuple):
         )
 
 
-class FrontendTicket:
-    """One request's handle: edge decision plus the pushed outcome.
-
-    ``future`` resolves when the order reaches a terminal
-    :data:`repro.api.OrderOutcome` (``future.add_done_callback``);
-    ``outcome`` offers the same value pull-style (None while pending).
-
-    The ticket holds its own outcome; its :class:`SimFuture` is built
-    the first time someone reads ``future`` (already resolved when the
-    order has settled, so a callback added then still fires at zero
-    delay).  A ticket nobody follows — most edge refusals under
-    overload — never allocates one.
-
-    Attributes:
-        request_id: Frontend-scoped id (``req-N``).
-        tenant: The submitting tenant.
-        premises_a: One end of the requested connection.
-        premises_b: The other end.
-        rate_bps: Committed rate.
-        submitted_at: Sim time of submission.
-        order_ticket: The backend ticket, set when the edge admits the
-            order into the intake (None for edge-rejected requests).
-    """
-
-    __slots__ = (
-        "request_id",
-        "tenant",
-        "premises_a",
-        "premises_b",
-        "rate_bps",
-        "kind",
-        "submitted_at",
-        "order_ticket",
-        "priority",
-        "_sim",
-        "_outcome",
-        "_future",
-    )
-
-    def __init__(
-        self,
-        request_id: str,
-        tenant: str,
-        premises_a: str,
-        premises_b: str,
-        rate_bps: float,
-        kind: Optional[ConnectionKind],
-        submitted_at: float,
-        sim: Simulator,
-        priority: str = "standard",
-    ) -> None:
-        self.request_id = request_id
-        self.tenant = tenant
-        self.premises_a = premises_a
-        self.premises_b = premises_b
-        self.rate_bps = rate_bps
-        self.kind = kind
-        self.submitted_at = submitted_at
-        self.priority = priority
-        self.order_ticket: Optional[OrderTicket] = None
-        self._sim = sim
-        self._outcome: Optional[api.OrderOutcome] = None
-        self._future: Optional[SimFuture] = None
-
-    @property
-    def future(self) -> SimFuture:
-        """Resolves with the terminal outcome."""
-        if self._future is None:
-            self._future = SimFuture(self._sim)
-            if self._outcome is not None:
-                self._future.resolve(self._outcome)
-        return self._future
-
-    @property
-    def outcome(self) -> Optional[api.OrderOutcome]:
-        """The terminal outcome, or None while the order is in flight."""
-        return self._outcome
-
-    @property
-    def rejected(self) -> bool:
-        """True when the request was refused at the edge."""
-        return isinstance(self._outcome, api.Rejected)
-
-    def _resolve(self, outcome: api.OrderOutcome) -> None:
-        """Store the terminal outcome; resolve the future if one exists."""
-        self._outcome = outcome
-        if self._future is not None:
-            self._future.resolve(outcome)
-
-    def __repr__(self) -> str:
-        status = "pending"
-        if self._outcome is not None:
-            status = type(self._outcome).__name__
-        return f"FrontendTicket({self.request_id}, {self.tenant}, {status})"
+#: What :meth:`BodFrontend.submit` returns: the order's one record.
+FrontendTicket = OrderTicket
 
 
 class BodFrontend:
@@ -259,10 +168,9 @@ class BodFrontend:
         self._premium = frozenset(premium_tenants)
         self._premium_counters = _DecisionCounters.of("premium")
         self._standard_counters = _DecisionCounters.of("standard")
-        self._by_order: Dict[str, FrontendTicket] = {}
         #: Rebuilt by add_listener, so an emit iterates a snapshot
         #: without copying it.
-        self._listeners: Tuple[Callable[[FrontendTicket, str], None], ...] = ()
+        self._listeners: Tuple[Callable[[OrderTicket, str], None], ...] = ()
         self._state = STATE_OPEN
         self._seq = itertools.count(1)
         intake.add_listener(self._on_intake_event)
@@ -305,7 +213,7 @@ class BodFrontend:
         return self._capacity
 
     def add_listener(
-        self, listener: Callable[[FrontendTicket, str], None]
+        self, listener: Callable[[OrderTicket, str], None]
     ) -> None:
         """Subscribe to the status stream.
 
@@ -327,13 +235,14 @@ class BodFrontend:
         premises_b: str,
         rate_bps: float,
         kind: Optional[ConnectionKind] = None,
-    ) -> FrontendTicket:
+    ) -> OrderTicket:
         """Run the edge gates, then admit the request into the intake or
         refuse it.
 
-        Always returns a ticket; an edge refusal resolves the ticket
-        with a typed :class:`repro.api.Rejected` (never an exception,
-        never an unbounded queue).
+        Always returns a ticket: for an admitted order, the record the
+        intake returned; for an edge refusal, a record without an
+        ``order-N`` id, resolved with a typed :class:`repro.api.Rejected`
+        (never an exception, never an unbounded queue).
 
         Raises:
             AdmissionError: only for an unknown tenant — that is a
@@ -342,55 +251,48 @@ class BodFrontend:
         """
         self._admission.profile(tenant)
         now = self._sim.now
+        request_id = f"req-{next(self._seq)}"
         premium = tenant in self._premium
-        priority = "premium" if premium else "standard"
         counters = self._premium_counters if premium else self._standard_counters
-        ticket = FrontendTicket(
-            f"req-{next(self._seq)}",
-            tenant,
-            premises_a,
-            premises_b,
-            rate_bps,
-            kind,
-            now,
-            self._sim,
-            priority,
-        )
         # Gate 1: the tenant's own request-rate budget.
         if not self._buckets.try_take(tenant, now):
-            return self._reject(
-                ticket,
-                api.REJECT_RATE_LIMIT,
-                f"tenant {tenant!r} exceeded its request rate",
-                counters.rate_limited,
+            code, decided = api.REJECT_RATE_LIMIT, counters.rate_limited
+            reason = f"tenant {tenant!r} exceeded its request rate"
+        else:
+            # Gate 2: non-mutating quota probe — the ledger is untouched,
+            # so probing (and refusing) can never double-count quota.
+            code, decided = api.REJECT_QUOTA, counters.over_quota
+            reason = self._admission.check(
+                tenant, premises_a, premises_b, rate_bps
             )
-        # Gate 2: non-mutating quota probe — the ledger is untouched,
-        # so probing (and refusing) can never double-count quota.
-        reason = self._admission.check(tenant, premises_a, premises_b, rate_bps)
+            if reason is None:
+                # Gate 3: backpressure over the intake's depth.  The
+                # hysteresis keeps shedding until the rounds drain the
+                # heap to shed_low; the hard bound sits underneath it.
+                # Premium traffic is shed last: it rides through
+                # hysteresis shedding and is refused only at the hard
+                # bound.
+                shedding = self._reopen() == STATE_SHEDDING and not premium
+                depth = self._intake.queue_depth()
+                if shedding or depth >= self._capacity:
+                    code, decided = api.REJECT_SHED, counters.shed
+                    reason = f"service is shedding load ({depth} queued)"
         if reason is not None:
-            return self._reject(
-                ticket, api.REJECT_QUOTA, reason, counters.over_quota
+            # A refusal is a record the intake never sees: no order-N id.
+            ticket = OrderTicket(
+                self._sim, request_id, None, tenant, premises_a, premises_b,
+                rate_bps, kind, now, "premium" if premium else "standard",
+                None,
             )
-        # Gate 3: backpressure over the intake's depth.  The hysteresis
-        # keeps shedding until the rounds drain the heap to shed_low;
-        # the hard bound sits underneath it.  Premium traffic is shed
-        # last: it rides through hysteresis shedding and is refused only
-        # at the hard bound.
-        shedding = self._reopen() == STATE_SHEDDING and not premium
-        depth = self._intake.queue_depth()
-        if shedding or depth >= self._capacity:
-            return self._reject(
-                ticket,
-                api.REJECT_SHED,
-                f"service is shedding load ({depth} queued)",
-                counters.shed,
-            )
+            self._metrics.inc_each(decided)
+            ticket._resolve(api.Rejected(request_id, code, reason, tenant))
+            self._emit(ticket, "rejected")
+            return ticket
         self._metrics.inc_each(counters.admitted)
-        order = self._intake.submit(
+        ticket = self._intake.submit(
             tenant, premises_a, premises_b, rate_bps, kind, premium=premium
         )
-        ticket.order_ticket = order
-        self._by_order[order.order_id] = ticket
+        ticket.request_id = request_id
         # Equals frontend.admitted by construction; kept while bench/ is
         # frozen: bench/layers.py reads it for its orders-per-round figure.
         self._metrics.inc("frontend.forwarded")
@@ -401,21 +303,6 @@ class BodFrontend:
             if self._tracer is not None:
                 self._tracer.event("frontend.shedding", queue_depth=depth)
         self._emit(ticket, "admitted")
-        return ticket
-
-    def _reject(
-        self,
-        ticket: FrontendTicket,
-        code: str,
-        reason: str,
-        counters: Tuple[str, ...],
-    ) -> FrontendTicket:
-        """Resolve a ticket with a typed edge refusal and count it."""
-        self._metrics.inc_each(counters)
-        ticket._resolve(
-            api.Rejected(ticket.request_id, code, reason, ticket.tenant)
-        )
-        self._emit(ticket, "rejected")
         return ticket
 
     # -- backpressure state machine --------------------------------------------
@@ -437,36 +324,22 @@ class BodFrontend:
 
     # -- outcome streaming -----------------------------------------------------
 
-    def _on_intake_event(self, order: OrderTicket, event: str) -> None:
-        """Backend listener: resolve tickets, re-broadcast the stream."""
-        ticket = self._by_order.get(order.order_id)
-        if ticket is None:
-            return
-        if event == "settled":
-            self._emit(ticket, "settled")
-            if order.state is not TicketState.ACCEPTED:
-                # BLOCKED / DEFERRED / QUEUE_FULL are terminal now;
-                # accepted orders resolve on their setup conclusion.
-                self._finish(ticket)
-        elif event in ("active", "degraded", "failed"):
-            self._emit(ticket, event)
-            self._finish(ticket)
-        elif event == "released":
-            self._emit(ticket, "released")
+    def _on_intake_event(self, ticket: OrderTicket, event: str) -> None:
+        """Intake listener: pass on the events of this edge's orders.
 
-    def _finish(self, ticket: FrontendTicket) -> None:
-        """Resolve a ticket with its typed terminal outcome."""
-        if ticket._outcome is not None:
-            return
-        outcome = self._intake.outcome(ticket.order_ticket)
-        if isinstance(outcome, api.Active):
+        Listeners hear an event before the intake stores the outcome it
+        concludes (and schedules the future's callbacks).
+        """
+        if ticket.request_id is None:
+            return  # submitted to the intake directly, not at this edge
+        self._emit(ticket, event)
+        if event == "active":
             self._metrics.inc("frontend.active")
             self._metrics.observe(
                 "frontend.order_to_active_s",
                 self._sim.now - ticket.submitted_at,
             )
-        ticket._resolve(outcome)
 
-    def _emit(self, ticket: FrontendTicket, event: str) -> None:
+    def _emit(self, ticket: OrderTicket, event: str) -> None:
         for listener in self._listeners:
             listener(ticket, event)

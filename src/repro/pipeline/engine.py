@@ -30,8 +30,9 @@ shuffle.
 
 An order that fails *only* because an earlier order in its round won
 the wavelengths it wanted is **deferred**: its admission is returned,
-its connection record withdrawn, and it re-enters the queue with its
-original priority (so it is first in line next round — no starvation).
+its connection record withdrawn, and its ticket re-enters the queue
+with its original key (so it is first in line next round — no
+starvation).
 After ``max_defers`` consecutive contention losses the ticket settles
 as terminal DEFERRED.  Failures the serial path would also have
 produced settle BLOCKED with the identical reason string.
@@ -41,9 +42,8 @@ from __future__ import annotations
 
 import heapq
 import itertools
-from dataclasses import dataclass, field
 from enum import Enum
-from typing import Callable, Dict, List, Optional, Set, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.core.connection import ConnectionKind
 from repro.core.rwa import PlanRequest
@@ -89,91 +89,177 @@ _TERMINAL = (
 
 
 class OrderTicket:
-    """The customer-visible handle for one submitted order.
+    """One order's record, from the service edge to its release.
 
-    A ``__slots__`` class: load benchmarks allocate one per submitted
-    order, and the per-instance ``__dict__`` was the largest single
-    allocation on that path.
+    The one object an order is: :meth:`repro.frontend.BodFrontend.submit`
+    and :meth:`RoundIntake.submit` return it, the intake's heap holds it
+    (ordered by its stored ``(class, arrival, tiebreak, seq)`` key), both
+    status streams pass it to their listeners, and it carries its own
+    terminal typed outcome.  ``repro.frontend.FrontendTicket`` names this
+    class too.  An edge refusal builds one with a ``req-N`` id and
+    nothing from the intake: no ``order-N`` id, no ``state``.
+
+    ``state`` is the intake's vocabulary (:class:`TicketState`), set by
+    :class:`RoundIntake` alone; ``outcome`` is :mod:`repro.api`'s,
+    stored once when the order concludes — by the edge for a refusal, by
+    the intake otherwise.  The :class:`~repro.frontend.aio.SimFuture`
+    behind ``future`` is built the first time someone reads it (already
+    resolved when the order has concluded, so a callback added then
+    still fires at zero delay); a record nobody follows — most edge
+    refusals under overload — never allocates one.
+
+    A ``__slots__`` class: load benchmarks keep one per submission.  The
+    heap compares records with ``<``; equality and hashing stay by
+    identity.
 
     Attributes:
-        order_id: Pipeline-scoped id (``order-N``).
-        customer: Submitting customer.
+        request_id: Frontend-scoped id (``req-N``); ``None`` for an
+            order submitted to the intake directly.  ``bench/layers.py``
+            reads it on what ``frontend.submit`` returns.
+        order_id: Intake-scoped id (``order-N``); ``None`` for an edge
+            refusal.  ``bench/layers.py`` reads it on what
+            ``intake.submit`` returns.
+        customer: Submitting customer (``tenant`` is the same value).
         premises_a: One end of the requested connection.
         premises_b: The other end.
         rate_bps: Committed rate.
-        state: Current :class:`TicketState`.
+        kind: The requested :class:`ConnectionKind`, or None for the
+            controller's choice.
+        priority: ``"premium"`` or ``"standard"``.
+        state: Current :class:`TicketState`; ``None`` for an edge
+            refusal, which never reached the intake.
         connection_id: The connection record, once the order was
-            processed (ACCEPTED or BLOCKED); ``None`` while queued and
-            for QUEUE_FULL / terminal DEFERRED outcomes.
-        reason: Why the order was refused (BLOCKED / DEFERRED /
-            QUEUE_FULL); empty for accepted orders.
+            processed (ACCEPTED or BLOCKED); ``None`` while queued, for
+            QUEUE_FULL / terminal DEFERRED outcomes and for refusals.
+            ``bench/driver.py`` reads it on the ``settled`` event.
+        reason: Why the intake refused the order (BLOCKED / DEFERRED /
+            QUEUE_FULL); empty otherwise.  An edge refusal's reason is
+            in its :class:`~repro.api.Rejected` outcome.
         submitted_at: Sim time of submission.
-        settled_at: Sim time the state became terminal; ``None`` while
-            queued.
+        settled_at: Sim time the intake state became terminal; ``None``
+            while queued and for refusals.  ``bench/driver.py``'s
+            ``sim_fingerprint`` reads it.
         rounds_deferred: How many rounds the order lost contention and
             was retried.
     """
 
     __slots__ = (
+        "request_id",
         "order_id",
         "customer",
         "premises_a",
         "premises_b",
         "rate_bps",
+        "kind",
+        "priority",
         "state",
         "connection_id",
         "reason",
         "submitted_at",
         "settled_at",
         "rounds_deferred",
+        "_key",
+        "_sim",
+        "_outcome",
+        "_future",
     )
 
     def __init__(
         self,
-        order_id: str,
+        sim,
+        request_id: Optional[str],
+        order_id: Optional[str],
         customer: str,
         premises_a: str,
         premises_b: str,
         rate_bps: float,
-        state: TicketState = TicketState.QUEUED,
-        connection_id: Optional[str] = None,
-        reason: str = "",
-        submitted_at: float = 0.0,
-        settled_at: Optional[float] = None,
-        rounds_deferred: int = 0,
+        kind: Optional[ConnectionKind],
+        submitted_at: float,
+        priority: str,
+        state: Optional[TicketState],
     ) -> None:
+        self.request_id = request_id
         self.order_id = order_id
         self.customer = customer
         self.premises_a = premises_a
         self.premises_b = premises_b
         self.rate_bps = rate_bps
+        self.kind = kind
+        self.priority = priority
         self.state = state
-        self.connection_id = connection_id
-        self.reason = reason
+        self.connection_id: Optional[str] = None
+        self.reason = ""
         self.submitted_at = submitted_at
-        self.settled_at = settled_at
-        self.rounds_deferred = rounds_deferred
+        self.settled_at: Optional[float] = None
+        self.rounds_deferred = 0
+        self._key: Optional[Tuple[int, float, float, int]] = None
+        self._sim = sim
+        self._outcome = None
+        self._future = None
+
+    @property
+    def tenant(self) -> str:
+        """The submitting tenant (the frontend's name for ``customer``)."""
+        return self.customer
+
+    # bench/driver.py reads this on every ticket: the intake's handle for
+    # an admitted order (the record itself), None for an edge refusal.
+    @property
+    def order_ticket(self) -> Optional["OrderTicket"]:
+        """This record once the intake has it; None for an edge refusal."""
+        return None if self.order_id is None else self
+
+    # bench/driver.py reads this for each ticket's terminal outcome.
+    @property
+    def outcome(self):
+        """The terminal :data:`repro.api.OrderOutcome`, or None while the
+        order is in flight."""
+        return self._outcome
+
+    @property
+    def future(self):
+        """A :class:`~repro.frontend.aio.SimFuture` that resolves with the
+        terminal outcome."""
+        if self._future is None:
+            # Imported here: repro.frontend imports this module.
+            from repro.frontend.aio import SimFuture
+
+            self._future = SimFuture(self._sim)
+            if self._outcome is not None:
+                self._future.resolve(self._outcome)
+        return self._future
+
+    @property
+    def rejected(self) -> bool:
+        """True when the request was refused at the edge."""
+        return self.order_id is None
 
     @property
     def settled(self) -> bool:
-        """True once the ticket reached a terminal state."""
+        """True once the intake state became terminal."""
         return self.state in _TERMINAL
 
+    def _resolve(self, outcome) -> None:
+        """Store the terminal outcome; resolve the future if one exists."""
+        self._outcome = outcome
+        if self._future is not None:
+            self._future.resolve(outcome)
+
+    # The heap's order.  No __eq__ goes with it: bench/driver.py keys
+    # dicts by ticket, so tickets must keep hashing by identity.
+    def __lt__(self, other: "OrderTicket") -> bool:
+        return self._key < other._key
+
     def __repr__(self) -> str:
-        return (
-            f"OrderTicket({self.order_id}, {self.premises_a}<->"
-            f"{self.premises_b}, {self.state.value})"
-        )
-
-
-@dataclass(order=True)
-class _QueuedOrder:
-    """Heap entry: priority plus the untouched submission payload."""
-
-    priority: Tuple[int, float, float, int]
-    ticket: OrderTicket = field(compare=False)
-    kind: Optional[ConnectionKind] = field(compare=False, default=None)
-    defers: int = field(compare=False, default=0)
+        if self.request_id is None:
+            return (
+                f"OrderTicket({self.order_id}, {self.premises_a}<->"
+                f"{self.premises_b}, {self.state.value})"
+            )
+        status = "pending"
+        if self._outcome is not None:
+            status = type(self._outcome).__name__
+        return f"FrontendTicket({self.request_id}, {self.customer}, {status})"
 
 
 class RoundIntake:
@@ -182,12 +268,13 @@ class RoundIntake:
     Owns everything about how orders *wait*: argument validation, the
     bounded priority heap, ticket issue with on-the-spot QUEUE_FULL, the
     ``pipeline.*`` counters, the round-cadence kernel process, the
-    listener stream and the typed :meth:`outcome`.  What a round
-    *places* is the backend's: a subclass supplies
+    listener stream, the typed :meth:`outcome` and each ticket's stored
+    terminal outcome.  What a round *places* is the backend's: a
+    subclass supplies
 
-    * ``_place(batch)`` — execute one round of popped
-      :class:`_QueuedOrder` entries, calling :meth:`_settle` per order
-      (or pushing the entry back to retry it next round);
+    * ``_place(batch)`` — execute one round of popped tickets, calling
+      :meth:`_settle` per order (or pushing the ticket back to retry it
+      next round);
     * ``_record(ticket)`` — the connection record (a shard order is one) a
       processed ticket points at;
     * ``_release(ticket)`` — start the teardown of an accepted ticket;
@@ -230,7 +317,7 @@ class RoundIntake:
         self._capacity = capacity
         self._round_size = round_size
         self._round_interval = float(round_interval)
-        self._heap: List[_QueuedOrder] = []
+        self._heap: List[OrderTicket] = []
         self._order_seq = itertools.count(1)
         self._arrival_seq = itertools.count(1)
         self._tickets: Dict[str, OrderTicket] = {}
@@ -239,10 +326,9 @@ class RoundIntake:
         #: Rebuilt by add_listener, so an emit iterates a snapshot
         #: without copying it.
         self._listeners: Tuple[Callable[[OrderTicket, str], None], ...] = ()
-        #: record id -> ACCEPTED ticket still owed lifecycle events, and
-        #: the record ids whose one setup conclusion was already sent.
+        #: record id -> ACCEPTED ticket still owed lifecycle events; its
+        #: setup has concluded once its outcome is stored.
         self._accepted: Dict[str, OrderTicket] = {}
-        self._concluded: Set[str] = set()
         metrics.register_gauge("pipeline.queue_depth", self.queue_depth)
 
     def _tiebreak(self) -> float:
@@ -269,12 +355,17 @@ class RoundIntake:
         """
         now = self._sim.now
         ticket = OrderTicket(
-            order_id=f"order-{next(self._order_seq)}",
-            customer=customer,
-            premises_a=premises_a,
-            premises_b=premises_b,
-            rate_bps=rate_bps,
-            submitted_at=now,
+            self._sim,
+            None,
+            f"order-{next(self._order_seq)}",
+            customer,
+            premises_a,
+            premises_b,
+            rate_bps,
+            kind,
+            now,
+            "premium" if premium else "standard",
+            TicketState.QUEUED,
         )
         self._tickets[ticket.order_id] = ticket
         if len(self._heap) >= self._capacity:
@@ -285,15 +376,12 @@ class RoundIntake:
             ticket.settled_at = now
             self._metrics.inc("pipeline.queue_full")
             self._tracer.event("pipeline.queue_full", order=ticket.order_id)
-            self._emit(ticket, "settled")
+            self._conclude(ticket, "settled")
             return ticket
-        entry = _QueuedOrder(
-            priority=(0 if premium else 1, now, self._tiebreak(),
-                      next(self._arrival_seq)),
-            ticket=ticket,
-            kind=kind,
+        ticket._key = (
+            0 if premium else 1, now, self._tiebreak(), next(self._arrival_seq)
         )
-        heapq.heappush(self._heap, entry)
+        heapq.heappush(self._heap, ticket)
         self._metrics.inc("pipeline.submitted")
         if self._proc is None or self._proc.done:
             self._proc = Process(
@@ -342,7 +430,7 @@ class RoundIntake:
 
     def premium_depth(self) -> int:
         """Premium orders currently waiting for a round."""
-        return sum(1 for entry in self._heap if not entry.priority[0])
+        return sum(1 for ticket in self._heap if not ticket._key[0])
 
     @property
     def rounds(self) -> int:
@@ -355,14 +443,17 @@ class RoundIntake:
         return self._capacity
 
     def outcome(self, ticket: OrderTicket, fault=None):
-        """The ticket's typed status from :data:`repro.api.OrderStatus`.
+        """The ticket's typed status from :data:`repro.api.OrderStatus`,
+        pulled live.
 
         ``None`` while the order is still queued.  This is where the
         intake-level refusals (:class:`~repro.api.QueueFull`,
         :class:`~repro.api.Deferred`) are built; every processed ticket
         is classified from its backend record by
         :func:`repro.api.classify_record`, with ``fault`` attached to a
-        ``SetupFailed`` / ``ServiceDegraded`` outcome.
+        ``SetupFailed`` / ``ServiceDegraded`` outcome.  The terminal
+        outcome ``ticket.outcome`` stores is this pull, taken when the
+        order concluded.
         """
         from repro import api
 
@@ -403,14 +494,21 @@ class RoundIntake:
         for listener in self._listeners:
             listener(ticket, event)
 
+    def _conclude(self, ticket: OrderTicket, event: str) -> None:
+        """Broadcast the edge that concludes a ticket, then store its
+        terminal outcome (scheduling its future's callbacks, if any)."""
+        self._emit(ticket, event)
+        ticket._resolve(self.outcome(ticket))
+
     def _on_backend_event(self, edge: str, payload: dict) -> None:
         """Backend observer: re-broadcast an edge of an ACCEPTED ticket's
         record (``payload["connection"]``).
 
         The first conclusion edge is the ticket's *one* setup
-        conclusion — ``restored`` or ``revived`` when a cut during setup
-        kept ``up`` from ever being sent; an in-service connection that
-        is restored later gets no second ``"active"``.
+        conclusion, and stores its outcome — ``restored`` or ``revived``
+        when a cut during setup kept ``up`` from ever being sent; an
+        in-service connection that is restored later gets no second
+        ``"active"``.
         """
         event = _TICKET_EVENTS.get(edge)
         if event is None:
@@ -421,12 +519,9 @@ class RoundIntake:
             return
         if event == "released":
             del self._accepted[record_id]
-            self._concluded.discard(record_id)
-        elif record_id in self._concluded:
-            return
-        else:
-            self._concluded.add(record_id)
-        self._emit(ticket, event)
+            self._emit(ticket, event)
+        elif ticket._outcome is None:
+            self._conclude(ticket, event)
 
     # -- the round loop --------------------------------------------------------
 
@@ -450,10 +545,11 @@ class RoundIntake:
         if state is TicketState.BLOCKED:
             ticket.reason = reason
             self._metrics.inc("pipeline.blocked")
+            self._conclude(ticket, "settled")
         else:
             self._metrics.inc("pipeline.accepted")
             self._accepted[record_id] = ticket
-        self._emit(ticket, "settled")
+            self._emit(ticket, "settled")
 
 
 class OrderPipeline(RoundIntake):
@@ -516,7 +612,7 @@ class OrderPipeline(RoundIntake):
     def _release(self, ticket: OrderTicket) -> None:
         self._controller.teardown_connection(ticket.connection_id)
 
-    def _place(self, batch: List[_QueuedOrder]) -> None:
+    def _place(self, batch: List[OrderTicket]) -> None:
         """Admit, batch-plan, and claim one round's orders."""
         ctrl = self._controller
         round_span = self._tracer.span(
@@ -524,17 +620,16 @@ class OrderPipeline(RoundIntake):
         )
 
         # Phase 1: open + admit in arrival order; collect plan requests.
-        # (entry, connection, span, decomposition, slice of requests)
+        # (ticket, connection, span, decomposition, slice of requests)
         admitted = []
         requests: List[PlanRequest] = []
-        for entry in batch:
-            ticket = entry.ticket
+        for ticket in batch:
             connection, span = ctrl.open_order(
                 ticket.customer,
                 ticket.premises_a,
                 ticket.premises_b,
                 ticket.rate_bps,
-                entry.kind,
+                ticket.kind,
             )
             if not ctrl.admit_order(connection, span):
                 self._settle_blocked(ticket, connection)
@@ -546,7 +641,7 @@ class OrderPipeline(RoundIntake):
                 # string — before the order costs the batch plan a thing.
                 pop_a = ctrl.inventory.pop_of(ticket.premises_a)
                 pop_b = ctrl.inventory.pop_of(ticket.premises_b)
-                decomposition = ctrl.prepare_order(connection, entry.kind)
+                decomposition = ctrl.prepare_order(connection, ticket.kind)
             except GriphonError as exc:
                 ctrl.block_admitted_order(connection, span, exc)
                 self._settle_blocked(ticket, connection)
@@ -556,7 +651,7 @@ class OrderPipeline(RoundIntake):
             for rate in waves:
                 requests.append(PlanRequest(pop_a, pop_b, rate))
             admitted.append(
-                (entry, connection, span, decomposition,
+                (ticket, connection, span, decomposition,
                  slice(start, len(requests)))
             )
 
@@ -569,19 +664,19 @@ class OrderPipeline(RoundIntake):
 
         # Phase 3: claim + launch in round order.
         claimed_any = False
-        for entry, connection, span, decomposition, request_slice in admitted:
+        for ticket, connection, span, decomposition, request_slice in admitted:
             order_items = items[request_slice]
             failed = next(
                 (item for item in order_items if item.error is not None), None
             )
             if failed is not None:
-                if failed.contended and entry.defers < self._max_defers:
-                    self._defer(entry, connection, span, str(failed.error))
+                if failed.contended and ticket.rounds_deferred < self._max_defers:
+                    self._defer(ticket, connection, span, str(failed.error))
                 elif failed.contended:
-                    self._settle_deferred(entry, connection, span, failed.error)
+                    self._settle_deferred(ticket, connection, span, failed.error)
                 else:
                     ctrl.block_admitted_order(connection, span, failed.error)
-                    self._settle_blocked(entry.ticket, connection)
+                    self._settle_blocked(ticket, connection)
                 continue
             plans = iter([item.plan for item in order_items])
 
@@ -598,7 +693,7 @@ class OrderPipeline(RoundIntake):
 
             try:
                 ctrl.launch_order(
-                    connection, entry.kind, span, planner, decomposition
+                    connection, ticket.kind, span, planner, decomposition
                 )
             except GriphonError as exc:
                 # Wavelengths were validated by the batch and terminations
@@ -607,15 +702,15 @@ class OrderPipeline(RoundIntake):
                 # this round — worth one replan next round.  Without an
                 # earlier claimant the serial path would have failed the
                 # same way: settle BLOCKED with the identical reason.
-                if claimed_any and entry.defers < self._max_defers:
-                    self._defer(entry, connection, span, str(exc))
+                if claimed_any and ticket.rounds_deferred < self._max_defers:
+                    self._defer(ticket, connection, span, str(exc))
                 else:
                     ctrl.block_admitted_order(connection, span, exc)
-                    self._settle_blocked(entry.ticket, connection)
+                    self._settle_blocked(ticket, connection)
                 continue
             claimed_any = True
             self._settle(
-                entry.ticket, TicketState.ACCEPTED, connection.connection_id
+                ticket, TicketState.ACCEPTED, connection.connection_id
             )
 
         round_span.set_tag("queued_after", len(self._heap)).finish()
@@ -631,25 +726,23 @@ class OrderPipeline(RoundIntake):
             connection.blocked_reason,
         )
 
-    def _defer(self, entry: _QueuedOrder, connection, span, reason: str) -> None:
-        """Return a contention loser to the queue with its old priority."""
+    def _defer(self, ticket: OrderTicket, connection, span, reason: str) -> None:
+        """Return a contention loser to the queue with its old key."""
         self._controller.abandon_order(connection, span, reason)
-        entry.defers += 1
-        entry.ticket.rounds_deferred += 1
+        ticket.rounds_deferred += 1
         self._metrics.inc("pipeline.deferred")
-        heapq.heappush(self._heap, entry)
+        heapq.heappush(self._heap, ticket)
 
     def _settle_deferred(
-        self, entry: _QueuedOrder, connection, span, error: Exception
+        self, ticket: OrderTicket, connection, span, error: Exception
     ) -> None:
         """Terminal DEFERRED: contention persisted past ``max_defers``."""
         self._controller.abandon_order(connection, span, str(error))
-        ticket = entry.ticket
         ticket.state = TicketState.DEFERRED
         ticket.settled_at = self._sim.now
         ticket.reason = (
-            f"lost wavelength contention {entry.defers + 1} round(s) in a row: "
-            f"{error}"
+            f"lost wavelength contention {ticket.rounds_deferred + 1} round(s) "
+            f"in a row: {error}"
         )
         self._metrics.inc("pipeline.deferred_terminal")
-        self._emit(ticket, "settled")
+        self._conclude(ticket, "settled")

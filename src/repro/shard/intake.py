@@ -32,12 +32,7 @@ from typing import List
 from repro.core.connection import ConnectionState
 from repro.obs.registry import MetricsRegistry
 from repro.obs.trace import Tracer
-from repro.pipeline.engine import (
-    OrderTicket,
-    RoundIntake,
-    TicketState,
-    _QueuedOrder,
-)
+from repro.pipeline.engine import OrderTicket, RoundIntake, TicketState
 from repro.shard.network import ShardedNetwork, ShardOrder
 
 
@@ -88,23 +83,18 @@ class ShardIntake(RoundIntake):
     def _release(self, ticket: OrderTicket) -> None:
         self.network.teardown_order(self._record(ticket))
 
-    def _place(self, batch: List[_QueuedOrder]) -> None:
+    def _place(self, batch: List[OrderTicket]) -> None:
         """Place one round's orders as one network round."""
         orders = self.network.place_orders(
             [
-                (
-                    entry.ticket.customer,
-                    entry.ticket.premises_a,
-                    entry.ticket.premises_b,
-                    entry.ticket.rate_bps,
-                )
-                for entry in batch
+                (t.customer, t.premises_a, t.premises_b, t.rate_bps)
+                for t in batch
             ]
         )
-        for entry, order in zip(batch, orders):
+        for ticket, order in zip(batch, orders):
             blocked = order.state is ConnectionState.BLOCKED
             self._settle(
-                entry.ticket,
+                ticket,
                 TicketState.BLOCKED if blocked else TicketState.ACCEPTED,
                 order.connection_id,
                 order.blocked_reason,

@@ -298,6 +298,8 @@ class ShardedNetwork:
         self.sim = Simulator()
         self.planner = ShardPlanner(hierarchy)
         self.admission = AdmissionControl()
+        #: Every order placed, by id.  ``bench/layers.py`` walks it after
+        #: a run, reading each order's ``state`` and ``plan_record``.
         self.orders: Dict[str, ShardOrder] = {}
         #: Observers called with ``(event, {"connection": order})`` on
         #: order lifecycle edges, in ``GriphonController.observers``'

@@ -10,22 +10,12 @@ who wins, by roughly what factor, and how trends run.
 from __future__ import annotations
 
 import statistics
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 from repro.facade import GriphonNetwork, build_griphon_testbed
 from repro.sim import Process
+from repro.topo.testbed import TABLE2_EXCLUSIONS
 from repro.units import gbps
-
-#: Table 2 of the paper: mean wavelength-connection establishment time
-#: (seconds) by ROADM-layer path length, over ten iterations.
-PAPER_TABLE2 = {1: 62.48, 2: 65.67, 3: 70.94}
-
-#: Link exclusions that force each Table 2 path on the Fig. 4 testbed.
-TABLE2_EXCLUSIONS: Dict[int, List[Tuple[str, str]]] = {
-    1: [],
-    2: [("ROADM-I", "ROADM-IV")],
-    3: [("ROADM-I", "ROADM-IV"), ("ROADM-I", "ROADM-III")],
-}
 
 
 def measure_setup_time(

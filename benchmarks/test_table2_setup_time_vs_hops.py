@@ -14,11 +14,11 @@ steps (which the paper says nothing fundamental prevents) would buy.
 import pytest
 
 from benchmarks.harness import (
-    PAPER_TABLE2,
     mean_by_hops,
     print_rows,
     table2_measurements,
 )
+from repro.topo.testbed import PAPER_TABLE2
 
 
 def test_table2_setup_time_vs_hops(benchmark):

@@ -246,31 +246,3 @@ def run_optimize_trial(
         result["rollback_triggered"] = report_dict["rollback_triggered"]
         result["audit_violations"] = len(report_dict["audit_failures"])
     return result
-
-
-def optimize_trial(trial) -> "TrialResult":
-    """Sweep-registry runner: one :func:`run_optimize_trial` per spec.
-
-    A thin adapter so ``griphon sweep`` can grid over seeds and the
-    ``reoptimize`` axis; imported lazily by the studies registry
-    (see :data:`repro.sweep.studies.STUDIES`).
-    """
-    from repro.sweep.engine import TrialResult
-
-    params = trial.params
-    result = run_optimize_trial(
-        seed=trial.seed,
-        node_count=int(params.get("node_count", DEFAULT_NODE_COUNT)),
-        warm_orders=int(params.get("warm_orders", DEFAULT_WARM_ORDERS)),
-        load_orders=int(params.get("load_orders", DEFAULT_LOAD_ORDERS)),
-        keep_every=int(params.get("keep_every", 3)),
-        reoptimize=bool(params.get("reoptimize", True)),
-        k_paths=int(params.get("k_paths", 4)),
-        max_passes=int(params.get("max_passes", 4)),
-    )
-    values = {
-        key: value
-        for key, value in result.items()
-        if isinstance(value, (int, float, bool))
-    }
-    return TrialResult(values=values, samples={}, metrics={})

@@ -137,28 +137,3 @@ def run_slo_trial(
         "injector_finished": runtime.injector.finished,
         "sim_now": net.sim.now,
     }
-
-
-def slo_trial(trial) -> "TrialResult":
-    """Sweep-registry runner: one :func:`run_slo_trial` per spec.
-
-    A thin adapter so ``griphon sweep`` can grid over seeds and the
-    ``policy_on`` axis; imported lazily by the studies registry (see
-    :data:`repro.sweep.studies.STUDIES`).
-    """
-    from repro.sweep.engine import TrialResult
-
-    params = trial.params
-    result = run_slo_trial(
-        seed=trial.seed,
-        policy_on=bool(params.get("policy_on", True)),
-        horizon_s=float(params.get("horizon_s", DEFAULT_HORIZON_S)),
-        audit_each_action=bool(params.get("audit_each_action", True)),
-        utilization_gate=float(params.get("utilization_gate", 0.80)),
-    )
-    values = {
-        key: value
-        for key, value in result.items()
-        if isinstance(value, (int, float, bool))
-    }
-    return TrialResult(values=values, samples={}, metrics={})

@@ -22,6 +22,7 @@ from repro.sweep.studies import (
     STUDIES,
     availability_trial,
     build_waxman_network,
+    chaos_trial,
     frontend_load_spec,
     frontend_trial,
     optimize_reclaim_spec,
@@ -31,8 +32,10 @@ from repro.sweep.studies import (
     resolve_study,
     scaling_trial,
     scenario_trial,
+    shard_trial,
     slo_chaos_spec,
     slo_trial,
+    table2_trial,
     x10_scaling_spec,
     x9_availability_spec,
 )
@@ -45,6 +48,7 @@ __all__ = [
     "TrialSpec",
     "availability_trial",
     "build_waxman_network",
+    "chaos_trial",
     "frontend_load_spec",
     "frontend_trial",
     "optimize_reclaim_spec",
@@ -57,8 +61,10 @@ __all__ = [
     "scaling_trial",
     "scenario_trial",
     "seed_table",
+    "shard_trial",
     "slo_chaos_spec",
     "slo_trial",
+    "table2_trial",
     "x10_scaling_spec",
     "x9_availability_spec",
 ]

@@ -47,6 +47,9 @@ class TrialResult:
             pooled across trials for sweep-level summaries.
         metrics: A mergeable registry state
             (:meth:`~repro.obs.registry.MetricsRegistry.state`).
+        report: Plain data a ``griphon`` command renders (per-order
+            rows, audit summaries, the full result dict); never
+            aggregated, so it stays out of the sweep JSON.
         error: ``None`` on success, else ``"ExcType: message"``.
     """
 
@@ -57,6 +60,7 @@ class TrialResult:
     values: Dict[str, Any] = field(default_factory=dict)
     samples: Dict[str, List[float]] = field(default_factory=dict)
     metrics: Dict[str, Any] = field(default_factory=dict)
+    report: Dict[str, Any] = field(default_factory=dict)
     error: Optional[str] = None
 
 

@@ -7,9 +7,13 @@ ship to a worker process by reference.  Networks are always built
 *inside* the trial from the spec's parameters and seed.
 
 The module also hosts the study registry used by JSON sweep specs and
-the ``griphon sweep`` CLI, plus factories for the repository's two
-statistical benchmarks (the x9 availability Monte Carlo and the x10
-scaling sweep).
+the ``griphon sweep`` CLI, plus factories for the built-in sweeps.
+Every numeric ``griphon`` command runs one of these trials at ``--seed``
+and renders its :class:`~repro.sweep.engine.TrialResult`; what a command
+prints beyond the aggregated ``values`` travels in the result's
+``report``.  Runners that need :mod:`repro.shard`, :mod:`repro.slo` or
+:mod:`repro.optimize` import them in the body, so importing this module
+stays cheap.
 """
 
 from __future__ import annotations
@@ -17,6 +21,7 @@ from __future__ import annotations
 import statistics
 from typing import Any, Callable, Dict, Mapping, Sequence
 
+from repro.core.admission import CustomerProfile
 from repro.core.connection import ConnectionState
 from repro.errors import ConfigurationError
 from repro.facade import (
@@ -24,14 +29,19 @@ from repro.facade import (
     build_griphon_backbone,
     build_griphon_testbed,
 )
+from repro.faults import DegradationPlan, FaultPlan, FaultSpec, audit_network
 from repro.metrics import downtime_minutes_per_year, measured_availability
+from repro.obs.trace import Span, Tracer
 from repro.scenario import Scenario, run_scenario
+from repro.sim.process import Process
 from repro.sim.randomness import RandomStreams
 from repro.sweep.engine import TrialResult
 from repro.sweep.spec import SweepSpec, TrialSpec
 from repro.topo.builders import attach_premises, install_pop_equipment
 from repro.topo.generator import generate_backbone
-from repro.units import DAY, HOUR
+from repro.topo.hierarchy import build_hierarchy
+from repro.topo.testbed import TABLE2_EXCLUSIONS
+from repro.units import DAY, GBPS, HOUR, gbps
 from repro.workload import FiberCutInjector
 
 
@@ -99,6 +109,15 @@ def nearest_rank_p99(ordered: Sequence[float]) -> float:
     if not ordered:
         return float("nan")
     return ordered[max(0, int(len(ordered) * 0.99) - 1)]
+
+
+def setup_phase_durations(tracer: Tracer, setup: Span) -> Dict[str, float]:
+    """Per-phase seconds of one ``lightpath.setup`` span."""
+    phases: Dict[str, float] = {}
+    for child in tracer.children_of(setup):
+        phase = child.name.split(".", 1)[1]
+        phases[phase] = phases.get(phase, 0.0) + child.duration
+    return phases
 
 
 # -- study runners ----------------------------------------------------------
@@ -265,6 +284,18 @@ def pipeline_trial(trial: TrialSpec) -> TrialResult:
     by_state = {state: 0 for state in TicketState}
     for ticket in tickets:
         by_state[ticket.state] += 1
+    rows = [
+        {
+            "order_id": t.order_id,
+            "premises_a": t.premises_a,
+            "premises_b": t.premises_b,
+            "state": t.state.value,
+            "connection_id": t.connection_id,
+            "rounds_deferred": t.rounds_deferred,
+            "reason": t.reason,
+        }
+        for t in tickets
+    ]
     submitted = len(tickets) or 1
     deferred_rounds = [float(t.rounds_deferred) for t in tickets]
     return TrialResult(
@@ -283,6 +314,10 @@ def pipeline_trial(trial: TrialSpec) -> TrialResult:
         },
         samples={"rounds_deferred": deferred_rounds},
         metrics=net.metrics.state(),
+        report={
+            "counts": {state.value: n for state, n in by_state.items()},
+            "tickets": rows,
+        },
     )
 
 
@@ -327,7 +362,7 @@ def frontend_trial(trial: TrialSpec) -> TrialResult:
         duration=duration,
         rate_choices_gbps=tuple(params.get("rate_choices_gbps", (10.0,))),
     )
-    fleet.start()
+    scheduled = fleet.start()
     net.run()
     state = net.metrics.state()
     counters = state["counters"]
@@ -352,29 +387,255 @@ def frontend_trial(trial: TrialSpec) -> TrialResult:
         },
         samples={"order_to_active_s": latencies},
         metrics=state,
+        report={
+            "scheduled": scheduled,
+            "edge_state": frontend.state,
+            "queue_depth": frontend.queue_depth(),
+            "counters": {
+                name: counters[name]
+                for name in sorted(counters)
+                if name.startswith("frontend.")
+            },
+        },
     )
+
+
+def table2_trial(trial: TrialSpec) -> TrialResult:
+    """Table 2 at one seed: setup seconds per ROADM hop count, by phase.
+
+    For each forced ROADM-I -> ROADM-IV path (1, 2 and 3 hops) a fresh
+    traced testbed claims the route and runs the EMS setup workflow.
+    ``hops{n}_setup_s`` is the ``lightpath.setup`` span's length and
+    ``hops{n}_{phase}_s`` its split by phase (order, fxc, tune, ...).
+    """
+    values: Dict[str, float] = {}
+    for hops, exclusions in TABLE2_EXCLUSIONS.items():
+        net = build_griphon_testbed(seed=trial.seed, tracing=True)
+        plan = net.controller.rwa.plan(
+            "ROADM-I", "ROADM-IV", gbps(10), excluded_links=exclusions
+        )
+        lightpath = net.controller.provisioner.claim(plan)
+        Process(net.sim, net.controller.provisioner.setup_workflow(lightpath))
+        net.run()
+        setup = net.tracer.spans("lightpath.setup")[0]
+        values[f"hops{hops}_setup_s"] = setup.duration
+        for phase, secs in setup_phase_durations(net.tracer, setup).items():
+            values[f"hops{hops}_{phase}_s"] = secs
+    return TrialResult(values=values)
+
+
+def chaos_trial(trial: TrialSpec) -> TrialResult:
+    """EMS fault injection over a batch of testbed orders, then leak audits.
+
+    ``orders`` orders cycle the three premises pairs at 10 / 12 / 1 Gbps
+    under ``plan`` (a :class:`~repro.faults.FaultPlan` dict) or, without
+    one, one rule per name in ``modes`` (comma-separated) at probability
+    ``rate``.  The network is audited once the orders settle and again
+    after every live connection is torn down; a clean run leaves no
+    residue.
+    """
+    params = trial.params
+    if params.get("plan") is not None:
+        plan = FaultPlan.from_dict(params["plan"])
+    else:
+        plan = FaultPlan()
+        for mode in str(params.get("modes", "transient,timeout")).split(","):
+            plan.add(FaultSpec(mode=mode.strip(),
+                               probability=float(params.get("rate", 0.15))))
+    net = build_griphon_testbed(seed=trial.seed, fault_plan=plan)
+    service = net.service_for("csp")
+    pairs = [
+        ("PREMISES-A", "PREMISES-B"),
+        ("PREMISES-A", "PREMISES-C"),
+        ("PREMISES-B", "PREMISES-C"),
+    ]
+    rates = (10, 12, 1)
+    connections = []
+    for index in range(int(params.get("orders", 9))):
+        a, b = pairs[index % len(pairs)]
+        connections.append(
+            service.request_connection(a, b, rates[index % len(rates)])
+        )
+    net.run()
+    rows = []
+    for conn in connections:
+        outcome = service.setup_outcome(conn.connection_id)
+        rows.append({
+            "connection_id": conn.connection_id,
+            "state": conn.state.value,
+            "outcome": None if outcome is None else f"{outcome}",
+        })
+    counters = net.metrics.counters()
+    plan_repr = repr(plan)
+    mid_report = audit_network(net.controller)
+    # Tear everything down; a clean network must audit with zero residue.
+    for conn in connections:
+        if conn.state.value in ("up", "degraded", "failed", "restoring"):
+            service.teardown_connection(conn.connection_id)
+    net.run()
+    final_report = audit_network(net.controller)
+    violations = [str(v) for v in mid_report.violations + final_report.violations]
+    return TrialResult(
+        values={
+            "orders": len(connections),
+            "up": sum(row["state"] == "up" for row in rows),
+            "injected": sum(plan.injected_counts),
+            "mid_audit_ok": mid_report.ok,
+            "final_audit_ok": final_report.ok,
+            "violations": len(violations),
+        },
+        metrics=net.metrics.state(),
+        report={
+            "plan": plan_repr,
+            "connections": rows,
+            "counters": {
+                name: counters[name]
+                for name in sorted(counters)
+                if name.startswith(("ems.retry", "ems.breaker", "faults."))
+            },
+            "mid_audit": mid_report.summary(),
+            "final_audit": final_report.summary(),
+            "violations": violations,
+            "states": {c.connection_id: c.state.value for c in connections},
+            "injected": plan.injected_counts,
+        },
+    )
+
+
+def shard_trial(trial: TrialSpec) -> TrialResult:
+    """Cross-region orders on the sharded continental network.
+
+    Builds a ``regions`` x ``pops`` hierarchy and places ``orders``
+    region-crossing 10G orders under ``mode``: ``sharded``,
+    ``monolithic`` or ``both``, which runs the two deployments and
+    compares their outcome fingerprints.  Every unit is audited after
+    each run.
+    """
+    from repro.fingerprint import outcome_fingerprint
+    from repro.shard import build_sharded_network
+
+    params = trial.params
+    mode = params.get("mode", "sharded")
+    hierarchy = build_hierarchy(
+        seed=trial.seed,
+        regions=int(params.get("regions", 4)),
+        pops_per_region=int(params.get("pops", 8)),
+        with_premises=True,
+    )
+    region_names = sorted(hierarchy.regions)
+    requests = []
+    for index in range(int(params.get("orders", 6))):
+        info_a = hierarchy.regions[region_names[index % len(region_names)]]
+        info_b = hierarchy.regions[
+            region_names[(index + 1) % len(region_names)]
+        ]
+        a = info_a.premises[index % len(info_a.premises)]
+        b = info_b.premises[(index * 3 + 1) % len(info_b.premises)]
+        requests.append(("csp", a, b, 10 * GBPS))
+    modes = ("sharded", "monolithic") if mode == "both" else (mode,)
+    values: Dict[str, Any] = {}
+    report: Dict[str, Any] = {}
+    for name in modes:
+        net = build_sharded_network(seed=trial.seed, mode=name,
+                                    hierarchy=hierarchy)
+        net.register_customer(
+            CustomerProfile(
+                "csp", max_connections=4096, max_total_rate_bps=10000000 * GBPS
+            )
+        )
+        orders = net.place_orders(requests)
+        net.run()
+        audits = net.audit_shards()
+        report[name] = {
+            "orders": [
+                {
+                    "order_id": o.order_id,
+                    "premises_a": o.premises_a,
+                    "premises_b": o.premises_b,
+                    "state": o.state.value,
+                    "units": [record["unit"] for record in o.plan_record],
+                    "blocked_reason": o.blocked_reason,
+                }
+                for o in orders
+            ],
+            "audits": {unit: audits[unit].summary() for unit in sorted(audits)},
+            "audits_ok": all(audit.ok for audit in audits.values()),
+            "fingerprint": outcome_fingerprint(orders),
+        }
+        for state in ("up", "blocked"):
+            values[f"{name}_{state}"] = sum(
+                o.state.value == state for o in orders
+            )
+    values["fingerprints_match"] = (
+        len({run["fingerprint"] for run in report.values()}) == 1
+    )
+    values["audits_ok"] = all(run["audits_ok"] for run in report.values())
+    return TrialResult(values=values, report=report)
+
+
+def _flat_values(result: Mapping[str, Any]) -> Dict[str, Any]:
+    """The scalar entries of a runner's result dict, for aggregation."""
+    return {
+        key: value
+        for key, value in result.items()
+        if isinstance(value, (int, float, bool))
+    }
 
 
 def slo_trial(trial: TrialSpec) -> TrialResult:
     """One gray-failure remediation trial (see :mod:`repro.slo.bench`).
 
-    A module-level proxy so the registry entry pickles by reference
-    and :mod:`repro.slo.bench` loads only when a trial runs.
+    ``plan`` (a :class:`~repro.faults.DegradationPlan` dict) replaces the
+    stock scenario and ``policies`` (a list of
+    :class:`~repro.slo.SloPolicy` dicts) the stock policy set.  The
+    report is :func:`~repro.slo.bench.run_slo_trial`'s full result.
     """
-    from repro.slo.bench import slo_trial as run_trial
+    from repro.slo import SloPolicy
+    from repro.slo.bench import DEFAULT_HORIZON_S, run_slo_trial
 
-    return run_trial(trial)
+    params = trial.params
+    plan = params.get("plan")
+    policies = params.get("policies")
+    result = run_slo_trial(
+        seed=trial.seed,
+        policy_on=bool(params.get("policy_on", True)),
+        plan=None if plan is None else DegradationPlan.from_dict(plan),
+        horizon_s=float(params.get("horizon_s", DEFAULT_HORIZON_S)),
+        audit_each_action=bool(params.get("audit_each_action", True)),
+        utilization_gate=float(params.get("utilization_gate", 0.80)),
+        policies=(
+            None if policies is None
+            else tuple(SloPolicy.from_dict(entry) for entry in policies)
+        ),
+    )
+    return TrialResult(values=_flat_values(result), report=result)
 
 
 def optimize_trial(trial: TrialSpec) -> TrialResult:
     """One re-optimization trial (see :mod:`repro.optimize.bench`).
 
-    A module-level proxy so the registry entry pickles by reference,
-    mirroring :func:`slo_trial`.
+    The report is :func:`~repro.optimize.bench.run_optimize_trial`'s
+    full result.
     """
-    from repro.optimize.bench import optimize_trial as run_trial
+    from repro.optimize.bench import (
+        DEFAULT_LOAD_ORDERS,
+        DEFAULT_NODE_COUNT,
+        DEFAULT_WARM_ORDERS,
+        run_optimize_trial,
+    )
 
-    return run_trial(trial)
+    params = trial.params
+    result = run_optimize_trial(
+        seed=trial.seed,
+        node_count=int(params.get("node_count", DEFAULT_NODE_COUNT)),
+        warm_orders=int(params.get("warm_orders", DEFAULT_WARM_ORDERS)),
+        load_orders=int(params.get("load_orders", DEFAULT_LOAD_ORDERS)),
+        keep_every=int(params.get("keep_every", 3)),
+        reoptimize=bool(params.get("reoptimize", True)),
+        k_paths=int(params.get("k_paths", 4)),
+        max_passes=int(params.get("max_passes", 4)),
+    )
+    return TrialResult(values=_flat_values(result), report=result)
 
 
 #: Study registry for JSON specs and the CLI.
@@ -386,6 +647,9 @@ STUDIES: Dict[str, Callable[[TrialSpec], TrialResult]] = {
     "frontend": frontend_trial,
     "slo": slo_trial,
     "optimize": optimize_trial,
+    "table2": table2_trial,
+    "chaos": chaos_trial,
+    "shard": shard_trial,
 }
 
 

@@ -18,12 +18,24 @@ PoPs colocated with ROADM-I, ROADM-III, and ROADM-IV.
 
 from __future__ import annotations
 
-from typing import Dict
+from typing import Dict, List, Tuple
 
 from repro.topo.graph import Link, NetworkGraph, Node
 
 #: Names of the four ROADM nodes in the Fig. 4 testbed.
 TESTBED_ROADMS = ("ROADM-I", "ROADM-II", "ROADM-III", "ROADM-IV")
+
+#: Link exclusions that force each Table 2 path (ROADM-I -> ROADM-IV,
+#: by hop count) on the testbed.
+TABLE2_EXCLUSIONS: Dict[int, List[Tuple[str, str]]] = {
+    1: [],
+    2: [("ROADM-I", "ROADM-IV")],
+    3: [("ROADM-I", "ROADM-IV"), ("ROADM-I", "ROADM-III")],
+}
+
+#: Table 2 of the paper: mean wavelength-connection establishment time
+#: (seconds) by ROADM-layer path length, over ten iterations.
+PAPER_TABLE2 = {1: 62.48, 2: 65.67, 3: 70.94}
 
 #: Customer premises name -> the core-PoP ROADM its access pipe lands on.
 TESTBED_PREMISES: Dict[str, str] = {

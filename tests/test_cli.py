@@ -211,3 +211,55 @@ class TestSloCommand:
         assert from_file["violation_minutes"] != default["violation_minutes"]
         direct = run_slo_trial(seed=0, policies=(policy,))
         assert from_file == json.loads(json.dumps(direct))
+
+
+class TestBadInput:
+    """Bad input gets a one-line error and exit 2, never a traceback."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["table2", "--iterations", "0"],
+            ["trace", "--iterations", "-1"],
+            ["sweep", "x9", "--jobs", "0"],
+            ["sweep", "x9", "--repeats", "0"],
+            ["serve", "--tenants", "0"],
+            ["chaos", "--orders", "0"],
+            ["pipeline", "--round-size", "0"],
+            ["shard", "--regions", "0"],
+            ["optimize", "--nodes", "0"],
+        ],
+    )
+    def test_counts_below_one_are_refused_by_the_parser(self, capsys, argv):
+        with pytest.raises(SystemExit) as refusal:
+            build_parser().parse_args(argv)
+        assert refusal.value.code == 2
+        assert "must be at least 1" in capsys.readouterr().err
+
+    def test_unknown_sweep_study_names_the_known_ones(self, capsys, tmp_path):
+        assert main(["sweep", str(tmp_path / "nosuch")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("griphon: error: unknown study")
+        assert "x9" in err and "optimize" in err
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["chaos", "--modes", "bogus"], "unknown fault mode 'bogus'"),
+            (["serve", "--rate", "0"], "arrival_rate must be > 0"),
+            (["chaos", "--plan", "{missing}"], "cannot read {missing}"),
+            (["sweep", "{malformed}"], "cannot read {malformed}"),
+        ],
+    )
+    def test_configuration_errors_are_reported(
+        self, capsys, tmp_path, argv, message
+    ):
+        files = {"missing": tmp_path / "none.json",
+                 "malformed": tmp_path / "bad.json"}
+        files["malformed"].write_text("{bad")
+        argv = [arg.format(**files) for arg in argv]
+        message = message.format(**files)
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"griphon: error: {message}")
+        assert err.count("\n") == 1

@@ -20,9 +20,10 @@ import json
 import statistics
 from pathlib import Path
 
-from repro.cli import _TABLE2_EXCLUSIONS, _setup_phase_durations
 from repro.facade import build_griphon_testbed
 from repro.sim.process import Process
+from repro.sweep.studies import setup_phase_durations as _setup_phase_durations
+from repro.topo.testbed import TABLE2_EXCLUSIONS as _TABLE2_EXCLUSIONS
 from repro.units import gbps
 
 GOLDEN_PATH = Path(__file__).parent / "golden" / "table2_trace.json"

@@ -1,6 +1,9 @@
 """Tests for the scale-out sweep engine: specs, workers, determinism."""
 
 import json
+import os
+import subprocess
+import sys
 import time
 
 import pytest
@@ -321,3 +324,41 @@ class TestRunSweep:
         parallel = run_sweep(spec, jobs=4)
         assert not serial.failed and not parallel.failed
         assert serial.to_json() == parallel.to_json()
+
+    @pytest.mark.parametrize(
+        "study, fixed",
+        [
+            ("table2", {}),
+            ("chaos", {"orders": 3, "rate": 0.3}),
+            ("shard", {"regions": 2, "pops": 6, "orders": 2, "mode": "both"}),
+        ],
+    )
+    def test_command_study_parallel_matches_serial(self, study, fixed):
+        """The studies behind ``table2``, ``chaos`` and ``shard`` sweep
+        byte-identically at jobs=1 and jobs=2."""
+        spec = SweepSpec.from_dict(
+            {"name": study, "study": study, "fixed": fixed, "repeats": 2,
+             "base_seed": 7}
+        )
+        serial = run_sweep(spec, jobs=1)
+        parallel = run_sweep(spec, jobs=2)
+        assert not serial.failed, serial.failed[0].error
+        assert serial.to_json() == parallel.to_json()
+
+
+def test_importing_studies_loads_no_shard_slo_or_optimize_package():
+    """``repro.sweep.studies`` stays cheap to import (``bench`` imports it
+    for ``build_waxman_network``): runners that need the shard, slo or
+    optimize packages import them when a trial runs."""
+    import repro
+
+    src = os.path.dirname(os.path.dirname(repro.__file__))
+    probe = (
+        "import sys, repro.sweep.studies; print(sorted(m for m in sys.modules "
+        "if m.startswith(('repro.shard', 'repro.slo', 'repro.optimize'))))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True,
+        check=True, env=dict(os.environ, PYTHONPATH=src),
+    )
+    assert out.stdout.strip() == "[]"

@@ -51,7 +51,6 @@ from repro.ems.roadm_ems import RoadmEms
 from repro.iplayer.network import IpLayer
 from repro.obs.registry import MetricsRegistry
 from repro.obs.trace import Span, Tracer
-from repro.optical.impairments import ReachModel
 from repro.optical.lightpath import Lightpath, LightpathState
 from repro.optical.osnr import OsnrModel
 from repro.otn.circuit import OduCircuitState
@@ -98,15 +97,12 @@ class GriphonController:
         inventory: InventoryDatabase,
         streams: RandomStreams,
         latency: Optional[LatencyModel] = None,
-        reach: Optional[ReachModel] = None,
         parallel_ems: bool = False,
         k_paths: int = 4,
-        assignment: str = "first-fit",
         auto_restore: bool = True,
         tracer: Optional[Tracer] = None,
         metrics: Optional[MetricsRegistry] = None,
         fault_plan: Optional[FaultPlan] = None,
-        retry_policy: Optional[RetryPolicy] = None,
         osnr_model: Optional[OsnrModel] = None,
     ) -> None:
         self.sim = sim
@@ -134,18 +130,13 @@ class GriphonController:
         self.fault_plan = plan.bind(streams)
         self.resilience = ResilientExecutor(
             self.fault_plan,
-            retry_policy if retry_policy is not None else RetryPolicy(),
+            RetryPolicy(),
             streams=streams.spawn("resilient"),
             clock=sim.time_source(),
             metrics=self.metrics,
         )
         self.rwa = RwaEngine(
-            inventory,
-            reach=reach,
-            k_paths=k_paths,
-            assignment=assignment,
-            streams=streams,
-            tracer=self.tracer,
+            inventory, k_paths=k_paths, streams=streams, tracer=self.tracer
         )
         #: Alias of ``rwa``, kept while ``bench/`` is frozen:
         #: ``bench/workloads.py`` reads ``planning.route_cache_stats()``.
@@ -498,12 +489,8 @@ class GriphonController:
     # -- workflows -------------------------------------------------------------------
 
     def _setup_workflow(
-        self, connection, lightpaths, circuits, line_lightpaths, span=None
+        self, connection, lightpaths, circuits, line_lightpaths, span
     ):
-        if span is None:
-            span = self.tracer.span(
-                "connection.request", connection=connection.connection_id
-            )
         connection.transition(ConnectionState.SETTING_UP)
         aborted_lightpaths: List[Lightpath] = []
         failed_circuits: List[Tuple] = []
@@ -1293,11 +1280,7 @@ class GriphonController:
             label=f"restore:{conn_id}",
         )
 
-    def _restoration_workflow(self, connection, replacement, span=None):
-        if span is None:
-            span = self.tracer.span(
-                "restoration", connection=connection.connection_id
-            )
+    def _restoration_workflow(self, connection, replacement, span):
         conn_id = connection.connection_id
         started = self.sim.now
         yield from self.provisioner.setup_workflow(

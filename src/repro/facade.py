@@ -21,7 +21,6 @@ from repro.core.service import BodService
 from repro.ems.latency import LatencyModel
 from repro.errors import ConfigurationError
 from repro.faults.plan import DegradationPlan, FaultPlan
-from repro.faults.resilient import RetryPolicy
 from repro.iplayer.network import IpLayer
 from repro.obs.registry import MetricsRegistry
 from repro.obs.trace import Tracer
@@ -63,11 +62,9 @@ class GriphonNetwork:
         grid_size: int = 80,
         latency_cv: Optional[float] = None,
         parallel_ems: bool = False,
-        assignment: str = "first-fit",
         auto_restore: bool = True,
         tracing: bool = False,
         fault_plan: Optional[FaultPlan] = None,
-        retry_policy: Optional[RetryPolicy] = None,
         osnr_model: Optional[OsnrModel] = None,
     ) -> None:
         self.sim = Simulator()
@@ -82,10 +79,8 @@ class GriphonNetwork:
         self.sim.attach_tracer(self.tracer)
         self._controller_kwargs = dict(
             parallel_ems=parallel_ems,
-            assignment=assignment,
             auto_restore=auto_restore,
             fault_plan=fault_plan,
-            retry_policy=retry_policy,
             osnr_model=osnr_model,
         )
         self.controller: Optional[GriphonController] = None
@@ -194,12 +189,8 @@ class GriphonNetwork:
         self,
         plan: Optional[DegradationPlan] = None,
         policies: Iterable = (),
-        sample_interval_s: float = 15.0,
-        tick_s: float = 30.0,
         horizon_s: Optional[float] = None,
-        violation_threshold_db: float = 0.0,
         audit_each_action: bool = False,
-        defer_horizon_s: float = 4 * 3600.0,
         utilization_gate: float = 0.80,
     ):
         """Attach gray-failure injection and SLA-aware remediation.
@@ -218,15 +209,10 @@ class GriphonNetwork:
             plan: Seeded degradation plan to replay (default empty).
             policies: Declarative :class:`~repro.slo.monitor.SloPolicy`
                 objects; see :func:`~repro.slo.monitor.default_policies`.
-            sample_interval_s: Monitor sampling cadence, sim seconds.
-            tick_s: Injector tick, sim seconds.
             horizon_s: When the monitor stops; defaults to the plan
                 horizon plus a 900 s settle tail.
-            violation_threshold_db: Margin below which SLA-violation
-                minutes accrue.
             audit_each_action: Run the invariant auditor after every
                 engine action (the chaos-test oracle).
-            defer_horizon_s: Look-ahead for maintenance-window deferral.
             utilization_gate: Reroute only onto paths whose post-claim
                 per-link utilization stays below this fraction.
 
@@ -250,20 +236,13 @@ class GriphonNetwork:
         stop_at = (
             horizon_s if horizon_s is not None else plan.horizon_s + 900.0
         )
-        injector = DegradationInjector(self.controller, plan, tick_s=tick_s)
-        monitor = SlaMonitor(
-            self.controller,
-            policies=policies,
-            sample_interval_s=sample_interval_s,
-            stop_at=stop_at,
-            violation_threshold_db=violation_threshold_db,
-        )
+        injector = DegradationInjector(self.controller, plan)
+        monitor = SlaMonitor(self.controller, policies=policies, stop_at=stop_at)
         engine = RemediationEngine(
             self.controller,
             monitor,
             maintenance=self.maintenance,
             utilization_gate=utilization_gate,
-            defer_horizon_s=defer_horizon_s,
             audit_each_action=audit_each_action,
         )
         injector.start()
@@ -318,16 +297,12 @@ def build_griphon_testbed(
     with_ip: bool = True,
     latency_cv: Optional[float] = None,
     parallel_ems: bool = False,
-    assignment: str = "first-fit",
     auto_restore: bool = True,
     tracing: bool = False,
     ots_per_node_10g: int = 8,
-    ots_per_node_40g: int = 2,
     nte_interfaces: int = 4,
     grid_size: int = 80,
     fault_plan: Optional[FaultPlan] = None,
-    retry_policy: Optional[RetryPolicy] = None,
-    osnr_model: Optional[OsnrModel] = None,
 ) -> GriphonNetwork:
     """Build the paper's Fig. 4 laboratory testbed.
 
@@ -343,18 +318,15 @@ def build_griphon_testbed(
         grid_size=grid_size,
         latency_cv=latency_cv,
         parallel_ems=parallel_ems,
-        assignment=assignment,
         auto_restore=auto_restore,
         tracing=tracing,
         fault_plan=fault_plan,
-        retry_policy=retry_policy,
-        osnr_model=osnr_model,
     )
     inv = net.inventory
     for node in TESTBED_ROADMS:
         inv.install_roadm(node, add_drop_ports=16)
         inv.install_transponders(node, 10 * GBPS, ots_per_node_10g)
-        inv.install_transponders(node, 40 * GBPS, ots_per_node_40g)
+        inv.install_transponders(node, 40 * GBPS, 2)
         inv.install_regens(node, 10 * GBPS, 2)
         inv.install_fxc(node, port_count=32)
         if with_otn:
@@ -371,32 +343,16 @@ def build_griphon_testbed(
 
 def build_griphon_backbone(
     seed: int = 0,
-    with_otn: bool = True,
-    with_ip: bool = True,
     latency_cv: Optional[float] = None,
-    parallel_ems: bool = False,
-    assignment: str = "first-fit",
     auto_restore: bool = True,
-    tracing: bool = False,
-    ots_per_node_10g: int = 12,
-    ots_per_node_40g: int = 6,
-    regens_per_hub: int = 6,
-    fault_plan: Optional[FaultPlan] = None,
-    retry_policy: Optional[RetryPolicy] = None,
     osnr_model: Optional[OsnrModel] = None,
 ) -> GriphonNetwork:
     """Build the synthetic 12-city backbone with five data centers."""
     net = GriphonNetwork(
         build_backbone_graph(),
         seed=seed,
-        grid_size=80,
         latency_cv=latency_cv,
-        parallel_ems=parallel_ems,
-        assignment=assignment,
         auto_restore=auto_restore,
-        tracing=tracing,
-        fault_plan=fault_plan,
-        retry_policy=retry_policy,
         osnr_model=osnr_model,
     )
     inv = net.inventory
@@ -405,18 +361,16 @@ def build_griphon_backbone(
 
     for city in BACKBONE_CITIES:
         inv.install_roadm(city, add_drop_ports=24)
-        inv.install_transponders(city, 10 * GBPS, ots_per_node_10g)
-        inv.install_transponders(city, 40 * GBPS, ots_per_node_40g)
-        regen_count = regens_per_hub if city in hubs else 2
+        inv.install_transponders(city, 10 * GBPS, 12)
+        inv.install_transponders(city, 40 * GBPS, 6)
+        regen_count = 6 if city in hubs else 2
         inv.install_regens(city, 10 * GBPS, regen_count)
         inv.install_regens(city, 40 * GBPS, regen_count)
         inv.install_fxc(city, port_count=64)
-        if with_otn:
-            inv.install_otn_switch(city, client_ports=64)
+        inv.install_otn_switch(city, client_ports=64)
     for dc, pop in BACKBONE_DATA_CENTERS.items():
         inv.install_nte(dc, pop, interface_rate_bps=10 * GBPS, interface_count=8)
         inv.install_fxc(dc, port_count=16)
     net.finish_build()
-    if with_ip:
-        _attach_ip_layer(net)
+    _attach_ip_layer(net)
     return net

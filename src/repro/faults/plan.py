@@ -29,6 +29,16 @@ from repro.sim.randomness import RandomStreams
 FAULT_MODES = ("transient", "timeout", "stuck", "fail")
 
 
+def _reject_unknown_keys(kind: str, data: Dict[str, Any], known) -> None:
+    """Raise on keys of ``kind``'s plain-dict form it does not have, so
+    a misspelled key fails loudly instead of meaning its default."""
+    extra = set(data) - set(known)
+    if extra:
+        raise ConfigurationError(
+            f"unknown {kind} keys: {', '.join(sorted(extra))}"
+        )
+
+
 @dataclass(frozen=True)
 class FaultSpec:
     """One fault-injection rule.
@@ -111,15 +121,10 @@ class FaultSpec:
     @classmethod
     def from_dict(cls, data: Dict[str, Any]) -> "FaultSpec":
         """Build a spec from its plain-dict form; unknown keys raise."""
-        known = {
+        _reject_unknown_keys("FaultSpec", data, (
             "ems", "element", "command", "mode", "probability",
             "count", "after_s", "until_s", "error_after_s",
-        }
-        extra = set(data) - known
-        if extra:
-            raise ConfigurationError(
-                f"unknown FaultSpec keys: {', '.join(sorted(extra))}"
-            )
+        ))
         return cls(**data)
 
 
@@ -225,7 +230,8 @@ class FaultPlan:
 
     @classmethod
     def from_dict(cls, data: Dict[str, Any]) -> "FaultPlan":
-        """Build a plan from its plain-dict form."""
+        """Build a plan from its plain-dict form; unknown keys raise."""
+        _reject_unknown_keys("FaultPlan", data, ("specs",))
         specs = [FaultSpec.from_dict(item) for item in data.get("specs", [])]
         return cls(specs)
 
@@ -335,15 +341,10 @@ class DegradationSpec:
     @classmethod
     def from_dict(cls, data: Dict[str, Any]) -> "DegradationSpec":
         """Build a spec from its plain-dict form; unknown keys raise."""
-        known = {
+        _reject_unknown_keys("DegradationSpec", data, (
             "link", "mode", "start_s", "duration_s", "magnitude_db",
             "period_s", "rate_db_per_hour", "jitter_db",
-        }
-        extra = set(data) - known
-        if extra:
-            raise ConfigurationError(
-                f"unknown DegradationSpec keys: {', '.join(sorted(extra))}"
-            )
+        ))
         return cls(**data)
 
 
@@ -409,7 +410,8 @@ class DegradationPlan:
 
     @classmethod
     def from_dict(cls, data: Dict[str, Any]) -> "DegradationPlan":
-        """Build a plan from its plain-dict form."""
+        """Build a plan from its plain-dict form; unknown keys raise."""
+        _reject_unknown_keys("DegradationPlan", data, ("degradations",))
         specs = [
             DegradationSpec.from_dict(item)
             for item in data.get("degradations", [])

@@ -158,7 +158,6 @@ def run_optimize_trial(
     reoptimize: bool = True,
     k_paths: int = 4,
     max_passes: int = 4,
-    audit_each_move: bool = True,
 ) -> Dict[str, Any]:
     """One fragment → (maybe re-optimize) → load-ramp trial; flat dict.
 
@@ -179,10 +178,7 @@ def run_optimize_trial(
     report_dict: Optional[Dict[str, Any]] = None
     if reoptimize:
         optimizer = Reoptimizer(
-            net.controller,
-            k_paths=k_paths,
-            max_passes=max_passes,
-            audit_each_move=audit_each_move,
+            net.controller, k_paths=k_paths, max_passes=max_passes
         )
         done: Dict[str, Any] = {}
 

@@ -13,7 +13,7 @@ Safety layers, in order of engagement:
   must still equal ``move.old_*``; anything else (re-groomed, repaired,
   torn down since the snapshot) skips the move as ``stale``.
 * **Migration lock** — every roll is a ``controller.migrations.move``
-  under this run's holder tag, so no other migration driver
+  under the ``"optimize"`` holder tag, so no other migration driver
   (maintenance, re-grooming, SLO remediation) can race the executor on
   the same connection; a refusal's own message (the other holder, a
   blocked plan) becomes the move's ``detail``.
@@ -120,16 +120,8 @@ class MigrationReport:
 class MigrationExecutor:
     """Runs a :class:`MigrationPlan` move by move on the live network."""
 
-    def __init__(
-        self,
-        controller,
-        holder: str = "optimize",
-        audit_each_move: bool = True,
-        rollback_on_failure: bool = True,
-    ) -> None:
+    def __init__(self, controller, rollback_on_failure: bool = True) -> None:
         self._controller = controller
-        self._holder = holder
-        self._audit_each_move = audit_each_move
         self._rollback_on_failure = rollback_on_failure
 
     # -- public API --------------------------------------------------------
@@ -161,8 +153,6 @@ class _ExecutionRun:
         on_done: Optional[Callable[[MigrationReport], None]],
     ) -> None:
         self.controller = executor._controller
-        self.holder = executor._holder
-        self.audit_each_move = executor._audit_each_move
         self.rollback_on_failure = executor._rollback_on_failure
         self.plan = plan
         self.report = MigrationReport()
@@ -201,7 +191,7 @@ class _ExecutionRun:
             )
             controller.migrations.move(
                 move.connection_id,
-                self.holder,
+                "optimize",
                 plan=explicit,
                 on_settled=lambda roll: self._settled(move, roll),
             )
@@ -216,8 +206,6 @@ class _ExecutionRun:
 
     def _audit(self) -> bool:
         """Run the invariant auditor; record violations.  True if clean."""
-        if not self.audit_each_move:
-            return True
         audit = audit_network(self.controller)
         if not audit.ok:
             self.report.audit_failures.extend(

@@ -1,8 +1,8 @@
 """The re-optimization control loop: snapshot -> plan -> execute.
 
 One :class:`Reoptimizer` per network ties the layers together and adds
-the operational glue: SLO-aware link penalties (the PR 9 breach stream
-feeding the planner's objective) and metrics.  Cycles run on demand
+the operational glue: link penalties for gray-degraded links in the
+planner's objective, and metrics.  Cycles run on demand
 (:meth:`Reoptimizer.run_cycle`).
 """
 
@@ -22,47 +22,27 @@ from repro.optimize.snapshot import NetworkSnapshot
 class Reoptimizer:
     """Global re-optimization driver for one controller.
 
+    Gray-degraded links are cost-penalized so the planner migrates
+    traffic away from them; every executed move is audited.
+
     Args:
         controller: The network's :class:`GriphonController`.
-        slo_engine: Optional SLO remediation engine; when present, links
-            it is actively remediating around (and gray-degraded links)
-            are cost-penalized so the planner migrates traffic away.
-        k_paths / max_passes / min_gain / channel_weight / max_moves:
-            Planner knobs, see :func:`plan_migrations`.
-        holder: Migration-lock holder tag for executed moves.
-        audit_each_move: Run the invariant auditor after every move.
+        k_paths / max_passes: Planner knobs, see :func:`plan_migrations`.
     """
 
     def __init__(
-        self,
-        controller,
-        slo_engine=None,
-        k_paths: int = 4,
-        max_passes: int = 4,
-        min_gain: float = 1e-6,
-        channel_weight: float = 0.005,
-        max_moves: Optional[int] = None,
-        holder: str = "optimize",
-        audit_each_move: bool = True,
+        self, controller, k_paths: int = 4, max_passes: int = 4
     ) -> None:
         self._controller = controller
-        self._slo_engine = slo_engine
         self._k_paths = k_paths
         self._max_passes = max_passes
-        self._min_gain = min_gain
-        self._channel_weight = channel_weight
-        self._max_moves = max_moves
-        self._executor = MigrationExecutor(
-            controller, holder=holder, audit_each_move=audit_each_move
-        )
+        self._executor = MigrationExecutor(controller)
 
     # -- one-shot layers ---------------------------------------------------
 
     def snapshot(self) -> NetworkSnapshot:
         """Freeze the network now, with SLO penalties folded in."""
-        penalties = slo_link_penalties(
-            self._controller, engine=self._slo_engine
-        )
+        penalties = slo_link_penalties(self._controller)
         return NetworkSnapshot.from_controller(
             self._controller, link_penalties=penalties
         )
@@ -74,12 +54,7 @@ class Reoptimizer:
         if snapshot is None:
             snapshot = self.snapshot()
         return plan_migrations(
-            snapshot,
-            k_paths=self._k_paths,
-            max_passes=self._max_passes,
-            min_gain=self._min_gain,
-            channel_weight=self._channel_weight,
-            max_moves=self._max_moves,
+            snapshot, k_paths=self._k_paths, max_passes=self._max_passes
         )
 
     def execute(

@@ -111,7 +111,7 @@ from repro.shard.workers import ShardWorkerPool, UnitRecipe, round_items, round_
 from repro.sim.kernel import Simulator
 from repro.sim.process import Process
 from repro.sim.randomness import RandomStreams
-from repro.topo.hierarchy import EXPRESS, Hierarchy, build_hierarchy
+from repro.topo.hierarchy import EXPRESS, PREMISES_PREFIX, Hierarchy, build_hierarchy
 from repro.units import GBPS
 
 #: The monolithic twin's one controller: its label, its audit /
@@ -309,7 +309,6 @@ class ShardedNetwork:
         self.observers: List[Callable[[str, dict], None]] = []
         self._order_seq = itertools.count()
         self._streams = RandomStreams(seed)
-        self._prefix = hierarchy.params.get("premises_prefix", "DC-")
         fault_plans = fault_plans or {}
         units = {
             unit: hierarchy.express_graph() if unit == EXPRESS
@@ -488,7 +487,7 @@ class ShardedNetwork:
         for node in graph.nodes:
             if node.kind != "premises":
                 continue
-            pop = node.name[len(self._prefix):]
+            pop = node.name[len(PREMISES_PREFIX):]
             inventory.install_nte(
                 node.name, pop, interface_rate_bps=10 * GBPS,
                 interface_count=8,
@@ -779,9 +778,9 @@ class ShardedNetwork:
 
     def _pop_of(self, premises: str) -> str:
         """The PoP a premises hangs off (pure naming, mode-independent)."""
-        if not premises.startswith(self._prefix):
+        if not premises.startswith(PREMISES_PREFIX):
             raise ConfigurationError(f"unknown premises {premises!r}")
-        return premises[len(self._prefix):]
+        return premises[len(PREMISES_PREFIX):]
 
     def _block(self, order: ShardOrder, exc: Exception) -> None:
         order.transition(ConnectionState.BLOCKED)
@@ -975,12 +974,9 @@ def build_sharded_network(
     seed: int = 0,
     regions: int = 4,
     pops_per_region: int = 8,
-    gateways_per_region: int = 2,
     mode: str = "sharded",
     transponders_10g: int = 8,
     regens_10g: int = 4,
-    grid_size: int = 80,
-    k_paths: int = 4,
     fault_plans: Optional[Dict[str, FaultPlan]] = None,
     hierarchy: Optional[Hierarchy] = None,
     backend: str = "inprocess",
@@ -1000,7 +996,6 @@ def build_sharded_network(
             seed,
             regions=regions,
             pops_per_region=pops_per_region,
-            gateways_per_region=gateways_per_region,
             with_premises=True,
         )
     return ShardedNetwork(
@@ -1009,8 +1004,6 @@ def build_sharded_network(
         seed=seed,
         transponders_10g=transponders_10g,
         regens_10g=regens_10g,
-        grid_size=grid_size,
-        k_paths=k_paths,
         fault_plans=fault_plans,
         backend=backend,
         pool=pool,

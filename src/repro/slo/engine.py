@@ -6,8 +6,8 @@ breach from the :class:`~repro.slo.monitor.SlaMonitor` the engine:
 1. **localizes impact** — the degraded links on the connection's
    current path (gray failures never trip the hard-fault localizer);
 2. **defers** when the maintenance calendar already has a window
-   covering an impacted link within the defer horizon — the scheduled
-   migration will move the traffic anyway;
+   covering an impacted link within :data:`DEFER_HORIZON_S` — the
+   scheduled migration will move the traffic anyway;
 3. **reroutes** via bridge-and-roll around the impacted links, but only
    when *every* link of the alternate path would stay under the
    utilization gate (<80% by default) after taking the new channel; the
@@ -38,6 +38,9 @@ from repro.errors import GriphonError
 from repro.faults.audit import AuditReport, audit_network
 from repro.slo.monitor import SlaMonitor, SloPolicy
 
+#: A maintenance window opening within this many sim seconds defers a reroute.
+DEFER_HORIZON_S = 4 * 3600.0
+
 
 @dataclass(frozen=True)
 class RemediationRecord:
@@ -63,14 +66,12 @@ class RemediationEngine:
         monitor: SlaMonitor,
         maintenance=None,
         utilization_gate: float = 0.80,
-        defer_horizon_s: float = 4 * 3600.0,
         audit_each_action: bool = False,
     ) -> None:
         self._controller = controller
         self._monitor = monitor
         self._maintenance = maintenance
         self._gate = utilization_gate
-        self._defer_horizon_s = defer_horizon_s
         self._audit_each_action = audit_each_action
         #: conn id -> watch | deferred | rerouting | rerouted | escalated
         #: | reverting (absent means watch).
@@ -184,7 +185,7 @@ class RemediationEngine:
             return False
         for a, b in impacted:
             window = self._maintenance.window_covering(
-                a, b, now, horizon_s=self._defer_horizon_s
+                a, b, now, horizon_s=DEFER_HORIZON_S
             )
             if window is not None:
                 self._phase[conn_id] = "deferred"

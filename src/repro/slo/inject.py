@@ -31,21 +31,16 @@ from repro.errors import ConfigurationError
 from repro.faults.plan import DegradationPlan, DegradationSpec
 from repro.sim.process import Process
 
+#: The injector's tick, sim seconds: degradations advance once a tick.
+TICK_S = 30.0
+
 
 class DegradationInjector:
     """Replays a :class:`DegradationPlan` onto a controller's plant."""
 
-    def __init__(
-        self,
-        controller,
-        plan: DegradationPlan,
-        tick_s: float = 30.0,
-    ) -> None:
-        if tick_s <= 0:
-            raise ConfigurationError(f"tick_s must be positive, got {tick_s}")
+    def __init__(self, controller, plan: DegradationPlan) -> None:
         self._controller = controller
         self._plan = plan.bind(controller.streams)
-        self._tick_s = tick_s
         self._done: List[bool] = [False] * len(plan)
         self._activated: List[bool] = [False] * len(plan)
         self._process: Optional[Process] = None
@@ -83,7 +78,7 @@ class DegradationInjector:
         horizon = self._plan.horizon_s
         while sim.now < horizon:
             self._apply(sim.now)
-            yield min(self._tick_s, horizon - sim.now)
+            yield min(TICK_S, horizon - sim.now)
         # Final tick at the horizon restores everything still active.
         self._apply(sim.now)
 

@@ -12,8 +12,8 @@ link-budget helpers; setup/restore latencies and error-burst counters
 are watched as network-wide streams from the metrics registry.
 
 Independent of any policy, the monitor accrues **SLA violation
-minutes** — sim minutes a connection spends with its margin below the
-violation threshold — which is the currency ``griphon slo`` compares
+minutes** — sim minutes a connection spends with a negative OSNR
+margin — which is the currency ``griphon slo`` compares
 policy-on against policy-off.
 """
 
@@ -32,6 +32,9 @@ POLICY_SCOPES = ("connection", "global")
 #: Breach orientations: a sample breaches when it falls *below* the
 #: threshold (margins) or rises *above* it (latencies, error bursts).
 POLICY_ORIENTATIONS = ("below", "above")
+
+#: The monitor's sampling cadence, sim seconds.
+SAMPLE_INTERVAL_S = 15.0
 
 
 @dataclass(frozen=True)
@@ -162,8 +165,8 @@ class SlaMonitor:
     """Samples SLO metrics on the sim clock and fires breach events.
 
     The monitor is a bounded process: it samples every
-    ``sample_interval_s`` until ``stop_at`` and then ends, so attaching
-    it never keeps the simulator alive forever.
+    :data:`SAMPLE_INTERVAL_S` until ``stop_at`` and then ends, so
+    attaching it never keeps the simulator alive forever.
 
     Event wiring (the remediation engine registers itself):
 
@@ -178,30 +181,20 @@ class SlaMonitor:
         self,
         controller,
         policies: Sequence[SloPolicy] = (),
-        sample_interval_s: float = 15.0,
         stop_at: float = 0.0,
-        violation_threshold_db: float = 0.0,
-        max_samples: int = 4096,
     ) -> None:
-        if sample_interval_s <= 0:
-            raise ConfigurationError(
-                f"sample interval must be positive, got {sample_interval_s}"
-            )
         if stop_at <= 0:
             raise ConfigurationError(
                 f"stop_at must be a positive sim time, got {stop_at}"
             )
         self._controller = controller
         self._policies = tuple(policies)
-        self._interval = sample_interval_s
         self._stop_at = stop_at
-        self._violation_threshold_db = violation_threshold_db
-        self._max_samples = max_samples
         #: conn id -> margin series (plus one "" series per global metric).
         self._series: Dict[Tuple[str, str], WindowedSeries] = {}
         #: (policy name, conn id) -> breach currently active.
         self._active: Dict[Tuple[str, str], bool] = {}
-        #: Per-connection accrued seconds below the violation threshold.
+        #: Per-connection accrued seconds with a negative margin.
         self.violation_seconds: Dict[str, float] = {}
         #: Cursor into each global metric's registry sample list.
         self._sample_cursor: Dict[str, int] = {}
@@ -241,13 +234,13 @@ class SlaMonitor:
         sim = self._controller.sim
         while sim.now < self._stop_at:
             self._sample(sim.now)
-            yield min(self._interval, self._stop_at - sim.now)
+            yield min(SAMPLE_INTERVAL_S, self._stop_at - sim.now)
         self._sample(sim.now)
 
     def _series_for(self, policy_metric: str, conn_id: str) -> WindowedSeries:
         key = (policy_metric, conn_id)
         if key not in self._series:
-            self._series[key] = WindowedSeries(max_samples=self._max_samples)
+            self._series[key] = WindowedSeries()
         return self._series[key]
 
     def _sample(self, now: float) -> None:
@@ -267,11 +260,11 @@ class SlaMonitor:
             margins[conn_id] = margin
             self._series_for("osnr_margin_db", conn_id).record(now, margin)
             controller.metrics.observe("slo.osnr_margin_db", margin)
-            if margin < self._violation_threshold_db:
+            if margin < 0.0:
                 accrued = self.violation_seconds.get(conn_id, 0.0)
-                self.violation_seconds[conn_id] = accrued + self._interval
+                self.violation_seconds[conn_id] = accrued + SAMPLE_INTERVAL_S
                 controller.metrics.inc(
-                    "slo.violation_minutes", self._interval / 60.0
+                    "slo.violation_minutes", SAMPLE_INTERVAL_S / 60.0
                 )
         return margins
 

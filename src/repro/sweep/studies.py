@@ -51,17 +51,17 @@ from repro.workload import FiberCutInjector
 def build_waxman_network(
     seed: int,
     node_count: int,
-    plane_km: float = 2000.0,
     **equipment: Any,
 ) -> GriphonNetwork:
-    """A generated Waxman backbone with premises and standard equipment.
+    """A generated Waxman backbone on a 2,000 km plane, with premises and
+    standard equipment.
 
     The sweep engine's workhorse topology factory: graph generation,
     premises attachment, and equipment install all derive from the one
     ``seed``, so a trial spec fully determines the network.
     """
     graph = generate_backbone(
-        RandomStreams(seed), node_count=node_count, plane_km=plane_km
+        RandomStreams(seed), node_count=node_count, plane_km=2000.0
     )
     pops = [node.name for node in graph.nodes]
     premises = attach_premises(graph, pops)

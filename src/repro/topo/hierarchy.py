@@ -7,7 +7,7 @@ hierarchical WDM DCN blueprint, the builder here composes three tiers:
   backbone generated from its own spawned random-stream family
   (``spawn("shard:<region>")``), so a region's graph is reproducible
   *without* building any other region;
-* **tier 2** — gateway PoPs: the first ``gateways_per_region`` PoPs of
+* **tier 2** — gateway PoPs: the first :data:`GATEWAYS_PER_REGION` PoPs of
   every region, where intra-region traffic hands off to the express
   layer;
 * **tier 1** — the express backbone: long-haul links joining gateways
@@ -31,6 +31,10 @@ from repro.topo.graph import Link, NetworkGraph, Node
 
 #: The reserved unit name for the express (tier-1) planning slice.
 EXPRESS = "express"
+#: Premises ``f"{PREMISES_PREFIX}{pop}"`` hangs off PoP ``pop``.
+PREMISES_PREFIX = "DC-"
+#: Gateways per region; gateway 1 carries the second, edge-disjoint express ring.
+GATEWAYS_PER_REGION = 2
 
 
 def region_name(index: int) -> str:
@@ -87,14 +91,12 @@ class Hierarchy:
         regions: "Dict[str, RegionInfo]",
         express_links: Tuple[Tuple[str, str], ...],
         seed: int,
-        params: dict,
         region_graphs: Dict[str, NetworkGraph],
     ) -> None:
         self.graph = graph
         self.regions = regions
         self.express_links = express_links
         self.seed = seed
-        self.params = dict(params)
         self._region_graphs = region_graphs
         self._express_graph = NetworkGraph()
         for gateway in self.gateways():
@@ -162,18 +164,15 @@ def build_region_graph(
     seed: int,
     region: str,
     pops_per_region: int,
-    region_plane_km: float = 1200.0,
-    alpha: float = 0.4,
-    beta: float = 0.35,
     with_premises: bool = False,
-    premises_prefix: str = "DC-",
     premises_length_km: float = 20.0,
 ) -> NetworkGraph:
     """Build one region's tier-3 mesh.
 
     The mesh derives entirely from ``spawn(shard_stream_key(region))``
     of the hierarchy seed, so no region's mesh depends on how many
-    others the hierarchy generates, or in what order.
+    others the hierarchy generates, or in what order.  It is a Waxman
+    mesh on a 1,200 km plane with alpha 0.4 and beta 0.35.
     """
     if pops_per_region < 3:
         raise ConfigurationError(
@@ -183,12 +182,12 @@ def build_region_graph(
     pops = [f"{region}-P{index:02d}" for index in range(pops_per_region)]
     graph = _mesh_graph(
         pops,
-        _waxman_links(streams, pops_per_region, region_plane_km, alpha, beta),
+        _waxman_links(streams, pops_per_region, 1200.0, 0.4, 0.35),
         region,
     )
     if with_premises:
         for pop in pops:
-            premises = f"{premises_prefix}{pop}"
+            premises = f"{PREMISES_PREFIX}{pop}"
             graph.add_node(Node(premises, kind="premises", region=region))
             graph.add_link(
                 Link(
@@ -265,27 +264,19 @@ def build_hierarchy(
     seed: int,
     regions: int = 4,
     pops_per_region: int = 8,
-    gateways_per_region: int = 2,
-    region_plane_km: float = 1200.0,
-    express_length_km: float = 600.0,
-    alpha: float = 0.4,
-    beta: float = 0.35,
     with_premises: bool = False,
-    premises_prefix: str = "DC-",
 ) -> Hierarchy:
     """Build the full three-tier topology.
+
+    Each region has :data:`GATEWAYS_PER_REGION` gateways; every express
+    link is 600 km long.
 
     Args:
         seed: Master seed; every region mesh spawns its own family.
         regions: Number of regions (>= 1; 1 degenerates to a flat mesh
             with no express tier — the monolithic baseline).
         pops_per_region: Tier-3 mesh size per region (>= 3).
-        gateways_per_region: Gateways per region (>= 1).
-        region_plane_km: Side of each region's Waxman plane.
-        express_length_km: Length of every express link.
-        alpha / beta: Waxman shape parameters for the region meshes.
         with_premises: Attach one customer premises per PoP.
-        premises_prefix: Premises naming prefix.
 
     Returns:
         The assembled :class:`Hierarchy`.
@@ -298,14 +289,7 @@ def build_hierarchy(
     for index in range(regions):
         name = region_name(index)
         sub = build_region_graph(
-            seed,
-            name,
-            pops_per_region,
-            region_plane_km=region_plane_km,
-            alpha=alpha,
-            beta=beta,
-            with_premises=with_premises,
-            premises_prefix=premises_prefix,
+            seed, name, pops_per_region, with_premises=with_premises
         )
         pops: List[str] = []
         premises: List[str] = []
@@ -318,36 +302,21 @@ def build_hierarchy(
         infos[name] = RegionInfo(
             name,
             tuple(pops),
-            gateway_names(name, pops_per_region, gateways_per_region),
+            gateway_names(name, pops_per_region, GATEWAYS_PER_REGION),
             tuple(premises),
         )
     express_pairs = express_link_specs(
-        regions, gateways_per_region, pops_per_region
+        regions, GATEWAYS_PER_REGION, pops_per_region
     )
     for a, b in express_pairs:
         graph.add_link(
             Link(
                 a,
                 b,
-                length_km=express_length_km,
+                length_km=600.0,
                 srlgs=frozenset({f"srlg:express:{a}={b}"}),
             )
         )
     return Hierarchy(
-        graph,
-        infos,
-        tuple(express_pairs),
-        seed,
-        params=dict(
-            regions=regions,
-            pops_per_region=pops_per_region,
-            gateways_per_region=gateways_per_region,
-            region_plane_km=region_plane_km,
-            express_length_km=express_length_km,
-            alpha=alpha,
-            beta=beta,
-            with_premises=with_premises,
-            premises_prefix=premises_prefix,
-        ),
-        region_graphs=region_graphs,
+        graph, infos, tuple(express_pairs), seed, region_graphs=region_graphs
     )

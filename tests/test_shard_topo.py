@@ -40,8 +40,7 @@ class TestHierarchyDeterminism:
         assert _link_keys(one.graph) != _link_keys(two.graph)
 
     def test_region_names_and_gateways(self):
-        hierarchy = build_hierarchy(seed=0, regions=3, pops_per_region=5,
-                                    gateways_per_region=2)
+        hierarchy = build_hierarchy(seed=0, regions=3, pops_per_region=5)
         assert hierarchy.region_names == ["R00", "R01", "R02"]
         assert hierarchy.regions["R01"].gateways == gateway_names(
             "R01", 5, 2

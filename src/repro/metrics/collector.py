@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List
+from typing import List, Sequence
 
 
 @dataclass(frozen=True)
@@ -43,11 +43,11 @@ def _percentile(ordered: List[float], fraction: float) -> float:
     return min(max(value, ordered[low]), ordered[high])
 
 
-def summarize(samples: List[float]) -> Summary:
+def summarize(samples: Sequence[float]) -> Summary:
     """Summary statistics of ``samples``.
 
     Raises:
-        ValueError: for an empty list.
+        ValueError: for no samples.
     """
     if not samples:
         raise ValueError("cannot summarize zero samples")

@@ -6,9 +6,9 @@ per region plus one for the express tier — all sharing a single
 simulator.  A cross-region order is decomposed by the
 :class:`~repro.shard.planner.ShardPlanner` into per-unit segments.
 Each segment is one child connection that its unit's controller opens,
-claims into, puts into service and gives back; the coordinator keeps
-the decomposition, the batch plan, the gateway steering and the order
-of the cross-shard saga.  Segments are claimed synchronously unit by
+claims into, puts into service, gives back and forgets; the coordinator
+keeps the decomposition, the batch plan, the gateway steering and the
+order of the cross-shard saga.  Segments are claimed synchronously unit by
 unit and set up one after another through each unit's provisioning
 saga.  A segment whose saga rolls back, or that a cut fails, mid-setup
 unwinds the whole order: already-UP segments are torn down, every claim
@@ -149,6 +149,8 @@ class ShardOrder(Connection):
             driven by its unit's controller (so that shard's audit sees
             a live owner for every claim); a child's lightpath is the
             order's segment there, those children first, in path order.
+            Empty once the order settles RELEASED or BLOCKED: each unit
+            controller then forgets its child, and so does the order.
         plan_record: Structural planning outcome (unit, path, channels,
             regen sites) captured at plan time — what the differential
             fingerprint hashes, stable even for later-blocked orders.
@@ -164,6 +166,10 @@ class ShardOrder(Connection):
         return self.connection_id
 
 
+#: The order states a child record does not outlive.
+_SETTLED = (ConnectionState.BLOCKED, ConnectionState.RELEASED)
+
+
 def _disagrees(order: ShardOrder, child: Connection) -> bool:
     """Whether ``child``'s state contradicts its order's."""
     state = order.state
@@ -174,7 +180,7 @@ def _disagrees(order: ShardOrder, child: Connection) -> bool:
             sibling.state is ConnectionState.FAILED
             for sibling in order.children.values()
         )
-    if state in (ConnectionState.BLOCKED, ConnectionState.RELEASED):
+    if state in _SETTLED:
         return child.state is not state
     return False
 
@@ -527,7 +533,9 @@ class ShardedNetwork:
         (``orphan-lightpath``), and so is a child whose state disagrees
         with its order's (``order-state``): one not UP under an UP
         order, none FAILED under a FAILED one, or one not BLOCKED /
-        RELEASED with its order.
+        RELEASED with its order.  A settled order has no children, so
+        a controller still registering a child ``<order>/<unit>`` of a
+        RELEASED or BLOCKED order is flagged too (``stale-child``).
         """
         reports = {}
         for key, controller in self._controllers.items():
@@ -535,6 +543,14 @@ class ShardedNetwork:
             audit_orphan_lightpaths(
                 controller.inventory, controller.connections, report
             )
+            for connection_id in controller.connections:
+                order = self.orders[connection_id.partition("/")[0]]
+                if order.state in _SETTLED:
+                    report.violations.append(AuditViolation(
+                        "stale-child", f"connection {connection_id}",
+                        order.connection_id,
+                        f"order {order.state.value}, child still registered",
+                    ))
         for order in self.orders.values():
             for unit, child in order.children.items():
                 if _disagrees(order, child):
@@ -853,7 +869,6 @@ class ShardedNetwork:
             self._claim_steering(order)
         except GriphonError:
             self._retire(order)
-            order.children = {}
             raise
 
     def _claim_steering(self, order: ShardOrder) -> None:
@@ -898,16 +913,22 @@ class ShardedNetwork:
     def _retire(
         self, order: ShardOrder, state: Optional[ConnectionState] = None
     ) -> None:
-        """Every child gives back its lightpaths and ledger, then settles
-        in ``state`` — or, with none (a failed claim), is unregistered."""
+        """Every child gives back its lightpaths and ledger, settles in
+        ``state`` (none: a failed claim) and is unregistered from its
+        unit's controller; the order then lets go of its children.
+
+        The settled order is the durable record — its ``plan_record``,
+        times and reason — so neither the unit controllers nor the order
+        keep a retired child, and a run's memory follows its live orders.
+        """
         for unit, child in order.children.items():
             controller = self._unit_controller[unit]
             controller.drop_lightpaths(child)
             controller.release_claims(child)
-            if state is None:
-                del controller.connections[child.connection_id]
-            else:
+            if state is not None:
                 child.transition(state)
+            del controller.connections[child.connection_id]
+        order.children = {}
 
     # -- simulated workflows --------------------------------------------------
 
@@ -948,9 +969,8 @@ class ShardedNetwork:
             yield from controller.provisioner.teardown_workflow(
                 done, include_fxc=include_fxc
             )
-        for record in (*order.children.values(), order):
-            record.setup_error = error
-            record.blocked_reason = f"setup failed: {error}"
+        order.setup_error = error
+        order.blocked_reason = f"setup failed: {error}"
         self._retire(order, ConnectionState.BLOCKED)
         self.admission.release(order.customer, order.rate_bps)
         order.transition(ConnectionState.BLOCKED)
@@ -962,8 +982,7 @@ class ShardedNetwork:
                 yield from controller.provisioner.teardown_workflow(
                     lightpath, include_fxc=include_fxc
                 )
-        for record in (*order.children.values(), order):
-            record.released_at = self.sim.now
+        order.released_at = self.sim.now
         self._retire(order, ConnectionState.RELEASED)
         self.admission.release(order.customer, order.rate_bps)
         order.transition(ConnectionState.RELEASED)

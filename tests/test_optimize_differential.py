@@ -20,6 +20,7 @@ from repro.optimize import (
     NetworkSnapshot,
     plan_migrations,
 )
+from repro.optimize import executor as executor_module
 from repro.optimize.bench import (
     build_optimize_network,
     fragment_network,
@@ -68,7 +69,7 @@ def test_executed_plan_equals_replayed_final_assignment():
     ), "migrated network differs from a from-scratch build of the same assignment"
 
 
-def test_audit_passes_at_every_intermediate_move():
+def test_audit_passes_at_every_intermediate_move(monkeypatch):
     """Step through the plan one move at a time, auditing the whole
     network between moves — the differential layer's per-step arm."""
     net, _ = fragmented_network()
@@ -77,19 +78,21 @@ def test_audit_passes_at_every_intermediate_move():
     assert len(plan.moves) >= 2, "need multiple moves to step through"
     audits = []
 
-    class AuditingExecutor(MigrationExecutor):
-        pass
+    def recorded(controller):
+        audits.append(audit_network(controller))
+        return audits[-1]
 
-    executor = AuditingExecutor(net.controller)
-    report = executor.execute(plan)
+    monkeypatch.setattr(executor_module, "audit_network", recorded)
+    report = MigrationExecutor(net.controller).execute(plan)
     net.run()
     # The executor audited after every completed move; none tripped.
     assert report.completed == len(plan.moves)
     assert report.audit_failures == []
+    assert len(audits) == report.completed
+    assert all(audit.ok for audit in audits), [str(a) for a in audits]
     # And the final state audits clean under an independent sweep.
     final = audit_network(net.controller)
     assert final.ok, str(final)
-    assert not audits
 
 
 def test_partial_execution_still_replay_consistent():

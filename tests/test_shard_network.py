@@ -38,6 +38,18 @@ def assert_all_audits_clean(net):
         assert report.ok, f"{unit}: {[str(v) for v in report.violations]}"
 
 
+def assert_retired(net, order, children, state):
+    """``order`` settled in ``state`` and let go of ``children`` — its
+    children as captured before it settled — each settled with it,
+    holding nothing and forgotten by its unit's controller."""
+    assert children
+    assert order.state is state and order.children == {}
+    for unit, child in children.items():
+        assert child.state is state, unit
+        assert child.lightpath_ids == [] and child.claims == [], unit
+        assert child.connection_id not in net.controllers[unit].connections
+
+
 class TestCrossRegionLifecycle:
     def test_cross_region_order_comes_up(self):
         net = make_net()
@@ -76,11 +88,10 @@ class TestCrossRegionLifecycle:
         net = make_net()
         order = net.place_order("csp", "DC-R00-P03", "DC-R01-P04")
         net.run()
+        children = dict(order.children)
         net.teardown_order(order)
         net.run()
-        assert order.state is ConnectionState.RELEASED
-        for child in order.children.values():
-            assert child.state is ConnectionState.RELEASED
+        assert_retired(net, order, children, ConnectionState.RELEASED)
         assert_all_audits_clean(net)
         # Admission quota is back: the same order can be placed again.
         again = net.place_order("csp", "DC-R00-P03", "DC-R01-P04")
@@ -149,11 +160,10 @@ class TestSagaUnwind:
             }
         )
         order = net.place_order("csp", "DC-R00-P03", "DC-R01-P04")
+        children = dict(order.children)
         net.run()
-        assert order.state is ConnectionState.BLOCKED
+        assert_retired(net, order, children, ConnectionState.BLOCKED)
         assert "setup failed" in order.blocked_reason
-        for child in order.children.values():
-            assert child.state is ConnectionState.BLOCKED
         assert_all_audits_clean(net)
         # The fault budget (count=1) is spent and admission quota was
         # released: the identical order now succeeds end to end.

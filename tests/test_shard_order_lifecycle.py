@@ -12,7 +12,8 @@ outcome and ticket events from both backends:
   open) until the repair brings it back UP, with no second ``active``;
   a FAILED order can be torn down, leaving every unit clean and dark.
 
-``audit_shards`` flags a child whose state contradicts its order's.
+``audit_shards`` flags a child whose state contradicts its order's, and
+a child of a settled order that a unit controller still registers.
 """
 
 import pytest
@@ -177,3 +178,28 @@ def test_the_audit_flags_a_child_that_contradicts_its_order(mode):
                 order.connection_id) in found, (order_state, found)
     order.state = child.state = ConnectionState.UP
     assert flagged() == {}
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_the_audit_flags_a_stale_child_of_a_settled_order(mode):
+    net, intake, ticket, _events = shard_order(mode)
+    net.run()
+    order = net.orders[ticket.connection_id]
+    child = order.children["R00"]
+    intake.teardown(ticket)
+    net.run()
+    assert order.state is ConnectionState.RELEASED
+    assert_clean_and_dark(net)
+    # Put the retired child's record back into its unit's controller.
+    connections = net.controllers["R00"].connections
+    connections[child.connection_id] = child
+    found = {
+        unit: [(v.kind, v.resource, v.owner) for v in report.violations]
+        for unit, report in net.audit_shards().items()
+        if not report.ok
+    }
+    assert found == {"R00" if mode == "sharded" else "mono": [
+        ("stale-child", f"connection {child.connection_id}", order.connection_id)
+    ]}
+    del connections[child.connection_id]
+    assert_clean_and_dark(net)

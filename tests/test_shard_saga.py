@@ -19,6 +19,7 @@ from repro.optical import LightpathState
 from repro.shard import build_sharded_network
 from repro.topo.hierarchy import EXPRESS
 from repro.units import GBPS
+from tests.test_shard_network import assert_retired
 
 ORDER = ("csp", "DC-R00-P03", "DC-R01-P04", 10 * GBPS)
 #: The order's segments, in path order.
@@ -106,6 +107,7 @@ def test_an_aborted_segment_leaves_every_unit_empty(unit, by_cut, step, at):
             FaultSpec(command=command, element=element, mode="fail", count=1)
         ])})
     order = net.place_orders([ORDER])[0]
+    children = dict(order.children)
     if by_cut:
         start, end = WINDOWS[unit]
         net.run(until=start + max(at * (end - start), 0.001))
@@ -113,9 +115,7 @@ def test_an_aborted_segment_leaves_every_unit_empty(unit, by_cut, step, at):
     net.run()
     assert order.state is ConnectionState.BLOCKED, order.state
     assert order.blocked_reason.startswith("setup failed")
-    for child in order.children.values():
-        assert child.state is ConnectionState.BLOCKED
-        assert child.lightpath_ids == [] and child.claims == []
+    assert_retired(net, order, children, ConnectionState.BLOCKED)
     if by_cut:
         net.repair_fiber(*cut)
     assert_dark_and_empty(net)

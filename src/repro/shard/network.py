@@ -919,7 +919,7 @@ class ShardedNetwork:
 
         The settled order is the durable record — its ``plan_record``,
         times and reason — so neither the unit controllers nor the order
-        keep a retired child, and a run's memory follows its live orders.
+        keep a retired child.
         """
         for unit, child in order.children.items():
             controller = self._unit_controller[unit]

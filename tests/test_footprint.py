@@ -1,54 +1,20 @@
-"""A sharded run's memory follows its live orders, not its history.
+"""A histogram keeps 8 bytes a sample and reports what a list would.
 
-* After ``Driver.run()`` drains a ``sharded-inproc`` or ``sharded-pool``
-  workload (the rows of ``tests/test_work_counters.py``: tier-1's small
-  run, plus the benchmark's scale when ``WORK_COUNTERS=full`` is set, as
-  the CI determinism job does), every order has settled, no unit
-  controller still registers a connection and no order still holds a
-  child: the settled ``ShardOrder`` is the only record left of it.
-* A :class:`~repro.obs.registry.MetricsRegistry` histogram keeps its
-  samples in an ``array('d')``; for any finite floats, through a
-  ``state()`` JSON round trip and a ``merge``, it reports what a plain
-  list of the same samples gives.
+A :class:`~repro.obs.registry.MetricsRegistry` histogram keeps its
+samples in an ``array('d')``; for any finite floats, through a
+``state()`` JSON round trip and a ``merge``, it reports what a plain
+list of the same samples gives.  (That a drained sharded run keeps no
+retired child is checked by ``tests/test_no_cyclic_garbage.py``, on
+the same run.)
 """
 
 import json
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bench.driver import Driver
-from bench.workloads import BUILDERS
-from repro.core.connection import ConnectionState
 from repro.metrics.collector import summarize
 from repro.obs.registry import MetricsRegistry
-from tests.test_work_counters import rows
-
-SETTLED = (ConnectionState.RELEASED, ConnectionState.BLOCKED)
-
-
-@pytest.mark.parametrize(
-    "workload, seed, scale",
-    [row for row in rows() if row[0].startswith("sharded")],
-)
-def test_a_drained_sharded_run_keeps_no_child(workload, seed, scale):
-    world = BUILDERS[workload](seed, scale, None)
-    try:
-        driver = Driver(world)
-        driver.load()
-        driver.run()
-        orders = world.network.orders.values()
-        assert orders
-        assert all(order.state in SETTLED for order in orders)
-        assert [order for order in orders if order.children] == []
-        assert {
-            unit: len(controller.connections)
-            for unit, controller in world.controllers.items()
-        } == dict.fromkeys(world.controllers, 0)
-    finally:
-        world.close()
-
 
 NAMES = st.sampled_from(["step.tune", "step.roadm", "lightpath.setup_s"])
 OBSERVATIONS = st.lists(

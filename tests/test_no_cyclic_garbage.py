@@ -12,7 +12,10 @@ asks ``gc.collect()`` how many unreachable objects the run left:
 * the four ``python -m bench`` workloads' ``Driver.run()``, on the rows
   of ``tests/test_work_counters.py`` (tier-1's small run, plus the
   benchmark's scale when ``WORK_COUNTERS=full`` is set, as the CI
-  determinism job does);
+  determinism job does).  A drained sharded run must also keep no
+  retired child: every order has settled, none still holds children
+  and no unit controller still registers a connection, so the settled
+  ``ShardOrder`` is the only record left of it;
 * the frontend chaos fleet run: EMS faults, saga rollbacks, teardowns.
 """
 
@@ -22,8 +25,11 @@ import pytest
 
 from bench.driver import Driver
 from bench.workloads import BUILDERS
+from repro.core.connection import ConnectionState
 from tests.test_frontend_chaos import fleet_run
 from tests.test_work_counters import rows
+
+SETTLED = (ConnectionState.RELEASED, ConnectionState.BLOCKED)
 
 
 def unreachable_after(run):
@@ -45,6 +51,15 @@ def test_a_benchmark_run_leaves_no_cycles(workload, seed, scale):
         driver = Driver(world)
         driver.load()
         assert unreachable_after(driver.run) == 0
+        if world.network is not None:
+            orders = world.network.orders.values()
+            assert orders
+            assert all(order.state in SETTLED for order in orders)
+            assert [order for order in orders if order.children] == []
+            assert {
+                unit: len(controller.connections)
+                for unit, controller in world.controllers.items()
+            } == dict.fromkeys(world.controllers, 0)
     finally:
         world.close()
 

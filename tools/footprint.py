@@ -1,6 +1,6 @@
 """How much memory a benchmark run keeps per order served.  Stdlib only.
 
-    python tools/footprint.py [--workload W ...] [--seed 11] [--scales 0.15 0.5] [--top 4]
+    python tools/footprint.py [--workload W ...] [--seed 11] [--scales 0.15 0.5]
 
 For each workload (default: all four ``BENCHMARK.json`` names) and each
 of two scales, builds it and loads its schedule as ``bench.child`` does,
@@ -10,7 +10,7 @@ run keeps is what ``run()`` allocated and is still alive when it returns
 ``bench.child``.  Prints one line per workload: orders served and bytes
 kept at each scale, and the slope between the scales in bytes per order
 -- the part of the footprint that grows with history rather than with
-the network -- then the ``--top`` source files by that slope.  A run
+the network -- then the ``TOP`` source files by that slope.  A run
 whose memory follows its live orders reads near 0 B/order.
 
 Each (workload, scale) runs in a process of its own with
@@ -29,6 +29,7 @@ import tracemalloc
 
 ROOT = os.path.dirname(os.path.dirname(os.path.realpath(__file__)))
 WORKLOADS = ["sharded-inproc", "sharded-pool", "edge-overload", "mono-churn"]
+TOP = 4  # source files listed per workload
 
 
 def measure(workload, seed, scale):
@@ -63,9 +64,8 @@ def measure(workload, seed, scale):
 
 def run_one(workload, seed, scale, env):
     done = subprocess.run(
-        [sys.executable, os.path.realpath(__file__), "--one",
-         "--workload", workload, "--seed", str(seed),
-         "--scales", str(scale), str(scale)],
+        [sys.executable, os.path.realpath(__file__),
+         "--workload", workload, "--seed", str(seed), "--scale", str(scale)],
         cwd=ROOT, env=env, capture_output=True, text=True,
     )
     if done.returncode != 0:
@@ -73,7 +73,7 @@ def run_one(workload, seed, scale, env):
     return json.loads(done.stdout.strip().splitlines()[-1])
 
 
-def lines(workload, scales, low, high, top):
+def lines(workload, scales, low, high):
     orders = high["orders"] - low["orders"]
     if orders <= 0:
         raise SystemExit(f"{workload}: the two scales served the same orders")
@@ -89,7 +89,7 @@ def lines(workload, scales, low, high, top):
         )
         + f"  -> {(high['kept'] - low['kept']) / orders:7,.0f} B/order"
     )
-    for name in sorted(slope, key=lambda name: -slope[name])[:top]:
+    for name in sorted(slope, key=lambda name: -slope[name])[:TOP]:
         yield f"    {slope[name]:7,.0f} B/order  {name}"
 
 
@@ -98,11 +98,11 @@ def main(argv=None):
     parser.add_argument("--workload", action="append", choices=WORKLOADS)
     parser.add_argument("--seed", type=int, default=11)
     parser.add_argument("--scales", type=float, nargs=2, default=[0.15, 0.5])
-    parser.add_argument("--top", type=int, default=4)
-    parser.add_argument("--one", action="store_true", help=argparse.SUPPRESS)
+    # One (workload, scale) measured in this process: what run_one starts.
+    parser.add_argument("--scale", type=float, help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
-    if args.one:
-        print(json.dumps(measure(args.workload[0], args.seed, args.scales[0])))
+    if args.scale is not None:
+        print(json.dumps(measure(args.workload[0], args.seed, args.scale)))
         return 0
     env = dict(os.environ, PYTHONHASHSEED="0")
     env["PYTHONPATH"] = os.pathsep.join(
@@ -112,7 +112,7 @@ def main(argv=None):
     print(f"seed {args.seed}, bytes run() kept, slope between scales {args.scales}")
     for workload in args.workload or WORKLOADS:
         low, high = (run_one(workload, args.seed, scale, env) for scale in args.scales)
-        for text in lines(workload, args.scales, low, high, args.top):
+        for text in lines(workload, args.scales, low, high):
             print(text, flush=True)
     return 0
 

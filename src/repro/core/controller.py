@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from typing import Callable, Dict, List, Optional, Set, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.core.admission import AdmissionControl, CustomerProfile
 from repro.core.connection import (
@@ -36,6 +36,7 @@ from repro.core.grooming import GroomingEngine
 from repro.core.inventory import InventoryDatabase
 from repro.core.migration import Migrations
 from repro.core.provisioning import LightpathProvisioner
+from repro.core.restoration import Restoration
 from repro.core.rwa import RwaEngine
 from repro.errors import (
     AdmissionError,
@@ -166,20 +167,12 @@ class GriphonController:
         self.connections: Dict[str, Connection] = {}
         self._conn_seq = itertools.count()
         self._lightpath_conn: Dict[str, str] = {}
-        self._evc_conn: Dict[str, str] = {}
         self._line_lightpath: Dict[str, str] = {}
         self._new_line_lightpaths: List[Lightpath] = []
-        #: connection_id -> the released lightpath record of a connection
-        #: whose restoration did not take: the dead path set aside before
-        #: a blocked claim, or a replacement the setup saga rolled back.
-        #: The next attempt starts from it.
-        self._unrestored: Dict[str, Lightpath] = {}
-        #: Connections ordered down while RESTORING; the restoration
-        #: workflow takes the teardown when it settles.
-        self._teardown_after_restore: Set[str] = set()
         #: Bridge-and-roll: every driver's one way to move a connection.
         self.migrations = Migrations(self)
-        inventory.plant.on_failure.append(self._handle_link_failure)
+        #: Failure handling and restoration (joins ``plant.on_failure``).
+        self.restoration = Restoration(self)
         #: Observers called with (event_name, payload) for metrics; the
         #: benchmark's driver (``bench/driver.py``) appends to this list.
         self.observers: List[Callable[[str, dict], None]] = []
@@ -405,15 +398,9 @@ class GriphonController:
         self.notify("blocked", {"connection": connection, "reason": str(exc)})
 
     def teardown_connection(self, connection_id: str) -> Connection:
-        """Order a teardown; completes asynchronously (about ten seconds).
-
-        A connection that is RESTORING has a replacement lightpath midway
-        through its EMS steps; the teardown is taken when that workflow
-        settles (restored, aborted or cut again) and starts then.
-        """
+        """Order a teardown; completes asynchronously (about ten seconds)."""
         connection = self.connection(connection_id)
-        if connection.state is ConnectionState.RESTORING:
-            self._teardown_after_restore.add(connection_id)
+        if self.restoration.hold_teardown(connection):
             return connection
         connection.transition(ConnectionState.TEARING_DOWN)
         Process(
@@ -453,38 +440,7 @@ class GriphonController:
     def repair_link(self, a: str, b: str) -> None:
         """Repair a link and retry restoration for still-failed connections."""
         self.inventory.plant.repair_link(a, b)
-        if self.ip_layer is not None:
-            try:
-                self.ip_layer.repair_adjacency(a, b)
-            except GriphonError:
-                pass  # no adjacency rides this span
-            self._retry_down_evcs()
-        if self.auto_restore:
-            for connection in self.connections.values():
-                if connection.state is ConnectionState.FAILED:
-                    self._attempt_restoration(connection)
-        else:
-            # Manual world: when the fiber is physically repaired, the
-            # original path lights up again and traffic resumes.
-            self._revive_repaired_connections()
-
-    def _revive_repaired_connections(self) -> None:
-        for connection in self.connections.values():
-            if connection.state is not ConnectionState.FAILED:
-                continue
-            if not connection.lightpath_ids:
-                continue
-            lightpath = self.inventory.lightpaths.get(
-                connection.lightpath_ids[0]
-            )
-            if lightpath is None or lightpath.state is not LightpathState.FAILED:
-                continue
-            if not self.inventory.plant.path_is_up(lightpath.path):
-                continue
-            lightpath.transition(LightpathState.UP)
-            connection.transition(ConnectionState.UP)
-            connection.end_outage(self.sim.now)
-            self.notify("revived", {"connection": connection})
+        self.restoration.on_repair(a, b)
 
     # -- workflows -------------------------------------------------------------------
 
@@ -525,8 +481,7 @@ class GriphonController:
             return
         if not self.enter_service(connection):
             span.set_tag("outcome", "failed-during-setup").finish()
-            if self.auto_restore:
-                self._attempt_restoration(connection)
+            self.restoration.restore(connection)
             return
         span.set_tag("outcome", "up").finish()
         self.metrics.inc("connection.up")
@@ -603,10 +558,8 @@ class GriphonController:
         BLOCKED — zero residue, exactly like a claim-time block.
         """
         for lightpath in aborted_lightpaths:
-            lightpath_id = lightpath.lightpath_id
-            connection.lightpath_ids.remove(lightpath_id)
-            self._lightpath_conn.pop(lightpath_id, None)
-            self.release_claims(connection, lightpath_id)
+            self.detach_lightpath(connection, lightpath.lightpath_id)
+            self.release_claims(connection, lightpath.lightpath_id)
         for circuit, _error in failed_circuits:
             connection.circuit_ids.remove(circuit.circuit_id)
             self.release_claims(connection, circuit.circuit_id)
@@ -640,12 +593,9 @@ class GriphonController:
         circuits groomed onto it abort during their own setup (their
         cross-connect programming finds the line dead).
         """
-        lp_id = lightpath.lightpath_id
-        for line_id, mapped in list(self._line_lightpath.items()):
-            if mapped != lp_id:
-                continue
+        for line_id in self.lines_carried_by(lightpath.lightpath_id):
             del self._line_lightpath[line_id]
-            self._fail_otn_line(line_id)
+            self.restoration.fail_otn_line(line_id)
         self.metrics.inc("otn.line.lightpath_aborted")
 
     def _teardown_workflow(self, connection):
@@ -661,7 +611,6 @@ class GriphonController:
                 evc.evc_id == evc_id for evc in self.ip_layer.evcs
             ):
                 self.ip_layer.release_evc(evc_id)
-            self._evc_conn.pop(evc_id, None)
         connection.evc_ids = []
         for circuit_id in list(connection.circuit_ids):
             circuit = self.inventory.circuits.get(circuit_id)
@@ -682,7 +631,6 @@ class GriphonController:
             self._lightpath_conn.pop(lightpath_id, None)
         if any(entry[1] in (CLAIM_NTE, CLAIM_NTE_SUB) for entry in connection.claims):
             yield self.latency.sample("nte.release")
-        self._unrestored.pop(connection.connection_id, None)
         self.release_claims(connection)
         connection.transition(ConnectionState.RELEASED)
         connection.released_at = self.sim.now
@@ -869,13 +817,11 @@ class GriphonController:
     def _claim_evc(self, connection, pop_a: str, pop_b: str):
         """Claim an IP-layer EVC (plus NTE sub-channels) for an order."""
         evc = self.ip_layer.provision_evc(pop_a, pop_b, connection.rate_bps)
-        self._evc_conn[evc.evc_id] = connection.connection_id
         try:
             for premises in (connection.premises_a, connection.premises_b):
                 self.claim_nte(connection, premises, evc.evc_id, subchannel=True)
         except GriphonError:
             self.ip_layer.release_evc(evc.evc_id)
-            self._evc_conn.pop(evc.evc_id, None)
             self.release_claims(connection)
             raise
         connection.kind = ConnectionKind.PACKET
@@ -907,9 +853,24 @@ class GriphonController:
                 self.provisioner.release(lightpath)
         connection.lightpath_ids = []
 
+    def detach_lightpath(self, connection, lightpath_id: str) -> None:
+        """Take ``lightpath_id`` out of ``connection`` and the cut index."""
+        connection.lightpath_ids.remove(lightpath_id)
+        self._lightpath_conn.pop(lightpath_id, None)
+
     def connection_of(self, lightpath_id: str) -> Optional[str]:
         """The id of the connection ``lightpath_id`` serves, if any."""
         return self._lightpath_conn.get(lightpath_id)
+
+    def failed_lightpaths(self, connection) -> List[Lightpath]:
+        """The connection's registered lightpaths that are FAILED."""
+        registered = self.inventory.lightpaths
+        return [
+            registered[lightpath_id]
+            for lightpath_id in connection.lightpath_ids
+            if lightpath_id in registered
+            and registered[lightpath_id].state is LightpathState.FAILED
+        ]
 
     def enter_service(self, connection) -> bool:
         """Put a set-up connection into service: UP as of now.
@@ -920,13 +881,8 @@ class GriphonController:
         """
         connection.transition(ConnectionState.UP)
         connection.up_at = self.sim.now
-        registered = self.inventory.lightpaths
-        if any(
-            registered[lightpath_id].state is LightpathState.FAILED
-            for lightpath_id in connection.lightpath_ids
-            if lightpath_id in registered
-        ):
-            self._fail_connection_component(connection)
+        if self.failed_lightpaths(connection):
+            self.restoration.fail(connection)
             return False
         return True
 
@@ -1027,10 +983,11 @@ class GriphonController:
         connection.claims = kept
 
     def swap_lightpath(self, connection, old_lightpath, new_lightpath) -> None:
-        """Put ``new_lightpath`` in ``old_lightpath``'s place in
-        ``connection``'s lightpath list, the index a cut reads, and its
-        ledger, each FXC pair then pointing at the new transponder at
-        its site (a roll's bridge, or a restoration's replacement).
+        """Hand ``old_lightpath``'s place in ``connection`` to
+        ``new_lightpath``: its lightpaths (the new one last), the index a
+        cut reads, and its ledger, each FXC pair then pointing at the new
+        transponder at its site (a roll's bridge, or a restoration's
+        replacement for a dead path it may already have detached).
 
         Only the component's own cross-connects are touched: after a
         blocked restoration the old transponders may already serve
@@ -1038,9 +995,9 @@ class GriphonController:
         """
         old_id, new_id = old_lightpath.lightpath_id, new_lightpath.lightpath_id
         connection.lightpath_ids = [
-            new_id if lightpath_id == old_id else lightpath_id
-            for lightpath_id in connection.lightpath_ids
-        ]
+            lightpath_id for lightpath_id in connection.lightpath_ids
+            if lightpath_id != old_id
+        ] + [new_id]
         self._lightpath_conn.pop(old_id, None)
         self._lightpath_conn[new_id] = connection.connection_id
         new_ots = {ot_id.split(":")[1]: ot_id for ot_id in new_lightpath.ot_ids}
@@ -1086,247 +1043,12 @@ class GriphonController:
         up).  The lightpath itself is the caller's to tear down."""
         return self._line_lightpath.pop(line_id, None)
 
-    # -- failure handling ------------------------------------------------------------
-
-    def _handle_link_failure(self, link_key, affected_owners):
-        """Fiber-cut handler: localize, fail, and (optionally) restore."""
-        self.tracer.event("failure.fiber_cut", link=f"{link_key[0]}={link_key[1]}")
-        self.metrics.inc("failure.fiber_cut")
-        self.notify("fiber-cut", {"link": link_key, "owners": set(affected_owners)})
-        # IP layer: the adjacency riding this span fails; the IGP
-        # reconverges and EVCs reroute in a couple hundred milliseconds.
-        if self.ip_layer is not None:
-            self._handle_ip_adjacency_failure(link_key)
-        # Wavelength layer: fail lightpaths riding the link.
-        for lightpath in self.inventory.lightpaths_using_link(*link_key):
-            if lightpath.state is not LightpathState.UP:
-                continue
-            lightpath.transition(LightpathState.FAILED)
-            conn_id = self._lightpath_conn.get(lightpath.lightpath_id)
-            if conn_id is not None:
-                self._fail_connection_component(self.connection(conn_id))
-            # OTN lines riding this lightpath fail too.
-            for line_id, lp_id in list(self._line_lightpath.items()):
-                if lp_id == lightpath.lightpath_id:
-                    self._fail_otn_line(line_id)
-        # OTN circuits restore via shared mesh (sub-second), wavelength
-        # connections via re-provisioning (about a minute).
-        if self.auto_restore:
-            for connection in list(self.connections.values()):
-                if connection.state is ConnectionState.FAILED:
-                    self._attempt_restoration(connection)
-
-    def _retry_down_evcs(self) -> None:
-        """After a repair, bring DOWN EVCs back up."""
-        from repro.iplayer.evc import EvcState
-
-        for evc in self.ip_layer.evcs:
-            if evc.state is not EvcState.DOWN:
-                continue
-            conn_id = self._evc_conn.get(evc.evc_id)
-            connection = (
-                self.connections.get(conn_id) if conn_id is not None else None
-            )
-            try:
-                outage = self.ip_layer.reroute_evc(evc.evc_id)
-            except GriphonError:
-                continue
-            if connection is not None:
-                if connection.state is ConnectionState.FAILED:
-                    connection.transition(ConnectionState.UP)
-                self.sim.schedule(
-                    outage,
-                    connection.end_outage,
-                    self.sim.now + outage,
-                    label=f"evc-retry:{evc.evc_id}",
-                )
-
-    def _handle_ip_adjacency_failure(self, link_key) -> None:
-        a, b = link_key
-        try:
-            affected = self.ip_layer.fail_adjacency(a, b)
-        except GriphonError:
-            return  # no adjacency rides this span
-        for evc in affected:
-            conn_id = self._evc_conn.get(evc.evc_id)
-            connection = (
-                self.connections.get(conn_id) if conn_id is not None else None
-            )
-            if connection is not None:
-                connection.begin_outage(self.sim.now)
-            try:
-                outage = self.ip_layer.reroute_evc(evc.evc_id)
-            except GriphonError:
-                # No surviving capacity: stays down until repair.
-                if connection is not None and connection.state in (
-                    ConnectionState.UP,
-                    ConnectionState.DEGRADED,
-                ):
-                    connection.transition(ConnectionState.FAILED)
-                continue
-            if connection is not None:
-                self.sim.schedule(
-                    outage,
-                    connection.end_outage,
-                    self.sim.now + outage,
-                    label=f"evc-reroute:{evc.evc_id}",
-                )
-
-    def _fail_connection_component(self, connection):
-        if connection.state in (ConnectionState.UP, ConnectionState.DEGRADED):
-            connection.begin_outage(self.sim.now)
-            connection.transition(ConnectionState.FAILED)
-            self.notify("connection-failed", {"connection": connection})
-
-    def _fail_otn_line(self, line_id: str) -> None:
-        line = self.inventory.otn_lines.get(line_id)
-        if line is None or line.failed:
-            return
-        affected = line.fail()
-        for circuit_id in affected:
-            circuit = self.inventory.circuits.get(circuit_id)
-            if circuit is None or circuit.state is not OduCircuitState.UP:
-                continue
-            circuit.transition(OduCircuitState.FAILED)
-            try:
-                switch_time = self.protection.restore(circuit_id)
-            except GriphonError:
-                continue  # no shared capacity left; stays failed
-            circuit.restored_at = self.sim.now + switch_time
-            conn_id = self._circuit_connection(circuit_id)
-            trace_id = (
-                self.connections[conn_id].trace_id if conn_id is not None else None
-            )
-            self.tracer.record(
-                "otn.mesh_restore",
-                start=self.sim.now,
-                end=self.sim.now + switch_time,
-                trace_id=trace_id,
-                circuit=circuit_id,
-            )
-            if conn_id is not None:
-                connection = self.connection(conn_id)
-                connection.begin_outage(self.sim.now)
-                self.sim.schedule(
-                    switch_time,
-                    connection.end_outage,
-                    self.sim.now + switch_time,
-                    label=f"mesh-restore:{circuit_id}",
-                )
-
-    def _circuit_connection(self, circuit_id: str) -> Optional[str]:
-        for connection in self.connections.values():
-            if circuit_id in connection.circuit_ids:
-                return connection.connection_id
-        return None
-
-    def _attempt_restoration(self, connection):
-        """Re-provision a failed wavelength connection on a new route.
-
-        A blocked attempt — no route, or a route whose claim found a
-        regen site or port bank empty — leaves the connection FAILED and
-        naming only what the inventory still has, so the next repair (or
-        cut) tries again.
-        """
-        conn_id = connection.connection_id
-        # The dead lightpath: registered and still holding its resources,
-        # or set aside by an earlier attempt whose claim was blocked.
-        old = self._unrestored.get(conn_id)
-        set_aside = old is not None
-        if not set_aside:
-            if not connection.lightpath_ids:
-                return
-            old = self.inventory.lightpaths.get(connection.lightpath_ids[0])
-            if old is None or old.state is not LightpathState.FAILED:
-                return
-        span = self.tracer.span(
-            "restoration", trace_id=connection.trace_id, connection=conn_id
-        )
-        with span.child("restoration.localize"):
-            failed_links = set(self.inventory.plant.failed_links())
-        try:
-            with span.child("restoration.plan") as plan_span:
-                plan = self.rwa.plan(
-                    old.source,
-                    old.destination,
-                    old.rate_bps,
-                    excluded_links=failed_links,
-                    parent_span=plan_span,
-                )
-            if not set_aside:
-                # Release the dead path (the new one may need what it
-                # holds).  Until a claim takes its place the connection
-                # names no lightpath and the record waits here.
-                self.provisioner.release(old)
-                self._lightpath_conn.pop(old.lightpath_id, None)
-                connection.lightpath_ids = []
-                self._unrestored[conn_id] = old
-            with span.child("restoration.claim"):
-                replacement = self.claim_lightpath(connection, plan)
-        except GriphonError as exc:
-            span.set_tag("outcome", "blocked").finish()
-            self.metrics.inc("restoration.blocked")
-            self.notify(
-                "restoration-blocked",
-                {"connection": connection, "reason": str(exc)},
-            )
-            return
-        del self._unrestored[conn_id]
-        connection.transition(ConnectionState.RESTORING)
-        self.swap_lightpath(connection, old, replacement)
-        Process(
-            self.sim,
-            self._restoration_workflow(connection, replacement, span),
-            label=f"restore:{conn_id}",
-        )
-
-    def _restoration_workflow(self, connection, replacement, span):
-        conn_id = connection.connection_id
-        started = self.sim.now
-        yield from self.provisioner.setup_workflow(
-            replacement, include_fxc=False, parent_span=span
-        )
-        # Ordered down while restoring?  Settle without retrying, then
-        # take the teardown that was waiting for this.
-        torn_down = conn_id in self._teardown_after_restore
-        self._teardown_after_restore.discard(conn_id)
-        self._settle_restoration(
-            connection, replacement, span, started, retry=not torn_down
-        )
-        if torn_down:
-            self.teardown_connection(conn_id)
-
-    def _settle_restoration(
-        self, connection, replacement, span, started, retry
-    ) -> None:
-        """Conclude a restoration once the replacement's setup returned."""
-        if replacement.state is LightpathState.RELEASED:
-            # The resilient layer gave up mid-restore and the saga
-            # rolled the replacement back.  The connection stays FAILED
-            # and names no lightpath (no immediate retry — the same
-            # faults would hit again); the rolled-back record waits in
-            # ``_unrestored`` for the next repair or cut, or a teardown.
-            connection.setup_error = replacement.setup_error
-            self.drop_lightpaths(connection)  # the saga released it
-            self._unrestored[connection.connection_id] = replacement
-            connection.transition(ConnectionState.FAILED)
-            span.set_tag("outcome", "aborted").finish()
-            self.metrics.inc("restoration.aborted")
-            self.notify("restoration-aborted", {"connection": connection})
-            return
-        if replacement.state is LightpathState.FAILED:
-            # Another cut landed while we were restoring; try again.
-            span.set_tag("outcome", "re-failed").finish()
-            connection.transition(ConnectionState.FAILED)
-            if retry:
-                self._attempt_restoration(connection)
-            return
-        connection.transition(ConnectionState.UP)
-        connection.end_outage(self.sim.now)
-        span.set_tag("outcome", "restored").finish()
-        self.metrics.inc("restoration.success")
-        self.metrics.observe("restoration.reprovision_s", self.sim.now - started)
-        self.notify("restored", {"connection": connection})
+    def lines_carried_by(self, lightpath_id: str) -> List[str]:
+        """The OTN lines ``lightpath_id`` carries."""
+        return [
+            line_id for line_id, carrier in self._line_lightpath.items()
+            if carrier == lightpath_id
+        ]
 
     # -- misc -----------------------------------------------------------------------
 

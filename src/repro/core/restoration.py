@@ -184,8 +184,9 @@ class Restoration:
 
     def _attempt(self, connection: Connection) -> None:
         """Re-provision each failed lightpath of a connection on a new
-        route.  A blocked one (no route, or a claim that found a regen
-        site or port bank empty) is set aside for the next cut or repair.
+        route.  A blocked one waits for the next cut or repair: still
+        registered when no route was found, set aside when its claim
+        found a regen site or port bank empty.
         """
         controller = self._controller
         conn_id = connection.connection_id
@@ -242,27 +243,27 @@ class Restoration:
             yield from controller.provisioner.setup_workflow(
                 replacement, include_fxc=False, parent_span=span
             )
-        # Set aside what the saga rolled back; no retry now, as the
-        # same faults would hit again.
         rolled_back = [lp for lp in replacements if lp.state is LightpathState.RELEASED]
         for lightpath in rolled_back:
             controller.detach_lightpath(connection, lightpath.lightpath_id)
             self._unrestored.setdefault(conn_id, []).append(lightpath)
-        refailed = bool(controller.failed_lightpaths(connection))
+        refailed = any(lp.state is LightpathState.FAILED for lp in replacements)
         # Ordered down while restoring?  Settle without retrying.
         torn_down = conn_id in self._teardown_after_restore
         self._teardown_after_restore.discard(conn_id)
-        if rolled_back:
-            connection.setup_error = rolled_back[0].setup_error
+        if conn_id in self._unrestored or controller.failed_lightpaths(connection):
+            # A replacement cut while restoring is retried now.  What
+            # the saga rolled back is not (the same faults would hit
+            # again); it waits with any blocked component for the next
+            # cut or repair.
+            outcome = "aborted" if rolled_back else "re-failed" if refailed else "blocked"
             connection.transition(ConnectionState.FAILED)
-            span.set_tag("outcome", "aborted").finish()
-            controller.metrics.inc("restoration.aborted")
-            controller.notify("restoration-aborted", {"connection": connection})
-        elif refailed or conn_id in self._unrestored:
-            # Cut again while restoring: retry.  A blocked claim waits.
-            span.set_tag("outcome", "re-failed" if refailed else "blocked").finish()
-            connection.transition(ConnectionState.FAILED)
-            if refailed and not torn_down:
+            span.set_tag("outcome", outcome).finish()
+            if rolled_back:
+                connection.setup_error = rolled_back[0].setup_error
+                controller.metrics.inc("restoration.aborted")
+                controller.notify("restoration-aborted", {"connection": connection})
+            elif refailed and not torn_down:
                 self._attempt(connection)
         else:
             connection.transition(ConnectionState.UP)

@@ -82,12 +82,25 @@ _RESOURCE_HOLDING_STATES = frozenset(
 
 
 def audit_network(controller) -> AuditReport:
-    """Audit a controller's inventory against its connection table."""
-    return audit_inventory(
+    """Audit a controller's inventory against its connection table, and
+    the index a fiber cut reads (``controller.connection_of``) against
+    the lightpaths each connection lists."""
+    report = audit_inventory(
         controller.inventory,
         controller.connections,
         amplifier_chains=controller.roadm_ems.amplifier_chains(),
     )
+    for lightpath_id in controller.inventory.lightpaths:
+        conn_id = controller.connection_of(lightpath_id)
+        if conn_id is None:
+            continue
+        connection = controller.connections.get(conn_id)
+        if connection is None or lightpath_id not in connection.lightpath_ids:
+            report.violations.append(AuditViolation(
+                "misindexed-lightpath", f"lightpath {lightpath_id}", conn_id,
+                "indexed to a connection that does not list it",
+            ))
+    return report
 
 
 def audit_orphan_lightpaths(
@@ -551,18 +564,25 @@ def _audit_connection_resources(
         connection = connections[conn_id]
         if connection.state is ConnectionState.REQUESTED:
             continue  # claim not finished yet
-        # In service, yet carried by nothing: a cut fails a lightpath
-        # and its connection in the same instant, so this never holds.
+        # In service, yet carried by nothing, or by less than it names:
+        # a cut fails a lightpath and its connection in the same
+        # instant, and a connection is back in service only once none
+        # of its lightpaths is FAILED, so neither ever holds.
         lightpaths = [inventory.lightpaths.get(i) for i in connection.lightpath_ids]
-        if (
-            connection.state in (ConnectionState.UP, ConnectionState.DEGRADED)
-            and lightpaths and not connection.circuit_ids and not connection.evc_ids
-            and all(lp is not None and lp.state is LightpathState.FAILED for lp in lightpaths)
-        ):
+        failed = [
+            lp for lp in lightpaths if lp is not None and lp.state is LightpathState.FAILED
+        ]
+        carried_otherwise = connection.circuit_ids or connection.evc_ids
+        if failed and connection.state in (ConnectionState.UP, ConnectionState.DEGRADED):
+            if len(failed) == len(lightpaths) and not carried_otherwise:
+                kind = "unserved-connection"
+                detail = "with every lightpath FAILED and no circuit or EVC to carry it"
+            else:
+                kind = "failed-lightpath-in-service"
+                detail = f"while naming FAILED lightpath {failed[0].lightpath_id}"
             report.violations.append(AuditViolation(
-                "unserved-connection", f"connection {conn_id}", conn_id,
-                f"{connection.state.value} with every lightpath FAILED and "
-                "no circuit or EVC to carry it",
+                kind, f"connection {conn_id}", conn_id,
+                f"{connection.state.value} {detail}",
             ))
         for lightpath_id in connection.lightpath_ids:
             if lightpath_id not in inventory.lightpaths:

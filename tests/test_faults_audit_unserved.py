@@ -6,6 +6,12 @@ the network is not delivering.  No resource leaks in that state, so the
 hardware passes alone cannot see it; ``unserved-connection`` does.  A
 real fiber cut fails the lightpath and its connection in the same
 instant, so a cut — restored or not — never trips the rule.
+
+Two states of a connection with several lightpaths hid a restoration
+that replaced only the first of them: one of its lightpaths FAILED
+while it reads UP (``failed-lightpath-in-service``), and a registered
+lightpath the cut index assigns to a connection that no longer lists
+it (``misindexed-lightpath``).
 """
 
 import pytest
@@ -50,3 +56,35 @@ def test_a_cut_fails_the_connection_with_its_lightpath(auto_restore):
     assert _kinds(net) == []
     net.run()
     assert _kinds(net) == []
+
+
+def _twenty_gig_connection():
+    net = build_griphon_testbed(seed=1, latency_cv=0.0)
+    conn = net.service_for("acme").request_connection(
+        "PREMISES-A", "PREMISES-B", 20
+    )
+    net.run()
+    assert conn.state is ConnectionState.UP
+    assert conn.lightpath_ids == ["lp-0", "lp-1"]
+    assert _kinds(net) == []
+    return net, conn
+
+
+def test_up_connection_naming_one_failed_lightpath_is_flagged():
+    net, conn = _twenty_gig_connection()
+    net.controller.inventory.lightpaths["lp-1"].transition(LightpathState.FAILED)
+    report = audit_network(net.controller)
+    assert [(v.kind, v.owner) for v in report.violations] == [
+        ("failed-lightpath-in-service", conn.connection_id)
+    ]
+    assert "naming FAILED lightpath lp-1" in str(report)
+
+
+def test_a_lightpath_indexed_to_a_connection_that_does_not_list_it_is_flagged():
+    net, conn = _twenty_gig_connection()
+    conn.lightpath_ids.remove("lp-1")
+    report = audit_network(net.controller)
+    assert [(v.kind, v.resource, v.owner) for v in report.violations] == [
+        ("misindexed-lightpath", "lightpath lp-1", conn.connection_id)
+    ]
+

@@ -15,7 +15,9 @@ asks ``gc.collect()`` how many unreachable objects the run left:
   determinism job does).  A drained sharded run must also keep no
   retired child: every order has settled, none still holds children
   and no unit controller still registers a connection, so the settled
-  ``ShardOrder`` is the only record left of it;
+  ``ShardOrder`` is the only record left of it.  A drained monolithic
+  run must keep no restoration state: every connection is RELEASED or
+  BLOCKED, and no set-aside lightpath or deferred teardown is left;
 * the frontend chaos fleet run: EMS faults, saga rollbacks, teardowns.
 """
 
@@ -60,6 +62,15 @@ def test_a_benchmark_run_leaves_no_cycles(workload, seed, scale):
                 unit: len(controller.connections)
                 for unit, controller in world.controllers.items()
             } == dict.fromkeys(world.controllers, 0)
+        else:
+            for controller in world.controllers.values():
+                assert controller.connections
+                assert all(
+                    connection.state in SETTLED
+                    for connection in controller.connections.values()
+                )
+                assert controller.restoration._unrestored == {}
+                assert controller.restoration._teardown_after_restore == set()
     finally:
         world.close()
 

@@ -8,11 +8,17 @@ be left FAILED naming a lightpath the inventory no longer had: every
 later repair returned early, the connection could never come back, and
 the auditor reported ``dangling-lightpath``.  Found on ``mono-churn
 --seed 11 --scale 1.0`` (conn-1490, conn-1754).
+
+A connection of several wavelengths restores each of them: restoration
+used to replace only its first lightpath, so a 20G connection came back
+UP on one 10G lightpath while the other stayed registered FAILED, and a
+repair in manual mode revived only the first.
 """
 
 from repro.core.connection import CLAIM_FXC, ConnectionState
 from repro.facade import GriphonNetwork, build_griphon_testbed
 from repro.faults import FaultPlan, FaultSpec, audit_network
+from repro.optical.lightpath import LightpathState
 from repro.topo import Link, NetworkGraph, Node
 from repro.units import gbps
 
@@ -201,3 +207,103 @@ def test_aborted_restoration_is_retried_by_the_next_repair():
     assert victim.state is ConnectionState.RELEASED
     assert svc.usage()["connections"] == 0
     assert audit_network(net.controller).ok
+
+
+# -- connections of several wavelengths ---------------------------------------
+
+TESTBED_SPAN = ("ROADM-I", "ROADM-III")
+
+
+def twenty_gig(net, premises_a, premises_b, span):
+    """A 20G connection: two 10G lightpaths, both riding ``span``."""
+    svc = net.service_for("csp")
+    conn = svc.request_connection(premises_a, premises_b, 20)
+    net.run()
+    assert conn.state is ConnectionState.UP
+    assert conn.lightpath_ids == ["lp-0", "lp-1"]
+    for lightpath_id in conn.lightpath_ids:
+        assert net.inventory.lightpaths[lightpath_id].path == list(span)
+    return svc, conn
+
+
+def assert_carried_by_two(net, conn):
+    """UP on two UP lightpaths, each indexed to it and steered to, and
+    nothing else registered."""
+    lightpaths = net.inventory.lightpaths
+    assert conn.state is ConnectionState.UP
+    assert conn.outage_started_at is None
+    assert len(conn.lightpath_ids) == 2
+    assert sorted(lightpaths) == sorted(conn.lightpath_ids)
+    for lightpath_id in conn.lightpath_ids:
+        assert lightpaths[lightpath_id].state is LightpathState.UP
+        assert net.controller.connection_of(lightpath_id) == conn.connection_id
+    assert sorted(ot_labels(net, conn)) == sorted(
+        ot for lightpath_id in conn.lightpath_ids for ot in lightpaths[lightpath_id].ot_ids
+    )
+    report = audit_network(net.controller)
+    assert report.ok, str(report)
+
+
+def assert_torn_down_clean(net, svc, conn):
+    svc.teardown_connection(conn.connection_id)
+    net.run()
+    assert conn.state is ConnectionState.RELEASED
+    assert not net.inventory.lightpaths
+    assert audit_network(net.controller).ok
+
+
+def test_a_cut_restores_every_wavelength_of_a_connection():
+    net = build_griphon_testbed(seed=1, latency_cv=0.0)
+    svc, conn = twenty_gig(net, "PREMISES-A", "PREMISES-B", TESTBED_SPAN)
+    net.controller.cut_link(*TESTBED_SPAN)
+    net.run()
+    assert_carried_by_two(net, conn)
+    assert net.metrics.counter("restoration.success") == 1
+    assert not list(net.inventory.lightpaths_using_link(*TESTBED_SPAN))
+    net.controller.repair_link(*TESTBED_SPAN)
+    net.run()
+    assert_carried_by_two(net, conn)
+    assert_torn_down_clean(net, svc, conn)
+
+
+def test_a_repair_revives_every_wavelength_of_a_connection():
+    net = build_griphon_testbed(seed=1, latency_cv=0.0)
+    net.controller.auto_restore = False
+    svc, conn = twenty_gig(net, "PREMISES-A", "PREMISES-B", TESTBED_SPAN)
+    net.controller.cut_link(*TESTBED_SPAN)
+    net.run()
+    assert conn.state is ConnectionState.FAILED
+    assert [
+        net.inventory.lightpaths[lightpath_id].state
+        for lightpath_id in conn.lightpath_ids
+    ] == [LightpathState.FAILED] * 2
+    net.controller.repair_link(*TESTBED_SPAN)
+    net.run()
+    assert conn.lightpath_ids == ["lp-0", "lp-1"]
+    assert_carried_by_two(net, conn)
+    assert_torn_down_clean(net, svc, conn)
+
+
+def test_a_blocked_wavelength_waits_while_its_sibling_is_restored():
+    """Only one detour fits (M has one regen): the connection stays
+    FAILED on the restored wavelength until the repair brings back the
+    other."""
+    net = detour_network()
+    svc, conn = twenty_gig(net, "DC-A", "DC-B", ("A", "B"))
+    net.controller.cut_link("A", "B")
+    net.run()
+    assert conn.state is ConnectionState.FAILED
+    assert net.metrics.counter("restoration.blocked") == 1
+    assert net.metrics.counter("restoration.success") == 0
+    [restored] = conn.lightpath_ids
+    assert list(net.inventory.lightpaths) == [restored]
+    assert net.inventory.lightpaths[restored].path == ["A", "M", "B"]
+    assert audit_network(net.controller).ok
+    net.controller.repair_link("A", "B")
+    net.run()
+    assert_carried_by_two(net, conn)
+    assert sorted(
+        net.inventory.lightpaths[lightpath_id].path for lightpath_id in conn.lightpath_ids
+    ) == [["A", "B"], ["A", "M", "B"]]
+    assert net.metrics.counter("restoration.success") == 1
+    assert_torn_down_clean(net, svc, conn)

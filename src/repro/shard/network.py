@@ -770,6 +770,9 @@ class ShardedNetwork:
     ) -> None:
         """Record the plans, claim them and start setup — or block."""
         plans: List[RwaPlan] = []
+        # The record keeps the hierarchy graph's own name objects: a plan
+        # a worker sent back brings a fresh copy of every name in it.
+        node = self.hierarchy.graph.node
         try:
             for spec, item in zip(specs, items):
                 if not item.ok:
@@ -777,9 +780,9 @@ class ShardedNetwork:
                 plans.append(item.plan)
                 order.plan_record.append({
                     "unit": spec.unit,
-                    "path": list(item.plan.path),
+                    "path": [node(name).name for name in item.plan.path],
                     "channels": [seg.channel for seg in item.plan.segments],
-                    "regens": list(item.plan.regen_sites),
+                    "regens": [node(name).name for name in item.plan.regen_sites],
                 })
             self._claim(order, specs, plans)
         except GriphonError as exc:

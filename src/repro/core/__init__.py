@@ -18,8 +18,10 @@ Sub-modules, in dependency order:
   the timed EMS-step choreography for setup/teardown;
 * :mod:`repro.core.grooming` — the OTN sub-wavelength path engine;
 * :mod:`repro.core.admission` — customers, quotas, isolation;
-* :mod:`repro.core.controller` — the controller facade (orders,
-  failure detection and automated restoration);
+* :mod:`repro.core.controller` — the controller facade (orders and
+  their claims ledger);
+* :mod:`repro.core.restoration` — failure detection, localization and
+  automated restoration of every failed lightpath of a connection;
 * :mod:`repro.core.migration` — bridge-and-roll, the one locked path
   every migration driver moves a connection through;
 * :mod:`repro.core.maintenance` — planned-maintenance orchestration;

@@ -1,4 +1,4 @@
-"""The GRIPhoN controller: orders, restoration, and migrations.
+"""The GRIPhoN controller: orders, with restoration and migrations beside it.
 
 This is the brain of the system.  It owns the inventory database, talks
 to every EMS, and implements the four Table 1 capabilities:
@@ -9,8 +9,9 @@ to every EMS, and implements the four Table 1 capabilities:
 * **rapid establishment** — setup runs as simulated EMS workflows that
   complete in about a minute instead of weeks;
 * **reduced outage times** — fiber-cut detection, localization, and
-  automated wavelength re-provisioning, plus sub-second shared-mesh
-  restoration for OTN circuits;
+  automated re-provisioning of each failed wavelength, plus sub-second
+  shared-mesh restoration for OTN circuits
+  (:mod:`repro.core.restoration`, reached as ``controller.restoration``);
 * **minimal maintenance impact** — automated bridge-and-roll migrates a
   live connection to a disjoint path with only a tiny roll hit
   (:mod:`repro.core.migration`, reached as ``controller.migrations``).

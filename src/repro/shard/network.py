@@ -125,6 +125,8 @@ def _exclusions(graph, unit_graph) -> tuple:
     nodes that only ``graph`` has, and the nodes the unit lacks.  Both
     are empty when ``graph`` is the unit's own graph.
     """
+    if graph is unit_graph:
+        return (), ()
     inside = unit_graph.has_node
     return (
         tuple(sorted(
@@ -328,6 +330,35 @@ class ShardedNetwork:
             groups = {unit: (graph, [unit]) for unit, graph in units.items()}
         else:
             groups = {MONOLITH: (hierarchy.graph, list(units))}
+        #: recipe -> parent-side plant mirror (pool backend only).
+        self._mirrors: Dict[UnitRecipe, _PlantMirror] = {}
+        #: Number of the current placement round (or explicit sync).
+        self._round_no = 0
+        self._pool: Optional[ShardWorkerPool] = None
+        self._owns_pool = False
+        recipes: Dict[str, UnitRecipe] = {}
+        if backend == "pool":
+            # Each worker plans over one controller's own graph, for
+            # every unit grouped onto that controller.  Every graph exists
+            # before any controller does, so the workers fork first and
+            # inherit none of the controllers' inventories.
+            recipes = {
+                key: UnitRecipe(key, graph, grid_size=grid_size, k_paths=k_paths)
+                for key, (graph, _) in groups.items()
+            }
+            if pool is None:
+                pool = ShardWorkerPool()
+                self._owns_pool = True
+            elif not set(pool.recipes()).isdisjoint(recipes.values()):
+                # Networks built from one hierarchy name equal recipes;
+                # one pool would plan each on the other's occupancy.
+                raise ConfigurationError(
+                    "the worker pool already hosts a unit of this network's "
+                    "hierarchy; every network needs a pool of its own"
+                )
+            # One call, so a fresh pool deals every unit before it forks.
+            pool.ensure(*recipes.values())
+            self._pool = pool
         #: controller key -> controller: what is audited and fingerprinted.
         self._controllers: Dict[str, GriphonController] = {}
         #: unit name -> the controller planning/claiming for that unit,
@@ -337,64 +368,46 @@ class ShardedNetwork:
         #: unit name -> ``(excluded_links, excluded_nodes)`` confining its
         #: controller's candidate routes to the unit's own graph.
         self._exclusions: Dict[str, tuple] = {}
-        for key, (graph, members) in groups.items():
-            # A lone unit's plan is handed over as is, so a rule added to
-            # it mid-run still reaches its controller.
-            plans = [fault_plans[unit] for unit in members if unit in fault_plans]
-            controller = self._build_controller(
-                key,
-                graph,
-                [units[unit] for unit in members],
-                transponders_10g,
-                regens_10g,
-                grid_size,
-                k_paths,
-                plans[0] if len(plans) == 1
-                else FaultPlan([spec for plan in plans for spec in plan.specs]),
-            )
-            controller.observers.append(self._on_unit_event)
-            self._controllers[key] = controller
-            for unit in members:
-                self._unit_controller[unit] = controller
-                self._key_of[unit] = key
-                self._exclusions[unit] = _exclusions(graph, units[unit])
-        #: unit name -> what plans its batches: its controller's key, or
-        #: with the pool backend that controller's worker recipe.
-        self._planner: Dict[str, object] = dict(self._key_of)
-        #: recipe -> parent-side plant mirror (pool backend only).
-        self._mirrors: Dict[UnitRecipe, _PlantMirror] = {}
-        #: Number of the current placement round (or explicit sync).
-        self._round_no = 0
-        self._pool: Optional[ShardWorkerPool] = None
-        self._owns_pool = False
-        if backend == "pool":
-            # Each worker plans over one controller's own graph, for
-            # every unit grouped onto that controller.
-            recipes = {
-                key: UnitRecipe(
-                    key, controller.inventory.graph,
-                    grid_size=grid_size, k_paths=k_paths,
+        try:
+            for key, (graph, members) in groups.items():
+                # A lone unit's plan is handed over as is, so a rule added
+                # to it mid-run still reaches its controller.
+                plans = [
+                    fault_plans[unit] for unit in members if unit in fault_plans
+                ]
+                controller = self._build_controller(
+                    key,
+                    graph,
+                    [units[unit] for unit in members],
+                    transponders_10g,
+                    regens_10g,
+                    grid_size,
+                    k_paths,
+                    plans[0] if len(plans) == 1
+                    else FaultPlan(
+                        [spec for plan in plans for spec in plan.specs]
+                    ),
                 )
-                for key, controller in self._controllers.items()
-            }
-            self._planner = {unit: recipes[key] for unit, key in self._key_of.items()}
-            self._mirrors = {
-                recipe: _PlantMirror(self._controllers[key].inventory.plant)
-                for key, recipe in recipes.items()
-            }
-            if pool is None:
-                pool = ShardWorkerPool()
-                self._owns_pool = True
-            elif not set(pool.recipes()).isdisjoint(self._mirrors):
-                # Networks built from one hierarchy name equal recipes;
-                # one pool would plan each on the other's occupancy.
-                raise ConfigurationError(
-                    "the worker pool already hosts a unit of this network's "
-                    "hierarchy; every network needs a pool of its own"
-                )
-            # One call, so a fresh pool deals every unit before it forks.
-            pool.ensure(*self._mirrors)
-            self._pool = pool
+                controller.observers.append(self._on_unit_event)
+                self._controllers[key] = controller
+                for unit in members:
+                    self._unit_controller[unit] = controller
+                    self._key_of[unit] = key
+                    self._exclusions[unit] = _exclusions(graph, units[unit])
+            #: unit name -> what plans its batches: its controller's key,
+            #: or with the pool backend that controller's worker recipe.
+            self._planner: Dict[str, object] = dict(self._key_of)
+            if recipes:
+                self._planner = {
+                    unit: recipes[key] for unit, key in self._key_of.items()
+                }
+                self._mirrors = {
+                    recipes[key]: _PlantMirror(controller.inventory.plant)
+                    for key, controller in self._controllers.items()
+                }
+        except BaseException:
+            self.close()
+            raise
 
     # -- pool lifecycle -------------------------------------------------------
 

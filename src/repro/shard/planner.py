@@ -76,9 +76,8 @@ class ShardPlanner:
 
     def __init__(self, hierarchy: Hierarchy) -> None:
         self.hierarchy = hierarchy
-        # Hop maps are computed lazily (per region, per source node) and
-        # cached; the hierarchy is immutable once built, so they never go
-        # stale.
+        # Hop maps are computed lazily (one per gateway) and cached; the
+        # hierarchy is immutable once built, so they never go stale.
         self._region_hops: Dict[Tuple[str, str], Dict[str, int]] = {}
         self._express_hops: Dict[str, Dict[str, int]] = {}
 
@@ -107,21 +106,21 @@ class ShardPlanner:
         """The (gateway_a, gateway_b) pair minimizing total hop count.
 
         Deterministic: total BFS hops, ties broken by (gateway_a,
-        gateway_b) name order.
+        gateway_b) name order.  Hop distance is symmetric on an
+        undirected region graph, so each PoP's distance is read from its
+        gateway's map: one map per gateway, not one per source PoP.
 
         Raises:
             NoPathError: when no gateway pair connects the two regions.
         """
-        hops_a = self._hops_in_region(region_a, pop_a)
-        hops_b = self._hops_in_region(region_b, pop_b)
         best: Optional[Tuple[int, str, str]] = None
         for gw_a in self.hierarchy.regions[region_a].gateways:
-            near = hops_a.get(gw_a)
+            near = self._hops_in_region(region_a, gw_a).get(pop_a)
             if near is None:
                 continue
             express = self._hops_on_express(gw_a)
             for gw_b in self.hierarchy.regions[region_b].gateways:
-                far = hops_b.get(gw_b)
+                far = self._hops_in_region(region_b, gw_b).get(pop_b)
                 middle = express.get(gw_b)
                 if far is None or middle is None:
                     continue

@@ -19,16 +19,22 @@ placement round sends it.
   changes, on first contact in the round the occupancy delta from the
   parent-side plant mirror, and the unit's requests as plain tuples —
   see :func:`round_payload` and :func:`round_items`),
+  ``sync`` (the same delta with no round and no requests: what a
+  respawned unit replays its folded journal as),
   ``cut``/``repair`` (chaos hooks), ``fingerprint`` (structural digest
   for determinism gates), ``ping``, and ``adopt`` (build one more unit
   from a recipe that arrived after the fork).
 * :class:`ShardWorkerPool` — the parent-side pool: units dealt onto
   ``min(units, usable cores)`` processes, a fan-out that costs one
   message per touched process and always drains every reply,
-  journal-based rebuild-and-replay recovery after a crash
+  rebuild-and-replay recovery after a crash
   (:class:`~repro.errors.WorkerCrashed`, which costs every unit of the
   dead process) for single calls and fan-outs alike, and graceful
-  context-manager shutdown.
+  context-manager shutdown.  A unit's replay journal folds at each of
+  its round boundaries: everything before the current round becomes
+  one ``sync`` of the plant state it left (occupied masks, failed
+  links), so the journal, and a respawn's replay, are sized by the
+  unit's network and its current round, not by the run's history.
 
 **Determinism.**  A plan's outcome depends only on the unit's graph,
 its fiber plant (occupancy bitmasks, link liveness), and the reach
@@ -46,10 +52,11 @@ change a plan.
 
 from __future__ import annotations
 
+import itertools
 import os
 from dataclasses import dataclass
 from multiprocessing import get_context
-from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from repro.core.inventory import InventoryDatabase
 from repro.core.rwa import (
@@ -72,7 +79,7 @@ MIRROR_OWNER = "~mirror"
 #: RPC ops that mutate unit state and therefore enter the replay
 #: journal (``round`` for its sync and for the overlay its plans leave,
 #: which the round's next message plans against).
-_MUTATING_OPS = frozenset({"round", "cut", "repair"})
+_MUTATING_OPS = frozenset({"round", "sync", "cut", "repair"})
 
 #: Seconds a worker gets to exit before :func:`_reap` escalates.
 _REAP_TIMEOUT_S = 10.0
@@ -232,14 +239,28 @@ class _WorkerState:
         """Reconcile the plant with the parent's occupancy + failures.
 
         Repairs first (occupancy can only change on live links), then
-        occupancy deltas under :data:`MIRROR_OWNER`, then cuts.
+        occupancy deltas under :data:`MIRROR_OWNER`, then cuts.  Every
+        link is looked up and every mask checked against the grid before
+        anything changes, so a sync the unit refuses leaves its plant as
+        it was: the pool's journal fold counts on that.
         """
         plant = self.inventory.plant
-        for a, b in repair:
-            plant.repair_link(a, b)
+        size = plant.grid.size
+        targets = []
         for key, target in masks.items():
             link = plant.dwdm_link(*key)
-            full = (1 << link.grid.size) - 1
+            if target >> size:
+                raise ConfigurationError(
+                    f"mask {target:#x} for {key} does not fit a "
+                    f"{size}-channel grid"
+                )
+            targets.append((link, target))
+        for a, b in itertools.chain(repair, cut):
+            plant.dwdm_link(a, b)
+        for a, b in repair:
+            plant.repair_link(a, b)
+        full = (1 << size) - 1
+        for link, target in targets:
             current = full & ~link.free_mask()
             stale = current & ~target
             fresh = target & ~current
@@ -280,6 +301,9 @@ class _WorkerState:
                     round_ctx=self.round,
                 )
             )
+        if op == "sync":
+            self._apply_sync(payload["masks"], payload["cut"], payload["repair"])
+            return None
         if op == "cut":
             return sorted(plant.cut_link(payload["a"], payload["b"]))
         if op == "repair":
@@ -369,16 +393,69 @@ class _Host:
 class _Unit:
     """Parent-side bookkeeping for one hosted planning unit."""
 
-    __slots__ = ("recipe", "host", "slot", "journal")
+    __slots__ = ("recipe", "host", "slot", "journal", "round_no", "_snapshot")
 
     def __init__(self, recipe: UnitRecipe, host: _Host) -> None:
         self.recipe = recipe
         self.host = host
         #: The unit's index in its process: what a call addresses.
         self.slot = len(host.units)
-        #: Mutating ops the unit acknowledged, in order — replayed into
-        #: a fresh process to rebuild identical state after a crash.
-        self.journal: List[Tuple[str, Any]] = []
+        #: What a fresh process replays, in order, to rebuild identical
+        #: state after a crash: ``(op, payload, ok)`` for every mutating
+        #: op the unit acknowledged (``ok`` False for an error reply)
+        #: since its current round's first message, after the ``sync``
+        #: entry the earlier ones were folded into (see :meth:`record`).
+        self.journal: List[Tuple[str, Any, bool]] = []
+        #: The round number of the latest journaled ``round`` message.
+        self.round_no: Optional[int] = None
+        #: The entry earlier rounds fold into: a ``sync`` of the occupied
+        #: masks (dark links omitted) and the failed links every op
+        #: before the current round left.  Folds change it in place.
+        self._snapshot = ("sync", {"masks": {}, "cut": set(), "repair": ()}, True)
+
+    def record(self, op: str, payload: Any, ok: bool) -> None:
+        """Journal an acknowledged mutating op.
+
+        A ``round`` message that opens a new round first folds every
+        earlier entry into the snapshot.  Only the current round's
+        messages stay verbatim: the overlay their plans left is what the
+        round's next message plans against, while all an earlier round
+        left is plant state.  A fold costs the keys the folded entries
+        change; an op whose reply was an error changed nothing (a unit
+        refuses a sync whole, and a cut or repair of an unknown link
+        before it touches the plant) and folds to nothing.
+        """
+        if op == "round" and payload["round"] != self.round_no:
+            self.round_no = payload["round"]
+            self._fold()
+        self.journal.append((op, payload, ok))
+
+    def _fold(self) -> None:
+        masks: Dict[Tuple[str, str], int] = self._snapshot[1]["masks"]
+        failed: Set[Tuple[str, str]] = self._snapshot[1]["cut"]
+        for entry in self.journal:
+            op, payload, ok = entry
+            if not ok or entry is self._snapshot:
+                continue
+            if op in ("cut", "repair"):
+                key = self.recipe.graph.link_between(payload["a"], payload["b"]).key
+                if op == "cut":
+                    failed.add(key)
+                else:
+                    failed.discard(key)
+                continue
+            sync = payload["sync"] if op == "round" else payload
+            if sync is None:
+                continue
+            failed.difference_update(sync["repair"])
+            for key, mask in sync["masks"].items():
+                if mask:
+                    masks[key] = mask
+                else:
+                    masks.pop(key, None)
+            failed.update(sync["cut"])
+        if self.journal:
+            self.journal = [self._snapshot]
 
 
 class ShardWorkerPool:
@@ -451,7 +528,10 @@ class ShardWorkerPool:
         The first call that brings recipes forks the processes and deals
         the recipes onto them round-robin in argument order, so each
         process builds its units from memory inherited at the fork.  A
-        recipe that arrives after that is adopted: sent to the process
+        process inherits all of its parent's memory, not just its
+        recipes' graphs, so call this before building anything a unit
+        never reads (``ShardedNetwork`` forks before its controllers).
+        A recipe that arrives after that is adopted: sent to the process
         whose turn it is in the same deal.
         """
         if self._closed:
@@ -496,11 +576,13 @@ class ShardWorkerPool:
         """Replace the (crashed) process hosting ``recipe`` and replay.
 
         The fresh process builds every unit the old one hosted, then
-        replays each unit's journal: every acknowledged mutating op, in
-        order, so each unit deterministically reaches the exact state it
-        held — including ops that *failed* deterministically (their
-        replay fails identically and is dropped).  In-flight
-        unacknowledged calls are not replayed; the caller re-issues them.
+        replays each unit's journal: the ``sync`` its earlier rounds were
+        folded into, then every mutating op acknowledged since its
+        current round began, in order, so each unit deterministically
+        reaches the exact state it held — including ops that *failed*
+        deterministically (their replay fails identically and is
+        dropped).  In-flight unacknowledged calls are not replayed; the
+        caller re-issues them.
         """
         self._respawn(self._units[recipe].host)
 
@@ -518,7 +600,7 @@ class ShardWorkerPool:
         replay = [
             (unit.slot, op, payload)
             for unit in host.units
-            for op, payload in unit.journal
+            for op, payload, _ in unit.journal
         ]
         if replay:
             self._send(host, replay)
@@ -654,7 +736,7 @@ class ShardWorkerPool:
                 indices[host], message, answers
             ):
                 if op in _MUTATING_OPS:
-                    host.units[slot].journal.append((op, payload))
+                    host.units[slot].record(op, payload, tag == "ok")
                 if tag == "error":
                     errors.append((index, _rebuild_error(*result)))
                 else:

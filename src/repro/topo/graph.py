@@ -53,6 +53,10 @@ class Link:
         b: The other endpoint node name.
         length_km: Fiber route distance, used by the optical reach model.
         srlgs: Shared-risk link group identifiers (conduits, bridges...).
+        key: Canonical (sorted) endpoint pair identifying this link.  It
+            is built once, so the graph, the plant and every record keyed
+            by link hold this one tuple; it is not a field, so equality
+            and hashing still read the four fields above.
     """
 
     a: str
@@ -68,11 +72,9 @@ class Link:
                 f"link {self.a}-{self.b} must have positive length, "
                 f"got {self.length_km}"
             )
-
-    @property
-    def key(self) -> Tuple[str, str]:
-        """Canonical (sorted) endpoint pair identifying this link."""
-        return (self.a, self.b) if self.a <= self.b else (self.b, self.a)
+        object.__setattr__(
+            self, "key", (self.a, self.b) if self.a <= self.b else (self.b, self.a)
+        )
 
     def other(self, node: str) -> str:
         """Return the endpoint opposite ``node``.
@@ -170,6 +172,26 @@ class NetworkGraph:
         self._generation += 1
         return link
 
+    def merge(self, other: "NetworkGraph") -> None:
+        """Add every node and link of ``other``, which shares no node
+        with this graph: the graph that :meth:`add_node` and
+        :meth:`add_link` would build from ``other``'s nodes and then its
+        links, in its order, with the same generation, in one pass.
+
+        Raises:
+            TopologyError: if a node of ``other`` is already here.
+        """
+        shared = self._nodes.keys() & other._nodes.keys()
+        if shared:
+            raise TopologyError(f"node {min(shared)!r} already exists")
+        self._nodes.update(other._nodes)
+        for name, neighbors in other._adjacency.items():
+            self._adjacency[name] = set(neighbors)
+        self._links.update(other._links)
+        for srlg, links in other._srlg_index.items():
+            self._srlg_index.setdefault(srlg, []).extend(links)
+        self._generation += len(other._nodes) + len(other._links)
+
     # -- lookup ----------------------------------------------------------------
 
     @property
@@ -262,8 +284,10 @@ class NetworkGraph:
         if cached is None:
             cached = []
             for neighbor in sorted(self._adjacency[name]):
-                key = (name, neighbor) if name <= neighbor else (neighbor, name)
-                cached.append((neighbor, key, self._links[key]))
+                link = self._links[
+                    (name, neighbor) if name <= neighbor else (neighbor, name)
+                ]
+                cached.append((neighbor, link.key, link))
             self._sorted_adjacency[name] = cached
         return cached
 

@@ -294,10 +294,8 @@ def build_hierarchy(
         pops: List[str] = []
         premises: List[str] = []
         for node in sub.nodes:
-            graph.add_node(node)
             (premises if node.kind == "premises" else pops).append(node.name)
-        for link in sub.links:
-            graph.add_link(link)
+        graph.merge(sub)
         region_graphs[name] = sub
         infos[name] = RegionInfo(
             name,

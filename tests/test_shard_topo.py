@@ -4,8 +4,9 @@ from collections import deque
 
 import pytest
 
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, TopologyError
 from repro.shard.planner import ShardPlanner
+from repro.topo.graph import NetworkGraph
 from repro.topo.hierarchy import (
     EXPRESS,
     build_hierarchy,
@@ -118,3 +119,70 @@ class TestPlannerHopMaps:
             assert planner._hops_on_express(gateway) == _sorted_bfs_hops(
                 express, gateway
             )
+
+    def test_gateway_choice_matches_per_pop_hop_maps(self):
+        """Reading each PoP's distance from its gateways' maps picks the
+        gateways one map per source PoP picked, for every PoP pair."""
+        hierarchy = build_hierarchy(seed=5, regions=4, pops_per_region=6,
+                                    with_premises=True)
+        planner = ShardPlanner(hierarchy)
+        express = hierarchy.express_graph()
+        pops = [(region, pop)
+                for region, info in hierarchy.regions.items()
+                for pop in info.pops]
+        for region_a, pop_a in pops:
+            hops_a = _sorted_bfs_hops(hierarchy.region_graph(region_a), pop_a)
+            for region_b, pop_b in pops:
+                if region_a == region_b:
+                    continue
+                hops_b = _sorted_bfs_hops(hierarchy.region_graph(region_b), pop_b)
+                expected = min(
+                    (hops_a[gw_a] + middle[gw_b] + hops_b[gw_b], gw_a, gw_b)
+                    for gw_a in hierarchy.regions[region_a].gateways
+                    for middle in [_sorted_bfs_hops(express, gw_a)]
+                    for gw_b in hierarchy.regions[region_b].gateways
+                    if gw_b in middle
+                )[1:]
+                assert planner.choose_gateways(
+                    pop_a, region_a, pop_b, region_b
+                ) == expected
+        # One region map per gateway, however many PoPs asked.
+        assert sorted(start for _, start in planner._region_hops) == sorted(
+            hierarchy.gateways()
+        )
+
+
+class TestMergedBuild:
+    def test_merged_slices_equal_the_one_at_a_time_build(self):
+        """The global graph merged from finished region slices is the
+        graph adding their nodes and links one at a time builds."""
+        hierarchy = build_hierarchy(seed=5, regions=3, pops_per_region=6,
+                                    with_premises=True)
+        graph = NetworkGraph()
+        for region in hierarchy.regions:
+            sub = hierarchy.region_graph(region)
+            for node in sub.nodes:
+                graph.add_node(node)
+            for link in sub.links:
+                graph.add_link(link)
+        for a, b in hierarchy.express_links:
+            graph.add_link(hierarchy.graph.link_between(a, b))
+        merged = hierarchy.graph
+        assert merged.nodes == graph.nodes
+        assert merged.links == graph.links
+        assert merged.generation == graph.generation
+        assert merged._adjacency == graph._adjacency
+        assert merged._srlg_index == graph._srlg_index
+        for node in graph.nodes:
+            assert merged._sorted_neighbors(node.name) == graph._sorted_neighbors(
+                node.name
+            )
+        # A merge never shares a node, or a slice's adjacency, with its
+        # source: the slices stay the graphs the shards plan over.
+        region = next(iter(hierarchy.regions))
+        with pytest.raises(TopologyError, match="already exists"):
+            merged.merge(hierarchy.region_graph(region))
+        gateway = hierarchy.regions[region].gateways[0]
+        assert merged.adjacent(gateway) != hierarchy.region_graph(
+            region
+        ).adjacent(gateway)

@@ -25,6 +25,8 @@ import signal
 from multiprocessing.connection import Connection
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.admission import CustomerProfile
 from repro.core.inventory import InventoryDatabase
@@ -39,7 +41,7 @@ from repro.errors import (
 from repro.fingerprint import outcome_fingerprint, plant_fingerprint
 from repro.optical.wavelength import WavelengthGrid
 from repro.shard import workers as shard_workers
-from repro.shard.network import _PlantMirror, build_sharded_network
+from repro.shard.network import ShardedNetwork, _PlantMirror, build_sharded_network
 from repro.shard.workers import (
     ShardWorkerPool,
     UnitRecipe,
@@ -477,6 +479,24 @@ class TestLifecycle:
         assert multiprocessing.active_children() == []
 
 
+class TestForkFirst:
+    def test_a_failed_controller_build_leaves_no_live_child(self, monkeypatch):
+        forked = []
+
+        def broken(self, *args):
+            # The workers are up before the first controller is built.
+            forked.append(len(multiprocessing.active_children()))
+            raise ConfigurationError("no controller today")
+
+        monkeypatch.setattr(ShardedNetwork, "_build_controller", broken)
+        with pytest.raises(ConfigurationError, match="no controller today"):
+            build_sharded_network(
+                seed=3, hierarchy=_second_hierarchy(), backend="pool"
+            )
+        assert forked and forked[0] > 0
+        assert multiprocessing.active_children() == []
+
+
 class _DeafProcess:
     """A stand-in worker process that survives ``terminate()``."""
 
@@ -639,6 +659,157 @@ class TestCrashRecovery:
                 pool.process_of(RECIPE).join()
                 pool.respawn(RECIPE)
                 assert finish(pool, history[index:]) == expected, index
+            # Rounds 2 and 3 fold what came before them, so a kill after
+            # round 3 replays across two folds; the round-4 probe folds
+            # once more, leaving the snapshot and its own message.
+            assert [
+                (op, payload.get("round"))
+                for op, payload, _ in pool._units[RECIPE].journal
+            ] == [("sync", None), ("round", 4)]
+
+
+_KEYS = sorted(link.key for link in RECIPE.graph.links)
+_MASKS = st.sampled_from([0, 0b1, 0b11, 0b101, 0b1000, (1 << 80) - 1])
+
+
+@st.composite
+def _histories(draw):
+    """Mutating ops on RECIPE, as a placement loop and chaos send them.
+
+    A round opens with a sync (masks, zero masks among them, with cuts
+    and repairs of other links) and may be split into more messages
+    without one; eager cuts and repairs fall anywhere.  A few ops are
+    refused (a cut of an unknown link, a sync whose mask overflows the
+    grid): a refused op changes nothing and must fold to nothing.
+    """
+    ops, round_no = [], 0
+    for _ in range(draw(st.integers(1, 8))):
+        kind = draw(st.sampled_from(
+            ["open", "open", "split", "split", "cut", "repair", "refused"]
+        ))
+        requests = _requests(
+            RECIPE, draw(st.integers(0, 4)), salt=draw(st.integers(0, 99))
+        )
+        if kind == "open" or (kind == "split" and not round_no):
+            round_no += draw(st.integers(1, 2))
+            cut = draw(st.lists(st.sampled_from(_KEYS), max_size=2, unique=True))
+            sync = {
+                "masks": draw(st.dictionaries(
+                    st.sampled_from(_KEYS), _MASKS, max_size=4
+                )),
+                "cut": cut,
+                "repair": draw(st.lists(
+                    st.sampled_from([k for k in _KEYS if k not in cut]),
+                    max_size=2, unique=True,
+                )),
+            }
+            ops.append(_round(round_no, requests, sync))
+        elif kind == "split":
+            ops.append(_round(round_no, requests))
+        elif kind == "refused":
+            if draw(st.booleans()):
+                ops.append(("cut", {"a": _KEYS[0][0], "b": "NOPE"}))
+            else:
+                round_no += 1
+                ops.append(_round(round_no, requests, {
+                    "masks": {_KEYS[0]: 0b1, _KEYS[1]: 1 << 80},
+                    "cut": [_KEYS[2]], "repair": [],
+                }))
+        else:
+            a, b = draw(st.sampled_from(_KEYS))
+            if draw(st.booleans()):
+                a, b = b, a
+            ops.append((kind, {"a": a, "b": b}))
+    return ops
+
+
+def _answer(send, op, payload):
+    """A reply, or the error it raised as ``(type name, message)``."""
+    try:
+        return send(op, payload)
+    except Exception as exc:  # noqa: BLE001 - the error is the answer
+        return type(exc).__name__, str(exc)
+
+
+class TestJournalFold:
+    """A unit's journal folds at each of its round boundaries."""
+
+    def test_a_refused_sync_changes_nothing(self):
+        with ShardWorkerPool([RECIPE]) as pool:
+            dark = pool.call(RECIPE, "fingerprint")
+            # The first mask fits and the second does not: neither lands,
+            # and neither does the cut.
+            with pytest.raises(ConfigurationError, match="does not fit"):
+                pool.call(RECIPE, *_round(1, sync={
+                    "masks": {_KEYS[0]: 0b1, _KEYS[1]: 1 << 80},
+                    "cut": [_KEYS[2]], "repair": [],
+                }))
+            assert pool.call(RECIPE, "fingerprint") == dark
+            with pytest.raises(TopologyError):
+                pool.call(RECIPE, "sync", {
+                    "masks": {_KEYS[0]: 0b1}, "cut": [], "repair": [("A", "B")],
+                })
+            assert pool.call(RECIPE, "fingerprint") == dark
+
+    @settings(max_examples=15, deadline=None, derandomize=True)
+    @given(history=_histories())
+    def test_a_respawn_at_any_index_equals_the_never_crashed_twin(self, history):
+        # The unit's own state object, never in a pipe, is the twin.
+        twin = shard_workers._WorkerState(RECIPE)
+        neighbour = shard_workers._WorkerState(OTHER)
+
+        def twin_call(op, payload):
+            return twin.dispatch(op, payload)
+
+        with pytest.MonkeyPatch.context() as patch:
+            _cores(patch, 1)
+            pool = ShardWorkerPool([RECIPE, OTHER])
+        with pool:
+            # OTHER shares the process and folds a journal of its own.
+            lit, cut = sorted(link.key for link in OTHER.graph.links)[:2]
+            for op, payload in (
+                _round(1, sync={"masks": {lit: 0b11}, "cut": [], "repair": []}),
+                ("cut", {"a": cut[0], "b": cut[1]}),
+                _round(2),
+            ):
+                pool.call(OTHER, op, payload)
+                neighbour.dispatch(op, payload)
+
+            def pool_call(op, payload):
+                return pool.call(RECIPE, op, payload)
+
+            since_open = 0
+            for op, payload in history:
+                process = pool.process_of(RECIPE)
+                process.kill()
+                process.join()
+                pool.respawn(RECIPE)
+                assert pool.call(RECIPE, "fingerprint") == twin_call(
+                    "fingerprint", None
+                )
+                opens = op == "round" and (
+                    payload["round"] != pool._units[RECIPE].round_no
+                )
+                since_open = 1 if opens else since_open + 1
+                assert _answer(pool_call, op, payload) == _answer(
+                    twin_call, op, payload
+                )
+                journal = pool._units[RECIPE].journal
+                folded = [entry for entry in journal if entry[0] == "sync"]
+                assert folded in ([], journal[:1])
+                assert len(journal) <= len(folded) + since_open
+            round_no = pool._units[RECIPE].round_no or 0
+            probes = [_round(round_no, _requests(RECIPE, salt=7)),
+                      _round(round_no + 1, _requests(RECIPE, salt=8), {
+                          "masks": {}, "cut": [], "repair": []})]
+            for op, payload in probes:
+                assert _answer(pool_call, op, payload) == _answer(
+                    twin_call, op, payload
+                )
+            assert pool.call(OTHER, "fingerprint") == neighbour.dispatch(
+                "fingerprint", None
+            )
+        assert multiprocessing.active_children() == []
 
 
 #: Four rounds over a 3-region network; R00 is planned on in rounds 1, 2

@@ -1,9 +1,13 @@
 """Tests for the network graph: construction, lookup, and path search."""
 
+import dataclasses
+import pickle
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from repro import build_griphon_testbed
 from repro.errors import NoPathError, TopologyError
 from repro.topo import Link, NetworkGraph, Node
 
@@ -72,6 +76,33 @@ class TestConstruction:
 
     def test_link_key_is_order_independent(self):
         assert Link("B", "A").key == Link("A", "B").key == ("A", "B")
+
+    def test_link_key_is_built_once_and_not_a_field(self):
+        link = Link("B", "A", length_km=7.0)
+        assert link.key is link.key
+        # Equality, hashing, repr and pickling read the four fields.
+        assert link == Link("B", "A", length_km=7.0) != Link("A", "B", 7.0)
+        assert hash(link) == hash(Link("B", "A", length_km=7.0))
+        assert "key" not in repr(link)
+        assert pickle.loads(pickle.dumps(link)).key == ("A", "B")
+        assert dataclasses.replace(link, b="C").key == ("B", "C")
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            link.key = ("A", "C")
+
+    def test_graph_plant_and_ems_share_each_links_key(self):
+        net = build_griphon_testbed(seed=42)
+        graph = net.inventory.graph
+        plant_keys = {key: key for key in net.inventory.plant._links}
+        chain_keys = {key: key for key in net.controller.roadm_ems.amplifier_chains()}
+        graph_keys = {key: key for key in graph._links}
+        for link in graph.links:
+            assert graph_keys[link.key] is link.key
+            assert plant_keys[link.key] is link.key
+            assert chain_keys[link.key] is link.key
+            for endpoint in (link.a, link.b):
+                assert any(
+                    key is link.key for _, key, _ in graph._sorted_neighbors(endpoint)
+                )
 
     def test_link_other_endpoint(self):
         link = Link("A", "B")

@@ -15,7 +15,12 @@ whose memory follows its live orders reads near 0 B/order.
 
 Each (workload, scale) runs in a process of its own with
 ``PYTHONHASHSEED=0``.  Only this process's allocations are seen: a
-``sharded-pool`` run's worker processes keep their own.  ``tracemalloc``
+``sharded-pool`` run's worker processes keep their own, so for it one
+more line gives, at each scale, the largest worker's peak RSS
+(``RUSAGE_CHILDREN`` once ``world.close()`` has reaped them) and what
+the pool's crash-replay journals hold after ``run()``: their entries,
+and the ``sys.getsizeof`` bytes of every object they reach, each
+counted once (keys and names shared with the graph included).  ``tracemalloc``
 slows the run several-fold; the bytes do not depend on speed.  The
 script imports ``bench.workloads`` and ``bench.driver`` as they are.
 """
@@ -23,6 +28,7 @@ import argparse
 import gc
 import json
 import os
+import resource
 import subprocess
 import sys
 import tracemalloc
@@ -32,13 +38,33 @@ WORKLOADS = ["sharded-inproc", "sharded-pool", "edge-overload", "mono-churn"]
 TOP = 4  # source files listed per workload
 
 
+def reached_bytes(roots):
+    """``sys.getsizeof`` of every object ``roots`` reach through dicts,
+    lists, tuples and sets, each object counted once."""
+    seen, stack, total = set(), list(roots), 0
+    while stack:
+        obj = stack.pop()
+        if id(obj) in seen:
+            continue
+        seen.add(id(obj))
+        total += sys.getsizeof(obj)
+        if isinstance(obj, dict):
+            stack.extend(obj.keys())
+            stack.extend(obj.values())
+        elif isinstance(obj, (list, tuple, set, frozenset)):
+            stack.extend(obj)
+    return total
+
+
 def measure(workload, seed, scale):
     """One run of ``workload`` in this process: orders served, bytes
-    ``run()`` kept, and those bytes by source file."""
+    ``run()`` kept, and those bytes by source file; with a worker pool
+    also its journals after the run and its largest worker's peak."""
     from bench.driver import Driver
     from bench.workloads import BUILDERS
 
     world = BUILDERS[workload](seed, scale, None)
+    pool = None
     try:
         driver = Driver(world)
         driver.load()
@@ -49,8 +75,18 @@ def measure(workload, seed, scale):
             snapshot = tracemalloc.take_snapshot()
         finally:
             tracemalloc.stop()
+        if world.pool is not None:
+            journals = [unit.journal for unit in world.pool._units.values()]
+            pool = {
+                "journal_entries": sum(map(len, journals)),
+                "journal_bytes": reached_bytes(journals),
+            }
     finally:
         world.close()
+    if pool is not None:
+        pool["worker_peak_mb"] = (
+            resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss / 1024
+        )
     by_file = {
         os.path.relpath(stat.traceback[0].filename, ROOT): stat.size
         for stat in snapshot.statistics("filename")
@@ -59,6 +95,7 @@ def measure(workload, seed, scale):
         "orders": len(driver.tickets),
         "kept": sum(by_file.values()),
         "by_file": by_file,
+        "pool": pool,
     }
 
 
@@ -89,6 +126,13 @@ def lines(workload, scales, low, high):
         )
         + f"  -> {(high['kept'] - low['kept']) / orders:7,.0f} B/order"
     )
+    if low["pool"] is not None:
+        yield "    pool: " + "  ".join(
+            f"{scale}: largest worker {side['pool']['worker_peak_mb']:.1f} MB,"
+            f" journals {side['pool']['journal_entries']:,} entries"
+            f" {side['pool']['journal_bytes'] / 1e3:,.1f} KB"
+            for scale, side in zip(scales, (low, high))
+        )
     for name in sorted(slope, key=lambda name: -slope[name])[:TOP]:
         yield f"    {slope[name]:7,.0f} B/order  {name}"
 

@@ -32,6 +32,12 @@ def main() -> None:
     print(f"up after:  {format_duration(conn.setup_duration)}")
     print()
     print(render_connections(service))
+    usage = service.usage()
+    print(
+        f"quota: {usage.connections} of {usage.limits.max_connections} "
+        f"connections, {usage.committed_gbps:g} of "
+        f"{usage.limits.max_total_rate_gbps:g} Gbps committed"
+    )
     print()
 
     # Tear the connection down when the transfer is done.

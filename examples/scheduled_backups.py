@@ -14,6 +14,7 @@ Run:
 
 from repro import build_griphon_testbed
 from repro.core.calendar import ReservationBook, ReservationState
+from repro.core.gui import render_reservations
 from repro.units import HOUR, format_duration
 
 
@@ -45,6 +46,11 @@ def main() -> None:
     except Exception as exc:  # AdmissionError
         print(f"\noverlapping 5th booking refused: {exc}")
 
+    # A booking canceled before its window opens never claims anything.
+    spare = book.book("gamma-cdn", "PREMISES-A", "PREMISES-C", 10, 8 * HOUR, 9 * HOUR)
+    book.cancel(spare.reservation_id)
+    print(f"gamma-cdn canceled {spare.reservation_id} before its window")
+
     net.run()
     print()
     for customer in windows:
@@ -59,6 +65,8 @@ def main() -> None:
             f"{format_duration(max(setups))} each (hidden by the "
             "activation lead)"
         )
+    print()
+    print(render_reservations(book, "gamma-cdn"))
     print()
     print(
         "12 backup windows served by a pool that holds only 4 concurrent "

@@ -5,13 +5,13 @@ NetStitcher (Laoutaris et al., SIGCOMM 2011) moves bulk data over the
 centers so each hop progresses independently whenever it has spare
 bandwidth.  It needs no new capacity — the trade-off against BoD is
 completion time: leftover bandwidth is scarce exactly when links are
-busy.  This model schedules one transfer over piecewise-constant hourly
-leftover profiles.
+busy.  This model times one transfer over a hop's piecewise-constant
+hourly leftover profile.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, Sequence
 
 from repro.errors import ConfigurationError
 from repro.units import HOUR
@@ -22,8 +22,7 @@ class StoreForwardScheduler:
 
     Args:
         leftover_profiles: hop key -> hourly leftover bandwidth (bps),
-            repeating daily.  Hop keys are arbitrary labels; a path is a
-            sequence of hop keys.
+            repeating daily.  Hop keys are arbitrary labels.
     """
 
     def __init__(self, leftover_profiles: Dict[str, Sequence[float]]) -> None:
@@ -75,56 +74,3 @@ class StoreForwardScheduler:
             hour_index += 1
             offset = 0.0
         return elapsed
-
-    def path_completion_time(
-        self, path: List[str], volume_bits: float, start_s: float = 0.0
-    ) -> float:
-        """Store-and-forward completion over a multi-hop path.
-
-        With unlimited intermediate buffering, each hop can run whenever
-        it has leftover bandwidth, but hop ``i+1`` can finish no earlier
-        than hop ``i`` (the last byte must traverse hops in order).  We
-        model that as sequential last-byte propagation: hop ``i+1``'s
-        clock starts when hop ``i`` finishes its last byte is a safe
-        upper bound; the classic store-and-forward bound instead lets
-        hops overlap fully except for the last byte, so we use
-        ``max`` of per-hop times plus a small per-hop serialization and
-        report the tighter of the two bounds.
-        """
-        if not path:
-            raise ConfigurationError("path must not be empty")
-        # Fully-overlapped bound: every hop works in parallel on the
-        # stream; completion is set by the slowest hop.
-        overlapped = max(
-            self.hop_completion_time(hop, volume_bits, start_s) for hop in path
-        )
-        # Sequential bound: each hop starts after the previous finishes.
-        clock = start_s
-        for hop in path:
-            clock += self.hop_completion_time(hop, volume_bits, clock)
-        sequential = clock - start_s
-        # True store-and-forward lies between; return the overlapped
-        # bound (NetStitcher's buffering realizes it to first order).
-        return min(overlapped + 0.0, sequential) if len(path) == 1 else overlapped
-
-    def best_path_completion(
-        self,
-        paths: List[List[str]],
-        volume_bits: float,
-        start_s: float = 0.0,
-    ) -> Tuple[List[str], float]:
-        """The fastest of several candidate paths and its completion time.
-
-        Raises:
-            ConfigurationError: for an empty candidate list.
-        """
-        if not paths:
-            raise ConfigurationError("need at least one candidate path")
-        best_path = None
-        best_time = float("inf")
-        for path in paths:
-            t = self.path_completion_time(path, volume_bits, start_s)
-            if t < best_time:
-                best_time = t
-                best_path = path
-        return best_path, best_time

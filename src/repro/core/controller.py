@@ -554,7 +554,9 @@ class GriphonController:
 
         Aborted components are dropped, each giving back its own ledger
         entries (NTE, FXC and OTN client-port claims).  If any
-        component made it up the connection enters service DEGRADED;
+        component made it up the connection enters service DEGRADED —
+        and, as in :meth:`enter_service`, fails at once and is restored
+        when a cut took one of its lightpaths while it was setting up;
         if none did, the ledger is empty by now and the order is
         BLOCKED — zero residue, exactly like a claim-time block.
         """
@@ -576,6 +578,11 @@ class GriphonController:
         if survivors:
             connection.transition(ConnectionState.DEGRADED)
             connection.up_at = self.sim.now
+            if self.failed_lightpaths(connection):
+                self.restoration.fail(connection)
+                span.set_tag("outcome", "failed-during-setup").finish()
+                self.restoration.restore(connection)
+                return
             span.set_tag("outcome", "degraded").finish()
             self.metrics.inc("connection.setup_degraded")
             self.notify("setup-degraded", {"connection": connection})

@@ -133,13 +133,3 @@ class ResourcePlanner:
                 + restoration_headroom
             )
         return pools
-
-    def expected_blocking(
-        self, forecasts: List[DemandForecast], pools: Dict[str, int]
-    ) -> Dict[str, float]:
-        """Erlang-B blocking per node under the given pool sizes."""
-        result = {}
-        for node, erlangs in self.offered_load_per_node(forecasts).items():
-            servers = pools.get(node, 0)
-            result[node] = erlang_b(servers, erlangs)
-        return result

@@ -76,14 +76,6 @@ class OtnLineReclaimer:
             report.reclaimed.append(line_id)
         return report
 
-    def idle_lines(self) -> List[str]:
-        """Lines currently carrying zero circuits."""
-        return [
-            line_id
-            for line_id, line in self._controller.inventory.otn_lines.items()
-            if not line.owners()
-        ]
-
     # -- internals ------------------------------------------------------------
 
     def _reclaim(self, line_id: str) -> None:

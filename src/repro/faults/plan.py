@@ -104,20 +104,6 @@ class FaultSpec:
             and fnmatchcase(command, self.command)
         )
 
-    def to_dict(self) -> Dict[str, Any]:
-        """Plain-dict form for JSON plans (``griphon chaos --plan``)."""
-        return {
-            "ems": self.ems,
-            "element": self.element,
-            "command": self.command,
-            "mode": self.mode,
-            "probability": self.probability,
-            "count": self.count,
-            "after_s": self.after_s,
-            "until_s": self.until_s,
-            "error_after_s": self.error_after_s,
-        }
-
     @classmethod
     def from_dict(cls, data: Dict[str, Any]) -> "FaultSpec":
         """Build a spec from its plain-dict form; unknown keys raise."""
@@ -224,10 +210,6 @@ class FaultPlan:
             return spec
         return None
 
-    def to_dict(self) -> Dict[str, Any]:
-        """Plain-dict form for JSON plans."""
-        return {"specs": [spec.to_dict() for spec in self._specs]}
-
     @classmethod
     def from_dict(cls, data: Dict[str, Any]) -> "FaultPlan":
         """Build a plan from its plain-dict form; unknown keys raise."""
@@ -325,19 +307,6 @@ class DegradationSpec:
         """Sim time the degradation clears."""
         return self.start_s + self.duration_s
 
-    def to_dict(self) -> Dict[str, Any]:
-        """Plain-dict form for JSON plans (``griphon slo --plan``)."""
-        return {
-            "link": self.link,
-            "mode": self.mode,
-            "start_s": self.start_s,
-            "duration_s": self.duration_s,
-            "magnitude_db": self.magnitude_db,
-            "period_s": self.period_s,
-            "rate_db_per_hour": self.rate_db_per_hour,
-            "jitter_db": self.jitter_db,
-        }
-
     @classmethod
     def from_dict(cls, data: Dict[str, Any]) -> "DegradationSpec":
         """Build a spec from its plain-dict form; unknown keys raise."""
@@ -403,10 +372,6 @@ class DegradationPlan:
             )
         half = spec.jitter_db / 2.0
         return self._streams.uniform(f"degradation:{index}", -half, half)
-
-    def to_dict(self) -> Dict[str, Any]:
-        """Plain-dict form for JSON plans."""
-        return {"degradations": [spec.to_dict() for spec in self._specs]}
 
     @classmethod
     def from_dict(cls, data: Dict[str, Any]) -> "DegradationPlan":

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import List, Optional
+from typing import List
 
 from repro.errors import ConnectionStateError
 
@@ -45,8 +45,6 @@ class Evc:
     path: List[str] = field(default_factory=list)
     state: EvcState = EvcState.UP
     reroute_count: int = 0
-    total_outage_s: float = 0.0
-    outage_started_at: Optional[float] = None
 
     def transition(self, new_state: EvcState) -> None:
         """Move the state machine.
@@ -60,14 +58,3 @@ class Evc:
                 f"{self.state.value} -> {new_state.value}"
             )
         self.state = new_state
-
-    def begin_outage(self, now: float) -> None:
-        """Open an unavailability period."""
-        if self.outage_started_at is None:
-            self.outage_started_at = now
-
-    def end_outage(self, now: float) -> None:
-        """Close and accumulate the current unavailability period."""
-        if self.outage_started_at is not None:
-            self.total_outage_s += now - self.outage_started_at
-            self.outage_started_at = None

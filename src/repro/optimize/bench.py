@@ -15,13 +15,12 @@ migration.  ``griphon optimize`` / ``sweep optimize`` print the same trial.
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, Optional
 
 from repro.core.connection import ConnectionState
 from repro.facade import GriphonNetwork
 from repro.fingerprint import assignment_fingerprint
 from repro.optimize.runtime import Reoptimizer
-from repro.optimize.snapshot import _connection_sort_key
 
 #: Default fragmentation scenario knobs.
 DEFAULT_NODE_COUNT = 64
@@ -92,61 +91,6 @@ def wavelengths_in_use(controller) -> int:
     for mask in controller.inventory.plant.occupancy_snapshot().values():
         union |= mask
     return bin(union).count("1")
-
-
-def replay_assignment(controller, twin: GriphonNetwork) -> List:
-    """Re-establish ``controller``'s final assignment on a fresh twin.
-
-    The migration-safety oracle's second arm: every UP single-lightpath
-    connection is re-ordered on ``twin`` from scratch with a planner
-    that returns its *final* route and channels verbatim.  If the twin's
-    :func:`assignment_fingerprint` then matches the original's, the
-    executed migration plan left the network exactly where a from-
-    scratch provisioning of the same assignment would — no leaked slots,
-    no stale masks, no half-rolled state.
-
-    Returns the twin's connection records, in original order.
-    """
-    for customer in sorted(
-        {c.customer for c in controller.connections.values()}
-    ):
-        twin.service_for(
-            customer, max_connections=4096, max_total_rate_gbps=1000000
-        )
-    replayed = []
-    for conn_id in sorted(controller.connections, key=_connection_sort_key):
-        connection = controller.connections[conn_id]
-        if connection.state is not ConnectionState.UP:
-            continue
-        if len(connection.lightpath_ids) != 1 or connection.circuit_ids:
-            continue
-        lightpath = controller.inventory.lightpaths[
-            connection.lightpath_ids[0]
-        ]
-        explicit = twin.controller.rwa.plan_explicit(
-            list(lightpath.path),
-            list(lightpath.channels),
-            lightpath.rate_bps,
-        )
-        twin_conn, span = twin.controller.open_order(
-            connection.customer,
-            connection.premises_a,
-            connection.premises_b,
-            connection.rate_bps,
-            connection.kind,
-        )
-        if not twin.controller.admit_order(twin_conn, span):
-            replayed.append(twin_conn)
-            continue
-        twin.controller.launch_order(
-            twin_conn,
-            connection.kind,
-            span,
-            planner=lambda *args, _plan=explicit, **kwargs: _plan,
-        )
-        replayed.append(twin_conn)
-    twin.run()
-    return replayed
 
 
 def run_optimize_trial(

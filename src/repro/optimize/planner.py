@@ -73,37 +73,6 @@ class MigrationMove:
         """True when the route is unchanged and only channels move."""
         return self.old_path == self.new_path
 
-    def to_dict(self) -> Dict:
-        """JSON-serializable form (golden files, CLI output)."""
-        return {
-            "index": self.index,
-            "connection_id": self.connection_id,
-            "rate_bps": self.rate_bps,
-            "old_path": list(self.old_path),
-            "old_channels": list(self.old_channels),
-            "new_path": list(self.new_path),
-            "new_channels": list(self.new_channels),
-            "cost_before": round(self.cost_before, 6),
-            "cost_after": round(self.cost_after, 6),
-            "depends_on": list(self.depends_on),
-        }
-
-    @classmethod
-    def from_dict(cls, data: Dict) -> "MigrationMove":
-        """Inverse of :meth:`to_dict`."""
-        return cls(
-            index=data["index"],
-            connection_id=data["connection_id"],
-            rate_bps=data["rate_bps"],
-            old_path=tuple(data["old_path"]),
-            old_channels=tuple(data["old_channels"]),
-            new_path=tuple(data["new_path"]),
-            new_channels=tuple(data["new_channels"]),
-            cost_before=data["cost_before"],
-            cost_after=data["cost_after"],
-            depends_on=tuple(data["depends_on"]),
-        )
-
 
 @dataclass
 class MigrationPlan:
@@ -116,31 +85,6 @@ class MigrationPlan:
     wavelengths_after: int = 0
     passes: int = 0
     frozen_demands: List[str] = field(default_factory=list)
-
-    def to_dict(self) -> Dict:
-        """JSON-serializable form (golden files, CLI output)."""
-        return {
-            "moves": [move.to_dict() for move in self.moves],
-            "objective_before": round(self.objective_before, 6),
-            "objective_after": round(self.objective_after, 6),
-            "wavelengths_before": self.wavelengths_before,
-            "wavelengths_after": self.wavelengths_after,
-            "passes": self.passes,
-            "frozen_demands": list(self.frozen_demands),
-        }
-
-    @classmethod
-    def from_dict(cls, data: Dict) -> "MigrationPlan":
-        """Inverse of :meth:`to_dict`."""
-        return cls(
-            moves=[MigrationMove.from_dict(m) for m in data["moves"]],
-            objective_before=data["objective_before"],
-            objective_after=data["objective_after"],
-            wavelengths_before=data["wavelengths_before"],
-            wavelengths_after=data["wavelengths_after"],
-            passes=data["passes"],
-            frozen_demands=list(data.get("frozen_demands", [])),
-        )
 
 
 class _WorkingState:

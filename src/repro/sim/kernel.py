@@ -93,11 +93,6 @@ class Simulator:
 
     # -- observability -------------------------------------------------------
 
-    @property
-    def tracer(self) -> Optional[Any]:
-        """The attached span tracer, or ``None``."""
-        return self._tracer
-
     def attach_tracer(self, tracer: Any) -> None:
         """Attach a :class:`~repro.obs.trace.Tracer` to this simulator.
 

@@ -47,11 +47,6 @@ class DegradationInjector:
         self._tick = 0
 
     @property
-    def plan(self) -> DegradationPlan:
-        """The plan being replayed."""
-        return self._plan
-
-    @property
     def finished(self) -> bool:
         """True once every spec's window has closed and been restored."""
         return all(self._done) if self._done else True

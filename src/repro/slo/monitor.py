@@ -99,21 +99,6 @@ class SloPolicy:
             return value < self.threshold
         return value > self.threshold
 
-    def to_dict(self) -> Dict[str, Any]:
-        """Plain-dict form for JSON policy files (``griphon slo``)."""
-        return {
-            "name": self.name,
-            "metric": self.metric,
-            "threshold": self.threshold,
-            "scope": self.scope,
-            "orientation": self.orientation,
-            "short_window_s": self.short_window_s,
-            "short_burn": self.short_burn,
-            "long_window_s": self.long_window_s,
-            "long_burn": self.long_burn,
-            "clear_window_s": self.clear_window_s,
-        }
-
     @classmethod
     def from_dict(cls, data: Dict[str, Any]) -> "SloPolicy":
         """Build a policy from its plain-dict form; unknown keys raise."""

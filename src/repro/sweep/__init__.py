@@ -1,7 +1,7 @@
 """Scale-out experiment engine: declarative sweeps over worker processes.
 
 The statistical studies — availability Monte Carlo, scaling sweeps,
-scenario grids — are embarrassingly parallel: every trial builds its
+load grids — are embarrassingly parallel: every trial builds its
 own network from a seed and parameters.  This package turns such a
 study into data (:class:`~repro.sweep.spec.SweepSpec`), fans the trials
 over a process pool (:func:`~repro.sweep.engine.run_sweep`), and merges
@@ -31,7 +31,6 @@ from repro.sweep.studies import (
     pipeline_trial,
     resolve_study,
     scaling_trial,
-    scenario_trial,
     shard_trial,
     slo_chaos_spec,
     slo_trial,
@@ -59,7 +58,6 @@ __all__ = [
     "run_sweep",
     "run_trial",
     "scaling_trial",
-    "scenario_trial",
     "seed_table",
     "shard_trial",
     "slo_chaos_spec",

@@ -216,6 +216,25 @@ class SweepResult:
         return json.dumps(self.aggregate(), sort_keys=True, indent=2) + "\n"
 
 
+def _stop_workers(pool: ProcessPoolExecutor) -> None:
+    """Tear ``pool`` down without waiting for its running trials.
+
+    ``shutdown`` cancels only the trials no worker has picked up; a running
+    one would keep its worker alive until interpreter exit joins it, so
+    every worker the pool started is terminated (killed if it lingers a
+    second) and joined.
+    """
+    workers = list((pool._processes or {}).values())  # private: the only handle
+    pool.shutdown(wait=False, cancel_futures=True)
+    for worker in workers:
+        worker.terminate()
+    for worker in workers:
+        worker.join(1.0)
+        if worker.is_alive():
+            worker.kill()
+            worker.join()
+
+
 def run_sweep(
     spec: SweepSpec,
     jobs: int = 1,
@@ -251,9 +270,7 @@ def run_sweep(
                 outstanding, timeout=timeout_s, return_when=FIRST_COMPLETED
             )
             if not done:
-                for future in outstanding:
-                    future.cancel()
-                pool.shutdown(wait=False, cancel_futures=True)
+                _stop_workers(pool)
                 raise SweepTimeoutError(
                     f"sweep {spec.name!r}: no trial completed within "
                     f"{timeout_s}s ({len(outstanding)} outstanding)"

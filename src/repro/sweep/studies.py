@@ -32,7 +32,6 @@ from repro.facade import (
 from repro.faults import DegradationPlan, FaultPlan, FaultSpec, audit_network
 from repro.metrics import downtime_minutes_per_year, measured_availability
 from repro.obs.trace import Span, Tracer
-from repro.scenario import Scenario, run_scenario
 from repro.sim.process import Process
 from repro.sim.randomness import RandomStreams
 from repro.sweep.engine import TrialResult
@@ -213,40 +212,6 @@ def scaling_trial(trial: TrialSpec) -> TrialResult:
             "served": len(setups),
         },
         samples={"setup_s": setups, "hops": [float(h) for h in hops]},
-        metrics=net.metrics.state(),
-    )
-
-
-def scenario_trial(trial: TrialSpec) -> TrialResult:
-    """Run a declarative :class:`~repro.scenario.Scenario` as one trial.
-
-    The trial's ``scenario`` parameter is the plain-dict spec the
-    scenario runner understands; ``topology`` picks the network
-    (testbed / backbone / waxman).  This is the bridge between the
-    scenario DSL and the sweep grid: any scenario file can be swept
-    over seeds and topologies.
-    """
-    params = trial.params
-    scenario = Scenario.from_dict(params["scenario"])
-    net = _build_topology(trial)
-    result = run_scenario(net, scenario)
-    report = result.availability_report()
-    availabilities = [report[key] for key in sorted(report)]
-    return TrialResult(
-        values={
-            "connections": len(result.connections),
-            "up": sum(
-                1
-                for conn in result.connections
-                if conn.state is ConnectionState.UP
-            ),
-            "errors": len(result.errors),
-            "mean_availability": (
-                statistics.fmean(availabilities) if availabilities else 1.0
-            ),
-            "min_availability": min(availabilities) if availabilities else 1.0,
-        },
-        samples={"availability": availabilities},
         metrics=net.metrics.state(),
     )
 
@@ -642,7 +607,6 @@ def optimize_trial(trial: TrialSpec) -> TrialResult:
 STUDIES: Dict[str, Callable[[TrialSpec], TrialResult]] = {
     "availability": availability_trial,
     "scaling": scaling_trial,
-    "scenario": scenario_trial,
     "pipeline": pipeline_trial,
     "frontend": frontend_trial,
     "slo": slo_trial,

@@ -20,7 +20,7 @@ from repro.workload.arrivals import DiurnalProfile, PoissonArrivals
 from repro.workload.failures import CutRecord, FiberCutInjector
 from repro.workload.bulk import BulkTransferWorkload, TransferRecord
 from repro.workload.interactive import InteractiveDemand
-from repro.workload.tenants import TenantPopulation, zipf_share
+from repro.workload.tenants import TenantPopulation
 
 __all__ = [
     "DiurnalProfile",
@@ -31,5 +31,4 @@ __all__ = [
     "TransferRecord",
     "InteractiveDemand",
     "TenantPopulation",
-    "zipf_share",
 ]

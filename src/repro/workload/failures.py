@@ -124,8 +124,3 @@ class FiberCutInjector:
         record.repaired_at = self._controller.sim.now
         self._controller.repair_link(*record.link)
         self._controller.metrics.inc("failure.repaired.fiber_cut")
-
-    @property
-    def open_cuts(self) -> List[CutRecord]:
-        """Cuts not yet repaired."""
-        return [r for r in self.records if r.repaired_at is None]

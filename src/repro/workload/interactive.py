@@ -56,10 +56,6 @@ class InteractiveDemand:
             raise ConfigurationError(f"hours must be >= 1, got {hours}")
         return [self.demand_bps(h * HOUR) for h in range(hours)]
 
-    def capacity_hours_static(self, hours: int = 24) -> float:
-        """Capacity-hours consumed by peak-provisioned static capacity."""
-        return self.peak_bps() * hours
-
     def capacity_hours_tracking(
         self, hours: int = 24, granularity_bps: float = 1 * GBPS
     ) -> float:

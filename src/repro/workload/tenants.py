@@ -104,20 +104,5 @@ class TenantPopulation:
         """How many tenants have been lazily registered so far."""
         return len(self._registered)
 
-    def __len__(self) -> int:
-        return self.size
 
-
-def zipf_share(size: int, zipf_s: float, top: int) -> float:
-    """The submission share of the ``top`` heaviest tenants.
-
-    A pure helper for sizing experiments: e.g. with ``zipf_s=1.1`` the
-    top 100 of 1M tenants carry roughly a third of all submissions.
-    """
-    if top < 0 or size < 1:
-        raise ConfigurationError(f"invalid zipf_share({size}, {top})")
-    weights = [(index + 1) ** -zipf_s for index in range(size)]
-    return sum(weights[: min(top, size)]) / sum(weights)
-
-
-__all__ = ["TenantPopulation", "zipf_share"]
+__all__ = ["TenantPopulation"]

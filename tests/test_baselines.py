@@ -167,23 +167,6 @@ class TestStoreForward:
         t = scheduler.hop_completion_time("h1", gbps(1) * 2 * 3600)
         assert t == pytest.approx(DAY + HOUR)
 
-    def test_path_bottleneck(self):
-        scheduler = StoreForwardScheduler(
-            {"fast": [gbps(10)] * 24, "slow": [gbps(1)] * 24}
-        )
-        t = scheduler.path_completion_time(["fast", "slow"], gbps(1) * 3600)
-        assert t == pytest.approx(3600.0)
-
-    def test_best_path(self):
-        scheduler = StoreForwardScheduler(
-            {"direct": [gbps(0.5)] * 24, "via1": [gbps(2)] * 24, "via2": [gbps(2)] * 24}
-        )
-        path, t = scheduler.best_path_completion(
-            [["direct"], ["via1", "via2"]], gbps(1) * 3600
-        )
-        assert path == ["via1", "via2"]
-        assert t == pytest.approx(1800.0)
-
     def test_all_zero_profile_rejected(self):
         scheduler = StoreForwardScheduler({"h1": [0.0] * 24})
         with pytest.raises(ValueError):
@@ -199,5 +182,3 @@ class TestStoreForward:
         scheduler = StoreForwardScheduler({"h": [1.0]})
         with pytest.raises(ConfigurationError):
             scheduler.hop_completion_time("ghost", 1.0)
-        with pytest.raises(ConfigurationError):
-            scheduler.path_completion_time([], 1.0)

@@ -1,5 +1,6 @@
 """Tests for the command-line interface."""
 
+import dataclasses
 import json
 
 import pytest
@@ -200,7 +201,7 @@ class TestSloCommand:
         # alerts: breaches come later, so more violation minutes accrue.
         policy = SloPolicy(name="osnr-margin", threshold=1.0)
         policy_file = tmp_path / "policy.json"
-        policy_file.write_text(json.dumps([policy.to_dict()]))
+        policy_file.write_text(json.dumps([dataclasses.asdict(policy)]))
         assert main(["slo", "--json", str(tmp_path / "default.json")]) == 0
         assert main([
             "slo", "--policy", str(policy_file),

@@ -107,8 +107,8 @@ class TestResourcePlanner:
     def test_size_pools_meets_target(self, planner, forecasts):
         pools = planner.size_pools(forecasts, target_blocking=0.01,
                                    restoration_headroom=0)
-        blocking = planner.expected_blocking(forecasts, pools)
-        assert all(b <= 0.01 for b in blocking.values())
+        loads = planner.offered_load_per_node(forecasts)
+        assert all(erlang_b(pools[node], load) <= 0.01 for node, load in loads.items())
 
     def test_headroom_adds_spares(self, planner, forecasts):
         lean = planner.size_pools(forecasts, restoration_headroom=0)

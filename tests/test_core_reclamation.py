@@ -42,7 +42,7 @@ class TestSweep:
         report = reclaimer.sweep()
         assert report.reclaimed == []
         assert report.kept_young >= 1
-        assert reclaimer.idle_lines()
+        assert any(not line.owners() for line in net.inventory.otn_lines.values())
 
     def test_idle_line_reclaimed_after_holding_time(self, net):
         idle_line_scenario(net)

@@ -18,7 +18,7 @@ import pytest
 
 from repro.core.connection import ConnectionState
 from repro.facade import build_griphon_testbed
-from repro.faults import audit_network
+from repro.faults import FaultPlan, FaultSpec, audit_network
 from repro.optical.lightpath import LightpathState
 
 
@@ -88,3 +88,26 @@ def test_a_lightpath_indexed_to_a_connection_that_does_not_list_it_is_flagged():
         ("misindexed-lightpath", "lightpath lp-1", conn.connection_id)
     ]
 
+
+
+def test_a_cut_during_a_composite_partial_setup_fails_and_restores():
+    """A 12G order whose OTN circuit aborts settles DEGRADED on its
+    wavelength; if a cut took that wavelength while the circuit was
+    setting up, it fails at settle and is restored like any cut."""
+    net = build_griphon_testbed(
+        seed=7, fault_plan=FaultPlan([FaultSpec(ems="otn_ems", mode="fail")])
+    )
+    conn = net.service_for("acme").request_connection("PREMISES-A", "PREMISES-B", 12)
+    lightpaths = net.controller.inventory.lightpaths
+    while not (
+        conn.lightpath_ids
+        and lightpaths[conn.lightpath_ids[-1]].state is LightpathState.UP
+    ):
+        assert net.sim.step()
+    assert conn.state is ConnectionState.SETTING_UP
+    net.controller.cut_link(*lightpaths[conn.lightpath_ids[-1]].path[:2])
+    net.run()
+    assert net.metrics.counters()["otn.circuit.setup_aborted"] >= 1
+    assert _kinds(net) == []
+    assert conn.state is ConnectionState.UP
+    assert net.metrics.counters()["restoration.success"] == 1

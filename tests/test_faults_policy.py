@@ -6,6 +6,8 @@ fault plan's deterministic dice, and the resilient executor's
 retry/exhaustion/best-effort/breaker behavior.
 """
 
+import dataclasses
+
 import pytest
 
 from repro.errors import (
@@ -150,7 +152,7 @@ class TestFaultSpec:
 
     def test_dict_roundtrip(self):
         spec = FaultSpec(ems="otn_ems", mode="timeout", count=3, after_s=10.0)
-        assert FaultSpec.from_dict(spec.to_dict()) == spec
+        assert FaultSpec.from_dict(dataclasses.asdict(spec)) == spec
 
     def test_from_dict_rejects_unknown_keys(self):
         with pytest.raises(ConfigurationError):
@@ -210,7 +212,9 @@ class TestFaultPlan:
 
     def test_dict_roundtrip(self):
         plan = FaultPlan([FaultSpec(mode="stuck"), FaultSpec(count=2)])
-        rebuilt = FaultPlan.from_dict(plan.to_dict())
+        rebuilt = FaultPlan.from_dict(
+            {"specs": [dataclasses.asdict(spec) for spec in plan.specs]}
+        )
         assert rebuilt.specs == plan.specs
 
 

@@ -57,7 +57,34 @@ def build_payload():
             "torn_down": torn,
             "demands": len(snapshot.demands),
         },
-        "plan": plan.to_dict(),
+        "plan": plan_dict(plan),
+    }
+
+
+def plan_dict(plan):
+    """The golden's JSON form of a :class:`~repro.optimize.MigrationPlan`."""
+    return {
+        "moves": [
+            {
+                "index": move.index,
+                "connection_id": move.connection_id,
+                "rate_bps": move.rate_bps,
+                "old_path": list(move.old_path),
+                "old_channels": list(move.old_channels),
+                "new_path": list(move.new_path),
+                "new_channels": list(move.new_channels),
+                "cost_before": round(move.cost_before, 6),
+                "cost_after": round(move.cost_after, 6),
+                "depends_on": list(move.depends_on),
+            }
+            for move in plan.moves
+        ],
+        "objective_before": round(plan.objective_before, 6),
+        "objective_after": round(plan.objective_after, 6),
+        "wavelengths_before": plan.wavelengths_before,
+        "wavelengths_after": plan.wavelengths_after,
+        "passes": plan.passes,
+        "frozen_demands": list(plan.frozen_demands),
     }
 
 

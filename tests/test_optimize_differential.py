@@ -13,6 +13,7 @@ repairs it later is still a bug (something observed the network between
 the moves).
 """
 
+from repro.core.connection import ConnectionState
 from repro.faults.audit import audit_network
 from repro.fingerprint import assignment_fingerprint
 from repro.optimize import (
@@ -25,12 +26,67 @@ from repro.optimize.bench import (
     build_optimize_network,
     fragment_network,
     place_orders,
-    replay_assignment,
 )
+from repro.optimize.snapshot import _connection_sort_key
 
 SEED = 7
 NODE_COUNT = 24
 WARM_ORDERS = 60
+
+
+def replay_assignment(controller, twin):
+    """Re-establish ``controller``'s final assignment on a fresh twin.
+
+    The migration-safety oracle's second arm: every UP single-lightpath
+    connection is re-ordered on ``twin`` from scratch with a planner
+    that returns its *final* route and channels verbatim.  If the twin's
+    :func:`assignment_fingerprint` then matches the original's, the
+    executed migration plan left the network exactly where a from-
+    scratch provisioning of the same assignment would — no leaked slots,
+    no stale masks, no half-rolled state.
+
+    Returns the twin's connection records, in original order.
+    """
+    for customer in sorted(
+        {c.customer for c in controller.connections.values()}
+    ):
+        twin.service_for(
+            customer, max_connections=4096, max_total_rate_gbps=1000000
+        )
+    replayed = []
+    for conn_id in sorted(controller.connections, key=_connection_sort_key):
+        connection = controller.connections[conn_id]
+        if connection.state is not ConnectionState.UP:
+            continue
+        if len(connection.lightpath_ids) != 1 or connection.circuit_ids:
+            continue
+        lightpath = controller.inventory.lightpaths[
+            connection.lightpath_ids[0]
+        ]
+        explicit = twin.controller.rwa.plan_explicit(
+            list(lightpath.path),
+            list(lightpath.channels),
+            lightpath.rate_bps,
+        )
+        twin_conn, span = twin.controller.open_order(
+            connection.customer,
+            connection.premises_a,
+            connection.premises_b,
+            connection.rate_bps,
+            connection.kind,
+        )
+        if not twin.controller.admit_order(twin_conn, span):
+            replayed.append(twin_conn)
+            continue
+        twin.controller.launch_order(
+            twin_conn,
+            connection.kind,
+            span,
+            planner=lambda *args, _plan=explicit, **kwargs: _plan,
+        )
+        replayed.append(twin_conn)
+    twin.run()
+    return replayed
 
 
 def fragmented_network():

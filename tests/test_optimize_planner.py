@@ -8,7 +8,6 @@ inspect the plan — no executor, no simulator events after the freeze.
 from repro.core.connection import ConnectionState
 from repro.errors import GriphonError
 from repro.optimize import (
-    MigrationPlan,
     NetworkSnapshot,
     plan_migrations,
     slo_link_penalties,
@@ -95,7 +94,7 @@ def test_plan_is_deterministic_across_rebuilds():
         snapshot = NetworkSnapshot.from_controller(net.controller)
         return plan_migrations(snapshot)
 
-    assert build_plan().to_dict() == build_plan().to_dict()
+    assert build_plan() == build_plan()
 
 
 def test_new_channels_disjoint_from_all_occupied_slots():
@@ -182,7 +181,7 @@ def test_plan_respects_max_moves():
     assert len(unbounded.moves) > 1
     capped = plan_migrations(snapshot, max_moves=1)
     assert len(capped.moves) == 1
-    assert capped.moves[0].to_dict() == unbounded.moves[0].to_dict()
+    assert capped.moves[0] == unbounded.moves[0]
 
 
 def test_transponder_headroom_freezes_demands():
@@ -204,14 +203,6 @@ def test_transponder_headroom_freezes_demands():
     assert sorted(plan.frozen_demands) == sorted(
         d.connection_id for d in snapshot.demands
     )
-
-
-def test_plan_round_trips_through_dict():
-    net, _ = fragmented_network()
-    snapshot = NetworkSnapshot.from_controller(net.controller)
-    plan = plan_migrations(snapshot)
-    clone = MigrationPlan.from_dict(plan.to_dict())
-    assert clone.to_dict() == plan.to_dict()
 
 
 def test_slo_penalties_raise_link_costs_in_snapshot():

@@ -1,6 +1,7 @@
 """Tests for the scale-out sweep engine: specs, workers, determinism."""
 
 import json
+import multiprocessing
 import os
 import subprocess
 import sys
@@ -312,6 +313,11 @@ class TestRunSweep:
         spec = SweepSpec(name="stuck", runner=slow_runner, repeats=2)
         with pytest.raises(SweepTimeoutError, match="no trial completed"):
             run_sweep(spec, jobs=2, timeout_s=0.3)
+        # The watchdog kills the workers it abandons: none outlives the raise.
+        deadline = time.monotonic() + 1.0
+        while multiprocessing.active_children() and time.monotonic() < deadline:
+            time.sleep(0.01)
+        assert multiprocessing.active_children() == []
 
     def test_real_study_parallel_matches_serial(self):
         """The x9 availability study — real networks built in workers —

@@ -151,7 +151,7 @@ class TestInteractiveDemand:
 
     def test_static_beats_tracking_in_capacity_hours(self):
         demand = InteractiveDemand(("DC-A", "DC-B"), base_gbps=5, amplitude=0.6)
-        static = demand.capacity_hours_static(24)
+        static = demand.peak_bps() * 24
         tracking = demand.capacity_hours_tracking(24)
         assert tracking < static
 

@@ -1,12 +1,14 @@
 """Which ``src/repro`` functions does a command reach?  Stdlib only.
 
     python tools/reach.py run OUT -- python -m repro sweep x9 --jobs 2
+    python tools/reach.py product OUT      # every line of tools/product/commands.txt
     python tools/reach.py report OUT [OUT2 ...] [--tests TESTS_OUT ...]
 
 ``run`` links this file as ``sitecustomize`` on PYTHONPATH: every interpreter
 under the command (``bench.child``, pytest, forked workers) dumps ``(file, first
 line)`` of each ``repro`` code object it called to ``OUT/<pid>.txt`` on the way
-out; ``report`` sorts this checkout's ``def``s into reached by the OUT dumps (the
+out; ``product`` runs each command of the checked-in product list that way;
+``report`` sorts this checkout's ``def``s into reached by the OUT dumps (the
 product), only by the ``--tests`` dumps, or by nothing.  pytest-benchmark turns the
 profiler off in its fixture: give ``benchmarks/`` ``--benchmark-disable``.
 """
@@ -14,6 +16,7 @@ import ast
 import atexit
 import os
 import pathlib
+import shlex
 import subprocess
 import sys
 import tempfile
@@ -52,6 +55,22 @@ def run(out_dir, command):
         return subprocess.call(command, env=env)
 
 
+def product(out_dir):
+    """Run every line of ``tools/product/commands.txt`` under ``run``; the first failing
+    command's exit code, else 0."""
+    os.environ["PYTHONPATH"] = os.pathsep.join(
+        filter(None, ["src", ".", os.environ.get("PYTHONPATH")]))
+    os.chdir(ROOT)
+    failed = 0
+    with tempfile.TemporaryDirectory() as scratch:
+        for line in pathlib.Path(ROOT, "tools", "product", "commands.txt").read_text().splitlines():
+            if line.strip() and not line.startswith("#"):
+                print("+", line, flush=True)
+                code = run(out_dir, shlex.split(line.replace("{out}", scratch)))
+                failed = failed or code
+    return failed
+
+
 def _dumped(out_dirs):
     return {line for out_dir in out_dirs for dump in pathlib.Path(out_dir).iterdir()
             for line in dump.read_text().split()}
@@ -88,4 +107,6 @@ if __name__ == "sitecustomize" and os.environ.get("REACH_OUT"):
 elif __name__ == "__main__":
     if sys.argv[1:2] == ["run"] and sys.argv[3:4] == ["--"] and sys.argv[4:]:
         sys.exit(run(sys.argv[2], sys.argv[4:]))
+    if sys.argv[1:2] == ["product"] and len(sys.argv) == 3:
+        sys.exit(product(os.path.abspath(sys.argv[2])))
     sys.exit(report(sys.argv[2:]) if sys.argv[1:2] == ["report"] and sys.argv[2:] else __doc__)

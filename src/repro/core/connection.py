@@ -10,12 +10,17 @@ to a bundle of both.
 from __future__ import annotations
 
 import enum
+import sys
 from dataclasses import dataclass, field
 from typing import List, Optional
 
 from repro.errors import ConnectionStateError
 from repro.units import format_rate
 
+
+#: ``dataclass`` options of the per-order records: slotted, with no
+#: per-instance ``__dict__``, on the Pythons that can (3.10 and later).
+RECORD_OPTIONS = {"slots": True} if sys.version_info >= (3, 10) else {}
 
 #: Kinds of claims-ledger entry (see ``Connection.claims``).
 CLAIM_NTE = "nte"  # (component, kind, premises, interface)
@@ -85,7 +90,7 @@ _ALLOWED = {
 }
 
 
-@dataclass
+@dataclass(**RECORD_OPTIONS)
 class Connection:
     """One customer connection.
 

@@ -115,7 +115,7 @@ class GriphonController:
         self.tracer = tracer if tracer is not None else Tracer(sim.time_source())
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         self.latency = latency or LatencyModel(streams)
-        self.latency.bind_metrics(self.metrics)
+        self.latency.bind_metrics(self.metrics, self.tracer)
         self.roadm_ems = RoadmEms(
             inventory.plant, self.latency, metrics=self.metrics
         )
@@ -185,7 +185,7 @@ class GriphonController:
         faster or jitter-free EMS steps.
         """
         self.latency = latency
-        self.latency.bind_metrics(self.metrics)
+        self.latency.bind_metrics(self.metrics, self.tracer)
         self.roadm_ems._latency = latency
         self.provisioner._latency = latency
 

@@ -14,6 +14,7 @@ from typing import Callable, Dict, Optional, Tuple
 
 from repro.errors import ConfigurationError
 from repro.obs.registry import MetricsRegistry
+from repro.obs.trace import Tracer
 from repro.sim.randomness import RandomStreams
 
 #: Mean duration, in seconds, of each management/optical step.
@@ -84,18 +85,24 @@ class LatencyModel:
         self._cv = cv
         self._speedup = speedup
         self._metrics: Optional[MetricsRegistry] = None
+        self._tracer: Optional[Tracer] = None
         # Per step: (zero-argument draw, histogram name), built on first use.
         self._samplers: Dict[str, Tuple[Callable[[], float], str]] = {}
 
-    def bind_metrics(self, metrics: Optional[MetricsRegistry]) -> None:
+    def bind_metrics(
+        self, metrics: Optional[MetricsRegistry], tracer: Optional[Tracer] = None
+    ) -> None:
         """Record every sampled step duration into ``metrics``.
 
         Each draw lands in histogram ``step.<name>``, giving the
         per-step duration distributions the Table 2 analysis needs
-        without instrumenting every call site.  Pass ``None`` to stop
-        recording.
+        without instrumenting every call site.  With ``tracer``, a draw
+        is recorded only while that tracer is enabled: the samples are
+        raw and kept for the registry's lifetime, so an untraced run
+        does not pay for them.  Pass ``None`` to stop recording.
         """
         self._metrics = metrics
+        self._tracer = tracer
 
     def mean(self, step: str) -> float:
         """The configured mean for ``step`` (after speedup).
@@ -126,7 +133,9 @@ class LatencyModel:
                 f"step.{step}",
             )
         duration = sampler[0]() + extra
-        if self._metrics is not None:
+        if self._metrics is not None and (
+            self._tracer is None or self._tracer.enabled
+        ):
             self._metrics.observe(sampler[1], duration)
         return duration
 

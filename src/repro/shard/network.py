@@ -92,7 +92,9 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.core.admission import AdmissionControl, CustomerProfile
-from repro.core.connection import Connection, ConnectionKind, ConnectionState
+from repro.core.connection import (
+    RECORD_OPTIONS, Connection, ConnectionKind, ConnectionState,
+)
 from repro.core.controller import GriphonController
 from repro.core.inventory import InventoryDatabase
 from repro.core.rwa import BatchPlanItem, PlanRequest, RwaPlan, _PlanningRound
@@ -138,7 +140,7 @@ def _exclusions(graph, unit_graph) -> tuple:
     )
 
 
-@dataclass
+@dataclass(**RECORD_OPTIONS)
 class ShardOrder(Connection):
     """A cross-shard order: one customer connection, many unit segments.
 
@@ -783,9 +785,9 @@ class ShardedNetwork:
     ) -> None:
         """Record the plans, claim them and start setup — or block."""
         plans: List[RwaPlan] = []
-        # The record keeps the hierarchy graph's own name objects: a plan
-        # a worker sent back brings a fresh copy of every name in it.
-        node = self.hierarchy.graph.node
+        # The record keeps the hierarchy's own name objects: a plan a
+        # worker sent back brings a fresh copy of every name in it.
+        node = self.hierarchy.node
         try:
             for spec, item in zip(specs, items):
                 if not item.ok:

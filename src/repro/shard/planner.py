@@ -25,14 +25,14 @@ controllers).
 from __future__ import annotations
 
 from collections import deque
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from repro.errors import NoPathError
 from repro.topo.graph import NetworkGraph
 from repro.topo.hierarchy import EXPRESS, Hierarchy
 
 
-class SegmentSpec:
+class SegmentSpec(NamedTuple):
     """One segment of a decomposed order, addressed to one unit.
 
     Attributes:
@@ -41,15 +41,9 @@ class SegmentSpec:
         destination: Segment destination node.
     """
 
-    __slots__ = ("unit", "source", "destination")
-
-    def __init__(self, unit: str, source: str, destination: str) -> None:
-        self.unit = unit
-        self.source = source
-        self.destination = destination
-
-    def __repr__(self) -> str:
-        return f"SegmentSpec({self.unit}: {self.source}->{self.destination})"
+    unit: str
+    source: str
+    destination: str
 
 
 def _bfs_hops(graph: NetworkGraph, start: str) -> Dict[str, int]:

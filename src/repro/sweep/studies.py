@@ -425,6 +425,9 @@ def chaos_trial(trial: TrialSpec) -> TrialResult:
     rows = []
     for conn in connections:
         outcome = service.setup_outcome(conn.connection_id)
+        if outcome is None and conn.blocked_reason:
+            # Refused at claim time: no saga ran, the record says why.
+            outcome = f"{conn.connection_id}: blocked - {conn.blocked_reason}"
         rows.append({
             "connection_id": conn.connection_id,
             "state": conn.state.value,

@@ -172,26 +172,6 @@ class NetworkGraph:
         self._generation += 1
         return link
 
-    def merge(self, other: "NetworkGraph") -> None:
-        """Add every node and link of ``other``, which shares no node
-        with this graph: the graph that :meth:`add_node` and
-        :meth:`add_link` would build from ``other``'s nodes and then its
-        links, in its order, with the same generation, in one pass.
-
-        Raises:
-            TopologyError: if a node of ``other`` is already here.
-        """
-        shared = self._nodes.keys() & other._nodes.keys()
-        if shared:
-            raise TopologyError(f"node {min(shared)!r} already exists")
-        self._nodes.update(other._nodes)
-        for name, neighbors in other._adjacency.items():
-            self._adjacency[name] = set(neighbors)
-        self._links.update(other._links)
-        for srlg, links in other._srlg_index.items():
-            self._srlg_index.setdefault(srlg, []).extend(links)
-        self._generation += len(other._nodes) + len(other._links)
-
     # -- lookup ----------------------------------------------------------------
 
     @property

@@ -22,9 +22,10 @@ exactly one slice.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from functools import cached_property
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, TopologyError
 from repro.sim.randomness import RandomStreams
 from repro.topo.generator import _mesh_graph, _waxman_links
 from repro.topo.graph import Link, NetworkGraph, Node
@@ -52,61 +53,57 @@ def shard_stream_key(region: str) -> str:
     return f"shard:{region}"
 
 
-class RegionInfo:
+class RegionInfo(NamedTuple):
     """One region's membership: PoPs, gateways, attached premises."""
 
-    __slots__ = ("name", "pops", "gateways", "premises")
-
-    def __init__(
-        self,
-        name: str,
-        pops: Tuple[str, ...],
-        gateways: Tuple[str, ...],
-        premises: Tuple[str, ...] = (),
-    ) -> None:
-        self.name = name
-        self.pops = pops
-        self.gateways = gateways
-        self.premises = premises
-
-    def __repr__(self) -> str:
-        return (
-            f"RegionInfo({self.name}, pops={len(self.pops)}, "
-            f"gateways={list(self.gateways)})"
-        )
+    name: str
+    pops: Tuple[str, ...]
+    gateways: Tuple[str, ...]
+    premises: Tuple[str, ...] = ()
 
 
 class Hierarchy:
     """A built three-tier topology plus its region/express structure.
 
     Its planning slices, one graph per region and one express graph,
-    are built once and share their nodes and links with ``graph``.
-    Every network built from the hierarchy plans on these same objects,
-    so they are read-only once built.
+    are built once; the express graph holds the region graphs' own
+    gateway nodes.  Every network built from the hierarchy plans on
+    these same objects, so they are read-only once built.  The merged
+    graph of all tiers, :attr:`graph`, is built from them the first
+    time something reads it: only a monolithic controller plans on it.
     """
 
     def __init__(
         self,
-        graph: NetworkGraph,
         regions: "Dict[str, RegionInfo]",
-        express_links: Tuple[Tuple[str, str], ...],
-        seed: int,
+        express: Tuple[Link, ...],
         region_graphs: Dict[str, NetworkGraph],
     ) -> None:
-        self.graph = graph
         self.regions = regions
-        self.express_links = express_links
-        self.seed = seed
+        self.express_links = tuple((link.a, link.b) for link in express)
         self._region_graphs = region_graphs
-        self._express_graph = NetworkGraph()
-        for gateway in self.gateways():
-            self._express_graph.add_node(graph.node(gateway))
-        for a, b in express_links:
-            self._express_graph.add_link(graph.link_between(a, b))
         self._region_of: Dict[str, str] = {}
         for info in regions.values():
             for node in info.pops + info.premises:
                 self._region_of[node] = info.name
+        self._express_graph = NetworkGraph()
+        for gateway in self.gateways():
+            self._express_graph.add_node(self.node(gateway))
+        for link in express:
+            self._express_graph.add_link(link)
+
+    @cached_property
+    def graph(self) -> NetworkGraph:
+        """The merged graph: every region slice in build order, then the
+        express links, sharing their node and link objects."""
+        graph = NetworkGraph()
+        # The express gateways are region nodes: re-adding one is a no-op.
+        for sub in (*self._region_graphs.values(), self._express_graph):
+            for node in sub.nodes:
+                graph.add_node(node)
+            for link in sub.links:
+                graph.add_link(link)
+        return graph
 
     # -- structure queries ---------------------------------------------------
 
@@ -123,6 +120,17 @@ class Hierarchy:
     def region_of(self, node: str) -> Optional[str]:
         """The region owning ``node`` (PoP or premises), or ``None``."""
         return self._region_of.get(node)
+
+    def node(self, name: str) -> Node:
+        """The node named ``name``, read from its region's slice.
+
+        Raises:
+            TopologyError: for a name no region holds.
+        """
+        region = self._region_of.get(name)
+        if region is None:
+            raise TopologyError(f"unknown node {name!r}")
+        return self._region_graphs[region].node(name)
 
     def unit_names(self) -> List[str]:
         """Planning-slice names: every region, plus express when present."""
@@ -283,7 +291,6 @@ def build_hierarchy(
     """
     if regions < 1:
         raise ConfigurationError(f"regions must be >= 1, got {regions}")
-    graph = NetworkGraph()
     infos: Dict[str, RegionInfo] = {}
     region_graphs: Dict[str, NetworkGraph] = {}
     for index in range(regions):
@@ -295,7 +302,6 @@ def build_hierarchy(
         premises: List[str] = []
         for node in sub.nodes:
             (premises if node.kind == "premises" else pops).append(node.name)
-        graph.merge(sub)
         region_graphs[name] = sub
         infos[name] = RegionInfo(
             name,
@@ -303,18 +309,10 @@ def build_hierarchy(
             gateway_names(name, pops_per_region, GATEWAYS_PER_REGION),
             tuple(premises),
         )
-    express_pairs = express_link_specs(
-        regions, GATEWAYS_PER_REGION, pops_per_region
-    )
-    for a, b in express_pairs:
-        graph.add_link(
-            Link(
-                a,
-                b,
-                length_km=600.0,
-                srlgs=frozenset({f"srlg:express:{a}={b}"}),
-            )
+    express = tuple(
+        Link(a, b, length_km=600.0, srlgs=frozenset({f"srlg:express:{a}={b}"}))
+        for a, b in express_link_specs(
+            regions, GATEWAYS_PER_REGION, pops_per_region
         )
-    return Hierarchy(
-        graph, infos, tuple(express_pairs), seed, region_graphs=region_graphs
     )
+    return Hierarchy(infos, express, region_graphs)

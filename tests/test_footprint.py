@@ -1,20 +1,29 @@
-"""A histogram keeps 8 bytes a sample and reports what a list would.
+"""What a run keeps per order: histogram samples and connection records.
 
 A :class:`~repro.obs.registry.MetricsRegistry` histogram keeps its
 samples in an ``array('d')``; for any finite floats, through a
 ``state()`` JSON round trip and a ``merge``, it reports what a plain
-list of the same samples gives.  (That a drained sharded run keeps no
-retired child is checked by ``tests/test_no_cyclic_garbage.py``, on
-the same run.)
+list of the same samples gives.  A controller keeps raw ``step.<name>``
+samples only while its tracer is enabled, and its connection records
+(and a sharded order's) carry no per-instance ``__dict__``.  (That a
+drained sharded run keeps no retired child is checked by
+``tests/test_no_cyclic_garbage.py``, on the same run.)
 """
 
+import dataclasses
 import json
+import pickle
+import sys
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.connection import Connection, ConnectionKind, ConnectionState
+from repro.facade import build_griphon_testbed
 from repro.metrics.collector import summarize
 from repro.obs.registry import MetricsRegistry
+from repro.shard.network import ShardOrder
 
 NAMES = st.sampled_from(["step.tune", "step.roadm", "lightpath.setup_s"])
 OBSERVATIONS = st.lists(
@@ -66,3 +75,49 @@ def test_histograms_report_what_a_list_of_their_samples_gives(first, second):
     for name, samples in other_reference.items():
         reference.setdefault(name, []).extend(samples)
     assert_reports(registry, reference)
+
+
+def _step_histograms(net):
+    return [name for name in net.metrics.histograms() if name.startswith("step.")]
+
+
+def _order(net):
+    net.service_for("csp").request_connection("PREMISES-A", "PREMISES-C", 10)
+    net.run()
+
+
+def test_step_samples_are_kept_only_while_tracing():
+    traced = build_griphon_testbed(seed=42, tracing=True)
+    _order(traced)
+    assert "step.ot.tune" in _step_histograms(traced)
+    untraced = build_griphon_testbed(seed=42)
+    _order(untraced)
+    assert _step_histograms(untraced) == []
+    assert "lightpath.setup_s" in untraced.metrics.histograms()
+    # A tracer turned on later starts the samples; turned off, stops them.
+    untraced.tracer.enable()
+    _order(untraced)
+    steps = _step_histograms(untraced)
+    assert "step.ot.tune" in steps
+    counts = [len(untraced.metrics.samples(name)) for name in steps]
+    untraced.tracer.disable()
+    _order(untraced)
+    assert [len(untraced.metrics.samples(name)) for name in steps] == counts
+
+
+@pytest.mark.skipif(
+    sys.version_info < (3, 10), reason="slotted dataclasses need Python 3.10"
+)
+@pytest.mark.parametrize("cls", [Connection, ShardOrder])
+def test_connection_records_are_slotted(cls):
+    record = cls("conn-1", "csp", "DC-A", "DC-B", 1e10, ConnectionKind.WAVELENGTH)
+    record.lightpath_ids.append("lp-1")
+    record.transition(ConnectionState.SETTING_UP)
+    assert not hasattr(record, "__dict__")
+    with pytest.raises(AttributeError):
+        record.not_a_field = 1
+    copy = pickle.loads(pickle.dumps(record))
+    assert type(copy) is cls and copy == record
+    moved = dataclasses.replace(record, state=ConnectionState.UP)
+    assert type(moved) is cls and moved.state is ConnectionState.UP
+    assert moved.lightpath_ids == ["lp-1"] and record.state is ConnectionState.SETTING_UP

@@ -22,7 +22,7 @@ class TestBarChart:
     def test_labels_aligned(self):
         chart = bar_chart([("long-label", 1), ("x", 2)])
         lines = chart.splitlines()
-        assert lines[0].index("#") == lines[1].index("#") or True
+        assert lines[0].index("#") == lines[1].index("#")
         assert "long-label" in lines[0]
 
     def test_unit_suffix(self):

@@ -156,3 +156,31 @@ class TestOnePoolPerNetwork:
             fingerprints = _drive([first, second], _cut_link(first.hierarchy))
         assert fingerprints[0] == fingerprints[1]
         assert multiprocessing.active_children() == []
+
+
+class TestMergedGraphOnDemand:
+    """Only a monolithic controller plans on the merged graph, so only
+    building one makes the hierarchy build it."""
+
+    @pytest.mark.parametrize("backend", ["inprocess", "pool"])
+    def test_a_sharded_run_never_builds_the_merged_graph(self, backend):
+        hierarchy = _hierarchy()
+        net = _network(hierarchy, "sharded", backend)
+        try:
+            _drive([net], _cut_link(hierarchy))
+            for order in list(net.orders.values()):
+                if order.state.value in ("up", "failed"):
+                    net.teardown_order(order)
+            net.run()
+            assert all(report.ok for report in net.audit_shards().values())
+        finally:
+            net.close()
+        # ``Hierarchy.graph`` keeps what its first read built here.
+        assert "graph" not in vars(hierarchy)
+
+    def test_the_monolithic_twin_builds_it_once(self):
+        hierarchy = _hierarchy()
+        twin = _network(hierarchy, "monolithic")
+        assert vars(hierarchy)["graph"] is hierarchy.graph
+        for region in hierarchy.region_names:
+            assert twin.controllers[region].inventory.graph is hierarchy.graph

@@ -154,10 +154,13 @@ class TestPlannerHopMaps:
 
 class TestMergedBuild:
     def test_merged_slices_equal_the_one_at_a_time_build(self):
-        """The global graph merged from finished region slices is the
-        graph adding their nodes and links one at a time builds."""
+        """The global graph, built on first read from the finished
+        region slices, is the graph adding their nodes and links one at
+        a time builds, then the express links: the graph the hierarchy
+        used to merge while it was being built, generation included."""
         hierarchy = build_hierarchy(seed=5, regions=3, pops_per_region=6,
                                     with_premises=True)
+        assert "graph" not in vars(hierarchy)
         graph = NetworkGraph()
         for region in hierarchy.regions:
             sub = hierarchy.region_graph(region)
@@ -165,9 +168,10 @@ class TestMergedBuild:
                 graph.add_node(node)
             for link in sub.links:
                 graph.add_link(link)
-        for a, b in hierarchy.express_links:
-            graph.add_link(hierarchy.graph.link_between(a, b))
+        for link in hierarchy.express_graph().links:
+            graph.add_link(link)
         merged = hierarchy.graph
+        assert hierarchy.graph is merged
         assert merged.nodes == graph.nodes
         assert merged.links == graph.links
         assert merged.generation == graph.generation
@@ -177,12 +181,30 @@ class TestMergedBuild:
             assert merged._sorted_neighbors(node.name) == graph._sorted_neighbors(
                 node.name
             )
-        # A merge never shares a node, or a slice's adjacency, with its
-        # source: the slices stay the graphs the shards plan over.
+        # It holds the slices' own node and link objects, but never a
+        # slice's adjacency: the slices stay the graphs the shards plan over.
+        for node in merged.nodes:
+            assert node is hierarchy.node(node.name)
+        slices = [hierarchy.region_graph(r) for r in hierarchy.regions]
+        slices.append(hierarchy.express_graph())
+        owned = {id(link) for sub in slices for link in sub.links}
+        assert {id(link) for link in merged.links} == owned
         region = next(iter(hierarchy.regions))
-        with pytest.raises(TopologyError, match="already exists"):
-            merged.merge(hierarchy.region_graph(region))
         gateway = hierarchy.regions[region].gateways[0]
         assert merged.adjacent(gateway) != hierarchy.region_graph(
             region
         ).adjacent(gateway)
+
+    def test_node_lookup_reads_the_region_slices(self):
+        hierarchy = build_hierarchy(seed=7, regions=2, pops_per_region=4,
+                                    with_premises=True)
+        for region in hierarchy.regions:
+            for node in hierarchy.region_graph(region).nodes:
+                assert hierarchy.node(node.name) is node
+        for gateway in hierarchy.gateways():
+            assert hierarchy.express_graph().node(gateway) is hierarchy.node(
+                gateway
+            )
+        with pytest.raises(TopologyError, match="unknown node"):
+            hierarchy.node("R09-P00")
+        assert "graph" not in vars(hierarchy)

@@ -11,7 +11,11 @@ run keeps is what ``run()`` allocated and is still alive when it returns
 kept at each scale, and the slope between the scales in bytes per order
 -- the part of the footprint that grows with history rather than with
 the network -- then the ``TOP`` source files by that slope.  A run
-whose memory follows its live orders reads near 0 B/order.
+whose memory follows its live orders reads near 0 B/order.  One more
+line gives what the workload's *build* keeps (the bench builder's call,
+at the first scale, traced in a process of its own: the network, its
+controllers and the order schedule, before any order runs), and the
+``TOP`` source files by those bytes: what grows with the network.
 
 Each (workload, scale) runs in a process of its own with
 ``PYTHONHASHSEED=0``.  Only this process's allocations are seen: a
@@ -87,22 +91,45 @@ def measure(workload, seed, scale):
         pool["worker_peak_mb"] = (
             resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss / 1024
         )
-    by_file = {
-        os.path.relpath(stat.traceback[0].filename, ROOT): stat.size
-        for stat in snapshot.statistics("filename")
-    }
+    files = by_file(snapshot)
     return {
         "orders": len(driver.tickets),
-        "kept": sum(by_file.values()),
-        "by_file": by_file,
+        "kept": sum(files.values()),
+        "by_file": files,
         "pool": pool,
     }
 
 
-def run_one(workload, seed, scale, env):
+def measure_build(workload, seed, scale):
+    """What building ``workload`` keeps, by source file, once the bench
+    builder has returned (its worker pool, if any, still up)."""
+    from bench.workloads import BUILDERS
+
+    tracemalloc.start()
+    try:
+        world = BUILDERS[workload](seed, scale, None)
+        try:
+            gc.collect()
+            snapshot = tracemalloc.take_snapshot()
+        finally:
+            world.close()
+    finally:
+        tracemalloc.stop()
+    return {"by_file": by_file(snapshot)}
+
+
+def by_file(snapshot):
+    """A ``tracemalloc`` snapshot's live bytes by repo-relative file."""
+    return {
+        os.path.relpath(stat.traceback[0].filename, ROOT): stat.size
+        for stat in snapshot.statistics("filename")
+    }
+
+
+def run_one(workload, seed, scale, env, *extra):
     done = subprocess.run(
         [sys.executable, os.path.realpath(__file__),
-         "--workload", workload, "--seed", str(seed), "--scale", str(scale)],
+         "--workload", workload, "--seed", str(seed), "--scale", str(scale), *extra],
         cwd=ROOT, env=env, capture_output=True, text=True,
     )
     if done.returncode != 0:
@@ -110,7 +137,7 @@ def run_one(workload, seed, scale, env):
     return json.loads(done.stdout.strip().splitlines()[-1])
 
 
-def lines(workload, scales, low, high):
+def lines(workload, scales, low, high, build):
     orders = high["orders"] - low["orders"]
     if orders <= 0:
         raise SystemExit(f"{workload}: the two scales served the same orders")
@@ -135,6 +162,10 @@ def lines(workload, scales, low, high):
         )
     for name in sorted(slope, key=lambda name: -slope[name])[:TOP]:
         yield f"    {slope[name]:7,.0f} B/order  {name}"
+    built = build["by_file"]
+    yield f"    build at {scales[0]}: {sum(built.values()) / 1e6:6.2f} MB kept"
+    for name in sorted(built, key=lambda name: -built[name])[:TOP]:
+        yield f"    {built[name]:9,} B  {name}"
 
 
 def main(argv=None):
@@ -144,9 +175,11 @@ def main(argv=None):
     parser.add_argument("--scales", type=float, nargs=2, default=[0.15, 0.5])
     # One (workload, scale) measured in this process: what run_one starts.
     parser.add_argument("--scale", type=float, help=argparse.SUPPRESS)
+    parser.add_argument("--build", action="store_true", help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
     if args.scale is not None:
-        print(json.dumps(measure(args.workload[0], args.seed, args.scale)))
+        one = measure_build if args.build else measure
+        print(json.dumps(one(args.workload[0], args.seed, args.scale)))
         return 0
     env = dict(os.environ, PYTHONHASHSEED="0")
     env["PYTHONPATH"] = os.pathsep.join(
@@ -156,7 +189,8 @@ def main(argv=None):
     print(f"seed {args.seed}, bytes run() kept, slope between scales {args.scales}")
     for workload in args.workload or WORKLOADS:
         low, high = (run_one(workload, args.seed, scale, env) for scale in args.scales)
-        for text in lines(workload, args.scales, low, high):
+        build = run_one(workload, args.seed, args.scales[0], env, "--build")
+        for text in lines(workload, args.scales, low, high, build):
             print(text, flush=True)
     return 0
 

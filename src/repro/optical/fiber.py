@@ -341,9 +341,9 @@ class FiberPlant:
         """Occupied-channel bitmask per link, omitting fully dark links.
 
         Bit ``i`` set means channel ``i`` is lit.  This is the compact
-        state a shard worker's plant mirror needs to plan identically:
-        delta-sync ships only the links whose mask changed since the
-        last round.
+        state a shard worker's plant mirror needs to plan identically;
+        a sync ships only the masks of the links touched since the last
+        one.
         """
         full = (1 << self._grid.size) - 1
         result: Dict[Tuple[str, str], int] = {}

@@ -15,8 +15,8 @@ shards over a 3-tier hierarchical topology
 * :mod:`repro.shard.workers` — :class:`ShardWorkerPool`, long-lived
   plan-RPC worker processes (one per usable core, each hosting several
   :class:`UnitRecipe` units: a unit's graph, handed over by the parent)
-  holding delta-synced plant mirrors: the ``backend="pool"`` planning
-  layer of :class:`ShardedNetwork`.
+  holding plant mirrors that each round's message syncs: the
+  ``backend="pool"`` planning layer of :class:`ShardedNetwork`.
 """
 
 from repro.shard.intake import ShardIntake

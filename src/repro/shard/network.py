@@ -69,16 +69,18 @@ notifications fire in order.
 **The pool backend.**  ``backend="pool"`` moves the plan phase into the
 persistent worker processes of :class:`repro.shard.workers.
 ShardWorkerPool` — one long-lived process per usable core, each hosting
-several units, each unit holding a delta-synced mirror of its fiber
-plant — while the controllers stay authoritative for everything
-stateful: admission, claims, sagas, teardown.  The plan phase is one
-``call_many`` with one ``round`` call per *touched* unit, which the pool
-carries as one message per touched process: the round number (a new one
-resets the unit's overlay), the unit's requests as plain tuples and, on
-first contact in the round, the occupancy/liveness delta since the unit
-last heard from us.  The delta looks only at the links the plant
-recorded as touched, not at every link.  An idle unit costs no call and
-no plant work; its delta waits.  Because plans depend only on graph +
+several units, each unit holding a mirror of its fiber plant — while
+the controllers stay authoritative for everything stateful: admission,
+claims, sagas, teardown.  The plan phase is one ``call_many`` with one
+``round`` call per *touched* unit, which the pool carries as one
+message per touched process: the round number (a new one resets the
+unit's overlay), the unit's requests as plain tuples and, on first
+contact in the round, the unit's plant state in absolute terms: the
+target mask of every link the plant recorded as touched since it was
+last sent, and every failed link.  That message is the only route plant
+state takes to a worker; cuts and repairs wait for it too, since no cut
+can land inside a round.  An idle unit costs no call and no plant work;
+its pending links wait.  Because plans depend only on graph +
 plant + reach — never on the equipment pools consumed at claim time —
 pool outcomes are byte-identical to in-process outcomes, which the pool
 and round differential tests pin fingerprint-for-fingerprint.
@@ -89,7 +91,7 @@ from __future__ import annotations
 import itertools
 from collections import defaultdict
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.admission import AdmissionControl, CustomerProfile
 from repro.core.connection import (
@@ -190,69 +192,37 @@ def _disagrees(order: ShardOrder, child: Connection) -> bool:
 
 
 class _PlantMirror:
-    """What a worker has acknowledged of its unit's fiber plant.
+    """The links of one controller's plant its worker has not been sent.
 
-    :meth:`delta` is what the next ``round`` message must carry;
-    :meth:`acknowledged` adopts it once the worker has replied, never
-    before — a worker respawned from its journal holds acknowledged
-    syncs only.  ``round`` is the last round the worker opened.  Cut /
-    repair RPCs forwarded eagerly (:meth:`ShardedNetwork.cut_fiber`) are
-    noted here too, so the next delta doesn't re-send them.
-
-    A link's mask can differ from the acknowledged one only if the plant
-    recorded it as touched (:meth:`~repro.optical.fiber.FiberPlant.
-    touched_links`) since, or if a delta the worker never acknowledged
-    carried it — so those keys are all :meth:`delta` looks at, and its
-    masks equal a scan of every link.
+    :meth:`delta` is what a ``round`` message carries, in absolute
+    terms: the occupied-channel mask of every pending link and every
+    failed link.  ``pending`` is the plant's own record of the links
+    whose occupancy changed (:meth:`~repro.optical.fiber.FiberPlant.
+    touched_links`), seeded with the links lit before it started.  The
+    network empties it once a fan-out that carried the delta has
+    returned; one that raised leaves it as it is, and sending a target
+    mask again is harmless.  ``round`` is the last round whose delta the
+    worker was sent.
     """
 
-    __slots__ = ("plant", "round", "_masks", "_failed", "_touched", "_owed", "_sent")
+    __slots__ = ("plant", "round", "pending")
 
     def __init__(self, plant) -> None:
         self.plant = plant
         self.round = 0
-        #: Acknowledged occupied-channel masks, dark links omitted.
-        self._masks: Dict[Tuple[str, str], int] = {}
-        self._failed: frozenset = frozenset()
-        self._touched = plant.touched_links()
-        #: Keys an unacknowledged delta looked at — to begin with, the
-        #: links lit before the plant kept a record.
-        self._owed: Set[Tuple[str, str]] = set(plant.occupancy_snapshot())
+        self.pending = plant.touched_links()
+        self.pending.update(plant.occupancy_snapshot())
 
     def delta(self) -> dict:
-        owed = self._owed
-        owed |= self._touched
-        self._touched.clear()
         plant = self.plant
         full = (1 << plant.grid.size) - 1
-        masks = {}
-        for key in owed:
-            mask = full & ~plant.dwdm_link(*key).free_mask()
-            if self._masks.get(key, 0) != mask:
-                masks[key] = mask
-        failed = frozenset(plant.failed_links())
-        self._sent = (masks, failed)
         return {
-            "masks": masks,
-            "cut": sorted(failed - self._failed),
-            "repair": sorted(self._failed - failed),
+            "masks": {
+                key: full & ~plant.dwdm_link(*key).free_mask()
+                for key in self.pending
+            },
+            "failed": sorted(plant.failed_links()),
         }
-
-    def acknowledged(self, round_no: int) -> None:
-        self.round = round_no
-        masks, self._failed = self._sent
-        for key, mask in masks.items():
-            if mask:
-                self._masks[key] = mask
-            else:
-                self._masks.pop(key, None)
-        self._owed.clear()
-
-    def note_cut(self, key: Tuple[str, str]) -> None:
-        self._failed |= {key}
-
-    def note_repair(self, key: Tuple[str, str]) -> None:
-        self._failed -= {key}
 
 
 class ShardedNetwork:
@@ -435,8 +405,9 @@ class ShardedNetwork:
             )
         return self._pool
 
+    # ``bench/layers.py`` wraps this by name (``workers.sync``).
     def sync_workers(self) -> None:
-        """Push plant deltas to every worker and reset their rounds.
+        """Send every worker its pending plant state and reset its round.
 
         The all-workers, no-request form of a placement round's message.
         Placement itself syncs only the workers it plans on, so call
@@ -453,24 +424,23 @@ class ShardedNetwork:
         """One ``round`` call to each unit in ``batches``.
 
         A unit not yet contacted in this round also gets its plant
-        delta; its mirror moves on once that unit has replied — also
-        when another unit's reply raises, or a mask that changes back
-        before the next round would never be re-sent to it.
+        delta; its mirror's pending links are cleared only once the
+        fan-out has returned.
         """
-        calls, syncing = [], []
+        calls, synced = [], []
         for recipe, requests in batches.items():
             mirror = self._mirrors[recipe]
-            sync = mirror.delta() if mirror.round != self._round_no else None
-            payload = round_payload(self._round_no, sync, requests)
-            if sync is not None:
-                syncing.append((recipe, mirror, payload))
-            calls.append((recipe, "round", payload))
-        try:
-            replies = self._pool.call_many(calls)
-        finally:
-            for recipe, mirror, payload in syncing:
-                if self._pool.answered(recipe, payload):
-                    mirror.acknowledged(self._round_no)
+            sync = None
+            if mirror.round != self._round_no:
+                mirror.round = self._round_no
+                sync = mirror.delta()
+                synced.append(mirror)
+            calls.append(
+                (recipe, "round", round_payload(self._round_no, sync, requests))
+            )
+        replies = self._pool.call_many(calls)
+        for mirror in synced:
+            mirror.pending.clear()
         return {
             recipe: round_items(requests, reply)
             for (recipe, requests), reply in zip(batches.items(), replies)
@@ -631,29 +601,19 @@ class ShardedNetwork:
         """Cut one fiber on the authoritative plant (both backends).
 
         The owning controller fails affected lightpaths exactly as
-        in-process; with the pool backend the ``cut`` RPC is forwarded
-        eagerly so the worker plans around the break within the same
-        round.
+        in-process.  A pool worker hears of the cut in the next round's
+        message to it: a round is one synchronous :meth:`place_orders`
+        call, so no cut can land inside one.
         """
         if self.backend == "pool":
             self._live_pool()  # refuse before the plant is touched
-        unit = self._owning_unit(a, b)
-        self._unit_controller[unit].cut_link(a, b)
-        if self._pool is not None:
-            recipe = self._planner[unit]
-            self._pool.call(recipe, "cut", {"a": a, "b": b})
-            self._mirrors[recipe].note_cut((a, b) if a <= b else (b, a))
+        self._unit_controller[self._owning_unit(a, b)].cut_link(a, b)
 
     def repair_fiber(self, a: str, b: str) -> None:
         """Repair one fiber (inverse of :meth:`cut_fiber`)."""
         if self.backend == "pool":
             self._live_pool()  # refuse before the plant is touched
-        unit = self._owning_unit(a, b)
-        self._unit_controller[unit].repair_link(a, b)
-        if self._pool is not None:
-            recipe = self._planner[unit]
-            self._pool.call(recipe, "repair", {"a": a, "b": b})
-            self._mirrors[recipe].note_repair((a, b) if a <= b else (b, a))
+        self._unit_controller[self._owning_unit(a, b)].repair_link(a, b)
 
     # -- order intake ---------------------------------------------------------
 

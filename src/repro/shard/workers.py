@@ -16,14 +16,14 @@ placement round sends it.
   hosted unit, and is answered by one list of ``(tag, result)``:
   ``round`` (one placement round's message to a unit: a round number
   that resets the unit's persistent shadow-claim overlay when it
-  changes, on first contact in the round the occupancy delta from the
-  parent-side plant mirror, and the unit's requests as plain tuples —
-  see :func:`round_payload` and :func:`round_items`),
-  ``sync`` (the same delta with no round and no requests: what a
-  respawned unit replays its folded journal as),
-  ``cut``/``repair`` (chaos hooks), ``fingerprint`` (structural digest
-  for determinism gates), ``ping``, and ``adopt`` (build one more unit
-  from a recipe that arrived after the fork).
+  changes; on first contact in the round, the plant state from the
+  parent-side plant mirror in absolute terms — the target mask of
+  every link it has not sent yet and every failed link; and the unit's
+  requests as plain tuples — see :func:`round_payload` and
+  :func:`round_items`), ``fingerprint`` (structural digest for
+  determinism gates), ``ping``, and ``adopt`` (build one more unit
+  from a recipe that arrived after the fork).  ``round`` is the only
+  op that changes a unit, and the only route plant state takes to it.
 * :class:`ShardWorkerPool` — the parent-side pool: units dealt onto
   ``min(units, usable cores)`` processes, a fan-out that costs one
   message per touched process and always drains every reply,
@@ -32,15 +32,16 @@ placement round sends it.
   dead process) for single calls and fan-outs alike, and graceful
   context-manager shutdown.  A unit's replay journal folds at each of
   its round boundaries: everything before the current round becomes
-  one ``sync`` of the plant state it left (occupied masks, failed
-  links), so the journal, and a respawn's replay, are sized by the
-  unit's network and its current round, not by the run's history.
+  one ``round`` message with no requests that carries the plant state
+  it left (occupied masks, failed links), so the journal, and a
+  respawn's replay, are sized by the unit's network and its current
+  round, not by the run's history.
 
 **Determinism.**  A plan's outcome depends only on the unit's graph,
 its fiber plant (occupancy bitmasks, link liveness), and the reach
 model — never on equipment pools, which are consumed at claim time in
 the parent.  A unit planning over the parent's graph with a mirrored
-plant (a ``round`` message's delta-sync) therefore plans
+plant (a ``round`` message's sync) therefore plans
 byte-identically to the in-process engine, with no equipment installed;
 ``tests/test_shard_pool_differential.py`` pins this.  The only planning
 state a unit carries from one message to the next is the round's
@@ -52,11 +53,10 @@ change a plan.
 
 from __future__ import annotations
 
-import itertools
 import os
 from dataclasses import dataclass
 from multiprocessing import get_context
-from typing import Any, Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.core.inventory import InventoryDatabase
 from repro.core.rwa import (
@@ -72,14 +72,9 @@ from repro.optical.lightpath import Segment
 from repro.optical.wavelength import WavelengthGrid
 from repro.topo.graph import NetworkGraph
 
-#: Channel owner of everything a worker lights: delta-sync occupancy
-#: held only to mirror the parent plant.
+#: Channel owner of everything a worker lights: synced occupancy held
+#: only to mirror the parent plant.
 MIRROR_OWNER = "~mirror"
-
-#: RPC ops that mutate unit state and therefore enter the replay
-#: journal (``round`` for its sync and for the overlay its plans leave,
-#: which the round's next message plans against).
-_MUTATING_OPS = frozenset({"round", "sync", "cut", "repair"})
 
 #: Seconds a worker gets to exit before :func:`_reap` escalates.
 _REAP_TIMEOUT_S = 10.0
@@ -228,18 +223,19 @@ class _WorkerState:
         self.round = _PlanningRound()
         self.round_no: Optional[int] = None
 
-    # -- delta sync -----------------------------------------------------------
+    # -- plant sync -----------------------------------------------------------
 
     def _apply_sync(
         self,
         masks: Dict[Tuple[str, str], int],
-        cut: Iterable[Tuple[str, str]],
-        repair: Iterable[Tuple[str, str]],
+        failed: Iterable[Tuple[str, str]],
     ) -> None:
-        """Reconcile the plant with the parent's occupancy + failures.
+        """Reconcile the plant with the parent's: ``masks`` holds the
+        occupied-channel mask of some links, ``failed`` every cut link.
 
-        Repairs first (occupancy can only change on live links), then
-        occupancy deltas under :data:`MIRROR_OWNER`, then cuts.  Every
+        Links no longer failed are repaired first (occupancy can only
+        change on live links), then each link is brought to its mask
+        under :data:`MIRROR_OWNER`, then newly failed links are cut.  Every
         link is looked up and every mask checked against the grid before
         anything changes, so a sync the unit refuses leaves its plant as
         it was: the pool's journal fold counts on that.
@@ -255,17 +251,18 @@ class _WorkerState:
                     f"{size}-channel grid"
                 )
             targets.append((link, target))
-        for a, b in itertools.chain(repair, cut):
-            plant.dwdm_link(a, b)
-        for a, b in repair:
-            plant.repair_link(a, b)
+        cut = [plant.dwdm_link(*key) for key in failed]
+        staying = {link.link.key for link in cut}
+        for key in plant.failed_links():
+            if key not in staying:
+                plant.repair_link(*key)
         full = (1 << size) - 1
         for link, target in targets:
             current = full & ~link.free_mask()
             stale = current & ~target
             fresh = target & ~current
             # The parent preserves occupancy across fiber cuts (for
-            # restoration), so a delta can touch an already-cut link;
+            # restoration), so a sync can light an already-cut link;
             # lift the failure flag around the edit (liveness isn't
             # changing).
             lifted = link.failed and bool(fresh)
@@ -281,36 +278,30 @@ class _WorkerState:
                 fresh ^= low
             if lifted:
                 link.fail()
-        for a, b in cut:
-            plant.cut_link(a, b)
+        for link in cut:
+            link.fail()
 
     # -- dispatch -------------------------------------------------------------
 
     def dispatch(self, op: str, payload: Any) -> Any:
-        plant = self.inventory.plant
         if op == "round":
             if payload["round"] != self.round_no:
                 self.round_no = payload["round"]
                 self.round.reset()
             sync = payload["sync"]
             if sync is not None:
-                self._apply_sync(sync["masks"], sync["cut"], sync["repair"])
+                self._apply_sync(sync["masks"], sync["failed"])
             return _compact(
                 self.rwa.plan_batch(
                     [PlanRequest(*request) for request in payload["requests"]],
                     round_ctx=self.round,
                 )
             )
-        if op == "sync":
-            self._apply_sync(payload["masks"], payload["cut"], payload["repair"])
-            return None
-        if op == "cut":
-            return sorted(plant.cut_link(payload["a"], payload["b"]))
-        if op == "repair":
-            plant.repair_link(payload["a"], payload["b"])
-            return None
         if op == "fingerprint":
-            return {"unit": self.unit, "state": plant_fingerprint(plant)}
+            return {
+                "unit": self.unit,
+                "state": plant_fingerprint(self.inventory.plant),
+            }
         if op == "ping":
             return "pong"
         raise ConfigurationError(f"unknown shard-worker op {op!r}")
@@ -401,59 +392,52 @@ class _Unit:
         #: The unit's index in its process: what a call addresses.
         self.slot = len(host.units)
         #: What a fresh process replays, in order, to rebuild identical
-        #: state after a crash: ``(op, payload, ok)`` for every mutating
-        #: op the unit acknowledged (``ok`` False for an error reply)
-        #: since its current round's first message, after the ``sync``
-        #: entry the earlier ones were folded into (see :meth:`record`).
-        self.journal: List[Tuple[str, Any, bool]] = []
+        #: state after a crash: ``(payload, ok)`` for every ``round``
+        #: message the unit answered (``ok`` False for an error reply)
+        #: since its current round's first message, after the entry the
+        #: earlier ones were folded into (see :meth:`record`).
+        self.journal: List[Tuple[dict, bool]] = []
         #: The round number of the latest journaled ``round`` message.
         self.round_no: Optional[int] = None
-        #: The entry earlier rounds fold into: a ``sync`` of the occupied
-        #: masks (dark links omitted) and the failed links every op
+        #: The entry earlier rounds fold into: a ``round`` message with
+        #: no round number and no requests whose sync holds the occupied
+        #: masks (dark links omitted) and the failed links every message
         #: before the current round left.  Folds change it in place.
-        self._snapshot = ("sync", {"masks": {}, "cut": set(), "repair": ()}, True)
+        self._snapshot = (
+            {"round": None, "sync": {"masks": {}, "failed": []}, "requests": []},
+            True,
+        )
 
-    def record(self, op: str, payload: Any, ok: bool) -> None:
-        """Journal an acknowledged mutating op.
+    def record(self, payload: dict, ok: bool) -> None:
+        """Journal an answered ``round`` message.
 
-        A ``round`` message that opens a new round first folds every
-        earlier entry into the snapshot.  Only the current round's
-        messages stay verbatim: the overlay their plans left is what the
-        round's next message plans against, while all an earlier round
-        left is plant state.  A fold costs the keys the folded entries
-        change; an op whose reply was an error changed nothing (a unit
-        refuses a sync whole, and a cut or repair of an unknown link
-        before it touches the plant) and folds to nothing.
+        One that opens a new round first folds every earlier entry into
+        the snapshot.  Only the current round's messages stay verbatim:
+        the overlay their plans left is what the round's next message
+        plans against, while all an earlier round left is plant state.
+        A fold costs the keys the folded entries change; a message whose
+        reply was an error changed no plant (a unit refuses a sync
+        whole) and folds to nothing.
         """
-        if op == "round" and payload["round"] != self.round_no:
+        if payload["round"] != self.round_no:
             self.round_no = payload["round"]
             self._fold()
-        self.journal.append((op, payload, ok))
+        self.journal.append((payload, ok))
 
     def _fold(self) -> None:
-        masks: Dict[Tuple[str, str], int] = self._snapshot[1]["masks"]
-        failed: Set[Tuple[str, str]] = self._snapshot[1]["cut"]
+        folded = self._snapshot[0]["sync"]
+        masks: Dict[Tuple[str, str], int] = folded["masks"]
         for entry in self.journal:
-            op, payload, ok = entry
-            if not ok or entry is self._snapshot:
+            payload, ok = entry
+            sync = payload["sync"]
+            if not ok or entry is self._snapshot or sync is None:
                 continue
-            if op in ("cut", "repair"):
-                key = self.recipe.graph.link_between(payload["a"], payload["b"]).key
-                if op == "cut":
-                    failed.add(key)
-                else:
-                    failed.discard(key)
-                continue
-            sync = payload["sync"] if op == "round" else payload
-            if sync is None:
-                continue
-            failed.difference_update(sync["repair"])
             for key, mask in sync["masks"].items():
                 if mask:
                     masks[key] = mask
                 else:
                     masks.pop(key, None)
-            failed.update(sync["cut"])
+            folded["failed"] = sync["failed"]
         if self.journal:
             self.journal = [self._snapshot]
 
@@ -508,20 +492,8 @@ class ShardWorkerPool:
         """The :class:`multiprocessing.Process` hosting ``recipe``."""
         return self._units[recipe].host.process
 
-    def answered(self, recipe: UnitRecipe, payload: Any) -> bool:
-        """Whether ``recipe``'s unit replied (an error reply counts) to
-        the mutating RPC carrying ``payload``, so a respawn replays it.
-
-        Only the unit's latest mutating RPC is looked at: ask right
-        after the call, before sending that unit another.
-        """
-        unit = self._units.get(recipe)
-        return (
-            unit is not None
-            and bool(unit.journal)
-            and unit.journal[-1][1] is payload
-        )
-
+    # ``bench/child.py`` wraps this by name to time the spawn
+    # (``workers.spawn``).
     def ensure(self, *recipes: UnitRecipe) -> None:
         """Host every recipe not hosted yet.
 
@@ -576,12 +548,12 @@ class ShardWorkerPool:
         """Replace the (crashed) process hosting ``recipe`` and replay.
 
         The fresh process builds every unit the old one hosted, then
-        replays each unit's journal: the ``sync`` its earlier rounds were
-        folded into, then every mutating op acknowledged since its
+        replays each unit's journal: the message its earlier rounds were
+        folded into, then every ``round`` message answered since its
         current round began, in order, so each unit deterministically
-        reaches the exact state it held — including ops that *failed*
-        deterministically (their replay fails identically and is
-        dropped).  In-flight unacknowledged calls are not replayed; the
+        reaches the exact state it held — including messages that
+        *failed* deterministically (their replay fails identically and
+        is dropped).  In-flight unanswered calls are not replayed; the
         caller re-issues them.
         """
         self._respawn(self._units[recipe].host)
@@ -598,9 +570,9 @@ class ShardWorkerPool:
                 del self._units[unit.recipe]
             raise
         replay = [
-            (unit.slot, op, payload)
+            (unit.slot, "round", payload)
             for unit in host.units
-            for op, payload, _ in unit.journal
+            for payload, _ in unit.journal
         ]
         if replay:
             self._send(host, replay)
@@ -735,8 +707,8 @@ class ShardWorkerPool:
             for index, (slot, op, payload), (tag, result) in zip(
                 indices[host], message, answers
             ):
-                if op in _MUTATING_OPS:
-                    host.units[slot].record(op, payload, tag == "ok")
+                if op == "round":  # the one op that changes a unit
+                    host.units[slot].record(payload, tag == "ok")
                 if tag == "error":
                     errors.append((index, _rebuild_error(*result)))
                 else:
@@ -747,6 +719,8 @@ class ShardWorkerPool:
 
     # -- public RPC surface ---------------------------------------------------
 
+    # ``bench/layers.py`` wraps ``call`` and ``call_many`` by name
+    # (``workers.rpc``).
     def call(self, recipe: UnitRecipe, op: str, payload: Any = None) -> Any:
         """One RPC to one unit; blocks for the reply.
 

@@ -173,14 +173,15 @@ def build_region_graph(
     region: str,
     pops_per_region: int,
     with_premises: bool = False,
-    premises_length_km: float = 20.0,
 ) -> NetworkGraph:
     """Build one region's tier-3 mesh.
 
     The mesh derives entirely from ``spawn(shard_stream_key(region))``
     of the hierarchy seed, so no region's mesh depends on how many
     others the hierarchy generates, or in what order.  It is a Waxman
-    mesh on a 1,200 km plane with alpha 0.4 and beta 0.35.
+    mesh on a 1,200 km plane with alpha 0.4 and beta 0.35.  With
+    ``with_premises`` each PoP gets a premises node on a 20 km access
+    fiber of its own SRLG.
     """
     if pops_per_region < 3:
         raise ConfigurationError(
@@ -201,7 +202,7 @@ def build_region_graph(
                 Link(
                     premises,
                     pop,
-                    length_km=premises_length_km,
+                    length_km=20.0,
                     srlgs=frozenset({f"srlg:access:{premises}"}),
                 )
             )

@@ -1,21 +1,26 @@
-"""The plant mirror's touched-key delta against the full plant scan.
+"""What the plant mirror's syncs do to a worker: land it on the parent's plant.
 
-``_PlantMirror.delta`` looks only at the links whose occupancy changed
-since the worker last acknowledged a delta — the plant records them once
-a mirror asks (``FiberPlant.touched_links``) — plus the links a torn,
-unacknowledged fan-out still owes.  :class:`FullScanMirror` is the delta
-it replaced, kept only here: every link's mask on every call.  Across
-random claim / release / cut / repair sequences, links lit before the
-mirror existed, links that join the graph later, and fan-outs that tear
-before the worker acknowledges, both must send the same masks, cuts and
-repairs.
+``_PlantMirror.delta`` sends plant state in absolute terms — the target
+mask of every link it has not sent yet (the plant's record of touched
+links, ``FiberPlant.touched_links``, seeded with the links lit before
+it) and every failed link — and the network clears the pending links
+only once the fan-out that carried them has returned.
+:class:`FullScanMirror` is the plainest mirror there is, kept only
+here: every link's mask, every time.  Across random claim / release /
+cut / repair sequences, links lit before the mirror existed, links that
+join the graph later, and fan-outs that tear (delivered or not, their
+links stay pending), a worker fed the mirror's delivered syncs must
+fingerprint like the parent's plant and like a worker fed the
+reference's.
 """
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.fingerprint import plant_fingerprint
 from repro.optical import FiberPlant, WavelengthGrid
 from repro.shard.network import _PlantMirror
+from repro.shard.workers import UnitRecipe, _WorkerState, round_payload
 from repro.topo import Link, NetworkGraph, Node
 
 CHANNELS = 4
@@ -25,45 +30,26 @@ _LATE = ("A", "C")
 
 
 class FullScanMirror:
-    """The parent commit's delta: a scan of every link on every call."""
+    """Every link's absolute mask and every failed link, on every call."""
 
     def __init__(self, plant):
         self.plant = plant
-        self._masks = {}
-        self._failed = frozenset()
 
     def delta(self):
-        current = self.plant.occupancy_snapshot()
-        failed = frozenset(self.plant.failed_links())
-        masks = {
-            key: mask
-            for key, mask in current.items()
-            if self._masks.get(key, 0) != mask
-        }
-        for key in self._masks:
-            if key not in current:
-                masks[key] = 0
-        self._sent = (current, failed)
+        full = (1 << self.plant.grid.size) - 1
         return {
-            "masks": masks,
-            "cut": sorted(failed - self._failed),
-            "repair": sorted(self._failed - failed),
+            "masks": {
+                link.key: full & ~self.plant.dwdm_link(link.a, link.b).free_mask()
+                for link in self.plant.graph.links
+            },
+            "failed": sorted(self.plant.failed_links()),
         }
-
-    def acknowledged(self):
-        self._masks, self._failed = self._sent
-
-    def note_cut(self, key):
-        self._failed |= {key}
-
-    def note_repair(self, key):
-        self._failed -= {key}
 
 
 _STEP = st.tuples(
     st.sampled_from(
         ["claim", "claim", "release", "release", "cut", "repair",
-         "forward-cut", "forward-repair", "add-late", "sync", "torn"]
+         "add-late", "sync", "torn"]
     ),
     st.integers(min_value=0, max_value=len(_LINKS)),
     st.integers(min_value=0, max_value=CHANNELS - 1),
@@ -84,14 +70,34 @@ def _plant():
     before=st.lists(st.tuples(st.integers(0, len(_LINKS) - 1), st.integers(0, 3))),
     steps=st.lists(_STEP, max_size=40),
 )
-def test_touched_key_delta_equals_the_full_scan(before, steps):
+def test_delivered_syncs_land_the_worker_on_the_parents_plant(before, steps):
     graph, plant = _plant()
     keys = list(_LINKS)
     for index, channel in before:  # lit before any mirror kept a record
         link = plant.dwdm_link(*keys[index])
         if link.owner_of(channel) is None:
             link.occupy(channel, "x")
+    recipe = UnitRecipe("unit", graph, grid_size=CHANNELS)
     mirror, reference = _PlantMirror(plant), FullScanMirror(plant)
+    twin, reference_twin = _WorkerState(recipe), _WorkerState(recipe)
+
+    def sync(round_no, delivered=True, torn=False):
+        # What ``ShardedNetwork._plan_on_workers`` sends a unit on first
+        # contact in a round; a torn fan-out leaves the links pending.
+        payload = round_payload(round_no, mirror.delta(), [])
+        if delivered:
+            twin.dispatch("round", payload)
+            reference_twin.dispatch(
+                "round", round_payload(round_no, reference.delta(), [])
+            )
+        if not torn:
+            mirror.pending.clear()
+
+    def assert_landed():
+        parent = plant_fingerprint(plant)
+        assert plant_fingerprint(twin.inventory.plant) == parent
+        assert plant_fingerprint(reference_twin.inventory.plant) == parent
+
     for round_no, (op, index, channel) in enumerate(steps, start=1):
         key = keys[index % len(keys)]
         link = plant.dwdm_link(*key)
@@ -101,27 +107,23 @@ def test_touched_key_delta_equals_the_full_scan(before, steps):
         elif op == "release":
             if link.owner_of(channel) is not None:
                 link.release(channel, "x")
-        elif op in ("cut", "forward-cut"):
+        elif op == "cut":
             plant.cut_link(*key)
-            if op == "forward-cut":  # the eager cut RPC the network sends
-                mirror.note_cut(key)
-                reference.note_cut(key)
-        elif op in ("repair", "forward-repair"):
+        elif op == "repair":
             plant.repair_link(*key)
-            if op == "forward-repair":
-                mirror.note_repair(key)
-                reference.note_repair(key)
         elif op == "add-late":
             if _LATE not in keys:
                 graph.add_link(Link(*_LATE))
                 keys.append(_LATE)
-        else:
-            assert mirror.delta() == reference.delta()
-            if op == "sync":  # "torn": the worker never acknowledged it
-                mirror.acknowledged(round_no)
-                reference.acknowledged()
+        elif op == "sync":
+            sync(round_no)
+            assert_landed()
+        else:  # torn: the worker may or may not have taken it
+            sync(round_no, delivered=channel % 2 == 0, torn=True)
         assert len(plant.touched_links()) <= len(keys)
-    assert mirror.delta() == reference.delta()
+    sync(len(steps) + 1)
+    assert_landed()
+    assert not mirror.pending
 
 
 def test_a_plant_nobody_mirrors_records_nothing():

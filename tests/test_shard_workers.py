@@ -106,6 +106,14 @@ def _round(number, requests=(), sync=None):
     return "round", round_payload(number, sync, requests)
 
 
+def _sync(mirror):
+    """``mirror``'s delta, its links no longer pending: a fan-out that
+    carries it returns."""
+    delta = mirror.delta()
+    mirror.pending.clear()
+    return delta
+
+
 def _planned(pool, recipe, number, requests=(), sync=None):
     """Send ``recipe`` one ``round`` message; its reply as plan items."""
     return round_items(requests, pool.call(recipe, *_round(number, requests, sync)))
@@ -320,53 +328,69 @@ class TestWorkerRpcParity:
         mirror = _PlantMirror(local.inventory.plant)
         requests = _requests(local)
         with ShardWorkerPool([RECIPE]) as pool:
-            remote = _planned(pool, RECIPE, 1, requests, mirror.delta())
-            mirror.acknowledged(1)
+            remote = _planned(pool, RECIPE, 1, requests, _sync(mirror))
             items = local.rwa.plan_batch(requests)
             assert [i.ok for i in remote] == [i.ok for i in items]
             assert [
                 _plan_shape(i.plan) for i in remote if i.ok
             ] == [_plan_shape(i.plan) for i in items if i.ok]
             # The parent claims the plans; the next round's sync carries
-            # the delta and lands the worker on the same fingerprint...
+            # their masks and lands the worker on the same fingerprint...
             _land(local, items)
-            delta = mirror.delta()
+            delta = _sync(mirror)
             assert delta["masks"]
             pool.call(RECIPE, *_round(2, sync=delta))
-            mirror.acknowledged(2)
             fp = pool.call(RECIPE, "fingerprint")
             assert fp == {
                 "unit": "R00",
                 "state": plant_fingerprint(local.inventory.plant),
             }
-            # ...and a delta that darkens one plan keeps them in lockstep.
+            # ...and a sync that darkens one plan keeps them in lockstep.
             seq = next(i for i, item in enumerate(items) if item.ok)
             for link, channel in _channels(local, items[seq].plan):
                 link.release(channel, f"t-{seq}")
-            pool.call(RECIPE, *_round(3, sync=mirror.delta()))
+            pool.call(RECIPE, *_round(3, sync=_sync(mirror)))
             assert pool.call(RECIPE, "fingerprint")["state"] == (
                 plant_fingerprint(local.inventory.plant)
             )
 
     def test_cut_and_repair_track_local_twin(self):
+        """Cuts and repairs reach a unit as the sync's set of failed
+        links, also on a link the same sync lights."""
         local = _Twin()
+        plant = local.inventory.plant
+        mirror = _PlantMirror(plant)
+        items = local.rwa.plan_batch(_requests(local))
+        item = next(i for i in items if i.ok)
+        a, b = item.plan.path[0], item.plan.path[1]
+        other = next(
+            link.key for link in RECIPE.graph.links
+            if link.key != plant.dwdm_link(a, b).link.key
+        )
         with ShardWorkerPool([RECIPE]) as pool:
-            item = next(
-                i for i in local.rwa.plan_batch(_requests(local)) if i.ok
-            )
-            a, b = item.plan.path[0], item.plan.path[1]
-            displaced = pool.call(RECIPE, "cut", {"a": a, "b": b})
-            assert displaced == sorted(
-                local.inventory.plant.cut_link(a, b)
-            )
-            assert pool.call(RECIPE, "fingerprint")["state"] == (
-                plant_fingerprint(local.inventory.plant)
-            )
-            pool.call(RECIPE, "repair", {"a": a, "b": b})
-            local.inventory.plant.repair_link(a, b)
-            assert pool.call(RECIPE, "fingerprint")["state"] == (
-                plant_fingerprint(local.inventory.plant)
-            )
+
+            def step(number):
+                sync = _sync(mirror)
+                pool.call(RECIPE, *_round(number, sync=sync))
+                assert pool.call(RECIPE, "fingerprint")["state"] == (
+                    plant_fingerprint(plant)
+                )
+                return sync
+
+            cut = sorted([other, plant.dwdm_link(a, b).link.key])
+            plant.cut_link(a, b)
+            plant.cut_link(*other)
+            assert step(1)["failed"] == cut
+            # Repaired, lit and cut again between two rounds: the worker,
+            # whose copy stayed cut, lights the channels under a lifted
+            # failure flag.
+            plant.repair_link(a, b)
+            _land(local, items)
+            assert plant.cut_link(a, b)
+            assert step(2)["failed"] == cut
+            plant.repair_link(a, b)
+            plant.repair_link(*other)
+            assert step(3)["failed"] == []
 
     def test_unknown_op_is_typed_and_survivable(self):
         with ShardWorkerPool([RECIPE]) as pool:
@@ -538,18 +562,17 @@ class TestCrashRecovery:
 
     def _mutate(self, pool, local, recipe=RECIPE):
         """The same mutating history on a pool unit and its local twin:
-        a round that plans, the claims synced by the next, then a cut."""
+        a round that plans, the claims synced by the next, then a cut
+        synced by a third."""
         mirror = _PlantMirror(local.inventory.plant)
         requests = _requests(local)
         items = local.rwa.plan_batch(requests)
-        pool.call(recipe, *_round(1, requests, mirror.delta()))
-        mirror.acknowledged(1)
+        pool.call(recipe, *_round(1, requests, _sync(mirror)))
         _land(local, items)
-        pool.call(recipe, *_round(2, sync=mirror.delta()))
+        pool.call(recipe, *_round(2, sync=_sync(mirror)))
         item = next(i for i in items if i.ok)
-        a, b = item.plan.path[0], item.plan.path[1]
-        pool.call(recipe, "cut", {"a": a, "b": b})
-        local.inventory.plant.cut_link(a, b)
+        local.inventory.plant.cut_link(item.plan.path[0], item.plan.path[1])
+        pool.call(recipe, *_round(3, sync=_sync(mirror)))
 
     def test_crash_raises_typed_error(self, one_core):
         with ShardWorkerPool([RECIPE, OTHER]) as pool:
@@ -583,7 +606,7 @@ class TestCrashRecovery:
                     twins[recipe].inventory.plant
                 )
                 # ...and plans the next round identically.
-                message = _round(3, _requests(recipe, salt=1))
+                message = _round(4, _requests(recipe, salt=1))
                 expected = control.call(recipe, *message)
                 assert pool.call(recipe, *message) == expected
                 assert any(path is not None for path, _, _ in expected)
@@ -605,35 +628,38 @@ class TestCrashRecovery:
         ]
 
     def _round_history(self):
-        """Three placement rounds' worth of journaled ops on RECIPE.
+        """Four placement rounds' worth of journaled messages to RECIPE.
 
         Round 1 is split in two messages (a mid-round flush: the second
-        carries no sync and plans under the first's overlay), a fiber is
-        cut eagerly, round 2's sync repairs it and moves occupancy, and
-        round 3 moves occupancy again.
+        carries no sync and plans under the first's overlay), round 2's
+        sync cuts a fiber, round 3's repairs it and moves occupancy, and
+        round 4 moves occupancy again and cuts another.
         """
-        first, second, third = (_requests(RECIPE, 4, salt) for salt in range(3))
+        first, second, third, fourth = (
+            _requests(RECIPE, 4, salt) for salt in range(4)
+        )
         keys = sorted(link.key for link in RECIPE.graph.links)
-        a, b = keys[0]
 
-        def sync(masks, cut=(), repair=()):
-            return {"masks": masks, "cut": list(cut), "repair": list(repair)}
+        def sync(masks, failed=()):
+            return {"masks": masks, "failed": list(failed)}
 
         history = [
             _round(1, first[:2], sync({keys[0]: 0b0101, keys[-1]: 0b0011})),
             _round(1, first[2:]),
-            ("cut", {"a": a, "b": b}),
-            _round(2, second, sync({keys[0]: 0b0001}, repair=[keys[0]])),
-            _round(3, third[:2], sync({keys[-1]: 0, keys[0]: 0b1001})),
+            _round(2, second[:2], sync({}, [keys[0]])),
+            _round(3, third, sync({keys[0]: 0b0001})),
+            _round(4, fourth[:2], sync({keys[-1]: 0, keys[0]: 0b1001}, [keys[1]])),
         ]
-        # Same round again: the reply depends on round 3's overlay, so a
+        # Same round again: the reply depends on round 4's overlay, so a
         # replay that lost the round number (and reset it) would differ.
-        probes = [_round(3, third), _round(4, third, sync({}))]
+        probes = [_round(4, fourth), _round(5, fourth, sync({}))]
         return history, probes
 
     def test_round_op_replays_at_every_journal_index(self, one_core):
         history, probes = self._round_history()
-        neighbour = ("cut", {"a": "R01-P00", "b": "R01-P01"})
+        neighbour = _round(
+            1, sync={"masks": {}, "failed": [("R01-P00", "R01-P01")]}
+        )
 
         def finish(pool, ops):
             for op, payload in ops:
@@ -659,13 +685,12 @@ class TestCrashRecovery:
                 pool.process_of(RECIPE).join()
                 pool.respawn(RECIPE)
                 assert finish(pool, history[index:]) == expected, index
-            # Rounds 2 and 3 fold what came before them, so a kill after
-            # round 3 replays across two folds; the round-4 probe folds
-            # once more, leaving the snapshot and its own message.
+            # Rounds 2, 3 and 4 fold what came before them, so a kill
+            # after round 4 replays across three folds; the round-5 probe
+            # folds once more, leaving the snapshot and its own message.
             assert [
-                (op, payload.get("round"))
-                for op, payload, _ in pool._units[RECIPE].journal
-            ] == [("sync", None), ("round", 4)]
+                payload["round"] for payload, _ in pool._units[RECIPE].journal
+            ] == [None, 5]
 
 
 _KEYS = sorted(link.key for link in RECIPE.graph.links)
@@ -674,52 +699,44 @@ _MASKS = st.sampled_from([0, 0b1, 0b11, 0b101, 0b1000, (1 << 80) - 1])
 
 @st.composite
 def _histories(draw):
-    """Mutating ops on RECIPE, as a placement loop and chaos send them.
+    """``round`` messages to RECIPE, as a placement loop sends them.
 
-    A round opens with a sync (masks, zero masks among them, with cuts
-    and repairs of other links) and may be split into more messages
-    without one; eager cuts and repairs fall anywhere.  A few ops are
-    refused (a cut of an unknown link, a sync whose mask overflows the
-    grid): a refused op changes nothing and must fold to nothing.
+    A round opens with a sync (masks, zero masks among them, and the
+    failed links, the earlier round's cuts kept or repaired) and may be
+    split into more messages without one.  A few messages are refused (a
+    failed link the unit does not know, a mask that overflows the grid):
+    a refused sync changes no plant and must fold to nothing.
     """
     ops, round_no = [], 0
     for _ in range(draw(st.integers(1, 8))):
-        kind = draw(st.sampled_from(
-            ["open", "open", "split", "split", "cut", "repair", "refused"]
-        ))
+        kind = draw(st.sampled_from(["open", "open", "split", "split", "refused"]))
         requests = _requests(
             RECIPE, draw(st.integers(0, 4)), salt=draw(st.integers(0, 99))
         )
         if kind == "open" or (kind == "split" and not round_no):
             round_no += draw(st.integers(1, 2))
-            cut = draw(st.lists(st.sampled_from(_KEYS), max_size=2, unique=True))
-            sync = {
+            ops.append(_round(round_no, requests, {
                 "masks": draw(st.dictionaries(
                     st.sampled_from(_KEYS), _MASKS, max_size=4
                 )),
-                "cut": cut,
-                "repair": draw(st.lists(
-                    st.sampled_from([k for k in _KEYS if k not in cut]),
-                    max_size=2, unique=True,
-                )),
-            }
-            ops.append(_round(round_no, requests, sync))
+                "failed": sorted(draw(st.lists(
+                    st.sampled_from(_KEYS), max_size=3, unique=True
+                ))),
+            }))
         elif kind == "split":
             ops.append(_round(round_no, requests))
-        elif kind == "refused":
+        else:
+            round_no += 1
             if draw(st.booleans()):
-                ops.append(("cut", {"a": _KEYS[0][0], "b": "NOPE"}))
+                ops.append(_round(round_no, requests, {
+                    "masks": {_KEYS[0]: 0b1},
+                    "failed": [_KEYS[2], (_KEYS[0][0], "NOPE")],
+                }))
             else:
-                round_no += 1
                 ops.append(_round(round_no, requests, {
                     "masks": {_KEYS[0]: 0b1, _KEYS[1]: 1 << 80},
-                    "cut": [_KEYS[2]], "repair": [],
+                    "failed": [_KEYS[2]],
                 }))
-        else:
-            a, b = draw(st.sampled_from(_KEYS))
-            if draw(st.booleans()):
-                a, b = b, a
-            ops.append((kind, {"a": a, "b": b}))
     return ops
 
 
@@ -737,19 +754,23 @@ class TestJournalFold:
     def test_a_refused_sync_changes_nothing(self):
         with ShardWorkerPool([RECIPE]) as pool:
             dark = pool.call(RECIPE, "fingerprint")
+            pool.call(RECIPE, *_round(1, sync={"masks": {}, "failed": [_KEYS[3]]}))
+            before = pool.call(RECIPE, "fingerprint")
+            assert before != dark
             # The first mask fits and the second does not: neither lands,
-            # and neither does the cut.
+            # _KEYS[2] is not cut, and _KEYS[3] is not repaired.
             with pytest.raises(ConfigurationError, match="does not fit"):
-                pool.call(RECIPE, *_round(1, sync={
+                pool.call(RECIPE, *_round(2, sync={
                     "masks": {_KEYS[0]: 0b1, _KEYS[1]: 1 << 80},
-                    "cut": [_KEYS[2]], "repair": [],
+                    "failed": [_KEYS[2]],
                 }))
-            assert pool.call(RECIPE, "fingerprint") == dark
+            assert pool.call(RECIPE, "fingerprint") == before
+            # Nor does anything when one failed link is unknown.
             with pytest.raises(TopologyError):
-                pool.call(RECIPE, "sync", {
-                    "masks": {_KEYS[0]: 0b1}, "cut": [], "repair": [("A", "B")],
-                })
-            assert pool.call(RECIPE, "fingerprint") == dark
+                pool.call(RECIPE, *_round(3, sync={
+                    "masks": {_KEYS[0]: 0b1}, "failed": [("A", "B")],
+                }))
+            assert pool.call(RECIPE, "fingerprint") == before
 
     @settings(max_examples=15, deadline=None, derandomize=True)
     @given(history=_histories())
@@ -768,8 +789,8 @@ class TestJournalFold:
             # OTHER shares the process and folds a journal of its own.
             lit, cut = sorted(link.key for link in OTHER.graph.links)[:2]
             for op, payload in (
-                _round(1, sync={"masks": {lit: 0b11}, "cut": [], "repair": []}),
-                ("cut", {"a": cut[0], "b": cut[1]}),
+                _round(1, sync={"masks": {lit: 0b11}, "failed": []}),
+                _round(2, sync={"masks": {}, "failed": [cut]}),
                 _round(2),
             ):
                 pool.call(OTHER, op, payload)
@@ -787,21 +808,21 @@ class TestJournalFold:
                 assert pool.call(RECIPE, "fingerprint") == twin_call(
                     "fingerprint", None
                 )
-                opens = op == "round" and (
-                    payload["round"] != pool._units[RECIPE].round_no
-                )
+                opens = payload["round"] != pool._units[RECIPE].round_no
                 since_open = 1 if opens else since_open + 1
                 assert _answer(pool_call, op, payload) == _answer(
                     twin_call, op, payload
                 )
                 journal = pool._units[RECIPE].journal
-                folded = [entry for entry in journal if entry[0] == "sync"]
+                folded = [
+                    entry for entry in journal if entry[0]["round"] is None
+                ]
                 assert folded in ([], journal[:1])
                 assert len(journal) <= len(folded) + since_open
             round_no = pool._units[RECIPE].round_no or 0
             probes = [_round(round_no, _requests(RECIPE, salt=7)),
                       _round(round_no + 1, _requests(RECIPE, salt=8), {
-                          "masks": {}, "cut": [], "repair": []})]
+                          "masks": {}, "failed": []})]
             for op, payload in probes:
                 assert _answer(pool_call, op, payload) == _answer(
                     twin_call, op, payload
@@ -926,10 +947,10 @@ class TestRoundRecovery:
         assert got == self._uninterrupted()
         assert multiprocessing.active_children() == []
 
-    def test_mirror_moves_only_on_acknowledgement(self):
-        # No auto-recovery: the round's fan-out raises, and the delta
-        # the dead process never acknowledged must still be owed to
-        # both of its units.
+    def test_a_torn_fan_out_leaves_its_links_pending(self):
+        # No auto-recovery: the round's fan-out raises, and the links
+        # the dead process never took must still be pending for both of
+        # its units.
         with ShardWorkerPool() as pool:
             net = self._network(pool)
             net.place_orders(_ROUNDS[0])
@@ -947,12 +968,12 @@ class TestRoundRecovery:
             } == plants
         assert multiprocessing.active_children() == []
 
-    def test_torn_fan_out_advances_the_mirrors_that_answered(self):
+    def test_a_torn_fan_out_resends_what_a_unit_already_took(self):
         # Round 2's fan-out raises for the dead R00 process, but R01's
-        # process did take the round's delta: round 1's cross-region
+        # process did take the round's sync: round 1's cross-region
         # lightpath, lit on R01.  Released before the next round, that
-        # channel is dark again on the parent, so only a mirror that
-        # knows R01 lit it sends R01 the darkening.
+        # channel is dark again on the parent; the link is still
+        # pending, so R01 is sent its mask again, now dark.
         with ShardWorkerPool() as pool:
             net = self._network(pool)
             cross_region = net.place_orders(_ROUNDS[0])[1]
@@ -973,4 +994,38 @@ class TestRoundRecovery:
                 unit: fp["state"]
                 for unit, fp in net.worker_fingerprints().items()
             } == net.plant_fingerprints()
+        assert multiprocessing.active_children() == []
+
+    def test_cut_and_repair_need_no_live_worker(self):
+        # The worker hosting R00 (and R02) is dead and nothing recovers
+        # it: a cut or repair of an R00 fiber still acts on R00's
+        # controller and returns, and the respawned worker hears of both
+        # in the next message it is sent.
+        with ShardWorkerPool() as pool:
+            net = self._network(pool)
+            net.place_orders(_ROUNDS[0])
+            net.run()
+            victim = self._victim(pool)
+            process = pool.process_of(victim)
+            process.kill()
+            process.join()
+            before = net.plant_fingerprints()
+            first, second = sorted(
+                link.key for link in victim.graph.links
+                if link.a.startswith("R00-") and link.b.startswith("R00-")
+            )[:2]
+            net.cut_fiber(*first)
+            net.cut_fiber(*second)
+            net.repair_fiber(*first)
+            after = net.plant_fingerprints()
+            assert after["R00"] != before["R00"]
+            assert {k: v for k, v in after.items() if k != "R00"} == {
+                k: v for k, v in before.items() if k != "R00"
+            }
+            pool.respawn(victim)
+            net.sync_workers()
+            assert {
+                unit: fp["state"]
+                for unit, fp in net.worker_fingerprints().items()
+            } == after
         assert multiprocessing.active_children() == []

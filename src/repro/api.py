@@ -14,10 +14,10 @@ states from ``repro.pipeline``, and the typed refusals
   :data:`TERMINAL_OUTCOMES` and the set is complete;
 * :class:`Accepted` is the one non-terminal status (resources claimed,
   setup in flight); :data:`OrderStatus` is ``Accepted | OrderOutcome``;
-* :class:`OrderIntake` is the protocol every order backend implements
-  (the monolithic :class:`~repro.pipeline.OrderPipeline` and the
-  sharded :class:`~repro.shard.intake.ShardIntake`, both one
-  :class:`~repro.pipeline.engine.RoundIntake` queue), so the async
+* :class:`~repro.pipeline.engine.RoundIntake` is the one intake
+  contract: both order backends (the monolithic
+  :class:`~repro.pipeline.OrderPipeline` and the sharded
+  :class:`~repro.shard.intake.ShardIntake`) subclass it, so the async
   frontend — and any other caller — is backend-agnostic.
 
 ``BodService.order_outcome`` and the frontend's status stream both
@@ -29,34 +29,25 @@ deprecation shims.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import (
-    TYPE_CHECKING,
-    Any,
-    Callable,
-    NamedTuple,
-    Optional,
-    Protocol,
-    Tuple,
-    Union,
-    runtime_checkable,
-)
+from typing import TYPE_CHECKING, Any, NamedTuple, Optional, Tuple, Union
 
 from repro.core.connection import ConnectionState
 
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids import cycles
-    from repro.core.connection import Connection, ConnectionKind
+    from repro.core.connection import Connection
     from repro.core.service import FaultReport
-    from repro.pipeline.engine import OrderTicket
+    from repro.shard.network import ShardOrder
 
 
 class _ConnectionOutcome:
     """Shared delegation for outcomes that wrap a connection record.
 
-    The wrapped ``connection`` is a
-    :class:`~repro.core.connection.Connection` whichever backend
-    produced it (a sharded network's stitched
-    :class:`~repro.shard.network.ShardOrder` is one too), so callers
-    match on the outcome type and read the record's own fields.
+    The wrapped ``connection`` is the backend's per-order record: a
+    :class:`~repro.core.connection.Connection`, or a sharded network's
+    stitched :class:`~repro.shard.network.ShardOrder`.  Both carry the
+    fields read here (a stitched order's ``trace_id`` is always None),
+    so callers match on the outcome type and read the record's own
+    fields.
     """
 
     connection: Any
@@ -353,9 +344,10 @@ OrderStatus = Union[Accepted, OrderOutcome]
 
 
 def classify_record(
-    record: "Connection", fault: Optional["FaultReport"] = None
+    record: Union["Connection", "ShardOrder"],
+    fault: Optional["FaultReport"] = None,
 ) -> OrderStatus:
-    """Map a live connection record onto the union.
+    """Map a live order record onto the union.
 
     The one classification: :meth:`repro.pipeline.engine.RoundIntake.
     outcome` (both intake backends, and ``BodService.order_outcome``
@@ -369,6 +361,11 @@ def classify_record(
       (the SLO engine escalated a gray failure it could not remediate);
     * DEGRADED with a ``setup_error`` → :class:`ServiceDegraded`;
     * anything else → :class:`Accepted` (in flight or post-lifecycle).
+
+    A stitched :class:`~repro.shard.network.ShardOrder` is never
+    DEGRADED, and the DEGRADED-only fields (``degradation_*``, the
+    component lists) are read only in that state, so it maps as UP →
+    Active, BLOCKED → Blocked / SetupFailed, else Accepted.
     """
     state = record.state
     setup_error = record.setup_error
@@ -407,71 +404,6 @@ def classify_record(
     return Accepted(record)
 
 
-@runtime_checkable
-class OrderIntake(Protocol):
-    """The order-intake contract every backend exposes.
-
-    ``submit`` returns an :class:`~repro.pipeline.OrderTicket`
-    immediately (backpressure settles it QUEUE_FULL on the spot);
-    ``outcome`` maps a ticket onto the typed union above, pulled live;
-    listeners see every lifecycle edge.  The ticket is the order's one
-    record: the intake queues it as it is and stores its terminal
-    outcome on it (``ticket.outcome``) right after the listeners hear
-    the edge that concludes it.  The async frontend targets exactly
-    this protocol, which is what makes the monolithic pipeline and the
-    sharded network swappable behind it; the frontend admits straight
-    into the intake's heap, the one queue an order waits in, and hands
-    its caller the ticket ``submit`` returned.
-    """
-
-    def submit(
-        self,
-        customer: str,
-        premises_a: str,
-        premises_b: str,
-        rate_bps: float,
-        kind: Optional["ConnectionKind"] = None,
-        premium: bool = False,
-    ) -> "OrderTicket":
-        """Queue an order; return its ticket immediately.  A
-        ``premium`` order waits ahead of every standard one."""
-        ...
-
-    def outcome(self, ticket: "OrderTicket") -> Optional[OrderStatus]:
-        """The ticket's current typed status (None while queued)."""
-        ...
-
-    def queue_depth(self) -> int:
-        """Orders currently waiting for processing."""
-        ...
-
-    def premium_depth(self) -> int:
-        """Premium orders currently waiting for processing."""
-        ...
-
-    @property
-    def capacity(self) -> int:
-        """The bounded intake queue size."""
-        ...
-
-    def add_listener(
-        self, listener: Callable[["OrderTicket", str], None]
-    ) -> None:
-        """Subscribe to ticket lifecycle events.
-
-        The listener is called with ``(ticket, event)`` where ``event``
-        is ``"settled"`` (the ticket reached a terminal intake state:
-        accepted / blocked / deferred / queue-full), then — for
-        accepted orders — ``"active"``, ``"degraded"``, or ``"failed"``
-        when setup concludes, and ``"released"`` after teardown.
-        """
-        ...
-
-    def teardown(self, ticket: "OrderTicket") -> None:
-        """Tear down an accepted ticket's connection."""
-        ...
-
-
 __all__ = [
     "Accepted",
     "Active",
@@ -488,6 +420,5 @@ __all__ = [
     "OrderOutcome",
     "OrderStatus",
     "TERMINAL_OUTCOMES",
-    "OrderIntake",
     "classify_record",
 ]

@@ -90,8 +90,53 @@ _ALLOWED = {
 }
 
 
+class Lifecycle:
+    """The customer-visible life cycle every per-order record shares.
+
+    One state machine (:meth:`transition` over the ``_ALLOWED`` table)
+    and one outage clock, for :class:`Connection` and for a sharded
+    network's stitched :class:`~repro.shard.network.ShardOrder`.  It
+    declares no slots and no fields: each record declares
+    ``connection_id``, ``state``, ``requested_at``, ``up_at``,
+    ``outage_started_at`` and ``total_outage_s`` itself.
+    """
+
+    __slots__ = ()
+
+    @property
+    def setup_duration(self) -> Optional[float]:
+        """Seconds from request to service, or None while pending."""
+        if self.requested_at is None or self.up_at is None:
+            return None
+        return self.up_at - self.requested_at
+
+    def transition(self, new_state: ConnectionState) -> None:
+        """Move the state machine to ``new_state``.
+
+        Raises:
+            ConnectionStateError: for a disallowed transition.
+        """
+        if new_state not in _ALLOWED[self.state]:
+            raise ConnectionStateError(
+                f"connection {self.connection_id}: cannot go "
+                f"{self.state.value} -> {new_state.value}"
+            )
+        self.state = new_state
+
+    def begin_outage(self, now: float) -> None:
+        """Record the start of an unavailability period."""
+        if self.outage_started_at is None:
+            self.outage_started_at = now
+
+    def end_outage(self, now: float) -> None:
+        """Close the current unavailability period and accumulate it."""
+        if self.outage_started_at is not None:
+            self.total_outage_s += now - self.outage_started_at
+            self.outage_started_at = None
+
+
 @dataclass(**RECORD_OPTIONS)
-class Connection:
+class Connection(Lifecycle):
     """One customer connection.
 
     Attributes:
@@ -147,37 +192,6 @@ class Connection:
     degradation_margin_db: Optional[float] = None
     #: Name of the SLO policy whose breach caused the escalation.
     degradation_policy: str = ""
-
-    @property
-    def setup_duration(self) -> Optional[float]:
-        """Seconds from request to service, or None while pending."""
-        if self.requested_at is None or self.up_at is None:
-            return None
-        return self.up_at - self.requested_at
-
-    def transition(self, new_state: ConnectionState) -> None:
-        """Move the state machine to ``new_state``.
-
-        Raises:
-            ConnectionStateError: for a disallowed transition.
-        """
-        if new_state not in _ALLOWED[self.state]:
-            raise ConnectionStateError(
-                f"connection {self.connection_id}: cannot go "
-                f"{self.state.value} -> {new_state.value}"
-            )
-        self.state = new_state
-
-    def begin_outage(self, now: float) -> None:
-        """Record the start of an unavailability period."""
-        if self.outage_started_at is None:
-            self.outage_started_at = now
-
-    def end_outage(self, now: float) -> None:
-        """Close the current unavailability period and accumulate it."""
-        if self.outage_started_at is not None:
-            self.total_outage_s += now - self.outage_started_at
-            self.outage_started_at = None
 
     def __str__(self) -> str:
         return (

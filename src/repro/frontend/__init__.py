@@ -10,8 +10,8 @@ clients and the order backends:
 * :mod:`repro.frontend.service` — :class:`BodFrontend`: the three edge
   gates (rate limit, non-mutating quota probe, hysteresis load
   shedding against the intake's one bounded heap), direct admission
-  into that heap, and streaming order-status resolution over any
-  :class:`repro.api.OrderIntake` backend;
+  into that heap, and streaming order-status resolution over either
+  :class:`repro.pipeline.engine.RoundIntake` backend;
 * :mod:`repro.frontend.clients` — open-loop Poisson client fleets over
   heavy-tailed tenant populations, for the load benchmarks.
 """

@@ -1,10 +1,10 @@
 """The async BoD service frontend: edge gates, backpressure, streaming.
 
 :class:`BodFrontend` stands between many concurrent simulated clients
-and one order backend (anything implementing
-:class:`repro.api.OrderIntake` — the monolithic pipeline or the sharded
-network).  Every submission passes three edge gates **before the intake
-ever sees the order**, in this sequence:
+and one order backend (a :class:`repro.pipeline.engine.RoundIntake` —
+the monolithic pipeline or the sharded network).  Every submission
+passes three edge gates **before the intake ever sees the order**, in
+this sequence:
 
 1. **Rate limiting** — the tenant's token bucket
    (:mod:`repro.frontend.ratelimit`); an empty bucket refuses with
@@ -23,8 +23,8 @@ ever sees the order**, in this sequence:
    intake.capacity)``, so frontend traffic never trips intake QUEUE_FULL.
 
 The frontend owns no queue: an admitted order goes straight into
-:meth:`repro.api.OrderIntake.submit`, and the record that call returns
-is the one the customer holds (:class:`FrontendTicket` is
+:meth:`repro.pipeline.engine.RoundIntake.submit`, and the record that
+call returns is the one the customer holds (:class:`FrontendTicket` is
 :class:`repro.pipeline.OrderTicket`).  The intake stores the order's
 terminal :data:`repro.api.OrderOutcome` on it — no polling; an edge
 refusal builds its own record and resolves it with a typed
@@ -59,7 +59,7 @@ from repro.core.connection import ConnectionKind
 from repro.errors import ConfigurationError
 from repro.frontend.ratelimit import BucketSet
 from repro.obs.registry import MetricsRegistry
-from repro.pipeline.engine import OrderTicket
+from repro.pipeline.engine import OrderTicket, RoundIntake
 from repro.sim.kernel import Simulator
 
 #: Backpressure state: accepting submissions.
@@ -109,7 +109,7 @@ class BodFrontend:
     """The always-on service edge in front of one order backend.
 
     Args:
-        intake: Any :class:`repro.api.OrderIntake` backend.
+        intake: Either :class:`repro.pipeline.engine.RoundIntake` backend.
         admission: The quota ledger the backend admits against — probed
             non-mutatingly at the edge.
         sim: The shared simulator.
@@ -130,7 +130,7 @@ class BodFrontend:
 
     def __init__(
         self,
-        intake: api.OrderIntake,
+        intake: RoundIntake,
         admission: AdmissionControl,
         sim: Simulator,
         metrics: Optional[MetricsRegistry] = None,

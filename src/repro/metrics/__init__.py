@@ -4,7 +4,7 @@
   sample list, used by :class:`repro.obs.MetricsRegistry` histograms and
   the sweep aggregate;
 * :mod:`repro.metrics.availability` — availability arithmetic;
-* :mod:`repro.metrics.textchart` — text charts for experiment reports.
+* :mod:`repro.metrics.textchart` — a bar chart for experiment reports.
 """
 
 from repro.metrics.availability import (
@@ -15,7 +15,7 @@ from repro.metrics.availability import (
     nines,
 )
 from repro.metrics.collector import Summary, summarize
-from repro.metrics.textchart import bar_chart, histogram, sparkline
+from repro.metrics.textchart import bar_chart
 
 __all__ = [
     "availability_from_mtbf_mttr",
@@ -26,6 +26,4 @@ __all__ = [
     "Summary",
     "summarize",
     "bar_chart",
-    "histogram",
-    "sparkline",
 ]

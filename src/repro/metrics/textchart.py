@@ -1,4 +1,4 @@
-"""Tiny text charts for experiment reports.
+"""A tiny text bar chart for experiment reports.
 
 The benchmarks and examples print their regenerated tables; for series
 with a visual trend (the Table 2 growth, the speedup frontier, blocking
@@ -8,7 +8,7 @@ ASCII, no dependencies.
 
 from __future__ import annotations
 
-from typing import Dict, Sequence, Tuple, Union
+from typing import Sequence, Tuple, Union
 
 from repro.errors import ConfigurationError
 
@@ -49,50 +49,3 @@ def bar_chart(
         )
     return "\n".join(lines)
 
-
-def histogram(
-    samples: Sequence[Number],
-    bins: int = 10,
-    width: int = 40,
-) -> str:
-    """Render a sample distribution as an ASCII histogram.
-
-    Raises:
-        ConfigurationError: for no samples or a non-positive bin count.
-    """
-    if not samples:
-        raise ConfigurationError("need at least one sample")
-    if bins < 1:
-        raise ConfigurationError(f"bins must be >= 1, got {bins}")
-    values = sorted(float(s) for s in samples)
-    low, high = values[0], values[-1]
-    if high == low:
-        return bar_chart([(f"{low:g}", len(values))], width=width)
-    span = (high - low) / bins
-    counts: Dict[int, int] = {}
-    for value in values:
-        index = min(bins - 1, int((value - low) / span))
-        counts[index] = counts.get(index, 0) + 1
-    series = []
-    for index in range(bins):
-        left = low + index * span
-        right = left + span
-        series.append((f"[{left:.3g}, {right:.3g})", counts.get(index, 0)))
-    return bar_chart(series, width=width)
-
-
-def sparkline(samples: Sequence[Number]) -> str:
-    """A one-line trend rendering using block characters.
-
-    Raises:
-        ConfigurationError: for an empty series.
-    """
-    if not samples:
-        raise ConfigurationError("need at least one sample")
-    blocks = " .:-=+*#%@"
-    values = [float(s) for s in samples]
-    low, high = min(values), max(values)
-    if high == low:
-        return blocks[len(blocks) // 2] * len(values)
-    scale = (len(blocks) - 1) / (high - low)
-    return "".join(blocks[int((v - low) * scale)] for v in values)

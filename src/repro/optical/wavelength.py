@@ -1,10 +1,9 @@
 """The ITU-T DWDM channel grid.
 
 A modern DWDM system carries 40–100 wavelengths on the C band (the paper,
-§2.1).  We model a fixed 50 GHz grid anchored at 193.1 THz: channel ``i``
-sits at ``193.1 THz + i * 50 GHz``.  Channels are identified by integer
-index throughout the library; this module converts between index,
-frequency, and nanometer wavelength for display.
+§2.1).  We model a fixed grid of channels, identified by integer index
+throughout the library (on the ITU 50 GHz grid, channel ``i`` would sit
+at ``193.1 THz + i * 50 GHz``; nothing here needs the frequency).
 """
 
 from __future__ import annotations
@@ -12,16 +11,6 @@ from __future__ import annotations
 from typing import Iterator
 
 from repro.errors import ConfigurationError
-
-#: Anchor frequency of the ITU grid in THz.
-ITU_ANCHOR_THZ = 193.1
-
-#: Grid spacing in THz (50 GHz).
-GRID_SPACING_THZ = 0.05
-
-#: Speed of light, used for frequency -> wavelength conversion (nm * THz).
-_C_NM_THZ = 299_792.458
-
 
 class WavelengthGrid:
     """A fixed DWDM channel grid of ``size`` channels.
@@ -56,20 +45,6 @@ class WavelengthGrid:
                 f"channel {channel} is off the grid [0, {self._size})"
             )
         return channel
-
-    def frequency_thz(self, channel: int) -> float:
-        """Center frequency of ``channel`` in THz."""
-        self.validate(channel)
-        return ITU_ANCHOR_THZ + channel * GRID_SPACING_THZ
-
-    def wavelength_nm(self, channel: int) -> float:
-        """Center wavelength of ``channel`` in nanometers."""
-        return _C_NM_THZ / self.frequency_thz(channel)
-
-    def channel_name(self, channel: int) -> str:
-        """Human-readable channel label, e.g. ``'ch012 (1549.32 nm)'``."""
-        self.validate(channel)
-        return f"ch{channel:03d} ({self.wavelength_nm(channel):.2f} nm)"
 
     def __contains__(self, channel: object) -> bool:
         return isinstance(channel, int) and 0 <= channel < self._size

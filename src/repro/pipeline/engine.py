@@ -51,7 +51,7 @@ from repro.errors import ConfigurationError, GriphonError
 from repro.sim.process import Process
 
 #: The one table from backend lifecycle edges to the ticket events of
-#: :meth:`repro.api.OrderIntake.add_listener`.  Both backends speak the
+#: :meth:`RoundIntake.add_listener`.  Both backends speak the
 #: controller's observer vocabulary (``GriphonController.observers`` /
 #: ``ShardedNetwork.observers``); edges not listed are not ticket events.
 _TICKET_EVENTS = {
@@ -263,20 +263,33 @@ class OrderTicket:
 
 
 class RoundIntake:
-    """The backend-independent half of :class:`repro.api.OrderIntake`.
+    """The order-intake contract every backend implements.
 
-    Owns everything about how orders *wait*: argument validation, the
-    bounded priority heap, ticket issue with on-the-spot QUEUE_FULL, the
-    ``pipeline.*`` counters, the round-cadence kernel process, the
-    listener stream, the typed :meth:`outcome` and each ticket's stored
-    terminal outcome.  What a round *places* is the backend's: a
-    subclass supplies
+    :meth:`submit` returns an :class:`OrderTicket` immediately
+    (backpressure settles it QUEUE_FULL on the spot); :meth:`outcome`
+    maps a ticket onto the typed union of :mod:`repro.api`, pulled live;
+    listeners see every lifecycle edge.  The ticket is the order's one
+    record: the intake queues it as it is and stores its terminal
+    outcome on it (``ticket.outcome``) right after the listeners hear
+    the edge that concludes it.  The async frontend targets exactly
+    this class, which is what makes the monolithic pipeline and the
+    sharded network swappable behind it; the frontend admits straight
+    into the intake's heap, the one queue an order waits in, and hands
+    its caller the ticket :meth:`submit` returned.
+
+    This class owns everything about how orders *wait*: argument
+    validation, the bounded priority heap, ticket issue with
+    on-the-spot QUEUE_FULL, the ``pipeline.*`` counters, the
+    round-cadence kernel process, the listener stream, the typed
+    :meth:`outcome` and each ticket's stored terminal outcome.  What a
+    round *places* is the backend's: a subclass supplies
 
     * ``_place(batch)`` — execute one round of popped tickets, calling
       :meth:`_settle` per order (or pushing the ticket back to retry it
       next round);
-    * ``_record(ticket)`` — the connection record (a shard order is one) a
-      processed ticket points at;
+    * ``_record(ticket)`` — the order record (a :class:`~repro.core.
+      connection.Connection`, or a stitched :class:`~repro.shard.
+      network.ShardOrder`) a processed ticket points at;
     * ``_release(ticket)`` — start the teardown of an accepted ticket;
 
     and subscribes :meth:`_on_backend_event` to its backend's observers.
@@ -480,10 +493,11 @@ class RoundIntake:
     ) -> None:
         """Subscribe to ticket lifecycle events.
 
-        See :meth:`repro.api.OrderIntake.add_listener` for the event
-        vocabulary: ``"settled"`` at every terminal intake state, then
-        ``"active"`` / ``"degraded"`` / ``"failed"`` when an accepted
-        order's setup concludes, and ``"released"`` after teardown.
+        The listener is called with ``(ticket, event)``: ``"settled"``
+        at every terminal intake state (accepted / blocked / deferred /
+        queue-full), then ``"active"`` / ``"degraded"`` / ``"failed"``
+        when an accepted order's setup concludes, and ``"released"``
+        after teardown.
         A listener added while an event is being emitted first hears
         the next one.
         """

@@ -1,14 +1,15 @@
-"""ShardIntake: the sharded network behind the ``OrderIntake`` contract.
+"""ShardIntake: the sharded network behind the one intake contract.
 
 ``ShardedNetwork`` has its own batch entry point
 (:meth:`~repro.shard.network.ShardedNetwork.place_orders`); nothing
-built against :class:`repro.api.OrderIntake` — the async frontend above
-all — could drive it.  :class:`ShardIntake` is that adapter.  The
-bounded queue, ticket surface, round cadence, event stream and typed
-outcomes are not *like* the pipeline's, they are the pipeline's:
-both subclass :class:`repro.pipeline.engine.RoundIntake`, and this
-module says only what a sharded round places.  A stitched order is a
-:class:`~repro.core.connection.Connection` whose network speaks the
+built against :class:`repro.pipeline.engine.RoundIntake` — the async
+frontend above all — could drive it.  :class:`ShardIntake` is that
+adapter.  The bounded queue, ticket surface, round cadence, event
+stream and typed outcomes are not *like* the pipeline's, they are the
+pipeline's: both subclass :class:`~repro.pipeline.engine.RoundIntake`,
+and this module says only what a sharded round places.  A stitched
+:class:`~repro.shard.network.ShardOrder` carries the fields a
+connection record's outcome is read from, and its network speaks the
 controller's observer vocabulary, so the intake subscribes the same
 :meth:`~repro.pipeline.engine.RoundIntake._on_backend_event` to
 ``ShardedNetwork.observers`` that the pipeline subscribes to

@@ -16,8 +16,10 @@ is released, and the order settles BLOCKED with zero residue in *any*
 shard — the same guarantee the monolithic controller gives a
 single-segment order.
 
-**The order is a connection.**  A :class:`ShardOrder` is a
-:class:`~repro.core.connection.Connection` moved only through
+**The order is a stitch of connections.**  A :class:`ShardOrder`
+holds the order's customer-visible state and its children, which hold
+the components.  It shares :class:`~repro.core.connection.Connection`'s
+one :class:`~repro.core.connection.Lifecycle`, moved only through
 ``transition``, and :attr:`ShardedNetwork.observers` hears the
 controller's event names.  The coordinator observes every unit
 controller, so the order follows its segments: a child ``<order>/<unit>``
@@ -95,7 +97,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.admission import AdmissionControl, CustomerProfile
 from repro.core.connection import (
-    RECORD_OPTIONS, Connection, ConnectionKind, ConnectionState,
+    RECORD_OPTIONS, Connection, ConnectionState, Lifecycle,
 )
 from repro.core.controller import GriphonController
 from repro.core.inventory import InventoryDatabase
@@ -143,14 +145,23 @@ def _exclusions(graph, unit_graph) -> tuple:
 
 
 @dataclass(**RECORD_OPTIONS)
-class ShardOrder(Connection):
-    """A cross-shard order: one customer connection, many unit segments.
+class ShardOrder(Lifecycle):
+    """A cross-shard order: one customer record, many unit segments.
 
-    The order is a :class:`~repro.core.connection.Connection` that moves
-    through :meth:`~repro.core.connection.Connection.transition` like any
-    other; the coordinator adds only what stitching needs.
+    The order holds only what stitching needs, and moves through the
+    same :class:`~repro.core.connection.Lifecycle` as a
+    :class:`Connection`; its per-unit children hold the components
+    (lightpaths, claims).  It is never DEGRADED, so it carries no
+    degradation fields.
 
     Attributes:
+        connection_id / customer / premises_a / premises_b / rate_bps:
+            The order as the customer placed it.
+        requested_at / up_at / released_at: Simulation timestamps.
+        outage_started_at / total_outage_s: The outage clock (set while
+            a cut child keeps the order FAILED).
+        blocked_reason / setup_error: Why the order settled BLOCKED;
+            ``setup_error`` is the abort that rolled its setup back.
         children: Per-unit child :class:`Connection` records, each
             driven by its unit's controller (so that shard's audit sees
             a live owner for every claim); a child's lightpath is the
@@ -162,8 +173,25 @@ class ShardOrder(Connection):
             fingerprint hashes, stable even for later-blocked orders.
     """
 
+    connection_id: str
+    customer: str
+    premises_a: str
+    premises_b: str
+    rate_bps: float
+    requested_at: Optional[float] = None
+    state: ConnectionState = ConnectionState.REQUESTED
+    up_at: Optional[float] = None
+    released_at: Optional[float] = None
+    outage_started_at: Optional[float] = None
+    total_outage_s: float = 0.0
+    blocked_reason: str = ""
+    setup_error: Optional[Exception] = None
     children: Dict[str, Connection] = field(default_factory=dict)
     plan_record: List[dict] = field(default_factory=list)
+
+    #: No span of its own (read by :func:`repro.api.classify_record`);
+    #: a class constant, not a field.
+    trace_id = None
 
     # Read by the benchmark's per-layer figures (``bench/layers.py``).
     @property
@@ -617,16 +645,6 @@ class ShardedNetwork:
 
     # -- order intake ---------------------------------------------------------
 
-    def place_order(
-        self,
-        customer: str,
-        premises_a: str,
-        premises_b: str,
-        rate_bps: float = 10 * GBPS,
-    ) -> ShardOrder:
-        """Place one order (a single-order planning round)."""
-        return self.place_orders([(customer, premises_a, premises_b, rate_bps)])[0]
-
     def place_orders(
         self, requests: Sequence[Tuple[str, str, str, float]]
     ) -> List[ShardOrder]:
@@ -648,8 +666,7 @@ class ShardedNetwork:
         opened: List[Tuple[ShardOrder, List[SegmentSpec]]] = []
         for request in requests:
             order = ShardOrder(
-                f"xo-{next(self._order_seq)}", *request,
-                ConnectionKind.WAVELENGTH, requested_at=self.sim.now,
+                f"xo-{next(self._order_seq)}", *request, requested_at=self.sim.now
             )
             self.orders[order.connection_id] = order
             orders.append(order)

@@ -166,3 +166,32 @@ class TestAmplifierGainAudit:
         assert not audit_network(net.controller).ok
         chain.reset_gain()
         assert audit_network(net.controller).ok
+
+
+class TestLedgerAudit:
+    """A ledger that disagrees with the hardware names which side is short."""
+
+    @staticmethod
+    def ledger_mismatches(net):
+        return [
+            (violation.owner, violation.detail)
+            for violation in audit_network(net.controller).violations
+            if violation.kind == "ledger-mismatch"
+        ]
+
+    def test_a_held_resource_missing_from_the_ledger(self):
+        net, _, conn = build_up_network()
+        lp_id = conn.lightpath_ids[0]
+        net.inventory.holdings[lp_id].pop(0)
+        assert self.ledger_mismatches(net) == [
+            (lp_id, "held by the lightpath but not in its ledger")
+        ]
+
+    def test_a_ledger_entry_the_lightpath_does_not_hold(self):
+        net, _, conn = build_up_network()
+        lp_id = conn.lightpath_ids[0]
+        kind, pool, index = net.inventory.holdings[lp_id][0]
+        net.inventory.holdings[lp_id].append((kind, pool, index + 1))
+        assert self.ledger_mismatches(net) == [
+            (lp_id, "in the ledger but not held by a registered lightpath")
+        ]

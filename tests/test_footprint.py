@@ -5,7 +5,8 @@ samples in an ``array('d')``; for any finite floats, through a
 ``state()`` JSON round trip and a ``merge``, it reports what a plain
 list of the same samples gives.  A controller keeps raw ``step.<name>``
 samples only while its tracer is enabled, and its connection records
-(and a sharded order's) carry no per-instance ``__dict__``.  (That a
+(and a sharded order's, which is its own record, not a connection)
+carry no per-instance ``__dict__``.  (That a
 drained sharded run keeps no retired child is checked by
 ``tests/test_no_cyclic_garbage.py``, on the same run.)
 """
@@ -105,13 +106,25 @@ def test_step_samples_are_kept_only_while_tracing():
     assert [len(untraced.metrics.samples(name)) for name in steps] == counts
 
 
+#: Each per-order record, built with its own constructor.
+RECORDS = {
+    Connection: lambda: Connection(
+        "conn-1", "csp", "DC-A", "DC-B", 1e10, ConnectionKind.WAVELENGTH,
+        lightpath_ids=["lp-1"],
+    ),
+    ShardOrder: lambda: ShardOrder(
+        "xo-1", "csp", "DC-A", "DC-B", 1e10, requested_at=0.0,
+        plan_record=[{"unit": "R00"}],
+    ),
+}
+
+
 @pytest.mark.skipif(
     sys.version_info < (3, 10), reason="slotted dataclasses need Python 3.10"
 )
-@pytest.mark.parametrize("cls", [Connection, ShardOrder])
+@pytest.mark.parametrize("cls", list(RECORDS))
 def test_connection_records_are_slotted(cls):
-    record = cls("conn-1", "csp", "DC-A", "DC-B", 1e10, ConnectionKind.WAVELENGTH)
-    record.lightpath_ids.append("lp-1")
+    record = RECORDS[cls]()
     record.transition(ConnectionState.SETTING_UP)
     assert not hasattr(record, "__dict__")
     with pytest.raises(AttributeError):
@@ -120,4 +133,19 @@ def test_connection_records_are_slotted(cls):
     assert type(copy) is cls and copy == record
     moved = dataclasses.replace(record, state=ConnectionState.UP)
     assert type(moved) is cls and moved.state is ConnectionState.UP
-    assert moved.lightpath_ids == ["lp-1"] and record.state is ConnectionState.SETTING_UP
+    assert record.state is ConnectionState.SETTING_UP
+    assert dataclasses.replace(moved, state=record.state) == record
+
+
+def test_a_stitched_order_holds_only_what_stitching_needs():
+    """A sharded order is its own record, not a :class:`Connection`:
+    its children hold the components, and it is never DEGRADED."""
+    order = RECORDS[ShardOrder]()
+    assert not isinstance(order, Connection)
+    for name in (
+        "kind", "lightpath_ids", "circuit_ids", "evc_ids", "claims",
+        "degradation_cause", "degradation_margin_db", "degradation_policy",
+    ):
+        assert not hasattr(order, name), name
+    assert order.trace_id is None and order.order_id == "xo-1"
+    assert "trace_id" not in {f.name for f in dataclasses.fields(ShardOrder)}

@@ -1,19 +1,20 @@
 """Differential: one frontend, two backends, identical outcomes.
 
-The :class:`~repro.api.OrderIntake` protocol promises the frontend is
-deployment-agnostic.  This file proves it twice over:
+The one intake contract, :class:`~repro.pipeline.engine.RoundIntake`,
+promises the frontend is deployment-agnostic.  This file proves it twice over:
 
 * the same :class:`~repro.frontend.BodFrontend` drives the sharded and
   the monolithic-twin deployment of one 2-region hierarchy to identical
   typed outcome streams (satellite 2's acceptance gate);
 * both the monolithic :class:`~repro.pipeline.OrderPipeline` and the
-  :class:`~repro.shard.ShardIntake` adapter satisfy the runtime
-  protocol and the same event vocabulary.
+  :class:`~repro.shard.ShardIntake` adapter are that contract and
+  speak the same event vocabulary.
 """
 
 from repro import api
 from repro.core.admission import CustomerProfile
 from repro.frontend.service import BodFrontend
+from repro.pipeline.engine import RoundIntake
 from repro.shard import ShardIntake, build_sharded_network
 from repro.topo.hierarchy import build_hierarchy
 from repro.units import GBPS
@@ -119,13 +120,13 @@ class TestIntakeProtocol:
 
         net = build_griphon_testbed(seed=2)
         pipeline = net.enable_pipeline()
-        assert isinstance(pipeline, api.OrderIntake)
+        assert isinstance(pipeline, RoundIntake)
 
         hierarchy = build_hierarchy(
             seed=2, regions=2, pops_per_region=4, with_premises=True
         )
         network = build_sharded_network(seed=2, hierarchy=hierarchy)
-        assert isinstance(ShardIntake(network), api.OrderIntake)
+        assert isinstance(ShardIntake(network), RoundIntake)
 
     def test_shard_intake_queue_full_is_backpressure(self):
         hierarchy = build_hierarchy(

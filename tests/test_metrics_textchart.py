@@ -1,11 +1,11 @@
-"""Tests for the ASCII chart helpers."""
+"""Tests for the ASCII bar chart."""
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.errors import ConfigurationError
-from repro.metrics.textchart import bar_chart, histogram, sparkline
+from repro.metrics.textchart import bar_chart
 
 
 class TestBarChart:
@@ -53,40 +53,3 @@ class TestBarChart:
         for line in chart.splitlines():
             assert line.count("#") <= 21  # rounding may add one
 
-
-class TestHistogram:
-    def test_counts_sum_to_samples(self):
-        samples = [1.0, 1.5, 2.0, 2.5, 3.0, 9.0]
-        chart = histogram(samples, bins=4)
-        total = sum(
-            int(line.rsplit(None, 1)[-1]) for line in chart.splitlines()
-        )
-        assert total == len(samples)
-
-    def test_degenerate_distribution(self):
-        chart = histogram([5.0, 5.0, 5.0])
-        assert "3" in chart
-
-    def test_validation(self):
-        with pytest.raises(ConfigurationError):
-            histogram([])
-        with pytest.raises(ConfigurationError):
-            histogram([1.0], bins=0)
-
-
-class TestSparkline:
-    def test_length_matches_samples(self):
-        assert len(sparkline([1, 2, 3, 4])) == 4
-
-    def test_monotone_series_uses_extremes(self):
-        line = sparkline([0, 10])
-        assert line[0] == " "
-        assert line[-1] == "@"
-
-    def test_flat_series(self):
-        line = sparkline([7, 7, 7])
-        assert len(set(line)) == 1
-
-    def test_validation(self):
-        with pytest.raises(ConfigurationError):
-            sparkline([])

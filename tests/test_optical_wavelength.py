@@ -1,8 +1,6 @@
 """Tests for the ITU wavelength grid."""
 
 import pytest
-from hypothesis import given
-from hypothesis import strategies as st
 
 from repro.errors import ConfigurationError
 from repro.optical import WavelengthGrid
@@ -40,32 +38,3 @@ class TestGridBasics:
         with pytest.raises(ConfigurationError):
             grid.validate(-1)
 
-
-class TestFrequencies:
-    def test_anchor_channel(self):
-        assert WavelengthGrid().frequency_thz(0) == pytest.approx(193.1)
-
-    def test_fifty_ghz_spacing(self):
-        grid = WavelengthGrid()
-        assert grid.frequency_thz(1) - grid.frequency_thz(0) == pytest.approx(0.05)
-
-    def test_wavelength_in_c_band(self):
-        grid = WavelengthGrid(80)
-        for channel in (0, 40, 79):
-            assert 1520 <= grid.wavelength_nm(channel) <= 1565
-
-    def test_wavelength_decreases_with_frequency(self):
-        grid = WavelengthGrid()
-        assert grid.wavelength_nm(1) < grid.wavelength_nm(0)
-
-    def test_channel_name_format(self):
-        name = WavelengthGrid().channel_name(12)
-        assert name.startswith("ch012 (")
-        assert name.endswith(" nm)")
-
-    @given(channel=st.integers(min_value=0, max_value=79))
-    def test_frequency_wavelength_roundtrip(self, channel):
-        grid = WavelengthGrid(80)
-        freq = grid.frequency_thz(channel)
-        nm = grid.wavelength_nm(channel)
-        assert freq * nm == pytest.approx(299_792.458, rel=1e-9)

@@ -33,6 +33,11 @@ def make_net(
     return net
 
 
+def place_order(net, customer, premises_a, premises_b, rate_bps=10 * GBPS):
+    """Place one order as a single-order planning round."""
+    return net.place_orders([(customer, premises_a, premises_b, rate_bps)])[0]
+
+
 def assert_all_audits_clean(net):
     for unit, report in net.audit_shards().items():
         assert report.ok, f"{unit}: {[str(v) for v in report.violations]}"
@@ -53,7 +58,7 @@ def assert_retired(net, order, children, state):
 class TestCrossRegionLifecycle:
     def test_cross_region_order_comes_up(self):
         net = make_net()
-        order = net.place_order("csp", "DC-R00-P03", "DC-R01-P04")
+        order = place_order(net, "csp", "DC-R00-P03", "DC-R01-P04")
         net.run()
         assert order.state is ConnectionState.UP
         # Three stitched segments: region A -> express -> region B.
@@ -67,7 +72,7 @@ class TestCrossRegionLifecycle:
 
     def test_intra_region_order_is_single_segment(self):
         net = make_net()
-        order = net.place_order("csp", "DC-R00-P02", "DC-R00-P04")
+        order = place_order(net, "csp", "DC-R00-P02", "DC-R00-P04")
         net.run()
         assert order.state is ConnectionState.UP
         assert [r["unit"] for r in order.plan_record] == ["R00"]
@@ -77,7 +82,7 @@ class TestCrossRegionLifecycle:
         # P00 is a gateway; the region A segment degenerates away but
         # the region child still owns the premises NTE and steering.
         net = make_net()
-        order = net.place_order("csp", "DC-R00-P00", "DC-R01-P03")
+        order = place_order(net, "csp", "DC-R00-P00", "DC-R01-P03")
         net.run()
         assert order.state is ConnectionState.UP
         assert "R00" not in [r["unit"] for r in order.plan_record]
@@ -86,7 +91,7 @@ class TestCrossRegionLifecycle:
 
     def test_teardown_unwinds_every_shard(self):
         net = make_net()
-        order = net.place_order("csp", "DC-R00-P03", "DC-R01-P04")
+        order = place_order(net, "csp", "DC-R00-P03", "DC-R01-P04")
         net.run()
         children = dict(order.children)
         net.teardown_order(order)
@@ -94,19 +99,19 @@ class TestCrossRegionLifecycle:
         assert_retired(net, order, children, ConnectionState.RELEASED)
         assert_all_audits_clean(net)
         # Admission quota is back: the same order can be placed again.
-        again = net.place_order("csp", "DC-R00-P03", "DC-R01-P04")
+        again = place_order(net, "csp", "DC-R00-P03", "DC-R01-P04")
         net.run()
         assert again.state is ConnectionState.UP
 
     def test_teardown_requires_up(self):
         net = make_net()
-        order = net.place_order("csp", "DC-R00-P03", "DC-R01-P04")
+        order = place_order(net, "csp", "DC-R00-P03", "DC-R01-P04")
         with pytest.raises(ConfigurationError):
             net.teardown_order(order)
 
     def test_unknown_customer_blocks(self):
         net = make_net()
-        order = net.place_order("nobody", "DC-R00-P03", "DC-R01-P04")
+        order = place_order(net, "nobody", "DC-R00-P03", "DC-R01-P04")
         assert order.state is ConnectionState.BLOCKED
         assert "unknown customer" in order.blocked_reason
         assert_all_audits_clean(net)
@@ -159,7 +164,7 @@ class TestSagaUnwind:
                 EXPRESS: FaultPlan([FaultSpec(mode="fail", count=1)])
             }
         )
-        order = net.place_order("csp", "DC-R00-P03", "DC-R01-P04")
+        order = place_order(net, "csp", "DC-R00-P03", "DC-R01-P04")
         children = dict(order.children)
         net.run()
         assert_retired(net, order, children, ConnectionState.BLOCKED)
@@ -167,7 +172,7 @@ class TestSagaUnwind:
         assert_all_audits_clean(net)
         # The fault budget (count=1) is spent and admission quota was
         # released: the identical order now succeeds end to end.
-        retry = net.place_order("csp", "DC-R00-P03", "DC-R01-P04")
+        retry = place_order(net, "csp", "DC-R00-P03", "DC-R01-P04")
         net.run()
         assert retry.state is ConnectionState.UP
         assert_all_audits_clean(net)
@@ -176,7 +181,7 @@ class TestSagaUnwind:
         net = make_net(
             fault_plans={"R00": FaultPlan([FaultSpec(mode="fail", count=1)])}
         )
-        order = net.place_order("csp", "DC-R00-P03", "DC-R01-P04")
+        order = place_order(net, "csp", "DC-R00-P03", "DC-R01-P04")
         net.run()
         assert order.state is ConnectionState.BLOCKED
         assert_all_audits_clean(net)
@@ -187,7 +192,7 @@ class TestClosedNetwork:
 
     def test_closed_pool_network_refuses_before_touching_anything(self):
         net = make_net(seed=3, pops=5, backend="pool")
-        order = net.place_order("csp", "DC-R00-P02", "DC-R01-P03")
+        order = place_order(net, "csp", "DC-R00-P02", "DC-R01-P03")
         net.run()
         assert order.state is ConnectionState.UP
         net.close()
@@ -201,7 +206,7 @@ class TestClosedNetwork:
 
         before = held()
         for refused in (
-            lambda: net.place_order("csp", "DC-R00-P03", "DC-R01-P04"),
+            lambda: place_order(net, "csp", "DC-R00-P03", "DC-R01-P04"),
             net.sync_workers,
             net.route_cache_stats,
             net.worker_fingerprints,
@@ -222,4 +227,4 @@ class TestClosedNetwork:
         with pytest.raises(ConfigurationError, match="backend='pool'"):
             net.worker_fingerprints()
         net.close()
-        assert net.place_order("csp", "DC-R00-P02", "DC-R00-P04").order_id
+        assert place_order(net, "csp", "DC-R00-P02", "DC-R00-P04").order_id

@@ -34,7 +34,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.core.admission import CustomerProfile
-from repro.core.connection import ConnectionKind, ConnectionState
+from repro.core.connection import ConnectionState
 from repro.core.rwa import PlanRequest, RwaPlan, _PlanningRound
 from repro.errors import AdmissionError, GriphonError
 from repro.shard.network import (
@@ -77,7 +77,6 @@ class PerOrderNetwork(ShardedNetwork):
             premises_a,
             premises_b,
             rate_bps,
-            ConnectionKind.WAVELENGTH,
             requested_at=self.sim.now,
         )
         self.orders[order.connection_id] = order

@@ -13,7 +13,7 @@ import statistics
 from typing import Dict, List, Optional
 
 from repro.facade import GriphonNetwork, build_griphon_testbed
-from repro.sim import Process
+from repro.sim.process import Process
 from repro.topo.testbed import TABLE2_EXCLUSIONS
 from repro.units import gbps
 

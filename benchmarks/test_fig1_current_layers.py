@@ -8,10 +8,15 @@ verifies every mapping the figure depicts.
 """
 
 from benchmarks.harness import print_rows
-from repro.legacy import SonetRing, WidebandDcs, provision_epl, sts1_count_for_rate
-from repro.legacy.evc import STS1_PAYLOAD_BPS
-from repro.legacy.sonet import PROTECTION_SWITCH_TIME_S
-from repro.optical import FiberPlant, WavelengthGrid
+from repro.legacy.evc import (
+    STS1_PAYLOAD_BPS,
+    provision_epl,
+    sts1_count_for_rate,
+)
+from repro.legacy.sonet import PROTECTION_SWITCH_TIME_S, SonetRing
+from repro.legacy.wdcs import WidebandDcs
+from repro.optical.fiber import FiberPlant
+from repro.optical.wavelength import WavelengthGrid
 from repro.topo.backbone import build_backbone_graph
 from repro.units import DS1_RATE, format_rate, gbps, mbps
 

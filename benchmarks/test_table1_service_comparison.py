@@ -16,10 +16,10 @@ import statistics
 import pytest
 
 from benchmarks.harness import print_rows
-from repro.baselines import ManualOperations
+from repro.baselines.manual_ops import ManualOperations
 from repro.core.connection import ConnectionState
 from repro.facade import build_griphon_testbed
-from repro.sim import RandomStreams
+from repro.sim.randomness import RandomStreams
 from repro.units import HOUR, MINUTE, WEEK, format_duration, mbps
 
 

@@ -20,7 +20,8 @@ experiment via :mod:`repro.topo.builders`.
 """
 
 from benchmarks.harness import print_rows
-from repro.sweep import run_sweep, x10_scaling_spec
+from repro.sweep.engine import run_sweep
+from repro.sweep.studies import x10_scaling_spec
 
 NODE_COUNTS = (8, 16, 32)
 

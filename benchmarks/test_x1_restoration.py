@@ -10,12 +10,12 @@ re-provisioning in about a minute at no standing resource cost.
 import statistics
 
 from benchmarks.harness import print_rows
-from repro.baselines import ManualOperations, OnePlusOneProtection
+from repro.baselines.manual_ops import ManualOperations
+from repro.baselines.protection import OnePlusOneProtection
 from repro.core.connection import ConnectionState
 from repro.facade import build_griphon_testbed
-from repro.legacy import SonetRing
-from repro.legacy.sonet import PROTECTION_SWITCH_TIME_S
-from repro.sim import RandomStreams
+from repro.legacy.sonet import PROTECTION_SWITCH_TIME_S, SonetRing
+from repro.sim.randomness import RandomStreams
 from repro.units import HOUR, MINUTE, format_duration
 
 

@@ -18,8 +18,8 @@ from collections import defaultdict
 from benchmarks.harness import print_rows
 from repro.core.grooming import GroomingEngine
 from repro.core.inventory import InventoryDatabase
-from repro.optical import WavelengthGrid
-from repro.sim import RandomStreams
+from repro.optical.wavelength import WavelengthGrid
+from repro.sim.randomness import RandomStreams
 from repro.topo.backbone import build_backbone_graph
 from repro.units import ODU_LEVELS
 

@@ -15,10 +15,12 @@ same workload:
 import statistics
 
 from benchmarks.harness import print_rows
-from repro.baselines import StaticProvisioningPlan, StoreForwardScheduler
+from repro.baselines.static_provisioning import StaticProvisioningPlan
+from repro.baselines.store_forward import StoreForwardScheduler
 from repro.facade import build_griphon_testbed
 from repro.units import GBPS, HOUR, TERABYTE, gbps, terabytes, transfer_time
-from repro.workload import BulkTransferWorkload, InteractiveDemand
+from repro.workload.bulk import BulkTransferWorkload
+from repro.workload.interactive import InteractiveDemand
 
 
 def interactive_capacity_hours():

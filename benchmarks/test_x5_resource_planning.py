@@ -108,9 +108,9 @@ def test_x5_ablation_first_fit_vs_random(benchmark):
     from repro.core.inventory import InventoryDatabase
     from repro.core.rwa import RwaEngine
     from repro.errors import WavelengthBlockedError
-    from repro.optical import WavelengthGrid
-    from repro.sim import RandomStreams
-    from repro.topo import Link, NetworkGraph, Node
+    from repro.optical.wavelength import WavelengthGrid
+    from repro.sim.randomness import RandomStreams
+    from repro.topo.graph import Link, NetworkGraph, Node
     from repro.units import gbps
 
     def chain_inventory():

@@ -17,7 +17,7 @@ from repro.core.connection import ConnectionState
 from repro.core.planning import DemandForecast, ResourcePlanner
 from repro.ems.latency import LatencyModel
 from repro.facade import build_griphon_testbed
-from repro.sim import Process
+from repro.sim.process import Process
 from repro.units import HOUR, gbps
 
 
@@ -126,7 +126,7 @@ def test_x7_dwdm_speedup_frontier(benchmark):
     for speedup, seconds in sorted(results.items()):
         rows.append([f"{speedup}x", f"{seconds:.2f}"])
     print_rows("X7: DWDM-layer speedup frontier (setup time)", rows)
-    from repro.metrics import bar_chart
+    from repro.metrics.textchart import bar_chart
 
     print(
         bar_chart(

@@ -16,8 +16,12 @@ byte-identically is tier-1:
 """
 
 from benchmarks.harness import print_rows
-from repro.metrics import availability_from_mtbf_mttr, downtime_minutes_per_year
-from repro.sweep import run_sweep, x9_availability_spec
+from repro.metrics.availability import (
+    availability_from_mtbf_mttr,
+    downtime_minutes_per_year,
+)
+from repro.sweep.engine import run_sweep
+from repro.sweep.studies import x9_availability_spec
 from repro.units import DAY
 
 HORIZON = 28 * DAY

@@ -14,10 +14,11 @@ Run:
     python examples/capacity_planning.py
 """
 
-from repro import build_griphon_backbone
-from repro.baselines import StaticProvisioningPlan, StoreForwardScheduler
+from repro.facade import build_griphon_backbone
+from repro.baselines.static_provisioning import StaticProvisioningPlan
+from repro.baselines.store_forward import StoreForwardScheduler
 from repro.units import GBPS, format_duration, gbps, terabytes, transfer_time
-from repro.workload import InteractiveDemand
+from repro.workload.interactive import InteractiveDemand
 
 
 def main() -> None:

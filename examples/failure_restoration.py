@@ -15,7 +15,7 @@ Run:
     python examples/failure_restoration.py
 """
 
-from repro import build_griphon_testbed
+from repro.facade import build_griphon_testbed
 from repro.core.gui import render_fault_panel
 from repro.units import format_duration
 

@@ -11,7 +11,7 @@ Run:
     python examples/maintenance_bridge_roll.py
 """
 
-from repro import build_griphon_testbed
+from repro.facade import build_griphon_testbed
 from repro.units import HOUR, format_duration
 
 

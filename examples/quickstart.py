@@ -10,7 +10,7 @@ Run:
     python examples/quickstart.py
 """
 
-from repro import build_griphon_testbed
+from repro.facade import build_griphon_testbed
 from repro.core.gui import render_connections
 from repro.units import format_duration
 

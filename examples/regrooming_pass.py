@@ -10,7 +10,7 @@ Run:
     python examples/regrooming_pass.py
 """
 
-from repro import build_griphon_testbed
+from repro.facade import build_griphon_testbed
 from repro.core.gui import render_network_view
 from repro.core.regrooming import RegroomingEngine
 

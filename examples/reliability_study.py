@@ -10,14 +10,14 @@ Run:
     python examples/reliability_study.py
 """
 
-from repro import build_griphon_testbed
-from repro.metrics import (
+from repro.facade import build_griphon_testbed
+from repro.metrics.availability import (
     downtime_minutes_per_year,
     measured_availability,
     nines,
 )
 from repro.units import DAY, HOUR
-from repro.workload import FiberCutInjector
+from repro.workload.failures import FiberCutInjector
 
 HORIZON = 28 * DAY
 

@@ -11,7 +11,7 @@ Run:
     python examples/scenario_runner.py
 """
 
-from repro import build_griphon_testbed
+from repro.facade import build_griphon_testbed
 from repro.scenario import Scenario, run_scenario
 from repro.units import HOUR
 

@@ -12,7 +12,7 @@ Run:
     python examples/scheduled_backups.py
 """
 
-from repro import build_griphon_testbed
+from repro.facade import build_griphon_testbed
 from repro.core.calendar import ReservationBook, ReservationState
 from repro.core.gui import render_reservations
 from repro.units import HOUR, format_duration

@@ -12,7 +12,7 @@ Run:
     python examples/vod_replication.py
 """
 
-from repro import build_griphon_testbed
+from repro.facade import build_griphon_testbed
 from repro.core.gui import render_connections, render_interfaces
 from repro.units import HOUR, format_duration, terabytes, transfer_time
 

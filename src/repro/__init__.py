@@ -16,9 +16,12 @@ Mahimkar et al. (AT&T Labs Research).  The package provides:
 * ``repro.workload`` / ``repro.baselines`` / ``repro.metrics`` — traffic
   generators, comparison systems, and measurement utilities.
 
+The packages re-export nothing: import a name from the module that
+defines it, so a run loads only the modules it uses.
+
 Quickstart::
 
-    from repro import build_griphon_testbed
+    from repro.facade import build_griphon_testbed
 
     net = build_griphon_testbed(seed=1)
     service = net.service_for("csp-alpha")
@@ -28,20 +31,3 @@ Quickstart::
 """
 
 from repro._version import __version__
-from repro.facade import (
-    GriphonNetwork,
-    build_griphon_backbone,
-    build_griphon_testbed,
-)
-from repro.scenario import Scenario, ScenarioEvent, ScenarioResult, run_scenario
-
-__all__ = [
-    "__version__",
-    "GriphonNetwork",
-    "build_griphon_backbone",
-    "build_griphon_testbed",
-    "Scenario",
-    "ScenarioEvent",
-    "ScenarioResult",
-    "run_scenario",
-]

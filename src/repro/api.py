@@ -16,7 +16,7 @@ states from ``repro.pipeline``, and the typed refusals
   setup in flight); :data:`OrderStatus` is ``Accepted | OrderOutcome``;
 * :class:`~repro.pipeline.engine.RoundIntake` is the one intake
   contract: both order backends (the monolithic
-  :class:`~repro.pipeline.OrderPipeline` and the sharded
+  :class:`~repro.pipeline.engine.OrderPipeline` and the sharded
   :class:`~repro.shard.intake.ShardIntake`) subclass it, so the async
   frontend — and any other caller — is backend-agnostic.
 
@@ -248,7 +248,7 @@ class SlaBreached:
 
     Attributes:
         connection_id: The breached connection.
-        policy: Name of the :class:`~repro.slo.SloPolicy` that fired.
+        policy: Name of the :class:`~repro.slo.monitor.SloPolicy` that fired.
         margin_db: The connection's OSNR margin at escalation time.
         cause: The degradation cause (e.g. ``"osnr-drift:NYC=CHI"``).
         trace_id: For correlating with the tracer's spans.

@@ -12,15 +12,3 @@ these baselines make that column executable:
 * :mod:`repro.baselines.store_forward` — a NetStitcher-style store-and-
   forward bulk scheduler over *existing* leftover capacity.
 """
-
-from repro.baselines.manual_ops import ManualOperations
-from repro.baselines.protection import OnePlusOneProtection
-from repro.baselines.static_provisioning import StaticProvisioningPlan
-from repro.baselines.store_forward import StoreForwardScheduler
-
-__all__ = [
-    "ManualOperations",
-    "OnePlusOneProtection",
-    "StaticProvisioningPlan",
-    "StoreForwardScheduler",
-]

@@ -33,10 +33,9 @@ from repro.core.gui import render_connections, render_network_view
 from repro.errors import ConfigurationError
 from repro.facade import build_griphon_testbed
 from repro.obs.trace import Span, Tracer
-from repro.sweep import (
-    SweepSpec,
-    TrialResult,
-    TrialSpec,
+from repro.sweep.engine import run_sweep
+from repro.sweep.spec import SweepSpec, TrialResult, TrialSpec
+from repro.sweep.studies import (
     chaos_trial,
     frontend_load_spec,
     frontend_trial,
@@ -44,7 +43,6 @@ from repro.sweep import (
     optimize_trial,
     pipeline_load_spec,
     pipeline_trial,
-    run_sweep,
     shard_trial,
     slo_chaos_spec,
     slo_trial,

@@ -32,42 +32,3 @@ Sub-modules, in dependency order:
 * :mod:`repro.core.service` — the per-customer BoD service API;
 * :mod:`repro.core.gui` — customer and operator text views.
 """
-
-from repro.core.admission import AdmissionControl, CustomerProfile
-from repro.core.calendar import Reservation, ReservationBook, ReservationState
-from repro.core.connection import Connection, ConnectionKind, ConnectionState
-from repro.core.controller import GriphonController
-from repro.core.inventory import InventoryDatabase
-from repro.core.maintenance import MaintenanceScheduler
-from repro.core.planning import DemandForecast, ResourcePlanner
-from repro.core.reclamation import OtnLineReclaimer
-from repro.core.regrooming import RegroomingEngine
-from repro.core.rwa import RwaEngine, RwaPlan
-# ServiceDegraded/SetupFailed moved to repro.api; re-exported here so
-# historical imports keep working.
-from repro.api import ServiceDegraded, SetupFailed
-from repro.core.service import BodService, FaultReport
-
-__all__ = [
-    "AdmissionControl",
-    "CustomerProfile",
-    "Reservation",
-    "ReservationBook",
-    "ReservationState",
-    "Connection",
-    "ConnectionKind",
-    "ConnectionState",
-    "GriphonController",
-    "InventoryDatabase",
-    "MaintenanceScheduler",
-    "DemandForecast",
-    "ResourcePlanner",
-    "OtnLineReclaimer",
-    "RegroomingEngine",
-    "RwaEngine",
-    "RwaPlan",
-    "BodService",
-    "FaultReport",
-    "ServiceDegraded",
-    "SetupFailed",
-]

@@ -27,7 +27,7 @@ from repro import api
 from repro.core.connection import Connection, ConnectionKind, ConnectionState
 from repro.core.controller import GriphonController
 from repro.errors import AdmissionError, ConfigurationError, ResourceError
-from repro.pipeline import OrderTicket
+from repro.pipeline.engine import OrderTicket
 from repro.units import GBPS
 
 @dataclass(frozen=True)
@@ -185,7 +185,7 @@ class BodService:
 
         Unlike :meth:`request_connection` — which plans and claims the
         order synchronously — this enqueues the order and returns an
-        :class:`~repro.pipeline.OrderTicket` at once; the pipeline
+        :class:`~repro.pipeline.engine.OrderTicket` at once; the pipeline
         processes it in a scheduling round (run the simulator).  Follow
         the ticket with :meth:`order_outcome`.
 

@@ -16,14 +16,5 @@ the order is accepted, and the setup / teardown workflows yield one
 :class:`LatencyModel` **duration** per configuration step to the
 simulator.  The other vendor interfaces (``fxc_ctl``, ``otn_ems``) exist
 as the EMS *names* a step is issued under — what a
-:class:`repro.faults.FaultSpec` matches — not as objects.
+:class:`repro.faults.plan.FaultSpec` matches — not as objects.
 """
-
-from repro.ems.latency import DEFAULT_STEP_MEANS, LatencyModel
-from repro.ems.roadm_ems import RoadmEms
-
-__all__ = [
-    "DEFAULT_STEP_MEANS",
-    "LatencyModel",
-    "RoadmEms",
-]

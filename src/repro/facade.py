@@ -11,28 +11,29 @@ and controller together.  Two builders cover the paper's scenarios:
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Optional
+from typing import TYPE_CHECKING, Dict, Iterable, Optional
 
 from repro.core.admission import CustomerProfile
 from repro.core.controller import GriphonController
 from repro.core.inventory import InventoryDatabase
 from repro.core.maintenance import MaintenanceScheduler
-from repro.core.service import BodService
 from repro.ems.latency import LatencyModel
 from repro.errors import ConfigurationError
 from repro.faults.plan import DegradationPlan, FaultPlan
 from repro.iplayer.network import IpLayer
 from repro.obs.registry import MetricsRegistry
 from repro.obs.trace import Tracer
-from repro.pipeline import OrderPipeline
+from repro.pipeline.engine import OrderPipeline
 from repro.optical.osnr import OsnrModel
 from repro.optical.wavelength import WavelengthGrid
 from repro.sim.kernel import Simulator
 from repro.sim.randomness import RandomStreams
-from repro.topo.backbone import BACKBONE_DATA_CENTERS, build_backbone_graph
 from repro.topo.graph import NetworkGraph
 from repro.topo.testbed import TESTBED_PREMISES, TESTBED_ROADMS, build_testbed_graph
 from repro.units import GBPS
+
+if TYPE_CHECKING:
+    from repro.core.service import BodService
 
 
 class SloRuntime:
@@ -116,7 +117,8 @@ class GriphonNetwork:
 
         After this, every service handle from :meth:`service_for` can
         ``submit_connection()`` as well as ``request_connection()``.
-        See :class:`~repro.pipeline.OrderPipeline` for the parameters.
+        See :class:`~repro.pipeline.engine.OrderPipeline` for the
+        parameters.
 
         Raises:
             ConfigurationError: before :meth:`finish_build`.
@@ -150,9 +152,10 @@ class GriphonNetwork:
 
         Enables the pipeline first when it is not already attached
         (``pipeline_kwargs`` are forwarded to :meth:`enable_pipeline`
-        in that case).  Returns the :class:`~repro.frontend.BodFrontend`,
-        also available as ``net.frontend``.  See
-        :class:`~repro.frontend.BodFrontend` for the edge parameters.
+        in that case).  Returns the
+        :class:`~repro.frontend.service.BodFrontend`, also available as
+        ``net.frontend``.  See :class:`~repro.frontend.service.BodFrontend`
+        for the edge parameters.
 
         Raises:
             ConfigurationError: before :meth:`finish_build`.
@@ -219,11 +222,9 @@ class GriphonNetwork:
         Raises:
             ConfigurationError: before :meth:`finish_build`.
         """
-        from repro.slo import (
-            DegradationInjector,
-            RemediationEngine,
-            SlaMonitor,
-        )
+        from repro.slo.engine import RemediationEngine
+        from repro.slo.inject import DegradationInjector
+        from repro.slo.monitor import SlaMonitor
 
         if self.controller is None:
             raise ConfigurationError(
@@ -258,6 +259,8 @@ class GriphonNetwork:
         max_total_rate_gbps: float = 400.0,
     ) -> BodService:
         """The BoD service handle for ``customer``, registering if new."""
+        from repro.core.service import BodService
+
         if customer not in self._services:
             self.controller.register_customer(
                 CustomerProfile(
@@ -348,6 +351,12 @@ def build_griphon_backbone(
     osnr_model: Optional[OsnrModel] = None,
 ) -> GriphonNetwork:
     """Build the synthetic 12-city backbone with five data centers."""
+    from repro.topo.backbone import (
+        BACKBONE_CITIES,
+        BACKBONE_DATA_CENTERS,
+        build_backbone_graph,
+    )
+
     net = GriphonNetwork(
         build_backbone_graph(),
         seed=seed,
@@ -357,8 +366,6 @@ def build_griphon_backbone(
     )
     inv = net.inventory
     hubs = {"CHI", "STL", "DEN", "DFW", "ATL"}
-    from repro.topo.backbone import BACKBONE_CITIES
-
     for city in BACKBONE_CITIES:
         inv.install_roadm(city, add_drop_ports=24)
         inv.install_transponders(city, 10 * GBPS, 12)

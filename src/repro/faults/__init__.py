@@ -12,35 +12,3 @@ Three pieces, composable but independently usable:
   inventory claims against hardware state, used as the oracle of the
   chaos property tests and the ``griphon chaos`` CLI.
 """
-
-from repro.faults.audit import (
-    AuditReport,
-    AuditViolation,
-    audit_inventory,
-    audit_network,
-)
-from repro.faults.plan import (
-    DEGRADATION_MODES,
-    DegradationPlan,
-    DegradationSpec,
-    FAULT_MODES,
-    FaultPlan,
-    FaultSpec,
-)
-from repro.faults.resilient import CircuitBreaker, ResilientExecutor, RetryPolicy
-
-__all__ = [
-    "AuditReport",
-    "AuditViolation",
-    "audit_inventory",
-    "audit_network",
-    "DEGRADATION_MODES",
-    "DegradationPlan",
-    "DegradationSpec",
-    "FAULT_MODES",
-    "FaultPlan",
-    "FaultSpec",
-    "CircuitBreaker",
-    "ResilientExecutor",
-    "RetryPolicy",
-]

@@ -15,27 +15,3 @@ clients and the order backends:
 * :mod:`repro.frontend.clients` — open-loop Poisson client fleets over
   heavy-tailed tenant populations, for the load benchmarks.
 """
-
-from repro.frontend.aio import SimFuture
-from repro.frontend.clients import ClientFleet, FleetStats
-from repro.frontend.ratelimit import BucketSet, TokenBucket
-from repro.frontend.service import (
-    PRIORITY_CLASSES,
-    STATE_OPEN,
-    STATE_SHEDDING,
-    BodFrontend,
-    FrontendTicket,
-)
-
-__all__ = [
-    "SimFuture",
-    "BucketSet",
-    "TokenBucket",
-    "BodFrontend",
-    "FrontendTicket",
-    "PRIORITY_CLASSES",
-    "STATE_OPEN",
-    "STATE_SHEDDING",
-    "ClientFleet",
-    "FleetStats",
-]

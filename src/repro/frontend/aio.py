@@ -30,7 +30,7 @@ class SimFuture:
 
     Callbacks are held in a tuple, so a future resolved before anyone
     follows it costs no list.  An order's record
-    (:class:`~repro.pipeline.OrderTicket`) builds its future only when
+    (:class:`~repro.pipeline.engine.OrderTicket`) builds its future only when
     ``ticket.future`` is read, so a ticket nobody follows (most edge
     refusals under overload) has none.
     """

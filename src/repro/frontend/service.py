@@ -25,7 +25,7 @@ this sequence:
 The frontend owns no queue: an admitted order goes straight into
 :meth:`repro.pipeline.engine.RoundIntake.submit`, and the record that
 call returns is the one the customer holds (:class:`FrontendTicket` is
-:class:`repro.pipeline.OrderTicket`).  The intake stores the order's
+:class:`repro.pipeline.engine.OrderTicket`).  The intake stores the order's
 terminal :data:`repro.api.OrderOutcome` on it — no polling; an edge
 refusal builds its own record and resolves it with a typed
 :class:`repro.api.Rejected`.

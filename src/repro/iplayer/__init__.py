@@ -11,8 +11,3 @@ an adjacency down.
 * :mod:`repro.iplayer.evc` — EVC records and state machine;
 * :mod:`repro.iplayer.network` — routers, adjacencies, routing, reroute.
 """
-
-from repro.iplayer.evc import Evc, EvcState
-from repro.iplayer.network import Adjacency, IpLayer
-
-__all__ = ["Evc", "EvcState", "Adjacency", "IpLayer"]

@@ -7,16 +7,3 @@ Fig. 1 stack executable, and they provide the "today's reality" column
 of Table 1 — sub-second SONET protection versus the 4–12 hour manual
 restoration of unprotected wavelengths.
 """
-
-from repro.legacy.evc import EthernetPrivateLine, provision_epl, sts1_count_for_rate
-from repro.legacy.sonet import SonetCircuit, SonetRing
-from repro.legacy.wdcs import WidebandDcs
-
-__all__ = [
-    "EthernetPrivateLine",
-    "provision_epl",
-    "sts1_count_for_rate",
-    "SonetCircuit",
-    "SonetRing",
-    "WidebandDcs",
-]

@@ -17,9 +17,3 @@ per instrumentation point.  Enable it per network::
     net.tracer.dump("trace.json")
     print(net.metrics.snapshot())
 """
-
-from repro.obs.registry import MetricsRegistry
-from repro.obs.trace import NULL_SPAN, Span, Tracer
-from repro.obs.windows import WindowedSeries
-
-__all__ = ["MetricsRegistry", "NULL_SPAN", "Span", "Tracer", "WindowedSeries"]

@@ -16,33 +16,3 @@ ride on:
 * :mod:`repro.optical.nte` — customer network-terminating equipment;
 * :mod:`repro.optical.lightpath` — end-to-end wavelength connections.
 """
-
-from repro.optical.amplifier import AmplifierChain
-from repro.optical.fiber import DwdmLink, FiberPlant
-from repro.optical.fxc import FiberCrossConnect
-from repro.optical.impairments import ReachModel
-from repro.optical.lightpath import Lightpath, LightpathState
-from repro.optical.nte import NetworkTerminatingEquipment
-from repro.optical.osnr import OsnrModel
-from repro.optical.regen import Regenerator, RegenPool
-from repro.optical.roadm import Roadm
-from repro.optical.transponder import Transponder, TransponderPool
-from repro.optical.wavelength import WavelengthGrid
-
-__all__ = [
-    "AmplifierChain",
-    "DwdmLink",
-    "FiberPlant",
-    "FiberCrossConnect",
-    "ReachModel",
-    "Lightpath",
-    "LightpathState",
-    "NetworkTerminatingEquipment",
-    "OsnrModel",
-    "Regenerator",
-    "RegenPool",
-    "Roadm",
-    "Transponder",
-    "TransponderPool",
-    "WavelengthGrid",
-]

@@ -11,30 +11,3 @@ the layers into an operational cycle, with the SLO breach stream feeding
 the planner's link costs; :mod:`~repro.optimize.bench` is the
 ``griphon optimize`` / ``sweep optimize`` trial.
 """
-
-from repro.optimize.executor import (
-    MigrationExecutor,
-    MigrationReport,
-    MoveResult,
-)
-from repro.optimize.planner import (
-    MigrationMove,
-    MigrationPlan,
-    plan_migrations,
-    slo_link_penalties,
-)
-from repro.optimize.runtime import Reoptimizer
-from repro.optimize.snapshot import Demand, NetworkSnapshot
-
-__all__ = [
-    "Demand",
-    "MigrationExecutor",
-    "MigrationMove",
-    "MigrationPlan",
-    "MigrationReport",
-    "MoveResult",
-    "NetworkSnapshot",
-    "Reoptimizer",
-    "plan_migrations",
-    "slo_link_penalties",
-]

@@ -11,16 +11,3 @@ restoration similar to today's SONET layer (paper §2.1).
 * :mod:`repro.otn.circuit` — ODU circuit records and state machine;
 * :mod:`repro.otn.mesh_restoration` — shared-mesh protection manager.
 """
-
-from repro.otn.circuit import OduCircuit, OduCircuitState
-from repro.otn.line import OtnLine
-from repro.otn.mesh_restoration import SharedMeshProtection
-from repro.otn.switch import OtnSwitch
-
-__all__ = [
-    "OduCircuit",
-    "OduCircuitState",
-    "OtnLine",
-    "SharedMeshProtection",
-    "OtnSwitch",
-]

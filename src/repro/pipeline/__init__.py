@@ -19,7 +19,3 @@ byte-identical to calling
 :meth:`~repro.core.controller.GriphonController.request_connection`
 serially — the differential tests pin that equivalence.
 """
-
-from repro.pipeline.engine import OrderPipeline, OrderTicket, TicketState
-
-__all__ = ["OrderPipeline", "OrderTicket", "TicketState"]

@@ -91,13 +91,14 @@ _TERMINAL = (
 class OrderTicket:
     """One order's record, from the service edge to its release.
 
-    The one object an order is: :meth:`repro.frontend.BodFrontend.submit`
-    and :meth:`RoundIntake.submit` return it, the intake's heap holds it
+    The one object an order is:
+    :meth:`repro.frontend.service.BodFrontend.submit` and
+    :meth:`RoundIntake.submit` return it, the intake's heap holds it
     (ordered by its stored ``(class, arrival, tiebreak, seq)`` key), both
     status streams pass it to their listeners, and it carries its own
-    terminal typed outcome.  ``repro.frontend.FrontendTicket`` names this
-    class too.  An edge refusal builds one with a ``req-N`` id and
-    nothing from the intake: no ``order-N`` id, no ``state``.
+    terminal typed outcome.  ``repro.frontend.service.FrontendTicket``
+    names this class too.  An edge refusal builds one with a ``req-N`` id
+    and nothing from the intake: no ``order-N`` id, no ``state``.
 
     ``state`` is the intake's vocabulary (:class:`TicketState`), set by
     :class:`RoundIntake` alone; ``outcome`` is :mod:`repro.api`'s,

@@ -33,7 +33,7 @@ from typing import Any, Dict, List
 from repro.core.connection import Connection
 from repro.errors import ConfigurationError, GriphonError
 from repro.facade import GriphonNetwork
-from repro.metrics import measured_availability
+from repro.metrics.availability import measured_availability
 
 #: Actions the runner understands.
 ACTIONS = (

@@ -18,18 +18,3 @@ shards over a 3-tier hierarchical topology
   holding plant mirrors that each round's message syncs: the
   ``backend="pool"`` planning layer of :class:`ShardedNetwork`.
 """
-
-from repro.shard.intake import ShardIntake
-from repro.shard.network import ShardedNetwork, build_sharded_network
-from repro.shard.planner import SegmentSpec, ShardPlanner
-from repro.shard.workers import ShardWorkerPool, UnitRecipe
-
-__all__ = [
-    "SegmentSpec",
-    "ShardPlanner",
-    "ShardedNetwork",
-    "ShardIntake",
-    "build_sharded_network",
-    "ShardWorkerPool",
-    "UnitRecipe",
-]

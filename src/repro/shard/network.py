@@ -107,9 +107,7 @@ from repro.faults.audit import (
     AuditReport, AuditViolation, audit_network, audit_orphan_lightpaths,
 )
 from repro.faults.plan import FaultPlan
-# ``outcome_fingerprint`` is re-exported: the shard differential tests
-# import it from here.
-from repro.fingerprint import outcome_fingerprint, plant_fingerprint  # noqa: F401
+from repro.fingerprint import plant_fingerprint
 from repro.optical.lightpath import LightpathState
 from repro.optical.wavelength import WavelengthGrid
 from repro.shard.planner import SegmentSpec, ShardPlanner

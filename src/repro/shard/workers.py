@@ -56,6 +56,7 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 from multiprocessing import get_context
+from multiprocessing.connection import Pipe
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.core.inventory import InventoryDatabase
@@ -585,7 +586,7 @@ class ShardWorkerPool:
         end and its sentinel closed here, or a failed spawn leaks them.
         """
         for host in hosts:
-            parent_conn, child_conn = self._ctx.Pipe()
+            parent_conn, child_conn = Pipe()
             host.process = self._ctx.Process(
                 target=_worker_main,
                 args=(child_conn, [unit.recipe for unit in host.units]),

@@ -14,10 +14,3 @@ The kernel is deliberately small and deterministic:
   convenient coroutine style for multi-step activities (yield a delay,
   resume later; a :class:`~repro.sim.process.StepRun` waits out many).
 """
-
-from repro.sim.events import Event
-from repro.sim.kernel import Simulator
-from repro.sim.process import Process, StepRun
-from repro.sim.randomness import RandomStreams
-
-__all__ = ["Event", "Simulator", "Process", "RandomStreams", "StepRun"]

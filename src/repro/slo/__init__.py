@@ -24,16 +24,3 @@ Attach it all with ``net.enable_slo(plan, policies)``; an empty plan
 with no policies schedules nothing, leaving the event stream
 byte-identical to a network without the subsystem.
 """
-
-from repro.slo.engine import RemediationEngine, RemediationRecord
-from repro.slo.inject import DegradationInjector
-from repro.slo.monitor import SlaMonitor, SloPolicy, default_policies
-
-__all__ = [
-    "DegradationInjector",
-    "RemediationEngine",
-    "RemediationRecord",
-    "SlaMonitor",
-    "SloPolicy",
-    "default_policies",
-]

@@ -10,59 +10,9 @@ the same aggregate JSON as ``jobs=1`` — just sooner.
 
 Quick use::
 
-    from repro.sweep import run_sweep, x9_availability_spec
+    from repro.sweep.engine import run_sweep
+    from repro.sweep.studies import x9_availability_spec
 
     result = run_sweep(x9_availability_spec(repeats=8), jobs=8)
     print(result.to_json())
 """
-
-from repro.sweep.engine import SweepResult, TrialResult, run_sweep, run_trial
-from repro.sweep.spec import SweepSpec, TrialSpec, seed_table
-from repro.sweep.studies import (
-    STUDIES,
-    availability_trial,
-    build_waxman_network,
-    chaos_trial,
-    frontend_load_spec,
-    frontend_trial,
-    optimize_reclaim_spec,
-    optimize_trial,
-    pipeline_load_spec,
-    pipeline_trial,
-    resolve_study,
-    scaling_trial,
-    shard_trial,
-    slo_chaos_spec,
-    slo_trial,
-    table2_trial,
-    x10_scaling_spec,
-    x9_availability_spec,
-)
-
-__all__ = [
-    "STUDIES",
-    "SweepResult",
-    "SweepSpec",
-    "TrialResult",
-    "TrialSpec",
-    "availability_trial",
-    "build_waxman_network",
-    "chaos_trial",
-    "frontend_load_spec",
-    "frontend_trial",
-    "optimize_reclaim_spec",
-    "optimize_trial",
-    "pipeline_load_spec",
-    "pipeline_trial",
-    "resolve_study",
-    "run_sweep",
-    "run_trial",
-    "scaling_trial",
-    "seed_table",
-    "shard_trial",
-    "slo_chaos_spec",
-    "slo_trial",
-    "table2_trial",
-    "x10_scaling_spec",
-    "x9_availability_spec",
-]

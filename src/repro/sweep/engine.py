@@ -8,8 +8,8 @@ modes interchangeable:
 * **Workers build, parents merge.**  A worker receives only the
   picklable :class:`~repro.sweep.spec.TrialSpec`, constructs its own
   network from the build parameters, runs the trial, and returns a
-  compact :class:`TrialResult` — live networks never cross the process
-  boundary in either direction.
+  compact :class:`~repro.sweep.spec.TrialResult` — live networks never
+  cross the process boundary in either direction.
 * **Deterministic ordering.**  Results are merged in trial-index order
   regardless of completion order, so aggregates are identical at any
   job count (byte-identical JSON, in fact — wall-clock timings are
@@ -28,40 +28,12 @@ from __future__ import annotations
 import statistics
 import time
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Dict, List, Mapping, Optional
 
 from repro.errors import ConfigurationError, SweepTimeoutError
 from repro.obs.registry import MetricsRegistry
-from repro.sweep.spec import SweepSpec, TrialSpec, grid_point_id
-
-
-@dataclass
-class TrialResult:
-    """The compact outcome of one trial, cheap to pickle back.
-
-    Attributes:
-        trial_id / index / seed / params: Copied from the trial spec.
-        values: Scalar outcomes (availability, blocked count, ...).
-        samples: Named sample series (e.g. per-connection setup times);
-            pooled across trials for sweep-level summaries.
-        metrics: A mergeable registry state
-            (:meth:`~repro.obs.registry.MetricsRegistry.state`).
-        report: Plain data a ``griphon`` command renders (per-order
-            rows, audit summaries, the full result dict); never
-            aggregated, so it stays out of the sweep JSON.
-        error: ``None`` on success, else ``"ExcType: message"``.
-    """
-
-    trial_id: str = ""
-    index: int = -1
-    seed: int = 0
-    params: Dict[str, Any] = field(default_factory=dict)
-    values: Dict[str, Any] = field(default_factory=dict)
-    samples: Dict[str, List[float]] = field(default_factory=dict)
-    metrics: Dict[str, Any] = field(default_factory=dict)
-    report: Dict[str, Any] = field(default_factory=dict)
-    error: Optional[str] = None
+from repro.sweep.spec import SweepSpec, TrialResult, TrialSpec, grid_point_id
 
 
 def run_trial(trial: TrialSpec) -> TrialResult:

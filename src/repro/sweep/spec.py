@@ -78,6 +78,34 @@ class TrialSpec:
         return RandomStreams(self.seed)
 
 
+@dataclass
+class TrialResult:
+    """The compact outcome of one trial, cheap to pickle back.
+
+    Attributes:
+        trial_id / index / seed / params: Copied from the trial spec.
+        values: Scalar outcomes (availability, blocked count, ...).
+        samples: Named sample series (e.g. per-connection setup times);
+            pooled across trials for sweep-level summaries.
+        metrics: A mergeable registry state
+            (:meth:`~repro.obs.registry.MetricsRegistry.state`).
+        report: Plain data a ``griphon`` command renders (per-order
+            rows, audit summaries, the full result dict); never
+            aggregated, so it stays out of the sweep JSON.
+        error: ``None`` on success, else ``"ExcType: message"``.
+    """
+
+    trial_id: str = ""
+    index: int = -1
+    seed: int = 0
+    params: Dict[str, Any] = field(default_factory=dict)
+    values: Dict[str, Any] = field(default_factory=dict)
+    samples: Dict[str, List[float]] = field(default_factory=dict)
+    metrics: Dict[str, Any] = field(default_factory=dict)
+    report: Dict[str, Any] = field(default_factory=dict)
+    error: Optional[str] = None
+
+
 @dataclass(frozen=True)
 class SweepSpec:
     """A declarative experiment sweep: runner × grid × replicates.
@@ -86,7 +114,7 @@ class SweepSpec:
         name: Sweep name (appears in trial ids and reports).
         runner: Module-level callable invoked per trial with the
             :class:`TrialSpec`; returns a mapping of scalar outcome
-            values or a full :class:`~repro.sweep.engine.TrialResult`.
+            values or a full :class:`TrialResult`.
         axes: Parameter grid; the cartesian product of the axis values
             (axes iterated in sorted-name order) defines the grid
             points.

@@ -2,14 +2,14 @@
 
 Every runner here is a module-level function taking one
 :class:`~repro.sweep.spec.TrialSpec` and returning a
-:class:`~repro.sweep.engine.TrialResult` — the shape the engine can
+:class:`~repro.sweep.spec.TrialResult` — the shape the engine can
 ship to a worker process by reference.  Networks are always built
 *inside* the trial from the spec's parameters and seed.
 
 The module also hosts the study registry used by JSON sweep specs and
 the ``griphon sweep`` CLI, plus factories for the built-in sweeps.
 Every numeric ``griphon`` command runs one of these trials at ``--seed``
-and renders its :class:`~repro.sweep.engine.TrialResult`; what a command
+and renders its :class:`~repro.sweep.spec.TrialResult`; what a command
 prints beyond the aggregated ``values`` travels in the result's
 ``report``.  Runners that need :mod:`repro.shard`, :mod:`repro.slo` or
 :mod:`repro.optimize` import them in the body, so importing this module
@@ -18,7 +18,6 @@ stays cheap.
 
 from __future__ import annotations
 
-import statistics
 from typing import Any, Callable, Dict, Mapping, Sequence
 
 from repro.core.admission import CustomerProfile
@@ -29,19 +28,17 @@ from repro.facade import (
     build_griphon_backbone,
     build_griphon_testbed,
 )
-from repro.faults import DegradationPlan, FaultPlan, FaultSpec, audit_network
-from repro.metrics import downtime_minutes_per_year, measured_availability
+from repro.faults.audit import audit_network
+from repro.faults.plan import DegradationPlan, FaultPlan, FaultSpec
 from repro.obs.trace import Span, Tracer
 from repro.sim.process import Process
 from repro.sim.randomness import RandomStreams
-from repro.sweep.engine import TrialResult
-from repro.sweep.spec import SweepSpec, TrialSpec
+from repro.sweep.spec import SweepSpec, TrialResult, TrialSpec
 from repro.topo.builders import attach_premises, install_pop_equipment
 from repro.topo.generator import generate_backbone
 from repro.topo.hierarchy import build_hierarchy
 from repro.topo.testbed import TABLE2_EXCLUSIONS
 from repro.units import DAY, GBPS, HOUR, gbps
-from repro.workload import FiberCutInjector
 
 
 # -- topology factories -----------------------------------------------------
@@ -130,6 +127,12 @@ def availability_trial(trial: TrialSpec) -> TrialResult:
     repairs, and measure the connection's availability under the
     trial's restoration regime.
     """
+    from repro.metrics.availability import (
+        downtime_minutes_per_year,
+        measured_availability,
+    )
+    from repro.workload.failures import FiberCutInjector
+
     params = trial.params
     horizon = float(params.get("horizon_s", 28 * DAY))
     net = build_griphon_testbed(
@@ -180,6 +183,8 @@ def scaling_trial(trial: TrialSpec) -> TrialResult:
     the trial's ``node_count``, measuring setup time, hop count, and
     blocking under per-node-scaled resources.
     """
+    import statistics
+
     params = trial.params
     node_count = int(params["node_count"])
     orders = int(params.get("orders", 12))
@@ -225,7 +230,9 @@ def pipeline_trial(trial: TrialSpec) -> TrialResult:
     accepted, blocked, terminally deferred, and queue-refused orders,
     plus how much retrying the contention losers needed.
     """
-    from repro.pipeline import TicketState
+    import statistics
+
+    from repro.pipeline.engine import TicketState
 
     params = trial.params
     orders = int(params.get("orders", 32))
@@ -290,7 +297,7 @@ def frontend_trial(trial: TrialSpec) -> TrialResult:
     """An open-loop tenant fleet against the async service frontend.
 
     The frontend study: a heavy-tailed tenant population submits
-    through :class:`~repro.frontend.BodFrontend` at the trial's
+    through :class:`~repro.frontend.service.BodFrontend` at the trial's
     ``arrival_rate`` (the overload axis), and the trial measures the
     edge's triage — admitted / shed / throttled conservation, sustained
     admitted orders per second, and the p99 frontend-submit → ACTIVE
@@ -393,11 +400,11 @@ def chaos_trial(trial: TrialSpec) -> TrialResult:
     """EMS fault injection over a batch of testbed orders, then leak audits.
 
     ``orders`` orders cycle the three premises pairs at 10 / 12 / 1 Gbps
-    under ``plan`` (a :class:`~repro.faults.FaultPlan` dict) or, without
-    one, one rule per name in ``modes`` (comma-separated) at probability
-    ``rate``.  The network is audited once the orders settle and again
-    after every live connection is torn down; a clean run leaves no
-    residue.
+    under ``plan`` (a :class:`~repro.faults.plan.FaultPlan` dict) or,
+    without one, one rule per name in ``modes`` (comma-separated) at
+    probability ``rate``.  The network is audited once the orders settle
+    and again after every live connection is torn down; a clean run
+    leaves no residue.
     """
     params = trial.params
     if params.get("plan") is not None:
@@ -480,7 +487,7 @@ def shard_trial(trial: TrialSpec) -> TrialResult:
     each run.
     """
     from repro.fingerprint import outcome_fingerprint
-    from repro.shard import build_sharded_network
+    from repro.shard.network import build_sharded_network
 
     params = trial.params
     mode = params.get("mode", "sharded")
@@ -553,13 +560,13 @@ def _flat_values(result: Mapping[str, Any]) -> Dict[str, Any]:
 def slo_trial(trial: TrialSpec) -> TrialResult:
     """One gray-failure remediation trial (see :mod:`repro.slo.bench`).
 
-    ``plan`` (a :class:`~repro.faults.DegradationPlan` dict) replaces the
-    stock scenario and ``policies`` (a list of
-    :class:`~repro.slo.SloPolicy` dicts) the stock policy set.  The
+    ``plan`` (a :class:`~repro.faults.plan.DegradationPlan` dict) replaces
+    the stock scenario and ``policies`` (a list of
+    :class:`~repro.slo.monitor.SloPolicy` dicts) the stock policy set.  The
     report is :func:`~repro.slo.bench.run_slo_trial`'s full result.
     """
-    from repro.slo import SloPolicy
     from repro.slo.bench import DEFAULT_HORIZON_S, run_slo_trial
+    from repro.slo.monitor import SloPolicy
 
     params = trial.params
     plan = params.get("plan")

@@ -10,37 +10,3 @@
   (per-region meshes, gateway PoPs, express links) behind
   :mod:`repro.shard`.
 """
-
-from repro.topo.builders import attach_premises, install_pop_equipment
-from repro.topo.graph import Link, NetworkGraph, Node
-from repro.topo.hierarchy import (
-    EXPRESS,
-    Hierarchy,
-    RegionInfo,
-    build_hierarchy,
-    build_region_graph,
-)
-from repro.topo.testbed import (
-    TESTBED_PREMISES,
-    TESTBED_ROADMS,
-    build_testbed_graph,
-)
-from repro.topo.backbone import BACKBONE_CITIES, build_backbone_graph
-
-__all__ = [
-    "attach_premises",
-    "install_pop_equipment",
-    "Link",
-    "NetworkGraph",
-    "Node",
-    "TESTBED_PREMISES",
-    "TESTBED_ROADMS",
-    "build_testbed_graph",
-    "BACKBONE_CITIES",
-    "build_backbone_graph",
-    "EXPRESS",
-    "Hierarchy",
-    "RegionInfo",
-    "build_hierarchy",
-    "build_region_graph",
-]

@@ -15,20 +15,3 @@ traffic (diurnal, latency-sensitive).  This package generates both:
   populations with lazy profile registration, for the service-frontend
   load benchmarks.
 """
-
-from repro.workload.arrivals import DiurnalProfile, PoissonArrivals
-from repro.workload.failures import CutRecord, FiberCutInjector
-from repro.workload.bulk import BulkTransferWorkload, TransferRecord
-from repro.workload.interactive import InteractiveDemand
-from repro.workload.tenants import TenantPopulation
-
-__all__ = [
-    "DiurnalProfile",
-    "PoissonArrivals",
-    "CutRecord",
-    "FiberCutInjector",
-    "BulkTransferWorkload",
-    "TransferRecord",
-    "InteractiveDemand",
-    "TenantPopulation",
-]

@@ -5,43 +5,21 @@ import importlib
 import inspect
 import os
 import pathlib
+import pkgutil
 import subprocess
 import sys
 
 import pytest
 
-PUBLIC_MODULES = [
-    "repro",
-    "repro.api",
-    "repro.baselines",
-    "repro.cli",
-    "repro.core",
-    "repro.core.calendar",
-    "repro.core.gui",
-    "repro.core.maintenance",
-    "repro.core.migration",
-    "repro.core.planning",
-    "repro.core.provisioning",
-    "repro.core.reclamation",
-    "repro.core.regrooming",
-    "repro.ems",
-    "repro.errors",
-    "repro.facade",
-    "repro.frontend",
-    "repro.iplayer",
-    "repro.legacy",
-    "repro.metrics",
-    "repro.obs",
-    "repro.optical",
-    "repro.optical.osnr",
-    "repro.otn",
-    "repro.pipeline",
-    "repro.shard",
-    "repro.sim",
-    "repro.topo",
-    "repro.units",
-    "repro.workload",
-]
+import repro
+
+#: Every module of the package: packages re-export nothing, so the
+#: modules that define the names are the public surface.
+PUBLIC_MODULES = ["repro"] + sorted(
+    info.name
+    for info in pkgutil.walk_packages(repro.__path__, "repro.")
+    if not any(part.startswith("_") for part in info.name.split("."))
+)
 
 
 @pytest.mark.parametrize("module_name", PUBLIC_MODULES)
@@ -93,8 +71,6 @@ def test_error_hierarchy_rooted():
 
 
 def test_version_matches_package_metadata():
-    import repro
-
     assert repro.__version__.count(".") == 2
 
 
@@ -102,19 +78,82 @@ def test_core_controller_does_not_import_the_shard_layer():
     """The shard layer is built on the controller, never under it: a
     fresh interpreter importing the controller loads no ``repro.shard``
     module."""
-    import repro
-
-    src = os.path.dirname(os.path.dirname(repro.__file__))
     probe = (
         "import sys, repro.core.controller; "
         "print(sorted(m for m in sys.modules if m.startswith('repro.shard')))"
     )
-    env = dict(os.environ, PYTHONPATH=src)
-    out = subprocess.run(
+    assert _fresh_python(probe).strip() == "[]"
+
+
+#: Modules of features the benchmark's order path never runs: §4
+#: re-grooming, planning and reclamation, advance reservations, the
+#: sweep engine, the workload generators and the scenario runner.
+COLD_FOR_BENCH = [
+    "repro.core.calendar",
+    "repro.core.planning",
+    "repro.core.reclamation",
+    "repro.core.regrooming",
+    "repro.core.service",
+    "repro.frontend.aio",
+    "repro.frontend.clients",
+    "repro.metrics.availability",
+    "repro.metrics.textchart",
+    "repro.obs.windows",
+    "repro.scenario",
+    "repro.sweep.engine",
+    "repro.topo.backbone",
+    "repro.workload",
+    "repro.workload.arrivals",
+    "repro.workload.bulk",
+    "repro.workload.failures",
+    "repro.workload.interactive",
+    "repro.workload.tenants",
+    "concurrent.futures",
+    "logging",
+    "statistics",
+]
+
+
+def _fresh_python(probe):
+    """Run ``probe`` in a fresh interpreter with ``src`` and the repo root
+    on its path, as ``python -m bench`` runs a child; its stdout."""
+    src = os.path.dirname(os.path.dirname(repro.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.path.dirname(src)]))
+    return subprocess.run(
         [sys.executable, "-c", probe],
         capture_output=True, text=True, check=True, env=env,
+    ).stdout
+
+
+def test_bench_chain_loads_no_cold_module():
+    """Every benchmark repeat is a fresh process: importing its child
+    loads none of the modules its order path never runs."""
+    loaded = _fresh_python(
+        "import sys, bench.child; print('\\n'.join(sys.modules))"
+    ).split()
+    assert [name for name in COLD_FOR_BENCH if name in loaded] == []
+
+
+@pytest.mark.parametrize(
+    "workload", ["sharded-inproc", "sharded-pool", "edge-overload", "mono-churn"]
+)
+def test_bench_run_imports_nothing_after_the_bench_chain(workload):
+    """Building, loading and running a workload imports no module the
+    bench chain did not, so no import lands inside ``setup_s`` or the
+    timed run (a forked worker's start needs ``popen_fork``)."""
+    probe = (
+        "import sys, bench.child\n"
+        "from bench.driver import Driver\n"
+        "from bench.workloads import BUILDERS\n"
+        "before = set(sys.modules)\n"
+        f"world = BUILDERS[{workload!r}](11, 0.02, None)\n"
+        "driver = Driver(world)\n"
+        "driver.load()\n"
+        "driver.run()\n"
+        "world.close()\n"
+        "print('\\n'.join(sorted(set(sys.modules) - before)))\n"
     )
-    assert out.stdout.strip() == "[]"
+    assert set(_fresh_python(probe).split()) <= {"multiprocessing.popen_fork"}
 
 
 def _controller_private_names(tree):
@@ -140,8 +179,6 @@ def test_only_the_controller_names_its_private_attributes():
     """Every other module drives a controller through its public
     methods: no ``<controller>._name`` outside ``core/controller.py``,
     where ``<controller>`` is any expression naming a controller."""
-    import repro
-
     root = pathlib.Path(repro.__file__).parent
     home = root / "core" / "controller.py"
     private = _controller_private_names(ast.parse(home.read_text()))

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from repro.core.connection import Connection, ConnectionKind, ConnectionState
 from repro.errors import ConfigurationError
 from repro.facade import build_griphon_testbed
-from repro.metrics import (
+from repro.metrics.availability import (
     availability_from_mtbf_mttr,
     downtime_minutes_per_year,
     fleet_availability,
@@ -15,7 +15,7 @@ from repro.metrics import (
     nines,
 )
 from repro.units import DAY, HOUR, WEEK, gbps
-from repro.workload import FiberCutInjector
+from repro.workload.failures import FiberCutInjector
 
 
 class TestAvailabilityMath:

@@ -11,7 +11,8 @@ import pytest
 from repro.core.connection import ConnectionKind, ConnectionState
 from repro.facade import build_griphon_backbone
 from repro.units import DAY, HOUR, TERABYTE
-from repro.workload import BulkTransferWorkload, PoissonArrivals
+from repro.workload.arrivals import PoissonArrivals
+from repro.workload.bulk import BulkTransferWorkload
 
 
 @pytest.fixture

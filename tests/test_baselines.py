@@ -2,20 +2,18 @@
 
 import pytest
 
-from repro.baselines import (
-    ManualOperations,
-    OnePlusOneProtection,
-    StaticProvisioningPlan,
-    StoreForwardScheduler,
-)
+from repro.baselines.manual_ops import ManualOperations
+from repro.baselines.protection import OnePlusOneProtection
+from repro.baselines.static_provisioning import StaticProvisioningPlan
+from repro.baselines.store_forward import StoreForwardScheduler
 from repro.core.inventory import InventoryDatabase
 from repro.core.provisioning import LightpathProvisioner
 from repro.core.rwa import RwaEngine
 from repro.ems.latency import LatencyModel
 from repro.ems.roadm_ems import RoadmEms
 from repro.errors import ConfigurationError, ResourceError
-from repro.optical import WavelengthGrid
-from repro.sim import RandomStreams
+from repro.optical.wavelength import WavelengthGrid
+from repro.sim.randomness import RandomStreams
 from repro.topo.testbed import build_testbed_graph
 from repro.units import DAY, HOUR, WEEK, gbps
 

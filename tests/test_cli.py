@@ -194,7 +194,7 @@ class TestSloCommand:
         assert "not allowed with" in capsys.readouterr().err
 
     def test_policy_file_arms_the_policies_it_lists(self, tmp_path):
-        from repro.slo import SloPolicy
+        from repro.slo.monitor import SloPolicy
         from repro.slo.bench import run_slo_trial
 
         # One margin policy at half the default threshold, no global

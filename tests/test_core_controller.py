@@ -10,7 +10,7 @@ from repro.core.connection import (
 )
 from repro.errors import ResourceError
 from repro.facade import build_griphon_testbed
-from repro.optical import LightpathState
+from repro.optical.lightpath import LightpathState
 from repro.units import MINUTE, WEEK, gbps
 
 

@@ -10,8 +10,8 @@ from repro.errors import (
     NoPathError,
     ResourceError,
 )
-from repro.optical import WavelengthGrid
-from repro.otn import SharedMeshProtection
+from repro.optical.wavelength import WavelengthGrid
+from repro.otn.mesh_restoration import SharedMeshProtection
 from repro.otn.circuit import OduCircuitState
 from repro.topo.testbed import build_testbed_graph
 from repro.units import ODU_LEVELS

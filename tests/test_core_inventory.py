@@ -4,8 +4,8 @@ import pytest
 
 from repro.core.inventory import InventoryDatabase
 from repro.errors import ConfigurationError, ResourceError, TopologyError
-from repro.optical import Lightpath, WavelengthGrid
-from repro.optical.lightpath import Segment
+from repro.optical.lightpath import Lightpath, Segment
+from repro.optical.wavelength import WavelengthGrid
 from repro.topo.testbed import build_testbed_graph
 from repro.units import ODU_LEVELS, gbps
 

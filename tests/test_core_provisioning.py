@@ -8,8 +8,11 @@ from repro.core.rwa import RwaEngine
 from repro.ems.latency import LatencyModel
 from repro.ems.roadm_ems import RoadmEms
 from repro.errors import TransponderUnavailableError
-from repro.optical import LightpathState, WavelengthGrid
-from repro.sim import Process, RandomStreams, Simulator
+from repro.optical.lightpath import LightpathState
+from repro.optical.wavelength import WavelengthGrid
+from repro.sim.kernel import Simulator
+from repro.sim.process import Process
+from repro.sim.randomness import RandomStreams
 from repro.topo.testbed import build_testbed_graph
 from repro.units import gbps
 

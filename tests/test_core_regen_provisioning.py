@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro import build_griphon_backbone
+from repro.facade import build_griphon_backbone
 from repro.core.connection import ConnectionState
 from repro.core.inventory import InventoryDatabase
 from repro.core.provisioning import LightpathProvisioner
@@ -11,9 +11,12 @@ from repro.ems.latency import LatencyModel
 from repro.ems.roadm_ems import RoadmEms
 from repro.errors import TransponderUnavailableError
 from repro.faults.audit import audit_network
-from repro.optical import LightpathState, WavelengthGrid
-from repro.sim import Process, RandomStreams, Simulator
-from repro.topo import Link, NetworkGraph, Node
+from repro.optical.lightpath import LightpathState
+from repro.optical.wavelength import WavelengthGrid
+from repro.sim.kernel import Simulator
+from repro.sim.process import Process
+from repro.sim.randomness import RandomStreams
+from repro.topo.graph import Link, NetworkGraph, Node
 from repro.units import gbps
 
 

@@ -9,10 +9,10 @@ from repro.errors import (
     NoPathError,
     WavelengthBlockedError,
 )
-from repro.optical import WavelengthGrid
+from repro.optical.wavelength import WavelengthGrid
 from repro.optical.impairments import ReachModel
-from repro.sim import RandomStreams
-from repro.topo import Link, NetworkGraph, Node
+from repro.sim.randomness import RandomStreams
+from repro.topo.graph import Link, NetworkGraph, Node
 from repro.topo.testbed import build_testbed_graph
 from repro.units import gbps
 

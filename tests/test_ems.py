@@ -5,9 +5,11 @@ import statistics
 import pytest
 
 from repro.errors import ConfigurationError, EquipmentError
-from repro.ems import DEFAULT_STEP_MEANS, LatencyModel, RoadmEms
-from repro.optical import FiberPlant, WavelengthGrid
-from repro.sim import RandomStreams
+from repro.ems.latency import DEFAULT_STEP_MEANS, LatencyModel
+from repro.ems.roadm_ems import RoadmEms
+from repro.optical.fiber import FiberPlant
+from repro.optical.wavelength import WavelengthGrid
+from repro.sim.randomness import RandomStreams
 from repro.topo.testbed import build_testbed_graph
 
 

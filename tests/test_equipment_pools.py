@@ -36,13 +36,13 @@ from repro.errors import (
     WavelengthBlockedError,
 )
 from repro.faults.audit import AuditViolation, audit_inventory
-from repro.optical import RegenPool, Roadm, TransponderPool, WavelengthGrid
-from repro.optical.regen import Regenerator
-from repro.optical.roadm import AddDropPort
-from repro.optical.transponder import Transponder
+from repro.optical.regen import Regenerator, RegenPool
+from repro.optical.roadm import AddDropPort, Roadm
+from repro.optical.transponder import Transponder, TransponderPool
+from repro.optical.wavelength import WavelengthGrid
 from repro.shard.network import build_sharded_network
-from repro.sim import RandomStreams
-from repro.topo import Link, NetworkGraph, Node
+from repro.sim.randomness import RandomStreams
+from repro.topo.graph import Link, NetworkGraph, Node
 from repro.topo.hierarchy import build_hierarchy
 from repro.units import gbps
 

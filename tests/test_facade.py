@@ -3,7 +3,8 @@
 import pytest
 
 import repro
-from repro import build_griphon_backbone, build_griphon_testbed
+from repro import facade
+from repro.facade import build_griphon_backbone, build_griphon_testbed
 from repro.core.connection import ConnectionState
 from repro.units import gbps
 
@@ -13,8 +14,8 @@ class TestPackageSurface:
         assert repro.__version__
 
     def test_exports(self):
-        assert callable(repro.build_griphon_testbed)
-        assert callable(repro.build_griphon_backbone)
+        assert callable(facade.build_griphon_testbed)
+        assert callable(facade.build_griphon_backbone)
 
 
 class TestTestbedBuilder:

@@ -7,8 +7,12 @@ dangling component reference — must surface as the right violation kind.
 """
 
 from repro.facade import build_griphon_testbed
-from repro.faults import AuditReport, AuditViolation, audit_network
-from repro.faults.audit import audit_inventory
+from repro.faults.audit import (
+    AuditReport,
+    AuditViolation,
+    audit_inventory,
+    audit_network,
+)
 from repro.units import gbps
 
 PAIR = ("PREMISES-A", "PREMISES-B")

@@ -18,7 +18,8 @@ import pytest
 
 from repro.core.connection import ConnectionState
 from repro.facade import build_griphon_testbed
-from repro.faults import FaultPlan, FaultSpec, audit_network
+from repro.faults.audit import audit_network
+from repro.faults.plan import FaultPlan, FaultSpec
 from repro.optical.lightpath import LightpathState
 
 

@@ -20,8 +20,9 @@ from repro.core.connection import (
     ConnectionState,
 )
 from repro.facade import build_griphon_testbed
-from repro.faults import FaultPlan, FaultSpec, audit_network
-from repro.optical import LightpathState
+from repro.faults.audit import audit_network
+from repro.faults.plan import FaultPlan, FaultSpec
+from repro.optical.lightpath import LightpathState
 from repro.otn.circuit import OduCircuitState
 
 PAIR = ("PREMISES-A", "PREMISES-B")

@@ -20,13 +20,9 @@ from hypothesis import strategies as st
 from repro import api
 from repro.errors import AdmissionError, ConfigurationError, SimulationError
 from repro.facade import build_griphon_testbed
-from repro.frontend import (
-    STATE_OPEN,
-    STATE_SHEDDING,
-    BucketSet,
-    SimFuture,
-    TokenBucket,
-)
+from repro.frontend.aio import SimFuture
+from repro.frontend.ratelimit import BucketSet, TokenBucket
+from repro.frontend.service import STATE_OPEN, STATE_SHEDDING
 from repro.sim.kernel import Simulator
 
 

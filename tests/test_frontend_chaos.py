@@ -9,14 +9,15 @@ teardown, saga rollbacks included.  Whatever the faults did:
 * every submission is admitted, shed or throttled, and every ticket
   resolves to one of :data:`repro.api.TERMINAL_OUTCOMES`;
 * the intake's heap never holds more than the edge's hard bound;
-* after the survivors are torn down, :func:`repro.faults.audit_network`
+* after the survivors are torn down, :func:`repro.faults.audit.audit_network`
   finds nothing leaked and nothing double-allocated.
 """
 
 from repro import api
 from repro.core.connection import ConnectionState
 from repro.facade import build_griphon_testbed
-from repro.faults import FaultPlan, FaultSpec, audit_network
+from repro.faults.audit import audit_network
+from repro.faults.plan import FaultPlan, FaultSpec
 from repro.frontend.clients import ClientFleet
 from repro.units import HOUR
 from repro.workload.tenants import TenantPopulation

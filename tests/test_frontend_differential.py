@@ -3,11 +3,11 @@
 The one intake contract, :class:`~repro.pipeline.engine.RoundIntake`,
 promises the frontend is deployment-agnostic.  This file proves it twice over:
 
-* the same :class:`~repro.frontend.BodFrontend` drives the sharded and
+* the same :class:`~repro.frontend.service.BodFrontend` drives the sharded and
   the monolithic-twin deployment of one 2-region hierarchy to identical
   typed outcome streams (satellite 2's acceptance gate);
-* both the monolithic :class:`~repro.pipeline.OrderPipeline` and the
-  :class:`~repro.shard.ShardIntake` adapter are that contract and
+* both the monolithic :class:`~repro.pipeline.engine.OrderPipeline` and the
+  :class:`~repro.shard.intake.ShardIntake` adapter are that contract and
   speak the same event vocabulary.
 """
 
@@ -15,7 +15,8 @@ from repro import api
 from repro.core.admission import CustomerProfile
 from repro.frontend.service import BodFrontend
 from repro.pipeline.engine import RoundIntake
-from repro.shard import ShardIntake, build_sharded_network
+from repro.shard.intake import ShardIntake
+from repro.shard.network import build_sharded_network
 from repro.topo.hierarchy import build_hierarchy
 from repro.units import GBPS
 

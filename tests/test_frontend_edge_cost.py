@@ -36,9 +36,11 @@ from hypothesis import strategies as st
 from repro import api
 from repro.errors import AdmissionError
 from repro.facade import build_griphon_testbed
-from repro.frontend import PRIORITY_CLASSES, BucketSet, SimFuture, TokenBucket
+from repro.frontend.aio import SimFuture
+from repro.frontend.ratelimit import BucketSet, TokenBucket
+from repro.frontend.service import PRIORITY_CLASSES
 from repro.obs.registry import MetricsRegistry
-from repro.pipeline import TicketState
+from repro.pipeline.engine import TicketState
 
 TENANTS = ("vip", "csp-1", "csp-2", "tiny")
 PREMISES = ("PREMISES-A", "PREMISES-B", "PREMISES-C")

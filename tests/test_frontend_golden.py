@@ -1,7 +1,7 @@
 """Golden of the service edge: one overload-shaped run, ticket by ticket.
 
 A checked-in JSON golden (``tests/golden/frontend_edge.json``) pins
-down what :class:`repro.frontend.BodFrontend` decides under a thundering
+down what :class:`repro.frontend.service.BodFrontend` decides under a thundering
 herd on the Fig. 4 testbed:
 
 * per ticket, in submission order: ``request_id``, outcome type,

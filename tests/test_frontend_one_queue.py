@@ -22,7 +22,7 @@ import pytest
 from repro import api
 from repro.errors import AdmissionError
 from repro.facade import build_griphon_testbed
-from repro.frontend import STATE_SHEDDING
+from repro.frontend.service import STATE_SHEDDING
 
 
 @pytest.fixture

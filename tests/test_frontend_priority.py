@@ -10,7 +10,7 @@ import pytest
 
 from repro import api
 from repro.facade import build_griphon_testbed
-from repro.frontend import PRIORITY_CLASSES, STATE_SHEDDING
+from repro.frontend.service import PRIORITY_CLASSES, STATE_SHEDDING
 
 
 @pytest.fixture

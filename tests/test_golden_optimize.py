@@ -1,7 +1,7 @@
 """Golden-plan test: the canonical 32-PoP fragmented migration plan.
 
 A checked-in JSON golden (``tests/golden/optimize_plan.json``) pins the
-full :class:`~repro.optimize.MigrationPlan` — every move's connection,
+full :class:`~repro.optimize.planner.MigrationPlan` — every move's connection,
 old/new route and channels, execution order, dependency edges, and the
 objective values — for one canonical fragmentation scenario: seed 21,
 32 PoPs, 96 warm orders, two-of-three churned away.
@@ -21,7 +21,8 @@ The last test holds the reclaim bar at the size ``griphon optimize`` and
 import json
 from pathlib import Path
 
-from repro.optimize import NetworkSnapshot, plan_migrations
+from repro.optimize.planner import plan_migrations
+from repro.optimize.snapshot import NetworkSnapshot
 from repro.optimize.bench import (
     build_optimize_network,
     fragment_network,
@@ -62,7 +63,7 @@ def build_payload():
 
 
 def plan_dict(plan):
-    """The golden's JSON form of a :class:`~repro.optimize.MigrationPlan`."""
+    """The golden's JSON form of a :class:`~repro.optimize.planner.MigrationPlan`."""
     return {
         "moves": [
             {

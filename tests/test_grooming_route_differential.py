@@ -24,8 +24,9 @@ from repro.errors import (
     TopologyError,
 )
 from repro.facade import build_griphon_testbed
-from repro.optical import WavelengthGrid
-from repro.otn import OtnLine, OtnSwitch
+from repro.optical.wavelength import WavelengthGrid
+from repro.otn.line import OtnLine
+from repro.otn.switch import OtnSwitch
 from repro.topo.graph import Link, NetworkGraph, Node
 from repro.units import ODU_LEVELS
 from tests.test_topo_ksp_differential import search_cases

@@ -11,7 +11,8 @@ from repro.errors import (
     ResourceError,
 )
 from repro.facade import build_griphon_testbed
-from repro.iplayer import EvcState, IpLayer
+from repro.iplayer.evc import EvcState
+from repro.iplayer.network import IpLayer
 from repro.units import gbps, mbps
 
 

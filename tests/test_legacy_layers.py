@@ -9,13 +9,9 @@ from repro.errors import (
     ConfigurationError,
     ResourceError,
 )
-from repro.legacy import (
-    SonetRing,
-    WidebandDcs,
-    provision_epl,
-    sts1_count_for_rate,
-)
-from repro.legacy.sonet import PROTECTION_SWITCH_TIME_S
+from repro.legacy.evc import provision_epl, sts1_count_for_rate
+from repro.legacy.sonet import PROTECTION_SWITCH_TIME_S, SonetRing
+from repro.legacy.wdcs import WidebandDcs
 from repro.units import DS1_RATE, gbps, mbps
 
 

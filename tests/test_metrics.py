@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.metrics import summarize
+from repro.metrics.collector import summarize
 
 
 class TestSummarize:

@@ -19,10 +19,11 @@ from repro.core.migration import ROLL_HIT_S
 from repro.core.regrooming import RegroomingEngine
 from repro.errors import MigrationLockedError, NoPathError
 from repro.facade import build_griphon_testbed
-from repro.faults import DegradationPlan, DegradationSpec
+from repro.faults.plan import DegradationPlan, DegradationSpec
 from repro.faults.audit import audit_network
-from repro.optimize import MigrationExecutor, MigrationMove, MigrationPlan
-from repro.slo import SloPolicy
+from repro.optimize.executor import MigrationExecutor
+from repro.optimize.planner import MigrationMove, MigrationPlan
+from repro.slo.monitor import SloPolicy
 from repro.slo.bench import build_slo_network
 
 

@@ -4,7 +4,8 @@ import json
 
 import pytest
 
-from repro.obs import NULL_SPAN, MetricsRegistry, Span, Tracer
+from repro.obs.registry import MetricsRegistry
+from repro.obs.trace import NULL_SPAN, Span, Tracer
 
 
 class FakeClock:

@@ -22,8 +22,8 @@ from bench.workloads import BUILDERS
 from repro import api
 from repro.core.connection import ConnectionKind
 from repro.facade import build_griphon_testbed
-from repro.frontend import FrontendTicket
-from repro.pipeline import OrderTicket, TicketState
+from repro.frontend.service import FrontendTicket
+from repro.pipeline.engine import OrderTicket, TicketState
 
 
 def _edge(net, **kwargs):

@@ -8,12 +8,10 @@ from repro.errors import (
     EquipmentError,
     TransponderUnavailableError,
 )
-from repro.optical import (
-    FiberCrossConnect,
-    NetworkTerminatingEquipment,
-    RegenPool,
-    TransponderPool,
-)
+from repro.optical.fxc import FiberCrossConnect
+from repro.optical.nte import NetworkTerminatingEquipment
+from repro.optical.regen import RegenPool
+from repro.optical.transponder import TransponderPool
 from repro.units import gbps
 
 

@@ -5,8 +5,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import ResourceError, TopologyError, WavelengthBlockedError
-from repro.optical import DwdmLink, FiberPlant, WavelengthGrid
-from repro.topo import Link, NetworkGraph, Node
+from repro.optical.fiber import DwdmLink, FiberPlant
+from repro.optical.wavelength import WavelengthGrid
+from repro.topo.graph import Link, NetworkGraph, Node
 from repro.topo.testbed import build_testbed_graph
 
 

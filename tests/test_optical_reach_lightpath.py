@@ -5,9 +5,10 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.errors import ConfigurationError, ConnectionStateError, SignalError
-from repro.optical import AmplifierChain, Lightpath, LightpathState, ReachModel
-from repro.optical.lightpath import Segment
-from repro.topo import Link, NetworkGraph, Node
+from repro.optical.amplifier import AmplifierChain
+from repro.optical.impairments import ReachModel
+from repro.optical.lightpath import Lightpath, LightpathState, Segment
+from repro.topo.graph import Link, NetworkGraph, Node
 from repro.units import gbps
 
 

@@ -7,7 +7,8 @@ from repro.errors import (
     EquipmentError,
     WavelengthBlockedError,
 )
-from repro.optical import Roadm, WavelengthGrid
+from repro.optical.roadm import Roadm
+from repro.optical.wavelength import WavelengthGrid
 
 
 @pytest.fixture

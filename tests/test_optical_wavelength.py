@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.optical import WavelengthGrid
+from repro.optical.wavelength import WavelengthGrid
 
 
 class TestGridBasics:

@@ -16,18 +16,15 @@ the moves).
 from repro.core.connection import ConnectionState
 from repro.faults.audit import audit_network
 from repro.fingerprint import assignment_fingerprint
-from repro.optimize import (
-    MigrationExecutor,
-    NetworkSnapshot,
-    plan_migrations,
-)
+from repro.optimize.executor import MigrationExecutor
+from repro.optimize.planner import plan_migrations
+from repro.optimize.snapshot import NetworkSnapshot, _connection_sort_key
 from repro.optimize import executor as executor_module
 from repro.optimize.bench import (
     build_optimize_network,
     fragment_network,
     place_orders,
 )
-from repro.optimize.snapshot import _connection_sort_key
 
 SEED = 7
 NODE_COUNT = 24

@@ -8,13 +8,13 @@ from repro.core.connection import ConnectionState
 from repro.core.regrooming import RegroomingEngine
 from repro.errors import MigrationLockedError
 from repro.faults.audit import audit_network
-from repro.optimize import (
-    MigrationExecutor,
+from repro.optimize.executor import MigrationExecutor
+from repro.optimize.planner import (
     MigrationMove,
     MigrationPlan,
-    NetworkSnapshot,
     plan_migrations,
 )
+from repro.optimize.snapshot import NetworkSnapshot
 from repro.optimize.bench import (
     build_optimize_network,
     fragment_network,

@@ -7,11 +7,8 @@ inspect the plan — no executor, no simulator events after the freeze.
 
 from repro.core.connection import ConnectionState
 from repro.errors import GriphonError
-from repro.optimize import (
-    NetworkSnapshot,
-    plan_migrations,
-    slo_link_penalties,
-)
+from repro.optimize.planner import plan_migrations, slo_link_penalties
+from repro.optimize.snapshot import NetworkSnapshot
 from repro.optimize.bench import (
     build_optimize_network,
     fragment_network,

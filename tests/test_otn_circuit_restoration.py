@@ -8,7 +8,9 @@ from repro.errors import (
     ConnectionStateError,
     ResourceError,
 )
-from repro.otn import OduCircuit, OduCircuitState, OtnLine, SharedMeshProtection
+from repro.otn.circuit import OduCircuit, OduCircuitState
+from repro.otn.line import OtnLine
+from repro.otn.mesh_restoration import SharedMeshProtection
 from repro.units import ODU_LEVELS
 
 

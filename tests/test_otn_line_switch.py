@@ -10,7 +10,8 @@ from repro.errors import (
     EquipmentError,
     ResourceError,
 )
-from repro.otn import OtnLine, OtnSwitch
+from repro.otn.line import OtnLine
+from repro.otn.switch import OtnSwitch
 from repro.units import ODU_LEVELS
 
 

@@ -17,11 +17,11 @@ handful of quantitative claims the paper makes in prose, so a plain
 
 import pytest
 
-from repro.baselines import ManualOperations
+from repro.baselines.manual_ops import ManualOperations
 from repro.core.connection import ConnectionKind, ConnectionState
 from repro.facade import build_griphon_testbed
 from repro.legacy.sonet import PROTECTION_SWITCH_TIME_S
-from repro.sim import RandomStreams
+from repro.sim.randomness import RandomStreams
 from repro.units import HOUR, ODU_LEVELS, WEEK, gbps
 
 
@@ -64,7 +64,7 @@ class TestSection3Claims:
             2: [("ROADM-I", "ROADM-IV")],
             3: [("ROADM-I", "ROADM-IV"), ("ROADM-I", "ROADM-III")],
         }
-        from repro.sim import Process
+        from repro.sim.process import Process
 
         for hops, excluded in exclusions.items():
             net = build_griphon_testbed(seed=7, latency_cv=0.0)

@@ -15,8 +15,8 @@ from repro.core.connection import ConnectionKind, ConnectionState
 from repro.core.rwa import PlanRequest
 from repro.errors import ConfigurationError
 from repro.facade import build_griphon_testbed
-from repro.faults import audit_network
-from repro.pipeline import TicketState
+from repro.faults.audit import audit_network
+from repro.pipeline.engine import TicketState
 from repro.units import GBPS
 
 

@@ -26,8 +26,8 @@ from hypothesis import strategies as st
 
 from repro.core.connection import ConnectionState
 from repro.facade import build_griphon_testbed
-from repro.faults import audit_network
-from repro.pipeline import TicketState
+from repro.faults.audit import audit_network
+from repro.pipeline.engine import TicketState
 
 #: (submit time, premises pair, rate Gbps): mixed wavelength, composite,
 #: sub-wavelength, and packet-EVC orders, including same-instant pairs

@@ -26,7 +26,7 @@ from repro.core.connection import Connection, ConnectionKind, ConnectionState
 from repro.errors import CapacityExceededError, EquipmentError
 from repro.facade import build_griphon_testbed
 from repro.optical.nte import NetworkTerminatingEquipment
-from repro.pipeline import TicketState
+from repro.pipeline.engine import TicketState
 from repro.units import GBPS
 
 SETTINGS = settings(

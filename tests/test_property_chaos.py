@@ -18,7 +18,8 @@ from hypothesis import strategies as st
 
 from repro.core.connection import ConnectionState
 from repro.facade import build_griphon_testbed
-from repro.faults import FAULT_MODES, FaultPlan, FaultSpec, audit_network
+from repro.faults.audit import audit_network
+from repro.faults.plan import FAULT_MODES, FaultPlan, FaultSpec
 
 PAIRS = [
     ("PREMISES-A", "PREMISES-B"),

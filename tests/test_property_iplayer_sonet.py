@@ -4,8 +4,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.errors import GriphonError
-from repro.iplayer import IpLayer
-from repro.legacy import SonetRing
+from repro.iplayer.network import IpLayer
+from repro.legacy.sonet import SonetRing
 from repro.units import gbps
 
 

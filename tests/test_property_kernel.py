@@ -23,7 +23,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.errors import SimulationError
-from repro.sim import Simulator
+from repro.sim.kernel import Simulator
 
 NAN = float("nan")
 

@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 
 from repro.core.connection import ConnectionState
 from repro.faults.audit import audit_network
-from repro.optimize import Reoptimizer
+from repro.optimize.runtime import Reoptimizer
 from repro.optimize.bench import build_optimize_network
 
 SEED = 5

@@ -3,7 +3,9 @@
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.otn import OduCircuit, OduCircuitState, OtnLine, SharedMeshProtection
+from repro.otn.circuit import OduCircuit, OduCircuitState
+from repro.otn.line import OtnLine
+from repro.otn.mesh_restoration import SharedMeshProtection
 from repro.units import ODU_LEVELS
 
 

@@ -33,11 +33,15 @@ from repro.core.provisioning import LightpathProvisioner
 from repro.core.rwa import RwaEngine
 from repro.ems.latency import DEFAULT_STEP_MEANS, LatencyModel
 from repro.ems.roadm_ems import RoadmEms
-from repro.faults import FaultPlan, FaultSpec
+from repro.faults.plan import FaultPlan, FaultSpec
 from repro.faults.resilient import ResilientExecutor, RetryPolicy
-from repro.obs import MetricsRegistry, Tracer
-from repro.optical import LightpathState, WavelengthGrid
-from repro.sim import Process, RandomStreams, Simulator, StepRun
+from repro.obs.registry import MetricsRegistry
+from repro.obs.trace import Tracer
+from repro.optical.lightpath import LightpathState
+from repro.optical.wavelength import WavelengthGrid
+from repro.sim.kernel import Simulator
+from repro.sim.process import Process, StepRun
+from repro.sim.randomness import RandomStreams
 from repro.topo.testbed import build_testbed_graph
 from repro.units import gbps
 

@@ -33,12 +33,12 @@ from repro.errors import (
     TransponderUnavailableError,
     WavelengthBlockedError,
 )
-from repro.faults import FaultPlan, FaultSpec
+from repro.faults.plan import FaultPlan, FaultSpec
 from repro.faults.audit import audit_inventory
-from repro.optical import WavelengthGrid
+from repro.optical.wavelength import WavelengthGrid
 from repro.optical.lightpath import Segment
-from repro.sim import RandomStreams
-from repro.topo import Link, NetworkGraph, Node
+from repro.sim.randomness import RandomStreams
+from repro.topo.graph import Link, NetworkGraph, Node
 from repro.units import gbps
 
 SETTINGS = settings(

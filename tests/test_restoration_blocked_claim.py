@@ -17,9 +17,10 @@ repair in manual mode revived only the first.
 
 from repro.core.connection import CLAIM_FXC, ConnectionState
 from repro.facade import GriphonNetwork, build_griphon_testbed
-from repro.faults import FaultPlan, FaultSpec, audit_network
+from repro.faults.audit import audit_network
+from repro.faults.plan import FaultPlan, FaultSpec
 from repro.optical.lightpath import LightpathState
-from repro.topo import Link, NetworkGraph, Node
+from repro.topo.graph import Link, NetworkGraph, Node
 from repro.units import gbps
 
 POPS = ("A", "B", "C", "D", "M")

@@ -10,7 +10,7 @@ checked elsewhere; this file pins the tag that names which one ran.
 
 from repro.core.connection import ConnectionState
 from repro.facade import build_griphon_testbed
-from repro.faults import FaultPlan, FaultSpec
+from repro.faults.plan import FaultPlan, FaultSpec
 
 from tests.test_restoration_blocked_claim import detour_network, twenty_gig
 

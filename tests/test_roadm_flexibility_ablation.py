@@ -15,7 +15,8 @@ of the older port types:
 import pytest
 
 from repro.errors import TransponderUnavailableError, WavelengthBlockedError
-from repro.optical import Roadm, WavelengthGrid
+from repro.optical.roadm import Roadm
+from repro.optical.wavelength import WavelengthGrid
 
 
 @pytest.fixture

@@ -12,7 +12,7 @@ differ between deployments).
 from repro.core.admission import CustomerProfile
 from repro.core.connection import ConnectionState
 from repro.fingerprint import outcome_fingerprint
-from repro.shard import build_sharded_network
+from repro.shard.network import build_sharded_network
 from repro.topo.hierarchy import build_hierarchy
 from repro.units import GBPS
 

@@ -7,8 +7,8 @@ import pytest
 from repro.core.admission import CustomerProfile
 from repro.core.connection import ConnectionState
 from repro.errors import ConfigurationError
-from repro.faults import FaultPlan, FaultSpec
-from repro.shard import build_sharded_network
+from repro.faults.plan import FaultPlan, FaultSpec
+from repro.shard.network import build_sharded_network
 from repro.topo.hierarchy import EXPRESS
 from repro.units import GBPS
 

@@ -1,9 +1,9 @@
 """A stitched order is a connection: the same outcomes, events and faults.
 
 Each test runs one fault on a stitched order through a
-:class:`~repro.shard.ShardIntake`, in both deployments, and the same
+:class:`~repro.shard.intake.ShardIntake`, in both deployments, and the same
 fault on one connection through the Fig. 4 testbed's
-:class:`~repro.pipeline.OrderPipeline`, and expects the same typed
+:class:`~repro.pipeline.engine.OrderPipeline`, and expects the same typed
 outcome and ticket events from both backends:
 
 * a setup step that fails for good rolls the order back as
@@ -22,8 +22,9 @@ from repro import api
 from repro.core.admission import CustomerProfile
 from repro.core.connection import ConnectionState
 from repro.facade import build_griphon_testbed
-from repro.faults import FaultPlan, FaultSpec
-from repro.shard import ShardIntake, build_sharded_network
+from repro.faults.plan import FaultPlan, FaultSpec
+from repro.shard.intake import ShardIntake
+from repro.shard.network import build_sharded_network
 from repro.topo.hierarchy import EXPRESS
 from repro.units import GBPS
 

@@ -18,10 +18,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.fingerprint import plant_fingerprint
-from repro.optical import FiberPlant, WavelengthGrid
+from repro.optical.fiber import FiberPlant
+from repro.optical.wavelength import WavelengthGrid
 from repro.shard.network import _PlantMirror
 from repro.shard.workers import UnitRecipe, _WorkerState, round_payload
-from repro.topo import Link, NetworkGraph, Node
+from repro.topo.graph import Link, NetworkGraph, Node
 
 CHANNELS = 4
 _LINKS = [("A", "B"), ("B", "C"), ("C", "D"), ("D", "E"), ("A", "E"), ("B", "D")]

@@ -9,14 +9,15 @@ order states as the in-process planner, for both the sharded and the
 monolithic-twin modes.  Also pins the plant-mirror invariant (after
 :meth:`~repro.shard.network.ShardedNetwork.sync_workers`, every
 worker's plant digest equals the authoritative controller's) and the
-frontend path: a :class:`~repro.shard.ShardIntake` over the pool
+frontend path: a :class:`~repro.shard.intake.ShardIntake` over the pool
 backend settles the identical ticket stream.
 """
 
 from repro.core.admission import CustomerProfile
 from repro.core.connection import ConnectionState
-from repro.shard import ShardIntake, build_sharded_network
-from repro.shard.network import outcome_fingerprint
+from repro.shard.intake import ShardIntake
+from repro.shard.network import build_sharded_network
+from repro.fingerprint import outcome_fingerprint
 from repro.topo.hierarchy import build_hierarchy
 from repro.units import GBPS
 

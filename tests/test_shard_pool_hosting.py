@@ -14,7 +14,7 @@ import pytest
 
 from repro.shard import network as shard_network
 from repro.shard import workers as shard_workers
-from repro.shard.network import outcome_fingerprint
+from repro.fingerprint import outcome_fingerprint
 from repro.shard.workers import ShardWorkerPool
 from tests.test_shard_pool_differential import _run_deployment
 

@@ -37,11 +37,8 @@ from repro.core.admission import CustomerProfile
 from repro.core.connection import ConnectionState
 from repro.core.rwa import PlanRequest, RwaPlan, _PlanningRound
 from repro.errors import AdmissionError, GriphonError
-from repro.shard.network import (
-    ShardedNetwork,
-    ShardOrder,
-    outcome_fingerprint,
-)
+from repro.fingerprint import outcome_fingerprint
+from repro.shard.network import ShardedNetwork, ShardOrder
 from repro.shard.planner import SegmentSpec
 from repro.shard.workers import ShardWorkerPool
 from repro.sim.process import Process

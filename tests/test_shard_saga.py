@@ -14,9 +14,9 @@ from hypothesis import strategies as st
 
 from repro.core.admission import CustomerProfile
 from repro.core.connection import ConnectionState
-from repro.faults import FaultPlan, FaultSpec
-from repro.optical import LightpathState
-from repro.shard import build_sharded_network
+from repro.faults.plan import FaultPlan, FaultSpec
+from repro.optical.lightpath import LightpathState
+from repro.shard.network import build_sharded_network
 from repro.topo.hierarchy import EXPRESS
 from repro.units import GBPS
 from tests.test_shard_network import assert_retired

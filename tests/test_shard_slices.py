@@ -18,8 +18,7 @@ import pytest
 from repro.core.admission import CustomerProfile
 from repro.errors import ConfigurationError
 from repro.fingerprint import outcome_fingerprint
-from repro.shard import build_sharded_network
-from repro.shard.network import MONOLITH
+from repro.shard.network import MONOLITH, build_sharded_network
 from repro.shard.workers import ShardWorkerPool
 from repro.topo.hierarchy import EXPRESS, build_hierarchy
 from repro.units import GBPS

@@ -48,7 +48,7 @@ from repro.shard.workers import (
     round_items,
     round_payload,
 )
-from repro.topo import Link, NetworkGraph, Node
+from repro.topo.graph import Link, NetworkGraph, Node
 from repro.topo.hierarchy import EXPRESS, build_hierarchy
 from repro.units import GBPS
 

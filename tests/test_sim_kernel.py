@@ -5,7 +5,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.errors import SimulationError
-from repro.sim import Simulator
+from repro.sim.kernel import Simulator
 
 
 class TestScheduling:

@@ -6,7 +6,8 @@ import weakref
 import pytest
 
 from repro.errors import SimulationError
-from repro.sim import Process, Simulator, StepRun
+from repro.sim.kernel import Simulator
+from repro.sim.process import Process, StepRun
 
 
 class TestProcessExecution:

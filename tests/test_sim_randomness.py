@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.sim import RandomStreams
+from repro.sim.randomness import RandomStreams
 
 
 class TestStreamIdentity:

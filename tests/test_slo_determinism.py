@@ -12,14 +12,15 @@ from hypothesis import strategies as st
 
 from repro.core.connection import ConnectionState
 from repro.faults.audit import audit_network
-from repro.slo import default_policies
+from repro.slo.monitor import default_policies
 from repro.slo.bench import (
     bring_up_workload,
     build_slo_network,
     default_degradation_plan,
     run_slo_trial,
 )
-from repro.sweep import run_sweep, slo_chaos_spec
+from repro.sweep.engine import run_sweep
+from repro.sweep.studies import slo_chaos_spec
 
 #: Short replay horizon for property runs (the stock plan's first two
 #: degradations both activate well inside it).

@@ -12,10 +12,10 @@ oracle after every action.
 from repro import api
 from repro.core.connection import ConnectionState
 from repro.core.gui import render_fault_panel, render_network_view
-from repro.faults import DegradationPlan, DegradationSpec
+from repro.faults.plan import DegradationPlan, DegradationSpec
 from repro.faults.audit import audit_network
 from repro.fingerprint import network_fingerprint
-from repro.slo import SloPolicy, default_policies
+from repro.slo.monitor import SloPolicy, default_policies
 from repro.slo.bench import (
     build_slo_network,
     bring_up_workload,

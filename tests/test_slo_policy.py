@@ -12,13 +12,17 @@ import dataclasses
 import pytest
 
 from repro.errors import ConfigurationError, ResourceError
-from repro.faults import DEGRADATION_MODES, DegradationPlan, DegradationSpec
+from repro.faults.plan import (
+    DEGRADATION_MODES,
+    DegradationPlan,
+    DegradationSpec,
+)
 from repro.obs.windows import WindowedSeries
 from repro.optical.amplifier import AmplifierChain
 from repro.optical.fiber import FiberPlant
 from repro.optical.osnr import OsnrModel
 from repro.sim.randomness import RandomStreams
-from repro.slo import SloPolicy, default_policies
+from repro.slo.monitor import SloPolicy, default_policies
 from repro.topo.testbed import build_testbed_graph
 
 

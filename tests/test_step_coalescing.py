@@ -33,10 +33,12 @@ from repro.core.admission import CustomerProfile
 from repro.core.connection import ConnectionState
 from repro.errors import GriphonError, SimulationError
 from repro.facade import build_griphon_testbed
-from repro.faults import FaultPlan, FaultSpec, audit_network
-from repro.optical import LightpathState
-from repro.shard import build_sharded_network
-from repro.sim import Process, Simulator, StepRun
+from repro.faults.audit import audit_network
+from repro.faults.plan import FaultPlan, FaultSpec
+from repro.optical.lightpath import LightpathState
+from repro.shard.network import build_sharded_network
+from repro.sim.kernel import Simulator
+from repro.sim.process import Process, StepRun
 from repro.sweep.studies import build_waxman_network
 from repro.topo.hierarchy import build_hierarchy
 from repro.units import GBPS, gbps

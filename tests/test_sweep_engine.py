@@ -12,14 +12,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import ConfigurationError, SweepTimeoutError
-from repro.sweep import (
-    SweepResult,
-    SweepSpec,
-    TrialResult,
-    run_sweep,
-    run_trial,
-    seed_table,
-)
+from repro.sweep.engine import SweepResult, run_sweep, run_trial
+from repro.sweep.spec import SweepSpec, TrialResult, seed_table
 
 
 # -- module-level runners (workers import these by reference) ---------------
@@ -322,7 +316,7 @@ class TestRunSweep:
     def test_real_study_parallel_matches_serial(self):
         """The x9 availability study — real networks built in workers —
         aggregates byte-identically at jobs=1 and jobs=4."""
-        from repro.sweep import x9_availability_spec
+        from repro.sweep.studies import x9_availability_spec
         from repro.units import DAY
 
         spec = x9_availability_spec(repeats=2, horizon_s=4 * DAY)

@@ -2,15 +2,17 @@
 
 import pytest
 
-from repro.topo import (
+from repro.topo.backbone import (
     BACKBONE_CITIES,
+    BACKBONE_DATA_CENTERS,
+    build_backbone_graph,
+)
+from repro.topo.testbed import (
     TESTBED_PREMISES,
     TESTBED_ROADMS,
-    build_backbone_graph,
     build_testbed_graph,
+    table2_paths,
 )
-from repro.topo.backbone import BACKBONE_DATA_CENTERS
-from repro.topo.testbed import table2_paths
 
 
 class TestTestbedTopology:

@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import ConfigurationError
-from repro.sim import RandomStreams
+from repro.sim.randomness import RandomStreams
 from repro.topo.generator import generate_backbone
 
 
@@ -65,7 +65,7 @@ class TestGeneration:
         """A generated mesh drops straight into the controller stack."""
         from repro.core.inventory import InventoryDatabase
         from repro.core.rwa import RwaEngine
-        from repro.optical import WavelengthGrid
+        from repro.optical.wavelength import WavelengthGrid
         from repro.units import gbps
 
         graph = generate_backbone(RandomStreams(9), node_count=10,

@@ -7,9 +7,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro import build_griphon_testbed
+from repro.facade import build_griphon_testbed
 from repro.errors import NoPathError, TopologyError
-from repro.topo import Link, NetworkGraph, Node
+from repro.topo.graph import Link, NetworkGraph, Node
 
 
 def ring(n):

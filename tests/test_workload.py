@@ -5,14 +5,12 @@ import pytest
 from repro.core.connection import ConnectionState
 from repro.errors import ConfigurationError
 from repro.facade import build_griphon_testbed
-from repro.sim import RandomStreams, Simulator
+from repro.sim.kernel import Simulator
+from repro.sim.randomness import RandomStreams
 from repro.units import DAY, HOUR, TERABYTE
-from repro.workload import (
-    BulkTransferWorkload,
-    DiurnalProfile,
-    InteractiveDemand,
-    PoissonArrivals,
-)
+from repro.workload.arrivals import DiurnalProfile, PoissonArrivals
+from repro.workload.bulk import BulkTransferWorkload
+from repro.workload.interactive import InteractiveDemand
 
 
 class TestDiurnalProfile:

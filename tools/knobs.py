@@ -9,8 +9,12 @@ when it is a dataclass), its default, and the distinct values that calls in
 ``src/``, ``bench/``, ``benchmarks/``, ``examples/``, ``tests/`` and ``tools/``
 pass it.  Calls match on the callee's last name; ``(pos)`` marks a positional
 value, and a call that forwards ``*args`` / ``**kwargs`` is counted per entry
-point, since the tool cannot see what it sets.  A parameter no call sets to
-anything but its default is a constant.  The last line totals the parameters.
+point, since the tool cannot see what it sets.  So is a call through a
+parameter: ``drive(ShardedNetwork, ...)`` counts when ``drive``'s body calls
+that parameter (``cls(**build)``).  When any call forwards ``**mapping``, a
+parameter that no call names reads ``(set through a splat)``; a parameter no
+call sets to anything but its default, and that no splat reaches, is a
+constant.  The last line totals the parameters.
 """
 import ast
 import os
@@ -68,15 +72,41 @@ def parameters(node):
     return out[1:] if out and out[0][0] in ("self", "cls") else out
 
 
+def _last_name(node):
+    return getattr(node, "id", None) or getattr(node, "attr", None)
+
+
+def _forwards(call):
+    return any(isinstance(a, ast.Starred) for a in call.args) or any(
+        k.arg is None for k in call.keywords)
+
+
 def calls_by_callee():
-    """Every call in the caller trees, keyed by its function's last name."""
-    found = {}
-    for folder in CALLER_DIRS:
-        for path in sorted(pathlib.Path(ROOT, folder).rglob("*.py")):
-            for node in ast.walk(ast.parse(path.read_text())):
-                if isinstance(node, ast.Call):
-                    name = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
-                    found.setdefault(name, []).append(node)
+    """Every call in the caller trees, keyed by its function's last name.
+
+    A call that hands a name to a def which calls that parameter with
+    ``*`` / ``**`` (``drive(ShardedNetwork, ...)`` where ``drive`` runs
+    ``cls(**build)``) is also filed under the name, as that inner call."""
+    trees = [ast.parse(path.read_text()) for folder in CALLER_DIRS
+             for path in sorted(pathlib.Path(ROOT, folder).rglob("*.py"))]
+    found, through = {}, {}  # through: def name -> {param position or name: call}
+    for tree in trees:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                found.setdefault(_last_name(node.func), []).append(node)
+            elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                params = [a.arg for a in node.args.posonlyargs + node.args.args]
+                for call in ast.walk(node):
+                    if (isinstance(call, ast.Call) and isinstance(call.func, ast.Name)
+                            and call.func.id in params and _forwards(call)):
+                        slots = through.setdefault(node.name, {})
+                        slots[params.index(call.func.id)] = slots[call.func.id] = call
+    for name, slots in through.items():
+        for outer in list(found.get(name, ())):
+            handed = list(enumerate(outer.args)) + [(k.arg, k.value) for k in outer.keywords]
+            for slot, value in handed:
+                if slot in slots and _last_name(value):
+                    found.setdefault(_last_name(value), []).append(slots[slot])
     return found
 
 
@@ -92,10 +122,10 @@ def main():
             params = []
         names = [name for name, _ in params]
         passed = {name: set() for name in names}
-        forwarded = 0
+        forwarded = splat = 0
         for call in every_call.get(qualname.split(".")[-1], ()):
-            forwarded += any(isinstance(a, ast.Starred) for a in call.args) or any(
-                k.arg is None for k in call.keywords)
+            forwarded += _forwards(call)
+            splat = splat or any(k.arg is None for k in call.keywords)
             for name, arg in zip(names, call.args):
                 if not isinstance(arg, ast.Starred):
                     passed[name].add(ast.unparse(arg)[:40] + " (pos)")
@@ -107,7 +137,8 @@ def main():
         for name, default in shown:
             others = sorted(v for v in passed[name] if v.replace(" (pos)", "") != default)
             set_by_caller += bool(others)
-            print(f"  {name} = {default or '(required)'}: {', '.join(others) or '(default only)'}")
+            unset = "(set through a splat)" if splat else "(default only)"
+            print(f"  {name} = {default or '(required)'}: {', '.join(others) or unset}")
         if only and not shown:
             print(f"  {', '.join(only)}: (gone)")
         total += len(shown)

@@ -21,7 +21,9 @@ between REV's quartiles, else ``no claim``.  It also says whether both
 sides settled the same ``sim_fingerprint``, and where one set-up's wall
 time goes (hierarchy, network, load generation, the rest), timed once
 per side and pair in a process of its own that stops after
-``Driver.load``.  Workloads default to ``sharded-inproc`` and seeds to
+``Driver.load``; that process also reads the CPU seconds and peak RSS
+of the import chain alone, so a shift can be placed in the imports or
+in the run.  Workloads default to ``sharded-inproc`` and seeds to
 47.  The report is written to ``perf/<short REV>.md`` unless ``--out``
 names another file.  Nothing here imports ``bench``; only the children
 run either side's code.
@@ -106,10 +108,16 @@ def child(root, workload, seed, scale):
 
 
 #: Run in a side's tree: where one set-up's wall seconds go, by stage.
-#: Wraps the builders ``bench.workloads`` calls and reads the schedule's
-#: own timer; ``rest`` is the frontend, intake and ``Driver.load``.
+#: First imports what ``bench.child`` imports and reads the CPU seconds
+#: and ``ru_maxrss`` the interpreter has spent by then, before any
+#: builder; then wraps the builders ``bench.workloads`` calls and reads
+#: the schedule's own timer; ``rest`` is the frontend, intake and
+#: ``Driver.load``.
 BREAKDOWN = """
-import json, sys, time
+import json, resource, sys, time
+import bench.child
+imports = {"cpu_s": time.process_time(),
+           "rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0}
 import bench.workloads as workloads
 from bench.driver import Driver
 
@@ -137,9 +145,11 @@ world.close()
 spent["loadgen"] = world.generate_s
 spent["rest"] = total - sum(spent.values())
 spent["total"] = total
-print(json.dumps(spent))
+print(json.dumps({**spent, "imports": imports}))
 """
 STAGES = ["hierarchy", "network", "loadgen", "rest", "total"]
+#: The import chain's row: (label, key in the probe's ``imports``, scale).
+IMPORTS = [("CPU ms", "cpu_s", 1e3), ("ru_maxrss MB", "rss_mb", 1.0)]
 
 
 def breakdown(root, workload, seed, scale):
@@ -268,6 +278,23 @@ def report(rev, short, head, dirty, args, results):
             lines.append(
                 f"| {stage} | {cells[0][1]} | {cells[1][1]} | {delta:+.1f} ms |"
             )
+        lines += [
+            "",
+            "The import chain, read in the same runs right after they import "
+            "what `bench.child` imports, before any builder: CPU since the "
+            "interpreter started, and `ru_maxrss`. Median [q1, q3]:",
+            "",
+            "| imports | parent | change | change vs parent |",
+            "|---|---|---|---|",
+        ]
+        for label, key, scale in IMPORTS:
+            cells = []
+            for side in ("parent", "change"):
+                q1, median, q3 = quartiles(
+                    [scale * run["imports"][key] for run in stages[side]])
+                cells.append((median, f"{fmt(median)} [{fmt(q1)}, {fmt(q3)}]"))
+            delta = cells[1][0] - cells[0][0]
+            lines.append(f"| {label} | {cells[0][1]} | {cells[1][1]} | {delta:+.2f} |")
         lines += ["", "Every run, in pair order:", "", *raw, ""]
     return "\n".join(lines)
 

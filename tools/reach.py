@@ -7,13 +7,16 @@
 ``run`` links this file as ``sitecustomize`` on PYTHONPATH: every interpreter
 under the command (``bench.child``, pytest, forked workers) dumps ``(file, first
 line)`` of each ``repro`` code object it called to ``OUT/<pid>.txt`` on the way
-out; ``product`` runs each command of the checked-in product list that way;
-``report`` sorts this checkout's ``def``s into reached by the OUT dumps (the
-product), only by the ``--tests`` dumps, or by nothing.  pytest-benchmark turns the
-profiler off in its fixture: give ``benchmarks/`` ``--benchmark-disable``.
+out, with the sha256 of every file it lists; ``product`` runs each command of the
+checked-in product list that way; ``report`` sorts this checkout's ``def``s into
+reached by the OUT dumps (the product), only by the ``--tests`` dumps, or by
+nothing.  It exits 1 and names the files instead when any listed file changed
+since its dump, whose line numbers then point into other code.  pytest-benchmark
+turns the profiler off in its fixture: give ``benchmarks/`` ``--benchmark-disable``.
 """
 import ast
 import atexit
+import hashlib
 import os
 import pathlib
 import shlex
@@ -23,6 +26,14 @@ import tempfile
 import threading
 
 ROOT = os.path.dirname(os.path.dirname(os.path.realpath(__file__)))
+
+
+def sha256(path):
+    """The file's sha256 hex digest, or ``None`` when it cannot be read."""
+    try:
+        return hashlib.sha256(pathlib.Path(path).read_bytes()).hexdigest()
+    except OSError:
+        return None
 
 
 def install(out_dir):
@@ -35,6 +46,8 @@ def install(out_dir):
     def dump():
         with open(os.path.join(out_dir, f"{os.getpid()}.txt"), "w") as out:
             out.writelines(f"{os.path.realpath(f)}:{n}\n" for f, n in sorted(seen))
+            files = sorted({os.path.realpath(f) for f, _ in seen})
+            out.writelines(f"sha256 {sha256(f)} {f}\n" for f in files)
 
     def leave(code, _exit=os._exit):
         dump()  # forked pool workers leave through os._exit: no atexit there
@@ -71,15 +84,30 @@ def product(out_dir):
     return failed
 
 
-def _dumped(out_dirs):
-    return {line for out_dir in out_dirs for dump in pathlib.Path(out_dir).iterdir()
-            for line in dump.read_text().split()}
+def _dumped(out_dirs, digests):
+    """The ``file:line`` keys the dumps list; adds their ``(file, sha256)`` to ``digests``."""
+    reached = set()
+    for out_dir in out_dirs:
+        for dump in pathlib.Path(out_dir).iterdir():
+            for line in dump.read_text().splitlines():
+                if line.startswith("sha256 "):
+                    _, digest, path = line.split(" ", 2)
+                    digests.add((path, digest))
+                else:
+                    reached.add(line)
+    return reached
 
 
 def report(args):
     """Per module and in total: defs the product reached, only --tests reached, nothing reached."""
     split = args.index("--tests") if "--tests" in args else len(args)
-    product, tests = _dumped(args[:split]), _dumped(args[split + 1:])
+    digests = set()
+    product, tests = _dumped(args[:split], digests), _dumped(args[split + 1:], digests)
+    changed = sorted({path for path, digest in digests if str(sha256(path)) != digest})
+    if changed:
+        print("changed since the run, so the dumps' lines no longer match them:",
+              *(os.path.relpath(path, ROOT) for path in changed), sep="\n  ", file=sys.stderr)
+        return 1
     totals = [[0, 0], [0, 0], [0, 0]]  # [functions, lines] per class
     for folder, _, files in sorted(os.walk(os.path.join(ROOT, "src", "repro"))):
         for path in sorted(os.path.join(folder, f) for f in files if f.endswith(".py")):

@@ -21,9 +21,7 @@ states from ``repro.pipeline``, and the typed refusals
   frontend — and any other caller — is backend-agnostic.
 
 ``BodService.order_outcome`` and the frontend's status stream both
-return values from this union.  The historical import paths
-(``repro.core.service.QueueFull`` and friends) keep working through
-deprecation shims.
+return values from this union.
 """
 
 from __future__ import annotations

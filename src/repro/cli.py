@@ -33,7 +33,6 @@ from repro.core.gui import render_connections, render_network_view
 from repro.errors import ConfigurationError
 from repro.facade import build_griphon_testbed
 from repro.obs.trace import Span, Tracer
-from repro.sweep.engine import run_sweep
 from repro.sweep.spec import SweepSpec, TrialResult, TrialSpec
 from repro.sweep.studies import (
     chaos_trial,
@@ -199,6 +198,9 @@ def cmd_operator(args: argparse.Namespace) -> int:
 
 def cmd_sweep(args: argparse.Namespace) -> int:
     """Run an experiment sweep, serially or across worker processes."""
+    # Only this command runs the pool: the others never load it.
+    from repro.sweep.engine import run_sweep
+
     if args.study in _SWEEPS:
         spec = _SWEEPS[args.study](repeats=args.repeats)
     elif Path(args.study).is_file():

@@ -26,7 +26,7 @@ behaves:
    The durations are drawn apart from the steps' ``(stage, label)``
    names.  An untraced, fault-free lightpath draws its durations into
    one ``StepRun`` and never names them; the names are built only for
-   a span, a fault rule, a split run or the parallel-EMS ablation.
+   a span, a fault rule or the parallel-EMS ablation.
    :meth:`LightpathProvisioner.setup_steps` / ``teardown_steps`` zip
    the two into the public labelled view.
 """
@@ -396,10 +396,10 @@ class LightpathProvisioner:
         """Wait out ``durations``; returns ``(done, total_s, failure)``.
 
         With no span to open and no fault rule that can fire, the rest go
-        to the kernel as one ``StepRun``, watched by the fault plan until
-        it resumes (a rule added meanwhile splits it at a step boundary);
-        otherwise one step at a time through the span + resilient
-        executor, which forces rather than fails when ``best_effort``.
+        to the kernel as one ``StepRun`` (a plan's rules are fixed when
+        it is built, so one that cannot fire now never will); otherwise
+        one step at a time through the span + resilient executor, which
+        forces rather than fails when ``best_effort``.
         Only that path reads the steps' ``(stage, label)``, so ``names``
         is called when it is first taken.  ``total_s`` adds the
         durations one at a time in step order on every path (``sum()``
@@ -411,19 +411,11 @@ class LightpathProvisioner:
         named: Optional[List[Tuple[str, str]]] = None
         while done < len(durations):
             if span is NULL_SPAN and (resilience is None or resilience.plan.empty):
-                run = StepRun(durations[done:] if done else durations)
-                if resilience is None:
-                    yield run
-                else:
-                    resilience.plan.watch(run)
-                    try:
-                        yield run
-                    finally:
-                        resilience.plan.unwatch(run)
-                for duration in run.durations[: run.completed]:
+                run = durations[done:] if done else durations
+                yield StepRun(run)
+                for duration in run:
                     total += duration
-                done += run.completed
-                continue
+                return len(durations), total, None
             if named is None:
                 named = names()
             stage, label = named[done]

@@ -77,7 +77,6 @@ class GriphonNetwork:
         #: and is shared with the controller (and every EMS under it).
         self.tracer = Tracer(self.sim.time_source(), enabled=tracing)
         self.metrics = MetricsRegistry()
-        self.sim.attach_tracer(self.tracer)
         self._controller_kwargs = dict(
             parallel_ems=parallel_ems,
             auto_restore=auto_restore,

@@ -22,7 +22,6 @@ from fnmatch import fnmatchcase
 from typing import Any, Dict, List, Optional, Sequence
 
 from repro.errors import ConfigurationError
-from repro.sim.process import StepRun
 from repro.sim.randomness import RandomStreams
 
 #: The injectable failure modes, from most to least benign.
@@ -56,7 +55,8 @@ class FaultSpec:
             retrying is pointless and the executor fails fast).
         probability: Chance a matching command is hit (1.0 = always).
         count: Total injections this spec may perform (None = unlimited).
-        after_s: Rule active only at sim times >= this.
+        after_s: Rule active only at sim times >= this: a fault "from
+            time t" is ``after_s=t``, planned up front.
         until_s: Rule inactive at sim times >= this (None = forever).
         error_after_s: Sim-seconds a transient/fail fault consumes
             before the error surfaces.
@@ -122,6 +122,11 @@ class FaultPlan:
     everywhere and guarantees a zero-overhead happy path: the executor
     checks :attr:`empty` and falls through without drawing randomness,
     counting metrics, or opening spans.
+
+    A plan's rules are fixed when it is built: there is no way to add
+    one mid-run, so a plan only ever goes from non-empty to empty (as
+    counted rules run out).  A fault that starts at sim time ``t`` is a
+    rule with ``after_s=t``.
     """
 
     def __init__(self, specs: Sequence[FaultSpec] = ()) -> None:
@@ -131,8 +136,6 @@ class FaultPlan:
         # Rules that can still fire (a spec's count is None or >= 1).
         self._live = len(self._specs)
         self._streams: Optional[RandomStreams] = None
-        # In-flight step runs, in start order (a dict as an ordered set).
-        self._runs: Dict[StepRun, None] = {}
 
     @property
     def specs(self) -> List[FaultSpec]:
@@ -149,29 +152,6 @@ class FaultPlan:
         """Per-rule count of faults actually injected so far."""
         return list(self._injected)
 
-    def add(self, spec: FaultSpec) -> "FaultPlan":
-        """Append a rule mid-run (chaos scripting); returns self.
-
-        Splits each step run under :meth:`watch` at its next step
-        boundary, so the rule can match from the step starting there.
-        """
-        self._specs.append(spec)
-        self._remaining.append(spec.count)
-        self._injected.append(0)
-        self._live += 1
-        runs, self._runs = self._runs, {}
-        for run in runs:
-            run.split()
-        return self
-
-    def watch(self, run: StepRun) -> None:
-        """Split ``run`` if a rule is added before it resumes."""
-        self._runs[run] = None
-
-    def unwatch(self, run: StepRun) -> None:
-        """``run`` has resumed (or its workflow was closed)."""
-        self._runs.pop(run, None)
-
     def bind(self, streams: RandomStreams) -> "FaultPlan":
         """Attach the seeded dice; the controller calls this at build."""
         self._streams = streams.spawn("faults")
@@ -184,8 +164,8 @@ class FaultPlan:
 
         Consumes one injection from the first matching rule that passes
         its probability gate.  Probability draws come from a per-rule
-        named substream, so adding a rule never perturbs another rule's
-        dice sequence.
+        named substream, so one rule's draws never perturb another
+        rule's dice sequence.
         """
         for index, spec in enumerate(self._specs):
             remaining = self._remaining[index]

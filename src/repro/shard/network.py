@@ -102,7 +102,7 @@ from repro.core.connection import (
 from repro.core.controller import GriphonController
 from repro.core.inventory import InventoryDatabase
 from repro.core.rwa import BatchPlanItem, PlanRequest, RwaPlan, _PlanningRound
-from repro.errors import ConfigurationError, GriphonError
+from repro.errors import ConfigurationError, EquipmentError, GriphonError
 from repro.faults.audit import (
     AuditReport, AuditViolation, audit_network, audit_orphan_lightpaths,
 )
@@ -958,6 +958,21 @@ class ShardedNetwork:
                 self._fail(order)
             return
         error = lightpath.setup_error
+        if error is None:
+            # Nothing was rolled back: a cut failed the segment mid-setup.
+            path, plant = lightpath.path, controller.inventory.plant
+            cut = next(
+                (f"{u}={v}" for u, v in zip(path, path[1:])
+                 if plant.dwdm_link(u, v).failed),
+                "",
+            )
+            error = EquipmentError(
+                f"lightpath {lightpath.lightpath_id} failed during setup: "
+                f"fiber {cut} cut",
+                site=cut,
+                element=lightpath.lightpath_id,
+                command="verify",
+            )
         for controller, done, include_fxc in reversed(completed):
             yield from controller.provisioner.teardown_workflow(
                 done, include_fxc=include_fxc

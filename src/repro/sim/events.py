@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Any, Callable, Optional, Tuple
+from typing import Any, Callable, Tuple
 
 
 class Event:
@@ -12,6 +12,7 @@ class Event:
     monotonically increasing counter assigned at scheduling time, giving
     deterministic FIFO ordering among simultaneous events.  Its heap holds
     ``(time, seq, event)`` tuples; events themselves are never compared.
+    An event, once scheduled, always fires: the kernel has no cancellation.
 
     Attributes:
         time: Simulation time at which the event fires.
@@ -21,16 +22,7 @@ class Event:
         label: Optional human-readable tag used in traces.
     """
 
-    __slots__ = (
-        "time",
-        "seq",
-        "callback",
-        "args",
-        "label",
-        "_canceled",
-        "_fired",
-        "_on_cancel",
-    )
+    __slots__ = ("time", "seq", "callback", "args", "label")
 
     def __init__(
         self,
@@ -39,42 +31,13 @@ class Event:
         callback: Callable[..., Any],
         args: Tuple[Any, ...] = (),
         label: str = "",
-        on_cancel: Optional[Callable[[], None]] = None,
     ) -> None:
         self.time = time
         self.seq = seq
         self.callback = callback
         self.args = args
         self.label = label
-        self._canceled = False
-        self._fired = False
-        self._on_cancel = on_cancel
-
-    @property
-    def canceled(self) -> bool:
-        """Whether :meth:`cancel` has been called on this event."""
-        return self._canceled
-
-    def cancel(self) -> None:
-        """Prevent the event from firing; safe to call more than once.
-
-        The first cancellation of a not-yet-fired event notifies the
-        owning kernel (via ``on_cancel``) so it can keep its live
-        pending count without scanning the heap.
-        """
-        if self._canceled:
-            return
-        self._canceled = True
-        if not self._fired and self._on_cancel is not None:
-            self._on_cancel()
-
-    def fire(self) -> None:
-        """Invoke the callback unless the event was canceled."""
-        if not self._canceled:
-            self._fired = True
-            self.callback(*self.args)
 
     def __repr__(self) -> str:
-        state = "canceled" if self._canceled else "pending"
         name = self.label or getattr(self.callback, "__name__", "callback")
-        return f"Event(t={self.time:.6g}, seq={self.seq}, {name}, {state})"
+        return f"Event(t={self.time:.6g}, seq={self.seq}, {name})"

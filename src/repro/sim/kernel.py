@@ -3,9 +3,9 @@
 The kernel is the hot path of every experiment — a month-long
 availability study fires hundreds of thousands of events — so
 :meth:`Simulator.run` keeps its inner loop tight: the event list is
-bound to locals, fired events bypass the defensive re-checks of
-:meth:`Event.fire`, and canceled events are compacted out wholesale
-once they dominate instead of being popped one at a time.
+bound to locals and each event's callback is called inline.  An event,
+once scheduled, always fires: nothing cancels one, so the loop never
+checks for a dead entry and the list never needs compacting.
 
 Pending events live in one of two tiers, and always fire in
 ``(time, seq)`` order across both:
@@ -30,10 +30,6 @@ from typing import Any, Callable, Iterable, List, Optional, Sequence, Tuple
 from repro.errors import SimulationError
 from repro.sim.events import Event
 
-#: Canceled events are compacted out of the event list only past this
-#: size, so small simulations never pay the (cheap) rebuild.
-_COMPACT_MIN_CANCELED = 64
-
 _event_time = attrgetter("time")
 
 
@@ -57,13 +53,9 @@ class Simulator:
         self._heap: List[Tuple[float, int, Event]] = []
         # Sorted by (time, seq), latest first: the next event is at the end.
         self._run: List[Event] = []
-        self._pending = 0
-        # Canceled events not yet dropped from either tier.
-        self._canceled_queued = 0
         self._running = False
         self._trace: List[Tuple[float, str]] = []
         self._trace_enabled = False
-        self._tracer: Optional[Any] = None
         self._time_source: Optional[Callable[[], float]] = None
 
     # -- clock -------------------------------------------------------------
@@ -93,47 +85,14 @@ class Simulator:
 
     # -- observability -------------------------------------------------------
 
-    def attach_tracer(self, tracer: Any) -> None:
-        """Attach a :class:`~repro.obs.trace.Tracer` to this simulator.
-
-        The kernel itself never writes spans; the attachment gives
-        processes and components driven by this simulator one shared
-        place to discover the tracer.
-        """
-        self._tracer = tracer
-
     @property
     def pending(self) -> int:
-        """Number of not-yet-fired, not-canceled events in the queue.
+        """Number of not-yet-fired events in either tier.
 
-        Maintained as a live counter (decremented on cancel and fire)
-        rather than an O(n) scan of the event list.
+        Read by the perf harness (``bench/child.py``) to check that a
+        workload drained its event list.
         """
-        return self._pending
-
-    def _event_canceled(self) -> None:
-        self._pending -= 1
-        canceled = self._canceled_queued + 1
-        self._canceled_queued = canceled
-        if canceled >= _COMPACT_MIN_CANCELED and canceled * 2 > len(
-            self._heap
-        ) + len(self._run):
-            self._compact()
-
-    def _compact(self) -> None:
-        """Drop canceled events from both tiers and restore heap order.
-
-        Rebuilds *in place* (slice assignment) so that a ``run`` loop
-        holding local references to the tiers keeps seeing the live
-        structures even when a callback's cancellations trigger
-        compaction mid-run.
-        """
-        heap = self._heap
-        heap[:] = [entry for entry in heap if not entry[2]._canceled]
-        heapq.heapify(heap)
-        run = self._run
-        run[:] = [event for event in run if not event._canceled]
-        self._canceled_queued = 0
+        return len(self._heap) + len(self._run)
 
     # -- scheduling ---------------------------------------------------------
 
@@ -146,7 +105,7 @@ class Simulator:
     ) -> Event:
         """Schedule ``callback(*args)`` to fire ``delay`` seconds from now.
 
-        Returns the :class:`Event`, which the caller may cancel.
+        Returns the scheduled :class:`Event`.
 
         Raises:
             SimulationError: if ``delay`` is negative or NaN.
@@ -172,10 +131,9 @@ class Simulator:
                 f"cannot schedule at t={time} before current time t={self._now}"
             )
         seq = self._seq
-        event = Event(time, seq, callback, args, label, self._event_canceled)
+        event = Event(time, seq, callback, args, label)
         self._seq = seq + 1
         heapq.heappush(self._heap, (time, seq, event))
-        self._pending += 1
         return event
 
     def timer(self, delay: float, callback: Callable[[], Any], label: str) -> Event:
@@ -183,14 +141,13 @@ class Simulator:
 
         For :class:`~repro.sim.process.Process`, which arms one timer
         per workflow step, has already checked ``delay >= 0`` and passes
-        no arguments: same ``(time, seq)``, label and cancel hook.
+        no arguments: same ``(time, seq)`` and label.
         """
         time = self._now + delay
         seq = self._seq
-        event = Event(time, seq, callback, (), label, self._event_canceled)
+        event = Event(time, seq, callback, (), label)
         self._seq = seq + 1
         heapq.heappush(self._heap, (time, seq, event))
-        self._pending += 1
         return event
 
     def schedule_many(
@@ -216,7 +173,6 @@ class Simulator:
         """
         now = self._now
         seq = self._seq
-        on_cancel = self._event_canceled
         events: List[Event] = []
         for entry in entries:
             time = entry[0]
@@ -226,7 +182,7 @@ class Simulator:
                 )
             args = entry[2] if len(entry) > 2 else ()
             label = entry[3] if len(entry) > 3 else ""
-            events.append(Event(time, seq, entry[1], args, label, on_cancel))
+            events.append(Event(time, seq, entry[1], args, label))
             seq += 1
         if not events:
             return events
@@ -244,7 +200,6 @@ class Simulator:
             run.extend(events)
             run.sort(key=_event_time)
             run.reverse()
-        self._pending += len(events)
         return events
 
     # -- execution ----------------------------------------------------------
@@ -253,21 +208,17 @@ class Simulator:
         """Fire the single next event.  Returns False if the queue is empty."""
         heap = self._heap
         run = self._run
-        while heap or run:
-            if run and (not heap or (run[-1].time, run[-1].seq) < heap[0][:2]):
-                event = run.pop()
-            else:
-                event = heapq.heappop(heap)[2]
-            if event._canceled:
-                self._canceled_queued -= 1
-                continue
-            self._now = event.time
-            if self._trace_enabled and event.label:
-                self._trace.append((self._now, event.label))
-            self._pending -= 1
-            event.fire()
-            return True
-        return False
+        if not (heap or run):
+            return False
+        if run and (not heap or (run[-1].time, run[-1].seq) < heap[0][:2]):
+            event = run.pop()
+        else:
+            event = heapq.heappop(heap)[2]
+        self._now = event.time
+        if self._trace_enabled and event.label:
+            self._trace.append((self._now, event.label))
+        event.callback(*event.args)
+        return True
 
     def run(self, until: Optional[float] = None, max_events: int = 10_000_000) -> int:
         """Run events until the queue drains or the clock passes ``until``.
@@ -288,9 +239,7 @@ class Simulator:
             raise SimulationError("Simulator.run() is not re-entrant")
         self._running = True
         # The inner loop is the hottest code in the repository: bind
-        # both tiers and heappop to locals and fire events inline (the
-        # canceled re-check of Event.fire is redundant here — nothing
-        # can cancel the head between the pop and the call below).
+        # both tiers and heappop to locals and fire events inline.
         heap = self._heap
         run = self._run
         pop = heapq.heappop
@@ -315,13 +264,6 @@ class Simulator:
                     from_run = False
                 else:
                     break
-                if head._canceled:
-                    if from_run:
-                        run.pop()
-                    else:
-                        pop(heap)
-                    self._canceled_queued -= 1
-                    continue
                 if until is not None and head.time > until:
                     break
                 if fired >= max_events:
@@ -333,10 +275,8 @@ class Simulator:
                 else:
                     pop(heap)
                 self._now = head.time
-                self._pending -= 1
                 if self._trace_enabled and head.label:
                     self._trace.append((head.time, head.label))
-                head._fired = True
                 head.callback(*head.args)
                 fired += 1
         finally:

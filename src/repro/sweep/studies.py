@@ -410,10 +410,11 @@ def chaos_trial(trial: TrialSpec) -> TrialResult:
     if params.get("plan") is not None:
         plan = FaultPlan.from_dict(params["plan"])
     else:
-        plan = FaultPlan()
-        for mode in str(params.get("modes", "transient,timeout")).split(","):
-            plan.add(FaultSpec(mode=mode.strip(),
-                               probability=float(params.get("rate", 0.15))))
+        rate = float(params.get("rate", 0.15))
+        plan = FaultPlan([
+            FaultSpec(mode=mode.strip(), probability=rate)
+            for mode in str(params.get("modes", "transient,timeout")).split(",")
+        ])
     net = build_griphon_testbed(seed=trial.seed, fault_plan=plan)
     service = net.service_for("csp")
     pairs = [

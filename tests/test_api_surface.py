@@ -134,6 +134,16 @@ def test_bench_chain_loads_no_cold_module():
     assert [name for name in COLD_FOR_BENCH if name in loaded] == []
 
 
+def test_cli_loads_the_sweep_pool_only_for_sweep():
+    """Every ``griphon`` command is a fresh process; only ``sweep``
+    needs the process pool, so importing the CLI does not load it."""
+    loaded = _fresh_python(
+        "import sys, repro.cli; print('\\n'.join(sys.modules))"
+    ).split()
+    pool = ["concurrent.futures", "logging", "repro.sweep.engine"]
+    assert [name for name in pool if name in loaded] == []
+
+
 @pytest.mark.parametrize(
     "workload", ["sharded-inproc", "sharded-pool", "edge-overload", "mono-churn"]
 )

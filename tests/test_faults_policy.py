@@ -204,12 +204,6 @@ class TestFaultPlan:
         with pytest.raises(ConfigurationError):
             plan.decide("roadm_ems", "x", "tune", 0.0)
 
-    def test_add_mid_run(self):
-        plan = FaultPlan()
-        plan.add(FaultSpec(count=2))
-        assert not plan.empty
-        assert len(plan) == 1
-
     def test_dict_roundtrip(self):
         plan = FaultPlan([FaultSpec(mode="stuck"), FaultSpec(count=2)])
         rebuilt = FaultPlan.from_dict(

@@ -33,6 +33,34 @@ def build(plan=None, seed=7):
     return net, net.service_for("acme")
 
 
+def settled_at():
+    """When a fault-free 10 Gbps order on the seed-7 testbed has
+    settled: a rule planned with this ``after_s`` starts there."""
+    net, svc = build()
+    svc.request_connection(*PAIR, 10)
+    net.run()
+    return net.sim.now
+
+
+def component_ids(conn, rate):
+    return list(conn.lightpath_ids if rate == 20 else conn.circuit_ids)
+
+
+def first_up_at(rate):
+    """When the first component of a fault-free ``rate`` Gbps order on
+    the seed-7 testbed is UP."""
+    net, svc = build()
+    conn = svc.request_connection(*PAIR, rate)
+    first = component_ids(conn, rate)[0]
+    if rate == 20:
+        record, up = net.inventory.lightpaths[first], LightpathState.UP
+    else:
+        record, up = net.inventory.circuits[first], OduCircuitState.UP
+    while record.state is not up:
+        assert net.sim.step()
+    return net.sim.now
+
+
 def assert_clean(net):
     report = audit_network(net.controller)
     assert report.ok, str(report)
@@ -187,22 +215,17 @@ class TestOneComponentAborts:
         self, rate, ems, first, kept
     ):
         # The first component fails its first command; the last one
-        # fails every command issued once the first is up.
-        specs = [FaultSpec(ems=ems, mode="fail", count=1)] if first else []
+        # fails every command issued from when the first is up, a time
+        # a fault-free twin of the same seed supplies.
+        if first:
+            specs = [FaultSpec(ems=ems, mode="fail", count=1)]
+        else:
+            specs = [FaultSpec(ems=ems, mode="fail", after_s=first_up_at(rate))]
         net, svc = build(FaultPlan(specs))
         conn = svc.request_connection(*PAIR, rate)
-        waves = rate == 20
-        components = list(conn.lightpath_ids if waves else conn.circuit_ids)
+        components = component_ids(conn, rate)
         assert len(components) == 2
         aborted = components[0] if first else components[-1]
-        if not first:
-            records = net.inventory.lightpaths if waves else net.inventory.circuits
-            up = LightpathState.UP if waves else OduCircuitState.UP
-            while records[components[0]].state is not up:
-                assert net.sim.step()
-            net.controller.fault_plan.add(
-                FaultSpec(ems=ems, mode="fail", after_s=net.sim.now)
-            )
         net.run()
         assert conn.state is ConnectionState.DEGRADED
         survivors = set(conn.lightpath_ids) | set(conn.circuit_ids)
@@ -227,15 +250,15 @@ class TestOneComponentAborts:
 
 class TestRecoveryPathSagas:
     def test_restoration_abort_leaves_connection_failed_and_clean(self):
-        net, svc = build(FaultPlan())
+        # From when the order is up every EMS command fails hard: the
+        # replacement lightpath cannot be built and restoration must
+        # give up.
+        up = settled_at()
+        net, svc = build(FaultPlan([FaultSpec(mode="fail", after_s=up)]))
         conn = svc.request_connection(*PAIR, 10)
         net.run()
         assert conn.state is ConnectionState.UP
-        # From now on every EMS command fails hard: the replacement
-        # lightpath cannot be built and restoration must give up.
-        net.controller.fault_plan.add(
-            FaultSpec(mode="fail", after_s=net.sim.now)
-        )
+        assert net.sim.now == up
         lightpath = net.inventory.lightpaths[conn.lightpath_ids[0]]
         core = [
             (a, b)
@@ -250,14 +273,13 @@ class TestRecoveryPathSagas:
         assert_clean(net)
 
     def test_bridge_and_roll_abort_keeps_original_up(self):
-        net, svc = build(FaultPlan())
+        up = settled_at()
+        net, svc = build(FaultPlan([FaultSpec(mode="fail", after_s=up)]))
         conn = svc.request_connection(*PAIR, 10)
         net.run()
         assert conn.state is ConnectionState.UP
+        assert net.sim.now == up
         original = list(conn.lightpath_ids)
-        net.controller.fault_plan.add(
-            FaultSpec(mode="fail", after_s=net.sim.now)
-        )
         net.controller.migrations.move(conn.connection_id, "operator")
         net.run()
         # The bridge saga rolled back; traffic never left the old path.
@@ -267,12 +289,12 @@ class TestRecoveryPathSagas:
         assert_clean(net)
 
     def test_teardown_is_best_effort_under_faults(self):
-        net, svc = build(FaultPlan())
+        up = settled_at()
+        net, svc = build(FaultPlan([FaultSpec(mode="transient", after_s=up)]))
         conn = svc.request_connection(*PAIR, 10)
         net.run()
-        net.controller.fault_plan.add(
-            FaultSpec(mode="transient", after_s=net.sim.now)
-        )
+        assert conn.state is ConnectionState.UP
+        assert net.sim.now == up
         svc.teardown_connection(conn.connection_id)
         net.run()
         assert conn.state is ConnectionState.RELEASED

@@ -2,12 +2,11 @@
 
 Random programs of ``schedule`` / ``schedule_at`` / ``schedule_many``
 (batches below and above the sorted-run threshold, equal timestamps,
-invalid entries), ``cancel`` (single events and ranges wide enough to
-trigger compaction; heap tier, run tier, already fired) and ``step`` /
-``run(until=)`` are interpreted twice: against :class:`Simulator` and
-against :class:`ModelKernel`, which keeps every event in one heap and
-fires the ``(time, seq)`` minimum.  Events carry nested actions, so the
-same operations are also issued from inside callbacks, mid-run.  Both
+invalid entries) and ``step`` / ``run(until=)`` are interpreted twice:
+against :class:`Simulator` and against :class:`ModelKernel`, which
+keeps every event in one heap and fires the ``(time, seq)`` minimum.
+Events carry nested actions, so the same operations are also issued
+from inside callbacks, mid-run.  Both
 interpretations must produce the same log: every firing with the clock
 and ``pending`` at that moment, every return value, every rejection.
 
@@ -17,7 +16,6 @@ and one through ``timer``, the argument-free entry ``Process`` uses.
 """
 
 import heapq
-from operator import attrgetter
 
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -29,43 +27,29 @@ NAN = float("nan")
 
 
 class ModelEvent:
-    def __init__(self, kernel, time, seq, callback, args):
-        self._kernel = kernel
+    def __init__(self, time, seq, callback, args):
         self.time = time
         self.seq = seq
         self.callback = callback
         self.args = args
-        self.canceled = False
-        self.fired = False
-
-    def cancel(self):
-        if not (self.canceled or self.fired):
-            self._kernel.live -= 1
-        self.canceled = True
 
 
 class ModelKernel:
-    """The reference: one heap, next event = min by ``(time, seq)``.
-
-    Canceled events stay in the heap until they reach its head and are
-    dropped there; ``live`` counts the events neither fired nor canceled.
-    """
+    """The reference: one heap, next event = min by ``(time, seq)``."""
 
     def __init__(self):
         self.now = 0.0
         self._seq = 0
         self._heap = []
-        self.live = 0
 
     @property
     def pending(self):
-        return self.live
+        return len(self._heap)
 
     def _add(self, time, callback, args):
-        event = ModelEvent(self, time, self._seq, callback, args)
+        event = ModelEvent(time, self._seq, callback, args)
         self._seq += 1
         heapq.heappush(self._heap, (time, event.seq, event))
-        self.live += 1
         return event
 
     def schedule(self, delay, callback, *args):
@@ -86,8 +70,6 @@ class ModelKernel:
 
     def _next(self, until=None):
         heap = self._heap
-        while heap and heap[0][2].canceled:
-            heapq.heappop(heap)
         if not heap or (until is not None and heap[0][0] > until):
             return None
         return heap[0][2]
@@ -95,8 +77,6 @@ class ModelKernel:
     def _fire(self, event):
         heapq.heappop(self._heap)  # ``event`` is the head _next returned
         self.now = event.time
-        event.fired = True
-        self.live -= 1
         event.callback(*event.args)
 
     def step(self):
@@ -119,7 +99,7 @@ class ModelKernel:
 def interpret(kernel, program, check=lambda: None):
     """Run ``program`` on ``kernel``; returns the observable log."""
     log = []
-    handles = []
+    next_ident = 0
 
     def fire(ident, actions):
         log.append(("fire", ident, kernel.now, kernel.pending))
@@ -127,8 +107,9 @@ def interpret(kernel, program, check=lambda: None):
             apply(action)
 
     def reserve(count):
-        first = len(handles)
-        handles.extend([None] * count)
+        nonlocal next_ident
+        first = next_ident
+        next_ident += count
         return first
 
     def apply(op):
@@ -136,14 +117,10 @@ def interpret(kernel, program, check=lambda: None):
         try:
             if kind == "schedule":
                 _, delay, actions = op
-                ident = reserve(1)
-                handles[ident] = kernel.schedule(delay, fire, ident, actions)
+                kernel.schedule(delay, fire, reserve(1), actions)
             elif kind == "schedule_at":
                 _, offset, actions = op
-                ident = reserve(1)
-                handles[ident] = kernel.schedule_at(
-                    kernel.now + offset, fire, ident, actions
-                )
+                kernel.schedule_at(kernel.now + offset, fire, reserve(1), actions)
             elif kind == "schedule_many":
                 _, offsets, actions = op
                 first = reserve(len(offsets))
@@ -151,14 +128,7 @@ def interpret(kernel, program, check=lambda: None):
                     (kernel.now + offset, fire, (first + index, actions))
                     for index, offset in enumerate(offsets)
                 )
-                handles[first:] = events
                 log.append(("many", [(e.time, e.seq) for e in events]))
-            elif kind == "cancel":
-                _, low, high = op
-                count = len(handles)
-                for handle in handles[int(low * count) : int(high * count) + 1]:
-                    if handle is not None:
-                        handle.cancel()
             elif kind == "step":
                 log.append(("step", kernel.step()))
             elif kind == "run":
@@ -190,20 +160,11 @@ BATCHES = st.one_of(
     st.lists(OFFSETS, max_size=12),  # either side of the 8-entry floor
     st.builds(big_batch, st.integers(8, 160), st.integers(1, 6)),
 )
-CANCELS = st.one_of(
-    st.floats(0, 1).map(lambda x: ("cancel", x, x)),
-    st.tuples(st.floats(0, 1), st.floats(0, 1)).map(
-        lambda pair: ("cancel", min(pair), max(pair))
-    ),
-)
-
-
 def scheduling_ops(actions):
     return st.one_of(
         st.tuples(st.just("schedule"), OFFSETS, actions),
         st.tuples(st.just("schedule_at"), OFFSETS, actions),
         st.tuples(st.just("schedule_many"), BATCHES, actions),
-        CANCELS,
     )
 
 
@@ -221,12 +182,11 @@ PROGRAMS = st.lists(
 
 @settings(max_examples=120, deadline=None, derandomize=True)
 @given(PROGRAMS)
-# A pre-loaded run, mass-canceled into compaction, then drained.
+# A pre-loaded run and a heap timer, stepped once, then drained.
 @example(
     [
         ("schedule_many", big_batch(160, 5), ()),
         ("schedule", 1.0, ()),
-        ("cancel", 0.05, 0.95),
         ("step",),
     ]
 )
@@ -248,16 +208,16 @@ PROGRAMS = st.lists(
 )
 def test_event_list_matches_sorted_model(program):
     sim = Simulator()
-    fired = attrgetter("_fired")
 
-    def run_tier_holds_only_unfired():
-        assert not any(map(fired, sim._run))
+    def run_tier_is_sorted_and_unfired():
+        keys = [(event.time, event.seq) for event in sim._run]
+        assert keys == sorted(keys, reverse=True)
+        assert all(time >= sim.now for time, _seq in keys)
 
-    actual = interpret(sim, program, run_tier_holds_only_unfired)
+    actual = interpret(sim, program, run_tier_is_sorted_and_unfired)
     expected = interpret(ModelKernel(), program)
     assert actual == expected
     assert sim._run == [] and sim._heap == []
-    assert sim._canceled_queued == 0
 
 
 # -- Simulator.timer: schedule() for a Process, minus the frames ---------------
@@ -271,7 +231,6 @@ CHAIN_PROGRAMS = st.lists(
             st.just("schedule_many"),
             st.builds(big_batch, st.integers(8, 80), st.integers(1, 6)),
         ),
-        CANCELS,
         st.just(("step",)),
         st.tuples(st.just("run"), VALID_OFFSETS),
     ),
@@ -284,7 +243,7 @@ def run_chains(program, through_timer):
     sim = Simulator()
     sim.enable_trace()
     log = []
-    handles = []
+    idents = 0
 
     def arm(ident, delay, steps_left):
         def advance():
@@ -297,7 +256,6 @@ def run_chains(program, through_timer):
             event = sim.timer(delay, advance, label)
         else:
             event = sim.schedule(delay, advance, label=label)
-        handles[ident] = event  # like Process._pending_event: the live one
         log.append(("armed", ident, event.time, event.seq, event.label, event.args))
 
     def plain(ident):
@@ -306,38 +264,31 @@ def run_chains(program, through_timer):
     for op in program:
         kind = op[0]
         if kind == "chain":
-            handles.append(None)
-            arm(len(handles) - 1, op[1], op[2])
+            arm(idents, op[1], op[2])
+            idents += 1
         elif kind == "schedule":
-            handles.append(sim.schedule(op[1], plain, len(handles)))
+            sim.schedule(op[1], plain, idents)
+            idents += 1
         elif kind == "schedule_many":
-            first = len(handles)
-            handles.extend(
-                sim.schedule_many(
-                    (sim.now + offset, plain, (first + index,))
-                    for index, offset in enumerate(op[1])
-                )
+            sim.schedule_many(
+                (sim.now + offset, plain, (idents + index,))
+                for index, offset in enumerate(op[1])
             )
-        elif kind == "cancel":
-            count = len(handles)
-            for handle in handles[int(op[1] * count) : int(op[2] * count) + 1]:
-                handle.cancel()
+            idents += len(op[1])
         elif kind == "step":
             log.append(("step", sim.step()))
         else:
             log.append(("run", sim.run(until=sim.now + op[1])))
-        # Tier sizes and the canceled backlog show when compaction ran.
-        log.append(
-            (sim.now, sim.pending, len(sim._heap), len(sim._run), sim._canceled_queued)
-        )
+        # Tier sizes show which tier each event went to.
+        log.append((sim.now, sim.pending, len(sim._heap), len(sim._run)))
     log.append(("drain", sim.run(), sim.now, sim.pending, sim.trace))
     return log
 
 
 @settings(max_examples=150, deadline=None, derandomize=True)
 @given(CHAIN_PROGRAMS)
-# Enough canceled chain timers at once to compact the heap they sit in.
-@example([("chain", 2.0, 3)] * 150 + [("cancel", 0.05, 0.95), ("run", 2.0)])
+# Many chains armed at once, each re-arming as the clock passes them.
+@example([("chain", 2.0, 3)] * 150 + [("run", 2.0)])
 def test_timer_arms_the_event_schedule_would(program):
     assert run_chains(program, through_timer=True) == run_chains(
         program, through_timer=False

@@ -11,14 +11,15 @@ lightpaths, from the same seed, are driven through
 * ``traced``    empty ``FaultPlan``, tracer enabled   (general path)
 
 and everything observable must agree: the durations each workflow
-waits out (a run counts as the steps it completed), the
+waits out (a run counts as its steps), the
 ``lightpath.setup_s`` / ``teardown_s`` and per-step histograms, the
 state of every random substream, the final clock and the lightpaths.
 The kernel's ``(time, label)`` trace of a coalesced run is the traced
 one with intermediate-step entries removed and nothing else changed.
 The traced variant's span tree is pinned to what the commit before the
-straight-line loop produced.  A fault rule added mid-workflow splits
-the pending run, so it still bites at the next step boundary.
+straight-line loop produced.  A fault rule planned up front to start
+mid-workflow (``after_s``) bites at the next step boundary, and once it
+is spent the rest of the workflow coalesces again.
 
 Also here: the per-step sampler cache in ``LatencyModel`` against
 ``RandomStreams.lognormal`` and an independent evaluation of its formula.
@@ -52,7 +53,7 @@ SEED = 5
 class Stack:
     """A provisioner on the Fig. 4 ROADM ring, wired per variant."""
 
-    def __init__(self, variant, cv=0.03, parallel_ems=False):
+    def __init__(self, variant, cv=0.03, parallel_ems=False, specs=()):
         self.sim = Simulator()
         self.sim.enable_trace()
         self.streams = RandomStreams(SEED)
@@ -66,7 +67,7 @@ class Stack:
         latency = LatencyModel(self.streams, cv=cv)
         latency.bind_metrics(self.metrics)
         self.tracer = Tracer(clock, enabled=variant == "traced")
-        self.plan = FaultPlan()
+        self.plan = FaultPlan(specs)
         resilience = None
         if variant != "bare":
             resilience = ResilientExecutor(
@@ -90,7 +91,7 @@ class Stack:
 
     def _recorded(self, workflow, sink):
         """Pass ``workflow``'s yields through; record each step it waited
-        out (a ``StepRun`` as the durations it completed)."""
+        out (a ``StepRun`` as its durations)."""
         while True:
             try:
                 delay = next(workflow)
@@ -98,7 +99,7 @@ class Stack:
                 return stop.value
             yield delay
             if isinstance(delay, StepRun):
-                sink.extend(delay.durations[: delay.completed])
+                sink.extend(delay.durations)
             else:
                 sink.append(delay)
 
@@ -242,19 +243,22 @@ def test_traced_span_tree_is_pinned():
     assert stack.span_rows() == PINNED_SPANS
 
 
-def run_with_rule_added_mid_workflow(variant, spec):
-    """cv=0: order 2 + fxc 1.5 + 1.5, so the first tune runs 5 s → 19 s."""
-    stack = Stack(variant, cv=0.0)
+def run_with_rule_from_mid_workflow(variant, spec):
+    """cv=0: order 2 + fxc 1.5 + 1.5, so the first tune runs 5 s → 19 s
+    and ``spec`` (planned up front) starts inside it."""
+    stack = Stack(variant, cv=0.0, specs=[spec])
     lightpath = stack.launch()
-    stack.sim.schedule(10.0, stack.plan.add, spec)
     stack.sim.run()
     return stack, lightpath
 
 
 class TestRuleAddedBetweenSteps:
+    """A rule in the plan from the start whose ``after_s`` falls
+    between two of a workflow's steps."""
+
     def test_next_step_times_out_then_retries(self):
-        spec = FaultSpec(command="tune", mode="timeout", count=1)
-        stack, lightpath = run_with_rule_added_mid_workflow("executor", spec)
+        spec = FaultSpec(command="tune", mode="timeout", count=1, after_s=10.0)
+        stack, lightpath = run_with_rule_from_mid_workflow("executor", spec)
         (_name, setup, teardown), = stack.yielded
         # The tune in flight at t=10 is untouched; the next one burns
         # the 30 s timeout and a 1 s backoff before its 14 s retry.
@@ -266,12 +270,12 @@ class TestRuleAddedBetweenSteps:
         assert stack.metrics.counter("ems.retry") == 1
         assert lightpath.state is LightpathState.RELEASED  # torn down after UP
         assert len(teardown) == 7
-        traced, _ = run_with_rule_added_mid_workflow("traced", spec)
+        traced, _ = run_with_rule_from_mid_workflow("traced", spec)
         assert_coalesced_matches(stack, traced)
 
     def test_next_step_fails_hard_and_the_saga_unwinds(self):
-        spec = FaultSpec(command="tune", mode="fail")
-        stack, lightpath = run_with_rule_added_mid_workflow("executor", spec)
+        spec = FaultSpec(command="tune", mode="fail", after_s=10.0)
+        stack, lightpath = run_with_rule_from_mid_workflow("executor", spec)
         (_name, setup, teardown), = stack.yielded
         # order, 2 fxc, tune, failed tune (0.5 s to error), then the
         # undo of one tune and two fxc connects.
@@ -281,27 +285,29 @@ class TestRuleAddedBetweenSteps:
         assert lightpath.setup_error is not None
         assert stack.metrics.counter("lightpath.setup_aborted") == 1
         assert stack.inventory.lightpaths == {}
-        traced, _ = run_with_rule_added_mid_workflow("traced", spec)
-        assert_coalesced_matches(stack, traced)
+        # The rule never runs out, so no step coalesces: the executor
+        # run is the traced one, kernel trace included.
+        traced, _ = run_with_rule_from_mid_workflow("traced", spec)
+        assert stack.observed() == traced.observed()
 
     def test_best_effort_teardown_forces_the_next_step(self):
         # cv=0: setup ends at 62.35 s and teardown's first roadm removal
         # runs 66.35 → 68.35 s.  The second one then times out three
         # times (backoffs 1 s, 2 s) and is forced; the "release" steps
         # match no rule and run at their nominal second each.
-        spec = FaultSpec(command="roadm", mode="timeout")
+        spec = FaultSpec(command="roadm", mode="timeout", after_s=67.0)
         runs = {}
         for variant in ("executor", "traced"):
-            stack = runs[variant] = Stack(variant, cv=0.0)
+            stack = runs[variant] = Stack(variant, cv=0.0, specs=[spec])
             stack.launch()
-            stack.sim.schedule(67.0, stack.plan.add, spec)
             stack.sim.run()
         stack = runs["executor"]
         (_name, _setup, teardown), = stack.yielded
         assert teardown == [1.0, 1.5, 1.5, 2.0, 30.0, 1.0, 30.0, 2.0, 30.0, 1.0, 1.0]
         assert stack.metrics.counter("ems.command.forced") == 1
         assert stack.inventory.lightpaths == {}
-        assert_coalesced_matches(stack, runs["traced"])
+        # An uncounted rule never runs out: nothing coalesces.
+        assert stack.observed() == runs["traced"].observed()
 
 
 @pytest.mark.parametrize("with_metrics", [False, True])

@@ -15,8 +15,9 @@ inventories, a failed claim must leave the plant it found and raise what
 it raised before, and the auditor's ledger check must agree throughout.
 
 Also here: ``FaultPlan.empty`` (now a live-rule counter) against its
-definition.  The process timer's equivalence with ``schedule`` is in
-``tests/test_sim_process.py`` and ``tests/test_property_kernel.py``.
+definition, and that an empty plan never turns non-empty.  The process
+timer's equivalence with ``schedule`` is in ``tests/test_sim_process.py``
+and ``tests/test_property_kernel.py``.
 """
 
 import pytest
@@ -493,24 +494,21 @@ SPECS = st.builds(
     probability=st.sampled_from((1.0, 0.5)),
     after_s=st.sampled_from((0.0, 5.0)),
 )
-OPS = st.one_of(
-    st.tuples(st.just("add"), SPECS),
-    st.tuples(
-        st.just("decide"),
-        st.sampled_from(("tune", "roadm", "verify")),
-        st.sampled_from((0.0, 10.0)),
-    ),
+DECIDES = st.tuples(
+    st.sampled_from(("tune", "roadm", "verify")),
+    st.sampled_from((0.0, 10.0)),
 )
 
 
 @SETTINGS
-@given(st.lists(SPECS, max_size=3), st.lists(OPS, max_size=30), st.integers(0, 2**16))
-def test_fault_plan_empty_matches_its_definition(specs, ops, seed):
+@given(st.lists(SPECS, max_size=5), st.lists(DECIDES, max_size=30), st.integers(0, 2**16))
+def test_fault_plan_empty_matches_its_definition(specs, decides, seed):
     plan = FaultPlan(specs).bind(RandomStreams(seed))
     assert plan.empty == empty_by_definition(plan)
-    for op in ops:
-        if op[0] == "add":
-            assert plan.add(op[1]) is plan
-        else:
-            plan.decide("roadm_ems", "ROADM-I", op[1], op[2])
+    was_empty = plan.empty
+    for command, now in decides:
+        plan.decide("roadm_ems", "ROADM-I", command, now)
         assert plan.empty == empty_by_definition(plan)
+        # Rules are fixed at build: an empty plan stays empty.
+        assert plan.empty or not was_empty
+        was_empty = plan.empty

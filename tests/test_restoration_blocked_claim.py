@@ -172,20 +172,23 @@ def test_aborted_restoration_is_retried_by_the_next_repair():
     replacement's setup saga gave up and rolled it back.  The rolled-back
     record waits in ``_unrestored`` like a blocked claim's dead path, so
     the next repair retries instead of returning at "names nothing"."""
-    net = build_griphon_testbed(seed=7, fault_plan=FaultPlan())
+    # Every EMS command fails hard for ten minutes from when the victim
+    # is up, a time a fault-free twin of the same seed supplies.
+    twin = build_griphon_testbed(seed=7)
+    twin.service_for("acme").request_connection("PREMISES-A", "PREMISES-B", 10)
+    twin.run()
+    up = twin.sim.now
+    plan = FaultPlan([FaultSpec(mode="fail", after_s=up, until_s=up + 600.0)])
+    net = build_griphon_testbed(seed=7, fault_plan=plan)
     svc = net.service_for("acme")
     victim = svc.request_connection("PREMISES-A", "PREMISES-B", 10)
     net.run()
     assert victim.state is ConnectionState.UP
+    assert net.sim.now == up
     path = net.inventory.lightpaths[victim.lightpath_ids[0]].path
     cut = next(
         (a, b) for a, b in zip(path, path[1:])
         if not (a.startswith("PREMISES") or b.startswith("PREMISES"))
-    )
-    # Every EMS command fails hard for the next ten minutes.
-    now = net.sim.now
-    net.controller.fault_plan.add(
-        FaultSpec(mode="fail", after_s=now, until_s=now + 600.0)
     )
     net.controller.cut_link(*cut)
     net.run()

@@ -27,13 +27,18 @@ def cut_first_span(net, conn):
 
 
 def test_a_rolled_back_replacement_is_aborted():
-    net = build_griphon_testbed(seed=7, fault_plan=FaultPlan(), tracing=True)
+    # Every EMS command fails hard for ten minutes from when the order
+    # is up, a time a fault-free twin of the same seed supplies.
+    twin = build_griphon_testbed(seed=7)
+    twin.service_for("acme").request_connection("PREMISES-A", "PREMISES-B", 10)
+    twin.run()
+    up = twin.sim.now
+    plan = FaultPlan([FaultSpec(mode="fail", after_s=up, until_s=up + 600.0)])
+    net = build_griphon_testbed(seed=7, fault_plan=plan, tracing=True)
     conn = net.service_for("acme").request_connection("PREMISES-A", "PREMISES-B", 10)
     net.run()
-    now = net.sim.now
-    net.controller.fault_plan.add(
-        FaultSpec(mode="fail", after_s=now, until_s=now + 600.0)
-    )
+    assert conn.state is ConnectionState.UP
+    assert net.sim.now == up
     path = net.inventory.lightpaths[conn.lightpath_ids[0]].path
     net.controller.cut_link(
         *next(

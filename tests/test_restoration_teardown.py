@@ -59,8 +59,13 @@ def test_teardown_while_restoring_ends_released_and_clean():
 
 
 def test_teardown_while_restoring_survives_an_aborted_restoration():
-    net, svc, conn = restoring_connection(FaultPlan())
-    net.controller.fault_plan.add(FaultSpec(mode="fail", after_s=net.sim.now))
+    # Every EMS command fails from 5 s into the restoration on, a time
+    # a fault-free twin of the same seed supplies.
+    at = restoring_connection()[0].sim.now
+    net, svc, conn = restoring_connection(
+        FaultPlan([FaultSpec(mode="fail", after_s=at)])
+    )
+    assert net.sim.now == at
     svc.teardown_connection(conn.connection_id)
     net.run()
     assert net.metrics.counter("restoration.aborted") == 1

@@ -12,6 +12,7 @@ service FAILED, and its order with it, so the repair revives both; and
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.api import SetupFailed, classify_record
 from repro.core.admission import CustomerProfile
 from repro.core.connection import ConnectionState
 from repro.faults.plan import FaultPlan, FaultSpec
@@ -115,6 +116,11 @@ def test_an_aborted_segment_leaves_every_unit_empty(unit, by_cut, step, at):
     net.run()
     assert order.state is ConnectionState.BLOCKED, order.state
     assert order.blocked_reason.startswith("setup failed")
+    assert order.setup_error is not None
+    assert "None" not in order.blocked_reason
+    assert isinstance(classify_record(order), SetupFailed)
+    if by_cut:
+        assert f"fiber {cut[0]}={cut[1]} cut" in order.blocked_reason
     assert_retired(net, order, children, ConnectionState.BLOCKED)
     if by_cut:
         net.repair_fiber(*cut)

@@ -1,4 +1,4 @@
-"""Tests for the discrete-event kernel: ordering, cancellation, tracing."""
+"""Tests for the discrete-event kernel: ordering, run control, tracing."""
 
 import pytest
 from hypothesis import given
@@ -141,34 +141,23 @@ class TestRunControl:
     def test_pending_counts_live_events(self):
         sim = Simulator()
         sim.schedule(1.0, lambda: None)
-        event = sim.schedule(2.0, lambda: None)
-        event.cancel()
+        sim.schedule(2.0, lambda: None)
+        assert sim.pending == 2
+        sim.run(until=1.5)
         assert sim.pending == 1
+        assert sim.step() is True
+        assert sim.pending == 0
 
     def test_pending_drains_to_zero_after_run(self):
         sim = Simulator()
         for delay in (1.0, 2.0, 3.0):
             sim.schedule(delay, lambda: None)
-        sim.schedule(4.0, lambda: None).cancel()
-        assert sim.pending == 3
+        # A batch large enough to go to the sorted run, not the heap.
+        sim.schedule_many([(float(i), lambda: None) for i in range(4, 24)])
+        assert len(sim._run) == 20
+        assert sim.pending == 23
         sim.run()
         assert sim.pending == 0
-
-    def test_double_cancel_decrements_once(self):
-        sim = Simulator()
-        sim.schedule(1.0, lambda: None)
-        event = sim.schedule(2.0, lambda: None)
-        event.cancel()
-        event.cancel()
-        assert sim.pending == 1
-
-    def test_cancel_after_fire_does_not_drift(self):
-        sim = Simulator()
-        event = sim.schedule(1.0, lambda: None)
-        sim.schedule(2.0, lambda: None)
-        sim.run(until=1.5)
-        event.cancel()  # already fired; must not double-count
-        assert sim.pending == 1
 
     def test_pending_tracks_reschedules_from_callbacks(self):
         sim = Simulator()
@@ -180,31 +169,6 @@ class TestRunControl:
         sim.schedule(1.0, chain, 3)
         sim.run()
         assert sim.pending == 0
-
-
-class TestCancellation:
-    def test_canceled_event_does_not_fire(self):
-        sim = Simulator()
-        fired = []
-        event = sim.schedule(1.0, fired.append, "x")
-        event.cancel()
-        sim.run()
-        assert fired == []
-
-    def test_cancel_is_idempotent(self):
-        sim = Simulator()
-        event = sim.schedule(1.0, lambda: None)
-        event.cancel()
-        event.cancel()
-        assert event.canceled
-
-    def test_cancel_from_earlier_event(self):
-        sim = Simulator()
-        fired = []
-        victim = sim.schedule(2.0, fired.append, "victim")
-        sim.schedule(1.0, victim.cancel)
-        sim.run()
-        assert fired == []
 
 
 class TestScheduleMany:
@@ -288,68 +252,6 @@ class TestScheduleMany:
         sim = Simulator()
         assert sim.schedule_many([]) == []
         assert sim.pending == 0
-
-    def test_batch_events_are_cancelable(self):
-        sim = Simulator()
-        fired = []
-        events = sim.schedule_many(
-            [(float(i), fired.append, (i,)) for i in range(1, 11)]
-        )
-        events[4].cancel()
-        sim.run()
-        assert 5 not in fired
-        assert len(fired) == 9
-
-
-class TestCompaction:
-    def test_mass_cancellation_compacts_heap(self):
-        sim = Simulator()
-        events = [sim.schedule(float(i + 1), lambda: None) for i in range(1000)]
-        for event in events[100:]:
-            event.cancel()
-        # Compaction triggered: the dead majority is gone from the heap
-        # (at most a sub-threshold remainder of canceled events linger).
-        assert len(sim._heap) < 250
-        assert sim.pending == 100
-        assert sim.run() == 100
-
-    def test_small_heaps_never_compact(self):
-        sim = Simulator()
-        events = [sim.schedule(float(i + 1), lambda: None) for i in range(20)]
-        for event in events[1:]:
-            event.cancel()
-        assert len(sim._heap) == 20  # under the compaction floor
-        assert sim.run() == 1
-
-    def test_compaction_during_run_from_callback(self):
-        sim = Simulator()
-        fired = []
-        victims = [
-            sim.schedule(100.0 + i, fired.append, i) for i in range(500)
-        ]
-
-        def massacre():
-            for victim in victims[:400]:
-                victim.cancel()
-
-        sim.schedule(1.0, massacre)
-        survivor = sim.schedule(1000.0, fired.append, "survivor")
-        assert survivor is not None
-        sim.run()
-        assert fired[-1] == "survivor"
-        assert len(fired) == 101  # 100 surviving victims + survivor
-        assert sim.pending == 0
-
-    def test_counter_consistent_after_mixed_pop_and_compact(self):
-        sim = Simulator()
-        keep = []
-        events = [sim.schedule(float(i + 1), keep.append, i) for i in range(200)]
-        # Cancel a minority: below the >50% threshold, so they stay in
-        # the heap and run() pops them lazily.
-        for event in events[::4]:
-            event.cancel()
-        assert sim.run() == 150
-        assert sim._canceled_queued == 0
 
 
 class TestTimeSource:

@@ -122,37 +122,6 @@ class TestProcessErrors:
             sim.run()
 
 
-class TestInterrupt:
-    def test_interrupt_stops_future_steps(self):
-        sim = Simulator()
-        steps = []
-
-        def activity():
-            try:
-                while True:
-                    yield 1.0
-                    steps.append(sim.now)
-            finally:
-                steps.append("cleanup")
-
-        process = Process(sim, activity())
-        sim.schedule(2.5, process.interrupt)
-        sim.run()
-        assert process.interrupted
-        assert steps == [1.0, 2.0, "cleanup"]
-
-    def test_interrupt_finished_process_rejected(self):
-        sim = Simulator()
-
-        def activity():
-            yield 1.0
-
-        process = Process(sim, activity())
-        sim.run()
-        with pytest.raises(SimulationError):
-            process.interrupt()
-
-
 class TestTimerEntry:
     """``Simulator.timer`` -- what a process arms each step through --
     against ``schedule``: same event, same bookkeeping."""
@@ -173,7 +142,7 @@ class TestTimerEntry:
         a = by_schedule.schedule(0.5, lambda: None, label="step")
         b = by_timer.timer(0.5, lambda: None, "step")
         assert (a.time, a.seq, a.label) == (b.time, b.seq, b.label)
-        assert b.args == () and not b.canceled
+        assert b.args == ()
         assert by_schedule.pending == by_timer.pending == 2
         # Ties with a later event at the same time keep FIFO order.
         for sim in (by_schedule, by_timer):
@@ -185,24 +154,7 @@ class TestTimerEntry:
         assert by_schedule.now == by_timer.now
         assert by_schedule.pending == by_timer.pending == 0
 
-    def test_cancel_and_compaction(self):
-        by_schedule, by_timer = self.twins()
-        events = [
-            [by_schedule.schedule(1.0 + i % 3, lambda: None) for i in range(200)],
-            [by_timer.timer(1.0 + i % 3, lambda: None, "") for i in range(200)],
-        ]
-        for sim, queued in zip((by_schedule, by_timer), events):
-            for event in queued[:150]:
-                event.cancel()
-                event.cancel()  # idempotent
-            assert sim.pending == 51
-        # Canceled timers are compacted out of the heap like any event.
-        assert len(by_timer._heap) == len(by_schedule._heap) < 200
-        assert by_timer._canceled_queued == by_schedule._canceled_queued
-        assert by_schedule.run() == by_timer.run() == 51
-        assert by_timer._heap == [] and by_timer._canceled_queued == 0
-
-    def test_process_steps_are_labeled_cancelable_timers(self):
+    def test_process_steps_are_labeled_timers(self):
         sim = Simulator()
         sim.enable_trace()
 
@@ -210,16 +162,15 @@ class TestTimerEntry:
             yield 2
             yield 3.0
 
-        process = Process(sim, activity(), label="work")
+        Process(sim, activity(), label="work")
         assert sim.pending == 1
         sim.run(until=1.0)
         assert sim.pending == 1  # the 2-second step, armed at t=0
-        assert isinstance(process._pending_event.time, float)
-        assert process._pending_event.time == 2.0
-        process.interrupt()
-        assert sim.pending == 0
-        assert sim.run() == 0
-        assert sim.trace == [(0.0, "work")]
+        (time, _seq, event), = sim._heap
+        assert isinstance(time, float) and time == 2.0
+        assert event.label == "work" and event.args == ()
+        assert sim.run() == 2
+        assert sim.trace == [(0.0, "work"), (2.0, "work"), (5.0, "work")]
 
 
 class TestFinishedProcess:
@@ -228,45 +179,30 @@ class TestFinishedProcess:
 
     @staticmethod
     def ended(how):
-        """A process ended by finishing, by an interrupt, or by an
-        invalid delay, and the step run it yielded first."""
+        """A process ended by finishing or by an invalid delay, after
+        waiting out a step run."""
         sim = Simulator()
-        run = StepRun([1.0, 0.0])
         completions = []
 
         def activity():
-            yield run
+            yield StepRun([1.0, 0.0])
             yield -1.0 if how == "invalid" else 0.0
 
         process = Process(sim, activity(), on_complete=completions.append)
-        if how == "interrupt":
-            sim.run(until=0.5)
-            process.interrupt()
-        elif how == "invalid":
+        if how == "invalid":
             with pytest.raises(SimulationError):
                 sim.run()
         sim.run()
         assert process.done
-        return sim, process, run, completions
-
-    @pytest.mark.parametrize("how", ["finish", "interrupt", "invalid"])
-    def test_split_after_the_end_is_a_no_op(self, how):
-        sim, process, run, completions = self.ended(how)
-        # At t=1.0 the run's zero-length last step starts "now", so a
-        # split that still saw the process would re-arm it here.
-        sim.run(until=1.0)
-        run.split()
         assert sim.pending == 0
-        sim.run()
         assert completions == ([None] if how == "finish" else [])
+        return process
 
-    @pytest.mark.parametrize("how", ["finish", "interrupt", "invalid"])
+    @pytest.mark.parametrize("how", ["finish", "invalid"])
     def test_freed_without_the_cyclic_collector(self, how):
         gc.disable()
         try:
-            sim, process, run, completions = self.ended(how)
-            ref = weakref.ref(process)
-            del process, run
+            ref = weakref.ref(self.ended(how))
             assert ref() is None
         finally:
             gc.enable()

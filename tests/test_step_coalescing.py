@@ -17,11 +17,12 @@ run starts, not when its last step does); the testbed case builds a
 pair of setups that finish at the same instant and shows their
 completion order flip while every outcome stays equal.
 
-Then the split rule (``FaultPlan.add`` against in-flight runs): a rule
-added exactly on a step boundary applies from the step that starts
-there, one ``add`` splits every in-flight run, the plan holds no run
-once the workflows finish, ``Process.interrupt`` cancels a run's one
-event, and a bad duration inside a run raises ``SimulationError``.
+Then up-front rules that start at a step boundary: a rule whose
+``after_s`` is exactly a boundary applies from the step that starts
+there, one whose ``after_s`` falls inside a step waits for the next
+step, and once a counted rule is spent the remaining steps coalesce
+again.  A run ends at the sequential sum of its durations, and a bad
+duration inside a run raises ``SimulationError``.
 """
 
 import math
@@ -320,15 +321,15 @@ def test_testbed_bursts_and_a_coinciding_pair_traced_equal_coalesced():
     assert (traced_events, events) == (164, 46)
 
 
-# -- the split rule ---------------------------------------------------------------
+# -- up-front rules from a step boundary ---------------------------------------------
 
 
 class FaultBed:
-    """The Fig. 4 testbed at cv=0 with a live (initially empty) plan."""
+    """The Fig. 4 testbed at cv=0 with ``specs`` planned up front."""
 
-    def __init__(self):
+    def __init__(self, *specs):
         self.net = build_griphon_testbed(
-            seed=1, latency_cv=0.0, fault_plan=FaultPlan()
+            seed=1, latency_cv=0.0, fault_plan=FaultPlan(specs)
         )
         self.net.sim.enable_trace()
         self.plan = self.net.controller.fault_plan
@@ -351,135 +352,65 @@ class FaultBed:
         return [t for t, label in self.net.sim.trace if label == name]
 
 
-class TestSplit:
+class TestRuleFromABoundary:
     # cv=0, I->IV direct: order 2, fxc 1.5 + 1.5, tune 14 + 14, add-drop
     # 9.5 + 9.5, equalize 2.35, verify 8 — boundaries 2, 3.5, 5, 19, 33,
     # 42.5, 52, 54.35, 62.35.
 
-    def test_a_rule_added_exactly_on_a_boundary_applies_to_the_step_starting_there(self):
-        bed = FaultBed()
+    def test_a_rule_from_a_boundary_applies_to_the_step_starting_there(self):
+        bed = FaultBed(
+            FaultSpec(command="tune", mode="timeout", count=1, after_s=19.0)
+        )
         bed.launch("lp")
-        spec = FaultSpec(command="tune", mode="timeout", count=1)
-        bed.net.sim.schedule_at(19.0, bed.plan.add, spec)
         bed.net.run()
-        # The second tune starts at 19 s: it burns the 30 s timeout and
-        # is retried; the first (5 → 19 s) finished untouched.
+        # The second tune starts at 19 s: it burns the 30 s timeout,
+        # backs off and is retried; the first (5 → 19 s) finished
+        # untouched.  The rule is then spent, so the four steps left
+        # (add-drop 9.5 + 9.5, equalize 2.35, verify 8) wait on one event.
         assert bed.plan.injected_counts == [1]
+        assert bed.plan.empty
         assert bed.net.metrics.counter("ems.retry") == 1
         assert bed.lightpaths["lp"].state is LightpathState.UP
-        assert bed.resumes("lp")[:3] == [0.0, 19.0, 49.0]
+        resumes = bed.resumes("lp")
+        assert resumes[:6] == [0.0, 2.0, 3.5, 5.0, 19.0, 49.0]
+        backoff_end, retried, end = resumes[6:]
+        assert retried == backoff_end + 14.0
+        for step in (9.5, 9.5, 2.35, 8.0):
+            retried += step
+        assert end == retried
 
-    def test_a_rule_added_inside_a_step_waits_for_the_next_one(self):
-        bed = FaultBed()
+    def test_a_rule_from_inside_a_step_waits_for_the_next_one(self):
+        bed = FaultBed(
+            FaultSpec(command="tune", mode="timeout", count=1, after_s=19.5)
+        )
         bed.launch("lp")
-        spec = FaultSpec(command="tune", mode="timeout", count=1)
-        bed.net.sim.schedule_at(19.5, bed.plan.add, spec)
         bed.net.run()
+        # No tune starts at or after 19.5 s; the unspent rule keeps
+        # every step on its own event.
         assert bed.plan.injected_counts == [0]
-        assert bed.resumes("lp") == [0.0, 33.0, 42.5, 52.0, 54.35, 62.35]
-
-    def test_one_add_splits_every_in_flight_run(self):
-        bed = FaultBed()
-        bed.launch("first")
-        bed.net.sim.schedule_at(7.0, bed.launch, "second", LONG_WAY)
-        bed.net.run(until=10.0)
-        assert len(bed.plan._runs) == 2
-        assert bed.net.sim.pending == 2
-        # A rule that matches nothing: only the boundaries become visible.
-        bed.plan.add(FaultSpec(command="nothing"))
-        assert bed.plan._runs == {}
-        assert bed.net.sim.pending == 2
-        bed.net.run()
-        # Each resumes at its first boundary at or after t=10: the first
-        # at 19 (its second tune), the second at 10.5 (its second fxc).
-        assert bed.resumes("first")[:2] == [0.0, 19.0]
-        assert bed.resumes("second")[:3] == [7.0, 10.5, 12.0]
-        assert bed.resumes("first")[-1] == 62.35
-        assert all(lp.state is LightpathState.UP for lp in bed.lightpaths.values())
-
-    def test_the_plan_holds_no_run_once_the_workflows_finish(self):
-        bed = FaultBed()
-        for index in range(3):
-            bed.net.sim.schedule_at(4.0 * index, bed.launch, f"lp{index}")
-        bed.net.run(until=20.0)
-        assert len(bed.plan._runs) == 3
-        bed.net.run()
-        assert bed.plan._runs == {}
-        assert all(lp.state is LightpathState.UP for lp in bed.lightpaths.values())
-
-    def test_split_at_the_run_start_and_past_the_last_boundary(self):
-        sim = Simulator()
-        sim.enable_trace()
-        plan = FaultPlan()
-        completed = []
-
-        def workflow():
-            run = StepRun([1.0, 2.0, 3.0])
-            plan.watch(run)
-            yield run
-            plan.unwatch(run)
-            completed.append((sim.now, run.completed))
-
-        Process(sim, workflow(), label="a")
-        Process(sim, workflow(), label="b")
-        sim.run(until=0.0)
-        plan.add(FaultSpec())  # both runs start now: split at step 0
-        sim.run(until=3.5)
-        assert completed == [(0.0, 0), (0.0, 0)]
-        assert plan._runs == {}
-
-        Process(sim, workflow(), label="c")
-        sim.run(until=8.9)  # c started at 3.5: only its end (9.5) is left
-        plan.add(FaultSpec())
-        sim.run()
-        assert completed[-1] == (9.5, 3)
+        assert not bed.plan.empty
+        assert bed.resumes("lp") == [
+            0.0, 2.0, 3.5, 5.0, 19.0, 33.0, 42.5, 52.0, 54.35, 62.35
+        ]
+        assert bed.lightpaths["lp"].state is LightpathState.UP
 
 
 class TestRunKernel:
-    def test_interrupt_cancels_the_one_event(self):
-        sim = Simulator()
-        closed = []
-
-        def workflow():
-            try:
-                yield StepRun([5.0, 5.0, 5.0])
-            finally:
-                closed.append(sim.now)
-
-        process = Process(sim, workflow())
-        sim.run(until=1.0)
-        assert sim.pending == 1
-        process.interrupt()
-        assert sim.pending == 0
-        assert closed == [1.0]
-        assert sim.run() == 0
-        assert process.interrupted
-
-    def test_interrupted_workflow_leaves_the_plan(self):
-        bed = FaultBed()
-        process = bed.launch("lp")
-        bed.net.run(until=10.0)
-        assert len(bed.plan._runs) == 1
-        process.interrupt()
-        assert bed.plan._runs == {}
-        assert bed.net.sim.pending == 0
-
     def test_end_time_is_the_sequential_sum(self):
         sim = Simulator(start_time=0.1)
         steps = [0.2, 0.3, 1e-17, 0.7]
         seen = []
 
         def workflow():
-            run = StepRun(steps)
-            yield run
-            seen.append((sim.now, run.completed))
+            yield StepRun(steps)
+            seen.append(sim.now)
 
         Process(sim, workflow())
         assert sim.run() == 2
         expected = 0.1
         for step in steps:
             expected += step
-        assert seen == [(expected, 4)]
+        assert seen == [expected]
 
     @pytest.mark.parametrize("bad", [float("nan"), -1.0, "3"])
     def test_a_bad_duration_inside_a_run_raises(self, bad):

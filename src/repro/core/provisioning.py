@@ -397,7 +397,8 @@ class LightpathProvisioner:
 
         With no span to open and no fault rule that can fire, the rest go
         to the kernel as one ``StepRun`` (a plan's rules are fixed when
-        it is built, so one that cannot fire now never will); otherwise
+        it is built and sim time only moves forward, so a plan that
+        cannot fire now never will); otherwise
         one step at a time through the span + resilient executor, which
         forces rather than fails when ``best_effort``.
         Only that path reads the steps' ``(stage, label)``, so ``names``
@@ -410,7 +411,7 @@ class LightpathProvisioner:
         done = 0
         named: Optional[List[Tuple[str, str]]] = None
         while done < len(durations):
-            if span is NULL_SPAN and (resilience is None or resilience.plan.empty):
+            if span is NULL_SPAN and (resilience is None or resilience.quiet()):
                 run = durations[done:] if done else durations
                 yield StepRun(run)
                 for duration in run:

@@ -120,13 +120,14 @@ class FaultPlan:
     The first matching rule with injections remaining decides a
     command's fate; rules never compose.  An empty plan is the default
     everywhere and guarantees a zero-overhead happy path: the executor
-    checks :attr:`empty` and falls through without drawing randomness,
+    checks :meth:`closed` and falls through without drawing randomness,
     counting metrics, or opening spans.
 
     A plan's rules are fixed when it is built: there is no way to add
     one mid-run, so a plan only ever goes from non-empty to empty (as
-    counted rules run out).  A fault that starts at sim time ``t`` is a
-    rule with ``after_s=t``.
+    counted rules run out), and from open to :meth:`closed` (as sim time
+    passes the last live rule's ``until_s``).  A fault that starts at
+    sim time ``t`` is a rule with ``after_s=t``.
     """
 
     def __init__(self, specs: Sequence[FaultSpec] = ()) -> None:
@@ -135,6 +136,7 @@ class FaultPlan:
         self._injected: List[int] = [0 for _ in self._specs]
         # Rules that can still fire (a spec's count is None or >= 1).
         self._live = len(self._specs)
+        self._closes_at = self._last_until()
         self._streams: Optional[RandomStreams] = None
 
     @property
@@ -146,6 +148,22 @@ class FaultPlan:
     def empty(self) -> bool:
         """True when no rule can ever fire again."""
         return self._live == 0
+
+    def closed(self, now: float) -> bool:
+        """True when no rule can fire at sim time ``now`` or later: every
+        live rule's window has closed (sim time never moves back)."""
+        return now >= self._closes_at
+
+    def _last_until(self) -> float:
+        """When the last live rule's window closes: inf if one never
+        does, -inf when no rule is live."""
+        last = float("-inf")
+        for spec, remaining in zip(self._specs, self._remaining):
+            if remaining is None or remaining > 0:
+                if spec.until_s is None:
+                    return float("inf")
+                last = max(last, spec.until_s)
+        return last
 
     @property
     def injected_counts(self) -> List[int]:
@@ -186,6 +204,7 @@ class FaultPlan:
                 self._remaining[index] = remaining - 1
                 if remaining == 1:
                     self._live -= 1
+                    self._closes_at = self._last_until()
             self._injected[index] += 1
             return spec
         return None

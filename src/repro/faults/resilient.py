@@ -197,6 +197,11 @@ class ResilientExecutor:
             self._breakers[ems] = breaker
         return breaker
 
+    def quiet(self) -> bool:
+        """True when the plan can inject no fault now or later: the
+        executor then runs each command as issued."""
+        return self.plan.closed(self._clock())
+
     def breaker_state(self, ems: str) -> str:
         """``closed`` / ``open`` / ``half_open`` without creating one."""
         breaker = self._breakers.get(ems)
@@ -236,7 +241,7 @@ class ResilientExecutor:
             CommandFailedError: retries exhausted or hard element fault
                 (never when ``best_effort``).
         """
-        if self.plan.empty:
+        if self.quiet():
             yield duration
             return duration
 

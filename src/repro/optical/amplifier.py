@@ -40,6 +40,10 @@ class AmplifierChain:
     #: the invariant auditor can cross-check the live setting.
     DEFAULT_GAIN_DB = 20.0
 
+    __slots__ = (
+        "length_km", "span_km", "_settle_per_amp_s", "target_gain_db", "gain_db",
+    )
+
     def __init__(
         self,
         length_km: float,

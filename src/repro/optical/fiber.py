@@ -43,6 +43,11 @@ class DwdmLink:
     failure localization.
     """
 
+    __slots__ = (
+        "_link", "_grid", "_owners", "_free_mask", "_failed", "_tally",
+        "_touched", "_degradations",
+    )
+
     def __init__(self, link: Link, grid: WavelengthGrid) -> None:
         self._link = link
         self._grid = grid

@@ -20,6 +20,8 @@ from repro.errors import ConfigurationError, EquipmentError
 class FiberCrossConnect:
     """An N-port photonic cross-connect with one-to-one port mapping."""
 
+    __slots__ = ("fxc_id", "_port_count", "_peer", "_owner", "_labels")
+
     def __init__(self, fxc_id: str, port_count: int) -> None:
         if port_count < 2:
             raise ConfigurationError(

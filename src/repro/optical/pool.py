@@ -90,6 +90,8 @@ class UnitPool:
     prefix = "UNIT"
     noun = "unit"
 
+    __slots__ = ("node", "_installed", "_held", "_held_mask", "_count")
+
     def __init__(self, node: str) -> None:
         self.node = node
         # Line rate -> bitmask of the unit indices installed at that rate.

@@ -27,6 +27,8 @@ class Regenerator(PooledUnit):
 class RegenPool(UnitPool):
     """The regenerators installed at one node, grouped by line rate."""
 
+    __slots__ = ()
+
     unit_type = Regenerator
     prefix = "REGEN"
     noun = "regenerator"

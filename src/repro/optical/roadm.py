@@ -53,6 +53,11 @@ class AddDropPort:
 class Roadm:
     """One reconfigurable optical add/drop multiplexer node."""
 
+    __slots__ = (
+        "name", "_grid", "_colorless", "_non_directional", "_port_classes", "_connected",
+        "_connected_mask", "_port_count", "_degree_channels", "_express",
+    )
+
     def __init__(
         self,
         name: str,
@@ -64,7 +69,6 @@ class Roadm:
         self._grid = grid
         self._colorless = colorless
         self._non_directional = non_directional
-        self._degrees: Set[str] = set()
         # Installed add/drop ports: a bitmask of port indices per
         # (fixed_degree, fixed_channel) class.  A port object exists only
         # while the port is connected (see repro.optical.pool).
@@ -72,7 +76,7 @@ class Roadm:
         self._connected: Dict[int, AddDropPort] = {}
         self._connected_mask = 0
         self._port_count = 0
-        # degree -> channel -> owner, covering add/drop and express usage.
+        # degree -> channel -> owner (add/drop and express); keyed by every degree.
         self._degree_channels: Dict[str, Dict[int, str]] = {}
         # (deg_in, deg_out, channel) -> owner for express connections.
         self._express: Dict[Tuple[str, str, int], str] = {}
@@ -82,22 +86,21 @@ class Roadm:
     @property
     def degrees(self) -> Set[str]:
         """Neighbor node names this ROADM has fiber degrees toward."""
-        return set(self._degrees)
+        return set(self._degree_channels)
 
     @property
     def degree_count(self) -> int:
         """The ROADM's degree (2-degree, 3-degree, ...)."""
-        return len(self._degrees)
+        return len(self._degree_channels)
 
     def add_degree(self, toward: str) -> None:
         """Add a fiber degree toward neighbor node ``toward``."""
         if toward == self.name:
             raise ConfigurationError(f"ROADM {self.name} cannot face itself")
-        if toward in self._degrees:
+        if toward in self._degree_channels:
             raise ConfigurationError(
                 f"ROADM {self.name} already has a degree toward {toward}"
             )
-        self._degrees.add(toward)
         self._degree_channels[toward] = {}
 
     def add_ports(
@@ -122,7 +125,7 @@ class Roadm:
             raise ConfigurationError(
                 f"ROADM {self.name} is colored; ports need a fixed_channel"
             )
-        if fixed_degree is not None and fixed_degree not in self._degrees:
+        if fixed_degree is not None and fixed_degree not in self._degree_channels:
             raise ConfigurationError(
                 f"ROADM {self.name} has no degree toward {fixed_degree}"
             )
@@ -256,9 +259,7 @@ class Roadm:
                 f"channel {channel} on {self.name}->{degree} held by {holder!r}"
             )
         self._degree_channels[degree][channel] = owner
-        port = AddDropPort(
-            port_id, fixed_degree, fixed_channel, degree, channel, owner
-        )
+        port = AddDropPort(port_id, fixed_degree, fixed_channel, degree, channel, owner)
         self._connected[index] = port
         self._connected_mask |= 1 << index
         return port
@@ -278,9 +279,7 @@ class Roadm:
                 f"port {port_id} is held by {port.owner!r}, not {owner!r}"
             )
         del self._degree_channels[port.connected_degree][port.connected_channel]
-        port.connected_degree = None
-        port.connected_channel = None
-        port.owner = None
+        port.connected_degree = port.connected_channel = port.owner = None
         del self._connected[index]
         self._connected_mask &= ~(1 << index)
 
@@ -351,10 +350,10 @@ class Roadm:
     # -- internals ------------------------------------------------------------
 
     def _require_degree(self, degree: str) -> None:
-        if degree not in self._degrees:
+        if degree not in self._degree_channels:
             raise EquipmentError(
                 f"ROADM {self.name} has no degree toward {degree} "
-                f"(degrees: {sorted(self._degrees)})"
+                f"(degrees: {sorted(self._degree_channels)})"
             )
 
     def __repr__(self) -> str:

@@ -34,6 +34,8 @@ class TransponderPool(UnitPool):
     stranded capital.
     """
 
+    __slots__ = ()
+
     unit_type = Transponder
     prefix = "OT"
     noun = "transponder"

@@ -96,9 +96,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.admission import AdmissionControl, CustomerProfile
-from repro.core.connection import (
-    RECORD_OPTIONS, Connection, ConnectionState, Lifecycle,
-)
+from repro.core.connection import Connection, ConnectionState, Lifecycle
 from repro.core.controller import GriphonController
 from repro.core.inventory import InventoryDatabase
 from repro.core.rwa import BatchPlanItem, PlanRequest, RwaPlan, _PlanningRound
@@ -115,6 +113,7 @@ from repro.shard.workers import ShardWorkerPool, UnitRecipe, round_items, round_
 from repro.sim.kernel import Simulator
 from repro.sim.process import Process
 from repro.sim.randomness import RandomStreams
+from repro.topo.graph import RECORD_OPTIONS
 from repro.topo.hierarchy import EXPRESS, PREMISES_PREFIX, Hierarchy, build_hierarchy
 from repro.units import GBPS
 
@@ -136,7 +135,7 @@ def _exclusions(graph, unit_graph) -> tuple:
         tuple(sorted(
             link.key for link in graph.links
             if inside(link.a) and inside(link.b)
-            and link.b not in unit_graph.adjacent(link.a)
+            and not unit_graph.has_link(link.a, link.b)
         )),
         tuple(sorted(node.name for node in graph.nodes if not inside(node.name))),
     )

@@ -49,16 +49,16 @@ class SegmentSpec(NamedTuple):
 def _bfs_hops(graph: NetworkGraph, start: str) -> Dict[str, int]:
     """Hop distance from ``start`` to every node it reaches in ``graph``.
 
-    Distances do not depend on the order neighbours are visited in, so
-    the walk reads the graph's unsorted adjacency.
+    Neighbours are visited in name order, though distances do not
+    depend on the order.
     """
-    adjacent = graph.adjacent
+    neighbors = graph.neighbors
     hops = {start: 0}
     queue = deque([start])
     while queue:
         node = queue.popleft()
         next_hop = hops[node] + 1
-        for neighbor in adjacent(node):
+        for neighbor in neighbors(node):
             if neighbor not in hops:
                 hops[neighbor] = next_hop
                 queue.append(neighbor)

@@ -10,11 +10,12 @@ can take down several logical links at once.
 
 from __future__ import annotations
 
+import bisect
 import heapq
 import itertools
-from dataclasses import dataclass
+import sys
+from dataclasses import dataclass, field
 from typing import (
-    AbstractSet,
     Callable,
     Collection,
     Dict,
@@ -28,8 +29,13 @@ from typing import (
 
 from repro.errors import NoPathError, TopologyError
 
+#: ``dataclass`` options of the records made by the thousand (graph
+#: nodes and links, connection and order records): slotted, with no
+#: per-instance ``__dict__``, on the Pythons that can (3.10 and later).
+RECORD_OPTIONS = {"slots": True} if sys.version_info >= (3, 10) else {}
 
-@dataclass(frozen=True)
+
+@dataclass(frozen=True, **RECORD_OPTIONS)
 class Node:
     """A network location.
 
@@ -44,7 +50,7 @@ class Node:
     region: str = ""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, **RECORD_OPTIONS)
 class Link:
     """A bidirectional fiber pair between two nodes.
 
@@ -55,14 +61,15 @@ class Link:
         srlgs: Shared-risk link group identifiers (conduits, bridges...).
         key: Canonical (sorted) endpoint pair identifying this link.  It
             is built once, so the graph, the plant and every record keyed
-            by link hold this one tuple; it is not a field, so equality
-            and hashing still read the four fields above.
+            by link hold this one tuple; it is no ``__init__`` argument,
+            and equality, hashing and repr read only the four fields above.
     """
 
     a: str
     b: str
     length_km: float = 100.0
     srlgs: FrozenSet[str] = frozenset()
+    key: Tuple[str, str] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.a == self.b:
@@ -98,7 +105,7 @@ Adjacency = Dict[str, List[Tuple[str, Tuple[str, str], Link]]]
 
 
 class NetworkGraph:
-    """An undirected multigraph of nodes and fiber links.
+    """An undirected simple graph of nodes and fiber links.
 
     Provides Dijkstra shortest paths and Yen's k-shortest simple paths,
     with pluggable link weights and link/node exclusion — the primitives
@@ -108,14 +115,12 @@ class NetworkGraph:
     def __init__(self) -> None:
         self._nodes: Dict[str, Node] = {}
         self._links: Dict[Tuple[str, str], Link] = {}
-        self._adjacency: Dict[str, Set[str]] = {}
-        # Pre-sorted (neighbor, link key, link) lists per node so the path
-        # search inner loops need neither sorted(), link_between() nor
-        # Link.key; rebuilt lazily per node after a mutation touches it.
-        self._sorted_adjacency: Dict[
-            str, List[Tuple[str, Tuple[str, str], Link]]
-        ] = {}
-        self._srlg_index: Dict[str, List[Link]] = {}
+        # The one adjacency: name-sorted (neighbor, link key, link) lists
+        # per node, kept in order as links are added, so the path search
+        # inner loops need neither sorted(), link_between() nor Link.key.
+        self._adjacency: Adjacency = {}
+        # (generation, SRLG -> links): built on the first links_in_srlg().
+        self._srlg_index: Optional[Tuple[int, Dict[str, List[Link]]]] = None
         self._generation = 0
 
     @property
@@ -144,8 +149,7 @@ class NetworkGraph:
                 )
             return existing
         self._nodes[node.name] = node
-        self._adjacency[node.name] = set()
-        self._sorted_adjacency[node.name] = []
+        self._adjacency[node.name] = []
         self._generation += 1
         return node
 
@@ -163,12 +167,9 @@ class NetworkGraph:
         if link.key in self._links:
             raise TopologyError(f"duplicate link {link.key}")
         self._links[link.key] = link
-        self._adjacency[link.a].add(link.b)
-        self._adjacency[link.b].add(link.a)
-        self._sorted_adjacency.pop(link.a, None)
-        self._sorted_adjacency.pop(link.b, None)
-        for srlg in link.srlgs:
-            self._srlg_index.setdefault(srlg, []).append(link)
+        # Neighbours are distinct, so the tuples order on the name alone.
+        bisect.insort(self._adjacency[link.a], (link.b, link.key, link))
+        bisect.insort(self._adjacency[link.b], (link.a, link.key, link))
         self._generation += 1
         return link
 
@@ -211,26 +212,17 @@ class NetworkGraph:
         except KeyError:
             raise TopologyError(f"no link between {a!r} and {b!r}") from None
 
+    def has_link(self, a: str, b: str) -> bool:
+        """Whether a link joins ``a`` and ``b``."""
+        return ((a, b) if a <= b else (b, a)) in self._links
+
     def neighbors(self, name: str) -> List[str]:
         """Sorted neighbor names of ``name``."""
-        if name not in self._adjacency:
-            raise TopologyError(f"unknown node {name!r}")
-        return sorted(self._adjacency[name])
-
-    def adjacent(self, name: str) -> AbstractSet[str]:
-        """Neighbor names of ``name`` in no set order: the graph's own
-        adjacency, not a copy, for callers whose result does not depend
-        on visiting order (BFS distances).  Read it; never change it."""
-        try:
-            return self._adjacency[name]
-        except KeyError:
-            raise TopologyError(f"unknown node {name!r}") from None
+        return [entry[0] for entry in self._sorted_neighbors(name)]
 
     def degree(self, name: str) -> int:
         """Number of distinct inter-node fiber links at ``name``."""
-        if name not in self._adjacency:
-            raise TopologyError(f"unknown node {name!r}")
-        return len(self._adjacency[name])
+        return len(self._sorted_neighbors(name))
 
     def links_on_path(self, path: List[str]) -> List[Link]:
         """The link objects along a node path.
@@ -252,24 +244,27 @@ class NetworkGraph:
         return groups
 
     def links_in_srlg(self, srlg: str) -> List[Link]:
-        """All links belonging to the given shared-risk group."""
-        return list(self._srlg_index.get(srlg, ()))
+        """All links belonging to the given shared-risk group, in
+        insertion order.  The index is built on the first call, and again
+        on the first call after the topology changes."""
+        cached = self._srlg_index
+        if cached is None or cached[0] != self._generation:
+            index: Dict[str, List[Link]] = {}
+            for link in self._links.values():
+                for group in link.srlgs:
+                    index.setdefault(group, []).append(link)
+            cached = self._srlg_index = (self._generation, index)
+        return list(cached[1].get(srlg, ()))
 
     def _sorted_neighbors(
         self, name: str
     ) -> List[Tuple[str, Tuple[str, str], Link]]:
-        """Name-sorted (neighbor, link key, link) triples for ``name``
-        (lazily rebuilt)."""
-        cached = self._sorted_adjacency.get(name)
-        if cached is None:
-            cached = []
-            for neighbor in sorted(self._adjacency[name]):
-                link = self._links[
-                    (name, neighbor) if name <= neighbor else (neighbor, name)
-                ]
-                cached.append((neighbor, link.key, link))
-            self._sorted_adjacency[name] = cached
-        return cached
+        """Name-sorted (neighbor, link key, link) triples for ``name``:
+        the graph's own list.  Read it; never change it."""
+        try:
+            return self._adjacency[name]
+        except KeyError:
+            raise TopologyError(f"unknown node {name!r}") from None
 
     def induced_adjacency(self, members: Collection[str]) -> Adjacency:
         """Name-sorted ``(neighbor, link key, link)`` lists of the
@@ -463,7 +458,7 @@ class NetworkGraph:
         """
         if weight is None:
             return self._bfs_path(
-                self._sorted_neighbors,
+                self._adjacency.__getitem__,
                 source, target, banned_links, banned_nodes, banned_hops,
             )
         if banned_hops:
@@ -484,8 +479,8 @@ class NetworkGraph:
         banned_hops: Collection[str],
     ) -> List[str]:
         """The one hop-count search, over the adjacency ``neighbors_of``
-        reads: the whole graph (:meth:`_sorted_neighbors`) or a
-        restriction of it (:meth:`hop_path_within`)."""
+        reads: the whole graph's or a restriction of it
+        (:meth:`hop_path_within`)."""
         if source == target:
             return [source]
         # One membership test per edge: a banned node looks already
@@ -537,7 +532,7 @@ class NetworkGraph:
             visited.add(current)
             if current == target:
                 return self._reconstruct(previous, source, target)
-            for neighbor, key, link in self._sorted_neighbors(current):
+            for neighbor, key, link in self._adjacency[current]:
                 if neighbor in banned_nodes or neighbor in visited:
                     continue
                 if key in banned_links:

@@ -172,6 +172,19 @@ class TestFaultPlan:
         assert plan.decide("roadm_ems", "x", "tune", 0.0) is None
         assert plan.injected_counts == [1]
 
+    def test_a_plan_closes_with_its_last_live_window(self):
+        plan = FaultPlan([
+            FaultSpec(count=1, until_s=50.0),
+            FaultSpec(after_s=10.0, until_s=20.0),
+        ])
+        assert not plan.closed(19.0) and not plan.closed(20.0)
+        assert plan.decide("roadm_ems", "x", "tune", 0.0) is not None
+        # The counted rule is spent: only the 10-20 s window is left.
+        assert not plan.closed(19.0) and plan.closed(20.0)
+        assert not plan.empty
+        assert FaultPlan().closed(0.0)
+        assert not FaultPlan([FaultSpec(until_s=5.0), FaultSpec()]).closed(1e9)
+
     def test_first_matching_rule_wins(self):
         plan = FaultPlan(
             [FaultSpec(command="tune", mode="timeout"), FaultSpec(mode="fail")]

@@ -8,23 +8,36 @@ samples only while its tracer is enabled, and its connection records
 (and a sharded order's, which is its own record, not a connection)
 carry no per-instance ``__dict__``.  (That a
 drained sharded run keeps no retired child is checked by
-``tests/test_no_cyclic_garbage.py``, on the same run.)
+``tests/test_no_cyclic_garbage.py``, on the same run.)  A built network
+stores each fact once: a graph one adjacency and no SRLG index before
+one is read, a ROADM its degrees only as the keys of its channel
+table, and the plant's records no ``__dict__`` either.
 """
 
 import dataclasses
+import gc
 import json
 import pickle
 import sys
+import types
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bench.workloads import BUILDERS
 from repro.core.connection import Connection, ConnectionKind, ConnectionState
 from repro.facade import build_griphon_testbed
 from repro.metrics.collector import summarize
 from repro.obs.registry import MetricsRegistry
+from repro.optical.amplifier import AmplifierChain
+from repro.optical.fiber import DwdmLink
+from repro.optical.fxc import FiberCrossConnect
+from repro.optical.regen import RegenPool
+from repro.optical.roadm import Roadm
+from repro.optical.transponder import TransponderPool
 from repro.shard.network import ShardOrder
+from repro.topo.graph import RECORD_OPTIONS, Link, NetworkGraph, Node
 
 NAMES = st.sampled_from(["step.tune", "step.roadm", "lightpath.setup_s"])
 OBSERVATIONS = st.lists(
@@ -149,3 +162,49 @@ def test_a_stitched_order_holds_only_what_stitching_needs():
         assert not hasattr(order, name), name
     assert order.trace_id is None and order.order_id == "xo-1"
     assert "trace_id" not in {f.name for f in dataclasses.fields(ShardOrder)}
+
+
+#: What a build makes by the thousand; each carries no ``__dict__``.
+#: ``Node`` and ``Link`` are dataclasses, slotted where
+#: ``RECORD_OPTIONS`` can slot them (Python 3.10 and later).
+PLANT_RECORDS = (
+    Roadm, DwdmLink, AmplifierChain, TransponderPool, RegenPool,
+    FiberCrossConnect,
+) + ((Node, Link) if RECORD_OPTIONS else ())
+#: Objects the walk does not enter: through them every module is reached.
+OPAQUE = (type, types.ModuleType, types.FunctionType, types.BuiltinFunctionType)
+
+
+def reachable(root, wanted):
+    """Instances of the ``wanted`` types that ``root`` reaches."""
+    seen, stack, found = set(), [root], []
+    while stack:
+        obj = stack.pop()
+        if id(obj) in seen or isinstance(obj, OPAQUE):
+            continue
+        seen.add(id(obj))
+        if isinstance(obj, wanted):
+            found.append(obj)
+        stack.extend(gc.get_referents(obj))
+    return found
+
+
+def test_a_built_network_stores_each_fact_once():
+    world = BUILDERS["sharded-inproc"](11, 0.02, None)
+    try:
+        found = reachable(world, (NetworkGraph, Roadm) + PLANT_RECORDS)
+    finally:
+        world.close()
+    assert {type(obj) for obj in found} >= {NetworkGraph, *PLANT_RECORDS}
+    for obj in found:
+        if isinstance(obj, NetworkGraph):
+            per_node = sorted(
+                name for name, value in vars(obj).items()
+                if isinstance(value, dict) and value and set(value) <= set(obj._nodes)
+            )
+            assert per_node == ["_adjacency", "_nodes"]
+            assert obj._srlg_index is None
+        if isinstance(obj, Roadm):
+            assert not hasattr(obj, "_degrees")
+        if isinstance(obj, PLANT_RECORDS):
+            assert not hasattr(obj, "__dict__"), type(obj).__name__

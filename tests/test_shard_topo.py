@@ -176,11 +176,10 @@ class TestMergedBuild:
         assert merged.links == graph.links
         assert merged.generation == graph.generation
         assert merged._adjacency == graph._adjacency
-        assert merged._srlg_index == graph._srlg_index
-        for node in graph.nodes:
-            assert merged._sorted_neighbors(node.name) == graph._sorted_neighbors(
-                node.name
-            )
+        groups = {group for link in graph.links for group in link.srlgs}
+        assert groups
+        for group in groups:
+            assert merged.links_in_srlg(group) == graph.links_in_srlg(group)
         # It holds the slices' own node and link objects, but never a
         # slice's adjacency: the slices stay the graphs the shards plan over.
         for node in merged.nodes:
@@ -191,9 +190,9 @@ class TestMergedBuild:
         assert {id(link) for link in merged.links} == owned
         region = next(iter(hierarchy.regions))
         gateway = hierarchy.regions[region].gateways[0]
-        assert merged.adjacent(gateway) != hierarchy.region_graph(
+        assert merged.neighbors(gateway) != hierarchy.region_graph(
             region
-        ).adjacent(gateway)
+        ).neighbors(gateway)
 
     def test_node_lookup_reads_the_region_slices(self):
         hierarchy = build_hierarchy(seed=7, regions=2, pops_per_region=4,

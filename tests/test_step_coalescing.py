@@ -394,6 +394,32 @@ class TestRuleFromABoundary:
         ]
         assert bed.lightpaths["lp"].state is LightpathState.UP
 
+    def test_steps_after_the_last_window_closes_go_as_one_run(self):
+        bed = FaultBed(FaultSpec(command="tune", mode="timeout", until_s=3.0))
+        bed.launch("lp")
+        bed.net.run()
+        # The tune rule closes at 3 s, before any tune starts: after the
+        # step that ends at 3.5 s nothing can fire, so the rest (though
+        # the rule is unspent) wait on one event, as with no rule at all.
+        assert bed.plan.injected_counts == [0]
+        assert not bed.plan.empty
+        assert bed.resumes("lp") == [0.0, 2.0, 3.5, 62.35]
+        assert bed.lightpaths["lp"].state is LightpathState.UP
+
+    def test_an_order_placed_after_every_window_closed_runs_as_if_unplanned(self):
+        events = []
+        for specs in ([FaultSpec(until_s=1.0)], []):
+            net = build_griphon_testbed(seed=7, fault_plan=FaultPlan(specs))
+            net.sim.run(until=5.0)
+            connection = net.service_for("csp").request_connection(
+                "PREMISES-A", "PREMISES-C", rate_gbps=10
+            )
+            events.append(
+                (net.sim.run(), connection.state, round(connection.up_at, 2))
+            )
+        assert events[0] == events[1]
+        assert events[0][0] == 2 and events[0][1] is ConnectionState.UP
+
 
 class TestRunKernel:
     def test_end_time_is_the_sequential_sum(self):

@@ -1,6 +1,7 @@
 """The stdlib analysis tools under ``tools/``: what they report, and when
 they refuse to report."""
 
+import importlib.util
 import os
 import pathlib
 import shutil
@@ -73,3 +74,35 @@ def test_knobs_reads_a_splat_through_a_parameter_as_set():
     assert "  grid_size = 80: (set through a splat)" in block
     assert "  k_paths = 4: (set through a splat)" in block
     assert int(out[-1].split()[1]) <= 91
+
+
+def _tool(name):
+    """``tools/<name>.py`` imported as a module."""
+    spec = importlib.util.spec_from_file_location(name, ROOT / "tools" / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_footprint_names_the_types_a_build_keeps():
+    """The build line lists, beside the top files, the object types by
+    the bytes reachable from the built world; the walk counts each
+    object once and enters no class, module or function."""
+    footprint = _tool("footprint")
+    shared = ("a", "b")
+    world = {"adjacency": [shared, shared, ("c", "d")], "group": frozenset({1}),
+             "hook": test_footprint_names_the_types_a_build_keeps}
+    sizes = footprint.reached([world, world])
+    assert sizes["tuple"] == 2 * sys.getsizeof(shared)
+    assert sizes["frozenset"] == sys.getsizeof(world["group"])
+    assert "function" not in sizes and "module" not in sizes
+
+    side = {"orders": 10, "kept": 1000, "by_file": {"x.py": 1000}, "pool": None}
+    build = {"by_file": {"graph.py": 3_000_000, "roadm.py": 1_000_000},
+             "by_type": {"dict": 2_500_000, "set": 500_000, "tuple": 250_000}}
+    text = list(footprint.lines("w", [0.15, 0.5], side, {**side, "orders": 20}, build))
+    assert text[-4] == "    build at 0.15:   4.00 MB kept"
+    assert text[-1] == (
+        "    reached from the built world, by type: "
+        "dict 2.50 MB, set 0.50 MB, tuple 0.25 MB"
+    )

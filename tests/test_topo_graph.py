@@ -4,7 +4,7 @@ import dataclasses
 import pickle
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.facade import build_griphon_testbed
@@ -116,10 +116,12 @@ class TestLookup:
     def test_neighbors_sorted(self, square):
         assert square.neighbors("N0") == ["N1", "N2", "N3"]
 
-    def test_adjacent_is_the_unsorted_neighbor_set(self, square):
-        assert sorted(square.adjacent("N0")) == square.neighbors("N0")
+    def test_has_link_either_order(self, square):
+        assert square.has_link("N0", "N1") and square.has_link("N1", "N0")
+        assert not square.has_link("N1", "N3")
+        assert not square.has_link("N0", "ghost")
         with pytest.raises(TopologyError):
-            square.adjacent("ghost")
+            square.neighbors("ghost")
 
     def test_degree(self, square):
         assert square.degree("N0") == 3
@@ -149,6 +151,64 @@ class TestLookup:
         assert graph.srlgs_on_path(["A", "B", "C"]) == {"conduit-1", "conduit-2"}
         assert len(graph.links_in_srlg("conduit-1")) == 2
         assert len(graph.links_in_srlg("conduit-2")) == 1
+
+
+@st.composite
+def shuffled_builds(draw):
+    """Nodes and links (some in shared-risk groups) in a random order,
+    with a split point: a read happens there, the rest are added after."""
+    names = draw(st.lists(
+        st.text("abcXYZ0", min_size=1, max_size=3), min_size=2, max_size=9,
+        unique=True,
+    ))
+    pairs = [(a, b) for i, a in enumerate(names) for b in names[i + 1:]]
+    chosen = draw(st.lists(st.sampled_from(pairs), unique=True, max_size=20))
+    links = [
+        Link(*draw(st.permutations([a, b])), srlgs=draw(
+            st.frozensets(st.sampled_from(["g1", "g2", "g3"]), max_size=2)
+        ))
+        for a, b in chosen
+    ]
+    return (
+        draw(st.permutations(names)),
+        draw(st.permutations(links)),
+        draw(st.integers(0, len(links))),
+    )
+
+
+def assert_one_adjacency(graph, links):
+    """Neighbours come name-sorted from the one list, and each SRLG
+    lists its links in insertion order, as an index built eagerly would."""
+    for node in graph.nodes:
+        expected = sorted(
+            (link.other(node.name), link.key, link)
+            for link in links if node.name in link.key
+        )
+        assert graph._sorted_neighbors(node.name) == expected
+        assert graph.neighbors(node.name) == [entry[0] for entry in expected]
+        assert graph.degree(node.name) == len(expected)
+    index = {}
+    for link in links:
+        for group in link.srlgs:
+            index.setdefault(group, []).append(link)
+    for group in ("g1", "g2", "g3"):
+        assert graph.links_in_srlg(group) == index.get(group, [])
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(shuffled_builds())
+def test_one_adjacency_matches_the_name_sorted_view(build):
+    names, links, split = build
+    graph = NetworkGraph()
+    for name in names:
+        graph.add_node(Node(name))
+    for link in links[:split]:
+        graph.add_link(link)
+    assert graph._srlg_index is None
+    assert_one_adjacency(graph, links[:split])
+    for link in links[split:]:
+        graph.add_link(link)
+    assert_one_adjacency(graph, links)
 
 
 class TestShortestPath:

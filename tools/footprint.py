@@ -14,8 +14,11 @@ the network -- then the ``TOP`` source files by that slope.  A run
 whose memory follows its live orders reads near 0 B/order.  One more
 line gives what the workload's *build* keeps (the bench builder's call,
 at the first scale, traced in a process of its own: the network, its
-controllers and the order schedule, before any order runs), and the
-``TOP`` source files by those bytes: what grows with the network.
+controllers and the order schedule, before any order runs), the
+``TOP`` source files by those bytes: what grows with the network, and
+the ``TOP`` object types by the ``sys.getsizeof`` bytes reachable from
+the built world (``dict``, ``list``, ``set``...): where a fact stored
+twice shows.
 
 Each (workload, scale) runs in a process of its own with
 ``PYTHONHASHSEED=0``.  Only this process's allocations are seen: a
@@ -23,8 +26,8 @@ Each (workload, scale) runs in a process of its own with
 more line gives, at each scale, the largest worker's peak RSS
 (``RUSAGE_CHILDREN`` once ``world.close()`` has reaped them) and what
 the pool's crash-replay journals hold after ``run()``: their entries,
-and the ``sys.getsizeof`` bytes of every object they reach, each
-counted once (keys and names shared with the graph included).  ``tracemalloc``
+and the bytes of every object they reach, as the by-type walk counts
+them (keys and names shared with the graph included).  ``tracemalloc``
 slows the run several-fold; the bytes do not depend on speed.  The
 script imports ``bench.workloads`` and ``bench.driver`` as they are.
 """
@@ -36,28 +39,30 @@ import resource
 import subprocess
 import sys
 import tracemalloc
+import types
 
 ROOT = os.path.dirname(os.path.dirname(os.path.realpath(__file__)))
 WORKLOADS = ["sharded-inproc", "sharded-pool", "edge-overload", "mono-churn"]
-TOP = 4  # source files listed per workload
+TOP = 4  # source files (and object types) listed per workload
+#: Objects the walk neither counts nor enters: through them every
+#: module, and so everything the interpreter holds, is reached.
+OPAQUE = (type, types.ModuleType, types.FunctionType, types.BuiltinFunctionType)
 
 
-def reached_bytes(roots):
-    """``sys.getsizeof`` of every object ``roots`` reach through dicts,
-    lists, tuples and sets, each object counted once."""
-    seen, stack, total = set(), list(roots), 0
+def reached(roots):
+    """``sys.getsizeof`` bytes of every object ``roots`` reach, by type
+    name, each object counted once; classes, modules and functions are
+    left out."""
+    seen, stack, sizes = set(), list(roots), {}
     while stack:
         obj = stack.pop()
-        if id(obj) in seen:
+        if id(obj) in seen or isinstance(obj, OPAQUE):
             continue
         seen.add(id(obj))
-        total += sys.getsizeof(obj)
-        if isinstance(obj, dict):
-            stack.extend(obj.keys())
-            stack.extend(obj.values())
-        elif isinstance(obj, (list, tuple, set, frozenset)):
-            stack.extend(obj)
-    return total
+        name = type(obj).__name__
+        sizes[name] = sizes.get(name, 0) + sys.getsizeof(obj)
+        stack.extend(gc.get_referents(obj))
+    return sizes
 
 
 def measure(workload, seed, scale):
@@ -83,7 +88,7 @@ def measure(workload, seed, scale):
             journals = [unit.journal for unit in world.pool._units.values()]
             pool = {
                 "journal_entries": sum(map(len, journals)),
-                "journal_bytes": reached_bytes(journals),
+                "journal_bytes": sum(reached(journals).values()),
             }
     finally:
         world.close()
@@ -102,7 +107,8 @@ def measure(workload, seed, scale):
 
 def measure_build(workload, seed, scale):
     """What building ``workload`` keeps, by source file, once the bench
-    builder has returned (its worker pool, if any, still up)."""
+    builder has returned (its worker pool, if any, still up), and the
+    bytes the built world reaches by object type."""
     from bench.workloads import BUILDERS
 
     tracemalloc.start()
@@ -111,11 +117,12 @@ def measure_build(workload, seed, scale):
         try:
             gc.collect()
             snapshot = tracemalloc.take_snapshot()
+            by_type = reached([world])  # after the snapshot: not counted in it
         finally:
             world.close()
     finally:
         tracemalloc.stop()
-    return {"by_file": by_file(snapshot)}
+    return {"by_file": by_file(snapshot), "by_type": by_type}
 
 
 def by_file(snapshot):
@@ -166,6 +173,11 @@ def lines(workload, scales, low, high, build):
     yield f"    build at {scales[0]}: {sum(built.values()) / 1e6:6.2f} MB kept"
     for name in sorted(built, key=lambda name: -built[name])[:TOP]:
         yield f"    {built[name]:9,} B  {name}"
+    kinds = build["by_type"]
+    yield "    reached from the built world, by type: " + ", ".join(
+        f"{name} {kinds[name] / 1e6:.2f} MB"
+        for name in sorted(kinds, key=lambda name: -kinds[name])[:TOP]
+    )
 
 
 def main(argv=None):

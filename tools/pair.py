@@ -23,7 +23,8 @@ time goes (hierarchy, network, load generation, the rest), timed once
 per side and pair in a process of its own that stops after
 ``Driver.load``; that process also reads the CPU seconds and peak RSS
 of the import chain alone, so a shift can be placed in the imports or
-in the run.  Workloads default to ``sharded-inproc`` and seeds to
+in the run, and the peak RSS again as each set-up stage ends, so a
+memory shift can be placed in the stage that makes it.  Workloads default to ``sharded-inproc`` and seeds to
 47.  The report is written to ``perf/<short REV>.md`` unless ``--out``
 names another file.  Nothing here imports ``bench``; only the children
 run either side's code.
@@ -112,16 +113,20 @@ def child(root, workload, seed, scale):
 #: and ``ru_maxrss`` the interpreter has spent by then, before any
 #: builder; then wraps the builders ``bench.workloads`` calls and reads
 #: the schedule's own timer; ``rest`` is the frontend, intake and
-#: ``Driver.load``.
+#: ``Driver.load``.  ``ru_maxrss`` is read again as each stage ends
+#: (``loadgen`` when the workload's builder returns, ``rest`` after
+#: ``Driver.load``); a stage a workload does not run reads the one before.
 BREAKDOWN = """
 import json, resource, sys, time
+def maxrss_mb():
+    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
 import bench.child
-imports = {"cpu_s": time.process_time(),
-           "rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0}
+imports = {"cpu_s": time.process_time(), "rss_mb": maxrss_mb()}
 import bench.workloads as workloads
 from bench.driver import Driver
 
 spent = {"hierarchy": 0.0, "network": 0.0}
+rss = {}
 def timed(stage, build):
     def wrapper(*args, **kwargs):
         started = time.perf_counter()
@@ -129,6 +134,7 @@ def timed(stage, build):
             return build(*args, **kwargs)
         finally:
             spent[stage] += time.perf_counter() - started
+            rss[stage] = maxrss_mb()
     return wrapper
 for name, stage in [("build_hierarchy", "hierarchy"),
                     ("build_sharded_network", "network"),
@@ -139,17 +145,31 @@ for name, stage in [("build_hierarchy", "hierarchy"),
 workload, seed, scale = sys.argv[1], int(sys.argv[2]), float(sys.argv[3])
 started = time.perf_counter()
 world = workloads.BUILDERS[workload](seed, scale, None)
+rss["loadgen"] = maxrss_mb()
 Driver(world).load()
 total = time.perf_counter() - started
+rss["rest"] = maxrss_mb()
 world.close()
 spent["loadgen"] = world.generate_s
 spent["rest"] = total - sum(spent.values())
 spent["total"] = total
-print(json.dumps({**spent, "imports": imports}))
+print(json.dumps({**spent, "imports": imports, "rss_mb": rss}))
 """
 STAGES = ["hierarchy", "network", "loadgen", "rest", "total"]
+#: The stages ``ru_maxrss`` is read at the end of, in set-up order.
+RSS_STAGES = ["hierarchy", "network", "loadgen", "rest"]
 #: The import chain's row: (label, key in the probe's ``imports``, scale).
 IMPORTS = [("CPU ms", "cpu_s", 1e3), ("ru_maxrss MB", "rss_mb", 1.0)]
+
+
+def stage_rss(run, index):
+    """``ru_maxrss`` at the end of ``RSS_STAGES[index]`` in one probe
+    run: the reading of the last stage up to it that ran, else the
+    import chain's."""
+    for stage in reversed(RSS_STAGES[:index + 1]):
+        if stage in run["rss_mb"]:
+            return run["rss_mb"][stage]
+    return run["imports"]["rss_mb"]
 
 
 def breakdown(root, workload, seed, scale):
@@ -295,6 +315,23 @@ def report(rev, short, head, dirty, args, results):
                 cells.append((median, f"{fmt(median)} [{fmt(q1)}, {fmt(q3)}]"))
             delta = cells[1][0] - cells[0][0]
             lines.append(f"| {label} | {cells[0][1]} | {cells[1][1]} | {delta:+.2f} |")
+        lines += [
+            "",
+            "`ru_maxrss` as each set-up stage ends, in the same runs, MB, "
+            "median [q1, q3] (`loadgen`: the builder has returned; `rest`: "
+            "after `Driver.load`):",
+            "",
+            "| stage | parent | change | change vs parent |",
+            "|---|---|---|---|",
+        ]
+        for index, stage in enumerate(RSS_STAGES):
+            cells = []
+            for side in ("parent", "change"):
+                q1, median, q3 = quartiles(
+                    [stage_rss(run, index) for run in stages[side]])
+                cells.append((median, f"{fmt(median)} [{fmt(q1)}, {fmt(q3)}]"))
+            delta = cells[1][0] - cells[0][0]
+            lines.append(f"| {stage} | {cells[0][1]} | {cells[1][1]} | {delta:+.2f} |")
         lines += ["", "Every run, in pair order:", "", *raw, ""]
     return "\n".join(lines)
 

@@ -26,9 +26,9 @@ return values from this union.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, NamedTuple, Optional, Tuple, Union
 
+from repro import FrozenRecord, record_eq, record_ne
 from repro.core.connection import ConnectionState
 
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids import cycles
@@ -37,7 +37,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only, avoids import cycles
     from repro.shard.network import ShardOrder
 
 
-class _ConnectionOutcome:
+class _ConnectionOutcome(FrozenRecord):
     """Shared delegation for outcomes that wrap a connection record.
 
     The wrapped ``connection`` is the backend's per-order record: a
@@ -48,7 +48,11 @@ class _ConnectionOutcome:
     fields.
     """
 
-    connection: Any
+    __slots__ = ("connection",)
+    _fields = ("connection",)
+
+    def __init__(self, connection: Any) -> None:
+        super().__init__(connection)
 
     @property
     def connection_id(self) -> str:
@@ -71,7 +75,6 @@ class _ConnectionOutcome:
         return self.connection.trace_id
 
 
-@dataclass(frozen=True)
 class Accepted(_ConnectionOutcome):
     """Non-terminal status: resources claimed, the order is in flight.
 
@@ -82,17 +85,16 @@ class Accepted(_ConnectionOutcome):
     precise phase.
     """
 
-    connection: Any
+    __slots__ = ()
 
     def __str__(self) -> str:
         return f"{self.connection_id}: {self.state.value}"
 
 
-@dataclass(frozen=True)
 class Active(_ConnectionOutcome):
     """Terminal outcome: the order is carrying traffic (state UP)."""
 
-    connection: Any
+    __slots__ = ()
 
     @property
     def up_at(self) -> Optional[float]:
@@ -103,7 +105,6 @@ class Active(_ConnectionOutcome):
         return f"{self.connection_id}: active"
 
 
-@dataclass(frozen=True)
 class Blocked(_ConnectionOutcome):
     """Terminal outcome: the order was refused (quota or capacity).
 
@@ -112,7 +113,7 @@ class Blocked(_ConnectionOutcome):
     the one-line reason.
     """
 
-    connection: Any
+    __slots__ = ()
 
     @property
     def blocked_reason(self) -> str:
@@ -129,8 +130,7 @@ class Blocked(_ConnectionOutcome):
         return f"{self.connection_id}: blocked - {self.blocked_reason}"
 
 
-@dataclass(frozen=True)
-class QueueFull:
+class QueueFull(NamedTuple):
     """Typed outcome for an order refused by intake backpressure.
 
     The pipeline's bounded queue was full at submission: nothing was
@@ -147,12 +147,15 @@ class QueueFull:
     capacity: int
     reason: str
 
+    __eq__ = record_eq
+    __ne__ = record_ne
+    __hash__ = tuple.__hash__
+
     def __str__(self) -> str:
         return f"{self.order_id}: queue full - {self.reason}"
 
 
-@dataclass(frozen=True)
-class Deferred:
+class Deferred(NamedTuple):
     """Typed outcome for an order that kept losing wavelength contention.
 
     Every round the pipeline processed the order, earlier orders in the
@@ -171,6 +174,10 @@ class Deferred:
     rounds_deferred: int
     reason: str
 
+    __eq__ = record_eq
+    __ne__ = record_ne
+    __hash__ = tuple.__hash__
+
     def __str__(self) -> str:
         return (
             f"{self.order_id}: deferred after {self.rounds_deferred} "
@@ -178,8 +185,7 @@ class Deferred:
         )
 
 
-@dataclass(frozen=True)
-class SetupFailed:
+class SetupFailed(NamedTuple):
     """Typed outcome for an order that failed entirely during setup.
 
     Every claimed resource was released by the compensating saga; the
@@ -199,12 +205,15 @@ class SetupFailed:
     fault: Optional["FaultReport"] = None
     trace_id: Optional[str] = None
 
+    __eq__ = record_eq
+    __ne__ = record_ne
+    __hash__ = tuple.__hash__
+
     def __str__(self) -> str:
         return f"{self.connection_id}: setup failed - {self.error}"
 
 
-@dataclass(frozen=True)
-class ServiceDegraded:
+class ServiceDegraded(NamedTuple):
     """Typed outcome for an order that came up with fewer components.
 
     Some wavelength/circuit components aborted during setup and were
@@ -226,6 +235,10 @@ class ServiceDegraded:
     trace_id: Optional[str] = None
     up_components: int = 0
 
+    __eq__ = record_eq
+    __ne__ = record_ne
+    __hash__ = tuple.__hash__
+
     def __str__(self) -> str:
         return (
             f"{self.connection_id}: degraded "
@@ -233,8 +246,7 @@ class ServiceDegraded:
         )
 
 
-@dataclass(frozen=True)
-class SlaBreached:
+class SlaBreached(NamedTuple):
     """Typed outcome for a connection gray-degraded past its SLA.
 
     The SLO engine detected sustained OSNR-margin erosion (or another
@@ -258,6 +270,10 @@ class SlaBreached:
     cause: str = ""
     trace_id: Optional[str] = None
 
+    __eq__ = record_eq
+    __ne__ = record_ne
+    __hash__ = tuple.__hash__
+
     def __str__(self) -> str:
         return (
             f"{self.connection_id}: SLA breached "
@@ -280,9 +296,7 @@ class Rejected(NamedTuple):
     :data:`REJECT_RATE_LIMIT` (the tenant's token bucket was empty), or
     :data:`REJECT_QUOTA` (the non-mutating edge-quota probe refused).
 
-    Most submissions under overload end here, so the record is a tuple:
-    built in one call, where a frozen dataclass sets each field through
-    ``object.__setattr__``.  It keeps the other outcomes' contract: its
+    Like the other plain outcomes it is a tuple, built in one call: its
     fields cannot be assigned, and it equals only another ``Rejected``
     with equal fields (never a plain tuple), hashing by those fields.
 
@@ -298,12 +312,8 @@ class Rejected(NamedTuple):
     reason: str
     tenant: str = ""
 
-    def __eq__(self, other: object) -> bool:
-        return other.__class__ is self.__class__ and tuple.__eq__(self, other)
-
-    def __ne__(self, other: object) -> bool:
-        return not self == other
-
+    __eq__ = record_eq
+    __ne__ = record_ne
     __hash__ = tuple.__hash__
 
     def __str__(self) -> str:

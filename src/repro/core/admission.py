@@ -11,14 +11,12 @@ policy, resource blocking is capacity.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
 from repro.errors import AdmissionError
 from repro.units import GBPS, format_rate
 
 
-@dataclass
 class CustomerProfile:
     """One cloud-service-provider customer.
 
@@ -30,10 +28,19 @@ class CustomerProfile:
             any premises (no restriction).
     """
 
-    name: str
-    max_connections: int = 16
-    max_total_rate_bps: float = 400 * GBPS
-    premises: List[str] = field(default_factory=list)
+    __slots__ = ("name", "max_connections", "max_total_rate_bps", "premises")
+
+    def __init__(
+        self,
+        name: str,
+        max_connections: int = 16,
+        max_total_rate_bps: float = 400 * GBPS,
+        premises: Optional[List[str]] = None,
+    ) -> None:
+        self.name = name
+        self.max_connections = max_connections
+        self.max_total_rate_bps = max_total_rate_bps
+        self.premises = [] if premises is None else premises
 
 
 class AdmissionControl:

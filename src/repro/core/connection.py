@@ -10,11 +10,9 @@ to a bundle of both.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
 from typing import List, Optional
 
 from repro.errors import ConnectionStateError
-from repro.topo.graph import RECORD_OPTIONS
 from repro.units import format_rate
 
 #: Kinds of claims-ledger entry (see ``Connection.claims``).
@@ -130,7 +128,6 @@ class Lifecycle:
             self.outage_started_at = None
 
 
-@dataclass(**RECORD_OPTIONS)
 class Connection(Lifecycle):
     """One customer connection.
 
@@ -151,42 +148,76 @@ class Connection(Lifecycle):
         blocked_reason: Human-readable reason when state is BLOCKED.
     """
 
-    connection_id: str
-    customer: str
-    premises_a: str
-    premises_b: str
-    rate_bps: float
-    kind: ConnectionKind
-    lightpath_ids: List[str] = field(default_factory=list)
-    circuit_ids: List[str] = field(default_factory=list)
-    evc_ids: List[str] = field(default_factory=list)
-    state: ConnectionState = ConnectionState.REQUESTED
-    requested_at: Optional[float] = None
-    up_at: Optional[float] = None
-    released_at: Optional[float] = None
-    outage_started_at: Optional[float] = None
-    total_outage_s: float = 0.0
-    blocked_reason: str = ""
-    #: The claims ledger: one ``(component, kind, ...)`` entry per NTE
-    #: interface / sub-channel, FXC pair and OTN client port the
-    #: connection holds, in claim order (layouts beside the ``CLAIM_*``
-    #: kinds).  ``component`` is the lightpath, circuit or EVC id the
-    #: claim serves, or ``""``; the controller gives entries back.
-    claims: List[tuple] = field(default_factory=list)
-    #: Trace id of the order's root span (None when tracing is off).
-    trace_id: Optional[str] = None
-    #: The EquipmentError that aborted (part of) setup; None on the
-    #: happy path.  Set alongside DEGRADED / setup-failed BLOCKED.
-    setup_error: Optional[Exception] = None
-    #: Why the connection is gray-degraded (e.g. ``"osnr-drift:NYC=CHI"``).
-    #: Set by the SLO engine when it escalates an SLA breach it could not
-    #: remediate; cleared when the SLA recovers.  Empty for hard faults.
-    degradation_cause: str = ""
-    #: OSNR margin (dB) recorded at escalation time, alongside
-    #: :attr:`degradation_cause`.
-    degradation_margin_db: Optional[float] = None
-    #: Name of the SLO policy whose breach caused the escalation.
-    degradation_policy: str = ""
+    __slots__ = (
+        "connection_id", "customer", "premises_a", "premises_b", "rate_bps",
+        "kind", "lightpath_ids", "circuit_ids", "evc_ids", "state",
+        "requested_at", "up_at", "released_at", "outage_started_at",
+        "total_outage_s", "blocked_reason", "claims", "trace_id",
+        "setup_error", "degradation_cause", "degradation_margin_db",
+        "degradation_policy",
+    )
+
+    def __init__(
+        self,
+        connection_id: str,
+        customer: str,
+        premises_a: str,
+        premises_b: str,
+        rate_bps: float,
+        kind: ConnectionKind,
+        lightpath_ids: Optional[List[str]] = None,
+        circuit_ids: Optional[List[str]] = None,
+        evc_ids: Optional[List[str]] = None,
+        state: ConnectionState = ConnectionState.REQUESTED,
+        requested_at: Optional[float] = None,
+        up_at: Optional[float] = None,
+        released_at: Optional[float] = None,
+        outage_started_at: Optional[float] = None,
+        total_outage_s: float = 0.0,
+        blocked_reason: str = "",
+        claims: Optional[List[tuple]] = None,
+        trace_id: Optional[str] = None,
+        setup_error: Optional[Exception] = None,
+        degradation_cause: str = "",
+        degradation_margin_db: Optional[float] = None,
+        degradation_policy: str = "",
+    ) -> None:
+        self.connection_id = connection_id
+        self.customer = customer
+        self.premises_a = premises_a
+        self.premises_b = premises_b
+        self.rate_bps = rate_bps
+        self.kind = kind
+        self.lightpath_ids = [] if lightpath_ids is None else lightpath_ids
+        self.circuit_ids = [] if circuit_ids is None else circuit_ids
+        self.evc_ids = [] if evc_ids is None else evc_ids
+        self.state = state
+        self.requested_at = requested_at
+        self.up_at = up_at
+        self.released_at = released_at
+        self.outage_started_at = outage_started_at
+        self.total_outage_s = total_outage_s
+        self.blocked_reason = blocked_reason
+        #: The claims ledger: one ``(component, kind, ...)`` entry per NTE
+        #: interface / sub-channel, FXC pair and OTN client port the
+        #: connection holds, in claim order (layouts beside the ``CLAIM_*``
+        #: kinds).  ``component`` is the lightpath, circuit or EVC id the
+        #: claim serves, or ``""``; the controller gives entries back.
+        self.claims = [] if claims is None else claims
+        #: Trace id of the order's root span (None when tracing is off).
+        self.trace_id = trace_id
+        #: The EquipmentError that aborted (part of) setup; None on the
+        #: happy path.  Set alongside DEGRADED / setup-failed BLOCKED.
+        self.setup_error = setup_error
+        #: Why the connection is gray-degraded (e.g. ``"osnr-drift:NYC=CHI"``).
+        #: Set by the SLO engine when it escalates an SLA breach it could not
+        #: remediate; cleared when the SLA recovers.  Empty for hard faults.
+        self.degradation_cause = degradation_cause
+        #: OSNR margin (dB) recorded at escalation time, alongside
+        #: :attr:`degradation_cause`.
+        self.degradation_margin_db = degradation_margin_db
+        #: Name of the SLO policy whose breach caused the escalation.
+        self.degradation_policy = degradation_policy
 
     def __str__(self) -> str:
         return (

@@ -13,7 +13,6 @@ whole window, if restoration is off.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from repro.core.controller import GriphonController
@@ -21,7 +20,6 @@ from repro.core.migration import Move
 from repro.errors import ConfigurationError, GriphonError
 
 
-@dataclass
 class MaintenanceRecord:
     """Outcome of one maintenance window.
 
@@ -37,13 +35,30 @@ class MaintenanceRecord:
             aborted move retried before the window opens appears twice.
     """
 
-    link: Tuple[str, str]
-    started_at: float
-    ended_at: float
-    migrated: List[str] = field(default_factory=list)
-    migration_failures: Dict[str, str] = field(default_factory=dict)
-    moves: List[Move] = field(default_factory=list)
-    completed: bool = False
+    __slots__ = (
+        "link", "started_at", "ended_at", "migrated", "migration_failures",
+        "moves", "completed",
+    )
+
+    def __init__(
+        self,
+        link: Tuple[str, str],
+        started_at: float,
+        ended_at: float,
+        migrated: Optional[List[str]] = None,
+        migration_failures: Optional[Dict[str, str]] = None,
+        moves: Optional[List[Move]] = None,
+        completed: bool = False,
+    ) -> None:
+        self.link = link
+        self.started_at = started_at
+        self.ended_at = ended_at
+        self.migrated = [] if migrated is None else migrated
+        self.migration_failures = (
+            {} if migration_failures is None else migration_failures
+        )
+        self.moves = [] if moves is None else moves
+        self.completed = completed
 
 
 class MaintenanceScheduler:

@@ -13,7 +13,6 @@ roll across with a ~50 ms hit, tear the old path down); settle the
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional
 
 from repro.core.connection import ConnectionState
@@ -25,7 +24,6 @@ from repro.sim.process import Process
 ROLL_HIT_S = 0.050
 
 
-@dataclass
 class Move:
     """One bridge-and-roll of ``connection_id`` under ``holder``.
 
@@ -35,13 +33,28 @@ class Move:
     took to come up and the roll's traffic hit.
     """
 
-    connection_id: str
-    holder: str
-    outcome: Optional[str] = None
-    reason: str = ""
-    new_path: List[str] = field(default_factory=list)
-    bridge_s: float = 0.0
-    hit_s: float = 0.0
+    __slots__ = (
+        "connection_id", "holder", "outcome", "reason", "new_path",
+        "bridge_s", "hit_s",
+    )
+
+    def __init__(
+        self,
+        connection_id: str,
+        holder: str,
+        outcome: Optional[str] = None,
+        reason: str = "",
+        new_path: Optional[List[str]] = None,
+        bridge_s: float = 0.0,
+        hit_s: float = 0.0,
+    ) -> None:
+        self.connection_id = connection_id
+        self.holder = holder
+        self.outcome = outcome
+        self.reason = reason
+        self.new_path = [] if new_path is None else new_path
+        self.bridge_s = bridge_s
+        self.hit_s = hit_s
 
     @property
     def settled(self) -> bool:

@@ -28,10 +28,12 @@ round cannot be assigned a wavelength an earlier one already won.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import islice
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import (
+    Dict, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Tuple,
+)
 
+from repro import fields_eq, record_eq, record_ne
 from repro.errors import (
     ConfigurationError,
     GriphonError,
@@ -46,7 +48,6 @@ from repro.optical.lightpath import Segment
 from repro.sim.randomness import RandomStreams
 
 
-@dataclass
 class RwaPlan:
     """The output of routing and wavelength assignment.
 
@@ -57,10 +58,21 @@ class RwaPlan:
         rate_bps: Line rate the plan was computed for.
     """
 
-    path: List[str]
-    segments: List[Segment]
-    regen_sites: List[str]
-    rate_bps: float
+    __slots__ = _fields = ("path", "segments", "regen_sites", "rate_bps")
+
+    def __init__(
+        self,
+        path: List[str],
+        segments: List[Segment],
+        regen_sites: List[str],
+        rate_bps: float,
+    ) -> None:
+        self.path = path
+        self.segments = segments
+        self.regen_sites = regen_sites
+        self.rate_bps = rate_bps
+
+    __eq__ = fields_eq
 
     @property
     def hop_count(self) -> int:
@@ -68,8 +80,7 @@ class RwaPlan:
         return len(self.path) - 1
 
 
-@dataclass(frozen=True)
-class PlanRequest:
+class PlanRequest(NamedTuple):
     """One wavelength request inside a :meth:`RwaEngine.plan_batch` round.
 
     Attributes:
@@ -85,6 +96,10 @@ class PlanRequest:
     rate_bps: float
     excluded_links: Tuple[Tuple[str, str], ...] = ()
     excluded_nodes: Tuple[str, ...] = ()
+
+    __eq__ = record_eq
+    __ne__ = record_ne
+    __hash__ = tuple.__hash__
 
 
 class BatchPlanItem:
@@ -123,15 +138,6 @@ class BatchPlanItem:
     def ok(self) -> bool:
         """True when the request received a plan."""
         return self.plan is not None
-
-    def __repr__(self) -> str:
-        status = "ok" if self.ok else (
-            "contended" if self.contended else "blocked"
-        )
-        return (
-            f"BatchPlanItem({self.request.source}->"
-            f"{self.request.destination}, {status})"
-        )
 
 
 class _PlanningRound:

@@ -15,9 +15,9 @@ Run it any time: the audit only reads state, never mutates.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Mapping, Optional, Set, Tuple
+from typing import Dict, Iterable, List, Mapping, NamedTuple, Optional, Set, Tuple
 
+from repro import record_eq, record_ne
 from repro.core.connection import Connection, ConnectionState
 from repro.core.inventory import (
     HELD_CHANNEL,
@@ -30,8 +30,7 @@ from repro.optical.lightpath import LightpathState
 from repro.optical.pool import UnitPool
 
 
-@dataclass(frozen=True)
-class AuditViolation:
+class AuditViolation(NamedTuple):
     """One invariant violation found by the audit.
 
     Attributes:
@@ -46,16 +45,24 @@ class AuditViolation:
     owner: str
     detail: str
 
+    __eq__ = record_eq
+    __ne__ = record_ne
+    __hash__ = tuple.__hash__
+
     def __str__(self) -> str:
         return f"[{self.kind}] {self.resource} (owner={self.owner!r}): {self.detail}"
 
 
-@dataclass
 class AuditReport:
     """The outcome of one audit pass."""
 
-    violations: List[AuditViolation] = field(default_factory=list)
-    checked: int = 0
+    __slots__ = ("violations", "checked")
+
+    def __init__(
+        self, violations: Optional[List[AuditViolation]] = None, checked: int = 0
+    ) -> None:
+        self.violations = [] if violations is None else violations
+        self.checked = checked
 
     @property
     def ok(self) -> bool:

@@ -17,10 +17,10 @@ byte-identical fault sequences, and an empty plan draws nothing at all.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fnmatch import fnmatchcase
 from typing import Any, Dict, List, Optional, Sequence
 
+from repro import FrozenRecord
 from repro.errors import ConfigurationError
 from repro.sim.randomness import RandomStreams
 
@@ -38,8 +38,7 @@ def _reject_unknown_keys(kind: str, data: Dict[str, Any], known) -> None:
         )
 
 
-@dataclass(frozen=True)
-class FaultSpec:
+class FaultSpec(FrozenRecord):
     """One fault-injection rule.
 
     Attributes:
@@ -62,35 +61,51 @@ class FaultSpec:
             before the error surfaces.
     """
 
-    ems: str = "*"
-    element: str = "*"
-    command: str = "*"
-    mode: str = "transient"
-    probability: float = 1.0
-    count: Optional[int] = None
-    after_s: float = 0.0
-    until_s: Optional[float] = None
-    error_after_s: float = 0.5
+    __slots__ = _fields = (
+        "ems", "element", "command", "mode", "probability", "count",
+        "after_s", "until_s", "error_after_s",
+    )
 
-    def __post_init__(self) -> None:
-        if self.mode not in FAULT_MODES:
+    def __init__(
+        self,
+        ems: str = "*",
+        element: str = "*",
+        command: str = "*",
+        mode: str = "transient",
+        probability: float = 1.0,
+        count: Optional[int] = None,
+        after_s: float = 0.0,
+        until_s: Optional[float] = None,
+        error_after_s: float = 0.5,
+    ) -> None:
+        # Each check is written so that NaN fails it: a plan file's JSON
+        # may carry NaN, and every ordered comparison with NaN is false.
+        if mode not in FAULT_MODES:
             raise ConfigurationError(
-                f"unknown fault mode {self.mode!r} (known: {', '.join(FAULT_MODES)})"
+                f"unknown fault mode {mode!r} (known: {', '.join(FAULT_MODES)})"
             )
-        if not 0.0 <= self.probability <= 1.0:
+        if not 0.0 <= probability <= 1.0:
             raise ConfigurationError(
-                f"probability must be in [0, 1], got {self.probability}"
+                f"probability must be in [0, 1], got {probability}"
             )
-        if self.count is not None and self.count < 1:
-            raise ConfigurationError(f"count must be >= 1, got {self.count}")
-        if self.error_after_s < 0:
+        if count is not None and not (isinstance(count, int) and count >= 1):
             raise ConfigurationError(
-                f"error_after_s must be >= 0, got {self.error_after_s}"
+                f"count must be an integer >= 1, got {count}"
             )
-        if self.until_s is not None and self.until_s <= self.after_s:
+        if not after_s >= 0:
+            raise ConfigurationError(f"after_s must be >= 0, got {after_s}")
+        if until_s is not None and not until_s > after_s:
             raise ConfigurationError(
-                f"until_s ({self.until_s}) must be after after_s ({self.after_s})"
+                f"until_s ({until_s}) must be after after_s ({after_s})"
             )
+        if not error_after_s >= 0:
+            raise ConfigurationError(
+                f"error_after_s must be >= 0, got {error_after_s}"
+            )
+        super().__init__(
+            ems, element, command, mode, probability, count, after_s, until_s,
+            error_after_s,
+        )
 
     def matches(self, ems: str, element: str, command: str, now: float) -> bool:
         """True when this rule applies to the command at sim time ``now``."""
@@ -227,8 +242,7 @@ class FaultPlan:
 DEGRADATION_MODES = ("osnr-drift", "amp-flap", "attenuation-creep")
 
 
-@dataclass(frozen=True)
-class DegradationSpec:
+class DegradationSpec(FrozenRecord):
     """One gray-failure rule against a fiber link.
 
     Unlike a :class:`FaultSpec`, which trips EMS commands, a degradation
@@ -251,49 +265,44 @@ class DegradationSpec:
             from the plan's seeded substream.
     """
 
-    link: str
-    mode: str = "osnr-drift"
-    start_s: float = 0.0
-    duration_s: float = 3600.0
-    magnitude_db: float = 6.0
-    period_s: float = 120.0
-    rate_db_per_hour: float = 2.0
-    jitter_db: float = 0.0
+    __slots__ = _fields = (
+        "link", "mode", "start_s", "duration_s", "magnitude_db", "period_s",
+        "rate_db_per_hour", "jitter_db",
+    )
 
-    def __post_init__(self) -> None:
-        if self.mode not in DEGRADATION_MODES:
+    def __init__(
+        self,
+        link: str,
+        mode: str = "osnr-drift",
+        start_s: float = 0.0,
+        duration_s: float = 3600.0,
+        magnitude_db: float = 6.0,
+        period_s: float = 120.0,
+        rate_db_per_hour: float = 2.0,
+        jitter_db: float = 0.0,
+    ) -> None:
+        # Written so that NaN fails each check, as in FaultSpec.
+        if mode not in DEGRADATION_MODES:
             raise ConfigurationError(
-                f"unknown degradation mode {self.mode!r} "
+                f"unknown degradation mode {mode!r} "
                 f"(known: {', '.join(DEGRADATION_MODES)})"
             )
-        if "=" not in self.link:
-            raise ConfigurationError(
-                f"link must be 'A=B', got {self.link!r}"
-            )
-        if self.start_s < 0:
-            raise ConfigurationError(
-                f"start_s must be >= 0, got {self.start_s}"
-            )
-        if self.duration_s <= 0:
-            raise ConfigurationError(
-                f"duration_s must be positive, got {self.duration_s}"
-            )
-        if self.magnitude_db <= 0:
-            raise ConfigurationError(
-                f"magnitude_db must be positive, got {self.magnitude_db}"
-            )
-        if self.period_s <= 0:
-            raise ConfigurationError(
-                f"period_s must be positive, got {self.period_s}"
-            )
-        if self.rate_db_per_hour <= 0:
-            raise ConfigurationError(
-                f"rate_db_per_hour must be positive, got {self.rate_db_per_hour}"
-            )
-        if self.jitter_db < 0:
-            raise ConfigurationError(
-                f"jitter_db must be >= 0, got {self.jitter_db}"
-            )
+        if "=" not in link:
+            raise ConfigurationError(f"link must be 'A=B', got {link!r}")
+        if not start_s >= 0:
+            raise ConfigurationError(f"start_s must be >= 0, got {start_s}")
+        for name, value in (
+            ("duration_s", duration_s), ("magnitude_db", magnitude_db),
+            ("period_s", period_s), ("rate_db_per_hour", rate_db_per_hour),
+        ):
+            if not value > 0:
+                raise ConfigurationError(f"{name} must be positive, got {value}")
+        if not jitter_db >= 0:
+            raise ConfigurationError(f"jitter_db must be >= 0, got {jitter_db}")
+        super().__init__(
+            link, mode, start_s, duration_s, magnitude_db, period_s, rate_db_per_hour,
+            jitter_db,
+        )
 
     @property
     def endpoints(self) -> "tuple[str, str]":
@@ -384,7 +393,3 @@ class DegradationPlan:
 
     def __len__(self) -> int:
         return len(self._specs)
-
-    def __repr__(self) -> str:
-        return f"DegradationPlan({len(self._specs)} spec(s))"
-

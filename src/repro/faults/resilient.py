@@ -27,9 +27,9 @@ counted) so resource release always completes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, Dict, Generator, Optional
 
+from repro import FrozenRecord
 from repro.errors import (
     CircuitBreakerOpenError,
     CommandFailedError,
@@ -43,8 +43,7 @@ from repro.obs.trace import NULL_SPAN, Span
 from repro.sim.randomness import RandomStreams
 
 
-@dataclass(frozen=True)
-class RetryPolicy:
+class RetryPolicy(FrozenRecord):
     """Per-command resilience parameters.
 
     Attributes:
@@ -62,38 +61,49 @@ class RetryPolicy:
             through.
     """
 
-    timeout_s: float = 30.0
-    max_attempts: int = 3
-    backoff_base_s: float = 1.0
-    backoff_factor: float = 2.0
-    backoff_max_s: float = 30.0
-    jitter: float = 0.1
-    breaker_threshold: int = 4
-    breaker_cooldown_s: float = 120.0
+    __slots__ = _fields = (
+        "timeout_s", "max_attempts", "backoff_base_s", "backoff_factor",
+        "backoff_max_s", "jitter", "breaker_threshold", "breaker_cooldown_s",
+    )
 
-    def __post_init__(self) -> None:
-        if self.timeout_s <= 0:
-            raise ConfigurationError(f"timeout_s must be > 0, got {self.timeout_s}")
-        if self.max_attempts < 1:
+    def __init__(
+        self,
+        timeout_s: float = 30.0,
+        max_attempts: int = 3,
+        backoff_base_s: float = 1.0,
+        backoff_factor: float = 2.0,
+        backoff_max_s: float = 30.0,
+        jitter: float = 0.1,
+        breaker_threshold: int = 4,
+        breaker_cooldown_s: float = 120.0,
+    ) -> None:
+        # Written so that NaN fails each check.
+        if not timeout_s > 0:
+            raise ConfigurationError(f"timeout_s must be > 0, got {timeout_s}")
+        if not max_attempts >= 1:
             raise ConfigurationError(
-                f"max_attempts must be >= 1, got {self.max_attempts}"
+                f"max_attempts must be >= 1, got {max_attempts}"
             )
-        if self.backoff_base_s < 0 or self.backoff_max_s < 0:
+        if not (backoff_base_s >= 0 and backoff_max_s >= 0):
             raise ConfigurationError("backoff durations must be >= 0")
-        if self.backoff_factor < 1.0:
+        if not backoff_factor >= 1.0:
             raise ConfigurationError(
-                f"backoff_factor must be >= 1, got {self.backoff_factor}"
+                f"backoff_factor must be >= 1, got {backoff_factor}"
             )
-        if not 0.0 <= self.jitter <= 1.0:
-            raise ConfigurationError(f"jitter must be in [0, 1], got {self.jitter}")
-        if self.breaker_threshold < 1:
+        if not 0.0 <= jitter <= 1.0:
+            raise ConfigurationError(f"jitter must be in [0, 1], got {jitter}")
+        if not breaker_threshold >= 1:
             raise ConfigurationError(
-                f"breaker_threshold must be >= 1, got {self.breaker_threshold}"
+                f"breaker_threshold must be >= 1, got {breaker_threshold}"
             )
-        if self.breaker_cooldown_s <= 0:
+        if not breaker_cooldown_s > 0:
             raise ConfigurationError(
-                f"breaker_cooldown_s must be > 0, got {self.breaker_cooldown_s}"
+                f"breaker_cooldown_s must be > 0, got {breaker_cooldown_s}"
             )
+        super().__init__(
+            timeout_s, max_attempts, backoff_base_s, backoff_factor, backoff_max_s,
+            jitter, breaker_threshold, breaker_cooldown_s,
+        )
 
     def backoff_delay(self, retry_index: int, jitter_roll: float = 0.0) -> float:
         """The backoff before retry ``retry_index`` (1-based).

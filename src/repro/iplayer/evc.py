@@ -3,8 +3,7 @@
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
-from typing import List
+from typing import List, Optional
 
 from repro.errors import ConnectionStateError
 
@@ -26,7 +25,6 @@ _ALLOWED = {
 }
 
 
-@dataclass
 class Evc:
     """One Ethernet virtual circuit.
 
@@ -38,13 +36,25 @@ class Evc:
         reroute_count: How many times the EVC has been moved.
     """
 
-    evc_id: str
-    a: str
-    b: str
-    rate_bps: float
-    path: List[str] = field(default_factory=list)
-    state: EvcState = EvcState.UP
-    reroute_count: int = 0
+    __slots__ = ("evc_id", "a", "b", "rate_bps", "path", "state", "reroute_count")
+
+    def __init__(
+        self,
+        evc_id: str,
+        a: str,
+        b: str,
+        rate_bps: float,
+        path: Optional[List[str]] = None,
+        state: EvcState = EvcState.UP,
+        reroute_count: int = 0,
+    ) -> None:
+        self.evc_id = evc_id
+        self.a = a
+        self.b = b
+        self.rate_bps = rate_bps
+        self.path = [] if path is None else path
+        self.state = state
+        self.reroute_count = reroute_count
 
     def transition(self, new_state: EvcState) -> None:
         """Move the state machine.

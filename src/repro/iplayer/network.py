@@ -12,8 +12,7 @@ from __future__ import annotations
 
 import heapq
 import itertools
-from dataclasses import dataclass, field
-from typing import Dict, List, Set, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 from repro.errors import (
     CapacityExceededError,
@@ -27,7 +26,6 @@ from repro.iplayer.evc import Evc, EvcState
 RECONVERGENCE_TIME_S = 0.200
 
 
-@dataclass
 class Adjacency:
     """A router-to-router link with committed-bandwidth accounting.
 
@@ -37,12 +35,23 @@ class Adjacency:
         oversubscription: Committed-rate multiplier the carrier allows.
     """
 
-    a: str
-    b: str
-    capacity_bps: float
-    oversubscription: float = 2.0
-    up: bool = True
-    owners: Dict[str, float] = field(default_factory=dict)
+    __slots__ = ("a", "b", "capacity_bps", "oversubscription", "up", "owners")
+
+    def __init__(
+        self,
+        a: str,
+        b: str,
+        capacity_bps: float,
+        oversubscription: float = 2.0,
+        up: bool = True,
+        owners: Optional[Dict[str, float]] = None,
+    ) -> None:
+        self.a = a
+        self.b = b
+        self.capacity_bps = capacity_bps
+        self.oversubscription = oversubscription
+        self.up = up
+        self.owners = {} if owners is None else owners
 
     @property
     def key(self) -> Tuple[str, str]:

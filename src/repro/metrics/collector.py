@@ -3,12 +3,12 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import List, Sequence
+from typing import List, NamedTuple, Sequence
+
+from repro import record_eq, record_ne
 
 
-@dataclass(frozen=True)
-class Summary:
+class Summary(NamedTuple):
     """Summary statistics of a sample series."""
 
     count: int
@@ -18,6 +18,10 @@ class Summary:
     p50: float
     p95: float
     p99: float
+
+    __eq__ = record_eq
+    __ne__ = record_ne
+    __hash__ = tuple.__hash__
 
     def __str__(self) -> str:
         return (

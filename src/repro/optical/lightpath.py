@@ -10,9 +10,9 @@ choreography live in :mod:`repro.core`.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
 from typing import List, Optional, Tuple
 
+from repro import fields_eq
 from repro.errors import ConnectionStateError
 
 
@@ -38,7 +38,6 @@ _ALLOWED = {
 }
 
 
-@dataclass
 class Segment:
     """One regen-free stretch of a lightpath with a single wavelength.
 
@@ -47,8 +46,13 @@ class Segment:
         channel: The wavelength channel used end-to-end on this segment.
     """
 
-    nodes: List[str]
-    channel: int
+    __slots__ = _fields = ("nodes", "channel")
+
+    def __init__(self, nodes: List[str], channel: int) -> None:
+        self.nodes = nodes
+        self.channel = channel
+
+    __eq__ = fields_eq
 
     @property
     def links(self) -> List[Tuple[str, str]]:
@@ -59,7 +63,6 @@ class Segment:
         return keys
 
 
-@dataclass
 class Lightpath:
     """One wavelength connection through the ROADM mesh.
 
@@ -74,20 +77,41 @@ class Lightpath:
         regen_ids: Regenerator ids in path order.
     """
 
-    lightpath_id: str
-    path: List[str]
-    rate_bps: float
-    segments: List[Segment] = field(default_factory=list)
-    regen_sites: List[str] = field(default_factory=list)
-    ot_ids: List[str] = field(default_factory=list)
-    regen_ids: List[str] = field(default_factory=list)
-    state: LightpathState = LightpathState.PLANNED
-    setup_started_at: Optional[float] = None
-    up_at: Optional[float] = None
-    released_at: Optional[float] = None
-    #: The EquipmentError that aborted setup (None on the happy path);
-    #: set by the provisioning saga when it rolls the lightpath back.
-    setup_error: Optional[Exception] = None
+    __slots__ = (
+        "lightpath_id", "path", "rate_bps", "segments", "regen_sites",
+        "ot_ids", "regen_ids", "state", "setup_started_at", "up_at",
+        "released_at", "setup_error",
+    )
+
+    def __init__(
+        self,
+        lightpath_id: str,
+        path: List[str],
+        rate_bps: float,
+        segments: Optional[List[Segment]] = None,
+        regen_sites: Optional[List[str]] = None,
+        ot_ids: Optional[List[str]] = None,
+        regen_ids: Optional[List[str]] = None,
+        state: LightpathState = LightpathState.PLANNED,
+        setup_started_at: Optional[float] = None,
+        up_at: Optional[float] = None,
+        released_at: Optional[float] = None,
+        setup_error: Optional[Exception] = None,
+    ) -> None:
+        self.lightpath_id = lightpath_id
+        self.path = path
+        self.rate_bps = rate_bps
+        self.segments = [] if segments is None else segments
+        self.regen_sites = [] if regen_sites is None else regen_sites
+        self.ot_ids = [] if ot_ids is None else ot_ids
+        self.regen_ids = [] if regen_ids is None else regen_ids
+        self.state = state
+        self.setup_started_at = setup_started_at
+        self.up_at = up_at
+        self.released_at = released_at
+        #: The EquipmentError that aborted setup (None on the happy path);
+        #: set by the provisioning saga when it rolls the lightpath back.
+        self.setup_error = setup_error
 
     @property
     def source(self) -> str:

@@ -13,7 +13,6 @@ enforces that invariant across add/drop and express connections.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, List, Optional, Set, Tuple
 
 from repro.errors import (
@@ -25,7 +24,6 @@ from repro.optical.pool import lowest_bit, popcount, unit_index
 from repro.optical.wavelength import WavelengthGrid
 
 
-@dataclass
 class AddDropPort:
     """One add/drop port on a ROADM, while it is connected or looked up.
 
@@ -37,12 +35,26 @@ class AddDropPort:
             carry; ``None`` means colorless.
     """
 
-    port_id: str
-    fixed_degree: Optional[str] = None
-    fixed_channel: Optional[int] = None
-    connected_degree: Optional[str] = None
-    connected_channel: Optional[int] = None
-    owner: Optional[str] = None
+    __slots__ = (
+        "port_id", "fixed_degree", "fixed_channel", "connected_degree",
+        "connected_channel", "owner",
+    )
+
+    def __init__(
+        self,
+        port_id: str,
+        fixed_degree: Optional[str] = None,
+        fixed_channel: Optional[int] = None,
+        connected_degree: Optional[str] = None,
+        connected_channel: Optional[int] = None,
+        owner: Optional[str] = None,
+    ) -> None:
+        self.port_id = port_id
+        self.fixed_degree = fixed_degree
+        self.fixed_channel = fixed_channel
+        self.connected_degree = connected_degree
+        self.connected_channel = connected_channel
+        self.owner = owner
 
     @property
     def in_use(self) -> bool:

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
 from typing import List, Optional
 
 from repro.errors import ConnectionStateError
@@ -43,7 +42,6 @@ _ALLOWED = {
 }
 
 
-@dataclass
 class OduCircuit:
     """One sub-wavelength connection.
 
@@ -57,16 +55,34 @@ class OduCircuit:
             when shared-mesh restoration activates.
     """
 
-    circuit_id: str
-    level: OduLevel
-    path: List[str]
-    line_ids: List[str] = field(default_factory=list)
-    backup_path: Optional[List[str]] = None
-    backup_line_ids: List[str] = field(default_factory=list)
-    state: OduCircuitState = OduCircuitState.PLANNED
-    setup_started_at: Optional[float] = None
-    up_at: Optional[float] = None
-    restored_at: Optional[float] = None
+    __slots__ = (
+        "circuit_id", "level", "path", "line_ids", "backup_path",
+        "backup_line_ids", "state", "setup_started_at", "up_at", "restored_at",
+    )
+
+    def __init__(
+        self,
+        circuit_id: str,
+        level: OduLevel,
+        path: List[str],
+        line_ids: Optional[List[str]] = None,
+        backup_path: Optional[List[str]] = None,
+        backup_line_ids: Optional[List[str]] = None,
+        state: OduCircuitState = OduCircuitState.PLANNED,
+        setup_started_at: Optional[float] = None,
+        up_at: Optional[float] = None,
+        restored_at: Optional[float] = None,
+    ) -> None:
+        self.circuit_id = circuit_id
+        self.level = level
+        self.path = path
+        self.line_ids = [] if line_ids is None else line_ids
+        self.backup_path = backup_path
+        self.backup_line_ids = [] if backup_line_ids is None else backup_line_ids
+        self.state = state
+        self.setup_started_at = setup_started_at
+        self.up_at = up_at
+        self.restored_at = restored_at
 
     @property
     def source(self) -> str:

@@ -92,7 +92,6 @@ from __future__ import annotations
 
 import itertools
 from collections import defaultdict
-from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.admission import AdmissionControl, CustomerProfile
@@ -113,7 +112,6 @@ from repro.shard.workers import ShardWorkerPool, UnitRecipe, round_items, round_
 from repro.sim.kernel import Simulator
 from repro.sim.process import Process
 from repro.sim.randomness import RandomStreams
-from repro.topo.graph import RECORD_OPTIONS
 from repro.topo.hierarchy import EXPRESS, PREMISES_PREFIX, Hierarchy, build_hierarchy
 from repro.units import GBPS
 
@@ -141,7 +139,6 @@ def _exclusions(graph, unit_graph) -> tuple:
     )
 
 
-@dataclass(**RECORD_OPTIONS)
 class ShardOrder(Lifecycle):
     """A cross-shard order: one customer record, many unit segments.
 
@@ -170,24 +167,49 @@ class ShardOrder(Lifecycle):
             fingerprint hashes, stable even for later-blocked orders.
     """
 
-    connection_id: str
-    customer: str
-    premises_a: str
-    premises_b: str
-    rate_bps: float
-    requested_at: Optional[float] = None
-    state: ConnectionState = ConnectionState.REQUESTED
-    up_at: Optional[float] = None
-    released_at: Optional[float] = None
-    outage_started_at: Optional[float] = None
-    total_outage_s: float = 0.0
-    blocked_reason: str = ""
-    setup_error: Optional[Exception] = None
-    children: Dict[str, Connection] = field(default_factory=dict)
-    plan_record: List[dict] = field(default_factory=list)
+    __slots__ = (
+        "connection_id", "customer", "premises_a", "premises_b", "rate_bps",
+        "requested_at", "state", "up_at", "released_at", "outage_started_at",
+        "total_outage_s", "blocked_reason", "setup_error", "children",
+        "plan_record",
+    )
+
+    def __init__(
+        self,
+        connection_id: str,
+        customer: str,
+        premises_a: str,
+        premises_b: str,
+        rate_bps: float,
+        requested_at: Optional[float] = None,
+        state: ConnectionState = ConnectionState.REQUESTED,
+        up_at: Optional[float] = None,
+        released_at: Optional[float] = None,
+        outage_started_at: Optional[float] = None,
+        total_outage_s: float = 0.0,
+        blocked_reason: str = "",
+        setup_error: Optional[Exception] = None,
+        children: Optional[Dict[str, Connection]] = None,
+        plan_record: Optional[List[dict]] = None,
+    ) -> None:
+        self.connection_id = connection_id
+        self.customer = customer
+        self.premises_a = premises_a
+        self.premises_b = premises_b
+        self.rate_bps = rate_bps
+        self.requested_at = requested_at
+        self.state = state
+        self.up_at = up_at
+        self.released_at = released_at
+        self.outage_started_at = outage_started_at
+        self.total_outage_s = total_outage_s
+        self.blocked_reason = blocked_reason
+        self.setup_error = setup_error
+        self.children = {} if children is None else children
+        self.plan_record = [] if plan_record is None else plan_record
 
     #: No span of its own (read by :func:`repro.api.classify_record`);
-    #: a class constant, not a field.
+    #: a class constant, not a slot.
     trace_id = None
 
     # Read by the benchmark's per-layer figures (``bench/layers.py``).

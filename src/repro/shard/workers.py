@@ -54,11 +54,11 @@ change a plan.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
 from multiprocessing import get_context
 from multiprocessing.connection import Pipe
-from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
+from repro import record_eq, record_ne
 from repro.core.inventory import InventoryDatabase
 from repro.core.rwa import (
     BatchPlanItem,
@@ -100,8 +100,7 @@ def _usable_cores() -> int:
     return len(affinity(0))
 
 
-@dataclass(frozen=True)
-class UnitRecipe:
+class UnitRecipe(NamedTuple):
     """What a unit plans over: one graph and the planning knobs.
 
     The pool keys units by this recipe: same recipe, same unit, same
@@ -117,6 +116,10 @@ class UnitRecipe:
     graph: NetworkGraph
     grid_size: int = 80
     k_paths: int = 4
+
+    __eq__ = record_eq
+    __ne__ = record_ne
+    __hash__ = tuple.__hash__
 
 
 def _encode_error(exc: BaseException) -> Tuple[str, str]:

@@ -39,6 +39,14 @@ class DegradationInjector:
     """Replays a :class:`DegradationPlan` onto a controller's plant."""
 
     def __init__(self, controller, plan: DegradationPlan) -> None:
+        # A link the plant lacks is refused here, not when its spec's
+        # start time comes (or never, past the horizon).
+        graph = controller.inventory.graph
+        for spec in plan.specs:
+            if not graph.has_link(*spec.endpoints):
+                raise ConfigurationError(
+                    f"degradation link {spec.link!r} is not in the network"
+                )
         self._controller = controller
         self._plan = plan.bind(controller.streams)
         self._done: List[bool] = [False] * len(plan)

@@ -27,9 +27,11 @@ byte-identical.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import (
+    Any, Callable, Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple,
+)
 
+from repro import FrozenRecord, record_eq, record_ne
 from repro.errors import ConfigurationError
 from repro.sim.randomness import RandomStreams
 
@@ -52,8 +54,7 @@ def _check_picklable_runner(runner: Callable[..., Any]) -> None:
         )
 
 
-@dataclass(frozen=True)
-class TrialSpec:
+class TrialSpec(NamedTuple):
     """One trial of a sweep: a runner, its parameters, and a seed.
 
     Attributes:
@@ -73,12 +74,15 @@ class TrialSpec:
     params: Mapping[str, Any]
     runner: Callable[["TrialSpec"], Any]
 
+    __eq__ = record_eq
+    __ne__ = record_ne
+    __hash__ = tuple.__hash__
+
     def streams(self) -> RandomStreams:
         """A fresh stream family seeded for this trial."""
         return RandomStreams(self.seed)
 
 
-@dataclass
 class TrialResult:
     """The compact outcome of one trial, cheap to pickle back.
 
@@ -95,19 +99,35 @@ class TrialResult:
         error: ``None`` on success, else ``"ExcType: message"``.
     """
 
-    trial_id: str = ""
-    index: int = -1
-    seed: int = 0
-    params: Dict[str, Any] = field(default_factory=dict)
-    values: Dict[str, Any] = field(default_factory=dict)
-    samples: Dict[str, List[float]] = field(default_factory=dict)
-    metrics: Dict[str, Any] = field(default_factory=dict)
-    report: Dict[str, Any] = field(default_factory=dict)
-    error: Optional[str] = None
+    __slots__ = (
+        "trial_id", "index", "seed", "params", "values", "samples",
+        "metrics", "report", "error",
+    )
+
+    def __init__(
+        self,
+        trial_id: str = "",
+        index: int = -1,
+        seed: int = 0,
+        params: Optional[Dict[str, Any]] = None,
+        values: Optional[Dict[str, Any]] = None,
+        samples: Optional[Dict[str, List[float]]] = None,
+        metrics: Optional[Dict[str, Any]] = None,
+        report: Optional[Dict[str, Any]] = None,
+        error: Optional[str] = None,
+    ) -> None:
+        self.trial_id = trial_id
+        self.index = index
+        self.seed = seed
+        self.params = {} if params is None else params
+        self.values = {} if values is None else values
+        self.samples = {} if samples is None else samples
+        self.metrics = {} if metrics is None else metrics
+        self.report = {} if report is None else report
+        self.error = error
 
 
-@dataclass(frozen=True)
-class SweepSpec:
+class SweepSpec(FrozenRecord):
     """A declarative experiment sweep: runner × grid × replicates.
 
     Attributes:
@@ -123,22 +143,31 @@ class SweepSpec:
         base_seed: Root of the per-trial seed derivation.
     """
 
-    name: str
-    runner: Callable[[TrialSpec], Any]
-    axes: Mapping[str, Sequence[Any]] = field(default_factory=dict)
-    fixed: Mapping[str, Any] = field(default_factory=dict)
-    repeats: int = 1
-    base_seed: int = 0
+    __slots__ = _fields = (
+        "name", "runner", "axes", "fixed", "repeats", "base_seed",
+    )
 
-    def __post_init__(self) -> None:
-        if not self.name:
+    def __init__(
+        self,
+        name: str,
+        runner: Callable[[TrialSpec], Any],
+        axes: Optional[Mapping[str, Sequence[Any]]] = None,
+        fixed: Optional[Mapping[str, Any]] = None,
+        repeats: int = 1,
+        base_seed: int = 0,
+    ) -> None:
+        if not name:
             raise ConfigurationError("sweep needs a name")
-        if self.repeats < 1:
-            raise ConfigurationError(f"repeats must be >= 1, got {self.repeats}")
-        _check_picklable_runner(self.runner)
-        for axis, values in self.axes.items():
+        if repeats < 1:
+            raise ConfigurationError(f"repeats must be >= 1, got {repeats}")
+        _check_picklable_runner(runner)
+        axes = {} if axes is None else axes
+        for axis, values in axes.items():
             if not values:
                 raise ConfigurationError(f"axis {axis!r} has no values")
+        super().__init__(
+            name, runner, axes, {} if fixed is None else fixed, repeats, base_seed,
+        )
 
     # -- expansion ----------------------------------------------------------
 

@@ -13,8 +13,6 @@ from __future__ import annotations
 import bisect
 import heapq
 import itertools
-import sys
-from dataclasses import dataclass, field
 from typing import (
     Callable,
     Collection,
@@ -22,21 +20,17 @@ from typing import (
     FrozenSet,
     Iterable,
     List,
+    NamedTuple,
     Optional,
     Set,
     Tuple,
 )
 
+from repro import FrozenRecord, record_eq, record_ne
 from repro.errors import NoPathError, TopologyError
 
-#: ``dataclass`` options of the records made by the thousand (graph
-#: nodes and links, connection and order records): slotted, with no
-#: per-instance ``__dict__``, on the Pythons that can (3.10 and later).
-RECORD_OPTIONS = {"slots": True} if sys.version_info >= (3, 10) else {}
 
-
-@dataclass(frozen=True, **RECORD_OPTIONS)
-class Node:
+class Node(NamedTuple):
     """A network location.
 
     Attributes:
@@ -49,9 +43,12 @@ class Node:
     kind: str = "roadm"
     region: str = ""
 
+    __eq__ = record_eq
+    __ne__ = record_ne
+    __hash__ = tuple.__hash__
 
-@dataclass(frozen=True, **RECORD_OPTIONS)
-class Link:
+
+class Link(FrozenRecord):
     """A bidirectional fiber pair between two nodes.
 
     Attributes:
@@ -65,23 +62,30 @@ class Link:
             and equality, hashing and repr read only the four fields above.
     """
 
-    a: str
-    b: str
-    length_km: float = 100.0
-    srlgs: FrozenSet[str] = frozenset()
-    key: Tuple[str, str] = field(init=False, repr=False, compare=False)
+    __slots__ = ("a", "b", "length_km", "srlgs", "key")
+    _fields = ("a", "b", "length_km", "srlgs")
 
-    def __post_init__(self) -> None:
-        if self.a == self.b:
-            raise TopologyError(f"self-loop link at node {self.a!r}")
-        if self.length_km <= 0:
+    def __init__(
+        self,
+        a: str,
+        b: str,
+        length_km: float = 100.0,
+        srlgs: FrozenSet[str] = frozenset(),
+    ) -> None:
+        if a == b:
+            raise TopologyError(f"self-loop link at node {a!r}")
+        if length_km <= 0:
             raise TopologyError(
-                f"link {self.a}-{self.b} must have positive length, "
-                f"got {self.length_km}"
+                f"link {a}-{b} must have positive length, got {length_km}"
             )
-        object.__setattr__(
-            self, "key", (self.a, self.b) if self.a <= self.b else (self.b, self.a)
-        )
+        # Set directly, not through FrozenRecord.__init__: a build makes
+        # links by the thousand.
+        init = object.__setattr__
+        init(self, "a", a)
+        init(self, "b", b)
+        init(self, "length_km", length_km)
+        init(self, "srlgs", srlgs)
+        init(self, "key", (a, b) if a <= b else (b, a))
 
     def other(self, node: str) -> str:
         """Return the endpoint opposite ``node``.

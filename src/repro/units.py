@@ -9,7 +9,9 @@ never write raw powers of ten, plus the legacy DS-level rates and the OTN
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
+
+from repro import record_eq, record_ne
 
 # --------------------------------------------------------------------------
 # Base multipliers (bits per second).
@@ -102,8 +104,7 @@ DS3_RATE = 44.736 * MBPS
 # --------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class OduLevel:
+class OduLevel(NamedTuple):
     """One level of the ODU multiplexing hierarchy.
 
     Attributes:
@@ -116,6 +117,10 @@ class OduLevel:
     name: str
     rate_bps: float
     tributary_slots: int
+
+    __eq__ = record_eq
+    __ne__ = record_ne
+    __hash__ = tuple.__hash__
 
 
 #: The ODU levels GRIPhoN's OTN layer switches.  ODU0 is the paper's

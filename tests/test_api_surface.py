@@ -87,7 +87,8 @@ def test_core_controller_does_not_import_the_shard_layer():
 
 #: Modules of features the benchmark's order path never runs: §4
 #: re-grooming, planning and reclamation, advance reservations, the
-#: sweep engine, the workload generators and the scenario runner.
+#: sweep engine, the workload generators and the scenario runner; and
+#: stdlib modules no run calls.
 COLD_FOR_BENCH = [
     "repro.core.calendar",
     "repro.core.planning",
@@ -111,6 +112,13 @@ COLD_FOR_BENCH = [
     "concurrent.futures",
     "logging",
     "statistics",
+    # The records on the order path are NamedTuples or slotted classes:
+    # ``dataclasses`` would load ``inspect`` and, through it, the rest.
+    "dataclasses",
+    "inspect",
+    "ast",
+    "dis",
+    "tokenize",
 ]
 
 

@@ -7,6 +7,8 @@ import pytest
 
 from repro.cli import build_parser, main
 
+NAN = float("nan")
+
 
 class TestParser:
     def test_requires_subcommand(self):
@@ -269,6 +271,37 @@ class TestBadInput:
         argv = [arg.format(**files) for arg in argv]
         message = message.format(**files)
         assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"griphon: error: {message}")
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "command, plan, message",
+        [
+            # JSON reads NaN, and NaN passes every "x < 0" test.
+            ("chaos", {"specs": [{"error_after_s": NAN}]},
+             "error_after_s must be >= 0, got nan"),
+            ("chaos", {"specs": [{"after_s": NAN}]}, "after_s must be >= 0, got nan"),
+            ("chaos", {"specs": [{"until_s": NAN}]},
+             "until_s (nan) must be after after_s (0.0)"),
+            ("chaos", {"specs": [{"count": 1.5}]},
+             "count must be an integer >= 1, got 1.5"),
+            ("slo", {"degradations": [{"link": "ATL=DFW", "duration_s": NAN}]},
+             "duration_s must be positive, got nan"),
+            ("slo", {"degradations": [{"link": "ATL=DFW", "start_s": NAN}]},
+             "start_s must be >= 0, got nan"),
+            # Refused when the plan is armed, even if it would start
+            # after the horizon.
+            ("slo", {"degradations": [{"link": "ROADM-I=ROADM-II", "start_s": 1e9}]},
+             "degradation link 'ROADM-I=ROADM-II' is not in the network"),
+        ],
+    )
+    def test_plan_files_are_checked_before_the_run(
+        self, capsys, tmp_path, command, plan, message
+    ):
+        path = tmp_path / "plan.json"
+        path.write_text(json.dumps(plan))
+        assert main([command, "--plan", str(path)]) == 2
         err = capsys.readouterr().err
         assert err.startswith(f"griphon: error: {message}")
         assert err.count("\n") == 1

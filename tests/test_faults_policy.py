@@ -6,7 +6,6 @@ fault plan's deterministic dice, and the resilient executor's
 retry/exhaustion/best-effort/breaker behavior.
 """
 
-import dataclasses
 
 import pytest
 
@@ -22,6 +21,11 @@ from repro.faults.resilient import (
 )
 from repro.obs.registry import MetricsRegistry
 from repro.sim.randomness import RandomStreams
+
+
+def as_dict(spec):
+    """A spec's plain-dict form: each constructor argument by name."""
+    return {name: getattr(spec, name) for name in spec._fields}
 
 
 def drain(gen):
@@ -152,7 +156,7 @@ class TestFaultSpec:
 
     def test_dict_roundtrip(self):
         spec = FaultSpec(ems="otn_ems", mode="timeout", count=3, after_s=10.0)
-        assert FaultSpec.from_dict(dataclasses.asdict(spec)) == spec
+        assert FaultSpec.from_dict(as_dict(spec)) == spec
 
     def test_from_dict_rejects_unknown_keys(self):
         with pytest.raises(ConfigurationError):
@@ -220,7 +224,7 @@ class TestFaultPlan:
     def test_dict_roundtrip(self):
         plan = FaultPlan([FaultSpec(mode="stuck"), FaultSpec(count=2)])
         rebuilt = FaultPlan.from_dict(
-            {"specs": [dataclasses.asdict(spec) for spec in plan.specs]}
+            {"specs": [as_dict(spec) for spec in plan.specs]}
         )
         assert rebuilt.specs == plan.specs
 

@@ -14,11 +14,9 @@ one is read, a ROADM its degrees only as the keys of its channel
 table, and the plant's records no ``__dict__`` either.
 """
 
-import dataclasses
 import gc
 import json
 import pickle
-import sys
 import types
 
 import pytest
@@ -37,7 +35,7 @@ from repro.optical.regen import RegenPool
 from repro.optical.roadm import Roadm
 from repro.optical.transponder import TransponderPool
 from repro.shard.network import ShardOrder
-from repro.topo.graph import RECORD_OPTIONS, Link, NetworkGraph, Node
+from repro.topo.graph import Link, NetworkGraph, Node
 
 NAMES = st.sampled_from(["step.tune", "step.roadm", "lightpath.setup_s"])
 OBSERVATIONS = st.lists(
@@ -132,9 +130,11 @@ RECORDS = {
 }
 
 
-@pytest.mark.skipif(
-    sys.version_info < (3, 10), reason="slotted dataclasses need Python 3.10"
-)
+def slot_values(record):
+    """Each slot of ``record`` by name."""
+    return {name: getattr(record, name) for name in type(record).__slots__}
+
+
 @pytest.mark.parametrize("cls", list(RECORDS))
 def test_connection_records_are_slotted(cls):
     record = RECORDS[cls]()
@@ -143,11 +143,21 @@ def test_connection_records_are_slotted(cls):
     with pytest.raises(AttributeError):
         record.not_a_field = 1
     copy = pickle.loads(pickle.dumps(record))
-    assert type(copy) is cls and copy == record
-    moved = dataclasses.replace(record, state=ConnectionState.UP)
+    assert type(copy) is cls and slot_values(copy) == slot_values(record)
+    # The constructor takes every slot by name.
+    moved = cls(**{**slot_values(record), "state": ConnectionState.UP})
     assert type(moved) is cls and moved.state is ConnectionState.UP
     assert record.state is ConnectionState.SETTING_UP
-    assert dataclasses.replace(moved, state=record.state) == record
+    again = cls(**{**slot_values(moved), "state": record.state})
+    assert slot_values(again) == slot_values(record)
+
+
+@pytest.mark.parametrize("cls", list(RECORDS))
+def test_each_record_gets_its_own_containers(cls):
+    one, two = RECORDS[cls](), RECORDS[cls]()
+    for name, value in slot_values(one).items():
+        if isinstance(value, (list, dict)):
+            assert value is not getattr(two, name), name
 
 
 def test_a_stitched_order_holds_only_what_stitching_needs():
@@ -161,16 +171,14 @@ def test_a_stitched_order_holds_only_what_stitching_needs():
     ):
         assert not hasattr(order, name), name
     assert order.trace_id is None and order.order_id == "xo-1"
-    assert "trace_id" not in {f.name for f in dataclasses.fields(ShardOrder)}
+    assert "trace_id" not in ShardOrder.__slots__
 
 
 #: What a build makes by the thousand; each carries no ``__dict__``.
-#: ``Node`` and ``Link`` are dataclasses, slotted where
-#: ``RECORD_OPTIONS`` can slot them (Python 3.10 and later).
 PLANT_RECORDS = (
     Roadm, DwdmLink, AmplifierChain, TransponderPool, RegenPool,
-    FiberCrossConnect,
-) + ((Node, Link) if RECORD_OPTIONS else ())
+    FiberCrossConnect, Node, Link,
+)
 #: Objects the walk does not enter: through them every module is reached.
 OPAQUE = (type, types.ModuleType, types.FunctionType, types.BuiltinFunctionType)
 

@@ -15,7 +15,6 @@ for every unit it hosts, and journal replay rebuilds each of them into
 byte-identical state.
 """
 
-import dataclasses
 import gc
 import multiprocessing
 import os
@@ -160,7 +159,7 @@ class TestRecipe:
         # graph object.
         fresh = UnitRecipe("R00", _second_hierarchy().region_graph("R00"))
         assert fresh != RECIPE
-        assert dataclasses.replace(RECIPE, k_paths=2) != RECIPE
+        assert RECIPE._replace(k_paths=2) != RECIPE
         assert OTHER != RECIPE
         with ShardWorkerPool([RECIPE]) as pool:
             pool.ensure(twin)
@@ -478,7 +477,7 @@ class TestLifecycle:
 
     def test_failed_spawn_leaks_no_descriptor_or_child(self, monkeypatch):
         _cores(monkeypatch, 2)
-        bad = dataclasses.replace(RECIPE, grid_size=0)  # unit cannot build
+        bad = RECIPE._replace(grid_size=0)  # unit cannot build
         # Earlier tests' raised errors keep dead workers' process handles
         # in traceback cycles; they are not this test's descriptors.
         gc.collect()

@@ -26,6 +26,12 @@ from repro.slo.monitor import SloPolicy, default_policies
 from repro.topo.testbed import build_testbed_graph
 
 
+def as_dict(spec):
+    """A degradation spec's plain-dict form: each constructor argument by
+    name (``SloPolicy`` is a dataclass, read with ``dataclasses.asdict``)."""
+    return {name: getattr(spec, name) for name in spec._fields}
+
+
 # -- degradation specs and plans --------------------------------------------
 
 
@@ -40,7 +46,7 @@ class TestDegradationSpec:
             link="A=B", mode="osnr-drift", start_s=10.0, duration_s=100.0,
             magnitude_db=4.0, jitter_db=0.5,
         )
-        assert DegradationSpec.from_dict(dataclasses.asdict(spec)) == spec
+        assert DegradationSpec.from_dict(as_dict(spec)) == spec
 
     def test_unknown_dict_keys_raise(self):
         with pytest.raises(ConfigurationError):
@@ -78,7 +84,7 @@ class TestDegradationPlan:
         plan.add(DegradationSpec(link="A=B", mode="attenuation-creep",
                                  rate_db_per_hour=1.5))
         again = DegradationPlan.from_dict(
-            {"degradations": [dataclasses.asdict(spec) for spec in plan.specs]}
+            {"degradations": [as_dict(spec) for spec in plan.specs]}
         )
         assert again.specs == plan.specs
 

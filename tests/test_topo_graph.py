@@ -1,6 +1,5 @@
 """Tests for the network graph: construction, lookup, and path search."""
 
-import dataclasses
 import pickle
 
 import pytest
@@ -85,8 +84,8 @@ class TestConstruction:
         assert hash(link) == hash(Link("B", "A", length_km=7.0))
         assert "key" not in repr(link)
         assert pickle.loads(pickle.dumps(link)).key == ("A", "B")
-        assert dataclasses.replace(link, b="C").key == ("B", "C")
-        with pytest.raises(dataclasses.FrozenInstanceError):
+        assert Link(link.a, "C", link.length_km).key == ("B", "C")
+        with pytest.raises(AttributeError):
             link.key = ("A", "C")
 
     def test_graph_plant_and_ems_share_each_links_key(self):

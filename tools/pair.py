@@ -110,9 +110,10 @@ def child(root, workload, seed, scale):
 
 #: Run in a side's tree: where one set-up's wall seconds go, by stage.
 #: First imports what ``bench.child`` imports and reads the CPU seconds
-#: and ``ru_maxrss`` the interpreter has spent by then, before any
-#: builder; then wraps the builders ``bench.workloads`` calls and reads
-#: the schedule's own timer; ``rest`` is the frontend, intake and
+#: and ``ru_maxrss`` the interpreter has spent by then and how many
+#: modules it has loaded, before any builder; then wraps the builders
+#: ``bench.workloads`` calls and reads the schedule's own timer;
+#: ``rest`` is the frontend, intake and
 #: ``Driver.load``.  ``ru_maxrss`` is read again as each stage ends
 #: (``loadgen`` when the workload's builder returns, ``rest`` after
 #: ``Driver.load``); a stage a workload does not run reads the one before.
@@ -121,7 +122,8 @@ import json, resource, sys, time
 def maxrss_mb():
     return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
 import bench.child
-imports = {"cpu_s": time.process_time(), "rss_mb": maxrss_mb()}
+imports = {"cpu_s": time.process_time(), "rss_mb": maxrss_mb(),
+           "modules": len(sys.modules)}
 import bench.workloads as workloads
 from bench.driver import Driver
 
@@ -158,8 +160,13 @@ print(json.dumps({**spent, "imports": imports, "rss_mb": rss}))
 STAGES = ["hierarchy", "network", "loadgen", "rest", "total"]
 #: The stages ``ru_maxrss`` is read at the end of, in set-up order.
 RSS_STAGES = ["hierarchy", "network", "loadgen", "rest"]
-#: The import chain's row: (label, key in the probe's ``imports``, scale).
-IMPORTS = [("CPU ms", "cpu_s", 1e3), ("ru_maxrss MB", "rss_mb", 1.0)]
+#: The import chain's rows: (label, key in the probe's ``imports``, scale).
+#: ``modules`` is ``len(sys.modules)``: a side that loads a dependency the
+#: other does not shows there.
+IMPORTS = [
+    ("CPU ms", "cpu_s", 1e3), ("ru_maxrss MB", "rss_mb", 1.0),
+    ("modules", "modules", 1.0),
+]
 
 
 def stage_rss(run, index):
@@ -302,7 +309,8 @@ def report(rev, short, head, dirty, args, results):
             "",
             "The import chain, read in the same runs right after they import "
             "what `bench.child` imports, before any builder: CPU since the "
-            "interpreter started, and `ru_maxrss`. Median [q1, q3]:",
+            "interpreter started, `ru_maxrss`, and the modules loaded "
+            "(`len(sys.modules)`). Median [q1, q3]:",
             "",
             "| imports | parent | change | change vs parent |",
             "|---|---|---|---|",

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import statistics
 import sys
 from collections import Counter
@@ -71,12 +72,19 @@ def _trial(runner: Callable[[TrialSpec], TrialResult], seed: int, **params: Any)
     return runner(TrialSpec("cli", 0, runner.__name__, seed, params, runner))
 
 
-def _read_json(path: str) -> Any:
-    """A JSON input file (``--plan``, ``--policy``, a sweep spec)."""
+def _read_json(path: str, shape: type = dict) -> Any:
+    """A JSON input file (``--plan``, a sweep spec, or ``--policy``,
+    whose top level is a list rather than an object)."""
     try:
-        return json.loads(Path(path).read_text())
+        data = json.loads(Path(path).read_text())
     except (OSError, ValueError) as exc:
         raise ConfigurationError(f"cannot read {path}: {exc}") from exc
+    if not isinstance(data, shape):
+        kind = "object" if shape is dict else "array"
+        raise ConfigurationError(
+            f"cannot read {path}: the top level must be a JSON {kind}"
+        )
+    return data
 
 
 def _write_report(path: Optional[str], name: str, payload: Any) -> None:
@@ -264,7 +272,7 @@ def cmd_slo(args: argparse.Namespace) -> int:
     """Replay a gray-failure plan with the SLA remediation engine armed."""
     policies = None
     if args.policy:
-        policies = _read_json(args.policy)
+        policies = _read_json(args.policy, list)
     elif args.policy_off:
         policies = []
     result = _trial(
@@ -459,6 +467,26 @@ def _count(text: str) -> int:
     return value
 
 
+def _number(text: str, positive: bool = True) -> float:
+    """An argparse type: a finite number above 0, or at least 0 when not
+    ``positive`` (NaN and infinities are refused)."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected a number, got {text!r}")
+    if not math.isfinite(value) or value < 0 or (positive and value == 0):
+        bound = ">" if positive else ">="
+        raise argparse.ArgumentTypeError(
+            f"must be a finite number {bound} 0, got {text}"
+        )
+    return value
+
+
+def _rate(text: str) -> float:
+    """An argparse type: a finite number of at least 0."""
+    return _number(text, positive=False)
+
+
 def build_parser() -> argparse.ArgumentParser:
     """The CLI argument parser (exposed for testing)."""
     parser = argparse.ArgumentParser(
@@ -495,7 +523,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="worker processes (default 1 = serial; same results either way)")
     sweep.add_argument("--repeats", type=_count, default=4,
                        help="replicate seeds per grid point for built-in studies (default 4)")
-    sweep.add_argument("--timeout", type=float, default=900.0,
+    sweep.add_argument("--timeout", type=_number, default=900.0,
                        help="watchdog: fail if no trial completes for this many seconds")
     sweep.add_argument("--json", metavar="PATH", default=None,
                        help="write the deterministic aggregate JSON to PATH")
@@ -503,7 +531,7 @@ def build_parser() -> argparse.ArgumentParser:
     chaos = command("chaos", cmd_chaos,
                     "inject EMS faults into a batch of orders and audit for leaks")
     chaos.add_argument("--orders", type=_count, default=9, help="orders to place (default 9)")
-    chaos.add_argument("--rate", type=float, default=0.15,
+    chaos.add_argument("--rate", type=_rate, default=0.15,
                        help="per-command fault probability (default 0.15)")
     chaos.add_argument("--modes", default="transient,timeout",
                        help="comma-separated fault modes (default transient,timeout)")
@@ -519,7 +547,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="JSON file with a list of SloPolicy dicts (default: stock set)")
     policy.add_argument("--policy-off", action="store_true",
                         help="arm no policies: measure violation minutes, remediate nothing")
-    slo.add_argument("--horizon", type=float, default=7200.0,
+    slo.add_argument("--horizon", type=_number, default=7200.0,
                      help="degradation replay horizon in sim seconds (default 7200)")
     json_flag(slo, "slo")
 
@@ -566,14 +594,14 @@ def build_parser() -> argparse.ArgumentParser:
                     "serve an open-loop tenant fleet through the async frontend")
     serve.add_argument("--tenants", type=_count, default=1000,
                        help="Zipf tenant population size (default 1000)")
-    serve.add_argument("--rate", type=float, default=20.0,
+    serve.add_argument("--rate", type=_rate, default=20.0,
                        help="mean arrivals per sim-second (default 20)")
-    serve.add_argument("--duration", type=float, default=30.0,
+    serve.add_argument("--duration", type=_number, default=30.0,
                        help="sim-seconds of arrivals (default 30)")
     serve.add_argument("--queue-capacity", type=_count, default=256,
                        help="edge bound on orders waiting in the intake, capped at "
                        "the intake's capacity (default 256)")
-    serve.add_argument("--bucket-rate", type=float, default=1.0,
+    serve.add_argument("--bucket-rate", type=_number, default=1.0,
                        help="per-tenant token-bucket refill per second (default 1)")
     serve.add_argument("--topology", choices=("testbed", "backbone"), default="testbed",
                        help="network to build (default testbed)")

@@ -142,6 +142,6 @@ class WorkerCrashed(GriphonError):
     worker's pipe breaks or a reply never arrives.  Distinct from the
     planning errors a *healthy* worker reports back — those are rebuilt
     as their original types — so callers can treat a crash as an
-    infrastructure event (respawn and replay) rather than a plan
-    outcome.
+    infrastructure event rather than a plan outcome.  A crash is final:
+    the process stays condemned, and its pool's owner closes the pool.
     """

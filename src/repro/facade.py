@@ -46,12 +46,6 @@ class SloRuntime:
         self.monitor = monitor
         self.engine = engine
 
-    def __repr__(self) -> str:
-        return (
-            f"SloRuntime(policies={len(self.monitor.policies)}, "
-            f"plan={len(self.injector.plan)} specs)"
-        )
-
 
 class GriphonNetwork:
     """A fully assembled GRIPhoN network ready for BoD requests."""

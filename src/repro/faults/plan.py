@@ -17,6 +17,7 @@ byte-identical fault sequences, and an empty plan draws nothing at all.
 
 from __future__ import annotations
 
+import math
 from fnmatch import fnmatchcase
 from typing import Any, Dict, List, Optional, Sequence
 
@@ -31,11 +32,24 @@ FAULT_MODES = ("transient", "timeout", "stuck", "fail")
 def _reject_unknown_keys(kind: str, data: Dict[str, Any], known) -> None:
     """Raise on keys of ``kind``'s plain-dict form it does not have, so
     a misspelled key fails loudly instead of meaning its default."""
+    if not isinstance(data, dict):
+        raise ConfigurationError(
+            f"{kind} must be a JSON object, got {type(data).__name__}"
+        )
     extra = set(data) - set(known)
     if extra:
         raise ConfigurationError(
             f"unknown {kind} keys: {', '.join(sorted(extra))}"
         )
+
+
+def _require_finite(**values: float) -> None:
+    """Refuse an infinite value: a plan file's JSON may carry ``Infinity``,
+    which passes every ``>= 0`` check, and a rule that never ends keeps
+    the run from ending."""
+    for name, value in values.items():
+        if not math.isfinite(value):
+            raise ConfigurationError(f"{name} must be finite, got {value}")
 
 
 class FaultSpec(FrozenRecord):
@@ -102,6 +116,9 @@ class FaultSpec(FrozenRecord):
             raise ConfigurationError(
                 f"error_after_s must be >= 0, got {error_after_s}"
             )
+        _require_finite(after_s=after_s, error_after_s=error_after_s)
+        if until_s is not None:
+            _require_finite(until_s=until_s)
         super().__init__(
             ems, element, command, mode, probability, count, after_s, until_s,
             error_after_s,
@@ -299,6 +316,11 @@ class DegradationSpec(FrozenRecord):
                 raise ConfigurationError(f"{name} must be positive, got {value}")
         if not jitter_db >= 0:
             raise ConfigurationError(f"jitter_db must be >= 0, got {jitter_db}")
+        _require_finite(
+            start_s=start_s, duration_s=duration_s, magnitude_db=magnitude_db,
+            period_s=period_s, rate_db_per_hour=rate_db_per_hour,
+            jitter_db=jitter_db,
+        )
         super().__init__(
             link, mode, start_s, duration_s, magnitude_db, period_s, rate_db_per_hour,
             jitter_db,

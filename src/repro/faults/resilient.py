@@ -172,12 +172,6 @@ class CircuitBreaker:
             return 0.0
         return max(0.0, self.opened_at + self.cooldown_s - now)
 
-    def __repr__(self) -> str:
-        return (
-            f"CircuitBreaker({self.state}, "
-            f"failures={self.consecutive_failures}/{self.threshold})"
-        )
-
 
 class ResilientExecutor:
     """Runs EMS commands under a retry policy against a fault plan."""

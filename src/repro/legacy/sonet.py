@@ -245,9 +245,3 @@ class SonetRing:
                 f"ring {self.ring_id} has no span {span} "
                 f"(spans: 0..{self.span_count - 1})"
             )
-
-    def __repr__(self) -> str:
-        return (
-            f"SonetRing({self.ring_id}, nodes={len(self.nodes)}, "
-            f"OC-{self.line_sts}, circuits={len(self._circuits)})"
-        )

@@ -169,9 +169,3 @@ class MetricsRegistry:
             "histograms": histograms,
             "gauges": {name: fn() for name, fn in self._gauges.items()},
         }
-
-    def __repr__(self) -> str:
-        return (
-            f"MetricsRegistry(counters={len(self._counters)}, "
-            f"histograms={len(self._histograms)}, gauges={len(self._gauges)})"
-        )

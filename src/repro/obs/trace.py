@@ -110,10 +110,6 @@ class Span:
             "tags": dict(self.tags),
         }
 
-    def __repr__(self) -> str:
-        state = f"{self.duration:.3f}s" if self.finished else "open"
-        return f"Span({self.name!r}, {state}, id={self.span_id})"
-
 
 class _NullSpan:
     """The do-nothing span a disabled tracer hands out.
@@ -154,9 +150,6 @@ class _NullSpan:
     def to_dict(self) -> Dict[str, Any]:
         """An empty record (never exported)."""
         return {}
-
-    def __repr__(self) -> str:
-        return "NULL_SPAN"
 
 
 #: The shared inert span returned whenever tracing is disabled.
@@ -302,7 +295,3 @@ class Tracer:
         """Write the JSON trace to ``path``."""
         with open(path, "w", encoding="utf-8") as handle:
             handle.write(self.to_json(indent=indent))
-
-    def __repr__(self) -> str:
-        state = "enabled" if self._enabled else "disabled"
-        return f"Tracer({state}, spans={len(self._spans)})"

@@ -80,6 +80,3 @@ class WindowedSeries:
         if not self._samples:
             raise ConfigurationError("series has no samples")
         return self._samples[-1]
-
-    def __repr__(self) -> str:
-        return f"WindowedSeries({len(self._samples)} sample(s))"

@@ -93,9 +93,3 @@ class AmplifierChain:
     def transient_settle_time(self) -> float:
         """Seconds for the chain to settle after a channel add/drop."""
         return self.amplifier_count * self._settle_per_amp_s
-
-    def __repr__(self) -> str:
-        return (
-            f"AmplifierChain(length_km={self.length_km}, "
-            f"amps={self.amplifier_count})"
-        )

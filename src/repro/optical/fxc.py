@@ -120,9 +120,3 @@ class FiberCrossConnect:
             raise EquipmentError(
                 f"{self.fxc_id} has no port {port} (ports: 0..{self._port_count - 1})"
             )
-
-    def __repr__(self) -> str:
-        return (
-            f"FiberCrossConnect({self.fxc_id}, ports={self._port_count}, "
-            f"connected={len(self._peer) // 2})"
-        )

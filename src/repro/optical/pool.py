@@ -15,7 +15,7 @@ from __future__ import annotations
 from typing import Dict, List, Optional
 
 from repro.errors import ConfigurationError, TransponderUnavailableError
-from repro.units import GBPS, format_rate
+from repro.units import GBPS
 
 
 def popcount(mask: int) -> int:
@@ -69,13 +69,6 @@ class PooledUnit:
     def in_use(self) -> bool:
         """True while a lightpath holds the unit."""
         return self.owner is not None
-
-    def __repr__(self) -> str:
-        state = f"owner={self.owner!r}" if self.owner else "idle"
-        return (
-            f"{type(self).__name__}({self.unit_id}, "
-            f"{format_rate(self.line_rate_bps)}, {state})"
-        )
 
 
 class UnitPool:

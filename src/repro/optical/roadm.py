@@ -367,9 +367,3 @@ class Roadm:
                 f"ROADM {self.name} has no degree toward {degree} "
                 f"(degrees: {sorted(self._degree_channels)})"
             )
-
-    def __repr__(self) -> str:
-        return (
-            f"Roadm({self.name}, degree={self.degree_count}, "
-            f"ports={self._port_count})"
-        )

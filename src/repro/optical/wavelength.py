@@ -51,6 +51,3 @@ class WavelengthGrid:
 
     def __len__(self) -> int:
         return self._size
-
-    def __repr__(self) -> str:
-        return f"WavelengthGrid(size={self._size})"

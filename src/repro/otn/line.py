@@ -123,9 +123,3 @@ class OtnLine:
                 f"line {self.line_id} has no slot {slot} "
                 f"(slots: 0..{self.slot_count - 1})"
             )
-
-    def __repr__(self) -> str:
-        return (
-            f"OtnLine({self.line_id}, {self.level.name}, "
-            f"{self.free_slot_count()}/{self.slot_count} free)"
-        )

@@ -145,10 +145,3 @@ class OtnSwitch:
             if best is None or key > best_key:
                 best, best_key = line, key
         return best
-
-    def __repr__(self) -> str:
-        return (
-            f"OtnSwitch({self.node}, clients="
-            f"{len(self._client_owner)}/{self.client_port_count}, "
-            f"lines={len(self._lines)})"
-        )

@@ -294,8 +294,8 @@ class ShardedNetwork:
             (region name or :data:`EXPRESS`).  The monolithic twin merges
             them, in unit order, into its single controller.
         pool: An existing :class:`~repro.shard.workers.ShardWorkerPool`
-            hosting no unit of this network yet (its recipes are
-            ensured); by default pool mode spawns and owns its own.
+            hosting no unit yet (its recipes are ensured); by default
+            pool mode spawns and owns its own.
     """
 
     def __init__(
@@ -368,12 +368,12 @@ class ShardedNetwork:
             if pool is None:
                 pool = ShardWorkerPool()
                 self._owns_pool = True
-            elif not set(pool.recipes()).isdisjoint(recipes.values()):
-                # Networks built from one hierarchy name equal recipes;
-                # one pool would plan each on the other's occupancy.
+            elif pool.size:
+                # A unit mirrors one plant, and a pool that has forked
+                # hosts no new recipe.
                 raise ConfigurationError(
-                    "the worker pool already hosts a unit of this network's "
-                    "hierarchy; every network needs a pool of its own"
+                    "the worker pool already hosts units; every network "
+                    "needs a pool of its own"
                 )
             # One call, so a fresh pool deals every unit before it forks.
             pool.ensure(*recipes.values())

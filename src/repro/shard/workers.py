@@ -21,21 +21,14 @@ placement round sends it.
   every link it has not sent yet and every failed link; and the unit's
   requests as plain tuples — see :func:`round_payload` and
   :func:`round_items`), ``fingerprint`` (structural digest for
-  determinism gates), ``ping``, and ``adopt`` (build one more unit
-  from a recipe that arrived after the fork).  ``round`` is the only
-  op that changes a unit, and the only route plant state takes to it.
+  determinism gates) and ``ping``.  ``round`` is the only op that
+  changes a unit, and the only route plant state takes to it.
 * :class:`ShardWorkerPool` — the parent-side pool: units dealt onto
-  ``min(units, usable cores)`` processes, a fan-out that costs one
-  message per touched process and always drains every reply,
-  rebuild-and-replay recovery after a crash
-  (:class:`~repro.errors.WorkerCrashed`, which costs every unit of the
-  dead process) for single calls and fan-outs alike, and graceful
-  context-manager shutdown.  A unit's replay journal folds at each of
-  its round boundaries: everything before the current round becomes
-  one ``round`` message with no requests that carries the plant state
-  it left (occupied masks, failed links), so the journal, and a
-  respawn's replay, are sized by the unit's network and its current
-  round, not by the run's history.
+  ``min(units, usable cores)`` processes when it forks, a fan-out that
+  costs one message per touched process and always drains every reply,
+  and graceful context-manager shutdown.  A crashed process is final:
+  every call to a unit it hosted raises
+  :class:`~repro.errors.WorkerCrashed`, and the pool's owner closes it.
 
 **Determinism.**  A plan's outcome depends only on the unit's graph,
 its fiber plant (occupancy bitmasks, link liveness), and the reach
@@ -242,7 +235,7 @@ class _WorkerState:
         under :data:`MIRROR_OWNER`, then newly failed links are cut.  Every
         link is looked up and every mask checked against the grid before
         anything changes, so a sync the unit refuses leaves its plant as
-        it was: the pool's journal fold counts on that.
+        it was, and the unit keeps mirroring the parent's last good sync.
         """
         plant = self.inventory.plant
         size = plant.grid.size
@@ -336,11 +329,7 @@ def _worker_main(conn, recipes: List[UnitRecipe]) -> None:
         replies = []
         for slot, op, payload in message:
             try:
-                if op == "adopt":
-                    units.append(_WorkerState(payload))
-                    result = None
-                else:
-                    result = units[slot].dispatch(op, payload)
+                result = units[slot].dispatch(op, payload)
             except Exception as exc:  # noqa: BLE001 - errors are replies
                 replies.append(("error", _encode_error(exc)))
             else:
@@ -357,7 +346,7 @@ def _worker_main(conn, recipes: List[UnitRecipe]) -> None:
 
 def _reap(process, timeout_s: float) -> None:
     """Leave ``process`` dead and joined — SIGTERM, wait, SIGKILL — so a
-    worker deaf to SIGTERM cannot hang the parent recovering from it."""
+    worker deaf to SIGTERM cannot hang the parent closing the pool."""
     if process.is_alive():
         process.terminate()
         process.join(timeout=timeout_s)
@@ -377,7 +366,7 @@ class _Host:
         self.process = None
         self.conn = None
         #: Why this process is condemned: its pipe may hold a reply no
-        #: message will match, so send and receive re-raise until respawn.
+        #: message will match, so every later send and receive re-raises.
         self.failed: Optional[WorkerCrashed] = None
 
     @property
@@ -388,62 +377,13 @@ class _Host:
 class _Unit:
     """Parent-side bookkeeping for one hosted planning unit."""
 
-    __slots__ = ("recipe", "host", "slot", "journal", "round_no", "_snapshot")
+    __slots__ = ("recipe", "host", "slot")
 
     def __init__(self, recipe: UnitRecipe, host: _Host) -> None:
         self.recipe = recipe
         self.host = host
         #: The unit's index in its process: what a call addresses.
         self.slot = len(host.units)
-        #: What a fresh process replays, in order, to rebuild identical
-        #: state after a crash: ``(payload, ok)`` for every ``round``
-        #: message the unit answered (``ok`` False for an error reply)
-        #: since its current round's first message, after the entry the
-        #: earlier ones were folded into (see :meth:`record`).
-        self.journal: List[Tuple[dict, bool]] = []
-        #: The round number of the latest journaled ``round`` message.
-        self.round_no: Optional[int] = None
-        #: The entry earlier rounds fold into: a ``round`` message with
-        #: no round number and no requests whose sync holds the occupied
-        #: masks (dark links omitted) and the failed links every message
-        #: before the current round left.  Folds change it in place.
-        self._snapshot = (
-            {"round": None, "sync": {"masks": {}, "failed": []}, "requests": []},
-            True,
-        )
-
-    def record(self, payload: dict, ok: bool) -> None:
-        """Journal an answered ``round`` message.
-
-        One that opens a new round first folds every earlier entry into
-        the snapshot.  Only the current round's messages stay verbatim:
-        the overlay their plans left is what the round's next message
-        plans against, while all an earlier round left is plant state.
-        A fold costs the keys the folded entries change; a message whose
-        reply was an error changed no plant (a unit refuses a sync
-        whole) and folds to nothing.
-        """
-        if payload["round"] != self.round_no:
-            self.round_no = payload["round"]
-            self._fold()
-        self.journal.append((payload, ok))
-
-    def _fold(self) -> None:
-        folded = self._snapshot[0]["sync"]
-        masks: Dict[Tuple[str, str], int] = folded["masks"]
-        for entry in self.journal:
-            payload, ok = entry
-            sync = payload["sync"]
-            if not ok or entry is self._snapshot or sync is None:
-                continue
-            for key, mask in sync["masks"].items():
-                if mask:
-                    masks[key] = mask
-                else:
-                    masks.pop(key, None)
-            folded["failed"] = sync["failed"]
-        if self.journal:
-            self.journal = [self._snapshot]
 
 
 class ShardWorkerPool:
@@ -457,20 +397,17 @@ class ShardWorkerPool:
     context manager — ``close()`` shuts every process down gracefully
     and reaps it (no zombies).
 
+    A process that dies or falls silent is final: every call to a unit
+    it hosted raises :class:`~repro.errors.WorkerCrashed`.
+
     Args:
-        recipes: Recipes to host at once; more join via :meth:`ensure`.
-        recover: When True, a :class:`~repro.errors.WorkerCrashed` on
-            :meth:`call`/:meth:`call_many` triggers automatic
-            rebuild-and-replay (:meth:`respawn`) and one retry instead
-            of propagating.
+        recipes: Recipes to host at once, or ``()`` to fork at the first
+            :meth:`ensure`.
     """
 
-    def __init__(
-        self, recipes: Iterable[UnitRecipe] = (), recover: bool = False
-    ) -> None:
+    def __init__(self, recipes: Iterable[UnitRecipe] = ()) -> None:
         self._units: Dict[UnitRecipe, _Unit] = {}
         self._hosts: List[_Host] = []
-        self._recover = recover
         self._closed = False
         self._ctx = get_context()
         self.ensure(*recipes)
@@ -507,8 +444,7 @@ class ShardWorkerPool:
         process inherits all of its parent's memory, not just its
         recipes' graphs, so call this before building anything a unit
         never reads (``ShardedNetwork`` forks before its controllers).
-        A recipe that arrives after that is adopted: sent to the process
-        whose turn it is in the same deal.
+        Once the pool has forked it hosts no new recipe.
         """
         if self._closed:
             raise ConfigurationError("worker pool is closed")
@@ -519,9 +455,10 @@ class ShardWorkerPool:
         if not fresh:
             return
         if self._hosts:
-            for recipe in fresh:
-                self._adopt(recipe)
-            return
+            raise ConfigurationError(
+                f"the worker pool has forked; it cannot host unit "
+                f"{fresh[0].unit!r} as well"
+            )
         hosts = [_Host() for _ in range(min(len(fresh), _usable_cores()))]
         units = {}
         for index, recipe in enumerate(fresh):
@@ -548,40 +485,6 @@ class ShardWorkerPool:
             _reap(host.process, timeout_s)
             host.conn.close()
 
-    def respawn(self, recipe: UnitRecipe) -> None:
-        """Replace the (crashed) process hosting ``recipe`` and replay.
-
-        The fresh process builds every unit the old one hosted, then
-        replays each unit's journal: the message its earlier rounds were
-        folded into, then every ``round`` message answered since its
-        current round began, in order, so each unit deterministically
-        reaches the exact state it held — including messages that
-        *failed* deterministically (their replay fails identically and
-        is dropped).  In-flight unanswered calls are not replayed; the
-        caller re-issues them.
-        """
-        self._respawn(self._units[recipe].host)
-
-    def _respawn(self, host: _Host) -> None:
-        _reap(host.process, _REAP_TIMEOUT_S)
-        host.conn.close()
-        try:
-            self._spawn([host])
-        except WorkerCrashed:
-            # Nothing is left to host these units: forget them.
-            self._hosts.remove(host)
-            for unit in host.units:
-                del self._units[unit.recipe]
-            raise
-        replay = [
-            (unit.slot, "round", payload)
-            for unit in host.units
-            for payload, _ in unit.journal
-        ]
-        if replay:
-            self._send(host, replay)
-            self._receive(host)
-
     def _spawn(self, hosts: List[_Host]) -> None:
         """Fork a process per host, then wait until each built its units.
 
@@ -599,7 +502,6 @@ class ShardWorkerPool:
             host.process.start()
             child_conn.close()
             host.conn = parent_conn
-            host.failed = None
         for host in hosts:
             failure = self._ready(host)
             if failure is not None:
@@ -621,20 +523,6 @@ class ShardWorkerPool:
         if tag == "ready":
             return None
         return f"failed to build: {info[0]}: {info[1]}"
-
-    def _adopt(self, recipe: UnitRecipe) -> None:
-        """Host ``recipe`` in a running process, continuing the deal."""
-        host = self._hosts[len(self._units) % len(self._hosts)]
-        unit = _Unit(recipe, host)
-        self._send(host, [(unit.slot, "adopt", recipe)])
-        [(tag, info)] = self._receive(host)
-        if tag == "error":
-            raise WorkerCrashed(
-                f"shard worker {recipe.unit!r} failed to build: "
-                f"{info[0]}: {info[1]}"
-            )
-        host.units.append(unit)
-        self._units[recipe] = unit
 
     # -- RPC plumbing ---------------------------------------------------------
 
@@ -666,37 +554,27 @@ class ShardWorkerPool:
             )
             raise host.failed from None
 
-    def _answers(
-        self, host: _Host, message: List[Tuple[int, str, Any]]
-    ) -> List[Tuple[str, Any]]:
-        """``host``'s reply to ``message``, recovering the process once:
-        respawn, replay every hosted unit's journal, resend the message.
-        Processes share no state, so the others' replies — read before
-        or after — are unaffected."""
-        try:
-            return self._receive(host)
-        except WorkerCrashed:
-            if not self._recover or self._closed:
-                raise
-        self._respawn(host)
-        self._send(host, message)
-        return self._receive(host)
-
     def _exchange(self, calls: Sequence[Tuple[UnitRecipe, str, Any]]) -> List[Any]:
         # Shared by call/call_many so neither runs through the other's
         # public name (callers instrument both and must not count twice).
-        self.ensure(*(recipe for recipe, _, _ in calls))
+        if self._closed:
+            raise ConfigurationError("worker pool is closed")
         messages: Dict[_Host, List[Tuple[int, str, Any]]] = {}
         indices: Dict[_Host, List[int]] = {}
         for index, (recipe, op, payload) in enumerate(calls):
-            unit = self._units[recipe]
+            unit = self._units.get(recipe)
+            if unit is None:
+                raise ConfigurationError(
+                    f"the worker pool hosts no unit {recipe.unit!r} of "
+                    f"this graph"
+                )
             messages.setdefault(unit.host, []).append((unit.slot, op, payload))
             indices.setdefault(unit.host, []).append(index)
         for host, message in messages.items():
             try:
                 self._send(host, message)
             except WorkerCrashed:
-                pass  # resurfaces, and is recovered, at this host's reply
+                pass  # resurfaces at this host's reply
         replies: List[Any] = [None] * len(calls)
         errors: List[Tuple[int, GriphonError]] = []
         for host, message in messages.items():
@@ -704,15 +582,11 @@ class ShardWorkerPool:
             # message to that process would be answered by this
             # fan-out's leftovers.
             try:
-                answers = self._answers(host, message)
+                answers = self._receive(host)
             except WorkerCrashed as exc:
                 errors.append((indices[host][0], exc))
                 continue
-            for index, (slot, op, payload), (tag, result) in zip(
-                indices[host], message, answers
-            ):
-                if op == "round":  # the one op that changes a unit
-                    host.units[slot].record(payload, tag == "ok")
+            for index, (tag, result) in zip(indices[host], answers):
                 if tag == "error":
                     errors.append((index, _rebuild_error(*result)))
                 else:
@@ -729,8 +603,8 @@ class ShardWorkerPool:
         """One RPC to one unit; blocks for the reply.
 
         Worker-reported errors are re-raised as their original library
-        types.  With ``recover=True`` a crashed process is respawned,
-        its units' journals replayed, and the RPC retried once.
+        types; a dead or silent process raises
+        :class:`~repro.errors.WorkerCrashed`.
         """
         return self._exchange([(recipe, op, payload)])[0]
 
@@ -742,7 +616,6 @@ class ShardWorkerPool:
         The calls are grouped by process, each unit's in call order, and
         every touched process gets one message, all sent before any
         reply is read — so the processes compute concurrently.  Every
-        reply is read before the first error (in call order) is raised,
-        and crash recovery works per process exactly as in :meth:`call`.
+        reply is read before the first error (in call order) is raised.
         """
         return self._exchange(list(calls))

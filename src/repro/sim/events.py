@@ -37,7 +37,3 @@ class Event:
         self.callback = callback
         self.args = args
         self.label = label
-
-    def __repr__(self) -> str:
-        name = self.label or getattr(self.callback, "__name__", "callback")
-        return f"Event(t={self.time:.6g}, seq={self.seq}, {name})"

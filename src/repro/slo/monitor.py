@@ -23,6 +23,7 @@ from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import ConfigurationError
+from repro.faults.plan import _reject_unknown_keys
 from repro.obs.windows import WindowedSeries
 from repro.sim.process import Process
 
@@ -102,16 +103,11 @@ class SloPolicy:
     @classmethod
     def from_dict(cls, data: Dict[str, Any]) -> "SloPolicy":
         """Build a policy from its plain-dict form; unknown keys raise."""
-        known = {
+        _reject_unknown_keys("SloPolicy", data, (
             "name", "metric", "threshold", "scope", "orientation",
             "short_window_s", "short_burn", "long_window_s", "long_burn",
             "clear_window_s",
-        }
-        extra = set(data) - known
-        if extra:
-            raise ConfigurationError(
-                f"unknown SloPolicy keys: {', '.join(sorted(extra))}"
-            )
+        ))
         return cls(**data)
 
 

@@ -228,11 +228,23 @@ class SweepSpec(FrozenRecord):
                 runner=resolve(str(spec["study"])),
                 axes=axes,
                 fixed=dict(spec.get("fixed", {})),
-                repeats=int(spec.get("repeats", 1)),
-                base_seed=int(spec.get("base_seed", 0)),
+                repeats=_integer(spec, "repeats", 1),
+                base_seed=_integer(spec, "base_seed", 0),
             )
         except KeyError as exc:
             raise ConfigurationError(f"sweep spec missing key {exc}") from exc
+
+
+def _integer(spec: Mapping[str, Any], key: str, default: int) -> int:
+    """``spec[key]`` as an integer; a JSON value ``int()`` refuses (NaN,
+    Infinity, a list) is a configuration error."""
+    value = spec.get(key, default)
+    try:
+        return int(value)
+    except (TypeError, ValueError, OverflowError):
+        raise ConfigurationError(
+            f"sweep spec {key} must be an integer, got {value!r}"
+        ) from None
 
 
 def seed_table(spec: SweepSpec) -> Dict[str, int]:

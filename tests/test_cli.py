@@ -2,12 +2,17 @@
 
 import dataclasses
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import repro
 from repro.cli import build_parser, main
 
 NAN = float("nan")
+INF = float("inf")
 
 
 class TestParser:
@@ -239,6 +244,33 @@ class TestBadInput:
         assert refusal.value.code == 2
         assert "must be at least 1" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["serve", "--rate", "nan", "--duration", "5"],
+            ["serve", "--duration", "inf"],
+            ["serve", "--bucket-rate", "0"],
+            ["chaos", "--rate", "nan"],
+            ["chaos", "--rate=-1"],
+            ["slo", "--horizon", "inf"],
+            ["sweep", "x9", "--timeout", "nan"],
+        ],
+    )
+    def test_numbers_that_are_not_finite_and_in_range_are_refused(
+        self, capsys, argv
+    ):
+        with pytest.raises(SystemExit) as refusal:
+            build_parser().parse_args(argv)
+        assert refusal.value.code == 2
+        assert "must be a finite number" in capsys.readouterr().err
+
+    def test_numeric_flags_keep_their_defaults(self):
+        serve = build_parser().parse_args(["serve"])
+        assert (serve.rate, serve.duration, serve.bucket_rate) == (20.0, 30.0, 1.0)
+        assert build_parser().parse_args(["chaos"]).rate == 0.15
+        assert build_parser().parse_args(["slo"]).horizon == 7200.0
+        assert build_parser().parse_args(["sweep", "x9"]).timeout == 900.0
+
     def test_unknown_sweep_study_names_the_known_ones(self, capsys, tmp_path):
         assert main(["sweep", str(tmp_path / "nosuch")]) == 2
         err = capsys.readouterr().err
@@ -305,3 +337,52 @@ class TestBadInput:
         err = capsys.readouterr().err
         assert err.startswith(f"griphon: error: {message}")
         assert err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "command, plan, message",
+        [
+            ("slo", {"degradations": [{"link": "ATL=DFW", "duration_s": INF}]},
+             "duration_s must be finite, got inf"),
+            ("chaos", {"specs": [{"until_s": INF}]},
+             "until_s must be finite, got inf"),
+        ],
+    )
+    def test_a_plan_that_never_ends_is_refused(
+        self, tmp_path, command, plan, message
+    ):
+        # Run apart and bounded: a plan let through never ends.
+        path = tmp_path / "plan.json"
+        path.write_text(json.dumps(plan))
+        src = os.path.dirname(os.path.dirname(repro.__file__))
+        done = subprocess.run(
+            [sys.executable, "-m", "repro", command, "--plan", str(path)],
+            capture_output=True, text=True, timeout=60,
+            env=dict(os.environ, PYTHONPATH=src),
+        )
+        assert done.returncode == 2
+        assert done.stderr == f"griphon: error: {message}\n"
+
+    @pytest.mark.parametrize(
+        "argv, content, message",
+        [
+            (["chaos", "--plan"], "[]", "the top level must be a JSON object"),
+            (["slo", "--plan"], '[{"link": "ATL=DFW"}]',
+             "the top level must be a JSON object"),
+            (["slo", "--policy"], '{"name": "osnr-margin"}',
+             "the top level must be a JSON array"),
+            (["sweep"], '[{"name": "x"}]', "the top level must be a JSON object"),
+            (["sweep"], '{"name": "x", "study": "chaos", "repeats": NaN}',
+             "sweep spec repeats must be an integer, got nan"),
+            (["sweep"], '{"name": "x", "study": "chaos", "repeats": Infinity}',
+             "sweep spec repeats must be an integer, got inf"),
+        ],
+    )
+    def test_json_files_of_the_wrong_shape_are_refused(
+        self, capsys, tmp_path, argv, content, message
+    ):
+        path = tmp_path / "input.json"
+        path.write_text(content)
+        assert main(argv + [str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("griphon: error: ")
+        assert message in err and err.count("\n") == 1

@@ -4,11 +4,10 @@ A :class:`~repro.topo.hierarchy.Hierarchy` keeps the region and express
 graphs it was assembled from; every network built from it plans on those
 objects (its monolithic twin on ``hierarchy.graph``), so nothing a
 network does may change them, and two networks built from one hierarchy
-must behave exactly as two built from two equal hierarchies.  Because
-such networks name equal worker recipes, a pool already hosting one of
-a network's recipes is refused before any process is forked or asked
-anything: sharing it would plan one network against the other's
-occupancy.
+must behave exactly as two built from two equal hierarchies.  A unit
+mirrors one plant, so a pool that already hosts units is refused before
+any process is forked or asked anything: sharing it would plan one
+network against the other's occupancy.
 """
 
 import multiprocessing
@@ -146,14 +145,20 @@ class TestOnePoolPerNetwork:
             assert pool.recipes() == hosted
         assert multiprocessing.active_children() == []
 
-    def test_an_equal_hierarchy_may_share_the_pool(self):
+    def test_a_pool_that_already_hosts_units_is_refused(self):
         with ShardWorkerPool() as pool:
             first = _network(_hierarchy(), "monolithic", "pool", pool)
-            second = _network(_hierarchy(), "monolithic", "pool", pool)
-            assert pool.size == 2
-            assert [r.unit for r in pool.recipes()] == [MONOLITH, MONOLITH]
-            fingerprints = _drive([first, second], _cut_link(first.hierarchy))
-        assert fingerprints[0] == fingerprints[1]
+            children = multiprocessing.active_children()
+            # An equal hierarchy names other graph objects, so none of
+            # its recipes is hosted: the pool is still not its own.
+            with pytest.raises(ConfigurationError, match="pool of its own"):
+                _network(_hierarchy(), "monolithic", "pool", pool)
+            assert multiprocessing.active_children() == children
+            assert [r.unit for r in pool.recipes()] == [MONOLITH]
+            [fingerprint] = _drive([first], _cut_link(first.hierarchy))
+        assert fingerprint == _drive(
+            [_network(_hierarchy(), "monolithic")], _cut_link(first.hierarchy)
+        )[0]
         assert multiprocessing.active_children() == []
 
 

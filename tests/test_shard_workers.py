@@ -1,4 +1,4 @@
-"""The persistent shard worker pool: RPC parity, hosting, lifecycle, recovery.
+"""The persistent shard worker pool: RPC parity, hosting, lifecycle, crashes.
 
 Every RPC a :class:`~repro.shard.workers.ShardWorkerPool` unit serves
 is checked against a local twin built from the same
@@ -9,10 +9,10 @@ how units are dealt onto ``min(units, usable cores)`` processes — the
 core count is patched, so no test depends on the host — and that a
 fan-out costs one pipe write per touched process.  Lifecycle tests pin
 the guarantees the resident layer depends on: context-manager close
-reaps every process (no zombies), a failed spawn leaks no descriptor, a
-killed process surfaces as the typed :class:`~repro.errors.WorkerCrashed`
-for every unit it hosts, and journal replay rebuilds each of them into
-byte-identical state.
+reaps every process (no zombies), a failed spawn leaks no descriptor,
+and a killed process surfaces as the typed
+:class:`~repro.errors.WorkerCrashed` for every unit it hosts, for good:
+a run it was planning for ends in that error and leaves no live child.
 """
 
 import gc
@@ -24,8 +24,6 @@ import signal
 from multiprocessing.connection import Connection
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from repro.core.admission import CustomerProfile
 from repro.core.inventory import InventoryDatabase
@@ -37,9 +35,11 @@ from repro.errors import (
     WavelengthBlockedError,
     WorkerCrashed,
 )
-from repro.fingerprint import outcome_fingerprint, plant_fingerprint
+from repro.fingerprint import plant_fingerprint
 from repro.optical.wavelength import WavelengthGrid
+from repro.pipeline.engine import TicketState
 from repro.shard import workers as shard_workers
+from repro.shard.intake import ShardIntake
 from repro.shard.network import ShardedNetwork, _PlantMirror, build_sharded_network
 from repro.shard.workers import (
     ShardWorkerPool,
@@ -164,8 +164,12 @@ class TestRecipe:
         with ShardWorkerPool([RECIPE]) as pool:
             pool.ensure(twin)
             assert pool.size == 1
-            pool.ensure(fresh)
-            assert pool.size == 2
+            # A pool that has forked hosts no new recipe.
+            with pytest.raises(ConfigurationError, match="has forked"):
+                pool.ensure(fresh)
+            with pytest.raises(ConfigurationError, match="hosts no unit"):
+                pool.call(fresh, "ping")
+            assert pool.recipes() == [RECIPE]
 
     def test_build_is_deterministic(self):
         """Two workers built from one recipe, and the parent-side twin,
@@ -211,24 +215,6 @@ class TestHosting:
                 [(recipe, "ping", None) for recipe in pool.recipes()]
             ) == ["pong"] * 3
         assert multiprocessing.active_children() == []
-
-    def test_a_late_recipe_is_adopted_without_a_fork(self, monkeypatch):
-        _cores(monkeypatch, 2)
-        late = UnitRecipe("R00", _second_hierarchy().region_graph("R00"))
-        requests = _requests(late)
-        with ShardWorkerPool([RECIPE, OTHER]) as pool:
-            pool.ensure(late)
-            # The deal continues where it stopped: the third unit joins
-            # the first process, and no process is added.
-            assert _hosted(pool) == [[RECIPE, late], [OTHER]]
-            assert len(multiprocessing.active_children()) == 2
-            remote = _planned(pool, late, 1, requests)
-        local = _Twin(late).rwa.plan_batch(requests)
-        assert [i.ok for i in remote] == [i.ok for i in local]
-        assert [_plan_shape(i.plan) for i in remote if i.ok] == [
-            _plan_shape(i.plan) for i in local if i.ok
-        ]
-        assert any(i.ok for i in local)
 
     def test_one_pipe_write_per_touched_process_per_fan_out(self, monkeypatch):
         _cores(monkeypatch, 2)
@@ -424,31 +410,47 @@ class TestWorkerRpcParity:
                     [(OTHER, "ping", None), (RECIPE, "ping", None)]
                 ) == ["pong", "pong"]
 
-    @pytest.mark.parametrize("recover", [False, True])
-    def test_late_reply_never_answers_a_later_request(self, recover, monkeypatch):
-        with ShardWorkerPool([RECIPE], recover=recover) as pool:
+    def test_late_reply_never_answers_a_later_request(self, monkeypatch):
+        with ShardWorkerPool([RECIPE]) as pool:
             stalled = pool.process_of(RECIPE)
             # One ping times out on a stopped worker (watchdog shortened
-            # and recovery held off for just this call) ...
+            # for just this call) ...
             os.kill(stalled.pid, signal.SIGSTOP)
-            pool._recover = False
             try:
                 with monkeypatch.context() as patch:
                     patch.setattr(shard_workers, "_RPC_TIMEOUT_S", 0.2)
                     with pytest.raises(WorkerCrashed, match="no reply"):
                         pool.call(RECIPE, "ping")
             finally:
-                pool._recover = recover
                 os.kill(stalled.pid, signal.SIGCONT)
             # ... and the woken worker now writes its stale "pong".  The
-            # next call must respawn (recover) or raise — never read it.
-            if recover:
-                assert "state" in pool.call(RECIPE, "fingerprint")
-                assert pool.process_of(RECIPE) is not stalled
-            else:
-                with pytest.raises(WorkerCrashed):
-                    pool.call(RECIPE, "fingerprint")
+            # next call must raise, never read it.
+            with pytest.raises(WorkerCrashed):
+                pool.call(RECIPE, "fingerprint")
         assert not stalled.is_alive()
+
+
+class _DeafProcess:
+    """A stand-in worker process that survives ``terminate()``."""
+
+    def __init__(self):
+        self.calls = []
+        self._alive = True
+
+    def is_alive(self):
+        return self._alive
+
+    def terminate(self):
+        self.calls.append("terminate")
+
+    def join(self, timeout=None):
+        # An unbounded join on a live process is the hang under test.
+        assert timeout is not None or not self._alive, "join() would hang"
+        self.calls.append("join")
+
+    def kill(self):
+        self.calls.append("kill")
+        self._alive = False
 
 
 class TestLifecycle:
@@ -492,14 +494,16 @@ class TestLifecycle:
             raised.append(exc)
         assert _open_fds() == before
         assert multiprocessing.active_children() == []
+
+    def test_close_kills_a_worker_that_ignores_sigterm(self):
         with ShardWorkerPool([RECIPE]) as pool:
-            held = _open_fds()
-            with pytest.raises(WorkerCrashed, match="grid size"):
-                pool.ensure(bad)
-            # The pool neither adopted the unit nor lost the good one.
-            assert pool.recipes() == [RECIPE] and _open_fds() == held
-            assert pool.call(RECIPE, "ping") == "pong"
-        assert multiprocessing.active_children() == []
+            real = pool.process_of(RECIPE)
+            deaf = pool._units[RECIPE].host.process = _DeafProcess()
+            pool.close()
+            # The real worker was sent the shutdown message and exits.
+            real.join(10)
+            assert not real.is_alive()
+            assert deaf.calls == ["join", "terminate", "join", "kill", "join"]
 
 
 class TestForkFirst:
@@ -520,235 +524,23 @@ class TestForkFirst:
         assert multiprocessing.active_children() == []
 
 
-class _DeafProcess:
-    """A stand-in worker process that survives ``terminate()``."""
-
-    def __init__(self):
-        self.calls = []
-        self._alive = True
-
-    def is_alive(self):
-        return self._alive
-
-    def terminate(self):
-        self.calls.append("terminate")
-
-    def join(self, timeout=None):
-        # An unbounded join on a live process is the hang under test.
-        assert timeout is not None or not self._alive, "join() would hang"
-        self.calls.append("join")
-
-    def kill(self):
-        self.calls.append("kill")
-        self._alive = False
-
-
 class TestCrashRecovery:
-    """A killed process takes every unit it hosts; all of them come back."""
-
-    def test_respawn_kills_a_worker_that_ignores_sigterm(self):
-        with ShardWorkerPool([RECIPE]) as pool:
-            real = pool.process_of(RECIPE)
-            host = pool._units[RECIPE].host
-            deaf = host.process = _DeafProcess()
-            try:
-                pool.respawn(RECIPE)
-            finally:
-                real.kill()
-                real.join()
-            assert deaf.calls == ["terminate", "join", "kill", "join"]
-            assert pool.call(RECIPE, "ping") == "pong"
-
-    def _mutate(self, pool, local, recipe=RECIPE):
-        """The same mutating history on a pool unit and its local twin:
-        a round that plans, the claims synced by the next, then a cut
-        synced by a third."""
-        mirror = _PlantMirror(local.inventory.plant)
-        requests = _requests(local)
-        items = local.rwa.plan_batch(requests)
-        pool.call(recipe, *_round(1, requests, _sync(mirror)))
-        _land(local, items)
-        pool.call(recipe, *_round(2, sync=_sync(mirror)))
-        item = next(i for i in items if i.ok)
-        local.inventory.plant.cut_link(item.plan.path[0], item.plan.path[1])
-        pool.call(recipe, *_round(3, sync=_sync(mirror)))
+    """A killed process takes every unit it hosts, for good."""
 
     def test_crash_raises_typed_error(self, one_core):
         with ShardWorkerPool([RECIPE, OTHER]) as pool:
             assert _hosted(pool) == [[RECIPE, OTHER]]
             pool.process_of(RECIPE).kill()
-            for recipe in (RECIPE, OTHER):
+            for recipe in (RECIPE, OTHER, RECIPE):
                 with pytest.raises(WorkerCrashed):
                     pool.call(recipe, "ping")
 
-    def test_rebuild_and_replay_restores_exact_state(self, one_core):
-        recipes = [RECIPE, OTHER]
-        with ShardWorkerPool(recipes) as pool, ShardWorkerPool(
-            recipes
-        ) as control:
-            twins = {recipe: _Twin(recipe) for recipe in recipes}
-            for recipe in recipes:
-                self._mutate(pool, twins[recipe], recipe)
-                self._mutate(control, _Twin(recipe), recipe)
-            crashed = pool.process_of(RECIPE)
-            crashed.kill()
-            crashed.join()
-            pool.respawn(RECIPE)
-            assert pool.process_of(OTHER) is pool.process_of(RECIPE)
-            assert pool.process_of(RECIPE) is not crashed
-            for recipe in recipes:
-                # Each replayed unit matches the never-crashed control
-                # (and the parent-side twin) on plant state...
-                fingerprint = pool.call(recipe, "fingerprint")
-                assert fingerprint == control.call(recipe, "fingerprint")
-                assert fingerprint["state"] == plant_fingerprint(
-                    twins[recipe].inventory.plant
-                )
-                # ...and plans the next round identically.
-                message = _round(4, _requests(recipe, salt=1))
-                expected = control.call(recipe, *message)
-                assert pool.call(recipe, *message) == expected
-                assert any(path is not None for path, _, _ in expected)
-
-    def test_auto_recover_is_transparent(self, one_core):
-        recipes = [RECIPE, OTHER]
-        with ShardWorkerPool(recipes, recover=True) as pool:
-            twins = {recipe: _Twin(recipe) for recipe in recipes}
-            for recipe in recipes:
-                self._mutate(pool, twins[recipe], recipe)
-            pool.process_of(RECIPE).kill()
-            # recover=True: the fan-out respawns, replays, and answers.
-            fingerprints = pool.call_many(
-                [(recipe, "fingerprint", None) for recipe in recipes]
-            )
-        assert [fp["state"] for fp in fingerprints] == [
-            plant_fingerprint(twins[recipe].inventory.plant)
-            for recipe in recipes
-        ]
-
-    def _round_history(self):
-        """Four placement rounds' worth of journaled messages to RECIPE.
-
-        Round 1 is split in two messages (a mid-round flush: the second
-        carries no sync and plans under the first's overlay), round 2's
-        sync cuts a fiber, round 3's repairs it and moves occupancy, and
-        round 4 moves occupancy again and cuts another.
-        """
-        first, second, third, fourth = (
-            _requests(RECIPE, 4, salt) for salt in range(4)
-        )
-        keys = sorted(link.key for link in RECIPE.graph.links)
-
-        def sync(masks, failed=()):
-            return {"masks": masks, "failed": list(failed)}
-
-        history = [
-            _round(1, first[:2], sync({keys[0]: 0b0101, keys[-1]: 0b0011})),
-            _round(1, first[2:]),
-            _round(2, second[:2], sync({}, [keys[0]])),
-            _round(3, third, sync({keys[0]: 0b0001})),
-            _round(4, fourth[:2], sync({keys[-1]: 0, keys[0]: 0b1001}, [keys[1]])),
-        ]
-        # Same round again: the reply depends on round 4's overlay, so a
-        # replay that lost the round number (and reset it) would differ.
-        probes = [_round(4, fourth), _round(5, fourth, sync({}))]
-        return history, probes
-
-    def test_round_op_replays_at_every_journal_index(self, one_core):
-        history, probes = self._round_history()
-        neighbour = _round(
-            1, sync={"masks": {}, "failed": [("R01-P00", "R01-P01")]}
-        )
-
-        def finish(pool, ops):
-            for op, payload in ops:
-                pool.call(RECIPE, op, payload)
-            fingerprints = pool.call_many(
-                [(RECIPE, "fingerprint", None), (OTHER, "fingerprint", None)]
-            )
-            return fingerprints, [
-                pool.call(RECIPE, op, payload) for op, payload in probes
-            ]
-
-        with ShardWorkerPool([RECIPE, OTHER]) as control:
-            control.call(OTHER, *neighbour)
-            expected = finish(control, history)
-        assert any(path is not None for path, _, _ in expected[1][0])
-        for index in range(len(history) + 1):
-            with ShardWorkerPool([RECIPE, OTHER]) as pool:
-                # OTHER shares the process and has a journal of its own.
-                pool.call(OTHER, *neighbour)
-                for op, payload in history[:index]:
-                    pool.call(RECIPE, op, payload)
-                pool.process_of(RECIPE).kill()
-                pool.process_of(RECIPE).join()
-                pool.respawn(RECIPE)
-                assert finish(pool, history[index:]) == expected, index
-            # Rounds 2, 3 and 4 fold what came before them, so a kill
-            # after round 4 replays across three folds; the round-5 probe
-            # folds once more, leaving the snapshot and its own message.
-            assert [
-                payload["round"] for payload, _ in pool._units[RECIPE].journal
-            ] == [None, 5]
-
 
 _KEYS = sorted(link.key for link in RECIPE.graph.links)
-_MASKS = st.sampled_from([0, 0b1, 0b11, 0b101, 0b1000, (1 << 80) - 1])
-
-
-@st.composite
-def _histories(draw):
-    """``round`` messages to RECIPE, as a placement loop sends them.
-
-    A round opens with a sync (masks, zero masks among them, and the
-    failed links, the earlier round's cuts kept or repaired) and may be
-    split into more messages without one.  A few messages are refused (a
-    failed link the unit does not know, a mask that overflows the grid):
-    a refused sync changes no plant and must fold to nothing.
-    """
-    ops, round_no = [], 0
-    for _ in range(draw(st.integers(1, 8))):
-        kind = draw(st.sampled_from(["open", "open", "split", "split", "refused"]))
-        requests = _requests(
-            RECIPE, draw(st.integers(0, 4)), salt=draw(st.integers(0, 99))
-        )
-        if kind == "open" or (kind == "split" and not round_no):
-            round_no += draw(st.integers(1, 2))
-            ops.append(_round(round_no, requests, {
-                "masks": draw(st.dictionaries(
-                    st.sampled_from(_KEYS), _MASKS, max_size=4
-                )),
-                "failed": sorted(draw(st.lists(
-                    st.sampled_from(_KEYS), max_size=3, unique=True
-                ))),
-            }))
-        elif kind == "split":
-            ops.append(_round(round_no, requests))
-        else:
-            round_no += 1
-            if draw(st.booleans()):
-                ops.append(_round(round_no, requests, {
-                    "masks": {_KEYS[0]: 0b1},
-                    "failed": [_KEYS[2], (_KEYS[0][0], "NOPE")],
-                }))
-            else:
-                ops.append(_round(round_no, requests, {
-                    "masks": {_KEYS[0]: 0b1, _KEYS[1]: 1 << 80},
-                    "failed": [_KEYS[2]],
-                }))
-    return ops
-
-
-def _answer(send, op, payload):
-    """A reply, or the error it raised as ``(type name, message)``."""
-    try:
-        return send(op, payload)
-    except Exception as exc:  # noqa: BLE001 - the error is the answer
-        return type(exc).__name__, str(exc)
 
 
 class TestJournalFold:
-    """A unit's journal folds at each of its round boundaries."""
+    """A unit refuses a sync whole: its plant stays the last good sync's."""
 
     def test_a_refused_sync_changes_nothing(self):
         with ShardWorkerPool([RECIPE]) as pool:
@@ -771,66 +563,6 @@ class TestJournalFold:
                 }))
             assert pool.call(RECIPE, "fingerprint") == before
 
-    @settings(max_examples=15, deadline=None, derandomize=True)
-    @given(history=_histories())
-    def test_a_respawn_at_any_index_equals_the_never_crashed_twin(self, history):
-        # The unit's own state object, never in a pipe, is the twin.
-        twin = shard_workers._WorkerState(RECIPE)
-        neighbour = shard_workers._WorkerState(OTHER)
-
-        def twin_call(op, payload):
-            return twin.dispatch(op, payload)
-
-        with pytest.MonkeyPatch.context() as patch:
-            _cores(patch, 1)
-            pool = ShardWorkerPool([RECIPE, OTHER])
-        with pool:
-            # OTHER shares the process and folds a journal of its own.
-            lit, cut = sorted(link.key for link in OTHER.graph.links)[:2]
-            for op, payload in (
-                _round(1, sync={"masks": {lit: 0b11}, "failed": []}),
-                _round(2, sync={"masks": {}, "failed": [cut]}),
-                _round(2),
-            ):
-                pool.call(OTHER, op, payload)
-                neighbour.dispatch(op, payload)
-
-            def pool_call(op, payload):
-                return pool.call(RECIPE, op, payload)
-
-            since_open = 0
-            for op, payload in history:
-                process = pool.process_of(RECIPE)
-                process.kill()
-                process.join()
-                pool.respawn(RECIPE)
-                assert pool.call(RECIPE, "fingerprint") == twin_call(
-                    "fingerprint", None
-                )
-                opens = payload["round"] != pool._units[RECIPE].round_no
-                since_open = 1 if opens else since_open + 1
-                assert _answer(pool_call, op, payload) == _answer(
-                    twin_call, op, payload
-                )
-                journal = pool._units[RECIPE].journal
-                folded = [
-                    entry for entry in journal if entry[0]["round"] is None
-                ]
-                assert folded in ([], journal[:1])
-                assert len(journal) <= len(folded) + since_open
-            round_no = pool._units[RECIPE].round_no or 0
-            probes = [_round(round_no, _requests(RECIPE, salt=7)),
-                      _round(round_no + 1, _requests(RECIPE, salt=8), {
-                          "masks": {}, "failed": []})]
-            for op, payload in probes:
-                assert _answer(pool_call, op, payload) == _answer(
-                    twin_call, op, payload
-                )
-            assert pool.call(OTHER, "fingerprint") == neighbour.dispatch(
-                "fingerprint", None
-            )
-        assert multiprocessing.active_children() == []
-
 
 #: Four rounds over a 3-region network; R00 is planned on in rounds 1, 2
 #: and 4, so round 2's message to it carries round 1's claims as a delta.
@@ -845,7 +577,7 @@ _ROUNDS = [
 
 
 class TestRoundRecovery:
-    """A process lost around a placement round's message costs nothing.
+    """A process lost around a placement round's message ends the run.
 
     Two processes host the network's four units — R00 with R02, R01 with
     the express tier — so the victim, R00, always takes a neighbour down
@@ -871,38 +603,12 @@ class TestRoundRecovery:
         )
         return net
 
-    def _run(self, pool, sabotage=None):
-        """Place ``_ROUNDS``; ``sabotage(pool, round_index)`` runs before
-        each round.  Returns what an interruption must not move."""
-        net = self._network(pool)
-        orders = []
-        for index, requests in enumerate(_ROUNDS):
-            if sabotage is not None:
-                sabotage(pool, index)
-            orders.extend(net.place_orders(requests))
-            net.run()
-        net.sync_workers()
-        plants = net.plant_fingerprints()
-        workers = {
-            unit: fp["state"] for unit, fp in net.worker_fingerprints().items()
-        }
-        net.close()
-        return outcome_fingerprint(orders), plants, workers
-
-    def _uninterrupted(self):
-        with ShardWorkerPool() as pool:
-            outcome, plants, workers = self._run(pool)
-        assert workers == plants
-        return outcome, plants, workers
-
     @staticmethod
-    def _unit(pool, name):
-        return next(r for r in pool.recipes() if r.unit == name)
-
-    def _victim(self, pool):
-        victim = self._unit(pool, "R00")
-        assert [r.unit for r in pool.recipes()] == ["R00", "R01", "R02", EXPRESS]
-        assert pool.process_of(victim) is pool.process_of(self._unit(pool, "R02"))
+    def _victim(pool):
+        recipes = pool.recipes()
+        assert [r.unit for r in recipes] == ["R00", "R01", "R02", EXPRESS]
+        victim = recipes[0]
+        assert pool.process_of(victim) is pool.process_of(recipes[2])
         return victim
 
     @staticmethod
@@ -924,82 +630,58 @@ class TestRoundRecovery:
 
         pool._send = sabotaged
 
-    def test_kill_between_rounds_is_recovered(self):
-        def sabotage(pool, index):
-            if index == 1:
-                process = pool.process_of(self._victim(pool))
-                process.kill()
-                process.join()
+    def test_a_worker_killed_mid_run_ends_the_run_in_worker_crashed(self):
+        # The network owns its pool, as every product run's does.
+        net = self._network(None)
+        intake = ShardIntake(net, round_size=2, round_interval=1.0)
+        tickets = [
+            intake.submit(*order) for requests in _ROUNDS for order in requests
+        ]
+        pool = net._live_pool()
+        process = pool.process_of(self._victim(pool))
 
-        with ShardWorkerPool(recover=True) as pool:
-            got = self._run(pool, sabotage)
-        assert got == self._uninterrupted()
-        assert multiprocessing.active_children() == []
+        def kill():
+            process.kill()
+            process.join()
 
-    def test_kill_after_send_before_reply_is_recovered(self):
-        def sabotage(pool, index):
-            if index == 1:
-                self._kill_before_reply(pool, self._victim(pool))
-
-        with ShardWorkerPool(recover=True) as pool:
-            got = self._run(pool, sabotage)
-        assert got == self._uninterrupted()
+        # Between the first round (t=0) and the second (t=1), which plans
+        # on R00.
+        net.sim.schedule(0.5, kill)
+        with net:
+            with pytest.raises(WorkerCrashed):
+                net.run()
+            assert net.sim.now == 1.0
+            assert [t.state for t in tickets] == (
+                [TicketState.ACCEPTED] * 2 + [TicketState.QUEUED] * 4
+            )
         assert multiprocessing.active_children() == []
 
     def test_a_torn_fan_out_leaves_its_links_pending(self):
-        # No auto-recovery: the round's fan-out raises, and the links
-        # the dead process never took must still be pending for both of
-        # its units.
+        # The round's fan-out raises, and no mirror it synced forgets the
+        # links it carried: a worker that took the message is sent them
+        # again by the next.
         with ShardWorkerPool() as pool:
             net = self._network(pool)
             net.place_orders(_ROUNDS[0])
             net.run()
-            victim = self._victim(pool)
-            self._kill_before_reply(pool, victim)
+            pending = {
+                recipe.unit: set(mirror.pending)
+                for recipe, mirror in net._mirrors.items()
+            }
+            assert pending["R00"] and pending["R01"]
+            self._kill_before_reply(pool, self._victim(pool))
             with pytest.raises(WorkerCrashed):
                 net.place_orders(_ROUNDS[1])
-            pool.respawn(victim)
-            net.sync_workers()
-            plants = net.plant_fingerprints()
             assert {
-                unit: fp["state"]
-                for unit, fp in net.worker_fingerprints().items()
-            } == plants
-        assert multiprocessing.active_children() == []
-
-    def test_a_torn_fan_out_resends_what_a_unit_already_took(self):
-        # Round 2's fan-out raises for the dead R00 process, but R01's
-        # process did take the round's sync: round 1's cross-region
-        # lightpath, lit on R01.  Released before the next round, that
-        # channel is dark again on the parent; the link is still
-        # pending, so R01 is sent its mask again, now dark.
-        with ShardWorkerPool() as pool:
-            net = self._network(pool)
-            cross_region = net.place_orders(_ROUNDS[0])[1]
-            net.run()
-            assert "R01" in {r["unit"] for r in cross_region.plan_record}
-            victim = self._victim(pool)
-            assert pool.process_of(victim) is not pool.process_of(
-                self._unit(pool, "R01")
-            )
-            self._kill_before_reply(pool, victim)
-            with pytest.raises(WorkerCrashed):
-                net.place_orders(_ROUNDS[1])
-            net.teardown_order(cross_region)
-            net.run()
-            pool.respawn(victim)
-            net.sync_workers()
-            assert {
-                unit: fp["state"]
-                for unit, fp in net.worker_fingerprints().items()
-            } == net.plant_fingerprints()
+                recipe.unit: mirror.pending
+                for recipe, mirror in net._mirrors.items()
+            } == pending
         assert multiprocessing.active_children() == []
 
     def test_cut_and_repair_need_no_live_worker(self):
-        # The worker hosting R00 (and R02) is dead and nothing recovers
-        # it: a cut or repair of an R00 fiber still acts on R00's
-        # controller and returns, and the respawned worker hears of both
-        # in the next message it is sent.
+        # The worker hosting R00 (and R02) is dead: a cut or repair of an
+        # R00 fiber still acts on R00's controller and returns.  Both
+        # wait in R00's next message, which raises.
         with ShardWorkerPool() as pool:
             net = self._network(pool)
             net.place_orders(_ROUNDS[0])
@@ -1021,10 +703,7 @@ class TestRoundRecovery:
             assert {k: v for k, v in after.items() if k != "R00"} == {
                 k: v for k, v in before.items() if k != "R00"
             }
-            pool.respawn(victim)
-            net.sync_workers()
-            assert {
-                unit: fp["state"]
-                for unit, fp in net.worker_fingerprints().items()
-            } == after
+            assert net._mirrors[victim].delta()["failed"] == [second]
+            with pytest.raises(WorkerCrashed):
+                net.sync_workers()
         assert multiprocessing.active_children() == []

@@ -24,10 +24,7 @@ Each (workload, scale) runs in a process of its own with
 ``PYTHONHASHSEED=0``.  Only this process's allocations are seen: a
 ``sharded-pool`` run's worker processes keep their own, so for it one
 more line gives, at each scale, the largest worker's peak RSS
-(``RUSAGE_CHILDREN`` once ``world.close()`` has reaped them) and what
-the pool's crash-replay journals hold after ``run()``: their entries,
-and the bytes of every object they reach, as the by-type walk counts
-them (keys and names shared with the graph included).  ``tracemalloc``
+(``RUSAGE_CHILDREN`` once ``world.close()`` has reaped them).  ``tracemalloc``
 slows the run several-fold; the bytes do not depend on speed.  The
 script imports ``bench.workloads`` and ``bench.driver`` as they are.
 """
@@ -68,12 +65,11 @@ def reached(roots):
 def measure(workload, seed, scale):
     """One run of ``workload`` in this process: orders served, bytes
     ``run()`` kept, and those bytes by source file; with a worker pool
-    also its journals after the run and its largest worker's peak."""
+    also its largest worker's peak."""
     from bench.driver import Driver
     from bench.workloads import BUILDERS
 
     world = BUILDERS[workload](seed, scale, None)
-    pool = None
     try:
         driver = Driver(world)
         driver.load()
@@ -84,18 +80,13 @@ def measure(workload, seed, scale):
             snapshot = tracemalloc.take_snapshot()
         finally:
             tracemalloc.stop()
-        if world.pool is not None:
-            journals = [unit.journal for unit in world.pool._units.values()]
-            pool = {
-                "journal_entries": sum(map(len, journals)),
-                "journal_bytes": sum(reached(journals).values()),
-            }
     finally:
         world.close()
-    if pool is not None:
-        pool["worker_peak_mb"] = (
+    pool = None
+    if world.pool is not None:
+        pool = {"worker_peak_mb": (
             resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss / 1024
-        )
+        )}
     files = by_file(snapshot)
     return {
         "orders": len(driver.tickets),
@@ -162,9 +153,7 @@ def lines(workload, scales, low, high, build):
     )
     if low["pool"] is not None:
         yield "    pool: " + "  ".join(
-            f"{scale}: largest worker {side['pool']['worker_peak_mb']:.1f} MB,"
-            f" journals {side['pool']['journal_entries']:,} entries"
-            f" {side['pool']['journal_bytes'] / 1e3:,.1f} KB"
+            f"{scale}: largest worker {side['pool']['worker_peak_mb']:.1f} MB"
             for scale, side in zip(scales, (low, high))
         )
     for name in sorted(slope, key=lambda name: -slope[name])[:TOP]:
